@@ -9,6 +9,7 @@
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifier of an interned cell value.
 ///
@@ -62,8 +63,9 @@ impl fmt::Display for ValueId {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Interner {
-    map: HashMap<String, ValueId>,
-    strings: Vec<String>,
+    /// Both directions share one heap copy of each string.
+    map: HashMap<Arc<str>, ValueId>,
+    strings: Vec<Arc<str>>,
 }
 
 impl Interner {
@@ -84,8 +86,9 @@ impl Interner {
         let id = ValueId(
             u32::try_from(self.strings.len()).expect("interner overflow: too many distinct values"),
         );
-        self.map.insert(value.to_owned(), id);
-        self.strings.push(value.to_owned());
+        let shared: Arc<str> = Arc::from(value);
+        self.map.insert(Arc::clone(&shared), id);
+        self.strings.push(shared);
         id
     }
 
@@ -96,7 +99,7 @@ impl Interner {
 
     /// Resolves an id back to its string, if it was produced by this interner.
     pub fn resolve(&self, id: ValueId) -> Option<&str> {
-        self.strings.get(id.0 as usize).map(String::as_str)
+        self.strings.get(id.0 as usize).map(|s| &**s)
     }
 
     /// Number of distinct interned values.

@@ -212,13 +212,29 @@ impl ReorderTable {
     ///
     /// Debug builds panic if a [`ValueId`] recurs with a different length.
     pub fn push_row(&mut self, row: Vec<Cell>) -> Result<(), TableError> {
+        self.push_row_slice(&row)
+    }
+
+    /// [`push_row`](ReorderTable::push_row) from a borrowed row, so a
+    /// producer can reuse one buffer instead of allocating a `Vec` per row.
+    /// Same arity check and debug-build length audit.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TableError::ArityMismatch`] if the row length differs from
+    /// the number of columns.
+    ///
+    /// # Panics
+    ///
+    /// Debug builds panic if a [`ValueId`] recurs with a different length.
+    pub fn push_row_slice(&mut self, row: &[Cell]) -> Result<(), TableError> {
         #[cfg(debug_assertions)]
         if row.len() == self.columns.len() {
-            for cell in &row {
+            for cell in row {
                 self.val_lens.observe(cell);
             }
         }
-        self.push_row_unchecked(row)
+        self.push_slice_unchecked(row)
     }
 
     /// [`push_row`](ReorderTable::push_row) without the debug-mode
@@ -230,6 +246,10 @@ impl ReorderTable {
     /// Returns [`TableError::ArityMismatch`] if the row length differs from
     /// the number of columns.
     pub fn push_row_unchecked(&mut self, row: Vec<Cell>) -> Result<(), TableError> {
+        self.push_slice_unchecked(&row)
+    }
+
+    fn push_slice_unchecked(&mut self, row: &[Cell]) -> Result<(), TableError> {
         if row.len() != self.columns.len() {
             return Err(TableError::ArityMismatch {
                 expected: self.columns.len(),
@@ -240,7 +260,7 @@ impl ReorderTable {
             self.col_values[c].push(cell.value);
             self.col_sq[c].push(cell.sq_len());
         }
-        self.cells.extend(row);
+        self.cells.extend_from_slice(row);
         self.nrows += 1;
         Ok(())
     }
@@ -342,7 +362,7 @@ impl ReorderTable {
         out.reserve_rows(rows.len());
         for &r in rows {
             assert!(r < self.nrows, "row {r} out of bounds ({})", self.nrows);
-            out.push_row_unchecked(self.cells[r * m..(r + 1) * m].to_vec())
+            out.push_slice_unchecked(&self.cells[r * m..(r + 1) * m])
                 .expect("row arity matches by construction");
         }
         out
@@ -391,7 +411,8 @@ impl ReorderTable {
 pub struct TableBuilder {
     columns: Vec<String>,
     interner: Interner,
-    rows: Vec<Vec<Cell>>,
+    /// Row-major cells of every pushed row.
+    cells: Vec<Cell>,
 }
 
 impl TableBuilder {
@@ -400,7 +421,7 @@ impl TableBuilder {
         TableBuilder {
             columns,
             interner: Interner::new(),
-            rows: Vec::new(),
+            cells: Vec::new(),
         }
     }
 
@@ -426,11 +447,10 @@ impl TableBuilder {
             self.columns.len(),
             "row arity must match column count"
         );
-        let row = values
-            .iter()
-            .map(|v| Cell::new(self.interner.intern(v), len_fn(v)))
-            .collect();
-        self.rows.push(row);
+        for v in values {
+            let cell = Cell::new(self.interner.intern(v), len_fn(v));
+            self.cells.push(cell);
+        }
     }
 
     /// Finishes the build, returning the table and the interner that maps
@@ -441,8 +461,10 @@ impl TableBuilder {
     /// Panics if the builder was created with no columns.
     pub fn finish(self) -> (ReorderTable, Interner) {
         let mut table = ReorderTable::new(self.columns).expect("builder requires columns");
-        for row in self.rows {
-            table.push_row(row).expect("builder rows have fixed arity");
+        for row in self.cells.chunks_exact(table.ncols()) {
+            table
+                .push_row_slice(row)
+                .expect("builder rows have fixed arity");
         }
         (table, self.interner)
     }
@@ -560,6 +582,37 @@ mod tests {
         t.push_row_unchecked(vec![cell(7, 99), cell(9, 1)]).unwrap();
         assert_eq!(t.nrows(), 3);
         assert_eq!(t.cell(2, 0).len, 99);
+    }
+
+    #[test]
+    fn push_row_slice_matches_push_row() {
+        let mut by_vec = ReorderTable::new(vec!["a".into(), "b".into()]).unwrap();
+        let mut by_slice = by_vec.clone();
+        let mut buf = Vec::new();
+        for i in 0..4 {
+            buf.clear();
+            buf.extend([cell(i, 1 + i), cell(9, 2)]);
+            by_vec.push_row(buf.clone()).unwrap();
+            by_slice.push_row_slice(&buf).unwrap();
+        }
+        assert_eq!(by_vec, by_slice);
+        assert_eq!(by_slice.col_sq_lens(0), &[1, 4, 9, 16]);
+        assert_eq!(
+            by_slice.push_row_slice(&[cell(0, 1)]),
+            Err(TableError::ArityMismatch {
+                expected: 2,
+                got: 1
+            })
+        );
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "one length per ValueId")]
+    fn debug_push_row_slice_rejects_conflicting_length() {
+        let mut t = ReorderTable::new(vec!["a".into()]).unwrap();
+        t.push_row_slice(&[cell(7, 3)]).unwrap();
+        let _ = t.push_row_slice(&[cell(7, 4)]);
     }
 
     #[test]

@@ -28,8 +28,9 @@
 //!   same [`QueryExecutor`](crate::QueryExecutor): a prompt that was ever
 //!   submitted is never submitted again. Cached rows are fanned out
 //!   *before* dedup-compaction, so the solver and the engine only ever see
-//!   novel rows. Row keys are stored as FNV-1a hashes (with a debug-build
-//!   collision audit), optional entry/byte budgets evict in LRU order, and
+//!   novel rows. Row keys are 64-bit content hashes folded from the table's
+//!   per-fragment hashes ([`RowKey`]; debug builds audit collisions against
+//!   the full key text), optional entry/byte budgets evict in LRU order, and
 //!   [`export`](AnswerCache::export)/[`absorb`](AnswerCache::absorb)
 //!   snapshots back statement checkpoint/resume
 //!   ([`StatementCheckpoint`](crate::StatementCheckpoint)).
@@ -42,7 +43,7 @@
 //! row-for-row on all seven datasets.
 
 use llmqo_costmodel::SelectivityPosterior;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{HashMap, VecDeque};
 
 /// Default pseudo-observation weight of the optimizer's static prior in
 /// each operator posterior: small enough that the first real batch already
@@ -212,17 +213,60 @@ impl AnswerCacheStats {
     }
 }
 
+/// The row half of an answer-cache key: the content identity of one row's
+/// serialized projected fields, in query-field order.
+///
+/// Every distinct `"name": "value", ` fragment of a table has a 64-bit
+/// content hash and a byte length (computed once, with its tokens, in the
+/// table's column dictionary). A row key is the ordered fold of its
+/// fragments' hashes, plus their summed byte length — the length of the
+/// concatenated key text, which is what byte budgets charge. Keys depend on
+/// content only: the same field values hash alike on any table, so a
+/// checkpoint taken over a prefix of a table hits on the whole table.
+///
+/// # Examples
+///
+/// ```
+/// use llmqo_relational::RowKey;
+/// let mut ab = RowKey::default();
+/// ab.push(0xa, 10);
+/// ab.push(0xb, 12);
+/// let mut ba = RowKey::default();
+/// ba.push(0xb, 12);
+/// ba.push(0xa, 10);
+/// assert_ne!(ab.hash, ba.hash, "field order is part of the identity");
+/// assert_eq!(ab.bytes, 22);
+/// ```
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+pub struct RowKey {
+    /// Ordered fold of the row's fragment content hashes.
+    pub hash: u64,
+    /// Summed byte length of the row's fragments.
+    pub bytes: usize,
+}
+
+impl RowKey {
+    /// Appends the next field's fragment (content hash, byte length).
+    pub fn push(&mut self, fragment_hash: u64, fragment_bytes: usize) {
+        self.hash = (self.hash.rotate_left(23) ^ fragment_hash).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.bytes += fragment_bytes;
+    }
+}
+
 /// One entry of an exported [`AnswerCache`] snapshot: the instruction text
 /// (interned ids are executor-local, so the snapshot carries the text), the
-/// FNV-1a hash of the row's serialized projected fields, the entry's byte
-/// charge against the cache budget, and the cached answer. The row key
-/// itself is *not* stored — the cache keys by hash, and a resumed executor
-/// re-derives hashes from live rows.
+/// row's [`RowKey`] split into its hash and its byte length (plus the fixed
+/// per-entry overhead) as the entry's charge against the cache budget, and
+/// the cached answer. The row's text is *not* stored — the cache keys by
+/// hash, and a resumed executor re-derives keys from live rows.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheSnapshotEntry {
     /// Interned instruction text (the operator's cache identity).
     pub instruction: String,
-    /// FNV-1a hash of the row's serialized projected fields.
+    /// [`RowKey::hash`] of the row's projected fields: an ordered fold of
+    /// per-fragment content hashes. (Before the column dictionaries this
+    /// was FNV-1a over the concatenated key text; snapshots from that
+    /// definition do not hit under this one.)
     pub key_hash: u64,
     /// Bytes this entry charges against [`AnswerCache`] byte budgets.
     pub bytes: usize,
@@ -234,26 +278,14 @@ pub struct CacheSnapshotEntry {
 /// key, the answer record, and map bookkeeping.
 const ENTRY_OVERHEAD_BYTES: usize = 48;
 
-/// FNV-1a over the row-key bytes — a tiny, dependency-free, deterministic
-/// 64-bit hash. 64 bits over session-scale entry counts (thousands) makes
-/// accidental collisions vanishingly rare; debug builds additionally audit
-/// every hit against the full key text.
-fn fnv1a(key: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in key.as_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
 /// What one cache slot stores besides its identity.
 #[derive(Debug, Clone, Copy)]
 struct Slot {
     answer: CachedAnswer,
     /// Byte charge (key length + [`ENTRY_OVERHEAD_BYTES`]).
     bytes: usize,
-    /// Recency stamp; key into the LRU `order` map.
+    /// Recency stamp: the value of `next_seq` when the entry was inserted
+    /// or last hit. Eviction takes the smallest stamp first.
     seq: u64,
 }
 
@@ -265,16 +297,19 @@ struct Slot {
 /// within a statement, and across successive queries on the same executor.
 ///
 /// Instructions are interned once per operator (they repeat across every
-/// row of a stage) and row keys are stored as 64-bit FNV-1a hashes, so each
-/// entry costs a small fixed amount regardless of row width. Debug builds
-/// keep the full key text beside each slot and assert on every hit that the
-/// hash did not collide.
+/// row of a stage) and rows are identified by their 64-bit [`RowKey`] hash,
+/// so each entry costs a small fixed amount regardless of row width. 64
+/// bits over session-scale entry counts makes accidental collisions
+/// vanishingly rare; in debug builds the executor additionally audits every
+/// key against the full key text (`AnswerCache::audit`).
 ///
 /// The cache is unbounded by default (byte-identical to the pre-budget
 /// behavior). [`bounded`](AnswerCache::bounded) /
 /// [`set_budget`](AnswerCache::set_budget) impose entry and/or byte
 /// budgets, enforced by least-recently-*used* eviction (lookups refresh
-/// recency, inserts start fresh).
+/// recency, inserts start fresh). Recency is a stamp on the slot — a hit
+/// costs one store — and the eviction order is only materialized when a
+/// budget is actually exceeded.
 #[derive(Debug, Default)]
 pub struct AnswerCache {
     instructions: HashMap<String, u32>,
@@ -282,8 +317,12 @@ pub struct AnswerCache {
     names: Vec<String>,
     /// `(instruction id, key hash)` → slot.
     entries: HashMap<(u32, u64), Slot>,
-    /// Recency stamp → entry key; the LRU eviction order.
-    order: BTreeMap<u64, (u32, u64)>,
+    /// Eviction candidates `(stamp, entry key)`, oldest first, as of the
+    /// last time a budget was exceeded; empty otherwise. A candidate whose
+    /// slot has since been re-stamped or evicted is stale and skipped;
+    /// entries stamped later are all younger than every candidate, so the
+    /// queue is only rebuilt once it runs dry.
+    victims: VecDeque<(u64, (u32, u64))>,
     next_seq: u64,
     cur_bytes: usize,
     max_entries: Option<usize>,
@@ -291,10 +330,9 @@ pub struct AnswerCache {
     hits: u64,
     misses: u64,
     evictions: u64,
-    /// Full key text per live slot, for the hash-collision audit. Absorbed
-    /// snapshot entries have no key text and are exempt.
+    /// Full key text per audited key, for the hash-collision audit.
     #[cfg(debug_assertions)]
-    audit: HashMap<(u32, u64), String>,
+    audited: HashMap<(u32, u64), String>,
 }
 
 impl AnswerCache {
@@ -335,20 +373,10 @@ impl AnswerCache {
 
     /// Looks up one row's prompt, counting the outcome in the stats. A hit
     /// refreshes the entry's LRU recency.
-    pub fn lookup(&mut self, instruction: u32, row_key: &str) -> Option<CachedAnswer> {
-        let k = (instruction, fnv1a(row_key));
-        if let Some(slot) = self.entries.get_mut(&k) {
-            #[cfg(debug_assertions)]
-            if let Some(original) = self.audit.get(&k) {
-                debug_assert_eq!(
-                    original, row_key,
-                    "FNV-1a key collision in AnswerCache (instruction {instruction})"
-                );
-            }
-            self.order.remove(&slot.seq);
+    pub fn lookup(&mut self, instruction: u32, key: RowKey) -> Option<CachedAnswer> {
+        if let Some(slot) = self.entries.get_mut(&(instruction, key.hash)) {
             slot.seq = self.next_seq;
             self.next_seq += 1;
-            self.order.insert(slot.seq, k);
             self.hits += 1;
             Some(slot.answer)
         } else {
@@ -361,27 +389,42 @@ impl AnswerCache {
     /// wins; a duplicate insert (two novel rows deduped into one request)
     /// is a no-op. May evict least-recently-used entries if a budget is
     /// set.
-    pub fn insert(&mut self, instruction: u32, row_key: String, answer: CachedAnswer) {
-        let k = (instruction, fnv1a(&row_key));
-        if self.entries.contains_key(&k) {
-            #[cfg(debug_assertions)]
-            if let Some(original) = self.audit.get(&k) {
-                debug_assert_eq!(
-                    original, &row_key,
-                    "FNV-1a key collision in AnswerCache (instruction {instruction})"
-                );
-            }
-            return;
-        }
-        let bytes = row_key.len() + ENTRY_OVERHEAD_BYTES;
-        #[cfg(debug_assertions)]
-        self.audit.insert(k, row_key);
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.entries.insert(k, Slot { answer, bytes, seq });
-        self.order.insert(seq, k);
-        self.cur_bytes += bytes;
+    pub fn insert(&mut self, instruction: u32, key: RowKey, answer: CachedAnswer) {
+        let bytes = key.bytes + ENTRY_OVERHEAD_BYTES;
+        self.store((instruction, key.hash), bytes, answer);
         self.enforce_budget();
+    }
+
+    /// Adds an entry with a fresh stamp unless its key is already present.
+    fn store(&mut self, k: (u32, u64), bytes: usize, answer: CachedAnswer) {
+        if let std::collections::hash_map::Entry::Vacant(e) = self.entries.entry(k) {
+            e.insert(Slot {
+                answer,
+                bytes,
+                seq: self.next_seq,
+            });
+            self.next_seq += 1;
+            self.cur_bytes += bytes;
+        }
+    }
+
+    /// Debug-build collision audit: records the full key `text` the first
+    /// time `key` is seen under `instruction` and asserts every later
+    /// sighting carries the same text.
+    ///
+    /// # Panics
+    ///
+    /// Panics if two different key texts share a [`RowKey::hash`].
+    #[cfg(debug_assertions)]
+    pub fn audit(&mut self, instruction: u32, key: RowKey, text: &str) {
+        let original = self
+            .audited
+            .entry((instruction, key.hash))
+            .or_insert_with(|| text.to_owned());
+        assert_eq!(
+            original, text,
+            "row-key hash collision in AnswerCache (instruction {instruction})"
+        );
     }
 
     /// Evicts least-recently-used entries until both budgets hold.
@@ -392,15 +435,23 @@ impl AnswerCache {
             if !over_entries && !over_bytes {
                 return;
             }
-            let Some((&seq, &k)) = self.order.iter().next() else {
-                return;
+            let Some((seq, k)) = self.victims.pop_front() else {
+                if self.entries.is_empty() {
+                    return;
+                }
+                let mut order: Vec<_> = self.entries.iter().map(|(&k, s)| (s.seq, k)).collect();
+                order.sort_unstable();
+                self.victims = order.into();
+                continue;
             };
-            self.order.remove(&seq);
+            if self.entries.get(&k).is_none_or(|slot| slot.seq != seq) {
+                continue;
+            }
             if let Some(slot) = self.entries.remove(&k) {
                 self.cur_bytes = self.cur_bytes.saturating_sub(slot.bytes);
             }
             #[cfg(debug_assertions)]
-            self.audit.remove(&k);
+            self.audited.remove(&k);
             self.evictions += 1;
         }
     }
@@ -432,24 +483,16 @@ impl AnswerCache {
     /// this cache (re-interning instruction texts). Existing entries win
     /// over snapshot entries; budgets are enforced after the merge.
     pub fn absorb(&mut self, snapshot: &[CacheSnapshotEntry]) {
+        self.entries.reserve(snapshot.len());
+        let mut last: Option<(&str, u32)> = None;
         for e in snapshot {
-            let id = self.instruction_id(&e.instruction);
-            let k = (id, e.key_hash);
-            if self.entries.contains_key(&k) {
-                continue;
-            }
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            self.entries.insert(
-                k,
-                Slot {
-                    answer: e.answer,
-                    bytes: e.bytes,
-                    seq,
-                },
-            );
-            self.order.insert(seq, k);
-            self.cur_bytes += e.bytes;
+            // Snapshots are sorted by instruction: intern once per run.
+            let id = match last {
+                Some((text, id)) if text == e.instruction => id,
+                _ => self.instruction_id(&e.instruction),
+            };
+            last = Some((&e.instruction, id));
+            self.store((id, e.key_hash), e.bytes, e.answer);
         }
         self.enforce_budget();
     }
@@ -480,20 +523,30 @@ impl AnswerCache {
         self.instructions.clear();
         self.names.clear();
         self.entries.clear();
-        self.order.clear();
+        self.victims.clear();
         self.next_seq = 0;
         self.cur_bytes = 0;
         self.hits = 0;
         self.misses = 0;
         self.evictions = 0;
         #[cfg(debug_assertions)]
-        self.audit.clear();
+        self.audited.clear();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A one-fragment row key standing in for the key of `text`.
+    fn key(text: &str) -> RowKey {
+        let mut k = RowKey::default();
+        let hash = text
+            .bytes()
+            .fold(7u64, |h, b| h.wrapping_mul(31) + u64::from(b));
+        k.push(hash, text.len());
+        k
+    }
 
     #[test]
     fn tracker_converges_to_observed_rate() {
@@ -559,15 +612,15 @@ mod tests {
         let i3 = c.instruction_id("Is it bad?");
         assert_ne!(i1, i3);
 
-        assert_eq!(c.lookup(i1, "\"a\": \"x\", "), None);
+        assert_eq!(c.lookup(i1, key("\"a\": \"x\", ")), None);
         let ans = CachedAnswer {
             prompt_tokens: 40,
             output_tokens: 2,
         };
-        c.insert(i1, "\"a\": \"x\", ".into(), ans);
-        assert_eq!(c.lookup(i1, "\"a\": \"x\", "), Some(ans));
+        c.insert(i1, key("\"a\": \"x\", "), ans);
+        assert_eq!(c.lookup(i1, key("\"a\": \"x\", ")), Some(ans));
         // Same fields under a different instruction: distinct prompt.
-        assert_eq!(c.lookup(i3, "\"a\": \"x\", "), None);
+        assert_eq!(c.lookup(i3, key("\"a\": \"x\", ")), None);
         let s = c.stats();
         assert_eq!((s.hits, s.misses, s.entries), (1, 2, 1));
         assert!((s.hit_rate() - 1.0 / 3.0).abs() < 1e-12);
@@ -576,13 +629,16 @@ mod tests {
         // First write wins.
         c.insert(
             i1,
-            "\"a\": \"x\", ".into(),
+            key("\"a\": \"x\", "),
             CachedAnswer {
                 prompt_tokens: 999,
                 output_tokens: 9,
             },
         );
-        assert_eq!(c.lookup(i1, "\"a\": \"x\", ").unwrap().prompt_tokens, 40);
+        assert_eq!(
+            c.lookup(i1, key("\"a\": \"x\", ")).unwrap().prompt_tokens,
+            40
+        );
 
         c.clear();
         assert!(c.is_empty());
@@ -600,15 +656,15 @@ mod tests {
     fn bounded_cache_evicts_least_recently_used() {
         let mut c = AnswerCache::bounded(Some(2), None);
         let i = c.instruction_id("q");
-        c.insert(i, "a".into(), ans(1));
-        c.insert(i, "b".into(), ans(2));
+        c.insert(i, key("a"), ans(1));
+        c.insert(i, key("b"), ans(2));
         // Touch "a" so "b" becomes the LRU victim.
-        assert_eq!(c.lookup(i, "a"), Some(ans(1)));
-        c.insert(i, "c".into(), ans(3));
+        assert_eq!(c.lookup(i, key("a")), Some(ans(1)));
+        c.insert(i, key("c"), ans(3));
         assert_eq!(c.len(), 2);
-        assert_eq!(c.lookup(i, "b"), None);
-        assert_eq!(c.lookup(i, "a"), Some(ans(1)));
-        assert_eq!(c.lookup(i, "c"), Some(ans(3)));
+        assert_eq!(c.lookup(i, key("b")), None);
+        assert_eq!(c.lookup(i, key("a")), Some(ans(1)));
+        assert_eq!(c.lookup(i, key("c")), Some(ans(3)));
         assert_eq!(c.stats().evictions, 1);
     }
 
@@ -620,14 +676,14 @@ mod tests {
         let mut c = AnswerCache::bounded(None, Some(per_entry * 5 / 2));
         let i = c.instruction_id("q");
         for (n, k) in ["a", "b", "c"].iter().enumerate() {
-            c.insert(i, (*k).into(), ans(n as u64));
+            c.insert(i, key(k), ans(n as u64));
         }
         assert_eq!(c.len(), 2);
         assert_eq!(c.stats().evictions, 1);
         // Tightening the budget on a live cache evicts immediately.
         c.set_budget(Some(1), None);
         assert_eq!(c.len(), 1);
-        assert_eq!(c.lookup(i, "c"), Some(ans(2)));
+        assert_eq!(c.lookup(i, key("c")), Some(ans(2)));
     }
 
     #[test]
@@ -635,9 +691,9 @@ mod tests {
         let mut c = AnswerCache::new();
         let i1 = c.instruction_id("q1");
         let i2 = c.instruction_id("q2");
-        c.insert(i1, "x".into(), ans(1));
-        c.insert(i2, "y".into(), ans(2));
-        c.insert(i1, "z".into(), ans(3));
+        c.insert(i1, key("x"), ans(1));
+        c.insert(i2, key("y"), ans(2));
+        c.insert(i1, key("z"), ans(3));
         let snap = c.export();
         assert_eq!(snap.len(), 3);
         assert!(snap
@@ -651,15 +707,15 @@ mod tests {
         d.absorb(&snap);
         let j1 = d.instruction_id("q1");
         assert_eq!(d.len(), 3);
-        assert_eq!(d.lookup(j1, "x"), Some(ans(1)));
-        assert_eq!(d.lookup(j2, "y"), Some(ans(2)));
-        assert_eq!(d.lookup(j1, "z"), Some(ans(3)));
+        assert_eq!(d.lookup(j1, key("x")), Some(ans(1)));
+        assert_eq!(d.lookup(j2, key("y")), Some(ans(2)));
+        assert_eq!(d.lookup(j1, key("z")), Some(ans(3)));
         // Existing entries win over absorbed duplicates.
         let mut e = AnswerCache::new();
         let k1 = e.instruction_id("q1");
-        e.insert(k1, "x".into(), ans(9));
+        e.insert(k1, key("x"), ans(9));
         e.absorb(&snap);
-        assert_eq!(e.lookup(k1, "x"), Some(ans(9)));
+        assert_eq!(e.lookup(k1, key("x")), Some(ans(9)));
         assert_eq!(e.len(), 3);
     }
 }

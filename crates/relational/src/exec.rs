@@ -28,10 +28,10 @@
 //! still receives its own generated output and optimizations cannot change
 //! query results.
 
-use crate::adaptive::{AnswerCache, AnswerCacheStats, CacheSnapshotEntry, CachedAnswer};
+use crate::adaptive::{AnswerCache, AnswerCacheStats, CacheSnapshotEntry, CachedAnswer, RowKey};
 use crate::optimizer::OptStats;
 use crate::pipeline::{StageEngine, PREFIX_KEY_DEPTH};
-use crate::prompt::{encode_table_rows, field_fragment};
+use crate::prompt::encode_rows;
 use crate::query::{LlmQuery, QueryKind};
 use crate::table::{Table, TableError};
 use llmqo_core::{phc_of_plan, FunctionalDeps, PhcReport, Reorderer, SolveError};
@@ -611,50 +611,46 @@ impl<'a> QueryExecutor<'a> {
         if rows.is_empty() {
             return Ok(outcome);
         }
-        let encoded = encode_table_rows(&self.tokenizer, table, query, Some(rows))?;
+        // Key-field queries are never cached: their labeler draws depend on
+        // where the schedule placed the key field, which a cache hit has no
+        // schedule to derive from — and they exist precisely to measure
+        // positional effects (Fig. 6), which caching would distort. Without
+        // a key field, `key_field_pos` is the constant 0.5 on every path,
+        // so hits label exactly as a cache-off run would.
+        let use_cache = opts.answer_cache && query.key_field.is_none();
+        let encoded = encode_rows(&self.tokenizer, table, query, Some(rows), use_cache)?;
         let projected = project_fds(fds, &encoded.used_cols);
 
         // Session answer cache: resolve each offered row's prompt identity
-        // (interned instruction + serialized projected fields) and answer
-        // repeats from the cache *before* dedup-compaction, so the solver
-        // and the engine only ever see novel rows. Like dedup, the cache
-        // shares engine work, not labeler draws: hit rows still generate
-        // their own outputs below. Key-field queries are exempt: their
-        // labeler draws depend on where the schedule placed the key field,
-        // which a cache hit has no schedule to derive from — and they exist
-        // precisely to measure positional effects (Fig. 6), which caching
-        // would distort. Without a key field, `key_field_pos` is the
-        // constant 0.5 on every path, so hits label exactly as a cache-off
-        // run would.
-        let use_cache = opts.answer_cache && query.key_field.is_none();
+        // (interned instruction + the row key folded from its fragments'
+        // content keys) and answer repeats from the cache *before*
+        // dedup-compaction, so the solver and the engine only ever see
+        // novel rows. Like dedup, the cache shares engine work, not labeler
+        // draws: hit rows still generate their own outputs below.
         let mut instr_id = 0u32;
-        let mut cache_keys: Vec<String> = Vec::new();
+        let mut cache_keys: Vec<RowKey> = Vec::new();
         let mut hit_rows: Vec<(usize, CachedAnswer)> = Vec::new();
         let novel: Vec<usize> = if use_cache {
             let mut cache = self.cache.borrow_mut();
             instr_id = cache.instruction_id(&query_cache_identity(query));
-            // Serialize each distinct (field, value) fragment once —
-            // duplicate-heavy batches reuse the string through the
-            // encode-time ValueId instead of re-formatting per row.
-            let mut frag_strings: Vec<Option<String>> = vec![None; encoded.fragments.len()];
             cache_keys = (0..encoded.reorder.nrows())
                 .map(|local| {
-                    let mut key = String::new();
-                    for (f, cell) in encoded.reorder.row(local).iter().enumerate() {
-                        let id = cell.value.as_u32() as usize;
-                        let frag = frag_strings[id].get_or_insert_with(|| {
-                            field_fragment(
-                                &query.fields[f],
-                                &table.value(rows[local], encoded.used_cols[f]).to_string(),
-                            )
-                        });
-                        key.push_str(frag);
+                    let mut key = RowKey::default();
+                    for cell in encoded.reorder.row(local) {
+                        let fragment = encoded.keys[cell.value.as_u32() as usize];
+                        key.push(fragment.hash, fragment.bytes as usize);
                     }
                     key
                 })
                 .collect();
             let mut novel = Vec::with_capacity(encoded.reorder.nrows());
-            for (local, key) in cache_keys.iter().enumerate() {
+            for (local, &key) in cache_keys.iter().enumerate() {
+                #[cfg(debug_assertions)]
+                cache.audit(
+                    instr_id,
+                    key,
+                    &row_key_text(table, rows[local], query, &encoded),
+                );
                 match cache.lookup(instr_id, key) {
                     Some(answer) => {
                         outcome.opt.cache_hits += 1;
@@ -726,15 +722,6 @@ impl<'a> QueryExecutor<'a> {
             outcome.solve_time_s = solution.solve_time.as_secs_f64();
             outcome.claimed_phc = solution.claimed_phc;
 
-            // One engine request per scheduled representative, carrying the
-            // *original* row index so serving traces stay attributable.
-            let requests: Vec<SimRequest> = solution
-                .plan
-                .rows
-                .iter()
-                .map(|rp| row_request(&encoded, compact, rp, rows[reps[rp.row]], query))
-                .collect();
-            outcome.opt.llm_calls = requests.len() as u64;
             // Fan-out stages route each request by its reorder-plan prefix
             // key so a shared-prefix group lands on one replica; the
             // single-session form never looks at keys, so skip the hashing.
@@ -743,10 +730,20 @@ impl<'a> QueryExecutor<'a> {
             } else {
                 Vec::new()
             };
+            // One engine request per scheduled representative, carrying the
+            // *original* row index so serving traces stay attributable.
+            // Built lazily: the stage engine enqueues each by reference, so
+            // the batch's prompt vectors never all exist at once.
+            let requests = solution
+                .plan
+                .rows
+                .iter()
+                .map(|rp| row_request(&encoded, compact, rp, rows[reps[rp.row]], query));
+            outcome.opt.llm_calls = solution.plan.rows.len() as u64;
             // This batch's completion records — consumed by request id
             // below, so the stage engine's merge order (deterministic but
             // replica-grouped under fan-out) never affects results.
-            let completions = engine.run_batch(&requests, &keys)?;
+            let completions = engine.run_batch(requests, &keys)?;
             if opts.cascade.is_some() {
                 // Cascade ledger: every issued request is billed to the
                 // cheap tier at full (uncached) prompt + output volume.
@@ -821,7 +818,7 @@ impl<'a> QueryExecutor<'a> {
                     // Replay the failed attempts so their serving cost is
                     // real: each retry re-sends the representative's full
                     // prompt (mostly cache hits) and re-decodes its output.
-                    let retried = engine.run_batch(&retry_requests, &retry_keys)?;
+                    let retried = engine.run_batch(retry_requests, &retry_keys)?;
                     if opts.cascade.is_some() {
                         for c in &retried {
                             outcome.opt.cheap_prompt_tokens += c.prompt_tokens as u64;
@@ -871,11 +868,9 @@ impl<'a> QueryExecutor<'a> {
                 if use_cache {
                     let original = rows[reps[rp.row]];
                     let record = answer_records[&original];
-                    self.cache.borrow_mut().insert(
-                        instr_id,
-                        cache_keys[reps[rp.row]].clone(),
-                        record,
-                    );
+                    self.cache
+                        .borrow_mut()
+                        .insert(instr_id, cache_keys[reps[rp.row]], record);
                 }
                 let mut group_escalates = false;
                 for &local in &groups[rp.row] {
@@ -923,11 +918,11 @@ impl<'a> QueryExecutor<'a> {
                         // fast-forward the expensive session to this
                         // batch's finish before serving the re-runs.
                         esc.advance_to(engine.clock());
-                        esc.run_batch(&esc_requests, &esc_keys)?
+                        esc.run_batch(esc_requests, &esc_keys)?
                     }
                     // No second session supplied: replay on the cheap
                     // tier's session so the serving cost is still paid.
-                    None => engine.run_batch(&esc_requests, &esc_keys)?,
+                    None => engine.run_batch(esc_requests, &esc_keys)?,
                 };
                 for c in &esc_completions {
                     outcome.opt.esc_prompt_tokens += c.prompt_tokens as u64;
@@ -1097,10 +1092,10 @@ fn row_request(
 /// space, and mean output length. Two operators share cached answers only
 /// when *all* of it matches; a filter and a projection with the same
 /// prompt text must not collide (their simulated decode costs differ).
-/// The per-row half is the serialized projected fields in query-field
-/// order: schedules permute fields but never change which `(field, value)`
-/// pairs a prompt carries, so together the two halves are exactly the
-/// prompt's semantic identity.
+/// The per-row half is the [`RowKey`] of the serialized projected fields in
+/// query-field order: schedules permute fields but never change which
+/// `(field, value)` pairs a prompt carries, so together the two halves are
+/// exactly the prompt's semantic identity.
 fn query_cache_identity(query: &LlmQuery) -> String {
     format!(
         "{}\u{1}{:?}\u{1}{:?}\u{1}{}",
@@ -1109,6 +1104,22 @@ fn query_cache_identity(query: &LlmQuery) -> String {
         query.label_space,
         query.output_tokens_mean,
     )
+}
+
+/// The text a row's [`RowKey`] stands for — its fragments concatenated in
+/// query-field order — for the debug-build collision audit.
+#[cfg(debug_assertions)]
+fn row_key_text(
+    table: &Table,
+    row: usize,
+    query: &LlmQuery,
+    encoded: &crate::EncodedTable,
+) -> String {
+    let mut text = String::new();
+    for (name, &col) in query.fields.iter().zip(&encoded.used_cols) {
+        crate::dict::push_fragment(&mut text, name, table.value(row, col));
+    }
+    text
 }
 
 /// Projects full-schema functional dependencies onto the used columns,

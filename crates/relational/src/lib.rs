@@ -105,6 +105,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod adaptive;
+mod dict;
 mod exec;
 mod optimizer;
 mod pipeline;
@@ -116,7 +117,7 @@ mod table;
 mod value;
 
 pub use adaptive::{
-    AnswerCache, AnswerCacheStats, CacheSnapshotEntry, CachedAnswer, SelectivityTracker,
+    AnswerCache, AnswerCacheStats, CacheSnapshotEntry, CachedAnswer, RowKey, SelectivityTracker,
 };
 pub use exec::{
     plan_requests, project_fds, ExecError, ExecOptions, ExecutionReport, QueryExecutor,

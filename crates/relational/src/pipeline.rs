@@ -98,6 +98,9 @@ impl StageEngine {
     }
 
     /// Runs one batch to completion and returns its completion records.
+    /// Requests are consumed one at a time — each is enqueued by reference
+    /// and dropped — so a caller passing a lazy iterator never holds the
+    /// whole batch's prompt vectors at once.
     ///
     /// For the fan-out form, `keys[i]` is request `i`'s reorder-plan prefix
     /// key; requests are placed replica by replica through the
@@ -112,14 +115,21 @@ impl StageEngine {
     /// [`EngineError::RequestTooLarge`] if a request can never be admitted.
     pub fn run_batch(
         &mut self,
-        requests: &[SimRequest],
+        requests: impl IntoIterator<Item = SimRequest, IntoIter: ExactSizeIterator>,
         keys: &[u64],
     ) -> Result<Vec<Completion>, EngineError> {
+        let requests = requests.into_iter();
         match self {
-            StageEngine::Single(s) => Ok(s.run_batch(requests)?.to_vec()),
+            StageEngine::Single(s) => {
+                for req in requests {
+                    s.enqueue_ref(&req);
+                }
+                // Everything is queued: an empty batch drains the session.
+                Ok(s.run_batch(&[])?.to_vec())
+            }
             StageEngine::Fanout(f) => {
                 debug_assert_eq!(requests.len(), keys.len(), "one prefix key per request");
-                for (req, &key) in requests.iter().zip(keys) {
+                for (req, &key) in requests.zip(keys) {
                     let snapshots: Vec<ReplicaSnapshot> = (0..f.group.len())
                         .map(|i| {
                             let s = f.group.get(i);
@@ -136,7 +146,7 @@ impl StageEngine {
                         })
                         .collect();
                     let choice = f.router.route(key, &snapshots).min(f.group.len() - 1);
-                    f.group.enqueue_on(choice, req);
+                    f.group.enqueue_on(choice, &req);
                     f.assigned[choice] += 1;
                 }
                 let drained = f.group.drain()?;

@@ -6,13 +6,16 @@
 //! fragment, so equal values in different fields never alias in the cache.
 //!
 //! [`encode_table`] lowers a relational [`Table`] into the optimizer's
-//! [`ReorderTable`]: each distinct `(field, value)` fragment is interned
-//! once, tokenized once, and its token count becomes the cell length that
-//! the PHC objective squares.
+//! [`ReorderTable`]. The text, tokens and content hash of each distinct
+//! `(field, value)` fragment live in the table's column dictionaries
+//! (`crate::dict`), produced once per table; an encode call is an integer
+//! remap from dictionary codes to call-local [`ValueId`]s, and a fragment's
+//! token count becomes the cell length that the PHC objective squares.
 
+use crate::dict::{self, FragmentKey};
 use crate::query::LlmQuery;
 use crate::table::{Table, TableError};
-use llmqo_core::{Cell, Interner, ReorderTable};
+use llmqo_core::{Cell, ReorderTable, ValueId};
 use llmqo_tokenizer::{TokenId, Tokenizer};
 use std::sync::Arc;
 
@@ -28,6 +31,10 @@ pub struct EncodedTable {
     pub instruction: Arc<[TokenId]>,
     /// Indices of the used columns in the source table's schema.
     pub used_cols: Vec<usize>,
+    /// Content key of each interned fragment, indexed by `ValueId` — what
+    /// answer-cache row keys are folded from. Empty unless the encode was
+    /// asked for keys ([`encode_rows`]).
+    pub(crate) keys: Vec<FragmentKey>,
 }
 
 impl EncodedTable {
@@ -44,7 +51,9 @@ impl EncodedTable {
 
 /// Serializes one field cell as the paper's JSON-style fragment.
 pub fn field_fragment(name: &str, value: &str) -> String {
-    format!("\"{name}\": \"{value}\", ")
+    let mut fragment = String::with_capacity(name.len() + value.len() + 8);
+    dict::push_fragment(&mut fragment, name, value);
+    fragment
 }
 
 /// Lowers `table` restricted to `query.fields` into an [`EncodedTable`].
@@ -65,6 +74,11 @@ pub fn encode_table(
 /// physical executor uses — a lazy-`LIMIT` batch or a post-filter survivor
 /// set is encoded directly, without materializing a sub-[`Table`].
 ///
+/// [`ValueId`]s are local to the call: dense, in row-major first-seen
+/// order over the encoded rows. The first call naming a column builds its
+/// dictionary on `table`; fragments are tokenized the first time any call
+/// touches them and shared (`Arc`) with every later [`EncodedTable`].
+///
 /// # Errors
 ///
 /// [`TableError::UnknownColumn`] if the query references a missing field.
@@ -78,51 +92,125 @@ pub fn encode_table_rows(
     query: &LlmQuery,
     rows: Option<&[usize]>,
 ) -> Result<EncodedTable, TableError> {
+    encode_rows(tokenizer, table, query, rows, false)
+}
+
+/// [`encode_table_rows`], optionally also collecting each fragment's
+/// content key (the executor asks for them when the answer cache is on).
+pub(crate) fn encode_rows(
+    tokenizer: &Tokenizer,
+    table: &Table,
+    query: &LlmQuery,
+    rows: Option<&[usize]>,
+    with_keys: bool,
+) -> Result<EncodedTable, TableError> {
     let used_cols = table.resolve_columns(&query.fields)?;
+    let timer = llmqo_obs::WallTimer::start();
     let nrows = rows.map_or(table.nrows(), <[usize]>::len);
-    let row_at = |i: usize| rows.map_or(i, |rs| rs[i]);
     let mut reorder = ReorderTable::new(query.fields.clone())
         .unwrap_or_else(|_| unreachable!("queries are validated to have at least one field"));
     // One up-front reservation sizes both the row-major store and the
     // column-major mirror the solvers scan.
     reorder.reserve_rows(nrows);
-    let mut interner = Interner::new();
-    let mut fragments: Vec<Arc<[TokenId]>> = Vec::new();
 
-    let mut fragment_buf = String::new();
-    for i in 0..nrows {
-        let r = row_at(i);
-        let mut row = Vec::with_capacity(used_cols.len());
-        for (f, &c) in used_cols.iter().enumerate() {
-            fragment_buf.clear();
-            fragment_buf.push_str(&field_fragment(
-                &query.fields[f],
-                &table.value(r, c).to_string(),
-            ));
-            let before = interner.len();
-            let id = interner.intern(&fragment_buf);
-            if interner.len() > before {
-                let toks = tokenizer.tokenize(&fragment_buf);
-                fragments.push(Arc::from(toks.into_boxed_slice()));
+    // One code → local id remap per distinct column (0 = unseen, else
+    // id + 1): a field listed twice shares its column's remap, so both
+    // positions get the same ids, as equal fragment text always has.
+    let fields: Vec<EncodeField<'_>> = used_cols
+        .iter()
+        .enumerate()
+        .map(|(f, &col)| {
+            let dict = table.dict(col);
+            EncodeField {
+                col,
+                codes: &dict.codes,
+                store: &dict.store,
+                remap: used_cols[..f]
+                    .iter()
+                    .position(|&earlier| earlier == col)
+                    .unwrap_or(f),
             }
-            let len = fragments[id.as_u32() as usize].len() as u32;
-            row.push(Cell::new(id, len));
+        })
+        .collect();
+    let mut remaps: Vec<Vec<u32>> = fields
+        .iter()
+        .enumerate()
+        .map(|(f, field)| {
+            vec![
+                0u32;
+                if field.remap == f {
+                    field.store.len()
+                } else {
+                    0
+                }
+            ]
+        })
+        .collect();
+
+    // At most one fragment per distinct value of each distinct column, and
+    // at most one per encoded cell.
+    let distinct: usize = remaps.iter().map(Vec::len).sum();
+    let max_fragments = distinct.min(nrows * fields.len());
+    let mut fragments: Vec<Arc<[TokenId]>> = Vec::with_capacity(max_fragments);
+    let mut keys: Vec<FragmentKey> = Vec::with_capacity(if with_keys { max_fragments } else { 0 });
+    let mut row_buf: Vec<Cell> = Vec::with_capacity(fields.len());
+    let mut text_buf = String::new();
+    for i in 0..nrows {
+        let r = rows.map_or(i, |rs| rs[i]);
+        row_buf.clear();
+        for (f, field) in fields.iter().enumerate() {
+            let code = field.codes[r];
+            let slot = &mut remaps[field.remap][code as usize];
+            if *slot == 0 {
+                let fragment = field.store.fragment(
+                    code,
+                    tokenizer,
+                    &query.fields[f],
+                    table.value(r, field.col),
+                    &mut text_buf,
+                );
+                fragments.push(fragment.tokens);
+                if with_keys {
+                    keys.push(fragment.key);
+                }
+                *slot = u32::try_from(fragments.len())
+                    .unwrap_or_else(|_| unreachable!("fewer than 2^32 distinct fragments"));
+            }
+            let id = *slot - 1;
+            row_buf.push(Cell::new(
+                ValueId::from_raw(id),
+                fragments[id as usize].len() as u32,
+            ));
         }
         reorder
-            .push_row(row)
+            .push_row_slice(&row_buf)
             .unwrap_or_else(|_| unreachable!("row arity fixed by used_cols"));
     }
 
     let instruction_text = query.full_instruction();
-    let instruction: Arc<[TokenId]> =
-        Arc::from(tokenizer.tokenize(&instruction_text).into_boxed_slice());
+    let instruction: Arc<[TokenId]> = Arc::from(tokenizer.tokenize(&instruction_text));
 
+    if llmqo_obs::enabled() {
+        dict::metrics().cells.add((nrows * fields.len()) as u64);
+    }
+    timer.observe(dict::metrics().wall_encode_s);
     Ok(EncodedTable {
         reorder,
         fragments,
         instruction,
         used_cols,
+        keys,
     })
+}
+
+/// One query field's view of its column dictionary during an encode call.
+struct EncodeField<'t> {
+    /// Column index in the source table.
+    col: usize,
+    codes: &'t [u32],
+    store: &'t dict::FragmentStore,
+    /// Index (≤ this field's) of the field whose remap this one uses.
+    remap: usize,
 }
 
 #[cfg(test)]

@@ -1,9 +1,11 @@
 //! Columnar tables.
 
+use crate::dict::ColumnDict;
 use crate::schema::{DataType, Schema};
 use crate::value::Value;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Errors from table construction and access.
 #[derive(Debug, Clone, PartialEq)]
@@ -52,6 +54,13 @@ impl std::error::Error for TableError {}
 /// A columnar table: the relational substrate the `LLM(...)` operator runs
 /// over.
 ///
+/// Besides the stored values a table caches, per column and built on first
+/// use, the dictionary the prompt encoder works from (row → dense value
+/// code, plus each distinct value's fragment tokens and content hash; see
+/// `docs/ARCHITECTURE.md`, "Host-side encode path"). The cache is derived
+/// state: equality ignores it, [`push_row`](Table::push_row) drops it, and
+/// [`select_rows`](Table::select_rows)/[`head`](Table::head) hand it down.
+///
 /// # Examples
 ///
 /// ```
@@ -61,17 +70,31 @@ impl std::error::Error for TableError {}
 /// assert_eq!(t.nrows(), 1);
 /// assert_eq!(t.value(0, 1), &Value::Str("Anvil".into()));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Table {
     schema: Schema,
     columns: Vec<Vec<Value>>,
+    /// Per-column encode dictionaries, built lazily.
+    #[serde(skip)]
+    dicts: Vec<OnceLock<ColumnDict>>,
+}
+
+impl PartialEq for Table {
+    fn eq(&self, other: &Self) -> bool {
+        self.schema == other.schema && self.columns == other.columns
+    }
 }
 
 impl Table {
     /// Creates an empty table.
     pub fn new(schema: Schema) -> Self {
         let columns = (0..schema.len()).map(|_| Vec::new()).collect();
-        Table { schema, columns }
+        let dicts = (0..schema.len()).map(|_| OnceLock::new()).collect();
+        Table {
+            schema,
+            columns,
+            dicts,
+        }
     }
 
     /// Appends one row.
@@ -108,6 +131,10 @@ impl Table {
         }
         for (col, v) in self.columns.iter_mut().zip(row) {
             col.push(v);
+        }
+        // The cached dictionaries describe the old rows only.
+        for dict in &mut self.dicts {
+            dict.take();
         }
         Ok(())
     }
@@ -171,6 +198,9 @@ impl Table {
         let mut out = Table::new(self.schema.clone());
         for col in 0..self.ncols() {
             out.columns[col] = rows.iter().map(|&r| self.columns[col][r].clone()).collect();
+            if let Some(dict) = self.dicts[col].get() {
+                out.dicts[col] = OnceLock::from(dict.gather(rows));
+            }
         }
         out
     }
@@ -179,6 +209,11 @@ impl Table {
     pub fn head(&self, n: usize) -> Table {
         let n = n.min(self.nrows());
         self.select_rows(&(0..n).collect::<Vec<_>>())
+    }
+
+    /// The encode dictionary of column `col`, built on first use.
+    pub(crate) fn dict(&self, col: usize) -> &ColumnDict {
+        self.dicts[col].get_or_init(|| ColumnDict::build(&self.columns[col]))
     }
 }
 
@@ -260,6 +295,32 @@ mod tests {
         let t = sample();
         assert_eq!(t.head(1).nrows(), 1);
         assert_eq!(t.head(10).nrows(), 2);
+    }
+
+    #[test]
+    fn tables_stay_shareable_across_threads() {
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<Table>();
+    }
+
+    #[test]
+    fn dictionaries_are_lazy_inherited_and_dropped_by_push_row() {
+        let mut t = sample();
+        assert!(t.dicts.iter().all(|d| d.get().is_none()));
+        assert_eq!(t.dict(0).codes, vec![0, 1]);
+        assert!(t.dicts[1].get().is_none(), "only the asked column is built");
+        // Derived tables gather built dictionaries and share their store.
+        let s = t.select_rows(&[1, 1, 0]);
+        let inherited = s.dicts[0].get().expect("inherited");
+        assert_eq!(inherited.codes, vec![1, 1, 0]);
+        assert!(std::sync::Arc::ptr_eq(&inherited.store, &t.dict(0).store));
+        assert!(s.dicts[1].get().is_none());
+        assert_eq!(t.head(1).dicts[0].get().expect("inherited").codes, vec![0]);
+        // Equality ignores the cache; push_row drops it.
+        assert_eq!(t, sample());
+        t.push_row(vec!["x".into(), "q".into()]).unwrap();
+        assert!(t.dicts.iter().all(|d| d.get().is_none()));
+        assert_eq!(t.dict(0).codes, vec![0, 1, 0]);
     }
 
     #[test]

@@ -102,8 +102,10 @@ impl Tokenizer {
     /// Identical texts always produce identical sequences. An empty string
     /// produces an empty sequence.
     pub fn tokenize(&self, text: &str) -> Vec<TokenId> {
-        let mut out = Vec::with_capacity(text.len() / self.piece_bytes + 1);
-        self.for_each_piece(text, |piece| out.push(fold_hash(fnv1a(piece.as_bytes()))));
+        // Full pieces plus one short tail piece per ~6-byte word: prose
+        // rarely outgrows this, so the vector is allocated once.
+        let mut out = Vec::with_capacity(text.len() / self.piece_bytes + text.len() / 6 + 1);
+        self.for_each_piece(text, |piece| out.push(fold_hash(fnv1a(piece))));
         out
     }
 
@@ -117,84 +119,148 @@ impl Tokenizer {
         n
     }
 
-    /// Drives `f` over every token piece of `text` in order.
-    fn for_each_piece<F: FnMut(&str)>(&self, text: &str, mut f: F) {
-        let mut segment_start = 0usize;
-        let mut segment_class = CharClass::Whitespace;
-        let mut pending_ws: Option<(usize, usize)> = None; // byte range of trailing whitespace
-
-        let flush_segment = |start: usize, end: usize, f: &mut F| {
-            if start < end {
-                self.chop(&text[start..end], f);
-            }
+    /// Drives `f` over the bytes of every token piece of `text` in order.
+    ///
+    /// The leading ASCII run is classified a byte at a time through
+    /// [`ASCII_CLASS`] and chopped by byte offsets; from the first non-ASCII
+    /// byte on, the same segmenter is fed decoded `char`s.
+    fn for_each_piece<F: FnMut(&[u8])>(&self, text: &str, mut f: F) {
+        let bytes = text.as_bytes();
+        let ascii_len = if text.is_ascii() {
+            bytes.len()
+        } else {
+            bytes.iter().position(|b| !b.is_ascii()).unwrap_or(0)
         };
-
-        for (idx, ch) in text.char_indices() {
-            let class = CharClass::of(ch);
-            if idx == 0 {
-                segment_class = class;
-                continue;
+        let mut segments = Segmenter::default();
+        let ascii = &bytes[..ascii_len];
+        let mut idx = 0usize;
+        while idx < ascii.len() {
+            // `advance` ignores a character of the current class, so it
+            // only needs to see the first byte of each same-class run.
+            let class = ASCII_CLASS[usize::from(ascii[idx])];
+            segments.advance(idx, class, |start, end| {
+                self.chop_ascii(&ascii[start..end], &mut f);
+            });
+            idx += 1;
+            while idx < ascii.len() && ASCII_CLASS[usize::from(ascii[idx])] == class {
+                idx += 1;
             }
-            if class == segment_class {
-                continue;
-            }
-            // Segment boundary at `idx`.
-            match (segment_class, class) {
-                (CharClass::Whitespace, CharClass::Word) => {
-                    // Attach the whitespace run to the following word.
-                    pending_ws = Some((segment_start, idx));
-                }
-                (CharClass::Whitespace, CharClass::Punct) => {
-                    flush_segment(segment_start, idx, &mut f);
-                }
-                (prev, _) => {
-                    let start = match pending_ws.take() {
-                        Some((ws_start, _)) if prev == CharClass::Word => ws_start,
-                        other => {
-                            // Whitespace was pending but previous segment was
-                            // punctuation: flush the whitespace separately.
-                            if let Some((ws_start, ws_end)) = other {
-                                flush_segment(ws_start, ws_end, &mut f);
-                            }
-                            segment_start
-                        }
-                    };
-                    flush_segment(start, idx, &mut f);
-                }
-            }
-            segment_start = idx;
-            segment_class = class;
         }
-
-        // Flush the final segment (plus any pending whitespace prefix).
-        if !text.is_empty() {
-            let start = match pending_ws.take() {
-                Some((ws_start, _)) if segment_class == CharClass::Word => ws_start,
-                Some((ws_start, ws_end)) => {
-                    flush_segment(ws_start, ws_end, &mut f);
-                    segment_start
-                }
-                None => segment_start,
-            };
-            flush_segment(start, text.len(), &mut f);
+        for (offset, ch) in text[ascii_len..].char_indices() {
+            segments.advance(ascii_len + offset, CharClass::of(ch), |start, end| {
+                self.chop(&text[start..end], &mut f);
+            });
         }
+        segments.finish(text.len(), |start, end| {
+            if end <= ascii_len {
+                self.chop_ascii(&bytes[start..end], &mut f);
+            } else {
+                self.chop(&text[start..end], &mut f);
+            }
+        });
+    }
+
+    /// [`chop`](Tokenizer::chop) for an all-ASCII segment: every character
+    /// is one byte, so pieces are plain `piece_bytes`-sized chunks.
+    fn chop_ascii<F: FnMut(&[u8])>(&self, segment: &[u8], f: &mut F) {
+        segment.chunks(self.piece_bytes).for_each(f);
     }
 
     /// Chops a segment into pieces of at most `piece_bytes` bytes, always
     /// keeping at least one (possibly multi-byte) character per piece.
-    fn chop<F: FnMut(&str)>(&self, segment: &str, f: &mut F) {
+    fn chop<F: FnMut(&[u8])>(&self, segment: &str, f: &mut F) {
+        let bytes = segment.as_bytes();
         let mut start = 0usize;
         let mut last_boundary = 0usize;
         for (idx, ch) in segment.char_indices() {
             if idx - start > 0 && idx - start + ch.len_utf8() > self.piece_bytes {
-                f(&segment[start..idx]);
+                f(&bytes[start..idx]);
                 start = idx;
             }
             last_boundary = idx + ch.len_utf8();
         }
         if start < last_boundary {
-            f(&segment[start..last_boundary]);
+            f(&bytes[start..last_boundary]);
         }
+    }
+}
+
+/// Segmentation state: splits a classified character stream into
+/// whitespace-prefixed word segments and punctuation runs, reporting each
+/// finished segment's byte range.
+#[derive(Debug)]
+struct Segmenter {
+    segment_start: usize,
+    segment_class: CharClass,
+    /// Byte range of a whitespace run waiting to attach to the next word.
+    pending_ws: Option<(usize, usize)>,
+}
+
+impl Default for Segmenter {
+    fn default() -> Self {
+        Segmenter {
+            segment_start: 0,
+            segment_class: CharClass::Whitespace,
+            pending_ws: None,
+        }
+    }
+}
+
+impl Segmenter {
+    /// Feeds the character starting at byte `idx`; `flush` receives the
+    /// byte range of every segment this character closes.
+    #[inline]
+    fn advance(&mut self, idx: usize, class: CharClass, mut flush: impl FnMut(usize, usize)) {
+        if idx == 0 {
+            self.segment_class = class;
+            return;
+        }
+        if class == self.segment_class {
+            return;
+        }
+        // Segment boundary at `idx`.
+        match (self.segment_class, class) {
+            (CharClass::Whitespace, CharClass::Word) => {
+                // Attach the whitespace run to the following word.
+                self.pending_ws = Some((self.segment_start, idx));
+            }
+            (CharClass::Whitespace, CharClass::Punct) => {
+                flush(self.segment_start, idx);
+            }
+            (prev, _) => {
+                let start = match self.pending_ws.take() {
+                    Some((ws_start, _)) if prev == CharClass::Word => ws_start,
+                    other => {
+                        // Whitespace was pending but previous segment was
+                        // punctuation: flush the whitespace separately.
+                        if let Some((ws_start, ws_end)) = other {
+                            flush(ws_start, ws_end);
+                        }
+                        self.segment_start
+                    }
+                };
+                flush(start, idx);
+            }
+        }
+        self.segment_start = idx;
+        self.segment_class = class;
+    }
+
+    /// Flushes the final segment (plus any pending whitespace prefix) of a
+    /// text of `len` bytes.
+    fn finish(mut self, len: usize, mut flush: impl FnMut(usize, usize)) {
+        if len == 0 {
+            return;
+        }
+        let start = match self.pending_ws.take() {
+            Some((ws_start, _)) if self.segment_class == CharClass::Word => ws_start,
+            Some((ws_start, ws_end)) => {
+                flush(ws_start, ws_end);
+                self.segment_start
+            }
+            None => self.segment_start,
+        };
+        flush(start, len);
     }
 }
 
@@ -217,6 +283,22 @@ impl CharClass {
         }
     }
 }
+
+/// [`CharClass::of`] for the 128 ASCII code points, indexed by byte.
+const ASCII_CLASS: [CharClass; 128] = {
+    let mut table = [CharClass::Punct; 128];
+    let mut b = 0usize;
+    while b < 128 {
+        let byte = b as u8;
+        if matches!(byte, b'\t'..=b'\r' | b' ') {
+            table[b] = CharClass::Whitespace;
+        } else if byte.is_ascii_alphanumeric() || byte == b'_' {
+            table[b] = CharClass::Word;
+        }
+        b += 1;
+    }
+    table
+};
 
 /// 64-bit FNV-1a over bytes.
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -370,7 +452,130 @@ mod proptests {
     use super::*;
     use proptest::prelude::*;
 
+    /// The segmenter as it was before the ASCII fast path: every character
+    /// decoded and classified through [`CharClass::of`], every segment
+    /// chopped by [`Tokenizer::chop`]. Kept here as the fast path's oracle.
+    fn reference_pieces(tok: &Tokenizer, text: &str) -> Vec<String> {
+        let mut out = Vec::new();
+        let mut f = |piece: &[u8]| out.push(String::from_utf8(piece.to_vec()).unwrap());
+        let mut segment_start = 0usize;
+        let mut segment_class = CharClass::Whitespace;
+        let mut pending_ws: Option<(usize, usize)> = None;
+        let flush_segment = |start: usize, end: usize, f: &mut dyn FnMut(&[u8])| {
+            if start < end {
+                tok.chop(&text[start..end], &mut |p: &[u8]| f(p));
+            }
+        };
+        for (idx, ch) in text.char_indices() {
+            let class = CharClass::of(ch);
+            if idx == 0 {
+                segment_class = class;
+                continue;
+            }
+            if class == segment_class {
+                continue;
+            }
+            match (segment_class, class) {
+                (CharClass::Whitespace, CharClass::Word) => {
+                    pending_ws = Some((segment_start, idx));
+                }
+                (CharClass::Whitespace, CharClass::Punct) => {
+                    flush_segment(segment_start, idx, &mut f);
+                }
+                (prev, _) => {
+                    let start = match pending_ws.take() {
+                        Some((ws_start, _)) if prev == CharClass::Word => ws_start,
+                        other => {
+                            if let Some((ws_start, ws_end)) = other {
+                                flush_segment(ws_start, ws_end, &mut f);
+                            }
+                            segment_start
+                        }
+                    };
+                    flush_segment(start, idx, &mut f);
+                }
+            }
+            segment_start = idx;
+            segment_class = class;
+        }
+        if !text.is_empty() {
+            let start = match pending_ws.take() {
+                Some((ws_start, _)) if segment_class == CharClass::Word => ws_start,
+                Some((ws_start, ws_end)) => {
+                    flush_segment(ws_start, ws_end, &mut f);
+                    segment_start
+                }
+                None => segment_start,
+            };
+            flush_segment(start, text.len(), &mut f);
+        }
+        out
+    }
+
+    fn pieces(tok: &Tokenizer, text: &str) -> Vec<String> {
+        let mut out = Vec::new();
+        tok.for_each_piece(text, |p| out.push(String::from_utf8(p.to_vec()).unwrap()));
+        out
+    }
+
+    #[test]
+    fn ascii_table_matches_char_classes() {
+        for b in 0u8..128 {
+            assert_eq!(
+                ASCII_CLASS[usize::from(b)],
+                CharClass::of(char::from(b)),
+                "byte {b:#04x}"
+            );
+        }
+    }
+
+    #[test]
+    fn fast_path_matches_reference_on_edge_texts() {
+        // ASCII whitespace/control bytes the proptest palette lacks, and
+        // non-ASCII whitespace right after an ASCII run.
+        for text in [
+            "a\rb\x0bc\x0cd\x1ce\x7ff",
+            "tab\tnew\nline  two   three",
+            "\"name\": \"value with, punct!\", ",
+            "ascii then\u{a0}nbsp\u{85}nel and café",
+            " \u{3000}wide space first",
+            "é",
+            "trailing ws é  ",
+            "....  !!",
+        ] {
+            for piece_bytes in 1..=8 {
+                let tok = Tokenizer::with_piece_bytes(piece_bytes);
+                assert_eq!(
+                    pieces(&tok, text),
+                    reference_pieces(&tok, text),
+                    "text={text:?} piece_bytes={piece_bytes}"
+                );
+            }
+        }
+    }
+
     proptest! {
+        #[test]
+        fn fast_path_matches_reference(text in ".*", ascii in prop::collection::vec(0u8..128, 0..64)) {
+            // Arbitrary Unicode, arbitrary ASCII bytes, and one spliced
+            // into the other so the hand-over happens mid-text.
+            let ascii: String = ascii.into_iter().map(char::from).collect();
+            let spliced = format!("{ascii}{text}{ascii}");
+            for piece_bytes in 1..=8 {
+                let tok = Tokenizer::with_piece_bytes(piece_bytes);
+                for t in [&text, &ascii, &spliced] {
+                    let expected = reference_pieces(&tok, t);
+                    prop_assert_eq!(&pieces(&tok, t), &expected);
+                    let ids: Vec<TokenId> = expected
+                        .iter()
+                        .map(|p| fold_hash(fnv1a(p.as_bytes())))
+                        .collect();
+                    prop_assert_eq!(tok.tokenize(t), ids);
+                    prop_assert_eq!(tok.count(t), expected.len());
+                }
+            }
+        }
+
         #[test]
         fn never_panics(text in ".*") {
             let tok = Tokenizer::new();

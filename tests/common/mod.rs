@@ -321,3 +321,172 @@ pub fn seeded_config_matrix(seed: u64) -> Vec<MatrixEntry> {
         },
     ]
 }
+
+// ---------------------------------------------------------------------------
+// Frozen references for the host-side encode path (ISSUE 12)
+// ---------------------------------------------------------------------------
+
+/// The public fields of an [`EncodedTable`](llmqo::relational::EncodedTable)
+/// as the string encoder produced them.
+#[derive(Debug)]
+pub struct ReferenceEncoding {
+    pub reorder: llmqo::core::ReorderTable,
+    pub fragments: Vec<std::sync::Arc<[llmqo::tokenizer::TokenId]>>,
+    pub instruction: std::sync::Arc<[llmqo::tokenizer::TokenId]>,
+    pub used_cols: Vec<usize>,
+}
+
+/// `encode_table_rows` as it was before the column dictionaries, frozen:
+/// every cell serialized with `to_string` + `field_fragment`, interned by
+/// fragment text, tokenized on first sight, one `Vec<Cell>` per row. The
+/// oracle of `tests/encode_differential.rs`.
+pub fn reference_encode_rows(
+    tokenizer: &Tokenizer,
+    table: &llmqo::relational::Table,
+    query: &llmqo::relational::LlmQuery,
+    rows: Option<&[usize]>,
+) -> ReferenceEncoding {
+    use llmqo::core::{Cell, Interner, ReorderTable};
+    use llmqo::relational::field_fragment;
+    use std::sync::Arc;
+
+    let used_cols = table
+        .resolve_columns(&query.fields)
+        .expect("query names table columns");
+    let nrows = rows.map_or(table.nrows(), <[usize]>::len);
+    let row_at = |i: usize| rows.map_or(i, |rs| rs[i]);
+    let mut reorder = ReorderTable::new(query.fields.clone()).expect("at least one field");
+    reorder.reserve_rows(nrows);
+    let mut interner = Interner::new();
+    let mut fragments: Vec<Arc<[llmqo::tokenizer::TokenId]>> = Vec::new();
+
+    let mut fragment_buf = String::new();
+    for i in 0..nrows {
+        let r = row_at(i);
+        let mut row = Vec::with_capacity(used_cols.len());
+        for (f, &c) in used_cols.iter().enumerate() {
+            fragment_buf.clear();
+            fragment_buf.push_str(&field_fragment(
+                &query.fields[f],
+                &table.value(r, c).to_string(),
+            ));
+            let before = interner.len();
+            let id = interner.intern(&fragment_buf);
+            if interner.len() > before {
+                let toks = tokenizer.tokenize(&fragment_buf);
+                fragments.push(Arc::from(toks.into_boxed_slice()));
+            }
+            let len = fragments[id.as_u32() as usize].len() as u32;
+            row.push(Cell::new(id, len));
+        }
+        reorder.push_row(row).expect("row arity fixed by used_cols");
+    }
+
+    let instruction = Arc::from(
+        tokenizer
+            .tokenize(&query.full_instruction())
+            .into_boxed_slice(),
+    );
+    ReferenceEncoding {
+        reorder,
+        fragments,
+        instruction,
+        used_cols,
+    }
+}
+
+/// Asserts the dictionary encoder's output equals the frozen string
+/// encoder's, field by field.
+pub fn assert_encoding_matches_reference(
+    tokenizer: &Tokenizer,
+    table: &llmqo::relational::Table,
+    query: &llmqo::relational::LlmQuery,
+    rows: Option<&[usize]>,
+    context: &str,
+) {
+    let want = reference_encode_rows(tokenizer, table, query, rows);
+    let got = llmqo::relational::encode_table_rows(tokenizer, table, query, rows)
+        .unwrap_or_else(|e| panic!("{context}: {e}"));
+    assert_eq!(got.reorder, want.reorder, "{context}: reorder table");
+    assert_eq!(got.fragments, want.fragments, "{context}: fragments");
+    assert_eq!(got.instruction, want.instruction, "{context}: instruction");
+    assert_eq!(got.used_cols, want.used_cols, "{context}: used columns");
+}
+
+/// The answer cache's recency bookkeeping as it was before the stamp-based
+/// rewrite, frozen: a `BTreeMap` from recency stamp to key that every hit
+/// removes from and re-inserts into, evicting the first entry while a
+/// budget is exceeded. Keys are `(hash, bytes)` pairs; `lookup`/`insert`
+/// return what the real cache would (hit or miss / nothing), and
+/// `evicted` lists victims in eviction order.
+#[derive(Debug, Default)]
+pub struct ReferenceLru {
+    entries: std::collections::HashMap<u64, (usize, u64)>,
+    order: std::collections::BTreeMap<u64, u64>,
+    next_seq: u64,
+    cur_bytes: usize,
+    pub max_entries: Option<usize>,
+    pub max_bytes: Option<usize>,
+    pub evicted: Vec<u64>,
+}
+
+impl ReferenceLru {
+    /// Fixed per-entry byte charge of the real cache.
+    pub const ENTRY_OVERHEAD_BYTES: usize = 48;
+
+    pub fn bounded(max_entries: Option<usize>, max_bytes: Option<usize>) -> Self {
+        ReferenceLru {
+            max_entries,
+            max_bytes,
+            ..ReferenceLru::default()
+        }
+    }
+
+    pub fn lookup(&mut self, hash: u64) -> bool {
+        let Some(slot) = self.entries.get_mut(&hash) else {
+            return false;
+        };
+        self.order.remove(&slot.1);
+        slot.1 = self.next_seq;
+        self.next_seq += 1;
+        self.order.insert(slot.1, hash);
+        true
+    }
+
+    pub fn insert(&mut self, hash: u64, key_bytes: usize) {
+        if self.entries.contains_key(&hash) {
+            return;
+        }
+        let bytes = key_bytes + Self::ENTRY_OVERHEAD_BYTES;
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.entries.insert(hash, (bytes, seq));
+        self.order.insert(seq, hash);
+        self.cur_bytes += bytes;
+        self.enforce_budget();
+    }
+
+    pub fn enforce_budget(&mut self) {
+        loop {
+            let over_entries = self.max_entries.is_some_and(|m| self.entries.len() > m);
+            let over_bytes = self.max_bytes.is_some_and(|m| self.cur_bytes > m);
+            if !over_entries && !over_bytes {
+                return;
+            }
+            let Some((&seq, &hash)) = self.order.iter().next() else {
+                return;
+            };
+            self.order.remove(&seq);
+            if let Some((bytes, _)) = self.entries.remove(&hash) {
+                self.cur_bytes -= bytes;
+            }
+            self.evicted.push(hash);
+        }
+    }
+
+    pub fn live(&self) -> Vec<u64> {
+        let mut keys: Vec<u64> = self.entries.keys().copied().collect();
+        keys.sort_unstable();
+        keys
+    }
+}
