@@ -2,9 +2,15 @@
 //! wall-clock per real second, under cached and uncached configurations.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use llmqo_core::{Ggr, Reorderer};
+use llmqo_datasets::{Dataset, DatasetId};
+use llmqo_relational::{encode_table, plan_requests, project_fds, QueryKind};
 use llmqo_serve::{
-    Deployment, EngineConfig, GpuCluster, GpuSpec, ModelSpec, SimEngine, SimRequest,
+    BlockChain, ChainHasher, Deployment, EngineConfig, GpuCluster, GpuSpec, ModelSpec, SimEngine,
+    SimRequest,
 };
+use llmqo_tokenizer::Tokenizer;
+use std::hint::black_box;
 
 fn requests(n: usize, shared: usize, total: usize, output: u32) -> Vec<SimRequest> {
     (0..n)
@@ -55,5 +61,43 @@ fn bench_engine(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_engine);
+/// Block-chain hashing on a GGR-ordered Movies filter batch — prompts whose
+/// leading fragments are pointer-equal to the previous prompt's: the
+/// from-scratch definition against the incremental hasher the serving paths
+/// use (both produce the same chains).
+fn bench_chain(c: &mut Criterion) {
+    let ds = Dataset::generate_with_rows(DatasetId::Movies, 2000);
+    let query = ds.query_of_kind(QueryKind::Filter).expect("filter query");
+    let encoded = encode_table(&Tokenizer::new(), &ds.table, query).expect("encode");
+    let fds = project_fds(&ds.fds, &encoded.used_cols);
+    let solution = Ggr::default()
+        .reorder(&encoded.reorder, &fds)
+        .expect("solve");
+    let requests = plan_requests(&encoded, &solution.plan, query);
+    let block_size = EngineConfig::default().block_size;
+
+    let mut group = c.benchmark_group("chain/movies-2000req");
+    group.sample_size(10);
+    group.bench_function("from_fragments", |b| {
+        b.iter(|| {
+            for r in &requests {
+                black_box(BlockChain::from_fragments(
+                    block_size,
+                    r.prompt.iter().map(|f| &f[..]),
+                ));
+            }
+        })
+    });
+    group.bench_function("hasher", |b| {
+        b.iter(|| {
+            let mut hasher = ChainHasher::new(block_size, true);
+            for r in &requests {
+                black_box(hasher.chain(&r.prompt));
+            }
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_engine, bench_chain);
 criterion_main!(benches);

@@ -202,4 +202,14 @@ fn main() {
     if step_n == 0 {
         println!("  (wall histograms empty — built without the `wallclock` feature?)");
     }
+
+    // How much prompt hashing did the previous-prompt checkpoints save?
+    let r = llmqo_obs::registry();
+    let hashed = r.counter("serve.chain.tokens_hashed").get();
+    let reused = r.counter("serve.chain.tokens_reused").get();
+    println!(
+        "\nblock-chain hashing: {hashed} prompt tokens hashed, {reused} reused \
+         ({:.1}% of all prompt tokens never hashed)",
+        100.0 * reused as f64 / (hashed + reused).max(1) as f64
+    );
 }

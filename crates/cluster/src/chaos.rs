@@ -54,7 +54,7 @@ use crate::overload::{
 use crate::report::{ClusterReport, ReplicaOccupancy, ReplicaReport};
 use crate::request::ClusterRequest;
 use crate::router::{ReplicaSnapshot, Router};
-use crate::sim::{ClusterError, ClusterSim};
+use crate::sim::{ClusterError, ClusterSim, Placer};
 use llmqo_serve::{percentile, Completion, EngineReport, EngineSession};
 use std::collections::{BTreeMap, HashSet, VecDeque};
 
@@ -350,36 +350,6 @@ fn obs_count(name: &str) {
     }
 }
 
-/// Cold path: the chaos twin of the fault-free dispatcher's placement
-/// trace — same gauges, counter, and `route` instant.
-fn trace_chaos_placement(
-    rep: &ChaosReplica,
-    choice: usize,
-    request: &ClusterRequest,
-    kv_blocks_in_use: usize,
-    probed_cached_tokens: usize,
-) {
-    let r = llmqo_obs::registry();
-    r.gauge(&format!("cluster.replica{choice}.kv_blocks_in_use"))
-        .set(kv_blocks_in_use as f64);
-    r.gauge(&format!("cluster.replica{choice}.queued"))
-        .set(rep.session.queued() as f64);
-    r.counter("cluster.requests_routed").inc();
-    llmqo_obs::tracer().instant(
-        0,
-        request.request.id as u64,
-        "route",
-        "router",
-        rep.session.clock(),
-        &[
-            ("replica", choice.into()),
-            ("prefix_key", request.prefix_key.into()),
-            ("kv_blocks_in_use", kv_blocks_in_use.into()),
-            ("probed_cached_tokens", probed_cached_tokens.into()),
-        ],
-    );
-}
-
 /// Merges a replica's incarnations into one `(report, completions)` pair.
 /// Counters and times sum, peaks max, the makespan is the latest incarnation
 /// clock, and latency percentiles are recomputed over all completions. With
@@ -660,7 +630,10 @@ impl ClusterSim {
                 })
             })
             .collect::<Result<_, llmqo_serve::EngineError>>()?;
-        let mut prompt_buf: Vec<llmqo_tokenizer::TokenId> = Vec::new();
+        let mut placer = Placer::new(self.engine());
+        // Per-run scratch, refilled per placement attempt / gated arrival.
+        let mut snapshots: Vec<ReplicaSnapshot> = Vec::with_capacity(replicas.len());
+        let mut sheddable: Vec<(usize, u32, u8)> = Vec::new();
 
         // Arrival order: by time, original order on ties (stable sort).
         let mut order: Vec<usize> = (0..requests.len()).collect();
@@ -708,20 +681,11 @@ impl ClusterSim {
                     admission.pop_front(); // Stale retry/hedge entry.
                     continue;
                 }
-                let snapshots: Vec<ReplicaSnapshot> = replicas
-                    .iter()
-                    .enumerate()
-                    .map(|(index, r)| ReplicaSnapshot {
-                        index,
-                        queued: r.session.queued(),
-                        running: r.session.running(),
-                        kv_blocks_in_use: r.session.kv_blocks_in_use(),
-                        capacity_blocks: r.session.capacity_blocks(),
-                        clock_s: r.session.clock(),
-                        assigned: r.assigned,
-                        alive: r.up && entry.exclude != Some(index),
-                    })
-                    .collect();
+                snapshots.clear();
+                snapshots.extend(replicas.iter().enumerate().map(|(index, r)| {
+                    let alive = r.up && entry.exclude != Some(index);
+                    ReplicaSnapshot::observe(index, &r.session, r.assigned, alive)
+                }));
                 let choice = router.route(requests[j].prefix_key, &snapshots);
                 if choice >= replicas.len() {
                     return Err(ClusterError::RouterOutOfRange {
@@ -743,23 +707,13 @@ impl ClusterSim {
                 }
                 admission.pop_front();
                 let replica = &mut replicas[choice];
-                replica.session.advance_to(entry.arrival_s.max(now));
-                let kv = replica.session.kv_blocks_in_use();
-                prompt_buf.clear();
-                for frag in &requests[j].request.prompt {
-                    prompt_buf.extend_from_slice(frag);
-                }
-                let probed = replica.session.probe_cached_tokens(&prompt_buf);
-                let occ = &mut replica.occupancy;
-                occ.samples += 1;
-                occ.kv_blocks_sum += kv as u64;
-                occ.kv_blocks_peak = occ.kv_blocks_peak.max(kv);
-                occ.capacity_blocks = replica.session.capacity_blocks();
-                occ.probed_cached_tokens += probed as u64;
-                if llmqo_obs::enabled() {
-                    trace_chaos_placement(replica, choice, &requests[j], kv, probed);
-                }
-                replica.session.enqueue_ref(&requests[j].request);
+                placer.place(
+                    &mut replica.session,
+                    &mut replica.occupancy,
+                    choice,
+                    &requests[j],
+                    entry.arrival_s.max(now),
+                );
                 replica.assigned += 1;
                 replica.arrivals.push(entry.arrival_s);
                 let submission = submissions;
@@ -970,12 +924,14 @@ impl ClusterSim {
                     } else {
                         0.0
                     };
-                    let sheddable: Vec<(usize, u32, u8)> = admission
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, e)| e.kind == AttemptKind::First)
-                        .map(|(pos, e)| (pos, requests[e.j].tenant, requests[e.j].priority))
-                        .collect();
+                    sheddable.clear();
+                    sheddable.extend(
+                        admission
+                            .iter()
+                            .enumerate()
+                            .filter(|(_, e)| e.kind == AttemptKind::First)
+                            .map(|(pos, e)| (pos, requests[e.j].tenant, requests[e.j].priority)),
+                    );
                     // The depth gate counts only first attempts: retries and
                     // hedges are work the cluster already admitted (and owes
                     // the fault ledger an outcome for), so in-flight recovery
@@ -1226,6 +1182,8 @@ impl ClusterSim {
                 }
             }
         }
+
+        placer.finish();
 
         // --- Assembly: merge incarnations per replica, close open windows.
         // Scale-down departures are deliberate, not faults: their windows

@@ -8,6 +8,7 @@
 //! until the situation changes (the dispatcher re-asks after every
 //! simulation event).
 
+use llmqo_serve::EngineSession;
 use std::fmt;
 
 /// Point-in-time view of one replica, handed to [`Router::route`].
@@ -34,6 +35,21 @@ pub struct ReplicaSnapshot {
 }
 
 impl ReplicaSnapshot {
+    /// Reads replica `index`'s live state off its session; `assigned` and
+    /// `alive` are the dispatcher's own bookkeeping.
+    pub fn observe(index: usize, session: &EngineSession, assigned: usize, alive: bool) -> Self {
+        ReplicaSnapshot {
+            index,
+            queued: session.queued(),
+            running: session.running(),
+            kv_blocks_in_use: session.kv_blocks_in_use(),
+            capacity_blocks: session.capacity_blocks(),
+            clock_s: session.clock(),
+            assigned,
+            alive,
+        }
+    }
+
     /// Queued plus running work — the scalar load most policies compare.
     pub fn load(&self) -> usize {
         self.queued + self.running

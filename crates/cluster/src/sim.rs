@@ -35,7 +35,8 @@ use crate::overload::{decide_admission, obs_shed, AdmissionPolicy, ShedDecision,
 use crate::report::{ClusterReport, ReplicaOccupancy, ReplicaReport};
 use crate::request::ClusterRequest;
 use crate::router::{ReplicaSnapshot, Router};
-use llmqo_serve::{EngineError, EngineSession, SimEngine};
+use llmqo_obs::{Counter, Gauge};
+use llmqo_serve::{ChainHasher, EngineError, EngineSession, SimEngine};
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -183,34 +184,114 @@ struct Replica {
     occupancy: ReplicaOccupancy,
 }
 
-/// Cold path: emits the router-decision trace event and refreshes the
-/// chosen replica's occupancy gauges. Only called when observability is on.
-fn trace_placement(
-    replica: &Replica,
-    choice: usize,
-    request: &ClusterRequest,
-    kv_blocks_in_use: usize,
-    probed_cached_tokens: usize,
-) {
-    let r = llmqo_obs::registry();
-    r.gauge(&format!("cluster.replica{choice}.kv_blocks_in_use"))
-        .set(kv_blocks_in_use as f64);
-    r.gauge(&format!("cluster.replica{choice}.queued"))
-        .set(replica.session.queued() as f64);
-    r.counter("cluster.requests_routed").inc();
-    llmqo_obs::tracer().instant(
-        0,
-        request.request.id as u64,
-        "route",
-        "router",
-        replica.session.clock(),
-        &[
-            ("replica", choice.into()),
-            ("prefix_key", request.prefix_key.into()),
-            ("kv_blocks_in_use", kv_blocks_in_use.into()),
-            ("probed_cached_tokens", probed_cached_tokens.into()),
-        ],
-    );
+/// Handles of the per-placement metrics, resolved once per run so a routed
+/// request costs three atomic stores and one trace event — no `format!`,
+/// no registry lock.
+struct PlacementObs {
+    routed: &'static Counter,
+    /// `(kv_blocks_in_use, queued)` gauges by replica index, resolved on
+    /// the first placement there (the autoscaler grows the fleet mid-run).
+    gauges: Vec<(&'static Gauge, &'static Gauge)>,
+}
+
+impl PlacementObs {
+    /// Emits the router-decision trace event and refreshes the chosen
+    /// replica's occupancy gauges.
+    fn record(
+        &mut self,
+        session: &EngineSession,
+        choice: usize,
+        request: &ClusterRequest,
+        kv_blocks_in_use: usize,
+        probed_cached_tokens: usize,
+    ) {
+        let r = llmqo_obs::registry();
+        while self.gauges.len() <= choice {
+            let i = self.gauges.len();
+            self.gauges.push((
+                r.gauge(&format!("cluster.replica{i}.kv_blocks_in_use")),
+                r.gauge(&format!("cluster.replica{i}.queued")),
+            ));
+        }
+        let (kv_gauge, queued_gauge) = self.gauges[choice];
+        kv_gauge.set(kv_blocks_in_use as f64);
+        queued_gauge.set(session.queued() as f64);
+        self.routed.inc();
+        llmqo_obs::tracer().instant(
+            0,
+            request.request.id as u64,
+            "route",
+            "router",
+            session.clock(),
+            &[
+                ("replica", choice.into()),
+                ("prefix_key", request.prefix_key.into()),
+                ("kv_blocks_in_use", kv_blocks_in_use.into()),
+                ("probed_cached_tokens", probed_cached_tokens.into()),
+            ],
+        );
+    }
+}
+
+/// Per-run placement state shared by both dispatcher loops: the chain
+/// hasher (consecutive placements are consecutive rows of the reordered
+/// table, so the previous prompt is the right memo whichever replica it
+/// went to) and, when observability is on, the metric handles.
+pub(crate) struct Placer {
+    hasher: ChainHasher,
+    obs: Option<PlacementObs>,
+}
+
+impl Placer {
+    pub(crate) fn new(engine: &SimEngine) -> Self {
+        Placer {
+            hasher: engine.chain_hasher(),
+            obs: llmqo_obs::enabled().then(|| PlacementObs {
+                routed: llmqo_obs::registry().counter("cluster.requests_routed"),
+                gauges: Vec::new(),
+            }),
+        }
+    }
+
+    /// Hands `request` to replica `choice`'s session at instant `ready_s`,
+    /// hashing its prompt once: the same chain feeds the cache probe and
+    /// the session's admission queue.
+    pub(crate) fn place(
+        &mut self,
+        session: &mut EngineSession,
+        occupancy: &mut ReplicaOccupancy,
+        choice: usize,
+        request: &ClusterRequest,
+        ready_s: f64,
+    ) {
+        // An idle replica has been frozen since it last worked; catch it
+        // up to the moment the request reaches it.
+        session.advance_to(ready_s);
+        // Sample what the router could have known at this decision: KV
+        // occupancy and the probed prefix hit on the chosen replica. Pure
+        // reads, shared by both stepping modes, so macro-stepped and
+        // single-stepped reports stay identical.
+        let kv = session.kv_blocks_in_use();
+        let chain = self.hasher.chain(&request.request.prompt);
+        let probed = session.probe_cached_tokens(&chain);
+        occupancy.samples += 1;
+        occupancy.kv_blocks_sum += kv as u64;
+        occupancy.kv_blocks_peak = occupancy.kv_blocks_peak.max(kv);
+        occupancy.capacity_blocks = session.capacity_blocks();
+        occupancy.probed_cached_tokens += probed as u64;
+        if let Some(obs) = &mut self.obs {
+            obs.record(session, choice, request, kv, probed);
+        }
+        session.enqueue_chain(request.request.id, request.request.output_len, chain);
+    }
+
+    /// Ends the run: publishes the hasher's reuse counters when
+    /// observability is on.
+    pub(crate) fn finish(self) {
+        if self.obs.is_some() {
+            llmqo_serve::obs::publish_chain_hasher(&self.hasher);
+        }
+    }
 }
 
 impl ClusterSim {
@@ -363,9 +444,10 @@ impl ClusterSim {
                 })
             })
             .collect::<Result<_, EngineError>>()?;
-        // Scratch buffer for flattening a request's prompt fragments when
-        // probing the chosen replica's cache at placement time.
-        let mut prompt_buf: Vec<llmqo_tokenizer::TokenId> = Vec::new();
+        let mut placer = Placer::new(&self.engine);
+        // Per-run scratch, refilled per placement attempt / gated arrival.
+        let mut snapshots: Vec<ReplicaSnapshot> = Vec::with_capacity(replicas.len());
+        let mut sheddable: Vec<(usize, u32, u8)> = Vec::new();
 
         // Arrival order: by time, original order on ties (stable sort).
         let mut order: Vec<usize> = (0..requests.len()).collect();
@@ -385,20 +467,10 @@ impl ClusterSim {
             // Place as many admission-queue requests as the routed-to
             // replicas can take. No simulated time passes while placing.
             while let Some(&j) = admission.front() {
-                let snapshots: Vec<ReplicaSnapshot> = replicas
-                    .iter()
-                    .enumerate()
-                    .map(|(index, r)| ReplicaSnapshot {
-                        index,
-                        queued: r.session.queued(),
-                        running: r.session.running(),
-                        kv_blocks_in_use: r.session.kv_blocks_in_use(),
-                        capacity_blocks: r.session.capacity_blocks(),
-                        clock_s: r.session.clock(),
-                        assigned: r.assigned,
-                        alive: true,
-                    })
-                    .collect();
+                snapshots.clear();
+                snapshots.extend(replicas.iter().enumerate().map(|(index, r)| {
+                    ReplicaSnapshot::observe(index, &r.session, r.assigned, true)
+                }));
                 let choice = router.route(requests[j].prefix_key, &snapshots);
                 if choice >= replicas.len() {
                     return Err(ClusterError::RouterOutOfRange {
@@ -411,30 +483,15 @@ impl ClusterSim {
                 }
                 admission.pop_front();
                 let replica = &mut replicas[choice];
-                // An idle replica has been frozen since it last worked;
-                // catch it up to the moment the request reaches it — its
-                // arrival, or later if backpressure held it in admission.
-                replica.session.advance_to(requests[j].arrival_s.max(now));
-                // Sample what the router could have known at this decision:
-                // KV occupancy and the probed prefix hit on the chosen
-                // replica. Pure reads, shared by both stepping modes, so
-                // macro-stepped and single-stepped reports stay identical.
-                let kv = replica.session.kv_blocks_in_use();
-                prompt_buf.clear();
-                for frag in &requests[j].request.prompt {
-                    prompt_buf.extend_from_slice(frag);
-                }
-                let probed = replica.session.probe_cached_tokens(&prompt_buf);
-                let occ = &mut replica.occupancy;
-                occ.samples += 1;
-                occ.kv_blocks_sum += kv as u64;
-                occ.kv_blocks_peak = occ.kv_blocks_peak.max(kv);
-                occ.capacity_blocks = replica.session.capacity_blocks();
-                occ.probed_cached_tokens += probed as u64;
-                if llmqo_obs::enabled() {
-                    trace_placement(replica, choice, &requests[j], kv, probed);
-                }
-                replica.session.enqueue_ref(&requests[j].request);
+                // The request reaches the replica at its arrival, or later
+                // if backpressure held it in admission.
+                placer.place(
+                    &mut replica.session,
+                    &mut replica.occupancy,
+                    choice,
+                    &requests[j],
+                    requests[j].arrival_s.max(now),
+                );
                 replica.assigned += 1;
                 replica.arrivals.push(requests[j].arrival_s);
             }
@@ -486,11 +543,13 @@ impl ClusterSim {
                     } else {
                         0.0
                     };
-                    let sheddable: Vec<(usize, u32, u8)> = admission
-                        .iter()
-                        .enumerate()
-                        .map(|(pos, &p)| (pos, requests[p].tenant, requests[p].priority))
-                        .collect();
+                    sheddable.clear();
+                    sheddable.extend(
+                        admission
+                            .iter()
+                            .enumerate()
+                            .map(|(pos, &p)| (pos, requests[p].tenant, requests[p].priority)),
+                    );
                     match decide_admission(
                         admission_policy,
                         requests[j].tenant,
@@ -575,6 +634,8 @@ impl ClusterSim {
                 });
             }
         }
+
+        placer.finish();
 
         // Collect per-replica reports and queue waits. Engine admission is
         // FIFO, so completions sorted by admission time pair with arrivals

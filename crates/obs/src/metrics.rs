@@ -285,17 +285,27 @@ impl Registry {
         }
     }
 
+    /// The metric named `name`, registered via `make` on first use. A hit
+    /// is one map lookup under the lock; the name is copied only on a miss.
+    fn get_or_register(&self, name: &str, make: impl FnOnce() -> Metric) -> Metric {
+        let mut inner = self.inner.lock().expect("registry poisoned");
+        if let Some(&metric) = inner.get(name) {
+            return metric;
+        }
+        let metric = make();
+        inner.insert(name.to_owned(), metric);
+        metric
+    }
+
     /// The counter named `name`, created on first use.
     ///
     /// # Panics
     ///
     /// Panics if `name` is already registered as a different metric kind.
     pub fn counter(&self, name: &str) -> &'static Counter {
-        let mut inner = self.inner.lock().expect("registry poisoned");
-        let metric = *inner
-            .entry(name.to_owned())
-            .or_insert_with(|| Metric::Counter(Box::leak(Box::new(Counter::new()))));
-        match metric {
+        match self.get_or_register(name, || {
+            Metric::Counter(Box::leak(Box::new(Counter::new())))
+        }) {
             Metric::Counter(c) => c,
             _ => panic!("metric {name:?} is not a counter"),
         }
@@ -307,11 +317,7 @@ impl Registry {
     ///
     /// Panics if `name` is already registered as a different metric kind.
     pub fn gauge(&self, name: &str) -> &'static Gauge {
-        let mut inner = self.inner.lock().expect("registry poisoned");
-        let metric = *inner
-            .entry(name.to_owned())
-            .or_insert_with(|| Metric::Gauge(Box::leak(Box::new(Gauge::new()))));
-        match metric {
+        match self.get_or_register(name, || Metric::Gauge(Box::leak(Box::new(Gauge::new())))) {
             Metric::Gauge(g) => g,
             _ => panic!("metric {name:?} is not a gauge"),
         }
@@ -323,11 +329,9 @@ impl Registry {
     ///
     /// Panics if `name` is already registered as a different metric kind.
     pub fn histogram(&self, name: &str) -> &'static Histogram {
-        let mut inner = self.inner.lock().expect("registry poisoned");
-        let metric = *inner
-            .entry(name.to_owned())
-            .or_insert_with(|| Metric::Histogram(Box::leak(Box::new(Histogram::new()))));
-        match metric {
+        match self.get_or_register(name, || {
+            Metric::Histogram(Box::leak(Box::new(Histogram::new())))
+        }) {
             Metric::Histogram(h) => h,
             _ => panic!("metric {name:?} is not a histogram"),
         }

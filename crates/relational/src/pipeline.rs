@@ -47,6 +47,8 @@ pub(crate) struct FanoutStage {
     group: SessionGroup,
     router: PrefixAffinity,
     assigned: Vec<usize>,
+    /// Routing scratch, refilled per request.
+    snapshots: Vec<ReplicaSnapshot>,
 }
 
 impl StageEngine {
@@ -60,6 +62,7 @@ impl StageEngine {
                 group: SessionGroup::new(engine, replicas)?,
                 router: PrefixAffinity::default(),
                 assigned: vec![0; replicas],
+                snapshots: Vec::with_capacity(replicas),
             }))
         }
     }
@@ -130,22 +133,13 @@ impl StageEngine {
             StageEngine::Fanout(f) => {
                 debug_assert_eq!(requests.len(), keys.len(), "one prefix key per request");
                 for (req, &key) in requests.zip(keys) {
-                    let snapshots: Vec<ReplicaSnapshot> = (0..f.group.len())
-                        .map(|i| {
-                            let s = f.group.get(i);
-                            ReplicaSnapshot {
-                                index: i,
-                                queued: s.queued(),
-                                running: s.running(),
-                                kv_blocks_in_use: s.kv_blocks_in_use(),
-                                capacity_blocks: s.capacity_blocks(),
-                                clock_s: s.clock(),
-                                assigned: f.assigned[i],
-                                alive: true,
-                            }
-                        })
-                        .collect();
-                    let choice = f.router.route(key, &snapshots).min(f.group.len() - 1);
+                    f.snapshots.clear();
+                    f.snapshots.extend(
+                        (0..f.group.len()).map(|i| {
+                            ReplicaSnapshot::observe(i, f.group.get(i), f.assigned[i], true)
+                        }),
+                    );
+                    let choice = f.router.route(key, &f.snapshots).min(f.group.len() - 1);
                     f.group.enqueue_on(choice, &req);
                     f.assigned[choice] += 1;
                 }

@@ -25,6 +25,7 @@ use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::Arc;
 
 /// Multiply-mix hasher for the block map. Block keys are already FNV-chained
 /// 64-bit hashes produced by the cache itself — no untrusted input reaches
@@ -78,10 +79,11 @@ pub struct CacheConfig {
 ///
 /// Flattening a fragment list and hashing it is O(prompt length); a request
 /// stuck at the head of the admission queue used to pay that cost on every
-/// scheduling step it waited. Computing the chain once at enqueue time and
+/// scheduling step it waited. Computing the chain once per placement and
 /// handing it to [`PrefixCache::probe_chain`] / [`PrefixCache::try_admit_chain`]
 /// makes every later cache operation a walk over `prompt_len / block_size`
-/// precomputed hashes.
+/// precomputed hashes. [`BlockChain::from_fragments`] is the *definition* of
+/// the chain; [`ChainHasher`] is how the serving paths compute it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockChain {
     /// Chain hashes of the prompt's full blocks, in chain order.
@@ -146,6 +148,149 @@ impl BlockChain {
     /// The full-block chain hashes, in chain order.
     pub fn blocks(&self) -> &[u64] {
         &self.chain
+    }
+}
+
+/// Hasher state at a fragment boundary: everything
+/// [`BlockChain::from_fragments`] carries from one fragment into the next.
+#[derive(Debug, Clone, Copy)]
+struct Checkpoint {
+    /// Full blocks emitted so far.
+    blocks: usize,
+    /// Hash of the block in progress (seeded with its parent, then mixed
+    /// with `in_block` tokens).
+    hash: u64,
+    /// Tokens mixed into the block in progress.
+    in_block: usize,
+    /// Prompt tokens consumed so far.
+    tokens: usize,
+}
+
+/// Incremental [`BlockChain`] builder that hashes only the part of a prompt
+/// the *previous* prompt did not share.
+///
+/// Reordered workloads submit prompts whose leading fragments are the very
+/// same `Arc`s as the previous prompt's (the instruction, then the fields
+/// the solver moved to the front). The hasher keeps the previous prompt's
+/// fragments and, at every fragment boundary, a checkpoint of the chain
+/// state; the next call finds the longest run of leading fragments that are
+/// **pointer-equal** to the previous call's, resumes from that checkpoint
+/// and mixes in only the suffix.
+///
+/// Pointer equality is sound because the hasher holds strong references: a
+/// fragment it remembers cannot be freed, so its address cannot be reused
+/// by different content, and an `Arc<[TokenId]>` with more than one owner is
+/// immutable. Equal content behind distinct `Arc`s is simply re-hashed. The
+/// per-token mixing is [`BlockChain::from_fragments`]'s, resumed mid-stream,
+/// so the resulting chain is identical to it for every input sequence.
+#[derive(Debug)]
+pub struct ChainHasher {
+    block_size: usize,
+    /// `false` for a disabled prefix cache, which admits by length alone:
+    /// [`chain`](ChainHasher::chain) then returns [`BlockChain::unhashed`].
+    enabled: bool,
+    /// The previous prompt's fragments.
+    prev: Vec<Arc<[TokenId]>>,
+    /// `checkpoints[i]` is the state after `prev[..=i]`.
+    checkpoints: Vec<Checkpoint>,
+    /// The previous prompt's block hashes; the next chain's shared prefix.
+    blocks: Vec<u64>,
+    tokens_hashed: u64,
+    tokens_reused: u64,
+}
+
+impl ChainHasher {
+    /// A hasher producing chains for a cache of the given block size;
+    /// `enabled` is the cache's [`CacheConfig::enabled`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `block_size` is zero.
+    pub fn new(block_size: usize, enabled: bool) -> Self {
+        assert!(block_size > 0, "block_size must be positive");
+        ChainHasher {
+            block_size,
+            enabled,
+            prev: Vec::new(),
+            checkpoints: Vec::new(),
+            blocks: Vec::new(),
+            tokens_hashed: 0,
+            tokens_reused: 0,
+        }
+    }
+
+    /// The block chain of the logically concatenated `fragments` — equal to
+    /// [`BlockChain::from_fragments`] for an enabled cache,
+    /// [`BlockChain::unhashed`] for a disabled one.
+    pub fn chain(&mut self, fragments: &[Arc<[TokenId]>]) -> BlockChain {
+        if !self.enabled {
+            return BlockChain::unhashed(fragments.iter().map(|f| f.len()).sum());
+        }
+        let shared = self
+            .prev
+            .iter()
+            .zip(fragments)
+            .take_while(|(a, b)| Arc::ptr_eq(a, b))
+            .count();
+        let resume = match shared.checked_sub(1) {
+            Some(last) => self.checkpoints[last],
+            None => Checkpoint {
+                blocks: 0,
+                hash: chain_seed(None),
+                in_block: 0,
+                tokens: 0,
+            },
+        };
+        self.prev.truncate(shared);
+        self.checkpoints.truncate(shared);
+        self.blocks.truncate(resume.blocks);
+        let Checkpoint {
+            mut hash,
+            mut in_block,
+            mut tokens,
+            ..
+        } = resume;
+        for fragment in &fragments[shared..] {
+            let mut rest = &fragment[..];
+            while !rest.is_empty() {
+                let (head, tail) = rest.split_at(rest.len().min(self.block_size - in_block));
+                for &t in head {
+                    chain_mix_token(&mut hash, t);
+                }
+                in_block += head.len();
+                rest = tail;
+                if in_block == self.block_size {
+                    self.blocks.push(hash);
+                    hash = chain_seed(Some(hash));
+                    in_block = 0;
+                }
+            }
+            tokens += fragment.len();
+            self.prev.push(Arc::clone(fragment));
+            self.checkpoints.push(Checkpoint {
+                blocks: self.blocks.len(),
+                hash,
+                in_block,
+                tokens,
+            });
+        }
+        self.tokens_reused += resume.tokens as u64;
+        self.tokens_hashed += (tokens - resume.tokens) as u64;
+        BlockChain {
+            // `clone` allocates exactly `len` slots.
+            chain: self.blocks.clone(),
+            prompt_tokens: tokens,
+        }
+    }
+
+    /// Prompt tokens this hasher mixed in, over its lifetime.
+    pub fn tokens_hashed(&self) -> u64 {
+        self.tokens_hashed
+    }
+
+    /// Prompt tokens this hasher skipped by resuming from a checkpoint.
+    pub fn tokens_reused(&self) -> u64 {
+        self.tokens_reused
     }
 }
 
@@ -398,21 +543,25 @@ impl PrefixCache {
     /// [`try_admit_chain`](PrefixCache::try_admit_chain) that hashes
     /// `tokens` on the fly.
     pub fn try_admit(&mut self, tokens: &[TokenId], decode_tokens: usize) -> Option<SeqAlloc> {
-        let chain = if self.config.enabled {
+        let mut chain = if self.config.enabled {
             BlockChain::from_tokens(self.config.block_size, tokens)
         } else {
             BlockChain::unhashed(tokens.len())
         };
-        self.try_admit_chain(&chain, decode_tokens)
+        self.try_admit_chain(&mut chain, decode_tokens)
     }
 
     /// [`try_admit`](PrefixCache::try_admit) over a precomputed
     /// [`BlockChain`]: the chain walk reads the request's block hashes
     /// instead of re-hashing the prompt, so a retry after backpressure costs
     /// O(blocks), not O(tokens).
+    ///
+    /// On success the block hashes **move** into the returned allocation
+    /// (`chain` keeps its prompt length and no blocks); on failure `chain`
+    /// is untouched, ready for the retry.
     pub fn try_admit_chain(
         &mut self,
-        chain: &BlockChain,
+        chain: &mut BlockChain,
         decode_tokens: usize,
     ) -> Option<SeqAlloc> {
         let bs = self.config.block_size;
@@ -448,7 +597,7 @@ impl PrefixCache {
             private,
             ..
         } = plan;
-        let chain = chain.blocks().to_vec();
+        let chain = std::mem::take(&mut chain.chain);
 
         // Phase A: pin every existing chain block so evictions during phase B
         // cannot touch them (presence is re-probed; nothing was created
@@ -915,12 +1064,36 @@ mod tests {
     }
 
     #[test]
+    fn hasher_resumes_mid_block_and_counts_reuse() {
+        let frag = |n: usize, salt: u32| -> Arc<[TokenId]> { toks(n, salt).into() };
+        let (a, b, c, d) = (frag(6, 0), frag(5, 1), frag(7, 2), frag(3, 3));
+        let mut hasher = ChainHasher::new(4, true);
+        for prompt in [
+            vec![a.clone(), b.clone(), c.clone()],
+            // Shares 11 tokens: resumes 3 tokens into the third block.
+            vec![a.clone(), b.clone(), d.clone()],
+            // Equal content behind a new `Arc` is not a pointer match.
+            vec![frag(6, 0), b.clone()],
+            vec![],
+        ] {
+            let flat: Vec<&[TokenId]> = prompt.iter().map(|f| &f[..]).collect();
+            assert_eq!(hasher.chain(&prompt), BlockChain::from_fragments(4, flat));
+        }
+        assert_eq!(hasher.tokens_reused(), 11);
+        assert_eq!(hasher.tokens_hashed(), 18 + 3 + 11);
+        // A disabled cache wants the length only.
+        let mut off = ChainHasher::new(4, false);
+        assert_eq!(off.chain(&[a, b]), BlockChain::unhashed(11));
+        assert_eq!(off.tokens_hashed() + off.tokens_reused(), 0);
+    }
+
+    #[test]
     fn chain_apis_match_token_apis() {
         let mut c = cache(32);
         let tokens = toks(14, 2);
         let chain = BlockChain::from_tokens(4, &tokens);
         assert!(c.can_admit_chain(&chain, 3));
-        let a = c.try_admit_chain(&chain, 3).unwrap();
+        let a = c.try_admit_chain(&mut chain.clone(), 3).unwrap();
         c.mark_computed(&a, 14);
         assert_eq!(c.probe_chain(&chain), c.probe(&tokens));
         let b = c.try_admit(&tokens, 3).unwrap();
@@ -936,17 +1109,23 @@ mod tests {
         let too_big = BlockChain::from_tokens(4, &toks(16, 1));
         assert!(c.can_admit_chain(&fits, 0));
         assert!(!c.can_admit_chain(&too_big, 0));
-        let a = c.try_admit_chain(&fits, 0).unwrap();
+        let a = c.try_admit_chain(&mut fits.clone(), 0).unwrap();
         // The same chain still fits (pure sharing, no new blocks) …
         assert!(c.can_admit_chain(&fits, 0));
         // … but a distinct prompt needs blocks the full cache cannot supply;
         // the predicate agrees with try_admit.
-        let other = BlockChain::from_tokens(4, &toks(8, 3));
+        let mut other = BlockChain::from_tokens(4, &toks(8, 3));
         assert!(!c.can_admit_chain(&other, 0));
-        assert!(c.try_admit_chain(&other, 0).is_none());
+        // A refused admission leaves the chain intact for the retry.
+        assert!(c.try_admit_chain(&mut other, 0).is_none());
+        assert_eq!(other, BlockChain::from_tokens(4, &toks(8, 3)));
         c.release(a);
-        // Released blocks are evictable supply again.
+        // Released blocks are evictable supply again, and a granted
+        // admission takes the hashes with it.
         assert!(c.can_admit_chain(&other, 0));
+        let b = c.try_admit_chain(&mut other, 0).unwrap();
+        assert_eq!((other.blocks().len(), other.prompt_tokens()), (0, 8));
+        c.release(b);
     }
 
     #[test]
@@ -959,7 +1138,7 @@ mod tests {
         });
         let chain = BlockChain::unhashed(10);
         assert!(c.can_admit_chain(&chain, 2));
-        let a = c.try_admit_chain(&chain, 2).unwrap();
+        let a = c.try_admit_chain(&mut chain.clone(), 2).unwrap();
         assert_eq!(a.prompt_tokens, 10);
         assert_eq!(c.free_blocks(), 1);
         assert!(!c.can_admit_chain(&BlockChain::unhashed(8), 0));

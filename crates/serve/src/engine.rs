@@ -9,6 +9,7 @@
 //! the prefill phase and frees memory for larger decode batches — the two
 //! mechanisms behind the paper's end-to-end speedups (§6.2, Appendix D.2).
 
+use crate::cache::ChainHasher;
 use crate::hardware::GpuCluster;
 use crate::model::ModelSpec;
 use crate::session::EngineSession;
@@ -287,6 +288,15 @@ impl SimEngine {
     /// [`EngineError::ModelTooLarge`] if weights do not fit.
     pub fn session(&self) -> Result<EngineSession, EngineError> {
         EngineSession::new(&self.deployment, self.config)
+    }
+
+    /// A [`ChainHasher`] producing the block chains this engine's sessions
+    /// expect (its block size; length-only chains when the prefix cache is
+    /// disabled) — for drivers that probe a session's cache before handing
+    /// it the request through
+    /// [`EngineSession::enqueue_chain`].
+    pub fn chain_hasher(&self) -> ChainHasher {
+        ChainHasher::new(self.config.block_size, self.config.enable_prefix_cache)
     }
 
     /// Opens a [`SessionReference`] — the frozen pre-rewrite per-token loop —

@@ -68,7 +68,9 @@ pub mod obs;
 mod session;
 mod session_reference;
 
-pub use cache::{BlockChain, CacheConfig, CacheInternals, CacheStats, PrefixCache, SeqAlloc};
+pub use cache::{
+    BlockChain, CacheConfig, CacheInternals, CacheStats, ChainHasher, PrefixCache, SeqAlloc,
+};
 pub use engine::{Deployment, EngineConfig, EngineError, EngineReport, SimEngine, SimRequest};
 pub use fault::{confidence_unit, fault_unit, CONFIDENCE_DRAW};
 pub use group::SessionGroup;

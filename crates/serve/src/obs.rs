@@ -15,7 +15,7 @@
 use llmqo_obs::{Counter, Histogram};
 use std::sync::OnceLock;
 
-use crate::cache::CacheInternals;
+use crate::cache::{CacheInternals, ChainHasher};
 
 /// `&'static` metric handles for the serving layer.
 pub struct ServeMetrics {
@@ -41,6 +41,11 @@ pub struct ServeMetrics {
     pub cache_heap_stale_invalidations: &'static Counter,
     /// `mark_computed` calls (prefill chunk completions).
     pub cache_mark_computed_calls: &'static Counter,
+    /// Prompt tokens mixed into block-chain hashes.
+    pub chain_tokens_hashed: &'static Counter,
+    /// Prompt tokens whose hashing was skipped because their leading
+    /// fragments were the previous prompt's (see [`ChainHasher`]).
+    pub chain_tokens_reused: &'static Counter,
     /// Wall-clock seconds spent inside `EngineSession::step` (only
     /// populated with the `wallclock` feature of `llmqo-obs`).
     pub wall_step_s: &'static Histogram,
@@ -67,6 +72,8 @@ pub fn metrics() -> &'static ServeMetrics {
             cache_block_map_probes: r.counter("cache.block_map_probes"),
             cache_heap_stale_invalidations: r.counter("cache.heap_stale_invalidations"),
             cache_mark_computed_calls: r.counter("cache.mark_computed_calls"),
+            chain_tokens_hashed: r.counter("serve.chain.tokens_hashed"),
+            chain_tokens_reused: r.counter("serve.chain.tokens_reused"),
             wall_step_s: r.histogram("wall.step_s"),
             wall_cache_s: r.histogram("wall.cache_admit_s"),
             wall_decode_recurrence_s: r.histogram("wall.decode_recurrence_s"),
@@ -87,4 +94,13 @@ pub fn publish_cache_internals(prev: CacheInternals, now: CacheInternals) -> Cac
     m.cache_mark_computed_calls
         .add(now.mark_computed_calls - prev.mark_computed_calls);
     now
+}
+
+/// Publishes a finished [`ChainHasher`]'s lifetime token counts: together
+/// the two counters give the share of prompt tokens never hashed,
+/// `reused / (hashed + reused)`. Call once per hasher, when its run ends.
+pub fn publish_chain_hasher(hasher: &ChainHasher) {
+    let m = metrics();
+    m.chain_tokens_hashed.add(hasher.tokens_hashed());
+    m.chain_tokens_reused.add(hasher.tokens_reused());
 }

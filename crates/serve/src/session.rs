@@ -32,17 +32,22 @@
 //! bit-identical to the per-token loop. `tests/engine_differential.rs`
 //! enforces this against the frozen [`SessionReference`].
 //!
-//! Request prompts are hashed into their [`BlockChain`] once at enqueue
-//! time; the per-step admission path walks precomputed hashes instead of
-//! re-flattening and re-hashing the head-of-line prompt on every step it
-//! spends blocked behind backpressure.
+//! A request's prompt is hashed into its [`BlockChain`] once per placement:
+//! by the session's own [`ChainHasher`] in
+//! [`enqueue_ref`](EngineSession::enqueue_ref), or by a driver that also
+//! needs the chain for a cache probe and hands it over through
+//! [`enqueue_chain`](EngineSession::enqueue_chain) (the cluster dispatchers).
+//! Either way only the fragments the previous prompt did not share are
+//! hashed, the per-step admission path walks precomputed hashes instead of
+//! re-hashing the head-of-line prompt on every step it spends blocked behind
+//! backpressure, and admission moves the hashes into the sequence's
+//! allocation, so the session keeps no per-request chain once a request runs.
 //!
 //! [`SessionReference`]: crate::SessionReference
 
-use crate::cache::{BlockChain, CacheConfig, CacheStats, PrefixCache, SeqAlloc};
+use crate::cache::{BlockChain, CacheConfig, CacheStats, ChainHasher, PrefixCache, SeqAlloc};
 use crate::engine::{Deployment, EngineConfig, EngineError, EngineReport, SimRequest};
 use crate::model::ModelSpec;
-use llmqo_tokenizer::TokenId;
 use std::collections::VecDeque;
 
 /// Per-request outcome record, kept in admission order of completion.
@@ -85,8 +90,10 @@ pub struct SessionReport {
 struct QueuedRequest {
     id: usize,
     output_len: u32,
+    /// Block hashes while the request waits; admission moves them into the
+    /// sequence's [`SeqAlloc`], leaving only the prompt length here.
     chain: BlockChain,
-    /// Clock at [`EngineSession::enqueue_ref`] time; feeds the traced
+    /// Clock at [`EngineSession::enqueue_chain`] time; feeds the traced
     /// queue-wait span and is never read by the scheduler itself.
     enqueued_s: f64,
 }
@@ -134,6 +141,9 @@ pub struct EngineSession {
     kv_bytes: f64,
     weight_bytes: f64,
     cache: PrefixCache,
+    /// Hashes the prompts submitted through
+    /// [`enqueue_ref`](EngineSession::enqueue_ref).
+    hasher: ChainHasher,
     /// Every request ever enqueued; `waiting`/`running` index into it.
     store: Vec<QueuedRequest>,
     waiting: VecDeque<usize>,
@@ -199,6 +209,7 @@ impl EngineSession {
             config,
             capacity_blocks,
             cache,
+            hasher: ChainHasher::new(config.block_size, config.enable_prefix_cache),
             store: Vec::new(),
             waiting: VecDeque::new(),
             running: Vec::new(),
@@ -248,21 +259,24 @@ impl EngineSession {
     }
 
     /// [`enqueue`](EngineSession::enqueue) by reference: the session hashes
-    /// the prompt's block chain once and keeps nothing else, so submission
-    /// never clones the request or its fragment list.
+    /// the prompt's block chain (only the fragments the previously enqueued
+    /// prompt did not share) and keeps nothing else, so submission never
+    /// clones the request or its fragment list.
     pub fn enqueue_ref(&mut self, request: &SimRequest) {
-        let chain = if self.config.enable_prefix_cache {
-            BlockChain::from_fragments(
-                self.config.block_size,
-                request.prompt.iter().map(|f| &f[..]),
-            )
-        } else {
-            // A disabled cache admits by length alone; skip the hashing.
-            BlockChain::unhashed(request.prompt_len())
-        };
+        let chain = self.hasher.chain(&request.prompt);
+        self.enqueue_chain(request.id, request.output_len, chain);
+    }
+
+    /// [`enqueue_ref`](EngineSession::enqueue_ref) for a driver that already
+    /// hashed the prompt — with a [`ChainHasher`] from
+    /// [`SimEngine::chain_hasher`](crate::SimEngine::chain_hasher) — to probe
+    /// this session's cache first: the request is queued under that chain
+    /// and nothing is hashed twice.
+    pub fn enqueue_chain(&mut self, id: usize, output_len: u32, chain: BlockChain) {
+        let prompt_tokens = chain.prompt_tokens();
         self.store.push(QueuedRequest {
-            id: request.id,
-            output_len: request.output_len,
+            id,
+            output_len,
             chain,
             enqueued_s: self.clock,
         });
@@ -271,13 +285,20 @@ impl EngineSession {
             crate::obs::metrics().requests_enqueued.inc();
             llmqo_obs::tracer().instant(
                 self.trace_lane,
-                request.id as u64,
+                id as u64,
                 "enqueue",
                 "request",
                 self.clock,
-                &[("prompt_tokens", request.prompt_len().into())],
+                &[("prompt_tokens", prompt_tokens.into())],
             );
         }
+    }
+
+    /// Block hashes still held by the request store (test-only: admission
+    /// must leave none behind).
+    #[cfg(test)]
+    fn stored_chain_blocks(&self) -> usize {
+        self.store.iter().map(|q| q.chain.blocks().len()).sum()
     }
 
     /// Current session clock, seconds.
@@ -342,10 +363,10 @@ impl EngineSession {
         self.capacity_blocks - self.cache.free_blocks()
     }
 
-    /// How many leading tokens of `tokens` the prefix cache would serve
-    /// without prefill, right now. Pure: never mutates cache state.
-    pub fn probe_cached_tokens(&self, tokens: &[TokenId]) -> usize {
-        self.cache.probe(tokens)
+    /// How many leading prompt tokens of `chain` the prefix cache would
+    /// serve without prefill, right now. Pure: never mutates cache state.
+    pub fn probe_cached_tokens(&self, chain: &BlockChain) -> usize {
+        self.cache.probe_chain(chain)
     }
 
     /// Lifetime prefix-cache statistics (admissions, cached tokens,
@@ -458,7 +479,7 @@ impl EngineSession {
             let Some(&idx) = self.waiting.front() else {
                 break;
             };
-            let req = &self.store[idx];
+            let req = &mut self.store[idx];
             let obs_on = llmqo_obs::enabled();
             let evictions_before = if obs_on {
                 self.cache.stats().evictions
@@ -468,7 +489,7 @@ impl EngineSession {
             let timer = llmqo_obs::WallTimer::start();
             let admitted = self
                 .cache
-                .try_admit_chain(&req.chain, req.output_len as usize);
+                .try_admit_chain(&mut req.chain, req.output_len as usize);
             timer.observe(crate::obs::metrics().wall_cache_s);
             match admitted {
                 Some(alloc) => {
@@ -867,6 +888,7 @@ impl EngineSession {
                 crate::cache::CacheInternals::default(),
                 self.cache.internals(),
             );
+            crate::obs::publish_chain_hasher(&self.hasher);
         }
         self.ttfts.sort_by(f64::total_cmp);
         self.latencies.sort_by(f64::total_cmp);
@@ -889,6 +911,7 @@ mod tests {
     use super::*;
     use crate::engine::SimEngine;
     use crate::hardware::{GpuCluster, GpuSpec};
+    use llmqo_tokenizer::TokenId;
 
     fn engine() -> SimEngine {
         SimEngine::new(
@@ -1101,16 +1124,54 @@ mod tests {
         let mut s = e.session().unwrap();
         assert!(s.is_idle());
         assert_eq!(s.kv_blocks_in_use(), 0);
-        let toks: Vec<TokenId> = (0..64).collect();
-        s.enqueue(SimRequest::from_tokens(0, toks.clone(), 1));
+        let request = SimRequest::from_tokens(0, (0..64).collect(), 1);
+        let chain = e.chain_hasher().chain(&request.prompt);
+        s.enqueue(request);
         assert_eq!(s.queued(), 1);
-        assert_eq!(s.probe_cached_tokens(&toks), 0);
+        assert_eq!(s.probe_cached_tokens(&chain), 0);
         while s.step().unwrap() {}
         // After completion the blocks stay cached (refcount 0, computed).
-        assert!(s.probe_cached_tokens(&toks) > 0);
+        assert_eq!(s.probe_cached_tokens(&chain), 64);
         assert!(s.kv_blocks_in_use() > 0);
         assert!(s.capacity_blocks() > 0);
         assert_eq!(s.cache_stats().admitted, 1);
+    }
+
+    #[test]
+    fn admission_moves_chains_out_of_the_store() {
+        // The store remembers every request ever enqueued; the block hashes
+        // must leave it with the admission (into the `SeqAlloc`, freed at
+        // release) instead of being copied and retained for the session's
+        // lifetime.
+        let e = engine();
+        let mut s = e.session().unwrap();
+        for r in &reqs(12, 64, 32, 2) {
+            s.enqueue_ref(r);
+        }
+        assert_eq!(s.stored_chain_blocks(), 12 * (96 / 16));
+        s.step().unwrap();
+        assert!(s.running() > 0);
+        let waiting_blocks = s.queued() * (96 / 16);
+        assert_eq!(s.stored_chain_blocks(), waiting_blocks);
+        while s.step().unwrap() {}
+        assert_eq!(s.stored_chain_blocks(), 0);
+        assert_eq!(s.finish().report.completed, 12);
+    }
+
+    #[test]
+    fn enqueue_chain_matches_enqueue_ref() {
+        let e = engine();
+        let rs = reqs(20, 64, 32, 3);
+        let mut by_ref = e.session().unwrap();
+        let mut by_chain = e.session().unwrap();
+        let mut hasher = e.chain_hasher();
+        for r in &rs {
+            by_ref.enqueue_ref(r);
+            by_chain.enqueue_chain(r.id, r.output_len, hasher.chain(&r.prompt));
+        }
+        while by_ref.step_until(None).unwrap() {}
+        while by_chain.step_until(None).unwrap() {}
+        assert_eq!(by_ref.finish(), by_chain.finish());
     }
 
     #[test]

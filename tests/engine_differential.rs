@@ -9,12 +9,29 @@
 //! Comparisons use `==` on [`SessionReport`] (f64 fields included): the
 //! macro-step replays the reference's float accumulation order, so clocks
 //! and times must match to the last bit, not within a tolerance.
+//!
+//! The same contract covers block-chain hashing: the incremental
+//! [`ChainHasher`] every serving path uses must equal
+//! [`BlockChain::from_fragments`] — the definition — on any *sequence* of
+//! prompts, and a Poisson cluster fixture pins the full [`ClusterReport`]
+//! (placement-time cache probes included) of both dispatcher loops at the
+//! values the re-hash-everything dispatchers produced.
+//!
+//! [`ClusterReport`]: llmqo::cluster::ClusterReport
 
 mod common;
 
 use common::engine_with as engine;
-use llmqo::serve::{EngineConfig, EngineError, EngineSession, SessionReference, SimRequest};
+use llmqo::cluster::{
+    tag_requests, AdmissionPolicy, ArrivalProcess, ClusterReport, ClusterRequest, FaultPlan,
+    OverloadPolicy, PrefixAffinity, RetryPolicy,
+};
+use llmqo::serve::{
+    BlockChain, ChainHasher, EngineConfig, EngineError, EngineSession, SessionReference, SimRequest,
+};
+use llmqo::tokenizer::TokenId;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// Drains both loops to idle and asserts identical cache stats, reports,
 /// and completion streams.
@@ -66,6 +83,71 @@ fn workload_strategy() -> impl Strategy<Value = Vec<SimRequest>> {
                 })
                 .collect()
         })
+}
+
+/// The chain [`ChainHasher`] must reproduce: the from-scratch definition.
+fn defined_chain(block_size: usize, prompt: &[Arc<[TokenId]>]) -> BlockChain {
+    BlockChain::from_fragments(block_size, prompt.iter().map(|f| &f[..]))
+}
+
+/// How each prompt of a sequence is derived: `(op, picks, cut)`. `picks`
+/// index a shared fragment pool (`true` = a fresh `Arc` of equal content);
+/// `op` selects between the picks as they are, a strict prefix of the
+/// previous prompt, an extension of it, and a total reshuffle of it.
+type PromptOp = (u8, Vec<(usize, bool)>, usize);
+
+/// A fragment pool (lengths 0..40, so fragments are empty, shorter than a
+/// block, and longer than one) plus a sequence of prompt derivations.
+fn prompt_sequence_strategy() -> impl Strategy<Value = (usize, Vec<usize>, Vec<PromptOp>)> {
+    (
+        1usize..=32,
+        proptest::collection::vec(0usize..40, 1..10),
+        proptest::collection::vec(
+            (
+                0u8..4,
+                proptest::collection::vec((0usize..10, proptest::bool::ANY), 0..9),
+                0usize..9,
+            ),
+            1..14,
+        ),
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `ChainHasher` ≡ `BlockChain::from_fragments` over sequences of
+    /// prompts: shared `Arc`s, equal-content-but-distinct `Arc`s, empty
+    /// fragments and prompts, fragments straddling block boundaries,
+    /// prefixes/extensions of the previous prompt, total reshuffles.
+    #[test]
+    fn chain_hasher_matches_from_fragments((block_size, pool_lens, ops) in prompt_sequence_strategy()) {
+        let pool: Vec<Arc<[TokenId]>> = pool_lens
+            .iter()
+            .enumerate()
+            .map(|(i, &len)| (0..len as u32).map(|j| i as u32 * 64 + j).collect())
+            .collect();
+        let mut hasher = ChainHasher::new(block_size, true);
+        let mut previous: Vec<Arc<[TokenId]>> = Vec::new();
+        let mut total_tokens = 0u64;
+        for (op, picks, cut) in ops {
+            let picked = picks.iter().map(|&(i, fresh)| {
+                let fragment = &pool[i % pool.len()];
+                if fresh { Arc::from(&fragment[..]) } else { Arc::clone(fragment) }
+            });
+            let prompt: Vec<Arc<[TokenId]>> = match op {
+                0 => picked.collect(),
+                1 => previous[..cut.min(previous.len().saturating_sub(1))].to_vec(),
+                2 => previous.iter().cloned().chain(picked).collect(),
+                _ => previous.iter().rev().cloned().collect(),
+            };
+            let chain = hasher.chain(&prompt);
+            prop_assert_eq!(&chain, &defined_chain(block_size, &prompt));
+            total_tokens += chain.prompt_tokens() as u64;
+            prop_assert_eq!(hasher.tokens_hashed() + hasher.tokens_reused(), total_tokens);
+            previous = prompt;
+        }
+    }
 }
 
 proptest! {
@@ -215,21 +297,154 @@ fn oversized_requests_error_identically() {
     assert!(matches!(a, EngineError::RequestTooLarge { id: 7, .. }));
 }
 
-#[test]
-fn reordered_relational_workload_matches_reference() {
-    // End-to-end shape: a GGR-reordered movies filter workload (the
-    // fig_cluster feed), whose requests share solver-arranged prefixes.
+/// A GGR-reordered movies filter workload (the fig_cluster feed): requests
+/// share solver-arranged prefixes as pointer-equal fragments. Returns the
+/// requests with their depth-1 prefix keys.
+fn reordered_movies_requests(rows: usize) -> (Vec<SimRequest>, Vec<u64>) {
     use llmqo::core::{Ggr, Reorderer};
     use llmqo::datasets::{Dataset, DatasetId};
     use llmqo::relational::{encode_table, plan_requests, project_fds, QueryKind};
     use llmqo::tokenizer::Tokenizer;
 
-    let ds = Dataset::generate_with_rows(DatasetId::Movies, 400);
+    let ds = Dataset::generate_with_rows(DatasetId::Movies, rows);
     let query = ds.query_of_kind(QueryKind::Filter).expect("filter query");
     let encoded = encode_table(&Tokenizer::new(), &ds.table, query).expect("encode");
     let fds = project_fds(&ds.fds, &encoded.used_cols);
     let solution = Ggr::default().reorder(&encoded.reorder, &fds).unwrap();
-    let requests = plan_requests(&encoded, &solution.plan, query);
+    let keys = solution.plan.prefix_keys(&encoded.reorder, 1);
+    (plan_requests(&encoded, &solution.plan, query), keys)
+}
+
+#[test]
+fn chain_hasher_outlives_the_previous_request() {
+    // The hasher compares fragment *addresses*, so it must keep the
+    // previous prompt's allocations alive: if dropping the request freed
+    // them, the allocator could hand the same address to the next request's
+    // different tokens and the stale checkpoint would be resumed.
+    let mut hasher = ChainHasher::new(4, true);
+    let fragment = |salt: u32| -> Arc<[TokenId]> { (0..10).map(|j| salt * 100 + j).collect() };
+    for round in 0..64u32 {
+        let request = SimRequest {
+            id: round as usize,
+            prompt: vec![fragment(round), fragment(round + 1000)],
+            output_len: 1,
+        };
+        let held = Arc::downgrade(&request.prompt[0]);
+        assert_eq!(
+            hasher.chain(&request.prompt),
+            defined_chain(4, &request.prompt)
+        );
+        drop(request);
+        assert!(held.upgrade().is_some(), "hasher holds the previous prompt");
+    }
+}
+
+/// FNV-1a over a report's `Debug` rendering: pins every field at once.
+fn report_fingerprint(report: &ClusterReport) -> u64 {
+    format!("{report:?}")
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |h: u64, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+        })
+}
+
+/// Per replica: `(assigned, probed_cached_tokens, cached_prompt_tokens)`.
+fn placement_ledger(report: &ClusterReport) -> Vec<(usize, u64, u64)> {
+    report
+        .replicas
+        .iter()
+        .map(|r| {
+            (
+                r.assigned,
+                r.occupancy.probed_cached_tokens,
+                r.engine.cached_prompt_tokens,
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn poisson_cluster_reports_are_pinned_at_the_parent_commit() {
+    // Both dispatcher loops used to flatten and re-hash every prompt at
+    // placement; they now hash only the unshared suffix, once. Block hashes
+    // are unchanged, so every probe, admission and eviction — the whole
+    // report — must equal what the parent commit produced (constants below
+    // were recorded there).
+    let (requests, keys) = reordered_movies_requests(160);
+    let mut requests: Vec<ClusterRequest> = tag_requests(requests, &keys);
+    ArrivalProcess::Poisson {
+        rate_rps: 40.0,
+        seed: 5,
+    }
+    .assign(&mut requests);
+    let sim = common::cluster_sim(3, 4);
+
+    let steady = sim
+        .run(&mut PrefixAffinity::bounded(1.25), &requests)
+        .unwrap();
+    assert_eq!(steady.completed, 160);
+    assert_eq!(
+        placement_ledger(&steady),
+        [(46, 9328, 12880), (56, 12992, 16048), (58, 15280, 16672)],
+        "steady placements"
+    );
+    assert_eq!(
+        steady.makespan_s.to_bits(),
+        0x4017_f2f1_bd9c_f863,
+        "steady makespan"
+    );
+    assert_eq!(
+        report_fingerprint(&steady),
+        0xbf72_9a3e_9dac_d5a9,
+        "steady report"
+    );
+
+    let plan = FaultPlan::seeded(9)
+        .crash_restart(1, 0.8, 1.6)
+        .slowdown(0, 0.5, 1.5, 1.7);
+    let chaos = sim
+        .run_overloaded(
+            &mut PrefixAffinity::bounded(1.25),
+            &requests,
+            &plan,
+            &RetryPolicy::retries(3).with_hedging(0.4),
+            &OverloadPolicy::admission(AdmissionPolicy::bounded(32).with_kv_gate(0.95)),
+        )
+        .unwrap();
+    // Every event kind is live, so the pin covers retry, hedge and shed
+    // placements too.
+    let (faults, shed) = (&chaos.faults, &chaos.shed);
+    assert_eq!(
+        (
+            faults.succeeded,
+            faults.retries,
+            faults.hedges_issued,
+            shed.shed
+        ),
+        (136, 3, 4, 24)
+    );
+    assert_eq!(
+        placement_ledger(&chaos),
+        [(54, 13040, 15600), (36, 5904, 9072), (53, 13120, 15328)],
+        "chaos placements"
+    );
+    assert_eq!(
+        chaos.makespan_s.to_bits(),
+        0x4018_cfdb_2883_e67f,
+        "chaos makespan"
+    );
+    assert_eq!(
+        report_fingerprint(&chaos),
+        0x1670_b38c_6131_76b2,
+        "chaos report"
+    );
+}
+
+#[test]
+fn reordered_relational_workload_matches_reference() {
+    // End-to-end shape: a GGR-reordered movies filter workload, whose
+    // requests share solver-arranged prefixes.
+    let (requests, _) = reordered_movies_requests(400);
 
     for config in [EngineConfig::default(), EngineConfig::no_cache()] {
         let e = engine(config);
