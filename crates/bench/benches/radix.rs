@@ -1,8 +1,13 @@
 //! Criterion benches for the paged prefix cache: admissions with shared and
-//! cold prefixes, probe throughput, and eviction churn.
+//! cold prefixes, probe throughput, eviction churn, and the steady-state
+//! per-request cost on a reordered batch.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use llmqo_serve::{CacheConfig, PrefixCache};
+use llmqo_core::{Ggr, Reorderer};
+use llmqo_datasets::{Dataset, DatasetId};
+use llmqo_relational::{encode_table, plan_requests, project_fds, QueryKind};
+use llmqo_serve::{CacheConfig, ChainHasher, PrefixCache};
+use llmqo_tokenizer::Tokenizer;
 
 fn config(capacity_blocks: usize) -> CacheConfig {
     CacheConfig {
@@ -75,5 +80,59 @@ fn bench_eviction_churn(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_admit, bench_probe, bench_eviction_churn);
+/// What one request costs the cache in steady state: a GGR-ordered Movies
+/// filter batch (consecutive prompts share their leading blocks) goes through
+/// hash → admit → mark computed → release, one request at a time, against a
+/// cache of three prompts' worth of blocks, so every admission past the
+/// first few evicts the unshared suffix of an earlier one.
+fn bench_request_churn(c: &mut Criterion) {
+    let ds = Dataset::generate_with_rows(DatasetId::Movies, 2000);
+    let query = ds.query_of_kind(QueryKind::Filter).expect("filter query");
+    let encoded = encode_table(&Tokenizer::new(), &ds.table, query).expect("encode");
+    let fds = project_fds(&ds.fds, &encoded.used_cols);
+    let solution = Ggr::default()
+        .reorder(&encoded.reorder, &fds)
+        .expect("solve");
+    let requests = plan_requests(&encoded, &solution.plan, query);
+    let longest = requests
+        .iter()
+        .map(|r| r.prompt.iter().map(|f| f.len()).sum::<usize>())
+        .max()
+        .expect("requests");
+    let capacity = 3 * longest.div_ceil(16);
+
+    c.bench_function("radix/request-churn-movies-2000req", |b| {
+        b.iter_batched(
+            || {
+                (
+                    PrefixCache::new(config(capacity)),
+                    ChainHasher::new(16, true),
+                )
+            },
+            |(mut cache, mut hasher)| {
+                for r in &requests {
+                    let mut chain = hasher.chain(&r.prompt);
+                    let prompt_tokens = chain.prompt_tokens();
+                    let alloc = cache
+                        .try_admit_chain(&mut chain, r.output_len as usize)
+                        .expect("nothing else is pinned");
+                    cache.mark_computed(&alloc, prompt_tokens);
+                    cache.release(alloc);
+                }
+                let stats = *cache.stats();
+                assert!(stats.evictions > stats.admitted, "steady-state eviction");
+                stats.evictions
+            },
+            BatchSize::SmallInput,
+        )
+    });
+}
+
+criterion_group!(
+    benches,
+    bench_admit,
+    bench_probe,
+    bench_eviction_churn,
+    bench_request_churn
+);
 criterion_main!(benches);

@@ -212,4 +212,13 @@ fn main() {
          ({:.1}% of all prompt tokens never hashed)",
         100.0 * reused as f64 / (hashed + reused).max(1) as f64
     );
+
+    // How many chain positions did the walks resolve without the block map?
+    let probes = r.counter("cache.block_map_probes").get();
+    let memo_hits = r.counter("cache.walk_memo_hits").get();
+    println!(
+        "chain walks: {probes} block-map lookups, {memo_hits} resume-memo hits \
+         ({:.1}% of resolved positions never touched the map)",
+        100.0 * memo_hits as f64 / (probes + memo_hits).max(1) as f64
+    );
 }

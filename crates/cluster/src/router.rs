@@ -60,13 +60,9 @@ impl ReplicaSnapshot {
 /// dispatcher is asking with nowhere to go) — every replica, so a policy
 /// stays a total function and the dispatcher's backpressure/stall handling
 /// deals with the consequences.
-fn pool(replicas: &[ReplicaSnapshot]) -> Vec<&ReplicaSnapshot> {
-    let alive: Vec<&ReplicaSnapshot> = replicas.iter().filter(|r| r.alive).collect();
-    if alive.is_empty() {
-        replicas.iter().collect()
-    } else {
-        alive
-    }
+fn pool(replicas: &[ReplicaSnapshot]) -> impl Iterator<Item = &ReplicaSnapshot> {
+    let everyone = !replicas.iter().any(|r| r.alive);
+    replicas.iter().filter(move |r| r.alive || everyone)
 }
 
 /// A routing policy. Implementations must return an index `< replicas.len()`
@@ -143,12 +139,12 @@ impl Router for RoundRobin {
     }
 
     fn route(&mut self, _prefix_key: u64, replicas: &[ReplicaSnapshot]) -> usize {
-        let pool = pool(replicas);
-        if pool.is_empty() {
+        let (n, placed) =
+            pool(replicas).fold((0, 0), |(n, placed), r| (n + 1, placed + r.assigned));
+        if n == 0 {
             return 0;
         }
-        let placed: usize = pool.iter().map(|r| r.assigned).sum();
-        pool[placed % pool.len()].index
+        pool(replicas).nth(placed % n).map_or(0, |r| r.index)
     }
 
     fn retry_insensitive(&self) -> bool {
@@ -169,7 +165,6 @@ impl Router for LeastLoaded {
 
     fn route(&mut self, _prefix_key: u64, replicas: &[ReplicaSnapshot]) -> usize {
         pool(replicas)
-            .iter()
             .min_by_key(|r| (r.load(), r.kv_blocks_in_use, r.index))
             .map_or(0, |r| r.index)
     }
@@ -227,6 +222,11 @@ fn mix(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Replica `index`'s rendezvous weight for `prefix_key`.
+fn rendezvous(prefix_key: u64, index: usize) -> u64 {
+    mix(prefix_key ^ mix(index as u64))
+}
+
 impl Router for PrefixAffinity {
     fn name(&self) -> &'static str {
         match self.max_load_factor {
@@ -236,32 +236,29 @@ impl Router for PrefixAffinity {
     }
 
     fn route(&mut self, prefix_key: u64, replicas: &[ReplicaSnapshot]) -> usize {
-        let pool = pool(replicas);
-        if pool.is_empty() {
-            return 0;
-        }
         // Ranking only the routable pool is what makes failover
         // prefix-affinity-aware: with a group's top-ranked replica down,
         // every request of the group lands on its *second*-ranked replica —
         // together, preserving locality — and returns home on rejoin.
-        let mut ranked: Vec<(u64, usize, usize)> = pool
-            .iter()
-            .map(|r| (mix(prefix_key ^ mix(r.index as u64)), r.index, r.load()))
-            .collect();
-        ranked.sort_unstable_by(|a, b| b.cmp(a));
+        let rank = |r: &ReplicaSnapshot| (rendezvous(prefix_key, r.index), r.index, r.load());
         let Some(factor) = self.max_load_factor else {
-            return ranked[0].1;
+            return pool(replicas).map(rank).max().map_or(0, |top| top.1);
         };
         // Consistent hashing with bounded loads: capacity is `factor` times
         // the mean outstanding work counting the incoming request, so at
         // least one replica is always below it.
-        let total: usize = pool.iter().map(|r| r.load()).sum();
-        let capacity = (factor * (total + 1) as f64 / pool.len() as f64).ceil();
-        ranked
-            .iter()
-            .find(|&&(_, _, load)| (load as f64) < capacity)
-            .unwrap_or(&ranked[0])
-            .1
+        let (n, total) = pool(replicas).fold((0, 0), |(n, total), r| (n + 1, total + r.load()));
+        let capacity = (factor * (total + 1) as f64 / n as f64).ceil();
+        // The first replica under capacity in descending rank order is the
+        // top-ranked of the replicas under capacity; no ranking is built.
+        let (mut top, mut top_under) = (None, None);
+        for ranked in pool(replicas).map(rank) {
+            top = top.max(Some(ranked));
+            if (ranked.2 as f64) < capacity {
+                top_under = top_under.max(Some(ranked));
+            }
+        }
+        top_under.or(top).map_or(0, |winner| winner.1)
     }
 
     fn retry_insensitive(&self) -> bool {
@@ -272,6 +269,60 @@ impl Router for PrefixAffinity {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The definition [`PrefixAffinity::route`] is checked against: rank the
+    /// routable pool by sorting, then take the first replica under capacity.
+    fn route_by_ranking(
+        max_load_factor: Option<f64>,
+        prefix_key: u64,
+        replicas: &[ReplicaSnapshot],
+    ) -> usize {
+        let pool: Vec<&ReplicaSnapshot> = pool(replicas).collect();
+        if pool.is_empty() {
+            return 0;
+        }
+        let mut ranked: Vec<(u64, usize, usize)> = pool
+            .iter()
+            .map(|r| (mix(prefix_key ^ mix(r.index as u64)), r.index, r.load()))
+            .collect();
+        ranked.sort_unstable_by(|a, b| b.cmp(a));
+        let Some(factor) = max_load_factor else {
+            return ranked[0].1;
+        };
+        let total: usize = pool.iter().map(|r| r.load()).sum();
+        let capacity = (factor * (total + 1) as f64 / pool.len() as f64).ceil();
+        ranked
+            .iter()
+            .find(|&&(_, _, load)| (load as f64) < capacity)
+            .unwrap_or(&ranked[0])
+            .1
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// One-pass selection picks the replica the sorted ranking picks:
+        /// dead replicas, nobody alive, equal loads, bounded and unbounded.
+        #[test]
+        fn affinity_route_matches_the_sorted_ranking(
+            fleet in proptest::collection::vec((0usize..4, 0usize..3, 0u8..4), 1..=16),
+            everyone_dead in 0u8..8,
+            factor in proptest::sample::select(vec![None, Some(1.0), Some(1.25), Some(3.0)]),
+            key in 0u64..u64::MAX,
+        ) {
+            let mut snaps = snapshots(
+                &fleet.iter().map(|&(queued, running, _)| (queued, running)).collect::<Vec<_>>(),
+            );
+            for (snap, &(_, _, alive)) in snaps.iter_mut().zip(&fleet) {
+                snap.alive = alive != 0 && everyone_dead != 0;
+            }
+            let mut router = PrefixAffinity { max_load_factor: factor };
+            let choice = router.route(key, &snaps);
+            prop_assert_eq!(choice, route_by_ranking(factor, key, &snaps));
+            prop_assert!(snaps[choice].alive || snaps.iter().all(|s| !s.alive));
+        }
+    }
 
     fn snapshots(loads: &[(usize, usize)]) -> Vec<ReplicaSnapshot> {
         loads

@@ -12,19 +12,60 @@
 //!   request's prefill has actually produced it; concurrent requests with the
 //!   same cold prefix share memory but both pay the FLOPs.
 //! * **Eviction**: LRU over refcount-0 *leaf* blocks (evicting an interior
-//!   block would orphan its children's chain identity).
+//!   block would orphan its children's chain identity), ties broken toward
+//!   the smaller block hash.
 //! * **Private blocks**: the prompt's partial tail block and all decode
 //!   (generated) tokens are per-sequence and never shared.
 //!
 //! Disabling the cache (`enabled = false`) gives the paper's *No Cache*
 //! baseline: every block is private and every token is computed.
+//!
+//! # Block store
+//!
+//! The semantics above are stated in terms of block *hashes*; the store
+//! addresses blocks by **slot**. Blocks live in a slab (`Vec<BlockEntry>` plus
+//! a free list, never more live entries than `capacity_blocks`); a hash map
+//! resolves `hash → slot`, a block's `parent` is a slot, and every entry
+//! carries its own hash and a live flag.
+//!
+//! * **Slots are stable under a pin.** A slot is recycled only when its
+//!   block is evicted, and only refcount-0 blocks are evicted. An admitted
+//!   sequence holds a reference on every block of its chain until it is
+//!   released, so the slots in its [`SeqAlloc`] keep naming the same blocks:
+//!   `mark_computed` and `release` index the slab and never consult the map.
+//! * **One resolution per block per walk.** Present blocks are prefix-closed
+//!   along a chain (a block is created after its parent and, being a child,
+//!   evicted before it), so a walk stops at the first block that is absent:
+//!   everything after it is absent too. An admission resolves the present
+//!   prefix once, pins and creates through those slots, and writes the slots
+//!   over the hashes it was handed.
+//! * **The resume memo** is the slot list of the last committed admission.
+//!   A walk takes `memo[i]` for position `i` whenever that slab entry is live
+//!   and carries the wanted hash. The stored hash is the proof — live entries
+//!   and map entries are in bijection — so a stale memo can only miss (the
+//!   walk falls back to the map from there on), never name a wrong block.
+//!   Consecutive prompts of a reordered batch share their leading blocks,
+//!   which is what makes one remembered admission enough.
+//! * **Two eviction queues.** A block becomes an eviction candidate either
+//!   when `release` drops its last reference (stamped with the cache clock,
+//!   which every admission and release advances) or when its last child is
+//!   evicted (stamped with whatever older time it was last used). A release
+//!   produces at most one candidate — every chain block but the deepest has
+//!   the next one as a child — so release candidates arrive in strictly
+//!   increasing stamp order and go to a FIFO; only cascade parents need the
+//!   binary heap. Candidates are invalidated **lazily** (a revived or
+//!   re-stamped block leaves a stale entry that is skipped when it surfaces);
+//!   the smaller valid front of the two queues is the minimum
+//!   `(last_used, hash)` over all valid candidates, i.e. exactly the block a
+//!   single ordered set would evict.
 
 use llmqo_tokenizer::TokenId;
 use serde::{Deserialize, Serialize};
 use std::cell::Cell;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 /// Multiply-mix hasher for the block map. Block keys are already FNV-chained
@@ -55,7 +96,17 @@ impl Hasher for BlockKeyHasher {
     }
 }
 
-type BlockMap = HashMap<u64, BlockEntry, BuildHasherDefault<BlockKeyHasher>>;
+/// Index of a block in the slab.
+type Slot = u32;
+
+/// The `parent` of a chain's first block.
+const NO_SLOT: Slot = Slot::MAX;
+
+type BlockMap = HashMap<u64, Slot, BuildHasherDefault<BlockKeyHasher>>;
+
+/// Source of [`PrefixCache::id`]: tells one cache's allocations from
+/// another's. Relaxed: the value publishes nothing but itself.
+static NEXT_CACHE_ID: AtomicU32 = AtomicU32::new(0);
 
 /// Configuration of the KV block cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -297,14 +348,18 @@ impl ChainHasher {
 /// Allocation handle for one admitted sequence.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SeqAlloc {
-    /// Hashes of the sequence's full prompt blocks, in chain order.
-    chain: Vec<u64>,
+    /// Slab slots of the sequence's full prompt blocks, in chain order,
+    /// written over the block hashes in the `Vec` the admission took from
+    /// its [`BlockChain`]. Valid until release: the sequence pins them.
+    slots: Vec<u64>,
     /// Private (unshared) blocks reserved: prompt tail + decode tokens.
     private_blocks: usize,
     /// Prompt tokens whose blocks were already computed at admission.
     pub cached_tokens: usize,
     /// Total prompt tokens.
     pub prompt_tokens: usize,
+    /// The admitting cache's id; slots mean nothing to any other cache.
+    cache_id: u32,
 }
 
 /// Aggregate statistics over a cache's lifetime.
@@ -327,17 +382,23 @@ pub struct CacheStats {
 ///
 /// Deliberately **not** part of [`CacheStats`]: the stats struct is
 /// byte-compared by every differential oracle, and these counters measure
-/// implementation work (map probes, lazy-heap churn) that optimizations
-/// are allowed to change. They exist to turn the ROADMAP's "cached-sim
-/// bottleneck is the cache itself" hypothesis into numbers; the `perf_trace`
-/// bench publishes them into the `llmqo-obs` registry.
+/// implementation work (map lookups, lazy-queue churn) that optimizations
+/// are allowed to change. The `perf_trace` bench and the benchmark's traced
+/// pass publish them into the `llmqo-obs` registry.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheInternals {
-    /// Block-map lookups on the probe/admission read paths
-    /// (`probe_chain` + `admission_plan` chain walks).
+    /// Hash-map lookups on the read path: chain positions a
+    /// `probe_chain` / `can_admit_chain` / `try_admit_chain` walk resolved
+    /// through the `hash → slot` map, including the one that finds the first
+    /// absent block and ends the walk. Writes (block creation, eviction)
+    /// and the slot-addressed `mark_computed` / `release` are not lookups.
     pub block_map_probes: u64,
-    /// Stale lazy-invalidation heap entries skipped by `evict_one` or
-    /// dropped by the periodic heap compaction.
+    /// Chain positions a walk resolved through the resume memo instead —
+    /// one slab read, no map lookup. `walk_memo_hits / (walk_memo_hits +
+    /// block_map_probes)` is the memo's share of the read path.
+    pub walk_memo_hits: u64,
+    /// Stale lazy-invalidation eviction candidates skipped by `evict_one`
+    /// or dropped by the periodic queue compaction.
     pub heap_stale_invalidations: u64,
     /// Calls to [`PrefixCache::mark_computed`] (one per prefill chunk that
     /// landed, the per-step cache write traffic).
@@ -360,26 +421,47 @@ struct AdmissionPlan {
 
 #[derive(Debug)]
 struct BlockEntry {
-    parent: Option<u64>,
+    hash: u64,
+    last_used: u64,
+    /// The chain predecessor's slot, [`NO_SLOT`] for a chain's first block.
+    parent: Slot,
     refcount: u32,
     children: u32,
     computed: bool,
-    last_used: u64,
+    /// `false` once evicted, until the slot is handed out again.
+    live: bool,
+}
+
+/// An eviction-queue entry: block `hash` in `slot` became a refcount-0 leaf
+/// while stamped `stamp`. Ordered by `(stamp, hash)`, the LRU order with its
+/// hash tie-break (two live blocks never share a hash, so `slot` never
+/// decides).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Candidate {
+    stamp: u64,
+    hash: u64,
+    slot: Slot,
 }
 
 /// The paged prefix cache. See the `cache` module docs for semantics.
 #[derive(Debug)]
 pub struct PrefixCache {
     config: CacheConfig,
-    blocks: BlockMap,
-    /// Min-heap of `(last_used, hash)` candidates for blocks that entered
-    /// the `refcount == 0 && children == 0` state. Entries are invalidated
-    /// **lazily**: a revived or re-stamped block simply leaves a stale entry
-    /// behind, and [`evict_one`](PrefixCache::evict_one) skips any entry
-    /// whose block no longer matches it. Valid entries are exactly the
-    /// blocks an ordered set would hold, so eviction order (LRU leaf,
-    /// hash-tie-broken) is unchanged — only the bookkeeping cost drops.
-    evictable: BinaryHeap<Reverse<(u64, u64)>>,
+    /// Stamped on every [`SeqAlloc`] this cache hands out.
+    id: u32,
+    /// Every block ever created, live or awaiting reuse via `free`.
+    slab: Vec<BlockEntry>,
+    free: Vec<Slot>,
+    /// `hash → slot` of exactly the live slab entries.
+    map: BlockMap,
+    /// The resume memo: slots of the last committed admission's chain.
+    memo: Vec<Slot>,
+    /// Scratch for the admission in progress; becomes the memo on commit.
+    walk: Vec<Slot>,
+    /// Candidates pushed by `release`, in strictly increasing stamp order.
+    released: VecDeque<Candidate>,
+    /// Candidates whose last child was evicted; their stamps are old.
+    cascaded: BinaryHeap<Reverse<Candidate>>,
     /// Count of blocks with `refcount == 0`. Because a sequence references
     /// its *entire* chain, a refcount-0 block can only have refcount-0
     /// descendants, so every such block is reclaimable (in leaf-first
@@ -388,14 +470,16 @@ pub struct PrefixCache {
     private_blocks: usize,
     clock: u64,
     stats: CacheStats,
-    /// Read-path lookup count ([`CacheInternals::block_map_probes`]); a
-    /// `Cell` because `probe_chain`/`admission_plan` are `&self`.
+    /// Read-path counters ([`CacheInternals::block_map_probes`],
+    /// [`CacheInternals::walk_memo_hits`]); `Cell`s because
+    /// `probe_chain`/`can_admit_chain` are `&self`.
     probes: Cell<u64>,
-    /// Stale heap entries skipped/compacted away
+    memo_hits: Cell<u64>,
+    /// Stale queue entries skipped/compacted away
     /// ([`CacheInternals::heap_stale_invalidations`]).
-    stale: Cell<u64>,
+    stale: u64,
     /// [`mark_computed`](PrefixCache::mark_computed) call count.
-    marks: Cell<u64>,
+    marks: u64,
 }
 
 impl PrefixCache {
@@ -408,15 +492,22 @@ impl PrefixCache {
         assert!(config.block_size > 0, "block_size must be positive");
         PrefixCache {
             config,
-            blocks: HashMap::default(),
-            evictable: BinaryHeap::new(),
+            id: NEXT_CACHE_ID.fetch_add(1, Ordering::Relaxed),
+            slab: Vec::new(),
+            free: Vec::new(),
+            map: HashMap::default(),
+            memo: Vec::new(),
+            walk: Vec::new(),
+            released: VecDeque::new(),
+            cascaded: BinaryHeap::new(),
             rc0_blocks: 0,
             private_blocks: 0,
             clock: 0,
             stats: CacheStats::default(),
             probes: Cell::new(0),
-            stale: Cell::new(0),
-            marks: Cell::new(0),
+            memo_hits: Cell::new(0),
+            stale: 0,
+            marks: 0,
         }
     }
 
@@ -429,7 +520,7 @@ impl PrefixCache {
     pub fn free_blocks(&self) -> usize {
         self.config
             .capacity_blocks
-            .saturating_sub(self.blocks.len() + self.private_blocks)
+            .saturating_sub(self.map.len() + self.private_blocks)
     }
 
     /// Lifetime statistics.
@@ -441,8 +532,9 @@ impl PrefixCache {
     pub fn internals(&self) -> CacheInternals {
         CacheInternals {
             block_map_probes: self.probes.get(),
-            heap_stale_invalidations: self.stale.get(),
-            mark_computed_calls: self.marks.get(),
+            walk_memo_hits: self.memo_hits.get(),
+            heap_stale_invalidations: self.stale,
+            mark_computed_calls: self.marks,
             evictions: self.stats.evictions,
         }
     }
@@ -466,15 +558,48 @@ impl PrefixCache {
             return 0;
         }
         let bs = self.config.block_size;
+        let share = self.config.share_in_flight;
         let mut cached = 0usize;
-        for h in chain.blocks() {
+        self.resolve(chain.blocks(), |_, e| {
+            let hit = e.computed || share;
+            if hit {
+                cached += bs;
+            }
+            hit
+        });
+        cached
+    }
+
+    /// Walks the leading blocks of `chain` that are present, in chain order,
+    /// handing each one's slot and entry to `visit` until it returns `false`
+    /// or a block is absent — every later block is then absent too, because
+    /// present blocks are prefix-closed along a chain (module docs).
+    ///
+    /// Position `i` is answered by `memo[i]` while that entry is live and
+    /// carries `chain[i]`, and by the map from the first mismatch on.
+    #[inline]
+    fn resolve(&self, chain: &[u64], mut visit: impl FnMut(Slot, &BlockEntry) -> bool) {
+        let mut i = 0;
+        for (&h, &slot) in chain.iter().zip(&self.memo) {
+            let e = &self.slab[slot as usize];
+            if !e.live || e.hash != h {
+                break;
+            }
+            self.memo_hits.set(self.memo_hits.get() + 1);
+            if !visit(slot, e) {
+                return;
+            }
+            i += 1;
+        }
+        for h in &chain[i..] {
             self.probes.set(self.probes.get() + 1);
-            match self.blocks.get(h) {
-                Some(e) if e.computed || self.config.share_in_flight => cached += bs,
-                _ => break,
+            let Some(&slot) = self.map.get(h) else {
+                return;
+            };
+            if !visit(slot, &self.slab[slot as usize]) {
+                return;
             }
         }
-        cached
     }
 
     /// Whether [`try_admit_chain`](PrefixCache::try_admit_chain) would
@@ -490,39 +615,41 @@ impl PrefixCache {
             let needed = (chain.prompt_tokens() + decode_tokens).div_ceil(self.config.block_size);
             return needed <= self.free_blocks();
         }
-        self.admission_plan(chain, decode_tokens).fits
+        self.admission_plan(chain, decode_tokens, |_| {}).fits
     }
 
     /// The enabled-cache admission arithmetic, shared verbatim by
     /// [`try_admit_chain`](PrefixCache::try_admit_chain) (which commits it)
     /// and [`can_admit_chain`](PrefixCache::can_admit_chain) (which only
     /// reads `fits`) — macro-stepping correctness depends on the two never
-    /// disagreeing, so there is exactly one copy of the rule.
-    fn admission_plan(&self, chain: &BlockChain, decode_tokens: usize) -> AdmissionPlan {
+    /// disagreeing, so there is exactly one copy of the rule. `present`
+    /// receives the slots of the chain's present prefix, in chain order.
+    fn admission_plan(
+        &self,
+        chain: &BlockChain,
+        decode_tokens: usize,
+        mut present: impl FnMut(Slot),
+    ) -> AdmissionPlan {
         let bs = self.config.block_size;
-        let mut missing = 0usize;
+        let share = self.config.share_in_flight;
+        let mut found = 0usize;
         let mut revivable = 0usize; // existing rc==0 blocks in our chain (must not evict)
         let mut cached_tokens = 0usize;
         let mut prefix_computed = true;
-        for h in chain.blocks() {
-            self.probes.set(self.probes.get() + 1);
-            match self.blocks.get(h) {
-                Some(e) => {
-                    if e.refcount == 0 {
-                        revivable += 1;
-                    }
-                    if prefix_computed && (e.computed || self.config.share_in_flight) {
-                        cached_tokens += bs;
-                    } else {
-                        prefix_computed = false;
-                    }
-                }
-                None => {
-                    missing += 1;
-                    prefix_computed = false;
-                }
+        self.resolve(chain.blocks(), |slot, e| {
+            found += 1;
+            if e.refcount == 0 {
+                revivable += 1;
             }
-        }
+            if prefix_computed && (e.computed || share) {
+                cached_tokens += bs;
+            } else {
+                prefix_computed = false;
+            }
+            present(slot);
+            true
+        });
+        let missing = chain.blocks().len() - found;
         let tail = chain.prompt_tokens() % bs;
         let private = (tail + decode_tokens).div_ceil(bs);
         // Every rc==0 block is reclaimable via leaf-first cascade, except
@@ -556,9 +683,9 @@ impl PrefixCache {
     /// instead of re-hashing the prompt, so a retry after backpressure costs
     /// O(blocks), not O(tokens).
     ///
-    /// On success the block hashes **move** into the returned allocation
-    /// (`chain` keeps its prompt length and no blocks); on failure `chain`
-    /// is untouched, ready for the retry.
+    /// On success the chain's block list **moves** into the returned
+    /// allocation (`chain` keeps its prompt length and no blocks); on
+    /// failure `chain` is untouched, ready for the retry.
     pub fn try_admit_chain(
         &mut self,
         chain: &mut BlockChain,
@@ -576,20 +703,24 @@ impl PrefixCache {
             self.private_blocks += needed;
             self.note_admission(prompt_tokens, 0);
             return Some(SeqAlloc {
-                chain: Vec::new(),
+                slots: Vec::new(),
                 private_blocks: needed,
                 cached_tokens: 0,
                 prompt_tokens,
+                cache_id: self.id,
             });
         }
 
-        // Walk the chain of full prompt blocks (hashes precomputed) via the
-        // shared admission arithmetic. Nothing allocates before the supply
+        // Resolve the chain's present prefix into the walk buffer via the
+        // shared admission arithmetic. Nothing is written before the supply
         // check, so a *failed* admission — the retry a backpressured
-        // head-of-line request makes on scheduling steps — costs one map
-        // lookup per block and nothing else.
-        let plan = self.admission_plan(chain, decode_tokens);
+        // head-of-line request makes on scheduling steps — costs the walk
+        // and nothing else.
+        let mut walk = std::mem::take(&mut self.walk);
+        walk.clear();
+        let plan = self.admission_plan(chain, decode_tokens, |slot| walk.push(slot));
         if !plan.fits {
+            self.walk = walk;
             return None;
         }
         let AdmissionPlan {
@@ -597,51 +728,47 @@ impl PrefixCache {
             private,
             ..
         } = plan;
-        let chain = std::mem::take(&mut chain.chain);
+        let mut slots = std::mem::take(&mut chain.chain);
 
         // Phase A: pin every existing chain block so evictions during phase B
-        // cannot touch them (presence is re-probed; nothing was created
-        // since the walk above, so the set is the same).
-        for &h in &chain {
-            let Some(e) = self.blocks.get_mut(&h) else {
-                continue;
-            };
+        // cannot touch them.
+        for &slot in &walk {
+            let e = &mut self.slab[slot as usize];
             if e.refcount == 0 {
-                // Any eviction-heap entry for this block goes stale here
+                // Any eviction candidate for this block goes stale here
                 // (the refcount and stamp both stop matching).
                 self.rc0_blocks -= 1;
             }
             e.refcount += 1;
             e.last_used = self.clock;
         }
-        // Phase B: create the still-missing blocks, evicting LRU leaves as
-        // needed (everything that already existed is pinned).
-        for i in 0..chain.len() {
-            let h = chain[i];
-            if self.blocks.contains_key(&h) {
-                continue;
-            }
-            self.make_room();
-            let chain_parent = if i == 0 { None } else { Some(chain[i - 1]) };
-            self.blocks.insert(
-                h,
-                BlockEntry {
-                    parent: chain_parent,
-                    refcount: 1,
-                    children: 0,
-                    computed: false,
-                    last_used: self.clock,
-                },
+        // Phase B: create the missing rest of the chain, evicting LRU leaves
+        // as needed (everything that already existed is pinned).
+        let mut parent = walk.last().copied().unwrap_or(NO_SLOT);
+        for &hash in &slots[walk.len()..] {
+            debug_assert!(
+                !self.map.contains_key(&hash),
+                "present blocks must be prefix-closed along a chain"
             );
-            if let Some(p) = chain_parent {
-                // The parent is pinned or was created earlier in this loop.
-                if let Some(pe) = self.blocks.get_mut(&p) {
-                    pe.children += 1;
-                }
+            self.make_room();
+            let slot = self.insert_block(BlockEntry {
+                hash,
+                last_used: self.clock,
+                parent,
+                refcount: 1,
+                children: 0,
+                computed: false,
+                live: true,
+            });
+            if parent != NO_SLOT {
+                // The parent is pinned or was created a moment ago.
+                self.slab[parent as usize].children += 1;
             }
+            walk.push(slot);
+            parent = slot;
         }
         while self.free_blocks() < private {
-            // Supply was checked before commit; an empty heap here would
+            // Supply was checked before commit; empty queues here would
             // mean that invariant broke, so stop rather than spin.
             if self.evict_one().is_none() {
                 break;
@@ -649,18 +776,61 @@ impl PrefixCache {
         }
         self.private_blocks += private;
         self.note_admission(prompt_tokens, cached_tokens);
+        // The allocation keeps the chain's `Vec`, now naming slots; the walk
+        // becomes the memo the next admission resumes from.
+        for (entry, &slot) in slots.iter_mut().zip(&walk) {
+            *entry = u64::from(slot);
+        }
+        self.walk = std::mem::replace(&mut self.memo, walk);
         Some(SeqAlloc {
-            chain,
+            slots,
             private_blocks: private,
             cached_tokens,
             prompt_tokens,
+            cache_id: self.id,
         })
+    }
+
+    /// Stores a new live block in a recycled or fresh slot and maps its hash.
+    fn insert_block(&mut self, entry: BlockEntry) -> Slot {
+        let hash = entry.hash;
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = entry;
+                slot
+            }
+            None => {
+                // Live blocks never outnumber `capacity_blocks`, so this
+                // bounds the configured capacity, not a workload.
+                assert!(
+                    self.slab.len() < NO_SLOT as usize,
+                    "block slab outgrew its u32 slots"
+                );
+                self.slab.push(entry);
+                (self.slab.len() - 1) as Slot
+            }
+        };
+        self.map.insert(hash, slot);
+        slot
+    }
+
+    /// The block in slot `raw` of one of this cache's live allocations.
+    #[inline]
+    fn pinned(slab: &mut [BlockEntry], raw: u64) -> &mut BlockEntry {
+        let e = &mut slab[raw as usize];
+        debug_assert!(e.live && e.refcount > 0, "an allocation pins its blocks");
+        e
     }
 
     /// Marks the sequence's prompt blocks as computed up to
     /// `prefilled_tokens`, making them compute-reusable by later admissions.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `alloc` was admitted by another cache.
     pub fn mark_computed(&mut self, alloc: &SeqAlloc, prefilled_tokens: usize) {
-        self.marks.set(self.marks.get() + 1);
+        assert_eq!(alloc.cache_id, self.id, "allocation of another cache");
+        self.marks += 1;
         let bs = self.config.block_size;
         // Computed flags always form a prefix of a live chain: a block's
         // ancestors are computed before it, and an interior block cannot be
@@ -668,27 +838,35 @@ impl PrefixCache {
         // backwards and stopping at the first already-computed block
         // therefore touches only the blocks this chunk newly finished,
         // instead of re-touching the whole prefix on every prefill chunk.
-        for &h in alloc.chain.iter().take(prefilled_tokens / bs).rev() {
-            match self.blocks.get_mut(&h) {
-                Some(e) if e.computed => break,
-                Some(e) => e.computed = true,
-                None => debug_assert!(false, "marked chain block must exist"),
+        for &raw in alloc.slots.iter().take(prefilled_tokens / bs).rev() {
+            let e = Self::pinned(&mut self.slab, raw);
+            if e.computed {
+                break;
             }
+            e.computed = true;
         }
     }
 
     /// Releases a completed sequence: dereferences its shared chain (blocks
     /// stay cached until evicted) and frees its private blocks.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `alloc` was admitted by another cache.
     pub fn release(&mut self, alloc: SeqAlloc) {
         self.release_inner(alloc);
         self.compact_evictable();
     }
 
     /// Releases every sequence retired in the same engine step. Per-sequence
-    /// effects (LRU stamps, refcounts, heap pushes) are identical to calling
+    /// effects (LRU stamps, refcounts, queue pushes) are identical to calling
     /// [`release`](Self::release) once per allocation in the same order;
-    /// only the heap-compaction check is deferred to once per batch, which
-    /// is invisible because eviction skips stale heap entries anyway.
+    /// only the queue-compaction check is deferred to once per batch, which
+    /// is invisible because eviction skips stale entries anyway.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an allocation was admitted by another cache.
     pub fn release_batch(&mut self, allocs: impl IntoIterator<Item = SeqAlloc>) {
         for alloc in allocs {
             self.release_inner(alloc);
@@ -697,78 +875,102 @@ impl PrefixCache {
     }
 
     fn release_inner(&mut self, alloc: SeqAlloc) {
+        assert_eq!(alloc.cache_id, self.id, "allocation of another cache");
         self.clock += 1;
-        for &h in alloc.chain.iter().rev() {
-            // A live allocation pins its chain blocks; a missing entry would
-            // be a double release, which the refcount assert also catches.
-            let Some(e) = self.blocks.get_mut(&h) else {
-                debug_assert!(false, "released chain block must exist");
-                continue;
-            };
-            debug_assert!(e.refcount > 0, "double release");
+        let stamp = self.clock;
+        for &raw in alloc.slots.iter().rev() {
+            let e = Self::pinned(&mut self.slab, raw);
             e.refcount -= 1;
-            e.last_used = self.clock;
+            e.last_used = stamp;
             if e.refcount == 0 {
                 self.rc0_blocks += 1;
                 if e.children == 0 {
-                    self.evictable.push(Reverse((e.last_used, h)));
+                    // Only the deepest block of a chain can be a leaf, and
+                    // the clock moved since the last release.
+                    debug_assert!(self.released.back().is_none_or(|c| c.stamp < stamp));
+                    self.released.push_back(Candidate {
+                        stamp,
+                        hash: e.hash,
+                        slot: raw as Slot,
+                    });
                 }
             }
         }
         self.private_blocks = self.private_blocks.saturating_sub(alloc.private_blocks);
     }
 
-    /// Whether heap entry `(stamp, h)` still describes a live evictable
-    /// block (a revive or re-release leaves stale entries behind).
-    fn evictable_entry_is_valid(&self, stamp: u64, h: u64) -> bool {
-        self.blocks
-            .get(&h)
-            .is_some_and(|e| e.refcount == 0 && e.children == 0 && e.last_used == stamp)
+    /// Whether `c` still names this very block in this very state (a
+    /// revive, a re-release, an eviction or a recycled slot leaves stale
+    /// candidates behind).
+    fn is_evictable(&self, c: &Candidate) -> bool {
+        let e = &self.slab[c.slot as usize];
+        e.live && e.refcount == 0 && e.children == 0 && e.last_used == c.stamp && e.hash == c.hash
     }
 
-    /// Evicts one LRU leaf block, skipping stale heap entries. Returns
-    /// `None` if nothing is evictable.
+    /// Evicts one LRU leaf block, skipping stale candidates. Returns the
+    /// block's hash, or `None` if nothing is evictable.
     fn evict_one(&mut self) -> Option<u64> {
-        while let Some(&Reverse((stamp, h))) = self.evictable.peek() {
-            if !self.evictable_entry_is_valid(stamp, h) {
-                self.stale.set(self.stale.get() + 1);
-                self.evictable.pop();
-                continue;
+        while let Some(c) = self.released.front() {
+            if self.is_evictable(c) {
+                break;
             }
-            self.evictable.pop();
-            // `evictable_entry_is_valid` just confirmed the block is live.
-            let Some(entry) = self.blocks.remove(&h) else {
-                continue;
-            };
-            self.rc0_blocks -= 1;
-            self.stats.evictions += 1;
-            if let Some(p) = entry.parent {
-                if let Some(pe) = self.blocks.get_mut(&p) {
-                    pe.children -= 1;
-                    if pe.refcount == 0 && pe.children == 0 {
-                        self.evictable.push(Reverse((pe.last_used, p)));
-                    }
-                }
-            }
-            return Some(h);
+            self.stale += 1;
+            self.released.pop_front();
         }
-        None
+        while let Some(Reverse(c)) = self.cascaded.peek() {
+            if self.is_evictable(c) {
+                break;
+            }
+            self.stale += 1;
+            self.cascaded.pop();
+        }
+        // Both fronts are now valid, each the minimum of its queue.
+        let from_released = match (self.released.front(), self.cascaded.peek()) {
+            (Some(r), Some(Reverse(c))) => r < c,
+            (Some(_), None) => true,
+            (None, Some(_)) => false,
+            (None, None) => return None,
+        };
+        let victim = if from_released {
+            self.released.pop_front()?
+        } else {
+            self.cascaded.pop()?.0
+        };
+        self.slab[victim.slot as usize].live = false;
+        self.map.remove(&victim.hash);
+        self.free.push(victim.slot);
+        self.rc0_blocks -= 1;
+        self.stats.evictions += 1;
+        let parent = self.slab[victim.slot as usize].parent;
+        if parent != NO_SLOT {
+            // A live child keeps its parent live (eviction is leaf-only).
+            let pe = &mut self.slab[parent as usize];
+            pe.children -= 1;
+            if pe.refcount == 0 && pe.children == 0 {
+                self.cascaded.push(Reverse(Candidate {
+                    stamp: pe.last_used,
+                    hash: pe.hash,
+                    slot: parent,
+                }));
+            }
+        }
+        Some(victim.hash)
     }
 
-    /// Rebuilds the eviction heap from its valid entries once stale ones
-    /// dominate, bounding heap memory on long-running sessions.
+    /// Rebuilds the eviction queues from their valid entries once stale
+    /// ones dominate, bounding queue memory on long-running sessions.
     fn compact_evictable(&mut self) {
-        if self.evictable.len() <= 4 * self.config.capacity_blocks.max(64) {
+        let before = self.released.len() + self.cascaded.len();
+        if before <= 4 * self.config.capacity_blocks.max(64) {
             return;
         }
-        let old = std::mem::take(&mut self.evictable);
-        let before = old.len();
-        self.evictable = old
-            .into_iter()
-            .filter(|&Reverse((stamp, h))| self.evictable_entry_is_valid(stamp, h))
-            .collect();
-        let dropped = (before - self.evictable.len()) as u64;
-        self.stale.set(self.stale.get() + dropped);
+        let mut released = std::mem::take(&mut self.released);
+        released.retain(|c| self.is_evictable(c));
+        let mut cascaded = std::mem::take(&mut self.cascaded).into_vec();
+        cascaded.retain(|Reverse(c)| self.is_evictable(c));
+        self.released = released;
+        self.cascaded = cascaded.into();
+        self.stale += (before - self.released.len() - self.cascaded.len()) as u64;
     }
 
     /// Frees one block slot if none is free. The caller verified supply
@@ -786,7 +988,63 @@ impl PrefixCache {
         self.stats.peak_blocks = self
             .stats
             .peak_blocks
-            .max(self.blocks.len() + self.private_blocks);
+            .max(self.map.len() + self.private_blocks);
+    }
+
+    /// Checks the block store's structural invariants, panicking on the
+    /// first one that does not hold. Debug builds only: every check is a
+    /// scan of the whole slab.
+    #[cfg(any(test, debug_assertions))]
+    pub fn check_invariants(&self) {
+        let live = || self.slab.iter().enumerate().filter(|(_, e)| e.live);
+        assert_eq!(live().count(), self.map.len(), "map size == live entries");
+        assert_eq!(
+            self.slab.len(),
+            self.map.len() + self.free.len(),
+            "every slot is live or free"
+        );
+        assert!(self.free.iter().all(|&s| !self.slab[s as usize].live));
+        assert_eq!(
+            live().filter(|(_, e)| e.refcount == 0).count(),
+            self.rc0_blocks,
+            "rc0_blocks == refcount-0 live blocks"
+        );
+        let mut children = vec![0u32; self.slab.len()];
+        for (slot, e) in live() {
+            assert_eq!(
+                self.map.get(&e.hash).copied(),
+                Some(slot as Slot),
+                "a live block's hash maps to its slot"
+            );
+            if e.parent != NO_SLOT {
+                let p = &self.slab[e.parent as usize];
+                assert!(p.live, "a live block's parent is live");
+                assert!(p.refcount >= e.refcount, "a pin covers the whole chain");
+                children[e.parent as usize] += 1;
+            }
+        }
+        let mut queued = vec![false; self.slab.len()];
+        let candidates = self
+            .released
+            .iter()
+            .chain(self.cascaded.iter().map(|c| &c.0));
+        for c in candidates.filter(|c| self.is_evictable(c)) {
+            queued[c.slot as usize] = true;
+        }
+        for (slot, e) in live() {
+            assert_eq!(e.children, children[slot], "children == live child count");
+            assert!(
+                queued[slot] || e.refcount > 0 || e.children > 0,
+                "every evictable block has a valid candidate"
+            );
+        }
+        assert!(
+            self.released
+                .iter()
+                .zip(self.released.iter().skip(1))
+                .all(|(a, b)| a.stamp < b.stamp),
+            "release candidates are queued in strictly increasing stamp order"
+        );
     }
 }
 
@@ -842,26 +1100,92 @@ mod tests {
     fn internals_count_probes_marks_and_evictions() {
         let mut c = cache(2);
         assert_eq!(c.internals(), CacheInternals::default());
+        // A cold chain costs one map lookup: the first block is absent, and
+        // with it every later one.
         let a = c.try_admit(&toks(8, 0), 0).unwrap();
         c.mark_computed(&a, 8);
         c.release(a);
-        let after_first = c.internals();
-        assert!(after_first.block_map_probes >= 2, "admission walks chain");
-        assert_eq!(after_first.mark_computed_calls, 1);
-        // A fresh prefix in a full cache forces evictions of the rc==0
-        // blocks the first request left behind.
+        let cold = CacheInternals {
+            block_map_probes: 1,
+            mark_computed_calls: 1,
+            ..CacheInternals::default()
+        };
+        assert_eq!(c.internals(), cold);
+        // A fresh prefix in a full cache evicts the rc==0 blocks the first
+        // request left behind; the memo names them, but its hashes differ,
+        // so the walk falls back to the map (one more lookup, a miss).
         let b = c.try_admit(&toks(8, 9), 0).unwrap();
+        c.mark_computed(&b, 8);
         c.release(b);
-        let after_second = c.internals();
-        assert!(after_second.evictions >= 1);
-        assert_eq!(after_second.evictions, c.stats().evictions);
-        assert!(after_second.block_map_probes > after_first.block_map_probes);
-        // `probe` walks are counted too, and never mutate anything else.
-        let before = c.internals();
-        c.probe(&toks(8, 0));
-        let after = c.internals();
-        assert!(after.block_map_probes > before.block_map_probes);
-        assert_eq!(after.evictions, before.evictions);
+        let churned = CacheInternals {
+            block_map_probes: 2,
+            mark_computed_calls: 2,
+            evictions: 2,
+            ..cold
+        };
+        assert_eq!(c.internals(), churned);
+        assert_eq!(churned.evictions, c.stats().evictions);
+        // The last admission's chain again — probed, checked, admitted —
+        // resolves through the memo alone; marks and releases are never
+        // lookups.
+        assert_eq!(c.probe(&toks(8, 9)), 8);
+        assert!(c.can_admit_chain(&BlockChain::from_tokens(4, &toks(8, 9)), 0));
+        let again = c.try_admit(&toks(8, 9), 0).unwrap();
+        c.release(again);
+        let resumed = CacheInternals {
+            walk_memo_hits: 6,
+            ..churned
+        };
+        assert_eq!(c.internals(), resumed);
+        // A chain that diverges after one block takes the memo for the
+        // shared block and the map from the first mismatch on.
+        let mut forked = toks(8, 9);
+        forked[5] ^= 0xffff;
+        assert_eq!(c.probe(&forked), 4);
+        assert_eq!(
+            c.internals(),
+            CacheInternals {
+                walk_memo_hits: 7,
+                block_map_probes: 3,
+                ..resumed
+            }
+        );
+    }
+
+    #[test]
+    fn stale_memo_slots_miss_instead_of_lying() {
+        // Capacity 2: every new prompt evicts the previous one's blocks and
+        // takes over their slots, so the memo keeps naming slots that hold
+        // other blocks (or the same block, re-created).
+        let mut c = cache(2);
+        for salt in [0, 1, 0, 0, 2, 1] {
+            let a = c.try_admit(&toks(8, salt), 0).unwrap();
+            c.mark_computed(&a, 8);
+            for other in 0..3 {
+                let expect = if other == salt { 8 } else { 0 };
+                assert_eq!(c.probe(&toks(8, other)), expect, "{salt} resident");
+            }
+            c.release(a);
+            c.check_invariants();
+        }
+        assert_eq!(c.stats().evictions, 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "allocation of another cache")]
+    fn releasing_into_another_cache_panics() {
+        let (mut c, mut d) = (cache(8), cache(8));
+        let a = c.try_admit(&toks(8, 0), 0).unwrap();
+        let _pins_slots_0_and_1 = d.try_admit(&toks(8, 1), 0).unwrap();
+        d.release(a);
+    }
+
+    #[test]
+    #[should_panic(expected = "allocation of another cache")]
+    fn marking_in_another_cache_panics() {
+        let (mut c, mut d) = (cache(8), cache(8));
+        let a = c.try_admit(&toks(8, 0), 0).unwrap();
+        d.mark_computed(&a, 8);
     }
 
     #[test]
@@ -1195,6 +1519,7 @@ mod proptests {
                         live.push(alloc);
                     }
                 }
+                cache.check_invariants();
                 prop_assert!(cache.free_blocks() <= capacity);
                 let s = cache.stats();
                 prop_assert!(s.cached_tokens <= s.total_prompt_tokens);
@@ -1231,6 +1556,285 @@ mod proptests {
             // Full blocks only.
             prop_assert_eq!(b.cached_tokens % 4, 0);
             prop_assert_eq!(b.cached_tokens, tokens.len() / 4 * 4);
+        }
+    }
+}
+
+/// The cache's own oracle: the module docs' semantics over block *hashes*,
+/// written as naively as possible — an ordered map, no slots, no memo, no
+/// queues, no counters that a scan can replace — and a proptest that drives
+/// it and [`PrefixCache`] through the same schedule.
+#[cfg(test)]
+mod model {
+    use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    struct Block {
+        parent: Option<u64>,
+        refcount: u32,
+        computed: bool,
+        last_used: u64,
+    }
+
+    struct ModelAlloc {
+        chain: Vec<u64>,
+        private: usize,
+        cached_tokens: usize,
+    }
+
+    struct Model {
+        config: CacheConfig,
+        blocks: BTreeMap<u64, Block>,
+        private: usize,
+        clock: u64,
+        stats: CacheStats,
+        /// Every evicted block, in eviction order.
+        evicted: Vec<u64>,
+    }
+
+    impl Model {
+        fn free_blocks(&self) -> usize {
+            self.config.capacity_blocks - self.blocks.len() - self.private
+        }
+
+        fn is_leaf(&self, hash: u64) -> bool {
+            self.blocks.values().all(|b| b.parent != Some(hash))
+        }
+
+        fn probe(&self, chain: &[u64]) -> usize {
+            let hits = chain.iter().take_while(|h| {
+                self.blocks
+                    .get(h)
+                    .is_some_and(|b| b.computed || self.config.share_in_flight)
+            });
+            hits.count() * self.config.block_size
+        }
+
+        /// `(private blocks, fits)` of an admission.
+        fn plan(&self, chain: &[u64], prompt_tokens: usize, decode: usize) -> (usize, bool) {
+            let bs = self.config.block_size;
+            let private = (prompt_tokens % bs + decode).div_ceil(bs);
+            let missing = chain
+                .iter()
+                .filter(|h| !self.blocks.contains_key(h))
+                .count();
+            // Unreferenced blocks can all be evicted, leaves first — except
+            // those of this very chain, which the admission will reference.
+            let reclaimable = self
+                .blocks
+                .iter()
+                .filter(|(h, b)| b.refcount == 0 && !chain.contains(h))
+                .count();
+            (
+                private,
+                missing + private <= self.free_blocks() + reclaimable,
+            )
+        }
+
+        fn evict_lru_leaf(&mut self) {
+            let victim = self
+                .blocks
+                .iter()
+                .filter(|(&h, b)| b.refcount == 0 && self.is_leaf(h))
+                .map(|(&h, b)| (b.last_used, h))
+                .min()
+                .expect("supply was checked")
+                .1;
+            self.blocks.remove(&victim);
+            self.evicted.push(victim);
+            self.stats.evictions += 1;
+        }
+
+        fn try_admit(&mut self, chain: &BlockChain, decode: usize) -> Option<ModelAlloc> {
+            let hashes = chain.blocks();
+            let (private, fits) = self.plan(hashes, chain.prompt_tokens(), decode);
+            if !fits {
+                return None;
+            }
+            let cached_tokens = self.probe(hashes);
+            self.clock += 1;
+            for h in hashes {
+                if let Some(b) = self.blocks.get_mut(h) {
+                    b.refcount += 1;
+                    b.last_used = self.clock;
+                }
+            }
+            for (i, &h) in hashes.iter().enumerate() {
+                if self.blocks.contains_key(&h) {
+                    continue;
+                }
+                if self.free_blocks() == 0 {
+                    self.evict_lru_leaf();
+                }
+                let block = Block {
+                    parent: i.checked_sub(1).map(|p| hashes[p]),
+                    refcount: 1,
+                    computed: false,
+                    last_used: self.clock,
+                };
+                self.blocks.insert(h, block);
+            }
+            while self.free_blocks() < private {
+                self.evict_lru_leaf();
+            }
+            self.private += private;
+            self.stats.admitted += 1;
+            self.stats.total_prompt_tokens += chain.prompt_tokens() as u64;
+            self.stats.cached_tokens += cached_tokens as u64;
+            self.stats.peak_blocks = self.stats.peak_blocks.max(self.blocks.len() + self.private);
+            Some(ModelAlloc {
+                chain: hashes.to_vec(),
+                private,
+                cached_tokens,
+            })
+        }
+
+        fn mark_computed(&mut self, alloc: &ModelAlloc, prefilled_tokens: usize) {
+            for h in &alloc.chain[..prefilled_tokens / self.config.block_size] {
+                self.blocks.get_mut(h).expect("pinned").computed = true;
+            }
+        }
+
+        fn release(&mut self, alloc: ModelAlloc) {
+            self.clock += 1;
+            for h in &alloc.chain {
+                let b = self.blocks.get_mut(h).expect("pinned");
+                b.refcount -= 1;
+                b.last_used = self.clock;
+            }
+            self.private -= alloc.private;
+        }
+    }
+
+    impl PrefixCache {
+        /// Live blocks as the model describes them: hash → (parent hash,
+        /// refcount, computed), plus the LRU rank of each stamp.
+        fn describe(&self) -> BTreeMap<u64, Block> {
+            let live = self.slab.iter().filter(|e| e.live);
+            live.map(|e| {
+                let parent = (e.parent != NO_SLOT).then(|| self.slab[e.parent as usize].hash);
+                let block = Block {
+                    parent,
+                    refcount: e.refcount,
+                    computed: e.computed,
+                    last_used: e.last_used,
+                };
+                (e.hash, block)
+            })
+            .collect()
+        }
+    }
+
+    /// Stamps differ (the cache's clock also ticks on refused admissions);
+    /// what must agree is their order. Replaces each stamp by its rank.
+    fn ranked(mut blocks: BTreeMap<u64, Block>) -> BTreeMap<u64, Block> {
+        let mut stamps: Vec<u64> = blocks.values().map(|b| b.last_used).collect();
+        stamps.sort_unstable();
+        stamps.dedup();
+        for b in blocks.values_mut() {
+            b.last_used = stamps.binary_search(&b.last_used).expect("own stamp") as u64;
+        }
+        blocks
+    }
+
+    /// A prompt out of a small tree of families: two family blocks, a
+    /// branch block, a leaf block, up to two more blocks and a partial tail.
+    fn prompt(pick: u16) -> Vec<TokenId> {
+        let pick = u32::from(pick);
+        let (family, branch, leaf, extra) = (pick % 3, pick / 3 % 3, pick / 9 % 4, pick / 36 % 11);
+        let mut tokens: Vec<TokenId> = (0..8).map(|i| family * 100 + i).collect();
+        tokens.extend((0..4).map(|i| 1_000 + family * 100 + branch * 10 + i));
+        tokens.extend((0..4).map(|i| 10_000 + (family * 3 + branch) * 100 + leaf * 10 + i));
+        tokens.extend((0..extra).map(|i| 100_000 + pick * 16 + i));
+        tokens
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn cache_matches_the_naive_model(
+            ops in proptest::collection::vec((0u8..10, 0u16..1188, 0u8..10, 0u8..8), 1..160),
+            capacity in 2usize..=64,
+            share_in_flight in proptest::bool::ANY,
+        ) {
+            let config = CacheConfig {
+                block_size: 4,
+                capacity_blocks: capacity,
+                enabled: true,
+                share_in_flight,
+            };
+            let mut cache = PrefixCache::new(config);
+            let mut model = Model {
+                config,
+                blocks: BTreeMap::new(),
+                private: 0,
+                clock: 0,
+                stats: CacheStats::default(),
+                evicted: Vec::new(),
+            };
+            let mut live: Vec<(SeqAlloc, ModelAlloc)> = Vec::new();
+            for (op, pick, decode, nth) in ops {
+                let before = cache.describe();
+                let evicted_before = model.evicted.len();
+                let chain = BlockChain::from_tokens(4, &prompt(pick));
+                let (decode, nth) = (usize::from(decode), usize::from(nth));
+                match op {
+                    // Admissions are half the schedule; a refusal must leave
+                    // the chain intact for the retry.
+                    0..=4 => {
+                        prop_assert_eq!(
+                            cache.can_admit_chain(&chain, decode),
+                            model.plan(chain.blocks(), chain.prompt_tokens(), decode).1
+                        );
+                        let mut taken = chain.clone();
+                        let got = cache.try_admit_chain(&mut taken, decode);
+                        let want = model.try_admit(&chain, decode);
+                        prop_assert_eq!(got.is_some(), want.is_some());
+                        match (got, want) {
+                            (Some(got), Some(want)) => {
+                                prop_assert_eq!(got.cached_tokens, want.cached_tokens);
+                                prop_assert_eq!(got.prompt_tokens, chain.prompt_tokens());
+                                prop_assert!(taken.blocks().is_empty());
+                                live.push((got, want));
+                            }
+                            _ => prop_assert_eq!(&taken, &chain),
+                        }
+                    }
+                    // A prefill chunk lands: anywhere up to the whole prompt.
+                    5 | 6 if !live.is_empty() => {
+                        let (got, want) = &live[nth % live.len()];
+                        let prefilled = got.prompt_tokens * (decode + 1) / 10;
+                        cache.mark_computed(got, prefilled);
+                        model.mark_computed(want, prefilled);
+                    }
+                    7 if !live.is_empty() => {
+                        let (got, want) = live.swap_remove(nth % live.len());
+                        cache.release(got);
+                        model.release(want);
+                    }
+                    8 if !live.is_empty() => {
+                        let retired = live.split_off(live.len() - (nth % live.len() + 1).min(3));
+                        let (got, want): (Vec<_>, Vec<_>) = retired.into_iter().unzip();
+                        cache.release_batch(got);
+                        want.into_iter().for_each(|a| model.release(a));
+                    }
+                    _ => prop_assert_eq!(cache.probe_chain(&chain), model.probe(chain.blocks())),
+                }
+                cache.check_invariants();
+                prop_assert_eq!(cache.free_blocks(), model.free_blocks());
+                prop_assert_eq!(cache.stats(), &model.stats);
+                let after = cache.describe();
+                let mut gone: Vec<u64> =
+                    before.keys().filter(|h| !after.contains_key(h)).copied().collect();
+                let mut want_gone = model.evicted[evicted_before..].to_vec();
+                gone.sort_unstable();
+                want_gone.sort_unstable();
+                prop_assert_eq!(gone, want_gone);
+                prop_assert_eq!(ranked(after), ranked(model.blocks.clone()));
+            }
         }
     }
 }

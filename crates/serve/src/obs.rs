@@ -35,9 +35,13 @@ pub struct ServeMetrics {
     pub latency_s: &'static Histogram,
     /// Prefix-cache blocks evicted (LRU leaf cascade).
     pub cache_evictions: &'static Counter,
-    /// Block-map lookups issued by probe / admission walks.
+    /// Chain positions probe / admission walks resolved by a hash-map
+    /// lookup.
     pub cache_block_map_probes: &'static Counter,
-    /// Stale eviction-heap entries lazily discarded.
+    /// Chain positions those walks resolved through the resume memo instead
+    /// (see [`CacheInternals::walk_memo_hits`]).
+    pub cache_walk_memo_hits: &'static Counter,
+    /// Stale eviction candidates lazily discarded.
     pub cache_heap_stale_invalidations: &'static Counter,
     /// `mark_computed` calls (prefill chunk completions).
     pub cache_mark_computed_calls: &'static Counter,
@@ -70,6 +74,7 @@ pub fn metrics() -> &'static ServeMetrics {
             latency_s: r.histogram("serve.latency_s"),
             cache_evictions: r.counter("cache.evictions"),
             cache_block_map_probes: r.counter("cache.block_map_probes"),
+            cache_walk_memo_hits: r.counter("cache.walk_memo_hits"),
             cache_heap_stale_invalidations: r.counter("cache.heap_stale_invalidations"),
             cache_mark_computed_calls: r.counter("cache.mark_computed_calls"),
             chain_tokens_hashed: r.counter("serve.chain.tokens_hashed"),
@@ -89,6 +94,8 @@ pub fn publish_cache_internals(prev: CacheInternals, now: CacheInternals) -> Cac
     m.cache_evictions.add(now.evictions - prev.evictions);
     m.cache_block_map_probes
         .add(now.block_map_probes - prev.block_map_probes);
+    m.cache_walk_memo_hits
+        .add(now.walk_memo_hits - prev.walk_memo_hits);
     m.cache_heap_stale_invalidations
         .add(now.heap_stale_invalidations - prev.heap_stale_invalidations);
     m.cache_mark_computed_calls

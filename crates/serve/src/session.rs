@@ -883,6 +883,8 @@ impl EngineSession {
     /// Finalizes the session: computes latency percentiles and returns the
     /// aggregate report plus per-request completion records.
     pub fn finish(mut self) -> SessionReport {
+        #[cfg(debug_assertions)]
+        self.cache.check_invariants();
         if llmqo_obs::enabled() {
             crate::obs::publish_cache_internals(
                 crate::cache::CacheInternals::default(),
