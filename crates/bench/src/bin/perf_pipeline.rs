@@ -163,7 +163,8 @@ fn main() {
         macro_ms.push(t0.elapsed().as_secs_f64() * 1e3);
         let t1 = Instant::now();
         let fine = sim
-            .run_single_stepped(&mut PrefixAffinity::default(), &requests)
+            .single_stepped()
+            .run(&mut PrefixAffinity::default(), &requests)
             .expect("single-stepped sweep");
         single_ms.push(t1.elapsed().as_secs_f64() * 1e3);
         assert_eq!(
@@ -179,7 +180,8 @@ fn main() {
     // Round-robin exercises the same contract through a prefix-blind policy.
     let rr_coarse = sim.run(&mut RoundRobin, &requests).expect("rr sweep");
     let rr_fine = sim
-        .run_single_stepped(&mut RoundRobin, &requests)
+        .single_stepped()
+        .run(&mut RoundRobin, &requests)
         .expect("rr oracle");
     assert_eq!(rr_coarse, rr_fine, "round-robin macro-stepping diverged");
     assert!(rr_coarse.backpressure_macro_steps > 0);

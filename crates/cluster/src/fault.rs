@@ -495,6 +495,32 @@ impl FaultStats {
     pub fn engaged(&self) -> bool {
         self.offered > 0
     }
+
+    /// Adds the run's fault/retry counters to the metrics registry when
+    /// observability is on. Each mirrors one field of this ledger, so
+    /// telemetry cannot drift from the report, and a counter the run never
+    /// bumped is not registered.
+    pub(crate) fn publish(&self) {
+        if !llmqo_obs::enabled() {
+            return;
+        }
+        let registry = llmqo_obs::registry();
+        for (name, n) in [
+            ("cluster.requests_failed", self.failed as u64),
+            ("cluster.retry.scheduled", self.retries),
+            ("cluster.fault.transient_errors", self.transient_errors),
+            ("cluster.hedge.issued", self.hedges_issued),
+            ("cluster.hedge.won", self.hedges_won),
+            ("cluster.failovers", self.failovers),
+            ("cluster.fault.crashes", self.crashes),
+            ("cluster.fault.restarts", self.restarts),
+            ("cluster.fault.drains", self.drains),
+        ] {
+            if n > 0 {
+                registry.counter(name).add(n);
+            }
+        }
+    }
 }
 
 #[cfg(test)]

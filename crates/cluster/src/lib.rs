@@ -18,7 +18,14 @@
 //!   key, so each shared-prefix group lands on exactly one replica).
 //! * [`ClusterSim`] — a discrete-event dispatcher over N
 //!   [`EngineSession`](llmqo_serve::EngineSession) replicas with bounded
-//!   per-replica queues (backpressure) on one shared timeline.
+//!   per-replica queues (backpressure) on one shared timeline. Its four
+//!   entry points ([`run`](ClusterSim::run),
+//!   [`run_admitted`](ClusterSim::run_admitted),
+//!   [`run_with_faults`](ClusterSim::run_with_faults),
+//!   [`run_overloaded`](ClusterSim::run_overloaded)) drive one event
+//!   kernel, with faults, retries, admission and scaling passed as data;
+//!   [`ClusterSim::single_stepped`] turns macro-stepping off on that same
+//!   loop (the differential oracle).
 //! * [`ClusterReport`] — makespan, cluster-wide and per-replica prefix hit
 //!   rates, queue-wait percentiles, and load skew.
 //! * [`FaultPlan`] / [`RetryPolicy`] /
@@ -34,8 +41,8 @@
 //!   the zero-loss invariant to `succeeded + failed + shed == offered`), and
 //!   a seeded elastic autoscaler that drains replicas at low KV occupancy
 //!   and warms cold ones when queue wait crosses a threshold
-//!   ([`ScaleStats`]). Inert policies reproduce
-//!   [`ClusterSim::run`] / [`ClusterSim::run_with_faults`] byte-for-byte.
+//!   ([`ScaleStats`]). Inert policies leave [`ClusterSim::run`] /
+//!   [`ClusterSim::run_with_faults`] reports byte-for-byte unchanged.
 //!
 //! # Example
 //!
@@ -73,8 +80,8 @@
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-mod chaos;
 mod fault;
+mod kernel;
 mod overload;
 mod report;
 mod request;

@@ -21,7 +21,8 @@
 //! Everything here is plain data consumed by
 //! [`ClusterSim::run_admitted`](crate::ClusterSim::run_admitted) and
 //! [`ClusterSim::run_overloaded`](crate::ClusterSim::run_overloaded).
-//! Default-constructed policies are **inert**: running with them is
+//! Default-constructed policies are **inert**: they leave every branch
+//! they guard in the event kernel untaken, so running with them is
 //! byte-identical to [`ClusterSim::run`](crate::ClusterSim::run) /
 //! [`run_with_faults`](crate::ClusterSim::run_with_faults), the property the
 //! overload differential suite pins.

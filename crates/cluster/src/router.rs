@@ -29,8 +29,7 @@ pub struct ReplicaSnapshot {
     /// Requests routed to this replica so far.
     pub assigned: usize,
     /// Whether the replica accepts new work. `false` for crashed, drained,
-    /// or otherwise excluded replicas; the fault-free dispatcher always
-    /// passes `true`.
+    /// or otherwise excluded replicas; always `true` on fault-free runs.
     pub alive: bool,
 }
 

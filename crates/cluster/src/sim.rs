@@ -1,43 +1,14 @@
-//! The sharded serving simulator: admission queue → router → N replica
-//! engine sessions on one shared timeline.
-//!
-//! Discrete-event loop invariants:
-//!
-//! * Every replica is an [`EngineSession`] whose local clock lives on the
-//!   shared cluster timeline (idle replicas are fast-forwarded via
-//!   `advance_to` when work reaches them).
-//! * An arrival is delivered only once every *busy* replica's clock has
-//!   reached its arrival time, so routing decisions never see a replica
-//!   state from the past.
-//! * Each replica's waiting queue is bounded by `queue_cap`: when the
-//!   router's chosen replica is full, the request blocks at the head of the
-//!   global admission queue (backpressure) and the router is re-consulted
-//!   after the next event.
-//!
-//! Everything is deterministic: fixed inputs and a deterministic router give
-//! bit-identical [`ClusterReport`]s.
-//!
-//! Replicas advance in **macro-steps** whenever the admission queue is
-//! empty: [`ClusterSim::run`] hands the chosen replica the next arrival
-//! time as a horizon and lets the session collapse steady-state decode
-//! runs ([`EngineSession::step_until`]), so a job with breathing room costs
-//! events, not tokens. Backpressured phases macro-step too when the router
-//! declares [`Router::retry_insensitive`] (all four built-ins do): the
-//! skipped states are pure-decode instants where no snapshot field a
-//! retry-insensitive router reads can change, so the blocked head-of-line
-//! request would have failed placement at each of them identically. Custom
-//! routers that keep the `false` default are served conservatively — one
-//! step per event, every retry observable. Either way reports stay
-//! byte-identical to [`ClusterSim::run_single_stepped`], the
-//! one-step-per-event differential oracle, for every deterministic router.
+//! The sharded serving simulator's public surface: [`ClusterConfig`],
+//! [`ClusterError`] and [`ClusterSim`], whose four `run*` entry points are
+//! one-line delegations to the event kernel (`kernel.rs`) with the fault
+//! plan, retry policy and overload policy passed as data.
 
-use crate::overload::{decide_admission, obs_shed, AdmissionPolicy, ShedDecision, ShedStats};
-use crate::report::{ClusterReport, ReplicaOccupancy, ReplicaReport};
+use crate::fault::{FaultPlan, RetryPolicy};
+use crate::overload::{AdmissionPolicy, OverloadPolicy};
+use crate::report::ClusterReport;
 use crate::request::ClusterRequest;
-use crate::router::{ReplicaSnapshot, Router};
-use llmqo_obs::{Counter, Gauge};
-use llmqo_serve::{ChainHasher, EngineError, EngineSession, SimEngine};
-use std::collections::VecDeque;
+use crate::router::Router;
+use llmqo_serve::{EngineError, SimEngine};
 use std::fmt;
 
 /// Cluster topology and flow-control parameters.
@@ -87,10 +58,13 @@ pub enum ClusterError {
         /// What is wrong.
         reason: &'static str,
     },
-    /// Two requests passed to
-    /// [`run_with_faults`](crate::ClusterSim::run_with_faults) share an
-    /// engine request id. Retry attribution (which logical request a
-    /// completion belongs to) needs ids to be unique.
+    /// Two requests share an engine request id in a run with a non-empty
+    /// [`FaultPlan`](crate::FaultPlan) or an enabled
+    /// [`RetryPolicy`](crate::RetryPolicy): attributing completions to
+    /// logical requests needs unique ids. With both inert nothing is
+    /// attributed, so every entry point — [`run`](crate::ClusterSim::run)
+    /// and [`run_with_faults`](crate::ClusterSim::run_with_faults) alike —
+    /// accepts duplicates.
     DuplicateRequestId {
         /// The repeated id.
         id: usize,
@@ -170,134 +144,18 @@ impl From<EngineError> for ClusterError {
 pub struct ClusterSim {
     engine: SimEngine,
     config: ClusterConfig,
-}
-
-/// Mutable per-replica state during a run.
-struct Replica {
-    session: EngineSession,
-    assigned: usize,
-    /// Arrival times of requests enqueued here, in enqueue (= admission)
-    /// order; zipped with admission-ordered completions for queue waits.
-    arrivals: Vec<f64>,
-    /// KV occupancy sampled at each placement decision (always on: the
-    /// samples land in [`ReplicaReport::occupancy`]).
-    occupancy: ReplicaOccupancy,
-}
-
-/// Handles of the per-placement metrics, resolved once per run so a routed
-/// request costs three atomic stores and one trace event — no `format!`,
-/// no registry lock.
-struct PlacementObs {
-    routed: &'static Counter,
-    /// `(kv_blocks_in_use, queued)` gauges by replica index, resolved on
-    /// the first placement there (the autoscaler grows the fleet mid-run).
-    gauges: Vec<(&'static Gauge, &'static Gauge)>,
-}
-
-impl PlacementObs {
-    /// Emits the router-decision trace event and refreshes the chosen
-    /// replica's occupancy gauges.
-    fn record(
-        &mut self,
-        session: &EngineSession,
-        choice: usize,
-        request: &ClusterRequest,
-        kv_blocks_in_use: usize,
-        probed_cached_tokens: usize,
-    ) {
-        let r = llmqo_obs::registry();
-        while self.gauges.len() <= choice {
-            let i = self.gauges.len();
-            self.gauges.push((
-                r.gauge(&format!("cluster.replica{i}.kv_blocks_in_use")),
-                r.gauge(&format!("cluster.replica{i}.queued")),
-            ));
-        }
-        let (kv_gauge, queued_gauge) = self.gauges[choice];
-        kv_gauge.set(kv_blocks_in_use as f64);
-        queued_gauge.set(session.queued() as f64);
-        self.routed.inc();
-        llmqo_obs::tracer().instant(
-            0,
-            request.request.id as u64,
-            "route",
-            "router",
-            session.clock(),
-            &[
-                ("replica", choice.into()),
-                ("prefix_key", request.prefix_key.into()),
-                ("kv_blocks_in_use", kv_blocks_in_use.into()),
-                ("probed_cached_tokens", probed_cached_tokens.into()),
-            ],
-        );
-    }
-}
-
-/// Per-run placement state shared by both dispatcher loops: the chain
-/// hasher (consecutive placements are consecutive rows of the reordered
-/// table, so the previous prompt is the right memo whichever replica it
-/// went to) and, when observability is on, the metric handles.
-pub(crate) struct Placer {
-    hasher: ChainHasher,
-    obs: Option<PlacementObs>,
-}
-
-impl Placer {
-    pub(crate) fn new(engine: &SimEngine) -> Self {
-        Placer {
-            hasher: engine.chain_hasher(),
-            obs: llmqo_obs::enabled().then(|| PlacementObs {
-                routed: llmqo_obs::registry().counter("cluster.requests_routed"),
-                gauges: Vec::new(),
-            }),
-        }
-    }
-
-    /// Hands `request` to replica `choice`'s session at instant `ready_s`,
-    /// hashing its prompt once: the same chain feeds the cache probe and
-    /// the session's admission queue.
-    pub(crate) fn place(
-        &mut self,
-        session: &mut EngineSession,
-        occupancy: &mut ReplicaOccupancy,
-        choice: usize,
-        request: &ClusterRequest,
-        ready_s: f64,
-    ) {
-        // An idle replica has been frozen since it last worked; catch it
-        // up to the moment the request reaches it.
-        session.advance_to(ready_s);
-        // Sample what the router could have known at this decision: KV
-        // occupancy and the probed prefix hit on the chosen replica. Pure
-        // reads, shared by both stepping modes, so macro-stepped and
-        // single-stepped reports stay identical.
-        let kv = session.kv_blocks_in_use();
-        let chain = self.hasher.chain(&request.request.prompt);
-        let probed = session.probe_cached_tokens(&chain);
-        occupancy.samples += 1;
-        occupancy.kv_blocks_sum += kv as u64;
-        occupancy.kv_blocks_peak = occupancy.kv_blocks_peak.max(kv);
-        occupancy.capacity_blocks = session.capacity_blocks();
-        occupancy.probed_cached_tokens += probed as u64;
-        if let Some(obs) = &mut self.obs {
-            obs.record(session, choice, request, kv, probed);
-        }
-        session.enqueue_chain(request.request.id, request.request.output_len, chain);
-    }
-
-    /// Ends the run: publishes the hasher's reuse counters when
-    /// observability is on.
-    pub(crate) fn finish(self) {
-        if self.obs.is_some() {
-            llmqo_serve::obs::publish_chain_hasher(&self.hasher);
-        }
-    }
+    /// Drive replicas one scheduling step per event, never macro-stepping.
+    pub(crate) single_step: bool,
 }
 
 impl ClusterSim {
     /// Creates a cluster of identical replicas of `engine`.
     pub fn new(engine: SimEngine, config: ClusterConfig) -> Self {
-        ClusterSim { engine, config }
+        ClusterSim {
+            engine,
+            config,
+            single_step: false,
+        }
     }
 
     /// The per-replica engine template.
@@ -310,21 +168,30 @@ impl ClusterSim {
         &self.config
     }
 
+    /// The same cluster with macro-stepping off: every `run*` call on the
+    /// result drives each replica one scheduling step per event. Reports
+    /// are byte-identical to the macro-stepped ones for every deterministic
+    /// router — this is the fine-grained oracle the differential suites
+    /// compare against — and much slower on decode-heavy jobs.
+    #[must_use]
+    pub fn single_stepped(&self) -> ClusterSim {
+        ClusterSim {
+            single_step: true,
+            ..self.clone()
+        }
+    }
+
     /// Serves `requests` (in arrival order) through `router` across the
     /// replica fleet and reports cluster metrics.
     ///
-    /// While the admission queue is empty, replicas advance via
+    /// Replicas advance via
     /// [`EngineSession::step_until`](llmqo_serve::EngineSession::step_until)
-    /// with the next pending arrival as the horizon, so steady-state decode
-    /// runs are macro-stepped instead of simulated token by token; no
-    /// routing can occur inside such a jump, so nothing any [`Router`]
-    /// observes changes. While requests are blocked in admission
-    /// (backpressure), the loop single-steps, because each event's router
-    /// retry is observable — even in count, for stateful policies. Reports
-    /// are therefore byte-identical to
-    /// [`run_single_stepped`](ClusterSim::run_single_stepped), the
-    /// step-by-step oracle the differential suite compares against, for
-    /// every deterministic router.
+    /// with the next timed event as the horizon, so steady-state decode
+    /// runs are macro-stepped instead of simulated token by token —
+    /// through backpressured phases too when the router declares
+    /// [`Router::retry_insensitive`] (all four built-ins do). Reports are
+    /// byte-identical to [`single_stepped`](ClusterSim::single_stepped)
+    /// runs for every deterministic router.
     ///
     /// # Errors
     ///
@@ -338,7 +205,12 @@ impl ClusterSim {
         router: &mut dyn Router,
         requests: &[ClusterRequest],
     ) -> Result<ClusterReport, ClusterError> {
-        self.run_impl(router, requests, &AdmissionPolicy::default(), true)
+        self.run_with_faults(
+            router,
+            requests,
+            &FaultPlan::default(),
+            &RetryPolicy::disabled(),
+        )
     }
 
     /// [`run`](ClusterSim::run) behind a KV-aware [`AdmissionPolicy`]:
@@ -361,308 +233,102 @@ impl ClusterSim {
         requests: &[ClusterRequest],
         admission: &AdmissionPolicy,
     ) -> Result<ClusterReport, ClusterError> {
-        self.run_impl(router, requests, admission, true)
+        self.run_overloaded(
+            router,
+            requests,
+            &FaultPlan::default(),
+            &RetryPolicy::disabled(),
+            &OverloadPolicy::admission(*admission),
+        )
     }
 
-    /// [`run_admitted`](ClusterSim::run_admitted) driving every replica one
-    /// scheduling step at a time — the fine-grained oracle for the overload
-    /// differential suite.
+    /// [`run`](ClusterSim::run) under a deterministic [`FaultPlan`] with a
+    /// [`RetryPolicy`] governing recovery; their docs carry the full fault
+    /// semantics.
+    ///
+    /// With an empty plan and a disabled policy the result is byte-identical
+    /// to [`run`](ClusterSim::run); any other configuration reproduces byte
+    /// for byte from the same inputs and fills
+    /// [`ClusterReport::faults`](crate::ClusterReport::faults), whose
+    /// invariant `succeeded + failed == offered` guarantees no request is
+    /// ever silently lost.
+    ///
+    /// Unless both are inert, requests must carry **unique** engine ids —
+    /// completions are attributed back to logical requests by id.
     ///
     /// # Errors
     ///
-    /// As for [`run_admitted`](ClusterSim::run_admitted).
-    pub fn run_admitted_single_stepped(
+    /// Everything [`run`](ClusterSim::run) returns, plus
+    /// [`ClusterError::InvalidFaultPlan`] for malformed plans/policies and
+    /// [`ClusterError::DuplicateRequestId`] for non-unique request ids.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use llmqo_cluster::{
+    ///     ClusterConfig, ClusterRequest, ClusterSim, FaultPlan, PrefixAffinity, RetryPolicy,
+    /// };
+    /// use llmqo_serve::{Deployment, EngineConfig, GpuCluster, GpuSpec, ModelSpec, SimEngine,
+    ///                   SimRequest};
+    ///
+    /// let engine = SimEngine::new(
+    ///     Deployment::new(ModelSpec::llama3_8b(), GpuCluster::single(GpuSpec::l4())),
+    ///     EngineConfig::default(),
+    /// );
+    /// let sim = ClusterSim::new(engine, ClusterConfig { replicas: 2, queue_cap: 16 });
+    /// let requests: Vec<ClusterRequest> = (0..16usize)
+    ///     .map(|i| {
+    ///         let g = (i / 8) as u32;
+    ///         let mut toks: Vec<u32> = (0..32).map(|j| g * 1000 + j).collect();
+    ///         toks.extend((0..8).map(|j| 10_000 + i as u32 * 64 + j));
+    ///         ClusterRequest::new(SimRequest::from_tokens(i, toks, 2), u64::from(g))
+    ///     })
+    ///     .collect();
+    /// let plan = FaultPlan::seeded(7).crash_restart(0, 0.05, 0.2);
+    /// let report = sim
+    ///     .run_with_faults(&mut PrefixAffinity::default(), &requests, &plan, &RetryPolicy::retries(4))
+    ///     .unwrap();
+    /// let fs = &report.faults;
+    /// assert_eq!(fs.offered, 16);
+    /// assert_eq!(fs.succeeded + fs.failed, fs.offered);
+    /// ```
+    pub fn run_with_faults(
         &self,
         router: &mut dyn Router,
         requests: &[ClusterRequest],
-        admission: &AdmissionPolicy,
+        plan: &FaultPlan,
+        retry: &RetryPolicy,
     ) -> Result<ClusterReport, ClusterError> {
-        self.run_impl(router, requests, admission, false)
+        self.run_overloaded(router, requests, plan, retry, &OverloadPolicy::default())
     }
 
-    /// [`run`](ClusterSim::run) driving every replica one scheduling step at
-    /// a time, with no macro-stepping. Exists as the fine-grained oracle for
-    /// the differential tests; it produces byte-identical reports to
-    /// [`run`](ClusterSim::run) and is much slower on decode-heavy jobs.
+    /// [`run_with_faults`](ClusterSim::run_with_faults) under an
+    /// [`OverloadPolicy`]: KV-aware admission gates with priority load
+    /// shedding, plus an optional elastic
+    /// [`ScalePolicy`](crate::ScalePolicy) that drains cold
+    /// replicas and warms new ones mid-job. The report gains the
+    /// [`shed`](crate::ClusterReport::shed) and
+    /// [`scaling`](crate::ClusterReport::scaling) ledgers; with any faults
+    /// or retries engaged the failure invariant extends to
+    /// `succeeded + failed + shed == offered`.
+    ///
+    /// An inert (default) overload policy is byte-identical to
+    /// [`run_with_faults`](ClusterSim::run_with_faults); an inert policy
+    /// *and* inert plan/retry reproduce [`run`](ClusterSim::run) itself.
     ///
     /// # Errors
     ///
-    /// As for [`run`](ClusterSim::run).
-    pub fn run_single_stepped(
+    /// As for [`run_with_faults`](ClusterSim::run_with_faults), plus
+    /// [`ClusterError::InvalidOverloadPolicy`] for malformed policies.
+    pub fn run_overloaded(
         &self,
         router: &mut dyn Router,
         requests: &[ClusterRequest],
+        plan: &FaultPlan,
+        retry: &RetryPolicy,
+        overload: &OverloadPolicy,
     ) -> Result<ClusterReport, ClusterError> {
-        self.run_impl(router, requests, &AdmissionPolicy::default(), false)
-    }
-
-    fn run_impl(
-        &self,
-        router: &mut dyn Router,
-        requests: &[ClusterRequest],
-        admission_policy: &AdmissionPolicy,
-        macro_steps: bool,
-    ) -> Result<ClusterReport, ClusterError> {
-        if self.config.replicas == 0 {
-            return Err(ClusterError::InvalidConfig {
-                reason: "need at least one replica",
-            });
-        }
-        if self.config.queue_cap == 0 {
-            return Err(ClusterError::InvalidConfig {
-                reason: "queue capacity must be at least one",
-            });
-        }
-        for (index, r) in requests.iter().enumerate() {
-            if !r.arrival_s.is_finite() || r.arrival_s < 0.0 {
-                return Err(ClusterError::InvalidArrival { index });
-            }
-        }
-        admission_policy.validate()?;
-        let gated = !admission_policy.is_inert();
-        let mut shed_stats = ShedStats::default();
-        if gated {
-            shed_stats.offered = requests.len();
-        }
-
-        let obs_on = llmqo_obs::enabled();
-        let mut replicas: Vec<Replica> = (0..self.config.replicas)
-            .map(|i| {
-                let mut session = self.engine.session()?;
-                // Lane 0 is the default (single-engine / SQL) lane; replica
-                // i's spans go to lane i + 1.
-                let lane = u32::try_from(i + 1).unwrap_or(u32::MAX);
-                session.set_trace_lane(lane);
-                if obs_on {
-                    llmqo_obs::tracer().name_lane(lane, &format!("replica {i}"));
-                }
-                Ok(Replica {
-                    session,
-                    assigned: 0,
-                    arrivals: Vec::new(),
-                    occupancy: ReplicaOccupancy::default(),
-                })
-            })
-            .collect::<Result<_, EngineError>>()?;
-        let mut placer = Placer::new(&self.engine);
-        // Per-run scratch, refilled per placement attempt / gated arrival.
-        let mut snapshots: Vec<ReplicaSnapshot> = Vec::with_capacity(replicas.len());
-        let mut sheddable: Vec<(usize, u32, u8)> = Vec::new();
-
-        // Arrival order: by time, original order on ties (stable sort).
-        let mut order: Vec<usize> = (0..requests.len()).collect();
-        order.sort_by(|&a, &b| requests[a].arrival_s.total_cmp(&requests[b].arrival_s));
-        let mut next_arrival = 0usize;
-        // Requests that have arrived but not yet been placed on a replica.
-        let mut admission: VecDeque<usize> = VecDeque::new();
-        // The simulation's current instant: the time of the latest event
-        // processed (arrival delivery or replica step). A request delayed in
-        // the admission queue by backpressure can be dispatched no earlier
-        // than `now`, whatever its arrival time.
-        let mut now = 0.0f64;
-        // Backpressured phases collapsed into `step_until` jumps (see below).
-        let mut backpressure_macro_steps = 0u64;
-
-        loop {
-            // Place as many admission-queue requests as the routed-to
-            // replicas can take. No simulated time passes while placing.
-            while let Some(&j) = admission.front() {
-                snapshots.clear();
-                snapshots.extend(replicas.iter().enumerate().map(|(index, r)| {
-                    ReplicaSnapshot::observe(index, &r.session, r.assigned, true)
-                }));
-                let choice = router.route(requests[j].prefix_key, &snapshots);
-                if choice >= replicas.len() {
-                    return Err(ClusterError::RouterOutOfRange {
-                        chose: choice,
-                        replicas: replicas.len(),
-                    });
-                }
-                if replicas[choice].session.queued() >= self.config.queue_cap {
-                    break; // Backpressure: head-of-line waits for an event.
-                }
-                admission.pop_front();
-                let replica = &mut replicas[choice];
-                // The request reaches the replica at its arrival, or later
-                // if backpressure held it in admission.
-                placer.place(
-                    &mut replica.session,
-                    &mut replica.occupancy,
-                    choice,
-                    &requests[j],
-                    requests[j].arrival_s.max(now),
-                );
-                replica.assigned += 1;
-                replica.arrivals.push(requests[j].arrival_s);
-            }
-
-            // Next event: the earliest busy replica step, or the next
-            // arrival — whichever comes first on the shared timeline.
-            let mut busy: Option<usize> = None;
-            for (i, r) in replicas.iter().enumerate() {
-                if !r.session.is_idle()
-                    && busy.is_none_or(|b| r.session.clock() < replicas[b].session.clock())
-                {
-                    busy = Some(i);
-                }
-            }
-            let arrival_due = next_arrival < order.len();
-            let deliver_arrival = match (busy, arrival_due) {
-                (_, false) => false,
-                (None, true) => true,
-                (Some(b), true) => {
-                    requests[order[next_arrival]].arrival_s <= replicas[b].session.clock()
-                }
-            };
-
-            if deliver_arrival {
-                // Deliver every arrival due at (or before) this instant,
-                // each through the admission gates (an inert policy admits
-                // everything, preserving byte-identity with `run`).
-                let t = requests[order[next_arrival]].arrival_s;
-                while next_arrival < order.len() && requests[order[next_arrival]].arrival_s <= t {
-                    let j = order[next_arrival];
-                    next_arrival += 1;
-                    if !gated {
-                        admission.push_back(j);
-                        continue;
-                    }
-                    let kv_util = if admission_policy.max_kv_utilization.is_some() {
-                        let (in_use, capacity) =
-                            replicas.iter().fold((0usize, 0usize), |acc, r| {
-                                (
-                                    acc.0 + r.session.kv_blocks_in_use(),
-                                    acc.1 + r.session.capacity_blocks(),
-                                )
-                            });
-                        if capacity == 0 {
-                            0.0
-                        } else {
-                            in_use as f64 / capacity as f64
-                        }
-                    } else {
-                        0.0
-                    };
-                    sheddable.clear();
-                    sheddable.extend(
-                        admission
-                            .iter()
-                            .enumerate()
-                            .map(|(pos, &p)| (pos, requests[p].tenant, requests[p].priority)),
-                    );
-                    match decide_admission(
-                        admission_policy,
-                        requests[j].tenant,
-                        requests[j].priority,
-                        admission.len(),
-                        &sheddable,
-                        kv_util,
-                    ) {
-                        ShedDecision::Admit => admission.push_back(j),
-                        ShedDecision::ShedArrival(reason) => {
-                            shed_stats.record(reason, requests[j].priority);
-                            obs_shed(&requests[j], reason, t);
-                        }
-                        ShedDecision::EvictPending(pos, reason) => {
-                            if let Some(victim) = admission.remove(pos) {
-                                shed_stats.record(reason, requests[victim].priority);
-                                obs_shed(&requests[victim], reason, t);
-                            }
-                            admission.push_back(j);
-                        }
-                    }
-                }
-                now = now.max(t);
-            } else if let Some(b) = busy {
-                let next_arrival_s =
-                    (next_arrival < order.len()).then(|| requests[order[next_arrival]].arrival_s);
-                if macro_steps && admission.is_empty() {
-                    // With nothing waiting for placement, no routing (and no
-                    // `now` observation) can occur before the next arrival,
-                    // so the replica may jump to its next internal event,
-                    // bounded by that arrival — the single-stepped loop
-                    // would pass through the same per-replica states, and
-                    // it, too, performs the step that crosses the arrival
-                    // before delivering it.
-                    replicas[b].session.step_until(next_arrival_s)?;
-                } else if macro_steps && router.retry_insensitive() {
-                    // Backpressured phase. Every event normally triggers a
-                    // router retry, but a retry-insensitive router's
-                    // consultations mutate nothing and read only snapshot
-                    // fields that are frozen during a pure-decode run (the
-                    // states `step_until` skips change nothing but the
-                    // stepping replica's clock). The head-of-line request
-                    // therefore stays blocked at every skipped instant, and
-                    // the replica may jump straight to its next internal
-                    // event — bounded by the next arrival and by every
-                    // *other* busy replica's clock, so cross-replica event
-                    // order (and thus which event unblocks placement) is
-                    // preserved. On clock ties the jump would be empty; fall
-                    // back to a single step to keep the tie-break order.
-                    let other_busy = replicas
-                        .iter()
-                        .enumerate()
-                        .filter(|&(i, r)| i != b && !r.session.is_idle())
-                        .map(|(_, r)| r.session.clock())
-                        .fold(f64::INFINITY, f64::min);
-                    let mut horizon = other_busy;
-                    if let Some(t) = next_arrival_s {
-                        horizon = horizon.min(t);
-                    }
-                    if horizon > replicas[b].session.clock() {
-                        backpressure_macro_steps += 1;
-                        replicas[b]
-                            .session
-                            .step_until(horizon.is_finite().then_some(horizon))?;
-                    } else {
-                        replicas[b].session.step()?;
-                    }
-                } else {
-                    // Conservative path for custom (possibly stateful)
-                    // routers: single-step so every event's retry stays
-                    // observable.
-                    replicas[b].session.step()?;
-                }
-                now = now.max(replicas[b].session.clock());
-            } else if admission.is_empty() {
-                break; // No work anywhere: the job is done.
-            } else {
-                // All replicas idle yet something is stuck in admission:
-                // impossible with queue_cap >= 1 (idle means empty queue).
-                return Err(ClusterError::InvalidConfig {
-                    reason: "dispatcher stalled (router refuses idle replicas?)",
-                });
-            }
-        }
-
-        placer.finish();
-
-        // Collect per-replica reports and queue waits. Engine admission is
-        // FIFO, so completions sorted by admission time pair with arrivals
-        // in enqueue order.
-        let mut queue_waits: Vec<f64> = Vec::new();
-        let mut reports: Vec<ReplicaReport> = Vec::new();
-        for replica in replicas {
-            let idle_s = replica.session.idle_time_s();
-            let outcome = replica.session.finish();
-            let mut admissions: Vec<f64> =
-                outcome.completions.iter().map(|c| c.admitted_s).collect();
-            admissions.sort_by(f64::total_cmp);
-            for (&arrival, &admitted) in replica.arrivals.iter().zip(&admissions) {
-                queue_waits.push((admitted - arrival).max(0.0));
-            }
-            reports.push(ReplicaReport {
-                engine: outcome.report,
-                completions: outcome.completions,
-                assigned: replica.assigned,
-                idle_s,
-                occupancy: replica.occupancy,
-            });
-        }
-        let mut report = ClusterReport::assemble(router.name(), reports, queue_waits);
-        report.shed = shed_stats;
-        report.backpressure_macro_steps = backpressure_macro_steps;
-        Ok(report)
+        crate::kernel::run(self, router, requests, plan, retry, overload)
     }
 }
 
@@ -670,7 +336,7 @@ impl ClusterSim {
 mod tests {
     use super::*;
     use crate::request::ArrivalProcess;
-    use crate::router::{LeastLoaded, PrefixAffinity, RoundRobin};
+    use crate::router::{LeastLoaded, PrefixAffinity, ReplicaSnapshot, RoundRobin};
     use llmqo_serve::{Deployment, EngineConfig, GpuCluster, GpuSpec, ModelSpec, SimRequest};
 
     fn engine() -> SimEngine {
@@ -790,7 +456,7 @@ mod tests {
             ),
         ] {
             let (fine_router, coarse_router) = router_pair;
-            let fine = sim(3).run_single_stepped(fine_router, &requests).unwrap();
+            let fine = sim(3).single_stepped().run(fine_router, &requests).unwrap();
             let coarse = sim(3).run(coarse_router, &requests).unwrap();
             assert_eq!(fine, coarse, "{}", fine_router.name());
         }
@@ -810,7 +476,8 @@ mod tests {
         };
         for cap in [1usize, 2, 8] {
             let fine = tight(cap)
-                .run_single_stepped(&mut LeastLoaded, &requests)
+                .single_stepped()
+                .run(&mut LeastLoaded, &requests)
                 .unwrap();
             let coarse = tight(cap).run(&mut LeastLoaded, &requests).unwrap();
             assert_eq!(fine, coarse, "queue_cap {cap}");
@@ -849,12 +516,14 @@ mod tests {
                 )
             };
             let fine = tight()
-                .run_single_stepped(&mut LeastLoaded, &requests)
+                .single_stepped()
+                .run(&mut LeastLoaded, &requests)
                 .unwrap();
             let coarse = tight().run(&mut LeastLoaded, &requests).unwrap();
             assert_eq!(fine, coarse, "least-loaded, queue_cap {cap}");
             let fine = tight()
-                .run_single_stepped(&mut RoundRobin, &requests)
+                .single_stepped()
+                .run(&mut RoundRobin, &requests)
                 .unwrap();
             let coarse = tight().run(&mut RoundRobin, &requests).unwrap();
             assert_eq!(fine, coarse, "round-robin (stateful), queue_cap {cap}");
@@ -1012,5 +681,56 @@ mod tests {
         assert_eq!(report.completed, 0);
         assert_eq!(report.makespan_s, 0.0);
         assert_eq!(report.prefix_hit_rate(), 0.0);
+    }
+
+    /// The kernel checks its ledgers with `debug_assert!` on every run of a
+    /// debug build: the clock is finite and monotone after each event, every
+    /// request ends as exactly one of done / failed / shed with no attempt
+    /// in flight, `succeeded + failed + shed == offered`, and the per-reason
+    /// shed counters partition `shed`. This cell has a crash, retries,
+    /// hedges, permanent failures (transient errors past the budget) and
+    /// shedding live at once, in both stepping modes, so all of them are
+    /// exercised together.
+    #[test]
+    fn ledger_identities_hold_with_crash_retry_and_shed_live() {
+        use crate::{AdmissionPolicy, FaultPlan, OverloadPolicy, RetryPolicy};
+        let sim = ClusterSim::new(
+            engine(),
+            ClusterConfig {
+                replicas: 2,
+                queue_cap: 2,
+            },
+        );
+        let mut requests: Vec<ClusterRequest> = grouped_requests(8, 8)
+            .into_iter()
+            .enumerate()
+            .map(|(i, r)| r.priority(u8::from(i % 4 == 0)))
+            .collect();
+        ArrivalProcess::Poisson {
+            rate_rps: 60.0,
+            seed: 2,
+        }
+        .assign(&mut requests);
+        let plan = FaultPlan::seeded(3)
+            .crash_restart(0, 0.05, 0.2)
+            .transient_errors_ppm(350_000);
+        let retry = RetryPolicy::retries(2).with_hedging(0.1);
+        let overload = OverloadPolicy::admission(AdmissionPolicy::bounded(6));
+        for sim in [sim.single_stepped(), sim] {
+            let report = sim
+                .run_overloaded(&mut LeastLoaded, &requests, &plan, &retry, &overload)
+                .unwrap();
+            let (faults, shed) = (&report.faults, &report.shed);
+            assert_eq!(faults.crashes, 1);
+            assert!(
+                faults.retries > 0 && faults.failed > 0 && shed.shed > 0,
+                "{faults:?} {shed:?}"
+            );
+            assert_eq!(faults.succeeded + faults.failed + shed.shed, faults.offered);
+            assert_eq!(
+                shed.shed_queue_full + shed.shed_kv_pressure + shed.shed_tenant_quota,
+                shed.shed
+            );
+        }
     }
 }

@@ -24,8 +24,8 @@ use common::{
     skewed_truth,
 };
 use llmqo::cluster::{
-    ArrivalProcess, ClusterReport, FaultPlan, LeastLoaded, PrefixAffinity, ReplicaSnapshot,
-    RetryPolicy, RoundRobin, Router,
+    AdmissionPolicy, ArrivalProcess, ClusterReport, FaultPlan, LeastLoaded, OverloadPolicy,
+    PrefixAffinity, ReplicaSnapshot, RetryPolicy, RoundRobin, Router, ScalePolicy,
 };
 use llmqo::core::Ggr;
 use llmqo::datasets::Dataset;
@@ -154,7 +154,8 @@ fn macro_and_single_stepped_chaos_agree() {
                 .run_with_faults(router.as_mut(), &requests, plan, &policy)
                 .expect("macro run");
             let single = sim
-                .run_with_faults_single_stepped(router.as_mut(), &requests, plan, &policy)
+                .single_stepped()
+                .run_with_faults(router.as_mut(), &requests, plan, &policy)
                 .expect("single-stepped run");
             assert_eq!(
                 macro_run, single,
@@ -183,7 +184,8 @@ fn chaos_macro_stepping_survives_backpressure() {
             .run_with_faults(router.as_mut(), &requests, &plan, &policy)
             .expect("macro run");
         let fine = sim
-            .run_with_faults_single_stepped(router.as_mut(), &requests, &plan, &policy)
+            .single_stepped()
+            .run_with_faults(router.as_mut(), &requests, &plan, &policy)
             .expect("single-stepped run");
         assert_eq!(
             coarse, fine,
@@ -627,5 +629,111 @@ proptest! {
             })
             .collect();
         prop_assert!(fresh == used, "history changed a routing decision");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The whole options space, on one loop
+// ---------------------------------------------------------------------------
+
+/// A random fault plan for a 3-replica fleet: up to three crashes (with or
+/// without restart), drains and slowdown windows in the first second, plus
+/// a transient error rate.
+fn arb_plan() -> impl Strategy<Value = FaultPlan> {
+    let event = (0u8..4, 0usize..3, 0u32..600, 1u32..400);
+    let ppm = prop::sample::select(vec![0u32, 0, 50_000, 200_000]);
+    (proptest::collection::vec(event, 0..4), ppm, 0u64..1000).prop_map(|(events, ppm, seed)| {
+        let mut plan = FaultPlan::seeded(seed).transient_errors_ppm(ppm);
+        for (kind, replica, at_ms, span_ms) in events {
+            let (at, until) = (f64::from(at_ms) / 1e3, f64::from(at_ms + span_ms) / 1e3);
+            plan = match kind {
+                0 => plan.crash(replica, at),
+                1 => plan.crash_restart(replica, at, until),
+                2 => plan.drain(replica, at, until),
+                _ => plan.slowdown(replica, at, until, 1.5 + f64::from(span_ms % 3)),
+            };
+        }
+        plan
+    })
+}
+
+fn arb_retry() -> impl Strategy<Value = RetryPolicy> {
+    let hedge = prop::sample::select(vec![None, None, Some(0.05), Some(0.4)]);
+    let deadline = prop::sample::select(vec![None, Some(0.8), Some(30.0)]);
+    (1u32..5, hedge, deadline).prop_map(|(max_attempts, hedge_after_s, deadline_s)| RetryPolicy {
+        hedge_after_s,
+        deadline_s,
+        ..RetryPolicy::retries(max_attempts)
+    })
+}
+
+fn arb_overload() -> impl Strategy<Value = OverloadPolicy> {
+    let scale_up = ScalePolicy::elastic(1, 5)
+        .reacting(0.1, 0.05)
+        .with_cadence(0.05, 0.1)
+        .with_warmup(0.1)
+        .with_warmup_jitter(0.3, 7);
+    let scale_down = ScalePolicy::elastic(1, 3)
+        .reacting(5.0, 0.9)
+        .with_cadence(0.1, 0.2);
+    (
+        prop::sample::select(vec![None, Some(2usize), Some(8)]),
+        prop::sample::select(vec![None, Some(0.002), Some(0.5)]),
+        prop::sample::select(vec![None, Some(3usize)]),
+        prop::sample::select(vec![None, Some(scale_up), Some(scale_down)]),
+    )
+        .prop_map(
+            |(max_pending, max_kv_utilization, tenant_quota, scale)| OverloadPolicy {
+                admission: AdmissionPolicy {
+                    max_pending,
+                    max_kv_utilization,
+                    tenant_quota,
+                },
+                scale,
+            },
+        )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Any combination of fault plan, retry policy, admission gates,
+    /// autoscaler, router and queue bound runs on the one kernel loop:
+    /// macro-stepped ≡ single-stepped, a rerun is byte-identical, and the
+    /// ledgers reconcile.
+    #[test]
+    fn any_options_agree_across_stepping_modes_and_reconcile(
+        plan in arb_plan(),
+        retry in arb_retry(),
+        overload in arb_overload(),
+        (router, queue_cap) in (0usize..4, prop::sample::select(vec![1usize, 2, 16])),
+        rate_rps in prop::sample::select(vec![0.0, 40.0, 150.0]),
+    ) {
+        let mut requests = common::prioritized_workload(8, 5, 4);
+        if rate_rps > 0.0 {
+            ArrivalProcess::Poisson { rate_rps, seed: 5 }.assign(&mut requests);
+        }
+        let sim = sim(3, queue_cap);
+        let run = |sim: &llmqo::cluster::ClusterSim| {
+            let mut router = routers().swap_remove(router);
+            sim.run_overloaded(router.as_mut(), &requests, &plan, &retry, &overload)
+                .expect("valid options")
+        };
+        let report = run(&sim);
+        if retry.hedge_after_s.is_none() {
+            prop_assert!(report == run(&sim.single_stepped()), "stepping modes diverged");
+        }
+        prop_assert!(report == run(&sim), "rerun diverged");
+        let (faults, shed) = (&report.faults, &report.shed);
+        let served = if faults.engaged() {
+            faults.succeeded + faults.failed
+        } else {
+            report.completed
+        };
+        prop_assert_eq!(served + shed.shed, requests.len());
+        prop_assert_eq!(
+            shed.shed_queue_full + shed.shed_kv_pressure + shed.shed_tenant_quota,
+            shed.shed
+        );
     }
 }

@@ -13,9 +13,11 @@
 //! The same contract covers block-chain hashing: the incremental
 //! [`ChainHasher`] every serving path uses must equal
 //! [`BlockChain::from_fragments`] — the definition — on any *sequence* of
-//! prompts, and a Poisson cluster fixture pins the full [`ClusterReport`]
-//! (placement-time cache probes included) of both dispatcher loops at the
-//! values the re-hash-everything dispatchers produced.
+//! prompts, and Poisson cluster fixtures pin the full [`ClusterReport`]
+//! (placement-time cache probes included) at the values the
+//! re-hash-everything dispatchers produced, and the fault-free / gated
+//! reports at the values of the fault-free dispatcher loop the cluster
+//! event kernel replaced.
 //!
 //! [`ClusterReport`]: llmqo::cluster::ClusterReport
 
@@ -365,8 +367,8 @@ fn placement_ledger(report: &ClusterReport) -> Vec<(usize, u64, u64)> {
 
 #[test]
 fn poisson_cluster_reports_are_pinned_at_the_parent_commit() {
-    // Both dispatcher loops used to flatten and re-hash every prompt at
-    // placement; they now hash only the unshared suffix, once. Block hashes
+    // The dispatcher used to flatten and re-hash every prompt at
+    // placement; it now hashes only the unshared suffix, once. Block hashes
     // are unchanged, so every probe, admission and eviction — the whole
     // report — must equal what the parent commit produced (constants below
     // were recorded there).
@@ -456,4 +458,121 @@ fn reordered_relational_workload_matches_reference() {
         }
         assert_drained_equal(session, reference);
     }
+}
+
+/// The admission policies of [`PINNED_ADMISSION_REPORTS`], in column order;
+/// `None` is plain [`ClusterSim::run`](llmqo::cluster::ClusterSim::run).
+fn pinned_admission_policies() -> [Option<AdmissionPolicy>; 5] {
+    [
+        None,
+        Some(AdmissionPolicy::bounded(6)),
+        Some(AdmissionPolicy::default().with_kv_gate(0.002)),
+        Some(AdmissionPolicy::default().with_tenant_quota(4)),
+        Some(
+            AdmissionPolicy::bounded(6)
+                .with_kv_gate(0.002)
+                .with_tenant_quota(4),
+        ),
+    ]
+}
+
+/// `report_fingerprint` of `run` / `run_admitted` on the overload suite's
+/// workload, recorded at the parent commit on the fault-free dispatcher loop
+/// (`sim.rs::run_impl`) before it was deleted. Rows: `queue_cap` 16 then 1,
+/// each × the four built-in routers in `common::routers()` order; columns:
+/// `pinned_admission_policies()`.
+const PINNED_ADMISSION_REPORTS: [[u64; 5]; 8] = [
+    [
+        0x240d_3cc8_b32a_5bde,
+        0x31d5_63be_cbd3_7505,
+        0x7181_0e95_c683_021e,
+        0x31d5_63be_cbd3_7505,
+        0x7181_0e95_c683_021e,
+    ],
+    [
+        0xe346_4196_4f05_d0e2,
+        0x73bf_a2d6_ce82_97b9,
+        0xa823_89f6_a249_25ee,
+        0x73bf_a2d6_ce82_97b9,
+        0xa823_89f6_a249_25ee,
+    ],
+    [
+        0xfe62_2f37_6de5_d7ed,
+        0xa17b_06c1_3689_593c,
+        0x806c_1e04_ea66_3515,
+        0xa17b_06c1_3689_593c,
+        0x806c_1e04_ea66_3515,
+    ],
+    [
+        0x95c2_729c_f36a_c5b2,
+        0xbf33_b1de_f411_9609,
+        0x7769_0872_c255_2930,
+        0xbf33_b1de_f411_9609,
+        0x7769_0872_c255_2930,
+    ],
+    [
+        0xa0a0_4066_eb62_f09a,
+        0x0501_b409_379e_0be1,
+        0x1be3_70d9_4824_f3c6,
+        0x1e7d_2241_70ed_ae38,
+        0x35af_8d96_e3a9_fdd6,
+    ],
+    [
+        0xd3cb_edfc_9bb2_bc2e,
+        0x8520_c799_1cd0_a66a,
+        0xbda8_a67f_2183_fcac,
+        0x89f3_12bc_221d_a715,
+        0xd3c0_d054_0893_b62f,
+    ],
+    [
+        0x3a51_36da_468a_df94,
+        0x6f15_3098_b4b9_71aa,
+        0x359c_d327_c8bb_c9fd,
+        0x5617_6939_17e2_760d,
+        0x78cf_4d7f_cf2a_af0c,
+    ],
+    [
+        0xe7a3_78f2_c117_df35,
+        0xf260_fc47_840c_01b2,
+        0x691d_18c6_6e08_576d,
+        0xe934_f0ee_4017_e341,
+        0x461f_b03e_db62_22e7,
+    ],
+];
+
+#[test]
+fn fault_free_and_gated_reports_are_pinned_at_the_deleted_loop() {
+    let mut requests = common::prioritized_workload(12, 6, 4);
+    ArrivalProcess::Poisson {
+        rate_rps: 50.0,
+        seed: 3,
+    }
+    .assign(&mut requests);
+    let mut rows = PINNED_ADMISSION_REPORTS.iter();
+    let mut shed_cells = 0;
+    for queue_cap in [16usize, 1] {
+        let sim = common::cluster_sim(3, queue_cap);
+        for mut router in common::routers() {
+            let pinned = rows.next().expect("one row per cap and router");
+            for (policy, &want) in pinned_admission_policies().iter().zip(pinned) {
+                let report = match policy {
+                    None => sim.run(router.as_mut(), &requests),
+                    Some(p) => sim.run_admitted(router.as_mut(), &requests, p),
+                }
+                .unwrap();
+                assert_eq!(report.completed + report.shed.shed, requests.len());
+                shed_cells += usize::from(report.shed.shed > 0);
+                assert_eq!(
+                    report_fingerprint(&report),
+                    want,
+                    "{} cap {queue_cap} {policy:?}: got {:#018x}",
+                    report.policy,
+                    report_fingerprint(&report)
+                );
+            }
+        }
+    }
+    // The gates bite: the pin covers shedding by every reason, not only
+    // gated runs that admit everything.
+    assert!(shed_cells >= 16, "only {shed_cells} cells shed");
 }

@@ -106,7 +106,8 @@ fn bounded_admission_sheds_only_best_effort_and_reconciles() {
         .run_admitted(&mut LeastLoaded, &requests, &policy)
         .expect("admitted");
     let single = sim
-        .run_admitted_single_stepped(&mut LeastLoaded, &requests, &policy)
+        .single_stepped()
+        .run_admitted(&mut LeastLoaded, &requests, &policy)
         .expect("single-stepped");
     assert_eq!(shed_run, single, "admission stepping modes diverged");
 
@@ -185,7 +186,8 @@ fn kv_gate_sheds_on_occupancy() {
     );
     assert_eq!(report.shed.shed_kv_pressure, report.shed.shed);
     let single = sim
-        .run_admitted_single_stepped(&mut LeastLoaded, &requests, &policy)
+        .single_stepped()
+        .run_admitted(&mut LeastLoaded, &requests, &policy)
         .expect("single");
     assert_eq!(report, single);
 }
@@ -266,7 +268,8 @@ fn autoscaler_warms_replicas_under_queue_pressure() {
     assert!(scaled.scaling.checks > 0);
 
     let single = sim
-        .run_overloaded_single_stepped(&mut LeastLoaded, &requests, &plan, &retry, &overload)
+        .single_stepped()
+        .run_overloaded(&mut LeastLoaded, &requests, &plan, &retry, &overload)
         .expect("single-stepped");
     assert_eq!(scaled, single, "scaling stepping modes diverged");
     let again = sim
@@ -321,7 +324,8 @@ fn autoscaler_drains_idle_replicas_at_low_occupancy() {
         "scale-down departures must not pollute the fault ledger"
     );
     let single = sim
-        .run_overloaded_single_stepped(
+        .single_stepped()
+        .run_overloaded(
             &mut LeastLoaded,
             &requests,
             &FaultPlan::default(),
@@ -377,7 +381,8 @@ fn chaos_shedding_and_scaling_compose_and_reconcile() {
         "premium traffic must survive chaos + overload"
     );
     let single = sim
-        .run_overloaded_single_stepped(
+        .single_stepped()
+        .run_overloaded(
             &mut PrefixAffinity::default(),
             &requests,
             &plan,

@@ -197,7 +197,8 @@ fn macro_stepped_backpressure_equals_single_stepped_under_all_routers() {
     for (name, make) in routers {
         let coarse: ClusterReport = tight_sim(2, 1).run(&mut *make(), &requests).unwrap();
         let fine: ClusterReport = tight_sim(2, 1)
-            .run_single_stepped(&mut *make(), &requests)
+            .single_stepped()
+            .run(&mut *make(), &requests)
             .unwrap();
         assert_eq!(coarse, fine, "{name}: macro-stepping changed the schedule");
         assert_eq!(coarse.completed, requests.len(), "{name} lost requests");
@@ -232,7 +233,8 @@ fn conservative_custom_router_never_macro_steps_backpressure() {
         .run(&mut Wrapped(RoundRobin), &requests)
         .unwrap();
     let fine = tight_sim(2, 1)
-        .run_single_stepped(&mut Wrapped(RoundRobin), &requests)
+        .single_stepped()
+        .run(&mut Wrapped(RoundRobin), &requests)
         .unwrap();
     assert_eq!(coarse, fine);
     assert_eq!(
