@@ -64,7 +64,7 @@ fn bench_engine(c: &mut Criterion) {
 /// Block-chain hashing on a GGR-ordered Movies filter batch — prompts whose
 /// leading fragments are pointer-equal to the previous prompt's: the
 /// from-scratch definition against the incremental hasher the serving paths
-/// use (both produce the same chains).
+/// use, fed built requests and borrowed views (all produce the same chains).
 fn bench_chain(c: &mut Criterion) {
     let ds = Dataset::generate_with_rows(DatasetId::Movies, 2000);
     let query = ds.query_of_kind(QueryKind::Filter).expect("filter query");
@@ -93,6 +93,20 @@ fn bench_chain(c: &mut Criterion) {
             let mut hasher = ChainHasher::new(block_size, true);
             for r in &requests {
                 black_box(hasher.chain(&r.prompt));
+            }
+        })
+    });
+    // The executor's form: no request is built, the prompt is a view of the
+    // encoded table's fragment store.
+    group.bench_function("hasher-borrowed", |b| {
+        b.iter(|| {
+            let mut hasher = ChainHasher::new(block_size, true);
+            for rp in &solution.plan.rows {
+                let fields = rp.fields.iter().map(|&f| {
+                    let cell = encoded.reorder.cell(rp.row, f as usize);
+                    &encoded.fragments[cell.value.as_u32() as usize]
+                });
+                black_box(hasher.chain_iter(std::iter::once(&encoded.instruction).chain(fields)));
             }
         })
     });

@@ -17,6 +17,10 @@
 //! engine once (the solver then runs on the novel, dedup-compacted batch).
 //! [`execute`] is the single-shot wrapper; the SQL runner drives the same
 //! primitive batch by batch for lazy `LIMIT` and adaptive execution.
+//! Requests reach the stage engine as borrowed views of the encoded table
+//! (`row_prompt`: the instruction, then the row's fragments in scheduled
+//! order) — first attempts, fault retries and cascade escalations alike —
+//! so the executor builds a [`SimRequest`] only for [`plan_requests`].
 //!
 //! [`run_llm_rows`]: QueryExecutor::run_llm_rows
 //!
@@ -39,11 +43,12 @@ use llmqo_costmodel::CascadePlan;
 use llmqo_serve::{
     fault_unit, EngineError, EngineReport, GenRequest, SimEngine, SimLlm, SimRequest,
 };
-use llmqo_tokenizer::Tokenizer;
+use llmqo_tokenizer::{TokenId, Tokenizer};
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Errors from query execution.
 #[derive(Debug)]
@@ -732,18 +737,27 @@ impl<'a> QueryExecutor<'a> {
             };
             // One engine request per scheduled representative, carrying the
             // *original* row index so serving traces stay attributable.
-            // Built lazily: the stage engine enqueues each by reference, so
-            // the batch's prompt vectors never all exist at once.
-            let requests = solution
-                .plan
-                .rows
-                .iter()
-                .map(|rp| row_request(&encoded, compact, rp, rows[reps[rp.row]], query));
+            // A request is a borrowed view — the instruction, then the
+            // row's fragments where the encoded table keeps them — built
+            // lazily as the stage engine enqueues it: no `SimRequest`, no
+            // prompt vector, for first attempts, retries and escalations
+            // alike.
+            let output_lens = OutputLens::new(&query.name, query.output_tokens_mean);
+            let request = |ri: usize| {
+                let rp = &solution.plan.rows[ri];
+                let original = rows[reps[rp.row]];
+                (
+                    original,
+                    output_lens.sample(original),
+                    row_prompt(&encoded, compact, rp),
+                )
+            };
             outcome.opt.llm_calls = solution.plan.rows.len() as u64;
             // This batch's completion records — consumed by request id
             // below, so the stage engine's merge order (deterministic but
             // replica-grouped under fan-out) never affects results.
-            let completions = engine.run_batch(requests, &keys)?;
+            let completions =
+                engine.run_batch((0..solution.plan.rows.len()).map(&request), &keys)?;
             if opts.cascade.is_some() {
                 // Cascade ledger: every issued request is billed to the
                 // cheap tier at full (uncached) prompt + output volume.
@@ -781,7 +795,8 @@ impl<'a> QueryExecutor<'a> {
             if let Some(f) = opts.faults.filter(|f| f.error_ppm > 0) {
                 let p = f64::from(f.error_ppm) / 1e6;
                 let budget = f.max_attempts.max(1);
-                let mut retry_requests: Vec<SimRequest> = Vec::new();
+                // Schedule positions to replay, one entry per failed attempt.
+                let mut retry_rows: Vec<usize> = Vec::new();
                 let mut retry_keys: Vec<u64> = Vec::new();
                 for (ri, rp) in solution.plan.rows.iter().enumerate() {
                     let original = rows[reps[rp.row]];
@@ -796,8 +811,7 @@ impl<'a> QueryExecutor<'a> {
                     if extra > 0 {
                         outcome.opt.llm_retries += u64::from(extra);
                         for _ in 0..extra {
-                            retry_requests
-                                .push(row_request(&encoded, compact, rp, original, query));
+                            retry_rows.push(ri);
                             // Retries keep their row's prefix key: failover
                             // lands on the replica already holding the
                             // group's cached prefix.
@@ -814,11 +828,12 @@ impl<'a> QueryExecutor<'a> {
                         failed_reps[rp.row] = true;
                     }
                 }
-                if !retry_requests.is_empty() {
+                if !retry_rows.is_empty() {
                     // Replay the failed attempts so their serving cost is
                     // real: each retry re-sends the representative's full
                     // prompt (mostly cache hits) and re-decodes its output.
-                    let retried = engine.run_batch(retry_requests, &retry_keys)?;
+                    let retried =
+                        engine.run_batch(retry_rows.iter().map(|&ri| request(ri)), &retry_keys)?;
                     if opts.cascade.is_some() {
                         for c in &retried {
                             outcome.opt.cheap_prompt_tokens += c.prompt_tokens as u64;
@@ -840,7 +855,7 @@ impl<'a> QueryExecutor<'a> {
             // the expensive tier; a group with at least one escalated row
             // re-runs its representative's request there (engine work is
             // shared per group on both tiers, labels stay per-row).
-            let mut esc_requests: Vec<SimRequest> = Vec::new();
+            let mut esc_rows: Vec<usize> = Vec::new();
             let mut esc_keys: Vec<u64> = Vec::new();
             for (ri, rp) in solution.plan.rows.iter().enumerate() {
                 if failed_reps[rp.row] {
@@ -901,17 +916,12 @@ impl<'a> QueryExecutor<'a> {
                     });
                 }
                 if group_escalates {
-                    esc_requests.push(row_request(
-                        &encoded,
-                        compact,
-                        rp,
-                        rows[reps[rp.row]],
-                        query,
-                    ));
+                    esc_rows.push(ri);
                     esc_keys.push(keys.get(ri).copied().unwrap_or_default());
                 }
             }
-            if !esc_requests.is_empty() {
+            if !esc_rows.is_empty() {
+                let esc_requests = esc_rows.iter().map(|&ri| request(ri));
                 let esc_completions = match escalation {
                     Some(esc) => {
                         // Escalation waits for the cheap tier's answer:
@@ -1053,37 +1063,32 @@ pub fn plan_requests(
     plan: &llmqo_core::ReorderPlan,
     query: &LlmQuery,
 ) -> Vec<SimRequest> {
+    let output_lens = OutputLens::new(&query.name, query.output_tokens_mean);
     plan.rows
         .iter()
-        .map(|rp| row_request(encoded, &encoded.reorder, rp, rp.row, query))
+        .map(|rp| SimRequest {
+            id: rp.row,
+            prompt: row_prompt(encoded, &encoded.reorder, rp).cloned().collect(),
+            output_len: output_lens.sample(rp.row),
+        })
         .collect()
 }
 
-/// Materializes one scheduled row as an engine request: the query's
-/// instruction prefix followed by the row's field fragments in scheduled
-/// order, with `original` as both the request id and the output-length
-/// sampling key. `cells` is the table the plan indexes — the encoded table
-/// itself, or a dedup-compacted selection of it whose fragments still live
-/// in `encoded`. Single request-assembly path, so every caller (executor,
-/// benchmarks, cluster router) serves byte-identical workloads for a plan.
-fn row_request(
-    encoded: &crate::EncodedTable,
-    cells: &llmqo_core::ReorderTable,
-    rp: &llmqo_core::RowPlan,
-    original: usize,
-    query: &LlmQuery,
-) -> SimRequest {
-    let mut prompt = Vec::with_capacity(1 + rp.fields.len());
-    prompt.push(encoded.instruction.clone());
-    for &f in &rp.fields {
+/// One scheduled row's prompt as a borrowed view: the query's instruction
+/// prefix followed by the row's field fragments in scheduled order. `cells`
+/// is the table the plan indexes — the encoded table itself, or a
+/// dedup-compacted selection of it whose fragments still live in `encoded`.
+/// Single prompt-assembly path, so every caller (executor, benchmarks,
+/// cluster router) serves byte-identical workloads for a plan.
+fn row_prompt<'a>(
+    encoded: &'a crate::EncodedTable,
+    cells: &'a llmqo_core::ReorderTable,
+    rp: &'a llmqo_core::RowPlan,
+) -> impl Iterator<Item = &'a Arc<[TokenId]>> + 'a {
+    std::iter::once(&encoded.instruction).chain(rp.fields.iter().map(move |&f| {
         let cell = cells.cell(rp.row, f as usize);
-        prompt.push(encoded.fragments[cell.value.as_u32() as usize].clone());
-    }
-    SimRequest {
-        id: original,
-        prompt,
-        output_len: sample_output_len(&query.name, original, query.output_tokens_mean),
-    }
+        &encoded.fragments[cell.value.as_u32() as usize]
+    }))
 }
 
 /// The query-level half of an answer-cache key, interned via
@@ -1145,15 +1150,35 @@ pub fn project_fds(fds: &FunctionalDeps, used_cols: &[usize]) -> FunctionalDeps 
         .unwrap_or_else(|_| unreachable!("projected indices are in range by construction"))
 }
 
-/// Deterministic per-row output length around the query's mean (±25%).
-fn sample_output_len(query_name: &str, row: usize, mean: f64) -> u32 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in query_name.bytes().chain((row as u64).to_le_bytes()) {
-        h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+/// Deterministic per-row output lengths around a query's mean (±25%): the
+/// draw is FNV-1a over the query name followed by the row index, with the
+/// name — the same for every request of a batch — folded in once.
+struct OutputLens {
+    /// FNV-1a state after the query name.
+    name_state: u64,
+    mean: f64,
+}
+
+impl OutputLens {
+    fn new(query_name: &str, mean: f64) -> Self {
+        OutputLens {
+            name_state: fnv1a(0xcbf2_9ce4_8422_2325, query_name.bytes()),
+            mean,
+        }
     }
-    let unit = (h >> 11) as f64 / (1u64 << 53) as f64;
-    let len = mean * (0.75 + 0.5 * unit);
-    len.round().max(1.0) as u32
+
+    fn sample(&self, row: usize) -> u32 {
+        let h = fnv1a(self.name_state, (row as u64).to_le_bytes());
+        let unit = (h >> 11) as f64 / (1u64 << 53) as f64;
+        let len = self.mean * (0.75 + 0.5 * unit);
+        len.round().max(1.0) as u32
+    }
+}
+
+fn fnv1a(state: u64, bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(state, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+    })
 }
 
 #[cfg(test)]
@@ -1715,11 +1740,37 @@ mod tests {
 
     #[test]
     fn output_len_sampling_is_stable_and_near_mean() {
-        let a = sample_output_len("q", 7, 100.0);
-        let b = sample_output_len("q", 7, 100.0);
-        assert_eq!(a, b);
+        let lens = OutputLens::new("q", 100.0);
+        let a = lens.sample(7);
+        assert_eq!(a, lens.sample(7));
         assert!((75..=125).contains(&a));
-        assert_eq!(sample_output_len("q", 1, 0.4), 1, "clamped to ≥1");
+        assert_eq!(OutputLens::new("q", 0.4).sample(1), 1, "clamped to ≥1");
+    }
+
+    #[test]
+    fn folding_the_query_name_once_leaves_every_output_len_unchanged() {
+        // The sampler as it was: name and row hashed together per request.
+        fn rehash_the_name(query_name: &str, row: usize, mean: f64) -> u32 {
+            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+            for b in query_name.bytes().chain((row as u64).to_le_bytes()) {
+                h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+            }
+            let unit = (h >> 11) as f64 / (1u64 << 53) as f64;
+            let len = mean * (0.75 + 0.5 * unit);
+            len.round().max(1.0) as u32
+        }
+        let mut pairs = 0;
+        for n in 0..100usize {
+            let name = format!("{}-{n}", "movies_filter_q".repeat(n % 4));
+            let mean = [0.4, 2.0, 37.5, 100.0, 512.0][n % 5];
+            let lens = OutputLens::new(&name, mean);
+            for i in 0..100usize {
+                let row = i.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (i % 61);
+                assert_eq!(lens.sample(row), rehash_the_name(&name, row, mean));
+                pairs += 1;
+            }
+        }
+        assert_eq!(pairs, 10_000);
     }
 
     #[test]

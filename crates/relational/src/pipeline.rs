@@ -12,6 +12,12 @@
 //! keys keeps every shared-prefix group on one replica (the locality the
 //! PR-2 solvers created and `fig_cluster` measures).
 //!
+//! A batch reaches a stage as borrowed views, `(id, output_len, prompt)`
+//! with the prompt an iterator over fragments that stay where the encoded
+//! table keeps them; the stage hands each to
+//! [`EngineSession::enqueue_fragments`], which keeps only the prompt's
+//! block chain. No request object exists on this path.
+//!
 //! Routing here reuses the cluster crate's router and snapshot types
 //! directly: the statement-level fan-out is a small, arrival-free special
 //! case of the sharded dispatcher (no admission queue, no backpressure —
@@ -21,8 +27,9 @@
 use llmqo_cluster::{PrefixAffinity, ReplicaSnapshot, Router};
 use llmqo_serve::{
     percentile, Completion, EngineError, EngineReport, EngineSession, SessionGroup, SimEngine,
-    SimRequest,
 };
+use llmqo_tokenizer::TokenId;
+use std::sync::Arc;
 
 /// Depth (leading scheduled fields) of the reorder-plan prefix keys used
 /// for fan-out routing — the same fixed depth the cluster benches
@@ -101,9 +108,10 @@ impl StageEngine {
     }
 
     /// Runs one batch to completion and returns its completion records.
-    /// Requests are consumed one at a time — each is enqueued by reference
-    /// and dropped — so a caller passing a lazy iterator never holds the
-    /// whole batch's prompt vectors at once.
+    /// Each request is `(id, output_len, prompt)`, the prompt a borrowed view
+    /// of its fragments; the stage hashes it on the way in and keeps nothing
+    /// of it, so a caller passing a lazy iterator builds no request and no
+    /// prompt vector.
     ///
     /// For the fan-out form, `keys[i]` is request `i`'s reorder-plan prefix
     /// key; requests are placed replica by replica through the
@@ -116,23 +124,26 @@ impl StageEngine {
     /// # Errors
     ///
     /// [`EngineError::RequestTooLarge`] if a request can never be admitted.
-    pub fn run_batch(
+    pub fn run_batch<'a, P>(
         &mut self,
-        requests: impl IntoIterator<Item = SimRequest, IntoIter: ExactSizeIterator>,
+        requests: impl IntoIterator<Item = (usize, u32, P), IntoIter: ExactSizeIterator>,
         keys: &[u64],
-    ) -> Result<Vec<Completion>, EngineError> {
+    ) -> Result<Vec<Completion>, EngineError>
+    where
+        P: IntoIterator<Item = &'a Arc<[TokenId]>>,
+    {
         let requests = requests.into_iter();
         match self {
             StageEngine::Single(s) => {
-                for req in requests {
-                    s.enqueue_ref(&req);
+                for (id, output_len, prompt) in requests {
+                    s.enqueue_fragments(id, output_len, prompt);
                 }
                 // Everything is queued: an empty batch drains the session.
                 Ok(s.run_batch(&[])?.to_vec())
             }
             StageEngine::Fanout(f) => {
                 debug_assert_eq!(requests.len(), keys.len(), "one prefix key per request");
-                for (req, &key) in requests.zip(keys) {
+                for ((id, output_len, prompt), &key) in requests.zip(keys) {
                     f.snapshots.clear();
                     f.snapshots.extend(
                         (0..f.group.len()).map(|i| {
@@ -140,7 +151,7 @@ impl StageEngine {
                         }),
                     );
                     let choice = f.router.route(key, &f.snapshots).min(f.group.len() - 1);
-                    f.group.enqueue_on(choice, &req);
+                    f.group.enqueue_fragments_on(choice, id, output_len, prompt);
                     f.assigned[choice] += 1;
                 }
                 let drained = f.group.drain()?;

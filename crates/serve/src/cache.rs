@@ -20,6 +20,18 @@
 //! Disabling the cache (`enabled = false`) gives the paper's *No Cache*
 //! baseline: every block is private and every token is computed.
 //!
+//! # Block ids
+//!
+//! [`BlockChain::from_fragments`] defines them. A block's running hash is
+//! seeded from its parent's id, takes one rotate-xor-multiply step per
+//! token on the whole 64-bit word, and becomes the block's id through an
+//! xor-shift-multiply finaliser (see `chain_seed`, `chain_mix_token`,
+//! `chain_finish` at the end of this file). The functions consume the flat
+//! token stream — a fragment boundary is not an input — so ids are the same
+//! however a prompt is split, and [`ChainHasher`] resumes them mid-stream
+//! to hash only what the previous prompt did not share. Ids are opaque:
+//! nothing a report shows depends on their values.
+//!
 //! # Block store
 //!
 //! The semantics above are stated in terms of block *hashes*; the store
@@ -68,8 +80,8 @@ use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
-/// Multiply-mix hasher for the block map. Block keys are already FNV-chained
-/// 64-bit hashes produced by the cache itself — no untrusted input reaches
+/// Multiply-mix hasher for the block map. Block keys are already finalised
+/// 64-bit chain ids produced by the cache itself — no untrusted input reaches
 /// this map — so SipHash's flooding resistance buys nothing and its cost
 /// dominates cached admissions on large jobs.
 #[derive(Debug, Default, Clone)]
@@ -158,19 +170,18 @@ impl BlockChain {
     ) -> Self {
         assert!(block_size > 0, "block_size must be positive");
         let mut chain = Vec::new();
-        let mut parent = None;
-        let mut h = chain_seed(parent);
+        let mut h = chain_seed(None);
         let mut in_block = 0usize;
         let mut prompt_tokens = 0usize;
         for fragment in fragments {
             prompt_tokens += fragment.len();
             for &t in fragment {
-                chain_mix_token(&mut h, t);
+                h = chain_mix_token(h, t);
                 in_block += 1;
                 if in_block == block_size {
-                    chain.push(h);
-                    parent = Some(h);
-                    h = chain_seed(parent);
+                    let id = chain_finish(h);
+                    chain.push(id);
+                    h = chain_seed(Some(id));
                     in_block = 0;
                 }
             }
@@ -274,15 +285,30 @@ impl ChainHasher {
     /// [`BlockChain::from_fragments`] for an enabled cache,
     /// [`BlockChain::unhashed`] for a disabled one.
     pub fn chain(&mut self, fragments: &[Arc<[TokenId]>]) -> BlockChain {
+        self.chain_iter(fragments)
+    }
+
+    /// [`chain`](ChainHasher::chain) over borrowed fragments from any
+    /// source: a caller whose prompt is a *view* (an instruction followed by
+    /// cells of a fragment store, say) submits it without collecting the
+    /// `Arc`s first. One pass: leading fragments that are the previous
+    /// prompt's are skipped by address, and only the rest are cloned (the
+    /// hasher must pin what it remembers) and mixed in.
+    pub fn chain_iter<'a>(
+        &mut self,
+        fragments: impl IntoIterator<Item = &'a Arc<[TokenId]>>,
+    ) -> BlockChain {
+        let mut fragments = fragments.into_iter().peekable();
         if !self.enabled {
-            return BlockChain::unhashed(fragments.iter().map(|f| f.len()).sum());
+            return BlockChain::unhashed(fragments.map(|f| f.len()).sum());
         }
-        let shared = self
-            .prev
-            .iter()
-            .zip(fragments)
-            .take_while(|(a, b)| Arc::ptr_eq(a, b))
-            .count();
+        let mut shared = 0;
+        while let Some(prev) = self.prev.get(shared) {
+            if fragments.next_if(|f| Arc::ptr_eq(prev, f)).is_none() {
+                break;
+            }
+            shared += 1;
+        }
         let resume = match shared.checked_sub(1) {
             Some(last) => self.checkpoints[last],
             None => Checkpoint {
@@ -301,18 +327,19 @@ impl ChainHasher {
             mut tokens,
             ..
         } = resume;
-        for fragment in &fragments[shared..] {
+        for fragment in fragments {
             let mut rest = &fragment[..];
             while !rest.is_empty() {
                 let (head, tail) = rest.split_at(rest.len().min(self.block_size - in_block));
                 for &t in head {
-                    chain_mix_token(&mut hash, t);
+                    hash = chain_mix_token(hash, t);
                 }
                 in_block += head.len();
                 rest = tail;
                 if in_block == self.block_size {
-                    self.blocks.push(hash);
-                    hash = chain_seed(Some(hash));
+                    let id = chain_finish(hash);
+                    self.blocks.push(id);
+                    hash = chain_seed(Some(id));
                     in_block = 0;
                 }
             }
@@ -1048,24 +1075,59 @@ impl PrefixCache {
     }
 }
 
-const HASH_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const HASH_PRIME: u64 = 0x100_0000_01b3;
+/// Multiplier of the per-token mix and the block seed (FxHash's 64-bit
+/// constant: odd, so multiplying is a bijection of the state).
+const MIX_MUL: u64 = 0x517c_c1b7_2722_0a95;
+/// Multiplier of the block finaliser (the golden-ratio constant, odd).
+const FINISH_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+/// "Parent" of a chain's first block.
+const ROOT_SEED: u64 = 0xcbf2_9ce4_8422_2325;
 
-/// Seeds a block hash with its parent prefix hash (or the root constant).
-fn chain_seed(parent: Option<u64>) -> u64 {
-    let mut h = HASH_OFFSET;
-    let p = parent.unwrap_or(0x9e37_79b9_7f4a_7c15);
-    for byte in p.to_le_bytes() {
-        h = (h ^ u64::from(byte)).wrapping_mul(HASH_PRIME);
-    }
-    h
+thread_local! {
+    /// Xor-ed into [`ROOT_SEED`]; see [`with_root_salt`].
+    static ROOT_SALT: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Mixes one token into an in-progress block hash.
-fn chain_mix_token(h: &mut u64, t: TokenId) {
-    for byte in t.to_le_bytes() {
-        *h = (*h ^ u64::from(byte)).wrapping_mul(HASH_PRIME);
-    }
+/// Runs `f` with every block id computed on this thread re-keyed by `salt`
+/// (0 is the production keying). Block ids are meant to be opaque: nothing a
+/// report shows may depend on their values, only on which prompts share
+/// which prefixes. Re-running a pinned fixture under a few salts is how the
+/// test suites hold the cache to that — in particular the `(stamp, hash)`
+/// eviction tie-break must never be what decides an outcome.
+#[doc(hidden)]
+pub fn with_root_salt<R>(salt: u64, f: impl FnOnce() -> R) -> R {
+    let outer = ROOT_SALT.replace(salt);
+    let result = f();
+    ROOT_SALT.set(outer);
+    result
+}
+
+/// Starts a block's running hash from its parent block's id (or the root
+/// constant): one xor, one multiply.
+#[inline]
+fn chain_seed(parent: Option<u64>) -> u64 {
+    let parent = parent.unwrap_or_else(|| ROOT_SEED ^ ROOT_SALT.get());
+    (parent ^ FINISH_MUL).wrapping_mul(MIX_MUL)
+}
+
+/// Mixes one token into a block's running hash: one rotate, one xor, one
+/// multiply on the whole word. Every step is a bijection of the state, and
+/// for a fixed state distinct tokens give distinct results.
+#[inline]
+fn chain_mix_token(h: u64, t: TokenId) -> u64 {
+    (h.rotate_left(5) ^ u64::from(t)).wrapping_mul(MIX_MUL)
+}
+
+/// Turns a completed block's running hash into its id. A multiply only
+/// carries entropy upward, so the running hash's low bits depend on the low
+/// bits of the last few tokens alone; the block map buckets by a key's low
+/// bits and tags by its top seven. Folding the high half down, multiplying
+/// and folding again (a bijection, so it adds no collisions) leaves both
+/// ends a function of every token of the block and of its parent.
+#[inline]
+fn chain_finish(h: u64) -> u64 {
+    let h = (h ^ (h >> 32)).wrapping_mul(FINISH_MUL);
+    h ^ (h >> 29)
 }
 
 #[cfg(test)]
@@ -1409,6 +1471,96 @@ mod tests {
         let mut off = ChainHasher::new(4, false);
         assert_eq!(off.chain(&[a, b]), BlockChain::unhashed(11));
         assert_eq!(off.tokens_hashed() + off.tokens_reused(), 0);
+    }
+
+    /// Pearson's χ² of `ids` bucketed by `bucket` against the uniform
+    /// distribution over `buckets` buckets, as a distance from its mean in
+    /// standard deviations (mean `buckets − 1`, variance twice that).
+    fn chi_square_sigmas(ids: &[u64], buckets: usize, bucket: impl Fn(u64) -> usize) -> f64 {
+        let mut counts = vec![0u32; buckets];
+        for &id in ids {
+            counts[bucket(id)] += 1;
+        }
+        let expected = ids.len() as f64 / buckets as f64;
+        let chi2: f64 = counts
+            .iter()
+            .map(|&c| (f64::from(c) - expected).powi(2) / expected)
+            .sum();
+        let dof = (buckets - 1) as f64;
+        (chi2 - dof) / (2.0 * dof).sqrt()
+    }
+
+    #[test]
+    fn low_entropy_blocks_get_distinct_ids_that_fill_the_block_map_evenly() {
+        // Tokenizer ids are small integers, and a table's prompts differ in
+        // a few of them: the worst case for a multiply-only mixer. Over a
+        // million pairwise distinct blocks with almost no entropy — runs of
+        // consecutive ids, arithmetic progressions, every two-symbol pattern
+        // over a few pairs — must get distinct ids whose low 16 bits (the
+        // block map's bucket; its hasher multiplies by an odd constant,
+        // which permutes them) and top 7 bits (the bucket's control tag)
+        // are both indistinguishable from uniform.
+        let mut ids: Vec<u64> = Vec::new();
+        let mut push = |block: &[TokenId]| {
+            ids.push(BlockChain::from_tokens(block.len(), block).blocks()[0]);
+        };
+        let mut block = [0 as TokenId; 16];
+        for start in 0..400_000u32 {
+            for (j, t) in block.iter_mut().enumerate() {
+                *t = start + j as u32;
+            }
+            push(&block);
+        }
+        for stride in 2..=400u32 {
+            for start in 0..1_000u32 {
+                for (j, t) in block.iter_mut().enumerate() {
+                    *t = start + j as u32 * stride;
+                }
+                push(&block);
+            }
+        }
+        // Distinct first symbols, so the all-first-symbol blocks differ too.
+        for (a, b) in [(0, 1), (2, 3), (7, 1_000), (65_535, 65_536)] {
+            for pattern in 0..1u32 << 16 {
+                for (j, t) in block.iter_mut().enumerate() {
+                    *t = if pattern >> j & 1 == 0 { a } else { b };
+                }
+                push(&block);
+            }
+        }
+        // One- and two-token blocks in a progression of stride 2^15: the
+        // tokens differ only in bits the mixer's multiplies never carry
+        // down, so the finaliser alone stands between them and one bucket.
+        for k in 0..1u32 << 17 {
+            push(&[k << 15]);
+            push(&[k << 15, 1 << 20]);
+        }
+        assert!(ids.len() >= 1_000_000);
+
+        let low16 = chi_square_sigmas(&ids, 1 << 16, |id| (id & 0xffff) as usize);
+        let top7 = chi_square_sigmas(&ids, 1 << 7, |id| (id >> 57) as usize);
+        assert!(
+            low16.abs() < 3.0,
+            "low 16 bits: {low16:.2} sigma off uniform"
+        );
+        assert!(top7.abs() < 3.0, "top 7 bits: {top7:.2} sigma off uniform");
+
+        let blocks = ids.len();
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids.len(), blocks, "colliding block ids");
+    }
+
+    #[test]
+    fn a_root_salt_rekeys_every_block_and_is_scoped() {
+        let tokens = toks(12, 9);
+        let plain = BlockChain::from_tokens(4, &tokens);
+        let salted = with_root_salt(0x5eed, || BlockChain::from_tokens(4, &tokens));
+        assert_eq!(salted.prompt_tokens(), plain.prompt_tokens());
+        for (a, b) in plain.blocks().iter().zip(salted.blocks()) {
+            assert_ne!(a, b, "the salt reaches every block through its parent");
+        }
+        assert_eq!(BlockChain::from_tokens(4, &tokens), plain, "restored");
     }
 
     #[test]

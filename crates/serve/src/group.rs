@@ -19,6 +19,8 @@
 
 use crate::engine::{EngineError, SimEngine, SimRequest};
 use crate::session::{Completion, EngineSession, SessionReport};
+use llmqo_tokenizer::TokenId;
+use std::sync::Arc;
 
 /// `n` independent replica sessions over one deployment, sharing a
 /// caller-driven timeline. See the module docs above.
@@ -87,6 +89,22 @@ impl SessionGroup {
     /// Panics if `i >= len()`.
     pub fn enqueue_on(&mut self, i: usize, request: &SimRequest) {
         self.sessions[i].enqueue_ref(request);
+    }
+
+    /// [`enqueue_on`](Self::enqueue_on) for a prompt given as borrowed
+    /// fragments (see [`EngineSession::enqueue_fragments`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= len()`.
+    pub fn enqueue_fragments_on<'a>(
+        &mut self,
+        i: usize,
+        id: usize,
+        output_len: u32,
+        fragments: impl IntoIterator<Item = &'a Arc<[TokenId]>>,
+    ) {
+        self.sessions[i].enqueue_fragments(id, output_len, fragments);
     }
 
     /// Fast-forwards every idle replica to `t` (busy replicas and replicas
@@ -232,7 +250,8 @@ mod tests {
             group.enqueue_on(0, r);
         }
         for r in &b {
-            group.enqueue_on(1, r);
+            // The borrowed-fragment form is the same submission.
+            group.enqueue_fragments_on(1, r.id, r.output_len, &r.prompt);
         }
         let drained = group.drain().unwrap();
 

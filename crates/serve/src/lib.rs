@@ -68,6 +68,8 @@ pub mod obs;
 mod session;
 mod session_reference;
 
+#[doc(hidden)]
+pub use cache::with_root_salt;
 pub use cache::{
     BlockChain, CacheConfig, CacheInternals, CacheStats, ChainHasher, PrefixCache, SeqAlloc,
 };

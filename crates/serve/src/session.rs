@@ -34,9 +34,12 @@
 //!
 //! A request's prompt is hashed into its [`BlockChain`] once per placement:
 //! by the session's own [`ChainHasher`] in
-//! [`enqueue_ref`](EngineSession::enqueue_ref), or by a driver that also
-//! needs the chain for a cache probe and hands it over through
-//! [`enqueue_chain`](EngineSession::enqueue_chain) (the cluster dispatchers).
+//! [`enqueue_fragments`](EngineSession::enqueue_fragments) (borrowed
+//! fragments straight from the caller's store; the relational executor) and
+//! [`enqueue_ref`](EngineSession::enqueue_ref) (the same for a built
+//! [`SimRequest`]), or by a driver that also needs the chain for a cache
+//! probe and hands it over through
+//! [`enqueue_chain`](EngineSession::enqueue_chain) (the cluster kernel).
 //! Either way only the fragments the previous prompt did not share are
 //! hashed, the per-step admission path walks precomputed hashes instead of
 //! re-hashing the head-of-line prompt on every step it spends blocked behind
@@ -48,7 +51,9 @@
 use crate::cache::{BlockChain, CacheConfig, CacheStats, ChainHasher, PrefixCache, SeqAlloc};
 use crate::engine::{Deployment, EngineConfig, EngineError, EngineReport, SimRequest};
 use crate::model::ModelSpec;
+use llmqo_tokenizer::TokenId;
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Per-request outcome record, kept in admission order of completion.
 ///
@@ -142,7 +147,7 @@ pub struct EngineSession {
     weight_bytes: f64,
     cache: PrefixCache,
     /// Hashes the prompts submitted through
-    /// [`enqueue_ref`](EngineSession::enqueue_ref).
+    /// [`enqueue_fragments`](EngineSession::enqueue_fragments).
     hasher: ChainHasher,
     /// Every request ever enqueued; `waiting`/`running` index into it.
     store: Vec<QueuedRequest>,
@@ -263,8 +268,21 @@ impl EngineSession {
     /// prompt did not share) and keeps nothing else, so submission never
     /// clones the request or its fragment list.
     pub fn enqueue_ref(&mut self, request: &SimRequest) {
-        let chain = self.hasher.chain(&request.prompt);
-        self.enqueue_chain(request.id, request.output_len, chain);
+        self.enqueue_fragments(request.id, request.output_len, &request.prompt);
+    }
+
+    /// [`enqueue_ref`](EngineSession::enqueue_ref) without a [`SimRequest`]:
+    /// the prompt is whatever borrowed fragments the caller can iterate — a
+    /// view into its own fragment store — so submitting it builds no request
+    /// and no fragment list.
+    pub fn enqueue_fragments<'a>(
+        &mut self,
+        id: usize,
+        output_len: u32,
+        fragments: impl IntoIterator<Item = &'a Arc<[TokenId]>>,
+    ) {
+        let chain = self.hasher.chain_iter(fragments);
+        self.enqueue_chain(id, output_len, chain);
     }
 
     /// [`enqueue_ref`](EngineSession::enqueue_ref) for a driver that already
@@ -913,7 +931,6 @@ mod tests {
     use super::*;
     use crate::engine::SimEngine;
     use crate::hardware::{GpuCluster, GpuSpec};
-    use llmqo_tokenizer::TokenId;
 
     fn engine() -> SimEngine {
         SimEngine::new(
@@ -1158,22 +1175,6 @@ mod tests {
         while s.step().unwrap() {}
         assert_eq!(s.stored_chain_blocks(), 0);
         assert_eq!(s.finish().report.completed, 12);
-    }
-
-    #[test]
-    fn enqueue_chain_matches_enqueue_ref() {
-        let e = engine();
-        let rs = reqs(20, 64, 32, 3);
-        let mut by_ref = e.session().unwrap();
-        let mut by_chain = e.session().unwrap();
-        let mut hasher = e.chain_hasher();
-        for r in &rs {
-            by_ref.enqueue_ref(r);
-            by_chain.enqueue_chain(r.id, r.output_len, hasher.chain(&r.prompt));
-        }
-        while by_ref.step_until(None).unwrap() {}
-        while by_chain.step_until(None).unwrap() {}
-        assert_eq!(by_ref.finish(), by_chain.finish());
     }
 
     #[test]

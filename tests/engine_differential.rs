@@ -17,7 +17,9 @@
 //! (placement-time cache probes included) at the values the
 //! re-hash-everything dispatchers produced, and the fault-free / gated
 //! reports at the values of the fault-free dispatcher loop the cluster
-//! event kernel replaced.
+//! event kernel replaced. Block ids are opaque, so the pins — and a
+//! cache-thrashing session — must also hold with every id re-keyed
+//! ([`with_root_salt`]).
 //!
 //! [`ClusterReport`]: llmqo::cluster::ClusterReport
 
@@ -29,7 +31,8 @@ use llmqo::cluster::{
     OverloadPolicy, PrefixAffinity, RetryPolicy,
 };
 use llmqo::serve::{
-    BlockChain, ChainHasher, EngineConfig, EngineError, EngineSession, SessionReference, SimRequest,
+    with_root_salt, BlockChain, ChainHasher, EngineConfig, EngineError, EngineSession,
+    SessionReference, SimRequest,
 };
 use llmqo::tokenizer::TokenId;
 use proptest::prelude::*;
@@ -118,9 +121,11 @@ fn prompt_sequence_strategy() -> impl Strategy<Value = (usize, Vec<usize>, Vec<P
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// `ChainHasher` ≡ `BlockChain::from_fragments` over sequences of
-    /// prompts: shared `Arc`s, equal-content-but-distinct `Arc`s, empty
-    /// fragments and prompts, fragments straddling block boundaries,
+    /// `ChainHasher` (slice form and borrowed-iterator form) ≡
+    /// `BlockChain::from_fragments` ≡ `BlockChain::from_tokens` of the
+    /// flattened prompt, over sequences of prompts: shared `Arc`s,
+    /// equal-content-but-distinct `Arc`s, empty fragments and prompts,
+    /// fragments straddling block boundaries (so resumes land mid-block),
     /// prefixes/extensions of the previous prompt, total reshuffles.
     #[test]
     fn chain_hasher_matches_from_fragments((block_size, pool_lens, ops) in prompt_sequence_strategy()) {
@@ -130,6 +135,7 @@ proptest! {
             .map(|(i, &len)| (0..len as u32).map(|j| i as u32 * 64 + j).collect())
             .collect();
         let mut hasher = ChainHasher::new(block_size, true);
+        let mut borrowing = ChainHasher::new(block_size, true);
         let mut previous: Vec<Arc<[TokenId]>> = Vec::new();
         let mut total_tokens = 0u64;
         for (op, picks, cut) in ops {
@@ -145,8 +151,16 @@ proptest! {
             };
             let chain = hasher.chain(&prompt);
             prop_assert_eq!(&chain, &defined_chain(block_size, &prompt));
+            let flat: Vec<TokenId> = prompt.iter().flat_map(|f| f.iter().copied()).collect();
+            prop_assert_eq!(&chain, &BlockChain::from_tokens(block_size, &flat));
+            // The prompt as a view: a head, then cells looked up one by one.
+            let view = prompt.first().into_iter().chain((1..prompt.len()).map(|i| &prompt[i]));
+            prop_assert_eq!(&chain, &borrowing.chain_iter(view));
             total_tokens += chain.prompt_tokens() as u64;
-            prop_assert_eq!(hasher.tokens_hashed() + hasher.tokens_reused(), total_tokens);
+            for h in [&hasher, &borrowing] {
+                prop_assert_eq!(h.tokens_hashed() + h.tokens_reused(), total_tokens);
+            }
+            prop_assert_eq!(hasher.tokens_reused(), borrowing.tokens_reused());
             previous = prompt;
         }
     }
@@ -365,13 +379,65 @@ fn placement_ledger(report: &ClusterReport) -> Vec<(usize, u64, u64)> {
         .collect()
 }
 
+/// Keyings of the block ids every pinned fixture is re-run under (0 is
+/// production's). Block ids are opaque: a report may depend on which prompts
+/// share which prefixes, never on the ids' values — so the `(stamp, hash)`
+/// eviction tie-break, the one place a value could leak out, must never be
+/// what decides an outcome.
+const ROOT_SALTS: [u64; 3] = [0, 0x9d5c_3a11_0f27_e6b4, u64::MAX];
+
+#[test]
+fn thrashing_cache_reports_do_not_depend_on_block_id_values() {
+    // The pinned cluster fixtures below never fill a replica's cache, so
+    // this is the fixture that puts the eviction order itself under the
+    // salts: 40 prefix groups visited round-robin, ten times the KV
+    // capacity in total, so group prefixes are evicted leaf-first, cascade
+    // to their parents and are re-admitted over and over.
+    let fragment =
+        |salt: u32, len: u32| -> Arc<[TokenId]> { (0..len).map(|j| salt * 4096 + j).collect() };
+    let groups: Vec<Arc<[TokenId]>> = (0..40).map(|g| fragment(g, 256)).collect();
+    let requests: Vec<SimRequest> = (0..480usize)
+        .map(|i| SimRequest {
+            id: i,
+            prompt: vec![groups[i % 40].clone(), fragment(1_000 + i as u32, 512)],
+            output_len: 8,
+        })
+        .collect();
+    for config in [
+        EngineConfig::default(),
+        EngineConfig {
+            in_flight_sharing: false,
+            ..EngineConfig::default()
+        },
+    ] {
+        let e = engine(config);
+        let run = || {
+            let mut session = e.session().unwrap();
+            session.run_batch(&requests).unwrap();
+            (*session.cache_stats(), session.finish())
+        };
+        let unsalted = run();
+        assert!(unsalted.0.evictions > 1_000, "the fixture must thrash");
+        assert!(unsalted.1.report.cached_prompt_tokens > 0);
+        for salt in &ROOT_SALTS[1..] {
+            assert_eq!(with_root_salt(*salt, run), unsalted, "salt {salt:#x}");
+        }
+    }
+}
+
 #[test]
 fn poisson_cluster_reports_are_pinned_at_the_parent_commit() {
-    // The dispatcher used to flatten and re-hash every prompt at
-    // placement; it now hashes only the unshared suffix, once. Block hashes
-    // are unchanged, so every probe, admission and eviction — the whole
-    // report — must equal what the parent commit produced (constants below
-    // were recorded there).
+    for salt in ROOT_SALTS {
+        with_root_salt(salt, poisson_cluster_reports_match_their_pins);
+    }
+}
+
+fn poisson_cluster_reports_match_their_pins() {
+    // Recorded when the dispatcher still flattened and re-hashed every
+    // prompt at placement, under the byte-wise FNV chain hash. Neither
+    // hashing only the unshared suffix nor replacing the hash function may
+    // move them: every probe, admission and eviction — the whole report —
+    // depends on which prefixes prompts share, never on a block id's value.
     let (requests, keys) = reordered_movies_requests(160);
     let mut requests: Vec<ClusterRequest> = tag_requests(requests, &keys);
     ArrivalProcess::Poisson {
@@ -460,6 +526,36 @@ fn reordered_relational_workload_matches_reference() {
     }
 }
 
+#[test]
+fn every_enqueue_form_serves_the_same_job() {
+    // A built request by reference, the same prompt as borrowed fragments,
+    // and a chain hashed by the driver: one job, one report.
+    let (requests, _) = reordered_movies_requests(400);
+    let e = engine(EngineConfig::default());
+    let mut by_ref = e.session().unwrap();
+    let mut by_fragments = e.session().unwrap();
+    let mut by_chain = e.session().unwrap();
+    let mut hasher = e.chain_hasher();
+    for r in &requests {
+        by_ref.enqueue_ref(r);
+        let (instruction, fields) = r.prompt.split_first().expect("instruction first");
+        by_fragments.enqueue_fragments(
+            r.id,
+            r.output_len,
+            std::iter::once(instruction).chain(fields),
+        );
+        by_chain.enqueue_chain(r.id, r.output_len, hasher.chain(&r.prompt));
+    }
+    let [by_ref, by_fragments, by_chain] = [by_ref, by_fragments, by_chain].map(|mut session| {
+        while session.step_until(None).unwrap() {}
+        session.finish()
+    });
+    assert_eq!(by_ref.completions.len(), requests.len());
+    assert!(by_ref.report.cached_prompt_tokens > 0);
+    assert_eq!(by_fragments, by_ref);
+    assert_eq!(by_chain, by_ref);
+}
+
 /// The admission policies of [`PINNED_ADMISSION_REPORTS`], in column order;
 /// `None` is plain [`ClusterSim::run`](llmqo::cluster::ClusterSim::run).
 fn pinned_admission_policies() -> [Option<AdmissionPolicy>; 5] {
@@ -542,6 +638,12 @@ const PINNED_ADMISSION_REPORTS: [[u64; 5]; 8] = [
 
 #[test]
 fn fault_free_and_gated_reports_are_pinned_at_the_deleted_loop() {
+    for salt in ROOT_SALTS {
+        with_root_salt(salt, fault_free_and_gated_reports_match_their_pins);
+    }
+}
+
+fn fault_free_and_gated_reports_match_their_pins() {
     let mut requests = common::prioritized_workload(12, 6, 4);
     ArrivalProcess::Poisson {
         rate_rps: 50.0,
