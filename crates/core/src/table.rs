@@ -347,11 +347,12 @@ impl ReorderTable {
         }
     }
 
-    /// Restricts the table to the given rows, in the given order — how the
-    /// relational executor compacts a batch to one representative row per
-    /// deduplication group before invoking a solver. Duplicate indices are
-    /// allowed (the result is then not a sub-permutation, which the solvers
-    /// do not require).
+    /// Restricts the table to the given rows, in the given order — the
+    /// definition of what the relational executor hands a solver for a
+    /// batch: one representative row per deduplication group of the full
+    /// encode (the executor builds that table directly; its tests compare
+    /// against this). Duplicate indices are allowed (the result is then not
+    /// a sub-permutation, which the solvers do not require).
     ///
     /// # Panics
     ///

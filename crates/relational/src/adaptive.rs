@@ -30,7 +30,9 @@
 //!   *before* dedup-compaction, so the solver and the engine only ever see
 //!   novel rows. Row keys are 64-bit content hashes folded from the table's
 //!   per-fragment hashes ([`RowKey`]; debug builds audit collisions against
-//!   the full key text), optional entry/byte budgets evict in LRU order, and
+//!   the full key text) while the batch encoder interns the row, so a hit
+//!   costs one probe of a multiply-mix-hashed map and builds nothing;
+//!   optional entry/byte budgets evict in LRU order, and
 //!   [`export`](AnswerCache::export)/[`absorb`](AnswerCache::absorb)
 //!   snapshots back statement checkpoint/resume
 //!   ([`StatementCheckpoint`](crate::StatementCheckpoint)).
@@ -42,6 +44,7 @@
 //! `tests/adaptive_differential.rs` proves adaptive-on ≡ adaptive-off
 //! row-for-row on all seven datasets.
 
+use crate::hash::MixBuild;
 use llmqo_costmodel::SelectivityPosterior;
 use std::collections::{HashMap, VecDeque};
 
@@ -315,8 +318,11 @@ pub struct AnswerCache {
     instructions: HashMap<String, u32>,
     /// Interned instruction texts by id (for snapshot export).
     names: Vec<String>,
-    /// `(instruction id, key hash)` → slot.
-    entries: HashMap<(u32, u64), Slot>,
+    /// `(instruction id, key hash)` → slot. The key is already a mixed
+    /// content hash of this crate's making, so the map mixes it once more
+    /// instead of SipHashing it; no caller observes iteration order
+    /// (`export` sorts, eviction sorts by stamp).
+    entries: HashMap<(u32, u64), Slot, MixBuild>,
     /// Eviction candidates `(stamp, entry key)`, oldest first, as of the
     /// last time a budget was exceeded; empty otherwise. A candidate whose
     /// slot has since been re-stamped or evicted is stale and skipped;

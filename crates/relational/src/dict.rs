@@ -105,6 +105,15 @@ impl FragmentStore {
             make()
         }
     }
+
+    /// Token count of `code`'s fragment if its slot is filled and belongs
+    /// to `tokenizer`; never fills a slot.
+    pub fn cached_len(&self, code: u32, tokenizer: &Tokenizer) -> Option<usize> {
+        if self.tokenizer.get()? != tokenizer {
+            return None;
+        }
+        Some(self.slots[code as usize].get()?.tokens.len())
+    }
 }
 
 /// One column's dictionary.
@@ -161,7 +170,7 @@ impl ColumnDict {
 /// 64-bit content hash of a fragment's text: eight bytes per step through a
 /// folded 128-bit multiply, length-seeded so zero padding of the tail cannot
 /// alias. Stable across runs and processes (checkpoints carry it).
-fn content_hash(bytes: &[u8]) -> u64 {
+pub(crate) fn content_hash(bytes: &[u8]) -> u64 {
     const K0: u64 = 0x9e37_79b9_7f4a_7c15;
     const K1: u64 = 0xbf58_476d_1ce4_e5b9;
     fn fold(a: u64, b: u64) -> u64 {

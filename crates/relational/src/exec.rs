@@ -15,6 +15,13 @@
 //! ([`crate::AnswerCache`]) and **deduplicating** the remaining rows whose
 //! projected field values are identical so each distinct prompt hits the
 //! engine once (the solver then runs on the novel, dedup-compacted batch).
+//! Its front half is `prompt::encode_batch`: one walk over the offered rows
+//! interns them and consults the cache, and only the dedup representatives
+//! of the novel rows are lowered into the solver's table — what the engine
+//! will serve, not what the statement offered. The back half reads dedup
+//! groups as flat CSR slices and closes with the batch ledger identities
+//! (`cache_hits + novel = rows_in`, `rows_deduped + llm_calls = novel`,
+//! every row labelled or failed) as `debug_assert!`s.
 //! [`execute`] is the single-shot wrapper; the SQL runner drives the same
 //! primitive batch by batch for lazy `LIMIT` and adaptive execution.
 //! Requests reach the stage engine as borrowed views of the encoded table
@@ -35,14 +42,12 @@
 use crate::adaptive::{AnswerCache, AnswerCacheStats, CacheSnapshotEntry, CachedAnswer, RowKey};
 use crate::optimizer::OptStats;
 use crate::pipeline::{StageEngine, PREFIX_KEY_DEPTH};
-use crate::prompt::encode_rows;
+use crate::prompt::{encode_batch, EncodedBatch};
 use crate::query::{LlmQuery, QueryKind};
 use crate::table::{Table, TableError};
 use llmqo_core::{phc_of_plan, FunctionalDeps, PhcReport, Reorderer, SolveError};
 use llmqo_costmodel::CascadePlan;
-use llmqo_serve::{
-    fault_unit, EngineError, EngineReport, GenRequest, SimEngine, SimLlm, SimRequest,
-};
+use llmqo_serve::{fault_unit, EngineError, EngineReport, SimEngine, SimLlm, SimRequest};
 use llmqo_tokenizer::{TokenId, Tokenizer};
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
@@ -623,104 +628,82 @@ impl<'a> QueryExecutor<'a> {
         // a key field, `key_field_pos` is the constant 0.5 on every path,
         // so hits label exactly as a cache-off run would.
         let use_cache = opts.answer_cache && query.key_field.is_none();
-        let encoded = encode_rows(&self.tokenizer, table, query, Some(rows), use_cache)?;
-        let projected = project_fds(fds, &encoded.used_cols);
 
-        // Session answer cache: resolve each offered row's prompt identity
-        // (interned instruction + the row key folded from its fragments'
-        // content keys) and answer repeats from the cache *before*
-        // dedup-compaction, so the solver and the engine only ever see
-        // novel rows. Like dedup, the cache shares engine work, not labeler
-        // draws: hit rows still generate their own outputs below.
+        // Front half, two phases (`encode_batch`): every offered row is
+        // interned and — with the session answer cache on — its prompt
+        // identity (interned instruction + the row key folded from its
+        // fragments' content keys) is looked up *before* anything is built
+        // for it, so the solver's table, the dedup index and the engine
+        // only ever see novel rows. Like dedup, the cache shares engine
+        // work, not labeler draws: hit rows still generate their own
+        // outputs below.
         let mut instr_id = 0u32;
-        let mut cache_keys: Vec<RowKey> = Vec::new();
-        let mut hit_rows: Vec<(usize, CachedAnswer)> = Vec::new();
-        let novel: Vec<usize> = if use_cache {
+        let batch = if use_cache {
             let mut cache = self.cache.borrow_mut();
             instr_id = cache.instruction_id(&query_cache_identity(query));
-            cache_keys = (0..encoded.reorder.nrows())
-                .map(|local| {
-                    let mut key = RowKey::default();
-                    for cell in encoded.reorder.row(local) {
-                        let fragment = encoded.keys[cell.value.as_u32() as usize];
-                        key.push(fragment.hash, fragment.bytes as usize);
-                    }
-                    key
-                })
-                .collect();
-            let mut novel = Vec::with_capacity(encoded.reorder.nrows());
-            for (local, &key) in cache_keys.iter().enumerate() {
+            #[cfg(debug_assertions)]
+            let used_cols = table.resolve_columns(&query.fields)?;
+            let opt = &mut outcome.opt;
+            let mut lookup = |local: usize, key: RowKey| {
                 #[cfg(debug_assertions)]
                 cache.audit(
                     instr_id,
                     key,
-                    &row_key_text(table, rows[local], query, &encoded),
+                    &row_key_text(table, rows[local], query, &used_cols),
                 );
+                #[cfg(not(debug_assertions))]
+                let _ = local;
                 match cache.lookup(instr_id, key) {
                     Some(answer) => {
-                        outcome.opt.cache_hits += 1;
-                        outcome.opt.cache_tokens_saved +=
-                            answer.prompt_tokens + answer.output_tokens;
-                        hit_rows.push((local, answer));
+                        opt.cache_hits += 1;
+                        opt.cache_tokens_saved += answer.prompt_tokens + answer.output_tokens;
+                        true
                     }
-                    None => novel.push(local),
+                    None => false,
                 }
-            }
-            novel
+            };
+            encode_batch(
+                &self.tokenizer,
+                table,
+                query,
+                rows,
+                opts.dedup,
+                Some(&mut lookup),
+            )?
         } else {
-            (0..encoded.reorder.nrows()).collect()
+            encode_batch(&self.tokenizer, table, query, rows, opts.dedup, None)?
         };
+        let EncodedBatch {
+            encoded,
+            groups,
+            keys: cache_keys,
+            hits,
+        } = batch;
+        let projected = project_fds(fds, &encoded.used_cols);
 
-        // Exact request deduplication: group novel local rows by their
-        // projected field values (the interner makes that a ValueId-tuple
-        // comparison). `groups[g]` lists the local rows served by
-        // representative `g`.
-        let groups: Vec<Vec<usize>> = if opts.dedup {
-            let mut index: HashMap<&[llmqo_core::Cell], usize> = HashMap::new();
-            let mut groups: Vec<Vec<usize>> = Vec::new();
-            for &local in &novel {
-                let key = encoded.reorder.row(local);
-                match index.entry(key) {
-                    std::collections::hash_map::Entry::Occupied(e) => {
-                        groups[*e.get()].push(local);
-                    }
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        e.insert(groups.len());
-                        groups.push(vec![local]);
-                    }
-                }
-            }
-            groups
-        } else {
-            novel.iter().map(|&r| vec![r]).collect()
-        };
-        let reps: Vec<usize> = groups.iter().map(|g| g[0]).collect();
-        outcome.opt.rows_deduped = (novel.len() - reps.len()) as u64;
-        for group in &groups {
-            for &local in &group[1..] {
+        // Exact request deduplication: `encoded.reorder` row `g` is the
+        // representative of `groups.members(g)`; every other member's
+        // prompt — token for token the representative's — is prefill the
+        // engine never sees.
+        let novel = groups.rows();
+        outcome.opt.rows_deduped = (novel - groups.len()) as u64;
+        for g in 0..groups.len() {
+            let duplicates = groups.members(g).len() as u64 - 1;
+            if duplicates > 0 {
                 let row_tokens: u64 = encoded
                     .reorder
-                    .row(local)
+                    .row(g)
                     .iter()
                     .map(|c| u64::from(c.len))
                     .sum();
-                outcome.opt.prefill_tokens_saved += encoded.instruction_len() as u64 + row_tokens;
+                outcome.opt.prefill_tokens_saved +=
+                    duplicates * (encoded.instruction_len() as u64 + row_tokens);
             }
         }
 
-        if !reps.is_empty() {
-            // Borrow the encoded table directly when nothing deduplicated
-            // or was cached (the common case for unique-field queries and
-            // every oracle run).
-            let compacted_storage;
-            let compact: &llmqo_core::ReorderTable = if reps.len() == encoded.reorder.nrows() {
-                &encoded.reorder
-            } else {
-                compacted_storage = encoded.reorder.select_rows(&reps);
-                &compacted_storage
-            };
-
+        if groups.len() > 0 {
             // The solver sees only the novel, dedup-compacted batch.
+            let compact = &encoded.reorder;
             let solution = reorderer.reorder(compact, &projected)?;
             debug_assert!(solution.plan.validate(compact).is_ok());
             outcome.field_phc = phc_of_plan(compact, &solution.plan);
@@ -745,11 +728,11 @@ impl<'a> QueryExecutor<'a> {
             let output_lens = OutputLens::new(&query.name, query.output_tokens_mean);
             let request = |ri: usize| {
                 let rp = &solution.plan.rows[ri];
-                let original = rows[reps[rp.row]];
+                let original = rows[groups.representative(rp.row)];
                 (
                     original,
                     output_lens.sample(original),
-                    row_prompt(&encoded, compact, rp),
+                    row_prompt(&encoded, rp),
                 )
             };
             outcome.opt.llm_calls = solution.plan.rows.len() as u64;
@@ -799,7 +782,7 @@ impl<'a> QueryExecutor<'a> {
                 let mut retry_rows: Vec<usize> = Vec::new();
                 let mut retry_keys: Vec<u64> = Vec::new();
                 for (ri, rp) in solution.plan.rows.iter().enumerate() {
-                    let original = rows[reps[rp.row]];
+                    let original = rows[groups.representative(rp.row)];
                     let mut attempt = 1u32;
                     while attempt <= budget
                         && fault_unit(f.seed, original as u64, u64::from(attempt)) < p
@@ -863,10 +846,11 @@ impl<'a> QueryExecutor<'a> {
                     // group degrades — no answer-cache entry (nothing was
                     // served), no labeler draw, just the per-row failure
                     // record the SQL layer annotates.
-                    for &local in &groups[rp.row] {
-                        outcome.failed_rows.push(rows[local]);
-                    }
-                    outcome.opt.rows_failed += groups[rp.row].len() as u64;
+                    let members = groups.members(rp.row);
+                    outcome
+                        .failed_rows
+                        .extend(members.iter().map(|&local| rows[local as usize]));
+                    outcome.opt.rows_failed += members.len() as u64;
                     continue;
                 }
                 let key_field_pos = match key_col {
@@ -881,22 +865,21 @@ impl<'a> QueryExecutor<'a> {
                     _ => 0.5,
                 };
                 if use_cache {
-                    let original = rows[reps[rp.row]];
+                    let original = rows[groups.representative(rp.row)];
                     let record = answer_records[&original];
                     self.cache
                         .borrow_mut()
-                        .insert(instr_id, cache_keys[reps[rp.row]], record);
+                        .insert(instr_id, cache_keys[rp.row], record);
                 }
                 let mut group_escalates = false;
-                for &local in &groups[rp.row] {
-                    let original = rows[local];
-                    let truth_text = truth(original);
-                    let text = self.llm.generate(&GenRequest {
-                        row_id: original as u64,
-                        truth: &truth_text,
-                        label_space: &query.label_space,
+                for &local in groups.members(rp.row) {
+                    let original = rows[local as usize];
+                    let text = self.llm.generate_owned(
+                        truth(original),
+                        original as u64,
+                        &query.label_space,
                         key_field_pos,
-                    });
+                    );
                     let text = match &opts.cascade {
                         Some(plan) => {
                             group_escalates |= cascade_row(
@@ -949,15 +932,11 @@ impl<'a> QueryExecutor<'a> {
         // prompt was already paid for), but each row still takes its pure
         // per-row escalation decision and cascade label, so caching never
         // changes results.
-        for &(local, _answer) in &hit_rows {
-            let original = rows[local];
-            let truth_text = truth(original);
-            let text = self.llm.generate(&GenRequest {
-                row_id: original as u64,
-                truth: &truth_text,
-                label_space: &query.label_space,
-                key_field_pos: 0.5,
-            });
+        for &local in &hits {
+            let original = rows[local as usize];
+            let text =
+                self.llm
+                    .generate_owned(truth(original), original as u64, &query.label_space, 0.5);
             let text = match &opts.cascade {
                 Some(plan) => {
                     cascade_row(plan, original, &text, &query.label_space, &mut outcome.opt);
@@ -971,6 +950,22 @@ impl<'a> QueryExecutor<'a> {
             });
         }
         outcome.outputs.sort_by_key(|o| o.row);
+
+        // The batch ledger: every offered row is answered from the cache or
+        // novel, every novel row is a duplicate or an engine call, and
+        // every row ends labelled or failed (and, under a cascade, in
+        // exactly one tier bucket).
+        let opt = &outcome.opt;
+        debug_assert_eq!(opt.cache_hits + novel as u64, opt.rows_in);
+        debug_assert_eq!(opt.rows_deduped + opt.llm_calls, novel as u64);
+        debug_assert_eq!(
+            (outcome.outputs.len() + outcome.failed_rows.len()) as u64,
+            opt.rows_in
+        );
+        debug_assert!(
+            opts.cascade.is_none()
+                || opt.rows_cheap + opt.rows_escalated + opt.rows_failed == opt.rows_in
+        );
         Ok(outcome)
     }
 
@@ -1068,25 +1063,24 @@ pub fn plan_requests(
         .iter()
         .map(|rp| SimRequest {
             id: rp.row,
-            prompt: row_prompt(encoded, &encoded.reorder, rp).cloned().collect(),
+            prompt: row_prompt(encoded, rp).cloned().collect(),
             output_len: output_lens.sample(rp.row),
         })
         .collect()
 }
 
 /// One scheduled row's prompt as a borrowed view: the query's instruction
-/// prefix followed by the row's field fragments in scheduled order. `cells`
-/// is the table the plan indexes — the encoded table itself, or a
-/// dedup-compacted selection of it whose fragments still live in `encoded`.
-/// Single prompt-assembly path, so every caller (executor, benchmarks,
-/// cluster router) serves byte-identical workloads for a plan.
+/// prefix followed by the row's field fragments in scheduled order, where
+/// `rp.row` indexes `encoded.reorder` (the whole table, or one row per
+/// dedup group of an executor batch). Single prompt-assembly path, so every
+/// caller (executor, benchmarks, cluster router) serves byte-identical
+/// workloads for a plan.
 fn row_prompt<'a>(
     encoded: &'a crate::EncodedTable,
-    cells: &'a llmqo_core::ReorderTable,
     rp: &'a llmqo_core::RowPlan,
 ) -> impl Iterator<Item = &'a Arc<[TokenId]>> + 'a {
     std::iter::once(&encoded.instruction).chain(rp.fields.iter().map(move |&f| {
-        let cell = cells.cell(rp.row, f as usize);
+        let cell = encoded.reorder.cell(rp.row, f as usize);
         &encoded.fragments[cell.value.as_u32() as usize]
     }))
 }
@@ -1114,14 +1108,9 @@ fn query_cache_identity(query: &LlmQuery) -> String {
 /// The text a row's [`RowKey`] stands for — its fragments concatenated in
 /// query-field order — for the debug-build collision audit.
 #[cfg(debug_assertions)]
-fn row_key_text(
-    table: &Table,
-    row: usize,
-    query: &LlmQuery,
-    encoded: &crate::EncodedTable,
-) -> String {
+fn row_key_text(table: &Table, row: usize, query: &LlmQuery, used_cols: &[usize]) -> String {
     let mut text = String::new();
-    for (name, &col) in query.fields.iter().zip(&encoded.used_cols) {
+    for (name, &col) in query.fields.iter().zip(used_cols) {
         crate::dict::push_fragment(&mut text, name, table.value(row, col));
     }
     text

@@ -107,6 +107,7 @@
 pub mod adaptive;
 mod dict;
 mod exec;
+mod hash;
 mod optimizer;
 mod pipeline;
 mod prompt;

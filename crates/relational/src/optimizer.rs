@@ -506,10 +506,18 @@ pub fn estimate_llm_op(
         let mut r = 0;
         while r < n {
             for (f, &c) in cols.iter().enumerate() {
-                field_tokens += tokenizer.count(&crate::prompt::field_fragment(
-                    &query.fields[f],
-                    &table.value(r, c).to_string(),
-                ));
+                // A fragment some encode call already tokenized has its
+                // count in the column dictionary (`count ≡ tokenize().len()`);
+                // anything else — a cold table, an untouched row, a foreign
+                // tokenizer — is serialized and counted here, filling nothing.
+                field_tokens += table
+                    .cached_fragment_len(r, c, tokenizer)
+                    .unwrap_or_else(|| {
+                        tokenizer.count(&crate::prompt::field_fragment(
+                            &query.fields[f],
+                            &table.value(r, c).to_string(),
+                        ))
+                    });
             }
             sampled += 1;
             r += stride;

@@ -3,6 +3,7 @@
 use crate::dict::ColumnDict;
 use crate::schema::{DataType, Schema};
 use crate::value::Value;
+use llmqo_tokenizer::Tokenizer;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::OnceLock;
@@ -214,6 +215,19 @@ impl Table {
     /// The encode dictionary of column `col`, built on first use.
     pub(crate) fn dict(&self, col: usize) -> &ColumnDict {
         self.dicts[col].get_or_init(|| ColumnDict::build(&self.columns[col]))
+    }
+
+    /// Token count of the `(row, col)` cell's fragment under `tokenizer`, if
+    /// an encode call has already tokenized it — a read of the column
+    /// dictionary that builds and fills nothing.
+    pub(crate) fn cached_fragment_len(
+        &self,
+        row: usize,
+        col: usize,
+        tokenizer: &Tokenizer,
+    ) -> Option<usize> {
+        let dict = self.dicts[col].get()?;
+        dict.store.cached_len(dict.codes[row], tokenizer)
     }
 }
 

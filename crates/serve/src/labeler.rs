@@ -132,29 +132,67 @@ pub struct GenRequest<'a> {
 pub trait SimLlm {
     /// Generates the model's answer for one row.
     fn generate(&self, request: &GenRequest<'_>) -> String;
+
+    /// [`generate`](SimLlm::generate) for a caller that owns the ground
+    /// truth and has no further use for it: a model whose answer *is* the
+    /// truth hands the buffer back instead of copying it. Must answer
+    /// exactly as `generate` does on the same fields.
+    fn generate_owned(
+        &self,
+        truth: String,
+        row_id: u64,
+        label_space: &[String],
+        key_field_pos: f64,
+    ) -> String {
+        self.generate(&GenRequest {
+            row_id,
+            truth: &truth,
+            label_space,
+            key_field_pos,
+        })
+    }
+}
+
+impl ModelProfile {
+    /// Whether the coupled draw of `row_id` lands on the correct answer.
+    fn answers_truth(&self, row_id: u64, key_field_pos: f64) -> bool {
+        unit_hash(self.seed, row_id) < self.p_correct(key_field_pos)
+    }
+
+    /// Deterministic wrong answer: the next label in the space, or a
+    /// generic free-text miss.
+    fn wrong_answer(&self, row_id: u64, truth: &str, label_space: &[String]) -> String {
+        if label_space.len() > 1 {
+            let idx = label_space.iter().position(|l| l == truth).unwrap_or(0);
+            let offset =
+                1 + (mix(self.seed ^ 0xabcd, row_id) % (label_space.len() as u64 - 1)) as usize;
+            label_space[(idx + offset) % label_space.len()].clone()
+        } else {
+            "UNCLEAR".to_owned()
+        }
+    }
 }
 
 impl SimLlm for ModelProfile {
     fn generate(&self, request: &GenRequest<'_>) -> String {
-        let p = self.p_correct(request.key_field_pos);
-        let draw = unit_hash(self.seed, request.row_id);
-        if draw < p {
-            return request.truth.to_owned();
-        }
-        // Deterministic wrong answer: the next label in the space, or a
-        // generic free-text miss.
-        if request.label_space.len() > 1 {
-            let idx = request
-                .label_space
-                .iter()
-                .position(|l| l == request.truth)
-                .unwrap_or(0);
-            let offset = 1
-                + (mix(self.seed ^ 0xabcd, request.row_id) % (request.label_space.len() as u64 - 1))
-                    as usize;
-            request.label_space[(idx + offset) % request.label_space.len()].clone()
+        if self.answers_truth(request.row_id, request.key_field_pos) {
+            request.truth.to_owned()
         } else {
-            "UNCLEAR".to_owned()
+            self.wrong_answer(request.row_id, request.truth, request.label_space)
+        }
+    }
+
+    fn generate_owned(
+        &self,
+        truth: String,
+        row_id: u64,
+        label_space: &[String],
+        key_field_pos: f64,
+    ) -> String {
+        if self.answers_truth(row_id, key_field_pos) {
+            truth
+        } else {
+            self.wrong_answer(row_id, &truth, label_space)
         }
     }
 }
@@ -167,6 +205,10 @@ pub struct OracleLlm;
 impl SimLlm for OracleLlm {
     fn generate(&self, request: &GenRequest<'_>) -> String {
         request.truth.to_owned()
+    }
+
+    fn generate_owned(&self, truth: String, _: u64, _: &[String], _: f64) -> String {
+        truth
     }
 }
 
@@ -325,6 +367,72 @@ mod tests {
             });
             assert_eq!(out, "No");
         }
+    }
+
+    #[test]
+    fn generate_owned_answers_exactly_as_generate() {
+        let spaces: [Vec<String>; 4] = [
+            vec![],
+            vec!["Yes".to_owned()],
+            labels(),
+            vec!["A".to_owned(), "B".to_owned(), "C".to_owned()],
+        ];
+        let truths = ["Yes", "No", "B", "a free-text summary", ""];
+        let mut wrong = 0;
+        for draw in 0..10_000u64 {
+            let seed = mix(0x17, draw);
+            let profile = ModelProfile {
+                seed,
+                ..[
+                    ModelProfile::llama3_8b(),
+                    ModelProfile::gpt4o(),
+                    ModelProfile::llama3_70b().with_base_accuracy(0.3),
+                ][(seed % 3) as usize]
+                    .clone()
+            };
+            let row_id = mix(seed, 1) >> (draw % 60);
+            let truth = truths[(mix(seed, 2) % truths.len() as u64) as usize];
+            let label_space = &spaces[(mix(seed, 3) % spaces.len() as u64) as usize];
+            let key_field_pos = unit_hash(seed, 4) * 1.2 - 0.1;
+            let request = GenRequest {
+                row_id,
+                truth,
+                label_space,
+                key_field_pos,
+            };
+            for llm in [&profile as &dyn SimLlm, &OracleLlm] {
+                let borrowed = llm.generate(&request);
+                let owned =
+                    llm.generate_owned(truth.to_owned(), row_id, label_space, key_field_pos);
+                assert_eq!(owned, borrowed, "draw {draw}");
+            }
+            wrong += usize::from(profile.generate(&request) != truth);
+        }
+        assert!(
+            (1_000..6_000).contains(&wrong),
+            "both branches ran: {wrong}"
+        );
+    }
+
+    #[test]
+    fn the_provided_generate_owned_forwards_every_field() {
+        /// An external labeler that implements `generate` alone.
+        struct Echo;
+        impl SimLlm for Echo {
+            fn generate(&self, r: &GenRequest<'_>) -> String {
+                format!(
+                    "{}|{}|{}|{}",
+                    r.row_id,
+                    r.truth,
+                    r.label_space.len(),
+                    r.key_field_pos
+                )
+            }
+        }
+        assert_eq!(
+            Echo.generate_owned("t".to_owned(), 9, &labels(), 0.25),
+            "9|t|2|0.25"
+        );
     }
 
     #[test]

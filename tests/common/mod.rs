@@ -413,6 +413,48 @@ pub fn assert_encoding_matches_reference(
     assert_eq!(got.used_cols, want.used_cols, "{context}: used columns");
 }
 
+/// `estimate_llm_op` as it was before it read fragment token counts from
+/// the column dictionaries, frozen: every sampled cell serialized with
+/// `to_string` + `field_fragment` and counted by the tokenizer.
+pub fn reference_estimate_llm_op(
+    table: &llmqo::relational::Table,
+    tokenizer: &Tokenizer,
+    query: &llmqo::relational::LlmQuery,
+    negated: bool,
+) -> llmqo::costmodel::LlmOpEstimate {
+    const SAMPLE: usize = 64;
+    let instruction = tokenizer.count(&query.full_instruction()) as f64;
+    let cols = table.resolve_columns(&query.fields).unwrap_or_default();
+    let n = table.nrows();
+    let mut field_tokens = 0usize;
+    let mut sampled = 0usize;
+    if n > 0 && !cols.is_empty() {
+        let stride = n.div_ceil(SAMPLE);
+        let mut r = 0;
+        while r < n {
+            for (f, &c) in cols.iter().enumerate() {
+                field_tokens += tokenizer.count(&llmqo::relational::field_fragment(
+                    &query.fields[f],
+                    &table.value(r, c).to_string(),
+                ));
+            }
+            sampled += 1;
+            r += stride;
+        }
+    }
+    let per_row_fields = if sampled == 0 {
+        0.0
+    } else {
+        field_tokens as f64 / sampled as f64
+    };
+    let pass = 1.0 / query.label_space.len().max(1) as f64;
+    llmqo::costmodel::LlmOpEstimate::new(
+        instruction + per_row_fields,
+        query.output_tokens_mean,
+        if negated { 1.0 - pass } else { pass },
+    )
+}
+
 /// The answer cache's recency bookkeeping as it was before the stamp-based
 /// rewrite, frozen: a `BTreeMap` from recency stamp to key that every hit
 /// removes from and re-inserts into, evicting the first entry while a

@@ -5,11 +5,18 @@
 //! * `encode_table_rows` ≡ the frozen string encoder
 //!   ([`common::reference_encode_rows`]) on all seven datasets × row
 //!   subsets, a field listed twice, and typed columns whose `Display` texts
-//!   collide — cold, warm, and on `select_rows`/`head`-derived tables;
+//!   collide — cold, warm, and on `select_rows`/`head`-derived tables — and
+//!   on random tables (proptest);
+//! * the executor's two-phase front half (ISSUE 17) hands its solver the
+//!   table "encode every offered row, then `select_rows` the dedup
+//!   representatives" would, for random tables × cache-hit masks × dedup
+//!   on/off, and on a fixture where numbering `ValueId`s over the
+//!   representatives only would flip a GGR tie;
 //! * `push_row` invalidates the cached dictionaries;
 //! * a checkpoint taken on a table's head still hits on the whole table
 //!   (numbers pinned at the parent commit);
-//! * a budgeted `AnswerCache` evicts the victims the `BTreeMap` LRU did;
+//! * a budgeted `AnswerCache` evicts the victims the `BTreeMap` LRU did, and
+//!   exports and counts as it did, under the multiply-mix hasher too;
 //! * a lazy `LIMIT` tokenizes the rows it touches, not the table.
 //!
 //! The last test flips the process-global `llmqo_obs` gate and reads a
@@ -22,16 +29,21 @@ use common::{
     assert_encoding_matches_reference, engine, mod3_truth, seven_dataset_cases, tier1_datasets,
     ReferenceLru,
 };
-use llmqo::core::Ggr;
+use llmqo::core::{
+    phc_of_plan, FunctionalDeps, Ggr, ReorderPlan, ReorderTable, Reorderer, Solution, SolveError,
+};
 use llmqo::datasets::{Dataset, DatasetId};
 use llmqo::relational::{
-    AnswerCache, CachedAnswer, DataType, Field, LlmQuery, OptimizerConfig, QueryExecutor, RowKey,
-    Schema, SqlRunner, Table, Value,
+    encode_table, field_fragment, AnswerCache, CachedAnswer, DataType, ExecOptions, Field,
+    LlmQuery, OptimizerConfig, QueryExecutor, QueryOutput, RowKey, Schema, SqlRunner, Table, Value,
 };
 use llmqo::serve::OracleLlm;
 use llmqo::tokenizer::Tokenizer;
+use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::cell::RefCell;
+use std::collections::HashSet;
 use std::sync::RwLock;
 
 static OBS: RwLock<()> = RwLock::new(());
@@ -236,6 +248,310 @@ fn a_second_tokenizer_on_a_warm_table_still_matches_the_string_encoder() {
     }
 }
 
+// ---------------------------------------------------------------------------
+// The executor's two-phase front half (ISSUE 17)
+// ---------------------------------------------------------------------------
+
+/// A solver that records the table it was handed and the plan it returned.
+struct Recording<'a> {
+    inner: &'a dyn Reorderer,
+    seen: RefCell<Vec<(ReorderTable, ReorderPlan)>>,
+}
+
+impl Reorderer for Recording<'_> {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn reorder(&self, table: &ReorderTable, fds: &FunctionalDeps) -> Result<Solution, SolveError> {
+        let solution = self.inner.reorder(table, fds)?;
+        self.seen
+            .borrow_mut()
+            .push((table.clone(), solution.plan.clone()));
+        Ok(solution)
+    }
+}
+
+/// A solver that answers with a plan computed elsewhere.
+struct Replay(Solution);
+
+impl Reorderer for Replay {
+    fn name(&self) -> &'static str {
+        "replay"
+    }
+
+    fn reorder(&self, _: &ReorderTable, _: &FunctionalDeps) -> Result<Solution, SolveError> {
+        Ok(self.0.clone())
+    }
+}
+
+/// A row's prompt identity as text: its fragments in query-field order.
+fn row_text(table: &Table, row: usize, query: &LlmQuery) -> String {
+    let cols = table.resolve_columns(&query.fields).expect("known fields");
+    query
+        .fields
+        .iter()
+        .zip(cols)
+        .map(|(name, col)| field_fragment(name, &table.value(row, col).to_string()))
+        .collect()
+}
+
+/// What one `warmed`-then-`offered` execution saw and produced.
+struct FrontHalfRun {
+    /// The executor's output over `offered`.
+    out: QueryOutput,
+    /// The table the solver was handed and the plan it returned, if the
+    /// batch had a novel row.
+    solved: Option<(ReorderTable, ReorderPlan)>,
+}
+
+/// Executes `query` over `warmed` (filling the answer cache) and then over
+/// `offered` on one fresh executor, scheduling with `solver`.
+fn run_front_half(
+    tok: Tokenizer,
+    warmed: &Table,
+    offered: &Table,
+    query: &LlmQuery,
+    dedup: bool,
+    solver: &dyn Reorderer,
+) -> FrontHalfRun {
+    let eng = engine();
+    let exec = QueryExecutor::new(&eng, &OracleLlm, tok);
+    let fds = FunctionalDeps::empty(offered.ncols());
+    let opts = ExecOptions {
+        dedup,
+        answer_cache: true,
+        ..ExecOptions::default()
+    };
+    if warmed.nrows() > 0 {
+        exec.execute_with(warmed, query, &Ggr::default(), &fds, &mod3_truth, opts)
+            .expect("warm-up runs");
+    }
+    let recording = Recording {
+        inner: solver,
+        seen: RefCell::new(Vec::new()),
+    };
+    let out = exec
+        .execute_with(offered, query, &recording, &fds, &mod3_truth, opts)
+        .expect("offered batch runs");
+    let mut seen = recording.seen.into_inner();
+    assert!(seen.len() <= 1, "one solve per batch");
+    FrontHalfRun {
+        out,
+        solved: seen.pop(),
+    }
+}
+
+/// The one-phase derivation the two-phase front half replaced: encode every
+/// offered row, drop the rows `warmed` already answered, group the rest by
+/// identical prompt text (when `dedup`), and `select_rows` the first row of
+/// each group. Returns that table and the representatives' row indices.
+fn full_encode_then_select(
+    tok: &Tokenizer,
+    warmed: &Table,
+    offered: &Table,
+    query: &LlmQuery,
+    dedup: bool,
+) -> (ReorderTable, Vec<usize>, u64) {
+    let answered: HashSet<String> = (0..warmed.nrows())
+        .map(|r| row_text(warmed, r, query))
+        .collect();
+    let mut first_of: Vec<String> = Vec::new();
+    let mut reps: Vec<usize> = Vec::new();
+    let mut hits = 0u64;
+    for r in 0..offered.nrows() {
+        let text = row_text(offered, r, query);
+        if answered.contains(&text) {
+            hits += 1;
+        } else if !(dedup && first_of.contains(&text)) {
+            first_of.push(text);
+            reps.push(r);
+        }
+    }
+    let full = encode_table(tok, offered, query).expect("known fields");
+    (full.reorder.select_rows(&reps), reps, hits)
+}
+
+/// Asserts the executor's front half over `offered` (after `warmed`) gave
+/// its solver the table [`full_encode_then_select`] derives and reported
+/// the matching ledger. Returns the run and the reference table.
+fn assert_front_half_matches_select(
+    tok: Tokenizer,
+    warmed: &Table,
+    offered: &Table,
+    query: &LlmQuery,
+    dedup: bool,
+    context: &str,
+) -> (FrontHalfRun, ReorderTable) {
+    let solver = Ggr::default();
+    let run = run_front_half(tok, warmed, offered, query, dedup, &solver);
+    let (want, reps, hits) = full_encode_then_select(&tok, warmed, offered, query, dedup);
+    let opt = &run.out.report.opt;
+    assert_eq!(opt.cache_hits, hits, "{context}: cache hits");
+    assert_eq!(opt.llm_calls, reps.len() as u64, "{context}: calls");
+    assert_eq!(
+        opt.rows_deduped,
+        offered.nrows() as u64 - hits - reps.len() as u64,
+        "{context}: deduped"
+    );
+    assert_eq!(run.out.outputs.len(), offered.nrows(), "{context}: outputs");
+    match &run.solved {
+        None => assert!(reps.is_empty(), "{context}: novel rows never solved"),
+        Some((seen, plan)) => {
+            assert_eq!(seen, &want, "{context}: the table the solver saw");
+            let fds = FunctionalDeps::empty(want.ncols());
+            let reference = solver.reorder(&want, &fds).expect("ggr solves");
+            assert_eq!(plan, &reference.plan, "{context}: plan");
+            assert_eq!(
+                run.out.report.field_phc,
+                phc_of_plan(&want, plan),
+                "{context}: field PHC"
+            );
+            assert_eq!(
+                run.out.report.claimed_phc, reference.claimed_phc,
+                "{context}: claimed PHC"
+            );
+        }
+    }
+    (run, want)
+}
+
+/// A string table of `cells` (three columns, four-value pools, so shared
+/// values and duplicate rows are common).
+fn pooled_table(cells: &[Vec<u8>]) -> Table {
+    let mut t = Table::new(Schema::of_strings(&["a", "b", "c"]));
+    for row in cells {
+        t.push_row(vec![
+            format!("value {} of a", "x".repeat(row[0] as usize)).into(),
+            format!("b{}", row[1]).into(),
+            format!("{} c", row[2]).into(),
+        ])
+        .expect("three strings");
+    }
+    t
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// (a) The encoder over any rows of a random table ≡ the frozen string
+    /// encoder: unsorted and repeated subsets, a field listed twice, and a
+    /// second tokenizer on a warm table.
+    #[test]
+    fn random_tables_encode_like_the_string_encoder(
+        cells in prop::collection::vec(prop::collection::vec(0u8..4, 3), 1..=24),
+        fields in prop::collection::vec(0usize..3, 1..=4),
+        picks in prop::collection::vec(0usize..1000, 0..=40),
+        piece_bytes in 2usize..6,
+    ) {
+        let _g = shared();
+        let table = pooled_table(&cells);
+        let names = ["a", "b", "c"];
+        let query = query_over(&fields.iter().map(|&f| names[f]).collect::<Vec<_>>());
+        let rows: Vec<usize> = picks.iter().map(|&r| r % table.nrows()).collect();
+        for tok in [Tokenizer::new(), Tokenizer::with_piece_bytes(piece_bytes)] {
+            for subset in [None, Some(&rows[..])] {
+                assert_encoding_matches_reference(&tok, &table, &query, subset, "random table");
+            }
+        }
+    }
+
+    /// (b) Through the executor: for random tables × cache-hit masks (the
+    /// rows an earlier batch on the same executor already submitted) ×
+    /// dedup on/off, the solver is handed `full_encode.select_rows(reps)`
+    /// cell for cell and the ledger matches.
+    #[test]
+    fn the_solver_sees_full_encode_then_select_rows(
+        cells in prop::collection::vec(prop::collection::vec(0u8..4, 3), 1..=24),
+        fields in prop::collection::vec(0usize..3, 1..=4),
+        warm in prop::collection::vec(0usize..1000, 0..=12),
+        picks in prop::collection::vec(0usize..1000, 1..=40),
+        switches in (prop::bool::ANY, prop::bool::ANY),
+    ) {
+        let _g = shared();
+        let (dedup, foreign) = switches;
+        let table = pooled_table(&cells);
+        let names = ["a", "b", "c"];
+        let query = query_over(&fields.iter().map(|&f| names[f]).collect::<Vec<_>>());
+        let pick = |ps: &[usize]| -> Vec<usize> { ps.iter().map(|&r| r % table.nrows()).collect() };
+        if foreign {
+            // The table's dictionaries belong to the default tokenizer.
+            encode_table(&Tokenizer::new(), &table, &query).expect("known fields");
+        }
+        let tok = if foreign { Tokenizer::with_piece_bytes(3) } else { Tokenizer::new() };
+        assert_front_half_matches_select(
+            tok,
+            &table.select_rows(&pick(&warm)),
+            &table.select_rows(&pick(&picks)),
+            &query,
+            dedup,
+            "random batch",
+        );
+    }
+}
+
+/// The numbering trap: `ValueId`s are numbered over **offered** rows, not
+/// over the rows that survive the cache. Offered row 0 is a cache hit that
+/// introduces `bravo` before the first novel row introduces `alpha`; the
+/// two values head equally long, equally large groups of the same column,
+/// which GGR's `best_group` separates by `ValueId` order alone. Numbering
+/// over the representatives only would give `alpha` the smaller id and
+/// schedule its group first.
+#[test]
+fn a_cache_hit_row_that_introduces_a_value_first_keeps_the_tie_order() {
+    let _g = shared();
+    let tok = Tokenizer::new();
+    let rows_of = |rows: &[[&str; 2]]| {
+        let mut t = Table::new(Schema::of_strings(&["team", "note"]));
+        for row in rows {
+            t.push_row(vec![row[0].into(), row[1].into()])
+                .expect("two strings");
+        }
+        t
+    };
+    let warmed = rows_of(&[["bravo", "seen before"]]);
+    let offered = rows_of(&[
+        ["bravo", "seen before"],
+        ["alpha", "first novel note"],
+        ["alpha", "second novel note"],
+        ["bravo", "third novel note"],
+        ["bravo", "fourth novel note"],
+    ]);
+    let query = query_over(&["team", "note"]);
+    let (run, want) =
+        assert_front_half_matches_select(tok, &warmed, &offered, &query, true, "numbering trap");
+    let (_, plan) = run.solved.as_ref().expect("four novel rows");
+    assert_eq!(run.out.report.opt.cache_hits, 1);
+
+    // The fixture is live: the two groups tie, and the plan GGR finds on a
+    // table numbered over the representatives alone is a different one.
+    let (alpha, bravo) = (want.cell(0, 0), want.cell(2, 0));
+    assert_eq!(alpha.len, bravo.len, "equal fragment lengths");
+    assert!(
+        bravo.value < alpha.value,
+        "the hit row numbered bravo first"
+    );
+    let fds = FunctionalDeps::empty(2);
+    let over_reps = encode_table(&tok, &offered.select_rows(&[1, 2, 3, 4]), &query)
+        .expect("known fields")
+        .reorder;
+    let flipped = Ggr::default()
+        .reorder(&over_reps, &fds)
+        .expect("ggr solves");
+    assert_ne!(
+        &flipped.plan, plan,
+        "numbering over representatives flips the tie"
+    );
+    let scheduled: Vec<usize> = plan.rows.iter().map(|rp| rp.row).collect();
+    assert_eq!(&scheduled[..2], &[2, 3], "bravo's group is served first");
+
+    // And the serving report is the one the reference plan produces.
+    let reference = Ggr::default().reorder(&want, &fds).expect("ggr solves");
+    let replayed = run_front_half(tok, &warmed, &offered, &query, true, &Replay(reference));
+    assert_eq!(run.out.report.engine, replayed.out.report.engine);
+    assert_eq!(run.out.outputs, replayed.out.outputs);
+}
+
 /// Runs `sql` on the first 80% of `ds`, checkpoints, restores into a fresh
 /// executor and runs on the whole table: `(checkpoint entries, cache hits,
 /// LLM calls)` of the resumed run.
@@ -295,6 +611,64 @@ const PINNED_RESUME: [(usize, u64, u64); 7] = [
     (296, 333, 67), // FEVER
 ];
 
+/// The optimizer prices an LLM filter from a 64-row sample of fragment
+/// token counts. Reading a count from a filled dictionary slot instead of
+/// re-serializing and re-counting the cell is invisible: bit-identical
+/// estimates for every LLM filter of the seven-dataset statements on a cold
+/// table, on the table each statement has just run over (slots filled as
+/// far as its `LIMIT` reached), and under a tokenizer the slots do not
+/// belong to.
+#[test]
+fn estimates_from_dictionary_slots_equal_recounted_estimates() {
+    use llmqo::relational::{estimate_llm_op, parse_sql, WhereConjunct};
+    let _g = shared();
+    let mut filters = 0;
+    for (id, table_name, sql) in seven_dataset_cases() {
+        let ds = Dataset::generate_with_rows(id, 300);
+        let stmt = parse_sql(sql).expect("case parses");
+        let queries: Vec<(LlmQuery, bool)> = stmt
+            .where_clause
+            .iter()
+            .filter_map(|conjunct| match conjunct {
+                WhereConjunct::Llm {
+                    call,
+                    label,
+                    negated,
+                } => Some((
+                    LlmQuery::filter(
+                        "estimated",
+                        &call.prompt,
+                        call.fields.clone(),
+                        vec!["Yes".into(), "No".into()],
+                        label,
+                        2.0,
+                    ),
+                    *negated,
+                )),
+                WhereConjunct::Sql(_) => None,
+            })
+            .collect();
+        let check = |stage: &str| {
+            for tok in [Tokenizer::new(), Tokenizer::with_piece_bytes(3)] {
+                for (query, negated) in &queries {
+                    assert_eq!(
+                        estimate_llm_op(&ds.table, &tok, query, *negated),
+                        common::reference_estimate_llm_op(&ds.table, &tok, query, *negated),
+                        "{id:?} {stage} piece_bytes={}: {}",
+                        tok.piece_bytes(),
+                        query.user_prompt,
+                    );
+                }
+            }
+        };
+        check("cold");
+        common::run_sql(&ds, sql, OptimizerConfig::all(), table_name);
+        check("after the statement");
+        filters += queries.len();
+    }
+    assert_eq!(filters, 14, "two LLM filters per case");
+}
+
 #[test]
 fn budgeted_cache_evicts_the_victims_the_btreemap_lru_did() {
     let answer = |n: u64| CachedAnswer {
@@ -322,6 +696,7 @@ fn budgeted_cache_evicts_the_victims_the_btreemap_lru_did() {
         let live = |cache: &AnswerCache| -> Vec<u64> {
             cache.export().iter().map(|e| e.key_hash).collect()
         };
+        let (mut hits, mut misses) = (0u64, 0u64);
         for step in 0..4_000 {
             let key = key_of(rng.random_range(0..40));
             match rng.random_range(0..8) {
@@ -332,6 +707,11 @@ fn budgeted_cache_evicts_the_victims_the_btreemap_lru_did() {
                         model.lookup(key.hash),
                         "seed {seed} step {step}: lookup"
                     );
+                    if hit {
+                        hits += 1;
+                    } else {
+                        misses += 1;
+                    }
                 }
                 4..=6 => {
                     cache.insert(instr, key, answer(step));
@@ -350,10 +730,19 @@ fn budgeted_cache_evicts_the_victims_the_btreemap_lru_did() {
                 model.live(),
                 "seed {seed} step {step}: live set"
             );
+            // `export()` is sorted whatever the map's hasher iterates like
+            // (`live` above compares it to the model's sorted keys), and the
+            // counters are the model's.
+            let stats = cache.stats();
             assert_eq!(
-                cache.stats().evictions,
-                model.evicted.len() as u64,
-                "seed {seed} step {step}: evictions"
+                (stats.hits, stats.misses, stats.entries, stats.evictions),
+                (
+                    hits,
+                    misses,
+                    model.live().len() as u64,
+                    model.evicted.len() as u64
+                ),
+                "seed {seed} step {step}: stats"
             );
         }
         assert!(
