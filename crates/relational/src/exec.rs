@@ -8,9 +8,9 @@
 //! produces per-row outputs that are parsed back into relational results.
 //!
 //! The physical layer is *batch-oriented*: [`run_llm_rows`] evaluates one
-//! query over any row subset against an incremental stage engine (one
-//! [`llmqo_serve::EngineSession`], or a routed replica group in the
-//! cluster-parallel mode), optionally answering rows whose exact prompt was
+//! operator's query over any row subset on the operator's stage
+//! (`pipeline::Stage`: `n ≥ 1` routed [`llmqo_serve::EngineSession`]s per
+//! model tier), optionally answering rows whose exact prompt was
 //! already submitted from the executor's **session answer cache**
 //! ([`crate::AnswerCache`]) and **deduplicating** the remaining rows whose
 //! projected field values are identical so each distinct prompt hits the
@@ -22,8 +22,9 @@
 //! groups as flat CSR slices and closes with the batch ledger identities
 //! (`cache_hits + novel = rows_in`, `rows_deduped + llm_calls = novel`,
 //! every row labelled or failed) as `debug_assert!`s.
-//! [`execute`] is the single-shot wrapper; the SQL runner drives the same
-//! primitive batch by batch for lazy `LIMIT` and adaptive execution.
+//! [`execute`] is the single-shot wrapper — one stage, one batch; the SQL
+//! runner drives the same primitive batch by batch, one stage per operator,
+//! for lazy `LIMIT`, adaptive and pipelined execution.
 //! Requests reach the stage engine as borrowed views of the encoded table
 //! (`row_prompt`: the instruction, then the row's fragments in scheduled
 //! order) — first attempts, fault retries and cascade escalations alike —
@@ -41,13 +42,15 @@
 
 use crate::adaptive::{AnswerCache, AnswerCacheStats, CacheSnapshotEntry, CachedAnswer, RowKey};
 use crate::optimizer::OptStats;
-use crate::pipeline::{StageEngine, PREFIX_KEY_DEPTH};
+use crate::pipeline::{Stage, PREFIX_KEY_DEPTH};
 use crate::prompt::{encode_batch, EncodedBatch};
 use crate::query::{LlmQuery, QueryKind};
 use crate::table::{Table, TableError};
 use llmqo_core::{phc_of_plan, FunctionalDeps, PhcReport, Reorderer, SolveError};
 use llmqo_costmodel::CascadePlan;
-use llmqo_serve::{fault_unit, EngineError, EngineReport, SimEngine, SimLlm, SimRequest};
+use llmqo_serve::{
+    fault_unit, Completion, EngineError, EngineReport, SimEngine, SimLlm, SimRequest,
+};
 use llmqo_tokenizer::{TokenId, Tokenizer};
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
@@ -496,7 +499,7 @@ impl<'a> QueryExecutor<'a> {
         }
     }
 
-    /// The serving engine (the SQL runner opens per-operator sessions on it).
+    /// The serving engine (the SQL runner opens its per-operator stages on it).
     pub(crate) fn engine(&self) -> &'a SimEngine {
         self.engine
     }
@@ -549,69 +552,44 @@ impl<'a> QueryExecutor<'a> {
         truth: &dyn Fn(usize) -> String,
         opts: ExecOptions,
     ) -> Result<QueryOutput, ExecError> {
-        let mut engine = StageEngine::open(self.engine, 1)?;
-        let mut esc_engine = if opts.cascade.is_some() {
-            Some(StageEngine::open(self.engine, 1)?)
-        } else {
-            None
-        };
+        let mut stage = Stage::open(self.engine, 1, query, opts)?;
         let all_rows: Vec<usize> = (0..table.nrows()).collect();
-        let stage = self.run_llm_rows(
-            &mut engine,
-            esc_engine.as_mut(),
-            table,
-            &all_rows,
-            query,
-            reorderer,
-            fds,
-            truth,
-            opts,
-        )?;
-        if let Some(esc) = esc_engine {
-            // The expensive tier's serving volume is accounted in the tier
-            // fields of `OptStats`; the report below covers the cheap tier
-            // (the session every row runs on).
-            esc.finish();
-        }
-        let engine_report = engine.finish();
-        Ok(stage.into_query_output(query, reorderer.name(), engine_report))
+        let out = self.run_llm_rows(&mut stage, table, &all_rows, reorderer, fds, truth)?;
+        stage.outcome.absorb(out);
+        Ok(stage.finish(reorderer.name()))
     }
 
-    /// The physical batch primitive: evaluates `query` over the given
-    /// original-index `rows` of `table` against an incremental stage
-    /// `engine`. With [`ExecOptions::answer_cache`], rows whose exact
-    /// prompt was ever submitted on this executor are answered from the
-    /// session cache first; with [`ExecOptions::dedup`], the remaining
-    /// novel rows with identical projected field values are compacted to
-    /// one representative before the solver runs, a single engine request
-    /// is issued per representative, and outputs fan back out by original
-    /// row index. The SQL runner calls this batch by batch (sharing one
-    /// session per operator) for lazy `LIMIT` and adaptive execution.
+    /// The physical batch primitive: evaluates the `stage`'s query over the
+    /// given original-index `rows` of `table` on the stage's incremental
+    /// engine, under the stage's [`ExecOptions`]. With
+    /// [`ExecOptions::answer_cache`], rows whose exact prompt was ever
+    /// submitted on this executor are answered from the session cache
+    /// first; with [`ExecOptions::dedup`], the remaining novel rows with
+    /// identical projected field values are compacted to one representative
+    /// before the solver runs, a single engine request is issued per
+    /// representative, and outputs fan back out by original row index. The
+    /// SQL runner calls this batch by batch (one stage per operator) for
+    /// lazy `LIMIT`, adaptive and pipelined execution.
     ///
-    /// With [`ExecOptions::cascade`], `engine` is the cheap tier: every
-    /// representative runs on it, rows whose deterministic confidence
+    /// With [`ExecOptions::cascade`], the stage's engine is the cheap tier:
+    /// every representative runs on it, rows whose deterministic confidence
     /// falls below the plan's threshold escalate, and each dedup group
     /// containing an escalated row re-runs its representative's request on
-    /// `escalation` (a second stage engine fast-forwarded to this batch's
-    /// finish; when `None`, escalated requests replay on `engine` so the
-    /// expensive tier's serving cost is still paid somewhere real).
+    /// the stage's expensive tier ([`Stage::escalate`]).
     ///
     /// # Errors
     ///
     /// See [`ExecError`].
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn run_llm_rows(
         &self,
-        engine: &mut StageEngine,
-        escalation: Option<&mut StageEngine>,
+        stage: &mut Stage<'_>,
         table: &Table,
         rows: &[usize],
-        query: &LlmQuery,
         reorderer: &dyn Reorderer,
         fds: &FunctionalDeps,
         truth: &dyn Fn(usize) -> String,
-        opts: ExecOptions,
     ) -> Result<StageOutcome, ExecError> {
+        let (query, opts) = (stage.query, stage.opts());
         if query.fields.is_empty() {
             return Err(ExecError::EmptyFields);
         }
@@ -701,6 +679,43 @@ impl<'a> QueryExecutor<'a> {
             }
         }
 
+        // One row's output: its own labeler draw, then — under a cascade — its
+        // pure per-row escalation decision (tallied in the tier ledger) and
+        // cascade label. Returns whether the row escalated.
+        let label_row = |outcome: &mut StageOutcome, original: usize, key_field_pos: f64| {
+            let text = self.llm.generate_owned(
+                truth(original),
+                original as u64,
+                &query.label_space,
+                key_field_pos,
+            );
+            let (text, escalated) = match &opts.cascade {
+                Some(plan) => {
+                    let escalated =
+                        cascade_row(plan, original, &text, &query.label_space, &mut outcome.opt);
+                    let label = plan.label(original as u64, &text, &query.label_space);
+                    (label, escalated)
+                }
+                None => (text, false),
+            };
+            outcome.outputs.push(RowOutput {
+                row: original,
+                text,
+            });
+            escalated
+        };
+        // Cascade ledger: every request the cheap tier serves — first
+        // attempts and fault retries — is billed to it at full (uncached)
+        // prompt + output volume.
+        let bill_cheap = |opt: &mut OptStats, served: &[Completion]| {
+            if opts.cascade.is_some() {
+                for c in served {
+                    opt.cheap_prompt_tokens += c.prompt_tokens as u64;
+                    opt.cheap_output_tokens += u64::from(c.output_tokens);
+                }
+            }
+        };
+
         if groups.len() > 0 {
             // The solver sees only the novel, dedup-compacted batch.
             let compact = &encoded.reorder;
@@ -711,9 +726,9 @@ impl<'a> QueryExecutor<'a> {
             outcome.claimed_phc = solution.claimed_phc;
 
             // Fan-out stages route each request by its reorder-plan prefix
-            // key so a shared-prefix group lands on one replica; the
-            // single-session form never looks at keys, so skip the hashing.
-            let keys: Vec<u64> = if engine.wants_prefix_keys() {
+            // key so a shared-prefix group lands on one replica; a single
+            // replica never looks at keys, so skip the hashing.
+            let keys: Vec<u64> = if stage.engine.wants_prefix_keys() {
                 solution.plan.prefix_keys(compact, PREFIX_KEY_DEPTH)
             } else {
                 Vec::new()
@@ -739,16 +754,10 @@ impl<'a> QueryExecutor<'a> {
             // This batch's completion records — consumed by request id
             // below, so the stage engine's merge order (deterministic but
             // replica-grouped under fan-out) never affects results.
-            let completions =
-                engine.run_batch((0..solution.plan.rows.len()).map(&request), &keys)?;
-            if opts.cascade.is_some() {
-                // Cascade ledger: every issued request is billed to the
-                // cheap tier at full (uncached) prompt + output volume.
-                for c in &completions {
-                    outcome.opt.cheap_prompt_tokens += c.prompt_tokens as u64;
-                    outcome.opt.cheap_output_tokens += u64::from(c.output_tokens);
-                }
-            }
+            let completions = stage
+                .engine
+                .run_batch((0..solution.plan.rows.len()).map(&request), &keys)?;
+            bill_cheap(&mut outcome.opt, &completions);
             let answer_records: HashMap<usize, CachedAnswer> = if use_cache {
                 completions
                     .iter()
@@ -815,14 +824,10 @@ impl<'a> QueryExecutor<'a> {
                     // Replay the failed attempts so their serving cost is
                     // real: each retry re-sends the representative's full
                     // prompt (mostly cache hits) and re-decodes its output.
-                    let retried =
-                        engine.run_batch(retry_rows.iter().map(|&ri| request(ri)), &retry_keys)?;
-                    if opts.cascade.is_some() {
-                        for c in &retried {
-                            outcome.opt.cheap_prompt_tokens += c.prompt_tokens as u64;
-                            outcome.opt.cheap_output_tokens += u64::from(c.output_tokens);
-                        }
-                    }
+                    let retried = stage
+                        .engine
+                        .run_batch(retry_rows.iter().map(|&ri| request(ri)), &retry_keys)?;
+                    bill_cheap(&mut outcome.opt, &retried);
                 }
             }
 
@@ -873,30 +878,7 @@ impl<'a> QueryExecutor<'a> {
                 }
                 let mut group_escalates = false;
                 for &local in groups.members(rp.row) {
-                    let original = rows[local as usize];
-                    let text = self.llm.generate_owned(
-                        truth(original),
-                        original as u64,
-                        &query.label_space,
-                        key_field_pos,
-                    );
-                    let text = match &opts.cascade {
-                        Some(plan) => {
-                            group_escalates |= cascade_row(
-                                plan,
-                                original,
-                                &text,
-                                &query.label_space,
-                                &mut outcome.opt,
-                            );
-                            plan.label(original as u64, &text, &query.label_space)
-                        }
-                        None => text,
-                    };
-                    outcome.outputs.push(RowOutput {
-                        row: original,
-                        text,
-                    });
+                    group_escalates |= label_row(&mut outcome, rows[local as usize], key_field_pos);
                 }
                 if group_escalates {
                     esc_rows.push(ri);
@@ -905,19 +887,7 @@ impl<'a> QueryExecutor<'a> {
             }
             if !esc_rows.is_empty() {
                 let esc_requests = esc_rows.iter().map(|&ri| request(ri));
-                let esc_completions = match escalation {
-                    Some(esc) => {
-                        // Escalation waits for the cheap tier's answer:
-                        // fast-forward the expensive session to this
-                        // batch's finish before serving the re-runs.
-                        esc.advance_to(engine.clock());
-                        esc.run_batch(esc_requests, &esc_keys)?
-                    }
-                    // No second session supplied: replay on the cheap
-                    // tier's session so the serving cost is still paid.
-                    None => engine.run_batch(esc_requests, &esc_keys)?,
-                };
-                for c in &esc_completions {
+                for c in &stage.escalate(esc_requests, &esc_keys)? {
                     outcome.opt.esc_prompt_tokens += c.prompt_tokens as u64;
                     outcome.opt.esc_output_tokens += u64::from(c.output_tokens);
                 }
@@ -933,21 +903,7 @@ impl<'a> QueryExecutor<'a> {
         // per-row escalation decision and cascade label, so caching never
         // changes results.
         for &local in &hits {
-            let original = rows[local as usize];
-            let text =
-                self.llm
-                    .generate_owned(truth(original), original as u64, &query.label_space, 0.5);
-            let text = match &opts.cascade {
-                Some(plan) => {
-                    cascade_row(plan, original, &text, &query.label_space, &mut outcome.opt);
-                    plan.label(original as u64, &text, &query.label_space)
-                }
-                None => text,
-            };
-            outcome.outputs.push(RowOutput {
-                row: original,
-                text,
-            });
+            label_row(&mut outcome, rows[local as usize], 0.5);
         }
         outcome.outputs.sort_by_key(|o| o.row);
 
@@ -1708,23 +1664,21 @@ mod tests {
         let ex = QueryExecutor::new(&eng, &OracleLlm, Tokenizer::new());
         let t = table(4);
         let truth = |_: usize| "Yes".to_string();
-        let mut stage = StageEngine::open(&eng, 1).unwrap();
+        let query = filter_query();
+        let mut stage = Stage::open(&eng, 1, &query, ExecOptions::deduped()).unwrap();
         let out = ex
             .run_llm_rows(
                 &mut stage,
-                None,
                 &t,
                 &[],
-                &filter_query(),
                 &OriginalOrder,
                 &FunctionalDeps::empty(2),
                 &truth,
-                ExecOptions::deduped(),
             )
             .unwrap();
         assert!(out.outputs.is_empty());
         assert_eq!(out.opt.llm_calls, 0);
-        assert_eq!(stage.finish().completed, 0);
+        assert_eq!(stage.finish("original").report.engine.completed, 0);
     }
 
     #[test]

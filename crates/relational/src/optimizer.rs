@@ -18,10 +18,14 @@
 //! operator, and an optional `Limit`. [`optimize_plan`] applies the rewrite
 //! rules under an [`OptimizerConfig`]; the physical executor in
 //! [`SqlRunner`](crate::SqlRunner) interprets the optimized plan with
-//! deduplicated, batched execution. With every optimization disabled
-//! ([`OptimizerConfig::none`]) the physical executor reproduces the
-//! pre-optimizer pipeline byte for byte — the differential oracle the
-//! integration tests check against.
+//! deduplicated, batched execution, one serving stage per LLM-invoking
+//! operator ([`LogicalOp::llm_query`] is what makes an operator one). The
+//! config holds switches and sizes some caller sets to a second value;
+//! numbers with one value in use (the smallest lazy batch, the adaptive
+//! prior weight) are constants next to their readers. With every
+//! optimization disabled ([`OptimizerConfig::none`]) the physical executor
+//! reproduces the pre-optimizer pipeline byte for byte — the differential
+//! oracle the integration tests check against.
 //!
 //! LLM operator costs are priced through `llmqo-costmodel`'s
 //! [`LlmOpEstimate`]: filters are sequenced by ascending
@@ -171,6 +175,17 @@ pub enum LogicalOp {
 }
 
 impl LogicalOp {
+    /// The per-row query of an LLM-invoking operator (`LlmFilter`,
+    /// `LlmProject`, `LlmAggregate`); `None` for every other operator.
+    pub fn llm_query(&self) -> Option<&LlmQuery> {
+        match self {
+            LogicalOp::LlmFilter { query, .. }
+            | LogicalOp::LlmProject { query, .. }
+            | LogicalOp::LlmAggregate { query, .. } => Some(query),
+            _ => None,
+        }
+    }
+
     fn label(&self) -> String {
         match self {
             LogicalOp::Scan { table } => format!("Scan {table}"),
@@ -215,14 +230,7 @@ impl LogicalPlan {
     pub fn llm_ops(&self) -> usize {
         self.ops
             .iter()
-            .filter(|op| {
-                matches!(
-                    op,
-                    LogicalOp::LlmFilter { .. }
-                        | LogicalOp::LlmProject { .. }
-                        | LogicalOp::LlmAggregate { .. }
-                )
-            })
+            .filter(|op| op.llm_query().is_some())
             .count()
     }
 
@@ -270,9 +278,9 @@ impl LogicalPlan {
 // ---------------------------------------------------------------------------
 
 /// Model-tier cascade execution for a statement's LLM operators (see
-/// [`CascadePlan`]): run every row on the cheap tier first, escalate rows
-/// whose deterministic confidence falls below the plan's threshold to the
-/// expensive tier on a second stage engine.
+/// [`CascadePlan`]): every LLM operator runs each row on the cheap tier
+/// first and escalates rows whose deterministic confidence falls below the
+/// plan's threshold to the expensive tier on a second stage engine.
 ///
 /// Off by default everywhere ([`OptimizerConfig::cascade`] is `None` in
 /// every constructor) — single-tier execution stays the differential
@@ -282,37 +290,12 @@ impl LogicalPlan {
 pub struct CascadeConfig {
     /// The two tiers and the escalation threshold.
     pub plan: CascadePlan,
-    /// Pareto knob closing the $-cost/JCT gap: dollars one simulated second
-    /// of statement time is worth when re-ranking LLM filters. `0.0` ranks
-    /// purely by dollars (the paper's objective); larger values let a
-    /// faster-but-pricier order win.
-    pub time_weight: f64,
-    /// When `true`, the runner prices single-tier vs cascade per operator
-    /// from the learned [`TierPosterior`](llmqo_costmodel::TierPosterior)s
-    /// (expected cascade cost `cheap + esc_rate × expensive` vs the
-    /// expensive tier alone) and runs the cascade only where it wins,
-    /// recording the decision in the plan notes.
-    pub auto: bool,
 }
 
 impl CascadeConfig {
-    /// A cascade that always runs under `plan` — no per-operator pricing,
-    /// pure-dollar ranking.
+    /// A cascade under `plan`.
     pub fn new(plan: CascadePlan) -> Self {
-        CascadeConfig {
-            plan,
-            time_weight: 0.0,
-            auto: false,
-        }
-    }
-
-    /// A cascade the runner prices per operator from the tier posteriors.
-    pub fn auto(plan: CascadePlan) -> Self {
-        CascadeConfig {
-            plan,
-            time_weight: 0.0,
-            auto: true,
-        }
+        CascadeConfig { plan }
     }
 }
 
@@ -328,9 +311,6 @@ pub struct OptimizerConfig {
     /// `LIMIT`-driven lazy evaluation: issue LLM requests in growing batches
     /// and stop once the limit is satisfied.
     pub lazy_limit: bool,
-    /// Smallest lazy batch (rows); without adaptive sizing, batches double
-    /// from here until the limit is met.
-    pub lazy_batch_min: usize,
     /// Adaptive runtime re-optimization: track observed LLM-filter pass
     /// rates batch by batch (Beta-smoothed over the static prior), re-rank
     /// remaining LLM filters between batches, size lazy-`LIMIT` batches at
@@ -346,9 +326,6 @@ pub struct OptimizerConfig {
     /// never submitted again — across batches, operators, and successive
     /// queries. See [`crate::AnswerCache`].
     pub answer_cache: bool,
-    /// Pseudo-observation weight of the static prior in each adaptive
-    /// posterior (see [`crate::adaptive::DEFAULT_PRIOR_STRENGTH`]).
-    pub adaptive_prior_strength: f64,
     /// Deterministic per-statement fault injection and graceful
     /// degradation (see [`StatementFaults`](crate::StatementFaults)).
     /// `None` (the default everywhere) and `Some` with a zero `error_ppm`
@@ -365,13 +342,14 @@ pub struct OptimizerConfig {
     /// stays the timing oracle the differential suites and golden
     /// `EXPLAIN ANALYZE` outputs pin.
     pub pipeline: bool,
-    /// Replica sessions per LLM operator (fan-out). `1` keeps each stage on
-    /// one engine session; `N > 1` routes each stage's dedup-compacted
-    /// batches across `N` replicas with the cluster layer's prefix-affinity
-    /// router, preserving reorder-plan locality. Independent of
-    /// [`pipeline`](OptimizerConfig::pipeline) (fan-out without
-    /// micro-batching is legal), but they compound: pipelined + fanned-out
-    /// is the cluster-parallel mode.
+    /// Replica sessions per LLM operator (fan-out) of a pipelined
+    /// statement. `1` keeps each stage on one engine session; `N > 1`
+    /// routes each stage's dedup-compacted batches across `N` replicas with
+    /// the cluster layer's prefix-affinity router, preserving reorder-plan
+    /// locality. Read only when [`pipeline`](OptimizerConfig::pipeline) is
+    /// on: a statement that is not pipelined runs every operator on one
+    /// session whatever this says, and `EXPLAIN` prints it only on the
+    /// `-- pipeline:` line.
     pub pipeline_replicas: usize,
     /// Micro-batch size (rows) when [`pipeline`](OptimizerConfig::pipeline)
     /// is on and neither lazy-`LIMIT` nor pilot batching already dictates a
@@ -405,10 +383,8 @@ impl OptimizerConfig {
             dedup: true,
             reorder: true,
             lazy_limit: true,
-            lazy_batch_min: 32,
             adaptive: true,
             answer_cache: true,
-            adaptive_prior_strength: crate::adaptive::DEFAULT_PRIOR_STRENGTH,
             faults: None,
             pipeline: false,
             pipeline_replicas: 1,
@@ -425,10 +401,8 @@ impl OptimizerConfig {
             dedup: false,
             reorder: false,
             lazy_limit: false,
-            lazy_batch_min: 32,
             adaptive: false,
             answer_cache: false,
-            adaptive_prior_strength: crate::adaptive::DEFAULT_PRIOR_STRENGTH,
             faults: None,
             pipeline: false,
             pipeline_replicas: 1,

@@ -24,17 +24,18 @@
 //! pre-optimizer pipeline, which is the differential oracle the integration
 //! tests compare against.
 
-use crate::adaptive::SelectivityTracker;
+use crate::adaptive::{SelectivityTracker, DEFAULT_PRIOR_STRENGTH};
 use crate::exec::{ExecError, ExecOptions, QueryExecutor, QueryOutput, StageOutcome};
 use crate::optimizer::{
-    annotate_estimates, estimate_llm_op, optimize_plan, CascadeConfig, CmpOp, LogicalOp,
-    LogicalPlan, OptStats, OptimizerConfig, SqlPredicate,
+    annotate_estimates, optimize_plan, CmpOp, LogicalOp, LogicalPlan, OptStats, OptimizerConfig,
+    SqlPredicate,
 };
-use crate::pipeline::StageEngine;
+use crate::pipeline::Stage;
 use crate::query::LlmQuery;
 use crate::table::{Table, TableError};
 use llmqo_core::{FunctionalDeps, Reorderer};
 use llmqo_costmodel::{CascadePlan, Pricing, TierPosterior};
+use llmqo_serve::EngineReport;
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -581,6 +582,12 @@ pub struct SqlResult {
     pub notes: Vec<String>,
 }
 
+/// Smallest lazy-`LIMIT` / pilot batch (rows): the first batch of either
+/// schedule (a lazy one starts at the limit when that is larger), and the
+/// floor of adaptively aimed ones; without adaptive sizing, batches double
+/// from here.
+const LAZY_BATCH_MIN: usize = 32;
+
 /// Per-plan-node measurements collected while `execute_plan` runs, consumed
 /// by the `EXPLAIN ANALYZE` rendering.
 struct AnalyzeData {
@@ -593,9 +600,10 @@ struct AnalyzeData {
     /// How many leading entries of [`SqlResult::notes`] are optimizer
     /// rewrites; the rest were appended at runtime in schedule order.
     rewrite_notes: usize,
-    /// Per-plan-op instant (shared statement timeline) the operator's stage
-    /// finished its last micro-batch. Populated only under pipelined
-    /// execution; drives the per-node overlap columns.
+    /// Per-plan-op instant the operator's stage handed off its last batch:
+    /// its final `Stage::clock`, escalation tier included. Rendered (as the
+    /// per-node `done` column) only under pipelined execution, where the
+    /// stages share one timeline.
     stage_done_s: Vec<f64>,
     /// Statement makespan on the shared timeline (max final stage clock).
     /// `None` when the statement ran as the classic relay.
@@ -643,8 +651,8 @@ pub struct SqlRunner<'a> {
     catalog: HashMap<String, (&'a Table, &'a FunctionalDeps)>,
     /// Learned tier posteriors per operator (keyed by query name):
     /// escalation and cheap-vs-expensive agreement rates, carried across
-    /// statements so cascade pricing sharpens with observations. Empty —
-    /// and never touched — when cascades are off.
+    /// statements so the re-rank's cascade cost factor sharpens with
+    /// observations. Empty — and never touched — when cascades are off.
     tier_posteriors: RefCell<HashMap<String, TierPosterior>>,
 }
 
@@ -983,8 +991,7 @@ impl<'a> SqlRunner<'a> {
         });
         format!(
             "-- cascade: escalate below {:.2} (seed {}), cheap ${}/M in ${}/M out \
-             (base acc {:.2}), expensive ${}/M in ${}/M out, pricing {}, \
-             time weight {}{measured}\n",
+             (base acc {:.2}), expensive ${}/M in ${}/M out{measured}\n",
             p.escalate_below,
             p.seed,
             p.cheap.input_per_mtok,
@@ -992,40 +999,29 @@ impl<'a> SqlRunner<'a> {
             p.cheap.base_accuracy,
             p.expensive.input_per_mtok,
             p.expensive.output_per_mtok,
-            if cc.auto { "auto" } else { "always" },
-            cc.time_weight,
         )
     }
 
-    /// The tier posterior pricing one operator's cascade, registered on
-    /// first use with the plan's own priors: the escalation prior is the
-    /// threshold itself (confidence is uniform), the agreement prior the
-    /// cheap tier's base accuracy.
-    fn tier_posterior(&self, cc: &CascadeConfig, name: &str) -> TierPosterior {
-        *self
-            .tier_posteriors
+    /// Folds one batch's observed escalation split into the operator's tier
+    /// posterior, registering it on first sight with the plan's own priors:
+    /// the escalation prior is the threshold itself (confidence is
+    /// uniform), the agreement prior the cheap tier's base accuracy.
+    fn observe_tier(&self, plan: &CascadePlan, name: &str, opt: &OptStats) {
+        self.tier_posteriors
             .borrow_mut()
             .entry(name.to_owned())
             .or_insert_with(|| {
                 TierPosterior::new(
-                    cc.plan.escalate_below,
-                    cc.plan.cheap.base_accuracy,
-                    self.opt.adaptive_prior_strength,
+                    plan.escalate_below,
+                    plan.cheap.base_accuracy,
+                    DEFAULT_PRIOR_STRENGTH,
                 )
             })
-    }
-
-    /// Folds one batch's observed escalation split into the operator's tier
-    /// posterior (a no-op until [`tier_posterior`](Self::tier_posterior)
-    /// registered it).
-    fn observe_tier(&self, name: &str, opt: &OptStats) {
-        if let Some(p) = self.tier_posteriors.borrow_mut().get_mut(name) {
-            p.observe(
+            .observe(
                 opt.rows_escalated,
                 opt.rows_cheap + opt.rows_escalated,
                 opt.tier_agreements,
             );
-        }
     }
 
     /// Parses and executes `sql`, supplying ground truth per row via `truth`.
@@ -1080,9 +1076,7 @@ impl<'a> SqlRunner<'a> {
             let (rows_in, rows_out) = data.node_rows[idx];
             Some(match op {
                 LogicalOp::Scan { .. } => format!("(rows {rows_out})"),
-                LogicalOp::LlmFilter { .. }
-                | LogicalOp::LlmProject { .. }
-                | LogicalOp::LlmAggregate { .. } => {
+                op if op.llm_query().is_some() => {
                     let report = data.stage_of[idx].map(|s| &result.stages[s].report);
                     let opt = report.map(|r| r.opt).unwrap_or_default();
                     let sim_s = report.map_or(0.0, |r| r.engine.job_completion_time_s);
@@ -1183,9 +1177,9 @@ impl<'a> SqlRunner<'a> {
         out
     }
 
-    /// The physical interpreter: runs the optimized operator chain with
-    /// per-operator engine sessions, exact dedup, the session answer cache,
-    /// and batched (lazy `LIMIT` / adaptive pilot) execution. With
+    /// The physical interpreter: runs the optimized operator chain with one
+    /// [`Stage`] per LLM operator, exact dedup, the session answer cache,
+    /// and batched (lazy `LIMIT` / adaptive pilot / pipelined) execution. With
     /// [`OptimizerConfig::adaptive`] on, observed per-filter pass rates are
     /// folded into a [`SelectivityTracker`] batch by batch; between batches
     /// the remaining LLM filters are re-ranked by posterior
@@ -1237,62 +1231,25 @@ impl<'a> SqlRunner<'a> {
         let pipelined = self.opt.pipeline && plan.llm_ops() > 0;
         let batching = lazy || pilot || pipelined;
 
-        // Model-tier cascade: decide per LLM operator whether the cascade
-        // runs. In auto mode each operator is priced from its learned tier
-        // posterior — expected cascade cost `cheap + esc_rate × expensive`
-        // per row against the expensive tier alone — and the decision is
-        // recorded as a runtime note; otherwise every operator cascades.
-        let mut cascade_for: Vec<Option<CascadePlan>> = vec![None; ops.len()];
-        if let Some(cc) = self.opt.cascade {
-            for (idx, op) in ops.iter().enumerate() {
-                let query = match op {
-                    LogicalOp::LlmFilter { query, .. }
-                    | LogicalOp::LlmProject { query, .. }
-                    | LogicalOp::LlmAggregate { query, .. } => query,
-                    _ => continue,
-                };
-                let post = self.tier_posterior(&cc, &query.name);
-                if !cc.auto {
-                    cascade_for[idx] = Some(cc.plan);
-                    continue;
-                }
-                let est = match op {
-                    LogicalOp::LlmFilter { est: Some(e), .. } => *e,
-                    _ => estimate_llm_op(table, self.executor.tokenizer(), query, false),
-                };
-                let esc_rate = post.escalation_rate();
-                let cascade_cost = cc.plan.expected_per_row_cost(
-                    est.prompt_tokens_per_row,
-                    est.output_tokens_per_row,
-                    esc_rate,
-                );
-                let single_cost = cc
-                    .plan
-                    .single_tier_per_row_cost(est.prompt_tokens_per_row, est.output_tokens_per_row);
-                let wins = cascade_cost < single_cost;
-                if wins {
-                    cascade_for[idx] = Some(cc.plan);
-                }
-                notes.push(format!(
-                    "cascade pricing for {}: cascade ${cascade_cost:.6}/row \
-                     (esc rate {esc_rate:.2}, {} obs) vs single-tier \
-                     ${single_cost:.6}/row → {}",
-                    query.name,
-                    post.observations(),
-                    if wins { "cascade" } else { "single tier" },
-                ));
-            }
-        }
-
-        // One stage engine and one accumulated outcome per LLM operator,
-        // indexed by *plan* position — stable across adaptive re-ranking,
-        // which permutes only the execution schedule below. Stages persist
-        // across batches so later batches reuse the prefixes earlier ones
-        // computed. Operators running a cascade get a second, expensive-tier
-        // stage engine their escalated representatives replay on.
-        let mut sessions: Vec<Option<StageEngine>> = (0..ops.len()).map(|_| None).collect();
-        let mut esc_sessions: Vec<Option<StageEngine>> = (0..ops.len()).map(|_| None).collect();
-        let mut outcomes: Vec<Option<StageOutcome>> = vec![None; ops.len()];
+        // One stage per LLM operator, indexed by *plan* position — stable
+        // across adaptive re-ranking, which permutes only the execution
+        // schedule below. A stage opens on its operator's first batch and
+        // persists across batches, so later batches reuse the prefixes
+        // earlier ones computed. Every stage runs under the statement's
+        // physical options (with a cascade configured, every LLM operator
+        // cascades); only pipelined statements fan out.
+        let mut stages: Vec<Option<Stage<'_>>> = ops.iter().map(|_| None).collect();
+        let exec_opts = ExecOptions {
+            dedup: self.opt.dedup,
+            answer_cache: self.opt.answer_cache,
+            faults: self.opt.faults,
+            cascade: self.opt.cascade.map(|cc| cc.plan),
+        };
+        let replicas = if pipelined {
+            self.opt.pipeline_replicas
+        } else {
+            1
+        };
 
         // Leading cheap predicates narrow the candidate set before any
         // batching — with the reorder rule on, that is all of them.
@@ -1317,7 +1274,7 @@ impl<'a> SqlRunner<'a> {
 
         // Seed the tracker with the optimizer's static priors: per LLM
         // filter, and their product as the pipeline prior for batch sizing.
-        let mut tracker = SelectivityTracker::new(self.opt.adaptive_prior_strength);
+        let mut tracker = SelectivityTracker::new(DEFAULT_PRIOR_STRENGTH);
         if adaptive {
             let mut pipeline_prior = 1.0;
             for (idx, op) in ops.iter().enumerate() {
@@ -1336,9 +1293,9 @@ impl<'a> SqlRunner<'a> {
         let mut start = 0usize;
         let mut batch_no = 0u32;
         let mut batch_size = if lazy {
-            self.opt.lazy_batch_min.max(limit.unwrap_or(0)).max(1)
+            LAZY_BATCH_MIN.max(limit.unwrap_or(0))
         } else if pilot {
-            self.opt.lazy_batch_min.max(1)
+            LAZY_BATCH_MIN
         } else if pipelined {
             self.opt.pipeline_batch_rows.max(1)
         } else {
@@ -1362,97 +1319,62 @@ impl<'a> SqlRunner<'a> {
             let mut ready = 0.0f64;
             for &idx in &exec_order {
                 let node_offered = rows.len() as u64;
-                match &ops[idx] {
-                    LogicalOp::Scan { .. } => unreachable!("scan is always ops[0]"),
-                    LogicalOp::SqlFilter { pred } => {
-                        rows = filter_sql(table, &rows, pred)?;
+                let op = &ops[idx];
+                if let Some(query) = op.llm_query() {
+                    let stage = match &mut stages[idx] {
+                        Some(stage) => stage,
+                        slot => slot.insert(
+                            Stage::open(self.executor.engine(), replicas, query, exec_opts)
+                                .map_err(ExecError::Engine)?,
+                        ),
+                    };
+                    if pipelined {
+                        stage.advance_to(ready);
                     }
-                    LogicalOp::LlmFilter { query, negated, .. } => {
-                        let out = self.run_stage_batch(
-                            &mut sessions[idx],
-                            &mut esc_sessions[idx],
-                            table,
-                            &rows,
-                            query,
-                            fds,
-                            truth,
-                            pipelined.then_some(ready),
-                            cascade_for[idx],
-                        )?;
-                        if pipelined {
-                            ready = sessions[idx].as_ref().map_or(ready, |s| s.clock());
-                            data.stage_done_s[idx] = ready;
-                        }
-                        if cascade_for[idx].is_some() {
-                            self.observe_tier(&query.name, &out.opt);
-                        }
-                        self.note_failed_rows(query, &out, &mut notes);
-                        let label = query.predicate_label.as_deref().unwrap_or_else(|| {
-                            unreachable!("filter queries carry a predicate label")
-                        });
-                        let offered = rows.len() as u64;
-                        rows = out
-                            .outputs
-                            .iter()
-                            .filter(|o| (o.text == label) != *negated)
-                            .map(|o| o.row)
-                            .collect();
-                        if adaptive {
-                            tracker.observe(idx, rows.len() as u64, offered);
-                        }
-                        accumulate(&mut outcomes[idx], out);
+                    let out =
+                        stage.run_batch(self.executor, table, &rows, self.reorderer, fds, truth)?;
+                    if pipelined {
+                        ready = stage.clock();
                     }
-                    LogicalOp::LlmProject { query, .. } => {
-                        let out = self.run_stage_batch(
-                            &mut sessions[idx],
-                            &mut esc_sessions[idx],
-                            table,
-                            &rows,
-                            query,
-                            fds,
-                            truth,
-                            pipelined.then_some(ready),
-                            cascade_for[idx],
-                        )?;
-                        if pipelined {
-                            ready = sessions[idx].as_ref().map_or(ready, |s| s.clock());
-                            data.stage_done_s[idx] = ready;
-                        }
-                        if cascade_for[idx].is_some() {
-                            self.observe_tier(&query.name, &out.opt);
-                        }
-                        self.note_failed_rows(query, &out, &mut notes);
-                        for o in &out.outputs {
-                            emitted.push((o.row, Some(o.text.clone())));
-                        }
-                        accumulate(&mut outcomes[idx], out);
+                    if let Some(plan) = &exec_opts.cascade {
+                        self.observe_tier(plan, &query.name, &out.opt);
                     }
-                    LogicalOp::LlmAggregate { query, .. } => {
-                        let out = self.run_stage_batch(
-                            &mut sessions[idx],
-                            &mut esc_sessions[idx],
-                            table,
-                            &rows,
-                            query,
-                            fds,
-                            truth,
-                            pipelined.then_some(ready),
-                            cascade_for[idx],
-                        )?;
-                        if pipelined {
-                            ready = sessions[idx].as_ref().map_or(ready, |s| s.clock());
-                            data.stage_done_s[idx] = ready;
+                    self.note_failed_rows(query, &out, &mut notes);
+                    match op {
+                        LogicalOp::LlmFilter { negated, .. } => {
+                            let label = query.predicate_label.as_deref().unwrap_or_else(|| {
+                                unreachable!("filter queries carry a predicate label")
+                            });
+                            let offered = rows.len() as u64;
+                            rows = out
+                                .outputs
+                                .iter()
+                                .filter(|o| (o.text == label) != *negated)
+                                .map(|o| o.row)
+                                .collect();
+                            if adaptive {
+                                tracker.observe(idx, rows.len() as u64, offered);
+                            }
                         }
-                        if cascade_for[idx].is_some() {
-                            self.observe_tier(&query.name, &out.opt);
+                        LogicalOp::LlmProject { .. } => {
+                            for o in &out.outputs {
+                                emitted.push((o.row, Some(o.text.clone())));
+                            }
                         }
-                        self.note_failed_rows(query, &out, &mut notes);
-                        accumulate(&mut outcomes[idx], out);
+                        // An aggregate folds its outputs when the stage
+                        // finishes.
+                        _ => {}
                     }
-                    LogicalOp::Project { .. } => {
-                        emitted.extend(rows.iter().map(|&r| (r, None)));
+                    stage.outcome.absorb(out);
+                } else {
+                    match op {
+                        LogicalOp::SqlFilter { pred } => rows = filter_sql(table, &rows, pred)?,
+                        LogicalOp::Project { .. } => {
+                            emitted.extend(rows.iter().map(|&r| (r, None)));
+                        }
+                        LogicalOp::Limit { .. } => {}
+                        _ => unreachable!("scan is always ops[0], outside the schedule"),
                     }
-                    LogicalOp::Limit { .. } => {}
                 }
                 data.node_rows[idx].0 += node_offered;
                 data.node_rows[idx].1 += rows.len() as u64;
@@ -1476,11 +1398,9 @@ impl<'a> SqlRunner<'a> {
                     ops,
                     &tracker,
                     &mut exec_order,
-                    &mut outcomes,
+                    &mut stages,
                     batch_no,
                     &mut notes,
-                    &cascade_for,
-                    &sessions,
                 );
             }
             // Size the next batch: aim at the limit through the observed
@@ -1490,11 +1410,7 @@ impl<'a> SqlRunner<'a> {
                 let remaining = limit
                     .unwrap_or_else(|| unreachable!("lazy requires a limit"))
                     .saturating_sub(emitted.len());
-                tracker.next_batch_size(
-                    remaining,
-                    self.opt.lazy_batch_min,
-                    candidates.len() - start,
-                )
+                tracker.next_batch_size(remaining, LAZY_BATCH_MIN, candidates.len() - start)
             } else {
                 None
             };
@@ -1525,72 +1441,52 @@ impl<'a> SqlRunner<'a> {
         // LIMIT-early-stop savings: candidates the scan never reached are
         // attributed to the first LLM operator in final execution order, so
         // `rows_in + rows_skipped` reconciles with full materialization.
-        if start < candidates.len() {
-            let skipped = (candidates.len() - start) as u64;
-            if let Some(&idx) = exec_order.iter().find(|&&i| {
-                matches!(
-                    ops[i],
-                    LogicalOp::LlmFilter { .. }
-                        | LogicalOp::LlmProject { .. }
-                        | LogicalOp::LlmAggregate { .. }
-                )
-            }) {
-                outcomes[idx]
-                    .get_or_insert_with(StageOutcome::default)
-                    .opt
-                    .rows_skipped += skipped;
-            }
-        }
+        let skipped = (candidates.len() - start) as u64;
+        let first_llm = exec_order
+            .iter()
+            .copied()
+            .find(|&i| ops[i].llm_query().is_some());
 
-        // Statement makespan under pipelined execution: all stages share
-        // one timeline, so the statement is done when the slowest stage is.
+        // Finalize per-operator stages in final execution order. An
+        // operator no batch reached never opened a stage and reports
+        // defaults. All stages share one timeline, so a pipelined statement
+        // is done when its slowest stage is.
+        let mut outputs = Vec::new();
+        let mut aggregate = None;
+        let (mut makespan, mut fanout) = (0.0f64, 1);
+        for &idx in &exec_order {
+            let Some(query) = ops[idx].llm_query() else {
+                continue;
+            };
+            let solver = self.reorderer.name();
+            let mut output = match stages[idx].take() {
+                Some(stage) => {
+                    data.stage_done_s[idx] = stage.clock();
+                    makespan = makespan.max(stage.clock());
+                    fanout = fanout.max(stage.engine.replicas());
+                    stage.finish(solver)
+                }
+                None => StageOutcome::default().into_query_output(
+                    query,
+                    solver,
+                    EngineReport::default(),
+                ),
+            };
+            if first_llm == Some(idx) {
+                output.report.opt.rows_skipped += skipped;
+            }
+            if matches!(ops[idx], LogicalOp::LlmAggregate { .. }) {
+                aggregate = output.aggregate;
+            }
+            data.stage_of[idx] = Some(outputs.len());
+            outputs.push(output);
+        }
         if pipelined {
-            let makespan = sessions
-                .iter()
-                .flatten()
-                .chain(esc_sessions.iter().flatten())
-                .map(StageEngine::clock)
-                .fold(0.0, f64::max);
             data.pipeline_makespan_s = Some(makespan);
-            let replicas = sessions
-                .iter()
-                .flatten()
-                .map(StageEngine::replicas)
-                .max()
-                .unwrap_or(1);
             notes.push(format!(
-                "pipelined execution: {batch_no} micro-batch(es), {replicas} \
+                "pipelined execution: {batch_no} micro-batch(es), {fanout} \
                  replica(s) per stage, statement makespan {makespan:.2}s",
             ));
-        }
-
-        // Finalize per-operator stages in final execution order.
-        let mut stages = Vec::new();
-        let mut aggregate = None;
-        for &idx in &exec_order {
-            let query = match &ops[idx] {
-                LogicalOp::LlmFilter { query, .. }
-                | LogicalOp::LlmProject { query, .. }
-                | LogicalOp::LlmAggregate { query, .. } => query,
-                _ => continue,
-            };
-            let outcome = outcomes[idx].take().unwrap_or_default();
-            let engine = sessions[idx]
-                .take()
-                .map(StageEngine::finish)
-                .unwrap_or_default();
-            // The expensive tier's serving volume is already in the tier
-            // fields of the outcome's `OptStats`; the stage report's engine
-            // section covers the cheap tier (the session every row ran on).
-            if let Some(esc) = esc_sessions[idx].take() {
-                esc.finish();
-            }
-            let stage = outcome.into_query_output(query, self.reorderer.name(), engine);
-            if matches!(ops[idx], LogicalOp::LlmAggregate { .. }) {
-                aggregate = stage.aggregate;
-            }
-            data.stage_of[idx] = Some(stages.len());
-            stages.push(stage);
         }
 
         // Materialize the SELECT list.
@@ -1655,7 +1551,7 @@ impl<'a> SqlRunner<'a> {
                 columns,
                 rows,
                 aggregate,
-                stages,
+                stages: outputs,
                 notes,
             },
             data,
@@ -1671,23 +1567,18 @@ impl<'a> SqlRunner<'a> {
     ///
     /// With a cascade configured, each operator's dollar rank is folded
     /// with what execution has actually shown: the cascade's expected
-    /// cost ratio (posterior escalation rate), the *observed* dedup factor
-    /// (issued requests per offered row — duplicate-heavy operators are
-    /// cheaper per row than their estimate), and the operator's simulated
-    /// step-time weighted at [`CascadeConfig::time_weight`] dollars per
-    /// second — the $-cost/JCT pareto knob. With `cascade: None` the rank
-    /// is the pure-dollar PR-5 rule, unchanged.
-    #[allow(clippy::too_many_arguments)]
+    /// cost ratio (posterior escalation rate) and the *observed* dedup
+    /// factor (issued requests per offered row — duplicate-heavy operators
+    /// are cheaper per row than their estimate). With `cascade: None` the
+    /// rank is the pure-dollar PR-5 rule, unchanged.
     fn rerank_schedule(
         &self,
         ops: &[LogicalOp],
         tracker: &SelectivityTracker,
         exec_order: &mut [usize],
-        outcomes: &mut [Option<StageOutcome>],
+        stages: &mut [Option<Stage<'_>>],
         batch_no: u32,
         notes: &mut Vec<String>,
-        cascade_for: &[Option<CascadePlan>],
-        sessions: &[Option<StageEngine>],
     ) {
         let slots: Vec<usize> = (0..exec_order.len())
             .filter(|&s| matches!(ops[exec_order[s]], LogicalOp::LlmFilter { .. }))
@@ -1695,49 +1586,42 @@ impl<'a> SqlRunner<'a> {
         if slots.len() < 2 {
             return;
         }
-        // (rank multiplier, additive time term) per plan op — identity
-        // unless a cascade is configured.
-        let mut adjust: Vec<(f64, f64)> = vec![(1.0, 0.0); ops.len()];
+        // Rank multiplier per plan op — identity unless a cascade is
+        // configured. Every scheduled operator has run the batches so far,
+        // so its stage is open.
+        let mut factor = vec![1.0f64; ops.len()];
         if let Some(cc) = self.opt.cascade {
             for &s in &slots {
                 let idx = exec_order[s];
-                let LogicalOp::LlmFilter {
-                    est: Some(e),
-                    query,
-                    ..
-                } = &ops[idx]
+                let (
+                    LogicalOp::LlmFilter {
+                        est: Some(e),
+                        query,
+                        ..
+                    },
+                    Some(stage),
+                ) = (&ops[idx], &stages[idx])
                 else {
                     continue;
                 };
-                let mut factor = 1.0;
-                if cascade_for[idx].is_some() {
-                    let single = cc
-                        .plan
-                        .single_tier_per_row_cost(e.prompt_tokens_per_row, e.output_tokens_per_row);
-                    if single > 0.0 {
-                        let esc_rate = self
-                            .tier_posteriors
-                            .borrow()
-                            .get(&query.name)
-                            .map_or(cc.plan.escalate_below, TierPosterior::escalation_rate);
-                        factor *= cc.plan.expected_per_row_cost(
-                            e.prompt_tokens_per_row,
-                            e.output_tokens_per_row,
-                            esc_rate,
-                        ) / single;
-                    }
+                let single = cc
+                    .plan
+                    .single_tier_per_row_cost(e.prompt_tokens_per_row, e.output_tokens_per_row);
+                if single > 0.0 {
+                    let esc_rate = self
+                        .tier_posteriors
+                        .borrow()
+                        .get(&query.name)
+                        .map_or(cc.plan.escalate_below, TierPosterior::escalation_rate);
+                    factor[idx] *= cc.plan.expected_per_row_cost(
+                        e.prompt_tokens_per_row,
+                        e.output_tokens_per_row,
+                        esc_rate,
+                    ) / single;
                 }
-                let mut time_term = 0.0;
-                if let Some(o) = &outcomes[idx] {
-                    let offered = o.opt.rows_in.saturating_sub(o.opt.cache_hits).max(1);
-                    factor *= o.opt.llm_calls as f64 / offered as f64;
-                    if cc.time_weight > 0.0 {
-                        if let Some(sess) = &sessions[idx] {
-                            time_term = cc.time_weight * sess.clock() / o.opt.rows_in.max(1) as f64;
-                        }
-                    }
-                }
-                adjust[idx] = (factor, time_term);
+                let o = &stage.outcome.opt;
+                let offered = o.rows_in.saturating_sub(o.cache_hits).max(1);
+                factor[idx] *= o.llm_calls as f64 / offered as f64;
             }
         }
         let rank_of = |idx: usize| -> f64 {
@@ -1749,7 +1633,7 @@ impl<'a> SqlRunner<'a> {
                         (Some(e), None) => e.rank(&self.pricing),
                         (None, _) => return f64::INFINITY,
                     };
-                    base * adjust[idx].0 + adjust[idx].1
+                    base * factor[idx]
                 }
                 _ => unreachable!("slots hold LLM filters only"),
             }
@@ -1784,10 +1668,9 @@ impl<'a> SqlRunner<'a> {
         }
         for (&slot, &idx) in slots.iter().zip(&ranked) {
             if exec_order[slot] != idx {
-                outcomes[idx]
-                    .get_or_insert_with(StageOutcome::default)
-                    .opt
-                    .reranks += 1;
+                if let Some(stage) = &mut stages[idx] {
+                    stage.outcome.opt.reranks += 1;
+                }
             }
             exec_order[slot] = idx;
         }
@@ -1813,97 +1696,6 @@ impl<'a> SqlRunner<'a> {
                 .add(out.failed_rows.len() as u64);
         }
     }
-
-    /// Runs one LLM operator over one batch of rows, opening the operator's
-    /// stage engine on first use (a replica group when pipelined fan-out is
-    /// configured, a single session otherwise). `ready` is the shared-
-    /// timeline instant the batch became available — `Some` only under
-    /// pipelined execution, where idle stages fast-forward to it before
-    /// running. When `cascade` is set, an escalation stage engine is opened
-    /// alongside the cheap-tier session (same replica fan-out) and rows
-    /// whose cheap-tier confidence falls below the threshold replay there.
-    #[allow(clippy::too_many_arguments)]
-    fn run_stage_batch(
-        &self,
-        session: &mut Option<StageEngine>,
-        esc_session: &mut Option<StageEngine>,
-        table: &Table,
-        rows: &[usize],
-        query: &LlmQuery,
-        fds: &FunctionalDeps,
-        truth: &dyn Fn(usize) -> String,
-        ready: Option<f64>,
-        cascade: Option<CascadePlan>,
-    ) -> Result<StageOutcome, SqlError> {
-        let replicas = if self.opt.pipeline {
-            self.opt.pipeline_replicas.max(1)
-        } else {
-            1
-        };
-        if session.is_none() {
-            *session = Some(
-                StageEngine::open(self.executor.engine(), replicas).map_err(ExecError::Engine)?,
-            );
-        }
-        if cascade.is_some() && esc_session.is_none() {
-            *esc_session = Some(
-                StageEngine::open(self.executor.engine(), replicas).map_err(ExecError::Engine)?,
-            );
-        }
-        let session = match session.as_mut() {
-            Some(s) => s,
-            None => unreachable!("session created above"),
-        };
-        if let Some(t) = ready {
-            session.advance_to(t);
-        }
-        let started_s = session.clock();
-        let out = self.executor.run_llm_rows(
-            session,
-            esc_session.as_mut(),
-            table,
-            rows,
-            query,
-            self.reorderer,
-            fds,
-            truth,
-            ExecOptions {
-                dedup: self.opt.dedup,
-                answer_cache: self.opt.answer_cache,
-                faults: self.opt.faults,
-                cascade,
-            },
-        )?;
-        if llmqo_obs::enabled() {
-            // Executor phase span on the SQL lane: one span per operator
-            // batch, on the operator's own session timeline.
-            llmqo_obs::tracer().complete(
-                0,
-                0,
-                &format!("op.{}", query.name),
-                "executor",
-                started_s,
-                session.clock() - started_s,
-                &[
-                    ("rows", llmqo_obs::ArgValue::from(rows.len())),
-                    ("llm_calls", llmqo_obs::ArgValue::from(out.opt.llm_calls)),
-                ],
-            );
-            llmqo_obs::registry().counter("sql.stage_batches").inc();
-            llmqo_obs::registry()
-                .counter("sql.llm_calls")
-                .add(out.opt.llm_calls);
-            if out.opt.rows_cheap + out.opt.rows_escalated > 0 {
-                llmqo_obs::registry()
-                    .counter("sql.cascade_rows_cheap")
-                    .add(out.opt.rows_cheap);
-                llmqo_obs::registry()
-                    .counter("sql.cascade_rows_escalated")
-                    .add(out.opt.rows_escalated);
-            }
-        }
-        Ok(out)
-    }
 }
 
 fn on_off(flag: bool) -> &'static str {
@@ -1926,14 +1718,6 @@ fn filter_sql(table: &Table, rows: &[usize], pred: &SqlPredicate) -> Result<Vec<
         .copied()
         .filter(|&r| pred.eval(table.value(r, col)))
         .collect())
-}
-
-/// Folds a batch outcome into an operator's accumulator.
-fn accumulate(slot: &mut Option<StageOutcome>, out: StageOutcome) {
-    match slot {
-        Some(acc) => acc.absorb(out),
-        None => *slot = Some(out),
-    }
 }
 
 #[cfg(test)]

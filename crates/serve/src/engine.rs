@@ -153,8 +153,8 @@ pub enum EngineError {
         /// Total capacity in blocks.
         capacity_blocks: usize,
     },
-    /// A structurally unusable configuration (e.g. a zero-replica
-    /// [`SessionGroup`](crate::SessionGroup)).
+    /// A structurally unusable configuration. Reserved for callers that
+    /// match on it: nothing in this crate returns it at present.
     InvalidConfig {
         /// What is wrong.
         reason: &'static str,

@@ -60,7 +60,6 @@
 mod cache;
 mod engine;
 mod fault;
-mod group;
 mod hardware;
 mod labeler;
 mod model;
@@ -75,7 +74,6 @@ pub use cache::{
 };
 pub use engine::{Deployment, EngineConfig, EngineError, EngineReport, SimEngine, SimRequest};
 pub use fault::{confidence_unit, fault_unit, CONFIDENCE_DRAW};
-pub use group::SessionGroup;
 pub use hardware::{GpuCluster, GpuSpec};
 pub use labeler::{GenRequest, KeyFieldPreference, ModelProfile, OracleLlm, SimLlm};
 pub use model::ModelSpec;

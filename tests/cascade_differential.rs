@@ -229,6 +229,58 @@ fn explain_renders_cascade_annotations_only_when_cascaded() {
     }
 }
 
+/// Every `<marker>N.NNs` figure of an `EXPLAIN ANALYZE` rendering.
+fn seconds_after(text: &str, marker: &str) -> Vec<f64> {
+    text.split(marker)
+        .skip(1)
+        .map(|rest| {
+            let figure = rest.split('s').next().unwrap();
+            figure
+                .parse()
+                .unwrap_or_else(|_| panic!("{marker}{figure}"))
+        })
+        .collect()
+}
+
+/// Sim causality under `pipeline` + `cascade`: a stage hands a micro-batch
+/// downstream only once its escalated rows are answered, i.e. at the later
+/// of its two tiers' clocks. So no node is `done` after the statement's
+/// makespan, the last-finishing node is `done` exactly at it, and the rows
+/// are the sequential cascaded run's.
+#[test]
+fn pipelined_cascade_hands_off_when_the_expensive_tier_has_answered() {
+    let ds = Dataset::generate_with_rows(DatasetId::Movies, 120);
+    let cascade = CascadeConfig::new(CascadePlan::mini_to_sonnet(0.5, 7));
+    let sequential = OptimizerConfig::cascaded(cascade);
+    let mut pipelined = OptimizerConfig::pipelined(1);
+    pipelined.pipeline_batch_rows = 16;
+    pipelined.cascade = Some(cascade);
+    for sql in &common::generic_statements(&ds)[..2] {
+        let analyzed = run_sql(&ds, &format!("EXPLAIN ANALYZE {sql}"), pipelined, "t");
+        let text = rendering(&analyzed);
+        let escalated: u64 = analyzed
+            .stages
+            .iter()
+            .map(|s| s.report.opt.rows_escalated)
+            .sum();
+        assert!(escalated > 0, "nothing escalated:\n{text}");
+        let makespan = seconds_after(&text, ", makespan ")[0];
+        let done = seconds_after(&text, ", done ");
+        assert_eq!(done.len(), analyzed.stages.len(), "{text}");
+        assert!(
+            done.iter().all(|&d| d <= makespan),
+            "a node is done after the makespan:\n{text}"
+        );
+        assert!(
+            done.contains(&makespan),
+            "no node is done at the makespan — labels were handed off before \
+             the expensive tier produced them:\n{text}"
+        );
+        let rows = run_sql(&ds, sql, pipelined, "t");
+        assert_same_results(&rows, &run_sql(&ds, sql, sequential, "t"), sql);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 

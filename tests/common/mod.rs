@@ -272,6 +272,9 @@ pub struct MatrixEntry {
 pub fn seeded_config_matrix(seed: u64) -> Vec<MatrixEntry> {
     let mut pipelined = OptimizerConfig::pipelined(3);
     pipelined.pipeline_batch_rows = 16;
+    // Micro-batching on single-replica stages: no routing, no prefix keys.
+    let mut pipelined_solo = OptimizerConfig::pipelined(1);
+    pipelined_solo.pipeline_batch_rows = 16;
     // A cheap tier that is always right: never escalating still equals the
     // oracle, isolating the cascade *machinery* from cheap-model error.
     let perfect_cheap = {
@@ -298,6 +301,11 @@ pub fn seeded_config_matrix(seed: u64) -> Vec<MatrixEntry> {
         MatrixEntry {
             label: "pipelined",
             opt: pipelined,
+            exact: true,
+        },
+        MatrixEntry {
+            label: "pipelined-solo",
+            opt: pipelined_solo,
             exact: true,
         },
         MatrixEntry {

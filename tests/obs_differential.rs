@@ -126,6 +126,42 @@ fn trace_export_is_byte_deterministic() {
     llmqo_obs::validate_json(&exports[0]).expect("trace JSON well-formed");
 }
 
+/// Trace lanes follow a stage's replica count: a pipelined statement on
+/// single-replica stages keeps every event on lane 0 (the SQL lane) and
+/// names no lane, exactly like the classic relay; with three replicas per
+/// stage, replica `i` reports on lane `i + 1` and names it.
+#[test]
+fn single_replica_stages_stay_on_lane_zero_and_name_no_lane() {
+    let _g = lock();
+    let ds = Dataset::generate_with_rows(llmqo::datasets::DatasetId::Movies, 60);
+    let (_, name, sql) = common::seven_dataset_cases()[0];
+    let traced = |replicas: usize| {
+        llmqo_obs::set_enabled(true);
+        llmqo_obs::registry().reset();
+        llmqo_obs::tracer().clear();
+        let opt = OptimizerConfig::pipelined(replicas);
+        common::run_sql_with_truth(&ds, sql, opt, name, &skewed_truth);
+        llmqo_obs::set_enabled(false);
+        llmqo_obs::tracer().export_chrome_json()
+    };
+    let solo = traced(1);
+    assert!(solo.contains("\"name\":\"op.sql-where-movies\""), "{solo}");
+    assert!(!solo.contains("process_name"), "a lane was named:\n{solo}");
+    assert_eq!(
+        solo.matches("\"pid\":").count(),
+        solo.matches("\"pid\":0,").count(),
+        "an event left lane 0"
+    );
+    let fanned = traced(3);
+    for replica in 0..3 {
+        let lane = format!(
+            "\"pid\":{},\"tid\":0,\"args\":{{\"name\":\"replica {replica}\"}}",
+            replica + 1
+        );
+        assert!(fanned.contains(&lane), "replica {replica} has no lane");
+    }
+}
+
 /// The text expositions round-trip: Prometheus text parses back into the
 /// samples that produced it, and the JSON snapshot is well-formed.
 #[test]
