@@ -21,11 +21,14 @@
 //!   below LLM operators and rank LLM filters by cost/(1−selectivity)
 //!   (priced via `llmqo-costmodel`), and the batched physical executor adds
 //!   exact request deduplication and lazy `LIMIT` evaluation — provably
-//!   without changing results.
+//!   without changing results. The front end (`sql`) is split along its
+//!   data flow: `sql/lex` → `sql/parse` ([`parse_sql`], the AST) →
+//!   `sql/compile` (statement → plan) → the batch loop in `sql`, whose
+//!   batch boundaries and re-ranks are `sql/schedule`'s and whose
+//!   `EXPLAIN [ANALYZE]` renderings are `sql/explain`'s.
 //! * [`adaptive`] — runtime re-optimization: a [`SelectivityTracker`]
 //!   feeds observed per-filter pass rates (Beta-smoothed over the static
-//!   prior) back into the ranking between batches, lazy-`LIMIT` batches
-//!   aim at `ceil(remaining / observed_selectivity)`, and an
+//!   prior) back into the ranking and the batch sizes between batches, and an
 //!   [`AnswerCache`] on the executor short-circuits every repeated prompt
 //!   across batches, operators, and successive queries.
 //!

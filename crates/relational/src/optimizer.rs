@@ -309,17 +309,15 @@ pub struct OptimizerConfig {
     /// predicates by ascending cost/(1−selectivity) rank.
     pub reorder: bool,
     /// `LIMIT`-driven lazy evaluation: issue LLM requests in growing batches
-    /// and stop once the limit is satisfied.
+    /// and stop once the limit is satisfied. Batch sizes are the *lazy* rows
+    /// of the batch-schedule table in `docs/ARCHITECTURE.md`.
     pub lazy_limit: bool,
     /// Adaptive runtime re-optimization: track observed LLM-filter pass
-    /// rates batch by batch (Beta-smoothed over the static prior), re-rank
-    /// remaining LLM filters between batches, size lazy-`LIMIT` batches at
-    /// `ceil(remaining / observed_pipeline_selectivity)` (doubling only as
-    /// fallback), and — when [`answer_cache`](OptimizerConfig::answer_cache)
-    /// is also on, which preserves cross-batch request sharing — run
-    /// multi-LLM-filter statements in growing pilot batches even without a
-    /// `LIMIT` so a mis-ranked order is corrected after the first batch.
-    /// See [`crate::SelectivityTracker`].
+    /// rates batch by batch (Beta-smoothed over the static prior, see
+    /// [`crate::SelectivityTracker`]), re-rank remaining LLM filters
+    /// between batches, and let the batch schedule aim lazy batches at the
+    /// limit and run pilot batches (`docs/ARCHITECTURE.md`, "The batch
+    /// schedule").
     pub adaptive: bool,
     /// Session-scoped exact answer cache: a prompt (instruction +
     /// serialized projected fields) ever submitted on this executor is
@@ -351,9 +349,10 @@ pub struct OptimizerConfig {
     /// session whatever this says, and `EXPLAIN` prints it only on the
     /// `-- pipeline:` line.
     pub pipeline_replicas: usize,
-    /// Micro-batch size (rows) when [`pipeline`](OptimizerConfig::pipeline)
-    /// is on and neither lazy-`LIMIT` nor pilot batching already dictates a
-    /// schedule. Smaller batches overlap more at higher per-batch overhead.
+    /// Micro-batch size (rows) of the *pipelined only* row of the
+    /// batch-schedule table in `docs/ARCHITECTURE.md`; a lazy or pilot
+    /// schedule ignores it. Smaller batches overlap more at higher
+    /// per-batch overhead.
     pub pipeline_batch_rows: usize,
     /// SELECT-list projection pruning: LLM calls whose field list came from
     /// a `*` expansion drop columns that neither the SELECT list nor any

@@ -5,7 +5,8 @@
 //! reports show the runtime wins: mid-query re-ranking under skewed
 //! selectivities, `ceil(remaining / observed_selectivity)` LIMIT batches,
 //! over-90% answer-cache hit rates on repeated queries, and `OptStats`
-//! accounting that reconciles with engine request counts.
+//! accounting that reconciles with engine request counts. Also here:
+//! tracker-convergence and answer-cache-safety proptests.
 
 mod common;
 

@@ -9,7 +9,9 @@
 //! [`StatementFaults`] match fault-free execution on all seven tier-1
 //! datasets, and degraded statements fail *gracefully* — partial results
 //! with per-row annotations, or a clean typed error. Never a panic, never a
-//! lost request.
+//! lost request. Macro-stepped and single-stepped chaos runs agree, also
+//! over random plan / policy / router combinations, and a crash with a
+//! retry budget loses zero requests.
 //!
 //! Also here: proptests pinning the retry-insensitive router contract (all
 //! four built-in routers are pure functions of their snapshots — see the

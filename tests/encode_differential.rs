@@ -17,7 +17,8 @@
 //!   (numbers pinned at the parent commit);
 //! * a budgeted `AnswerCache` evicts the victims the `BTreeMap` LRU did, and
 //!   exports and counts as it did, under the multiply-mix hasher too;
-//! * a lazy `LIMIT` tokenizes the rows it touches, not the table.
+//! * a lazy `LIMIT` tokenizes the rows it touches, not the table;
+//! * plan-time estimates read from dictionary slots equal recounted ones.
 //!
 //! The last test flips the process-global `llmqo_obs` gate and reads a
 //! global counter, so it takes [`OBS`] exclusively; every other test that

@@ -5,7 +5,8 @@
 //! completions, and SQL results on all seven tier-1 datasets — and the
 //! sinks themselves must be trustworthy: histogram quantiles track the
 //! exact [`percentile`](llmqo::serve::percentile) within the log-bucket
-//! resolution, and the sim-time trace exporter is byte-deterministic.
+//! resolution, the Prometheus text export round-trips, and the sim-time
+//! trace exporter is byte-deterministic.
 //!
 //! Tests that flip the global `llmqo_obs` enabled flag or touch the global
 //! registry/tracer serialize on one mutex — `cargo test` runs test

@@ -5,7 +5,8 @@
 //! the optimizations-off oracle on every tier-1 dataset. Likewise,
 //! macro-stepping a backpressured cluster phase to the next known timed
 //! event must reproduce the single-stepped schedule bit for bit under all
-//! four built-in routers, while actually taking macro-steps.
+//! four built-in routers, while actually taking macro-steps. And
+//! projection pruning never changes results while shrinking prompts.
 
 mod common;
 
