@@ -45,19 +45,6 @@ fn bench_engine(c: &mut Criterion) {
         );
         b.iter(|| engine.run(&reqs).unwrap())
     });
-    // The frozen pre-rewrite per-token loop, as a before/after arm (the
-    // `perf_engine` bin measures the same comparison at larger scales).
-    group.bench_function("reference-session", |b| {
-        let engine = SimEngine::new(deployment.clone(), EngineConfig::default());
-        b.iter(|| {
-            let mut s = engine.reference_session().unwrap();
-            for r in &reqs {
-                s.enqueue(r.clone());
-            }
-            while s.step().unwrap() {}
-            s.finish()
-        })
-    });
     group.finish();
 }
 

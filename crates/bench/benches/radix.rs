@@ -3,11 +3,9 @@
 //! per-request cost on a reordered batch.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use llmqo_core::{Ggr, Reorderer};
+use llmqo_bench::harness;
 use llmqo_datasets::{Dataset, DatasetId};
-use llmqo_relational::{encode_table, plan_requests, project_fds, QueryKind};
-use llmqo_serve::{CacheConfig, ChainHasher, PrefixCache};
-use llmqo_tokenizer::Tokenizer;
+use llmqo_serve::{CacheConfig, ChainHasher, PrefixCache, SimRequest};
 
 fn config(capacity_blocks: usize) -> CacheConfig {
     CacheConfig {
@@ -87,13 +85,10 @@ fn bench_eviction_churn(c: &mut Criterion) {
 /// first few evicts the unshared suffix of an earlier one.
 fn bench_request_churn(c: &mut Criterion) {
     let ds = Dataset::generate_with_rows(DatasetId::Movies, 2000);
-    let query = ds.query_of_kind(QueryKind::Filter).expect("filter query");
-    let encoded = encode_table(&Tokenizer::new(), &ds.table, query).expect("encode");
-    let fds = project_fds(&ds.fds, &encoded.used_cols);
-    let solution = Ggr::default()
-        .reorder(&encoded.reorder, &fds)
-        .expect("solve");
-    let requests = plan_requests(&encoded, &solution.plan, query);
+    let requests: Vec<SimRequest> = harness::ggr_filter_requests(&ds)
+        .into_iter()
+        .map(|tagged| tagged.request)
+        .collect();
     let longest = requests
         .iter()
         .map(|r| r.prompt.iter().map(|f| f.len()).sum::<usize>())

@@ -1,16 +1,9 @@
 //! Criterion benches for the reordering solvers: GGR (paper configuration)
-//! against the fixed-order baselines and the frozen pre-columnar
-//! `GgrReference` on a realistic join-shaped table, plus OPHR (and its
-//! reference) on a small table (it is exponential; Table 6 covers larger
-//! samples). The reference arms keep the columnar core's speedup visible in
-//! every bench run; `perf_solver` writes the same comparison to
-//! `BENCH_solver.json`.
+//! against the fixed-order baselines on a realistic join-shaped table, plus
+//! OPHR on a small table (it is exponential; Table 6 covers larger samples).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use llmqo_core::{
-    FunctionalDeps, Ggr, GgrReference, Ophr, OphrReference, OriginalOrder, Reorderer, SortedFixed,
-    StatFixed,
-};
+use llmqo_core::{FunctionalDeps, Ggr, Ophr, OriginalOrder, Reorderer, SortedFixed, StatFixed};
 use llmqo_datasets::{Dataset, DatasetId};
 use llmqo_relational::{encode_table, project_fds, QueryKind};
 use llmqo_tokenizer::Tokenizer;
@@ -31,7 +24,6 @@ fn bench_solvers(c: &mut Criterion) {
         &OriginalOrder as &dyn Reorderer,
         &SortedFixed,
         &StatFixed,
-        &GgrReference::default(),
         &Ggr::default(),
     ] {
         group.bench_function(solver.name(), |b| {
@@ -64,9 +56,6 @@ fn bench_ophr_small(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("ophr", |b| {
         b.iter(|| Ophr::unbounded().reorder(&table, &fds).unwrap())
-    });
-    group.bench_function("ophr-reference", |b| {
-        b.iter(|| OphrReference::unbounded().reorder(&table, &fds).unwrap())
     });
     group.bench_function("ggr", |b| {
         b.iter(|| Ggr::default().reorder(&table, &fds).unwrap())

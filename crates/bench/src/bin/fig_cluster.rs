@@ -12,33 +12,13 @@
 //! ```
 
 use llmqo_bench::{harness, report};
-use llmqo_cluster::{
-    tag_requests, ClusterConfig, ClusterRequest, ClusterSim, LeastLoaded, PrefixAffinity,
-    RoundRobin, Router,
-};
-use llmqo_core::{Ggr, Reorderer};
+use llmqo_cluster::{ClusterConfig, ClusterSim, LeastLoaded, PrefixAffinity, RoundRobin, Router};
 use llmqo_datasets::DatasetId;
-use llmqo_relational::{encode_table, plan_requests, project_fds, QueryKind};
 use llmqo_serve::{EngineConfig, SimEngine};
-use llmqo_tokenizer::Tokenizer;
 
 fn main() {
     let id = DatasetId::Movies;
-    let ds = harness::load(id);
-    let query = ds
-        .query_of_kind(QueryKind::Filter)
-        .expect("movies has a filter query");
-
-    // GGR schedule + per-row prefix identities (depth 1: the leading
-    // scheduled field, which is the group GGR sorted on).
-    let encoded = encode_table(&Tokenizer::new(), &ds.table, query).expect("encode");
-    let fds = project_fds(&ds.fds, &encoded.used_cols);
-    let solution = Ggr::default()
-        .reorder(&encoded.reorder, &fds)
-        .expect("ggr never exceeds a budget");
-    let requests = plan_requests(&encoded, &solution.plan, query);
-    let keys = solution.plan.prefix_keys(&encoded.reorder, 1);
-    let tagged: Vec<ClusterRequest> = tag_requests(requests, &keys);
+    let tagged = harness::ggr_filter_requests(&harness::load(id));
 
     let engine = SimEngine::new(harness::deployment_8b(), EngineConfig::default());
     let single_phr = {

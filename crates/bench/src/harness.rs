@@ -1,11 +1,13 @@
 //! Shared measurement plumbing for the reproduction binaries.
 
+use llmqo_cluster::{tag_requests, ClusterRequest};
 use llmqo_core::{Ggr, OriginalOrder, Reorderer};
 use llmqo_datasets::{Dataset, DatasetId};
-use llmqo_relational::{ExecError, LlmQuery, QueryExecutor, QueryOutput};
-use llmqo_serve::{
-    Deployment, EngineConfig, GpuCluster, GpuSpec, ModelSpec, OracleLlm, SimEngine, SimLlm,
+use llmqo_relational::{
+    encode_table, plan_requests, project_fds, ExecError, LlmQuery, QueryExecutor, QueryKind,
+    QueryOutput,
 };
+use llmqo_serve::{Deployment, EngineConfig, GpuCluster, GpuSpec, ModelSpec, OracleLlm, SimEngine};
 use llmqo_tokenizer::Tokenizer;
 
 /// Scaling factor from the `LLMQO_SCALE` environment variable (default 1.0,
@@ -132,35 +134,26 @@ pub fn run_multi_method(
     )
 }
 
-/// Runs one query with a custom labeler (accuracy experiments).
-///
-/// # Errors
-///
-/// Propagates [`ExecError`] from the executor.
-pub fn run_with_llm(
-    ds: &Dataset,
-    query: &LlmQuery,
-    method: Method,
-    deployment: &Deployment,
-    llm: &dyn SimLlm,
-) -> Result<QueryOutput, ExecError> {
-    let config = match method {
-        Method::NoCache => EngineConfig::no_cache(),
-        _ => EngineConfig::default(),
-    };
-    let engine = SimEngine::new(deployment.clone(), config);
-    let executor = QueryExecutor::new(&engine, llm, Tokenizer::new());
-    let truth = ds.truth_fn(query);
-    match method {
-        Method::CacheGgr => executor.execute(&ds.table, query, &Ggr::default(), &ds.fds, &truth),
-        _ => executor.execute(&ds.table, query, &OriginalOrder, &ds.fds, &truth),
-    }
+/// The GGR-scheduled filter workload of `ds` as the cluster dispatcher sees
+/// it: one request per row in solver order, each tagged with its depth-1
+/// prefix key (the leading scheduled field, which is the group GGR sorted
+/// on).
+pub fn ggr_filter_requests(ds: &Dataset) -> Vec<ClusterRequest> {
+    let query = ds
+        .query_of_kind(QueryKind::Filter)
+        .expect("dataset has a filter query");
+    let encoded = encode_table(&Tokenizer::new(), &ds.table, query).expect("encode");
+    let fds = project_fds(&ds.fds, &encoded.used_cols);
+    let solution = Ggr::default()
+        .reorder(&encoded.reorder, &fds)
+        .expect("ggr never exceeds a budget");
+    let keys = solution.plan.prefix_keys(&encoded.reorder, 1);
+    tag_requests(plan_requests(&encoded, &solution.plan, query), &keys)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use llmqo_relational::QueryKind;
 
     #[test]
     fn scale_env_round_trips() {

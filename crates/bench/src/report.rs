@@ -1,8 +1,7 @@
 //! Plain-text table rendering for the reproduction binaries.
 //!
 //! Every binary prints its measurements next to the paper's reported values
-//! so divergence is visible at a glance; `EXPERIMENTS.md` records the
-//! results.
+//! so divergence is visible at a glance.
 
 /// Renders an aligned ASCII table.
 ///

@@ -28,9 +28,9 @@
 //!
 //! # Implementation notes (columnar core)
 //!
-//! This solver is plan-for-plan identical to the frozen
-//! [`GgrReference`](crate::GgrReference) transcription but engineered like a
-//! database operator: grouping scans the table's column-major
+//! This solver is plan-for-plan identical to the frozen direct transcription
+//! of Algorithm 1 (`tests/oracles/ggr.rs`) but engineered like a database
+//! operator: grouping scans the table's column-major
 //! [`col_values`](ReorderTable::col_values)/[`col_sq_lens`](ReorderTable::col_sq_lens)
 //! arrays, per-level `HashMap`s are replaced by an epoch-cleared
 //! [`SlotMap`](crate::scratch) whose dense slots carry the per-group

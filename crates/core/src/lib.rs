@@ -20,9 +20,11 @@
 //!   dependencies to pull correlated fields into the prefix, and falls back to
 //!   a statistics-chosen fixed ordering when recursion is stopped early.
 //! * [`OriginalOrder`], [`SortedFixed`], [`StatFixed`] — baselines.
-//! * [`GgrReference`], [`OphrReference`] — the frozen pre-optimization
-//!   transcriptions of both solvers, kept as differential-testing oracles
-//!   and benchmark baselines for the columnar solver core.
+//!
+//! Each algorithm ships once. The frozen pre-columnar transcriptions of both
+//! solvers — the oracles `tests/solver_differential.rs` compares plans and
+//! claimed PHC against — are test fixtures under `tests/oracles/`, built on
+//! this crate's public API.
 //!
 //! # Quick example
 //!
@@ -49,10 +51,8 @@
 mod baseline;
 mod fd;
 mod ggr;
-mod ggr_reference;
 mod intern;
 mod ophr;
-mod ophr_reference;
 mod order;
 mod partition;
 mod phc;
@@ -65,10 +65,8 @@ mod table;
 pub use baseline::{OriginalOrder, SortedFixed, StatFixed};
 pub use fd::FunctionalDeps;
 pub use ggr::{ggr_with_report, FallbackOrdering, Ggr, GgrConfig};
-pub use ggr_reference::GgrReference;
 pub use intern::{Interner, ValueId};
 pub use ophr::{Ophr, OphrConfig};
-pub use ophr_reference::OphrReference;
 pub use order::{adaptive_prefix_plan, greedy_prefix_order};
 pub use partition::Partitioned;
 pub use phc::{hit_prefix_cells, phc_of_plan, phc_of_rows, PhcReport};

@@ -17,9 +17,10 @@
 //!
 //! # Implementation notes (columnar core)
 //!
-//! Identical in results to the frozen [`OphrReference`](crate::OphrReference)
-//! transcription — all scoring is exact integer arithmetic, so the choice of
-//! data structures cannot shift any optimum — but engineered for throughput:
+//! Identical in results to the frozen pre-columnar transcription
+//! (`tests/oracles/ophr.rs`) — all scoring is exact integer arithmetic, so
+//! the choice of data structures cannot shift any optimum — but engineered
+//! for throughput:
 //! memo keys are interned (row-set, column-set) id pairs hashed with a
 //! multiply-xor hasher instead of per-call boxed bitsets under SipHash,
 //! candidate groups are materialized once per view by a stable counting sort

@@ -4,8 +4,9 @@
 //! readings are host noise and must never feed the sim-time tracer (a
 //! trace would stop being byte-reproducible). [`WallTimer`] therefore only
 //! ever lands in registry *histograms*, and only exists at all when the
-//! consumer (the bench crate's `perf_trace`) enables the feature — with it
-//! disabled, the type is zero-sized and every method compiles away.
+//! consumer (the bench crate, the end-to-end benchmark) enables the feature
+//! — with it disabled, the type is zero-sized and every method compiles
+//! away.
 
 use crate::metrics::Histogram;
 

@@ -48,8 +48,8 @@ use llmqo_tokenizer::TokenId;
 use std::sync::Arc;
 
 /// Depth (leading scheduled fields) of the reorder-plan prefix keys used
-/// for fan-out routing — the same fixed depth the cluster benches
-/// (`fig_cluster`, `perf_trace`) tag requests with.
+/// for fan-out routing — the same fixed depth the cluster bench
+/// (`fig_cluster`) tags requests with.
 pub(crate) const PREFIX_KEY_DEPTH: usize = 1;
 
 /// The engine one tier of an LLM operator runs on: `n ≥ 1` replica sessions

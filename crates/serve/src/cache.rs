@@ -410,8 +410,8 @@ pub struct CacheStats {
 /// Deliberately **not** part of [`CacheStats`]: the stats struct is
 /// byte-compared by every differential oracle, and these counters measure
 /// implementation work (map lookups, lazy-queue churn) that optimizations
-/// are allowed to change. The `perf_trace` bench and the benchmark's traced
-/// pass publish them into the `llmqo-obs` registry.
+/// are allowed to change. A finishing session publishes them into the
+/// `llmqo-obs` registry when the sinks are enabled.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheInternals {
     /// Hash-map lookups on the read path: chain positions a

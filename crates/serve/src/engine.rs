@@ -13,7 +13,6 @@ use crate::cache::ChainHasher;
 use crate::hardware::GpuCluster;
 use crate::model::ModelSpec;
 use crate::session::EngineSession;
-use crate::session_reference::SessionReference;
 use llmqo_tokenizer::TokenId;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -297,19 +296,6 @@ impl SimEngine {
     /// [`EngineSession::enqueue_chain`].
     pub fn chain_hasher(&self) -> ChainHasher {
         ChainHasher::new(self.config.block_size, self.config.enable_prefix_cache)
-    }
-
-    /// Opens a [`SessionReference`] — the frozen pre-rewrite per-token loop —
-    /// over this deployment. Exists for differential validation
-    /// (`tests/engine_differential.rs`) and the `perf_engine` before/after
-    /// benchmark; production drivers should use
-    /// [`session`](SimEngine::session).
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::ModelTooLarge`] if weights do not fit.
-    pub fn reference_session(&self) -> Result<SessionReference, EngineError> {
-        SessionReference::new(&self.deployment, self.config)
     }
 
     /// Runs the batch job to completion, processing `requests` in order.

@@ -22,8 +22,9 @@
 //!   completion time and the prefix hit rate (the paper's two headline
 //!   serving metrics). [`EngineSession`] drives the same loop
 //!   incrementally, macro-stepping steady-state decode runs into a scalar
-//!   recurrence; [`SessionReference`] is the frozen per-token loop kept as
-//!   the differential oracle.
+//!   recurrence. (The frozen per-token loop it must reproduce byte for byte
+//!   is a test fixture, `tests/oracles/session.rs`, built on this crate's
+//!   public API.)
 //! * [`ModelProfile`] / [`SimLlm`] — deterministic answer generation with
 //!   positional sensitivity for the accuracy study (Fig. 6).
 //!
@@ -65,7 +66,6 @@ mod labeler;
 mod model;
 pub mod obs;
 mod session;
-mod session_reference;
 
 #[doc(hidden)]
 pub use cache::with_root_salt;
@@ -78,4 +78,3 @@ pub use hardware::{GpuCluster, GpuSpec};
 pub use labeler::{GenRequest, KeyFieldPreference, ModelProfile, OracleLlm, SimLlm};
 pub use model::ModelSpec;
 pub use session::{percentile, Completion, EngineSession, SessionReport};
-pub use session_reference::SessionReference;

@@ -14,7 +14,7 @@
 //!   admit waiting requests lazily within the chunked-prefill token budget,
 //!   decode one token for every running sequence past prefill, advance the
 //!   clock by the roofline step time, retire finished sequences. This is the
-//!   per-token loop, unchanged from [`SessionReference`].
+//!   per-token loop, unchanged from the pre-rewrite engine.
 //! * [`step_until`](EngineSession::step_until) is the **event-driven** form:
 //!   when the batch is in steady-state decode — no prefill in flight, no
 //!   admissible waiting request, every sequence past its first token — the
@@ -30,7 +30,8 @@
 //! cache contents) except the clock, and the arithmetic replays the exact
 //! per-step accumulation order, so clocks, reports, and completions stay
 //! bit-identical to the per-token loop. `tests/engine_differential.rs`
-//! enforces this against the frozen [`SessionReference`].
+//! enforces this against the pre-rewrite loop, frozen verbatim as a test
+//! fixture (`tests/oracles/session.rs`).
 //!
 //! A request's prompt is hashed into its [`BlockChain`] once per placement:
 //! by the session's own [`ChainHasher`] in
@@ -45,8 +46,6 @@
 //! re-hashing the head-of-line prompt on every step it spends blocked behind
 //! backpressure, and admission moves the hashes into the sequence's
 //! allocation, so the session keeps no per-request chain once a request runs.
-//!
-//! [`SessionReference`]: crate::SessionReference
 
 use crate::cache::{BlockChain, CacheConfig, CacheStats, ChainHasher, PrefixCache, SeqAlloc};
 use crate::engine::{Deployment, EngineConfig, EngineError, EngineReport, SimRequest};
@@ -358,17 +357,6 @@ impl EngineSession {
     /// completion wins.
     pub fn completion_of(&self, id: usize) -> Option<&Completion> {
         self.completions.iter().rev().find(|c| c.id == id)
-    }
-
-    /// The deterministic confidence signal attached to request `id`'s
-    /// completion under `seed`, if the request has finished — the
-    /// model-tier-cascade hook: a cheap tier reports how sure it is of each
-    /// answer, and the executor escalates completions below its threshold.
-    /// Pure per `(seed, id)` (see [`crate::confidence_unit`]), so repeated
-    /// queries and replica fan-out observe identical confidences.
-    pub fn confidence_of(&self, id: usize, seed: u64) -> Option<f64> {
-        self.completion_of(id)
-            .map(|c| crate::fault::confidence_unit(seed, c.id as u64))
     }
 
     /// Total KV capacity in blocks.

@@ -1,7 +1,8 @@
 //! Differential contract of the event-driven engine rewrite: the
 //! macro-stepping [`EngineSession`] must produce **byte-identical**
 //! completions, reports, and cache statistics to [`SessionReference`] — the
-//! pre-rewrite per-token loop frozen verbatim — across cache modes,
+//! pre-rewrite per-token loop frozen verbatim in `tests/oracles/session.rs`
+//! and compiled into this suite only — across cache modes,
 //! chunked-prefill pressure, sequence-slot and KV backpressure, and
 //! mid-flight arrivals. The same pattern PR 2 used for the solvers
 //! (`tests/solver_differential.rs`).
@@ -24,6 +25,12 @@
 //! [`ClusterReport`]: llmqo::cluster::ClusterReport
 
 mod common;
+/// The frozen per-token loop, compiled into this suite only — verbatim, so
+/// with the accessors nothing here calls.
+#[allow(dead_code)]
+mod oracles {
+    pub mod session;
+}
 
 use common::engine_with as engine;
 use llmqo::cluster::{
@@ -31,12 +38,18 @@ use llmqo::cluster::{
     OverloadPolicy, PrefixAffinity, RetryPolicy,
 };
 use llmqo::serve::{
-    with_root_salt, BlockChain, ChainHasher, EngineConfig, EngineError, EngineSession,
-    SessionReference, SimRequest,
+    with_root_salt, BlockChain, ChainHasher, EngineConfig, EngineError, EngineSession, SimEngine,
+    SimRequest,
 };
 use llmqo::tokenizer::TokenId;
+use oracles::session::SessionReference;
 use proptest::prelude::*;
 use std::sync::Arc;
+
+/// The frozen loop over `e`'s deployment and config.
+fn reference_session(e: &SimEngine) -> SessionReference {
+    SessionReference::new(e.deployment(), *e.config()).unwrap()
+}
 
 /// Drains both loops to idle and asserts identical cache stats, reports,
 /// and completion streams.
@@ -174,7 +187,7 @@ proptest! {
     fn batch_jobs_match_reference(config in config_strategy(), reqs in workload_strategy()) {
         let e = engine(config);
         let mut session = e.session().unwrap();
-        let mut reference = e.reference_session().unwrap();
+        let mut reference = reference_session(&e);
         for r in &reqs {
             session.enqueue_ref(r);
             reference.enqueue(r.clone());
@@ -196,7 +209,7 @@ proptest! {
     ) {
         let e = engine(config);
         let mut session = e.session().unwrap();
-        let mut reference = e.reference_session().unwrap();
+        let mut reference = reference_session(&e);
         for r in &first {
             session.enqueue_ref(r);
             reference.enqueue(r.clone());
@@ -234,7 +247,7 @@ proptest! {
         let e = engine(config);
         let cut = split.min(reqs.len());
         let mut session = e.session().unwrap();
-        let mut reference = e.reference_session().unwrap();
+        let mut reference = reference_session(&e);
         let a = session.run_batch(&reqs[..cut]).unwrap().len();
         let b = reference.run_batch(&reqs[..cut]).unwrap().len();
         prop_assert_eq!(a, b);
@@ -258,7 +271,7 @@ fn kv_backpressure_blocked_heads_match_reference() {
             })
             .collect();
         let mut session = e.session().unwrap();
-        let mut reference = e.reference_session().unwrap();
+        let mut reference = reference_session(&e);
         for r in &reqs {
             session.enqueue_ref(r);
             reference.enqueue(r.clone());
@@ -270,22 +283,38 @@ fn kv_backpressure_blocked_heads_match_reference() {
 #[test]
 fn decode_heavy_lockstep_batches_match_reference() {
     // Uniform long outputs produce the deepest steady-state decode runs —
-    // the macro-stepper's best case must still be bit-identical.
-    let e = engine(EngineConfig::default());
-    let reqs: Vec<SimRequest> = (0..128)
-        .map(|i| {
-            let mut t: Vec<u32> = (0..160).collect();
-            t.extend((0..32u32).map(|j| 500_000 + i as u32 * 64 + j));
-            SimRequest::from_tokens(i, t, 256)
-        })
-        .collect();
-    let mut session = e.session().unwrap();
-    let mut reference = e.reference_session().unwrap();
-    for r in &reqs {
-        session.enqueue_ref(r);
-        reference.enqueue(r.clone());
+    // the macro-stepper's best case must still be bit-identical: on one
+    // batch that fits in KV memory, and on the serving shape of a reordered
+    // analytics job (10 000 requests of a 128-token shared prefix plus a
+    // 64-token tail, cache on and off), where KV pressure also keeps the
+    // admission queue's head blocked between the lockstep runs.
+    let lockstep = |n: usize, shared: u32, tail: u32| -> Vec<SimRequest> {
+        (0..n)
+            .map(|i| {
+                let mut t: Vec<u32> = (0..shared).collect();
+                t.extend((0..tail).map(|j| 500_000 + i as u32 * 64 + j));
+                SimRequest::from_tokens(i, t, 256)
+            })
+            .collect()
+    };
+    for (reqs, configs) in [
+        (lockstep(128, 160, 32), &[EngineConfig::default()][..]),
+        (
+            lockstep(10_000, 128, 64),
+            &[EngineConfig::default(), EngineConfig::no_cache()],
+        ),
+    ] {
+        for &config in configs {
+            let e = engine(config);
+            let mut session = e.session().unwrap();
+            let mut reference = reference_session(&e);
+            for r in &reqs {
+                session.enqueue_ref(r);
+                reference.enqueue(r.clone());
+            }
+            assert_drained_equal(session, reference);
+        }
     }
-    assert_drained_equal(session, reference);
 }
 
 #[test]
@@ -294,7 +323,7 @@ fn oversized_requests_error_identically() {
     let cap_tokens = e.deployment().kv_capacity_tokens(e.config()) as u32;
     let huge = SimRequest::from_tokens(7, (0..cap_tokens + 64).collect(), 1);
     let mut session = e.session().unwrap();
-    let mut reference = e.reference_session().unwrap();
+    let mut reference = reference_session(&e);
     session.enqueue_ref(&huge);
     reference.enqueue(huge.clone());
     let a = loop {
@@ -517,7 +546,7 @@ fn reordered_relational_workload_matches_reference() {
     for config in [EngineConfig::default(), EngineConfig::no_cache()] {
         let e = engine(config);
         let mut session = e.session().unwrap();
-        let mut reference = e.reference_session().unwrap();
+        let mut reference = reference_session(&e);
         for r in &requests {
             session.enqueue_ref(r);
             reference.enqueue(r.clone());

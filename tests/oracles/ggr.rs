@@ -5,28 +5,35 @@
 //! recursion level, `Vec::contains` rest-filtering, and row-major cell
 //! access. It is retained verbatim (including private copies of the
 //! fallback-ordering helpers it used, so later changes to
-//! [`crate::order`] cannot silently drift the oracle) for two reasons:
-//!
-//! 1. **Differential tests** assert that the optimized [`Ggr`](crate::Ggr)
-//!    produces byte-identical plans and claimed PHC on random and dataset
-//!    tables.
-//! 2. **Benchmarks** (`perf_solver`, `cargo bench`) report the speedup of
-//!    the columnar core against this implementation.
+//! `llmqo_core::order` cannot silently drift the oracle) so that
+//! `tests/solver_differential.rs` can assert the optimized
+//! [`Ggr`](llmqo::core::Ggr) produces byte-identical plans and claimed PHC
+//! on random and dataset tables. It is a test fixture: it compiles against
+//! `llmqo-core`'s public API only and ships in no release build.
 //!
 //! Do not "fix" or optimize this module; its value is being frozen.
 
-use crate::fd::FunctionalDeps;
-use crate::ggr::{FallbackOrdering, GgrConfig};
-use crate::plan::{ReorderPlan, RowPlan};
-use crate::solver::{check_fd_arity, Reorderer, Solution, SolveError};
-use crate::table::ReorderTable;
-use crate::ValueId;
+use llmqo::core::{
+    FallbackOrdering, FunctionalDeps, GgrConfig, ReorderPlan, ReorderTable, Reorderer, RowPlan,
+    Solution, SolveError, ValueId,
+};
 use std::collections::HashMap;
 use std::time::Instant;
 
+/// `llmqo-core`'s crate-private FD/table arity check, as every solver runs it.
+fn check_fd_arity(table: &ReorderTable, fds: &FunctionalDeps) -> Result<(), SolveError> {
+    if table.ncols() != fds.ncols() {
+        return Err(SolveError::FdArityMismatch {
+            table_cols: table.ncols(),
+            fd_cols: fds.ncols(),
+        });
+    }
+    Ok(())
+}
+
 /// The frozen greedy solver (Algorithm 1, pre-columnar transcription).
 ///
-/// Accepts the same [`GgrConfig`] as [`Ggr`](crate::Ggr) and must produce
+/// Accepts the same [`GgrConfig`] as [`Ggr`](llmqo::core::Ggr) and must produce
 /// the identical plan and claimed score for every configuration.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct GgrReference {
@@ -462,8 +469,7 @@ fn greedy_prefix_order_frozen(table: &ReorderTable, rows: &[u32], cols: &[u32]) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::phc::phc_of_plan;
-    use crate::table::Cell;
+    use llmqo::core::{phc_of_plan, Cell};
 
     fn table(rows: &[&[(u32, u32)]]) -> ReorderTable {
         let m = rows[0].len();

@@ -2,23 +2,33 @@
 //!
 //! [`OphrReference`] is the pre-columnar transcription of §4.1: per-call
 //! boxed-bitset memo keys, `HashMap` grouping at every node, and an O(n²)
-//! `Vec::contains` rest-filter. Retained verbatim so differential tests can
-//! prove the optimized [`Ophr`](crate::Ophr) returns identical plans and
-//! scores, and so benchmarks can report the speedup. Do not optimize this
-//! module; its value is being frozen.
+//! `Vec::contains` rest-filter. Retained verbatim so
+//! `tests/solver_differential.rs` can prove the optimized
+//! [`Ophr`](llmqo::core::Ophr) returns identical plans and scores. A test
+//! fixture over `llmqo-core`'s public API; it ships in no release build. Do
+//! not optimize this module; its value is being frozen.
 
-use crate::fd::FunctionalDeps;
-use crate::ophr::OphrConfig;
-use crate::plan::{ReorderPlan, RowPlan};
-use crate::solver::{check_fd_arity, Reorderer, Solution, SolveError};
-use crate::table::ReorderTable;
-use crate::ValueId;
+use llmqo::core::{
+    FunctionalDeps, OphrConfig, ReorderPlan, ReorderTable, Reorderer, RowPlan, Solution,
+    SolveError, ValueId,
+};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
+/// `llmqo-core`'s crate-private FD/table arity check, as every solver runs it.
+fn check_fd_arity(table: &ReorderTable, fds: &FunctionalDeps) -> Result<(), SolveError> {
+    if table.ncols() != fds.ncols() {
+        return Err(SolveError::FdArityMismatch {
+            table_cols: table.ncols(),
+            fd_cols: fds.ncols(),
+        });
+    }
+    Ok(())
+}
+
 /// The frozen exact solver (§4.1, pre-columnar transcription).
 ///
-/// Accepts the same [`OphrConfig`] as [`Ophr`](crate::Ophr) and must produce
+/// Accepts the same [`OphrConfig`] as [`Ophr`](llmqo::core::Ophr) and must produce
 /// the identical plan and claimed score whenever both finish in budget.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OphrReference {
@@ -261,8 +271,7 @@ fn bitset(indices: &[u32], words: usize) -> Box<[u64]> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::phc::phc_of_plan;
-    use crate::table::Cell;
+    use llmqo::core::{phc_of_plan, Cell};
 
     #[test]
     fn reference_is_exact_on_a_small_table() {

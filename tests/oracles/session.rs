@@ -8,15 +8,16 @@
 //! intentionally **not** optimized — its job is to define the semantics the
 //! macro-stepping [`EngineSession`] must reproduce byte for byte
 //! (`tests/engine_differential.rs`), the same contract the solver rewrite
-//! established with `GgrReference`/`OphrReference`.
+//! established with `GgrReference`/`OphrReference`. A test fixture over
+//! `llmqo-serve`'s public API; it ships in no release build.
 //!
-//! [`EngineSession`]: crate::EngineSession
+//! [`EngineSession`]: llmqo::serve::EngineSession
 
-use crate::cache::{CacheConfig, CacheStats, PrefixCache, SeqAlloc};
-use crate::engine::{Deployment, EngineConfig, EngineError, EngineReport, SimRequest};
-use crate::model::ModelSpec;
-use crate::session::{percentile, Completion, SessionReport};
-use llmqo_tokenizer::TokenId;
+use llmqo::serve::{
+    percentile, CacheConfig, CacheStats, Completion, Deployment, EngineConfig, EngineError,
+    EngineReport, ModelSpec, PrefixCache, SeqAlloc, SessionReport, SimRequest,
+};
+use llmqo::tokenizer::TokenId;
 use std::collections::VecDeque;
 
 struct Running {
@@ -30,8 +31,8 @@ struct Running {
 }
 
 /// The frozen per-token stepping loop. Construct with
-/// [`SimEngine::reference_session`](crate::SimEngine::reference_session);
-/// drive exactly like an [`EngineSession`](crate::EngineSession).
+/// [`SessionReference::new`] over an engine's deployment and config; drive
+/// exactly like an [`EngineSession`](llmqo::serve::EngineSession).
 pub struct SessionReference {
     model: ModelSpec,
     config: EngineConfig,
@@ -66,7 +67,12 @@ impl std::fmt::Debug for SessionReference {
 }
 
 impl SessionReference {
-    pub(crate) fn new(deployment: &Deployment, config: EngineConfig) -> Result<Self, EngineError> {
+    /// Opens the frozen loop over `deployment`.
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::ModelTooLarge`] if weights do not fit.
+    pub fn new(deployment: &Deployment, config: EngineConfig) -> Result<Self, EngineError> {
         let capacity_blocks = deployment.kv_capacity_blocks(&config);
         if capacity_blocks == 0 {
             return Err(EngineError::ModelTooLarge {
@@ -387,8 +393,7 @@ impl SessionReference {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::SimEngine;
-    use crate::hardware::{GpuCluster, GpuSpec};
+    use llmqo::serve::{GpuCluster, GpuSpec, SimEngine};
 
     #[test]
     fn reference_session_completes_a_batch() {
@@ -403,7 +408,7 @@ mod tests {
                 SimRequest::from_tokens(i, t, 3)
             })
             .collect();
-        let mut s = engine.reference_session().unwrap();
+        let mut s = SessionReference::new(engine.deployment(), *engine.config()).unwrap();
         let done = s.run_batch(&reqs).unwrap().len();
         assert_eq!(done, 20);
         let out = s.finish();

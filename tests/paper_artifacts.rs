@@ -70,7 +70,7 @@ fn table1_shapes_hold_for_scaled_generators() {
         // Generators are calibrated primarily to the paper's *hit rates*
         // (Table 2); with this repo's tokenizer that costs some input-length
         // fidelity, most visibly on Beer whose prompts are dominated by the
-        // fixed instruction. EXPERIMENTS.md discusses the trade-off.
+        // fixed instruction.
         assert!(
             (input_avg - target).abs() / target < 0.45,
             "{}: input_avg {input_avg:.0} vs paper {target} (>45% off)",

@@ -1,20 +1,31 @@
 //! Differential tests for the columnar solver core.
 //!
 //! The optimized [`Ggr`]/[`Ophr`] solvers are *engineering* rewrites of the
-//! frozen [`GgrReference`]/[`OphrReference`] transcriptions: every plan and
+//! frozen [`GgrReference`]/[`OphrReference`] transcriptions (`tests/oracles/`,
+//! compiled into this suite only): every plan and
 //! every claimed PHC must be byte-for-byte identical, across configurations,
 //! random tables (with and without functional dependencies), and every
 //! dataset the tier-1 suite exercises. Any divergence here means the
 //! columnar core changed *behaviour*, not just speed, and is a bug.
 
 mod common;
+/// The frozen transcriptions, compiled into this suite only — verbatim, so
+/// with the accessors nothing here calls.
+#[allow(dead_code)]
+mod oracles {
+    pub mod ggr;
+    pub mod ophr;
+}
 
 use llmqo::core::{
-    Cell, FallbackOrdering, FunctionalDeps, Ggr, GgrConfig, GgrReference, Ophr, OphrReference,
-    ReorderTable, Reorderer, Solution, ValueId,
+    Cell, FallbackOrdering, FunctionalDeps, Ggr, GgrConfig, Ophr, ReorderTable, Reorderer,
+    Solution, ValueId,
 };
-use llmqo::relational::{encode_table, project_fds};
+use llmqo::datasets::{Dataset, DatasetId};
+use llmqo::relational::{encode_table, project_fds, QueryKind};
 use llmqo::tokenizer::Tokenizer;
+use oracles::ggr::GgrReference;
+use oracles::ophr::OphrReference;
 use proptest::prelude::*;
 
 /// Every GGR configuration family the differential suite exercises.
@@ -165,7 +176,8 @@ proptest! {
 
 /// Differential check over every dataset of the tier-1 suite: GGR at its
 /// paper configuration on each dataset's first query encoding, OPHR on a
-/// small prefix (it is exponential).
+/// small prefix (it is exponential) — then Movies at the sizes the solver
+/// benchmark runs.
 #[test]
 fn solvers_match_reference_on_all_tier1_datasets() {
     let tokenizer = Tokenizer::new();
@@ -193,6 +205,28 @@ fn solvers_match_reference_on_all_tier1_datasets() {
             .unwrap();
         assert_identical(&opt, &reference, &format!("OPHR on {}", id.name()));
     }
+
+    // The solver benchmark's inputs: the Movies filter encoding at 250 /
+    // 1 000 / 4 000 rows under the paper configuration, and exact OPHR on
+    // the 16-row head of the 64-row encoding — every column, FDs declared.
+    let movies = |rows: usize| {
+        let ds = Dataset::generate_with_rows(DatasetId::Movies, rows);
+        let query = ds.query_of_kind(QueryKind::Filter).expect("filter query");
+        let encoded = encode_table(&tokenizer, &ds.table, query).expect("encoding succeeds");
+        let fds = project_fds(&ds.fds, &encoded.used_cols);
+        (encoded.reorder, fds)
+    };
+    for rows in [250usize, 1000, 4000] {
+        let (table, fds) = movies(rows);
+        let opt = Ggr::default().reorder(&table, &fds).unwrap();
+        let reference = GgrReference::default().reorder(&table, &fds).unwrap();
+        assert_identical(&opt, &reference, &format!("GGR on movies-{rows}"));
+    }
+    let (table, fds) = movies(64);
+    let head = table.head(16);
+    let opt = Ophr::unbounded().reorder(&head, &fds).unwrap();
+    let reference = OphrReference::unbounded().reorder(&head, &fds).unwrap();
+    assert_identical(&opt, &reference, "OPHR on movies head(16)");
 }
 
 /// Equivalence must hold even on *ill-formed* tables where one [`ValueId`]
