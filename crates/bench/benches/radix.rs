@@ -1,11 +1,11 @@
 //! Criterion benches for the paged prefix cache: admissions with shared and
 //! cold prefixes, probe throughput, eviction churn, and the steady-state
-//! per-request cost on a reordered batch.
+//! per-request cost on a reordered batch and on one deep shared prefix.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use llmqo_bench::harness;
 use llmqo_datasets::{Dataset, DatasetId};
-use llmqo_serve::{CacheConfig, ChainHasher, PrefixCache, SimRequest};
+use llmqo_serve::{BlockChain, CacheConfig, ChainHasher, PrefixCache, SimRequest};
 
 fn config(capacity_blocks: usize) -> CacheConfig {
     CacheConfig {
@@ -123,11 +123,43 @@ fn bench_request_churn(c: &mut Criterion) {
     });
 }
 
+/// The cache's share of a request when prompts are mostly one long shared
+/// prefix: 64 shared blocks and 4 unique ones per request, hashed ahead of
+/// the timed loop, against a cache of three prompts' worth of blocks, so
+/// every admission walks the 64, creates 4 and evicts 4.
+fn bench_deep_shared_prefix(c: &mut Criterion) {
+    let (shared, unique) = (64 * 16, 4 * 16);
+    let chains: Vec<BlockChain> = (0..2000u32)
+        .map(|i| BlockChain::from_tokens(16, &prompt(shared, i, shared + unique)))
+        .collect();
+    let capacity = 3 * (shared + unique) / 16;
+
+    c.bench_function("radix/deep-shared-prefix", |b| {
+        b.iter_batched(
+            || (PrefixCache::new(config(capacity)), chains.clone()),
+            |(mut cache, chains)| {
+                for mut chain in chains {
+                    let alloc = cache
+                        .try_admit_chain(&mut chain, 0)
+                        .expect("nothing else is pinned");
+                    cache.mark_computed(&alloc, shared + unique);
+                    cache.release(alloc);
+                }
+                let stats = *cache.stats();
+                assert!(stats.evictions > stats.admitted, "steady-state eviction");
+                stats.evictions
+            },
+            BatchSize::SmallInput,
+        )
+    });
+}
+
 criterion_group!(
     benches,
     bench_admit,
     bench_probe,
     bench_eviction_churn,
-    bench_request_churn
+    bench_request_churn,
+    bench_deep_shared_prefix
 );
 criterion_main!(benches);

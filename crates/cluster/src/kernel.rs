@@ -54,7 +54,7 @@ use crate::router::{ReplicaSnapshot, Router};
 use crate::sim::{ClusterError, ClusterSim};
 use llmqo_obs::{Counter, Gauge};
 use llmqo_serve::{
-    percentile, ChainHasher, Completion, EngineError, EngineReport, EngineSession, SimEngine,
+    percentiles, ChainHasher, Completion, EngineError, EngineReport, EngineSession, SimEngine,
 };
 use std::collections::VecDeque;
 
@@ -413,12 +413,8 @@ fn merge_incarnations(
         .iter()
         .map(|c| c.finished_s - c.admitted_s)
         .collect();
-    ttfts.sort_by(f64::total_cmp);
-    latencies.sort_by(f64::total_cmp);
-    report.ttft_p50_s = percentile(&ttfts, 0.50);
-    report.ttft_p99_s = percentile(&ttfts, 0.99);
-    report.latency_p50_s = percentile(&latencies, 0.50);
-    report.latency_p99_s = percentile(&latencies, 0.99);
+    [report.ttft_p50_s, report.ttft_p99_s] = percentiles(&mut ttfts, [0.50, 0.99]);
+    [report.latency_p50_s, report.latency_p99_s] = percentiles(&mut latencies, [0.50, 0.99]);
     (report, completions)
 }
 

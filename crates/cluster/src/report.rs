@@ -2,7 +2,7 @@
 
 use crate::fault::FaultStats;
 use crate::overload::{ScaleStats, ShedStats};
-use llmqo_serve::{percentile, Completion, EngineReport};
+use llmqo_serve::{percentiles, Completion, EngineReport};
 use std::fmt;
 
 /// KV-cache occupancy of one replica, sampled at every placement decision
@@ -160,7 +160,8 @@ impl ClusterReport {
         replicas: Vec<ReplicaReport>,
         mut queue_waits: Vec<f64>,
     ) -> Self {
-        queue_waits.sort_by(f64::total_cmp);
+        let [queue_wait_p50_s, queue_wait_p99_s, queue_wait_max_s] =
+            percentiles(&mut queue_waits, [0.50, 0.99, 1.0]);
         ClusterReport {
             policy: policy.to_owned(),
             makespan_s: replicas
@@ -170,9 +171,9 @@ impl ClusterReport {
             completed: replicas.iter().map(|r| r.engine.completed).sum(),
             total_prompt_tokens: replicas.iter().map(|r| r.engine.total_prompt_tokens).sum(),
             cached_prompt_tokens: replicas.iter().map(|r| r.engine.cached_prompt_tokens).sum(),
-            queue_wait_p50_s: percentile(&queue_waits, 0.50),
-            queue_wait_p99_s: percentile(&queue_waits, 0.99),
-            queue_wait_max_s: queue_waits.last().copied().unwrap_or(0.0),
+            queue_wait_p50_s,
+            queue_wait_p99_s,
+            queue_wait_max_s,
             faults: FaultStats::default(),
             shed: ShedStats::default(),
             scaling: ScaleStats::default(),

@@ -73,7 +73,7 @@ fn pool(replicas: &[ReplicaSnapshot]) -> impl Iterator<Item = &ReplicaSnapshot> 
 /// All four built-in routers ([`RoundRobin`], [`LeastLoaded`], and both
 /// [`PrefixAffinity`] forms) are **pure functions of their arguments**: the
 /// same `(prefix_key, replicas)` pair always yields the same choice, and a
-/// consultation mutates nothing. The dispatcher may therefore consult them
+/// consultation changes no later one. The dispatcher may therefore consult them
 /// any number of times — per backpressure retry, per failover, per hedge —
 /// without perturbing later decisions, which is what lets chaos re-routing
 /// reuse the ordinary routing path and is the contract the macro-stepped
@@ -192,6 +192,15 @@ impl Router for LeastLoaded {
 #[derive(Debug, Clone, Default)]
 pub struct PrefixAffinity {
     max_load_factor: Option<f64>,
+    /// `mix(index)` of every replica index seen so far: constants of the
+    /// policy, computed once.
+    salts: Vec<u64>,
+    /// The rendezvous weights of `key` for replica indices
+    /// `0..weights.len()`. Schedule-ordered requests repeat their prefix
+    /// key, so the weights are rebuilt only when the key or the fleet size
+    /// changes; nothing a caller can observe depends on them being kept.
+    key: u64,
+    weights: Vec<u64>,
 }
 
 impl PrefixAffinity {
@@ -209,7 +218,23 @@ impl PrefixAffinity {
         );
         PrefixAffinity {
             max_load_factor: Some(factor),
+            ..PrefixAffinity::default()
         }
+    }
+
+    /// Makes `self.weights` the rendezvous weights of `prefix_key` for
+    /// replica indices `0..replicas`.
+    fn remember(&mut self, prefix_key: u64, replicas: usize) {
+        if self.key == prefix_key && self.weights.len() == replicas {
+            return;
+        }
+        let known = self.salts.len();
+        self.salts.extend((known..replicas).map(|i| mix(i as u64)));
+        self.key = prefix_key;
+        self.weights.clear();
+        let salts = &self.salts[..replicas];
+        self.weights
+            .extend(salts.iter().map(|salt| mix(prefix_key ^ salt)));
     }
 }
 
@@ -239,7 +264,15 @@ impl Router for PrefixAffinity {
         // prefix-affinity-aware: with a group's top-ranked replica down,
         // every request of the group lands on its *second*-ranked replica —
         // together, preserving locality — and returns home on rejoin.
-        let rank = |r: &ReplicaSnapshot| (rendezvous(prefix_key, r.index), r.index, r.load());
+        self.remember(prefix_key, replicas.len());
+        let weights = &self.weights;
+        let rank = |r: &ReplicaSnapshot| {
+            // A snapshot's index is its position in every fleet this
+            // workspace builds; one that is not is weighed on the spot.
+            let weight = weights.get(r.index).copied();
+            let weight = weight.unwrap_or_else(|| rendezvous(prefix_key, r.index));
+            (weight, r.index, r.load())
+        };
         let Some(factor) = self.max_load_factor else {
             return pool(replicas).map(rank).max().map_or(0, |top| top.1);
         };
@@ -316,10 +349,42 @@ mod tests {
             for (snap, &(_, _, alive)) in snaps.iter_mut().zip(&fleet) {
                 snap.alive = alive != 0 && everyone_dead != 0;
             }
-            let mut router = PrefixAffinity { max_load_factor: factor };
+            let mut router = PrefixAffinity { max_load_factor: factor, ..PrefixAffinity::default() };
             let choice = router.route(key, &snaps);
             prop_assert_eq!(choice, route_by_ranking(factor, key, &snaps));
             prop_assert!(snaps[choice].alive || snaps.iter().all(|s| !s.alive));
+        }
+
+        /// One router over a stream of calls whose keys repeat and
+        /// alternate while replicas die, rejoin, join and leave between
+        /// them (and, now and then, carry indices that are not their
+        /// positions): the weights it remembers never show in a choice.
+        #[test]
+        fn affinity_route_is_the_same_whatever_it_remembers(
+            keys in proptest::collection::vec(0u64..u64::MAX, 3),
+            calls in proptest::collection::vec(
+                (
+                    0usize..3,
+                    proptest::sample::select(vec![8usize, 8, 8, 5, 12]),
+                    0u16..1 << 12,
+                    0usize..5,
+                    proptest::sample::select(vec![0usize, 0, 0, 7]),
+                ),
+                1..64,
+            ),
+            factor in proptest::sample::select(vec![None, Some(1.25)]),
+        ) {
+            let mut router = PrefixAffinity { max_load_factor: factor, ..PrefixAffinity::default() };
+            for (key, fleet, alive, load, offset) in calls {
+                let loads: Vec<_> = (0..fleet).map(|i| ((i * load) % 4, (i + load) % 3)).collect();
+                let mut snaps = snapshots(&loads);
+                for snap in &mut snaps {
+                    snap.alive = alive >> snap.index & 1 == 1;
+                    snap.index += offset;
+                }
+                let choice = router.route(keys[key], &snaps);
+                prop_assert_eq!(choice, route_by_ranking(factor, keys[key], &snaps));
+            }
         }
     }
 

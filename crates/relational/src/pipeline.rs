@@ -43,7 +43,7 @@ use crate::query::LlmQuery;
 use crate::table::Table;
 use llmqo_cluster::{PrefixAffinity, ReplicaSnapshot, Router};
 use llmqo_core::{FunctionalDeps, Reorderer};
-use llmqo_serve::{percentile, Completion, EngineError, EngineReport, EngineSession, SimEngine};
+use llmqo_serve::{percentiles, Completion, EngineError, EngineReport, EngineSession, SimEngine};
 use llmqo_tokenizer::TokenId;
 use std::sync::Arc;
 
@@ -236,12 +236,8 @@ impl StageEngine {
                 latencies.push(c.finished_s - c.admitted_s);
             }
         }
-        ttfts.sort_by(f64::total_cmp);
-        latencies.sort_by(f64::total_cmp);
-        merged.ttft_p50_s = percentile(&ttfts, 0.50);
-        merged.ttft_p99_s = percentile(&ttfts, 0.99);
-        merged.latency_p50_s = percentile(&latencies, 0.50);
-        merged.latency_p99_s = percentile(&latencies, 0.99);
+        [merged.ttft_p50_s, merged.ttft_p99_s] = percentiles(&mut ttfts, [0.50, 0.99]);
+        [merged.latency_p50_s, merged.latency_p99_s] = percentiles(&mut latencies, [0.50, 0.99]);
         merged
     }
 }

@@ -34,42 +34,48 @@
 //!
 //! # Block store
 //!
-//! The semantics above are stated in terms of block *hashes*; the store
-//! addresses blocks by **slot**. Blocks live in a slab (`Vec<BlockEntry>` plus
-//! a free list, never more live entries than `capacity_blocks`); a hash map
-//! resolves `hash → slot`, a block's `parent` is a slot, and every entry
-//! carries its own hash and a live flag.
+//! The semantics above are stated block by block; the store keeps **runs**
+//! (a radix tree over hash chains, SGLang's edge compression). A run is a
+//! stretch of consecutive chain blocks with one parent, one refcount and one
+//! LRU stamp; only its last block can have children. Runs live in a slab
+//! (`Vec<Run>` plus a free list) and a hash map resolves *first block id →
+//! run*. A run reads its ids out of the admitted [`BlockChain`]'s own
+//! buffer, indexed by chain position, so creating one copies nothing.
 //!
-//! * **Slots are stable under a pin.** A slot is recycled only when its
-//!   block is evicted, and only refcount-0 blocks are evicted. An admitted
-//!   sequence holds a reference on every block of its chain until it is
-//!   released, so the slots in its [`SeqAlloc`] keep naming the same blocks:
-//!   `mark_computed` and `release` index the slab and never consult the map.
-//! * **One resolution per block per walk.** Present blocks are prefix-closed
-//!   along a chain (a block is created after its parent and, being a child,
-//!   evicted before it), so a walk stops at the first block that is absent:
-//!   everything after it is absent too. An admission resolves the present
-//!   prefix once, pins and creates through those slots, and writes the slots
-//!   over the hashes it was handed.
-//! * **The resume memo** is the slot list of the last committed admission.
-//!   A walk takes `memo[i]` for position `i` whenever that slab entry is live
-//!   and carries the wanted hash. The stored hash is the proof — live entries
-//!   and map entries are in bijection — so a stale memo can only miss (the
-//!   walk falls back to the map from there on), never name a wrong block.
-//!   Consecutive prompts of a reordered batch share their leading blocks,
-//!   which is what makes one remembered admission enough.
-//! * **Two eviction queues.** A block becomes an eviction candidate either
+//! * **One visit per run.** Present blocks are prefix-closed along a chain
+//!   (a block is created after its parent and, being a child, evicted before
+//!   it), so a walk looks up the chain's next id, compares the run's ids
+//!   with the chain's, and stops at the first run it leaves early or does
+//!   not find: everything after is absent too.
+//! * **Splits keep refcounts and stamps uniform.** An admission whose chain
+//!   ends or diverges inside a run splits it there: a new *head* run takes
+//!   the leading blocks (and the map key), the *tail* keeps the run's slot,
+//!   children, refcount, stamp and whatever eviction candidate names it, and
+//!   the two share the id buffer. Every operation then covers whole runs.
+//! * **A sequence is its leaf run.** An admitted sequence references every
+//!   run from its chain's last block up to the root until it is released;
+//!   referenced runs are never evicted and a split leaves the tail in place,
+//!   so the leaf slot in a [`SeqAlloc`] keeps naming the chain's end. Pin,
+//!   release, LRU stamp and `mark_computed` walk parent links from there and
+//!   never consult the map.
+//! * **Eviction shortens a run from its tail.** Within a run only the last
+//!   block is a leaf, and the block before it carries the same stamp, so
+//!   block-by-block LRU keeps taking from the run it started on: the store
+//!   drops `k` blocks with `len -= k` and touches the map once, when the run
+//!   empties and its parent may become a leaf in turn.
+//! * **Two eviction queues.** A run becomes an eviction candidate either
 //!   when `release` drops its last reference (stamped with the cache clock,
 //!   which every admission and release advances) or when its last child is
 //!   evicted (stamped with whatever older time it was last used). A release
-//!   produces at most one candidate — every chain block but the deepest has
+//!   produces at most one candidate — every run on the path but the leaf has
 //!   the next one as a child — so release candidates arrive in strictly
 //!   increasing stamp order and go to a FIFO; only cascade parents need the
 //!   binary heap. Candidates are invalidated **lazily** (a revived or
-//!   re-stamped block leaves a stale entry that is skipped when it surfaces);
-//!   the smaller valid front of the two queues is the minimum
-//!   `(last_used, hash)` over all valid candidates, i.e. exactly the block a
-//!   single ordered set would evict.
+//!   re-stamped run leaves a stale entry that is skipped when it surfaces).
+//!   One admission or release stamps one root-to-leaf path, on which at most
+//!   one block is a leaf, so valid candidates never tie on their stamp: the
+//!   smaller valid front of the two queues is the run whose last block a
+//!   single `(last_used, hash)`-ordered set of blocks would evict.
 
 use llmqo_tokenizer::TokenId;
 use serde::{Deserialize, Serialize};
@@ -108,13 +114,23 @@ impl Hasher for BlockKeyHasher {
     }
 }
 
-/// Index of a block in the slab.
-type Slot = u32;
+/// Index of a run in the slab.
+type RunId = u32;
 
-/// The `parent` of a chain's first block.
-const NO_SLOT: Slot = Slot::MAX;
+/// The `parent` of a run that starts a chain, and the leaf of a sequence
+/// with no full block.
+const NO_RUN: RunId = RunId::MAX;
 
-type BlockMap = HashMap<u64, Slot, BuildHasherDefault<BlockKeyHasher>>;
+/// First block id → run.
+type BlockMap = HashMap<u64, RunId, BuildHasherDefault<BlockKeyHasher>>;
+
+/// A chain's block ids, `None` when it has none. Shared, not copied, between
+/// the runs a split makes of one admission's blocks.
+type Hashes = Option<Arc<[u64]>>;
+
+fn share(blocks: &[u64]) -> Hashes {
+    (!blocks.is_empty()).then(|| blocks.into())
+}
 
 /// Source of [`PrefixCache::id`]: tells one cache's allocations from
 /// another's. Relaxed: the value publishes nothing but itself.
@@ -150,7 +166,7 @@ pub struct CacheConfig {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockChain {
     /// Chain hashes of the prompt's full blocks, in chain order.
-    chain: Vec<u64>,
+    chain: Hashes,
     /// Total prompt length in tokens (full blocks + tail).
     prompt_tokens: usize,
 }
@@ -187,7 +203,7 @@ impl BlockChain {
             }
         }
         BlockChain {
-            chain,
+            chain: share(&chain),
             prompt_tokens,
         }
     }
@@ -197,7 +213,7 @@ impl BlockChain {
     /// enabled cache would report every block as missing.
     pub fn unhashed(prompt_tokens: usize) -> Self {
         BlockChain {
-            chain: Vec::new(),
+            chain: None,
             prompt_tokens,
         }
     }
@@ -209,7 +225,7 @@ impl BlockChain {
 
     /// The full-block chain hashes, in chain order.
     pub fn blocks(&self) -> &[u64] {
-        &self.chain
+        self.chain.as_deref().unwrap_or_default()
     }
 }
 
@@ -355,8 +371,7 @@ impl ChainHasher {
         self.tokens_reused += resume.tokens as u64;
         self.tokens_hashed += (tokens - resume.tokens) as u64;
         BlockChain {
-            // `clone` allocates exactly `len` slots.
-            chain: self.blocks.clone(),
+            chain: share(&self.blocks),
             prompt_tokens: tokens,
         }
     }
@@ -375,17 +390,17 @@ impl ChainHasher {
 /// Allocation handle for one admitted sequence.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SeqAlloc {
-    /// Slab slots of the sequence's full prompt blocks, in chain order,
-    /// written over the block hashes in the `Vec` the admission took from
-    /// its [`BlockChain`]. Valid until release: the sequence pins them.
-    slots: Vec<u64>,
+    /// The run that ends with the sequence's last full prompt block
+    /// ([`NO_RUN`] if it has none); the rest of its chain is that run's
+    /// ancestors. Valid until release: the sequence pins the whole path.
+    leaf: RunId,
     /// Private (unshared) blocks reserved: prompt tail + decode tokens.
     private_blocks: usize,
     /// Prompt tokens whose blocks were already computed at admission.
     pub cached_tokens: usize,
     /// Total prompt tokens.
     pub prompt_tokens: usize,
-    /// The admitting cache's id; slots mean nothing to any other cache.
+    /// The admitting cache's id; a run id means nothing to any other cache.
     cache_id: u32,
 }
 
@@ -414,22 +429,21 @@ pub struct CacheStats {
 /// `llmqo-obs` registry when the sinks are enabled.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheInternals {
-    /// Hash-map lookups on the read path: chain positions a
-    /// `probe_chain` / `can_admit_chain` / `try_admit_chain` walk resolved
-    /// through the `hash → slot` map, including the one that finds the first
-    /// absent block and ends the walk. Writes (block creation, eviction)
-    /// and the slot-addressed `mark_computed` / `release` are not lookups.
+    /// Hash-map lookups on the read path: one per run a `probe_chain` /
+    /// `can_admit_chain` / `try_admit_chain` walk visits, plus the one that
+    /// finds the chain's next block absent and ends the walk. Writes (run
+    /// creation, splits, eviction) and the leaf-addressed `mark_computed` /
+    /// `release` are not lookups.
     pub block_map_probes: u64,
-    /// Chain positions a walk resolved through the resume memo instead —
-    /// one slab read, no map lookup. `walk_memo_hits / (walk_memo_hits +
-    /// block_map_probes)` is the memo's share of the read path.
-    pub walk_memo_hits: u64,
-    /// Stale lazy-invalidation eviction candidates skipped by `evict_one`
+    /// Stale lazy-invalidation eviction candidates skipped by an eviction
     /// or dropped by the periodic queue compaction.
     pub heap_stale_invalidations: u64,
     /// Calls to [`PrefixCache::mark_computed`] (one per prefill chunk that
     /// landed, the per-step cache write traffic).
     pub mark_computed_calls: u64,
+    /// Runs an admission split because its chain ended or diverged inside
+    /// them.
+    pub run_splits: u64,
     /// Blocks evicted (same number as [`CacheStats::evictions`], repeated
     /// here so one struct carries the whole internals picture).
     pub evictions: u64,
@@ -444,30 +458,53 @@ struct AdmissionPlan {
     private: usize,
     /// Whether the supply check passes right now.
     fits: bool,
+    /// Leading chain blocks that are present.
+    found: u32,
+    /// The run holding block `found - 1` ([`NO_RUN`] if `found == 0`) and
+    /// how many of its leading blocks the chain shares.
+    tip: RunId,
+    tip_shared: u32,
 }
 
+/// Blocks `depth .. depth + len` of the chain in `hashes`: consecutive
+/// blocks with one parent, one refcount and one LRU stamp, of which only the
+/// last can have children.
 #[derive(Debug)]
-struct BlockEntry {
-    hash: u64,
+struct Run {
+    /// Block ids of the chain this run was admitted with or split from,
+    /// indexed by chain position; `None` while the slot awaits reuse.
+    hashes: Hashes,
     last_used: u64,
-    /// The chain predecessor's slot, [`NO_SLOT`] for a chain's first block.
-    parent: Slot,
+    /// The run holding block `depth - 1`, [`NO_RUN`] for `depth == 0`.
+    parent: RunId,
     refcount: u32,
     children: u32,
-    computed: bool,
-    /// `false` once evicted, until the slot is handed out again.
-    live: bool,
+    depth: u32,
+    /// Blocks held; 0 once evicted, until the slot is handed out again.
+    len: u32,
+    /// Leading blocks whose prefill has landed. Computed blocks form a
+    /// prefix of every chain, hence of every run.
+    computed_len: u32,
 }
 
-/// An eviction-queue entry: block `hash` in `slot` became a refcount-0 leaf
-/// while stamped `stamp`. Ordered by `(stamp, hash)`, the LRU order with its
-/// hash tie-break (two live blocks never share a hash, so `slot` never
-/// decides).
+impl Run {
+    /// The ids of the blocks this run holds, in chain order.
+    #[inline]
+    fn blocks(&self) -> &[u64] {
+        match &self.hashes {
+            Some(hashes) => &hashes[self.depth as usize..][..self.len as usize],
+            None => &[],
+        }
+    }
+}
+
+/// An eviction-queue entry: `run` became a refcount-0 leaf while stamped
+/// `stamp`. Ordered by stamp, the LRU order; valid candidates never share
+/// one (module docs), so `run` only orders stale entries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Candidate {
     stamp: u64,
-    hash: u64,
-    slot: Slot,
+    run: RunId,
 }
 
 /// The paged prefix cache. See the `cache` module docs for semantics.
@@ -476,37 +513,35 @@ pub struct PrefixCache {
     config: CacheConfig,
     /// Stamped on every [`SeqAlloc`] this cache hands out.
     id: u32,
-    /// Every block ever created, live or awaiting reuse via `free`.
-    slab: Vec<BlockEntry>,
-    free: Vec<Slot>,
-    /// `hash → slot` of exactly the live slab entries.
+    /// Every run ever created, live or awaiting reuse via `free`.
+    runs: Vec<Run>,
+    free: Vec<RunId>,
+    /// `first block id → run` of exactly the live slab entries.
     map: BlockMap,
-    /// The resume memo: slots of the last committed admission's chain.
-    memo: Vec<Slot>,
-    /// Scratch for the admission in progress; becomes the memo on commit.
-    walk: Vec<Slot>,
+    /// Blocks held by live runs.
+    live_blocks: usize,
     /// Candidates pushed by `release`, in strictly increasing stamp order.
     released: VecDeque<Candidate>,
     /// Candidates whose last child was evicted; their stamps are old.
     cascaded: BinaryHeap<Reverse<Candidate>>,
-    /// Count of blocks with `refcount == 0`. Because a sequence references
-    /// its *entire* chain, a refcount-0 block can only have refcount-0
+    /// Blocks of runs with `refcount == 0`. Because a sequence references
+    /// its *entire* chain, a refcount-0 run can only have refcount-0
     /// descendants, so every such block is reclaimable (in leaf-first
     /// cascade order).
     rc0_blocks: usize,
     private_blocks: usize,
     clock: u64,
     stats: CacheStats,
-    /// Read-path counters ([`CacheInternals::block_map_probes`],
-    /// [`CacheInternals::walk_memo_hits`]); `Cell`s because
+    /// [`CacheInternals::block_map_probes`]; a `Cell` because
     /// `probe_chain`/`can_admit_chain` are `&self`.
     probes: Cell<u64>,
-    memo_hits: Cell<u64>,
     /// Stale queue entries skipped/compacted away
     /// ([`CacheInternals::heap_stale_invalidations`]).
     stale: u64,
     /// [`mark_computed`](PrefixCache::mark_computed) call count.
     marks: u64,
+    /// [`CacheInternals::run_splits`].
+    splits: u64,
 }
 
 impl PrefixCache {
@@ -520,11 +555,10 @@ impl PrefixCache {
         PrefixCache {
             config,
             id: NEXT_CACHE_ID.fetch_add(1, Ordering::Relaxed),
-            slab: Vec::new(),
+            runs: Vec::new(),
             free: Vec::new(),
             map: HashMap::default(),
-            memo: Vec::new(),
-            walk: Vec::new(),
+            live_blocks: 0,
             released: VecDeque::new(),
             cascaded: BinaryHeap::new(),
             rc0_blocks: 0,
@@ -532,9 +566,9 @@ impl PrefixCache {
             clock: 0,
             stats: CacheStats::default(),
             probes: Cell::new(0),
-            memo_hits: Cell::new(0),
             stale: 0,
             marks: 0,
+            splits: 0,
         }
     }
 
@@ -547,7 +581,7 @@ impl PrefixCache {
     pub fn free_blocks(&self) -> usize {
         self.config
             .capacity_blocks
-            .saturating_sub(self.map.len() + self.private_blocks)
+            .saturating_sub(self.live_blocks + self.private_blocks)
     }
 
     /// Lifetime statistics.
@@ -559,9 +593,9 @@ impl PrefixCache {
     pub fn internals(&self) -> CacheInternals {
         CacheInternals {
             block_map_probes: self.probes.get(),
-            walk_memo_hits: self.memo_hits.get(),
             heap_stale_invalidations: self.stale,
             mark_computed_calls: self.marks,
+            run_splits: self.splits,
             evictions: self.stats.evictions,
         }
     }
@@ -584,48 +618,38 @@ impl PrefixCache {
         if !self.config.enabled {
             return 0;
         }
-        let bs = self.config.block_size;
-        let share = self.config.share_in_flight;
-        let mut cached = 0usize;
-        self.resolve(chain.blocks(), |_, e| {
-            let hit = e.computed || share;
-            if hit {
-                cached += bs;
-            }
-            hit
-        });
-        cached
+        self.admission_plan(chain, 0).cached_tokens
     }
 
-    /// Walks the leading blocks of `chain` that are present, in chain order,
-    /// handing each one's slot and entry to `visit` until it returns `false`
-    /// or a block is absent — every later block is then absent too, because
-    /// present blocks are prefix-closed along a chain (module docs).
-    ///
-    /// Position `i` is answered by `memo[i]` while that entry is live and
-    /// carries `chain[i]`, and by the map from the first mismatch on.
+    /// Walks the runs holding the leading blocks of `chain` that are
+    /// present, in chain order, handing `visit` each run's id, the run, and
+    /// how many of its leading blocks the chain shares (at least one). The
+    /// walk ends with the first run the chain leaves early, or when the
+    /// chain's next block starts no run: every later block is then absent
+    /// too, because present blocks are prefix-closed along a chain and only
+    /// a run's last block has children (module docs).
     #[inline]
-    fn resolve(&self, chain: &[u64], mut visit: impl FnMut(Slot, &BlockEntry) -> bool) {
-        let mut i = 0;
-        for (&h, &slot) in chain.iter().zip(&self.memo) {
-            let e = &self.slab[slot as usize];
-            if !e.live || e.hash != h {
-                break;
-            }
-            self.memo_hits.set(self.memo_hits.get() + 1);
-            if !visit(slot, e) {
-                return;
-            }
-            i += 1;
-        }
-        for h in &chain[i..] {
+    fn resolve(&self, chain: &[u64], mut visit: impl FnMut(RunId, &Run, u32)) {
+        let mut at = 0;
+        while let Some(first) = chain.get(at) {
             self.probes.set(self.probes.get() + 1);
-            let Some(&slot) = self.map.get(h) else {
+            let Some(&id) = self.map.get(first) else {
                 return;
             };
-            if !visit(slot, &self.slab[slot as usize]) {
+            let run = &self.runs[id as usize];
+            debug_assert_eq!(
+                run.depth as usize, at,
+                "a block id fixes its chain position"
+            );
+            // At most `run.len`, a `u32`.
+            let shared = std::iter::zip(run.blocks(), &chain[at..])
+                .take_while(|(ours, theirs)| ours == theirs)
+                .count() as u32;
+            visit(id, run, shared);
+            if shared < run.len {
                 return;
             }
+            at += shared as usize;
         }
     }
 
@@ -642,50 +666,49 @@ impl PrefixCache {
             let needed = (chain.prompt_tokens() + decode_tokens).div_ceil(self.config.block_size);
             return needed <= self.free_blocks();
         }
-        self.admission_plan(chain, decode_tokens, |_| {}).fits
+        self.admission_plan(chain, decode_tokens).fits
     }
 
     /// The enabled-cache admission arithmetic, shared verbatim by
-    /// [`try_admit_chain`](PrefixCache::try_admit_chain) (which commits it)
-    /// and [`can_admit_chain`](PrefixCache::can_admit_chain) (which only
-    /// reads `fits`) — macro-stepping correctness depends on the two never
-    /// disagreeing, so there is exactly one copy of the rule. `present`
-    /// receives the slots of the chain's present prefix, in chain order.
-    fn admission_plan(
-        &self,
-        chain: &BlockChain,
-        decode_tokens: usize,
-        mut present: impl FnMut(Slot),
-    ) -> AdmissionPlan {
+    /// [`try_admit_chain`](PrefixCache::try_admit_chain) (which commits it),
+    /// [`can_admit_chain`](PrefixCache::can_admit_chain) (which only reads
+    /// `fits`) and [`probe_chain`](PrefixCache::probe_chain) (`cached_tokens`)
+    /// — macro-stepping correctness depends on them never disagreeing, so
+    /// there is exactly one copy of the rule.
+    fn admission_plan(&self, chain: &BlockChain, decode_tokens: usize) -> AdmissionPlan {
         let bs = self.config.block_size;
         let share = self.config.share_in_flight;
-        let mut found = 0usize;
-        let mut revivable = 0usize; // existing rc==0 blocks in our chain (must not evict)
-        let mut cached_tokens = 0usize;
-        let mut prefix_computed = true;
-        self.resolve(chain.blocks(), |slot, e| {
-            found += 1;
-            if e.refcount == 0 {
-                revivable += 1;
+        let mut found = 0u32;
+        let mut revivable = 0u32; // existing rc==0 blocks in our chain (must not evict)
+        let mut cached_blocks = 0u32;
+        let (mut tip, mut tip_shared) = (NO_RUN, 0);
+        self.resolve(chain.blocks(), |id, run, shared| {
+            if cached_blocks == found {
+                cached_blocks += if share {
+                    shared
+                } else {
+                    shared.min(run.computed_len)
+                };
             }
-            if prefix_computed && (e.computed || share) {
-                cached_tokens += bs;
-            } else {
-                prefix_computed = false;
+            found += shared;
+            if run.refcount == 0 {
+                revivable += shared;
             }
-            present(slot);
-            true
+            (tip, tip_shared) = (id, shared);
         });
-        let missing = chain.blocks().len() - found;
+        let missing = chain.blocks().len() - found as usize;
         let tail = chain.prompt_tokens() % bs;
         let private = (tail + decode_tokens).div_ceil(bs);
         // Every rc==0 block is reclaimable via leaf-first cascade, except
         // the ones in our own chain, which an admission would revive.
-        let supply = self.free_blocks() + self.rc0_blocks.saturating_sub(revivable);
+        let supply = self.free_blocks() + self.rc0_blocks.saturating_sub(revivable as usize);
         AdmissionPlan {
-            cached_tokens,
+            cached_tokens: cached_blocks as usize * bs,
             private,
             fits: missing + private <= supply,
+            found,
+            tip,
+            tip_shared,
         }
     }
 
@@ -708,11 +731,11 @@ impl PrefixCache {
     /// [`try_admit`](PrefixCache::try_admit) over a precomputed
     /// [`BlockChain`]: the chain walk reads the request's block hashes
     /// instead of re-hashing the prompt, so a retry after backpressure costs
-    /// O(blocks), not O(tokens).
+    /// O(runs), not O(tokens).
     ///
-    /// On success the chain's block list **moves** into the returned
-    /// allocation (`chain` keeps its prompt length and no blocks); on
-    /// failure `chain` is untouched, ready for the retry.
+    /// On success the chain's block list **moves** into the cache (`chain`
+    /// keeps its prompt length and no blocks); on failure `chain` is
+    /// untouched, ready for the retry.
     pub fn try_admit_chain(
         &mut self,
         chain: &mut BlockChain,
@@ -730,7 +753,7 @@ impl PrefixCache {
             self.private_blocks += needed;
             self.note_admission(prompt_tokens, 0);
             return Some(SeqAlloc {
-                slots: Vec::new(),
+                leaf: NO_RUN,
                 private_blocks: needed,
                 cached_tokens: 0,
                 prompt_tokens,
@@ -738,115 +761,133 @@ impl PrefixCache {
             });
         }
 
-        // Resolve the chain's present prefix into the walk buffer via the
-        // shared admission arithmetic. Nothing is written before the supply
-        // check, so a *failed* admission — the retry a backpressured
-        // head-of-line request makes on scheduling steps — costs the walk
-        // and nothing else.
-        let mut walk = std::mem::take(&mut self.walk);
-        walk.clear();
-        let plan = self.admission_plan(chain, decode_tokens, |slot| walk.push(slot));
+        // Nothing is written before the supply check, so a *failed*
+        // admission — the retry a backpressured head-of-line request makes
+        // on scheduling steps — costs the walk and nothing else.
+        let plan = self.admission_plan(chain, decode_tokens);
         if !plan.fits {
-            self.walk = walk;
             return None;
         }
-        let AdmissionPlan {
-            cached_tokens,
-            private,
-            ..
-        } = plan;
-        let mut slots = std::mem::take(&mut chain.chain);
+        // Run fields count blocks in `u32`; the chain bounds them all.
+        let blocks = u32::try_from(chain.blocks().len()).ok()?;
+        let missing = blocks - plan.found;
+        let hashes = chain.chain.take();
 
-        // Phase A: pin every existing chain block so evictions during phase B
-        // cannot touch them.
-        for &slot in &walk {
-            let e = &mut self.slab[slot as usize];
-            if e.refcount == 0 {
-                // Any eviction candidate for this block goes stale here
-                // (the refcount and stamp both stop matching).
-                self.rc0_blocks -= 1;
-            }
-            e.refcount += 1;
-            e.last_used = self.clock;
+        // Phase A: pin the chain's present blocks so evictions during phase
+        // B cannot touch them — whole runs, once the tip run is cut where
+        // the chain leaves it.
+        let mut leaf = plan.tip;
+        if leaf != NO_RUN && plan.tip_shared < self.runs[leaf as usize].len {
+            leaf = self.split(leaf, plan.tip_shared);
         }
-        // Phase B: create the missing rest of the chain, evicting LRU leaves
-        // as needed (everything that already existed is pinned).
-        let mut parent = walk.last().copied().unwrap_or(NO_SLOT);
-        for &hash in &slots[walk.len()..] {
-            debug_assert!(
-                !self.map.contains_key(&hash),
-                "present blocks must be prefix-closed along a chain"
-            );
-            self.make_room();
-            let slot = self.insert_block(BlockEntry {
-                hash,
+        let mut id = leaf;
+        while id != NO_RUN {
+            let run = &mut self.runs[id as usize];
+            if run.refcount == 0 {
+                // Any eviction candidate for this run goes stale here (the
+                // refcount and stamp both stop matching).
+                self.rc0_blocks -= run.len as usize;
+            }
+            run.refcount += 1;
+            run.last_used = self.clock;
+            id = run.parent;
+        }
+        // Phase B: make room for the missing rest of the chain and the
+        // private blocks by evicting LRU leaves (everything that already
+        // existed is pinned), then create the rest as one run.
+        self.evict((missing as usize + plan.private).saturating_sub(self.free_blocks()));
+        if missing > 0 {
+            let parent = leaf;
+            leaf = self.insert_run(Run {
+                hashes,
                 last_used: self.clock,
                 parent,
                 refcount: 1,
                 children: 0,
-                computed: false,
-                live: true,
+                depth: plan.found,
+                len: missing,
+                computed_len: 0,
             });
-            if parent != NO_SLOT {
-                // The parent is pinned or was created a moment ago.
-                self.slab[parent as usize].children += 1;
+            if parent != NO_RUN {
+                self.runs[parent as usize].children += 1;
             }
-            walk.push(slot);
-            parent = slot;
+            self.live_blocks += missing as usize;
         }
-        while self.free_blocks() < private {
-            // Supply was checked before commit; empty queues here would
-            // mean that invariant broke, so stop rather than spin.
-            if self.evict_one().is_none() {
-                break;
-            }
-        }
-        self.private_blocks += private;
-        self.note_admission(prompt_tokens, cached_tokens);
-        // The allocation keeps the chain's `Vec`, now naming slots; the walk
-        // becomes the memo the next admission resumes from.
-        for (entry, &slot) in slots.iter_mut().zip(&walk) {
-            *entry = u64::from(slot);
-        }
-        self.walk = std::mem::replace(&mut self.memo, walk);
+        self.private_blocks += plan.private;
+        self.note_admission(prompt_tokens, plan.cached_tokens);
         Some(SeqAlloc {
-            slots,
-            private_blocks: private,
-            cached_tokens,
+            leaf,
+            private_blocks: plan.private,
+            cached_tokens: plan.cached_tokens,
             prompt_tokens,
             cache_id: self.id,
         })
     }
 
-    /// Stores a new live block in a recycled or fresh slot and maps its hash.
-    fn insert_block(&mut self, entry: BlockEntry) -> Slot {
-        let hash = entry.hash;
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                self.slab[slot as usize] = entry;
-                slot
+    /// Stores a new live run in a recycled or fresh slot and maps its first
+    /// block to it.
+    fn insert_run(&mut self, run: Run) -> RunId {
+        let first = run.blocks()[0];
+        let id = match self.free.pop() {
+            Some(id) => {
+                self.runs[id as usize] = run;
+                id
             }
             None => {
-                // Live blocks never outnumber `capacity_blocks`, so this
+                // Live runs never outnumber `capacity_blocks`, so this
                 // bounds the configured capacity, not a workload.
                 assert!(
-                    self.slab.len() < NO_SLOT as usize,
-                    "block slab outgrew its u32 slots"
+                    self.runs.len() < NO_RUN as usize,
+                    "run slab outgrew its u32 ids"
                 );
-                self.slab.push(entry);
-                (self.slab.len() - 1) as Slot
+                self.runs.push(run);
+                (self.runs.len() - 1) as RunId
             }
         };
-        self.map.insert(hash, slot);
-        slot
+        self.map.insert(first, id);
+        id
     }
 
-    /// The block in slot `raw` of one of this cache's live allocations.
+    /// Cuts run `tail` after its first `at` blocks. The blocks before the
+    /// cut become a new run — the head, whose id is returned and which takes
+    /// over the map key — and `tail` keeps the rest under its own id, so
+    /// its children, the sequences it is the leaf of and any eviction
+    /// candidate naming it stay right. Both halves keep the refcount, stamp
+    /// and id buffer.
+    fn split(&mut self, tail: RunId, at: u32) -> RunId {
+        self.splits += 1;
+        let run = &mut self.runs[tail as usize];
+        debug_assert!(0 < at && at < run.len, "a split leaves two runs");
+        let head = Run {
+            hashes: run.hashes.clone(),
+            last_used: run.last_used,
+            parent: run.parent,
+            refcount: run.refcount,
+            children: 1,
+            depth: run.depth,
+            len: at,
+            computed_len: run.computed_len.min(at),
+        };
+        run.depth += at;
+        run.len -= at;
+        run.computed_len = run.computed_len.saturating_sub(at);
+        let tail_first = run.blocks()[0];
+        // Re-points the head's first block, until now the tail's key.
+        let head = self.insert_run(head);
+        self.runs[tail as usize].parent = head;
+        self.map.insert(tail_first, tail);
+        head
+    }
+
+    /// Run `id` of one of this cache's live allocations.
     #[inline]
-    fn pinned(slab: &mut [BlockEntry], raw: u64) -> &mut BlockEntry {
-        let e = &mut slab[raw as usize];
-        debug_assert!(e.live && e.refcount > 0, "an allocation pins its blocks");
-        e
+    fn pinned(runs: &mut [Run], id: RunId) -> &mut Run {
+        let run = &mut runs[id as usize];
+        debug_assert!(
+            run.len > 0 && run.refcount > 0,
+            "an allocation pins its runs"
+        );
+        run
     }
 
     /// Marks the sequence's prompt blocks as computed up to
@@ -858,19 +899,30 @@ impl PrefixCache {
     pub fn mark_computed(&mut self, alloc: &SeqAlloc, prefilled_tokens: usize) {
         assert_eq!(alloc.cache_id, self.id, "allocation of another cache");
         self.marks += 1;
-        let bs = self.config.block_size;
+        let upto = u32::try_from(prefilled_tokens / self.config.block_size).unwrap_or(u32::MAX);
         // Computed flags always form a prefix of a live chain: a block's
         // ancestors are computed before it, and an interior block cannot be
         // evicted from under a live child (eviction is leaf-only). Walking
-        // backwards and stopping at the first already-computed block
-        // therefore touches only the blocks this chunk newly finished,
-        // instead of re-touching the whole prefix on every prefill chunk.
-        for &raw in alloc.slots.iter().take(prefilled_tokens / bs).rev() {
-            let e = Self::pinned(&mut self.slab, raw);
-            if e.computed {
+        // up from the leaf and stopping at the first run whose target block
+        // or first block was already computed therefore touches only the
+        // runs this chunk newly reached, instead of re-touching the whole
+        // prefix on every prefill chunk.
+        let mut id = alloc.leaf;
+        while id != NO_RUN {
+            let run = Self::pinned(&mut self.runs, id);
+            id = run.parent;
+            if run.depth >= upto {
+                continue;
+            }
+            let computed = (upto - run.depth).min(run.len);
+            if run.computed_len >= computed {
                 break;
             }
-            e.computed = true;
+            let ancestors_done = run.computed_len > 0;
+            run.computed_len = computed;
+            if ancestors_done {
+                break;
+            }
         }
     }
 
@@ -905,83 +957,96 @@ impl PrefixCache {
         assert_eq!(alloc.cache_id, self.id, "allocation of another cache");
         self.clock += 1;
         let stamp = self.clock;
-        for &raw in alloc.slots.iter().rev() {
-            let e = Self::pinned(&mut self.slab, raw);
-            e.refcount -= 1;
-            e.last_used = stamp;
-            if e.refcount == 0 {
-                self.rc0_blocks += 1;
-                if e.children == 0 {
-                    // Only the deepest block of a chain can be a leaf, and
-                    // the clock moved since the last release.
+        let mut id = alloc.leaf;
+        while id != NO_RUN {
+            let run = Self::pinned(&mut self.runs, id);
+            run.refcount -= 1;
+            run.last_used = stamp;
+            if run.refcount == 0 {
+                self.rc0_blocks += run.len as usize;
+                if run.children == 0 {
+                    // Only the leaf of a path can be childless, and the
+                    // clock moved since the last release.
                     debug_assert!(self.released.back().is_none_or(|c| c.stamp < stamp));
-                    self.released.push_back(Candidate {
-                        stamp,
-                        hash: e.hash,
-                        slot: raw as Slot,
-                    });
+                    self.released.push_back(Candidate { stamp, run: id });
                 }
             }
+            id = run.parent;
         }
         self.private_blocks = self.private_blocks.saturating_sub(alloc.private_blocks);
     }
 
-    /// Whether `c` still names this very block in this very state (a
-    /// revive, a re-release, an eviction or a recycled slot leaves stale
-    /// candidates behind).
+    /// Whether `c` still names this very run in this very state (a revive,
+    /// a re-release, an eviction or a recycled slot leaves stale candidates
+    /// behind).
     fn is_evictable(&self, c: &Candidate) -> bool {
-        let e = &self.slab[c.slot as usize];
-        e.live && e.refcount == 0 && e.children == 0 && e.last_used == c.stamp && e.hash == c.hash
+        let run = &self.runs[c.run as usize];
+        run.len > 0 && run.refcount == 0 && run.children == 0 && run.last_used == c.stamp
     }
 
-    /// Evicts one LRU leaf block, skipping stale candidates. Returns the
-    /// block's hash, or `None` if nothing is evictable.
-    fn evict_one(&mut self) -> Option<u64> {
-        while let Some(c) = self.released.front() {
-            if self.is_evictable(c) {
-                break;
+    /// Evicts `blocks` blocks, each the LRU leaf block of its moment,
+    /// skipping stale candidates. The caller verified supply before
+    /// committing, so running out of candidates early would mean that
+    /// invariant broke; the loop then stops rather than spin.
+    fn evict(&mut self, mut blocks: usize) {
+        while blocks > 0 {
+            while let Some(c) = self.released.front() {
+                if self.is_evictable(c) {
+                    break;
+                }
+                self.stale += 1;
+                self.released.pop_front();
             }
-            self.stale += 1;
-            self.released.pop_front();
-        }
-        while let Some(Reverse(c)) = self.cascaded.peek() {
-            if self.is_evictable(c) {
-                break;
+            while let Some(Reverse(c)) = self.cascaded.peek() {
+                if self.is_evictable(c) {
+                    break;
+                }
+                self.stale += 1;
+                self.cascaded.pop();
             }
-            self.stale += 1;
-            self.cascaded.pop();
-        }
-        // Both fronts are now valid, each the minimum of its queue.
-        let from_released = match (self.released.front(), self.cascaded.peek()) {
-            (Some(r), Some(Reverse(c))) => r < c,
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (None, None) => return None,
-        };
-        let victim = if from_released {
-            self.released.pop_front()?
-        } else {
-            self.cascaded.pop()?.0
-        };
-        self.slab[victim.slot as usize].live = false;
-        self.map.remove(&victim.hash);
-        self.free.push(victim.slot);
-        self.rc0_blocks -= 1;
-        self.stats.evictions += 1;
-        let parent = self.slab[victim.slot as usize].parent;
-        if parent != NO_SLOT {
-            // A live child keeps its parent live (eviction is leaf-only).
-            let pe = &mut self.slab[parent as usize];
-            pe.children -= 1;
-            if pe.refcount == 0 && pe.children == 0 {
-                self.cascaded.push(Reverse(Candidate {
-                    stamp: pe.last_used,
-                    hash: pe.hash,
-                    slot: parent,
-                }));
+            // Both fronts are now valid, each the minimum of its queue.
+            let victim = match (self.released.front(), self.cascaded.peek()) {
+                (Some(r), Some(Reverse(c))) => *r.min(c),
+                (Some(c), None) | (None, Some(Reverse(c))) => *c,
+                (None, None) => return,
+            };
+            // The victim's last block goes, and then the one before it,
+            // which carries the same stamp and is the oldest leaf in turn.
+            let run = &mut self.runs[victim.run as usize];
+            let first = run.blocks()[0];
+            let taken = blocks.min(run.len as usize);
+            // No more than `run.len`.
+            run.len -= taken as u32;
+            run.computed_len = run.computed_len.min(run.len);
+            blocks -= taken;
+            self.live_blocks -= taken;
+            self.rc0_blocks -= taken;
+            self.stats.evictions += taken as u64;
+            if run.len > 0 {
+                // Still the oldest leaf: its candidate stays queued.
+                return;
+            }
+            run.hashes = None;
+            let parent = run.parent;
+            self.map.remove(&first);
+            self.free.push(victim.run);
+            if self.released.front() == Some(&victim) {
+                self.released.pop_front();
+            } else {
+                self.cascaded.pop();
+            }
+            if parent != NO_RUN {
+                // A live child keeps its parent live (eviction is leaf-only).
+                let p = &mut self.runs[parent as usize];
+                p.children -= 1;
+                if p.refcount == 0 && p.children == 0 {
+                    self.cascaded.push(Reverse(Candidate {
+                        stamp: p.last_used,
+                        run: parent,
+                    }));
+                }
             }
         }
-        Some(victim.hash)
     }
 
     /// Rebuilds the eviction queues from their valid entries once stale
@@ -1000,14 +1065,6 @@ impl PrefixCache {
         self.stale += (before - self.released.len() - self.cascaded.len()) as u64;
     }
 
-    /// Frees one block slot if none is free. The caller verified supply
-    /// before committing, so eviction can only fail if that invariant broke.
-    fn make_room(&mut self) {
-        if self.free_blocks() == 0 {
-            self.evict_one();
-        }
-    }
-
     fn note_admission(&mut self, prompt_tokens: usize, cached_tokens: usize) {
         self.stats.admitted += 1;
         self.stats.total_prompt_tokens += prompt_tokens as u64;
@@ -1015,54 +1072,82 @@ impl PrefixCache {
         self.stats.peak_blocks = self
             .stats
             .peak_blocks
-            .max(self.map.len() + self.private_blocks);
+            .max(self.live_blocks + self.private_blocks);
     }
 
-    /// Checks the block store's structural invariants, panicking on the
-    /// first one that does not hold. Debug builds only: every check is a
-    /// scan of the whole slab.
+    /// Checks the run store's structural invariants, panicking on the first
+    /// one that does not hold. Debug builds only: every check is a scan of
+    /// the whole slab.
     #[cfg(any(test, debug_assertions))]
     pub fn check_invariants(&self) {
-        let live = || self.slab.iter().enumerate().filter(|(_, e)| e.live);
-        assert_eq!(live().count(), self.map.len(), "map size == live entries");
+        let live = || self.runs.iter().enumerate().filter(|(_, r)| r.len > 0);
+        assert_eq!(live().count(), self.map.len(), "map size == live runs");
         assert_eq!(
-            self.slab.len(),
+            self.runs.len(),
             self.map.len() + self.free.len(),
             "every slot is live or free"
         );
-        assert!(self.free.iter().all(|&s| !self.slab[s as usize].live));
+        assert!(self.free.iter().all(|&id| {
+            let run = &self.runs[id as usize];
+            run.len == 0 && run.hashes.is_none()
+        }));
+        let blocks = |rc0_only: bool| -> usize {
+            let counted = live().filter(|(_, r)| !rc0_only || r.refcount == 0);
+            counted.map(|(_, r)| r.len as usize).sum()
+        };
+        assert_eq!(blocks(false), self.live_blocks, "live_blocks == Σ len");
         assert_eq!(
-            live().filter(|(_, e)| e.refcount == 0).count(),
+            blocks(true),
             self.rc0_blocks,
-            "rc0_blocks == refcount-0 live blocks"
+            "rc0_blocks == Σ len of refcount-0 runs"
         );
-        let mut children = vec![0u32; self.slab.len()];
-        for (slot, e) in live() {
+        let mut children = vec![0u32; self.runs.len()];
+        for (id, run) in live() {
             assert_eq!(
-                self.map.get(&e.hash).copied(),
-                Some(slot as Slot),
-                "a live block's hash maps to its slot"
+                self.map.get(&run.blocks()[0]).copied(),
+                Some(id as RunId),
+                "a live run's first block maps to it"
             );
-            if e.parent != NO_SLOT {
-                let p = &self.slab[e.parent as usize];
-                assert!(p.live, "a live block's parent is live");
-                assert!(p.refcount >= e.refcount, "a pin covers the whole chain");
-                children[e.parent as usize] += 1;
+            assert!(run.computed_len <= run.len, "computed blocks are a prefix");
+            if run.parent == NO_RUN {
+                assert_eq!(run.depth, 0, "only a chain's first run has no parent");
+                continue;
             }
+            let p = &self.runs[run.parent as usize];
+            assert!(p.len > 0, "a live run's parent is live");
+            assert_eq!(
+                p.depth + p.len,
+                run.depth,
+                "children hang off a run's last block"
+            );
+            assert_eq!(
+                Some(p.blocks()),
+                run.hashes
+                    .as_deref()
+                    .map(|h| &h[p.depth as usize..run.depth as usize]),
+                "a run's chain passes through its parent"
+            );
+            assert!(p.refcount >= run.refcount, "a pin covers the whole chain");
+            assert!(p.last_used >= run.last_used, "and so does a stamp");
+            assert!(
+                run.computed_len == 0 || p.computed_len == p.len,
+                "computed blocks are a prefix across runs"
+            );
+            children[run.parent as usize] += 1;
         }
-        let mut queued = vec![false; self.slab.len()];
+        let mut queued = vec![false; self.runs.len()];
         let candidates = self
             .released
             .iter()
             .chain(self.cascaded.iter().map(|c| &c.0));
         for c in candidates.filter(|c| self.is_evictable(c)) {
-            queued[c.slot as usize] = true;
+            queued[c.run as usize] = true;
         }
-        for (slot, e) in live() {
-            assert_eq!(e.children, children[slot], "children == live child count");
+        for (id, run) in live() {
+            assert_eq!(run.children, children[id], "children == live child count");
             assert!(
-                queued[slot] || e.refcount > 0 || e.children > 0,
-                "every evictable block has a valid candidate"
+                queued[id] || run.refcount > 0 || run.children > 0,
+                "every evictable run has a valid candidate"
             );
         }
         assert!(
@@ -1173,9 +1258,8 @@ mod tests {
             ..CacheInternals::default()
         };
         assert_eq!(c.internals(), cold);
-        // A fresh prefix in a full cache evicts the rc==0 blocks the first
-        // request left behind; the memo names them, but its hashes differ,
-        // so the walk falls back to the map (one more lookup, a miss).
+        // A fresh prefix in a full cache evicts the rc==0 run the first
+        // request left behind (one more lookup, a miss).
         let b = c.try_admit(&toks(8, 9), 0).unwrap();
         c.mark_computed(&b, 8);
         c.release(b);
@@ -1187,38 +1271,46 @@ mod tests {
         };
         assert_eq!(c.internals(), churned);
         assert_eq!(churned.evictions, c.stats().evictions);
-        // The last admission's chain again — probed, checked, admitted —
-        // resolves through the memo alone; marks and releases are never
+        // The resident chain again — probed, checked, admitted — is one
+        // lookup per walk, for its one run; marks and releases are never
         // lookups.
         assert_eq!(c.probe(&toks(8, 9)), 8);
         assert!(c.can_admit_chain(&BlockChain::from_tokens(4, &toks(8, 9)), 0));
         let again = c.try_admit(&toks(8, 9), 0).unwrap();
         c.release(again);
         let resumed = CacheInternals {
-            walk_memo_hits: 6,
+            block_map_probes: 5,
             ..churned
         };
         assert_eq!(c.internals(), resumed);
-        // A chain that diverges after one block takes the memo for the
-        // shared block and the map from the first mismatch on.
+        // A chain that diverges after one block leaves the run early: the
+        // walk ends there without looking its own second block up, and only
+        // an admission splits the run (whose unshared half is then evicted
+        // to make room, past the candidate the run's first release queued).
         let mut forked = toks(8, 9);
         forked[5] ^= 0xffff;
         assert_eq!(c.probe(&forked), 4);
+        assert_eq!(c.internals().run_splits, 0);
+        let fork = c.try_admit(&forked, 0).unwrap();
+        assert_eq!(fork.cached_tokens, 4);
         assert_eq!(
             c.internals(),
             CacheInternals {
-                walk_memo_hits: 7,
-                block_map_probes: 3,
+                block_map_probes: 7,
+                heap_stale_invalidations: 1,
+                run_splits: 1,
+                evictions: 3,
                 ..resumed
             }
         );
+        c.check_invariants();
     }
 
     #[test]
-    fn stale_memo_slots_miss_instead_of_lying() {
-        // Capacity 2: every new prompt evicts the previous one's blocks and
-        // takes over their slots, so the memo keeps naming slots that hold
-        // other blocks (or the same block, re-created).
+    fn recycled_run_slots_miss_instead_of_lying() {
+        // Capacity 2: every new prompt evicts the previous one's run and
+        // takes over its slot, so stale eviction candidates keep naming a
+        // slot that holds another run (or the same blocks, re-created).
         let mut c = cache(2);
         for salt in [0, 1, 0, 0, 2, 1] {
             let a = c.try_admit(&toks(8, salt), 0).unwrap();
@@ -1720,6 +1812,7 @@ mod proptests {
 mod model {
     use super::*;
     use proptest::prelude::*;
+    use proptest::TestCaseError;
     use std::collections::BTreeMap;
 
     #[derive(Debug, Clone, PartialEq, Eq)]
@@ -1861,19 +1954,22 @@ mod model {
     }
 
     impl PrefixCache {
-        /// Live blocks as the model describes them: hash → (parent hash,
-        /// refcount, computed), plus the LRU rank of each stamp.
+        /// The runs block by block, as the model describes them: hash →
+        /// (parent hash, refcount, computed, last_used).
         fn describe(&self) -> BTreeMap<u64, Block> {
-            let live = self.slab.iter().filter(|e| e.live);
-            live.map(|e| {
-                let parent = (e.parent != NO_SLOT).then(|| self.slab[e.parent as usize].hash);
-                let block = Block {
-                    parent,
-                    refcount: e.refcount,
-                    computed: e.computed,
-                    last_used: e.last_used,
-                };
-                (e.hash, block)
+            let live = self.runs.iter().filter(|r| r.len > 0);
+            live.flat_map(|run| {
+                let above = self.runs.get(run.parent as usize);
+                let mut parent = above.and_then(|p| p.blocks().last().copied());
+                run.blocks().iter().enumerate().map(move |(i, &hash)| {
+                    let block = Block {
+                        parent: parent.replace(hash),
+                        refcount: run.refcount,
+                        computed: i < run.computed_len as usize,
+                        last_used: run.last_used,
+                    };
+                    (hash, block)
+                })
             })
             .collect()
         }
@@ -1891,16 +1987,122 @@ mod model {
         blocks
     }
 
-    /// A prompt out of a small tree of families: two family blocks, a
-    /// branch block, a leaf block, up to two more blocks and a partial tail.
-    fn prompt(pick: u16) -> Vec<TokenId> {
-        let pick = u32::from(pick);
-        let (family, branch, leaf, extra) = (pick % 3, pick / 3 % 3, pick / 9 % 4, pick / 36 % 11);
-        let mut tokens: Vec<TokenId> = (0..8).map(|i| family * 100 + i).collect();
-        tokens.extend((0..4).map(|i| 1_000 + family * 100 + branch * 10 + i));
-        tokens.extend((0..4).map(|i| 10_000 + (family * 3 + branch) * 100 + leaf * 10 + i));
-        tokens.extend((0..extra).map(|i| 100_000 + pick * 16 + i));
+    /// A prompt out of a trie eight blocks deep with three children per
+    /// node: `1 + pick % 8` full blocks, `pick / 8 % 4` tail tokens, and two
+    /// bits of `pick` per level choosing the block there — variant 0 half
+    /// the time, so prompts share long stretches, the runs holding them are
+    /// long, and chains end and diverge at every offset inside them.
+    fn prompt(pick: u32) -> Vec<TokenId> {
+        let (blocks, tail) = (1 + pick % 8, pick / 8 % 4);
+        let mut tokens = Vec::new();
+        for level in 0..blocks {
+            let variant = [0, 1, 2, 0][(pick >> (5 + 2 * level) & 3) as usize];
+            tokens.extend((0..4).map(|i| 1_000 * level + 10 * variant + i));
+        }
+        tokens.extend((0..tail).map(|i| 900_000 + i));
         tokens
+    }
+
+    /// The `pick` of the prompt with `blocks` full blocks, variant
+    /// `variants[level]` at each listed level and variant 0 below.
+    fn pick(blocks: u32, variants: &[u32]) -> u32 {
+        let levels = variants.iter().enumerate();
+        levels.fold(blocks - 1, |pick, (level, v)| pick | v << (5 + 2 * level))
+    }
+
+    /// One step of a schedule: `(op, pick, decode, nth)`.
+    type Op = (u8, u32, u8, u8);
+    const ADMIT: u8 = 0;
+    const MARK: u8 = 5;
+    const RELEASE: u8 = 7;
+    const RELEASE_BATCH: u8 = 8;
+
+    /// Drives a [`PrefixCache`] and the [`Model`] through `ops`, comparing
+    /// every answer and, after every step, the whole block-by-block state.
+    fn lockstep(
+        ops: &[Op],
+        capacity: usize,
+        share_in_flight: bool,
+    ) -> Result<CacheInternals, TestCaseError> {
+        let config = CacheConfig {
+            block_size: 4,
+            capacity_blocks: capacity,
+            enabled: true,
+            share_in_flight,
+        };
+        let mut cache = PrefixCache::new(config);
+        let mut model = Model {
+            config,
+            blocks: BTreeMap::new(),
+            private: 0,
+            clock: 0,
+            stats: CacheStats::default(),
+            evicted: Vec::new(),
+        };
+        let mut live: Vec<(SeqAlloc, ModelAlloc)> = Vec::new();
+        for &(op, pick, decode, nth) in ops {
+            let before = cache.describe();
+            let evicted_before = model.evicted.len();
+            let chain = BlockChain::from_tokens(4, &prompt(pick));
+            let (decode, nth) = (usize::from(decode), usize::from(nth));
+            match op {
+                // Admissions are half the schedule; a refusal must leave
+                // the chain intact for the retry.
+                ADMIT..=4 => {
+                    prop_assert_eq!(
+                        cache.can_admit_chain(&chain, decode),
+                        model.plan(chain.blocks(), chain.prompt_tokens(), decode).1
+                    );
+                    let mut taken = chain.clone();
+                    let got = cache.try_admit_chain(&mut taken, decode);
+                    let want = model.try_admit(&chain, decode);
+                    prop_assert_eq!(got.is_some(), want.is_some());
+                    match (got, want) {
+                        (Some(got), Some(want)) => {
+                            prop_assert_eq!(got.cached_tokens, want.cached_tokens);
+                            prop_assert_eq!(got.prompt_tokens, chain.prompt_tokens());
+                            prop_assert!(taken.blocks().is_empty());
+                            live.push((got, want));
+                        }
+                        _ => prop_assert_eq!(&taken, &chain),
+                    }
+                }
+                // A prefill chunk lands: anywhere up to the whole prompt.
+                MARK | 6 if !live.is_empty() => {
+                    let (got, want) = &live[nth % live.len()];
+                    let prefilled = got.prompt_tokens * (decode + 1) / 10;
+                    cache.mark_computed(got, prefilled);
+                    model.mark_computed(want, prefilled);
+                }
+                RELEASE if !live.is_empty() => {
+                    let (got, want) = live.swap_remove(nth % live.len());
+                    cache.release(got);
+                    model.release(want);
+                }
+                RELEASE_BATCH if !live.is_empty() => {
+                    let retired = live.split_off(live.len() - (nth % live.len() + 1).min(3));
+                    let (got, want): (Vec<_>, Vec<_>) = retired.into_iter().unzip();
+                    cache.release_batch(got);
+                    want.into_iter().for_each(|a| model.release(a));
+                }
+                _ => prop_assert_eq!(cache.probe_chain(&chain), model.probe(chain.blocks())),
+            }
+            cache.check_invariants();
+            prop_assert_eq!(cache.free_blocks(), model.free_blocks());
+            prop_assert_eq!(cache.stats(), &model.stats);
+            let after = cache.describe();
+            let mut gone: Vec<u64> = before
+                .keys()
+                .filter(|h| !after.contains_key(h))
+                .copied()
+                .collect();
+            let mut want_gone = model.evicted[evicted_before..].to_vec();
+            gone.sort_unstable();
+            want_gone.sort_unstable();
+            prop_assert_eq!(gone, want_gone);
+            prop_assert_eq!(ranked(after), ranked(model.blocks.clone()));
+        }
+        Ok(cache.internals())
     }
 
     proptest! {
@@ -1908,85 +2110,89 @@ mod model {
 
         #[test]
         fn cache_matches_the_naive_model(
-            ops in proptest::collection::vec((0u8..10, 0u16..1188, 0u8..10, 0u8..8), 1..160),
+            ops in proptest::collection::vec((0u8..10, 0u32..1 << 21, 0u8..10, 0u8..8), 1..160),
             capacity in 2usize..=64,
             share_in_flight in proptest::bool::ANY,
         ) {
-            let config = CacheConfig {
-                block_size: 4,
-                capacity_blocks: capacity,
-                enabled: true,
-                share_in_flight,
-            };
-            let mut cache = PrefixCache::new(config);
-            let mut model = Model {
-                config,
-                blocks: BTreeMap::new(),
-                private: 0,
-                clock: 0,
-                stats: CacheStats::default(),
-                evicted: Vec::new(),
-            };
-            let mut live: Vec<(SeqAlloc, ModelAlloc)> = Vec::new();
-            for (op, pick, decode, nth) in ops {
-                let before = cache.describe();
-                let evicted_before = model.evicted.len();
-                let chain = BlockChain::from_tokens(4, &prompt(pick));
-                let (decode, nth) = (usize::from(decode), usize::from(nth));
-                match op {
-                    // Admissions are half the schedule; a refusal must leave
-                    // the chain intact for the retry.
-                    0..=4 => {
-                        prop_assert_eq!(
-                            cache.can_admit_chain(&chain, decode),
-                            model.plan(chain.blocks(), chain.prompt_tokens(), decode).1
-                        );
-                        let mut taken = chain.clone();
-                        let got = cache.try_admit_chain(&mut taken, decode);
-                        let want = model.try_admit(&chain, decode);
-                        prop_assert_eq!(got.is_some(), want.is_some());
-                        match (got, want) {
-                            (Some(got), Some(want)) => {
-                                prop_assert_eq!(got.cached_tokens, want.cached_tokens);
-                                prop_assert_eq!(got.prompt_tokens, chain.prompt_tokens());
-                                prop_assert!(taken.blocks().is_empty());
-                                live.push((got, want));
-                            }
-                            _ => prop_assert_eq!(&taken, &chain),
-                        }
-                    }
-                    // A prefill chunk lands: anywhere up to the whole prompt.
-                    5 | 6 if !live.is_empty() => {
-                        let (got, want) = &live[nth % live.len()];
-                        let prefilled = got.prompt_tokens * (decode + 1) / 10;
-                        cache.mark_computed(got, prefilled);
-                        model.mark_computed(want, prefilled);
-                    }
-                    7 if !live.is_empty() => {
-                        let (got, want) = live.swap_remove(nth % live.len());
-                        cache.release(got);
-                        model.release(want);
-                    }
-                    8 if !live.is_empty() => {
-                        let retired = live.split_off(live.len() - (nth % live.len() + 1).min(3));
-                        let (got, want): (Vec<_>, Vec<_>) = retired.into_iter().unzip();
-                        cache.release_batch(got);
-                        want.into_iter().for_each(|a| model.release(a));
-                    }
-                    _ => prop_assert_eq!(cache.probe_chain(&chain), model.probe(chain.blocks())),
-                }
-                cache.check_invariants();
-                prop_assert_eq!(cache.free_blocks(), model.free_blocks());
-                prop_assert_eq!(cache.stats(), &model.stats);
-                let after = cache.describe();
-                let mut gone: Vec<u64> =
-                    before.keys().filter(|h| !after.contains_key(h)).copied().collect();
-                let mut want_gone = model.evicted[evicted_before..].to_vec();
-                gone.sort_unstable();
-                want_gone.sort_unstable();
-                prop_assert_eq!(gone, want_gone);
-                prop_assert_eq!(ranked(after), ranked(model.blocks.clone()));
-            }
+            lockstep(&ops, capacity, share_in_flight)?;
         }
+    }
+
+    /// The scripted schedules below force, one by one, what the random ones
+    /// only make likely; each runs under both sharing modes.
+    fn scripted(ops: &[Op], capacity: usize) -> CacheInternals {
+        let strict = lockstep(ops, capacity, false).unwrap();
+        assert_eq!(lockstep(ops, capacity, true).unwrap(), strict);
+        strict
+    }
+
+    #[test]
+    fn chains_end_and_diverge_at_every_offset_of_a_live_run() {
+        // One eight-block run, live throughout. Seven strict block-prefixes
+        // of it and eight chains leaving it for variant 1 at each level: the
+        // first cut at an offset splits, the second finds the boundary.
+        let mut ops = vec![(ADMIT, pick(8, &[]), 3, 0)];
+        for k in 1..8 {
+            ops.push((ADMIT, pick(k, &[]), 0, 0));
+        }
+        for level in 0..8 {
+            let mut variants = [0; 8];
+            variants[level] = 1;
+            ops.push((ADMIT, pick(8, &variants), 1, 0));
+        }
+        // The long sequence goes first: its leaf run was split under it
+        // seven times over. Then everything else, newest first.
+        ops.push((RELEASE, 0, 0, 0));
+        ops.extend([(RELEASE_BATCH, 0, 0, 2); 5]);
+        let internals = scripted(&ops, 64);
+        assert_eq!(internals.run_splits, 7);
+        assert_eq!(internals.evictions, 0);
+    }
+
+    #[test]
+    fn a_partly_evicted_run_is_completed_by_a_child_run() {
+        let (long, other) = (pick(8, &[]), pick(5, &[1]));
+        let ops = [
+            (ADMIT, long, 0, 0),
+            (MARK, 0, 9, 0),
+            (RELEASE, 0, 0, 0),
+            // Five new blocks into two free ones: the run loses three.
+            (ADMIT, other, 0, 0),
+            (RELEASE, 0, 0, 0),
+            // The full prompt again: five blocks revived (computed), three
+            // re-created below them (not), at the other chain's expense.
+            (ADMIT, long, 0, 0),
+            (MARK, 0, 4, 0),
+            (ADMIT, long, 0, 0),
+            (RELEASE_BATCH, 0, 0, 1),
+        ];
+        let internals = scripted(&ops, 10);
+        assert_eq!((internals.evictions, internals.run_splits), (6, 0));
+    }
+
+    #[test]
+    fn a_prefill_chunk_lands_inside_a_run_two_sequences_share() {
+        let long = pick(8, &[]);
+        let ops = [
+            (ADMIT, long, 2, 0),
+            (ADMIT, long, 2, 0),
+            // 50% of the prompt through the second sequence: blocks 0–3.
+            (MARK, 0, 4, 1),
+            (ADMIT, long, 0, 0),
+            // Cuts above, at and below the computed mark, each through a
+            // live run: the halves must keep their share of it.
+            (ADMIT, pick(8, &[0, 0, 1]), 0, 0),
+            (ADMIT, pick(8, &[0, 0, 0, 0, 1]), 0, 0),
+            (ADMIT, pick(8, &[0, 0, 0, 0, 0, 0, 1]), 0, 0),
+            (ADMIT, pick(4, &[]), 0, 0),
+            // 80% through the first sequence crosses three run boundaries.
+            (MARK, 0, 7, 0),
+            (ADMIT, long, 0, 0),
+            (ADMIT, pick(8, &[0, 0, 0, 0, 0, 0, 1]), 0, 0),
+            (RELEASE_BATCH, 0, 0, 2),
+            (RELEASE_BATCH, 0, 0, 2),
+            (RELEASE_BATCH, 0, 0, 2),
+        ];
+        assert_eq!(scripted(&ops, 64).run_splits, 3);
     }
 }

@@ -77,4 +77,4 @@ pub use fault::{confidence_unit, fault_unit, CONFIDENCE_DRAW};
 pub use hardware::{GpuCluster, GpuSpec};
 pub use labeler::{GenRequest, KeyFieldPreference, ModelProfile, OracleLlm, SimLlm};
 pub use model::ModelSpec;
-pub use session::{percentile, Completion, EngineSession, SessionReport};
+pub use session::{percentile, percentiles, Completion, EngineSession, SessionReport};

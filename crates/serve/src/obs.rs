@@ -35,12 +35,10 @@ pub struct ServeMetrics {
     pub latency_s: &'static Histogram,
     /// Prefix-cache blocks evicted (LRU leaf cascade).
     pub cache_evictions: &'static Counter,
-    /// Chain positions probe / admission walks resolved by a hash-map
-    /// lookup.
+    /// Hash-map lookups of probe / admission walks: one per run visited.
     pub cache_block_map_probes: &'static Counter,
-    /// Chain positions those walks resolved through the resume memo instead
-    /// (see [`CacheInternals::walk_memo_hits`]).
-    pub cache_walk_memo_hits: &'static Counter,
+    /// Runs split by an admission (see [`CacheInternals::run_splits`]).
+    pub cache_run_splits: &'static Counter,
     /// Stale eviction candidates lazily discarded.
     pub cache_heap_stale_invalidations: &'static Counter,
     /// `mark_computed` calls (prefill chunk completions).
@@ -74,7 +72,7 @@ pub fn metrics() -> &'static ServeMetrics {
             latency_s: r.histogram("serve.latency_s"),
             cache_evictions: r.counter("cache.evictions"),
             cache_block_map_probes: r.counter("cache.block_map_probes"),
-            cache_walk_memo_hits: r.counter("cache.walk_memo_hits"),
+            cache_run_splits: r.counter("cache.run_splits"),
             cache_heap_stale_invalidations: r.counter("cache.heap_stale_invalidations"),
             cache_mark_computed_calls: r.counter("cache.mark_computed_calls"),
             chain_tokens_hashed: r.counter("serve.chain.tokens_hashed"),
@@ -94,8 +92,7 @@ pub fn publish_cache_internals(prev: CacheInternals, now: CacheInternals) -> Cac
     m.cache_evictions.add(now.evictions - prev.evictions);
     m.cache_block_map_probes
         .add(now.block_map_probes - prev.block_map_probes);
-    m.cache_walk_memo_hits
-        .add(now.walk_memo_hits - prev.walk_memo_hits);
+    m.cache_run_splits.add(now.run_splits - prev.run_splits);
     m.cache_heap_stale_invalidations
         .add(now.heap_stale_invalidations - prev.heap_stale_invalidations);
     m.cache_mark_computed_calls

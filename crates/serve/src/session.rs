@@ -44,8 +44,9 @@
 //! Either way only the fragments the previous prompt did not share are
 //! hashed, the per-step admission path walks precomputed hashes instead of
 //! re-hashing the head-of-line prompt on every step it spends blocked behind
-//! backpressure, and admission moves the hashes into the sequence's
-//! allocation, so the session keeps no per-request chain once a request runs.
+//! backpressure, and admission moves the hashes into the cache (the run it
+//! creates reads them in place), so the session keeps no per-request chain
+//! once a request runs.
 
 use crate::cache::{BlockChain, CacheConfig, CacheStats, ChainHasher, PrefixCache, SeqAlloc};
 use crate::engine::{Deployment, EngineConfig, EngineError, EngineReport, SimRequest};
@@ -95,7 +96,7 @@ struct QueuedRequest {
     id: usize,
     output_len: u32,
     /// Block hashes while the request waits; admission moves them into the
-    /// sequence's [`SeqAlloc`], leaving only the prompt length here.
+    /// cache, leaving only the prompt length here.
     chain: BlockChain,
     /// Clock at [`EngineSession::enqueue_chain`] time; feeds the traced
     /// queue-wait span and is never read by the scheduler itself.
@@ -119,8 +120,35 @@ pub fn percentile(sorted: &[f64], p: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;
     }
-    let rank = ((p * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
+    sorted[nearest_rank(p, sorted.len()) - 1]
+}
+
+/// The 1-based nearest rank of percentile `p` in a sample of `n > 0`.
+fn nearest_rank(p: f64, n: usize) -> usize {
+    ((p * n as f64).ceil() as usize).clamp(1, n)
+}
+
+/// [`percentile`] at each of `ps` (ascending) of an **unsorted** sample,
+/// which it reorders: one selection per rank instead of a sort. Under
+/// `f64::total_cmp` equal elements are the same bits, so the element a
+/// selection puts at a rank is the one a sort would, and the results equal
+/// `percentile` over the sorted sample bit for bit.
+pub fn percentiles<const N: usize>(samples: &mut [f64], ps: [f64; N]) -> [f64; N] {
+    let n = samples.len();
+    let mut out = [0.0; N];
+    if n == 0 {
+        return out;
+    }
+    // Highest rank first: a selection leaves everything smaller to its
+    // left, which is where the next one looks.
+    let mut rest = samples;
+    for (out, p) in out.iter_mut().zip(ps).rev() {
+        let rank = nearest_rank(p, n);
+        debug_assert!(rank <= rest.len(), "percentiles must ascend");
+        *out = *rest.select_nth_unstable_by(rank - 1, f64::total_cmp).1;
+        rest = &mut std::mem::take(&mut rest)[..rank];
+    }
+    out
 }
 
 /// A running engine instance that accepts requests over time.
@@ -348,15 +376,6 @@ impl EngineSession {
     /// attribute per-request serving costs before the session finishes.
     pub fn completions(&self) -> &[Completion] {
         &self.completions
-    }
-
-    /// The completion record of request `id`, if it has finished — answer
-    /// extraction per request id for layers (like the relational answer
-    /// cache) that key engine work by the request they submitted. Ids are
-    /// caller-chosen and may repeat across submissions; the *latest*
-    /// completion wins.
-    pub fn completion_of(&self, id: usize) -> Option<&Completion> {
-        self.completions.iter().rev().find(|c| c.id == id)
     }
 
     /// Total KV capacity in blocks.
@@ -898,12 +917,10 @@ impl EngineSession {
             );
             crate::obs::publish_chain_hasher(&self.hasher);
         }
-        self.ttfts.sort_by(f64::total_cmp);
-        self.latencies.sort_by(f64::total_cmp);
-        self.report.ttft_p50_s = percentile(&self.ttfts, 0.50);
-        self.report.ttft_p99_s = percentile(&self.ttfts, 0.99);
-        self.report.latency_p50_s = percentile(&self.latencies, 0.50);
-        self.report.latency_p99_s = percentile(&self.latencies, 0.99);
+        [self.report.ttft_p50_s, self.report.ttft_p99_s] =
+            percentiles(&mut self.ttfts, [0.50, 0.99]);
+        [self.report.latency_p50_s, self.report.latency_p99_s] =
+            percentiles(&mut self.latencies, [0.50, 0.99]);
         self.report.job_completion_time_s = self.clock;
         self.report.peak_blocks = self.cache.stats().peak_blocks;
         self.report.evictions = self.cache.stats().evictions;
@@ -950,26 +967,6 @@ mod tests {
         let out = s.finish();
         assert_eq!(out.report, batch);
         assert_eq!(out.completions.len(), 40);
-    }
-
-    #[test]
-    fn completion_extraction_by_request_id() {
-        let e = engine();
-        let mut s = e.session().unwrap();
-        let done = s.run_batch(&reqs(6, 32, 8, 4)).unwrap().to_vec();
-        assert_eq!(s.completions(), done.as_slice());
-        for c in &done {
-            assert_eq!(s.completion_of(c.id), Some(c));
-        }
-        assert!(s.completion_of(999).is_none());
-        // Re-submitting an id keeps the latest record reachable.
-        let mut dup = reqs(1, 32, 8, 4);
-        dup[0].id = 3;
-        s.run_batch(&dup).unwrap();
-        let first = *done.iter().find(|c| c.id == 3).unwrap();
-        let latest = s.completion_of(3).copied().unwrap();
-        assert!(latest.finished_s > first.finished_s);
-        assert_eq!(s.completions().len(), 7);
     }
 
     #[test]
@@ -1147,9 +1144,9 @@ mod tests {
     #[test]
     fn admission_moves_chains_out_of_the_store() {
         // The store remembers every request ever enqueued; the block hashes
-        // must leave it with the admission (into the `SeqAlloc`, freed at
-        // release) instead of being copied and retained for the session's
-        // lifetime.
+        // must leave it with the admission (into the cache, freed when the
+        // run that reads them is evicted) instead of being copied and
+        // retained for the session's lifetime.
         let e = engine();
         let mut s = e.session().unwrap();
         for r in &reqs(12, 64, 32, 2) {
@@ -1171,6 +1168,35 @@ mod tests {
         assert_eq!(percentile(&[3.0], 0.5), 3.0);
         assert_eq!(percentile(&[1.0, 2.0, 3.0, 4.0], 0.5), 2.0);
         assert_eq!(percentile(&[1.0, 2.0, 3.0, 4.0], 0.99), 4.0);
+    }
+
+    #[test]
+    fn percentiles_select_what_sorting_finds() {
+        assert_eq!(percentiles(&mut [], [0.5, 0.99]), [0.0, 0.0]);
+        // Duplicates, both zeros, every size around the rank boundaries.
+        let mut x = 7u64;
+        for n in 1..=130usize {
+            let sample: Vec<f64> = (0..n)
+                .map(|_| {
+                    x = x
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    [-0.0, 0.0, 1.5, (x >> 40) as f64 / 64.0][(x >> 33) as usize % 4]
+                })
+                .collect();
+            let mut sorted = sample.clone();
+            sorted.sort_by(f64::total_cmp);
+            let ps = [0.0, 0.5, 0.5, 0.99, 1.0];
+            let got = percentiles(&mut sample.clone(), ps);
+            for (got, p) in got.into_iter().zip(ps) {
+                assert_eq!(
+                    got.to_bits(),
+                    percentile(&sorted, p).to_bits(),
+                    "n {n} p {p}"
+                );
+            }
+            assert_eq!(got[4].to_bits(), sorted[n - 1].to_bits());
+        }
     }
 
     #[test]
