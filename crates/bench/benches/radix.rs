@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use llmqo_bench::harness;
 use llmqo_datasets::{Dataset, DatasetId};
-use llmqo_serve::{BlockChain, CacheConfig, ChainHasher, PrefixCache, SimRequest};
+use llmqo_serve::{BlockChain, CacheConfig, ChainHasher, ChainView, PrefixCache, SimRequest};
 
 fn config(capacity_blocks: usize) -> CacheConfig {
     CacheConfig {
@@ -78,11 +78,25 @@ fn bench_eviction_churn(c: &mut Criterion) {
     });
 }
 
+/// Admits, marks computed and releases every chain of `schedule` in turn.
+fn serve(cache: &mut PrefixCache, schedule: &[(ChainView<'_>, usize)]) {
+    for &(chain, output_len) in schedule {
+        let alloc = cache
+            .try_admit_chain(chain, output_len)
+            .expect("nothing else is pinned");
+        cache.mark_computed(&alloc, chain.prompt_tokens());
+        cache.release(alloc);
+    }
+}
+
 /// What one request costs the cache in steady state: a GGR-ordered Movies
 /// filter batch (consecutive prompts share their leading blocks) goes through
 /// hash → admit → mark computed → release, one request at a time, against a
 /// cache of three prompts' worth of blocks, so every admission past the
-/// first few evicts the unshared suffix of an earlier one.
+/// first few evicts the unshared suffix of an earlier one. And the cache's
+/// share of that alone: the same schedule hashed ahead, against a cache a
+/// first pass of it warmed — every slab, queue and id page at its steady
+/// size, so the timed pass allocates nothing.
 fn bench_request_churn(c: &mut Criterion) {
     let ds = Dataset::generate_with_rows(DatasetId::Movies, 2000);
     let requests: Vec<SimRequest> = harness::ggr_filter_requests(&ds)
@@ -98,25 +112,40 @@ fn bench_request_churn(c: &mut Criterion) {
 
     c.bench_function("radix/request-churn-movies-2000req", |b| {
         b.iter_batched(
-            || {
-                (
-                    PrefixCache::new(config(capacity)),
-                    ChainHasher::new(16, true),
-                )
-            },
-            |(mut cache, mut hasher)| {
+            || PrefixCache::new(config(capacity)),
+            |mut cache| {
+                let mut hasher = ChainHasher::new(16, true);
                 for r in &requests {
-                    let mut chain = hasher.chain(&r.prompt);
-                    let prompt_tokens = chain.prompt_tokens();
-                    let alloc = cache
-                        .try_admit_chain(&mut chain, r.output_len as usize)
-                        .expect("nothing else is pinned");
-                    cache.mark_computed(&alloc, prompt_tokens);
-                    cache.release(alloc);
+                    let chain = hasher.chain(&r.prompt);
+                    serve(&mut cache, &[(chain, r.output_len as usize)]);
                 }
                 let stats = *cache.stats();
                 assert!(stats.evictions > stats.admitted, "steady-state eviction");
                 stats.evictions
+            },
+            BatchSize::SmallInput,
+        )
+    });
+
+    let chains: Vec<BlockChain> = requests
+        .iter()
+        .map(|r| BlockChain::from_fragments(16, r.prompt.iter().map(|f| &f[..])))
+        .collect();
+    let schedule: Vec<(ChainView<'_>, usize)> = std::iter::zip(&chains, &requests)
+        .map(|(chain, r)| (chain.view(), r.output_len as usize))
+        .collect();
+    c.bench_function("radix/admit-steady-no-alloc", |b| {
+        b.iter_batched(
+            || {
+                let mut cache = PrefixCache::new(config(capacity));
+                serve(&mut cache, &schedule);
+                cache
+            },
+            |mut cache| {
+                let pages = cache.internals().id_pages;
+                serve(&mut cache, &schedule);
+                assert_eq!(cache.internals().id_pages, pages, "a warmed cache");
+                cache.stats().evictions
             },
             BatchSize::SmallInput,
         )
@@ -134,17 +163,13 @@ fn bench_deep_shared_prefix(c: &mut Criterion) {
         .collect();
     let capacity = 3 * (shared + unique) / 16;
 
+    let schedule: Vec<(ChainView<'_>, usize)> = chains.iter().map(|c| (c.view(), 0)).collect();
+
     c.bench_function("radix/deep-shared-prefix", |b| {
         b.iter_batched(
-            || (PrefixCache::new(config(capacity)), chains.clone()),
-            |(mut cache, chains)| {
-                for mut chain in chains {
-                    let alloc = cache
-                        .try_admit_chain(&mut chain, 0)
-                        .expect("nothing else is pinned");
-                    cache.mark_computed(&alloc, shared + unique);
-                    cache.release(alloc);
-                }
+            || PrefixCache::new(config(capacity)),
+            |mut cache| {
+                serve(&mut cache, &schedule);
                 let stats = *cache.stats();
                 assert!(stats.evictions > stats.admitted, "steady-state eviction");
                 stats.evictions

@@ -664,7 +664,7 @@ impl<'a> Kernel<'a> {
             // session's admission queue.
             let kv = session.kv_blocks_in_use();
             let chain = self.hasher.chain(&request.request.prompt);
-            let probed = session.probe_cached_tokens(&chain);
+            let probed = session.probe_cached_tokens(chain);
             occupancy.samples += 1;
             occupancy.kv_blocks_sum += kv as u64;
             occupancy.kv_blocks_peak = occupancy.kv_blocks_peak.max(kv);

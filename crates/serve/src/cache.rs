@@ -32,6 +32,24 @@
 //! to hash only what the previous prompt did not share. Ids are opaque:
 //! nothing a report shows depends on their values.
 //!
+//! A block id has **one owner per stage of its life**, and moving on to the
+//! next stage is a copy into memory that already exists, never an
+//! allocation per request:
+//!
+//! 1. *Hashed.* A [`ChainHasher`] computes a prompt's chain into its own
+//!    working buffer and lends it out as a [`ChainView`] — a borrowed slice
+//!    plus the prompt length — until it hashes the next prompt.
+//! 2. *Queued.* The engine session copies the view's ids into its FIFO
+//!    arena (fixed-size chunks, freed whole from the front as requests are
+//!    admitted) and rebuilds a view from there for every admission attempt.
+//! 3. *Cached.* An admission copies the ids of the blocks the cache did
+//!    **not** hold yet — the unshared suffix, a quarter of a chain on a
+//!    reordered batch — into the cache's id pages (below). Ids of blocks it
+//!    already held are compared and dropped.
+//!
+//! The owned [`BlockChain`] is the definition and a test and bench fixture;
+//! no serving path builds one.
+//!
 //! # Block store
 //!
 //! The semantics above are stated block by block; the store keeps **runs**
@@ -39,9 +57,18 @@
 //! stretch of consecutive chain blocks with one parent, one refcount and one
 //! LRU stamp; only its last block can have children. Runs live in a slab
 //! (`Vec<Run>` plus a free list) and a hash map resolves *first block id →
-//! run*. A run reads its ids out of the admitted [`BlockChain`]'s own
-//! buffer, indexed by chain position, so creating one copies nothing.
+//! run*.
 //!
+//! * **Ids live in cache-owned pages.** A run's ids are a span `(page,
+//!   start, len)` of an id page: a slab of fixed-capacity `u64` buffers,
+//!   each filled front to back by the runs created while it is the open
+//!   page, with a count of the live runs reading it. A split divides the
+//!   span in place and bumps the count; tail eviction shortens the span and
+//!   leaves its words behind; when a page's last run dies the page is
+//!   emptied and recycled through a free list, buffer and all. A run longer
+//!   than a page gets a page of its own. So a run keeps exactly the ids of
+//!   the blocks it was created with, and in steady state storing them
+//!   allocates nothing.
 //! * **One visit per run.** Present blocks are prefix-closed along a chain
 //!   (a block is created after its parent and, being a child, evicted before
 //!   it), so a walk looks up the chain's next id, compares the run's ids
@@ -51,7 +78,8 @@
 //!   ends or diverges inside a run splits it there: a new *head* run takes
 //!   the leading blocks (and the map key), the *tail* keeps the run's slot,
 //!   children, refcount, stamp and whatever eviction candidate names it, and
-//!   the two share the id buffer. Every operation then covers whole runs.
+//!   the two divide the run's span of its id page. Every operation then
+//!   covers whole runs.
 //! * **A sequence is its leaf run.** An admitted sequence references every
 //!   run from its chain's last block up to the root until it is released;
 //!   referenced runs are never evicted and a split leaves the tail in place,
@@ -124,12 +152,92 @@ const NO_RUN: RunId = RunId::MAX;
 /// First block id → run.
 type BlockMap = HashMap<u64, RunId, BuildHasherDefault<BlockKeyHasher>>;
 
-/// A chain's block ids, `None` when it has none. Shared, not copied, between
-/// the runs a split makes of one admission's blocks.
-type Hashes = Option<Arc<[u64]>>;
+/// Block ids per [`IdPage`]: 2 KiB, some forty admissions' worth of new
+/// blocks on a reordered batch, so page allocations are rare next to
+/// admissions and a page pinned by one long-lived run wastes little.
+const PAGE_IDS: usize = 256;
 
-fn share(blocks: &[u64]) -> Hashes {
-    (!blocks.is_empty()).then(|| blocks.into())
+/// A fixed-capacity buffer of block ids that the runs created while it was
+/// the open page read their ids from.
+#[derive(Debug, Default)]
+struct IdPage {
+    ids: Vec<u64>,
+    /// Live runs whose ids are in this page.
+    runs: u32,
+}
+
+/// The cache's own copy of every live run's block ids: a slab of pages
+/// filled front to back, with a free list. A page is recycled whole, when
+/// its last run dies — words a tail eviction or a dead run leaves behind are
+/// not reused before that — so storing ids never moves or frees one.
+#[derive(Debug, Default)]
+struct IdPages {
+    pages: Vec<IdPage>,
+    /// Pages no run reads, emptied and awaiting reuse.
+    free: Vec<u32>,
+    /// The page new runs are appended to, if one was opened yet.
+    open: Option<u32>,
+}
+
+impl IdPages {
+    /// The ids of `run`'s blocks, in chain order.
+    #[inline]
+    fn ids(&self, run: &Run) -> &[u64] {
+        &self.pages[run.page as usize].ids[run.start as usize..][..run.len as usize]
+    }
+
+    /// Copies a new run's `ids` into a page and returns `(page, start)`:
+    /// the open page while they fit, else a recycled or fresh one, which
+    /// becomes the open page — unless the run is longer than a page and
+    /// gets one of its own.
+    fn store(&mut self, ids: &[u64]) -> (u32, u32) {
+        let fits = |&open: &u32| {
+            let page = &self.pages[open as usize].ids;
+            ids.len() <= page.capacity() - page.len()
+        };
+        let page = self.open.filter(fits).unwrap_or_else(|| {
+            let page = self.free.pop().unwrap_or_else(|| {
+                self.pages.push(IdPage::default());
+                (self.pages.len() - 1) as u32
+            });
+            let buffer = &mut self.pages[page as usize].ids;
+            buffer.reserve_exact(ids.len().max(PAGE_IDS));
+            if ids.len() <= PAGE_IDS {
+                self.open = Some(page);
+            }
+            page
+        });
+        let target = &mut self.pages[page as usize];
+        let start = target.ids.len() as u32;
+        target.ids.extend_from_slice(ids);
+        target.runs += 1;
+        (page, start)
+    }
+
+    /// Words held by pages some live run reads.
+    fn words_in_use(&self) -> usize {
+        let in_use = self.pages.iter().filter(|p| p.runs > 0);
+        in_use.map(|p| p.ids.len()).sum()
+    }
+
+    /// A run of `page` died. The last one empties the page: the open page
+    /// is refilled from its start, any other goes to the free list (without
+    /// its buffer if that was sized for a run longer than a page).
+    fn release(&mut self, page: u32) {
+        let p = &mut self.pages[page as usize];
+        p.runs -= 1;
+        if p.runs > 0 {
+            return;
+        }
+        p.ids.clear();
+        if self.open == Some(page) {
+            return;
+        }
+        if p.ids.capacity() > PAGE_IDS {
+            p.ids = Vec::new();
+        }
+        self.free.push(page);
+    }
 }
 
 /// Source of [`PrefixCache::id`]: tells one cache's allocations from
@@ -153,21 +261,60 @@ pub struct CacheConfig {
     pub share_in_flight: bool,
 }
 
-/// A prompt's prefix-cache identity, precomputed once: the chain hashes of
-/// its full blocks plus the total prompt length.
+/// A prompt's prefix-cache identity, borrowed from whoever owns the ids at
+/// this stage of the request's life: the chain hashes of its full blocks
+/// plus the total prompt length.
 ///
 /// Flattening a fragment list and hashing it is O(prompt length); a request
 /// stuck at the head of the admission queue used to pay that cost on every
-/// scheduling step it waited. Computing the chain once per placement and
-/// handing it to [`PrefixCache::probe_chain`] / [`PrefixCache::try_admit_chain`]
-/// makes every later cache operation a walk over `prompt_len / block_size`
-/// precomputed hashes. [`BlockChain::from_fragments`] is the *definition* of
-/// the chain; [`ChainHasher`] is how the serving paths compute it.
+/// scheduling step it waited. Hashing the chain once per placement and
+/// handing a view of it to [`PrefixCache::probe_chain`] /
+/// [`PrefixCache::try_admit_chain`] makes every later cache operation a walk
+/// over `prompt_len / block_size` precomputed hashes. A view is two words
+/// and a length — `Copy`, never allocated: [`ChainHasher`] lends one of its
+/// own working chain, the engine session one of its queue arena, and a test
+/// or bench one of an owned [`BlockChain`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ChainView<'a> {
+    /// Chain hashes of the prompt's full blocks, in chain order.
+    ids: &'a [u64],
+    /// Total prompt length in tokens (full blocks + tail).
+    prompt_tokens: usize,
+}
+
+impl<'a> ChainView<'a> {
+    pub(crate) fn new(ids: &'a [u64], prompt_tokens: usize) -> Self {
+        ChainView { ids, prompt_tokens }
+    }
+
+    /// A chain that records only the prompt length — for **disabled** caches,
+    /// which never look at block identity. Passing an unhashed chain to an
+    /// enabled cache would report every block as missing.
+    pub fn unhashed(prompt_tokens: usize) -> Self {
+        ChainView::new(&[], prompt_tokens)
+    }
+
+    /// Total prompt length in tokens.
+    pub fn prompt_tokens(&self) -> usize {
+        self.prompt_tokens
+    }
+
+    /// The full-block chain hashes, in chain order.
+    pub fn blocks(&self) -> &'a [u64] {
+        self.ids
+    }
+}
+
+/// An owned chain, hashed from scratch: [`from_fragments`] is the
+/// *definition* of block ids, the one every differential test compares
+/// [`ChainHasher`] against, and what benches precompute chains with. No
+/// serving path builds one — they pass [`ChainView`]s of ids that already
+/// have an owner.
+///
+/// [`from_fragments`]: BlockChain::from_fragments
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockChain {
-    /// Chain hashes of the prompt's full blocks, in chain order.
-    chain: Hashes,
-    /// Total prompt length in tokens (full blocks + tail).
+    chain: Vec<u64>,
     prompt_tokens: usize,
 }
 
@@ -203,17 +350,7 @@ impl BlockChain {
             }
         }
         BlockChain {
-            chain: share(&chain),
-            prompt_tokens,
-        }
-    }
-
-    /// A chain that records only the prompt length — for **disabled** caches,
-    /// which never look at block identity. Passing an unhashed chain to an
-    /// enabled cache would report every block as missing.
-    pub fn unhashed(prompt_tokens: usize) -> Self {
-        BlockChain {
-            chain: None,
+            chain,
             prompt_tokens,
         }
     }
@@ -225,7 +362,22 @@ impl BlockChain {
 
     /// The full-block chain hashes, in chain order.
     pub fn blocks(&self) -> &[u64] {
-        self.chain.as_deref().unwrap_or_default()
+        &self.chain
+    }
+
+    /// The chain as the cache and the engine session take it.
+    pub fn view(&self) -> ChainView<'_> {
+        ChainView::new(&self.chain, self.prompt_tokens)
+    }
+}
+
+impl From<ChainView<'_>> for BlockChain {
+    /// Copies a view's ids out of their owner.
+    fn from(view: ChainView<'_>) -> Self {
+        BlockChain {
+            chain: view.ids.to_vec(),
+            prompt_tokens: view.prompt_tokens,
+        }
     }
 }
 
@@ -244,8 +396,9 @@ struct Checkpoint {
     tokens: usize,
 }
 
-/// Incremental [`BlockChain`] builder that hashes only the part of a prompt
-/// the *previous* prompt did not share.
+/// Incremental chain builder that hashes only the part of a prompt the
+/// *previous* prompt did not share, and lends each chain out as a
+/// [`ChainView`] of its own working buffer.
 ///
 /// Reordered workloads submit prompts whose leading fragments are the very
 /// same `Arc`s as the previous prompt's (the instruction, then the fields
@@ -261,11 +414,15 @@ struct Checkpoint {
 /// immutable. Equal content behind distinct `Arc`s is simply re-hashed. The
 /// per-token mixing is [`BlockChain::from_fragments`]'s, resumed mid-stream,
 /// so the resulting chain is identical to it for every input sequence.
+///
+/// The view a call returns borrows the hasher until the next call: the
+/// caller probes with it, queues it (the session copies the ids into its
+/// arena) and lets go.
 #[derive(Debug)]
 pub struct ChainHasher {
     block_size: usize,
     /// `false` for a disabled prefix cache, which admits by length alone:
-    /// [`chain`](ChainHasher::chain) then returns [`BlockChain::unhashed`].
+    /// [`chain`](ChainHasher::chain) then returns [`ChainView::unhashed`].
     enabled: bool,
     /// The previous prompt's fragments.
     prev: Vec<Arc<[TokenId]>>,
@@ -299,8 +456,8 @@ impl ChainHasher {
 
     /// The block chain of the logically concatenated `fragments` — equal to
     /// [`BlockChain::from_fragments`] for an enabled cache,
-    /// [`BlockChain::unhashed`] for a disabled one.
-    pub fn chain(&mut self, fragments: &[Arc<[TokenId]>]) -> BlockChain {
+    /// [`ChainView::unhashed`] for a disabled one.
+    pub fn chain(&mut self, fragments: &[Arc<[TokenId]>]) -> ChainView<'_> {
         self.chain_iter(fragments)
     }
 
@@ -313,10 +470,10 @@ impl ChainHasher {
     pub fn chain_iter<'a>(
         &mut self,
         fragments: impl IntoIterator<Item = &'a Arc<[TokenId]>>,
-    ) -> BlockChain {
+    ) -> ChainView<'_> {
         let mut fragments = fragments.into_iter().peekable();
         if !self.enabled {
-            return BlockChain::unhashed(fragments.map(|f| f.len()).sum());
+            return ChainView::unhashed(fragments.map(|f| f.len()).sum());
         }
         let mut shared = 0;
         while let Some(prev) = self.prev.get(shared) {
@@ -370,10 +527,7 @@ impl ChainHasher {
         }
         self.tokens_reused += resume.tokens as u64;
         self.tokens_hashed += (tokens - resume.tokens) as u64;
-        BlockChain {
-            chain: share(&self.blocks),
-            prompt_tokens: tokens,
-        }
+        ChainView::new(&self.blocks, tokens)
     }
 
     /// Prompt tokens this hasher mixed in, over its lifetime.
@@ -447,6 +601,13 @@ pub struct CacheInternals {
     /// Blocks evicted (same number as [`CacheStats::evictions`], repeated
     /// here so one struct carries the whole internals picture).
     pub evictions: u64,
+    /// Id pages the cache has allocated — a level, not a rate: pages are
+    /// recycled, never returned, so this is also the most it ever held.
+    pub id_pages: u64,
+    /// Block-id words in pages some live run reads, right now: the live
+    /// blocks plus what tail evictions and dead runs left behind in pages
+    /// that are not yet empty.
+    pub id_words_live: u64,
 }
 
 /// Outcome of the shared enabled-cache admission arithmetic
@@ -466,15 +627,15 @@ struct AdmissionPlan {
     tip_shared: u32,
 }
 
-/// Blocks `depth .. depth + len` of the chain in `hashes`: consecutive
-/// blocks with one parent, one refcount and one LRU stamp, of which only the
-/// last can have children.
+/// Blocks `depth .. depth + len` of a chain: consecutive blocks with one
+/// parent, one refcount and one LRU stamp, of which only the last can have
+/// children. Their ids are words `start .. start + len` of id page `page`
+/// ([`IdPages::ids`]).
 #[derive(Debug)]
 struct Run {
-    /// Block ids of the chain this run was admitted with or split from,
-    /// indexed by chain position; `None` while the slot awaits reuse.
-    hashes: Hashes,
     last_used: u64,
+    page: u32,
+    start: u32,
     /// The run holding block `depth - 1`, [`NO_RUN`] for `depth == 0`.
     parent: RunId,
     refcount: u32,
@@ -485,17 +646,6 @@ struct Run {
     /// Leading blocks whose prefill has landed. Computed blocks form a
     /// prefix of every chain, hence of every run.
     computed_len: u32,
-}
-
-impl Run {
-    /// The ids of the blocks this run holds, in chain order.
-    #[inline]
-    fn blocks(&self) -> &[u64] {
-        match &self.hashes {
-            Some(hashes) => &hashes[self.depth as usize..][..self.len as usize],
-            None => &[],
-        }
-    }
 }
 
 /// An eviction-queue entry: `run` became a refcount-0 leaf while stamped
@@ -518,6 +668,8 @@ pub struct PrefixCache {
     free: Vec<RunId>,
     /// `first block id → run` of exactly the live slab entries.
     map: BlockMap,
+    /// The live runs' block ids.
+    pages: IdPages,
     /// Blocks held by live runs.
     live_blocks: usize,
     /// Candidates pushed by `release`, in strictly increasing stamp order.
@@ -558,6 +710,7 @@ impl PrefixCache {
             runs: Vec::new(),
             free: Vec::new(),
             map: HashMap::default(),
+            pages: IdPages::default(),
             live_blocks: 0,
             released: VecDeque::new(),
             cascaded: BinaryHeap::new(),
@@ -597,6 +750,8 @@ impl PrefixCache {
             mark_computed_calls: self.marks,
             run_splits: self.splits,
             evictions: self.stats.evictions,
+            id_pages: self.pages.pages.len() as u64,
+            id_words_live: self.pages.words_in_use() as u64,
         }
     }
 
@@ -609,12 +764,12 @@ impl PrefixCache {
         if !self.config.enabled {
             return 0;
         }
-        self.probe_chain(&BlockChain::from_tokens(self.config.block_size, tokens))
+        self.probe_chain(BlockChain::from_tokens(self.config.block_size, tokens).view())
     }
 
-    /// [`probe`](PrefixCache::probe) over a precomputed [`BlockChain`]: no
-    /// hashing, just a walk over the chain. Pure: never mutates cache state.
-    pub fn probe_chain(&self, chain: &BlockChain) -> usize {
+    /// [`probe`](PrefixCache::probe) over a precomputed chain: no hashing,
+    /// just a walk over the chain. Pure: never mutates cache state.
+    pub fn probe_chain(&self, chain: ChainView<'_>) -> usize {
         if !self.config.enabled {
             return 0;
         }
@@ -642,7 +797,7 @@ impl PrefixCache {
                 "a block id fixes its chain position"
             );
             // At most `run.len`, a `u32`.
-            let shared = std::iter::zip(run.blocks(), &chain[at..])
+            let shared = std::iter::zip(self.pages.ids(run), &chain[at..])
                 .take_while(|(ours, theirs)| ours == theirs)
                 .count() as u32;
             visit(id, run, shared);
@@ -661,7 +816,7 @@ impl PrefixCache {
     /// blocked head-of-queue request stays blocked. Shares the exact
     /// arithmetic of the real admission via
     /// `admission_plan`.
-    pub fn can_admit_chain(&self, chain: &BlockChain, decode_tokens: usize) -> bool {
+    pub fn can_admit_chain(&self, chain: ChainView<'_>, decode_tokens: usize) -> bool {
         if !self.config.enabled {
             let needed = (chain.prompt_tokens() + decode_tokens).div_ceil(self.config.block_size);
             return needed <= self.free_blocks();
@@ -675,7 +830,7 @@ impl PrefixCache {
     /// `fits`) and [`probe_chain`](PrefixCache::probe_chain) (`cached_tokens`)
     /// — macro-stepping correctness depends on them never disagreeing, so
     /// there is exactly one copy of the rule.
-    fn admission_plan(&self, chain: &BlockChain, decode_tokens: usize) -> AdmissionPlan {
+    fn admission_plan(&self, chain: ChainView<'_>, decode_tokens: usize) -> AdmissionPlan {
         let bs = self.config.block_size;
         let share = self.config.share_in_flight;
         let mut found = 0u32;
@@ -720,25 +875,23 @@ impl PrefixCache {
     /// [`try_admit_chain`](PrefixCache::try_admit_chain) that hashes
     /// `tokens` on the fly.
     pub fn try_admit(&mut self, tokens: &[TokenId], decode_tokens: usize) -> Option<SeqAlloc> {
-        let mut chain = if self.config.enabled {
-            BlockChain::from_tokens(self.config.block_size, tokens)
-        } else {
-            BlockChain::unhashed(tokens.len())
-        };
-        self.try_admit_chain(&mut chain, decode_tokens)
+        if !self.config.enabled {
+            return self.try_admit_chain(ChainView::unhashed(tokens.len()), decode_tokens);
+        }
+        let chain = BlockChain::from_tokens(self.config.block_size, tokens);
+        self.try_admit_chain(chain.view(), decode_tokens)
     }
 
-    /// [`try_admit`](PrefixCache::try_admit) over a precomputed
-    /// [`BlockChain`]: the chain walk reads the request's block hashes
-    /// instead of re-hashing the prompt, so a retry after backpressure costs
-    /// O(runs), not O(tokens).
+    /// [`try_admit`](PrefixCache::try_admit) over a precomputed chain: the
+    /// chain walk reads the request's block hashes instead of re-hashing the
+    /// prompt, so a retry after backpressure costs O(runs), not O(tokens).
     ///
-    /// On success the chain's block list **moves** into the cache (`chain`
-    /// keeps its prompt length and no blocks); on failure `chain` is
-    /// untouched, ready for the retry.
+    /// On success the cache copies the ids of the blocks it did **not**
+    /// already hold into its id pages — the new run's — and keeps nothing
+    /// else of `chain`; a refusal reads the chain and writes nothing.
     pub fn try_admit_chain(
         &mut self,
-        chain: &mut BlockChain,
+        chain: ChainView<'_>,
         decode_tokens: usize,
     ) -> Option<SeqAlloc> {
         let bs = self.config.block_size;
@@ -771,7 +924,6 @@ impl PrefixCache {
         // Run fields count blocks in `u32`; the chain bounds them all.
         let blocks = u32::try_from(chain.blocks().len()).ok()?;
         let missing = blocks - plan.found;
-        let hashes = chain.chain.take();
 
         // Phase A: pin the chain's present blocks so evictions during phase
         // B cannot touch them — whole runs, once the tip run is cut where
@@ -798,8 +950,10 @@ impl PrefixCache {
         self.evict((missing as usize + plan.private).saturating_sub(self.free_blocks()));
         if missing > 0 {
             let parent = leaf;
+            let (page, start) = self.pages.store(&chain.blocks()[plan.found as usize..]);
             leaf = self.insert_run(Run {
-                hashes,
+                page,
+                start,
                 last_used: self.clock,
                 parent,
                 refcount: 1,
@@ -827,7 +981,7 @@ impl PrefixCache {
     /// Stores a new live run in a recycled or fresh slot and maps its first
     /// block to it.
     fn insert_run(&mut self, run: Run) -> RunId {
-        let first = run.blocks()[0];
+        let first = self.pages.ids(&run)[0];
         let id = match self.free.pop() {
             Some(id) => {
                 self.runs[id as usize] = run;
@@ -852,14 +1006,15 @@ impl PrefixCache {
     /// cut become a new run — the head, whose id is returned and which takes
     /// over the map key — and `tail` keeps the rest under its own id, so
     /// its children, the sequences it is the leaf of and any eviction
-    /// candidate naming it stay right. Both halves keep the refcount, stamp
-    /// and id buffer.
+    /// candidate naming it stay right. Both halves keep the refcount and
+    /// stamp, and divide the run's span of its id page between them.
     fn split(&mut self, tail: RunId, at: u32) -> RunId {
         self.splits += 1;
         let run = &mut self.runs[tail as usize];
         debug_assert!(0 < at && at < run.len, "a split leaves two runs");
         let head = Run {
-            hashes: run.hashes.clone(),
+            page: run.page,
+            start: run.start,
             last_used: run.last_used,
             parent: run.parent,
             refcount: run.refcount,
@@ -868,10 +1023,12 @@ impl PrefixCache {
             len: at,
             computed_len: run.computed_len.min(at),
         };
+        run.start += at;
         run.depth += at;
         run.len -= at;
         run.computed_len = run.computed_len.saturating_sub(at);
-        let tail_first = run.blocks()[0];
+        let tail_first = self.pages.ids(run)[0];
+        self.pages.pages[run.page as usize].runs += 1;
         // Re-points the head's first block, until now the tail's key.
         let head = self.insert_run(head);
         self.runs[tail as usize].parent = head;
@@ -1013,7 +1170,7 @@ impl PrefixCache {
             // The victim's last block goes, and then the one before it,
             // which carries the same stamp and is the oldest leaf in turn.
             let run = &mut self.runs[victim.run as usize];
-            let first = run.blocks()[0];
+            let first = self.pages.ids(run)[0];
             let taken = blocks.min(run.len as usize);
             // No more than `run.len`.
             run.len -= taken as u32;
@@ -1026,7 +1183,7 @@ impl PrefixCache {
                 // Still the oldest leaf: its candidate stays queued.
                 return;
             }
-            run.hashes = None;
+            self.pages.release(run.page);
             let parent = run.parent;
             self.map.remove(&first);
             self.free.push(victim.run);
@@ -1087,10 +1244,7 @@ impl PrefixCache {
             self.map.len() + self.free.len(),
             "every slot is live or free"
         );
-        assert!(self.free.iter().all(|&id| {
-            let run = &self.runs[id as usize];
-            run.len == 0 && run.hashes.is_none()
-        }));
+        assert!(self.free.iter().all(|&id| self.runs[id as usize].len == 0));
         let blocks = |rc0_only: bool| -> usize {
             let counted = live().filter(|(_, r)| !rc0_only || r.refcount == 0);
             counted.map(|(_, r)| r.len as usize).sum()
@@ -1104,7 +1258,7 @@ impl PrefixCache {
         let mut children = vec![0u32; self.runs.len()];
         for (id, run) in live() {
             assert_eq!(
-                self.map.get(&run.blocks()[0]).copied(),
+                self.map.get(&self.pages.ids(run)[0]).copied(),
                 Some(id as RunId),
                 "a live run's first block maps to it"
             );
@@ -1120,13 +1274,6 @@ impl PrefixCache {
                 run.depth,
                 "children hang off a run's last block"
             );
-            assert_eq!(
-                Some(p.blocks()),
-                run.hashes
-                    .as_deref()
-                    .map(|h| &h[p.depth as usize..run.depth as usize]),
-                "a run's chain passes through its parent"
-            );
             assert!(p.refcount >= run.refcount, "a pin covers the whole chain");
             assert!(p.last_used >= run.last_used, "and so does a stamp");
             assert!(
@@ -1135,6 +1282,31 @@ impl PrefixCache {
             );
             children[run.parent as usize] += 1;
         }
+        // Id pages: every live run reads one page (`IdPages::ids` would have
+        // panicked above otherwise), a page counts exactly the live runs on
+        // it, no two of them overlap, and only unread pages are free.
+        let pages = &self.pages;
+        let mut spans: Vec<(u32, u32, u32)> =
+            live().map(|(_, r)| (r.page, r.start, r.len)).collect();
+        spans.sort_unstable();
+        for pair in spans.windows(2) {
+            let ((page, start, len), next) = (pair[0], pair[1]);
+            assert!(page != next.0 || start + len <= next.1, "runs overlap");
+        }
+        for (id, page) in pages.pages.iter().enumerate() {
+            let on_page = spans.iter().filter(|s| s.0 as usize == id).count();
+            assert_eq!(page.runs as usize, on_page, "page count == live runs");
+            let idle = page.runs == 0 && pages.open != Some(id as u32);
+            assert_eq!(idle, pages.free.contains(&(id as u32)), "free == unread");
+            assert!(
+                page.runs > 0 || page.ids.is_empty(),
+                "unread pages are empty"
+            );
+        }
+        assert!(
+            self.live_blocks <= pages.words_in_use(),
+            "Σ len ≤ words in use"
+        );
         let mut queued = vec![false; self.runs.len()];
         let candidates = self
             .released
@@ -1252,14 +1424,18 @@ mod tests {
         let a = c.try_admit(&toks(8, 0), 0).unwrap();
         c.mark_computed(&a, 8);
         c.release(a);
+        // Its two ids open the first page.
         let cold = CacheInternals {
             block_map_probes: 1,
             mark_computed_calls: 1,
+            id_pages: 1,
+            id_words_live: 2,
             ..CacheInternals::default()
         };
         assert_eq!(c.internals(), cold);
         // A fresh prefix in a full cache evicts the rc==0 run the first
-        // request left behind (one more lookup, a miss).
+        // request left behind (one more lookup, a miss), which empties the
+        // open page: the new run's ids start it over.
         let b = c.try_admit(&toks(8, 9), 0).unwrap();
         c.mark_computed(&b, 8);
         c.release(b);
@@ -1275,7 +1451,7 @@ mod tests {
         // lookup per walk, for its one run; marks and releases are never
         // lookups.
         assert_eq!(c.probe(&toks(8, 9)), 8);
-        assert!(c.can_admit_chain(&BlockChain::from_tokens(4, &toks(8, 9)), 0));
+        assert!(c.can_admit_chain(BlockChain::from_tokens(4, &toks(8, 9)).view(), 0));
         let again = c.try_admit(&toks(8, 9), 0).unwrap();
         c.release(again);
         let resumed = CacheInternals {
@@ -1293,6 +1469,7 @@ mod tests {
         assert_eq!(c.internals().run_splits, 0);
         let fork = c.try_admit(&forked, 0).unwrap();
         assert_eq!(fork.cached_tokens, 4);
+        // The page keeps the evicted half's word until its last run dies.
         assert_eq!(
             c.internals(),
             CacheInternals {
@@ -1300,6 +1477,7 @@ mod tests {
                 heap_stale_invalidations: 1,
                 run_splits: 1,
                 evictions: 3,
+                id_words_live: 3,
                 ..resumed
             }
         );
@@ -1555,13 +1733,15 @@ mod tests {
             vec![],
         ] {
             let flat: Vec<&[TokenId]> = prompt.iter().map(|f| &f[..]).collect();
-            assert_eq!(hasher.chain(&prompt), BlockChain::from_fragments(4, flat));
+            let defined = BlockChain::from_fragments(4, flat);
+            assert_eq!(hasher.chain(&prompt), defined.view());
+            assert_eq!(BlockChain::from(defined.view()), defined);
         }
         assert_eq!(hasher.tokens_reused(), 11);
         assert_eq!(hasher.tokens_hashed(), 18 + 3 + 11);
         // A disabled cache wants the length only.
         let mut off = ChainHasher::new(4, false);
-        assert_eq!(off.chain(&[a, b]), BlockChain::unhashed(11));
+        assert_eq!(off.chain(&[a, b]), ChainView::unhashed(11));
         assert_eq!(off.tokens_hashed() + off.tokens_reused(), 0);
     }
 
@@ -1660,12 +1840,13 @@ mod tests {
         let mut c = cache(32);
         let tokens = toks(14, 2);
         let chain = BlockChain::from_tokens(4, &tokens);
-        assert!(c.can_admit_chain(&chain, 3));
-        let a = c.try_admit_chain(&mut chain.clone(), 3).unwrap();
+        let chain = chain.view();
+        assert!(c.can_admit_chain(chain, 3));
+        let a = c.try_admit_chain(chain, 3).unwrap();
         c.mark_computed(&a, 14);
-        assert_eq!(c.probe_chain(&chain), c.probe(&tokens));
+        assert_eq!(c.probe_chain(chain), c.probe(&tokens));
         let b = c.try_admit(&tokens, 3).unwrap();
-        assert_eq!(b.cached_tokens, c.probe_chain(&chain));
+        assert_eq!(b.cached_tokens, c.probe_chain(chain));
         c.release(a);
         c.release(b);
     }
@@ -1673,26 +1854,35 @@ mod tests {
     #[test]
     fn can_admit_chain_predicts_try_admit_and_never_mutates() {
         let mut c = cache(2);
-        let fits = BlockChain::from_tokens(4, &toks(8, 0));
-        let too_big = BlockChain::from_tokens(4, &toks(16, 1));
-        assert!(c.can_admit_chain(&fits, 0));
-        assert!(!c.can_admit_chain(&too_big, 0));
-        let a = c.try_admit_chain(&mut fits.clone(), 0).unwrap();
+        let (fits, too_big) = (
+            BlockChain::from_tokens(4, &toks(8, 0)),
+            BlockChain::from_tokens(4, &toks(16, 1)),
+        );
+        assert!(c.can_admit_chain(fits.view(), 0));
+        assert!(!c.can_admit_chain(too_big.view(), 0));
+        let a = c.try_admit_chain(fits.view(), 0).unwrap();
         // The same chain still fits (pure sharing, no new blocks) …
-        assert!(c.can_admit_chain(&fits, 0));
+        assert!(c.can_admit_chain(fits.view(), 0));
         // … but a distinct prompt needs blocks the full cache cannot supply;
-        // the predicate agrees with try_admit.
+        // the predicate agrees with try_admit, and a refusal writes nothing.
         let mut other = BlockChain::from_tokens(4, &toks(8, 3));
-        assert!(!c.can_admit_chain(&other, 0));
-        // A refused admission leaves the chain intact for the retry.
-        assert!(c.try_admit_chain(&mut other, 0).is_none());
-        assert_eq!(other, BlockChain::from_tokens(4, &toks(8, 3)));
+        let before = c.internals();
+        assert!(!c.can_admit_chain(other.view(), 0));
+        assert!(c.try_admit_chain(other.view(), 0).is_none());
+        assert_eq!(
+            (c.internals().id_pages, c.internals().id_words_live),
+            (before.id_pages, before.id_words_live)
+        );
         c.release(a);
         // Released blocks are evictable supply again, and a granted
-        // admission takes the hashes with it.
-        assert!(c.can_admit_chain(&other, 0));
-        let b = c.try_admit_chain(&mut other, 0).unwrap();
-        assert_eq!((other.blocks().len(), other.prompt_tokens()), (0, 8));
+        // admission copied the ids it keeps: the caller's buffer is its own.
+        assert!(c.can_admit_chain(other.view(), 0));
+        let b = c.try_admit_chain(other.view(), 0).unwrap();
+        other = BlockChain::from_tokens(4, &toks(8, 5));
+        assert_eq!(c.probe(&toks(8, 3)), 0, "in strict mode, not computed");
+        c.mark_computed(&b, 8);
+        assert_eq!(c.probe(&toks(8, 3)), 8);
+        assert_eq!(c.probe_chain(other.view()), 0);
         c.release(b);
     }
 
@@ -1704,12 +1894,12 @@ mod tests {
             enabled: false,
             share_in_flight: true,
         });
-        let chain = BlockChain::unhashed(10);
-        assert!(c.can_admit_chain(&chain, 2));
-        let a = c.try_admit_chain(&mut chain.clone(), 2).unwrap();
+        let chain = ChainView::unhashed(10);
+        assert!(c.can_admit_chain(chain, 2));
+        let a = c.try_admit_chain(chain, 2).unwrap();
         assert_eq!(a.prompt_tokens, 10);
         assert_eq!(c.free_blocks(), 1);
-        assert!(!c.can_admit_chain(&BlockChain::unhashed(8), 0));
+        assert!(!c.can_admit_chain(ChainView::unhashed(8), 0));
         c.release(a);
     }
 
@@ -1960,16 +2150,20 @@ mod model {
             let live = self.runs.iter().filter(|r| r.len > 0);
             live.flat_map(|run| {
                 let above = self.runs.get(run.parent as usize);
-                let mut parent = above.and_then(|p| p.blocks().last().copied());
-                run.blocks().iter().enumerate().map(move |(i, &hash)| {
-                    let block = Block {
-                        parent: parent.replace(hash),
-                        refcount: run.refcount,
-                        computed: i < run.computed_len as usize,
-                        last_used: run.last_used,
-                    };
-                    (hash, block)
-                })
+                let mut parent = above.and_then(|p| self.pages.ids(p).last().copied());
+                self.pages
+                    .ids(run)
+                    .iter()
+                    .enumerate()
+                    .map(move |(i, &hash)| {
+                        let block = Block {
+                            parent: parent.replace(hash),
+                            refcount: run.refcount,
+                            computed: i < run.computed_len as usize,
+                            last_used: run.last_used,
+                        };
+                        (hash, block)
+                    })
             })
             .collect()
         }
@@ -2017,9 +2211,31 @@ mod model {
     const RELEASE: u8 = 7;
     const RELEASE_BATCH: u8 = 8;
 
-    /// Drives a [`PrefixCache`] and the [`Model`] through `ops`, comparing
-    /// every answer and, after every step, the whole block-by-block state.
+    /// A prompt out of families that share nothing with one another, for
+    /// runs sized against an id page: family `pick & 0xff`, `pick >> 8 &
+    /// 0xfff` full blocks, and — unless `pick >> 20` is 0 — other content
+    /// from block `(pick >> 20) - 1` on. Plain prompts of one family are
+    /// prefixes of one another; a forked one leaves them at its fork.
+    fn paged_prompt(pick: u32) -> Vec<TokenId> {
+        let (family, blocks, fork) = (pick & 0xff, pick >> 8 & 0xfff, pick >> 20);
+        let block = |i: u32| {
+            let forked = u32::from(fork > 0 && i + 1 >= fork);
+            (0..4).map(move |j| (family * 8_192 + i * 2 + forked) * 4 + j)
+        };
+        (0..blocks).flat_map(block).collect()
+    }
+
+    /// The [`paged_prompt`] `pick` of `blocks` blocks of `family`, forked at
+    /// block `fork - 1` (0: not at all).
+    fn paged(family: u32, blocks: u32, fork: u32) -> u32 {
+        family | blocks << 8 | fork << 20
+    }
+
+    /// Drives a [`PrefixCache`] and the [`Model`] through `ops` over the
+    /// prompts of `prompt`, comparing every answer and, after every step,
+    /// the whole block-by-block state.
     fn lockstep(
+        prompt: fn(u32) -> Vec<TokenId>,
         ops: &[Op],
         capacity: usize,
         share_in_flight: bool,
@@ -2046,25 +2262,19 @@ mod model {
             let chain = BlockChain::from_tokens(4, &prompt(pick));
             let (decode, nth) = (usize::from(decode), usize::from(nth));
             match op {
-                // Admissions are half the schedule; a refusal must leave
-                // the chain intact for the retry.
+                // Admissions are half the schedule.
                 ADMIT..=4 => {
                     prop_assert_eq!(
-                        cache.can_admit_chain(&chain, decode),
+                        cache.can_admit_chain(chain.view(), decode),
                         model.plan(chain.blocks(), chain.prompt_tokens(), decode).1
                     );
-                    let mut taken = chain.clone();
-                    let got = cache.try_admit_chain(&mut taken, decode);
+                    let got = cache.try_admit_chain(chain.view(), decode);
                     let want = model.try_admit(&chain, decode);
                     prop_assert_eq!(got.is_some(), want.is_some());
-                    match (got, want) {
-                        (Some(got), Some(want)) => {
-                            prop_assert_eq!(got.cached_tokens, want.cached_tokens);
-                            prop_assert_eq!(got.prompt_tokens, chain.prompt_tokens());
-                            prop_assert!(taken.blocks().is_empty());
-                            live.push((got, want));
-                        }
-                        _ => prop_assert_eq!(&taken, &chain),
+                    if let (Some(got), Some(want)) = (got, want) {
+                        prop_assert_eq!(got.cached_tokens, want.cached_tokens);
+                        prop_assert_eq!(got.prompt_tokens, chain.prompt_tokens());
+                        live.push((got, want));
                     }
                 }
                 // A prefill chunk lands: anywhere up to the whole prompt.
@@ -2085,7 +2295,7 @@ mod model {
                     cache.release_batch(got);
                     want.into_iter().for_each(|a| model.release(a));
                 }
-                _ => prop_assert_eq!(cache.probe_chain(&chain), model.probe(chain.blocks())),
+                _ => prop_assert_eq!(cache.probe_chain(chain.view()), model.probe(chain.blocks())),
             }
             cache.check_invariants();
             prop_assert_eq!(cache.free_blocks(), model.free_blocks());
@@ -2114,15 +2324,24 @@ mod model {
             capacity in 2usize..=64,
             share_in_flight in proptest::bool::ANY,
         ) {
-            lockstep(&ops, capacity, share_in_flight)?;
+            lockstep(prompt, &ops, capacity, share_in_flight)?;
         }
     }
 
     /// The scripted schedules below force, one by one, what the random ones
     /// only make likely; each runs under both sharing modes.
     fn scripted(ops: &[Op], capacity: usize) -> CacheInternals {
-        let strict = lockstep(ops, capacity, false).unwrap();
-        assert_eq!(lockstep(ops, capacity, true).unwrap(), strict);
+        scripted_over(prompt, ops, capacity)
+    }
+
+    /// [`scripted`] over another prompt family.
+    fn scripted_over(
+        prompt: fn(u32) -> Vec<TokenId>,
+        ops: &[Op],
+        capacity: usize,
+    ) -> CacheInternals {
+        let strict = lockstep(prompt, ops, capacity, false).unwrap();
+        assert_eq!(lockstep(prompt, ops, capacity, true).unwrap(), strict);
         strict
     }
 
@@ -2194,5 +2413,80 @@ mod model {
             (RELEASE_BATCH, 0, 0, 2),
         ];
         assert_eq!(scripted(&ops, 64).run_splits, 3);
+    }
+    #[test]
+    fn a_run_longer_than_a_page_has_a_page_of_its_own() {
+        let long = PAGE_IDS as u32 + 44;
+        let ops = [
+            // A short run opens the first page; the long one cannot share it.
+            (ADMIT, paged(0, 6, 0), 0, 0),
+            (ADMIT, paged(1, long, 0), 2, 0),
+            // The open page is still the first: the next short run joins it.
+            (ADMIT, paged(2, 5, 0), 0, 0),
+            // Cuts inside the long run, before and after a page's length.
+            (ADMIT, paged(1, 40, 0), 0, 0),
+            (ADMIT, paged(1, long, PAGE_IDS as u32 + 9), 1, 0),
+            (MARK, 0, 9, 1),
+            (RELEASE_BATCH, 0, 0, 2),
+            (RELEASE_BATCH, 0, 0, 1),
+            // Another long chain evicts the first one piece by piece, and
+            // takes over its page's slot once the last piece is gone.
+            (ADMIT, paged(3, long, 0), 0, 0),
+            (RELEASE, 0, 0, 0),
+            (ADMIT, paged(4, long, 0), 0, 0),
+            (RELEASE, 0, 0, 0),
+        ];
+        let internals = scripted_over(paged_prompt, &ops, long as usize + 60);
+        assert_eq!(internals.run_splits, 2);
+        // The shared page, and one per long run alive at once.
+        assert_eq!(internals.id_pages, 3);
+    }
+
+    #[test]
+    fn runs_split_at_every_offset_on_either_side_of_a_page_boundary() {
+        // A filler run leaves eight words of the first page; the next run
+        // takes exactly those and the one after it opens the second page.
+        // Chains then end and diverge at every offset of both.
+        let filler = PAGE_IDS as u32 - 8;
+        let mut ops = vec![
+            (ADMIT, paged(0, filler, 0), 0, 0),
+            (ADMIT, paged(1, 8, 0), 0, 0),
+            (ADMIT, paged(2, 8, 0), 0, 0),
+        ];
+        for family in [1, 2] {
+            for k in 1..8 {
+                ops.push((ADMIT, paged(family, k, 0), 0, 0));
+                ops.push((ADMIT, paged(family, 8, k + 1), 1, 0));
+            }
+            ops.push((ADMIT, paged(family, 8, 1), 0, 0));
+        }
+        ops.extend([(RELEASE_BATCH, 0, 0, 2); 11]);
+        let internals = scripted_over(paged_prompt, &ops, 2 * PAGE_IDS);
+        assert_eq!(internals.run_splits, 14);
+        assert_eq!(internals.evictions, 0);
+    }
+
+    #[test]
+    fn a_recycled_page_is_refilled_between_live_neighbours() {
+        // Three full pages of two runs each. The middle page's two are
+        // released and evicted while the first and third pages' stay
+        // pinned; the run that pushed them out is stored in the middle
+        // page's slot, and is then split there.
+        let half = PAGE_IDS as u32 / 2;
+        let mut ops: Vec<Op> = (0..6).map(|f| (ADMIT, paged(f, half, 0), 0, 0)).collect();
+        ops.extend([
+            // Families 2 and 3 (`swap_remove` puts family 5 third).
+            (RELEASE, 0, 0, 2),
+            (RELEASE, 0, 0, 3),
+            (ADMIT, paged(6, 2 * half, 0), 0, 0),
+            (MARK, 0, 9, 4),
+            (ADMIT, paged(6, half, 0), 0, 0),
+            (RELEASE_BATCH, 0, 0, 2),
+            (RELEASE_BATCH, 0, 0, 2),
+        ]);
+        let internals = scripted_over(paged_prompt, &ops, 6 * half as usize);
+        assert_eq!(internals.evictions, 2 * u64::from(half));
+        assert_eq!(internals.run_splits, 1);
+        assert_eq!(internals.id_pages, 3, "the middle page was reused");
     }
 }

@@ -70,7 +70,8 @@ mod session;
 #[doc(hidden)]
 pub use cache::with_root_salt;
 pub use cache::{
-    BlockChain, CacheConfig, CacheInternals, CacheStats, ChainHasher, PrefixCache, SeqAlloc,
+    BlockChain, CacheConfig, CacheInternals, CacheStats, ChainHasher, ChainView, PrefixCache,
+    SeqAlloc,
 };
 pub use engine::{Deployment, EngineConfig, EngineError, EngineReport, SimEngine, SimRequest};
 pub use fault::{confidence_unit, fault_unit, CONFIDENCE_DRAW};

@@ -12,7 +12,7 @@
 //! `tests/obs_differential.rs` proves enabled and disabled runs produce
 //! byte-identical reports.
 
-use llmqo_obs::{Counter, Histogram};
+use llmqo_obs::{Counter, Gauge, Histogram};
 use std::sync::OnceLock;
 
 use crate::cache::{CacheInternals, ChainHasher};
@@ -43,6 +43,12 @@ pub struct ServeMetrics {
     pub cache_heap_stale_invalidations: &'static Counter,
     /// `mark_computed` calls (prefill chunk completions).
     pub cache_mark_computed_calls: &'static Counter,
+    /// Id pages of the largest cache published so far (see
+    /// [`CacheInternals::id_pages`]).
+    pub cache_id_pages: &'static Gauge,
+    /// Most block-id words any published cache held in pages in use (see
+    /// [`CacheInternals::id_words_live`]).
+    pub cache_id_words_live: &'static Gauge,
     /// Prompt tokens mixed into block-chain hashes.
     pub chain_tokens_hashed: &'static Counter,
     /// Prompt tokens whose hashing was skipped because their leading
@@ -75,6 +81,8 @@ pub fn metrics() -> &'static ServeMetrics {
             cache_run_splits: r.counter("cache.run_splits"),
             cache_heap_stale_invalidations: r.counter("cache.heap_stale_invalidations"),
             cache_mark_computed_calls: r.counter("cache.mark_computed_calls"),
+            cache_id_pages: r.gauge("cache.id_pages"),
+            cache_id_words_live: r.gauge("cache.id_words_live"),
             chain_tokens_hashed: r.counter("serve.chain.tokens_hashed"),
             chain_tokens_reused: r.counter("serve.chain.tokens_reused"),
             wall_step_s: r.histogram("wall.step_s"),
@@ -86,7 +94,9 @@ pub fn metrics() -> &'static ServeMetrics {
 
 /// Publishes a snapshot of [`CacheInternals`] deltas into the global
 /// counters. `prev` is the last published snapshot; returns the new one so
-/// callers can publish incrementally without double counting.
+/// callers can publish incrementally without double counting. The two id
+/// page figures are levels, not rates: each is published as the highest
+/// value any cache reported.
 pub fn publish_cache_internals(prev: CacheInternals, now: CacheInternals) -> CacheInternals {
     let m = metrics();
     m.cache_evictions.add(now.evictions - prev.evictions);
@@ -97,6 +107,8 @@ pub fn publish_cache_internals(prev: CacheInternals, now: CacheInternals) -> Cac
         .add(now.heap_stale_invalidations - prev.heap_stale_invalidations);
     m.cache_mark_computed_calls
         .add(now.mark_computed_calls - prev.mark_computed_calls);
+    m.cache_id_pages.set_max(now.id_pages as f64);
+    m.cache_id_words_live.set_max(now.id_words_live as f64);
     now
 }
 

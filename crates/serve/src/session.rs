@@ -33,22 +33,25 @@
 //! enforces this against the pre-rewrite loop, frozen verbatim as a test
 //! fixture (`tests/oracles/session.rs`).
 //!
-//! A request's prompt is hashed into its [`BlockChain`] once per placement:
+//! A request's prompt is hashed into its block chain once per placement:
 //! by the session's own [`ChainHasher`] in
 //! [`enqueue_fragments`](EngineSession::enqueue_fragments) (borrowed
 //! fragments straight from the caller's store; the relational executor) and
 //! [`enqueue_ref`](EngineSession::enqueue_ref) (the same for a built
 //! [`SimRequest`]), or by a driver that also needs the chain for a cache
-//! probe and hands it over through
+//! probe and hands a [`ChainView`] of it over through
 //! [`enqueue_chain`](EngineSession::enqueue_chain) (the cluster kernel).
 //! Either way only the fragments the previous prompt did not share are
-//! hashed, the per-step admission path walks precomputed hashes instead of
-//! re-hashing the head-of-line prompt on every step it spends blocked behind
-//! backpressure, and admission moves the hashes into the cache (the run it
-//! creates reads them in place), so the session keeps no per-request chain
-//! once a request runs.
+//! hashed, and the hasher only lends the chain: the session copies the ids
+//! into its queue arena, a FIFO of fixed-size chunks freed whole from the
+//! front as requests are admitted, so the per-step admission path walks
+//! precomputed hashes instead of re-hashing the head-of-line prompt on every
+//! step it spends blocked behind backpressure, and queueing a request
+//! allocates nothing. Admission copies the ids the cache does not hold yet
+//! into the cache's own pages; the session keeps nothing of a request once
+//! it has completed.
 
-use crate::cache::{BlockChain, CacheConfig, CacheStats, ChainHasher, PrefixCache, SeqAlloc};
+use crate::cache::{CacheConfig, CacheStats, ChainHasher, ChainView, PrefixCache, SeqAlloc};
 use crate::engine::{Deployment, EngineConfig, EngineError, EngineReport, SimRequest};
 use crate::model::ModelSpec;
 use llmqo_tokenizer::TokenId;
@@ -89,22 +92,131 @@ pub struct SessionReport {
     pub completions: Vec<Completion>,
 }
 
-/// What the session keeps of an enqueued request: identity, output target,
-/// and the prompt's precomputed cache chain. The prompt tokens themselves
-/// are not retained — every cache operation works on the chain.
+/// Block ids per [`IdArena`] chunk: 8 KiB, a few hundred queued prompts'
+/// worth.
+const CHUNK_IDS: usize = 1024;
+
+/// Where a queued chain's block ids sit in the [`IdArena`].
+#[derive(Debug, Clone, Copy, Default)]
+struct Span {
+    /// Sequence number of the chunk (they are numbered as they are opened).
+    chunk: u32,
+    start: u32,
+    len: u32,
+}
+
+#[derive(Debug)]
+struct Chunk {
+    ids: Vec<u64>,
+    /// Queued chains whose ids are in this chunk.
+    queued: u32,
+}
+
+/// The block ids of the requests waiting for admission: fixed-capacity
+/// chunks filled back to front of the queue, a chain never straddling two
+/// (one longer than a chunk gets a chunk of its own). Requests are admitted
+/// strictly first in, first out, so dead ids are always a prefix of the
+/// arena and whole chunks are freed from its front — every chunk in the
+/// deque holds a queued chain. Nothing ever grows by doubling, and one freed
+/// buffer is kept for the next chunk, so a queue in steady state allocates
+/// nothing.
+#[derive(Debug, Default)]
+struct IdArena {
+    chunks: VecDeque<Chunk>,
+    /// Sequence number of `chunks[0]`.
+    base: u32,
+    spare: Vec<u64>,
+}
+
+impl IdArena {
+    /// Copies the ids of a chain that joins the back of the queue.
+    fn push(&mut self, ids: &[u64]) -> Span {
+        if ids.is_empty() {
+            return Span::default();
+        }
+        let fits = |c: &Chunk| c.ids.capacity() - c.ids.len() >= ids.len();
+        if !self.chunks.back().is_some_and(fits) {
+            let mut buffer = std::mem::take(&mut self.spare);
+            buffer.reserve_exact(ids.len().max(CHUNK_IDS));
+            self.chunks.push_back(Chunk {
+                ids: buffer,
+                queued: 0,
+            });
+        }
+        // Just checked or pushed.
+        let last = self.chunks.len() - 1;
+        let chunk = &mut self.chunks[last];
+        // Blocks are counted in `u32` throughout: the cache refuses a chain
+        // of more, and no chunk is longer than the chain it was opened for.
+        debug_assert!(u32::try_from(chunk.ids.len() + ids.len()).is_ok());
+        let start = chunk.ids.len() as u32;
+        chunk.ids.extend_from_slice(ids);
+        chunk.queued += 1;
+        Span {
+            chunk: self.base.wrapping_add(last as u32),
+            start,
+            len: ids.len() as u32,
+        }
+    }
+
+    /// The chain of a queued request, as hashed.
+    #[inline]
+    fn chain(&self, request: &QueuedRequest) -> ChainView<'_> {
+        ChainView::new(self.ids(request.span), request.prompt_tokens)
+    }
+
+    /// The ids [`push`](IdArena::push) stored under `span`.
+    #[inline]
+    fn ids(&self, span: Span) -> &[u64] {
+        if span.len == 0 {
+            return &[];
+        }
+        let chunk = &self.chunks[span.chunk.wrapping_sub(self.base) as usize];
+        &chunk.ids[span.start as usize..][..span.len as usize]
+    }
+
+    /// The chain at the front of the queue left it: its ids are dead, and
+    /// with them its chunk once no queued chain is left in it.
+    fn pop_front(&mut self, span: Span) {
+        if span.len == 0 {
+            return;
+        }
+        debug_assert_eq!(span.chunk, self.base, "the queue is first in, first out");
+        let front = &mut self.chunks[0];
+        front.queued -= 1;
+        if front.queued > 0 {
+            return;
+        }
+        let mut freed = std::mem::take(&mut front.ids);
+        self.chunks.pop_front();
+        self.base = self.base.wrapping_add(1);
+        if freed.capacity() == CHUNK_IDS {
+            freed.clear();
+            self.spare = freed;
+        }
+    }
+}
+
+/// What the session keeps of a request while it waits for admission:
+/// identity, output target, and where its prompt's precomputed cache chain
+/// sits in the arena. The prompt tokens themselves are not retained — every
+/// cache operation works on the chain.
+#[derive(Debug, Clone, Copy)]
 struct QueuedRequest {
     id: usize,
     output_len: u32,
-    /// Block hashes while the request waits; admission moves them into the
-    /// cache, leaving only the prompt length here.
-    chain: BlockChain,
+    /// Total prompt length in tokens.
+    prompt_tokens: usize,
+    /// The prompt's full-block ids.
+    span: Span,
     /// Clock at [`EngineSession::enqueue_chain`] time; feeds the traced
     /// queue-wait span and is never read by the scheduler itself.
     enqueued_s: f64,
 }
 
 struct Running {
-    idx: usize,
+    id: usize,
+    output_len: u32,
     alloc: SeqAlloc,
     prompt_len: usize,
     prefilled: usize,
@@ -176,9 +288,10 @@ pub struct EngineSession {
     /// Hashes the prompts submitted through
     /// [`enqueue_fragments`](EngineSession::enqueue_fragments).
     hasher: ChainHasher,
-    /// Every request ever enqueued; `waiting`/`running` index into it.
-    store: Vec<QueuedRequest>,
-    waiting: VecDeque<usize>,
+    /// Requests waiting for admission, first in, first out.
+    waiting: VecDeque<QueuedRequest>,
+    /// The waiting requests' block ids.
+    arena: IdArena,
     running: Vec<Running>,
     /// Reused per-step `(running idx, chunk)` prefill schedule buffer.
     chunk_buf: Vec<(usize, usize)>,
@@ -242,8 +355,8 @@ impl EngineSession {
             capacity_blocks,
             cache,
             hasher: ChainHasher::new(config.block_size, config.enable_prefix_cache),
-            store: Vec::new(),
             waiting: VecDeque::new(),
+            arena: IdArena::default(),
             running: Vec::new(),
             chunk_buf: Vec::new(),
             release_buf: Vec::new(),
@@ -309,23 +422,31 @@ impl EngineSession {
         fragments: impl IntoIterator<Item = &'a Arc<[TokenId]>>,
     ) {
         let chain = self.hasher.chain_iter(fragments);
-        self.enqueue_chain(id, output_len, chain);
+        let (prompt_tokens, span) = (chain.prompt_tokens(), self.arena.push(chain.blocks()));
+        self.queue(id, output_len, prompt_tokens, span);
     }
 
     /// [`enqueue_ref`](EngineSession::enqueue_ref) for a driver that already
     /// hashed the prompt — with a [`ChainHasher`] from
     /// [`SimEngine::chain_hasher`](crate::SimEngine::chain_hasher) — to probe
     /// this session's cache first: the request is queued under that chain
-    /// and nothing is hashed twice.
-    pub fn enqueue_chain(&mut self, id: usize, output_len: u32, chain: BlockChain) {
-        let prompt_tokens = chain.prompt_tokens();
-        self.store.push(QueuedRequest {
+    /// and nothing is hashed twice. The session copies the ids: the view is
+    /// free again when the call returns.
+    pub fn enqueue_chain(&mut self, id: usize, output_len: u32, chain: ChainView<'_>) {
+        let span = self.arena.push(chain.blocks());
+        self.queue(id, output_len, chain.prompt_tokens(), span);
+    }
+
+    /// Adds a request whose block ids are in the arena under `span` to the
+    /// tail of the admission queue.
+    fn queue(&mut self, id: usize, output_len: u32, prompt_tokens: usize, span: Span) {
+        self.waiting.push_back(QueuedRequest {
             id,
             output_len,
-            chain,
+            prompt_tokens,
+            span,
             enqueued_s: self.clock,
         });
-        self.waiting.push_back(self.store.len() - 1);
         if llmqo_obs::enabled() {
             crate::obs::metrics().requests_enqueued.inc();
             llmqo_obs::tracer().instant(
@@ -339,11 +460,11 @@ impl EngineSession {
         }
     }
 
-    /// Block hashes still held by the request store (test-only: admission
-    /// must leave none behind).
+    /// The waiting requests' chains as the arena returns them, front first.
     #[cfg(test)]
-    fn stored_chain_blocks(&self) -> usize {
-        self.store.iter().map(|q| q.chain.blocks().len()).sum()
+    fn queued_chains(&self) -> Vec<crate::cache::BlockChain> {
+        let chains = self.waiting.iter().map(|q| self.arena.chain(q));
+        chains.map(Into::into).collect()
     }
 
     /// Current session clock, seconds.
@@ -390,7 +511,7 @@ impl EngineSession {
 
     /// How many leading prompt tokens of `chain` the prefix cache would
     /// serve without prefill, right now. Pure: never mutates cache state.
-    pub fn probe_cached_tokens(&self, chain: &BlockChain) -> usize {
+    pub fn probe_cached_tokens(&self, chain: ChainView<'_>) -> usize {
         self.cache.probe_chain(chain)
     }
 
@@ -445,7 +566,7 @@ impl EngineSession {
         let mut decode_tokens = 0u64;
         let mut decode_ctx = 0u64;
         for r in &self.running {
-            if r.prefilled >= r.prompt_len && r.output_done < self.store[r.idx].output_len {
+            if r.prefilled >= r.prompt_len && r.output_done < r.output_len {
                 decode_tokens += 1;
                 decode_ctx += (r.prompt_len as u64) + u64::from(r.output_done);
             }
@@ -501,10 +622,10 @@ impl EngineSession {
         while (budget > 0 || decode_tokens + chunks.len() as u64 == 0)
             && self.running.len() < self.config.max_num_seqs
         {
-            let Some(&idx) = self.waiting.front() else {
+            let Some(&req) = self.waiting.front() else {
                 break;
             };
-            let req = &mut self.store[idx];
+            let chain = self.arena.chain(&req);
             let obs_on = llmqo_obs::enabled();
             let evictions_before = if obs_on {
                 self.cache.stats().evictions
@@ -512,19 +633,19 @@ impl EngineSession {
                 0
             };
             let timer = llmqo_obs::WallTimer::start();
-            let admitted = self
-                .cache
-                .try_admit_chain(&mut req.chain, req.output_len as usize);
+            let admitted = self.cache.try_admit_chain(chain, req.output_len as usize);
             timer.observe(crate::obs::metrics().wall_cache_s);
             match admitted {
                 Some(alloc) => {
                     self.waiting.pop_front();
+                    self.arena.pop_front(req.span);
                     self.clock += self.config.per_request_overhead_s;
                     self.report.overhead_time_s += self.config.per_request_overhead_s;
                     self.report.total_prompt_tokens += alloc.prompt_tokens as u64;
                     self.report.cached_prompt_tokens += alloc.cached_tokens as u64;
                     self.running.push(Running {
-                        idx,
+                        id: req.id,
+                        output_len: req.output_len,
                         prompt_len: alloc.prompt_tokens,
                         prefilled: alloc.cached_tokens,
                         output_done: 0,
@@ -534,7 +655,7 @@ impl EngineSession {
                     });
                     self.warming += 1;
                     if obs_on {
-                        self.trace_admission(idx, evictions_before);
+                        self.trace_admission(&req, evictions_before);
                     }
                     let i = self.running.len() - 1;
                     let r = &self.running[i];
@@ -551,7 +672,7 @@ impl EngineSession {
                 }
                 None => {
                     if self.running.is_empty() {
-                        let needed = (req.chain.prompt_tokens() + req.output_len as usize)
+                        let needed = (req.prompt_tokens + req.output_len as usize)
                             .div_ceil(self.config.block_size);
                         return Err(EngineError::RequestTooLarge {
                             id: req.id,
@@ -598,7 +719,7 @@ impl EngineSession {
         while i < self.running.len() {
             let done_prefill = self.running[i].prefilled >= self.running[i].prompt_len;
             if done_prefill {
-                let out_target = self.store[self.running[i].idx].output_len;
+                let out_target = self.running[i].output_len;
                 if self.running[i].output_done < out_target {
                     self.running[i].output_done += 1;
                     self.report.total_output_tokens += 1;
@@ -630,7 +751,7 @@ impl EngineSession {
                         m.latency_s.record(self.clock - r.admitted_at);
                         llmqo_obs::tracer().complete(
                             self.trace_lane,
-                            self.store[r.idx].id as u64,
+                            r.id as u64,
                             "decode",
                             "request",
                             first_token_at,
@@ -639,7 +760,7 @@ impl EngineSession {
                         );
                     }
                     self.completions.push(Completion {
-                        id: self.store[r.idx].id,
+                        id: r.id,
                         admitted_s: r.admitted_at,
                         finished_s: self.clock,
                         ttft_s: first_token_at - r.admitted_at,
@@ -664,11 +785,10 @@ impl EngineSession {
 
     /// Cold path: span + metric emission for the admission that just pushed
     /// the newest [`Running`] entry. Only called when observability is on.
-    fn trace_admission(&self, store_idx: usize, evictions_before: u64) {
+    fn trace_admission(&self, q: &QueuedRequest, evictions_before: u64) {
         let Some(r) = self.running.last() else {
             return;
         };
-        let q = &self.store[store_idx];
         let m = crate::obs::metrics();
         m.requests_admitted.inc();
         m.cached_prompt_tokens.add(r.alloc.cached_tokens as u64);
@@ -715,7 +835,7 @@ impl EngineSession {
             .record(self.clock - r.admitted_at);
         llmqo_obs::tracer().complete(
             self.trace_lane,
-            self.store[r.idx].id as u64,
+            r.id as u64,
             "prefill",
             "request",
             r.admitted_at,
@@ -744,7 +864,7 @@ impl EngineSession {
         }
         let mut min_remaining = u32::MAX;
         for r in &self.running {
-            let target = self.store[r.idx].output_len;
+            let target = r.output_len;
             debug_assert!(r.prefilled >= r.prompt_len && r.first_token_at.is_some());
             if r.output_done >= target {
                 return None;
@@ -756,7 +876,7 @@ impl EngineSession {
         // by KV memory (checked without mutating the cache). With every
         // running sequence decoding, the step's prefill budget is
         // `max_batch_tokens − running`, constant across pure decode steps.
-        if let Some(&idx) = self.waiting.front() {
+        if let Some(req) = self.waiting.front() {
             let slots_free = self.running.len() < self.config.max_num_seqs;
             let budget_free = self
                 .config
@@ -764,11 +884,8 @@ impl EngineSession {
                 .saturating_sub(self.running.len())
                 > 0;
             if slots_free && budget_free {
-                let req = &self.store[idx];
-                if self
-                    .cache
-                    .can_admit_chain(&req.chain, req.output_len as usize)
-                {
+                let chain = self.arena.chain(req);
+                if self.cache.can_admit_chain(chain, req.output_len as usize) {
                     return None;
                 }
             }
@@ -934,6 +1051,7 @@ impl EngineSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::BlockChain;
     use crate::engine::SimEngine;
     use crate::hardware::{GpuCluster, GpuSpec};
 
@@ -1129,37 +1247,143 @@ mod tests {
         assert!(s.is_idle());
         assert_eq!(s.kv_blocks_in_use(), 0);
         let request = SimRequest::from_tokens(0, (0..64).collect(), 1);
-        let chain = e.chain_hasher().chain(&request.prompt);
-        s.enqueue(request);
+        let mut hasher = e.chain_hasher();
+        let chain = hasher.chain(&request.prompt);
+        s.enqueue_ref(&request);
         assert_eq!(s.queued(), 1);
-        assert_eq!(s.probe_cached_tokens(&chain), 0);
+        assert_eq!(s.probe_cached_tokens(chain), 0);
         while s.step().unwrap() {}
         // After completion the blocks stay cached (refcount 0, computed).
-        assert_eq!(s.probe_cached_tokens(&chain), 64);
+        assert_eq!(s.probe_cached_tokens(chain), 64);
         assert!(s.kv_blocks_in_use() > 0);
         assert!(s.capacity_blocks() > 0);
         assert_eq!(s.cache_stats().admitted, 1);
     }
 
+    /// The chain `from_fragments` defines for `r` under the default config.
+    fn defined(r: &SimRequest) -> BlockChain {
+        BlockChain::from_fragments(16, r.prompt.iter().map(|f| &f[..]))
+    }
+
     #[test]
     fn admission_moves_chains_out_of_the_store() {
-        // The store remembers every request ever enqueued; the block hashes
-        // must leave it with the admission (into the cache, freed when the
-        // run that reads them is evicted) instead of being copied and
-        // retained for the session's lifetime.
+        // A waiting request's block ids live in the arena and nowhere else;
+        // they leave it with the admission (the cache copies what it does
+        // not hold yet), chunk by chunk, and a completed request leaves
+        // nothing behind in the session but its completion record.
         let e = engine();
         let mut s = e.session().unwrap();
-        for r in &reqs(12, 64, 32, 2) {
+        let rs = reqs(12, 64, 32, 2);
+        for r in &rs {
             s.enqueue_ref(r);
         }
-        assert_eq!(s.stored_chain_blocks(), 12 * (96 / 16));
+        let defined: Vec<BlockChain> = rs.iter().map(defined).collect();
+        assert_eq!(s.queued_chains(), defined);
+        assert_eq!(s.arena.chunks.len(), 1);
         s.step().unwrap();
         assert!(s.running() > 0);
-        let waiting_blocks = s.queued() * (96 / 16);
-        assert_eq!(s.stored_chain_blocks(), waiting_blocks);
+        assert_eq!(s.queued_chains(), defined[12 - s.queued()..]);
         while s.step().unwrap() {}
-        assert_eq!(s.stored_chain_blocks(), 0);
+        assert!(s.waiting.is_empty() && s.running.is_empty());
+        assert!(
+            s.arena.chunks.is_empty(),
+            "the last chunk went with its last chain"
+        );
         assert_eq!(s.finish().report.completed, 12);
+    }
+
+    #[test]
+    fn the_arena_survives_a_request_that_can_never_be_admitted() {
+        // Chains of every size around a chunk — none, a few blocks, more
+        // than a whole chunk — queue behind one another; the fourth request
+        // can never fit. Every step up to and including the ones that
+        // refuse it must leave each waiting chain exactly as hashed.
+        let e = engine();
+        let cap_tokens = e.deployment().kv_capacity_tokens(e.config()) as u32;
+        let lens = [
+            7,
+            16 * (CHUNK_IDS as u32 + 3),
+            300,
+            cap_tokens + 64,
+            90,
+            16 * 40,
+        ];
+        assert!(lens[1] < cap_tokens, "the long chain is admissible");
+        let rs: Vec<SimRequest> = lens
+            .iter()
+            .enumerate()
+            .map(|(i, &n)| {
+                SimRequest::from_tokens(i, (0..n).map(|t| t * 8 + i as u32).collect(), 1)
+            })
+            .collect();
+        let defined: Vec<BlockChain> = rs.iter().map(defined).collect();
+        let mut s = e.session().unwrap();
+        for r in &rs[..4] {
+            s.enqueue_ref(r);
+        }
+        assert_eq!(
+            s.arena.chunks.len(),
+            3,
+            "the long chain has a chunk of its own"
+        );
+        let refused = loop {
+            assert_eq!(s.queued_chains(), defined[4 - s.queued()..4]);
+            match s.step() {
+                Ok(_) => {}
+                Err(err) => break err,
+            }
+        };
+        assert!(matches!(
+            refused,
+            EngineError::RequestTooLarge { id: 3, .. }
+        ));
+        // The head stays queued, and so does what arrives behind it.
+        for r in &rs[4..] {
+            s.enqueue_ref(r);
+        }
+        assert!(s.step().is_err());
+        assert_eq!(s.queued_chains(), defined[3..]);
+        assert_eq!(
+            s.arena.chunks.len(),
+            2,
+            "the served chains' chunks are gone"
+        );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// The arena against a queue of owned vectors: under any
+        /// interleaving of pushes (empty chains, short ones, ones longer
+        /// than a chunk) and pops, every queued span reads back its ids,
+        /// every chunk holds a queued chain, and no more chunks are live
+        /// than the queued ids could need.
+        #[test]
+        fn the_arena_is_a_fifo_of_chains(
+            ops in proptest::collection::vec((0u8..5, 0usize..3, 0usize..700), 1..200),
+        ) {
+            let mut arena = IdArena::default();
+            let mut queue: VecDeque<(Span, Vec<u64>)> = VecDeque::new();
+            let mut next = 0u64;
+            for (op, class, len) in ops {
+                if op < 3 {
+                    let len = [0, len, CHUNK_IDS + len][class];
+                    let ids: Vec<u64> = (next..next + len as u64).collect();
+                    next += len as u64;
+                    queue.push_back((arena.push(&ids), ids));
+                } else if let Some((span, _)) = queue.pop_front() {
+                    arena.pop_front(span);
+                }
+                for (span, ids) in &queue {
+                    proptest::prop_assert_eq!(arena.ids(*span), &ids[..]);
+                }
+                let chains = queue.iter().filter(|(_, ids)| !ids.is_empty()).count();
+                let queued: u32 = arena.chunks.iter().map(|c| c.queued).sum();
+                proptest::prop_assert_eq!(queued as usize, chains);
+                proptest::prop_assert!(arena.chunks.iter().all(|c| c.queued > 0));
+                proptest::prop_assert!(arena.spare.is_empty());
+            }
+        }
     }
 
     #[test]

@@ -241,6 +241,22 @@ pub fn cluster_sim(replicas: usize, queue_cap: usize) -> ClusterSim {
     )
 }
 
+/// A GGR-reordered movies filter workload (the fig_cluster feed): requests
+/// share solver-arranged prefixes as pointer-equal fragments. Returns the
+/// requests with their depth-1 prefix keys.
+pub fn reordered_movies_requests(rows: usize) -> (Vec<SimRequest>, Vec<u64>) {
+    use llmqo::core::Reorderer;
+    use llmqo::relational::{encode_table, plan_requests, project_fds, QueryKind};
+
+    let ds = Dataset::generate_with_rows(DatasetId::Movies, rows);
+    let query = ds.query_of_kind(QueryKind::Filter).expect("filter query");
+    let encoded = encode_table(&Tokenizer::new(), &ds.table, query).expect("encode");
+    let fds = project_fds(&ds.fds, &encoded.used_cols);
+    let solution = Ggr::default().reorder(&encoded.reorder, &fds).unwrap();
+    let keys = solution.plan.prefix_keys(&encoded.reorder, 1);
+    (plan_requests(&encoded, &solution.plan, query), keys)
+}
+
 /// Fresh instances of all four built-in routing policies.
 pub fn routers() -> Vec<Box<dyn Router>> {
     vec![

@@ -32,7 +32,7 @@ mod oracles {
     pub mod session;
 }
 
-use common::engine_with as engine;
+use common::{engine_with as engine, reordered_movies_requests};
 use llmqo::cluster::{
     tag_requests, AdmissionPolicy, ArrivalProcess, ClusterReport, ClusterRequest, FaultPlan,
     OverloadPolicy, PrefixAffinity, RetryPolicy,
@@ -163,12 +163,12 @@ proptest! {
                 _ => previous.iter().rev().cloned().collect(),
             };
             let chain = hasher.chain(&prompt);
-            prop_assert_eq!(&chain, &defined_chain(block_size, &prompt));
+            prop_assert_eq!(BlockChain::from(chain), defined_chain(block_size, &prompt));
             let flat: Vec<TokenId> = prompt.iter().flat_map(|f| f.iter().copied()).collect();
-            prop_assert_eq!(&chain, &BlockChain::from_tokens(block_size, &flat));
+            prop_assert_eq!(BlockChain::from(chain), BlockChain::from_tokens(block_size, &flat));
             // The prompt as a view: a head, then cells looked up one by one.
             let view = prompt.first().into_iter().chain((1..prompt.len()).map(|i| &prompt[i]));
-            prop_assert_eq!(&chain, &borrowing.chain_iter(view));
+            prop_assert_eq!(chain, borrowing.chain_iter(view));
             total_tokens += chain.prompt_tokens() as u64;
             for h in [&hasher, &borrowing] {
                 prop_assert_eq!(h.tokens_hashed() + h.tokens_reused(), total_tokens);
@@ -342,24 +342,6 @@ fn oversized_requests_error_identically() {
     assert!(matches!(a, EngineError::RequestTooLarge { id: 7, .. }));
 }
 
-/// A GGR-reordered movies filter workload (the fig_cluster feed): requests
-/// share solver-arranged prefixes as pointer-equal fragments. Returns the
-/// requests with their depth-1 prefix keys.
-fn reordered_movies_requests(rows: usize) -> (Vec<SimRequest>, Vec<u64>) {
-    use llmqo::core::{Ggr, Reorderer};
-    use llmqo::datasets::{Dataset, DatasetId};
-    use llmqo::relational::{encode_table, plan_requests, project_fds, QueryKind};
-    use llmqo::tokenizer::Tokenizer;
-
-    let ds = Dataset::generate_with_rows(DatasetId::Movies, rows);
-    let query = ds.query_of_kind(QueryKind::Filter).expect("filter query");
-    let encoded = encode_table(&Tokenizer::new(), &ds.table, query).expect("encode");
-    let fds = project_fds(&ds.fds, &encoded.used_cols);
-    let solution = Ggr::default().reorder(&encoded.reorder, &fds).unwrap();
-    let keys = solution.plan.prefix_keys(&encoded.reorder, 1);
-    (plan_requests(&encoded, &solution.plan, query), keys)
-}
-
 #[test]
 fn chain_hasher_outlives_the_previous_request() {
     // The hasher compares fragment *addresses*, so it must keep the
@@ -376,7 +358,7 @@ fn chain_hasher_outlives_the_previous_request() {
         };
         let held = Arc::downgrade(&request.prompt[0]);
         assert_eq!(
-            hasher.chain(&request.prompt),
+            BlockChain::from(hasher.chain(&request.prompt)),
             defined_chain(4, &request.prompt)
         );
         drop(request);
