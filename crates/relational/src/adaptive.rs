@@ -336,8 +336,8 @@ pub struct AnswerCache {
     hits: u64,
     misses: u64,
     evictions: u64,
-    /// Full key text per audited key, for the hash-collision audit.
-    #[cfg(debug_assertions)]
+    /// Full key text per audited key, for the hash-collision audit (debug
+    /// builds; empty otherwise).
     audited: HashMap<(u32, u64), String>,
 }
 
@@ -421,8 +421,7 @@ impl AnswerCache {
     /// # Panics
     ///
     /// Panics if two different key texts share a [`RowKey::hash`].
-    #[cfg(debug_assertions)]
-    pub fn audit(&mut self, instruction: u32, key: RowKey, text: &str) {
+    pub(crate) fn audit(&mut self, instruction: u32, key: RowKey, text: &str) {
         let original = self
             .audited
             .entry((instruction, key.hash))

@@ -1,4 +1,4 @@
-//! Query execution: optimizer → serving engine → output parsing.
+//! Query execution: the executor, its options and its reports.
 //!
 //! [`QueryExecutor`] implements the paper's end-to-end pipeline (§5): the
 //! input table is lowered to the optimizer's representation, a
@@ -7,30 +7,32 @@
 //! order), the serving simulator replays the batch, and a simulated model
 //! produces per-row outputs that are parsed back into relational results.
 //!
-//! The physical layer is *batch-oriented*: [`run_llm_rows`] evaluates one
-//! operator's query over any row subset on the operator's stage
-//! (`pipeline::Stage`: `n ≥ 1` routed [`llmqo_serve::EngineSession`]s per
-//! model tier), optionally answering rows whose exact prompt was
-//! already submitted from the executor's **session answer cache**
-//! ([`crate::AnswerCache`]) and **deduplicating** the remaining rows whose
-//! projected field values are identical so each distinct prompt hits the
-//! engine once (the solver then runs on the novel, dedup-compacted batch).
-//! Its front half is `prompt::encode_batch`: one walk over the offered rows
-//! interns them and consults the cache, and only the dedup representatives
-//! of the novel rows are lowered into the solver's table — what the engine
-//! will serve, not what the statement offered. The back half reads dedup
-//! groups as flat CSR slices and closes with the batch ledger identities
-//! (`cache_hits + novel = rows_in`, `rows_deduped + llm_calls = novel`,
-//! every row labelled or failed) as `debug_assert!`s.
-//! [`execute`] is the single-shot wrapper — one stage, one batch; the SQL
-//! runner drives the same primitive batch by batch, one stage per operator,
-//! for lazy `LIMIT`, adaptive and pipelined execution.
-//! Requests reach the stage engine as borrowed views of the encoded table
-//! (`row_prompt`: the instruction, then the row's fragments in scheduled
-//! order) — first attempts, fault retries and cascade escalations alike —
-//! so the executor builds a [`SimRequest`] only for [`plan_requests`].
+//! What lives where follows how long it is known for:
 //!
-//! [`run_llm_rows`]: QueryExecutor::run_llm_rows
+//! * **per executor** (this module): the engine, the simulated labeler, the
+//!   tokenizer and the **session answer cache** ([`crate::AnswerCache`],
+//!   with its checkpoint and restore) that every query run on the executor
+//!   shares; the option, report and error types.
+//! * **per operator** (`pipeline::Stage`): the table, query, solver and
+//!   ground truth, taken once when the stage opens, what follows from them
+//!   — used columns, projected dependencies, answer-cache identity,
+//!   output-length stream — and the stage's engines (`n ≥ 1` routed
+//!   [`llmqo_serve::EngineSession`]s per model tier).
+//! * **per batch** (`pipeline::batch`): `Stage::run_batch(rows)`, the one
+//!   door to the LLM, steps any ascending subset of the table's rows through
+//!   encode + cache lookup → solve → serve → label → escalate.
+//!
+//! [`execute`] opens a stage, runs every row as one batch and finishes it;
+//! [`execute_multi`] (the paper's T3 chains) runs one stage per query over
+//! the shrinking list of surviving *original* row indices; the SQL runner
+//! drives the same door batch by batch, one stage per operator, for lazy
+//! `LIMIT`, adaptive and pipelined execution. Requests reach a stage engine
+//! as borrowed views of the encoded table (`row_prompt`: the instruction,
+//! then the row's fragments in scheduled order), so a [`SimRequest`] is
+//! built only by [`plan_requests`].
+//!
+//! [`execute`]: QueryExecutor::execute
+//! [`execute_multi`]: QueryExecutor::execute_multi
 //!
 //! Reordering is *semantics-preserving by construction*: schedules are
 //! validated permutations and every output is keyed by its original row
@@ -40,21 +42,17 @@
 //! still receives its own generated output and optimizations cannot change
 //! query results.
 
-use crate::adaptive::{AnswerCache, AnswerCacheStats, CacheSnapshotEntry, CachedAnswer, RowKey};
+use crate::adaptive::{AnswerCache, AnswerCacheStats, CacheSnapshotEntry};
 use crate::optimizer::OptStats;
-use crate::pipeline::{Stage, PREFIX_KEY_DEPTH};
-use crate::prompt::{encode_batch, EncodedBatch};
+use crate::pipeline::Stage;
 use crate::query::{LlmQuery, QueryKind};
 use crate::table::{Table, TableError};
-use llmqo_core::{phc_of_plan, FunctionalDeps, PhcReport, Reorderer, SolveError};
+use llmqo_core::{FunctionalDeps, PhcReport, Reorderer, SolveError};
 use llmqo_costmodel::CascadePlan;
-use llmqo_serve::{
-    fault_unit, Completion, EngineError, EngineReport, SimEngine, SimLlm, SimRequest,
-};
+use llmqo_serve::{EngineError, EngineReport, SimEngine, SimLlm, SimRequest};
 use llmqo_tokenizer::{TokenId, Tokenizer};
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -339,7 +337,9 @@ impl StageOutcome {
         solver: &str,
         engine: EngineReport,
     ) -> QueryOutput {
-        self.outputs.sort_by_key(|o| o.row);
+        // Every batch sorts its outputs and batches arrive in ascending
+        // candidate order.
+        debug_assert!(self.outputs.is_sorted_by_key(|o| o.row));
         self.failed_rows.sort_unstable();
         let selected_rows = match (&query.kind, &query.predicate_label) {
             (QueryKind::Filter, Some(label)) => self
@@ -418,15 +418,15 @@ impl StatementCheckpoint {
 ///
 /// See the crate-level documentation for a full pipeline example.
 pub struct QueryExecutor<'a> {
-    engine: &'a SimEngine,
-    llm: &'a dyn SimLlm,
-    tokenizer: Tokenizer,
+    pub(crate) engine: &'a SimEngine,
+    pub(crate) llm: &'a dyn SimLlm,
+    pub(crate) tokenizer: Tokenizer,
     /// Session answer cache (see [`AnswerCache`]): shared by every query
     /// executed on this executor, consulted only when the caller opts in
     /// via [`ExecOptions::answer_cache`]. Interior mutability keeps the
     /// execution API `&self` (the SQL runner holds the executor by shared
     /// reference).
-    cache: RefCell<AnswerCache>,
+    pub(crate) cache: RefCell<AnswerCache>,
 }
 
 impl<'a> fmt::Debug for QueryExecutor<'a> {
@@ -499,16 +499,6 @@ impl<'a> QueryExecutor<'a> {
         }
     }
 
-    /// The serving engine (the SQL runner opens its per-operator stages on it).
-    pub(crate) fn engine(&self) -> &'a SimEngine {
-        self.engine
-    }
-
-    /// The tokenizer (the SQL runner prices operators with it).
-    pub(crate) fn tokenizer(&self) -> &Tokenizer {
-        &self.tokenizer
-    }
-
     /// Executes `query` over `table`, scheduling requests with `reorderer`.
     ///
     /// `fds` are functional dependencies over the *full table schema*; they
@@ -552,377 +542,11 @@ impl<'a> QueryExecutor<'a> {
         truth: &dyn Fn(usize) -> String,
         opts: ExecOptions,
     ) -> Result<QueryOutput, ExecError> {
-        let mut stage = Stage::open(self.engine, 1, query, opts)?;
+        let mut stage = Stage::open(self, table, query, reorderer, fds, truth, opts, 1)?;
         let all_rows: Vec<usize> = (0..table.nrows()).collect();
-        let out = self.run_llm_rows(&mut stage, table, &all_rows, reorderer, fds, truth)?;
+        let out = stage.run_batch(&all_rows)?;
         stage.outcome.absorb(out);
-        Ok(stage.finish(reorderer.name()))
-    }
-
-    /// The physical batch primitive: evaluates the `stage`'s query over the
-    /// given original-index `rows` of `table` on the stage's incremental
-    /// engine, under the stage's [`ExecOptions`]. With
-    /// [`ExecOptions::answer_cache`], rows whose exact prompt was ever
-    /// submitted on this executor are answered from the session cache
-    /// first; with [`ExecOptions::dedup`], the remaining novel rows with
-    /// identical projected field values are compacted to one representative
-    /// before the solver runs, a single engine request is issued per
-    /// representative, and outputs fan back out by original row index. The
-    /// SQL runner calls this batch by batch (one stage per operator) for
-    /// lazy `LIMIT`, adaptive and pipelined execution.
-    ///
-    /// With [`ExecOptions::cascade`], the stage's engine is the cheap tier:
-    /// every representative runs on it, rows whose deterministic confidence
-    /// falls below the plan's threshold escalate, and each dedup group
-    /// containing an escalated row re-runs its representative's request on
-    /// the stage's expensive tier ([`Stage::escalate`]).
-    ///
-    /// # Errors
-    ///
-    /// See [`ExecError`].
-    pub(crate) fn run_llm_rows(
-        &self,
-        stage: &mut Stage<'_>,
-        table: &Table,
-        rows: &[usize],
-        reorderer: &dyn Reorderer,
-        fds: &FunctionalDeps,
-        truth: &dyn Fn(usize) -> String,
-    ) -> Result<StageOutcome, ExecError> {
-        let (query, opts) = (stage.query, stage.opts());
-        if query.fields.is_empty() {
-            return Err(ExecError::EmptyFields);
-        }
-        let mut outcome = StageOutcome::default();
-        outcome.opt.rows_in = rows.len() as u64;
-        outcome.opt.batches = 1;
-        if rows.is_empty() {
-            return Ok(outcome);
-        }
-        // Key-field queries are never cached: their labeler draws depend on
-        // where the schedule placed the key field, which a cache hit has no
-        // schedule to derive from — and they exist precisely to measure
-        // positional effects (Fig. 6), which caching would distort. Without
-        // a key field, `key_field_pos` is the constant 0.5 on every path,
-        // so hits label exactly as a cache-off run would.
-        let use_cache = opts.answer_cache && query.key_field.is_none();
-
-        // Front half, two phases (`encode_batch`): every offered row is
-        // interned and — with the session answer cache on — its prompt
-        // identity (interned instruction + the row key folded from its
-        // fragments' content keys) is looked up *before* anything is built
-        // for it, so the solver's table, the dedup index and the engine
-        // only ever see novel rows. Like dedup, the cache shares engine
-        // work, not labeler draws: hit rows still generate their own
-        // outputs below.
-        let mut instr_id = 0u32;
-        let batch = if use_cache {
-            let mut cache = self.cache.borrow_mut();
-            instr_id = cache.instruction_id(&query_cache_identity(query));
-            #[cfg(debug_assertions)]
-            let used_cols = table.resolve_columns(&query.fields)?;
-            let opt = &mut outcome.opt;
-            let mut lookup = |local: usize, key: RowKey| {
-                #[cfg(debug_assertions)]
-                cache.audit(
-                    instr_id,
-                    key,
-                    &row_key_text(table, rows[local], query, &used_cols),
-                );
-                #[cfg(not(debug_assertions))]
-                let _ = local;
-                match cache.lookup(instr_id, key) {
-                    Some(answer) => {
-                        opt.cache_hits += 1;
-                        opt.cache_tokens_saved += answer.prompt_tokens + answer.output_tokens;
-                        true
-                    }
-                    None => false,
-                }
-            };
-            encode_batch(
-                &self.tokenizer,
-                table,
-                query,
-                rows,
-                opts.dedup,
-                Some(&mut lookup),
-            )?
-        } else {
-            encode_batch(&self.tokenizer, table, query, rows, opts.dedup, None)?
-        };
-        let EncodedBatch {
-            encoded,
-            groups,
-            keys: cache_keys,
-            hits,
-        } = batch;
-        let projected = project_fds(fds, &encoded.used_cols);
-
-        // Exact request deduplication: `encoded.reorder` row `g` is the
-        // representative of `groups.members(g)`; every other member's
-        // prompt — token for token the representative's — is prefill the
-        // engine never sees.
-        let novel = groups.rows();
-        outcome.opt.rows_deduped = (novel - groups.len()) as u64;
-        for g in 0..groups.len() {
-            let duplicates = groups.members(g).len() as u64 - 1;
-            if duplicates > 0 {
-                let row_tokens: u64 = encoded
-                    .reorder
-                    .row(g)
-                    .iter()
-                    .map(|c| u64::from(c.len))
-                    .sum();
-                outcome.opt.prefill_tokens_saved +=
-                    duplicates * (encoded.instruction_len() as u64 + row_tokens);
-            }
-        }
-
-        // One row's output: its own labeler draw, then — under a cascade — its
-        // pure per-row escalation decision (tallied in the tier ledger) and
-        // cascade label. Returns whether the row escalated.
-        let label_row = |outcome: &mut StageOutcome, original: usize, key_field_pos: f64| {
-            let text = self.llm.generate_owned(
-                truth(original),
-                original as u64,
-                &query.label_space,
-                key_field_pos,
-            );
-            let (text, escalated) = match &opts.cascade {
-                Some(plan) => {
-                    let escalated =
-                        cascade_row(plan, original, &text, &query.label_space, &mut outcome.opt);
-                    let label = plan.label(original as u64, &text, &query.label_space);
-                    (label, escalated)
-                }
-                None => (text, false),
-            };
-            outcome.outputs.push(RowOutput {
-                row: original,
-                text,
-            });
-            escalated
-        };
-        // Cascade ledger: every request the cheap tier serves — first
-        // attempts and fault retries — is billed to it at full (uncached)
-        // prompt + output volume.
-        let bill_cheap = |opt: &mut OptStats, served: &[Completion]| {
-            if opts.cascade.is_some() {
-                for c in served {
-                    opt.cheap_prompt_tokens += c.prompt_tokens as u64;
-                    opt.cheap_output_tokens += u64::from(c.output_tokens);
-                }
-            }
-        };
-
-        if groups.len() > 0 {
-            // The solver sees only the novel, dedup-compacted batch.
-            let compact = &encoded.reorder;
-            let solution = reorderer.reorder(compact, &projected)?;
-            debug_assert!(solution.plan.validate(compact).is_ok());
-            outcome.field_phc = phc_of_plan(compact, &solution.plan);
-            outcome.solve_time_s = solution.solve_time.as_secs_f64();
-            outcome.claimed_phc = solution.claimed_phc;
-
-            // Fan-out stages route each request by its reorder-plan prefix
-            // key so a shared-prefix group lands on one replica; a single
-            // replica never looks at keys, so skip the hashing.
-            let keys: Vec<u64> = if stage.engine.wants_prefix_keys() {
-                solution.plan.prefix_keys(compact, PREFIX_KEY_DEPTH)
-            } else {
-                Vec::new()
-            };
-            // One engine request per scheduled representative, carrying the
-            // *original* row index so serving traces stay attributable.
-            // A request is a borrowed view — the instruction, then the
-            // row's fragments where the encoded table keeps them — built
-            // lazily as the stage engine enqueues it: no `SimRequest`, no
-            // prompt vector, for first attempts, retries and escalations
-            // alike.
-            let output_lens = OutputLens::new(&query.name, query.output_tokens_mean);
-            let request = |ri: usize| {
-                let rp = &solution.plan.rows[ri];
-                let original = rows[groups.representative(rp.row)];
-                (
-                    original,
-                    output_lens.sample(original),
-                    row_prompt(&encoded, rp),
-                )
-            };
-            outcome.opt.llm_calls = solution.plan.rows.len() as u64;
-            // This batch's completion records — consumed by request id
-            // below, so the stage engine's merge order (deterministic but
-            // replica-grouped under fan-out) never affects results.
-            let completions = stage
-                .engine
-                .run_batch((0..solution.plan.rows.len()).map(&request), &keys)?;
-            bill_cheap(&mut outcome.opt, &completions);
-            let answer_records: HashMap<usize, CachedAnswer> = if use_cache {
-                completions
-                    .iter()
-                    .map(|c| {
-                        (
-                            c.id,
-                            CachedAnswer {
-                                prompt_tokens: c.prompt_tokens as u64,
-                                output_tokens: u64::from(c.output_tokens),
-                            },
-                        )
-                    })
-                    .collect()
-            } else {
-                HashMap::new()
-            };
-
-            // Deterministic fault injection: each representative's engine
-            // call rolls per attempt against the configured transient-error
-            // rate (pure in `(seed, original row, attempt)` — reruns fail
-            // identically). A failed roll retries as a fresh engine request
-            // — warm prefix cache, so retries are cheap — up to the
-            // statement budget; rows still failing either degrade to
-            // partial results (dropped and annotated downstream) or fail
-            // the statement with a typed error. Never a panic.
-            let mut failed_reps: Vec<bool> = vec![false; groups.len()];
-            if let Some(f) = opts.faults.filter(|f| f.error_ppm > 0) {
-                let p = f64::from(f.error_ppm) / 1e6;
-                let budget = f.max_attempts.max(1);
-                // Schedule positions to replay, one entry per failed attempt.
-                let mut retry_rows: Vec<usize> = Vec::new();
-                let mut retry_keys: Vec<u64> = Vec::new();
-                for (ri, rp) in solution.plan.rows.iter().enumerate() {
-                    let original = rows[groups.representative(rp.row)];
-                    let mut attempt = 1u32;
-                    while attempt <= budget
-                        && fault_unit(f.seed, original as u64, u64::from(attempt)) < p
-                    {
-                        attempt += 1;
-                    }
-                    let served = attempt <= budget;
-                    let extra = if served { attempt - 1 } else { budget - 1 };
-                    if extra > 0 {
-                        outcome.opt.llm_retries += u64::from(extra);
-                        for _ in 0..extra {
-                            retry_rows.push(ri);
-                            // Retries keep their row's prefix key: failover
-                            // lands on the replica already holding the
-                            // group's cached prefix.
-                            retry_keys.push(keys.get(ri).copied().unwrap_or_default());
-                        }
-                    }
-                    if !served {
-                        if !f.partial_results {
-                            return Err(ExecError::LlmUnavailable {
-                                row: original,
-                                attempts: budget,
-                            });
-                        }
-                        failed_reps[rp.row] = true;
-                    }
-                }
-                if !retry_rows.is_empty() {
-                    // Replay the failed attempts so their serving cost is
-                    // real: each retry re-sends the representative's full
-                    // prompt (mostly cache hits) and re-decodes its output.
-                    let retried = stage
-                        .engine
-                        .run_batch(retry_rows.iter().map(|&ri| request(ri)), &retry_keys)?;
-                    bill_cheap(&mut outcome.opt, &retried);
-                }
-            }
-
-            // Generate outputs for every offered novel row — the labeler is
-            // a per-row instrument, so deduplication is invisible in
-            // results by design — and register each scheduled prompt in the
-            // answer cache with its serving record.
-            let key_col = query
-                .key_field
-                .as_deref()
-                .and_then(|k| query.fields.iter().position(|f| f == k));
-            // Dedup groups whose rows all kept the cheap answer never touch
-            // the expensive tier; a group with at least one escalated row
-            // re-runs its representative's request there (engine work is
-            // shared per group on both tiers, labels stay per-row).
-            let mut esc_rows: Vec<usize> = Vec::new();
-            let mut esc_keys: Vec<u64> = Vec::new();
-            for (ri, rp) in solution.plan.rows.iter().enumerate() {
-                if failed_reps[rp.row] {
-                    // Budget exhausted: the representative's whole dedup
-                    // group degrades — no answer-cache entry (nothing was
-                    // served), no labeler draw, just the per-row failure
-                    // record the SQL layer annotates.
-                    let members = groups.members(rp.row);
-                    outcome
-                        .failed_rows
-                        .extend(members.iter().map(|&local| rows[local as usize]));
-                    outcome.opt.rows_failed += members.len() as u64;
-                    continue;
-                }
-                let key_field_pos = match key_col {
-                    Some(k) if rp.fields.len() > 1 => {
-                        let pos = rp
-                            .fields
-                            .iter()
-                            .position(|&f| f as usize == k)
-                            .unwrap_or_else(|| unreachable!("plans carry every field"));
-                        pos as f64 / (rp.fields.len() - 1) as f64
-                    }
-                    _ => 0.5,
-                };
-                if use_cache {
-                    let original = rows[groups.representative(rp.row)];
-                    let record = answer_records[&original];
-                    self.cache
-                        .borrow_mut()
-                        .insert(instr_id, cache_keys[rp.row], record);
-                }
-                let mut group_escalates = false;
-                for &local in groups.members(rp.row) {
-                    group_escalates |= label_row(&mut outcome, rows[local as usize], key_field_pos);
-                }
-                if group_escalates {
-                    esc_rows.push(ri);
-                    esc_keys.push(keys.get(ri).copied().unwrap_or_default());
-                }
-            }
-            if !esc_rows.is_empty() {
-                let esc_requests = esc_rows.iter().map(|&ri| request(ri));
-                for c in &stage.escalate(esc_requests, &esc_keys)? {
-                    outcome.opt.esc_prompt_tokens += c.prompt_tokens as u64;
-                    outcome.opt.esc_output_tokens += u64::from(c.output_tokens);
-                }
-            }
-        }
-
-        // Cache-hit rows: no solver, no engine request — but still one
-        // labeler draw each. Hits exist only for key-field-free queries
-        // (see `use_cache` above), whose key-field position is the
-        // constant 0.5 on every execution path. Under a cascade, hits are
-        // engine-free on *both* tiers (the cache is tier-agnostic: the
-        // prompt was already paid for), but each row still takes its pure
-        // per-row escalation decision and cascade label, so caching never
-        // changes results.
-        for &local in &hits {
-            label_row(&mut outcome, rows[local as usize], 0.5);
-        }
-        outcome.outputs.sort_by_key(|o| o.row);
-
-        // The batch ledger: every offered row is answered from the cache or
-        // novel, every novel row is a duplicate or an engine call, and
-        // every row ends labelled or failed (and, under a cascade, in
-        // exactly one tier bucket).
-        let opt = &outcome.opt;
-        debug_assert_eq!(opt.cache_hits + novel as u64, opt.rows_in);
-        debug_assert_eq!(opt.rows_deduped + opt.llm_calls, novel as u64);
-        debug_assert_eq!(
-            (outcome.outputs.len() + outcome.failed_rows.len()) as u64,
-            opt.rows_in
-        );
-        debug_assert!(
-            opts.cascade.is_none()
-                || opt.rows_cheap + opt.rows_escalated + opt.rows_failed == opt.rows_in
-        );
-        Ok(outcome)
+        Ok(stage.finish())
     }
 
     /// Executes a multi-LLM invocation chain (paper T3): every stage but the
@@ -947,57 +571,24 @@ impl<'a> QueryExecutor<'a> {
             truths.len(),
             "one ground-truth provider per stage"
         );
-        let mut results = Vec::with_capacity(stages.len());
-        let mut current = table.clone();
-        // Maps current-table row indices to original indices.
-        let mut row_map: Vec<usize> = (0..table.nrows()).collect();
-        for (i, (stage, truth)) in stages.iter().zip(truths).enumerate() {
-            let is_last = i + 1 == stages.len();
-            if !is_last && stage.kind != QueryKind::Filter {
+        let mut results: Vec<QueryOutput> = Vec::with_capacity(stages.len());
+        // The rows still in the chain, as original indices.
+        let mut rows: Vec<usize> = (0..table.nrows()).collect();
+        for (i, (query, truth)) in stages.iter().zip(truths).enumerate() {
+            if i + 1 < stages.len() && query.kind != QueryKind::Filter {
                 return Err(ExecError::NotAFilter {
-                    stage: stage.name.clone(),
+                    stage: query.name.clone(),
                 });
             }
-            let mapped_truth = |local: usize| truth(row_map[local]);
-            let mut out = self.execute(&current, stage, reorderer, fds, &mapped_truth)?;
-            // Translate local row indices back to original ones.
-            for o in &mut out.outputs {
-                o.row = row_map[o.row];
-            }
-            let selected_local: Vec<usize> =
-                std::mem::take(&mut out.selected_rows).into_iter().collect();
-            out.selected_rows = selected_local.iter().map(|&r| row_map[r]).collect();
-            if !is_last {
-                current = current.select_rows(&selected_local);
-                row_map = selected_local.iter().map(|&r| row_map[r]).collect();
-            }
+            let opts = ExecOptions::default();
+            let mut stage = Stage::open(self, table, query, reorderer, fds, truth, opts, 1)?;
+            let out = stage.run_batch(&rows)?;
+            stage.outcome.absorb(out);
+            let out = stage.finish();
+            rows.clone_from(&out.selected_rows);
             results.push(out);
         }
         Ok(results)
-    }
-}
-
-/// Takes one row's cascade decision: records it as cheap-only or escalated
-/// (with the cheap-vs-expensive agreement tally the
-/// [`TierPosterior`](llmqo_costmodel::TierPosterior) learns from) in the
-/// tier fields of `opt`, returning whether the row escalated. Pure in
-/// `(plan.seed, original)` — see [`CascadePlan::escalates`].
-fn cascade_row(
-    plan: &CascadePlan,
-    original: usize,
-    reference: &str,
-    label_space: &[String],
-    opt: &mut OptStats,
-) -> bool {
-    if plan.escalates(original as u64) {
-        opt.rows_escalated += 1;
-        if plan.cheap_label(original as u64, reference, label_space) == reference {
-            opt.tier_agreements += 1;
-        }
-        true
-    } else {
-        opt.rows_cheap += 1;
-        false
     }
 }
 
@@ -1031,7 +622,7 @@ pub fn plan_requests(
 /// dedup group of an executor batch). Single prompt-assembly path, so every
 /// caller (executor, benchmarks, cluster router) serves byte-identical
 /// workloads for a plan.
-fn row_prompt<'a>(
+pub(crate) fn row_prompt<'a>(
     encoded: &'a crate::EncodedTable,
     rp: &'a llmqo_core::RowPlan,
 ) -> impl Iterator<Item = &'a Arc<[TokenId]>> + 'a {
@@ -1039,37 +630,6 @@ fn row_prompt<'a>(
         let cell = encoded.reorder.cell(rp.row, f as usize);
         &encoded.fragments[cell.value.as_u32() as usize]
     }))
-}
-
-/// The query-level half of an answer-cache key, interned via
-/// [`AnswerCache::instruction_id`]: the instruction text plus everything
-/// else that shapes the answer the engine produces — query kind, label
-/// space, and mean output length. Two operators share cached answers only
-/// when *all* of it matches; a filter and a projection with the same
-/// prompt text must not collide (their simulated decode costs differ).
-/// The per-row half is the [`RowKey`] of the serialized projected fields in
-/// query-field order: schedules permute fields but never change which
-/// `(field, value)` pairs a prompt carries, so together the two halves are
-/// exactly the prompt's semantic identity.
-fn query_cache_identity(query: &LlmQuery) -> String {
-    format!(
-        "{}\u{1}{:?}\u{1}{:?}\u{1}{}",
-        query.full_instruction(),
-        query.kind,
-        query.label_space,
-        query.output_tokens_mean,
-    )
-}
-
-/// The text a row's [`RowKey`] stands for — its fragments concatenated in
-/// query-field order — for the debug-build collision audit.
-#[cfg(debug_assertions)]
-fn row_key_text(table: &Table, row: usize, query: &LlmQuery, used_cols: &[usize]) -> String {
-    let mut text = String::new();
-    for (name, &col) in query.fields.iter().zip(used_cols) {
-        crate::dict::push_fragment(&mut text, name, table.value(row, col));
-    }
-    text
 }
 
 /// Projects full-schema functional dependencies onto the used columns,
@@ -1098,21 +658,21 @@ pub fn project_fds(fds: &FunctionalDeps, used_cols: &[usize]) -> FunctionalDeps 
 /// Deterministic per-row output lengths around a query's mean (±25%): the
 /// draw is FNV-1a over the query name followed by the row index, with the
 /// name — the same for every request of a batch — folded in once.
-struct OutputLens {
+pub(crate) struct OutputLens {
     /// FNV-1a state after the query name.
     name_state: u64,
     mean: f64,
 }
 
 impl OutputLens {
-    fn new(query_name: &str, mean: f64) -> Self {
+    pub(crate) fn new(query_name: &str, mean: f64) -> Self {
         OutputLens {
             name_state: fnv1a(0xcbf2_9ce4_8422_2325, query_name.bytes()),
             mean,
         }
     }
 
-    fn sample(&self, row: usize) -> u32 {
+    pub(crate) fn sample(&self, row: usize) -> u32 {
         let h = fnv1a(self.name_state, (row as u64).to_le_bytes());
         let unit = (h >> 11) as f64 / (1u64 << 53) as f64;
         let len = self.mean * (0.75 + 0.5 * unit);
@@ -1283,6 +843,53 @@ mod tests {
         let stage2_rows: Vec<usize> = results[1].outputs.iter().map(|o| o.row).collect();
         assert_eq!(stage2_rows, vec![0, 1, 2, 3, 4, 5]);
         assert_eq!(results[1].outputs[3].text, "summary of row 3");
+        // Stage 2 was offered exactly stage 1's survivors of the caller's
+        // table — not a re-encoded copy of it.
+        assert_eq!(results[0].report.opt.rows_in, 12);
+        assert_eq!(results[1].report.opt.rows_in, 6);
+        assert_eq!(results[1].report.opt.llm_calls, 6);
+    }
+
+    #[test]
+    fn multi_invocation_keys_every_stage_by_original_row() {
+        use llmqo_serve::ModelProfile;
+        // A noisy labeler draws per (truth, original row): a row's stage-2
+        // answer must not depend on which other rows survived stage 1.
+        let eng = engine();
+        let profile = ModelProfile::llama3_8b().with_base_accuracy(0.6);
+        let ex = QueryExecutor::new(&eng, &profile, Tokenizer::new());
+        let t = table(60);
+        let f = filter_query();
+        let g = LlmQuery::filter(
+            "second",
+            "Does the review mention the product? Answer Yes or No.",
+            vec!["review".into(), "product".into()],
+            vec!["Yes".into(), "No".into()],
+            "Yes",
+            2.0,
+        );
+        let yes_when = |yes: bool| if yes { "Yes" } else { "No" }.to_string();
+        let truth_f = |row: usize| yes_when(row % 3 == 1);
+        let truth_g = |row: usize| yes_when(row.is_multiple_of(2));
+        let fds = FunctionalDeps::empty(2);
+        let chain = ex
+            .execute_multi(&t, &[&f, &g], &Ggr::default(), &fds, &[&truth_f, &truth_g])
+            .unwrap();
+        let selected = &chain[0].selected_rows;
+        assert!(
+            selected
+                .iter()
+                .enumerate()
+                .any(|(local, &row)| local != row),
+            "stage 1 must not select a prefix of the table: {selected:?}"
+        );
+        let stage2_rows: Vec<usize> = chain[1].outputs.iter().map(|o| o.row).collect();
+        assert_eq!(&stage2_rows, selected);
+        assert_eq!(chain[1].report.opt.rows_in, selected.len() as u64);
+        let alone = ex.execute(&t, &g, &Ggr::default(), &fds, &truth_g).unwrap();
+        for o in &chain[1].outputs {
+            assert_eq!(o.text, alone.outputs[o.row].text, "row {}", o.row);
+        }
     }
 
     #[test]
@@ -1312,10 +919,14 @@ mod tests {
         let mut q = filter_query();
         q.fields = vec!["nope".into()];
         let truth = |_: usize| "Yes".into();
-        assert!(matches!(
-            ex.execute(&t, &q, &OriginalOrder, &FunctionalDeps::empty(2), &truth),
-            Err(ExecError::Table(TableError::UnknownColumn { .. }))
-        ));
+        // Resolved when the stage opens: an empty table errors like a full
+        // one (and like `encode_table` on the same input).
+        for t in [&t, &table(0)] {
+            assert!(matches!(
+                ex.execute(t, &q, &OriginalOrder, &FunctionalDeps::empty(2), &truth),
+                Err(ExecError::Table(TableError::UnknownColumn { .. }))
+            ));
+        }
     }
 
     #[test]
@@ -1665,20 +1276,29 @@ mod tests {
         let t = table(4);
         let truth = |_: usize| "Yes".to_string();
         let query = filter_query();
-        let mut stage = Stage::open(&eng, 1, &query, ExecOptions::deduped()).unwrap();
-        let out = ex
-            .run_llm_rows(
-                &mut stage,
-                &t,
-                &[],
-                &OriginalOrder,
-                &FunctionalDeps::empty(2),
-                &truth,
-            )
-            .unwrap();
+        let fds = FunctionalDeps::empty(2);
+        let opts = ExecOptions::deduped();
+        // A solver that must not be asked: the empty batch reaches neither
+        // it nor the engine.
+        struct Unreachable;
+        impl Reorderer for Unreachable {
+            fn name(&self) -> &'static str {
+                "unreachable"
+            }
+            fn reorder(
+                &self,
+                _: &llmqo_core::ReorderTable,
+                _: &FunctionalDeps,
+            ) -> Result<llmqo_core::Solution, SolveError> {
+                panic!("an empty batch has nothing to solve")
+            }
+        }
+        let mut stage = Stage::open(&ex, &t, &query, &Unreachable, &fds, &truth, opts, 1).unwrap();
+        let out = stage.run_batch(&[]).unwrap();
         assert!(out.outputs.is_empty());
         assert_eq!(out.opt.llm_calls, 0);
-        assert_eq!(stage.finish("original").report.engine.completed, 0);
+        assert_eq!((out.opt.rows_in, out.opt.batches), (0, 1));
+        assert_eq!(stage.finish().report.engine.completed, 0);
     }
 
     #[test]

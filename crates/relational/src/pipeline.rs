@@ -1,11 +1,18 @@
 //! Operator stages: the serving-side state of one LLM operator.
 //!
 //! Every LLM operator of a statement — and every bare
-//! [`QueryExecutor::execute_with`] call — runs on one [`Stage`]: the
-//! operator's [`StageEngine`], a second one for the expensive tier when the
-//! operator cascades, and the outcome accumulated over its batches. The
-//! stage is opened on the operator's first batch and finished once, into the
-//! operator's [`QueryOutput`].
+//! [`QueryExecutor::execute_with`] call, and every stage of a T3 chain —
+//! runs on one [`Stage`]. A stage knows its operator: [`Stage::open`] takes
+//! the executor, table, query, solver, dependencies, ground truth and
+//! options once, and resolves once what every batch needs — the used
+//! columns (an unknown field fails here, rows or no rows), the projected
+//! dependencies, the answer-cache identity, the output-length stream, the
+//! key column. It owns the operator's [`StageEngine`], a second one for the
+//! expensive tier when the operator cascades, and the outcome accumulated
+//! over its batches. [`Stage::run_batch`] is the only way a row reaches the
+//! LLM; what one batch goes through is [`batch`]'s. The stage is opened on
+//! the operator's first batch and finished once, into the operator's
+//! [`QueryOutput`].
 //!
 //! A [`StageEngine`] is `n ≥ 1` replica [`EngineSession`]s behind the
 //! cluster layer's [`PrefixAffinity`] router; the classic relay is simply
@@ -13,7 +20,7 @@
 //! single replica keeps trace lane 0, is never routed and asks for no
 //! prefix keys. All stage engines of a statement live on one discrete-event
 //! timeline: the SQL runner hands each batch's upstream completion instant
-//! to [`Stage::advance_to`] before running it, so operator `j` prefills
+//! to [`StageEngine::advance_to`] before running it, so operator `j` prefills
 //! batch `k + 1` while operator `j + 1` decodes batch `k` — overlap instead
 //! of a relay — and fan-out spreads one operator's dedup-compacted batch
 //! across replicas while rendezvous hashing on the reorder plan's prefix
@@ -23,7 +30,7 @@
 //! tiers, since an escalated row's answer exists only once the expensive
 //! tier has produced it.
 //!
-//! A batch reaches a stage engine as borrowed views, `(id, output_len,
+//! A batch reaches a stage engine as borrowed views, `(id, output_len, key,
 //! prompt)` with the prompt an iterator over fragments that stay where the
 //! encoded table keeps them; the engine hands each to
 //! [`EngineSession::enqueue_fragments`], which keeps only the prompt's
@@ -38,9 +45,15 @@
 //!
 //! [`QueryExecutor::execute_with`]: crate::QueryExecutor::execute_with
 
-use crate::exec::{ExecError, ExecOptions, QueryExecutor, QueryOutput, StageOutcome};
+mod batch;
+
+use crate::exec::{
+    project_fds, ExecError, ExecOptions, OutputLens, QueryExecutor, QueryOutput, RowOutput,
+    StageOutcome,
+};
 use crate::query::LlmQuery;
 use crate::table::Table;
+use batch::Batch;
 use llmqo_cluster::{PrefixAffinity, ReplicaSnapshot, Router};
 use llmqo_core::{FunctionalDeps, Reorderer};
 use llmqo_serve::{percentiles, Completion, EngineError, EngineReport, EngineSession, SimEngine};
@@ -50,7 +63,7 @@ use std::sync::Arc;
 /// Depth (leading scheduled fields) of the reorder-plan prefix keys used
 /// for fan-out routing — the same fixed depth the cluster bench
 /// (`fig_cluster`) tags requests with.
-pub(crate) const PREFIX_KEY_DEPTH: usize = 1;
+const PREFIX_KEY_DEPTH: usize = 1;
 
 /// The engine one tier of an LLM operator runs on: `n ≥ 1` replica sessions
 /// over one deployment, sharing a caller-driven timeline. See the
@@ -145,27 +158,26 @@ impl StageEngine {
     }
 
     /// Runs one batch to completion and returns its completion records.
-    /// Each request is `(id, output_len, prompt)`, the prompt a borrowed view
-    /// of its fragments; the engine hashes it on the way in and keeps nothing
-    /// of it, so a caller passing a lazy iterator builds no request and no
-    /// prompt vector.
+    /// Each request is `(id, output_len, key, prompt)`, the prompt a
+    /// borrowed view of its fragments; the engine hashes it on the way in
+    /// and keeps nothing of it, so a caller passing a lazy iterator builds
+    /// no request and no prompt vector.
     ///
-    /// With several replicas, `keys[i]` is request `i`'s reorder-plan prefix
+    /// With several replicas, `key` is the request's reorder-plan prefix
     /// key; requests are placed one by one through the prefix-affinity
     /// router against live snapshots, then all replicas run concurrently on
     /// the simulated clock. The merge order is deterministic (replica index,
     /// then per-replica completion order); callers consume completions by
     /// request id, so no order beyond determinism is promised. A single
-    /// replica serves every request and never looks at `keys` (callers pass
-    /// an empty slice, see [`wants_prefix_keys`](Self::wants_prefix_keys)).
+    /// replica serves every request and never looks at `key` (callers pass
+    /// anything, see [`wants_prefix_keys`](Self::wants_prefix_keys)).
     ///
     /// # Errors
     ///
     /// [`EngineError::RequestTooLarge`] if a request can never be admitted.
     pub fn run_batch<'a, P>(
         &mut self,
-        requests: impl IntoIterator<Item = (usize, u32, P), IntoIter: ExactSizeIterator>,
-        keys: &[u64],
+        requests: impl IntoIterator<Item = (usize, u32, u64, P), IntoIter: ExactSizeIterator>,
     ) -> Result<Vec<Completion>, EngineError>
     where
         P: IntoIterator<Item = &'a Arc<[TokenId]>>,
@@ -173,13 +185,9 @@ impl StageEngine {
         let requests = requests.into_iter();
         let offered = requests.len();
         let routed = self.wants_prefix_keys();
-        debug_assert!(
-            !routed || offered == keys.len(),
-            "one prefix key per request"
-        );
         let before = self.clock();
-        for (i, (id, output_len, prompt)) in requests.enumerate() {
-            let replica = if routed { self.place(keys[i]) } else { 0 };
+        for (id, output_len, key, prompt) in requests {
+            let replica = if routed { self.place(key) } else { 0 };
             self.sessions[replica].enqueue_fragments(id, output_len, prompt);
             self.assigned[replica] += 1;
         }
@@ -242,10 +250,10 @@ impl StageEngine {
     }
 }
 
-/// One LLM operator's serving state for a whole statement: its engines,
-/// the physical options it runs under and the outcome accumulated over its
-/// batches. See the [module docs](self).
-#[derive(Debug)]
+/// One LLM operator, opened once for a whole statement: what it reads (the
+/// executor, the table, the solver, the ground truth), what
+/// [`open`](Self::open) resolves from that once, its engines, and the
+/// outcome accumulated over its batches. See the [module docs](self).
 pub(crate) struct Stage<'q> {
     /// The operator's query.
     pub query: &'q LlmQuery,
@@ -254,40 +262,86 @@ pub(crate) struct Stage<'q> {
     pub engine: StageEngine,
     /// What the stage's batches have produced so far.
     pub outcome: StageOutcome,
+    executor: &'q QueryExecutor<'q>,
+    table: &'q Table,
+    reorderer: &'q dyn Reorderer,
+    /// Ground-truth answer per original row index.
+    truth: &'q dyn Fn(usize) -> String,
     opts: ExecOptions,
     /// The expensive tier escalated representatives replay on; `Some`
     /// exactly when `opts.cascade` is.
     escalation: Option<StageEngine>,
+    /// Source-table column of each query field.
+    used_cols: Vec<usize>,
+    /// The table's functional dependencies, projected onto `used_cols`.
+    fds: FunctionalDeps,
+    /// The query's interned answer-cache identity; `Some` exactly when the
+    /// stage consults the session answer cache.
+    instruction: Option<u32>,
+    output_lens: OutputLens,
+    /// Position of the query's key field among its fields.
+    key_col: Option<usize>,
 }
 
 impl<'q> Stage<'q> {
-    /// Opens the stage `query` runs on under `opts`: `replicas` sessions
-    /// per tier, and a second tier when `opts` carries a cascade.
+    /// Opens the stage `query` runs on over `table` under `opts`:
+    /// `replicas` sessions per tier, a second tier when `opts` carries a
+    /// cascade. `fds` are over the full table schema; `truth` supplies the
+    /// ground-truth answer per original row index.
     ///
     /// # Errors
     ///
-    /// See [`StageEngine::open`].
+    /// [`StageEngine::open`]'s; [`ExecError::EmptyFields`]; an unknown
+    /// field is [`ExecError::Table`] here, before any row is offered.
+    #[allow(clippy::too_many_arguments)] // all an operator knows, taken once
     pub fn open(
-        engine: &SimEngine,
-        replicas: usize,
+        executor: &'q QueryExecutor<'q>,
+        table: &'q Table,
         query: &'q LlmQuery,
+        reorderer: &'q dyn Reorderer,
+        fds: &FunctionalDeps,
+        truth: &'q dyn Fn(usize) -> String,
         opts: ExecOptions,
-    ) -> Result<Self, EngineError> {
+        replicas: usize,
+    ) -> Result<Self, ExecError> {
+        let engine = StageEngine::open(executor.engine, replicas)?;
+        let escalation = match opts.cascade {
+            Some(_) => Some(StageEngine::open(executor.engine, replicas)?),
+            None => None,
+        };
+        if query.fields.is_empty() {
+            return Err(ExecError::EmptyFields);
+        }
+        let used_cols = table.resolve_columns(&query.fields)?;
+        // Key-field queries are never cached: their labeler draws depend on
+        // where the schedule placed the key field, which a cache hit has no
+        // schedule to derive from — and they exist precisely to measure
+        // positional effects (Fig. 6), which caching would distort. Without
+        // a key field, `key_field_pos` is the constant 0.5 on every path,
+        // so hits label exactly as a cache-off run would.
+        let instruction = (opts.answer_cache && query.key_field.is_none()).then(|| {
+            let mut cache = executor.cache.borrow_mut();
+            cache.instruction_id(&query_cache_identity(query))
+        });
         Ok(Stage {
             query,
-            engine: StageEngine::open(engine, replicas)?,
+            engine,
             outcome: StageOutcome::default(),
+            executor,
+            table,
+            reorderer,
+            truth,
             opts,
-            escalation: match opts.cascade {
-                Some(_) => Some(StageEngine::open(engine, replicas)?),
-                None => None,
-            },
+            escalation,
+            fds: project_fds(fds, &used_cols),
+            used_cols,
+            instruction,
+            output_lens: OutputLens::new(&query.name, query.output_tokens_mean),
+            key_col: query
+                .key_field
+                .as_deref()
+                .and_then(|k| query.fields.iter().position(|f| f == k)),
         })
-    }
-
-    /// The physical options every batch of this stage runs under.
-    pub fn opts(&self) -> ExecOptions {
-        self.opts
     }
 
     /// When everything this stage has been handed is answered: the later of
@@ -298,55 +352,28 @@ impl<'q> Stage<'q> {
         self.engine.clock().max(escalated)
     }
 
-    /// Fast-forwards the stage to the instant its next batch exists
-    /// upstream (see [`StageEngine::advance_to`]).
-    pub fn advance_to(&mut self, t: f64) {
-        self.engine.advance_to(t);
-    }
-
-    /// Re-runs `requests` on the expensive tier. Escalation waits for the
-    /// cheap tier's answer: the expensive engine is fast-forwarded to the
-    /// cheap tier's clock first.
-    ///
-    /// # Errors
-    ///
-    /// See [`StageEngine::run_batch`].
-    pub fn escalate<'a, P>(
-        &mut self,
-        requests: impl IntoIterator<Item = (usize, u32, P), IntoIter: ExactSizeIterator>,
-        keys: &[u64],
-    ) -> Result<Vec<Completion>, EngineError>
-    where
-        P: IntoIterator<Item = &'a Arc<[TokenId]>>,
-    {
-        let Some(escalation) = &mut self.escalation else {
-            unreachable!("rows escalate only under a cascade, which opened the tier")
-        };
-        escalation.advance_to(self.engine.clock());
-        escalation.run_batch(requests, keys)
-    }
-
-    /// Runs the operator over one batch of `rows` through
-    /// [`QueryExecutor::run_llm_rows`] and returns that batch's outcome
-    /// (for the caller to consume, then fold into
-    /// [`outcome`](Self::outcome)). With observability on, emits the
+    /// The batch primitive — the one door to the LLM: evaluates the
+    /// operator over `rows`, ascending original indices of its table, under
+    /// the stage's [`ExecOptions`] (see [`batch`] for the phases), and
+    /// returns that batch's outcome for the caller to consume, then fold
+    /// into [`outcome`](Self::outcome). With observability on, emits the
     /// executor phase span `op.<query>` on the SQL lane and the `sql.*`
     /// counters.
     ///
     /// # Errors
     ///
     /// See [`ExecError`].
-    pub fn run_batch(
-        &mut self,
-        executor: &QueryExecutor<'_>,
-        table: &Table,
-        rows: &[usize],
-        reorderer: &dyn Reorderer,
-        fds: &FunctionalDeps,
-        truth: &dyn Fn(usize) -> String,
-    ) -> Result<StageOutcome, ExecError> {
+    pub fn run_batch(&mut self, rows: &[usize]) -> Result<StageOutcome, ExecError> {
+        debug_assert!(rows.is_sorted(), "batches offer ascending rows");
         let started_s = self.engine.clock();
-        let out = executor.run_llm_rows(self, table, rows, reorderer, fds, truth)?;
+        let mut out = StageOutcome::default();
+        out.opt.rows_in = rows.len() as u64;
+        out.opt.batches = 1;
+        // An empty batch is a ledger entry and a span: nothing is encoded,
+        // solved or served.
+        if !rows.is_empty() {
+            out = Batch::encode(self, rows, out)?.run()?;
+        }
         if llmqo_obs::enabled() {
             // One span per operator batch, on the operator's own (cheap
             // tier) timeline.
@@ -377,17 +404,68 @@ impl<'q> Stage<'q> {
         Ok(out)
     }
 
+    /// One row's output: its own labeler draw, then — under a cascade — its
+    /// pure per-row escalation decision, tallied in the tier ledger of
+    /// `out` with the cheap-vs-expensive agreement the
+    /// [`TierPosterior`](llmqo_costmodel::TierPosterior) learns from, and
+    /// its cascade label. Returns whether the row escalated.
+    fn label_row(&self, out: &mut StageOutcome, original: usize, key_field_pos: f64) -> bool {
+        let labels = &self.query.label_space;
+        let row = original as u64;
+        let mut text =
+            self.executor
+                .llm
+                .generate_owned((self.truth)(original), row, labels, key_field_pos);
+        let mut escalated = false;
+        if let Some(plan) = &self.opts.cascade {
+            escalated = plan.escalates(row);
+            if escalated {
+                out.opt.rows_escalated += 1;
+                out.opt.tier_agreements += u64::from(plan.cheap_label(row, &text, labels) == text);
+            } else {
+                out.opt.rows_cheap += 1;
+            }
+            text = plan.label(row, &text, labels);
+        }
+        out.outputs.push(RowOutput {
+            row: original,
+            text,
+        });
+        escalated
+    }
+
     /// Finalizes the stage into the operator's [`QueryOutput`]. The report's
     /// engine section covers the tier every row ran on; the expensive
     /// tier's serving volume is already in the tier fields of the outcome's
     /// [`OptStats`](crate::OptStats).
-    pub fn finish(self, solver: &str) -> QueryOutput {
+    pub fn finish(self) -> QueryOutput {
         if let Some(escalation) = self.escalation {
             escalation.finish();
         }
         self.outcome
-            .into_query_output(self.query, solver, self.engine.finish())
+            .into_query_output(self.query, self.reorderer.name(), self.engine.finish())
     }
+}
+
+/// The query-level half of an answer-cache key, interned via
+/// [`AnswerCache::instruction_id`](crate::AnswerCache::instruction_id): the
+/// instruction text plus everything else that shapes the answer the engine
+/// produces — query kind, label space, and mean output length. Two
+/// operators share cached answers only when *all* of it matches; a filter
+/// and a projection with the same prompt text must not collide (their
+/// simulated decode costs differ). The per-row half is the
+/// [`RowKey`](crate::RowKey) of the serialized projected fields in
+/// query-field order: schedules permute fields but never change which
+/// `(field, value)` pairs a prompt carries, so together the two halves are
+/// exactly the prompt's semantic identity.
+fn query_cache_identity(query: &LlmQuery) -> String {
+    format!(
+        "{}\u{1}{:?}\u{1}{:?}\u{1}{}",
+        query.full_instruction(),
+        query.kind,
+        query.label_space,
+        query.output_tokens_mean,
+    )
 }
 
 #[cfg(test)]
@@ -414,10 +492,15 @@ mod tests {
         SimRequest::from_tokens(id, toks, 4)
     }
 
-    /// Runs `requests` as one batch, request `i` under `keys[i]`.
+    /// Runs `requests` as one batch, request `i` under `keys[i]` (key 0
+    /// past the end of `keys`).
     fn run(stage: &mut StageEngine, requests: &[SimRequest], keys: &[u64]) -> Vec<Completion> {
-        let views = requests.iter().map(|r| (r.id, r.output_len, &r.prompt));
-        stage.run_batch(views, keys).unwrap()
+        let key = |i: usize| keys.get(i).copied().unwrap_or_default();
+        let views = requests
+            .iter()
+            .enumerate()
+            .map(|(i, r)| (r.id, r.output_len, key(i), &r.prompt));
+        stage.run_batch(views).unwrap()
     }
 
     /// A prefix key the stage's router sends to `replica`.
@@ -525,13 +608,21 @@ mod tests {
             2.0,
         );
         let opts = ExecOptions::cascaded(CascadePlan::mini_to_sonnet(0.5, 7));
-        let mut stage = Stage::open(&engine, 1, &query, opts).unwrap();
         let rows: Vec<usize> = (0..table.nrows()).collect();
         let truth = |_: usize| "Yes".to_string();
         let fds = FunctionalDeps::empty(1);
-        let out = stage
-            .run_batch(&executor, &table, &rows, &OriginalOrder, &fds, &truth)
-            .unwrap();
+        let mut stage = Stage::open(
+            &executor,
+            &table,
+            &query,
+            &OriginalOrder,
+            &fds,
+            &truth,
+            opts,
+            1,
+        )
+        .unwrap();
+        let out = stage.run_batch(&rows).unwrap();
         assert!(out.opt.rows_escalated > 0, "the batch must escalate rows");
         let escalated_at = stage.escalation.as_ref().unwrap().clock();
         assert!(escalated_at > stage.engine.clock());

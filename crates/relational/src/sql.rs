@@ -434,24 +434,22 @@ impl StatementRun<'_, '_> {
                         } else {
                             1
                         };
-                        let engine = runner.executor.engine();
-                        slot.insert(
-                            Stage::open(engine, replicas, query, self.exec_opts)
-                                .map_err(ExecError::Engine)?,
-                        )
+                        slot.insert(Stage::open(
+                            runner.executor,
+                            self.table,
+                            query,
+                            runner.reorderer,
+                            self.fds,
+                            self.truth,
+                            self.exec_opts,
+                            replicas,
+                        )?)
                     }
                 };
                 if self.pipelined {
-                    stage.advance_to(ready);
+                    stage.engine.advance_to(ready);
                 }
-                let out = stage.run_batch(
-                    runner.executor,
-                    self.table,
-                    &rows,
-                    runner.reorderer,
-                    self.fds,
-                    self.truth,
-                )?;
+                let out = stage.run_batch(&rows)?;
                 if self.pipelined {
                     ready = stage.clock();
                 }
@@ -509,7 +507,6 @@ impl StatementRun<'_, '_> {
     /// and the aggregate, if the statement has one.
     fn finish_stages(&mut self, schedule: &BatchSchedule) -> (Vec<QueryOutput>, Option<f64>) {
         let ops = self.ops;
-        let solver = self.runner.reorderer.name();
         let mut outputs = Vec::new();
         let mut aggregate = None;
         let mut fanout = 1;
@@ -521,11 +518,11 @@ impl StatementRun<'_, '_> {
                 Some(stage) => {
                     self.nodes[idx].done_s = stage.clock();
                     fanout = fanout.max(stage.engine.replicas());
-                    stage.finish(solver)
+                    stage.finish()
                 }
                 None => StageOutcome::default().into_query_output(
                     query,
-                    solver,
+                    self.runner.reorderer.name(),
                     EngineReport::default(),
                 ),
             };

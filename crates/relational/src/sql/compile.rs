@@ -187,7 +187,7 @@ impl<'a> SqlRunner<'a> {
     ) -> Result<(LogicalPlan, Vec<String>), SqlError> {
         let (table, _fds) = self.lookup(&stmt.table)?;
         let (mut plan, mut notes) = self.build_plan(stmt, table);
-        annotate_estimates(&mut plan, table, self.executor.tokenizer());
+        annotate_estimates(&mut plan, table, &self.executor.tokenizer);
         let (plan, opt_notes) = optimize_plan(&plan, &self.opt, &self.pricing);
         notes.extend(opt_notes);
         Ok((plan, notes))
