@@ -12,38 +12,22 @@
 //! ```
 
 use llmqo_bench::{harness, report};
-use llmqo_cluster::{ClusterConfig, ClusterSim, LeastLoaded, PrefixAffinity, RoundRobin, Router};
+use llmqo_cluster::{LeastLoaded, PrefixAffinity, RoundRobin, Router};
 use llmqo_datasets::DatasetId;
-use llmqo_serve::{EngineConfig, SimEngine};
 
 fn main() {
     let id = DatasetId::Movies;
     let tagged = harness::ggr_filter_requests(&harness::load(id));
 
-    let engine = SimEngine::new(harness::deployment_8b(), EngineConfig::default());
-    let single_phr = {
-        let sim = ClusterSim::new(
-            engine.clone(),
-            ClusterConfig {
-                replicas: 1,
-                queue_cap: tagged.len().max(1),
-            },
-        );
-        sim.run(&mut RoundRobin, &tagged)
-            .expect("single-replica run")
-            .prefix_hit_rate()
-    };
+    let single_phr = harness::cluster(1, tagged.len().max(1))
+        .run(&mut RoundRobin, &tagged)
+        .expect("single-replica run")
+        .prefix_hit_rate();
 
     let mut rows = Vec::new();
     let mut affinity_beats_rr_at_4plus = true;
     for &replicas in &[1usize, 2, 4, 8] {
-        let sim = ClusterSim::new(
-            engine.clone(),
-            ClusterConfig {
-                replicas,
-                queue_cap: 64,
-            },
-        );
+        let sim = harness::cluster(replicas, 64);
         let mut phr = std::collections::HashMap::new();
         for router in [
             &mut RoundRobin as &mut dyn Router,

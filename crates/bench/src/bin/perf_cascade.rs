@@ -2,7 +2,7 @@
 //! of routing every row through a cheap model tier first and escalating only
 //! low-confidence rows to the expensive tier, swept over the escalation
 //! threshold on two full-scale workloads (Movies multi-filter, BIRD
-//! filter+dedup). Writes `BENCH_cascade.json`.
+//! filter+dedup). Writes `BENCH_cascade.json` (at full scale only).
 //!
 //! The binary is self-checking: it fails unless (1) the escalate-all
 //! endpoint (`threshold = 1.0`) returns byte-identical rows to the
@@ -16,12 +16,10 @@
 //! LLMQO_SCALE=0.2 cargo run --release -p llmqo-bench --bin perf_cascade
 //! ```
 
-use llmqo_bench::harness;
+use llmqo_bench::{harness, report::BenchFile};
 use llmqo_costmodel::CascadePlan;
 use llmqo_datasets::{Dataset, DatasetId};
-use llmqo_relational::{CascadeConfig, OptimizerConfig, QueryExecutor, SqlResult, SqlRunner};
-use llmqo_serve::{EngineConfig, OracleLlm, SimEngine};
-use llmqo_tokenizer::Tokenizer;
+use llmqo_relational::{CascadeConfig, OptimizerConfig, SqlResult};
 use std::collections::HashMap;
 
 /// Confidence-stream seed: any value works, equal seeds reproduce runs.
@@ -57,20 +55,9 @@ const WORKLOADS: [Workload; 2] = [
     },
 ];
 
-fn run_statement(ds: &Dataset, table: &str, sql: &str, opt: OptimizerConfig) -> SqlResult {
-    let engine = SimEngine::new(harness::deployment_8b(), EngineConfig::default());
-    let executor = QueryExecutor::new(&engine, &OracleLlm, Tokenizer::new());
-    let solver = llmqo_core::Ggr::default();
-    let mut runner = SqlRunner::new(&executor, &solver).with_optimizer(opt);
-    runner.register(table, &ds.table, &ds.fds);
-    let truth = |row: usize| {
-        if row % 3 != 2 {
-            "Yes".to_string()
-        } else {
-            "No".to_string()
-        }
-    };
-    runner.run(sql, &truth).expect("statement runs")
+fn run_statement(ds: &Dataset, w: &Workload, opt: OptimizerConfig) -> SqlResult {
+    let [result] = harness::run_sql(ds, w.table, [w.sql], opt, &harness::mostly_yes);
+    result
 }
 
 /// Multiset symmetric difference between two row sets, in rows.
@@ -137,22 +124,24 @@ fn point(
     }
 }
 
-fn json_num(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.6}")
-    } else {
-        "null".to_string()
-    }
-}
-
 fn main() {
     let scale = harness::scale();
-    let mut workload_json: Vec<String> = Vec::new();
+    let mut file = BenchFile::new(
+        "cascade",
+        "dollar cost and result drift of a mini-to-sonnet model cascade vs serving every row \
+         on the expensive tier, swept over the escalation threshold",
+        scale,
+        Some(SEED),
+    );
+    file.params([
+        ("savings_floor_pct", SAVINGS_FLOOR_PCT.into()),
+        ("drift_bound", DRIFT_BOUND.into()),
+    ]);
     let mut any_winner = false;
 
     for w in &WORKLOADS {
         let ds = harness::load(w.id);
-        let oracle = run_statement(&ds, w.table, w.sql, OptimizerConfig::all());
+        let oracle = run_statement(&ds, w, OptimizerConfig::all());
         println!(
             "\n{} ({} rows, scale {scale}): single expensive tier vs mini→sonnet cascade",
             w.id.name(),
@@ -167,12 +156,8 @@ fn main() {
             .iter()
             .map(|&t| {
                 let plan = CascadePlan::mini_to_sonnet(t, SEED);
-                let res = run_statement(
-                    &ds,
-                    w.table,
-                    w.sql,
-                    OptimizerConfig::cascaded(CascadeConfig::new(plan)),
-                );
+                let res =
+                    run_statement(&ds, w, OptimizerConfig::cascaded(CascadeConfig::new(plan)));
                 if t >= 1.0 {
                     assert_eq!(
                         res.rows, oracle.rows,
@@ -184,7 +169,6 @@ fn main() {
             })
             .collect();
 
-        let mut point_json: Vec<String> = Vec::new();
         for p in &points {
             println!(
                 "{:>9.2} {:>9.1}% {:>11.4} {:>11.4} {:>8.1}% {:>7.2}%",
@@ -195,16 +179,16 @@ fn main() {
                 p.savings_pct,
                 100.0 * p.drift
             );
-            point_json.push(format!(
-                "      {{\"threshold\": {}, \"escalation_rate\": {}, \"cascade_cost_usd\": {}, \
-                 \"single_tier_cost_usd\": {}, \"savings_pct\": {}, \"drift\": {}}}",
-                json_num(p.threshold),
-                json_num(p.escalation_rate),
-                json_num(p.cascade_cost),
-                json_num(p.single_cost),
-                json_num(p.savings_pct),
-                json_num(p.drift)
-            ));
+            file.cell([
+                ("workload", w.id.name().into()),
+                ("rows", ds.table.nrows().into()),
+                ("threshold", p.threshold.into()),
+                ("escalation_rate", p.escalation_rate.into()),
+                ("cascade_cost_usd", p.cascade_cost.into()),
+                ("single_tier_cost_usd", p.single_cost.into()),
+                ("savings_pct", p.savings_pct.into()),
+                ("drift", p.drift.into()),
+            ]);
         }
         let winner = points
             .iter()
@@ -221,12 +205,6 @@ fn main() {
                 any_winner = true;
             }
         }
-        workload_json.push(format!(
-            "    {{\n      \"workload\": \"{}\",\n      \"rows\": {},\n      \"sweep\": [\n{}\n      ]\n    }}",
-            w.id.name(),
-            ds.table.nrows(),
-            point_json.join(",\n")
-        ));
     }
 
     assert!(
@@ -235,17 +213,5 @@ fn main() {
          {DRIFT_BOUND} drift bound on any workload"
     );
 
-    let json = format!(
-        "{{\n  \"bench\": \"cascade\",\n  \"metric\": \"dollar cost and result drift of a \
-         mini-to-sonnet model cascade vs serving every row on the expensive tier, swept over \
-         the escalation threshold\",\n  \"scale\": {},\n  \"seed\": {SEED},\n  \
-         \"savings_floor_pct\": {},\n  \"drift_bound\": {},\n  \"workloads\": [\n{}\n  ]\n}}\n",
-        json_num(scale),
-        json_num(SAVINGS_FLOOR_PCT),
-        json_num(DRIFT_BOUND),
-        workload_json.join(",\n")
-    );
-    llmqo_obs::validate_json(&json).expect("BENCH_cascade.json is well-formed");
-    std::fs::write("BENCH_cascade.json", &json).expect("write BENCH_cascade.json");
-    println!("\nwrote BENCH_cascade.json");
+    file.write();
 }

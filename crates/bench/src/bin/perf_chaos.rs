@@ -1,6 +1,7 @@
 //! **Chaos sweep**: goodput and tail queue-wait of an 8-replica cluster
 //! under injected faults, across the retry-policy ladder and a
-//! prefix-affine vs prefix-blind router. Writes `BENCH_chaos.json`.
+//! prefix-affine vs prefix-blind router. Writes `BENCH_chaos.json` (at full
+//! scale only).
 //!
 //! The grid is {no-fault, 1-crash, 10%-transient-errors, 1-straggler} ×
 //! {retry off, retry+backoff, retry+hedging} × {prefix-affinity,
@@ -15,45 +16,13 @@
 //! LLMQO_SCALE=0.2 cargo run --release -p llmqo-bench --bin perf_chaos
 //! ```
 
-use llmqo_bench::harness;
+use llmqo_bench::{harness, report::BenchFile};
 use llmqo_cluster::{
-    ArrivalProcess, ClusterConfig, ClusterReport, ClusterRequest, ClusterSim, FaultPlan,
-    PrefixAffinity, RetryPolicy, RoundRobin, Router,
+    ArrivalProcess, ClusterReport, FaultPlan, PrefixAffinity, RetryPolicy, RoundRobin, Router,
 };
-use llmqo_serve::{EngineConfig, SimEngine, SimRequest};
 
 const REPLICAS: usize = 8;
 const QUEUE_CAP: usize = 16;
-
-/// Grouped shared-prefix workload: `groups` prefix groups of `per_group`
-/// requests each — the shape the reordering solver hands the cluster, and
-/// the one where routing policy decides whether prefixes stay cached.
-fn workload(groups: usize, per_group: usize) -> Vec<ClusterRequest> {
-    let mut requests: Vec<ClusterRequest> = (0..groups * per_group)
-        .map(|i| {
-            let g = (i / per_group) as u32;
-            let mut toks: Vec<u32> = (0..64).map(|j| g * 1000 + j).collect();
-            toks.extend((0..16).map(|j| 500_000 + i as u32 * 64 + j));
-            ClusterRequest::new(SimRequest::from_tokens(i, toks, 4), u64::from(g))
-        })
-        .collect();
-    ArrivalProcess::Poisson {
-        rate_rps: 400.0,
-        seed: 17,
-    }
-    .assign(&mut requests);
-    requests
-}
-
-fn sim() -> ClusterSim {
-    ClusterSim::new(
-        SimEngine::new(harness::deployment_8b(), EngineConfig::default()),
-        ClusterConfig {
-            replicas: REPLICAS,
-            queue_cap: QUEUE_CAP,
-        },
-    )
-}
 
 struct Cell {
     fault: &'static str,
@@ -61,19 +30,16 @@ struct Cell {
     report: ClusterReport,
 }
 
-fn json_escape_num(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.6}")
-    } else {
-        "null".to_string()
-    }
-}
-
 fn main() {
     let scale = harness::scale();
     let groups = ((24.0 * scale).round() as usize).max(8);
-    let requests = workload(groups, 8);
-    let sim = sim();
+    let mut requests = harness::grouped_requests(groups, 8, 4);
+    ArrivalProcess::Poisson {
+        rate_rps: 400.0,
+        seed: 17,
+    }
+    .assign(&mut requests);
+    let sim = harness::cluster(REPLICAS, QUEUE_CAP);
 
     // Probe run: the fault-free makespan anchors every fault instant so
     // the scenarios stay meaningful at any LLMQO_SCALE.
@@ -209,51 +175,41 @@ fn main() {
         );
     }
 
-    // BENCH_chaos.json: hand-rolled (the vendored serde has no JSON
-    // serializer), one object per grid cell.
-    let mut json = String::from("{\n");
-    json.push_str("  \"bench\": \"chaos\",\n");
-    json.push_str("  \"metric\": \"goodput (useful requests per second of makespan) and p99 admission queue wait under injected faults\",\n");
-    json.push_str(&format!("  \"replicas\": {REPLICAS},\n"));
-    json.push_str(&format!("  \"queue_cap\": {QUEUE_CAP},\n"));
-    json.push_str(&format!("  \"requests\": {},\n", requests.len()));
-    json.push_str(&format!("  \"prefix_groups\": {groups},\n"));
-    json.push_str(&format!(
-        "  \"fault_free_makespan_s\": {},\n",
-        json_escape_num(mk)
-    ));
-    json.push_str("  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
+    let mut file = BenchFile::new(
+        "chaos",
+        "goodput (useful requests per second of makespan) and p99 admission queue wait \
+         under injected faults",
+        scale,
+        None,
+    );
+    file.params([
+        ("replicas", REPLICAS.into()),
+        ("queue_cap", QUEUE_CAP.into()),
+        ("requests", requests.len().into()),
+        ("prefix_groups", groups.into()),
+        ("fault_free_makespan_s", mk.into()),
+    ]);
+    for c in &cells {
         let fs = &c.report.faults;
-        json.push_str(&format!(
-            "    {{\"fault\": \"{}\", \"retry\": \"{}\", \"router\": \"{}\", \
-             \"goodput_rps\": {}, \"queue_wait_p99_s\": {}, \"prefix_hit_rate\": {}, \
-             \"makespan_s\": {}, \"offered\": {}, \"succeeded\": {}, \"failed\": {}, \
-             \"retries\": {}, \"transient_errors\": {}, \"hedges_issued\": {}, \
-             \"hedges_won\": {}, \"failovers\": {}, \"deadline_misses\": {}, \
-             \"unavailable_s\": {}}}{}\n",
-            c.fault,
-            c.retry,
-            c.report.policy,
-            json_escape_num(c.report.goodput_rps()),
-            json_escape_num(c.report.queue_wait_p99_s),
-            json_escape_num(c.report.prefix_hit_rate()),
-            json_escape_num(c.report.makespan_s),
-            fs.offered,
-            fs.succeeded,
-            fs.failed,
-            fs.retries,
-            fs.transient_errors,
-            fs.hedges_issued,
-            fs.hedges_won,
-            fs.failovers,
-            fs.deadline_misses,
-            json_escape_num(fs.unavailable_s),
-            if i + 1 == cells.len() { "" } else { "," }
-        ));
+        file.cell([
+            ("fault", c.fault.into()),
+            ("retry", c.retry.into()),
+            ("router", c.report.policy.as_str().into()),
+            ("goodput_rps", c.report.goodput_rps().into()),
+            ("queue_wait_p99_s", c.report.queue_wait_p99_s.into()),
+            ("prefix_hit_rate", c.report.prefix_hit_rate().into()),
+            ("makespan_s", c.report.makespan_s.into()),
+            ("offered", fs.offered.into()),
+            ("succeeded", fs.succeeded.into()),
+            ("failed", fs.failed.into()),
+            ("retries", fs.retries.into()),
+            ("transient_errors", fs.transient_errors.into()),
+            ("hedges_issued", fs.hedges_issued.into()),
+            ("hedges_won", fs.hedges_won.into()),
+            ("failovers", fs.failovers.into()),
+            ("deadline_misses", fs.deadline_misses.into()),
+            ("unavailable_s", fs.unavailable_s.into()),
+        ]);
     }
-    json.push_str("  ]\n}\n");
-    llmqo_obs::validate_json(&json).expect("BENCH_chaos.json is well-formed");
-    std::fs::write("BENCH_chaos.json", &json).expect("write BENCH_chaos.json");
-    println!("\nwrote BENCH_chaos.json ({} cells)", cells.len());
+    file.write();
 }

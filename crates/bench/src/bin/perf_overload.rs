@@ -1,7 +1,7 @@
 //! **Overload sweep**: tail queue-wait and the shed/scale ledgers of a
 //! 4-replica cluster fed at 2× its measured service rate, across the
 //! protection ladder {unprotected, admission+shed, +tenant quota,
-//! +autoscaler, +chaos}. Writes `BENCH_overload.json`.
+//! +autoscaler, +chaos}. Writes `BENCH_overload.json` (at full scale only).
 //!
 //! A mixed-priority workload (every 4th request is a priority-1 request of
 //! the premium tenant) arrives as a Poisson process at twice the fleet's
@@ -19,12 +19,11 @@
 //! LLMQO_SCALE=0.2 cargo run --release -p llmqo-bench --bin perf_overload
 //! ```
 
-use llmqo_bench::harness;
+use llmqo_bench::{harness, report::BenchFile};
 use llmqo_cluster::{
-    AdmissionPolicy, ArrivalProcess, ClusterConfig, ClusterReport, ClusterRequest, ClusterSim,
-    FaultPlan, OverloadPolicy, PrefixAffinity, RetryPolicy, ScalePolicy,
+    AdmissionPolicy, ArrivalProcess, ClusterError, ClusterReport, ClusterRequest, FaultPlan,
+    OverloadPolicy, PrefixAffinity, RetryPolicy, ScalePolicy,
 };
-use llmqo_serve::{EngineConfig, SimEngine, SimRequest};
 
 const REPLICAS: usize = 4;
 const QUEUE_CAP: usize = 2;
@@ -35,29 +34,12 @@ const PRIO_EVERY: usize = 4;
 /// tenant 0 floods at priority 0, tenant 1 sends every
 /// [`PRIO_EVERY`]-th request at priority 1.
 fn workload(groups: usize, per_group: usize) -> Vec<ClusterRequest> {
-    (0..groups * per_group)
-        .map(|i| {
-            let g = (i / per_group) as u32;
-            let mut toks: Vec<u32> = (0..64).map(|j| g * 1000 + j).collect();
-            toks.extend((0..16).map(|j| 500_000 + i as u32 * 64 + j));
-            let r = ClusterRequest::new(SimRequest::from_tokens(i, toks, 4), u64::from(g));
-            if i.is_multiple_of(PRIO_EVERY) {
-                r.tenant(1).priority(1)
-            } else {
-                r
-            }
-        })
-        .collect()
-}
-
-fn sim() -> ClusterSim {
-    ClusterSim::new(
-        SimEngine::new(harness::deployment_8b(), EngineConfig::default()),
-        ClusterConfig {
-            replicas: REPLICAS,
-            queue_cap: QUEUE_CAP,
-        },
-    )
+    let mut requests = harness::grouped_requests(groups, per_group, 4);
+    for r in requests.iter_mut().step_by(PRIO_EVERY) {
+        r.tenant = 1;
+        r.priority = 1;
+    }
+    requests
 }
 
 struct Cell {
@@ -65,18 +47,10 @@ struct Cell {
     report: ClusterReport,
 }
 
-fn json_num(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.6}")
-    } else {
-        "null".to_string()
-    }
-}
-
 fn main() {
     let scale = harness::scale();
     let groups = ((20.0 * scale).round() as usize).max(14);
-    let sim = sim();
+    let sim = harness::cluster(REPLICAS, QUEUE_CAP);
 
     // Probe run: measure the fleet's fault-free service rate on the bench
     // workload itself, then offer load at exactly twice it. "2× overload"
@@ -136,13 +110,6 @@ fn main() {
         / probe.replicas.len() as f64;
     let admission =
         AdmissionPolicy::bounded(2 * REPLICAS).with_kv_gate((4.0 * probe_mean_kv).clamp(0.05, 1.0));
-    let shed_run = sim
-        .run_admitted(&mut PrefixAffinity::default(), &requests, &admission)
-        .expect("admission run");
-    cells.push(Cell {
-        name: "admission+shed",
-        report: shed_run,
-    });
 
     // Cell 3 — per-tenant quota alone (queue depth unbounded so only the
     // quota can shed), against a t=0 burst: the flood tenant's
@@ -153,18 +120,6 @@ fn main() {
     // bound, so this cell is exempt from the p99 comparison below.
     let burst = workload(groups, 8);
     let quota = AdmissionPolicy::default().with_tenant_quota(premium + REPLICAS);
-    let quota_run = sim
-        .run_admitted(&mut PrefixAffinity::default(), &burst, &quota)
-        .expect("quota run");
-    assert!(
-        quota_run.shed.shed_tenant_quota > 0,
-        "a 3:1 burst must exceed a {}-deep tenant quota",
-        premium + REPLICAS
-    );
-    cells.push(Cell {
-        name: "admission+quota",
-        report: quota_run,
-    });
 
     // Cell 4 — elastic autoscaling on top of admission control: sustained
     // queue pressure warms cold replicas mid-job (thresholds anchored to
@@ -176,24 +131,6 @@ fn main() {
             .with_warmup(0.05 * mk)
             .with_warmup_jitter(0.2, 7),
     );
-    let scaled_run = sim
-        .run_overloaded(
-            &mut PrefixAffinity::default(),
-            &requests,
-            &FaultPlan::default(),
-            &RetryPolicy::disabled(),
-            &elastic,
-        )
-        .expect("scaled run");
-    assert!(
-        scaled_run.scaling.scale_ups >= 1,
-        "2x overload must warm at least one replica: {:?}",
-        scaled_run.scaling
-    );
-    cells.push(Cell {
-        name: "admission+scale",
-        report: scaled_run,
-    });
 
     // Cell 5 — the full stack under chaos: a crash and a straggler with
     // retries, behind the same admission gate and autoscaler.
@@ -201,86 +138,79 @@ fn main() {
         .crash_restart(0, 0.2 * mk, 0.6 * mk)
         .slowdown(1, 0.1 * mk, 0.8 * mk, 3.0);
     let retry = RetryPolicy::retries(3);
-    let chaos_run = sim
-        .run_overloaded(
-            &mut PrefixAffinity::default(),
-            &requests,
-            &plan,
-            &retry,
-            &elastic,
-        )
-        .expect("chaos run");
-    let fs = &chaos_run.faults;
-    assert!(fs.engaged());
-    assert_eq!(
-        fs.succeeded + fs.failed + chaos_run.shed.shed,
-        fs.offered,
-        "three-way chaos ledger must reconcile"
-    );
-    cells.push(Cell {
-        name: "admission+scale+chaos",
-        report: chaos_run,
-    });
+
+    let admitted = |requests: &[ClusterRequest], policy: &AdmissionPolicy| {
+        sim.run_admitted(&mut PrefixAffinity::default(), requests, policy)
+    };
+    let overloaded = |plan: &FaultPlan, retry: &RetryPolicy| {
+        let router = &mut PrefixAffinity::default();
+        sim.run_overloaded(router, &requests, plan, retry, &elastic)
+    };
+    type Rung<'a> = &'a dyn Fn() -> Result<ClusterReport, ClusterError>;
+    let ladder: [(&'static str, Rung); 4] = [
+        ("admission+shed", &|| admitted(&requests, &admission)),
+        ("admission+quota", &|| admitted(&burst, &quota)),
+        ("admission+scale", &|| {
+            overloaded(&FaultPlan::default(), &RetryPolicy::disabled())
+        }),
+        ("admission+scale+chaos", &|| overloaded(&plan, &retry)),
+    ];
 
     // The contract every protected cell must honor.
     let unprotected_p99 = cells[0].report.queue_wait_p99_s;
-    for c in &cells[1..] {
-        let shed = &c.report.shed;
-        assert_eq!(shed.offered, offered, "{}: offered mismatch", c.name);
-        if !c.report.faults.engaged() {
+    for (name, run) in ladder {
+        let report = run().expect(name);
+        let shed = &report.shed;
+        assert_eq!(shed.offered, offered, "{name}: offered mismatch");
+        if !report.faults.engaged() {
             assert_eq!(
-                c.report.completed + shed.shed,
+                report.completed + shed.shed,
                 offered,
-                "{}: shed ledger must reconcile exactly",
-                c.name
+                "{name}: shed ledger must reconcile exactly"
             );
         }
-        assert!(shed.shed > 0, "{}: 2x overload must shed", c.name);
+        assert!(shed.shed > 0, "{name}: 2x overload must shed");
         assert_eq!(
             shed.shed_queue_full + shed.shed_kv_pressure + shed.shed_tenant_quota,
             shed.shed,
-            "{}: per-reason counters must partition the shed total",
-            c.name
+            "{name}: per-reason counters must partition the shed total"
         );
         assert_eq!(
             shed.max_shed_priority, 0,
-            "{}: a priority-1 request was shed — zero high-priority loss violated",
-            c.name
+            "{name}: a priority-1 request was shed — zero high-priority loss violated"
         );
-        if c.name != "admission+quota" {
+        if name != "admission+quota" {
             assert!(
-                c.report.queue_wait_p99_s < unprotected_p99 / 2.0,
-                "{}: p99 queue wait {:.3}s not bounded vs unprotected {:.3}s",
-                c.name,
-                c.report.queue_wait_p99_s,
-                unprotected_p99
+                report.queue_wait_p99_s < unprotected_p99 / 2.0,
+                "{name}: p99 queue wait {:.3}s not bounded vs unprotected {unprotected_p99:.3}s",
+                report.queue_wait_p99_s
             );
         }
         // Determinism: byte-identical on re-run.
-        let again = if c.name == "admission+scale+chaos" {
-            sim.run_overloaded(
-                &mut PrefixAffinity::default(),
-                &requests,
-                &plan,
-                &retry,
-                &elastic,
-            )
-        } else if c.name == "admission+scale" {
-            sim.run_overloaded(
-                &mut PrefixAffinity::default(),
-                &requests,
-                &FaultPlan::default(),
-                &RetryPolicy::disabled(),
-                &elastic,
-            )
-        } else if c.name == "admission+quota" {
-            sim.run_admitted(&mut PrefixAffinity::default(), &burst, &quota)
-        } else {
-            sim.run_admitted(&mut PrefixAffinity::default(), &requests, &admission)
-        }
-        .expect("deterministic rerun");
-        assert_eq!(c.report, again, "{}: nondeterministic report", c.name);
+        let again = run().expect("deterministic rerun");
+        assert_eq!(report, again, "{name}: nondeterministic report");
+        cells.push(Cell { name, report });
     }
+    let [_, _, quota_run, scaled_run, chaos_run] = cells.as_slice() else {
+        unreachable!("five rungs");
+    };
+    assert!(
+        quota_run.report.shed.shed_tenant_quota > 0,
+        "a 3:1 burst must exceed a {}-deep tenant quota",
+        premium + REPLICAS
+    );
+    assert!(
+        scaled_run.report.scaling.scale_ups >= 1,
+        "2x overload must warm at least one replica: {:?}",
+        scaled_run.report.scaling
+    );
+    let fs = &chaos_run.report.faults;
+    assert!(fs.engaged());
+    assert_eq!(
+        fs.succeeded + fs.failed + chaos_run.report.shed.shed,
+        fs.offered,
+        "three-way chaos ledger must reconcile"
+    );
 
     println!(
         "\n{:<22} {:>9} {:>10} {:>6} {:>6} {:>5} {:>7} {:>8} {:>6} {:>6}",
@@ -303,56 +233,43 @@ fn main() {
         );
     }
 
-    // BENCH_overload.json: hand-rolled (the vendored serde has no JSON
-    // serializer), one object per protection-ladder cell.
-    let mut json = String::from("{\n");
-    json.push_str("  \"bench\": \"overload\",\n");
-    json.push_str(
-        "  \"metric\": \"p99 admission queue wait and shed/scale ledgers at 2x the \
-         measured service rate; every protected cell asserts zero priority-1 loss\",\n",
+    let mut file = BenchFile::new(
+        "overload",
+        "p99 admission queue wait and shed/scale ledgers at 2x the measured service rate; \
+         every protected cell asserts zero priority-1 loss",
+        scale,
+        None,
     );
-    json.push_str(&format!("  \"replicas\": {REPLICAS},\n"));
-    json.push_str(&format!("  \"queue_cap\": {QUEUE_CAP},\n"));
-    json.push_str(&format!("  \"offered\": {offered},\n"));
-    json.push_str(&format!("  \"premium_offered\": {premium},\n"));
-    json.push_str(&format!("  \"service_rate_rps\": {},\n", json_num(svc)));
-    json.push_str(&format!(
-        "  \"overload_rate_rps\": {},\n",
-        json_num(2.0 * svc)
-    ));
-    json.push_str("  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
+    file.params([
+        ("replicas", REPLICAS.into()),
+        ("queue_cap", QUEUE_CAP.into()),
+        ("offered", offered.into()),
+        ("premium_offered", premium.into()),
+        ("service_rate_rps", svc.into()),
+        ("overload_rate_rps", (2.0 * svc).into()),
+    ]);
+    for c in &cells {
         let s = &c.report.shed;
         let sc = &c.report.scaling;
         let fs = &c.report.faults;
-        json.push_str(&format!(
-            "    {{\"cell\": \"{}\", \"completed\": {}, \"queue_wait_p99_s\": {}, \
-             \"makespan_s\": {}, \"throughput_rps\": {}, \"shed\": {}, \
-             \"shed_queue_full\": {}, \"shed_kv_pressure\": {}, \"shed_tenant_quota\": {}, \
-             \"max_shed_priority\": {}, \"scale_ups\": {}, \"scale_downs\": {}, \
-             \"peak_replicas\": {}, \"fault_succeeded\": {}, \"fault_failed\": {}, \
-             \"fault_retries\": {}}}{}\n",
-            c.name,
-            c.report.completed,
-            json_num(c.report.queue_wait_p99_s),
-            json_num(c.report.makespan_s),
-            json_num(c.report.throughput_rps()),
-            s.shed,
-            s.shed_queue_full,
-            s.shed_kv_pressure,
-            s.shed_tenant_quota,
-            s.max_shed_priority,
-            sc.scale_ups,
-            sc.scale_downs,
-            sc.peak_replicas,
-            fs.succeeded,
-            fs.failed,
-            fs.retries,
-            if i + 1 == cells.len() { "" } else { "," }
-        ));
+        file.cell([
+            ("cell", c.name.into()),
+            ("completed", c.report.completed.into()),
+            ("queue_wait_p99_s", c.report.queue_wait_p99_s.into()),
+            ("makespan_s", c.report.makespan_s.into()),
+            ("throughput_rps", c.report.throughput_rps().into()),
+            ("shed", s.shed.into()),
+            ("shed_queue_full", s.shed_queue_full.into()),
+            ("shed_kv_pressure", s.shed_kv_pressure.into()),
+            ("shed_tenant_quota", s.shed_tenant_quota.into()),
+            ("max_shed_priority", s.max_shed_priority.into()),
+            ("scale_ups", sc.scale_ups.into()),
+            ("scale_downs", sc.scale_downs.into()),
+            ("peak_replicas", sc.peak_replicas.into()),
+            ("fault_succeeded", fs.succeeded.into()),
+            ("fault_failed", fs.failed.into()),
+            ("fault_retries", fs.retries.into()),
+        ]);
     }
-    json.push_str("  ]\n}\n");
-    llmqo_obs::validate_json(&json).expect("BENCH_overload.json is well-formed");
-    std::fs::write("BENCH_overload.json", &json).expect("write BENCH_overload.json");
-    println!("\nwrote BENCH_overload.json ({} cells)", cells.len());
+    file.write();
 }

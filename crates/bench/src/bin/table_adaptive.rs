@@ -19,15 +19,13 @@
 //!    batch), occasionally a round-trip or two more while the posterior
 //!    shakes off the uniform prior.
 //!
-//! Writes `BENCH_adaptive.json` with the headline numbers.
+//! Writes `BENCH_adaptive.json` with the headline numbers (at full scale
+//! only).
 
-use llmqo_bench::{harness, report};
-use llmqo_core::Ggr;
-use llmqo_datasets::DatasetId;
-use llmqo_relational::{OptimizerConfig, QueryExecutor, SqlResult, SqlRunner};
-use llmqo_serve::{EngineConfig, OracleLlm, SimEngine};
-use llmqo_tokenizer::Tokenizer;
-use std::fmt::Write as _;
+use llmqo_bench::harness::{self, llm_calls, relay_time_s};
+use llmqo_bench::report::{self, BenchFile};
+use llmqo_datasets::{Dataset, DatasetId};
+use llmqo_relational::{OptimizerConfig, SqlResult};
 
 /// ~5% of rows are "Yes": a `= 'Yes'` filter is picky, `<> 'Yes'` is lax.
 fn skewed_truth(row: usize) -> String {
@@ -38,29 +36,18 @@ fn skewed_truth(row: usize) -> String {
     }
 }
 
-fn total_calls(res: &SqlResult) -> u64 {
-    res.stages.iter().map(|s| s.report.opt.llm_calls).sum()
-}
-
-fn total_jct(res: &SqlResult) -> f64 {
-    res.stages
-        .iter()
-        .map(|s| s.report.engine.job_completion_time_s)
-        .sum()
-}
-
-fn run(id: DatasetId, table: &str, sql: &str, opt: OptimizerConfig) -> SqlResult {
-    let ds = harness::load(id);
-    let engine = SimEngine::new(harness::deployment_8b(), EngineConfig::default());
-    let executor = QueryExecutor::new(&engine, &OracleLlm, Tokenizer::new());
-    let solver = Ggr::default();
-    let mut runner = SqlRunner::new(&executor, &solver).with_optimizer(opt);
-    runner.register(table, &ds.table, &ds.fds);
-    runner.run(sql, &skewed_truth).expect("statement runs")
+fn run(ds: &Dataset, table: &str, sql: &str, opt: OptimizerConfig) -> SqlResult {
+    let [result] = harness::run_sql(ds, table, [sql], opt, &skewed_truth);
+    result
 }
 
 fn main() {
-    let mut json_lines: Vec<String> = Vec::new();
+    let mut file = BenchFile::new(
+        "adaptive",
+        "LLM engine requests; results asserted identical between modes",
+        harness::scale(),
+        None,
+    );
 
     // Arm 1: skewed-selectivity multi-filter. Written/cost order runs the
     // single-field `Text` filter (lax: passes ~95%) before the
@@ -69,15 +56,11 @@ fn main() {
     let sql1 = "SELECT PostId FROM bird \
                 WHERE LLM('Is the comment recent? Yes or No.', Text) <> 'Yes' \
                 AND LLM('Is the post statistics-related? Yes or No.', Body, Text) = 'Yes'";
-    let stat = run(
-        DatasetId::Bird,
-        "bird",
-        sql1,
-        OptimizerConfig::static_only(),
-    );
-    let adap = run(DatasetId::Bird, "bird", sql1, OptimizerConfig::all());
+    let bird = harness::load(DatasetId::Bird);
+    let stat = run(&bird, "bird", sql1, OptimizerConfig::static_only());
+    let adap = run(&bird, "bird", sql1, OptimizerConfig::all());
     assert_eq!(adap.rows, stat.rows, "adaptivity must not change results");
-    let (sc, ac) = (total_calls(&stat), total_calls(&adap));
+    let (sc, ac) = (llm_calls(&stat), llm_calls(&adap));
     assert!(
         ac < sc,
         "adaptive re-ranking must issue fewer requests: {ac} vs {sc}"
@@ -93,37 +76,39 @@ fn main() {
                 "static (PR-3 optimizer)".into(),
                 sc.to_string(),
                 "0".into(),
-                report::secs(total_jct(&stat)),
+                report::secs(relay_time_s(&stat)),
             ],
             vec![
                 "adaptive".into(),
                 ac.to_string(),
                 reranks.to_string(),
-                report::secs(total_jct(&adap)),
+                report::secs(relay_time_s(&adap)),
             ],
         ],
     );
-    json_lines.push(format!(
-        "  \"skewed_multi_filter\": {{ \"dataset\": \"BIRD\", \"static_calls\": {sc}, \
-         \"adaptive_calls\": {ac}, \"reranks\": {reranks}, \"saved\": \"{}\" }}",
-        report::pct((sc - ac) as f64 / sc as f64)
-    ));
+    file.cell([
+        ("arm", "skewed_multi_filter".into()),
+        ("dataset", "BIRD".into()),
+        ("static_calls", sc.into()),
+        ("adaptive_calls", ac.into()),
+        ("reranks", reranks.into()),
+        ("saved", ((sc - ac) as f64 / sc as f64).into()),
+    ]);
 
     // Arm 2: repeated query on one executor — the session answer cache
     // short-circuits every repeated prompt.
-    let ds = harness::load(DatasetId::Movies);
-    let engine = SimEngine::new(harness::deployment_8b(), EngineConfig::default());
-    let executor = QueryExecutor::new(&engine, &OracleLlm, Tokenizer::new());
-    let solver = Ggr::default();
-    let mut runner = SqlRunner::new(&executor, &solver);
-    runner.register("movies", &ds.table, &ds.fds);
     let sql2 = "SELECT movietitle FROM movies \
                 WHERE LLM('Suitable for kids? Yes or No.', movieinfo, reviewcontent) = 'Yes'";
-    let first = runner.run(sql2, &skewed_truth).expect("first run");
-    let second = runner.run(sql2, &skewed_truth).expect("second run");
+    let [first, second] = harness::run_sql(
+        &harness::load(DatasetId::Movies),
+        "movies",
+        [sql2, sql2],
+        OptimizerConfig::default(),
+        &skewed_truth,
+    );
     assert_eq!(first.rows, second.rows, "cache must not change results");
-    let first_calls = total_calls(&first);
-    let second_calls = total_calls(&second);
+    let first_calls = llm_calls(&first);
+    let second_calls = llm_calls(&second);
     let opt2 = second.stages[0].report.opt;
     let hit_rate = opt2.cache_hits as f64 / opt2.rows_in.max(1) as f64;
     assert!(
@@ -151,31 +136,24 @@ fn main() {
             ],
         ],
     );
-    json_lines.push(format!(
-        "  \"repeated_query\": {{ \"dataset\": \"Movies\", \"first_calls\": {first_calls}, \
-         \"second_calls\": {second_calls}, \"hit_rate\": {hit_rate:.4}, \
-         \"tokens_saved\": {} }}",
-        opt2.cache_tokens_saved
-    ));
+    file.cell([
+        ("arm", "repeated_query".into()),
+        ("dataset", "Movies".into()),
+        ("first_calls", first_calls.into()),
+        ("second_calls", second_calls.into()),
+        ("hit_rate", hit_rate.into()),
+        ("tokens_saved", opt2.cache_tokens_saved.into()),
+    ]);
 
     // Arm 3: LIMIT batch sizing — aimed batches vs blind doubling.
     let sql3 = "SELECT product_title FROM products \
                 WHERE LLM('Is this a bargain? Yes or No.', text, product_title) = 'Yes' \
                 LIMIT 10";
-    let stat3 = run(
-        DatasetId::Products,
-        "products",
-        sql3,
-        OptimizerConfig::static_only(),
-    );
-    let adap3 = run(
-        DatasetId::Products,
-        "products",
-        sql3,
-        OptimizerConfig::all(),
-    );
+    let products = harness::load(DatasetId::Products);
+    let stat3 = run(&products, "products", sql3, OptimizerConfig::static_only());
+    let adap3 = run(&products, "products", sql3, OptimizerConfig::all());
     assert_eq!(adap3.rows, stat3.rows, "sizing must not change results");
-    let stats_of = |r: &SqlResult| (total_calls(r), r.stages[0].report.opt.batches);
+    let stats_of = |r: &SqlResult| (llm_calls(r), r.stages[0].report.opt.batches);
     let ((sc3, sb3), (ac3, ab3)) = (stats_of(&stat3), stats_of(&adap3));
     assert!(
         ac3 <= sc3,
@@ -191,33 +169,24 @@ fn main() {
                 sc3.to_string(),
                 sb3.to_string(),
                 stat3.stages[0].report.opt.rows_skipped.to_string(),
-                report::secs(total_jct(&stat3)),
+                report::secs(relay_time_s(&stat3)),
             ],
             vec![
                 "aimed".into(),
                 ac3.to_string(),
                 ab3.to_string(),
                 adap3.stages[0].report.opt.rows_skipped.to_string(),
-                report::secs(total_jct(&adap3)),
+                report::secs(relay_time_s(&adap3)),
             ],
         ],
     );
-    json_lines.push(format!(
-        "  \"limit_sizing\": {{ \"dataset\": \"Products\", \"doubling_calls\": {sc3}, \
-         \"aimed_calls\": {ac3}, \"doubling_batches\": {sb3}, \"aimed_batches\": {ab3} }}"
-    ));
-
-    // BENCH_adaptive.json: hand-rolled (the vendored serde has no JSON
-    // serializer) — one object per arm.
-    let mut json = String::from("{\n");
-    let _ = writeln!(
-        json,
-        "  \"scale\": {:.3},\n  \"metric\": \"LLM engine requests; results asserted \
-         identical between modes\",",
-        harness::scale()
-    );
-    json.push_str(&json_lines.join(",\n"));
-    json.push_str("\n}\n");
-    std::fs::write("BENCH_adaptive.json", json).expect("BENCH_adaptive.json is writable");
-    println!("\nwrote BENCH_adaptive.json");
+    file.cell([
+        ("arm", "limit_sizing".into()),
+        ("dataset", "Products".into()),
+        ("doubling_calls", sc3.into()),
+        ("aimed_calls", ac3.into()),
+        ("doubling_batches", sb3.into()),
+        ("aimed_batches", ab3.into()),
+    ]);
+    file.write();
 }

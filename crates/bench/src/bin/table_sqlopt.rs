@@ -15,11 +15,8 @@
 //! saved, and job completion time.
 
 use llmqo_bench::{harness, report};
-use llmqo_core::Ggr;
-use llmqo_datasets::DatasetId;
-use llmqo_relational::{OptimizerConfig, QueryExecutor, SqlResult, SqlRunner};
-use llmqo_serve::{EngineConfig, OracleLlm, SimEngine};
-use llmqo_tokenizer::Tokenizer;
+use llmqo_datasets::{Dataset, DatasetId};
+use llmqo_relational::{OptimizerConfig, SqlResult};
 
 struct Case {
     id: DatasetId,
@@ -61,13 +58,7 @@ const CASES: &[Case] = &[
     },
 ];
 
-fn run(case: &Case, sql: &str, opt: OptimizerConfig) -> SqlResult {
-    let ds = harness::load(case.id);
-    let engine = SimEngine::new(harness::deployment_8b(), EngineConfig::default());
-    let executor = QueryExecutor::new(&engine, &OracleLlm, Tokenizer::new());
-    let solver = Ggr::default();
-    let mut runner = SqlRunner::new(&executor, &solver).with_optimizer(opt);
-    runner.register(case.table, &ds.table, &ds.fds);
+fn run(ds: &Dataset, case: &Case, sql: &str, opt: OptimizerConfig) -> SqlResult {
     let truth = |row: usize| {
         if row.is_multiple_of(3) {
             "Yes".to_string()
@@ -75,11 +66,11 @@ fn run(case: &Case, sql: &str, opt: OptimizerConfig) -> SqlResult {
             "No".to_string()
         }
     };
-    runner.run(sql, &truth).expect("statement runs")
+    let [result] = harness::run_sql(ds, case.table, [sql], opt, &truth);
+    result
 }
 
 fn totals(res: &SqlResult) -> (u64, u64, u64, f64) {
-    let calls = res.stages.iter().map(|s| s.report.opt.llm_calls).sum();
     let saved = res
         .stages
         .iter()
@@ -90,21 +81,18 @@ fn totals(res: &SqlResult) -> (u64, u64, u64, f64) {
         .iter()
         .map(|s| s.report.opt.prefill_tokens_saved)
         .sum();
-    let jct = res
-        .stages
-        .iter()
-        .map(|s| s.report.engine.job_completion_time_s)
-        .sum();
-    (calls, saved, prefill, jct)
+    let calls = harness::llm_calls(res);
+    (calls, saved, prefill, harness::relay_time_s(res))
 }
 
 fn main() {
     let mut dedup_rows = Vec::new();
     let mut limit_rows = Vec::new();
     for case in CASES {
+        let ds = harness::load(case.id);
         // Arm 1: duplicate-heavy filter — dedup does the work.
-        let off = run(case, case.dedup_sql, OptimizerConfig::none());
-        let on = run(case, case.dedup_sql, OptimizerConfig::all());
+        let off = run(&ds, case, case.dedup_sql, OptimizerConfig::none());
+        let on = run(&ds, case, case.dedup_sql, OptimizerConfig::all());
         assert_eq!(on.rows, off.rows, "{}: results must not change", case.table);
         let (off_calls, _, _, off_jct) = totals(&off);
         let (on_calls, on_saved, on_prefill, on_jct) = totals(&on);
@@ -119,8 +107,8 @@ fn main() {
         ]);
 
         // Arm 2: LIMIT k — lazy evaluation stops the scan early.
-        let off = run(case, case.limit_sql, OptimizerConfig::none());
-        let on = run(case, case.limit_sql, OptimizerConfig::all());
+        let off = run(&ds, case, case.limit_sql, OptimizerConfig::none());
+        let on = run(&ds, case, case.limit_sql, OptimizerConfig::all());
         assert_eq!(on.rows, off.rows, "{}: results must not change", case.table);
         let (off_calls, _, _, off_jct) = totals(&off);
         let (on_calls, _, _, on_jct) = totals(&on);

@@ -20,6 +20,19 @@
 //! | `table7` | Table 7 — Llama-3.2-1B (Appendix D.2) |
 //! | `table_sqlopt` | SQL-aware optimizations — dedup / reorder / lazy `LIMIT` savings |
 //!
+//! and one per sweep beyond the paper; the five that write a
+//! `BENCH_*.json` do so through [`report::BenchFile`], at full scale only:
+//!
+//! | bin | sweep |
+//! |---|---|
+//! | `fig_cluster` | replica count × routing policy on the GGR-scheduled Movies filter |
+//! | `diagnose` | calibration: per-dataset column statistics and GGR against the fixed orderings and its ceiling |
+//! | `table_adaptive` | mid-query re-ranking, session answer cache, aimed `LIMIT` batches → `BENCH_adaptive.json` |
+//! | `perf_chaos` | fault × retry policy × router grid at 8 replicas → `BENCH_chaos.json` |
+//! | `perf_overload` | admission / quota / autoscaler ladder at 2× the service rate → `BENCH_overload.json` |
+//! | `perf_pipeline` | relay vs pipelined fan-out statement, macro-stepped backpressure → `BENCH_pipeline.json` |
+//! | `perf_cascade` | mini→sonnet cascade threshold sweep, dollars vs drift → `BENCH_cascade.json` |
+//!
 //! Set `LLMQO_SCALE` (e.g. `0.1`) to run on proportionally smaller datasets
 //! while keeping duplication structure; default is the paper's full sizes.
 

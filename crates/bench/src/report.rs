@@ -1,7 +1,10 @@
-//! Plain-text table rendering for the reproduction binaries.
+//! Plain-text table rendering for the reproduction binaries, and the one
+//! writer of the committed `BENCH_*.json` files ([`BenchFile`]).
 //!
 //! Every binary prints its measurements next to the paper's reported values
 //! so divergence is visible at a glance.
+
+use std::path::{Path, PathBuf};
 
 /// Renders an aligned ASCII table.
 ///
@@ -81,6 +84,144 @@ pub fn section(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     print!("{}", render_table(headers, rows));
 }
 
+/// One rendered scalar of a `BENCH_*.json`: a count or flag verbatim, a
+/// float with six decimals (`null` when not finite), a label as an escaped
+/// string.
+#[derive(Debug)]
+pub struct Value(String);
+
+macro_rules! verbatim_value {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Value {
+            fn from(x: $t) -> Self {
+                Value(x.to_string())
+            }
+        }
+    )*};
+}
+verbatim_value!(u8, u32, u64, usize, bool);
+
+impl From<f64> for Value {
+    fn from(x: f64) -> Self {
+        Value(if x.is_finite() {
+            format!("{x:.6}")
+        } else {
+            "null".to_owned()
+        })
+    }
+}
+
+impl From<&str> for Value {
+    fn from(x: &str) -> Self {
+        Value(format!("\"{}\"", llmqo_obs::escape_json(x)))
+    }
+}
+
+/// `{"key": value, ...}` on one line, keys in the order given.
+fn object(fields: impl IntoIterator<Item = (&'static str, Value)>) -> String {
+    let fields: Vec<String> = fields
+        .into_iter()
+        .map(|(key, Value(value))| format!("\"{key}\": {value}"))
+        .collect();
+    format!("{{{}}}", fields.join(", "))
+}
+
+/// A committed `BENCH_<bench>.json`: the one envelope every such file
+/// shares — `bench`, `metric`, `scale`, `seed`, `params`, `cells`, in that
+/// order — and the one place one is written.
+///
+/// Two rules make the files comparable with `git diff` alone. They hold
+/// only deterministic values (simulated seconds, dollars, counts; host
+/// wall-clock stays on stdout), and [`write`](BenchFile::write) touches the
+/// file only at full scale, so a scaled run checks every in-binary
+/// assertion and leaves the committed numbers alone.
+#[derive(Debug)]
+pub struct BenchFile {
+    bench: &'static str,
+    metric: &'static str,
+    scale: f64,
+    seed: Option<u64>,
+    params: String,
+    cells: Vec<String>,
+}
+
+impl BenchFile {
+    /// An empty file for `bench`, measured at `scale`
+    /// ([`harness::scale`](crate::harness::scale)). `seed` is the one seed
+    /// the bench draws from, `None` when it fixes several internally or
+    /// draws nothing.
+    pub fn new(bench: &'static str, metric: &'static str, scale: f64, seed: Option<u64>) -> Self {
+        BenchFile {
+            bench,
+            metric,
+            scale,
+            seed,
+            params: object([]),
+            cells: Vec::new(),
+        }
+    }
+
+    /// Sets the values that hold for every cell (fleet size, offered load,
+    /// acceptance bounds).
+    pub fn params(&mut self, fields: impl IntoIterator<Item = (&'static str, Value)>) {
+        self.params = object(fields);
+    }
+
+    /// Appends one cell: a flat object whose keys carry their unit as a
+    /// suffix (`_s` simulated seconds, `_usd`, `_rps`, `_pct`; bare keys are
+    /// counts, ratios, flags or labels).
+    pub fn cell(&mut self, fields: impl IntoIterator<Item = (&'static str, Value)>) {
+        self.cells.push(object(fields));
+    }
+
+    /// The file's text.
+    pub fn render(&self) -> String {
+        let [Value(bench), Value(metric)] = [self.bench, self.metric].map(Value::from);
+        let Value(scale) = self.scale.into();
+        let seed = self.seed.map_or("null".to_owned(), |seed| seed.to_string());
+        format!(
+            "{{\n  \"bench\": {bench},\n  \"metric\": {metric},\n  \"scale\": {scale},\n  \
+             \"seed\": {seed},\n  \"params\": {},\n  \"cells\": [\n    {}\n  ]\n}}\n",
+            self.params,
+            self.cells.join(",\n    ")
+        )
+    }
+
+    /// Writes `BENCH_<bench>.json` in the working directory when the run
+    /// was at full scale, and says on stdout which of the two happened.
+    ///
+    /// # Panics
+    ///
+    /// If the rendered text is not well-formed JSON or the file cannot be
+    /// written.
+    pub fn write(&self) {
+        self.write_in(Path::new(""));
+    }
+
+    /// [`write`](BenchFile::write) into `dir`: the path written, or `None` —
+    /// and no file-system access at all — for a scaled run.
+    fn write_in(&self, dir: &Path) -> Option<PathBuf> {
+        let path = dir.join(format!("BENCH_{}.json", self.bench));
+        if self.scale != 1.0 {
+            println!(
+                "\nscale {}: {} not written (only LLMQO_SCALE=1 rewrites it)",
+                self.scale,
+                path.display()
+            );
+            return None;
+        }
+        let json = self.render();
+        if let Err(e) = llmqo_obs::validate_json(&json) {
+            panic!("{} is malformed: {e}", path.display());
+        }
+        if let Err(e) = std::fs::write(&path, json) {
+            panic!("cannot write {}: {e}", path.display());
+        }
+        println!("\nwrote {} ({} cells)", path.display(), self.cells.len());
+        Some(path)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,5 +254,58 @@ mod tests {
         assert_eq!(secs(123.4), "123s");
         assert_eq!(secs(2.34), "2.3s");
         assert_eq!(secs(0.5), "500.0ms");
+    }
+
+    fn demo(scale: f64) -> BenchFile {
+        let mut file = BenchFile::new("demo", "a \"quoted\" \\ metric\u{1}", scale, Some(7));
+        file.params([("replicas", 8usize.into())]);
+        file.cell([
+            ("arm", "relay".into()),
+            ("calls", 1604u64.into()),
+            ("makespan_s", 14.4087041.into()),
+            ("speedup", f64::NAN.into()),
+            ("drift", f64::INFINITY.into()),
+            ("rows_identical", true.into()),
+        ]);
+        file.cell([("arm", "piped".into())]);
+        file
+    }
+
+    #[test]
+    fn bench_file_renders_the_envelope_in_order() {
+        let json = demo(1.0).render();
+        llmqo_obs::validate_json(&json).expect("escaped strings keep the file well-formed");
+        let at = |key: &str| json.find(key).unwrap_or_else(|| panic!("{key} missing"));
+        let order = ["bench", "metric", "scale", "seed", "params", "cells"]
+            .map(|k| at(&format!("\n  \"{k}\": ")));
+        assert!(order.is_sorted(), "envelope keys out of order: {json}");
+        assert!(json.contains(r#""metric": "a \"quoted\" \\ metric\u0001""#));
+        assert!(json.contains("\"scale\": 1.000000,\n  \"seed\": 7,"));
+        assert!(json.contains("\"params\": {\"replicas\": 8},"));
+        // Integers verbatim, floats to six places, non-finite as null.
+        assert!(json.contains(
+            "    {\"arm\": \"relay\", \"calls\": 1604, \"makespan_s\": 14.408704, \
+             \"speedup\": null, \"drift\": null, \"rows_identical\": true},\n    {\"arm\": \"piped\"}\n  ]"
+        ));
+        let seedless = BenchFile::new("demo", "m", 1.0, None).render();
+        assert!(seedless.contains("\"seed\": null,\n  \"params\": {},\n  \"cells\": ["));
+        llmqo_obs::validate_json(&seedless).expect("an empty file is well-formed");
+    }
+
+    #[test]
+    fn bench_file_is_written_at_full_scale_only() {
+        let dir = std::env::temp_dir().join(format!("llmqo-bench-file-{}", std::process::id()));
+        // A scaled run never reaches the file system: the directory does
+        // not exist, and a write into it would panic.
+        assert_eq!(demo(0.2).write_in(&dir), None);
+        assert!(!dir.exists());
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let path = demo(1.0).write_in(&dir).expect("full scale writes");
+        assert_eq!(path, dir.join("BENCH_demo.json"));
+        assert_eq!(
+            std::fs::read_to_string(&path).expect("written"),
+            demo(1.0).render()
+        );
+        std::fs::remove_dir_all(&dir).expect("clean up");
     }
 }

@@ -53,9 +53,7 @@ use crate::request::ClusterRequest;
 use crate::router::{ReplicaSnapshot, Router};
 use crate::sim::{ClusterError, ClusterSim};
 use llmqo_obs::{Counter, Gauge};
-use llmqo_serve::{
-    percentiles, ChainHasher, Completion, EngineError, EngineReport, EngineSession, SimEngine,
-};
+use llmqo_serve::{ChainHasher, Completion, EngineError, EngineSession, SessionReport, SimEngine};
 use std::collections::VecDeque;
 
 /// How an admission-queue entry came to exist.
@@ -159,8 +157,8 @@ struct Replica {
     /// Idle seconds accrued by the catch-up `advance_to` at rejoin —
     /// subtracted so reported idle time counts only in-service idleness.
     idle_correction: f64,
-    /// Finished incarnations: `(report, completions)`.
-    stash: Vec<(EngineReport, Vec<Completion>)>,
+    /// Finished incarnations.
+    stash: Vec<SessionReport>,
     stash_idle: f64,
     lane: u32,
 }
@@ -376,46 +374,6 @@ fn pair_queue_waits(arrivals: &[f64], completions: &[Completion], out: &mut Vec<
     for (&arrival, &admitted) in arrivals.iter().zip(&admissions) {
         out.push((admitted - arrival).max(0.0));
     }
-}
-
-/// Merges a replica's incarnations into one `(report, completions)` pair.
-/// Counters and times sum, peaks max, the makespan is the latest incarnation
-/// clock, and latency percentiles are recomputed over all completions. A
-/// single incarnation (every fault-free run) passes through untouched.
-fn merge_incarnations(
-    mut incarnations: Vec<(EngineReport, Vec<Completion>)>,
-) -> (EngineReport, Vec<Completion>) {
-    if incarnations.len() == 1 {
-        if let Some(only) = incarnations.pop() {
-            return only;
-        }
-    }
-    let mut report = EngineReport::default();
-    let mut completions: Vec<Completion> = Vec::new();
-    for (r, c) in incarnations {
-        report.job_completion_time_s = report.job_completion_time_s.max(r.job_completion_time_s);
-        report.prefill_time_s += r.prefill_time_s;
-        report.decode_time_s += r.decode_time_s;
-        report.overhead_time_s += r.overhead_time_s;
-        report.total_prompt_tokens += r.total_prompt_tokens;
-        report.cached_prompt_tokens += r.cached_prompt_tokens;
-        report.computed_prompt_tokens += r.computed_prompt_tokens;
-        report.total_output_tokens += r.total_output_tokens;
-        report.steps += r.steps;
-        report.peak_running = report.peak_running.max(r.peak_running);
-        report.peak_blocks = report.peak_blocks.max(r.peak_blocks);
-        report.evictions += r.evictions;
-        report.completed += r.completed;
-        completions.extend(c);
-    }
-    let mut ttfts: Vec<f64> = completions.iter().map(|c| c.ttft_s).collect();
-    let mut latencies: Vec<f64> = completions
-        .iter()
-        .map(|c| c.finished_s - c.admitted_s)
-        .collect();
-    [report.ttft_p50_s, report.ttft_p99_s] = percentiles(&mut ttfts, [0.50, 0.99]);
-    [report.latency_p50_s, report.latency_p99_s] = percentiles(&mut latencies, [0.50, 0.99]);
-    (report, completions)
 }
 
 /// All state of one run.
@@ -852,7 +810,7 @@ impl<'a> Kernel<'a> {
         rep.idle_correction = 0.0;
         let outcome = old.finish();
         pair_queue_waits(&rep.arrivals, &outcome.completions, &mut self.queue_waits);
-        rep.stash.push((outcome.report, outcome.completions));
+        rep.stash.push(outcome);
         rep.arrivals.clear();
         rep.harvested = 0;
         Ok(())
@@ -1120,12 +1078,10 @@ impl<'a> Kernel<'a> {
             let idle_final = rep.session.idle_time_s() - rep.idle_correction;
             let outcome = rep.session.finish();
             pair_queue_waits(&rep.arrivals, &outcome.completions, &mut self.queue_waits);
-            let mut incarnations = rep.stash;
-            incarnations.push((outcome.report, outcome.completions));
-            let (engine, completions) = merge_incarnations(incarnations);
+            let merged = SessionReport::merge(rep.stash.into_iter().chain([outcome]));
             reports.push(ReplicaReport {
-                engine,
-                completions,
+                engine: merged.report,
+                completions: merged.completions,
                 assigned: rep.assigned,
                 idle_s: rep.stash_idle + idle_final,
                 occupancy: rep.occupancy,

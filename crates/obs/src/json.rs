@@ -3,7 +3,7 @@
 //! (the workspace's vendored `serde` has no JSON backend).
 
 /// Escapes a string for embedding inside JSON double quotes.
-pub(crate) fn escape(s: &str) -> String {
+pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for ch in s.chars() {
         match ch {

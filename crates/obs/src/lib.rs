@@ -53,7 +53,7 @@ mod metrics;
 mod trace;
 mod wall;
 
-pub use json::validate_json;
+pub use json::{escape as escape_json, validate_json};
 pub use metrics::{
     parse_prometheus, Counter, Gauge, Histogram, HistogramSnapshot, PromSample, Registry,
 };

@@ -135,8 +135,7 @@ pub use prompt::{encode_table, encode_table_rows, field_fragment, EncodedTable};
 pub use query::{LlmQuery, QueryKind};
 pub use schema::{DataType, Field, Schema};
 pub use sql::{
-    parse_sql, LlmCall, Projection, SqlDefaults, SqlError, SqlResult, SqlRunner, SqlStatement,
-    WhereConjunct,
+    parse_sql, LlmCall, Projection, SqlError, SqlResult, SqlRunner, SqlStatement, WhereConjunct,
 };
 pub use table::{Table, TableError};
 pub use value::Value;

@@ -56,7 +56,7 @@ use crate::table::Table;
 use batch::Batch;
 use llmqo_cluster::{PrefixAffinity, ReplicaSnapshot, Router};
 use llmqo_core::{FunctionalDeps, Reorderer};
-use llmqo_serve::{percentiles, Completion, EngineError, EngineReport, EngineSession, SimEngine};
+use llmqo_serve::{Completion, EngineError, EngineReport, EngineSession, SessionReport, SimEngine};
 use llmqo_tokenizer::TokenId;
 use std::sync::Arc;
 
@@ -203,50 +203,14 @@ impl StageEngine {
         Ok(completions)
     }
 
-    /// Finalizes the engine into one [`EngineReport`]: counts, tokens,
-    /// steps, evictions and attributed times are summed (total work done
-    /// across the replicas); `job_completion_time_s` is the max replica
-    /// clock (when the stage as a whole finished); peaks are the max over
-    /// replicas (the hottest replica's high-water mark); latency/TTFT
-    /// percentiles are recomputed over the merged per-request records. Fed
-    /// one replica's records that merge is the replica's own report, bit
-    /// for bit (sums from zero, maxes of non-negatives, percentiles of the
-    /// same values), so a single replica's report is returned as is.
+    /// Finalizes the engine into one [`EngineReport`], the replicas' reports
+    /// merged by [`SessionReport::merge`]: total work summed,
+    /// `job_completion_time_s` the max replica clock (when the stage as a
+    /// whole finished), peaks the hottest replica's high-water mark,
+    /// latency/TTFT percentiles over every request. A single replica's
+    /// report is returned as is.
     pub fn finish(self) -> EngineReport {
-        // One replica's report is the stage's. The merge below would
-        // re-derive it bit for bit, at the price of copying and re-sorting
-        // every request's latency record.
-        let replicas = match <[EngineSession; 1]>::try_from(self.sessions) {
-            Ok([only]) => return only.finish().report,
-            Err(replicas) => replicas,
-        };
-        let mut merged = EngineReport::default();
-        let mut ttfts: Vec<f64> = Vec::new();
-        let mut latencies: Vec<f64> = Vec::new();
-        for sr in replicas.into_iter().map(EngineSession::finish) {
-            let r = sr.report;
-            merged.job_completion_time_s =
-                merged.job_completion_time_s.max(r.job_completion_time_s);
-            merged.prefill_time_s += r.prefill_time_s;
-            merged.decode_time_s += r.decode_time_s;
-            merged.overhead_time_s += r.overhead_time_s;
-            merged.total_prompt_tokens += r.total_prompt_tokens;
-            merged.cached_prompt_tokens += r.cached_prompt_tokens;
-            merged.computed_prompt_tokens += r.computed_prompt_tokens;
-            merged.total_output_tokens += r.total_output_tokens;
-            merged.steps += r.steps;
-            merged.peak_running = merged.peak_running.max(r.peak_running);
-            merged.peak_blocks = merged.peak_blocks.max(r.peak_blocks);
-            merged.evictions += r.evictions;
-            merged.completed += r.completed;
-            for c in &sr.completions {
-                ttfts.push(c.ttft_s);
-                latencies.push(c.finished_s - c.admitted_s);
-            }
-        }
-        [merged.ttft_p50_s, merged.ttft_p99_s] = percentiles(&mut ttfts, [0.50, 0.99]);
-        [merged.latency_p50_s, merged.latency_p99_s] = percentiles(&mut latencies, [0.50, 0.99]);
-        merged
+        SessionReport::merge(self.sessions.into_iter().map(EngineSession::finish)).report
     }
 }
 

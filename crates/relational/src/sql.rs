@@ -104,32 +104,6 @@ pub struct SqlResult {
     pub notes: Vec<String>,
 }
 
-/// Defaults applied when compiling SQL to [`LlmQuery`] plans (SQL carries no
-/// label spaces or output-length hints).
-#[derive(Debug, Clone)]
-pub struct SqlDefaults {
-    /// Labels assumed for filter predicates when only the compared label is
-    /// known; the compared label is always inserted.
-    pub filter_labels: Vec<String>,
-    /// Mean output tokens for projection calls.
-    pub projection_output_tokens: f64,
-    /// Mean output tokens for filter calls.
-    pub filter_output_tokens: f64,
-    /// Score range for `AVG(LLM(...))`.
-    pub aggregation_range: (i64, i64),
-}
-
-impl Default for SqlDefaults {
-    fn default() -> Self {
-        SqlDefaults {
-            filter_labels: vec!["Yes".into(), "No".into()],
-            projection_output_tokens: 32.0,
-            filter_output_tokens: 2.0,
-            aggregation_range: (1, 5),
-        }
-    }
-}
-
 /// Executes LLM-SQL statements against registered tables through a
 /// [`QueryExecutor`] and a [`Reorderer`], applying the cost-based logical
 /// optimizer (see [`OptimizerConfig`]) before execution. Construct with
@@ -139,8 +113,8 @@ impl Default for SqlDefaults {
 pub struct SqlRunner<'a> {
     executor: &'a QueryExecutor<'a>,
     reorderer: &'a dyn Reorderer,
-    defaults: SqlDefaults,
     opt: OptimizerConfig,
+    /// The price schedule the cost-based rules rank LLM operators with.
     pricing: Pricing,
     catalog: HashMap<String, (&'a Table, &'a FunctionalDeps)>,
     /// Learned tier posteriors per operator (keyed by query name):
@@ -165,7 +139,6 @@ impl<'a> SqlRunner<'a> {
         SqlRunner {
             executor,
             reorderer,
-            defaults: SqlDefaults::default(),
             opt: OptimizerConfig::default(),
             pricing: Pricing::gpt4o_mini(),
             catalog: HashMap::new(),
@@ -173,22 +146,10 @@ impl<'a> SqlRunner<'a> {
         }
     }
 
-    /// Overrides compilation defaults.
-    pub fn with_defaults(mut self, defaults: SqlDefaults) -> Self {
-        self.defaults = defaults;
-        self
-    }
-
     /// Selects which optimizations run ([`OptimizerConfig::none`] is the
     /// differential oracle).
     pub fn with_optimizer(mut self, opt: OptimizerConfig) -> Self {
         self.opt = opt;
-        self
-    }
-
-    /// Sets the price schedule the cost-based rules rank LLM operators with.
-    pub fn with_pricing(mut self, pricing: Pricing) -> Self {
-        self.pricing = pricing;
         self
     }
 

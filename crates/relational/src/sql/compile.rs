@@ -11,6 +11,18 @@ use crate::table::Table;
 use llmqo_core::FunctionalDeps;
 use std::collections::HashSet;
 
+// SQL carries no label spaces or output-length hints; plans are compiled
+// with these.
+/// Labels assumed for filter predicates when only the compared label is
+/// known; the compared label is always inserted.
+const FILTER_LABELS: [&str; 2] = ["Yes", "No"];
+/// Mean output tokens for projection calls.
+const PROJECTION_OUTPUT_TOKENS: f64 = 32.0;
+/// Mean output tokens for filter and aggregation calls.
+const FILTER_OUTPUT_TOKENS: f64 = 2.0;
+/// Score range for `AVG(LLM(...))`.
+const AGGREGATION_RANGE: (i64, i64) = (1, 5);
+
 impl<'a> SqlRunner<'a> {
     /// The set of columns the statement references anywhere — SELECT list,
     /// cheap predicates, and explicit LLM field lists. Returns `None` (no
@@ -105,7 +117,7 @@ impl<'a> SqlRunner<'a> {
                     } else {
                         format!("sql-where-{}-{llm_ordinal}", stmt.table)
                     };
-                    let mut labels = self.defaults.filter_labels.clone();
+                    let mut labels = FILTER_LABELS.map(String::from).to_vec();
                     if !labels.contains(label) {
                         labels.insert(0, label.clone());
                     }
@@ -115,7 +127,7 @@ impl<'a> SqlRunner<'a> {
                         resolve(call, &name),
                         labels,
                         label.clone(),
-                        self.defaults.filter_output_tokens,
+                        FILTER_OUTPUT_TOKENS,
                     );
                     ops.push(LogicalOp::LlmFilter {
                         query,
@@ -140,7 +152,7 @@ impl<'a> SqlRunner<'a> {
                     name.clone(),
                     call.prompt.clone(),
                     resolve(call, &name),
-                    self.defaults.projection_output_tokens,
+                    PROJECTION_OUTPUT_TOKENS,
                 );
                 ops.push(LogicalOp::LlmProject {
                     query,
@@ -153,8 +165,8 @@ impl<'a> SqlRunner<'a> {
                     name.clone(),
                     call.prompt.clone(),
                     resolve(call, &name),
-                    self.defaults.aggregation_range,
-                    self.defaults.filter_output_tokens,
+                    AGGREGATION_RANGE,
+                    FILTER_OUTPUT_TOKENS,
                 );
                 ops.push(LogicalOp::LlmAggregate {
                     query,

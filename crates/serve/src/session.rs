@@ -83,13 +83,60 @@ pub struct Completion {
 
 /// Everything a finished session reports: the aggregate [`EngineReport`]
 /// plus per-request [`Completion`] records.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SessionReport {
     /// Aggregate job metrics (identical to what [`crate::SimEngine::run`]
     /// returns).
     pub report: EngineReport,
     /// One record per completed request, in completion order.
     pub completions: Vec<Completion>,
+}
+
+impl SessionReport {
+    /// Merges the reports of sessions that served one job between them (a
+    /// stage's replicas, a replica's incarnations): work — counts, tokens,
+    /// steps, evictions, attributed times — is summed,
+    /// `job_completion_time_s` is the latest clock, peaks the highest,
+    /// completions are concatenated in the order given and the four
+    /// percentiles re-derived from them. A single report passes through
+    /// untouched, which keeps one replica or one incarnation bit-identical
+    /// to the bare session and copy-free.
+    pub fn merge(parts: impl IntoIterator<Item = SessionReport>) -> SessionReport {
+        let mut parts = parts.into_iter().peekable();
+        let mut merged = parts.next().unwrap_or_default();
+        if parts.peek().is_none() {
+            return merged;
+        }
+        for part in parts {
+            let (m, r) = (&mut merged.report, part.report);
+            m.job_completion_time_s = m.job_completion_time_s.max(r.job_completion_time_s);
+            m.prefill_time_s += r.prefill_time_s;
+            m.decode_time_s += r.decode_time_s;
+            m.overhead_time_s += r.overhead_time_s;
+            m.total_prompt_tokens += r.total_prompt_tokens;
+            m.cached_prompt_tokens += r.cached_prompt_tokens;
+            m.computed_prompt_tokens += r.computed_prompt_tokens;
+            m.total_output_tokens += r.total_output_tokens;
+            m.steps += r.steps;
+            m.peak_running = m.peak_running.max(r.peak_running);
+            m.peak_blocks = m.peak_blocks.max(r.peak_blocks);
+            m.evictions += r.evictions;
+            m.completed += r.completed;
+            merged.completions.extend(part.completions);
+        }
+        merged.set_latency_percentiles();
+        merged
+    }
+
+    /// Derives the report's four latency percentiles from the completions.
+    fn set_latency_percentiles(&mut self) {
+        let (r, done) = (&mut self.report, &self.completions);
+        let mut sample: Vec<f64> = done.iter().map(|c| c.ttft_s).collect();
+        [r.ttft_p50_s, r.ttft_p99_s] = percentiles(&mut sample, [0.50, 0.99]);
+        sample.clear();
+        sample.extend(done.iter().map(|c| c.finished_s - c.admitted_s));
+        [r.latency_p50_s, r.latency_p99_s] = percentiles(&mut sample, [0.50, 0.99]);
+    }
 }
 
 /// Block ids per [`IdArena`] chunk: 8 KiB, a few hundred queued prompts'
@@ -308,8 +355,6 @@ pub struct EngineSession {
     clock: f64,
     idle_s: f64,
     report: EngineReport,
-    ttfts: Vec<f64>,
-    latencies: Vec<f64>,
     completions: Vec<Completion>,
     /// Trace lane (Chrome-trace `pid`) this session's spans land on; lane 0
     /// by default, replica `i + 1` under the cluster simulator.
@@ -364,8 +409,6 @@ impl EngineSession {
             clock: 0.0,
             idle_s: 0.0,
             report: EngineReport::default(),
-            ttfts: Vec::new(),
-            latencies: Vec::new(),
             completions: Vec::new(),
             trace_lane: 0,
             slowdown: 1.0,
@@ -690,19 +733,7 @@ impl EngineSession {
             return Ok(false);
         }
 
-        // Roofline step time.
-        let decode_flops =
-            decode_tokens as f64 * model.flops_per_token() + model.attn_flops(decode_ctx);
-        let compute_t = (prefill_flops + decode_flops) / self.flops;
-        let mem_t = (self.weight_bytes + decode_ctx as f64 * kv_bytes + prefill_kv_bytes) / self.bw;
-        let step_t = (compute_t.max(mem_t) + self.config.step_overhead_s) * self.slowdown;
-
-        // Attribute time to phases for the report (by compute share).
-        let total_work = (prefill_flops + decode_flops).max(1.0);
-        self.report.prefill_time_s += step_t * prefill_flops / total_work;
-        self.report.decode_time_s += step_t * decode_flops / total_work;
-        self.clock += step_t;
-        self.report.steps += 1;
+        self.charge_step(prefill_flops, prefill_kv_bytes, decode_tokens, decode_ctx);
 
         // Apply effects: prefill progress (marking blocks computed) and
         // one decoded token per decoding sequence.
@@ -725,7 +756,6 @@ impl EngineSession {
                     self.report.total_output_tokens += 1;
                     if self.running[i].first_token_at.is_none() {
                         self.running[i].first_token_at = Some(self.clock);
-                        self.ttfts.push(self.clock - self.running[i].admitted_at);
                         self.warming -= 1;
                         if llmqo_obs::enabled() {
                             self.trace_first_token(i);
@@ -738,12 +768,10 @@ impl EngineSession {
                         Some(t) => t,
                         // Zero-output request: first "token" is completion.
                         None => {
-                            self.ttfts.push(self.clock - r.admitted_at);
                             self.warming -= 1;
                             self.clock
                         }
                     };
-                    self.latencies.push(self.clock - r.admitted_at);
                     if llmqo_obs::enabled() {
                         let m = crate::obs::metrics();
                         m.completions.inc();
@@ -781,6 +809,31 @@ impl EngineSession {
             timer.observe(crate::obs::metrics().wall_cache_s);
         }
         Ok(true)
+    }
+
+    /// Advances the clock by the roofline time of one step — `decoding`
+    /// sequences with `decode_ctx` context tokens between them each produce
+    /// a token, next to the step's prefill chunks — and attributes it to
+    /// the report's phases by compute share.
+    #[inline]
+    fn charge_step(
+        &mut self,
+        prefill_flops: f64,
+        prefill_kv_bytes: f64,
+        decoding: u64,
+        decode_ctx: u64,
+    ) {
+        let decode_flops =
+            decoding as f64 * self.model.flops_per_token() + self.model.attn_flops(decode_ctx);
+        let compute_t = (prefill_flops + decode_flops) / self.flops;
+        let mem_t =
+            (self.weight_bytes + decode_ctx as f64 * self.kv_bytes + prefill_kv_bytes) / self.bw;
+        let step_t = (compute_t.max(mem_t) + self.config.step_overhead_s) * self.slowdown;
+        let total_work = (prefill_flops + decode_flops).max(1.0);
+        self.report.prefill_time_s += step_t * prefill_flops / total_work;
+        self.report.decode_time_s += step_t * decode_flops / total_work;
+        self.clock += step_t;
+        self.report.steps += 1;
     }
 
     /// Cold path: span + metric emission for the admission that just pushed
@@ -898,9 +951,10 @@ impl EngineSession {
     /// no per-sequence scan, no admission attempt, no cache touch. Stops
     /// early once the clock reaches `horizon`. Returns the steps taken.
     ///
-    /// The arithmetic replays [`step`](EngineSession::step)'s accumulation
-    /// expressions verbatim (including the float evaluation order), so the
-    /// resulting clock and report are bit-identical to stepping one by one.
+    /// Each step is charged by the same `charge_step` a full
+    /// [`step`](EngineSession::step) calls, with no prefill: adding `0.0` to
+    /// a non-negative sum is exact, so the resulting clock and report are
+    /// bit-identical to stepping one by one.
     fn decode_fast_forward(&mut self, steps: u64, horizon: Option<f64>) -> u64 {
         let timer = llmqo_obs::WallTimer::start();
         let start_clock = self.clock;
@@ -912,15 +966,7 @@ impl EngineSession {
             .sum();
         let mut taken = 0u64;
         while taken < steps {
-            let decode_flops =
-                decoding as f64 * self.model.flops_per_token() + self.model.attn_flops(decode_ctx);
-            let compute_t = decode_flops / self.flops;
-            let mem_t = (self.weight_bytes + decode_ctx as f64 * self.kv_bytes) / self.bw;
-            let step_t = (compute_t.max(mem_t) + self.config.step_overhead_s) * self.slowdown;
-            let total_work = decode_flops.max(1.0);
-            self.report.decode_time_s += step_t * decode_flops / total_work;
-            self.clock += step_t;
-            self.report.steps += 1;
+            self.charge_step(0.0, 0.0, decoding, decode_ctx);
             decode_ctx += decoding;
             taken += 1;
             if horizon.is_some_and(|h| self.clock >= h) {
@@ -1024,6 +1070,12 @@ impl EngineSession {
 
     /// Finalizes the session: computes latency percentiles and returns the
     /// aggregate report plus per-request completion records.
+    ///
+    /// Percentiles are taken over the completion records, so finishing a
+    /// busy session drops the first tokens of requests it never completed.
+    /// Only the cluster kernel does that (stashing a crashed incarnation),
+    /// and a replica with a stash reports through [`SessionReport::merge`],
+    /// which re-derives them anyway.
     pub fn finish(mut self) -> SessionReport {
         #[cfg(debug_assertions)]
         self.cache.check_invariants();
@@ -1034,17 +1086,15 @@ impl EngineSession {
             );
             crate::obs::publish_chain_hasher(&self.hasher);
         }
-        [self.report.ttft_p50_s, self.report.ttft_p99_s] =
-            percentiles(&mut self.ttfts, [0.50, 0.99]);
-        [self.report.latency_p50_s, self.report.latency_p99_s] =
-            percentiles(&mut self.latencies, [0.50, 0.99]);
         self.report.job_completion_time_s = self.clock;
         self.report.peak_blocks = self.cache.stats().peak_blocks;
         self.report.evictions = self.cache.stats().evictions;
-        SessionReport {
+        let mut out = SessionReport {
             report: self.report,
             completions: self.completions,
-        }
+        };
+        out.set_latency_percentiles();
+        out
     }
 }
 

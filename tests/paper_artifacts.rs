@@ -1,7 +1,8 @@
 //! Scaled-down checks of the paper's artifacts: Figure 1's exact bounds,
 //! Table 1's shapes, Table 6's GGR-vs-OPHR gap, and the Table 3/4 cost
 //! mechanics. The full-size regenerations live in `llmqo-bench` binaries;
-//! these tests guard the same relationships in CI time.
+//! these tests guard the same relationships in CI time, and the shape of the
+//! committed `BENCH_*.json` those binaries write.
 
 use llmqo::core::{phc_of_plan, Cell, FunctionalDeps, Ggr, Ophr, ReorderTable, Reorderer, ValueId};
 use llmqo::costmodel::{AnthropicCache, OpenAiCache, Pricing, ProviderCache, Usage};
@@ -177,4 +178,23 @@ fn anthropic_conservative_policy_caps_hits_at_breakpoint() {
     // the paper's explanation for Anthropic's 2× lower measured hit rate.
     assert_eq!(u.cached_input, 1024);
     assert!(u.hit_rate() < 0.35);
+}
+
+/// The five committed `BENCH_*.json` share one envelope and are full-scale
+/// runs; CI's `git diff` gate rests on both.
+#[test]
+fn committed_bench_files_share_the_envelope_at_full_scale() {
+    for bench in ["adaptive", "cascade", "chaos", "overload", "pipeline"] {
+        let path = format!("{}/BENCH_{bench}.json", env!("CARGO_MANIFEST_DIR"));
+        let json = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+        llmqo::obs::validate_json(&json).unwrap_or_else(|e| panic!("{path}: {e}"));
+        assert!(
+            json.starts_with(&format!("{{\n  \"bench\": \"{bench}\",\n  \"metric\": ")),
+            "{path} does not open with its own name"
+        );
+        assert!(
+            json.contains("\",\n  \"scale\": 1.000000,\n  \"seed\": "),
+            "{path} is not a full-scale run"
+        );
+    }
 }
