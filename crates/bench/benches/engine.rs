@@ -88,7 +88,7 @@ fn bench_chain(c: &mut Criterion) {
     group.bench_function("hasher-borrowed", |b| {
         b.iter(|| {
             let mut hasher = ChainHasher::new(block_size, true);
-            for rp in &solution.plan.rows {
+            for rp in solution.plan.rows() {
                 let fields = rp.fields.iter().map(|&f| {
                     let cell = encoded.reorder.cell(rp.row, f as usize);
                     &encoded.fragments[cell.value.as_u32() as usize]

@@ -36,7 +36,7 @@ fn correctness(
         .and_then(|k| query.fields.iter().position(|f| f == k));
     let truth = ds.truth_fn(query);
     let mut correct = vec![false; eval_rows];
-    for rp in &solution.plan.rows {
+    for rp in solution.plan.rows() {
         if rp.row >= eval_rows {
             continue;
         }

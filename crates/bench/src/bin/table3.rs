@@ -29,11 +29,10 @@ fn prompts(ds: &Dataset, solver: &dyn Reorderer) -> Vec<Vec<u32>> {
     let solution = solver.reorder(&encoded.reorder, &fds).expect("solve");
     solution
         .plan
-        .rows
-        .iter()
+        .rows()
         .map(|rp| {
             let mut toks: Vec<u32> = encoded.instruction.to_vec();
-            for &f in &rp.fields {
+            for &f in rp.fields {
                 let cell = encoded.reorder.cell(rp.row, f as usize);
                 let frag = &encoded.fragments[cell.value.as_u32() as usize];
                 for _ in 0..DUPLICATION {

@@ -13,7 +13,7 @@
 
 use crate::fd::FunctionalDeps;
 use crate::phc::phc_of_plan;
-use crate::plan::{ReorderPlan, RowPlan};
+use crate::plan::ReorderPlan;
 use crate::solver::{check_fd_arity, Reorderer, Solution, SolveError};
 use crate::stats::TableStats;
 use crate::table::ReorderTable;
@@ -107,22 +107,21 @@ pub(crate) fn sorted_plan(table: &ReorderTable, fields: &[u32]) -> ReorderPlan {
         .iter()
         .map(|&f| table.col_values(f as usize))
         .collect();
-    let mut order: Vec<usize> = (0..table.nrows()).collect();
+    let mut order: Vec<u32> = (0..table.nrows() as u32).collect();
     order.sort_by(|&a, &b| {
         for values in &field_cols {
-            match values[a].cmp(&values[b]) {
+            match values[a as usize].cmp(&values[b as usize]) {
                 std::cmp::Ordering::Equal => continue,
                 other => return other,
             }
         }
         a.cmp(&b)
     });
-    ReorderPlan {
-        rows: order
-            .into_iter()
-            .map(|r| RowPlan::new(r, fields.to_vec()))
-            .collect(),
+    let mut plan = ReorderPlan::with_capacity(order.len(), fields.len());
+    for r in order {
+        plan.push(r, &[], fields);
     }
+    plan
 }
 
 #[cfg(test)]
@@ -160,8 +159,8 @@ mod tests {
         let t = sample();
         let s = SortedFixed.reorder(&t, &FunctionalDeps::empty(2)).unwrap();
         assert!(s.plan.validate(&t).is_ok());
-        for rp in &s.plan.rows {
-            assert_eq!(rp.fields, vec![0, 1]);
+        for rp in s.plan.rows() {
+            assert_eq!(rp.fields, &[0, 1]);
         }
         // col0 leads and is unique, so sorting cannot create hits here.
         assert_eq!(s.claimed_phc, 0);
@@ -173,7 +172,7 @@ mod tests {
         let s = StatFixed.reorder(&t, &FunctionalDeps::empty(2)).unwrap();
         assert!(s.plan.validate(&t).is_ok());
         // cat (col1) has duplicates and length 5, so it leads.
-        assert_eq!(s.plan.rows[0].fields, vec![1, 0]);
+        assert_eq!(s.plan.row(0).fields, &[1, 0]);
         // The two cat=10 rows become adjacent: one hit of 5² = 25.
         assert_eq!(s.claimed_phc, 25);
         assert_eq!(s.claimed_phc, phc_of_plan(&t, &s.plan).phc);
@@ -213,8 +212,8 @@ mod tests {
         t.push_row(vec![c(5, 2)]).unwrap();
         t.push_row(vec![c(5, 2)]).unwrap();
         let p = sorted_plan(&t, &[0]);
-        assert_eq!(p.rows[0].row, 0);
-        assert_eq!(p.rows[1].row, 1);
+        assert_eq!(p.row(0).row, 0);
+        assert_eq!(p.row(1).row, 1);
     }
 
     #[test]

@@ -36,14 +36,17 @@
 //! [`SlotMap`](crate::scratch) whose dense slots carry the per-group
 //! accumulators, rest/sub-view filtering is a single O(n) value-compare pass
 //! instead of `Vec::contains`, and all row/column index buffers come from a
-//! per-solve pool so steady-state recursion allocates nothing but the output
-//! plan. `HITCOUNT` float sums accumulate in the exact member order the
-//! reference uses, so claimed scores match bit-for-bit (enforced by the
-//! differential tests in `tests/solver_differential.rs`).
+//! per-solve pool, so steady-state recursion allocates nothing per row: two
+//! flat arrays per solve. The plan is written once, top-down — the leading
+//! fields of the current subtree sit on one prefix stack and each row is
+//! emitted at its leaf, the winning group before the rest. `HITCOUNT` float
+//! sums accumulate in the exact member order the reference uses, so claimed
+//! scores match bit-for-bit (enforced by the differential tests in
+//! `tests/solver_differential.rs`).
 
 use crate::fd::FunctionalDeps;
 use crate::phc::phc_of_plan;
-use crate::plan::{ReorderPlan, RowPlan};
+use crate::plan::ReorderPlan;
 use crate::scratch::{partition_rows_by_value, DeadCols, Scratch};
 use crate::solver::{check_fd_arity, Reorderer, Solution, SolveError};
 use crate::table::ReorderTable;
@@ -140,7 +143,7 @@ impl Default for GgrConfig {
 /// let (t, _) = b.finish();
 /// let s = Ggr::default().reorder(&t, &FunctionalDeps::empty(2)).unwrap();
 /// // The shared product column leads both rows.
-/// assert_eq!(s.plan.rows[0].fields[0], 1);
+/// assert_eq!(s.plan.row(0).fields[0], 1);
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Ggr {
@@ -174,16 +177,12 @@ impl Reorderer for Ggr {
             col_vals: (0..table.ncols()).map(|c| table.col_values(c)).collect(),
             col_sqs: (0..table.ncols()).map(|c| table.col_sq_lens(c)).collect(),
         };
-        let mut scratch = Scratch::for_table(table);
-        let rows: Vec<u32> = (0..table.nrows() as u32).collect();
+        let mut s = Scratch::for_table(table);
+        let mut rows = s.pool.take();
+        rows.extend(0..table.nrows() as u32);
         let cols: Vec<u32> = (0..table.ncols() as u32).collect();
-        let (score, ordered) = ctx.ggr(&mut scratch, rows, &cols, 0, 0, DeadCols::default());
-        let plan = ReorderPlan {
-            rows: ordered
-                .into_iter()
-                .map(|(row, fields)| RowPlan::new(row as usize, fields))
-                .collect(),
-        };
+        let mut plan = ReorderPlan::with_capacity(table.nrows(), table.ncols());
+        let score = ctx.ggr(&mut s, &mut plan, rows, &cols, 0, 0, DeadCols::default());
         Ok(Solution {
             plan,
             claimed_phc: score.round() as u64,
@@ -211,68 +210,45 @@ struct BestGroup {
 }
 
 impl<'a> Ctx<'a> {
-    /// A field list seeded with `src` but sized for the full column count,
-    /// so ancestor prefix-splices never reallocate (every row's field list
-    /// ends as a permutation of all columns).
-    fn field_vec(&self, src: &[u32]) -> Vec<u32> {
-        let mut v = Vec::with_capacity(self.table.ncols());
-        v.extend_from_slice(src);
-        v
-    }
-
-    /// Algorithm 1's `GGR(T, FD)` on the view (rows × cols). Returns the
-    /// claimed score and the ordering (row, field order over `cols`).
-    ///
-    /// `rows` is an owned pool buffer; it is returned to the pool before the
-    /// call completes.
+    /// Algorithm 1's `GGR(T, FD)` on the view (rows × cols): writes the
+    /// view's rows into `out`, each led by the prefix stack, and returns the
+    /// claimed score. `rows`, an owned pool buffer, goes back to the pool.
+    #[allow(clippy::too_many_arguments)] // the view, its depths and mask, and where it goes
     fn ggr(
         &self,
         s: &mut Scratch,
-        rows: Vec<u32>,
+        out: &mut ReorderPlan,
+        mut rows: Vec<u32>,
         cols: &[u32],
         row_depth: usize,
         col_depth: usize,
         mut dead: DeadCols,
-    ) -> (f64, Vec<(u32, Vec<u32>)>) {
-        if rows.is_empty() {
-            s.pool.put(rows);
-            return (0.0, Vec::new());
-        }
-        if rows.len() == 1 {
-            let out = vec![(rows[0], self.field_vec(cols))];
-            s.pool.put(rows);
-            return (0.0, out);
-        }
-        if cols.len() == 1 {
-            let out = self.single_column(&rows, cols[0]);
-            s.pool.put(rows);
-            return out;
+    ) -> f64 {
+        if rows.len() <= 1 || cols.len() == 1 {
+            let score = match cols {
+                &[col] => self.single_column(&mut rows, col),
+                _ => 0.0,
+            };
+            s.emit(out, rows, cols);
+            return score;
         }
         let row_stop = self.config.max_row_depth.is_some_and(|d| row_depth >= d);
         let col_stop = self.config.max_col_depth.is_some_and(|d| col_depth >= d);
         if row_stop || col_stop {
-            let out = self.fallback(s, &rows, cols, dead);
-            s.pool.put(rows);
-            return out;
+            return self.fallback(s, out, rows, cols, dead);
         }
 
-        let best = match self.best_group(s, &rows, cols, &mut dead) {
-            Some(b) => b,
+        let Some(best) = self.best_group(s, &rows, cols, &mut dead) else {
             // Every value in the view is unique: no ordering can score.
-            None => {
-                let out = rows.iter().map(|&r| (r, self.field_vec(cols))).collect();
-                s.pool.put(rows);
-                return (0.0, out);
-            }
+            s.emit(out, rows, cols);
+            return 0.0;
         };
         if self
             .config
             .min_hitcount
             .is_some_and(|t| (best.hitcount as u64) < t)
         {
-            let out = self.fallback(s, &rows, cols, dead);
-            s.pool.put(rows);
-            return out;
+            return self.fallback(s, out, rows, cols, dead);
         }
 
         // One O(n) pass splits the view into the winning group and the rest.
@@ -289,45 +265,36 @@ impl<'a> Ctx<'a> {
 
         // Prefix columns: the winning column plus its FD-inferred columns
         // present in the view; `sub_cols` is the view minus that prefix.
-        let mut prefix_cols = vec![best.col];
+        let base = s.prefix.len();
+        s.prefix.push(best.col);
         if self.config.use_fds {
-            prefix_cols.extend(
-                self.fds
-                    .inferred(best.col as usize)
-                    .iter()
-                    .copied()
-                    .filter(|&ic| cols.contains(&ic)),
-            );
+            for &ic in self.fds.inferred(best.col as usize) {
+                if cols.contains(&ic) {
+                    s.prefix.push(ic);
+                }
+            }
         }
         let mut sub_cols = s.pool.take();
-        for &pc in &prefix_cols {
+        for &pc in &s.prefix[base..] {
             s.col_mask[pc as usize] = true;
         }
         sub_cols.extend(cols.iter().copied().filter(|&c| !s.col_mask[c as usize]));
-        for &pc in &prefix_cols {
+        for &pc in &s.prefix[base..] {
             s.col_mask[pc as usize] = false;
         }
 
-        let (a_score, a_rows) = self.ggr(s, rest, cols, row_depth + 1, col_depth, dead);
-        let (b_score, b_rows) = if sub_cols.is_empty() {
-            let b = members
-                .iter()
-                .map(|&r| (r, Vec::with_capacity(self.table.ncols())))
-                .collect();
-            s.pool.put(members);
-            (0.0, b)
+        // The group (B) is scheduled before the rest (A), so it is written
+        // first; the claim still adds up as A + B + the group's hit count.
+        let b_score = if sub_cols.is_empty() {
+            s.emit(out, members, &[]);
+            0.0
         } else {
-            self.ggr(s, members, &sub_cols, row_depth, col_depth + 1, dead)
+            self.ggr(s, out, members, &sub_cols, row_depth, col_depth + 1, dead)
         };
+        s.prefix.truncate(base);
         s.pool.put(sub_cols);
-
-        let mut out = Vec::with_capacity(b_rows.len() + a_rows.len());
-        for (row, mut fields) in b_rows {
-            fields.splice(0..0, prefix_cols.iter().copied());
-            out.push((row, fields));
-        }
-        out.extend(a_rows);
-        (a_score + b_score + best.hitcount, out)
+        let a_score = self.ggr(s, out, rest, cols, row_depth + 1, col_depth, dead);
+        a_score + b_score + best.hitcount
     }
 
     /// Lines 17–23 of Algorithm 1: scan every (column, value) group and keep
@@ -437,24 +404,17 @@ impl<'a> Ctx<'a> {
 
     /// Base case: one column left (lines 13–16). Rows sorted so duplicate
     /// values are adjacent; score Σ_v len(v)²·(count−1), which is optimal.
-    fn single_column(&self, rows: &[u32], col: u32) -> (f64, Vec<(u32, Vec<u32>)>) {
+    fn single_column(&self, rows: &mut [u32], col: u32) -> f64 {
         let values = self.col_vals[col as usize];
         let sq_lens = self.col_sqs[col as usize];
-        let mut ordered = rows.to_vec();
-        ordered.sort_by_key(|&r| (values[r as usize], r));
+        rows.sort_by_key(|&r| (values[r as usize], r));
         let mut score = 0u64;
-        for pair in ordered.windows(2) {
+        for pair in rows.windows(2) {
             if values[pair[0] as usize] == values[pair[1] as usize] {
                 score += sq_lens[pair[1] as usize];
             }
         }
-        (
-            score as f64,
-            ordered
-                .into_iter()
-                .map(|r| (r, self.field_vec(&[col])))
-                .collect(),
-        )
+        score as f64
     }
 
     /// §4.2.2 fall-back: orders the whole stopped subtable at once. The
@@ -462,31 +422,31 @@ impl<'a> Ctx<'a> {
     fn fallback(
         &self,
         s: &mut Scratch,
-        rows: &[u32],
+        out: &mut ReorderPlan,
+        mut rows: Vec<u32>,
         cols: &[u32],
         dead: DeadCols,
-    ) -> (f64, Vec<(u32, Vec<u32>)>) {
+    ) -> f64 {
+        let (mark, skip) = (out.len(), s.prefix.len());
         if self.config.fallback == FallbackOrdering::Adaptive {
-            let ordered = crate::order::adaptive_prefix_plan_dead(self.table, rows, cols, s, dead);
-            let score = self.exact_block_score(&ordered);
-            return (score as f64, ordered);
+            crate::order::adaptive_prefix_plan_into(self.table, rows, cols, s, out, dead);
+            return self.exact_block_score(out, mark, skip) as f64;
         }
         let field_order: Vec<u32> = match self.config.fallback {
             FallbackOrdering::Adaptive => unreachable!("handled above"),
             FallbackOrdering::GreedyPrefix => {
-                crate::order::greedy_prefix_order_with(self.table, rows, cols, s)
+                crate::order::greedy_prefix_order_with(self.table, &rows, cols, s)
             }
-            FallbackOrdering::StatFixed => self.stat_order(s, rows, cols, dead),
+            FallbackOrdering::StatFixed => self.stat_order(s, &rows, cols, dead),
             FallbackOrdering::SortedFixed => cols.to_vec(),
             FallbackOrdering::Original => cols.to_vec(),
         };
-        let mut ordered = rows.to_vec();
         if self.config.fallback != FallbackOrdering::Original {
             let field_cols: Vec<&[ValueId]> = field_order
                 .iter()
                 .map(|&f| self.col_vals[f as usize])
                 .collect();
-            ordered.sort_by(|&a, &b| {
+            rows.sort_by(|&a, &b| {
                 for values in &field_cols {
                     match values[a as usize].cmp(&values[b as usize]) {
                         std::cmp::Ordering::Equal => continue,
@@ -496,26 +456,22 @@ impl<'a> Ctx<'a> {
                 a.cmp(&b)
             });
         }
-        let plan: Vec<(u32, Vec<u32>)> = ordered
-            .into_iter()
-            .map(|r| (r, self.field_vec(&field_order)))
-            .collect();
-        let score = self.exact_block_score(&plan);
-        (score as f64, plan)
+        s.emit(out, rows, &field_order);
+        self.exact_block_score(out, mark, skip) as f64
     }
 
-    /// Exact PHC of a scheduled block with per-row field orders.
-    fn exact_block_score(&self, ordered: &[(u32, Vec<u32>)]) -> u64 {
+    /// Exact PHC of the block written at `out[from..]`, read after the
+    /// `skip` leading fields all of its rows share.
+    fn exact_block_score(&self, out: &ReorderPlan, from: usize, skip: usize) -> u64 {
         let mut score = 0u64;
-        for pair in ordered.windows(2) {
-            let (ra, fa) = (pair[0].0 as usize, &pair[0].1);
-            let (rb, fb) = (pair[1].0 as usize, &pair[1].1);
-            for (&ca, &cb) in fa.iter().zip(fb.iter()) {
+        for i in from + 1..out.len() {
+            let (a, b) = (out.row(i - 1), out.row(i));
+            for (&ca, &cb) in a.fields[skip..].iter().zip(&b.fields[skip..]) {
                 if ca != cb {
                     break;
                 }
-                if self.col_vals[ca as usize][ra] == self.col_vals[ca as usize][rb] {
-                    score += self.col_sqs[ca as usize][rb];
+                if self.col_vals[ca as usize][a.row] == self.col_vals[ca as usize][b.row] {
+                    score += self.col_sqs[ca as usize][b.row];
                 } else {
                     break;
                 }
@@ -600,7 +556,7 @@ mod tests {
         let t = table(&[&[(0, 3), (1, 4)]]);
         let s = ggr(&t, &FunctionalDeps::empty(2), GgrConfig::default());
         assert_eq!(s.claimed_phc, 0);
-        assert_eq!(s.plan.rows.len(), 1);
+        assert_eq!(s.plan.len(), 1);
     }
 
     #[test]
@@ -692,7 +648,7 @@ mod tests {
         // each group: 1 hit × (4² + 6²) = 52; two groups = 104.
         assert_eq!(actual, 104);
         // Each row's field order starts [0, 1] (value column + inferred).
-        for rp in &s.plan.rows {
+        for rp in s.plan.rows() {
             assert_eq!(&rp.fields[..2], &[0, 1]);
         }
     }
@@ -820,8 +776,8 @@ mod tests {
         let t = table(&[&[(0, 2), (10, 2)], &[(1, 2), (11, 2)]]);
         let s = ggr(&t, &FunctionalDeps::empty(2), GgrConfig::exhaustive());
         assert_eq!(s.claimed_phc, 0);
-        assert_eq!(s.plan.rows[0].row, 0);
-        assert_eq!(s.plan.rows[1].row, 1);
+        assert_eq!(s.plan.row(0).row, 0);
+        assert_eq!(s.plan.row(1).row, 1);
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //! pool. Equivalence is enforced by `tests/solver_differential.rs`.
 
 use crate::fd::FunctionalDeps;
-use crate::plan::{ReorderPlan, RowPlan};
+use crate::plan::ReorderPlan;
 use crate::scratch::{partition_rows_by_value, DeadCols, FxBuild, Scratch, SetInterner};
 use crate::solver::{check_fd_arity, Reorderer, Solution, SolveError};
 use crate::table::ReorderTable;
@@ -119,13 +119,8 @@ impl Reorderer for Ophr {
             .map_err(|TimedOut| SolveError::BudgetExceeded {
                 budget: self.config.budget.unwrap_or_default(),
             })?;
-        let ordered = ctx.build(&rows, &cols);
-        let plan = ReorderPlan {
-            rows: ordered
-                .into_iter()
-                .map(|(row, fields)| RowPlan::new(row as usize, fields))
-                .collect(),
-        };
+        let mut plan = ReorderPlan::with_capacity(table.nrows(), table.ncols());
+        ctx.build(&rows, &cols, &mut plan);
         Ok(Solution {
             plan,
             claimed_phc,
@@ -247,42 +242,40 @@ impl<'t> Ctx<'t> {
         Ok(score)
     }
 
-    /// Reconstructs the optimal ordering along the memoized choices.
-    /// Every key visited here was inserted by [`Ctx::solve`].
-    fn build(&mut self, rows: &[u32], cols: &[u32]) -> Vec<(u32, Vec<u32>)> {
-        if rows.is_empty() {
-            return Vec::new();
-        }
-        if rows.len() == 1 {
-            return vec![(rows[0], cols.to_vec())];
-        }
-        let key = self.key(rows, cols);
-        let (_, choice) = *self.memo.get(&key).expect("subproblem was solved");
+    /// Writes the optimal ordering of (rows × cols) into `out` along the
+    /// memoized choices, each row led by the prefix stack. Every key visited
+    /// here was inserted by [`Ctx::solve`].
+    fn build(&mut self, rows: &[u32], cols: &[u32], out: &mut ReorderPlan) {
+        let choice = if rows.len() <= 1 {
+            Choice::Leaf
+        } else {
+            let key = self.key(rows, cols);
+            self.memo.get(&key).expect("subproblem was solved").1
+        };
+        let s = &mut self.scratch;
         match choice {
-            Choice::Leaf => rows.iter().map(|&r| (r, cols.to_vec())).collect(),
-            Choice::SingleCol => {
-                let values = self.table.col_values(cols[0] as usize);
-                let mut ordered = rows.to_vec();
-                ordered.sort_by_key(|&r| (values[r as usize], r));
-                ordered.into_iter().map(|r| (r, cols.to_vec())).collect()
+            Choice::Leaf | Choice::SingleCol => {
+                let mut ordered = s.pool.take();
+                ordered.extend_from_slice(rows);
+                if choice == Choice::SingleCol {
+                    let values = self.table.col_values(cols[0] as usize);
+                    ordered.sort_by_key(|&r| (values[r as usize], r));
+                }
+                s.emit(out, ordered, cols);
             }
             Choice::Split { col, value } => {
-                let (mut group, mut rest) = (Vec::new(), Vec::new());
-                partition_rows_by_value(
-                    self.table.col_values(col as usize),
-                    rows,
-                    value,
-                    &mut group,
-                    &mut rest,
-                );
-                let sub_cols: Vec<u32> = cols.iter().copied().filter(|&c| c != col).collect();
-                let mut out = Vec::with_capacity(rows.len());
-                for (row, mut fields) in self.build(&group, &sub_cols) {
-                    fields.insert(0, col);
-                    out.push((row, fields));
+                let (mut group, mut rest) = (s.pool.take(), s.pool.take());
+                let values = self.table.col_values(col as usize);
+                partition_rows_by_value(values, rows, value, &mut group, &mut rest);
+                let mut sub_cols = s.pool.take();
+                sub_cols.extend(cols.iter().copied().filter(|&c| c != col));
+                s.prefix.push(col);
+                self.build(&group, &sub_cols, out);
+                self.scratch.prefix.pop();
+                self.build(&rest, cols, out);
+                for buf in [group, rest, sub_cols] {
+                    self.scratch.pool.put(buf);
                 }
-                out.extend(self.build(&rest, cols));
-                out
             }
         }
     }
@@ -543,9 +536,10 @@ mod tests {
             for i in 0..items.len() {
                 let mut rest = items.to_vec();
                 let head = rest.remove(i);
-                for mut tail in perms(&rest) {
-                    tail.insert(0, head.clone());
-                    out.push(tail);
+                for tail in perms(&rest) {
+                    let mut perm = vec![head.clone()];
+                    perm.extend(tail);
+                    out.push(perm);
                 }
             }
             out

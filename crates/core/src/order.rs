@@ -17,7 +17,13 @@
 //! and flag columns (PDMX-like) benefit enormously: low-cardinality columns
 //! are packed first, and per-row-unique columns fall to the end, where they
 //! can no longer break anyone's prefix.
+//!
+//! [`adaptive_prefix_plan`] scans the same gain per node but skips columns
+//! that cannot win: a gain is at most `M_c · (n − 1)`, `M_c` the column's
+//! largest squared length in the view, exactly so in `f64` (integers below
+//! 2⁵³; IEEE division and multiplication are monotone).
 
+use crate::plan::ReorderPlan;
 use crate::scratch::{DeadCols, Scratch};
 use crate::table::ReorderTable;
 use crate::ValueId;
@@ -119,84 +125,98 @@ pub(crate) fn greedy_prefix_order_with(
 /// that keeps **all** fields available — so groups hiding in other fields
 /// (Fig. 1b's staggered structure) are still found.
 ///
-/// Returns the scheduled rows with a full field permutation per row.
-pub fn adaptive_prefix_plan(
-    table: &ReorderTable,
-    rows: &[u32],
-    cols: &[u32],
-) -> Vec<(u32, Vec<u32>)> {
+/// Returns the scheduled rows, each with a permutation of `cols`.
+pub fn adaptive_prefix_plan(table: &ReorderTable, rows: &[u32], cols: &[u32]) -> ReorderPlan {
     // View-scoped index: a small view of a huge table pays remap work
     // proportional to the view, not the table.
-    let mut scratch = Scratch::for_view(table, rows, cols);
-    adaptive_prefix_plan_with(table, rows, cols, &mut scratch)
-}
-
-/// [`adaptive_prefix_plan`] with caller-provided scratch (GGR's default
-/// fall-back runs here, so this is solver hot path on stopped subtables).
-pub(crate) fn adaptive_prefix_plan_with(
-    table: &ReorderTable,
-    rows: &[u32],
-    cols: &[u32],
-    s: &mut Scratch,
-) -> Vec<(u32, Vec<u32>)> {
-    adaptive_prefix_plan_dead(table, rows, cols, s, DeadCols::default())
-}
-
-/// [`adaptive_prefix_plan_with`] seeded with columns the caller already
-/// knows to be group-free on this path (GGR's recursion shares its pruning
-/// mask with the fall-back it stops into).
-pub(crate) fn adaptive_prefix_plan_dead(
-    table: &ReorderTable,
-    rows: &[u32],
-    cols: &[u32],
-    s: &mut Scratch,
-    dead: DeadCols,
-) -> Vec<(u32, Vec<u32>)> {
-    let mut out = Vec::with_capacity(rows.len());
-    let mut rows_buf = s.pool.take();
-    rows_buf.extend_from_slice(rows);
-    adaptive_rec(table, rows_buf, cols, s, &mut out, dead);
+    let mut s = Scratch::for_view(table, rows, cols);
+    let mut out = ReorderPlan::with_capacity(rows.len(), cols.len());
+    let mut view = s.pool.take();
+    view.extend_from_slice(rows);
+    adaptive_prefix_plan_into(table, view, cols, &mut s, &mut out, DeadCols::default());
     out
+}
+
+/// [`adaptive_prefix_plan`] on a pool buffer of rows, written into `out`
+/// after the prefix stack, with the caller's pruning mask (GGR's default
+/// fall-back). Fixes every node's scan order: descending `M_c` (the largest
+/// squared length of column `c` in this view), ties by index.
+pub(crate) fn adaptive_prefix_plan_into(
+    table: &ReorderTable,
+    rows: Vec<u32>,
+    cols: &[u32],
+    s: &mut Scratch,
+    out: &mut ReorderPlan,
+    dead: DeadCols,
+) {
+    for &c in cols {
+        let sq_lens = table.col_sq_lens(c as usize);
+        s.col_max[c as usize] = rows.iter().map(|&r| sq_lens[r as usize]).max().unwrap_or(0);
+    }
+    let mut by_bound = s.pool.take();
+    by_bound.extend_from_slice(cols);
+    by_bound.sort_unstable_by_key(|&c| (std::cmp::Reverse(s.col_max[c as usize]), c));
+    adaptive_rec(table, rows, cols, &by_bound, s, out, dead);
+    s.pool.put(by_bound);
 }
 
 /// Emits `rows` with `cols` ordered longest (total squared length) first —
 /// no sharing is possible, so columns can only match inside prefixes that
-/// are already identical. Emitted field lists are sized for the full column
-/// count so ancestor prefix-inserts never reallocate.
-fn flush_flat(table: &ReorderTable, rows: &[u32], cols: &[u32], out: &mut Vec<(u32, Vec<u32>)>) {
-    let mut rest = cols.to_vec();
-    rest.sort_by_key(|&c| {
+/// are already identical. The sort is stable: equal sums keep `cols` order.
+fn flush_flat(
+    table: &ReorderTable,
+    rows: Vec<u32>,
+    cols: &[u32],
+    s: &mut Scratch,
+    out: &mut ReorderPlan,
+) {
+    for &c in cols {
         let sq_lens = table.col_sq_lens(c as usize);
-        std::cmp::Reverse(rows.iter().map(|&r| sq_lens[r as usize]).sum::<u64>())
-    });
-    for &r in rows {
-        let mut fields = Vec::with_capacity(table.ncols());
-        fields.extend_from_slice(&rest);
-        out.push((r, fields));
+        s.col_sum[c as usize] = rows.iter().map(|&r| sq_lens[r as usize]).sum();
     }
+    let mut rest = s.pool.take();
+    rest.extend_from_slice(cols);
+    rest.sort_by_key(|&c| std::cmp::Reverse(s.col_sum[c as usize]));
+    s.emit(out, rows, &rest);
+    s.pool.put(rest);
 }
 
+/// One node of [`adaptive_prefix_plan`]: `cols` in the caller's order,
+/// `by_bound` the same columns in scan order.
+///
+/// The scan stops early. With `S` a column's squared-length sum over the
+/// node's `n` rows and `d` its distinct values, `gain = (S/n)·(n−d) ≤
+/// M_c·(n−1)`: each squared length is at most `M_c`, and `d ≥ 1`. In `f64`
+/// too — `S` and `M_c` are integers below 2⁵³, so exact, and IEEE division
+/// and multiplication are monotone. So the first column whose bound is below
+/// the best gain ends the scan, and one whose bound only equals it is
+/// skipped when its index is higher (it would lose the tie).
 fn adaptive_rec(
     table: &ReorderTable,
     mut rows: Vec<u32>,
     cols: &[u32],
+    by_bound: &[u32],
     s: &mut Scratch,
-    out: &mut Vec<(u32, Vec<u32>)>,
+    out: &mut ReorderPlan,
     mut dead: DeadCols,
 ) {
     // The residual branch iterates rather than recursing, so schedule depth
     // is bounded by the column count, not the row count.
     loop {
         if rows.len() <= 1 || cols.is_empty() {
-            flush_flat(table, &rows, cols, out);
-            s.pool.put(rows);
-            return;
+            return flush_flat(table, rows, cols, s, out);
         }
         let n = rows.len();
         let mut best: Option<(f64, u32)> = None;
-        for &c in cols {
+        for &c in by_bound {
             if dead.is_dead(c) {
                 continue;
+            }
+            let bound = s.col_max[c as usize] as f64 * (n - 1) as f64;
+            match best {
+                Some((bg, _)) if bound < bg => break,
+                Some((bg, bc)) if bound == bg && c > bc => continue,
+                _ => {}
             }
             let (distinct, sum_sq) =
                 s.distinct_and_sum_sq(c as usize, table.col_sq_lens(c as usize), &rows);
@@ -212,55 +232,71 @@ fn adaptive_rec(
             }
         }
         let Some((_, chosen)) = best else {
-            flush_flat(table, &rows, cols, out);
-            s.pool.put(rows);
-            return;
+            return flush_flat(table, rows, cols, s, out);
         };
         // Partition by the chosen field's value: multi-member groups become
-        // contiguous blocks, singletons flow to the residual branch.
-        let n_groups = s.group_dense(chosen as usize, table.col_sq_lens(chosen as usize), &rows);
-        let mut parts: Vec<(ValueId, Vec<u32>)> = Vec::with_capacity(n_groups);
-        let mut residual = s.pool.take();
-        // dense id → index into `parts` (u32::MAX for singleton groups).
-        let mut part_of = s.pool.take();
-        part_of.clear();
-        part_of.resize(
+        // contiguous blocks, largest first, singletons flow to the residual
+        // branch.
+        s.group_dense(chosen as usize, table.col_sq_lens(chosen as usize), &rows);
+        let mut groups = s.pool.take();
+        for &d in &s.touched {
+            if s.counts[d as usize] >= 2 {
+                groups.push(d);
+            }
+        }
+        groups.sort_unstable_by_key(|&d| {
+            let size = s.counts[d as usize];
+            (std::cmp::Reverse(size), s.value_of(chosen as usize, d))
+        });
+        // The groups' rows laid out in that order in `flat`, each in view
+        // order: `at[d]` is group `d`'s next slot (u32::MAX for singletons),
+        // its end once the pass is done.
+        let mut at = s.pool.take();
+        at.resize(
             s.touched.iter().map(|&d| d as usize + 1).max().unwrap_or(0),
             u32::MAX,
         );
+        let mut len = 0;
+        for &d in &groups {
+            at[d as usize] = len;
+            len += s.counts[d as usize];
+        }
+        let (mut flat, mut residual) = (s.pool.take(), s.pool.take());
+        flat.resize(len as usize, 0);
         for (k, &r) in rows.iter().enumerate() {
             let d = s.row_dense[k] as usize;
-            if s.counts[d] >= 2 {
-                if part_of[d] == u32::MAX {
-                    part_of[d] = parts.len() as u32;
-                    parts.push((s.value_of(chosen as usize, d as u32), s.pool.take()));
-                }
-                parts[part_of[d] as usize].1.push(r);
-            } else {
+            if at[d] == u32::MAX {
                 residual.push(r);
+            } else {
+                flat[at[d] as usize] = r;
+                at[d] += 1;
             }
         }
-        s.pool.put(part_of);
-        parts.sort_by_key(|(v, members)| (std::cmp::Reverse(members.len()), *v));
         residual.sort_unstable();
         let mut sub_cols = s.pool.take();
         sub_cols.extend(cols.iter().copied().filter(|&c| c != chosen));
+        let mut sub_by_bound = s.pool.take();
+        sub_by_bound.extend(by_bound.iter().copied().filter(|&c| c != chosen));
         s.pool.put(rows);
-        for (_, members) in parts {
-            let mark = out.len();
-            adaptive_rec(table, members, &sub_cols, s, out, dead);
-            // Lead every row of this block with the chosen field.
-            for (_, fields) in &mut out[mark..] {
-                fields.insert(0, chosen);
-            }
+        // Lead every row of these blocks with the chosen field.
+        s.prefix.push(chosen);
+        let mut start = 0;
+        for &d in &groups {
+            let end = at[d as usize] as usize;
+            let mut members = s.pool.take();
+            members.extend_from_slice(&flat[start..end]);
+            adaptive_rec(table, members, &sub_cols, &sub_by_bound, s, out, dead);
+            start = end;
+        }
+        s.prefix.pop();
+        for buf in [groups, at, flat, sub_cols, sub_by_bound] {
+            s.pool.put(buf);
         }
         if residual.is_empty() {
             s.pool.put(residual);
-            s.pool.put(sub_cols);
             return;
         }
         rows = residual;
-        s.pool.put(sub_cols);
     }
 }
 
@@ -339,6 +375,52 @@ mod tests {
         assert_eq!(order, vec![1]);
         let order = greedy_prefix_order(&t, &[], &[0, 1]);
         assert_eq!(order.len(), 2);
+    }
+
+    #[test]
+    fn gain_never_exceeds_the_bound() {
+        // Every sub-view of a fall-back view, every column: the gain
+        // `adaptive_rec` computes is at most `M_c · (n − 1)`, `M_c` taken over
+        // the enclosing view — the bound its scan stops on.
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(25);
+        for case in 0..300u32 {
+            let (n, m) = (rng.random_range(2..=40usize), rng.random_range(1..=6u32));
+            let max_len = if case % 3 == 0 { 1 << 20 } else { 60 };
+            let lens: Vec<u32> = (0..m * 8).map(|_| rng.random_range(1..=max_len)).collect();
+            let rows: Vec<Vec<(u32, u32)>> = (0..n)
+                .map(|_| {
+                    (0..m)
+                        .map(|c| {
+                            let id = c * 8 + rng.random_range(0..1 + case % 8);
+                            (id, lens[id as usize])
+                        })
+                        .collect()
+                })
+                .collect();
+            let refs: Vec<&[(u32, u32)]> = rows.iter().map(Vec::as_slice).collect();
+            let t = table(&refs);
+            let view: Vec<u32> = (0..n as u32).filter(|_| rng.random_bool(0.8)).collect();
+            let node: Vec<u32> = view
+                .iter()
+                .copied()
+                .filter(|_| rng.random_bool(0.7))
+                .collect();
+            if node.len() < 2 {
+                continue;
+            }
+            let mut s = Scratch::for_table(&t);
+            for c in 0..m as usize {
+                let sq = t.col_sq_lens(c);
+                let m_c = view.iter().map(|&r| sq[r as usize]).max().unwrap();
+                let (distinct, sum_sq) = s.distinct_and_sum_sq(c, sq, &node);
+                let k = node.len();
+                let gain = (sum_sq / k as f64) * (k - distinct) as f64;
+                let bound = m_c as f64 * (k - 1) as f64;
+                assert!(gain <= bound, "case {case} col {c}: {gain} > {bound}");
+            }
+        }
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! regardless of scheduling.
 
 use crate::fd::FunctionalDeps;
-use crate::plan::{ReorderPlan, RowPlan};
+use crate::plan::ReorderPlan;
 use crate::solver::{check_fd_arity, Reorderer, Solution, SolveError};
 use crate::table::ReorderTable;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -129,21 +129,17 @@ impl<R: Reorderer + Sync> Reorderer for Partitioned<R> {
             }
         });
 
-        let mut rows = Vec::with_capacity(n);
+        let mut plan = ReorderPlan::with_capacity(n, table.ncols());
         let mut claimed_phc = 0u64;
         for ((lo, _), partial) in chunk_bounds.into_iter().zip(partials) {
             let solution = partial.expect("every chunk index was claimed exactly once")?;
             claimed_phc += solution.claimed_phc;
-            rows.extend(
-                solution
-                    .plan
-                    .rows
-                    .into_iter()
-                    .map(|rp| RowPlan::new(rp.row + lo, rp.fields)),
-            );
+            for rp in solution.plan.rows() {
+                plan.push((rp.row + lo) as u32, &[], rp.fields);
+            }
         }
         Ok(Solution {
-            plan: ReorderPlan { rows },
+            plan,
             claimed_phc,
             solve_time: start.elapsed(),
         })

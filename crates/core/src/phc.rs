@@ -99,7 +99,7 @@ pub fn phc_of_plan(table: &ReorderTable, plan: &ReorderPlan) -> PhcReport {
     let mut report = PhcReport::default();
     let mut prev: OrderedRow = Vec::new();
     let mut cur: OrderedRow = Vec::new();
-    for (i, rp) in plan.rows.iter().enumerate() {
+    for (i, rp) in plan.rows().enumerate() {
         cur.clear();
         cur.extend(
             rp.fields
@@ -122,7 +122,6 @@ pub fn phc_of_plan(table: &ReorderTable, plan: &ReorderPlan) -> PhcReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::RowPlan;
     use crate::ValueId;
 
     fn c(id: u32, len: u32) -> Cell {
@@ -213,16 +212,9 @@ mod tests {
         t.push_row(vec![c(1, 2), c(3, 3)]).unwrap();
         t.push_row(vec![c(4, 2), c(3, 3)]).unwrap();
 
-        let plan = ReorderPlan {
-            rows: vec![
-                RowPlan::new(2, vec![1, 0]),
-                RowPlan::new(1, vec![1, 0]),
-                RowPlan::new(0, vec![0, 1]),
-            ],
-        };
+        let plan = ReorderPlan::from_rows([(2, [1, 0]), (1, [1, 0]), (0, [0, 1])]);
         let materialized: Vec<OrderedRow> = plan
-            .rows
-            .iter()
+            .rows()
             .map(|rp| {
                 rp.fields
                     .iter()

@@ -10,25 +10,26 @@ use crate::table::ReorderTable;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// Per-row part of a [`ReorderPlan`]: which original row, and in which order
-/// its fields are serialized into the prompt.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RowPlan {
+/// One scheduled row of a [`ReorderPlan`], borrowed from it: which original
+/// row, and in which order its fields are serialized into the prompt.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RowPlan<'a> {
     /// Original row index in the [`ReorderTable`].
     pub row: usize,
     /// Permutation of all column indices; `fields[0]` is serialized first.
-    pub fields: Vec<u32>,
-}
-
-impl RowPlan {
-    /// Creates a row plan.
-    pub fn new(row: usize, fields: Vec<u32>) -> Self {
-        RowPlan { row, fields }
-    }
+    pub fields: &'a [u32],
 }
 
 /// A complete request schedule: every table row exactly once, each with a
 /// full field permutation.
+///
+/// # Layout
+///
+/// Two flat arrays: `order[i]` is the original row at schedule position
+/// `i`; `fields[i·ncols .. (i+1)·ncols]` is its field order. Solvers write
+/// through one `push(row, prefix, rest)`, each row once, at its leaf — the
+/// leading fields of the subtree on a prefix stack — so a solve allocates
+/// two arrays however many rows it schedules. Readers see [`RowPlan`] views.
 ///
 /// # Examples
 ///
@@ -40,11 +41,12 @@ impl RowPlan {
 ///     .unwrap();
 /// let plan = ReorderPlan::identity(&t);
 /// assert!(plan.validate(&t).is_ok());
+/// assert_eq!(plan.row(0).fields, &[0, 1]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ReorderPlan {
-    /// Rows in schedule order.
-    pub rows: Vec<RowPlan>,
+    order: Vec<u32>,
+    fields: Vec<u32>,
 }
 
 /// Validation failures for a [`ReorderPlan`] (see [`ReorderPlan::validate`]).
@@ -91,20 +93,77 @@ impl fmt::Display for PlanError {
 impl std::error::Error for PlanError {}
 
 impl ReorderPlan {
+    /// An empty plan with room for `nrows` rows of `ncols` fields each.
+    pub(crate) fn with_capacity(nrows: usize, ncols: usize) -> Self {
+        ReorderPlan {
+            order: Vec::with_capacity(nrows),
+            fields: Vec::with_capacity(nrows * ncols),
+        }
+    }
+
+    /// A plan from `(row, fields)` pairs in schedule order, for tests and
+    /// hand-built schedules. Panics if the field lists differ in length or a
+    /// row index exceeds `u32::MAX`.
+    pub fn from_rows<F: AsRef<[u32]>>(rows: impl IntoIterator<Item = (usize, F)>) -> Self {
+        let mut plan = ReorderPlan::default();
+        for (row, fields) in rows {
+            let fields = fields.as_ref();
+            assert!(
+                plan.is_empty() || fields.len() == plan.ncols(),
+                "every row of a plan carries the same field count"
+            );
+            plan.push(u32::try_from(row).expect("row index fits u32"), &[], fields);
+        }
+        plan
+    }
+
+    /// Appends `row` with field order `prefix ++ rest` — the plan's one
+    /// writer; every row of a plan carries the same number of fields.
+    pub(crate) fn push(&mut self, row: u32, prefix: &[u32], rest: &[u32]) {
+        debug_assert!(self.is_empty() || prefix.len() + rest.len() == self.ncols());
+        self.order.push(row);
+        self.fields.extend_from_slice(prefix);
+        self.fields.extend_from_slice(rest);
+    }
+
     /// The identity schedule: original row order, schema field order for every
     /// row. This is the paper's *Cache (Original)* baseline.
     pub fn identity(table: &ReorderTable) -> Self {
         let fields: Vec<u32> = (0..table.ncols() as u32).collect();
-        ReorderPlan {
-            rows: (0..table.nrows())
-                .map(|r| RowPlan::new(r, fields.clone()))
-                .collect(),
+        let mut plan = ReorderPlan::with_capacity(table.nrows(), fields.len());
+        for r in 0..table.nrows() as u32 {
+            plan.push(r, &[], &fields);
         }
+        plan
     }
 
     /// Number of scheduled rows.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.order.len()
+    }
+
+    /// Whether the plan schedules no rows.
+    pub fn is_empty(&self) -> bool {
+        self.order.is_empty()
+    }
+
+    /// Fields per scheduled row (0 for an empty plan).
+    fn ncols(&self) -> usize {
+        self.fields.len().checked_div(self.order.len()).unwrap_or(0)
+    }
+
+    /// The row at schedule position `i` (panics if `i >= len()`).
+    pub fn row(&self, i: usize) -> RowPlan<'_> {
+        let w = self.ncols();
+        RowPlan {
+            row: self.order[i] as usize,
+            fields: &self.fields[i * w..(i + 1) * w],
+        }
+    }
+
+    /// The scheduled rows, in schedule order.
+    pub fn rows(&self) -> impl ExactSizeIterator<Item = RowPlan<'_>> + '_ {
+        (0..self.len()).map(|i| self.row(i))
     }
 
     /// Shared-prefix identity of every scheduled row, in schedule order.
@@ -127,8 +186,7 @@ impl ReorderPlan {
     /// Panics if the plan references rows or fields outside `table` (call
     /// [`validate`](ReorderPlan::validate) first for untrusted plans).
     pub fn prefix_keys(&self, table: &ReorderTable, depth: usize) -> Vec<u64> {
-        self.rows
-            .iter()
+        self.rows()
             .map(|rp| {
                 let mut h: u64 = 0xcbf2_9ce4_8422_2325;
                 for &f in rp.fields.iter().take(depth) {
@@ -142,11 +200,6 @@ impl ReorderPlan {
             .collect()
     }
 
-    /// Whether the plan schedules no rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Checks that this plan is a valid schedule for `table`: a permutation
     /// of its rows, each carrying a permutation of all its columns.
     ///
@@ -154,14 +207,15 @@ impl ReorderPlan {
     ///
     /// Returns the first [`PlanError`] found.
     pub fn validate(&self, table: &ReorderTable) -> Result<(), PlanError> {
-        if self.rows.len() != table.nrows() {
+        if self.len() != table.nrows() {
             return Err(PlanError::RowCount {
                 expected: table.nrows(),
-                got: self.rows.len(),
+                got: self.len(),
             });
         }
         let mut seen_rows = vec![false; table.nrows()];
-        for (position, rp) in self.rows.iter().enumerate() {
+        let mut seen_cols = vec![false; table.ncols()];
+        for (position, rp) in self.rows().enumerate() {
             if rp.row >= table.nrows() || seen_rows[rp.row] {
                 return Err(PlanError::NotARowPermutation { row: rp.row });
             }
@@ -169,8 +223,8 @@ impl ReorderPlan {
             if rp.fields.len() != table.ncols() {
                 return Err(PlanError::NotAFieldPermutation { position });
             }
-            let mut seen_cols = vec![false; table.ncols()];
-            for &f in &rp.fields {
+            seen_cols.fill(false);
+            for &f in rp.fields {
                 let f = f as usize;
                 if f >= table.ncols() || seen_cols[f] {
                     return Err(PlanError::NotAFieldPermutation { position });
@@ -209,8 +263,7 @@ mod tests {
     #[test]
     fn row_count_mismatch_rejected() {
         let t = table(3, 2);
-        let mut p = ReorderPlan::identity(&t);
-        p.rows.pop();
+        let p = ReorderPlan::from_rows([(0, [0, 1]), (1, [0, 1])]);
         assert_eq!(
             p.validate(&t),
             Err(PlanError::RowCount {
@@ -223,8 +276,7 @@ mod tests {
     #[test]
     fn duplicate_row_rejected() {
         let t = table(2, 2);
-        let mut p = ReorderPlan::identity(&t);
-        p.rows[1].row = 0;
+        let p = ReorderPlan::from_rows([(0, [0, 1]), (0, [0, 1])]);
         assert_eq!(
             p.validate(&t),
             Err(PlanError::NotARowPermutation { row: 0 })
@@ -234,8 +286,7 @@ mod tests {
     #[test]
     fn out_of_range_row_rejected() {
         let t = table(2, 2);
-        let mut p = ReorderPlan::identity(&t);
-        p.rows[1].row = 7;
+        let p = ReorderPlan::from_rows([(0, [0, 1]), (7, [0, 1])]);
         assert_eq!(
             p.validate(&t),
             Err(PlanError::NotARowPermutation { row: 7 })
@@ -245,8 +296,7 @@ mod tests {
     #[test]
     fn short_field_list_rejected() {
         let t = table(1, 3);
-        let mut p = ReorderPlan::identity(&t);
-        p.rows[0].fields.pop();
+        let p = ReorderPlan::from_rows([(0, [0, 1])]);
         assert_eq!(
             p.validate(&t),
             Err(PlanError::NotAFieldPermutation { position: 0 })
@@ -256,8 +306,7 @@ mod tests {
     #[test]
     fn duplicate_field_rejected() {
         let t = table(1, 2);
-        let mut p = ReorderPlan::identity(&t);
-        p.rows[0].fields = vec![1, 1];
+        let p = ReorderPlan::from_rows([(0, [1, 1])]);
         assert_eq!(
             p.validate(&t),
             Err(PlanError::NotAFieldPermutation { position: 0 })
@@ -267,10 +316,10 @@ mod tests {
     #[test]
     fn permuted_fields_accepted() {
         let t = table(2, 3);
-        let mut p = ReorderPlan::identity(&t);
-        p.rows[0].fields = vec![2, 0, 1];
-        p.rows.swap(0, 1);
+        let p = ReorderPlan::from_rows([(1, [0, 1, 2]), (0, [2, 0, 1])]);
         assert!(p.validate(&t).is_ok());
+        let rows: Vec<(usize, &[u32])> = p.rows().map(|rp| (rp.row, rp.fields)).collect();
+        assert_eq!(rows, [(1, &[0, 1, 2][..]), (0, &[2, 0, 1][..])]);
     }
 
     #[test]
@@ -327,8 +376,7 @@ mod tests {
             ])
             .unwrap();
         }
-        let mut plan = ReorderPlan::identity(&t);
-        plan.rows[1].fields = vec![1, 0];
+        let plan = ReorderPlan::from_rows([(0, [0, 1]), (1, [1, 0])]);
         let keys = plan.prefix_keys(&t, 1);
         assert_ne!(keys[0], keys[1]);
     }

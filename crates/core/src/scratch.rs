@@ -12,9 +12,9 @@
 //!   packed `(group, value)` pairs) to dense *slots* assigned in first-seen
 //!   order. Clearing is an epoch bump, not a memset, so a 10-row view pays
 //!   for 10 probes even when the backing table was sized for 10 000 rows.
-//! * [`Scratch`] — per-solve state: one `SlotMap` plus per-slot accumulator
-//!   arrays and a [`BufPool`] of `Vec<u32>` row/column buffers, so the steady
-//!   state of a recursion allocates nothing.
+//! * [`Scratch`] — per-solve state: one `SlotMap`, per-slot accumulators, a
+//!   [`BufPool`] of `Vec<u32>` row/column buffers and the plan's prefix
+//!   stack, so the steady state of a recursion allocates nothing.
 //! * [`SetInterner`] — canonical ids for row/column subsets (OPHR memo keys):
 //!   each distinct bitset is boxed once and every later occurrence resolves
 //!   to a `u32`, replacing the reference implementation's per-call
@@ -23,6 +23,7 @@
 //!   interner); solver keys are small and attacker-free, so SipHash's
 //!   flooding resistance buys nothing here.
 
+use crate::plan::ReorderPlan;
 use crate::ValueId;
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -233,6 +234,12 @@ pub(crate) struct Scratch {
     pub tot: Vec<f64>,
     /// Column membership mask, `ncols` long.
     pub col_mask: Vec<bool>,
+    /// Per column: the largest squared length in an adaptive fall-back's view
+    pub col_max: Vec<u64>,
+    /// … and the squared-length sum over one of its leaves.
+    pub col_sum: Vec<u64>,
+    /// The fields leading every row of the subtree being written (a stack).
+    pub prefix: Vec<u32>,
     /// Slot map for pair-keyed groupings ([`greedy_prefix_order`][o]).
     ///
     /// [o]: crate::order::greedy_prefix_order
@@ -256,28 +263,11 @@ impl Drop for Scratch {
         }
         let _ = SCRATCH_POOL.try_with(|pool| {
             let mut pool = pool.borrow_mut();
-            if pool.len() >= SCRATCH_POOL_CAP {
-                // Nothing constructed ⇒ no re-entrant drop of a recycled
-                // scratch: the allocations are simply freed.
-                return;
+            // When full, nothing is moved out: the allocations are simply
+            // freed, and no recycled scratch is dropped under the borrow.
+            if pool.len() < SCRATCH_POOL_CAP {
+                pool.push(std::mem::take(self));
             }
-            pool.push(Scratch {
-                dense: std::mem::take(&mut self.dense),
-                dense_values: std::mem::take(&mut self.dense_values),
-                stamp: std::mem::take(&mut self.stamp),
-                epoch: self.epoch,
-                counts: std::mem::take(&mut self.counts),
-                first_sq: std::mem::take(&mut self.first_sq),
-                touched: std::mem::take(&mut self.touched),
-                row_dense: std::mem::take(&mut self.row_dense),
-                acc: std::mem::take(&mut self.acc),
-                tot: std::mem::take(&mut self.tot),
-                col_mask: std::mem::take(&mut self.col_mask),
-                map: std::mem::take(&mut self.map),
-                pool: std::mem::take(&mut self.pool),
-                vstamp: std::mem::take(&mut self.vstamp),
-                vslot: std::mem::take(&mut self.vslot),
-            });
         });
     }
 }
@@ -324,6 +314,12 @@ impl Scratch {
         let m = table.ncols();
         self.col_mask.clear();
         self.col_mask.resize(m, false);
+        self.col_max.resize(m, 0); // written before read: no reset needed
+        self.col_sum.resize(m, 0);
+        self.prefix.clear();
+        // Largest on top, where `take` pops: a solve's first (largest) takes
+        // find the buffers earlier solves grew.
+        self.pool.bufs.sort_unstable_by_key(Vec::capacity);
         self.dense.truncate(m);
         self.dense.resize_with(m, Vec::new);
         self.dense_values.truncate(m);
@@ -399,6 +395,14 @@ impl Scratch {
         self.acc.resize(max_card, 0.0);
         self.tot.clear();
         self.tot.resize(max_card, 0.0);
+    }
+
+    /// Writes `rows`, each led by the prefix stack and then `fields`; pools `rows`.
+    pub fn emit(&mut self, out: &mut ReorderPlan, rows: Vec<u32>, fields: &[u32]) {
+        for &r in &rows {
+            out.push(r, &self.prefix, fields);
+        }
+        self.pool.put(rows);
     }
 
     /// The [`ValueId`] behind dense id `d` of column `c`.

@@ -188,26 +188,32 @@ impl CascadePlan {
     /// rows are exactly the error-prone ones, so raising the escalation
     /// threshold buys accuracy. A wrong answer is the cyclically next label
     /// in `label_space`; operators without a discrete label space (free-text
-    /// projections) are modelled as tier-insensitive and pass through.
-    pub fn cheap_label(&self, row: u64, reference: &str, label_space: &[String]) -> String {
+    /// projections) are modelled as tier-insensitive and pass through. The
+    /// answer borrows `reference` or `label_space`, so it costs nothing.
+    pub fn cheap_label<'a>(
+        &self,
+        row: u64,
+        reference: &'a str,
+        label_space: &'a [String],
+    ) -> &'a str {
         let p_correct =
             self.cheap.base_accuracy + (1.0 - self.cheap.base_accuracy) * self.confidence(row);
         if unit(self.seed, row, ANSWER_DRAW) < p_correct {
-            return reference.to_owned();
+            return reference;
         }
         if label_space.len() >= 2 {
             if let Some(pos) = label_space.iter().position(|l| l == reference) {
-                return label_space[(pos + 1) % label_space.len()].clone();
+                return &label_space[(pos + 1) % label_space.len()];
             }
         }
-        reference.to_owned()
+        reference
     }
 
     /// The label the cascade emits for `row`: the reference answer when the
     /// row escalates, the cheap tier's answer otherwise.
-    pub fn label(&self, row: u64, reference: &str, label_space: &[String]) -> String {
+    pub fn label<'a>(&self, row: u64, reference: &'a str, label_space: &'a [String]) -> &'a str {
         if self.escalates(row) {
-            reference.to_owned()
+            reference
         } else {
             self.cheap_label(row, reference, label_space)
         }
@@ -370,7 +376,7 @@ mod tests {
         assert!((wrong - 0.06).abs() < 0.01, "error rate {wrong}");
         for r in 0..256 {
             let l = plan.cheap_label(r, "Yes", &space);
-            assert!(space.contains(&l), "{l} not in label space");
+            assert!(space.iter().any(|s| s == l), "{l} not in label space");
         }
     }
 

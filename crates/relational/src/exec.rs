@@ -606,8 +606,7 @@ pub fn plan_requests(
     query: &LlmQuery,
 ) -> Vec<SimRequest> {
     let output_lens = OutputLens::new(&query.name, query.output_tokens_mean);
-    plan.rows
-        .iter()
+    plan.rows()
         .map(|rp| SimRequest {
             id: rp.row,
             prompt: row_prompt(encoded, rp).cloned().collect(),
@@ -624,7 +623,7 @@ pub fn plan_requests(
 /// workloads for a plan.
 pub(crate) fn row_prompt<'a>(
     encoded: &'a crate::EncodedTable,
-    rp: &'a llmqo_core::RowPlan,
+    rp: llmqo_core::RowPlan<'a>,
 ) -> impl Iterator<Item = &'a Arc<[TokenId]>> + 'a {
     std::iter::once(&encoded.instruction).chain(rp.fields.iter().map(move |&f| {
         let cell = encoded.reorder.cell(rp.row, f as usize);

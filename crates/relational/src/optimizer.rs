@@ -38,6 +38,7 @@ use crate::value::Value;
 use llmqo_costmodel::{CascadePlan, LlmOpEstimate, Pricing};
 use llmqo_tokenizer::Tokenizer;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::fmt;
 
 // ---------------------------------------------------------------------------
@@ -88,17 +89,20 @@ pub struct SqlPredicate {
 }
 
 impl SqlPredicate {
-    /// Evaluates the predicate on one cell value. Comparisons are numeric
-    /// when both sides parse as numbers, lexicographic on the rendered value
-    /// otherwise; `NULL` satisfies nothing.
+    /// Evaluates the predicate on one cell value. A value rendering as the
+    /// literal's exact text equals it (so a `nan` cell equals `'nan'`);
+    /// otherwise comparisons are numeric when both sides parse as numbers
+    /// (`'1e3' = '1000'`), lexicographic otherwise; `NULL` satisfies nothing.
     pub fn eval(&self, value: &Value) -> bool {
-        if matches!(value, Value::Null) {
-            return false;
-        }
-        let rendered = value.to_string();
-        let ord = match (rendered.parse::<f64>(), self.literal.parse::<f64>()) {
+        let text = match value {
+            Value::Null => return false,
+            Value::Str(s) => Cow::Borrowed(s.as_str()),
+            other => Cow::Owned(other.to_string()),
+        };
+        let ord = match (text.parse::<f64>(), self.literal.parse::<f64>()) {
+            _ if text == self.literal.as_str() => Some(std::cmp::Ordering::Equal),
             (Ok(a), Ok(b)) => a.partial_cmp(&b),
-            _ => Some(rendered.as_str().cmp(self.literal.as_str())),
+            _ => Some(text.as_ref().cmp(self.literal.as_str())),
         };
         let Some(ord) = ord else { return false };
         match self.op {
@@ -700,6 +704,125 @@ mod tests {
         assert!(pred("c", CmpOp::Ne, "x").eval(&Value::Str("y".into())));
         assert!(pred("c", CmpOp::Le, "b").eval(&Value::Str("a".into())));
         assert!(pred("c", CmpOp::Gt, "a").eval(&Value::Str("b".into())));
+    }
+
+    #[test]
+    fn a_cell_reading_nan_equals_the_literal_nan() {
+        for cell in [
+            Value::Str("nan".into()),
+            Value::Str("NaN".into()),
+            Value::Float(f64::NAN),
+        ] {
+            let text = cell.to_string();
+            assert!(pred("c", CmpOp::Eq, &text).eval(&cell), "{text} = '{text}'");
+            assert!(
+                !pred("c", CmpOp::Ne, &text).eval(&cell),
+                "{text} <> '{text}'"
+            );
+            assert!(
+                pred("c", CmpOp::Le, &text).eval(&cell),
+                "{text} <= '{text}'"
+            );
+        }
+        // Different spellings still compare as numbers: NaN against nothing,
+        // and '1e3' = '1000'.
+        assert!(!pred("c", CmpOp::Eq, "NaN").eval(&Value::Str("nan".into())));
+        assert!(!pred("c", CmpOp::Ne, "NaN").eval(&Value::Str("nan".into())));
+        assert!(pred("c", CmpOp::Eq, "1000").eval(&Value::Str("1e3".into())));
+    }
+
+    /// `eval` before the text-identity rule, rendering every cell.
+    fn eval_rendered(p: &SqlPredicate, value: &Value) -> bool {
+        if matches!(value, Value::Null) {
+            return false;
+        }
+        let rendered = value.to_string();
+        let ord = match (rendered.parse::<f64>(), p.literal.parse::<f64>()) {
+            (Ok(a), Ok(b)) => a.partial_cmp(&b),
+            _ => Some(rendered.as_str().cmp(p.literal.as_str())),
+        };
+        ord.is_some_and(|ord| match p.op {
+            CmpOp::Eq => ord.is_eq(),
+            CmpOp::Ne => ord.is_ne(),
+            CmpOp::Lt => ord.is_lt(),
+            CmpOp::Le => ord.is_le(),
+            CmpOp::Gt => ord.is_gt(),
+            CmpOp::Ge => ord.is_ge(),
+        })
+    }
+
+    mod eval_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        fn value() -> impl Strategy<Value = Value> {
+            let floats = vec![
+                f64::NAN,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                0.0,
+                -0.0,
+                1.5,
+                1000.0,
+                1e-7,
+                1e300,
+            ];
+            let cases = (
+                0u8..6,
+                ".*",
+                -1000i64..1000,
+                prop::sample::select(floats),
+                prop::bool::ANY,
+            );
+            cases.prop_map(|(kind, text, int, float, flag)| match kind {
+                0 => Value::Str(text),
+                1 => Value::Int(int),
+                2 => Value::Float(float),
+                3 => Value::Float(int as f64 / 8.0),
+                4 => Value::Bool(flag),
+                _ => Value::Null,
+            })
+        }
+
+        fn literal() -> impl Strategy<Value = String> {
+            let spellings: Vec<String> = [
+                "nan", "NaN", "inf", "-inf", "infinity", "1e3", "1000", "0", "-0", "true", "false",
+                "null", "", "a",
+            ]
+            .map(String::from)
+            .to_vec();
+            let cases = (
+                0u8..3,
+                ".*",
+                prop::sample::select(spellings),
+                -1000i64..1000,
+            );
+            cases.prop_map(|(kind, text, spelling, int)| match kind {
+                0 => text,
+                1 => spelling,
+                _ => int.to_string(),
+            })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(2048))]
+
+            #[test]
+            fn borrowed_eval_matches_rendered_eval_unless_text_identical(
+                v in value(),
+                literal in literal(),
+                op in prop::sample::select(vec![
+                    CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge,
+                ]),
+            ) {
+                let p = pred("c", op, &literal);
+                if !matches!(v, Value::Null) && v.to_string() == literal {
+                    prop_assert_eq!(p.eval(&v), matches!(op, CmpOp::Eq | CmpOp::Le | CmpOp::Ge));
+                } else {
+                    prop_assert_eq!(p.eval(&v), eval_rendered(&p, &v));
+                }
+            }
+        }
     }
 
     fn filter_query(name: &str, labels: usize, output_tokens: f64) -> LlmQuery {

@@ -389,7 +389,10 @@ impl<'q> Stage<'q> {
             } else {
                 out.opt.rows_cheap += 1;
             }
-            text = plan.label(row, &text, labels);
+            let label = plan.label(row, &text, labels);
+            if label != text {
+                text = label.to_owned();
+            }
         }
         out.outputs.push(RowOutput {
             row: original,

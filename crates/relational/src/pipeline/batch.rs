@@ -120,7 +120,7 @@ impl<'s, 'q> Batch<'s, 'q> {
         self.out.field_phc = phc_of_plan(compact, &solution.plan);
         self.out.solve_time_s = solution.solve_time.as_secs_f64();
         self.out.claimed_phc = solution.claimed_phc;
-        self.out.opt.llm_calls = solution.plan.rows.len() as u64;
+        self.out.opt.llm_calls = solution.plan.len() as u64;
         // Fan-out stages route each request by its reorder-plan prefix key
         // so a shared-prefix group lands on one replica; a single replica
         // never looks at keys, so skip the hashing.
@@ -151,7 +151,7 @@ impl<'s, 'q> Batch<'s, 'q> {
         let (stage, rows, enc) = (&mut *self.stage, self.rows, &self.enc);
         let (output_lens, prefix_keys) = (&stage.output_lens, &self.prefix_keys);
         let requests = positions.map(|ri| {
-            let rp = &plan.rows[ri];
+            let rp = plan.row(ri);
             let original = rows[enc.groups.representative(rp.row)];
             (
                 original,
@@ -200,13 +200,13 @@ impl<'s, 'q> Batch<'s, 'q> {
         // Completion records are consumed by request id, so the stage
         // engine's merge order (deterministic but replica-grouped under
         // fan-out) never affects results.
-        let mut completions = self.submit(plan, 0..plan.rows.len(), false)?;
+        let mut completions = self.submit(plan, 0..plan.len(), false)?;
         let mut failed = vec![false; self.enc.groups.len()];
         if let Some(f) = self.stage.opts.faults.filter(|f| f.error_ppm > 0) {
             let p = f64::from(f.error_ppm) / 1e6;
             let budget = f.max_attempts.max(1);
             let mut retries: Vec<usize> = Vec::new();
-            for (ri, rp) in plan.rows.iter().enumerate() {
+            for (ri, rp) in plan.rows().enumerate() {
                 let original = self.rows[self.enc.groups.representative(rp.row)];
                 let mut attempt = 1u32;
                 while attempt <= budget
@@ -241,7 +241,7 @@ impl<'s, 'q> Batch<'s, 'q> {
             // and offered rows ascend.
             completions.sort_unstable_by_key(|c| c.id);
             let mut cache = self.stage.executor.cache.borrow_mut();
-            for rp in plan.rows.iter().filter(|rp| !failed[rp.row]) {
+            for rp in plan.rows().filter(|rp| !failed[rp.row]) {
                 let c = &completions[rp.row];
                 debug_assert_eq!(c.id, self.rows[self.enc.groups.representative(rp.row)]);
                 let record = CachedAnswer {
@@ -265,7 +265,7 @@ impl<'s, 'q> Batch<'s, 'q> {
     /// stay per-row).
     fn label(&mut self, plan: &ReorderPlan, failed: &[bool]) -> Vec<usize> {
         let mut escalating: Vec<usize> = Vec::new();
-        for (ri, rp) in plan.rows.iter().enumerate() {
+        for (ri, rp) in plan.rows().enumerate() {
             let members = self.enc.groups.members(rp.row);
             let originals = members.iter().map(|&local| self.rows[local as usize]);
             if failed[rp.row] {

@@ -107,9 +107,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut anthropic = AnthropicCache::with_breakpoint(128);
         let mut usage_oa = Usage::default();
         let mut usage_an = Usage::default();
-        for rp in &solution.plan.rows {
+        for rp in solution.plan.rows() {
             let mut toks: Vec<u32> = encoded.instruction.to_vec();
-            for &f in &rp.fields {
+            for &f in rp.fields {
                 let cell = encoded.reorder.cell(rp.row, f as usize);
                 toks.extend_from_slice(&encoded.fragments[cell.value.as_u32() as usize]);
             }

@@ -82,7 +82,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "\nGGR schedule: first row {:?} (shared product description leads), \
          field-level hit rate {:.1}%",
-        solution.plan.rows[0],
+        solution.plan.row(0),
         report.hit_rate() * 100.0
     );
     Ok(())

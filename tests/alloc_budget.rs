@@ -7,6 +7,11 @@
 //! of its per-request records, so a few thousand requests must come in at a
 //! small fraction of an allocation each.
 //!
+//! The solver that orders those requests joins the budget: GGR writes its
+//! plan as two flat arrays and draws every other buffer from a scratch arena
+//! the thread keeps between solves, so a warm solve allocates a constant
+//! whatever the row count.
+//!
 //! This binary counts with its own `#[global_allocator]` (which is why it is
 //! a binary of its own: the crates forbid `unsafe`), per thread, so the test
 //! harness's other threads do not show up in the figure.
@@ -14,6 +19,8 @@
 mod common;
 
 use llmqo::cluster::{tag_requests, ArrivalProcess, PrefixAffinity};
+use llmqo::core::{Ggr, Reorderer};
+use llmqo::datasets::DatasetId;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -132,4 +139,29 @@ fn the_prompt_path_allocates_per_chunk_and_page_not_per_request() {
         per_request <= BUDGET_PER_REQUEST,
         "ClusterSim::run: {spent} allocations for {REQUESTS} requests ({per_request:.3} each)"
     );
+}
+
+/// The most a warm GGR solve may cost, in allocations: the plan's two
+/// arrays, the row and column lists, the hoisted column slices, and pooled
+/// buffers growing into new uses (36 on Movies and 47 on PDMX when the
+/// budget was set). The parent of the commit that set it spent more than
+/// one per row (a field list each, grown at every recursion level).
+const BUDGET_PER_SOLVE: u64 = 64;
+
+#[test]
+fn a_warm_solve_allocates_a_constant_not_per_row() {
+    for (id, rows) in [(DatasetId::Movies, 2_000), (DatasetId::Pdmx, 2_250)] {
+        let (table, fds) = common::filter_table(id, rows);
+        assert!(id != DatasetId::Pdmx || table.ncols() >= 40);
+        // The first solve on this thread builds the scratch arena it parks
+        // for the next.
+        let cold = Ggr::default().reorder(&table, &fds).unwrap();
+        let (spent, warm) = allocations_in(|| Ggr::default().reorder(&table, &fds).unwrap());
+        assert_eq!(warm.plan, cold.plan);
+        assert!(
+            spent <= BUDGET_PER_SOLVE,
+            "Ggr::reorder on {}: {spent} allocations for {rows} rows",
+            id.name()
+        );
+    }
 }

@@ -11,7 +11,7 @@
 use llmqo::cluster::{
     ClusterConfig, ClusterRequest, ClusterSim, LeastLoaded, PrefixAffinity, RoundRobin, Router,
 };
-use llmqo::core::Ggr;
+use llmqo::core::{FunctionalDeps, Ggr, ReorderTable};
 use llmqo::costmodel::CascadePlan;
 use llmqo::datasets::{Dataset, DatasetId};
 use llmqo::relational::{CascadeConfig, OptimizerConfig, QueryExecutor, SqlResult, SqlRunner};
@@ -239,6 +239,19 @@ pub fn cluster_sim(replicas: usize, queue_cap: usize) -> ClusterSim {
             queue_cap,
         },
     )
+}
+
+/// Dataset `id`'s filter query at `rows` rows, encoded, with its projected
+/// FDs: the solver input the suites, the alloc budget and the benches feed
+/// GGR.
+pub fn filter_table(id: DatasetId, rows: usize) -> (ReorderTable, FunctionalDeps) {
+    use llmqo::relational::{encode_table, project_fds, QueryKind};
+
+    let ds = Dataset::generate_with_rows(id, rows);
+    let query = ds.query_of_kind(QueryKind::Filter).expect("filter query");
+    let encoded = encode_table(&Tokenizer::new(), &ds.table, query).expect("encode");
+    let fds = project_fds(&ds.fds, &encoded.used_cols);
+    (encoded.reorder, fds)
 }
 
 /// A GGR-reordered movies filter workload (the fig_cluster feed): requests

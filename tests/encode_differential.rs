@@ -543,7 +543,7 @@ fn a_cache_hit_row_that_introduces_a_value_first_keeps_the_tie_order() {
         &flipped.plan, plan,
         "numbering over representatives flips the tie"
     );
-    let scheduled: Vec<usize> = plan.rows.iter().map(|rp| rp.row).collect();
+    let scheduled: Vec<usize> = plan.rows().map(|rp| rp.row).collect();
     assert_eq!(&scheduled[..2], &[2, 3], "bravo's group is served first");
 
     // And the serving report is the one the reference plan produces.

@@ -14,8 +14,8 @@
 //! Do not "fix" or optimize this module; its value is being frozen.
 
 use llmqo::core::{
-    FallbackOrdering, FunctionalDeps, GgrConfig, ReorderPlan, ReorderTable, Reorderer, RowPlan,
-    Solution, SolveError, ValueId,
+    FallbackOrdering, FunctionalDeps, GgrConfig, ReorderPlan, ReorderTable, Reorderer, Solution,
+    SolveError, ValueId,
 };
 use std::collections::HashMap;
 use std::time::Instant;
@@ -68,12 +68,11 @@ impl Reorderer for GgrReference {
         let rows: Vec<u32> = (0..table.nrows() as u32).collect();
         let cols: Vec<u32> = (0..table.ncols() as u32).collect();
         let (score, ordered) = ctx.ggr(&rows, &cols, 0, 0);
-        let plan = ReorderPlan {
-            rows: ordered
+        let plan = ReorderPlan::from_rows(
+            ordered
                 .into_iter()
-                .map(|(row, fields)| RowPlan::new(row as usize, fields))
-                .collect(),
-        };
+                .map(|(row, fields)| (row as usize, fields)),
+        );
         Ok(Solution {
             plan,
             claimed_phc: score.round() as u64,

@@ -9,8 +9,7 @@
 //! not optimize this module; its value is being frozen.
 
 use llmqo::core::{
-    FunctionalDeps, OphrConfig, ReorderPlan, ReorderTable, Reorderer, RowPlan, Solution,
-    SolveError, ValueId,
+    FunctionalDeps, OphrConfig, ReorderPlan, ReorderTable, Reorderer, Solution, SolveError, ValueId,
 };
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -82,12 +81,11 @@ impl Reorderer for OphrReference {
                     budget: self.config.budget.unwrap_or_default(),
                 })?;
         let ordered = ctx.build(&rows, &cols);
-        let plan = ReorderPlan {
-            rows: ordered
+        let plan = ReorderPlan::from_rows(
+            ordered
                 .into_iter()
-                .map(|(row, fields)| RowPlan::new(row as usize, fields))
-                .collect(),
-        };
+                .map(|(row, fields)| (row as usize, fields)),
+        );
         Ok(Solution {
             plan,
             claimed_phc,

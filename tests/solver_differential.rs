@@ -18,11 +18,11 @@ mod oracles {
 }
 
 use llmqo::core::{
-    Cell, FallbackOrdering, FunctionalDeps, Ggr, GgrConfig, Ophr, ReorderTable, Reorderer,
-    Solution, ValueId,
+    adaptive_prefix_plan, Cell, FallbackOrdering, FunctionalDeps, Ggr, GgrConfig, Ophr,
+    ReorderTable, Reorderer, Solution, ValueId,
 };
-use llmqo::datasets::{Dataset, DatasetId};
-use llmqo::relational::{encode_table, project_fds, QueryKind};
+use llmqo::datasets::DatasetId;
+use llmqo::relational::{encode_table, project_fds};
 use llmqo::tokenizer::Tokenizer;
 use oracles::ggr::GgrReference;
 use oracles::ophr::OphrReference;
@@ -128,6 +128,37 @@ fn fd_table_strategy(max_rows: usize) -> impl Strategy<Value = (ReorderTable, Fu
         })
 }
 
+/// Wide PDMX-like tables, 40–48 columns cycling through binary flags,
+/// mid-cardinality columns and per-row-unique columns, with lengths that
+/// differ by value — the shape on which the adaptive fall-back's early
+/// stop (`order.rs`) skips most of a scan.
+fn wide_table_strategy() -> impl Strategy<Value = ReorderTable> {
+    (40..=48usize, 8..=48usize)
+        .prop_flat_map(|(m, n)| proptest::collection::vec(proptest::collection::vec(0u32..8, m), n))
+        .prop_map(|rows| {
+            let m = rows[0].len();
+            let cols = (0..m).map(|c| format!("c{c}")).collect();
+            let mut t = ReorderTable::new(cols).unwrap();
+            for (r, row) in rows.iter().enumerate() {
+                let cells = row
+                    .iter()
+                    .enumerate()
+                    .map(|(c, &v)| {
+                        let v = match c % 3 {
+                            0 => v % 2,
+                            1 => v,
+                            _ => 8 + r as u32,
+                        };
+                        let id = c as u32 * 256 + v;
+                        Cell::new(ValueId::from_raw(id), 1 + (v * 7 + c as u32 * 13) % 29)
+                    })
+                    .collect();
+                t.push_row(cells).unwrap();
+            }
+            t
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -161,6 +192,14 @@ proptest! {
             for config in [GgrConfig::paper(), GgrConfig::exhaustive()] {
                 assert_ggr_matches(&t, &fds, config);
             }
+        }
+    }
+
+    #[test]
+    fn ggr_matches_reference_on_wide_tables(t in wide_table_strategy()) {
+        let fds = FunctionalDeps::empty(t.ncols());
+        for config in ggr_configs() {
+            assert_ggr_matches(&t, &fds, config);
         }
     }
 
@@ -209,19 +248,18 @@ fn solvers_match_reference_on_all_tier1_datasets() {
     // The solver benchmark's inputs: the Movies filter encoding at 250 /
     // 1 000 / 4 000 rows under the paper configuration, and exact OPHR on
     // the 16-row head of the 64-row encoding — every column, FDs declared.
-    let movies = |rows: usize| {
-        let ds = Dataset::generate_with_rows(DatasetId::Movies, rows);
-        let query = ds.query_of_kind(QueryKind::Filter).expect("filter query");
-        let encoded = encode_table(&tokenizer, &ds.table, query).expect("encoding succeeds");
-        let fds = project_fds(&ds.fds, &encoded.used_cols);
-        (encoded.reorder, fds)
-    };
+    let movies = |rows: usize| common::filter_table(DatasetId::Movies, rows);
     for rows in [250usize, 1000, 4000] {
         let (table, fds) = movies(rows);
         let opt = Ggr::default().reorder(&table, &fds).unwrap();
         let reference = GgrReference::default().reorder(&table, &fds).unwrap();
         assert_identical(&opt, &reference, &format!("GGR on movies-{rows}"));
     }
+    // The wide table the `solver/pdmx-wide` bench times: 57 columns.
+    let (table, fds) = common::filter_table(DatasetId::Pdmx, 400);
+    let opt = Ggr::default().reorder(&table, &fds).unwrap();
+    let reference = GgrReference::default().reorder(&table, &fds).unwrap();
+    assert_identical(&opt, &reference, "GGR on pdmx-400");
     let (table, fds) = movies(64);
     let head = table.head(16);
     let opt = Ophr::unbounded().reorder(&head, &fds).unwrap();
@@ -259,6 +297,36 @@ fn ggr_and_ophr_match_reference_when_a_value_recurs_with_different_lengths() {
     let opt = Ophr::unbounded().reorder(&t, &fds).unwrap();
     let reference = OphrReference::unbounded().reorder(&t, &fds).unwrap();
     assert_identical(&opt, &reference, "OPHR on ill-formed lengths");
+}
+
+/// The adaptive fall-back's tie rule at the edge of its bound: column `a`
+/// (constant, length 3) and column `b` (lengths 5, 5, 2) both gain exactly
+/// 18 on three rows, and `a`'s bound `M_a · (n − 1) = 9 · 2` is 18 too. `b`
+/// has the larger `M`, so it is scanned first; `a` must then be scanned
+/// when its index is smaller (and win the tie) and skipped when it is
+/// larger (and lose it) — on either side the plan is the oracle's.
+#[test]
+fn adaptive_bound_ties_go_to_the_lower_index() {
+    for (a, b, filler) in [(0usize, 1usize, 2usize), (2, 1, 0)] {
+        let mut t = ReorderTable::new(vec!["c0".into(), "c1".into(), "c2".into()]).unwrap();
+        for (r, (bv, bl)) in [(1u32, 5u32), (1, 5), (2, 2)].into_iter().enumerate() {
+            let mut cells = vec![Cell::new(ValueId::from_raw(0), 0); 3];
+            cells[a] = Cell::new(ValueId::from_raw(10), 3);
+            cells[b] = Cell::new(ValueId::from_raw(20 + bv), bl);
+            cells[filler] = Cell::new(ValueId::from_raw(30 + r as u32), 1);
+            t.push_row(cells).unwrap();
+        }
+        let plan = adaptive_prefix_plan(&t, &[0, 1, 2], &[0, 1, 2]);
+        assert_eq!(plan.row(0).fields[0] as usize, a.min(b), "tie at {a}/{b}");
+        let fallback_only = GgrConfig {
+            max_row_depth: Some(0),
+            ..GgrConfig::paper()
+        };
+        let fds = FunctionalDeps::empty(3);
+        for config in ggr_configs().into_iter().chain([fallback_only]) {
+            assert_ggr_matches(&t, &fds, config);
+        }
+    }
 }
 
 /// The paper-configuration claimed score must stay bit-identical through the
