@@ -598,9 +598,12 @@ impl<'a> Kernel<'a> {
                     replicas: self.replicas.len(),
                 });
             };
-            if entry.exclude == Some(choice) {
-                // A hedge with nowhere else to go is abandoned; its primary
-                // is still in flight.
+            if entry.exclude == Some(choice)
+                || (entry.exclude.is_some() && !self.snapshots.iter().any(|s| s.alive))
+            {
+                // A hedge with nowhere else to go — routed to its excluded
+                // replica, or with only that one up — is abandoned; its
+                // primary is still in flight.
                 self.admission.pop_front();
                 continue;
             }

@@ -43,7 +43,7 @@
 //! query results.
 
 use crate::adaptive::{AnswerCache, AnswerCacheStats, CacheSnapshotEntry};
-use crate::optimizer::OptStats;
+use crate::optimizer::{OptLevel, OptStats};
 use crate::pipeline::Stage;
 use crate::query::{LlmQuery, QueryKind};
 use crate::table::{Table, TableError};
@@ -239,19 +239,11 @@ impl StatementFaults {
 /// Physical-layer options for [`QueryExecutor::execute_with`].
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ExecOptions {
-    /// Exact request deduplication: rows with identical projected field
-    /// values share one engine request. Off by default (the differential
-    /// oracle's behaviour).
-    pub dedup: bool,
-    /// Session answer cache: rows whose exact prompt (instruction +
-    /// serialized projected fields) was ever submitted on this executor are
-    /// answered without a new engine request — across batches, operators,
-    /// and successive queries. Off by default. Queries with a
-    /// [`key_field`](crate::LlmQuery::key_field) are never cached: their
-    /// labeler draws depend on where the schedule placed the key field
-    /// (the positional-accuracy instrument of Fig. 6), which a cache hit
-    /// has no schedule to derive from.
-    pub answer_cache: bool,
+    /// The physical optimizations of the level: exact request
+    /// deduplication from [`OptLevel::Static`] up, the session answer cache
+    /// at [`OptLevel::Adaptive`]. [`OptLevel::Off`] by default (the
+    /// differential oracle's behaviour).
+    pub level: OptLevel,
     /// Deterministic fault injection and graceful degradation. `None` (the
     /// default) and `Some` with a zero `error_ppm` are byte-identical to
     /// fault-free execution.
@@ -271,7 +263,7 @@ impl ExecOptions {
     /// Options with deduplication enabled (answer cache off).
     pub fn deduped() -> Self {
         ExecOptions {
-            dedup: true,
+            level: OptLevel::Static,
             ..ExecOptions::default()
         }
     }
@@ -279,10 +271,8 @@ impl ExecOptions {
     /// Every physical optimization on: dedup plus the session answer cache.
     pub fn optimized() -> Self {
         ExecOptions {
-            dedup: true,
-            answer_cache: true,
-            faults: None,
-            cascade: None,
+            level: OptLevel::Adaptive,
+            ..ExecOptions::default()
         }
     }
 
@@ -422,8 +412,8 @@ pub struct QueryExecutor<'a> {
     pub(crate) llm: &'a dyn SimLlm,
     pub(crate) tokenizer: Tokenizer,
     /// Session answer cache (see [`AnswerCache`]): shared by every query
-    /// executed on this executor, consulted only when the caller opts in
-    /// via [`ExecOptions::answer_cache`]. Interior mutability keeps the
+    /// executed on this executor, consulted only at
+    /// [`OptLevel::Adaptive`]. Interior mutability keeps the
     /// execution API `&self` (the SQL runner holds the executor by shared
     /// reference).
     pub(crate) cache: RefCell<AnswerCache>,
@@ -523,8 +513,8 @@ impl<'a> QueryExecutor<'a> {
         self.execute_with(table, query, reorderer, fds, truth, ExecOptions::default())
     }
 
-    /// [`execute`](QueryExecutor::execute) with physical-layer options —
-    /// currently exact request deduplication ([`ExecOptions::dedup`]).
+    /// [`execute`](QueryExecutor::execute) with physical-layer options (see
+    /// [`ExecOptions::level`]).
     /// Deduplication never changes query results (each row still generates
     /// its own output); it shares engine requests between rows whose
     /// projected field values are identical, and the savings land in

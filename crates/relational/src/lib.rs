@@ -21,16 +21,18 @@
 //!   below LLM operators and rank LLM filters by cost/(1−selectivity)
 //!   (priced via `llmqo-costmodel`), and the batched physical executor adds
 //!   exact request deduplication and lazy `LIMIT` evaluation — provably
-//!   without changing results. The front end (`sql`) is split along its
-//!   data flow: `sql/lex` → `sql/parse` ([`parse_sql`], the AST) →
-//!   `sql/compile` (statement → plan) → the batch loop in `sql`, whose
+//!   without changing results. How much of it runs is one [`OptLevel`]:
+//!   off (the oracle), static, or adaptive. The front end (`sql`) is split
+//!   along its data flow: `sql/lex` → `sql/parse` ([`parse_sql`], the AST)
+//!   → `sql/compile` (statement → plan) → the batch loop in `sql`, whose
 //!   batch boundaries and re-ranks are `sql/schedule`'s and whose
 //!   `EXPLAIN [ANALYZE]` renderings are `sql/explain`'s.
-//! * [`adaptive`] — runtime re-optimization: a [`SelectivityTracker`]
-//!   feeds observed per-filter pass rates (Beta-smoothed over the static
-//!   prior) back into the ranking and the batch sizes between batches, and an
-//!   [`AnswerCache`] on the executor short-circuits every repeated prompt
-//!   across batches, operators, and successive queries.
+//! * [`adaptive`] — runtime re-optimization, the [`OptLevel::Adaptive`]
+//!   layer: a [`SelectivityTracker`] feeds observed per-filter pass rates
+//!   (Beta-smoothed over the static prior) back into the ranking and the
+//!   batch sizes between batches, and an [`AnswerCache`] on the executor
+//!   short-circuits every repeated prompt across batches, operators, and
+//!   successive queries.
 //!
 //! # Example: the SQL front-end
 //!
@@ -129,7 +131,7 @@ pub use exec::{
 };
 pub use optimizer::{
     annotate_estimates, estimate_llm_op, optimize_plan, CascadeConfig, CmpOp, LogicalOp,
-    LogicalPlan, OptStats, OptimizerConfig, SqlPredicate,
+    LogicalPlan, OptLevel, OptStats, OptimizerConfig, SqlPredicate,
 };
 pub use prompt::{encode_table, encode_table_rows, field_fragment, EncodedTable};
 pub use query::{LlmQuery, QueryKind};

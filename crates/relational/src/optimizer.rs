@@ -20,12 +20,12 @@
 //! [`SqlRunner`](crate::SqlRunner) interprets the optimized plan with
 //! deduplicated, batched execution, one serving stage per LLM-invoking
 //! operator ([`LogicalOp::llm_query`] is what makes an operator one). The
-//! config holds switches and sizes some caller sets to a second value;
-//! numbers with one value in use (the smallest lazy batch, the adaptive
-//! prior weight) are constants next to their readers. With every
-//! optimization disabled ([`OptimizerConfig::none`]) the physical executor
-//! reproduces the pre-optimizer pipeline byte for byte — the differential
-//! oracle the integration tests check against.
+//! config holds one of three nested [`OptLevel`]s, the physical mode, and
+//! the sizes some caller sets to a second value; numbers with one value in
+//! use (the smallest lazy batch, the adaptive prior weight) are constants
+//! next to their readers. At [`OptLevel::Off`] ([`OptimizerConfig::none`])
+//! the physical executor reproduces the pre-optimizer pipeline byte for
+//! byte — the differential oracle the integration tests check against.
 //!
 //! LLM operator costs are priced through `llmqo-costmodel`'s
 //! [`LlmOpEstimate`]: filters are sequenced by ascending
@@ -303,31 +303,56 @@ impl CascadeConfig {
     }
 }
 
-/// Which rewrite rules and physical optimizations are enabled.
+/// How much of the optimizer runs. The levels are ordered, and each one
+/// includes everything the level below it does.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
+pub enum OptLevel {
+    /// Every optimization off — the differential oracle: the physical
+    /// executor reproduces the fixed pre-optimizer pipeline, one engine
+    /// request per row and the statement as written.
+    #[default]
+    Off,
+    /// The static SQL-aware rewrites:
+    /// - exact request **deduplication** — rows with identical projected
+    ///   field values share one engine request per batch;
+    /// - operator **reordering** — SQL predicates below LLM predicates, LLM
+    ///   predicates by ascending cost/(1−selectivity) rank;
+    /// - `LIMIT`-driven **lazy evaluation** — LLM requests go out in
+    ///   doubling batches until the limit is met (the *lazy* rows of the
+    ///   batch-schedule table in `docs/ARCHITECTURE.md`);
+    /// - SELECT-list **projection pruning** — LLM calls whose field list
+    ///   came from a `*` expansion drop the columns no clause of the
+    ///   statement references, shrinking prompts, dedup keys and the
+    ///   solver's view. Only queries without a key field are pruned (always
+    ///   true for SQL-compiled ones), where the labeler's positional input
+    ///   is the constant `0.5`, so no row's label can change.
+    ///
+    /// No runtime feedback and no answer cache: the baseline the adaptive
+    /// layer is measured against (`table_adaptive`).
+    Static,
+    /// [`Static`](OptLevel::Static) plus the adaptive layer:
+    /// - observed LLM-filter pass rates are tracked batch by batch
+    ///   (Beta-smoothed over the static prior, see
+    ///   [`crate::SelectivityTracker`]) and the remaining LLM filters are
+    ///   re-ranked between batches;
+    /// - lazy batches are *aimed* at the limit, and statements with several
+    ///   LLM filters run *pilot* batches (`docs/ARCHITECTURE.md`, "The batch
+    ///   schedule");
+    /// - the session **answer cache** ([`crate::AnswerCache`]): a prompt ever
+    ///   submitted on the executor is never submitted again — across
+    ///   batches, operators and statements. Queries with a
+    ///   [`key_field`](crate::LlmQuery::key_field) are never cached: their
+    ///   labeler draws depend on where the schedule placed the key field,
+    ///   which a cache hit has no schedule to derive from.
+    Adaptive,
+}
+
+/// Which rewrite rules and physical optimizations are enabled, and the
+/// physical mode a statement runs in.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OptimizerConfig {
-    /// Exact request deduplication: rows with identical projected field
-    /// values share one engine request per batch.
-    pub dedup: bool,
-    /// Operator reordering: SQL predicates below LLM predicates, LLM
-    /// predicates by ascending cost/(1−selectivity) rank.
-    pub reorder: bool,
-    /// `LIMIT`-driven lazy evaluation: issue LLM requests in growing batches
-    /// and stop once the limit is satisfied. Batch sizes are the *lazy* rows
-    /// of the batch-schedule table in `docs/ARCHITECTURE.md`.
-    pub lazy_limit: bool,
-    /// Adaptive runtime re-optimization: track observed LLM-filter pass
-    /// rates batch by batch (Beta-smoothed over the static prior, see
-    /// [`crate::SelectivityTracker`]), re-rank remaining LLM filters
-    /// between batches, and let the batch schedule aim lazy batches at the
-    /// limit and run pilot batches (`docs/ARCHITECTURE.md`, "The batch
-    /// schedule").
-    pub adaptive: bool,
-    /// Session-scoped exact answer cache: a prompt (instruction +
-    /// serialized projected fields) ever submitted on this executor is
-    /// never submitted again — across batches, operators, and successive
-    /// queries. See [`crate::AnswerCache`].
-    pub answer_cache: bool,
+    /// Which optimizations run.
+    pub level: OptLevel,
     /// Deterministic per-statement fault injection and graceful
     /// degradation (see [`StatementFaults`](crate::StatementFaults)).
     /// `None` (the default everywhere) and `Some` with a zero `error_ppm`
@@ -358,14 +383,6 @@ pub struct OptimizerConfig {
     /// schedule ignores it. Smaller batches overlap more at higher
     /// per-batch overhead.
     pub pipeline_batch_rows: usize,
-    /// SELECT-list projection pruning: LLM calls whose field list came from
-    /// a `*` expansion drop columns that neither the SELECT list nor any
-    /// other clause of the statement references, shrinking prompts, dedup
-    /// keys, and the reorder solver's view. Only applied to queries without
-    /// a key field (always true for SQL-compiled queries), where the
-    /// labeler's positional input is the constant `0.5` — so pruning
-    /// provably cannot change any row's label.
-    pub prune_fields: bool,
     /// Model-tier cascade execution (see [`CascadeConfig`]). `None` (the
     /// default everywhere) is single-tier oracle mode; the differential
     /// suites pin that a `Some` plan with `escalate_below ≥ 1` stays
@@ -380,49 +397,32 @@ impl Default for OptimizerConfig {
 }
 
 impl OptimizerConfig {
-    /// Every optimization on (the default).
+    /// Every optimization on ([`OptLevel::Adaptive`], the default).
     pub fn all() -> Self {
         OptimizerConfig {
-            dedup: true,
-            reorder: true,
-            lazy_limit: true,
-            adaptive: true,
-            answer_cache: true,
-            faults: None,
-            pipeline: false,
-            pipeline_replicas: 1,
-            pipeline_batch_rows: 512,
-            prune_fields: true,
-            cascade: None,
+            level: OptLevel::Adaptive,
+            ..OptimizerConfig::none()
         }
     }
 
-    /// Every optimization off — the differential oracle: the physical
-    /// executor then reproduces the fixed pre-optimizer pipeline.
+    /// Every optimization off ([`OptLevel::Off`]) — the differential oracle.
     pub fn none() -> Self {
         OptimizerConfig {
-            dedup: false,
-            reorder: false,
-            lazy_limit: false,
-            adaptive: false,
-            answer_cache: false,
+            level: OptLevel::Off,
             faults: None,
             pipeline: false,
             pipeline_replicas: 1,
             pipeline_batch_rows: 512,
-            prune_fields: false,
             cascade: None,
         }
     }
 
-    /// The PR-3 static optimizer: every rewrite on but no runtime feedback
-    /// and no answer cache — the baseline the adaptive layer is measured
-    /// against (`table_adaptive`) and differentially tested against.
+    /// The static optimizer ([`OptLevel::Static`]): every rewrite on, no
+    /// runtime feedback and no answer cache.
     pub fn static_only() -> Self {
         OptimizerConfig {
-            adaptive: false,
-            answer_cache: false,
-            ..OptimizerConfig::all()
+            level: OptLevel::Static,
+            ..OptimizerConfig::none()
         }
     }
 
@@ -527,7 +527,7 @@ pub fn optimize_plan(
     pricing: &Pricing,
 ) -> (LogicalPlan, Vec<String>) {
     let mut notes = Vec::new();
-    if !config.reorder {
+    if config.level == OptLevel::Off {
         return (plan.clone(), notes);
     }
     // The mobile segment: the maximal run of filter operators after Scan.

@@ -51,6 +51,7 @@ use crate::exec::{
     project_fds, ExecError, ExecOptions, OutputLens, QueryExecutor, QueryOutput, RowOutput,
     StageOutcome,
 };
+use crate::optimizer::OptLevel;
 use crate::query::LlmQuery;
 use crate::table::Table;
 use batch::Batch;
@@ -283,7 +284,8 @@ impl<'q> Stage<'q> {
         // positional effects (Fig. 6), which caching would distort. Without
         // a key field, `key_field_pos` is the constant 0.5 on every path,
         // so hits label exactly as a cache-off run would.
-        let instruction = (opts.answer_cache && query.key_field.is_none()).then(|| {
+        let caches = opts.level == OptLevel::Adaptive && query.key_field.is_none();
+        let instruction = caches.then(|| {
             let mut cache = executor.cache.borrow_mut();
             cache.instruction_id(&query_cache_identity(query))
         });

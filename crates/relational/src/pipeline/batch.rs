@@ -8,6 +8,7 @@
 use super::{Stage, PREFIX_KEY_DEPTH};
 use crate::adaptive::{CachedAnswer, RowKey};
 use crate::exec::{row_prompt, ExecError, StageOutcome};
+use crate::optimizer::OptLevel;
 use crate::prompt::{encode_batch, EncodedBatch};
 use crate::query::LlmQuery;
 use crate::table::Table;
@@ -68,7 +69,7 @@ impl<'s, 'q> Batch<'s, 'q> {
             table,
             query,
             rows,
-            stage.opts.dedup,
+            stage.opts.level >= OptLevel::Static,
             lookup
                 .as_mut()
                 .map(|f| f as &mut dyn FnMut(usize, RowKey) -> bool),

@@ -176,13 +176,13 @@ impl DedupGroups {
 /// When `cached` is supplied, each row's [`RowKey`] is folded from its
 /// fragments' content keys on the way and offered to `cached(local, key)`;
 /// a row it answers (`true`) keeps nothing, a novel row keeps its id tuple
-/// in one flat arena. Novel rows are then grouped by identical tuple when
-/// `dedup` is on (one singleton group each otherwise). *Phase 2* pushes one
-/// row per group into the [`ReorderTable`]. The arena does not outlive the
-/// call.
+/// in one flat arena. Novel rows are then grouped by identical tuple.
+/// *Phase 2* pushes one row per group into the [`ReorderTable`]. The arena
+/// does not outlive the call.
 ///
-/// With neither a lookup nor dedup every row is its own group and the two
-/// phases fuse into [`encode_table_rows`]'s loop.
+/// Without `dedup` — and so without a lookup: the answer cache implies
+/// dedup — every row is its own group and the two phases fuse into
+/// [`encode_table_rows`]'s loop.
 ///
 /// # Errors
 ///
@@ -195,8 +195,9 @@ pub(crate) fn encode_batch(
     dedup: bool,
     mut cached: Option<&mut dyn FnMut(usize, RowKey) -> bool>,
 ) -> Result<EncodedBatch, TableError> {
+    debug_assert!(dedup || cached.is_none(), "the answer cache implies dedup");
     let mut encoder = BatchEncoder::new(tokenizer, table, query, rows.len(), cached.is_some())?;
-    if cached.is_none() && !dedup {
+    if !dedup {
         let reorder = encoder.encode_all(|i| rows[i]);
         return Ok(EncodedBatch {
             encoded: encoder.finish(reorder),
@@ -231,36 +232,21 @@ pub(crate) fn encode_batch(
         }
     }
 
-    let grouped = dedup.then(|| group_by_tuple(&arena, ncols, &novel));
+    let (groups, representatives) = group_by_tuple(&arena, ncols, &novel);
     let mut reorder = encoder.new_table();
-    reorder.reserve_rows(
-        grouped
-            .as_ref()
-            .map_or(novel.len(), |(groups, _)| groups.len()),
-    );
+    reorder.reserve_rows(groups.len());
     let mut row_buf: Vec<Cell> = Vec::with_capacity(ncols);
-    let mut push = |tuple: &[u32]| {
+    for &i in &representatives {
         row_buf.clear();
+        let tuple = &arena[i as usize * ncols..][..ncols];
         row_buf.extend(tuple.iter().map(|&id| encoder.cell(id)));
         reorder
             .push_row_slice(&row_buf)
             .unwrap_or_else(|_| unreachable!("row arity fixed by used_cols"));
-    };
-    let groups = match grouped {
-        Some((groups, representatives)) => {
-            for &i in &representatives {
-                push(&arena[i as usize * ncols..][..ncols]);
-            }
-            if !keys.is_empty() {
-                keys = representatives.iter().map(|&i| keys[i as usize]).collect();
-            }
-            groups
-        }
-        None => {
-            arena.chunks_exact(ncols).for_each(&mut push);
-            DedupGroups::singletons(novel)
-        }
-    };
+    }
+    if !keys.is_empty() {
+        keys = representatives.iter().map(|&i| keys[i as usize]).collect();
+    }
     Ok(EncodedBatch {
         encoded: encoder.finish(reorder),
         groups,
@@ -632,9 +618,10 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(256))]
 
             /// For any table, field list (repeats allowed), offered rows
-            /// (unsorted, repeated), hit mask and dedup setting, the batch
-            /// encoder's table is the full encode's representatives cell
-            /// for cell, over the same fragments, with the groups, hits and
+            /// (unsorted, repeated), dedup setting and — with dedup — hit
+            /// mask, the batch encoder's table is the full encode's
+            /// representatives cell for cell, over the same fragments, with
+            /// the groups, hits and
             /// row keys the one-phase front half derived from the full
             /// encode — on a cold table, a warm one, and under a tokenizer
             /// the table's dictionaries do not belong to.
@@ -646,6 +633,8 @@ mod tests {
                 switches in (prop::bool::ANY, prop::bool::ANY, prop::bool::ANY, prop::bool::ANY),
             ) {
                 let (dedup, with_lookup, warm, foreign) = switches;
+                // The answer cache implies dedup.
+                let with_lookup = with_lookup && dedup;
                 let table = pooled_table(&cells);
                 let names = ["a", "b", "n"];
                 let q = query(&fields.iter().map(|&f| names[f]).collect::<Vec<_>>());

@@ -34,7 +34,7 @@ pub use parse::{parse_sql, LlmCall, Projection, SqlStatement, WhereConjunct};
 
 use crate::adaptive::{SelectivityTracker, DEFAULT_PRIOR_STRENGTH};
 use crate::exec::{ExecError, ExecOptions, QueryExecutor, QueryOutput, StageOutcome};
-use crate::optimizer::{LogicalOp, LogicalPlan, OptStats, OptimizerConfig, SqlPredicate};
+use crate::optimizer::{LogicalOp, LogicalPlan, OptLevel, OptStats, OptimizerConfig, SqlPredicate};
 use crate::pipeline::Stage;
 use crate::query::LlmQuery;
 use crate::table::{Table, TableError};
@@ -244,8 +244,8 @@ impl<'a> SqlRunner<'a> {
     /// The physical interpreter: runs the optimized operator chain with one
     /// [`Stage`] per LLM operator, exact dedup and the session answer
     /// cache, one batch of candidates at a time. Which rows form the next
-    /// batch is the [`BatchSchedule`]'s decision; with
-    /// [`OptimizerConfig::adaptive`] on, observed per-filter pass rates are
+    /// batch is the [`BatchSchedule`]'s decision; at
+    /// [`OptLevel::Adaptive`], observed per-filter pass rates are
     /// folded into a [`SelectivityTracker`] batch by batch, and between
     /// batches the remaining LLM filters are re-ranked by posterior
     /// cost/(1−selectivity). Returns the result and, for `EXPLAIN ANALYZE`,
@@ -266,15 +266,14 @@ impl<'a> SqlRunner<'a> {
             fds,
             truth,
             exec_opts: ExecOptions {
-                dedup: self.opt.dedup,
-                answer_cache: self.opt.answer_cache,
+                level: self.opt.level,
                 faults: self.opt.faults,
                 cascade: self.opt.cascade.map(|cc| cc.plan),
             },
             pipelined: self.pipelines(plan),
             stages: ops.iter().map(|_| None).collect(),
             exec_order: Vec::new(),
-            tracker: seeded_tracker(self.opt.adaptive, ops),
+            tracker: seeded_tracker(self.opt.level, ops),
             emitted: Vec::new(),
             nodes: vec![NodeStats::default(); ops.len()],
             notes,
@@ -283,10 +282,7 @@ impl<'a> SqlRunner<'a> {
         let mut schedule = BatchSchedule::decide(&self.opt, plan, candidates.len());
         while let Some(batch) = schedule.next(run.emitted.len(), &run.tracker, &mut run.notes) {
             run.run_batch(&candidates[batch])?;
-            // Mid-query re-ranking is the runtime refinement of the static
-            // reorder rule — a config that disables reordering keeps the
-            // written LLM-predicate order, adaptively sized batches or not.
-            if self.opt.adaptive && self.opt.reorder && schedule.unscanned() > 0 {
+            if self.opt.level == OptLevel::Adaptive && schedule.unscanned() > 0 {
                 run.rerank(schedule.batches());
             }
         }
@@ -589,9 +585,9 @@ impl StatementRun<'_, '_> {
 /// with the optimizer's static priors: per LLM filter, and their product as
 /// the pipeline prior for batch sizing. Any other statement's stays empty
 /// and ignores what it is shown.
-fn seeded_tracker(adaptive: bool, ops: &[LogicalOp]) -> SelectivityTracker {
+fn seeded_tracker(level: OptLevel, ops: &[LogicalOp]) -> SelectivityTracker {
     let mut tracker = SelectivityTracker::new(DEFAULT_PRIOR_STRENGTH);
-    if adaptive {
+    if level == OptLevel::Adaptive {
         let mut pipeline_prior = 1.0;
         for (idx, op) in ops.iter().enumerate() {
             if let LogicalOp::LlmFilter { est, .. } = op {

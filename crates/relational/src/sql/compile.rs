@@ -5,7 +5,7 @@
 
 use super::parse::{LlmCall, Projection, SqlStatement, WhereConjunct};
 use super::{SqlError, SqlRunner};
-use crate::optimizer::{annotate_estimates, optimize_plan, LogicalOp, LogicalPlan};
+use crate::optimizer::{annotate_estimates, optimize_plan, LogicalOp, LogicalPlan, OptLevel};
 use crate::query::LlmQuery;
 use crate::table::Table;
 use llmqo_core::FunctionalDeps;
@@ -26,12 +26,12 @@ const AGGREGATION_RANGE: (i64, i64) = (1, 5);
 impl<'a> SqlRunner<'a> {
     /// The set of columns the statement references anywhere — SELECT list,
     /// cheap predicates, and explicit LLM field lists. Returns `None` (no
-    /// pruning) when [`OptimizerConfig::prune_fields`] is off or when the
-    /// projection itself reads every column (`SELECT *`, or a star LLM
-    /// projection), since then nothing is provably ignored. Star `LLM`
-    /// calls in `WHERE` contribute nothing: they are the prune targets.
+    /// pruning) at [`OptLevel::Off`] or when the projection itself reads
+    /// every column (`SELECT *`, or a star LLM projection), since then
+    /// nothing is provably ignored. Star `LLM` calls in `WHERE` contribute
+    /// nothing: they are the prune targets.
     fn statement_columns(&self, stmt: &SqlStatement) -> Option<HashSet<String>> {
-        if !self.opt.prune_fields {
+        if self.opt.level == OptLevel::Off {
             return None;
         }
         let mut cols = HashSet::new();

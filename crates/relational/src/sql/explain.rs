@@ -4,7 +4,7 @@
 use super::parse::{parse_sql, SqlStatement};
 use super::{SqlError, SqlResult, SqlRunner};
 use crate::exec::ExecutionReport;
-use crate::optimizer::{CascadeConfig, LogicalOp, LogicalPlan, OptStats};
+use crate::optimizer::{CascadeConfig, LogicalOp, LogicalPlan, OptLevel, OptStats};
 
 /// What one plan node measured while the statement ran.
 #[derive(Debug, Clone, Default)]
@@ -158,22 +158,20 @@ impl SqlRunner<'_> {
         out + ")"
     }
 
-    /// The `--` lines under a plan rendering: the optimizer switches; one
-    /// line per configured mode (faults, pipeline, cascade — absent when the
-    /// mode is off, so those renderings are unchanged); one `-- rewrite:`
-    /// line per optimizer note. `EXPLAIN ANALYZE` passes what the execution
-    /// measured, which extends the pipeline and cascade lines and appends
-    /// the `-- runtime:` notes.
+    /// The `--` lines under a plan rendering: what the optimizer level
+    /// switches on; one line per configured mode (faults, pipeline, cascade
+    /// — absent when the mode is off, so those renderings are unchanged);
+    /// one `-- rewrite:` line per optimizer note. `EXPLAIN ANALYZE` passes
+    /// what the execution measured, which extends the pipeline and cascade
+    /// lines and appends the `-- runtime:` notes.
     fn footer(&self, rewrites: &[String], measured: Option<Measured<'_>>) -> String {
         let opt = &self.opt;
+        let on_off = |on: bool| if on { "on" } else { "off" };
+        let stat = on_off(opt.level >= OptLevel::Static);
+        let adaptive = on_off(opt.level == OptLevel::Adaptive);
         let mut out = format!(
-            "-- optimizer: dedup {}, reorder {}, lazy limit {}, adaptive {}, \
-             answer cache {} (pricing: {})\n",
-            on_off(opt.dedup),
-            on_off(opt.reorder),
-            on_off(opt.lazy_limit),
-            on_off(opt.adaptive),
-            on_off(opt.answer_cache),
+            "-- optimizer: dedup {stat}, reorder {stat}, lazy limit {stat}, \
+             adaptive {adaptive}, answer cache {adaptive} (pricing: {})\n",
             self.pricing.name,
         );
         if let Some(fa) = opt.faults {
@@ -236,12 +234,4 @@ fn tier_dollars(cc: &CascadeConfig, opt: &OptStats) -> (f64, f64) {
             .expensive
             .cost(opt.esc_prompt_tokens as f64, opt.esc_output_tokens as f64),
     )
-}
-
-fn on_off(flag: bool) -> &'static str {
-    if flag {
-        "on"
-    } else {
-        "off"
-    }
 }

@@ -7,7 +7,7 @@
 
 use super::StatementRun;
 use crate::adaptive::SelectivityTracker;
-use crate::optimizer::{LogicalOp, LogicalPlan, OptimizerConfig};
+use crate::optimizer::{LogicalOp, LogicalPlan, OptLevel, OptimizerConfig};
 use llmqo_costmodel::TierPosterior;
 use std::ops::Range;
 
@@ -53,27 +53,25 @@ impl BatchSchedule {
         let count = |pick: fn(&LogicalOp) -> bool| plan.ops.iter().filter(|op| pick(op)).count();
         let streams = count(|op| matches!(op, LogicalOp::LlmAggregate { .. })) == 0;
         let has_llm = plan.llm_ops() > 0;
+        let adaptive = opt.level == OptLevel::Adaptive;
         // Lazy LIMIT applies when a limit exists, results stream row by row
         // (aggregation blocks), and stopping early actually saves LLM work.
         let stop_at = plan
             .limit()
-            .filter(|_| opt.lazy_limit && streams && has_llm);
+            .filter(|_| opt.level >= OptLevel::Static && streams && has_llm);
         // Without a LIMIT there is nothing to stop early — but a statement
         // with several LLM filters still profits from *pilot batching*: run
         // the first batch under the static order, observe real pass rates,
         // and evaluate the remaining rows under the corrected order. Pilot
-        // batching requires the answer cache: dedup groups only within one
-        // batch, so without the cache, splitting a duplicate-heavy
-        // statement into batches would re-issue each distinct prompt once
-        // per batch instead of once per statement.
-        let pilot = opt.adaptive
-            && opt.reorder
-            && opt.answer_cache
-            && count(|op| matches!(op, LogicalOp::LlmFilter { .. })) >= 2;
+        // batching is adaptive-only because it needs the answer cache: dedup
+        // groups only within one batch, so without the cache, splitting a
+        // duplicate-heavy statement into batches would re-issue each
+        // distinct prompt once per batch instead of once per statement.
+        let pilot = adaptive && count(|op| matches!(op, LogicalOp::LlmFilter { .. })) >= 2;
         // Lazy and pilot sizes win over the pipeline's: it only changes the
         // timeline the batches run on.
         let (size, growth) = match stop_at {
-            Some(limit) if opt.adaptive => (LAZY_BATCH_MIN.max(limit), Growth::Aimed),
+            Some(limit) if adaptive => (LAZY_BATCH_MIN.max(limit), Growth::Aimed),
             Some(limit) => (LAZY_BATCH_MIN.max(limit), Growth::Doubling),
             None if pilot => (LAZY_BATCH_MIN, Growth::Doubling),
             None if opt.pipeline && has_llm => (opt.pipeline_batch_rows.max(1), Growth::Fixed),
@@ -321,7 +319,7 @@ mod tests {
         pass_every: usize,
     ) -> (Vec<Range<usize>>, Vec<String>) {
         let mut tracker = SelectivityTracker::new(DEFAULT_PRIOR_STRENGTH);
-        if opt.adaptive {
+        if opt.level == OptLevel::Adaptive {
             tracker.register_pipeline(0.5);
         }
         let mut schedule = BatchSchedule::decide(&opt, plan, candidates);
@@ -402,12 +400,12 @@ mod tests {
             doubling,
             "pilot sizes win over the pipeline's"
         );
-        // One LLM filter has no order to correct; without the answer cache
-        // batching would re-issue duplicate prompts.
+        // One LLM filter has no order to correct; below the adaptive level
+        // there is no answer cache, and batching would re-issue duplicate
+        // prompts.
         assert_eq!(ranges(all, &plan(1, None), 300), vec![0..300]);
-        let mut uncached = all;
-        uncached.answer_cache = false;
-        assert_eq!(ranges(uncached, &plan(2, None), 300), vec![0..300]);
+        let stat = OptimizerConfig::static_only();
+        assert_eq!(ranges(stat, &plan(2, None), 300), vec![0..300]);
     }
 
     #[test]

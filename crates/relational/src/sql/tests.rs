@@ -501,6 +501,41 @@ fn explain_renders_optimized_plan() {
     assert!(res.rows.iter().any(|r| r[0].contains("Scan t")));
 }
 
+/// The `-- optimizer:` footer line names what each level runs, pinned byte
+/// for byte at every level.
+#[test]
+fn optimizer_footer_is_pinned_at_every_level() {
+    let (table, fds) = fixture();
+    let eng = engine();
+    let executor = QueryExecutor::new(&eng, &OracleLlm, Tokenizer::new());
+    let solver = Ggr::default();
+    for (opt, want) in [
+        (
+            OptimizerConfig::none(),
+            "-- optimizer: dedup off, reorder off, lazy limit off, adaptive off, \
+             answer cache off (pricing: GPT-4o-mini)",
+        ),
+        (
+            OptimizerConfig::static_only(),
+            "-- optimizer: dedup on, reorder on, lazy limit on, adaptive off, \
+             answer cache off (pricing: GPT-4o-mini)",
+        ),
+        (
+            OptimizerConfig::all(),
+            "-- optimizer: dedup on, reorder on, lazy limit on, adaptive on, \
+             answer cache on (pricing: GPT-4o-mini)",
+        ),
+    ] {
+        let mut runner = SqlRunner::new(&executor, &solver).with_optimizer(opt);
+        runner.register("t", &table, &fds);
+        let text = runner
+            .explain("SELECT review FROM t WHERE LLM('good?', review) = 'Yes' LIMIT 4")
+            .unwrap();
+        let footer = text.lines().find(|l| l.starts_with("-- optimizer:"));
+        assert_eq!(footer, Some(want), "{:?}\n{text}", opt.level);
+    }
+}
+
 #[test]
 fn parses_explain_analyze_prefix() {
     let stmt = parse_sql("EXPLAIN ANALYZE SELECT review FROM t LIMIT 2").unwrap();
@@ -749,7 +784,7 @@ fn batch_loop_runs_the_batches_its_schedule_yields() {
         let res = runner.run(&sql, &truth).unwrap();
 
         let (plan, _) = runner.plan_for(&parse_sql(&sql).unwrap()).unwrap();
-        let mut tracker = seeded_tracker(opt.adaptive, &plan.ops);
+        let mut tracker = seeded_tracker(opt.level, &plan.ops);
         let mut schedule = BatchSchedule::decide(&opt, &plan, table.nrows());
         let (mut emitted, mut notes) = (0, Vec::new());
         while let Some(batch) = schedule.next(emitted, &tracker, &mut notes) {

@@ -290,6 +290,45 @@ fn losing_every_replica_fails_all_requests_cleanly() {
     assert_eq!(fs.restarts, 0);
 }
 
+/// A hedge whose excluded replica is the only one still up has nowhere to
+/// go: it is abandoned, like one routed to its excluded replica, instead
+/// of blocking the admission head until the dispatcher stalls. Its primary
+/// is still in flight, so the ledger reconciles.
+#[test]
+fn a_hedge_excluded_from_the_last_live_replica_is_abandoned() {
+    let mut requests = common::prioritized_workload(8, 5, 4);
+    ArrivalProcess::Poisson {
+        rate_rps: 150.0,
+        seed: 5,
+    }
+    .assign(&mut requests);
+    let plan = FaultPlan::seeded(704)
+        .crash(2, 0.581)
+        .crash(1, 0.394)
+        .transient_errors_ppm(200_000);
+    let retry = RetryPolicy::retries(2)
+        .with_hedging(0.05)
+        .with_deadline(30.0);
+    for cap in [1, 2] {
+        let report = sim(3, cap)
+            .run_overloaded(
+                &mut RoundRobin,
+                &requests,
+                &plan,
+                &retry,
+                &OverloadPolicy::default(),
+            )
+            .unwrap_or_else(|e| panic!("cap {cap}: {e}"));
+        let fs = &report.faults;
+        assert_eq!(fs.offered, requests.len(), "cap {cap}");
+        assert_eq!(
+            (fs.succeeded, fs.failed),
+            (37, 3),
+            "cap {cap}: the ledger reconciles"
+        );
+    }
+}
+
 /// A router that counts consultations — the documented "stateful router"
 /// case: the dispatcher may re-ask after every simulation event while a
 /// chosen replica's queue is full, so a stateful policy observes extra

@@ -14,7 +14,9 @@ use llmqo::cluster::{
 use llmqo::core::{FunctionalDeps, Ggr, ReorderTable};
 use llmqo::costmodel::CascadePlan;
 use llmqo::datasets::{Dataset, DatasetId};
-use llmqo::relational::{CascadeConfig, OptimizerConfig, QueryExecutor, SqlResult, SqlRunner};
+use llmqo::relational::{
+    CascadeConfig, OptLevel, OptimizerConfig, QueryExecutor, SqlResult, SqlRunner,
+};
 use llmqo::serve::{
     Deployment, EngineConfig, GpuCluster, GpuSpec, ModelSpec, OracleLlm, SimEngine, SimRequest,
 };
@@ -293,17 +295,18 @@ pub struct MatrixEntry {
     pub exact: bool,
 }
 
-/// The seeded configuration matrix: every optimizer mode the repo ships,
-/// including the cascade endpoints. Entries with `exact == true` must be
-/// byte-identical to `OptimizerConfig::none()` on any statement; equal
-/// seeds reproduce the matrix (and each cascade's confidence stream)
+/// The seeded configuration matrix: every [`OptLevel`] under the sequential
+/// relay and under pipelined three-replica fan-out, plus single-replica
+/// micro-batching and the cascade endpoints. Entries with `exact == true`
+/// must be byte-identical to `OptimizerConfig::none()` on any statement;
+/// equal seeds reproduce the matrix (and each cascade's confidence stream)
 /// exactly.
 pub fn seeded_config_matrix(seed: u64) -> Vec<MatrixEntry> {
-    let mut pipelined = OptimizerConfig::pipelined(3);
-    pipelined.pipeline_batch_rows = 16;
-    // Micro-batching on single-replica stages: no routing, no prefix keys.
-    let mut pipelined_solo = OptimizerConfig::pipelined(1);
-    pipelined_solo.pipeline_batch_rows = 16;
+    let pipelined = |replicas: usize, level: OptLevel| OptimizerConfig {
+        level,
+        pipeline_batch_rows: 16,
+        ..OptimizerConfig::pipelined(replicas)
+    };
     // A cheap tier that is always right: never escalating still equals the
     // oracle, isolating the cascade *machinery* from cheap-model error.
     let perfect_cheap = {
@@ -311,30 +314,31 @@ pub fn seeded_config_matrix(seed: u64) -> Vec<MatrixEntry> {
         plan.cheap.base_accuracy = 1.0;
         plan
     };
-    vec![
-        MatrixEntry {
-            label: "none",
-            opt: OptimizerConfig::none(),
+    let levels = [
+        ("off", "pipelined-off", OptLevel::Off),
+        ("static", "pipelined-static", OptLevel::Static),
+        ("adaptive", "pipelined-adaptive", OptLevel::Adaptive),
+    ];
+    let mut matrix: Vec<MatrixEntry> = levels
+        .into_iter()
+        .flat_map(|(relay, piped, level)| {
+            let opt = OptimizerConfig {
+                level,
+                ..OptimizerConfig::none()
+            };
+            [(relay, opt), (piped, pipelined(3, level))]
+        })
+        .map(|(label, opt)| MatrixEntry {
+            label,
+            opt,
             exact: true,
-        },
-        MatrixEntry {
-            label: "all",
-            opt: OptimizerConfig::all(),
-            exact: true,
-        },
-        MatrixEntry {
-            label: "static-only",
-            opt: OptimizerConfig::static_only(),
-            exact: true,
-        },
-        MatrixEntry {
-            label: "pipelined",
-            opt: pipelined,
-            exact: true,
-        },
+        })
+        .collect();
+    matrix.extend([
+        // Micro-batching on single-replica stages: no routing, no prefix keys.
         MatrixEntry {
             label: "pipelined-solo",
-            opt: pipelined_solo,
+            opt: pipelined(1, OptLevel::Adaptive),
             exact: true,
         },
         MatrixEntry {
@@ -356,7 +360,8 @@ pub fn seeded_config_matrix(seed: u64) -> Vec<MatrixEntry> {
             ))),
             exact: false,
         },
-    ]
+    ]);
+    matrix
 }
 
 // ---------------------------------------------------------------------------

@@ -9,9 +9,9 @@
 //!   on random tables (proptest);
 //! * the executor's two-phase front half (ISSUE 17) hands its solver the
 //!   table "encode every offered row, then `select_rows` the dedup
-//!   representatives" would, for random tables × cache-hit masks × dedup
-//!   on/off, and on a fixture where numbering `ValueId`s over the
-//!   representatives only would flip a GGR tie;
+//!   representatives" would, for random tables × cache-hit masks (the
+//!   answer cache implies dedup), and on a fixture where numbering
+//!   `ValueId`s over the representatives only would flip a GGR tie;
 //! * `push_row` invalidates the cached dictionaries;
 //! * a checkpoint taken on a table's head still hits on the whole table
 //!   (numbers pinned at the parent commit);
@@ -313,17 +313,12 @@ fn run_front_half(
     warmed: &Table,
     offered: &Table,
     query: &LlmQuery,
-    dedup: bool,
     solver: &dyn Reorderer,
 ) -> FrontHalfRun {
     let eng = engine();
     let exec = QueryExecutor::new(&eng, &OracleLlm, tok);
     let fds = FunctionalDeps::empty(offered.ncols());
-    let opts = ExecOptions {
-        dedup,
-        answer_cache: true,
-        ..ExecOptions::default()
-    };
+    let opts = ExecOptions::optimized();
     if warmed.nrows() > 0 {
         exec.execute_with(warmed, query, &Ggr::default(), &fds, &mod3_truth, opts)
             .expect("warm-up runs");
@@ -345,14 +340,12 @@ fn run_front_half(
 
 /// The one-phase derivation the two-phase front half replaced: encode every
 /// offered row, drop the rows `warmed` already answered, group the rest by
-/// identical prompt text (when `dedup`), and `select_rows` the first row of
-/// each group. Returns that table and the representatives' row indices.
+/// identical prompt text, and `select_rows` the first row of each group. Returns that table and the representatives' row indices.
 fn full_encode_then_select(
     tok: &Tokenizer,
     warmed: &Table,
     offered: &Table,
     query: &LlmQuery,
-    dedup: bool,
 ) -> (ReorderTable, Vec<usize>, u64) {
     let answered: HashSet<String> = (0..warmed.nrows())
         .map(|r| row_text(warmed, r, query))
@@ -364,7 +357,7 @@ fn full_encode_then_select(
         let text = row_text(offered, r, query);
         if answered.contains(&text) {
             hits += 1;
-        } else if !(dedup && first_of.contains(&text)) {
+        } else if !first_of.contains(&text) {
             first_of.push(text);
             reps.push(r);
         }
@@ -381,12 +374,11 @@ fn assert_front_half_matches_select(
     warmed: &Table,
     offered: &Table,
     query: &LlmQuery,
-    dedup: bool,
     context: &str,
 ) -> (FrontHalfRun, ReorderTable) {
     let solver = Ggr::default();
-    let run = run_front_half(tok, warmed, offered, query, dedup, &solver);
-    let (want, reps, hits) = full_encode_then_select(&tok, warmed, offered, query, dedup);
+    let run = run_front_half(tok, warmed, offered, query, &solver);
+    let (want, reps, hits) = full_encode_then_select(&tok, warmed, offered, query);
     let opt = &run.out.report.opt;
     assert_eq!(opt.cache_hits, hits, "{context}: cache hits");
     assert_eq!(opt.llm_calls, reps.len() as u64, "{context}: calls");
@@ -458,19 +450,18 @@ proptest! {
     }
 
     /// (b) Through the executor: for random tables × cache-hit masks (the
-    /// rows an earlier batch on the same executor already submitted) ×
-    /// dedup on/off, the solver is handed `full_encode.select_rows(reps)`
-    /// cell for cell and the ledger matches.
+    /// rows an earlier batch on the same executor already submitted), the
+    /// solver is handed `full_encode.select_rows(reps)` cell for cell and
+    /// the ledger matches.
     #[test]
     fn the_solver_sees_full_encode_then_select_rows(
         cells in prop::collection::vec(prop::collection::vec(0u8..4, 3), 1..=24),
         fields in prop::collection::vec(0usize..3, 1..=4),
         warm in prop::collection::vec(0usize..1000, 0..=12),
         picks in prop::collection::vec(0usize..1000, 1..=40),
-        switches in (prop::bool::ANY, prop::bool::ANY),
+        foreign in prop::bool::ANY,
     ) {
         let _g = shared();
-        let (dedup, foreign) = switches;
         let table = pooled_table(&cells);
         let names = ["a", "b", "c"];
         let query = query_over(&fields.iter().map(|&f| names[f]).collect::<Vec<_>>());
@@ -485,7 +476,6 @@ proptest! {
             &table.select_rows(&pick(&warm)),
             &table.select_rows(&pick(&picks)),
             &query,
-            dedup,
             "random batch",
         );
     }
@@ -520,7 +510,7 @@ fn a_cache_hit_row_that_introduces_a_value_first_keeps_the_tie_order() {
     ]);
     let query = query_over(&["team", "note"]);
     let (run, want) =
-        assert_front_half_matches_select(tok, &warmed, &offered, &query, true, "numbering trap");
+        assert_front_half_matches_select(tok, &warmed, &offered, &query, "numbering trap");
     let (_, plan) = run.solved.as_ref().expect("four novel rows");
     assert_eq!(run.out.report.opt.cache_hits, 1);
 
@@ -548,7 +538,7 @@ fn a_cache_hit_row_that_introduces_a_value_first_keeps_the_tie_order() {
 
     // And the serving report is the one the reference plan produces.
     let reference = Ggr::default().reorder(&want, &fds).expect("ggr solves");
-    let replayed = run_front_half(tok, &warmed, &offered, &query, true, &Replay(reference));
+    let replayed = run_front_half(tok, &warmed, &offered, &query, &Replay(reference));
     assert_eq!(run.out.report.engine, replayed.out.report.engine);
     assert_eq!(run.out.outputs, replayed.out.outputs);
 }

@@ -7,8 +7,8 @@ use llmqo::core::{FunctionalDeps, Ggr, OriginalOrder};
 use llmqo::costmodel::CascadePlan;
 use llmqo::datasets::{Dataset, DatasetId};
 use llmqo::relational::{
-    parse_sql, CascadeConfig, DataType, Field, LlmQuery, OptimizerConfig, QueryExecutor, Schema,
-    SqlError, SqlResult, SqlRunner, StatementCheckpoint, StatementFaults, Table, Value,
+    parse_sql, CascadeConfig, DataType, Field, LlmQuery, OptLevel, OptimizerConfig, QueryExecutor,
+    Schema, SqlError, SqlResult, SqlRunner, StatementCheckpoint, StatementFaults, Table, Value,
 };
 use llmqo::serve::{
     Deployment, EngineConfig, GpuCluster, GpuSpec, ModelSpec, OracleLlm, SimEngine,
@@ -173,19 +173,22 @@ fn hostile_statements(c0: &str, c1: &str) -> [String; 12] {
     ]
 }
 
-/// The nine optimizer configurations of the hostile sweep: the four named
-/// modes, degenerate pipeline sizes, a cascade, and statement faults that
-/// fail every call under each degradation policy.
-fn hostile_configs() -> [OptimizerConfig; 9] {
+/// The eleven optimizer configurations of the hostile sweep: every
+/// [`OptLevel`] under the relay and under pipelined fan-out, degenerate
+/// pipeline sizes, a cascade, and statement faults that fail every call
+/// under each degradation policy.
+fn hostile_configs() -> Vec<OptimizerConfig> {
     let failing = |faults: StatementFaults| OptimizerConfig {
         faults: Some(faults),
         ..OptimizerConfig::all()
     };
-    [
-        OptimizerConfig::all(),
-        OptimizerConfig::none(),
-        OptimizerConfig::static_only(),
-        OptimizerConfig::pipelined(3),
+    let levels = [OptLevel::Off, OptLevel::Static, OptLevel::Adaptive];
+    let mut configs: Vec<OptimizerConfig> =
+        [OptimizerConfig::none(), OptimizerConfig::pipelined(3)]
+            .into_iter()
+            .flat_map(|mode| levels.map(|level| OptimizerConfig { level, ..mode }))
+            .collect();
+    configs.extend([
         OptimizerConfig {
             pipeline_batch_rows: 0,
             ..OptimizerConfig::pipelined(0)
@@ -194,7 +197,8 @@ fn hostile_configs() -> [OptimizerConfig; 9] {
         failing(StatementFaults::new(1_000_000, 7).with_attempts(0)),
         failing(StatementFaults::new(u32::MAX, 7)),
         failing(StatementFaults::new(1_000_000, 7).strict()),
-    ]
+    ]);
+    configs
 }
 
 /// Runs `sql` on a fresh runner over `table` — its answer cache under
@@ -261,7 +265,7 @@ fn hostile_statement_execution_never_panics() {
             }
         }
     }
-    assert_eq!(calls, 2592);
+    assert_eq!(calls, 3168);
     // Not vacuous: plain names execute, hostile ones are refused.
     assert!(ok > 500 && ok < calls - 500, "{ok} of {calls} calls ran");
 
