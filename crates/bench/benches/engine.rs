@@ -93,7 +93,7 @@ fn bench_chain(c: &mut Criterion) {
                     let cell = encoded.reorder.cell(rp.row, f as usize);
                     &encoded.fragments[cell.value.as_u32() as usize]
                 });
-                black_box(hasher.chain_iter(std::iter::once(&encoded.instruction).chain(fields)));
+                black_box(hasher.chain(std::iter::once(&encoded.instruction).chain(fields)));
             }
         })
     });

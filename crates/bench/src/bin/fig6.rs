@@ -13,7 +13,7 @@ use llmqo_bench::{harness, report};
 use llmqo_core::{Ggr, OriginalOrder, Reorderer};
 use llmqo_datasets::{Dataset, DatasetId};
 use llmqo_relational::{encode_table, project_fds, LlmQuery, QueryKind};
-use llmqo_serve::{GenRequest, ModelProfile, SimLlm};
+use llmqo_serve::{ModelProfile, SimLlm};
 use llmqo_tokenizer::Tokenizer;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -48,12 +48,7 @@ fn correctness(
             _ => 0.5,
         };
         let t = truth(rp.row);
-        let out = model.generate(&GenRequest {
-            row_id: rp.row as u64,
-            truth: &t,
-            label_space: &query.label_space,
-            key_field_pos: pos,
-        });
+        let out = model.generate(t.clone(), rp.row as u64, &query.label_space, pos);
         correct[rp.row] = out == t;
     }
     correct

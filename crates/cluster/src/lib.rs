@@ -91,6 +91,6 @@ mod sim;
 pub use fault::{FaultEvent, FaultPlan, FaultStats, RetryPolicy};
 pub use overload::{AdmissionPolicy, OverloadPolicy, ScalePolicy, ScaleStats, ShedStats};
 pub use report::{ClusterReport, ReplicaOccupancy, ReplicaReport};
-pub use request::{split_by_tier, tag_requests, ArrivalProcess, ClusterRequest};
+pub use request::{tag_requests, ArrivalProcess, ClusterRequest};
 pub use router::{LeastLoaded, PrefixAffinity, ReplicaSnapshot, RoundRobin, Router};
 pub use sim::{ClusterConfig, ClusterError, ClusterSim};

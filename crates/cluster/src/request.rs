@@ -26,17 +26,11 @@ pub struct ClusterRequest {
     /// important** and are shed last. Priority 0 (the default) is
     /// best-effort.
     pub priority: u8,
-    /// Model tier serving this request in a cascade deployment: tier 0 is
-    /// the cheap model every row visits first, tier 1 the expensive model
-    /// low-confidence rows escalate to. Tiers are separate model deployments
-    /// with disjoint KV caches, so dispatch keeps them on disjoint fleets —
-    /// see [`split_by_tier`]. Single-model clusters leave this at 0.
-    pub tier: u8,
 }
 
 impl ClusterRequest {
     /// Tags `request` with `prefix_key`, arriving at time zero as tenant 0,
-    /// priority 0, on tier 0.
+    /// priority 0.
     pub fn new(request: SimRequest, prefix_key: u64) -> Self {
         ClusterRequest {
             request,
@@ -44,7 +38,6 @@ impl ClusterRequest {
             arrival_s: 0.0,
             tenant: 0,
             priority: 0,
-            tier: 0,
         }
     }
 
@@ -68,25 +61,6 @@ impl ClusterRequest {
         self.priority = priority;
         self
     }
-
-    /// Sets the serving model tier (0 = cheap, 1 = escalation).
-    #[must_use]
-    pub fn tier(mut self, tier: u8) -> Self {
-        self.tier = tier;
-        self
-    }
-}
-
-/// Partitions a mixed-tier request stream into per-tier streams, preserving
-/// order within each tier. Cascade deployments serve each tier from its own
-/// model fleet — the tiers are different models with incompatible KV caches,
-/// so a shared dispatcher would both misroute (prefix keys collide across
-/// tiers) and mis-price. Run each returned stream through its own
-/// [`ClusterSim`](crate::ClusterSim).
-///
-/// Returns `(cheap, escalated)`: tier 0 and everything above it.
-pub fn split_by_tier(requests: Vec<ClusterRequest>) -> (Vec<ClusterRequest>, Vec<ClusterRequest>) {
-    requests.into_iter().partition(|r| r.tier == 0)
 }
 
 /// Pairs a request stream with its prefix keys (schedule order must match —
@@ -242,26 +216,5 @@ mod tests {
     #[should_panic(expected = "one prefix key per request")]
     fn tagging_rejects_length_mismatch() {
         let _ = tag_requests(vec![SimRequest::from_tokens(0, vec![1], 1)], &[1, 2]);
-    }
-
-    #[test]
-    fn tier_split_partitions_preserving_order() {
-        let mixed: Vec<ClusterRequest> = (0..6)
-            .map(|i| {
-                ClusterRequest::new(SimRequest::from_tokens(i, vec![1], 1), i as u64)
-                    .tier(u8::from(i % 3 == 0))
-            })
-            .collect();
-        let (cheap, escalated) = split_by_tier(mixed);
-        assert_eq!(
-            cheap.iter().map(|r| r.request.id).collect::<Vec<_>>(),
-            vec![1, 2, 4, 5]
-        );
-        assert_eq!(
-            escalated.iter().map(|r| r.request.id).collect::<Vec<_>>(),
-            vec![0, 3]
-        );
-        assert!(cheap.iter().all(|r| r.tier == 0));
-        assert!(escalated.iter().all(|r| r.tier == 1));
     }
 }

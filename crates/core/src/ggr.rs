@@ -45,7 +45,6 @@
 //! `tests/solver_differential.rs`).
 
 use crate::fd::FunctionalDeps;
-use crate::phc::phc_of_plan;
 use crate::plan::ReorderPlan;
 use crate::scratch::{partition_rows_by_value, DeadCols, Scratch};
 use crate::solver::{check_fd_arity, Reorderer, Solution, SolveError};
@@ -509,25 +508,11 @@ impl<'a> Ctx<'a> {
     }
 }
 
-/// Convenience: runs GGR with paper settings and returns the ground-truth
-/// (recomputed) PHC report alongside the solution.
-///
-/// # Errors
-///
-/// Propagates [`SolveError`] from the solver (FD arity mismatch).
-pub fn ggr_with_report(
-    table: &ReorderTable,
-    fds: &FunctionalDeps,
-) -> Result<(Solution, crate::PhcReport), SolveError> {
-    let solution = Ggr::default().reorder(table, fds)?;
-    let report = phc_of_plan(table, &solution.plan);
-    Ok((solution, report))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ophr::Ophr;
+    use crate::phc::phc_of_plan;
     use crate::table::Cell;
 
     fn c(id: u32, len: u32) -> Cell {
@@ -807,14 +792,6 @@ mod tests {
         let a = ggr(&t, &fds, GgrConfig::default());
         let b = ggr(&t, &fds, GgrConfig::default());
         assert_eq!(a.plan, b.plan);
-    }
-
-    #[test]
-    fn ggr_with_report_round_trips() {
-        let t = table(&[&[(1, 3)], &[(1, 3)]]);
-        let (s, r) = ggr_with_report(&t, &FunctionalDeps::empty(1)).unwrap();
-        assert_eq!(s.claimed_phc, r.phc);
-        assert_eq!(r.phc, 9);
     }
 
     #[test]

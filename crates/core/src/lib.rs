@@ -21,6 +21,10 @@
 //!   a statistics-chosen fixed ordering when recursion is stopped early.
 //! * [`OriginalOrder`], [`SortedFixed`], [`StatFixed`] — baselines.
 //!
+//! Every solve runs on the calling thread and reuses that thread's retired
+//! scratch arenas, so an executor that solves once per batch pays the
+//! arena allocations once.
+//!
 //! Each algorithm ships once. The frozen pre-columnar transcriptions of both
 //! solvers — the oracles `tests/solver_differential.rs` compares plans and
 //! claimed PHC against — are test fixtures under `tests/oracles/`, built on
@@ -54,7 +58,6 @@ mod ggr;
 mod intern;
 mod ophr;
 mod order;
-mod partition;
 mod phc;
 mod plan;
 mod scratch;
@@ -64,11 +67,10 @@ mod table;
 
 pub use baseline::{OriginalOrder, SortedFixed, StatFixed};
 pub use fd::FunctionalDeps;
-pub use ggr::{ggr_with_report, FallbackOrdering, Ggr, GgrConfig};
+pub use ggr::{FallbackOrdering, Ggr, GgrConfig};
 pub use intern::{Interner, ValueId};
 pub use ophr::{Ophr, OphrConfig};
 pub use order::{adaptive_prefix_plan, greedy_prefix_order};
-pub use partition::Partitioned;
 pub use phc::{hit_prefix_cells, phc_of_plan, phc_of_rows, PhcReport};
 pub use plan::{PlanError, ReorderPlan, RowPlan};
 pub use solver::{Reorderer, Solution, SolveError};

@@ -29,11 +29,10 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
-/// Retired [`Scratch`] arenas kept per thread for reuse. A worker that
-/// solves many chunks of a partitioned table ([`crate::Partitioned`]) — or
-/// an executor issuing one solve per query batch — pays the index-arena
-/// allocations once instead of per solve; rebuilding re-initializes every
-/// value, so reuse is invisible in solver output.
+/// Retired [`Scratch`] arenas kept per thread for reuse. An executor
+/// issuing one solve per query batch pays the index-arena allocations once
+/// instead of per solve; rebuilding re-initializes every value, so reuse is
+/// invisible in solver output.
 const SCRATCH_POOL_CAP: usize = 4;
 
 thread_local! {

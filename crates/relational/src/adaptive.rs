@@ -31,8 +31,7 @@
 //!   novel rows. Row keys are 64-bit content hashes folded from the table's
 //!   per-fragment hashes ([`RowKey`]; debug builds audit collisions against
 //!   the full key text) while the batch encoder interns the row, so a hit
-//!   costs one probe of a multiply-mix-hashed map and builds nothing;
-//!   optional entry/byte budgets evict in LRU order, and
+//!   costs one probe of a multiply-mix-hashed map and builds nothing, and
 //!   [`export`](AnswerCache::export)/[`absorb`](AnswerCache::absorb)
 //!   snapshots back statement checkpoint/resume
 //!   ([`StatementCheckpoint`](crate::StatementCheckpoint)).
@@ -46,7 +45,7 @@
 
 use crate::hash::MixBuild;
 use llmqo_costmodel::SelectivityPosterior;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 /// Default pseudo-observation weight of the optimizer's static prior in
 /// each operator posterior: small enough that the first real batch already
@@ -200,8 +199,6 @@ pub struct AnswerCacheStats {
     pub misses: u64,
     /// Distinct prompts currently stored.
     pub entries: u64,
-    /// Entries dropped by the LRU budget (0 for an unbounded cache).
-    pub evictions: u64,
 }
 
 impl AnswerCacheStats {
@@ -220,48 +217,42 @@ impl AnswerCacheStats {
 /// serialized projected fields, in query-field order.
 ///
 /// Every distinct `"name": "value", ` fragment of a table has a 64-bit
-/// content hash and a byte length (computed once, with its tokens, in the
-/// table's column dictionary). A row key is the ordered fold of its
-/// fragments' hashes, plus their summed byte length — the length of the
-/// concatenated key text, which is what byte budgets charge. Keys depend on
-/// content only: the same field values hash alike on any table, so a
-/// checkpoint taken over a prefix of a table hits on the whole table.
+/// content hash (computed once, with its tokens, in the table's column
+/// dictionary). A row key is the ordered fold of its fragments' hashes.
+/// Keys depend on content only: the same field values hash alike on any
+/// table, so a checkpoint taken over a prefix of a table hits on the whole
+/// table.
 ///
 /// # Examples
 ///
 /// ```
 /// use llmqo_relational::RowKey;
 /// let mut ab = RowKey::default();
-/// ab.push(0xa, 10);
-/// ab.push(0xb, 12);
+/// ab.push(0xa);
+/// ab.push(0xb);
 /// let mut ba = RowKey::default();
-/// ba.push(0xb, 12);
-/// ba.push(0xa, 10);
+/// ba.push(0xb);
+/// ba.push(0xa);
 /// assert_ne!(ab.hash, ba.hash, "field order is part of the identity");
-/// assert_eq!(ab.bytes, 22);
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct RowKey {
     /// Ordered fold of the row's fragment content hashes.
     pub hash: u64,
-    /// Summed byte length of the row's fragments.
-    pub bytes: usize,
 }
 
 impl RowKey {
-    /// Appends the next field's fragment (content hash, byte length).
-    pub fn push(&mut self, fragment_hash: u64, fragment_bytes: usize) {
+    /// Appends the next field's fragment content hash.
+    pub fn push(&mut self, fragment_hash: u64) {
         self.hash = (self.hash.rotate_left(23) ^ fragment_hash).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        self.bytes += fragment_bytes;
     }
 }
 
 /// One entry of an exported [`AnswerCache`] snapshot: the instruction text
 /// (interned ids are executor-local, so the snapshot carries the text), the
-/// row's [`RowKey`] split into its hash and its byte length (plus the fixed
-/// per-entry overhead) as the entry's charge against the cache budget, and
-/// the cached answer. The row's text is *not* stored — the cache keys by
-/// hash, and a resumed executor re-derives keys from live rows.
+/// row's [`RowKey`] hash, and the cached answer. The row's text is *not*
+/// stored — the cache keys by hash, and a resumed executor re-derives keys
+/// from live rows.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheSnapshotEntry {
     /// Interned instruction text (the operator's cache identity).
@@ -271,25 +262,8 @@ pub struct CacheSnapshotEntry {
     /// was FNV-1a over the concatenated key text; snapshots from that
     /// definition do not hit under this one.)
     pub key_hash: u64,
-    /// Bytes this entry charges against [`AnswerCache`] byte budgets.
-    pub bytes: usize,
     /// The cached serving-side answer record.
     pub answer: CachedAnswer,
-}
-
-/// Fixed per-entry byte charge on top of the row key's length: the hashed
-/// key, the answer record, and map bookkeeping.
-const ENTRY_OVERHEAD_BYTES: usize = 48;
-
-/// What one cache slot stores besides its identity.
-#[derive(Debug, Clone, Copy)]
-struct Slot {
-    answer: CachedAnswer,
-    /// Byte charge (key length + [`ENTRY_OVERHEAD_BYTES`]).
-    bytes: usize,
-    /// Recency stamp: the value of `next_seq` when the entry was inserted
-    /// or last hit. Eviction takes the smallest stamp first.
-    seq: u64,
 }
 
 /// A session-scoped exact answer cache: maps *prompt identity* —
@@ -304,65 +278,29 @@ struct Slot {
 /// so each entry costs a small fixed amount regardless of row width. 64
 /// bits over session-scale entry counts makes accidental collisions
 /// vanishingly rare; in debug builds the executor additionally audits every
-/// key against the full key text (`AnswerCache::audit`).
-///
-/// The cache is unbounded by default (byte-identical to the pre-budget
-/// behavior). [`bounded`](AnswerCache::bounded) /
-/// [`set_budget`](AnswerCache::set_budget) impose entry and/or byte
-/// budgets, enforced by least-recently-*used* eviction (lookups refresh
-/// recency, inserts start fresh). Recency is a stamp on the slot — a hit
-/// costs one store — and the eviction order is only materialized when a
-/// budget is actually exceeded.
+/// key against the full key text (`AnswerCache::audit`). The cache is
+/// unbounded: an entry lives until [`clear`](AnswerCache::clear).
 #[derive(Debug, Default)]
 pub struct AnswerCache {
     instructions: HashMap<String, u32>,
     /// Interned instruction texts by id (for snapshot export).
     names: Vec<String>,
-    /// `(instruction id, key hash)` → slot. The key is already a mixed
+    /// `(instruction id, key hash)` → answer. The key is already a mixed
     /// content hash of this crate's making, so the map mixes it once more
     /// instead of SipHashing it; no caller observes iteration order
-    /// (`export` sorts, eviction sorts by stamp).
-    entries: HashMap<(u32, u64), Slot, MixBuild>,
-    /// Eviction candidates `(stamp, entry key)`, oldest first, as of the
-    /// last time a budget was exceeded; empty otherwise. A candidate whose
-    /// slot has since been re-stamped or evicted is stale and skipped;
-    /// entries stamped later are all younger than every candidate, so the
-    /// queue is only rebuilt once it runs dry.
-    victims: VecDeque<(u64, (u32, u64))>,
-    next_seq: u64,
-    cur_bytes: usize,
-    max_entries: Option<usize>,
-    max_bytes: Option<usize>,
+    /// (`export` sorts).
+    entries: HashMap<(u32, u64), CachedAnswer, MixBuild>,
     hits: u64,
     misses: u64,
-    evictions: u64,
     /// Full key text per audited key, for the hash-collision audit (debug
     /// builds; empty otherwise).
     audited: HashMap<(u32, u64), String>,
 }
 
 impl AnswerCache {
-    /// Creates an empty, unbounded cache.
+    /// Creates an empty cache.
     pub fn new() -> Self {
         AnswerCache::default()
-    }
-
-    /// Creates an empty cache with entry and/or byte budgets (`None` =
-    /// unlimited on that axis).
-    pub fn bounded(max_entries: Option<usize>, max_bytes: Option<usize>) -> Self {
-        AnswerCache {
-            max_entries,
-            max_bytes,
-            ..AnswerCache::default()
-        }
-    }
-
-    /// Re-budgets a live cache, evicting least-recently-used entries
-    /// immediately if the new budget is already exceeded.
-    pub fn set_budget(&mut self, max_entries: Option<usize>, max_bytes: Option<usize>) {
-        self.max_entries = max_entries;
-        self.max_bytes = max_bytes;
-        self.enforce_budget();
     }
 
     /// Interns an instruction text, returning the id to use in
@@ -377,41 +315,24 @@ impl AnswerCache {
         id
     }
 
-    /// Looks up one row's prompt, counting the outcome in the stats. A hit
-    /// refreshes the entry's LRU recency.
+    /// Looks up one row's prompt, counting the outcome in the stats.
     pub fn lookup(&mut self, instruction: u32, key: RowKey) -> Option<CachedAnswer> {
-        if let Some(slot) = self.entries.get_mut(&(instruction, key.hash)) {
-            slot.seq = self.next_seq;
-            self.next_seq += 1;
+        let hit = self.entries.get(&(instruction, key.hash)).copied();
+        if hit.is_some() {
             self.hits += 1;
-            Some(slot.answer)
         } else {
             self.misses += 1;
-            None
         }
+        hit
     }
 
     /// Stores the answer record of a freshly submitted prompt. First write
     /// wins; a duplicate insert (two novel rows deduped into one request)
-    /// is a no-op. May evict least-recently-used entries if a budget is
-    /// set.
+    /// is a no-op.
     pub fn insert(&mut self, instruction: u32, key: RowKey, answer: CachedAnswer) {
-        let bytes = key.bytes + ENTRY_OVERHEAD_BYTES;
-        self.store((instruction, key.hash), bytes, answer);
-        self.enforce_budget();
-    }
-
-    /// Adds an entry with a fresh stamp unless its key is already present.
-    fn store(&mut self, k: (u32, u64), bytes: usize, answer: CachedAnswer) {
-        if let std::collections::hash_map::Entry::Vacant(e) = self.entries.entry(k) {
-            e.insert(Slot {
-                answer,
-                bytes,
-                seq: self.next_seq,
-            });
-            self.next_seq += 1;
-            self.cur_bytes += bytes;
-        }
+        self.entries
+            .entry((instruction, key.hash))
+            .or_insert(answer);
     }
 
     /// Debug-build collision audit: records the full key `text` the first
@@ -432,35 +353,6 @@ impl AnswerCache {
         );
     }
 
-    /// Evicts least-recently-used entries until both budgets hold.
-    fn enforce_budget(&mut self) {
-        loop {
-            let over_entries = self.max_entries.is_some_and(|m| self.entries.len() > m);
-            let over_bytes = self.max_bytes.is_some_and(|m| self.cur_bytes > m);
-            if !over_entries && !over_bytes {
-                return;
-            }
-            let Some((seq, k)) = self.victims.pop_front() else {
-                if self.entries.is_empty() {
-                    return;
-                }
-                let mut order: Vec<_> = self.entries.iter().map(|(&k, s)| (s.seq, k)).collect();
-                order.sort_unstable();
-                self.victims = order.into();
-                continue;
-            };
-            if self.entries.get(&k).is_none_or(|slot| slot.seq != seq) {
-                continue;
-            }
-            if let Some(slot) = self.entries.remove(&k) {
-                self.cur_bytes = self.cur_bytes.saturating_sub(slot.bytes);
-            }
-            #[cfg(debug_assertions)]
-            self.audited.remove(&k);
-            self.evictions += 1;
-        }
-    }
-
     /// Exports every live entry, sorted by `(instruction, key_hash)` so the
     /// snapshot is deterministic regardless of hash-map iteration order.
     /// The foundation of statement checkpointing
@@ -469,11 +361,10 @@ impl AnswerCache {
         let mut out: Vec<CacheSnapshotEntry> = self
             .entries
             .iter()
-            .map(|(&(id, key_hash), slot)| CacheSnapshotEntry {
+            .map(|(&(id, key_hash), &answer)| CacheSnapshotEntry {
                 instruction: self.names[id as usize].clone(),
                 key_hash,
-                bytes: slot.bytes,
-                answer: slot.answer,
+                answer,
             })
             .collect();
         out.sort_by(|a, b| {
@@ -486,7 +377,7 @@ impl AnswerCache {
 
     /// Merges a snapshot produced by [`export`](AnswerCache::export) into
     /// this cache (re-interning instruction texts). Existing entries win
-    /// over snapshot entries; budgets are enforced after the merge.
+    /// over snapshot entries.
     pub fn absorb(&mut self, snapshot: &[CacheSnapshotEntry]) {
         self.entries.reserve(snapshot.len());
         let mut last: Option<(&str, u32)> = None;
@@ -497,18 +388,16 @@ impl AnswerCache {
                 _ => self.instruction_id(&e.instruction),
             };
             last = Some((&e.instruction, id));
-            self.store((id, e.key_hash), e.bytes, e.answer);
+            self.entries.entry((id, e.key_hash)).or_insert(e.answer);
         }
-        self.enforce_budget();
     }
 
-    /// Hit/miss/entry/eviction counters.
+    /// Hit/miss/entry counters.
     pub fn stats(&self) -> AnswerCacheStats {
         AnswerCacheStats {
             hits: self.hits,
             misses: self.misses,
             entries: self.entries.len() as u64,
-            evictions: self.evictions,
         }
     }
 
@@ -523,17 +412,13 @@ impl AnswerCache {
     }
 
     /// Drops every entry and counter (e.g. between unrelated workloads
-    /// sharing one executor). Budgets are kept.
+    /// sharing one executor).
     pub fn clear(&mut self) {
         self.instructions.clear();
         self.names.clear();
         self.entries.clear();
-        self.victims.clear();
-        self.next_seq = 0;
-        self.cur_bytes = 0;
         self.hits = 0;
         self.misses = 0;
-        self.evictions = 0;
         #[cfg(debug_assertions)]
         self.audited.clear();
     }
@@ -549,7 +434,7 @@ mod tests {
         let hash = text
             .bytes()
             .fold(7u64, |h, b| h.wrapping_mul(31) + u64::from(b));
-        k.push(hash, text.len());
+        k.push(hash);
         k
     }
 
@@ -655,40 +540,6 @@ mod tests {
             prompt_tokens: n,
             output_tokens: 1,
         }
-    }
-
-    #[test]
-    fn bounded_cache_evicts_least_recently_used() {
-        let mut c = AnswerCache::bounded(Some(2), None);
-        let i = c.instruction_id("q");
-        c.insert(i, key("a"), ans(1));
-        c.insert(i, key("b"), ans(2));
-        // Touch "a" so "b" becomes the LRU victim.
-        assert_eq!(c.lookup(i, key("a")), Some(ans(1)));
-        c.insert(i, key("c"), ans(3));
-        assert_eq!(c.len(), 2);
-        assert_eq!(c.lookup(i, key("b")), None);
-        assert_eq!(c.lookup(i, key("a")), Some(ans(1)));
-        assert_eq!(c.lookup(i, key("c")), Some(ans(3)));
-        assert_eq!(c.stats().evictions, 1);
-    }
-
-    #[test]
-    fn byte_budget_and_rebudget_evict() {
-        // Each entry charges key length + fixed overhead; a budget of ~2.5
-        // entries holds 2.
-        let per_entry = 1 + ENTRY_OVERHEAD_BYTES;
-        let mut c = AnswerCache::bounded(None, Some(per_entry * 5 / 2));
-        let i = c.instruction_id("q");
-        for (n, k) in ["a", "b", "c"].iter().enumerate() {
-            c.insert(i, key(k), ans(n as u64));
-        }
-        assert_eq!(c.len(), 2);
-        assert_eq!(c.stats().evictions, 1);
-        // Tightening the budget on a live cache evicts immediately.
-        c.set_budget(Some(1), None);
-        assert_eq!(c.len(), 1);
-        assert_eq!(c.lookup(i, key("c")), Some(ans(2)));
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //! distinct `(column, value)`: `codes` maps each row to a dense code
 //! (distinctness by the value's `Display` text — the paper's exact-match
 //! identity), and the shared [`FragmentStore`] holds, per code, the
-//! `"name": "value", ` fragment's token stream, content hash and byte
-//! length — filled **on first use**, so a lazy `LIMIT` that touches 100
-//! rows of a 15 k-row table tokenizes 100 fragments, not 15 k.
+//! `"name": "value", ` fragment's token stream and content hash — filled
+//! **on first use**, so a lazy `LIMIT` that touches 100 rows of a 15 k-row
+//! table tokenizes 100 fragments, not 15 k.
 //!
 //! Dictionaries are built lazily per column (first query naming it),
 //! dropped by [`Table::push_row`], and inherited by
@@ -44,17 +44,10 @@ pub(crate) fn push_fragment(buf: &mut String, name: &str, value: impl Display) {
 pub(crate) struct Fragment {
     /// Token stream of the fragment text.
     pub tokens: Arc<[TokenId]>,
-    /// What the fragment contributes to an answer-cache row key.
-    pub key: FragmentKey,
-}
-
-/// The content identity of one fragment: a 64-bit hash of its text and the
-/// text's byte length. Row keys of the answer cache fold these in field
-/// order (see [`RowKey`](crate::adaptive::RowKey)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct FragmentKey {
+    /// The content identity of the fragment: a 64-bit hash of its text.
+    /// Row keys of the answer cache fold these in field order (see
+    /// [`RowKey`](crate::adaptive::RowKey)).
     pub hash: u64,
-    pub bytes: u32,
 }
 
 /// Per-code fragment slots of one column, shared (`Arc`) by a table and
@@ -93,10 +86,7 @@ impl FragmentStore {
             }
             Fragment {
                 tokens: Arc::from(tokenizer.tokenize(buf)),
-                key: FragmentKey {
-                    hash: content_hash(buf.as_bytes()),
-                    bytes: u32::try_from(buf.len()).unwrap_or(u32::MAX),
-                },
+                hash: content_hash(buf.as_bytes()),
             }
         };
         if self.tokenizer.get_or_init(|| *tokenizer) == tokenizer {
@@ -254,7 +244,7 @@ mod tests {
         let mut buf = String::new();
         let f = derived.store.fragment(2, &tok, "col", &column[3], &mut buf);
         assert_eq!(&*f.tokens, &tok.tokenize("\"col\": \"z\", ")[..]);
-        assert_eq!(f.key.bytes as usize, "\"col\": \"z\", ".len());
+        assert_eq!(f.hash, content_hash(b"\"col\": \"z\", "));
         // Only the touched slot is filled, and the parent sees it.
         let filled = |d: &ColumnDict| d.store.slots.iter().filter(|s| s.get().is_some()).count();
         assert_eq!(filled(&dict), 1);
@@ -275,7 +265,7 @@ mod tests {
         assert_eq!(&*a.tokens, &first.tokenize("\"c\": \"abcdefgh\", ")[..]);
         assert_eq!(&*b.tokens, &other.tokenize("\"c\": \"abcdefgh\", ")[..]);
         assert_ne!(a.tokens.len(), b.tokens.len());
-        assert_eq!(a.key, b.key, "the content key is tokenizer-independent");
+        assert_eq!(a.hash, b.hash, "the content key is tokenizer-independent");
     }
 
     #[test]

@@ -449,13 +449,6 @@ impl<'a> QueryExecutor<'a> {
         self.cache.borrow_mut().clear();
     }
 
-    /// Budgets the session answer cache (entries and/or bytes, `None` =
-    /// unlimited), evicting least-recently-used entries immediately if the
-    /// new budget is already exceeded. Unbounded by default.
-    pub fn set_answer_cache_budget(&self, max_entries: Option<usize>, max_bytes: Option<usize>) {
-        self.cache.borrow_mut().set_budget(max_entries, max_bytes);
-    }
-
     /// Snapshots the session answer cache as a [`StatementCheckpoint`].
     ///
     /// The executor inserts each batch's answers into the cache as the

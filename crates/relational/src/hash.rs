@@ -5,8 +5,7 @@
 //! 64-bit content hash) only ever see keys this crate produced, so SipHash's
 //! flooding resistance buys nothing there and its cost shows on every
 //! offered row. Neither map's iteration order is observed: dedup groups are
-//! numbered as they are first seen, `AnswerCache::export` sorts, and
-//! eviction sorts by stamp.
+//! numbered as they are first seen and `AnswerCache::export` sorts.
 
 use std::hash::{BuildHasherDefault, Hasher};
 

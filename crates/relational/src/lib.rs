@@ -30,9 +30,10 @@
 //! * [`adaptive`] — runtime re-optimization, the [`OptLevel::Adaptive`]
 //!   layer: a [`SelectivityTracker`] feeds observed per-filter pass rates
 //!   (Beta-smoothed over the static prior) back into the ranking and the
-//!   batch sizes between batches, and an [`AnswerCache`] on the executor
-//!   short-circuits every repeated prompt across batches, operators, and
-//!   successive queries.
+//!   batch sizes between batches, and an unbounded [`AnswerCache`] on the
+//!   executor short-circuits every repeated prompt across batches,
+//!   operators, and successive queries ([`StatementCheckpoint`] exports
+//!   and restores it whole).
 //!
 //! # Example: the SQL front-end
 //!

@@ -381,7 +381,7 @@ impl<'q> Stage<'q> {
         let mut text =
             self.executor
                 .llm
-                .generate_owned((self.truth)(original), row, labels, key_field_pos);
+                .generate((self.truth)(original), row, labels, key_field_pos);
         let mut escalated = false;
         if let Some(plan) = &self.opts.cascade {
             escalated = plan.escalates(row);

@@ -24,7 +24,7 @@
 //! sees.
 
 use crate::adaptive::RowKey;
-use crate::dict::{self, FragmentKey};
+use crate::dict;
 use crate::hash::MixBuild;
 use crate::query::LlmQuery;
 use crate::table::{Table, TableError};
@@ -306,8 +306,8 @@ struct BatchEncoder<'t> {
     remaps: Vec<Vec<u32>>,
     /// Token stream of each interned fragment, indexed by local id.
     fragments: Vec<Arc<[TokenId]>>,
-    /// Content key of each interned fragment; collected only when `keyed`.
-    keys: Vec<FragmentKey>,
+    /// Content hash of each interned fragment; collected only when `keyed`.
+    keys: Vec<u64>,
     keyed: bool,
     text_buf: String,
     /// Rows the caller will intern.
@@ -397,15 +397,14 @@ impl<'t> BatchEncoder<'t> {
                 );
                 self.fragments.push(fragment.tokens);
                 if self.keyed {
-                    self.keys.push(fragment.key);
+                    self.keys.push(fragment.hash);
                 }
                 *slot = u32::try_from(self.fragments.len())
                     .unwrap_or_else(|_| unreachable!("fewer than 2^32 distinct fragments"));
             }
             let id = *slot - 1;
             if self.keyed {
-                let fragment = self.keys[id as usize];
-                key.push(fragment.hash, fragment.bytes as usize);
+                key.push(self.keys[id as usize]);
             }
             cell(id, self.fragments[id as usize].len() as u32);
         }
@@ -605,7 +604,7 @@ mod tests {
         let mut key = RowKey::default();
         for (name, &col) in query.fields.iter().zip(used_cols) {
             let text = field_fragment(name, &table.value(r, col).to_string());
-            key.push(dict::content_hash(text.as_bytes()), text.len());
+            key.push(dict::content_hash(text.as_bytes()));
         }
         key
     }

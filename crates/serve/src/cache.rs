@@ -457,17 +457,14 @@ impl ChainHasher {
     /// The block chain of the logically concatenated `fragments` — equal to
     /// [`BlockChain::from_fragments`] for an enabled cache,
     /// [`ChainView::unhashed`] for a disabled one.
-    pub fn chain(&mut self, fragments: &[Arc<[TokenId]>]) -> ChainView<'_> {
-        self.chain_iter(fragments)
-    }
-
-    /// [`chain`](ChainHasher::chain) over borrowed fragments from any
-    /// source: a caller whose prompt is a *view* (an instruction followed by
-    /// cells of a fragment store, say) submits it without collecting the
-    /// `Arc`s first. One pass: leading fragments that are the previous
-    /// prompt's are skipped by address, and only the rest are cloned (the
-    /// hasher must pin what it remembers) and mixed in.
-    pub fn chain_iter<'a>(
+    ///
+    /// The fragments may come from any source: a caller whose prompt is a
+    /// *view* (an instruction followed by cells of a fragment store, say)
+    /// submits it without collecting the `Arc`s first. One pass: leading
+    /// fragments that are the previous prompt's are skipped by address, and
+    /// only the rest are cloned (the hasher must pin what it remembers) and
+    /// mixed in.
+    pub fn chain<'a>(
         &mut self,
         fragments: impl IntoIterator<Item = &'a Arc<[TokenId]>>,
     ) -> ChainView<'_> {

@@ -152,12 +152,6 @@ pub enum EngineError {
         /// Total capacity in blocks.
         capacity_blocks: usize,
     },
-    /// A structurally unusable configuration. Reserved for callers that
-    /// match on it: nothing in this crate returns it at present.
-    InvalidConfig {
-        /// What is wrong.
-        reason: &'static str,
-    },
 }
 
 impl fmt::Display for EngineError {
@@ -178,7 +172,6 @@ impl fmt::Display for EngineError {
                 f,
                 "request {id} needs {needed_blocks} KV blocks but capacity is {capacity_blocks}"
             ),
-            EngineError::InvalidConfig { reason } => write!(f, "invalid config: {reason}"),
         }
     }
 }

@@ -34,15 +34,10 @@ pub enum KeyFieldPreference {
 /// # Examples
 ///
 /// ```
-/// use llmqo_serve::{GenRequest, ModelProfile, SimLlm};
+/// use llmqo_serve::{ModelProfile, SimLlm};
 /// let model = ModelProfile::llama3_70b().with_base_accuracy(0.9);
 /// let labels = ["Yes".to_string(), "No".to_string()];
-/// let out = model.generate(&GenRequest {
-///     row_id: 3,
-///     truth: "Yes",
-///     label_space: &labels,
-///     key_field_pos: 0.5,
-/// });
+/// let out = model.generate("Yes".to_string(), 3, &labels, 0.5);
 /// assert!(out == "Yes" || out == "No");
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -114,85 +109,43 @@ impl ModelProfile {
     }
 }
 
-/// One labeling request.
-#[derive(Debug, Clone, Copy)]
-pub struct GenRequest<'a> {
-    /// Stable row identifier (drives the coupled random draw).
-    pub row_id: u64,
-    /// The ground-truth answer.
-    pub truth: &'a str,
-    /// Possible answers for classification queries; empty for free text.
-    pub label_space: &'a [String],
-    /// Relative position of the semantically key field in the serialized
-    /// prompt (`0.0` first … `1.0` last).
-    pub key_field_pos: f64,
-}
-
 /// Anything that produces an output string for a row.
 pub trait SimLlm {
-    /// Generates the model's answer for one row.
-    fn generate(&self, request: &GenRequest<'_>) -> String;
+    /// Generates the model's answer for one row: `truth` is the ground-truth
+    /// answer, owned so that a model whose answer *is* the truth hands the
+    /// buffer back instead of copying it; `row_id` is a stable row
+    /// identifier (it drives the coupled random draw); `label_space` holds
+    /// the possible answers of a classification query, empty for free text;
+    /// `key_field_pos` is the relative position of the semantically key
+    /// field in the serialized prompt (`0.0` first … `1.0` last).
+    fn generate(
+        &self,
+        truth: String,
+        row_id: u64,
+        label_space: &[String],
+        key_field_pos: f64,
+    ) -> String;
+}
 
-    /// [`generate`](SimLlm::generate) for a caller that owns the ground
-    /// truth and has no further use for it: a model whose answer *is* the
-    /// truth hands the buffer back instead of copying it. Must answer
-    /// exactly as `generate` does on the same fields.
-    fn generate_owned(
+impl SimLlm for ModelProfile {
+    fn generate(
         &self,
         truth: String,
         row_id: u64,
         label_space: &[String],
         key_field_pos: f64,
     ) -> String {
-        self.generate(&GenRequest {
-            row_id,
-            truth: &truth,
-            label_space,
-            key_field_pos,
-        })
-    }
-}
-
-impl ModelProfile {
-    /// Whether the coupled draw of `row_id` lands on the correct answer.
-    fn answers_truth(&self, row_id: u64, key_field_pos: f64) -> bool {
-        unit_hash(self.seed, row_id) < self.p_correct(key_field_pos)
-    }
-
-    /// Deterministic wrong answer: the next label in the space, or a
-    /// generic free-text miss.
-    fn wrong_answer(&self, row_id: u64, truth: &str, label_space: &[String]) -> String {
-        if label_space.len() > 1 {
-            let idx = label_space.iter().position(|l| l == truth).unwrap_or(0);
+        if unit_hash(self.seed, row_id) < self.p_correct(key_field_pos) {
+            truth
+        } else if label_space.len() > 1 {
+            // Deterministic wrong answer: the next label in the space.
+            let idx = label_space.iter().position(|l| *l == truth).unwrap_or(0);
             let offset =
                 1 + (mix(self.seed ^ 0xabcd, row_id) % (label_space.len() as u64 - 1)) as usize;
             label_space[(idx + offset) % label_space.len()].clone()
         } else {
+            // A generic free-text miss.
             "UNCLEAR".to_owned()
-        }
-    }
-}
-
-impl SimLlm for ModelProfile {
-    fn generate(&self, request: &GenRequest<'_>) -> String {
-        if self.answers_truth(request.row_id, request.key_field_pos) {
-            request.truth.to_owned()
-        } else {
-            self.wrong_answer(request.row_id, request.truth, request.label_space)
-        }
-    }
-
-    fn generate_owned(
-        &self,
-        truth: String,
-        row_id: u64,
-        label_space: &[String],
-        key_field_pos: f64,
-    ) -> String {
-        if self.answers_truth(row_id, key_field_pos) {
-            truth
-        } else {
-            self.wrong_answer(row_id, &truth, label_space)
         }
     }
 }
@@ -203,11 +156,7 @@ impl SimLlm for ModelProfile {
 pub struct OracleLlm;
 
 impl SimLlm for OracleLlm {
-    fn generate(&self, request: &GenRequest<'_>) -> String {
-        request.truth.to_owned()
-    }
-
-    fn generate_owned(&self, truth: String, _: u64, _: &[String], _: f64) -> String {
+    fn generate(&self, truth: String, _: u64, _: &[String], _: f64) -> String {
         truth
     }
 }
@@ -239,14 +188,7 @@ mod tests {
     fn accuracy(profile: &ModelProfile, pos: f64, n: u64) -> f64 {
         let ls = labels();
         let correct = (0..n)
-            .filter(|&row| {
-                profile.generate(&GenRequest {
-                    row_id: row,
-                    truth: "Yes",
-                    label_space: &ls,
-                    key_field_pos: pos,
-                }) == "Yes"
-            })
+            .filter(|&row| profile.generate("Yes".to_owned(), row, &ls, pos) == "Yes")
             .count();
         correct as f64 / n as f64
     }
@@ -255,13 +197,8 @@ mod tests {
     fn deterministic_per_row() {
         let m = ModelProfile::llama3_8b();
         let ls = labels();
-        let req = GenRequest {
-            row_id: 42,
-            truth: "Yes",
-            label_space: &ls,
-            key_field_pos: 0.2,
-        };
-        assert_eq!(m.generate(&req), m.generate(&req));
+        let ask = || m.generate("Yes".to_owned(), 42, &ls, 0.2);
+        assert_eq!(ask(), ask());
     }
 
     #[test]
@@ -310,14 +247,7 @@ mod tests {
         let m = ModelProfile::llama3_8b();
         let ls = labels();
         for row in 0..2_000 {
-            let at = |pos: f64| {
-                m.generate(&GenRequest {
-                    row_id: row,
-                    truth: "Yes",
-                    label_space: &ls,
-                    key_field_pos: pos,
-                }) == "Yes"
-            };
+            let at = |pos: f64| m.generate("Yes".to_owned(), row, &ls, pos) == "Yes";
             assert!(!at(0.0) || at(1.0), "row {row} flipped backwards");
         }
     }
@@ -329,12 +259,7 @@ mod tests {
         let ls = vec!["A".to_owned(), "B".to_owned(), "C".to_owned()];
         let mut wrong = 0;
         for row in 0..200 {
-            let out = m.generate(&GenRequest {
-                row_id: row,
-                truth: "A",
-                label_space: &ls,
-                key_field_pos: 0.5,
-            });
+            let out = m.generate("A".to_owned(), row, &ls, 0.5);
             assert!(ls.contains(&out), "answer {out} escaped the label space");
             if out != "A" {
                 wrong += 1;
@@ -346,12 +271,7 @@ mod tests {
     #[test]
     fn free_text_miss_is_marked() {
         let m = ModelProfile::llama3_8b().with_base_accuracy(0.0);
-        let out = m.generate(&GenRequest {
-            row_id: 1,
-            truth: "a summary",
-            label_space: &[],
-            key_field_pos: 0.5,
-        });
+        let out = m.generate("a summary".to_owned(), 1, &[], 0.5);
         assert_eq!(out, "UNCLEAR");
     }
 
@@ -359,80 +279,9 @@ mod tests {
     fn oracle_is_always_right() {
         let ls = labels();
         for row in 0..50 {
-            let out = OracleLlm.generate(&GenRequest {
-                row_id: row,
-                truth: "No",
-                label_space: &ls,
-                key_field_pos: row as f64 / 50.0,
-            });
+            let out = OracleLlm.generate("No".to_owned(), row, &ls, row as f64 / 50.0);
             assert_eq!(out, "No");
         }
-    }
-
-    #[test]
-    fn generate_owned_answers_exactly_as_generate() {
-        let spaces: [Vec<String>; 4] = [
-            vec![],
-            vec!["Yes".to_owned()],
-            labels(),
-            vec!["A".to_owned(), "B".to_owned(), "C".to_owned()],
-        ];
-        let truths = ["Yes", "No", "B", "a free-text summary", ""];
-        let mut wrong = 0;
-        for draw in 0..10_000u64 {
-            let seed = mix(0x17, draw);
-            let profile = ModelProfile {
-                seed,
-                ..[
-                    ModelProfile::llama3_8b(),
-                    ModelProfile::gpt4o(),
-                    ModelProfile::llama3_70b().with_base_accuracy(0.3),
-                ][(seed % 3) as usize]
-                    .clone()
-            };
-            let row_id = mix(seed, 1) >> (draw % 60);
-            let truth = truths[(mix(seed, 2) % truths.len() as u64) as usize];
-            let label_space = &spaces[(mix(seed, 3) % spaces.len() as u64) as usize];
-            let key_field_pos = unit_hash(seed, 4) * 1.2 - 0.1;
-            let request = GenRequest {
-                row_id,
-                truth,
-                label_space,
-                key_field_pos,
-            };
-            for llm in [&profile as &dyn SimLlm, &OracleLlm] {
-                let borrowed = llm.generate(&request);
-                let owned =
-                    llm.generate_owned(truth.to_owned(), row_id, label_space, key_field_pos);
-                assert_eq!(owned, borrowed, "draw {draw}");
-            }
-            wrong += usize::from(profile.generate(&request) != truth);
-        }
-        assert!(
-            (1_000..6_000).contains(&wrong),
-            "both branches ran: {wrong}"
-        );
-    }
-
-    #[test]
-    fn the_provided_generate_owned_forwards_every_field() {
-        /// An external labeler that implements `generate` alone.
-        struct Echo;
-        impl SimLlm for Echo {
-            fn generate(&self, r: &GenRequest<'_>) -> String {
-                format!(
-                    "{}|{}|{}|{}",
-                    r.row_id,
-                    r.truth,
-                    r.label_space.len(),
-                    r.key_field_pos
-                )
-            }
-        }
-        assert_eq!(
-            Echo.generate_owned("t".to_owned(), 9, &labels(), 0.25),
-            "9|t|2|0.25"
-        );
     }
 
     #[test]

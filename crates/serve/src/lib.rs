@@ -26,7 +26,9 @@
 //!   is a test fixture, `tests/oracles/session.rs`, built on this crate's
 //!   public API.)
 //! * [`ModelProfile`] / [`SimLlm`] — deterministic answer generation with
-//!   positional sensitivity for the accuracy study (Fig. 6).
+//!   positional sensitivity for the accuracy study (Fig. 6): one
+//!   [`generate`](SimLlm::generate) method that takes the row's ground
+//!   truth by value, so the oracle hands it back without a copy.
 //!
 //! # Example
 //!
@@ -76,6 +78,6 @@ pub use cache::{
 pub use engine::{Deployment, EngineConfig, EngineError, EngineReport, SimEngine, SimRequest};
 pub use fault::{confidence_unit, fault_unit, CONFIDENCE_DRAW};
 pub use hardware::{GpuCluster, GpuSpec};
-pub use labeler::{GenRequest, KeyFieldPreference, ModelProfile, OracleLlm, SimLlm};
+pub use labeler::{KeyFieldPreference, ModelProfile, OracleLlm, SimLlm};
 pub use model::ModelSpec;
 pub use session::{percentile, percentiles, Completion, EngineSession, SessionReport};

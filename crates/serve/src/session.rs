@@ -464,7 +464,7 @@ impl EngineSession {
         output_len: u32,
         fragments: impl IntoIterator<Item = &'a Arc<[TokenId]>>,
     ) {
-        let chain = self.hasher.chain_iter(fragments);
+        let chain = self.hasher.chain(fragments);
         let (prompt_tokens, span) = (chain.prompt_tokens(), self.arena.push(chain.blocks()));
         self.queue(id, output_len, prompt_tokens, span);
     }

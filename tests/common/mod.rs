@@ -496,81 +496,3 @@ pub fn reference_estimate_llm_op(
         if negated { 1.0 - pass } else { pass },
     )
 }
-
-/// The answer cache's recency bookkeeping as it was before the stamp-based
-/// rewrite, frozen: a `BTreeMap` from recency stamp to key that every hit
-/// removes from and re-inserts into, evicting the first entry while a
-/// budget is exceeded. Keys are `(hash, bytes)` pairs; `lookup`/`insert`
-/// return what the real cache would (hit or miss / nothing), and
-/// `evicted` lists victims in eviction order.
-#[derive(Debug, Default)]
-pub struct ReferenceLru {
-    entries: std::collections::HashMap<u64, (usize, u64)>,
-    order: std::collections::BTreeMap<u64, u64>,
-    next_seq: u64,
-    cur_bytes: usize,
-    pub max_entries: Option<usize>,
-    pub max_bytes: Option<usize>,
-    pub evicted: Vec<u64>,
-}
-
-impl ReferenceLru {
-    /// Fixed per-entry byte charge of the real cache.
-    pub const ENTRY_OVERHEAD_BYTES: usize = 48;
-
-    pub fn bounded(max_entries: Option<usize>, max_bytes: Option<usize>) -> Self {
-        ReferenceLru {
-            max_entries,
-            max_bytes,
-            ..ReferenceLru::default()
-        }
-    }
-
-    pub fn lookup(&mut self, hash: u64) -> bool {
-        let Some(slot) = self.entries.get_mut(&hash) else {
-            return false;
-        };
-        self.order.remove(&slot.1);
-        slot.1 = self.next_seq;
-        self.next_seq += 1;
-        self.order.insert(slot.1, hash);
-        true
-    }
-
-    pub fn insert(&mut self, hash: u64, key_bytes: usize) {
-        if self.entries.contains_key(&hash) {
-            return;
-        }
-        let bytes = key_bytes + Self::ENTRY_OVERHEAD_BYTES;
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.entries.insert(hash, (bytes, seq));
-        self.order.insert(seq, hash);
-        self.cur_bytes += bytes;
-        self.enforce_budget();
-    }
-
-    pub fn enforce_budget(&mut self) {
-        loop {
-            let over_entries = self.max_entries.is_some_and(|m| self.entries.len() > m);
-            let over_bytes = self.max_bytes.is_some_and(|m| self.cur_bytes > m);
-            if !over_entries && !over_bytes {
-                return;
-            }
-            let Some((&seq, &hash)) = self.order.iter().next() else {
-                return;
-            };
-            self.order.remove(&seq);
-            if let Some((bytes, _)) = self.entries.remove(&hash) {
-                self.cur_bytes -= bytes;
-            }
-            self.evicted.push(hash);
-        }
-    }
-
-    pub fn live(&self) -> Vec<u64> {
-        let mut keys: Vec<u64> = self.entries.keys().copied().collect();
-        keys.sort_unstable();
-        keys
-    }
-}

@@ -168,7 +168,7 @@ proptest! {
             prop_assert_eq!(BlockChain::from(chain), BlockChain::from_tokens(block_size, &flat));
             // The prompt as a view: a head, then cells looked up one by one.
             let view = prompt.first().into_iter().chain((1..prompt.len()).map(|i| &prompt[i]));
-            prop_assert_eq!(chain, borrowing.chain_iter(view));
+            prop_assert_eq!(chain, borrowing.chain(view));
             total_tokens += chain.prompt_tokens() as u64;
             for h in [&hasher, &borrowing] {
                 prop_assert_eq!(h.tokens_hashed() + h.tokens_reused(), total_tokens);

@@ -201,15 +201,13 @@ fn hostile_configs() -> Vec<OptimizerConfig> {
     configs
 }
 
-/// Runs `sql` on a fresh runner over `table` — its answer cache under
-/// `budget` (`max_entries`, `max_bytes`) with `restore` merged in — and
-/// reports a panic as an `Err` naming the case, so one sweep lists every
-/// offender.
+/// Runs `sql` on a fresh runner over `table` — its answer cache with
+/// `restore` merged in — and reports a panic as an `Err` naming the case,
+/// so one sweep lists every offender.
 fn run_hostile(
     table: &Table,
     opt: OptimizerConfig,
     sql: &str,
-    budget: (Option<usize>, Option<usize>),
     restore: Option<&StatementCheckpoint>,
 ) -> Result<Result<SqlResult, SqlError>, String> {
     let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -219,7 +217,6 @@ fn run_hostile(
         let fds = FunctionalDeps::empty(table.ncols());
         let mut runner = SqlRunner::new(&executor, &solver).with_optimizer(opt);
         runner.register("t", table, &fds);
-        executor.set_answer_cache_budget(budget.0, budget.1);
         if let Some(checkpoint) = restore {
             runner.restore(checkpoint);
         }
@@ -257,7 +254,7 @@ fn hostile_statement_execution_never_panics() {
             for sql in hostile_statements(names[0], names[1]) {
                 for opt in hostile_configs() {
                     calls += 1;
-                    match run_hostile(&table, opt, &sql, (None, None), None) {
+                    match run_hostile(&table, opt, &sql, None) {
                         Ok(outcome) => ok += usize::from(outcome.is_ok()),
                         Err(panic) => panics.push(panic),
                     }
@@ -269,9 +266,8 @@ fn hostile_statement_execution_never_panics() {
     // Not vacuous: plain names execute, hostile ones are refused.
     assert!(ok > 500 && ok < calls - 500, "{ok} of {calls} calls ran");
 
-    // Hostile cells and answer-cache budgets: NULL, NaN and `i64::MIN`
-    // cells under a cache that may hold nothing, and a checkpoint restored
-    // into a budget tighter than the one it was taken under.
+    // Hostile cells: NULL, NaN and `i64::MIN` cells on a cold cache, and
+    // with a checkpoint taken over the same cells restored.
     let mut cells = Table::new(Schema::new(vec![
         Field::new("a", DataType::Float),
         Field::new("b", DataType::Int),
@@ -297,15 +293,10 @@ fn hostile_statement_execution_never_panics() {
         }
         runner.checkpoint()
     };
-    for (budget, restore) in [
-        ((None, None), None),
-        ((Some(0), None), None),
-        ((None, Some(0)), None),
-        ((Some(1), Some(8)), Some(&checkpoint)),
-    ] {
+    for restore in [None, Some(&checkpoint)] {
         for sql in hostile_statements("a", "b") {
             for opt in hostile_configs() {
-                if let Err(panic) = run_hostile(&cells, opt, &sql, budget, restore) {
+                if let Err(panic) = run_hostile(&cells, opt, &sql, restore) {
                     panics.push(panic);
                 }
             }
