@@ -287,8 +287,8 @@ impl ExecOptions {
     }
 }
 
-/// What one batch (or an accumulation of batches) of LLM evaluation
-/// produced, before being shaped into a [`QueryOutput`].
+/// What an LLM operator's batches produced, accumulated batch by batch,
+/// before being shaped into a [`QueryOutput`].
 #[derive(Debug, Clone, Default)]
 pub(crate) struct StageOutcome {
     /// Per-row outputs in original row indices (sorted within a batch).
@@ -307,18 +307,6 @@ pub(crate) struct StageOutcome {
 }
 
 impl StageOutcome {
-    /// Folds a later batch's outcome into this one.
-    pub fn absorb(&mut self, other: StageOutcome) {
-        self.outputs.extend(other.outputs);
-        self.failed_rows.extend(other.failed_rows);
-        self.solve_time_s += other.solve_time_s;
-        self.claimed_phc += other.claimed_phc;
-        self.field_phc.phc += other.field_phc.phc;
-        self.field_phc.hit_tokens += other.field_phc.hit_tokens;
-        self.field_phc.total_tokens += other.field_phc.total_tokens;
-        self.opt.add(&other.opt);
-    }
-
     /// Shapes the accumulated outcome into a [`QueryOutput`], deriving the
     /// selection (filters) and the aggregate (aggregations) from outputs.
     pub fn into_query_output(
@@ -332,12 +320,12 @@ impl StageOutcome {
         debug_assert!(self.outputs.is_sorted_by_key(|o| o.row));
         self.failed_rows.sort_unstable();
         let selected_rows = match (&query.kind, &query.predicate_label) {
-            (QueryKind::Filter, Some(label)) => self
-                .outputs
-                .iter()
-                .filter(|o| &o.text == label)
-                .map(|o| o.row)
-                .collect(),
+            (QueryKind::Filter, Some(label)) => {
+                let selected = |o: &&RowOutput| &o.text == label;
+                let mut rows = Vec::with_capacity(self.outputs.iter().filter(selected).count());
+                rows.extend(self.outputs.iter().filter(selected).map(|o| o.row));
+                rows
+            }
             _ => Vec::new(),
         };
         let aggregate = if query.kind == QueryKind::Aggregation {
@@ -527,8 +515,7 @@ impl<'a> QueryExecutor<'a> {
     ) -> Result<QueryOutput, ExecError> {
         let mut stage = Stage::open(self, table, query, reorderer, fds, truth, opts, 1)?;
         let all_rows: Vec<usize> = (0..table.nrows()).collect();
-        let out = stage.run_batch(&all_rows)?;
-        stage.outcome.absorb(out);
+        stage.run_batch(&all_rows)?;
         Ok(stage.finish())
     }
 
@@ -565,8 +552,7 @@ impl<'a> QueryExecutor<'a> {
             }
             let opts = ExecOptions::default();
             let mut stage = Stage::open(self, table, query, reorderer, fds, truth, opts, 1)?;
-            let out = stage.run_batch(&rows)?;
-            stage.outcome.absorb(out);
+            stage.run_batch(&rows)?;
             let out = stage.finish();
             rows.clone_from(&out.selected_rows);
             results.push(out);
@@ -1276,10 +1262,10 @@ mod tests {
             }
         }
         let mut stage = Stage::open(&ex, &t, &query, &Unreachable, &fds, &truth, opts, 1).unwrap();
-        let out = stage.run_batch(&[]).unwrap();
-        assert!(out.outputs.is_empty());
-        assert_eq!(out.opt.llm_calls, 0);
-        assert_eq!((out.opt.rows_in, out.opt.batches), (0, 1));
+        let opt = stage.run_batch(&[]).unwrap();
+        assert!(stage.batch_outputs().is_empty());
+        assert_eq!(opt.llm_calls, 0);
+        assert_eq!((opt.rows_in, opt.batches), (0, 1));
         assert_eq!(stage.finish().report.engine.completed, 0);
     }
 

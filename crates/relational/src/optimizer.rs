@@ -478,6 +478,7 @@ pub fn estimate_llm_op(
     let n = table.nrows();
     let mut field_tokens = 0usize;
     let mut sampled = 0usize;
+    let mut text = String::new();
     if n > 0 && !cols.is_empty() {
         let stride = n.div_ceil(SAMPLE);
         let mut r = 0;
@@ -486,14 +487,14 @@ pub fn estimate_llm_op(
                 // A fragment some encode call already tokenized has its
                 // count in the column dictionary (`count ≡ tokenize().len()`);
                 // anything else — a cold table, an untouched row, a foreign
-                // tokenizer — is serialized and counted here, filling nothing.
+                // tokenizer — is serialized into one reused buffer and
+                // counted here, filling nothing.
                 field_tokens += table
                     .cached_fragment_len(r, c, tokenizer)
                     .unwrap_or_else(|| {
-                        tokenizer.count(&crate::prompt::field_fragment(
-                            &query.fields[f],
-                            &table.value(r, c).to_string(),
-                        ))
+                        text.clear();
+                        crate::dict::push_fragment(&mut text, &query.fields[f], table.value(r, c));
+                        tokenizer.count(&text)
                     });
             }
             sampled += 1;
@@ -526,9 +527,20 @@ pub fn optimize_plan(
     config: &OptimizerConfig,
     pricing: &Pricing,
 ) -> (LogicalPlan, Vec<String>) {
+    let mut plan = plan.clone();
+    let notes = optimize_plan_in_place(&mut plan, config, pricing);
+    (plan, notes)
+}
+
+/// [`optimize_plan`] on a plan the caller owns, rewritten in place.
+pub(crate) fn optimize_plan_in_place(
+    plan: &mut LogicalPlan,
+    config: &OptimizerConfig,
+    pricing: &Pricing,
+) -> Vec<String> {
     let mut notes = Vec::new();
     if config.level == OptLevel::Off {
-        return (plan.clone(), notes);
+        return notes;
     }
     // The mobile segment: the maximal run of filter operators after Scan.
     let start = 1; // ops[0] is Scan
@@ -542,13 +554,11 @@ pub fn optimize_plan(
             )
         })
         .unwrap_or(plan.ops.len());
-    let mut ops = plan.ops.clone();
     if start >= end {
-        return (LogicalPlan { ops }, notes);
+        return notes;
     }
-    let segment = &mut ops[start..end];
-    let before: Vec<String> = segment.iter().map(LogicalOp::label).collect();
-    segment.sort_by(|a, b| {
+    let segment = &mut plan.ops[start..end];
+    let order = |a: &LogicalOp, b: &LogicalOp| {
         fn key(op: &LogicalOp, pricing: &Pricing) -> (u8, f64) {
             match op {
                 LogicalOp::SqlFilter { .. } => (0, 0.0),
@@ -560,7 +570,13 @@ pub fn optimize_plan(
         }
         let (ka, kb) = (key(a, pricing), key(b, pricing));
         ka.0.cmp(&kb.0).then(ka.1.total_cmp(&kb.1))
-    });
+    };
+    // A stable sort leaves an already ordered segment as it is.
+    if segment.windows(2).all(|w| order(&w[0], &w[1]).is_le()) {
+        return notes;
+    }
+    let before: Vec<String> = segment.iter().map(LogicalOp::label).collect();
+    segment.sort_by(order);
     let after: Vec<String> = segment.iter().map(LogicalOp::label).collect();
     if before != after {
         notes.push(format!(
@@ -569,7 +585,7 @@ pub fn optimize_plan(
             after.join("; ")
         ));
     }
-    (LogicalPlan { ops }, notes)
+    notes
 }
 
 // ---------------------------------------------------------------------------

@@ -51,13 +51,17 @@ use crate::exec::{
     project_fds, ExecError, ExecOptions, OutputLens, QueryExecutor, QueryOutput, RowOutput,
     StageOutcome,
 };
-use crate::optimizer::OptLevel;
+use crate::optimizer::{OptLevel, OptStats};
+use crate::prompt::BatchEncoder;
 use crate::query::LlmQuery;
 use crate::table::Table;
-use batch::Batch;
+use batch::{Batch, BatchScratch};
 use llmqo_cluster::{PrefixAffinity, ReplicaSnapshot, Router};
 use llmqo_core::{FunctionalDeps, Reorderer};
-use llmqo_serve::{Completion, EngineError, EngineReport, EngineSession, SessionReport, SimEngine};
+use llmqo_costmodel::CascadePlan;
+use llmqo_serve::{
+    Completion, EngineError, EngineReport, EngineSession, SessionReport, SimEngine, SimLlm,
+};
 use llmqo_tokenizer::TokenId;
 use std::sync::Arc;
 
@@ -76,6 +80,9 @@ pub(crate) struct StageEngine {
     /// Requests routed to each replica so far
     /// ([`ReplicaSnapshot::assigned`]).
     assigned: Vec<usize>,
+    /// Where each replica's records of the last batch start among its
+    /// session's completion records.
+    served_from: Vec<usize>,
     /// Routing scratch, refilled per request.
     snapshots: Vec<ReplicaSnapshot>,
 }
@@ -108,6 +115,7 @@ impl StageEngine {
             sessions,
             router: PrefixAffinity::default(),
             assigned: vec![0; n],
+            served_from: vec![0; n],
             snapshots: Vec::new(),
         })
     }
@@ -158,8 +166,9 @@ impl StageEngine {
             .min(self.sessions.len() - 1)
     }
 
-    /// Runs one batch to completion and returns its completion records.
-    /// Each request is `(id, output_len, key, prompt)`, the prompt a
+    /// Runs one batch to completion; its completion records are
+    /// [`served`](Self::served) until the next batch. Each request is
+    /// `(id, output_len, key, prompt)`, the prompt a
     /// borrowed view of its fragments; the engine hashes it on the way in
     /// and keeps nothing of it, so a caller passing a lazy iterator builds
     /// no request and no prompt vector.
@@ -167,9 +176,7 @@ impl StageEngine {
     /// With several replicas, `key` is the request's reorder-plan prefix
     /// key; requests are placed one by one through the prefix-affinity
     /// router against live snapshots, then all replicas run concurrently on
-    /// the simulated clock. The merge order is deterministic (replica index,
-    /// then per-replica completion order); callers consume completions by
-    /// request id, so no order beyond determinism is promised. A single
+    /// the simulated clock. A single
     /// replica serves every request and never looks at `key` (callers pass
     /// anything, see [`wants_prefix_keys`](Self::wants_prefix_keys)).
     ///
@@ -179,7 +186,7 @@ impl StageEngine {
     pub fn run_batch<'a, P>(
         &mut self,
         requests: impl IntoIterator<Item = (usize, u32, u64, P), IntoIter: ExactSizeIterator>,
-    ) -> Result<Vec<Completion>, EngineError>
+    ) -> Result<(), EngineError>
     where
         P: IntoIterator<Item = &'a Arc<[TokenId]>>,
     {
@@ -187,21 +194,28 @@ impl StageEngine {
         let offered = requests.len();
         let routed = self.wants_prefix_keys();
         let before = self.clock();
+        self.served_from.clone_from(&self.assigned);
         for (id, output_len, key, prompt) in requests {
             let replica = if routed { self.place(key) } else { 0 };
             self.sessions[replica].enqueue_fragments(id, output_len, prompt);
             self.assigned[replica] += 1;
         }
-        // Allocated by the first replica's records, once they exist: the
-        // drain is where a statement's live heap peaks.
-        let mut completions = Vec::new();
         for s in &mut self.sessions {
             // Everything is queued: an empty batch drains the session.
-            completions.extend_from_slice(s.run_batch(&[])?);
+            s.run_batch(&[])?;
         }
-        debug_assert_eq!(completions.len(), offered, "one completion per request");
+        debug_assert_eq!(self.served().count(), offered, "one completion per request");
         debug_assert!(self.clock() >= before, "stage clock ran backwards");
-        Ok(completions)
+        Ok(())
+    }
+
+    /// The completion records of the last [`run_batch`](Self::run_batch),
+    /// replica by replica, each in completion order: borrowed from the
+    /// sessions, which keep every record until they finish, so a batch
+    /// copies none. Callers match records by request id.
+    pub fn served(&self) -> impl Iterator<Item = &Completion> {
+        let replicas = self.sessions.iter().zip(&self.served_from);
+        replicas.flat_map(|(s, &from)| &s.completions()[from..])
     }
 
     /// Finalizes the engine into one [`EngineReport`], the replicas' reports
@@ -217,15 +231,17 @@ impl StageEngine {
 
 /// One LLM operator, opened once for a whole statement: what it reads (the
 /// executor, the table, the solver, the ground truth), what
-/// [`open`](Self::open) resolves from that once, its engines, and the
-/// outcome accumulated over its batches. See the [module docs](self).
+/// [`open`](Self::open) resolves from that once, its engines, the buffers
+/// its batches reuse, and the outcome accumulated over its batches. See the
+/// [module docs](self).
 pub(crate) struct Stage<'q> {
     /// The operator's query.
     pub query: &'q LlmQuery,
     /// The tier first attempts and fault retries run on (the cheap one
     /// under a cascade).
     pub engine: StageEngine,
-    /// What the stage's batches have produced so far.
+    /// What the stage's batches have produced so far: every batch appends
+    /// its outputs, ascending by original row, and its failed rows.
     pub outcome: StageOutcome,
     executor: &'q QueryExecutor<'q>,
     table: &'q Table,
@@ -246,6 +262,14 @@ pub(crate) struct Stage<'q> {
     output_lens: OutputLens,
     /// Position of the query's key field among its fields.
     key_col: Option<usize>,
+    /// Lowers each batch; holds the instruction's tokens and every encode
+    /// buffer between batches.
+    encoder: BatchEncoder<'q>,
+    /// The buffers of the phases past the encode.
+    scratch: BatchScratch,
+    /// Where the last batch's entries start in `outcome.outputs` and
+    /// `outcome.failed_rows`.
+    batch_from: (usize, usize),
 }
 
 impl<'q> Stage<'q> {
@@ -277,7 +301,8 @@ impl<'q> Stage<'q> {
         if query.fields.is_empty() {
             return Err(ExecError::EmptyFields);
         }
-        let used_cols = table.resolve_columns(&query.fields)?;
+        let encoder = BatchEncoder::new(&executor.tokenizer, table, query)?;
+        let used_cols = encoder.used_cols().to_vec();
         // Key-field queries are never cached: their labeler draws depend on
         // where the schedule placed the key field, which a cache hit has no
         // schedule to derive from — and they exist precisely to measure
@@ -307,6 +332,9 @@ impl<'q> Stage<'q> {
                 .key_field
                 .as_deref()
                 .and_then(|k| query.fields.iter().position(|f| f == k)),
+            encoder,
+            scratch: BatchScratch::default(),
+            batch_from: (0, 0),
         })
     }
 
@@ -320,26 +348,32 @@ impl<'q> Stage<'q> {
 
     /// The batch primitive — the one door to the LLM: evaluates the
     /// operator over `rows`, ascending original indices of its table, under
-    /// the stage's [`ExecOptions`] (see [`batch`] for the phases), and
-    /// returns that batch's outcome for the caller to consume, then fold
-    /// into [`outcome`](Self::outcome). With observability on, emits the
-    /// executor phase span `op.<query>` on the SQL lane and the `sql.*`
-    /// counters.
+    /// the stage's [`ExecOptions`] (see [`batch`] for the phases), folds
+    /// the batch into [`outcome`](Self::outcome) and returns the batch's
+    /// own ledger; its outputs and failed rows are
+    /// [`batch_outputs`](Self::batch_outputs) and
+    /// [`batch_failed`](Self::batch_failed) until the next batch. With
+    /// observability on, emits the executor phase span `op.<query>` on the
+    /// SQL lane and the `sql.*` counters.
     ///
     /// # Errors
     ///
     /// See [`ExecError`].
-    pub fn run_batch(&mut self, rows: &[usize]) -> Result<StageOutcome, ExecError> {
+    pub fn run_batch(&mut self, rows: &[usize]) -> Result<OptStats, ExecError> {
         debug_assert!(rows.is_sorted(), "batches offer ascending rows");
         let started_s = self.engine.clock();
-        let mut out = StageOutcome::default();
-        out.opt.rows_in = rows.len() as u64;
-        out.opt.batches = 1;
+        self.batch_from = (self.outcome.outputs.len(), self.outcome.failed_rows.len());
+        let mut opt = OptStats {
+            rows_in: rows.len() as u64,
+            batches: 1,
+            ..OptStats::default()
+        };
         // An empty batch is a ledger entry and a span: nothing is encoded,
         // solved or served.
         if !rows.is_empty() {
-            out = Batch::encode(self, rows, out)?.run()?;
+            opt = Batch::encode(self, rows, opt).run()?;
         }
+        self.outcome.opt.add(&opt);
         if llmqo_obs::enabled() {
             // One span per operator batch, on the operator's own (cheap
             // tier) timeline.
@@ -352,55 +386,45 @@ impl<'q> Stage<'q> {
                 self.engine.clock() - started_s,
                 &[
                     ("rows", llmqo_obs::ArgValue::from(rows.len())),
-                    ("llm_calls", llmqo_obs::ArgValue::from(out.opt.llm_calls)),
+                    ("llm_calls", llmqo_obs::ArgValue::from(opt.llm_calls)),
                 ],
             );
             let counters = llmqo_obs::registry();
             counters.counter("sql.stage_batches").inc();
-            counters.counter("sql.llm_calls").add(out.opt.llm_calls);
-            if out.opt.rows_cheap + out.opt.rows_escalated > 0 {
+            counters.counter("sql.llm_calls").add(opt.llm_calls);
+            if opt.rows_cheap + opt.rows_escalated > 0 {
                 counters
                     .counter("sql.cascade_rows_cheap")
-                    .add(out.opt.rows_cheap);
+                    .add(opt.rows_cheap);
                 counters
                     .counter("sql.cascade_rows_escalated")
-                    .add(out.opt.rows_escalated);
+                    .add(opt.rows_escalated);
             }
         }
-        Ok(out)
+        Ok(opt)
     }
 
-    /// One row's output: its own labeler draw, then — under a cascade — its
-    /// pure per-row escalation decision, tallied in the tier ledger of
-    /// `out` with the cheap-vs-expensive agreement the
-    /// [`TierPosterior`](llmqo_costmodel::TierPosterior) learns from, and
-    /// its cascade label. Returns whether the row escalated.
-    fn label_row(&self, out: &mut StageOutcome, original: usize, key_field_pos: f64) -> bool {
-        let labels = &self.query.label_space;
-        let row = original as u64;
-        let mut text =
-            self.executor
-                .llm
-                .generate((self.truth)(original), row, labels, key_field_pos);
-        let mut escalated = false;
-        if let Some(plan) = &self.opts.cascade {
-            escalated = plan.escalates(row);
-            if escalated {
-                out.opt.rows_escalated += 1;
-                out.opt.tier_agreements += u64::from(plan.cheap_label(row, &text, labels) == text);
-            } else {
-                out.opt.rows_cheap += 1;
-            }
-            let label = plan.label(row, &text, labels);
-            if label != text {
-                text = label.to_owned();
-            }
+    /// The last batch's outputs, ascending by original row.
+    pub fn batch_outputs(&self) -> &[RowOutput] {
+        &self.outcome.outputs[self.batch_from.0..]
+    }
+
+    /// The original rows the last batch dropped after exhausting the fault
+    /// retry budget, in schedule order.
+    pub fn batch_failed(&self) -> &[usize] {
+        &self.outcome.failed_rows[self.batch_from.1..]
+    }
+
+    /// What labelling one of the stage's rows reads, borrowed for the
+    /// statement rather than from the stage, so a batch can label into the
+    /// stage's outcome while it reads the stage's buffers.
+    fn labeler(&self) -> Labeler<'q> {
+        Labeler {
+            llm: self.executor.llm,
+            truth: self.truth,
+            labels: &self.query.label_space,
+            cascade: self.opts.cascade,
         }
-        out.outputs.push(RowOutput {
-            row: original,
-            text,
-        });
-        escalated
     }
 
     /// Finalizes the stage into the operator's [`QueryOutput`]. The report's
@@ -413,6 +437,64 @@ impl<'q> Stage<'q> {
         }
         self.outcome
             .into_query_output(self.query, self.reorderer.name(), self.engine.finish())
+    }
+}
+
+/// What labelling a row reads: the labeler, the ground truth, the
+/// operator's label space and, under a cascade, the plan.
+#[derive(Clone, Copy)]
+struct Labeler<'q> {
+    llm: &'q dyn SimLlm,
+    truth: &'q dyn Fn(usize) -> String,
+    labels: &'q [String],
+    cascade: Option<CascadePlan>,
+}
+
+impl Labeler<'_> {
+    /// One row's output, appended to `outputs`: its own labeler draw, then
+    /// — under a cascade — its pure per-row escalation decision, tallied in
+    /// the tier ledger of `opt` with the cheap-vs-expensive agreement the
+    /// [`TierPosterior`](llmqo_costmodel::TierPosterior) learns from, and
+    /// its cascade label. Returns whether the row escalated.
+    fn label(
+        &self,
+        opt: &mut OptStats,
+        outputs: &mut Vec<RowOutput>,
+        original: usize,
+        key_field_pos: f64,
+    ) -> bool {
+        let (labels, row) = (self.labels, original as u64);
+        let mut text = self
+            .llm
+            .generate((self.truth)(original), row, labels, key_field_pos);
+        let mut escalated = false;
+        if let Some(plan) = &self.cascade {
+            escalated = plan.escalates(row);
+            if escalated {
+                opt.rows_escalated += 1;
+                opt.tier_agreements += u64::from(plan.cheap_label(row, &text, labels) == text);
+            } else {
+                opt.rows_cheap += 1;
+            }
+            let label = plan.label(row, &text, labels);
+            if label != text {
+                // A rewritten label is another entry of the label space; it
+                // takes over the truth's buffer.
+                let label = labels
+                    .iter()
+                    .find(|l| l.as_str() == label)
+                    .unwrap_or_else(|| {
+                        unreachable!("a cascade rewrites only into the label space")
+                    });
+                text.clear();
+                text.push_str(label);
+            }
+        }
+        outputs.push(RowOutput {
+            row: original,
+            text,
+        });
+        escalated
     }
 }
 
@@ -469,7 +551,8 @@ mod tests {
             .iter()
             .enumerate()
             .map(|(i, r)| (r.id, r.output_len, key(i), &r.prompt));
-        stage.run_batch(views).unwrap()
+        stage.run_batch(views).unwrap();
+        stage.served().copied().collect()
     }
 
     /// A prefix key the stage's router sends to `replica`.
@@ -591,8 +674,8 @@ mod tests {
             1,
         )
         .unwrap();
-        let out = stage.run_batch(&rows).unwrap();
-        assert!(out.opt.rows_escalated > 0, "the batch must escalate rows");
+        let opt = stage.run_batch(&rows).unwrap();
+        assert!(opt.rows_escalated > 0, "the batch must escalate rows");
         let escalated_at = stage.escalation.as_ref().unwrap().clock();
         assert!(escalated_at > stage.engine.clock());
         assert_eq!(stage.clock(), escalated_at);

@@ -14,14 +14,15 @@
 //!
 //! One per-row implementation (`BatchEncoder::intern_row`) serves every
 //! caller. [`encode_table`] / [`encode_table_rows`] intern each row straight
-//! into the solver's table. The executor's `encode_batch` splits the work in
-//! two phases, because most rows it is offered never become an LLM call:
-//! phase 1 interns every offered row — so `ValueId`s are numbered over the
-//! offered rows, which the solvers' id-order tie-breaks depend on — and asks
-//! the answer cache about each row from the key folded on the way; only the
-//! rows the cache does not answer keep their id tuple, are grouped by it
+//! into the solver's table. The executor's `BatchEncoder::encode` splits the
+//! work in two phases, because most rows it is offered never become an LLM
+//! call: phase 1 interns every offered row — so `ValueId`s are numbered over
+//! the offered rows, which the solvers' id-order tie-breaks depend on — and
+//! asks the answer cache about each row from the key folded on the way; only
+//! the rows the cache does not answer keep their id tuple, are grouped by it
 //! (dedup), and phase 2 pushes one row per group into the table the solver
-//! sees.
+//! sees. An operator's stage keeps its encoder, and with it every buffer
+//! of both phases, from one batch to the next.
 
 use crate::adaptive::RowKey;
 use crate::dict;
@@ -30,7 +31,7 @@ use crate::query::LlmQuery;
 use crate::table::{Table, TableError};
 use llmqo_core::{Cell, ReorderTable, ValueId};
 use llmqo_tokenizer::{TokenId, Tokenizer};
-use std::collections::HashMap;
+use std::hash::BuildHasher;
 use std::sync::Arc;
 
 /// A table lowered to the optimizer's representation plus everything needed
@@ -100,14 +101,16 @@ pub fn encode_table_rows(
     query: &LlmQuery,
     rows: Option<&[usize]>,
 ) -> Result<EncodedTable, TableError> {
-    let nrows = rows.map_or(table.nrows(), <[usize]>::len);
-    let mut encoder = BatchEncoder::new(tokenizer, table, query, nrows, false)?;
-    let reorder = encoder.encode_all(|i| rows.map_or(i, |rs| rs[i]));
-    Ok(encoder.finish(reorder))
+    let mut encoder = BatchEncoder::new(tokenizer, table, query)?;
+    let timer = encoder.begin(rows.map_or(table.nrows(), <[usize]>::len), false);
+    encoder.encode_all(|i| rows.map_or(i, |rs| rs[i]));
+    encoder.end(timer);
+    Ok(encoder.batch.encoded)
 }
 
 /// What the executor's front half hands its back half: one batch lowered
-/// to the rows the engine will actually serve.
+/// to the rows the engine will actually serve. A [`BatchEncoder`] keeps one
+/// and refills it on every [`encode`](BatchEncoder::encode).
 #[derive(Debug)]
 pub(crate) struct EncodedBatch {
     /// `reorder` row `g` is dedup group `g`'s representative — cell for
@@ -120,8 +123,23 @@ pub(crate) struct EncodedBatch {
     /// Answer-cache key of each group (its members' keys are all equal).
     /// Empty when no lookup was supplied.
     pub keys: Vec<RowKey>,
+    /// Each offered row's group, or [`HIT`] for a row the lookup answered;
+    /// empty without dedup.
+    group_of: Vec<u32>,
+}
+
+impl EncodedBatch {
+    /// The group of novel batch-local row `local`; dedup only.
+    pub fn group_of(&self, local: usize) -> usize {
+        debug_assert_ne!(self.group_of[local], HIT, "row {local} was answered");
+        self.group_of[local] as usize
+    }
+
     /// Batch-local indices of the rows the lookup answered, ascending.
-    pub hits: Vec<u32>,
+    pub fn hits(&self) -> impl Iterator<Item = usize> + '_ {
+        let hits = self.group_of.iter().enumerate();
+        hits.filter(|&(_, &g)| g == HIT).map(|(local, _)| local)
+    }
 }
 
 /// Dedup groups over a batch's novel rows in CSR form: group `g` is
@@ -135,14 +153,6 @@ pub(crate) struct DedupGroups {
 }
 
 impl DedupGroups {
-    /// One group per entry of `members`, in order.
-    fn singletons(members: Vec<u32>) -> Self {
-        DedupGroups {
-            starts: (0..=local_index(members.len())).collect(),
-            members,
-        }
-    }
-
     /// Number of groups (engine requests).
     pub fn len(&self) -> usize {
         self.starts.len() - 1
@@ -164,169 +174,71 @@ impl DedupGroups {
     }
 }
 
-/// Lowers one executor batch — the `rows` of `table` offered to `query` —
-/// in two phases, so that only what the engine will serve reaches the
-/// solver's table.
-///
-/// *Phase 1* walks the offered rows once. Every cell is interned to a
-/// call-local [`ValueId`], numbered in first-seen order over **all** offered
-/// rows exactly as [`encode_table_rows`] numbers them: the solvers break
-/// ties on id order, and an answered row can introduce a value before the
-/// first novel row does, so numbering only what survives would move plans.
-/// When `cached` is supplied, each row's [`RowKey`] is folded from its
-/// fragments' content keys on the way and offered to `cached(local, key)`;
-/// a row it answers (`true`) keeps nothing, a novel row keeps its id tuple
-/// in one flat arena. Novel rows are then grouped by identical tuple.
-/// *Phase 2* pushes one row per group into the [`ReorderTable`]. The arena
-/// does not outlive the call.
-///
-/// Without `dedup` — and so without a lookup: the answer cache implies
-/// dedup — every row is its own group and the two phases fuse into
-/// [`encode_table_rows`]'s loop.
-///
-/// # Errors
-///
-/// [`TableError::UnknownColumn`] if the query references a missing field.
-pub(crate) fn encode_batch(
-    tokenizer: &Tokenizer,
-    table: &Table,
-    query: &LlmQuery,
-    rows: &[usize],
-    dedup: bool,
-    mut cached: Option<&mut dyn FnMut(usize, RowKey) -> bool>,
-) -> Result<EncodedBatch, TableError> {
-    debug_assert!(dedup || cached.is_none(), "the answer cache implies dedup");
-    let mut encoder = BatchEncoder::new(tokenizer, table, query, rows.len(), cached.is_some())?;
-    if !dedup {
-        let reorder = encoder.encode_all(|i| rows[i]);
-        return Ok(EncodedBatch {
-            encoded: encoder.finish(reorder),
-            groups: DedupGroups::singletons((0..local_index(rows.len())).collect()),
-            keys: Vec::new(),
-            hits: Vec::new(),
-        });
-    }
-
-    let ncols = encoder.fields.len();
-    let mut arena: Vec<u32> = Vec::new();
-    let mut novel: Vec<u32> = Vec::new();
-    let mut keys: Vec<RowKey> = Vec::new();
-    let mut hits: Vec<u32> = Vec::new();
-    if cached.is_none() {
-        arena.reserve_exact(rows.len() * ncols);
-        novel.reserve_exact(rows.len());
-    }
-    for (local, &r) in rows.iter().enumerate() {
-        let start = arena.len();
-        let key = encoder.intern_row(r, |id, _| arena.push(id));
-        match cached.as_mut().map(|cached| cached(local, key)) {
-            Some(true) => {
-                arena.truncate(start);
-                hits.push(local_index(local));
-            }
-            Some(false) => {
-                novel.push(local_index(local));
-                keys.push(key);
-            }
-            None => novel.push(local_index(local)),
-        }
-    }
-
-    let (groups, representatives) = group_by_tuple(&arena, ncols, &novel);
-    let mut reorder = encoder.new_table();
-    reorder.reserve_rows(groups.len());
-    let mut row_buf: Vec<Cell> = Vec::with_capacity(ncols);
-    for &i in &representatives {
-        row_buf.clear();
-        let tuple = &arena[i as usize * ncols..][..ncols];
-        row_buf.extend(tuple.iter().map(|&id| encoder.cell(id)));
-        reorder
-            .push_row_slice(&row_buf)
-            .unwrap_or_else(|_| unreachable!("row arity fixed by used_cols"));
-    }
-    if !keys.is_empty() {
-        keys = representatives.iter().map(|&i| keys[i as usize]).collect();
-    }
-    Ok(EncodedBatch {
-        encoded: encoder.finish(reorder),
-        groups,
-        keys,
-        hits,
-    })
-}
-
-/// Groups a batch's novel rows — row `i`'s id tuple is
-/// `arena[i * ncols..][..ncols]`, its batch-local index `novel[i]` — by
-/// identical tuple, which the per-column interning makes identical
-/// projected field values. Also returns each group's first row `i`.
-fn group_by_tuple(arena: &[u32], ncols: usize, novel: &[u32]) -> (DedupGroups, Vec<u32>) {
-    let mut index: HashMap<&[u32], u32, MixBuild> =
-        HashMap::with_capacity_and_hasher(novel.len(), MixBuild::default());
-    let mut representatives: Vec<u32> = Vec::new();
-    let mut group_of: Vec<u32> = Vec::with_capacity(novel.len());
-    // `starts[g + 1]` counts group `g`'s rows, then becomes its end offset.
-    let mut starts: Vec<u32> = vec![0];
-    for (i, tuple) in arena.chunks_exact(ncols).enumerate() {
-        let g = *index.entry(tuple).or_insert_with(|| {
-            representatives.push(local_index(i));
-            starts.push(0);
-            local_index(representatives.len() - 1)
-        });
-        starts[g as usize + 1] += 1;
-        group_of.push(g);
-    }
-    for g in 1..starts.len() {
-        starts[g] += starts[g - 1];
-    }
-    let mut next = starts.clone();
-    let mut members = vec![0u32; novel.len()];
-    for (&local, &g) in novel.iter().zip(&group_of) {
-        members[next[g as usize] as usize] = local;
-        next[g as usize] += 1;
-    }
-    (DedupGroups { starts, members }, representatives)
-}
-
 fn local_index(i: usize) -> u32 {
     u32::try_from(i).unwrap_or_else(|_| unreachable!("fewer than 2^32 rows in a batch"))
 }
 
-/// The per-call interning state under [`encode_table_rows`] and
-/// [`encode_batch`]: the `code → local id` remaps of the query's columns
-/// and the fragments numbered so far.
-struct BatchEncoder<'t> {
+/// A slot of the group table no group sits in.
+const EMPTY: u32 = u32::MAX;
+
+/// The group of an offered row the lookup answered.
+const HIT: u32 = u32::MAX;
+
+/// The encode state of one query over one table: what every call needs,
+/// resolved once — the query's columns and their dictionaries, the
+/// tokenized instruction — and the buffers a call fills, cleared between
+/// calls but never freed. An LLM operator's stage keeps one for all its
+/// batches, so a statement allocates these once per operator, sized by its
+/// largest batch, not once per batch; [`encode_table_rows`] makes one for a
+/// single call.
+///
+/// `ValueId`s stay call-local: each call numbers them from 0 in first-seen
+/// order over the rows it is offered, exactly as a fresh encoder would.
+pub(crate) struct BatchEncoder<'t> {
     tokenizer: &'t Tokenizer,
     table: &'t Table,
     query: &'t LlmQuery,
-    used_cols: Vec<usize>,
     fields: Vec<EncodeField<'t>>,
-    /// One code → local id remap per distinct column (0 = unseen, else
-    /// id + 1): a field listed twice shares its column's remap, so both
-    /// positions get the same ids, as equal fragment text always has.
+    /// One code → local id remap per distinct column (empty for a field
+    /// listed again: it shares its column's remap, so both positions get
+    /// the same ids, as equal fragment text always has). Generation-stamped:
+    /// a slot holds `base + id` of the call that wrote it, and each call
+    /// starts its `base` past every value the calls before it wrote, so a
+    /// slot below `base` reads as unseen and starting a call touches none.
     remaps: Vec<Vec<u32>>,
-    /// Token stream of each interned fragment, indexed by local id.
-    fragments: Vec<Arc<[TokenId]>>,
+    /// The current call's stamp; never 0, the value of a slot no call wrote.
+    base: u32,
     /// Content hash of each interned fragment; collected only when `keyed`.
-    keys: Vec<u64>,
+    hashes: Vec<u64>,
     keyed: bool,
     text_buf: String,
-    /// Rows the caller will intern.
+    /// Rows the current call interns.
     nrows: usize,
-    timer: llmqo_obs::WallTimer,
+    /// The dedup path's scratch: the id tuple of each group, `ncols` ids
+    /// each (a novel row's tuple stays only when it opens a group), and the
+    /// groups by tuple — an open-addressing table at most two-thirds full,
+    /// probed linearly from the tuple's hash, [`EMPTY`] where no group sits.
+    arena: Vec<u32>,
+    slots: Vec<u32>,
+    row_buf: Vec<Cell>,
+    /// What the last call produced.
+    batch: EncodedBatch,
 }
 
 impl<'t> BatchEncoder<'t> {
-    /// An encoder for `nrows` rows of `table` under `query`; `keyed` makes
-    /// [`intern_row`](BatchEncoder::intern_row) fold answer-cache keys.
-    fn new(
+    /// An encoder for rows of `table` under `query`: resolves the query's
+    /// columns, sizes their remaps and tokenizes the instruction.
+    ///
+    /// # Errors
+    ///
+    /// [`TableError::UnknownColumn`] if the query references a missing
+    /// field.
+    pub(crate) fn new(
         tokenizer: &'t Tokenizer,
         table: &'t Table,
         query: &'t LlmQuery,
-        nrows: usize,
-        keyed: bool,
     ) -> Result<Self, TableError> {
         let used_cols = table.resolve_columns(&query.fields)?;
-        let timer = llmqo_obs::WallTimer::start();
         let fields: Vec<EncodeField<'t>> = used_cols
             .iter()
             .enumerate()
@@ -343,38 +255,258 @@ impl<'t> BatchEncoder<'t> {
                 }
             })
             .collect();
-        let remaps: Vec<Vec<u32>> = fields
+        let remaps = fields
             .iter()
             .enumerate()
             .map(|(f, field)| {
-                vec![
-                    0u32;
-                    if field.remap == f {
-                        field.store.len()
-                    } else {
-                        0
-                    }
-                ]
+                let distinct = if field.remap == f {
+                    field.store.len()
+                } else {
+                    0
+                };
+                vec![0; distinct]
             })
             .collect();
-        // At most one fragment per distinct value of each distinct column,
-        // and at most one per interned cell.
-        let distinct: usize = remaps.iter().map(Vec::len).sum();
-        let max_fragments = distinct.min(nrows * fields.len());
+        let instruction: Arc<[TokenId]> = Arc::from(tokenizer.tokenize(&query.full_instruction()));
         Ok(BatchEncoder {
             tokenizer,
             table,
             query,
-            used_cols,
             fields,
             remaps,
-            fragments: Vec::with_capacity(max_fragments),
-            keys: Vec::with_capacity(if keyed { max_fragments } else { 0 }),
-            keyed,
+            base: 1,
+            hashes: Vec::new(),
+            keyed: false,
             text_buf: String::new(),
-            nrows,
-            timer,
+            nrows: 0,
+            arena: Vec::new(),
+            slots: Vec::new(),
+            row_buf: Vec::new(),
+            batch: EncodedBatch {
+                encoded: EncodedTable {
+                    reorder: new_table(query),
+                    fragments: Vec::new(),
+                    instruction,
+                    used_cols,
+                },
+                groups: DedupGroups {
+                    starts: vec![0],
+                    members: Vec::new(),
+                },
+                keys: Vec::new(),
+                group_of: Vec::new(),
+            },
         })
+    }
+
+    /// Source-table column of each query field.
+    pub(crate) fn used_cols(&self) -> &[usize] {
+        &self.batch.encoded.used_cols
+    }
+
+    /// What the last [`encode`](Self::encode) produced.
+    pub(crate) fn batch(&self) -> &EncodedBatch {
+        &self.batch
+    }
+
+    /// Lowers one executor batch — the `rows` of the table offered to the
+    /// query — in two phases, so that only what the engine will serve
+    /// reaches the solver's table.
+    ///
+    /// *Phase 1* walks the offered rows once. Every cell is interned to a
+    /// call-local [`ValueId`], numbered in first-seen order over **all**
+    /// offered rows exactly as [`encode_table_rows`] numbers them: the
+    /// solvers break ties on id order, and an answered row can introduce a
+    /// value before the first novel row does, so numbering only what
+    /// survives would move plans. When `cached` is supplied, each row's
+    /// [`RowKey`] is folded from its fragments' content keys on the way and
+    /// offered to `cached(local, key)`; a row it answers (`true`) keeps
+    /// nothing but its mark, a novel row joins the group of its id tuple,
+    /// whose first row keeps the tuple in one flat arena. *Phase 2* pushes one row per
+    /// group into the [`ReorderTable`] — a new one, unless the call has no
+    /// novel row and the last table is empty too.
+    ///
+    /// Without `dedup` — and so without a lookup: the answer cache implies
+    /// dedup — every row is its own group and the two phases fuse into
+    /// [`encode_table_rows`]'s loop.
+    pub(crate) fn encode(
+        &mut self,
+        rows: &[usize],
+        dedup: bool,
+        mut cached: Option<&mut dyn FnMut(usize, RowKey) -> bool>,
+    ) -> &EncodedBatch {
+        debug_assert!(dedup || cached.is_none(), "the answer cache implies dedup");
+        let timer = self.begin(rows.len(), cached.is_some());
+        let batch = &mut self.batch;
+        batch.keys.clear();
+        batch.group_of.clear();
+        batch.groups.starts.clear();
+        if !dedup {
+            let groups = &mut batch.groups;
+            groups.members.clear();
+            groups.members.extend(0..local_index(rows.len()));
+            groups.starts.extend(0..=local_index(rows.len()));
+            self.encode_all(|i| rows[i]);
+            self.end(timer);
+            return &self.batch;
+        }
+
+        batch.group_of.reserve_exact(rows.len());
+        let mut arena = std::mem::take(&mut self.arena);
+        arena.clear();
+        for (local, &r) in rows.iter().enumerate() {
+            let start = arena.len();
+            let key = self.intern_row(r, |id, _| arena.push(id));
+            let g = if cached.as_mut().is_some_and(|cached| cached(local, key)) {
+                arena.truncate(start);
+                HIT
+            } else {
+                // The first novel row sizes the grouping for every row
+                // left, so it never grows within the call; a warm
+                // statement's answered head reserves nothing for it.
+                if self.batch.groups.starts.is_empty() {
+                    self.reserve_groups(&mut arena, rows.len() - local);
+                }
+                self.group_row(&mut arena, start, key)
+            };
+            self.batch.group_of.push(g);
+        }
+        self.arena = arena;
+        self.close_groups();
+
+        let ncols = self.fields.len();
+        self.reset_table(self.batch.groups.len());
+        let fragments = &self.batch.encoded.fragments;
+        for tuple in self.arena.chunks_exact(ncols) {
+            self.row_buf.clear();
+            self.row_buf.extend(
+                tuple.iter().map(|&id| {
+                    Cell::new(ValueId::from_raw(id), fragments[id as usize].len() as u32)
+                }),
+            );
+            self.batch
+                .encoded
+                .reorder
+                .push_row_slice(&self.row_buf)
+                .unwrap_or_else(|_| unreachable!("row arity fixed by used_cols"));
+        }
+        self.end(timer);
+        &self.batch
+    }
+
+    /// Makes room for `rows` more novel rows — at most as many groups — in
+    /// every buffer the grouping fills, and empties the group table.
+    fn reserve_groups(&mut self, arena: &mut Vec<u32>, rows: usize) {
+        arena.reserve_exact(rows * self.fields.len());
+        self.batch.groups.starts.reserve_exact(rows + 1);
+        if self.keyed {
+            self.batch.keys.reserve_exact(rows);
+        }
+        self.slots.clear();
+        self.slots
+            .resize((rows + rows / 2).next_power_of_two(), EMPTY);
+    }
+
+    /// Files the novel row whose id tuple is `arena[start..]` and key `key`
+    /// under its dedup group and returns the group — identical tuples are
+    /// identical projected field values, which the per-column interning
+    /// guarantees: an earlier group with the same tuple, or a new one,
+    /// which keeps the tuple as the group's and (keyed) the key as the
+    /// group's answer-cache key. Counts go in `groups.starts[g]`, for
+    /// [`close_groups`](Self::close_groups).
+    fn group_row(&mut self, arena: &mut Vec<u32>, start: usize, key: RowKey) -> u32 {
+        let ncols = self.fields.len();
+        let tuple = &arena[start..];
+        let mask = self.slots.len() - 1;
+        let mut slot = MixBuild::default().hash_one(tuple) as usize & mask;
+        let starts = &mut self.batch.groups.starts;
+        let g = loop {
+            match self.slots[slot] {
+                EMPTY => {
+                    let g = local_index(starts.len());
+                    self.slots[slot] = g;
+                    starts.push(0);
+                    if self.keyed {
+                        self.batch.keys.push(key);
+                    }
+                    break g;
+                }
+                g if arena[g as usize * ncols..][..ncols] == *tuple => {
+                    arena.truncate(start);
+                    break g;
+                }
+                _ => slot = (slot + 1) & mask,
+            }
+        };
+        starts[g as usize] += 1;
+        g
+    }
+
+    /// Turns the group counts [`group_row`](Self::group_row) left in
+    /// `groups.starts` into CSR offsets and fills `groups.members` with each
+    /// group's rows in offered order: the counts become end offsets, and
+    /// walking the offered rows backwards moves each group's end down to
+    /// its start.
+    fn close_groups(&mut self) {
+        let groups = &mut self.batch.groups;
+        let mut end = 0;
+        for count in &mut groups.starts {
+            end += *count;
+            *count = end;
+        }
+        groups.starts.push(end);
+        groups.members.clear();
+        groups.members.resize(end as usize, 0);
+        for (local, &g) in self.batch.group_of.iter().enumerate().rev() {
+            if g != HIT {
+                let slot = &mut groups.starts[g as usize];
+                *slot -= 1;
+                groups.members[*slot as usize] = local_index(local);
+            }
+        }
+    }
+
+    /// Starts a call over `nrows` rows: a new stamp, so every remap slot
+    /// reads as unseen, and no fragments yet.
+    fn begin(&mut self, nrows: usize, keyed: bool) -> llmqo_obs::WallTimer {
+        // Past the last call's values, with room for one per cell of this
+        // call's; when the stamps run out, every slot is unseen by hand.
+        let written = u32::try_from(self.batch.encoded.fragments.len()).ok();
+        let room = u32::try_from(nrows * self.fields.len()).ok();
+        let base = written.and_then(|w| self.base.checked_add(w));
+        match base.filter(|&b| room.and_then(|n| b.checked_add(n)).is_some()) {
+            Some(base) => self.base = base,
+            None => {
+                for remap in &mut self.remaps {
+                    remap.fill(0);
+                }
+                self.base = 1;
+            }
+        }
+        // At most one fragment per distinct value of each distinct column,
+        // and at most one per interned cell.
+        let distinct: usize = self.remaps.iter().map(Vec::len).sum();
+        let fragments = distinct.min(nrows * self.fields.len());
+        self.batch.encoded.fragments.clear();
+        self.batch.encoded.fragments.reserve_exact(fragments);
+        self.hashes.clear();
+        if keyed {
+            self.hashes.reserve_exact(fragments);
+        }
+        self.keyed = keyed;
+        self.nrows = nrows;
+        llmqo_obs::WallTimer::start()
+    }
+
+    /// Closes a call: records the encode metrics (cells count what phase 1
+    /// interned, served or not).
+    fn end(&self, timer: llmqo_obs::WallTimer) {
+        if llmqo_obs::enabled() {
+            dict::metrics()
+                .cells
+                .add((self.nrows * self.fields.len()) as u64);
+        }
+        timer.observe(dict::metrics().wall_encode_s);
     }
 
     /// Phase 1 for one row — the single per-row encode implementation:
@@ -384,10 +516,11 @@ impl<'t> BatchEncoder<'t> {
     #[inline]
     fn intern_row(&mut self, r: usize, mut cell: impl FnMut(u32, u32)) -> RowKey {
         let mut key = RowKey::default();
+        let (base, fragments) = (self.base, &mut self.batch.encoded.fragments);
         for (f, field) in self.fields.iter().enumerate() {
             let code = field.codes[r];
             let slot = &mut self.remaps[field.remap][code as usize];
-            if *slot == 0 {
+            if *slot < base {
                 let fragment = field.store.fragment(
                     code,
                     self.tokenizer,
@@ -395,75 +528,58 @@ impl<'t> BatchEncoder<'t> {
                     self.table.value(r, field.col),
                     &mut self.text_buf,
                 );
-                self.fragments.push(fragment.tokens);
+                // `begin` left room for every cell of the call.
+                *slot = base + fragments.len() as u32;
+                fragments.push(fragment.tokens);
                 if self.keyed {
-                    self.keys.push(fragment.hash);
+                    self.hashes.push(fragment.hash);
                 }
-                *slot = u32::try_from(self.fragments.len())
-                    .unwrap_or_else(|_| unreachable!("fewer than 2^32 distinct fragments"));
             }
-            let id = *slot - 1;
+            let id = *slot - base;
             if self.keyed {
-                key.push(self.keys[id as usize]);
+                key.push(self.hashes[id as usize]);
             }
-            cell(id, self.fragments[id as usize].len() as u32);
+            cell(id, fragments[id as usize].len() as u32);
         }
         key
     }
 
-    /// Phase 2 for one cell: the solver's view of interned fragment `id`.
-    #[inline]
-    fn cell(&self, id: u32) -> Cell {
-        Cell::new(
-            ValueId::from_raw(id),
-            self.fragments[id as usize].len() as u32,
-        )
-    }
-
-    /// An empty solver table over the query's fields.
-    fn new_table(&self) -> ReorderTable {
-        ReorderTable::new(self.query.fields.clone())
-            .unwrap_or_else(|_| unreachable!("queries are validated to have at least one field"))
+    /// Empties the solver table for a call that pushes `nrows` rows: a new
+    /// table, unless the last call left it empty, with room for them.
+    fn reset_table(&mut self, nrows: usize) {
+        let reorder = &mut self.batch.encoded.reorder;
+        if reorder.nrows() > 0 {
+            *reorder = new_table(self.query);
+        }
+        // One up-front reservation sizes both the row-major store and the
+        // column-major mirror the solvers scan.
+        reorder.reserve_rows(nrows);
     }
 
     /// Both phases for every one of the `nrows` rows `row_at` yields, fused:
     /// each row is interned straight into the solver's table.
-    fn encode_all(&mut self, row_at: impl Fn(usize) -> usize) -> ReorderTable {
-        let mut reorder = self.new_table();
-        // One up-front reservation sizes both the row-major store and the
-        // column-major mirror the solvers scan.
-        reorder.reserve_rows(self.nrows);
-        let mut row_buf: Vec<Cell> = Vec::with_capacity(self.fields.len());
+    fn encode_all(&mut self, row_at: impl Fn(usize) -> usize) {
+        self.reset_table(self.nrows);
+        let mut row_buf = std::mem::take(&mut self.row_buf);
         for i in 0..self.nrows {
             row_buf.clear();
             self.intern_row(row_at(i), |id, len| {
                 row_buf.push(Cell::new(ValueId::from_raw(id), len));
             });
-            reorder
+            self.batch
+                .encoded
+                .reorder
                 .push_row_slice(&row_buf)
                 .unwrap_or_else(|_| unreachable!("row arity fixed by used_cols"));
         }
-        reorder
+        self.row_buf = row_buf;
     }
+}
 
-    /// Closes the call: tokenizes the instruction and records the encode
-    /// metrics (cells count what phase 1 interned, served or not).
-    fn finish(self, reorder: ReorderTable) -> EncodedTable {
-        let instruction_text = self.query.full_instruction();
-        let instruction: Arc<[TokenId]> = Arc::from(self.tokenizer.tokenize(&instruction_text));
-        if llmqo_obs::enabled() {
-            dict::metrics()
-                .cells
-                .add((self.nrows * self.fields.len()) as u64);
-        }
-        self.timer.observe(dict::metrics().wall_encode_s);
-        EncodedTable {
-            reorder,
-            fragments: self.fragments,
-            instruction,
-            used_cols: self.used_cols,
-        }
-    }
+/// An empty solver table over `query`'s fields.
+fn new_table(query: &LlmQuery) -> ReorderTable {
+    ReorderTable::new(query.fields.clone())
+        .unwrap_or_else(|_| unreachable!("queries are validated to have at least one field"))
 }
 
 /// One query field's view of its column dictionary during an encode call.
@@ -623,13 +739,16 @@ mod tests {
             /// the groups, hits and
             /// row keys the one-phase front half derived from the full
             /// encode — on a cold table, a warm one, and under a tokenizer
-            /// the table's dictionaries do not belong to.
+            /// the table's dictionaries do not belong to; and on an encoder
+            /// fresh from `new` as on one that already encoded another
+            /// batch (`prior`, empty for a fresh one).
             #[test]
             fn batch_encode_is_full_encode_then_select(
                 cells in prop::collection::vec(prop::collection::vec(0u8..4, 3), 1..=20),
                 fields in prop::collection::vec(0usize..3, 1..=4),
                 picks in prop::collection::vec((0usize..1000, prop::bool::ANY), 0..=40),
                 switches in (prop::bool::ANY, prop::bool::ANY, prop::bool::ANY, prop::bool::ANY),
+                prior in prop::collection::vec(0usize..1000, 0..=20),
             ) {
                 let (dedup, with_lookup, warm, foreign) = switches;
                 // The answer cache implies dedup.
@@ -649,15 +768,16 @@ mod tests {
                     offered.push((local, key));
                     picks[local].1
                 };
-                let batch = encode_batch(
-                    &tok,
-                    &table,
-                    &q,
+                let mut encoder = BatchEncoder::new(&tok, &table, &q).unwrap();
+                if !prior.is_empty() {
+                    let prior: Vec<usize> = prior.iter().map(|&r| r % table.nrows()).collect();
+                    encoder.encode(&prior, dedup, None);
+                }
+                let batch = encoder.encode(
                     &rows,
                     dedup,
                     with_lookup.then_some(&mut lookup as &mut dyn FnMut(usize, RowKey) -> bool),
-                )
-                .unwrap();
+                );
 
                 // The one-phase derivation: hits out, then first-seen groups
                 // of identical cell tuples.
@@ -684,9 +804,8 @@ mod tests {
                     prop_assert_eq!(batch.groups.members(g), &want[..]);
                     prop_assert_eq!(batch.groups.representative(g), reps[g]);
                 }
-                let want_hits: Vec<u32> =
-                    (0..rows.len()).filter(|&l| is_hit(l)).map(|l| l as u32).collect();
-                prop_assert_eq!(&batch.hits, &want_hits);
+                let want_hits: Vec<usize> = (0..rows.len()).filter(|&l| is_hit(l)).collect();
+                prop_assert_eq!(batch.hits().collect::<Vec<_>>(), want_hits);
 
                 // Every offered row was looked up once, in order, under the
                 // key of its text; each group keeps its representative's.

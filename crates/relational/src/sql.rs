@@ -178,18 +178,21 @@ impl<'a> SqlRunner<'a> {
     /// Folds one batch's observed escalation split into the operator's tier
     /// posterior, registering it on first sight with the plan's own priors:
     /// the escalation prior is the threshold itself (confidence is
-    /// uniform), the agreement prior the cheap tier's base accuracy.
+    /// uniform), the agreement prior the cheap tier's base accuracy. Only
+    /// the first sight copies the operator's name.
     fn observe_tier(&self, plan: &CascadePlan, name: &str, opt: &OptStats) {
-        self.tier_posteriors
-            .borrow_mut()
-            .entry(name.to_owned())
-            .or_insert_with(|| {
-                TierPosterior::new(
-                    plan.escalate_below,
-                    plan.cheap.base_accuracy,
-                    DEFAULT_PRIOR_STRENGTH,
-                )
-            })
+        let mut posteriors = self.tier_posteriors.borrow_mut();
+        if !posteriors.contains_key(name) {
+            let prior = TierPosterior::new(
+                plan.escalate_below,
+                plan.cheap.base_accuracy,
+                DEFAULT_PRIOR_STRENGTH,
+            );
+            posteriors.insert(name.to_owned(), prior);
+        }
+        posteriors
+            .get_mut(name)
+            .unwrap_or_else(|| unreachable!("registered above"))
             .observe(
                 opt.rows_escalated,
                 opt.rows_cheap + opt.rows_escalated,
@@ -222,7 +225,7 @@ impl<'a> SqlRunner<'a> {
         let (table, fds) = self.lookup(&stmt.table)?;
         let (plan, notes) = self.plan_for(&stmt)?;
         let rewrites = notes.len();
-        let (result, nodes) = self.execute_plan(&plan, notes, table, fds, truth)?;
+        let (result, nodes) = self.execute_plan(&plan, notes, table, fds, truth, stmt.analyze)?;
         if stmt.analyze {
             return Ok(SqlResult {
                 columns: vec!["plan".into()],
@@ -248,8 +251,9 @@ impl<'a> SqlRunner<'a> {
     /// [`OptLevel::Adaptive`], observed per-filter pass rates are
     /// folded into a [`SelectivityTracker`] batch by batch, and between
     /// batches the remaining LLM filters are re-ranked by posterior
-    /// cost/(1−selectivity). Returns the result and, for `EXPLAIN ANALYZE`,
-    /// what each plan node measured.
+    /// cost/(1−selectivity). Returns the result — without rows when
+    /// `analyze`, whose caller renders the plan instead — and what each
+    /// plan node measured, for `EXPLAIN ANALYZE`.
     fn execute_plan(
         &self,
         plan: &LogicalPlan,
@@ -257,6 +261,7 @@ impl<'a> SqlRunner<'a> {
         table: &Table,
         fds: &FunctionalDeps,
         truth: &dyn Fn(usize) -> String,
+        analyze: bool,
     ) -> Result<(SqlResult, Vec<NodeStats>), SqlError> {
         let ops = &plan.ops[..];
         let mut run = StatementRun {
@@ -274,9 +279,11 @@ impl<'a> SqlRunner<'a> {
             stages: ops.iter().map(|_| None).collect(),
             exec_order: Vec::new(),
             tracker: seeded_tracker(self.opt.level, ops),
+            rows: Vec::new(),
             emitted: Vec::new(),
             nodes: vec![NodeStats::default(); ops.len()],
             notes,
+            analyze,
         };
         let candidates = run.leading_predicates()?;
         let mut schedule = BatchSchedule::decide(&self.opt, plan, candidates.len());
@@ -291,23 +298,23 @@ impl<'a> SqlRunner<'a> {
     }
 
     /// Appends the partial-result degradation note for one operator batch:
-    /// which original rows exhausted the fault retry budget and were
-    /// excluded. Rendered verbatim as a `-- runtime:` line by
+    /// which original rows (`failed`) exhausted the fault retry budget and
+    /// were excluded. Rendered verbatim as a `-- runtime:` line by
     /// `EXPLAIN ANALYZE`.
-    fn note_failed_rows(&self, query: &LlmQuery, out: &StageOutcome, notes: &mut Vec<String>) {
-        if out.failed_rows.is_empty() {
+    fn note_failed_rows(&self, query: &LlmQuery, failed: &[usize], notes: &mut Vec<String>) {
+        if failed.is_empty() {
             return;
         }
         let budget = self.opt.faults.map_or(1, |f| f.max_attempts.max(1));
         notes.push(format!(
-            "degraded {}: rows {:?} failed after {budget} attempt(s) each; \
+            "degraded {}: rows {failed:?} failed after {budget} attempt(s) each; \
              excluded from results (partial-result mode)",
-            query.name, out.failed_rows,
+            query.name,
         ));
         if llmqo_obs::enabled() {
             llmqo_obs::registry()
                 .counter("sql.rows_failed")
-                .add(out.failed_rows.len() as u64);
+                .add(failed.len() as u64);
         }
     }
 }
@@ -338,6 +345,9 @@ struct StatementRun<'r, 'a> {
     /// stays put.
     exec_order: Vec<usize>,
     tracker: SelectivityTracker,
+    /// The rows of the batch in flight still in the pipeline, narrowed
+    /// operator by operator; one buffer for every batch of the statement.
+    rows: Vec<usize>,
     /// Emitted result rows: original index plus the LLM projection text
     /// when the SELECT list is an LLM call.
     emitted: Vec<(usize, Option<String>)>,
@@ -345,6 +355,9 @@ struct StatementRun<'r, 'a> {
     nodes: Vec<NodeStats>,
     /// The optimizer's rewrite notes, then runtime events in schedule order.
     notes: Vec<String>,
+    /// Whether the statement is `EXPLAIN ANALYZE`: its result rows are the
+    /// rendered plan, so none are materialized.
+    analyze: bool,
 }
 
 impl StatementRun<'_, '_> {
@@ -359,7 +372,7 @@ impl StatementRun<'_, '_> {
         let mut first_heavy = 1;
         while let Some(LogicalOp::SqlFilter { pred }) = self.ops.get(first_heavy) {
             self.nodes[first_heavy].rows_in = candidates.len() as u64;
-            candidates = filter_sql(self.table, &candidates, pred)?;
+            filter_sql(self.table, &mut candidates, pred)?;
             self.nodes[first_heavy].rows_out = candidates.len() as u64;
             first_heavy += 1;
         }
@@ -371,7 +384,9 @@ impl StatementRun<'_, '_> {
     fn run_batch(&mut self, batch: &[usize]) -> Result<(), SqlError> {
         let (runner, ops) = (self.runner, self.ops);
         let emitted_before = self.emitted.len();
-        let mut rows: Vec<usize> = batch.to_vec();
+        let rows = &mut self.rows;
+        rows.clear();
+        rows.extend_from_slice(batch);
         // Pipelined hand-off chaining: each batch's rows exist at scan time
         // 0; every LLM operator fast-forwards to the instant the previous
         // operator released this batch (`ready`), and its own stage clock
@@ -406,29 +421,31 @@ impl StatementRun<'_, '_> {
                 if self.pipelined {
                     stage.engine.advance_to(ready);
                 }
-                let out = stage.run_batch(&rows)?;
+                let opt = stage.run_batch(rows)?;
                 if self.pipelined {
                     ready = stage.clock();
                 }
                 if let Some(plan) = &self.exec_opts.cascade {
-                    runner.observe_tier(plan, &query.name, &out.opt);
+                    runner.observe_tier(plan, &query.name, &opt);
                 }
-                runner.note_failed_rows(query, &out, &mut self.notes);
+                runner.note_failed_rows(query, stage.batch_failed(), &mut self.notes);
                 match op {
                     LogicalOp::LlmFilter { negated, .. } => {
                         let label = query.predicate_label.as_deref().unwrap_or_else(|| {
                             unreachable!("filter queries carry a predicate label")
                         });
-                        rows = out
-                            .outputs
-                            .iter()
-                            .filter(|o| (o.text == label) != *negated)
-                            .map(|o| o.row)
-                            .collect();
+                        rows.clear();
+                        rows.extend(
+                            stage
+                                .batch_outputs()
+                                .iter()
+                                .filter(|o| (o.text == label) != *negated)
+                                .map(|o| o.row),
+                        );
                         self.tracker.observe(idx, rows.len() as u64, offered);
                     }
                     LogicalOp::LlmProject { .. } => {
-                        for o in &out.outputs {
+                        for o in stage.batch_outputs() {
                             self.emitted.push((o.row, Some(o.text.clone())));
                         }
                     }
@@ -436,10 +453,9 @@ impl StatementRun<'_, '_> {
                     // finishes.
                     _ => {}
                 }
-                stage.outcome.absorb(out);
             } else {
                 match op {
-                    LogicalOp::SqlFilter { pred } => rows = filter_sql(self.table, &rows, pred)?,
+                    LogicalOp::SqlFilter { pred } => filter_sql(self.table, rows, pred)?,
                     LogicalOp::Project { .. } => {
                         self.emitted.extend(rows.iter().map(|&r| (r, None)));
                     }
@@ -507,8 +523,9 @@ impl StatementRun<'_, '_> {
         (outputs, aggregate)
     }
 
-    /// Step 4: materializes the SELECT list over the emitted rows and
-    /// applies the `LIMIT`.
+    /// Step 4: applies the `LIMIT` to the emitted rows, then materializes
+    /// the SELECT list over the rows it keeps — none for `EXPLAIN ANALYZE`,
+    /// whose rows are the rendered plan.
     fn materialize(
         mut self,
         stages: Vec<QueryOutput>,
@@ -526,7 +543,25 @@ impl StatementRun<'_, '_> {
                 )
             })
             .unwrap_or_else(|| unreachable!("plans always carry a projection operator"));
-        let (columns, mut rows) = match projection {
+        // The Limit node's true in/out is the result's row count before and
+        // after truncation, not the pass-through counts the batch loop
+        // accumulated for it.
+        let before = match projection {
+            LogicalOp::LlmAggregate { .. } => 1,
+            _ => self.emitted.len(),
+        };
+        let limit = self.ops.iter().enumerate().find_map(|(pos, op)| match op {
+            LogicalOp::Limit { n } => Some((pos, *n)),
+            _ => None,
+        });
+        let kept = limit.map_or(before, |(_, n)| before.min(n));
+        if let Some((pos, _)) = limit {
+            self.nodes[pos].rows_in = before as u64;
+            self.nodes[pos].rows_out = kept as u64;
+        }
+        let built = if self.analyze { 0 } else { kept };
+        self.emitted.truncate(built);
+        let (columns, rows) = match projection {
             LogicalOp::Project { columns } => {
                 let idxs = self
                     .table
@@ -552,24 +587,16 @@ impl StatementRun<'_, '_> {
                     })
                     .collect(),
             ),
-            LogicalOp::LlmAggregate { alias, .. } => (
-                vec![alias.clone()],
-                vec![vec![aggregate.map_or("null".into(), |a| format!("{a:.3}"))]],
-            ),
+            LogicalOp::LlmAggregate { alias, .. } => {
+                let rows = if built == 0 {
+                    Vec::new()
+                } else {
+                    vec![vec![aggregate.map_or("null".into(), |a| format!("{a:.3}"))]]
+                };
+                (vec![alias.clone()], rows)
+            }
             _ => unreachable!("find matched projection operators only"),
         };
-        // The Limit node's true in/out is the materialized row count before
-        // and after truncation, not the pass-through counts the batch loop
-        // accumulated for it.
-        let limit = self.ops.iter().enumerate().find_map(|(pos, op)| match op {
-            LogicalOp::Limit { n } => Some((pos, *n)),
-            _ => None,
-        });
-        if let Some((pos, n)) = limit {
-            self.nodes[pos].rows_in = rows.len() as u64;
-            rows.truncate(n);
-            self.nodes[pos].rows_out = rows.len() as u64;
-        }
         let result = SqlResult {
             columns,
             rows,
@@ -601,18 +628,16 @@ fn seeded_tracker(level: OptLevel, ops: &[LogicalOp]) -> SelectivityTracker {
     tracker
 }
 
-/// Applies a cheap predicate to a row set, preserving order.
-fn filter_sql(table: &Table, rows: &[usize], pred: &SqlPredicate) -> Result<Vec<usize>, SqlError> {
+/// Narrows a row set to the rows passing a cheap predicate, in place,
+/// preserving order.
+fn filter_sql(table: &Table, rows: &mut Vec<usize>, pred: &SqlPredicate) -> Result<(), SqlError> {
     let col = table.schema().index_of(&pred.column).ok_or_else(|| {
         SqlError::Exec(ExecError::Table(TableError::UnknownColumn {
             name: pred.column.clone(),
         }))
     })?;
-    Ok(rows
-        .iter()
-        .copied()
-        .filter(|&r| pred.eval(table.value(r, col)))
-        .collect())
+    rows.retain(|&r| pred.eval(table.value(r, col)));
+    Ok(())
 }
 
 #[cfg(test)]

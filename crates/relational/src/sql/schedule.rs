@@ -182,33 +182,24 @@ impl StatementRun<'_, '_> {
     /// [`OptStats::reranks`](crate::OptStats) is bumped and a
     /// human-readable note records the event.
     pub(super) fn rerank(&mut self, batch_no: u32) {
-        let (ops, pricing) = (self.ops, &self.runner.pricing);
+        let ops = self.ops;
+        let is_filter = |idx: &usize| matches!(ops[*idx], LogicalOp::LlmFilter { .. });
+        // A stable sort leaves an order that is already ranked as it is, so
+        // only a diverging order builds anything.
+        let mut filters = self.exec_order.iter().copied().filter(is_filter);
+        let mut pairs = filters.clone().zip({
+            filters.next();
+            filters
+        });
+        if pairs.all(|(a, b)| self.rank(a).total_cmp(&self.rank(b)).is_le()) {
+            return;
+        }
         let slots: Vec<usize> = (0..self.exec_order.len())
-            .filter(|&s| matches!(ops[self.exec_order[s]], LogicalOp::LlmFilter { .. }))
+            .filter(|&s| is_filter(&self.exec_order[s]))
             .collect();
-        if slots.len() < 2 {
-            return;
-        }
         let current: Vec<usize> = slots.iter().map(|&s| self.exec_order[s]).collect();
-        let factor = self.cascade_rank_factors(&current);
-        let rank_of = |idx: usize| -> f64 {
-            match &ops[idx] {
-                LogicalOp::LlmFilter { est, .. } => {
-                    let base = match (est, self.tracker.selectivity(idx)) {
-                        (Some(e), Some(s)) => e.with_selectivity(s).rank(pricing),
-                        (Some(e), None) => e.rank(pricing),
-                        (None, _) => return f64::INFINITY,
-                    };
-                    base * factor[idx]
-                }
-                _ => unreachable!("slots hold LLM filters only"),
-            }
-        };
         let mut ranked = current.clone();
-        ranked.sort_by(|&a, &b| rank_of(a).total_cmp(&rank_of(b)));
-        if ranked == current {
-            return;
-        }
+        ranked.sort_by(|&a, &b| self.rank(a).total_cmp(&self.rank(b)));
         self.notes.push(format!(
             "adaptive re-rank after batch {batch_no}: [{}] → [{}]",
             describe_order(ops, &self.tracker, &current),
@@ -227,51 +218,64 @@ impl StatementRun<'_, '_> {
         }
     }
 
-    /// Rank multiplier per plan op — identity unless a cascade is
-    /// configured. With one, each of the LLM `filters`' dollar rank is
-    /// folded with what execution has actually shown: the cascade's
-    /// expected cost ratio (posterior escalation rate) and the *observed*
-    /// dedup factor (issued requests per offered row — duplicate-heavy
-    /// operators are cheaper per row than their estimate). Every scheduled
-    /// operator has run the batches so far, so its stage is open.
-    fn cascade_rank_factors(&self, filters: &[usize]) -> Vec<f64> {
-        let mut factor = vec![1.0f64; self.ops.len()];
-        let Some(cc) = self.runner.opt.cascade else {
-            return factor;
+    /// The cost/(1−selectivity) rank of LLM filter `idx` under its
+    /// posterior selectivity, times its
+    /// [`cascade_rank_factor`](Self::cascade_rank_factor).
+    fn rank(&self, idx: usize) -> f64 {
+        let LogicalOp::LlmFilter { est, .. } = &self.ops[idx] else {
+            unreachable!("only LLM filters are ranked")
         };
-        for &idx in filters {
-            let (
-                LogicalOp::LlmFilter {
-                    est: Some(e),
-                    query,
-                    ..
-                },
-                Some(stage),
-            ) = (&self.ops[idx], &self.stages[idx])
-            else {
-                continue;
-            };
-            let single = cc
-                .plan
-                .single_tier_per_row_cost(e.prompt_tokens_per_row, e.output_tokens_per_row);
-            if single > 0.0 {
-                let esc_rate = self
-                    .runner
-                    .tier_posteriors
-                    .borrow()
-                    .get(&query.name)
-                    .map_or(cc.plan.escalate_below, TierPosterior::escalation_rate);
-                factor[idx] *= cc.plan.expected_per_row_cost(
-                    e.prompt_tokens_per_row,
-                    e.output_tokens_per_row,
-                    esc_rate,
-                ) / single;
-            }
-            let o = &stage.outcome.opt;
-            let offered = o.rows_in.saturating_sub(o.cache_hits).max(1);
-            factor[idx] *= o.llm_calls as f64 / offered as f64;
+        let pricing = &self.runner.pricing;
+        let base = match (est, self.tracker.selectivity(idx)) {
+            (Some(e), Some(s)) => e.with_selectivity(s).rank(pricing),
+            (Some(e), None) => e.rank(pricing),
+            (None, _) => return f64::INFINITY,
+        };
+        base * self.cascade_rank_factor(idx)
+    }
+
+    /// Rank multiplier of LLM filter `idx` — 1 unless a cascade is
+    /// configured. With one, the filter's dollar rank is folded with what
+    /// execution has actually shown: the cascade's expected cost ratio
+    /// (posterior escalation rate) and the *observed* dedup factor (issued
+    /// requests per offered row — duplicate-heavy operators are cheaper
+    /// per row than their estimate). Every scheduled operator has run the
+    /// batches so far, so its stage is open.
+    fn cascade_rank_factor(&self, idx: usize) -> f64 {
+        let Some(cc) = self.runner.opt.cascade else {
+            return 1.0;
+        };
+        let (
+            LogicalOp::LlmFilter {
+                est: Some(e),
+                query,
+                ..
+            },
+            Some(stage),
+        ) = (&self.ops[idx], &self.stages[idx])
+        else {
+            return 1.0;
+        };
+        let mut factor = 1.0;
+        let single = cc
+            .plan
+            .single_tier_per_row_cost(e.prompt_tokens_per_row, e.output_tokens_per_row);
+        if single > 0.0 {
+            let esc_rate = self
+                .runner
+                .tier_posteriors
+                .borrow()
+                .get(&query.name)
+                .map_or(cc.plan.escalate_below, TierPosterior::escalation_rate);
+            factor *= cc.plan.expected_per_row_cost(
+                e.prompt_tokens_per_row,
+                e.output_tokens_per_row,
+                esc_rate,
+            ) / single;
         }
-        factor
+        let o = &stage.outcome.opt;
+        let offered = o.rows_in.saturating_sub(o.cache_hits).max(1);
+        factor * (o.llm_calls as f64 / offered as f64)
     }
 }
 

@@ -12,6 +12,10 @@
 //! the thread keeps between solves, so a warm solve allocates a constant
 //! whatever the row count.
 //!
+//! A SQL statement above them allocates per statement, not per batch: each
+//! LLM operator's stage keeps its batch buffers from one batch to the next,
+//! and result rows are built only for the rows the caller receives.
+//!
 //! This binary counts with its own `#[global_allocator]` (which is why it is
 //! a binary of its own: the crates forbid `unsafe`), per thread, so the test
 //! harness's other threads do not show up in the figure.
@@ -164,4 +168,158 @@ fn a_warm_solve_allocates_a_constant_not_per_row() {
             id.name()
         );
     }
+}
+
+/// The warm, duplicate-heavy statement of the SQL budget: three LLM filters
+/// over Movies' join-repeated fields.
+const MOVIES_THREE_FILTER: &str = "SELECT movietitle FROM movies \
+    WHERE LLM('Is the movie suitable for kids?', movieinfo, movietitle) = 'Yes' \
+    AND LLM('Is the review positive?', reviewtype, topcritic) = 'Yes' \
+    AND LLM('Is it a studio drama?', genres, productioncompany) = 'Yes'";
+
+/// What one SQL statement cost: its allocations, the ground-truth answers
+/// it asked for (each a `String` the caller's closure builds), its result
+/// and the batches its LLM operators ran, summed over the operators.
+struct Counted {
+    allocations: u64,
+    truth_calls: u64,
+    result: llmqo::relational::SqlResult,
+    batches: u64,
+}
+
+impl Counted {
+    /// Allocations the library made itself: all of them but the truth
+    /// closure's answers and the result's cells (a `Vec` per row and a
+    /// `String` per cell, two per cell within the budget's slack).
+    fn library(&self) -> u64 {
+        let cells: usize = self.result.rows.iter().map(Vec::len).sum();
+        self.allocations - self.truth_calls - 2 * cells as u64
+    }
+}
+
+/// Runs `sql` under `OptimizerConfig::all()` on a fresh runner whose answer
+/// cache holds `checkpoint`, counting only the statement itself.
+fn run_counted(
+    ds: &llmqo::datasets::Dataset,
+    sql: &str,
+    checkpoint: &llmqo::relational::StatementCheckpoint,
+) -> Counted {
+    use llmqo::relational::{OptimizerConfig, QueryExecutor, SqlRunner};
+    use std::cell::Cell as Counter;
+    let engine = common::engine();
+    let executor = QueryExecutor::new(
+        &engine,
+        &llmqo::serve::OracleLlm,
+        llmqo::tokenizer::Tokenizer::new(),
+    );
+    let solver = Ggr::default();
+    let mut runner = SqlRunner::new(&executor, &solver).with_optimizer(OptimizerConfig::all());
+    runner.register("movies", &ds.table, &ds.fds);
+    runner.restore(checkpoint);
+    let truth_calls = Counter::new(0);
+    let truth = |row: usize| {
+        truth_calls.set(truth_calls.get() + 1);
+        common::mod3_truth(row)
+    };
+    let (allocations, result) = allocations_in(|| runner.run(sql, &truth).unwrap());
+    let batches = result
+        .stages
+        .iter()
+        .map(|s| u64::from(s.report.opt.batches))
+        .sum();
+    Counted {
+        allocations,
+        truth_calls: truth_calls.get(),
+        result,
+        batches,
+    }
+}
+
+/// Library allocations a warm SQL statement may make per operator batch:
+/// what an operator keeps grows only when a batch is its largest yet (the
+/// pilot schedule doubles, so every batch does) and its outputs accumulate.
+/// About 3.3 when the budget was set; the parent of the commit that set
+/// it spent about 40 per operator batch of this statement: every batch rebuilt its encode tables,
+/// grouping map and hand-off buffers, and every re-rank check its rank
+/// vectors.
+const BUDGET_PER_BATCH: u64 = 4;
+
+/// Library allocations a warm SQL statement may make once: parsing and
+/// planning, each operator's stage (engine sessions, dictionaries, the
+/// tokenized instruction, its batch buffers at their largest) and the
+/// notes — about 280 when the budget was set, and about 690 in a debug
+/// build, whose collision audit keeps the text of each distinct row key.
+const BUDGET_PER_STATEMENT: u64 = 1_000;
+
+#[test]
+fn a_warm_sql_statement_allocates_per_statement_not_per_batch() {
+    let ds = llmqo::datasets::Dataset::generate_with_rows(DatasetId::Movies, 4_000);
+    // A cold run of the statement fills the answer cache; every measured
+    // run restores it, so each row is a cache hit: encoded, looked up and
+    // labelled, never solved or served.
+    let checkpoint = {
+        use llmqo::relational::{OptimizerConfig, QueryExecutor, SqlRunner};
+        let engine = common::engine();
+        let executor = QueryExecutor::new(
+            &engine,
+            &llmqo::serve::OracleLlm,
+            llmqo::tokenizer::Tokenizer::new(),
+        );
+        let solver = Ggr::default();
+        let mut runner = SqlRunner::new(&executor, &solver).with_optimizer(OptimizerConfig::all());
+        runner.register("movies", &ds.table, &ds.fds);
+        runner
+            .run(MOVIES_THREE_FILTER, &common::mod3_truth)
+            .unwrap();
+        runner.checkpoint()
+    };
+
+    // A `LIMIT` past the row count scans the table in one batch; without
+    // it the pilot schedule doubles from 32 rows. Same rows, same results.
+    let whole = run_counted(
+        &ds,
+        &format!("{MOVIES_THREE_FILTER} LIMIT 100000"),
+        &checkpoint,
+    );
+    let piloted = run_counted(&ds, MOVIES_THREE_FILTER, &checkpoint);
+    assert_eq!(whole.result.rows, piloted.result.rows);
+    assert!(
+        piloted.result.rows.len() > 100,
+        "a result worth materializing"
+    );
+    assert_eq!(whole.batches, 3, "one batch per operator");
+    assert!(
+        piloted.batches >= 4 * whole.batches,
+        "{} batches",
+        piloted.batches
+    );
+    for (name, run) in [("one batch", &whole), ("pilot batches", &piloted)] {
+        let spent = run.library();
+        assert!(
+            spent <= BUDGET_PER_STATEMENT + BUDGET_PER_BATCH * run.batches,
+            "{name}: {spent} library allocations over {} batches",
+            run.batches
+        );
+    }
+    let per_batch = piloted.library().saturating_sub(whole.library());
+    assert!(
+        per_batch <= BUDGET_PER_BATCH * (piloted.batches - whole.batches),
+        "{per_batch} more allocations for {} more batches",
+        piloted.batches - whole.batches
+    );
+
+    // `EXPLAIN ANALYZE` runs the same batches but renders the plan instead
+    // of the result: it must not pay for the rows it throws away.
+    let analyzed = run_counted(
+        &ds,
+        &format!("EXPLAIN ANALYZE {MOVIES_THREE_FILTER}"),
+        &checkpoint,
+    );
+    assert_eq!(analyzed.truth_calls, piloted.truth_calls);
+    let rows = piloted.result.rows.len() as u64;
+    assert!(
+        analyzed.allocations - analyzed.truth_calls < piloted.library() + rows,
+        "EXPLAIN ANALYZE: {} allocations beyond the truth's",
+        analyzed.allocations - analyzed.truth_calls
+    );
 }

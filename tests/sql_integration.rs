@@ -304,3 +304,68 @@ fn hostile_statement_execution_never_panics() {
     }
     assert!(panics.is_empty(), "{panics:#?}");
 }
+
+/// `EXPLAIN ANALYZE` builds no result rows, yet its `Limit` node still
+/// reports the rows the limit saw and kept — under every optimizer level,
+/// including the lazy `LIMIT` that stops scanning early.
+#[test]
+fn explain_analyze_reports_the_limit_without_building_rows() {
+    let ds = Dataset::generate_with_rows(DatasetId::Movies, 400);
+    let eng = engine();
+    let executor = QueryExecutor::new(&eng, &OracleLlm, Tokenizer::new());
+    let solver = Ggr::default();
+    let truth = |row: usize| if row.is_multiple_of(3) { "Yes" } else { "No" }.to_string();
+    let sql = "SELECT movietitle FROM movies WHERE \
+               LLM('Suitable for kids?', movieinfo, movietitle) = 'Yes' LIMIT 50";
+    for (opt, limit) in [
+        (OptimizerConfig::none(), "Limit 50  (rows 134 → 50)"),
+        (OptimizerConfig::static_only(), "Limit 50  (rows 50 → 50)"),
+        (OptimizerConfig::all(), "Limit 50  (rows 58 → 50)"),
+    ] {
+        let mut runner = SqlRunner::new(&executor, &solver).with_optimizer(opt);
+        runner.register("movies", &ds.table, &ds.fds);
+        let selected = runner.run(sql, &truth).unwrap();
+        assert_eq!(selected.rows.len(), 50);
+        let analyzed = runner
+            .run(&format!("EXPLAIN ANALYZE {sql}"), &truth)
+            .unwrap();
+        let lines: Vec<&str> = analyzed.rows.iter().map(|r| r[0].trim()).collect();
+        assert!(lines.contains(&limit), "{limit} not in {lines:#?}");
+    }
+}
+
+/// Under a cascade, a row the cheap tier answers wrongly takes the label
+/// its plan says, whatever buffer the executor writes it into: every
+/// output is the plan's label of the row's reference answer.
+#[test]
+fn cascaded_outputs_are_the_plans_labels() {
+    let ds = Dataset::generate_with_rows(DatasetId::Movies, 400);
+    let eng = engine();
+    let executor = QueryExecutor::new(&eng, &OracleLlm, Tokenizer::new());
+    let solver = Ggr::default();
+    let truth = |row: usize| if row.is_multiple_of(3) { "Yes" } else { "No" }.to_string();
+    let plan = CascadePlan::mini_to_sonnet(0.5, 7);
+    let mut runner = SqlRunner::new(&executor, &solver)
+        .with_optimizer(OptimizerConfig::cascaded(CascadeConfig::new(plan)));
+    runner.register("movies", &ds.table, &ds.fds);
+    let res = runner
+        .run(
+            "SELECT movietitle FROM movies WHERE \
+             LLM('Suitable for kids?', movieinfo, movietitle) = 'Yes'",
+            &truth,
+        )
+        .unwrap();
+    let labels = ["Yes".to_string(), "No".to_string()];
+    let outputs = &res.stages[0].outputs;
+    assert_eq!(outputs.len(), 400);
+    let mut rewritten = 0;
+    for o in outputs {
+        let reference = truth(o.row);
+        let want = plan.label(o.row as u64, &reference, &labels);
+        assert_eq!(o.text, want, "row {}", o.row);
+        rewritten += usize::from(want != reference);
+    }
+    assert!(rewritten > 0, "the cheap tier must get some rows wrong");
+    let selected = outputs.iter().filter(|o| o.text == "Yes").count();
+    assert_eq!(res.rows.len(), selected);
+}
