@@ -39,14 +39,15 @@
 //! per-solve pool, so steady-state recursion allocates nothing per row: two
 //! flat arrays per solve. The plan is written once, top-down — the leading
 //! fields of the current subtree sit on one prefix stack and each row is
-//! emitted at its leaf, the winning group before the rest. `HITCOUNT` float
-//! sums accumulate in the exact member order the reference uses, so claimed
-//! scores match bit-for-bit (enforced by the differential tests in
-//! `tests/solver_differential.rs`).
+//! emitted at its leaf, the winning group before the rest. The group scan
+//! visits columns by an exact bound on their `HITCOUNT` and stops below the
+//! best found. `HITCOUNT` float sums accumulate in the exact member order
+//! the reference uses, so claimed scores match bit-for-bit (enforced by the
+//! differential tests in `tests/solver_differential.rs`).
 
 use crate::fd::FunctionalDeps;
 use crate::plan::ReorderPlan;
-use crate::scratch::{partition_rows_by_value, DeadCols, Scratch};
+use crate::scratch::{partition_rows_by_value, Scratch};
 use crate::solver::{check_fd_arity, Reorderer, Solution, SolveError};
 use crate::table::ReorderTable;
 use crate::ValueId;
@@ -177,11 +178,15 @@ impl Reorderer for Ggr {
             col_sqs: (0..table.ncols()).map(|c| table.col_sq_lens(c)).collect(),
         };
         let mut s = Scratch::for_table(table);
-        let mut rows = s.pool.take();
+        let top = |c: usize| table.col_sq_lens(c).iter().copied().max().unwrap_or(0) as f64;
+        s.col_top.extend((0..table.ncols()).map(top));
+        let (mut rows, mut most) = (s.pool.take(), s.pool.take());
         rows.extend(0..table.nrows() as u32);
+        most.resize(table.ncols(), u32::MAX);
         let cols: Vec<u32> = (0..table.ncols() as u32).collect();
         let mut plan = ReorderPlan::with_capacity(table.nrows(), table.ncols());
-        let score = ctx.ggr(&mut s, &mut plan, rows, &cols, 0, 0, DeadCols::default());
+        let score = ctx.ggr(&mut s, &mut plan, rows, &cols, 0, 0, &most);
+        s.pool.put(most);
         Ok(Solution {
             plan,
             claimed_phc: score.round() as u64,
@@ -211,8 +216,11 @@ struct BestGroup {
 impl<'a> Ctx<'a> {
     /// Algorithm 1's `GGR(T, FD)` on the view (rows × cols): writes the
     /// view's rows into `out`, each led by the prefix stack, and returns the
-    /// claimed score. `rows`, an owned pool buffer, goes back to the pool.
-    #[allow(clippy::too_many_arguments)] // the view, its depths and mask, and where it goes
+    /// claimed score. `rows`, an owned pool buffer, goes back to the pool;
+    /// `most[c]` bounds the largest group of column `c` in the view (a
+    /// column whose values are all distinct has no group, and stays so in
+    /// every sub-view).
+    #[allow(clippy::too_many_arguments)] // the view, its depths and bounds, and where it goes
     fn ggr(
         &self,
         s: &mut Scratch,
@@ -221,7 +229,7 @@ impl<'a> Ctx<'a> {
         cols: &[u32],
         row_depth: usize,
         col_depth: usize,
-        mut dead: DeadCols,
+        most: &[u32],
     ) -> f64 {
         if rows.len() <= 1 || cols.len() == 1 {
             let score = match cols {
@@ -234,11 +242,14 @@ impl<'a> Ctx<'a> {
         let row_stop = self.config.max_row_depth.is_some_and(|d| row_depth >= d);
         let col_stop = self.config.max_col_depth.is_some_and(|d| col_depth >= d);
         if row_stop || col_stop {
-            return self.fallback(s, out, rows, cols, dead);
+            return self.fallback(s, out, rows, cols, most);
         }
 
-        let Some(best) = self.best_group(s, &rows, cols, &mut dead) else {
+        let (parent, mut most) = (most, s.pool.take());
+        most.extend_from_slice(parent);
+        let Some(best) = self.best_group(s, &rows, cols, &mut most) else {
             // Every value in the view is unique: no ordering can score.
+            s.pool.put(most);
             s.emit(out, rows, cols);
             return 0.0;
         };
@@ -247,7 +258,8 @@ impl<'a> Ctx<'a> {
             .min_hitcount
             .is_some_and(|t| (best.hitcount as u64) < t)
         {
-            return self.fallback(s, out, rows, cols, dead);
+            s.pool.put(most);
+            return self.fallback(s, out, rows, cols, parent);
         }
 
         // One O(n) pass splits the view into the winning group and the rest.
@@ -288,11 +300,12 @@ impl<'a> Ctx<'a> {
             s.emit(out, members, &[]);
             0.0
         } else {
-            self.ggr(s, out, members, &sub_cols, row_depth, col_depth + 1, dead)
+            self.ggr(s, out, members, &sub_cols, row_depth, col_depth + 1, &most)
         };
         s.prefix.truncate(base);
         s.pool.put(sub_cols);
-        let a_score = self.ggr(s, out, rest, cols, row_depth + 1, col_depth, dead);
+        let a_score = self.ggr(s, out, rest, cols, row_depth + 1, col_depth, &most);
+        s.pool.put(most);
         a_score + b_score + best.hitcount
     }
 
@@ -304,37 +317,50 @@ impl<'a> Ctx<'a> {
     /// here. Per-group float sums accumulate in view-row order — the member
     /// order the reference implementation sums in — so `hitcount` is
     /// bit-identical.
+    ///
+    /// Columns are scanned by a bound on their hit counts, highest first,
+    /// and the scan stops at the first bound below the best hit count: a
+    /// group's `tot_len` is at most the sum of its columns' largest squared
+    /// lengths, and its size at most `most[c]` — exactly so in `f64`, whose
+    /// operations are monotone, while sums stay below 2⁵³. Each scanned
+    /// column's largest group size replaces its bound in `most`.
     fn best_group(
         &self,
         s: &mut Scratch,
         rows: &[u32],
         cols: &[u32],
-        dead: &mut DeadCols,
+        most: &mut [u32],
     ) -> Option<BestGroup> {
         for &c in cols {
             s.col_mask[c as usize] = true;
         }
-        let mut best: Option<(BestGroup, u32)> = None; // (group, member count)
-        for &c in cols {
-            if dead.is_dead(c) {
-                continue;
+        let mut by_bound = s.pool.take();
+        for &c in cols.iter().filter(|&&c| most[c as usize] >= 2) {
+            let mut tot = s.col_top[c as usize];
+            for &ic in self.fds.inferred(c as usize) {
+                if self.config.use_fds && s.col_mask[ic as usize] {
+                    tot += s.col_top[ic as usize];
+                }
             }
-            // Columns whose FD group is live need per-row dense ids for the
-            // inferred-length accumulation; count-only grouping otherwise.
-            let wants_fd = self.config.use_fds
-                && self
-                    .fds
-                    .inferred(c as usize)
-                    .iter()
-                    .any(|&ic| s.col_mask[ic as usize]);
-            let n_groups = if wants_fd {
-                s.group_dense(c as usize, self.col_sqs[c as usize], rows)
-            } else {
-                s.group_dense_counts(c as usize, self.col_sqs[c as usize], rows)
-            };
-            if (0..n_groups).all(|g| s.counts[s.touched[g] as usize] < 2) {
-                // No duplicated value in this view ⇒ none in any sub-view.
-                dead.kill(c);
+            let size = most[c as usize].min(rows.len() as u32);
+            s.col_key[c as usize] = (tot * (f64::from(size) - 1.0)).to_bits();
+            by_bound.push(c);
+        }
+        by_bound.sort_unstable_by_key(|&c| std::cmp::Reverse(s.col_key[c as usize]));
+        let mut best: Option<(BestGroup, u32)> = None; // (group, member count)
+        for &c in &by_bound {
+            let bound = f64::from_bits(s.col_key[c as usize]);
+            if best.as_ref().is_some_and(|(b, _)| bound < b.hitcount) {
+                break;
+            }
+            let n_groups = s.group_dense(c as usize, self.col_sqs[c as usize], rows);
+            let touched = &s.touched[..n_groups];
+            most[c as usize] = touched
+                .iter()
+                .map(|&d| s.counts[d as usize])
+                .max()
+                .unwrap_or(0);
+            if most[c as usize] < 2 {
                 continue;
             }
 
@@ -398,6 +424,7 @@ impl<'a> Ctx<'a> {
         for &c in cols {
             s.col_mask[c as usize] = false;
         }
+        s.pool.put(by_bound);
         best.map(|(b, _)| b)
     }
 
@@ -424,11 +451,11 @@ impl<'a> Ctx<'a> {
         out: &mut ReorderPlan,
         mut rows: Vec<u32>,
         cols: &[u32],
-        dead: DeadCols,
+        most: &[u32],
     ) -> f64 {
         let (mark, skip) = (out.len(), s.prefix.len());
         if self.config.fallback == FallbackOrdering::Adaptive {
-            crate::order::adaptive_prefix_plan_into(self.table, rows, cols, s, out, dead);
+            crate::order::adaptive_prefix_plan_into(self.table, rows, cols, s, out, most);
             return self.exact_block_score(out, mark, skip) as f64;
         }
         let field_order: Vec<u32> = match self.config.fallback {
@@ -436,7 +463,7 @@ impl<'a> Ctx<'a> {
             FallbackOrdering::GreedyPrefix => {
                 crate::order::greedy_prefix_order_with(self.table, &rows, cols, s)
             }
-            FallbackOrdering::StatFixed => self.stat_order(s, &rows, cols, dead),
+            FallbackOrdering::StatFixed => self.stat_order(s, &rows, cols, most),
             FallbackOrdering::SortedFixed => cols.to_vec(),
             FallbackOrdering::Original => cols.to_vec(),
         };
@@ -462,18 +489,16 @@ impl<'a> Ctx<'a> {
     /// Exact PHC of the block written at `out[from..]`, read after the
     /// `skip` leading fields all of its rows share.
     fn exact_block_score(&self, out: &ReorderPlan, from: usize, skip: usize) -> u64 {
+        let (cells, m) = (self.table.cells(), self.table.ncols());
         let mut score = 0u64;
         for i in from + 1..out.len() {
             let (a, b) = (out.row(i - 1), out.row(i));
+            let (ra, rb) = (&cells[a.row * m..][..m], &cells[b.row * m..][..m]);
             for (&ca, &cb) in a.fields[skip..].iter().zip(&b.fields[skip..]) {
-                if ca != cb {
+                if ca != cb || ra[ca as usize].value != rb[cb as usize].value {
                     break;
                 }
-                if self.col_vals[ca as usize][a.row] == self.col_vals[ca as usize][b.row] {
-                    score += self.col_sqs[ca as usize][b.row];
-                } else {
-                    break;
-                }
+                score += rb[cb as usize].sq_len();
             }
         }
         score
@@ -482,18 +507,17 @@ impl<'a> Ctx<'a> {
     /// View-local statistics ordering: columns by descending expected PHC
     /// contribution (`avg(len²) · (n − cardinality)`), ties toward the
     /// current column order.
-    fn stat_order(&self, s: &mut Scratch, rows: &[u32], cols: &[u32], dead: DeadCols) -> Vec<u32> {
+    fn stat_order(&self, s: &mut Scratch, rows: &[u32], cols: &[u32], most: &[u32]) -> Vec<u32> {
         let n = rows.len();
         let mut scored: Vec<(f64, usize, u32)> = cols
             .iter()
             .enumerate()
             .map(|(pos, &c)| {
-                if dead.is_dead(c) {
+                if most[c as usize] < 2 {
                     // All values distinct ⇒ dup_rows = 0 ⇒ score exactly 0.
                     return (0.0, pos, c);
                 }
-                let (distinct, sum_sq) =
-                    s.distinct_and_sum_sq(c as usize, self.col_sqs[c as usize], rows);
+                let (distinct, sum_sq) = s.distinct_sum_sq(self.table, c as usize, rows);
                 let avg_sq = if n == 0 { 0.0 } else { sum_sq / n as f64 };
                 let dup_rows = (n - distinct) as f64;
                 (avg_sq * dup_rows, pos, c)

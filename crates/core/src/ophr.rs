@@ -30,7 +30,7 @@
 
 use crate::fd::FunctionalDeps;
 use crate::plan::ReorderPlan;
-use crate::scratch::{partition_rows_by_value, DeadCols, FxBuild, Scratch, SetInterner};
+use crate::scratch::{partition_rows_by_value, FxBuild, Scratch, SetInterner};
 use crate::solver::{check_fd_arity, Reorderer, Solution, SolveError};
 use crate::table::ReorderTable;
 use crate::ValueId;
@@ -114,11 +114,12 @@ impl Reorderer for Ophr {
         };
         let rows: Vec<u32> = (0..table.nrows() as u32).collect();
         let cols: Vec<u32> = (0..table.ncols() as u32).collect();
-        let claimed_phc = ctx
-            .solve(&rows, &cols, DeadCols::default())
-            .map_err(|TimedOut| SolveError::BudgetExceeded {
-                budget: self.config.budget.unwrap_or_default(),
-            })?;
+        let most = vec![u32::MAX; table.ncols()];
+        let claimed_phc =
+            ctx.solve(&rows, &cols, &most)
+                .map_err(|TimedOut| SolveError::BudgetExceeded {
+                    budget: self.config.budget.unwrap_or_default(),
+                })?;
         let mut plan = ReorderPlan::with_capacity(table.nrows(), table.ncols());
         ctx.build(&rows, &cols, &mut plan);
         Ok(Solution {
@@ -172,9 +173,9 @@ impl<'t> Ctx<'t> {
     }
 
     /// Returns the optimal PHC of the subtable (rows × cols), memoizing the
-    /// winning choice. `dead` carries the columns already known group-free
-    /// on this path (see [`DeadCols`]); it prunes scans only, never results.
-    fn solve(&mut self, rows: &[u32], cols: &[u32], mut dead: DeadCols) -> Result<u64, TimedOut> {
+    /// winning choice. A column with `most[c] < 2` is already known to have
+    /// no group on this path: it prunes scans only, never results.
+    fn solve(&mut self, rows: &[u32], cols: &[u32], most: &[u32]) -> Result<u64, TimedOut> {
         if rows.len() <= 1 {
             return Ok(0);
         }
@@ -194,10 +195,13 @@ impl<'t> Ctx<'t> {
             return Ok(score);
         }
 
-        let (flat, candidates) = self.multi_groups(rows, cols, &mut dead);
+        let (parent, mut most) = (most, self.scratch.pool.take());
+        most.extend_from_slice(parent);
+        let (flat, candidates) = self.multi_groups(rows, cols, &mut most);
         if candidates.is_empty() {
             // No value repeats anywhere: every ordering scores 0.
             self.scratch.pool.put(flat);
+            self.scratch.pool.put(most);
             self.memo.insert(key, (0, Choice::Leaf));
             return Ok(0);
         }
@@ -220,7 +224,7 @@ impl<'t> Ctx<'t> {
             sub_cols.extend(cols.iter().copied().filter(|&c| c != cand.col));
             let group = &flat[cand.start..cand.start + cand.len];
             let score =
-                contrib + self.solve(&rest, cols, dead)? + self.solve(group, &sub_cols, dead)?;
+                contrib + self.solve(&rest, cols, &most)? + self.solve(group, &sub_cols, &most)?;
             let better = match best {
                 None => true,
                 // Deterministic tiebreak: higher score, then lower column,
@@ -234,9 +238,9 @@ impl<'t> Ctx<'t> {
                 best = Some((score, cand.col, cand.value));
             }
         }
-        self.scratch.pool.put(rest);
-        self.scratch.pool.put(sub_cols);
-        self.scratch.pool.put(flat);
+        for buf in [rest, sub_cols, flat, most] {
+            self.scratch.pool.put(buf);
+        }
         let (score, col, value) = best.expect("candidates is non-empty");
         self.memo.insert(key, (score, Choice::Split { col, value }));
         Ok(score)
@@ -289,7 +293,7 @@ impl<'t> Ctx<'t> {
         &mut self,
         rows: &[u32],
         cols: &[u32],
-        dead: &mut DeadCols,
+        most: &mut [u32],
     ) -> (Vec<u32>, Vec<Candidate>) {
         let s = &mut self.scratch;
         let mut flat = s.pool.take();
@@ -297,13 +301,13 @@ impl<'t> Ctx<'t> {
         let mut fill = s.pool.take();
         let mut candidates = Vec::new();
         for &c in cols {
-            if dead.is_dead(c) {
+            if most[c as usize] < 2 {
                 continue;
             }
             let n_groups = s.group_dense(c as usize, self.table.col_sq_lens(c as usize), rows);
             if n_groups == rows.len() {
                 // Every value distinct in this view ⇒ in every sub-view too.
-                dead.kill(c);
+                most[c as usize] = 1;
                 continue;
             }
             // Stable counting sort: members of each group land contiguously,

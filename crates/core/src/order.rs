@@ -21,12 +21,16 @@
 //! [`adaptive_prefix_plan`] scans the same gain per node but skips columns
 //! that cannot win: a gain is at most `M_c · (n − 1)`, `M_c` the column's
 //! largest squared length in the view, exactly so in `f64` (integers below
-//! 2⁵³; IEEE division and multiplication are monotone).
+//! 2⁵³; IEEE division and multiplication are monotone). A column with one
+//! value over a node is walked in place instead of recursed into: the child
+//! would see the same rows, bounds and gains, so one scan yields the whole
+//! run of such columns that beat the node's best split.
 
 use crate::plan::ReorderPlan;
-use crate::scratch::{DeadCols, Scratch};
+use crate::scratch::Scratch;
 use crate::table::ReorderTable;
 use crate::ValueId;
+use std::cmp::Reverse;
 
 /// Computes a fixed field order for the subtable (`rows` × `cols`) that
 /// greedily maximizes the expected PHC of lexicographically sorted rows.
@@ -133,36 +137,38 @@ pub fn adaptive_prefix_plan(table: &ReorderTable, rows: &[u32], cols: &[u32]) ->
     let mut out = ReorderPlan::with_capacity(rows.len(), cols.len());
     let mut view = s.pool.take();
     view.extend_from_slice(rows);
-    adaptive_prefix_plan_into(table, view, cols, &mut s, &mut out, DeadCols::default());
+    let most = vec![u32::MAX; table.ncols()];
+    adaptive_prefix_plan_into(table, view, cols, &mut s, &mut out, &most);
     out
 }
 
 /// [`adaptive_prefix_plan`] on a pool buffer of rows, written into `out`
-/// after the prefix stack, with the caller's pruning mask (GGR's default
-/// fall-back). Fixes every node's scan order: descending `M_c` (the largest
-/// squared length of column `c` in this view), ties by index.
+/// after the prefix stack, skipping the columns whose caller bound
+/// `most[c] < 2` says they have no group (GGR's default fall-back). Fixes
+/// every node's scan order: descending `M_c` (the largest squared length of
+/// column `c` in this view), ties by index.
 pub(crate) fn adaptive_prefix_plan_into(
     table: &ReorderTable,
     rows: Vec<u32>,
     cols: &[u32],
     s: &mut Scratch,
     out: &mut ReorderPlan,
-    dead: DeadCols,
+    most: &[u32],
 ) {
     for &c in cols {
         let sq_lens = table.col_sq_lens(c as usize);
         s.col_max[c as usize] = rows.iter().map(|&r| sq_lens[r as usize]).max().unwrap_or(0);
     }
     let mut by_bound = s.pool.take();
-    by_bound.extend_from_slice(cols);
-    by_bound.sort_unstable_by_key(|&c| (std::cmp::Reverse(s.col_max[c as usize]), c));
-    adaptive_rec(table, rows, cols, &by_bound, s, out, dead);
-    s.pool.put(by_bound);
+    by_bound.extend(cols.iter().copied().filter(|&c| most[c as usize] >= 2));
+    by_bound.sort_unstable_by_key(|&c| (Reverse(s.col_max[c as usize]), c));
+    adaptive_rec(table, rows, cols, by_bound, s, out);
 }
 
-/// Emits `rows` with `cols` ordered longest (total squared length) first —
-/// no sharing is possible, so columns can only match inside prefixes that
-/// are already identical. The sort is stable: equal sums keep `cols` order.
+/// Emits `rows` with the view's unconsumed `cols` ordered longest (total
+/// squared length) first — no sharing is possible, so columns can only
+/// match inside prefixes that are already identical. The sort is stable:
+/// equal sums keep `cols` order.
 fn flush_flat(
     table: &ReorderTable,
     rows: Vec<u32>,
@@ -170,19 +176,22 @@ fn flush_flat(
     s: &mut Scratch,
     out: &mut ReorderPlan,
 ) {
-    for &c in cols {
-        let sq_lens = table.col_sq_lens(c as usize);
-        s.col_sum[c as usize] = rows.iter().map(|&r| sq_lens[r as usize]).sum();
-    }
+    let (cells, m) = (table.cells(), table.ncols());
     let mut rest = s.pool.take();
-    rest.extend_from_slice(cols);
-    rest.sort_by_key(|&c| std::cmp::Reverse(s.col_sum[c as usize]));
+    for &c in cols.iter().filter(|&&c| !s.col_mask[c as usize]) {
+        let sq = |&r: &u32| cells[r as usize * m + c as usize].sq_len();
+        s.col_key[c as usize] = rows.iter().map(sq).sum();
+        rest.push(c);
+    }
+    rest.sort_by_key(|&c| Reverse(s.col_key[c as usize]));
     s.emit(out, rows, &rest);
     s.pool.put(rest);
 }
 
-/// One node of [`adaptive_prefix_plan`]: `cols` in the caller's order,
-/// `by_bound` the same columns in scan order.
+/// One node of [`adaptive_prefix_plan`]: its columns are the view's `cols`
+/// not yet on the prefix stack, which marks them in `s.col_mask`; `live`,
+/// an owned pool buffer, holds those of them that may still win, in scan
+/// order.
 ///
 /// The scan stops early. With `S` a column's squared-length sum over the
 /// node's `n` rows and `d` its distinct values, `gain = (S/n)·(n−d) ≤
@@ -191,48 +200,84 @@ fn flush_flat(
 /// and multiplication are monotone. So the first column whose bound is below
 /// the best gain ends the scan, and one whose bound only equals it is
 /// skipped when its index is higher (it would lose the tie).
+///
+/// A column with one value over the node is walked in place: its only
+/// group is the node itself, in the same order, with no residual, so the
+/// child call would see the same rows, candidates, bounds (`M_c` is fixed
+/// for the whole view) and gains, and choose the next best column. A run of
+/// such choices is the constant columns that beat the best other column
+/// (gain, then lower index), best first, so one scan finds it: its bound
+/// need only beat that column. They go on the prefix stack, are marked in
+/// `s.col_mask` and leave `live`; the call pops and unmarks them when it
+/// returns.
 fn adaptive_rec(
     table: &ReorderTable,
     mut rows: Vec<u32>,
     cols: &[u32],
-    by_bound: &[u32],
+    mut live: Vec<u32>,
     s: &mut Scratch,
     out: &mut ReorderPlan,
-    mut dead: DeadCols,
 ) {
+    let base = s.prefix.len();
     // The residual branch iterates rather than recursing, so schedule depth
     // is bounded by the column count, not the row count.
     loop {
-        if rows.len() <= 1 || cols.is_empty() {
-            return flush_flat(table, rows, cols, s, out);
+        if rows.len() <= 1 {
+            flush_flat(table, rows, cols, s, out);
+            break;
         }
-        let n = rows.len();
+        let (n, run) = (rows.len(), s.prefix.len());
+        // The best column with two or more values: (gain, column).
         let mut best: Option<(f64, u32)> = None;
-        for &c in by_bound {
-            if dead.is_dead(c) {
-                continue;
-            }
+        let (mut i, mut kept) = (0, 0);
+        while i < live.len() {
+            let c = live[i];
             let bound = s.col_max[c as usize] as f64 * (n - 1) as f64;
-            match best {
-                Some((bg, _)) if bound < bg => break,
-                Some((bg, bc)) if bound == bg && c > bc => continue,
-                _ => {}
+            if best.is_some_and(|(bg, _)| bound < bg) {
+                break;
             }
-            let (distinct, sum_sq) =
-                s.distinct_and_sum_sq(c as usize, table.col_sq_lens(c as usize), &rows);
-            if distinct == n {
-                // No duplicated value in this view ⇒ none in any sub-view;
-                // the gain is 0 here and forever, so stop scanning it.
-                dead.kill(c);
-                continue;
+            i += 1;
+            if best.is_none_or(|(bg, bc)| bound > bg || c < bc) {
+                let (distinct, sum_sq) = s.distinct_sum_sq(table, c as usize, &rows);
+                if distinct == n {
+                    // No duplicated value in this view ⇒ none in any
+                    // sub-view: the gain is 0 here and forever, so the
+                    // column leaves `live`.
+                    continue;
+                }
+                let gain = (sum_sq / n as f64) * (n - distinct) as f64;
+                if gain > 0.0 && distinct == 1 {
+                    s.col_key[c as usize] = gain.to_bits();
+                    s.prefix.push(c);
+                } else if gain > 0.0
+                    && best.is_none_or(|(bg, bc)| gain > bg || (gain == bg && c < bc))
+                {
+                    best = Some((gain, c));
+                }
             }
-            let gain = (sum_sq / n as f64) * (n - distinct) as f64;
-            if gain > 0.0 && best.is_none_or(|(bg, bc)| gain > bg || (gain == bg && c < bc)) {
-                best = Some((gain, c));
-            }
+            live[kept] = c;
+            kept += 1;
+        }
+        live.drain(kept..i);
+        // The walk: the constant columns that beat that one, best first.
+        s.prefix[run..].sort_unstable_by_key(|&c| (Reverse(s.col_key[c as usize]), c));
+        let walked = s.prefix[run..]
+            .iter()
+            .take_while(|&&c| {
+                let gain = f64::from_bits(s.col_key[c as usize]);
+                best.is_none_or(|(bg, bc)| gain > bg || (gain == bg && c < bc))
+            })
+            .count();
+        s.prefix.truncate(run + walked);
+        for &c in &s.prefix[run..] {
+            s.col_mask[c as usize] = true;
+        }
+        if walked > 0 {
+            live.retain(|&c| !s.col_mask[c as usize]);
         }
         let Some((_, chosen)) = best else {
-            return flush_flat(table, rows, cols, s, out);
+            flush_flat(table, rows, cols, s, out);
+            break;
         };
         // Partition by the chosen field's value: multi-member groups become
         // contiguous blocks, largest first, singletons flow to the residual
@@ -242,62 +287,63 @@ fn adaptive_rec(
         for &d in &s.touched {
             if s.counts[d as usize] >= 2 {
                 groups.push(d);
+            } else {
+                s.counts[d as usize] = u32::MAX;
             }
         }
         groups.sort_unstable_by_key(|&d| {
             let size = s.counts[d as usize];
-            (std::cmp::Reverse(size), s.value_of(chosen as usize, d))
+            (Reverse(size), s.value_of(chosen as usize, d))
         });
         // The groups' rows laid out in that order in `flat`, each in view
-        // order: `at[d]` is group `d`'s next slot (u32::MAX for singletons),
-        // its end once the pass is done.
-        let mut at = s.pool.take();
-        at.resize(
-            s.touched.iter().map(|&d| d as usize + 1).max().unwrap_or(0),
-            u32::MAX,
-        );
+        // order. Only the touched ids are written: `counts[d]` turns into
+        // group `d`'s next slot (u32::MAX for singletons), and `groups` into
+        // the groups' end offsets, which the children cannot overwrite.
         let mut len = 0;
-        for &d in &groups {
-            at[d as usize] = len;
-            len += s.counts[d as usize];
+        for g in &mut groups {
+            let d = *g as usize;
+            (s.counts[d], len) = (len, len + s.counts[d]);
+            *g = len;
         }
         let (mut flat, mut residual) = (s.pool.take(), s.pool.take());
         flat.resize(len as usize, 0);
         for (k, &r) in rows.iter().enumerate() {
             let d = s.row_dense[k] as usize;
-            if at[d] == u32::MAX {
+            if s.counts[d] == u32::MAX {
                 residual.push(r);
             } else {
-                flat[at[d] as usize] = r;
-                at[d] += 1;
+                flat[s.counts[d] as usize] = r;
+                s.counts[d] += 1;
             }
         }
         residual.sort_unstable();
-        let mut sub_cols = s.pool.take();
-        sub_cols.extend(cols.iter().copied().filter(|&c| c != chosen));
-        let mut sub_by_bound = s.pool.take();
-        sub_by_bound.extend(by_bound.iter().copied().filter(|&c| c != chosen));
         s.pool.put(rows);
         // Lead every row of these blocks with the chosen field.
         s.prefix.push(chosen);
+        s.col_mask[chosen as usize] = true;
         let mut start = 0;
-        for &d in &groups {
-            let end = at[d as usize] as usize;
-            let mut members = s.pool.take();
-            members.extend_from_slice(&flat[start..end]);
-            adaptive_rec(table, members, &sub_cols, &sub_by_bound, s, out, dead);
+        for &end in &groups {
+            let (mut members, mut sub_live) = (s.pool.take(), s.pool.take());
+            members.extend_from_slice(&flat[start as usize..end as usize]);
+            sub_live.extend(live.iter().copied().filter(|&c| c != chosen));
+            adaptive_rec(table, members, cols, sub_live, s, out);
             start = end;
         }
         s.prefix.pop();
-        for buf in [groups, at, flat, sub_cols, sub_by_bound] {
-            s.pool.put(buf);
-        }
+        s.col_mask[chosen as usize] = false;
+        s.pool.put(groups);
+        s.pool.put(flat);
         if residual.is_empty() {
             s.pool.put(residual);
-            return;
+            break;
         }
         rows = residual;
     }
+    s.pool.put(live);
+    for &c in &s.prefix[base..] {
+        s.col_mask[c as usize] = false;
+    }
+    s.prefix.truncate(base);
 }
 
 #[cfg(test)]
@@ -414,12 +460,23 @@ mod tests {
             for c in 0..m as usize {
                 let sq = t.col_sq_lens(c);
                 let m_c = view.iter().map(|&r| sq[r as usize]).max().unwrap();
-                let (distinct, sum_sq) = s.distinct_and_sum_sq(c, sq, &node);
+                let (distinct, sum_sq) = s.distinct_sum_sq(&t, c, &node);
                 let k = node.len();
                 let gain = (sum_sq / k as f64) * (k - distinct) as f64;
                 let bound = m_c as f64 * (k - 1) as f64;
                 assert!(gain <= bound, "case {case} col {c}: {gain} > {bound}");
             }
+        }
+    }
+
+    #[test]
+    fn a_leaf_keeps_the_callers_column_order_on_equal_lengths() {
+        // No value repeats, so both rows make one leaf: column 1 has the
+        // largest squared-length sum (9 + 1), columns 0 and 2 tie (4 + 4).
+        let t = table(&[&[(0, 2), (10, 3), (20, 2)], &[(1, 2), (11, 1), (21, 2)]]);
+        for (cols, fields) in [([2, 0, 1], [1, 2, 0]), ([0, 1, 2], [1, 0, 2])] {
+            let plan = adaptive_prefix_plan(&t, &[0, 1], &cols);
+            assert!(plan.rows().all(|rp| rp.fields == fields), "{cols:?}");
         }
     }
 

@@ -24,6 +24,7 @@
 //!   flooding resistance buys nothing here.
 
 use crate::plan::ReorderPlan;
+use crate::table::ReorderTable;
 use crate::ValueId;
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -196,11 +197,11 @@ impl BufPool {
 /// Per-solve scratch threaded through solver recursion.
 ///
 /// [`Scratch::for_table`] builds the *per-column value→group index* once:
-/// every column's values are remapped to dense per-column ids
-/// (`dense_of`), with per-id value/squared-length lookup tables. After that
-/// one O(n·m) pass, grouping any view by any column is pure array indexing —
-/// an epoch-stamped counting pass with no hashing — and stays O(view) via
-/// the `touched` list of ids actually present in the view.
+/// every column's values are remapped to dense per-column ids, with a
+/// per-id value lookup table. After that one O(n·m) pass, grouping any view
+/// by any column is pure array indexing — an epoch-stamped counting pass
+/// with no hashing — and stays O(view) via the `touched` list of ids
+/// actually present in the view.
 ///
 /// After [`Scratch::group_dense`], the grouping state reads as: `touched`
 /// holds the distinct dense ids in first-seen order, `counts[d]` the member
@@ -231,12 +232,16 @@ pub(crate) struct Scratch {
     pub acc: Vec<f64>,
     /// Per-dense-id running `HITCOUNT` total.
     pub tot: Vec<f64>,
-    /// Column membership mask, `ncols` long.
+    /// Column membership mask, `ncols` long; all `false` between uses (the
+    /// adaptive fall-back marks the columns it has put on the prefix stack).
     pub col_mask: Vec<bool>,
     /// Per column: the largest squared length in an adaptive fall-back's view
     pub col_max: Vec<u64>,
-    /// … and the squared-length sum over one of its leaves.
-    pub col_sum: Vec<u64>,
+    /// … and in the whole table (the bounds of GGR's group scan) …
+    pub col_top: Vec<f64>,
+    /// … and a sort key: a fall-back leaf's squared-length sum, the gain
+    /// (`f64` bits) of a column walked in place, or a group-scan bound.
+    pub col_key: Vec<u64>,
     /// The fields leading every row of the subtree being written (a stack).
     pub prefix: Vec<u32>,
     /// Slot map for pair-keyed groupings ([`greedy_prefix_order`][o]).
@@ -245,11 +250,8 @@ pub(crate) struct Scratch {
     pub map: SlotMap,
     /// Reusable row/column index buffers.
     pub pool: BufPool,
-    /// Raw-value stamps for the direct remap path (stamped by column id,
-    /// fully reset on every rebuild).
-    vstamp: Vec<u32>,
-    /// Raw-value → dense-slot table for the direct remap path.
-    vslot: Vec<u32>,
+    /// Raw value → `(column + 1) << 32 | dense slot`, the direct remap path.
+    vslot: Vec<u64>,
 }
 
 impl Drop for Scratch {
@@ -274,27 +276,18 @@ impl Drop for Scratch {
 impl Scratch {
     /// Builds the per-column group indexes for all of `table` — the one
     /// value-remap pass of a solve; everything after is array indexing.
-    pub fn for_table(table: &crate::table::ReorderTable) -> Self {
+    pub fn for_table(table: &ReorderTable) -> Self {
         let rows: Vec<u32> = (0..table.nrows() as u32).collect();
         let cols: Vec<u32> = (0..table.ncols() as u32).collect();
         Self::for_view(table, &rows, &cols)
     }
 
-    /// Builds the group indexes for one (rows × cols) view of `table`: the
-    /// *remap work* is O(|rows|·|cols|), though each view column still
-    /// allocates a zeroed `nrows`-sized id array (entries are addressed by
-    /// original row index), so small views of huge tables pay an O(n)
-    /// memset per view column — cheap, but not free. Dense-id numbering
-    /// follows the view's row order; nothing downstream depends on the
-    /// numbering, only on the first-seen order of the `touched` list, which
-    /// is view-relative either way.
-    ///
-    /// When the raw [`ValueId`] space is dense (the encode path interns
-    /// fragments densely, so raw ids are bounded by the distinct-cell count),
-    /// the remap is a direct stamp-array lookup; tables with sparse synthetic
-    /// ids fall back to the slot map. Both assign ids in first-seen order, so
-    /// the result is identical.
-    pub fn for_view(table: &crate::table::ReorderTable, rows: &[u32], cols: &[u32]) -> Self {
+    /// Builds the group indexes for one (rows × cols) view of `table`:
+    /// O(|rows|·|cols|) remap work plus an `nrows`-long id array per view
+    /// column. Dense ids are numbered first-seen in view order, through a
+    /// table indexed by raw [`ValueId`] while ids are dense (the encode path
+    /// interns them densely), else through the slot map: the same ids.
+    pub fn for_view(table: &ReorderTable, rows: &[u32], cols: &[u32]) -> Self {
         let mut s = SCRATCH_POOL
             .try_with(|pool| pool.borrow_mut().pop())
             .ok()
@@ -308,13 +301,14 @@ impl Scratch {
     /// backing allocations. Every value a solver can observe is reset to
     /// exactly the fresh-construction state, so a recycled scratch is
     /// indistinguishable from a new one.
-    fn rebuild(&mut self, table: &crate::table::ReorderTable, rows: &[u32], cols: &[u32]) {
+    fn rebuild(&mut self, table: &ReorderTable, rows: &[u32], cols: &[u32]) {
         let n = table.nrows();
         let m = table.ncols();
         self.col_mask.clear();
         self.col_mask.resize(m, false);
         self.col_max.resize(m, 0); // written before read: no reset needed
-        self.col_sum.resize(m, 0);
+        self.col_key.resize(m, 0);
+        self.col_top.clear();
         self.prefix.clear();
         // Largest on top, where `take` pops: a solve's first (largest) takes
         // find the buffers earlier solves grew.
@@ -335,23 +329,10 @@ impl Scratch {
         self.epoch = 0;
         self.touched.clear();
         self.row_dense.clear();
-        let max_raw = cols
-            .iter()
-            .flat_map(|&c| {
-                let values = table.col_values(c as usize);
-                rows.iter().map(move |&r| values[r as usize].as_u32())
-            })
-            .max()
-            .unwrap_or(0) as usize;
-        let direct = max_raw < (4 * n * m + 65_536);
-        if direct {
-            // vstamp is stamped by column id, which recurs across solves —
-            // reset it wholesale (clear + resize refills every entry).
-            self.vstamp.clear();
-            self.vstamp.resize(max_raw + 1, u32::MAX);
-            self.vslot.clear();
-            self.vslot.resize(max_raw + 1, 0);
-        }
+        // Entries are stamped by column id, which recurs across solves, so
+        // the table starts empty and every entry it grows into reads 0.
+        self.vslot.clear();
+        let limit = 4 * n * m + 65_536;
         let mut max_card = 0usize;
         for &c in cols {
             let values = table.col_values(c as usize);
@@ -360,17 +341,25 @@ impl Scratch {
             ids.resize(n, 0);
             let mut vals = std::mem::take(&mut self.dense_values[c as usize]);
             vals.clear();
-            if direct {
-                for &r in rows {
-                    let raw = values[r as usize].as_u32() as usize;
-                    if self.vstamp[raw] != c {
-                        self.vstamp[raw] = c;
-                        self.vslot[raw] = vals.len() as u32;
-                        vals.push(values[r as usize]);
+            let tag = u64::from(c) + 1;
+            let direct = rows.iter().all(|&r| {
+                let raw = values[r as usize].as_u32() as usize;
+                if raw >= self.vslot.len() {
+                    if raw >= limit {
+                        return false;
                     }
-                    ids[r as usize] = self.vslot[raw];
+                    self.vslot
+                        .resize((raw + 1).max(2 * self.vslot.len()).min(limit), 0);
                 }
-            } else {
+                if self.vslot[raw] >> 32 != tag {
+                    self.vslot[raw] = tag << 32 | vals.len() as u64;
+                    vals.push(values[r as usize]);
+                }
+                ids[r as usize] = self.vslot[raw] as u32;
+                true
+            });
+            if !direct {
+                vals.clear();
                 self.map.begin(rows.len());
                 for &r in rows {
                     let (slot, new) = self.map.insert(u64::from(values[r as usize].as_u32()));
@@ -446,37 +435,27 @@ impl Scratch {
         self.touched.len()
     }
 
-    /// [`Scratch::group_dense`] without the per-row `row_dense` fill, for
-    /// callers that only need group counts (`best_group` on columns with no
-    /// applicable functional dependencies).
-    pub fn group_dense_counts(&mut self, c: usize, sq_lens: &[u64], rows: &[u32]) -> usize {
-        let epoch = self.bump_epoch();
-        self.touched.clear();
-        let dense = &self.dense[c];
-        for &r in rows {
-            let d = dense[r as usize];
-            if self.stamp[d as usize] != epoch {
-                self.stamp[d as usize] = epoch;
-                self.counts[d as usize] = 0;
-                self.first_sq[d as usize] = sq_lens[r as usize];
-                self.touched.push(d);
+    /// One fused view pass: distinct count of column `c` of `t` plus the
+    /// view's squared-length sum. The sum accumulates per **row** in view
+    /// order — the exact additions the reference implementations perform —
+    /// so gains stay bit-identical even on tables where a value recurs with
+    /// different lengths. A handful of rows is read from the row-major cells:
+    /// a small node reads many columns of the same rows, which share cache
+    /// lines there; each value is compared with those before it.
+    pub fn distinct_sum_sq(&mut self, t: &ReorderTable, c: usize, rows: &[u32]) -> (usize, f64) {
+        let (mut distinct, mut sum_sq) = (0, 0f64);
+        if rows.len() <= 8 {
+            let (cells, m, mut seen) = (t.cells(), t.ncols(), [ValueId::from_raw(0); 8]);
+            for (k, &r) in rows.iter().enumerate() {
+                let cell = cells[r as usize * m + c];
+                distinct += usize::from(!seen[..k].contains(&cell.value));
+                (seen[k], sum_sq) = (cell.value, sum_sq + cell.sq_len() as f64);
             }
-            self.counts[d as usize] += 1;
+            return (distinct, sum_sq);
         }
-        self.touched.len()
-    }
-
-    /// One fused view pass: distinct count of column `c` plus the view's
-    /// squared-length sum over `sq_lens`, that column's per-row array. The
-    /// sum accumulates per **row** in view order — the exact additions the
-    /// reference implementations perform — so gains stay bit-identical even
-    /// on tables where a value recurs with different lengths.
-    pub fn distinct_and_sum_sq(&mut self, c: usize, sq_lens: &[u64], rows: &[u32]) -> (usize, f64) {
-        let epoch = self.bump_epoch();
+        let (sq_lens, epoch) = (t.col_sq_lens(c), self.bump_epoch());
         let dense = &self.dense[c];
         let stamp = &mut self.stamp;
-        let mut distinct = 0usize;
-        let mut sum_sq = 0f64;
         for &r in rows {
             let d = dense[r as usize] as usize;
             if stamp[d] != epoch {
@@ -486,37 +465,6 @@ impl Scratch {
             sum_sq += sq_lens[r as usize] as f64;
         }
         (distinct, sum_sq)
-    }
-}
-
-/// Path-local pruning mask over the first 64 columns.
-///
-/// A column with no duplicated value in a view has none in any sub-view
-/// (views only shrink along recursion), so it can never again source a
-/// group: solvers kill it and skip it in descendant scans. The pruning is
-/// invisible in solver output — a group-free column contributes no split
-/// candidates and a gain of zero, so it could never be chosen anyway — it
-/// only removes wasted O(view) scans. Columns ≥ 64 are simply never pruned.
-///
-/// The mask is passed **by value** down the recursion, so sibling branches
-/// cannot see each other's kills (a column dead in one subtree may still
-/// have groups in a cousin view).
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct DeadCols(u64);
-
-impl DeadCols {
-    /// Whether column `c` is known group-free on this path.
-    #[inline]
-    pub fn is_dead(self, c: u32) -> bool {
-        c < 64 && self.0 & (1 << c) != 0
-    }
-
-    /// Marks column `c` group-free for this path and its descendants.
-    #[inline]
-    pub fn kill(&mut self, c: u32) {
-        if c < 64 {
-            self.0 |= 1 << c;
-        }
     }
 }
 
@@ -634,11 +582,29 @@ mod tests {
         assert_eq!(n, 2);
         assert_eq!(s.touched, vec![1, 2]);
         assert_eq!(&s.counts[1..3], &[1, 1]);
-        let (distinct, sum_sq) = s.distinct_and_sum_sq(0, &sq, &rows);
+        let (distinct, sum_sq) = s.distinct_sum_sq(&t, 0, &rows);
         assert_eq!(distinct, 3);
         // 3×25 + 2×81 + 4, accumulated in view order.
         assert_eq!(sum_sq, (3 * 25 + 2 * 81 + 4) as f64);
-        assert_eq!(s.distinct_and_sum_sq(0, &sq, &[0, 2, 3]).0, 1);
+        assert_eq!(s.distinct_sum_sq(&t, 0, &[0, 2, 3]).0, 1);
+    }
+
+    #[test]
+    fn sparse_value_ids_get_the_same_dense_ids() {
+        // Column 1's second id is past the direct table's reach: the column
+        // starts over on the slot map, which numbers values first-seen too.
+        use crate::table::{Cell, ReorderTable};
+        let mut t = ReorderTable::new(vec!["a".into(), "b".into()]).unwrap();
+        for (a, b) in [(5u32, 7u32), (9, 1_000_000), (5, 7)] {
+            let cell = |v| Cell::new(ValueId::from_raw(v), 1);
+            t.push_row(vec![cell(a), cell(b)]).unwrap();
+        }
+        let mut s = Scratch::for_table(&t);
+        for c in 0..2 {
+            assert_eq!(s.group_dense(c, t.col_sq_lens(c), &[0, 1, 2]), 2);
+            assert_eq!(s.row_dense, vec![0, 1, 0]);
+        }
+        assert_eq!(s.value_of(1, 1), ValueId::from_raw(1_000_000));
     }
 
     #[test]
@@ -673,7 +639,7 @@ mod tests {
         assert_eq!(s.row_dense, vec![0, 1, 0]);
         assert_eq!(s.value_of(0, 0), ValueId::from_raw(9));
         assert_eq!(&s.first_sq[..2], &[81, 64]);
-        let (distinct, sum_sq) = s.distinct_and_sum_sq(0, &sq, &rows);
+        let (distinct, sum_sq) = s.distinct_sum_sq(&small, 0, &rows);
         assert_eq!(distinct, 2);
         assert_eq!(sum_sq, (81 + 64 + 81) as f64);
     }

@@ -306,6 +306,11 @@ impl ReorderTable {
         &self.cells[row * m..(row + 1) * m]
     }
 
+    /// Every cell, row-major: cell `(r, c)` at `r · ncols + c`.
+    pub(crate) fn cells(&self) -> &[Cell] {
+        &self.cells
+    }
+
     /// Total token length of all cells (denominator of field-level hit rates).
     pub fn total_tokens(&self) -> u64 {
         self.cells.iter().map(|c| u64::from(c.len)).sum()

@@ -154,7 +154,11 @@ const BUDGET_PER_SOLVE: u64 = 64;
 
 #[test]
 fn a_warm_solve_allocates_a_constant_not_per_row() {
-    for (id, rows) in [(DatasetId::Movies, 2_000), (DatasetId::Pdmx, 2_250)] {
+    for (id, rows) in [
+        (DatasetId::Movies, 2_000),
+        (DatasetId::Pdmx, 2_250),
+        (DatasetId::Beer, 6_400),
+    ] {
         let (table, fds) = common::filter_table(id, rows);
         assert!(id != DatasetId::Pdmx || table.ncols() >= 40);
         // The first solve on this thread builds the scratch arena it parks

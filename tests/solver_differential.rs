@@ -159,6 +159,40 @@ fn wide_table_strategy() -> impl Strategy<Value = ReorderTable> {
         })
 }
 
+/// Nested wide tables, 65–72 columns over a three-level row hierarchy
+/// (`a` ⊃ `b` ⊃ `c`). Three column kinds repeat one level's group id, so
+/// they are constant inside that level's groups and the adaptive fall-back
+/// walks long runs of them in place, past column 64 too. The fourth kind
+/// repeats the middle level's id except in rows whose `lone` draw names
+/// the column, which hold a value of their own: a split on such a column
+/// leaves them singletons, for the residual branch.
+fn nested_wide_table_strategy() -> impl Strategy<Value = ReorderTable> {
+    let row = (0u32..3, 0u32..3, 0u32..4, 0u32..8);
+    (65..=72usize, proptest::collection::vec(row, 6..=40)).prop_map(|(m, rows)| {
+        let cols = (0..m).map(|c| format!("c{c}")).collect();
+        let mut t = ReorderTable::new(cols).unwrap();
+        for (r, &(a, b, c, lone)) in rows.iter().enumerate() {
+            let cells = (0..m as u32)
+                .map(|col| {
+                    let v = match col % 4 {
+                        0 => a,
+                        1 => 3 * a + b,
+                        2 => 12 * a + 4 * b + c,
+                        _ if col % 8 == lone => 100 + r as u32,
+                        _ => 3 * a + b,
+                    };
+                    Cell::new(
+                        ValueId::from_raw(col * 256 + v),
+                        1 + (v * 7 + col * 13) % 29,
+                    )
+                })
+                .collect();
+            t.push_row(cells).unwrap();
+        }
+        t
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -197,6 +231,14 @@ proptest! {
 
     #[test]
     fn ggr_matches_reference_on_wide_tables(t in wide_table_strategy()) {
+        let fds = FunctionalDeps::empty(t.ncols());
+        for config in ggr_configs() {
+            assert_ggr_matches(&t, &fds, config);
+        }
+    }
+
+    #[test]
+    fn ggr_matches_reference_on_nested_wide_tables(t in nested_wide_table_strategy()) {
         let fds = FunctionalDeps::empty(t.ncols());
         for config in ggr_configs() {
             assert_ggr_matches(&t, &fds, config);
@@ -255,16 +297,60 @@ fn solvers_match_reference_on_all_tier1_datasets() {
         let reference = GgrReference::default().reorder(&table, &fds).unwrap();
         assert_identical(&opt, &reference, &format!("GGR on movies-{rows}"));
     }
-    // The wide table the `solver/pdmx-wide` bench times: 57 columns.
-    let (table, fds) = common::filter_table(DatasetId::Pdmx, 400);
-    let opt = Ggr::default().reorder(&table, &fds).unwrap();
-    let reference = GgrReference::default().reorder(&table, &fds).unwrap();
-    assert_identical(&opt, &reference, "GGR on pdmx-400");
+    // The 57-column PDMX table, and in release builds PDMX and Beer at the
+    // row counts the end-to-end benchmark's `paper_scan` solves.
+    let full_scale: &[(DatasetId, usize)] = if cfg!(debug_assertions) {
+        &[(DatasetId::Pdmx, 400)]
+    } else {
+        &[
+            (DatasetId::Pdmx, 400),
+            (DatasetId::Pdmx, 2250),
+            (DatasetId::Beer, 6400),
+        ]
+    };
+    for &(id, rows) in full_scale {
+        let (table, fds) = common::filter_table(id, rows);
+        let opt = Ggr::default().reorder(&table, &fds).unwrap();
+        let reference = GgrReference::default().reorder(&table, &fds).unwrap();
+        assert_identical(&opt, &reference, &format!("GGR on {}-{rows}", id.name()));
+    }
     let (table, fds) = movies(64);
     let head = table.head(16);
     let opt = Ophr::unbounded().reorder(&head, &fds).unwrap();
     let reference = OphrReference::unbounded().reorder(&head, &fds).unwrap();
     assert_identical(&opt, &reference, "OPHR on movies head(16)");
+}
+
+/// A solve on a recycled scratch arena is a solve on a fresh one. A wide
+/// table grows this thread's arena, then a narrower table with other values
+/// (whose raw value ids overlap the first one's) reuses it: under every
+/// configuration its plan must equal the one a fresh thread finds, and the
+/// oracle's.
+#[test]
+fn a_recycled_scratch_solves_like_a_fresh_one() {
+    let (wide, wide_fds) = common::filter_table(DatasetId::Pdmx, 300);
+    let (narrow, narrow_fds) = common::filter_table(DatasetId::Beer, 300);
+    assert!(wide.ncols() > narrow.ncols());
+    let solve_all = || -> Vec<Solution> {
+        let solve = |config| Ggr::new(config).reorder(&narrow, &narrow_fds).unwrap();
+        ggr_configs().into_iter().map(solve).collect()
+    };
+    std::thread::scope(|scope| {
+        let recycled = scope.spawn(|| {
+            Ggr::default().reorder(&wide, &wide_fds).unwrap();
+            solve_all()
+        });
+        let fresh = scope.spawn(solve_all);
+        let (recycled, fresh) = (recycled.join().unwrap(), fresh.join().unwrap());
+        for ((config, recycled), fresh) in ggr_configs().into_iter().zip(&recycled).zip(&fresh) {
+            let what = format!("GGR {config:?} on a recycled arena");
+            assert_identical(recycled, fresh, &what);
+            let reference = GgrReference::new(config)
+                .reorder(&narrow, &narrow_fds)
+                .unwrap();
+            assert_identical(recycled, &reference, &what);
+        }
+    });
 }
 
 /// Equivalence must hold even on *ill-formed* tables where one [`ValueId`]
