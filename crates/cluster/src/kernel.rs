@@ -45,8 +45,8 @@
 
 use crate::fault::{FaultEvent, FaultPlan, FaultStats, RetryPolicy};
 use crate::overload::{
-    decide_admission, obs_scale, obs_shed, OverloadPolicy, ScalePolicy, ScaleStats, ShedDecision,
-    ShedReason, ShedStats,
+    decide_admission, obs_scale, obs_shed, shed_victim, AdmissionPolicy, OverloadPolicy,
+    PendingLedger, ScalePolicy, ScaleStats, ShedDecision, ShedReason, ShedStats,
 };
 use crate::report::{ClusterReport, ReplicaOccupancy, ReplicaReport};
 use crate::request::ClusterRequest;
@@ -77,6 +77,103 @@ struct AdmEntry {
     /// Replica this attempt must avoid (a hedge excludes the replica its
     /// primary runs on).
     exclude: Option<usize>,
+    /// Copied from the request, so the gates never read `requests`.
+    tenant: u32,
+    priority: u8,
+}
+
+/// Attempts that have arrived but not yet been placed, and the ledger of the
+/// first attempts among them; only `push` and `remove` change either.
+struct Admission {
+    queue: VecDeque<AdmEntry>,
+    pending: PendingLedger,
+}
+
+impl Admission {
+    fn push(&mut self, e: AdmEntry) {
+        if e.kind == AttemptKind::First {
+            self.pending.count(e.tenant, e.priority, true);
+        }
+        self.queue.push_back(e);
+    }
+
+    fn remove(&mut self, pos: usize) -> Option<AdmEntry> {
+        let e = self.queue.remove(pos)?;
+        if e.kind == AttemptKind::First {
+            self.pending.count(e.tenant, e.priority, false);
+        }
+        Some(e)
+    }
+
+    /// `(queue position, priority)` of every pending first attempt, oldest
+    /// first: the shed-victim candidates.
+    fn first_attempts(&self) -> impl Iterator<Item = (usize, u8)> + '_ {
+        let first = self.queue.iter().enumerate();
+        let first = first.filter(|(_, e)| e.kind == AttemptKind::First);
+        first.map(|(pos, e)| (pos, e.priority))
+    }
+
+    /// The gates' ruling over a recount of the queue and a full victim scan,
+    /// asserting the ledger equals the recount and holds every victim the
+    /// scan finds: the oracle of the ledger-driven ruling, in debug builds.
+    fn decide_by_scan(&self, gates: &AdmissionPolicy, r: &ClusterRequest, kv: f64) -> ShedDecision {
+        let mut recount = PendingLedger::new(gates);
+        for e in self.queue.iter().filter(|e| e.kind == AttemptKind::First) {
+            recount.count(e.tenant, e.priority, true);
+        }
+        assert_eq!(recount, self.pending, "admission ledger drifted");
+        let victim = shed_victim(self.first_attempts(), r.priority);
+        assert!(victim.is_none() || recount.holds_below(r.priority));
+        decide_admission(gates, r, &recount, kv, || victim)
+    }
+}
+
+/// Request positions by engine request id, for attributing completions: open
+/// addressing over `j + 1` (0 = empty), at most half full, each probe checked
+/// against the request's id. Building it is the id-uniqueness check.
+#[derive(Default)]
+struct IdIndex {
+    slots: Vec<u32>,
+}
+
+impl IdIndex {
+    fn new(requests: &[ClusterRequest]) -> Result<Self, ClusterError> {
+        let len = (2 * requests.len()).next_power_of_two().max(2);
+        let mut slots = vec![0; len];
+        for (j, r) in requests.iter().enumerate() {
+            let mut at = IdIndex::home(r.request.id, len);
+            while slots[at] != 0 {
+                if requests[slots[at] as usize - 1].request.id == r.request.id {
+                    // Cold path: name the smallest duplicated id.
+                    let mut ids: Vec<usize> = requests.iter().map(|r| r.request.id).collect();
+                    ids.sort_unstable();
+                    let pair = ids.windows(2).find(|w| w[0] == w[1]);
+                    let id = pair.map_or(r.request.id, |w| w[0]);
+                    return Err(ClusterError::DuplicateRequestId { id });
+                }
+                at = (at + 1) & (len - 1);
+            }
+            slots[at] = j as u32 + 1;
+        }
+        Ok(IdIndex { slots })
+    }
+
+    /// The top bits of a multiplicative hash, in a table of `len` slots.
+    fn home(id: usize, len: usize) -> usize {
+        let shift = 64 - len.trailing_zeros();
+        ((id as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> shift) as usize
+    }
+
+    fn get(&self, id: usize, requests: &[ClusterRequest]) -> Option<usize> {
+        let mut at = IdIndex::home(id, self.slots.len());
+        loop {
+            let j = (*self.slots.get(at)? as usize).checked_sub(1)?;
+            if requests[j].request.id == id {
+                return Some(j);
+            }
+            at = (at + 1) & (self.slots.len() - 1);
+        }
+    }
 }
 
 /// One attempt queued or running on a replica.
@@ -201,7 +298,12 @@ struct DueQueue(VecDeque<(f64, usize)>);
 impl DueQueue {
     fn push(&mut self, at: f64, key: usize) {
         let earlier = |&(a, k): &(f64, usize)| a.total_cmp(&at).then(k.cmp(&key)).is_lt();
-        self.0.insert(self.0.partition_point(earlier), (at, key));
+        // Hedge timers are armed in placement order: nearly always the last.
+        if self.0.back().is_none_or(earlier) {
+            self.0.push_back((at, key));
+        } else {
+            self.0.insert(self.0.partition_point(earlier), (at, key));
+        }
     }
 
     fn next_at(&self) -> Option<f64> {
@@ -368,9 +470,11 @@ fn trace_fault(name: &str, replica: usize, t: f64) {
 
 /// Appends one incarnation's queue waits. Engine admission is FIFO, so
 /// completions sorted by admission time pair with arrivals in enqueue order.
+/// Times equal under `total_cmp` are the same bits, so an unstable sort (no
+/// merge buffer) orders them alike.
 fn pair_queue_waits(arrivals: &[f64], completions: &[Completion], out: &mut Vec<f64>) {
     let mut admissions: Vec<f64> = completions.iter().map(|c| c.admitted_s).collect();
-    admissions.sort_by(f64::total_cmp);
+    admissions.sort_unstable_by(f64::total_cmp);
     for (&arrival, &admitted) in arrivals.iter().zip(&admissions) {
         out.push((admitted - arrival).max(0.0));
     }
@@ -385,7 +489,7 @@ struct Kernel<'a> {
     overload: &'a OverloadPolicy,
     /// Something can fail (`plan` non-empty or `retry` enabled): attempts
     /// are attributed, harvested and retried. When false the run keeps no
-    /// per-request state — `states` and `by_id` stay empty.
+    /// per-request state — `states` and `ids` stay empty.
     engaged: bool,
     macro_steps: bool,
     replicas: Vec<Replica>,
@@ -396,12 +500,9 @@ struct Kernel<'a> {
     hasher: ChainHasher,
     /// The per-placement metric handles, when observability is on.
     placement_obs: Option<PlacementObs>,
-    /// Attempts that have arrived but not yet been placed on a replica.
-    admission: VecDeque<AdmEntry>,
+    admission: Admission,
     states: Vec<ReqState>,
-    /// Request indices sorted by engine request id, for attributing
-    /// completions by binary search; building it is the id-uniqueness check.
-    by_id: Vec<u32>,
+    ids: IdIndex,
     stats: FaultStats,
     shed: ShedStats,
     scale: ScaleStats,
@@ -417,9 +518,8 @@ struct Kernel<'a> {
     /// Macro events taken while admission was backpressured; scheduling
     /// bookkeeping, not behavior.
     backpressure_macro_steps: u64,
-    /// Per-run scratch, refilled per placement attempt / gated arrival.
+    /// Per-run scratch, refilled per placement attempt.
     snapshots: Vec<ReplicaSnapshot>,
-    sheddable: Vec<(usize, u32, u8)>,
 }
 
 /// Runs `requests` through `router` under the given fault plan, retry
@@ -439,7 +539,7 @@ pub(crate) fn run(
         // Next event: the earliest busy replica's step, or a timed event —
         // whichever comes first on the shared timeline.
         let busy = k.earliest_busy();
-        let (states, occupied) = (&k.states, busy.is_some() || !k.admission.is_empty());
+        let (states, occupied) = (&k.states, busy.is_some() || !k.admission.queue.is_empty());
         let settled = |j: usize| states[j].settled();
         let timed = k.timeline.next_due(requests, occupied, settled);
         let before = k.now;
@@ -447,7 +547,7 @@ pub(crate) fn run(
             (Some(b), Some(t)) if t <= k.replicas[b].session.clock() => k.deliver(t)?,
             (None, Some(t)) => k.deliver(t)?,
             (Some(b), _) => k.step(b, router, timed)?,
-            (None, None) if k.admission.is_empty() => break,
+            (None, None) if k.admission.queue.is_empty() => break,
             (None, None) if k.replicas.iter().any(|r| r.up) => {
                 // All replicas idle yet something is stuck in admission:
                 // impossible with queue_cap >= 1 (idle means empty queue).
@@ -487,17 +587,11 @@ impl<'a> Kernel<'a> {
         retry.validate()?;
         overload.validate(config.replicas)?;
         let engaged = !plan.is_empty() || !retry.is_disabled();
-        let id_of = |j: &u32| requests[*j as usize].request.id;
-        let mut by_id: Vec<u32> = Vec::new();
-        if engaged {
-            by_id.extend(0..requests.len() as u32);
-            by_id.sort_unstable_by_key(id_of);
-            if let Some(pair) = by_id.windows(2).find(|w| id_of(&w[0]) == id_of(&w[1])) {
-                return Err(ClusterError::DuplicateRequestId {
-                    id: id_of(&pair[0]),
-                });
-            }
-        }
+        let ids = if engaged {
+            IdIndex::new(requests)?
+        } else {
+            IdIndex::default()
+        };
         let offered = requests.len();
         let gated = !overload.admission.is_inert();
         let fleet = overload.scale.map_or(0, |_| config.replicas);
@@ -528,9 +622,12 @@ impl<'a> Kernel<'a> {
                 routed: llmqo_obs::registry().counter("cluster.requests_routed"),
                 gauges: Vec::new(),
             }),
-            admission: VecDeque::new(),
+            admission: Admission {
+                queue: VecDeque::new(),
+                pending: PendingLedger::new(&overload.admission),
+            },
             states: vec![ReqState::default(); if engaged { offered } else { 0 }],
-            by_id,
+            ids,
             stats: FaultStats {
                 offered,
                 ..FaultStats::default()
@@ -549,7 +646,6 @@ impl<'a> Kernel<'a> {
             now: 0.0,
             submissions: 0,
             backpressure_macro_steps: 0,
-            sheddable: Vec::new(),
         })
     }
 
@@ -579,10 +675,10 @@ impl<'a> Kernel<'a> {
     /// Places as many admission-queue attempts as the routed-to replicas
     /// can take.
     fn place_pending(&mut self, router: &mut dyn Router) -> Result<(), ClusterError> {
-        while let Some(&entry) = self.admission.front() {
+        while let Some(&entry) = self.admission.queue.front() {
             let request = &self.requests[entry.j];
             if self.engaged && self.states[entry.j].settled() {
-                self.admission.pop_front(); // Stale retry/hedge entry.
+                self.admission.remove(0); // Stale retry/hedge entry.
                 continue;
             }
             self.snapshots.clear();
@@ -604,7 +700,7 @@ impl<'a> Kernel<'a> {
                 // A hedge with nowhere else to go — routed to its excluded
                 // replica, or with only that one up — is abandoned; its
                 // primary is still in flight.
-                self.admission.pop_front();
+                self.admission.remove(0);
                 continue;
             }
             // Nowhere routable (wait for a rejoin, or fail), or backpressure:
@@ -612,7 +708,7 @@ impl<'a> Kernel<'a> {
             if !replica.up || replica.session.queued() >= self.sim.config().queue_cap {
                 break;
             }
-            self.admission.pop_front();
+            self.admission.remove(0);
             // The attempt reaches the replica when it entered admission, or
             // later if backpressure held it there; an idle replica has been
             // frozen since it last worked and is caught up to that moment.
@@ -689,12 +785,7 @@ impl<'a> Kernel<'a> {
             self.arrive(j, t);
         }
         while let Some((due, j)) = self.timeline.retries.pop_due(t) {
-            self.admission.push_back(AdmEntry {
-                j,
-                kind: AttemptKind::Retry,
-                arrival_s: due,
-                exclude: None,
-            });
+            self.enqueue(j, AttemptKind::Retry, due, None);
         }
         while let Some((_, j)) = self.timeline.hedges.pop_due(t) {
             self.hedge(j, t);
@@ -819,49 +910,44 @@ impl<'a> Kernel<'a> {
         Ok(())
     }
 
+    fn enqueue(&mut self, j: usize, kind: AttemptKind, arrival_s: f64, exclude: Option<usize>) {
+        let r = &self.requests[j];
+        self.admission.push(AdmEntry {
+            j,
+            kind,
+            arrival_s,
+            exclude,
+            tenant: r.tenant,
+            priority: r.priority,
+        });
+    }
+
     /// Request `j` arrives at `t`: through the admission gates, if any.
     fn arrive(&mut self, j: usize, t: f64) {
         let (request, policy) = (&self.requests[j], &self.overload.admission);
-        let entry = AdmEntry {
-            j,
-            kind: AttemptKind::First,
-            arrival_s: request.arrival_s,
-            exclude: None,
-        };
-        if policy.is_inert() {
-            return self.admission.push_back(entry);
-        }
-        let kv_gate = policy.max_kv_utilization;
-        let kv_util = kv_gate.map_or(0.0, |_| self.fleet_kv_utilization());
-        // Only first attempts are sheddable, and only they count against
-        // the depth gate: retries and hedges are work the cluster already
-        // admitted (and owes the fault ledger an outcome for), so recovery
-        // traffic neither fills the admission budget nor blocks a
-        // high-priority arrival from finding a sheddable victim.
-        let pending = self.admission.iter().enumerate();
-        let first_attempts = pending.filter(|(_, e)| e.kind == AttemptKind::First);
-        self.sheddable.clear();
-        self.sheddable.extend(first_attempts.map(|(pos, e)| {
-            let r = &self.requests[e.j];
-            (pos, r.tenant, r.priority)
-        }));
-        match decide_admission(
-            policy,
-            request.tenant,
-            request.priority,
-            self.sheddable.len(),
-            &self.sheddable,
-            kv_util,
-        ) {
-            ShedDecision::Admit => {}
-            ShedDecision::ShedArrival(reason) => return self.shed_request(j, reason, t),
-            ShedDecision::EvictPending(pos, reason) => {
-                if let Some(victim) = self.admission.remove(pos) {
-                    self.shed_request(victim.j, reason, t);
+        if !policy.is_inert() {
+            let kv_gate = policy.max_kv_utilization;
+            let kv_util = kv_gate.map_or(0.0, |_| self.fleet_kv_utilization());
+            // Only first attempts are sheddable, and only they count against
+            // the depth gate: retries and hedges are work the cluster already
+            // admitted (and owes the fault ledger an outcome for), so recovery
+            // traffic neither fills the admission budget nor blocks a
+            // high-priority arrival from finding a sheddable victim.
+            let adm = &self.admission;
+            let victim = || shed_victim(adm.first_attempts(), request.priority);
+            let decision = decide_admission(policy, request, &adm.pending, kv_util, victim);
+            debug_assert_eq!(decision, adm.decide_by_scan(policy, request, kv_util));
+            match decision {
+                ShedDecision::Admit => {}
+                ShedDecision::ShedArrival(reason) => return self.shed_request(j, reason, t),
+                ShedDecision::EvictPending(pos, reason) => {
+                    if let Some(victim) = self.admission.remove(pos) {
+                        self.shed_request(victim.j, reason, t);
+                    }
                 }
             }
         }
-        self.admission.push_back(entry);
+        self.enqueue(j, AttemptKind::First, request.arrival_s, None);
     }
 
     fn shed_request(&mut self, j: usize, reason: ShedReason, t: f64) {
@@ -878,12 +964,8 @@ impl<'a> Kernel<'a> {
         let s = &self.states[j];
         let hedgeable = !s.settled() && s.in_flight() && s.attempts < self.retry.max_attempts;
         if hedgeable && self.routable() >= 2 {
-            self.admission.push_back(AdmEntry {
-                j,
-                kind: AttemptKind::Hedge,
-                arrival_s: t,
-                exclude: s.last_replica.map(|r| r as usize),
-            });
+            let exclude = s.last_replica.map(|r| r as usize);
+            self.enqueue(j, AttemptKind::Hedge, t, exclude);
         }
     }
 
@@ -901,7 +983,7 @@ impl<'a> Kernel<'a> {
         if t - self.last_scale_action < policy.cooldown_s {
             return Ok(());
         }
-        let arrivals = self.admission.iter().map(|e| e.arrival_s);
+        let arrivals = self.admission.queue.iter().map(|e| e.arrival_s);
         let oldest_pending = arrivals.fold(f64::INFINITY, f64::min);
         if t - oldest_pending >= policy.queue_wait_up_s && fleet < policy.max_replicas {
             // Scale up: provision a cold replica that joins (empty prefix
@@ -915,7 +997,7 @@ impl<'a> Kernel<'a> {
             self.scale.peak_replicas = self.scale.peak_replicas.max(fleet + 1);
             self.last_scale_action = t;
             obs_scale("up", index, fleet + 1, t);
-        } else if self.admission.is_empty()
+        } else if self.admission.queue.is_empty()
             && routable > policy.min_replicas
             && self.fleet_kv_utilization() < policy.kv_low_watermark
         {
@@ -967,7 +1049,7 @@ impl<'a> Kernel<'a> {
         let clock = self.replicas[b].session.clock();
         let bounds = [timed, self.plan.next_slowdown_boundary(b, clock)];
         let mut horizon = bounds.into_iter().flatten().fold(f64::INFINITY, f64::min);
-        let mut jump = self.macro_steps && self.admission.is_empty();
+        let mut jump = self.macro_steps && self.admission.queue.is_empty();
         if self.macro_steps && !jump && router.retry_insensitive() {
             let others = self.replicas.iter().enumerate();
             horizon = others
@@ -1004,11 +1086,9 @@ impl<'a> Kernel<'a> {
                 break;
             };
             rep.harvested += 1;
-            let id_of = |j: &u32| self.requests[*j as usize].request.id;
-            let Ok(found) = self.by_id.binary_search_by_key(&c.id, id_of) else {
+            let Some(j) = self.ids.get(c.id, self.requests) else {
                 continue;
             };
-            let j = self.by_id[found] as usize;
             let Some(attempt) = self.states[j].take_oldest_on(b) else {
                 continue;
             };
@@ -1057,7 +1137,7 @@ impl<'a> Kernel<'a> {
     /// Every replica is gone and nothing will bring one back: everything
     /// still waiting in admission fails permanently.
     fn fail_stranded(&mut self) {
-        while let Some(entry) = self.admission.pop_front() {
+        while let Some(entry) = self.admission.remove(0) {
             let s = &mut self.states[entry.j];
             if !s.settled() && !s.in_flight() {
                 s.failed = true;
@@ -1116,5 +1196,39 @@ impl<'a> Kernel<'a> {
         report.scaling = self.scale;
         report.backpressure_macro_steps = self.backpressure_macro_steps;
         report
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use llmqo_serve::SimRequest;
+
+    /// Every offered id leads back to its request, dense or sparse; an id
+    /// nobody offered leads nowhere, so its completion is skipped.
+    #[test]
+    fn the_id_index_finds_offered_ids_and_only_them() {
+        let sparse = |i: usize| {
+            if i.is_multiple_of(2) {
+                (i + 1) << 40
+            } else {
+                usize::MAX - i
+            }
+        };
+        for ids in [(0..100).collect::<Vec<_>>(), (0..100).map(sparse).collect()] {
+            let requests: Vec<ClusterRequest> = ids
+                .iter()
+                .map(|&id| ClusterRequest::new(SimRequest::from_tokens(id, vec![1], 1), 0))
+                .collect();
+            let index = IdIndex::new(&requests).expect("unique ids");
+            for (j, &id) in ids.iter().enumerate() {
+                assert_eq!(index.get(id, &requests), Some(j));
+            }
+            for unknown in [100, 1000 << 40, usize::MAX - 1000, usize::MAX] {
+                assert_eq!(index.get(unknown, &requests), None, "id {unknown}");
+            }
+        }
+        assert_eq!(IdIndex::new(&[]).expect("no ids").get(0, &[]), None);
+        assert_eq!(IdIndex::default().get(0, &[]), None);
     }
 }

@@ -29,6 +29,7 @@
 
 use crate::request::ClusterRequest;
 use crate::sim::ClusterError;
+use std::collections::HashMap;
 
 /// Bounds on what the admission queue accepts. All gates default to `None`
 /// (unbounded), making [`AdmissionPolicy::default`] inert.
@@ -386,28 +387,70 @@ pub(crate) enum ShedDecision {
     EvictPending(usize, ShedReason),
 }
 
+/// The pending first attempts the admission gates read: counted in total, per
+/// priority and, only when a tenant quota is set, per tenant. The kernel
+/// updates it at every push and removal, so an arrival reads no queue.
+#[derive(Debug, PartialEq)]
+pub(crate) struct PendingLedger {
+    first: usize,
+    by_priority: [usize; 256],
+    by_tenant: Option<HashMap<u32, usize>>,
+}
+
+impl PendingLedger {
+    pub(crate) fn new(policy: &AdmissionPolicy) -> Self {
+        PendingLedger {
+            first: 0,
+            by_priority: [0; 256],
+            by_tenant: policy.tenant_quota.map(|_| HashMap::new()),
+        }
+    }
+
+    /// Counts one first attempt of `(tenant, priority)` into the queue
+    /// (`add`) or out of it.
+    pub(crate) fn count(&mut self, tenant: u32, priority: u8, add: bool) {
+        let step = |n: &mut usize| if add { *n += 1 } else { *n -= 1 };
+        step(&mut self.first);
+        step(&mut self.by_priority[usize::from(priority)]);
+        if let Some(tenants) = &mut self.by_tenant {
+            let held = tenants.entry(tenant).or_default();
+            step(held);
+            if *held == 0 {
+                tenants.remove(&tenant);
+            }
+        }
+    }
+
+    /// Whether a pending first attempt has lower priority than `priority`:
+    /// only such an attempt can be a shed victim.
+    pub(crate) fn holds_below(&self, priority: u8) -> bool {
+        self.by_priority[..usize::from(priority)]
+            .iter()
+            .any(|&n| n > 0)
+    }
+}
+
 /// Applies the gates, in documented order (tenant quota → queue depth → KV
-/// pressure), to an arrival with the given `(tenant, priority)`.
-/// `sheddable` lists the pending first-attempt requests as
-/// `(queue position, tenant, priority)` in queue (= age) order;
-/// `pending_len` is the full admission-queue length. Deterministic: the
-/// shed victim is the minimum-priority candidate, youngest first on ties —
-/// and the arrival is always the youngest candidate.
+/// pressure), to `arrival` against the `pending` first attempts. When a
+/// depth or KV gate fires, `victim` finds the shed victim ([`shed_victim`]
+/// over the queue); it runs only if the ledger
+/// [`holds_below`](PendingLedger::holds_below) the arrival's priority.
+/// Deterministic.
 pub(crate) fn decide_admission(
     policy: &AdmissionPolicy,
-    tenant: u32,
-    priority: u8,
-    pending_len: usize,
-    sheddable: &[(usize, u32, u8)],
+    arrival: &ClusterRequest,
+    pending: &PendingLedger,
     fleet_kv_utilization: f64,
+    victim: impl FnOnce() -> Option<usize>,
 ) -> ShedDecision {
     if let Some(quota) = policy.tenant_quota {
-        let held = sheddable.iter().filter(|&&(_, t, _)| t == tenant).count();
-        if held >= quota {
+        let tenants = pending.by_tenant.as_ref();
+        let held = tenants.and_then(|t| t.get(&arrival.tenant));
+        if held.is_some_and(|&n| n >= quota) {
             return ShedDecision::ShedArrival(ShedReason::TenantQuota);
         }
     }
-    let reason = if policy.max_pending.is_some_and(|m| pending_len >= m) {
+    let reason = if policy.max_pending.is_some_and(|m| pending.first >= m) {
         Some(ShedReason::QueueFull)
     } else if policy
         .max_kv_utilization
@@ -420,20 +463,28 @@ pub(crate) fn decide_admission(
     let Some(reason) = reason else {
         return ShedDecision::Admit;
     };
-    // Victim: the minimum-priority candidate among the arrival and every
-    // sheddable pending request; the youngest loses ties. Scanning in queue
-    // order and keeping the *last* strictly-lower-priority entry implements
-    // exactly that (the arrival, being youngest of all, loses every tie).
+    match pending.holds_below(arrival.priority).then(victim).flatten() {
+        Some(pos) => ShedDecision::EvictPending(pos, reason),
+        None => ShedDecision::ShedArrival(reason),
+    }
+}
+
+/// The shed victim among an arrival of `priority` and the pending first
+/// attempts `(queue position, priority)`, given in queue (= age) order: the
+/// minimum-priority candidate, youngest first on ties. Keeping the *last*
+/// strictly-lower-priority entry implements exactly that — the arrival,
+/// youngest of all, loses every tie — and `None` sheds the arrival.
+pub(crate) fn shed_victim(
+    pending: impl Iterator<Item = (usize, u8)>,
+    priority: u8,
+) -> Option<usize> {
     let mut victim: Option<(usize, u8)> = None;
-    for &(pos, _, p) in sheddable {
+    for (pos, p) in pending {
         if p < priority && victim.is_none_or(|(_, best)| p <= best) {
             victim = Some((pos, p));
         }
     }
-    match victim {
-        Some((pos, _)) => ShedDecision::EvictPending(pos, reason),
-        None => ShedDecision::ShedArrival(reason),
-    }
+    victim.map(|(pos, _)| pos)
 }
 
 /// Cold path: the shed counter and trace instant, only when observability

@@ -195,12 +195,13 @@ pub struct PrefixAffinity {
     /// `mix(index)` of every replica index seen so far: constants of the
     /// policy, computed once.
     salts: Vec<u64>,
-    /// The rendezvous weights of `key` for replica indices
-    /// `0..weights.len()`. Schedule-ordered requests repeat their prefix
-    /// key, so the weights are rebuilt only when the key or the fleet size
-    /// changes; nothing a caller can observe depends on them being kept.
-    key: u64,
+    /// Fleet positions by descending rendezvous `(weight, index)` for `key`,
+    /// the weights their scratch. Requests repeat their prefix key, so the
+    /// ranking is rebuilt only when the key or the fleet changes (always, for
+    /// a list whose indices are not its positions); no choice depends on it.
+    key: Option<u64>,
     weights: Vec<u64>,
+    ranking: Vec<usize>,
 }
 
 impl PrefixAffinity {
@@ -222,19 +223,28 @@ impl PrefixAffinity {
         }
     }
 
-    /// Makes `self.weights` the rendezvous weights of `prefix_key` for
-    /// replica indices `0..replicas`.
-    fn remember(&mut self, prefix_key: u64, replicas: usize) {
-        if self.key == prefix_key && self.weights.len() == replicas {
+    /// Makes `self.ranking` the positions of `replicas` by descending
+    /// rendezvous `(weight, index)` for `prefix_key`.
+    fn remember(&mut self, prefix_key: u64, replicas: &[ReplicaSnapshot]) {
+        // A snapshot's index is its position in every fleet this workspace
+        // builds, and such a fleet's ranking depends only on its size.
+        let positional = replicas.iter().enumerate().all(|(p, r)| r.index == p);
+        if positional && self.key == Some(prefix_key) && self.ranking.len() == replicas.len() {
             return;
         }
+        self.key = positional.then_some(prefix_key);
         let known = self.salts.len();
-        self.salts.extend((known..replicas).map(|i| mix(i as u64)));
-        self.key = prefix_key;
+        self.salts
+            .extend((known..replicas.len()).map(|i| mix(i as u64)));
+        let salt = |i: usize| self.salts.get(i).copied().unwrap_or_else(|| mix(i as u64));
         self.weights.clear();
-        let salts = &self.salts[..replicas];
         self.weights
-            .extend(salts.iter().map(|salt| mix(prefix_key ^ salt)));
+            .extend(replicas.iter().map(|r| mix(prefix_key ^ salt(r.index))));
+        let weights = &self.weights;
+        self.ranking.clear();
+        self.ranking.extend(0..replicas.len());
+        let rank = |&p: &usize| std::cmp::Reverse((weights[p], replicas[p].index));
+        self.ranking.sort_unstable_by_key(rank);
     }
 }
 
@@ -244,11 +254,6 @@ fn mix(x: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
-}
-
-/// Replica `index`'s rendezvous weight for `prefix_key`.
-fn rendezvous(prefix_key: u64, index: usize) -> u64 {
-    mix(prefix_key ^ mix(index as u64))
 }
 
 impl Router for PrefixAffinity {
@@ -264,33 +269,24 @@ impl Router for PrefixAffinity {
         // prefix-affinity-aware: with a group's top-ranked replica down,
         // every request of the group lands on its *second*-ranked replica —
         // together, preserving locality — and returns home on rejoin.
-        self.remember(prefix_key, replicas.len());
-        let weights = &self.weights;
-        let rank = |r: &ReplicaSnapshot| {
-            // A snapshot's index is its position in every fleet this
-            // workspace builds; one that is not is weighed on the spot.
-            let weight = weights.get(r.index).copied();
-            let weight = weight.unwrap_or_else(|| rendezvous(prefix_key, r.index));
-            (weight, r.index, r.load())
-        };
-        let Some(factor) = self.max_load_factor else {
-            return pool(replicas).map(rank).max().map_or(0, |top| top.1);
-        };
+        self.remember(prefix_key, replicas);
+        let everyone = !replicas.iter().any(|r| r.alive);
+        let routable = |r: &&ReplicaSnapshot| r.alive || everyone;
         // Consistent hashing with bounded loads: capacity is `factor` times
         // the mean outstanding work counting the incoming request, so at
         // least one replica is always below it.
-        let (n, total) = pool(replicas).fold((0, 0), |(n, total), r| (n + 1, total + r.load()));
-        let capacity = (factor * (total + 1) as f64 / n as f64).ceil();
-        // The first replica under capacity in descending rank order is the
-        // top-ranked of the replicas under capacity; no ranking is built.
-        let (mut top, mut top_under) = (None, None);
-        for ranked in pool(replicas).map(rank) {
-            top = top.max(Some(ranked));
-            if (ranked.2 as f64) < capacity {
-                top_under = top_under.max(Some(ranked));
-            }
-        }
-        top_under.or(top).map_or(0, |winner| winner.1)
+        let pool = replicas.iter().filter(routable);
+        let (n, total) = pool.fold((0, 0), |(n, total), r| (n + 1, total + r.load()));
+        let capacity = self.max_load_factor.map_or(f64::INFINITY, |factor| {
+            (factor * (total + 1) as f64 / n as f64).ceil()
+        });
+        let under = |r: &&ReplicaSnapshot| (r.load() as f64) < capacity;
+        // The first routable replica under capacity down the ranking — nearly
+        // always the top one — else the top one.
+        let mut ranked = self.ranking.iter().map(|&p| &replicas[p]).filter(routable);
+        let top = ranked.next();
+        let top_under = top.filter(under).or_else(|| ranked.find(under));
+        top_under.or(top).map_or(0, |r| r.index)
     }
 
     fn retry_insensitive(&self) -> bool {
@@ -334,8 +330,8 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
-        /// One-pass selection picks the replica the sorted ranking picks:
-        /// dead replicas, nobody alive, equal loads, bounded and unbounded.
+        /// The walk down the remembered ranking picks the replica a fresh sort
+        /// picks: dead replicas, nobody alive, equal loads, bounded and unbounded.
         #[test]
         fn affinity_route_matches_the_sorted_ranking(
             fleet in proptest::collection::vec((0usize..4, 0usize..3, 0u8..4), 1..=16),
@@ -358,7 +354,7 @@ mod tests {
         /// One router over a stream of calls whose keys repeat and
         /// alternate while replicas die, rejoin, join and leave between
         /// them (and, now and then, carry indices that are not their
-        /// positions): the weights it remembers never show in a choice.
+        /// positions): the ranking it remembers never shows in a choice.
         #[test]
         fn affinity_route_is_the_same_whatever_it_remembers(
             keys in proptest::collection::vec(0u64..u64::MAX, 3),

@@ -5,7 +5,9 @@
 //! cache copies new ids into recycled pages. What a run still allocates is
 //! per run (sessions, reports), per chunk or page, or the logarithmic growth
 //! of its per-request records, so a few thousand requests must come in at a
-//! small fraction of an allocation each.
+//! small fraction of an allocation each. The same holds when the cluster
+//! kernel attributes, retries, hedges and sheds: its request-id index and
+//! admission ledgers are built once per run.
 //!
 //! The solver that orders those requests joins the budget: GGR writes its
 //! plan as two flat arrays and draws every other buffer from a scratch arena
@@ -22,7 +24,10 @@
 
 mod common;
 
-use llmqo::cluster::{tag_requests, ArrivalProcess, PrefixAffinity};
+use llmqo::cluster::{
+    tag_requests, AdmissionPolicy, ArrivalProcess, FaultPlan, OverloadPolicy, PrefixAffinity,
+    RetryPolicy, ScalePolicy,
+};
 use llmqo::core::{Ggr, Reorderer};
 use llmqo::datasets::DatasetId;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -142,6 +147,56 @@ fn the_prompt_path_allocates_per_chunk_and_page_not_per_request() {
     assert!(
         per_request <= BUDGET_PER_REQUEST,
         "ClusterSim::run: {spent} allocations for {REQUESTS} requests ({per_request:.3} each)"
+    );
+}
+
+#[test]
+fn the_engaged_kernel_allocates_per_run_not_per_request() {
+    // Twice the fault-free run's requests: the replicas the autoscaler adds
+    // and the crashed one's restart each warm a cache of their own.
+    const REQUESTS: usize = 4_000;
+    let (requests, keys) = common::reordered_movies_requests(REQUESTS);
+    let mut requests = tag_requests(requests, &keys);
+    let sim = common::cluster_sim(4, 64);
+    // Offered at the fleet's ideal rate, with the faults and the control
+    // loop anchored to its batch makespan, like the benchmark's chaos runs:
+    // every timed-event kind fires, the gates shed, and attempts are
+    // attributed through the request-id index.
+    let batch = sim.run(&mut PrefixAffinity::bounded(1.25), &requests);
+    let m = batch.unwrap().makespan_s;
+    ArrivalProcess::Poisson {
+        rate_rps: REQUESTS as f64 / m,
+        seed: 7,
+    }
+    .assign(&mut requests);
+    let plan = FaultPlan::seeded(7)
+        .crash_restart(1, 0.30 * m, 0.45 * m)
+        .slowdown(0, 0.20 * m, 0.60 * m, 3.0)
+        .transient_errors_ppm(20_000);
+    let retry = RetryPolicy::retries(4).with_hedging(0.05 * m);
+    let gates = AdmissionPolicy::bounded(64).with_kv_gate(0.95);
+    let scale = ScalePolicy::elastic(4, 8)
+        .reacting(0.05 * m, 0.02)
+        .with_cadence(0.02 * m, 0.1 * m)
+        .with_warmup(0.05 * m)
+        .with_warmup_jitter(0.2, 7);
+    let overload = OverloadPolicy::admission(gates).with_scale(scale);
+    let mut router = PrefixAffinity::bounded(1.25);
+    let (spent, report) = allocations_in(|| {
+        sim.run_overloaded(&mut router, &requests, &plan, &retry, &overload)
+            .unwrap()
+    });
+    let (faults, shed) = (&report.faults, &report.shed);
+    assert_eq!(faults.succeeded + faults.failed + shed.shed, REQUESTS);
+    assert!(
+        shed.shed > 0 && faults.retries > 0 && faults.hedges_issued > 0,
+        "{faults:?} {shed:?}"
+    );
+    assert!(faults.crashes == 1 && report.scaling.scale_ups > 0);
+    let per_request = spent as f64 / REQUESTS as f64;
+    assert!(
+        per_request <= BUDGET_PER_REQUEST,
+        "run_overloaded: {spent} allocations for {REQUESTS} requests ({per_request:.3} each)"
     );
 }
 

@@ -16,8 +16,9 @@
 //! Also here: proptests pinning the retry-insensitive router contract (all
 //! four built-in routers are pure functions of their snapshots — see the
 //! `Router` trait docs), the bounded-queue backpressure behaviour under
-//! full saturation, and `std::error::Error` conformance of the public
-//! error enums.
+//! full saturation, `std::error::Error` conformance of the public error
+//! enums, and completion attribution by request id (sparse ids, the
+//! smallest duplicate).
 
 mod common;
 
@@ -26,8 +27,8 @@ use common::{
     skewed_truth,
 };
 use llmqo::cluster::{
-    AdmissionPolicy, ArrivalProcess, ClusterReport, FaultPlan, LeastLoaded, OverloadPolicy,
-    PrefixAffinity, ReplicaSnapshot, RetryPolicy, RoundRobin, Router, ScalePolicy,
+    AdmissionPolicy, ArrivalProcess, ClusterError, ClusterReport, FaultPlan, LeastLoaded,
+    OverloadPolicy, PrefixAffinity, ReplicaSnapshot, RetryPolicy, RoundRobin, Router, ScalePolicy,
 };
 use llmqo::core::Ggr;
 use llmqo::datasets::Dataset;
@@ -583,6 +584,83 @@ fn public_errors_box_and_display() {
     ];
     for e in &errors {
         assert!(!e.to_string().is_empty(), "empty Display for {e:?}");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Request ids
+// ---------------------------------------------------------------------------
+
+/// An engaged run rejects duplicate request ids up front and names the
+/// smallest duplicated id, not the first duplicate it meets: here 9's
+/// second copy comes before 3's.
+#[test]
+fn the_smallest_duplicated_request_id_is_reported() {
+    let mut dup = workload(4, 3);
+    dup[2].request.id = 9;
+    dup[11].request.id = 3;
+    let err = sim(2, 4)
+        .run_with_faults(
+            &mut RoundRobin,
+            &dup,
+            &FaultPlan::default(),
+            &RetryPolicy::retries(2),
+        )
+        .expect_err("duplicates must be rejected");
+    assert!(
+        matches!(err, ClusterError::DuplicateRequestId { id: 3 }),
+        "{err:?}"
+    );
+}
+
+/// Completions are attributed by id, whatever the ids are: the same engaged
+/// run with sparse, huge ids — multiples of 2⁴⁰ and ids near `usize::MAX` —
+/// is the dense run's report once each completion's id is mapped back.
+#[test]
+fn attribution_does_not_assume_dense_ids() {
+    let mut dense = workload(12, 6);
+    ArrivalProcess::Poisson {
+        rate_rps: 60.0,
+        seed: 9,
+    }
+    .assign(&mut dense);
+    let sparse_id = |i: usize| {
+        if i.is_multiple_of(2) {
+            (i + 1) << 40
+        } else {
+            usize::MAX - i
+        }
+    };
+    let mut sparse = dense.clone();
+    for r in &mut sparse {
+        r.request.id = sparse_id(r.request.id);
+    }
+    // An id seeds its transient-error rolls and backoff jitter, so this
+    // plan rolls neither.
+    let plan = FaultPlan::seeded(5)
+        .crash_restart(0, 0.08, 0.3)
+        .slowdown(1, 0.05, 0.4, 3.0);
+    let retry = RetryPolicy {
+        jitter_frac: 0.0,
+        ..RetryPolicy::retries(3).with_hedging(0.2)
+    };
+    let sim = sim(3, 8);
+    for mut router in routers() {
+        let expected = sim
+            .run_with_faults(router.as_mut(), &dense, &plan, &retry)
+            .expect("dense ids");
+        let mut got = sim
+            .run_with_faults(router.as_mut(), &sparse, &plan, &retry)
+            .expect("sparse ids");
+        for c in got.replicas.iter_mut().flat_map(|r| &mut r.completions) {
+            c.id = (0..dense.len())
+                .find(|&i| sparse_id(i) == c.id)
+                .expect("a completion of an offered request");
+        }
+        assert_eq!(got, expected, "{}", expected.policy);
+        let fs = &expected.faults;
+        assert!(fs.retries > 0 && fs.hedges_issued > 0, "{fs:?}");
+        assert_eq!(fs.succeeded, dense.len());
     }
 }
 
