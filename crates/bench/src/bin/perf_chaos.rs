@@ -6,11 +6,12 @@
 //! The grid is {no-fault, 1-crash, 10%-transient-errors, 1-straggler} ×
 //! {retry off, retry+backoff, retry+hedging} × {prefix-affinity,
 //! round-robin} on a synthetic grouped shared-prefix workload. Every cell
-//! asserts the zero-loss ledger `succeeded + failed == offered`, the
-//! no-fault/no-retry cell is verified byte-identical to the fault-free
-//! dispatcher, and the run fails if prefix-affinity ever loses its
-//! prefix-hit-rate advantage over round-robin while faults are active —
-//! the failover path must preserve locality, not just liveness.
+//! asserts the zero-loss ledger `succeeded + failed == offered` and equals
+//! its single-stepped run, the no-fault/no-retry cell is verified
+//! byte-identical to the fault-free dispatcher, and the run fails if
+//! prefix-affinity ever loses its prefix-hit-rate advantage over
+//! round-robin while faults are active — the failover path must preserve
+//! locality, not just liveness.
 //!
 //! ```sh
 //! LLMQO_SCALE=0.2 cargo run --release -p llmqo-bench --bin perf_chaos
@@ -90,6 +91,15 @@ fn main() {
                 let report = sim
                     .run_with_faults(router.as_mut(), &requests, plan, policy)
                     .expect("chaos run");
+                let fine = sim
+                    .single_stepped()
+                    .run_with_faults(router.as_mut(), &requests, plan, policy)
+                    .expect("single-stepped chaos run");
+                assert_eq!(
+                    report, fine,
+                    "{fault_name}/{retry_name}/{}: stepping modes diverged",
+                    report.policy
+                );
                 if report.faults.engaged() {
                     let fs = &report.faults;
                     assert_eq!(

@@ -11,8 +11,9 @@
 //! fault-free, `succeeded + failed + shed == offered` under chaos), (b)
 //! shed **zero** priority-1 requests, and (c) keep p99 admission queue wait
 //! under half the unprotected collapse. The inert-policy cell is verified
-//! byte-identical to the ungated dispatcher — the differential spine,
-//! re-proven on the bench workload itself. All assertions are in-binary:
+//! byte-identical to the ungated dispatcher, and every cell to its
+//! single-stepped run — the differential spine, re-proven on the bench
+//! workload itself. All assertions are in-binary:
 //! a regression fails the bench, not just a plot.
 //!
 //! ```sh
@@ -21,8 +22,8 @@
 
 use llmqo_bench::{harness, report::BenchFile};
 use llmqo_cluster::{
-    AdmissionPolicy, ArrivalProcess, ClusterError, ClusterReport, ClusterRequest, FaultPlan,
-    OverloadPolicy, PrefixAffinity, RetryPolicy, ScalePolicy,
+    AdmissionPolicy, ArrivalProcess, ClusterError, ClusterReport, ClusterRequest, ClusterSim,
+    FaultPlan, OverloadPolicy, PrefixAffinity, RetryPolicy, ScalePolicy,
 };
 
 const REPLICAS: usize = 4;
@@ -81,6 +82,11 @@ fn main() {
         .run(&mut PrefixAffinity::default(), &requests)
         .expect("unprotected run");
     assert_eq!(unprotected.completed, offered, "ungated runs drop nothing");
+    let fine = sim
+        .single_stepped()
+        .run(&mut PrefixAffinity::default(), &requests)
+        .expect("single-stepped unprotected run");
+    assert_eq!(unprotected, fine, "unprotected: stepping modes diverged");
 
     // Differential spine: the inert AdmissionPolicy must take the exact
     // ungated code path, byte for byte, on this very workload.
@@ -139,27 +145,31 @@ fn main() {
         .slowdown(1, 0.1 * mk, 0.8 * mk, 3.0);
     let retry = RetryPolicy::retries(3);
 
-    let admitted = |requests: &[ClusterRequest], policy: &AdmissionPolicy| {
+    let admitted = |sim: &ClusterSim, requests: &[ClusterRequest], policy: &AdmissionPolicy| {
         sim.run_admitted(&mut PrefixAffinity::default(), requests, policy)
     };
-    let overloaded = |plan: &FaultPlan, retry: &RetryPolicy| {
+    let overloaded = |sim: &ClusterSim, plan: &FaultPlan, retry: &RetryPolicy| {
         let router = &mut PrefixAffinity::default();
         sim.run_overloaded(router, &requests, plan, retry, &elastic)
     };
-    type Rung<'a> = &'a dyn Fn() -> Result<ClusterReport, ClusterError>;
+    type Rung<'a> = &'a dyn Fn(&ClusterSim) -> Result<ClusterReport, ClusterError>;
     let ladder: [(&'static str, Rung); 4] = [
-        ("admission+shed", &|| admitted(&requests, &admission)),
-        ("admission+quota", &|| admitted(&burst, &quota)),
-        ("admission+scale", &|| {
-            overloaded(&FaultPlan::default(), &RetryPolicy::disabled())
+        ("admission+shed", &|sim| {
+            admitted(sim, &requests, &admission)
         }),
-        ("admission+scale+chaos", &|| overloaded(&plan, &retry)),
+        ("admission+quota", &|sim| admitted(sim, &burst, &quota)),
+        ("admission+scale", &|sim| {
+            overloaded(sim, &FaultPlan::default(), &RetryPolicy::disabled())
+        }),
+        ("admission+scale+chaos", &|sim| {
+            overloaded(sim, &plan, &retry)
+        }),
     ];
 
     // The contract every protected cell must honor.
     let unprotected_p99 = cells[0].report.queue_wait_p99_s;
     for (name, run) in ladder {
-        let report = run().expect(name);
+        let report = run(&sim).expect(name);
         let shed = &report.shed;
         assert_eq!(shed.offered, offered, "{name}: offered mismatch");
         if !report.faults.engaged() {
@@ -186,9 +196,11 @@ fn main() {
                 report.queue_wait_p99_s
             );
         }
-        // Determinism: byte-identical on re-run.
-        let again = run().expect("deterministic rerun");
+        // Determinism: byte-identical on re-run, and in either stepping mode.
+        let again = run(&sim).expect("deterministic rerun");
         assert_eq!(report, again, "{name}: nondeterministic report");
+        let fine = run(&sim.single_stepped()).expect("single-stepped run");
+        assert_eq!(report, fine, "{name}: stepping modes diverged");
         cells.push(Cell { name, report });
     }
     let [_, _, quota_run, scaled_run, chaos_run] = cells.as_slice() else {

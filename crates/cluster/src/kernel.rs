@@ -23,9 +23,9 @@
 //!   router's chosen replica is full, the request blocks at the head of the
 //!   global admission queue (backpressure) and the router is re-consulted
 //!   after the next event.
-//! * Busy replicas advance in macro-steps bounded by the next timed event
-//!   wherever no router could tell, else one step per event
-//!   ([`Kernel::step`]).
+//! * Busy replicas advance in macro-steps bounded by the next timed event,
+//!   and by the other busy replicas' clocks while admission is
+//!   backpressured or something can fail ([`Kernel::step`]).
 //!
 //! What each fault does is documented on the data ([`FaultEvent`],
 //! [`FaultPlan`], [`RetryPolicy`]). The kernel's side of it: a crashed or
@@ -491,7 +491,6 @@ struct Kernel<'a> {
     /// are attributed, harvested and retried. When false the run keeps no
     /// per-request state — `states` and `ids` stay empty.
     engaged: bool,
-    macro_steps: bool,
     replicas: Vec<Replica>,
     timeline: Timeline,
     /// Hashes each placed prompt's block chain once. Consecutive placements
@@ -546,7 +545,7 @@ pub(crate) fn run(
         match (busy, timed) {
             (Some(b), Some(t)) if t <= k.replicas[b].session.clock() => k.deliver(t)?,
             (None, Some(t)) => k.deliver(t)?,
-            (Some(b), _) => k.step(b, router, timed)?,
+            (Some(b), _) => k.step(b, timed)?,
             (None, None) if k.admission.queue.is_empty() => break,
             (None, None) if k.replicas.iter().any(|r| r.up) => {
                 // All replicas idle yet something is stuck in admission:
@@ -605,15 +604,6 @@ impl<'a> Kernel<'a> {
             retry,
             overload,
             engaged,
-            // Every timed event is known (or fixed at placement) before a
-            // step runs, so it can bound a macro window — except a
-            // *transient-error retry*: its due instant is discovered only
-            // when the failed completion is harvested, after the window has
-            // run past it, where single-stepping would have re-admitted the
-            // attempt earlier. Whenever that feedback is possible, only
-            // fine-grained stepping is sound.
-            macro_steps: !(sim.single_step
-                || plan.transient_error_ppm > 0 && retry.max_attempts > 1),
             snapshots: Vec::with_capacity(replicas.len()),
             replicas,
             timeline: Timeline::new(requests, plan, overload.scale.as_ref()),
@@ -1025,40 +1015,36 @@ impl<'a> Kernel<'a> {
     /// Advances busy replica `b` by one event; `timed` is the next timed
     /// event instant.
     ///
-    /// With the admission queue empty no routing can occur before `timed`,
-    /// so the replica may jump ([`EngineSession::step_until`]) to its next
-    /// internal event bounded by it: single-stepping passes through the
-    /// same per-replica states and also takes the step that crosses a timed
-    /// event before delivering it. Backpressured phases jump too when the
-    /// router is [`Router::retry_insensitive`]: its consultations mutate
-    /// nothing and read only snapshot fields frozen during a pure-decode
-    /// run, so the blocked head of the line would fail placement
-    /// identically at every skipped instant. That jump is also bounded by
-    /// every *other* busy replica's clock, which preserves cross-replica
-    /// event order (and thus which event unblocks placement); on a clock
-    /// tie it would be empty, and a single step keeps the tie-break order.
-    /// Other routers are single-stepped so every retry stays observable.
-    /// Every jump stops at the replica's next slowdown boundary, so each
-    /// step starts with the factor single-stepping would apply there.
-    fn step(
-        &mut self,
-        b: usize,
-        router: &dyn Router,
-        timed: Option<f64>,
-    ) -> Result<(), ClusterError> {
+    /// The replica jumps ([`EngineSession::step_until`]) to its next
+    /// internal event, bounded by `timed` and by its next slowdown boundary
+    /// (so each step starts with the factor single-stepping would apply
+    /// there): single-stepping passes through the same per-replica states
+    /// and also takes the step that crosses a timed event before delivering
+    /// it. A jump ends with the step that retires its first finishers, so
+    /// whatever a completion sets off is seen before the next step.
+    ///
+    /// With the admission queue backpressured, or with the failure
+    /// machinery engaged, the jump is also bounded by every *other* busy
+    /// replica's clock. The blocked head of the line is re-routed only
+    /// after an event, and a pure router ([`Router`]) fails it identically
+    /// at every skipped instant; transient retries and hedge winners are
+    /// decided at harvest. Either way the cross-replica order of events is
+    /// what single-stepping sees. On a clock tie the bound leaves nothing
+    /// to jump, and a single step keeps the tie-break order.
+    fn step(&mut self, b: usize, timed: Option<f64>) -> Result<(), ClusterError> {
         let clock = self.replicas[b].session.clock();
         let bounds = [timed, self.plan.next_slowdown_boundary(b, clock)];
         let mut horizon = bounds.into_iter().flatten().fold(f64::INFINITY, f64::min);
-        let mut jump = self.macro_steps && self.admission.queue.is_empty();
-        if self.macro_steps && !jump && router.retry_insensitive() {
+        let backpressured = !self.admission.queue.is_empty();
+        if backpressured || self.engaged {
             let others = self.replicas.iter().enumerate();
             horizon = others
                 .filter(|&(i, r)| i != b && !r.session.is_idle())
                 .map(|(_, r)| r.session.clock())
                 .fold(horizon, f64::min);
-            jump = horizon > clock;
-            self.backpressure_macro_steps += u64::from(jump);
         }
+        let jump = !self.sim.single_step && horizon > clock;
+        self.backpressure_macro_steps += u64::from(jump && backpressured);
         let session = &mut self.replicas[b].session;
         session.set_slowdown(self.plan.slowdown_at(b, clock));
         if jump {

@@ -115,10 +115,8 @@ pub struct ClusterReport {
     /// with a [`ScalePolicy`](crate::ScalePolicy).
     pub scaling: ScaleStats,
     /// Backpressured phases the dispatcher collapsed into `step_until`
-    /// jumps instead of single-stepping (0 for single-stepped runs and for
-    /// routers that keep the conservative
-    /// [`Router::retry_insensitive`](crate::Router::retry_insensitive)
-    /// default). Scheduling bookkeeping, excluded from `PartialEq`.
+    /// jumps instead of single-stepping (0 for single-stepped runs).
+    /// Scheduling bookkeeping, excluded from `PartialEq`.
     pub backpressure_macro_steps: u64,
 }
 

@@ -64,26 +64,22 @@ fn pool(replicas: &[ReplicaSnapshot]) -> impl Iterator<Item = &ReplicaSnapshot> 
     replicas.iter().filter(move |r| r.alive || everyone)
 }
 
-/// A routing policy. Implementations must return an index `< replicas.len()`
-/// and should be deterministic: the cluster simulator's reports are
-/// reproducible only if its router is.
+/// A routing policy. Implementations must return an index `< replicas.len()`.
 ///
-/// # The retry-insensitive contract
+/// # The purity requirement
 ///
-/// All four built-in routers ([`RoundRobin`], [`LeastLoaded`], and both
-/// [`PrefixAffinity`] forms) are **pure functions of their arguments**: the
-/// same `(prefix_key, replicas)` pair always yields the same choice, and a
-/// consultation changes no later one. The dispatcher may therefore consult them
+/// A router's choice must be a **pure function of `(prefix_key,
+/// replicas)`**: the same pair always yields the same choice, and a
+/// consultation changes no later one. The dispatcher may consult a router
 /// any number of times — per backpressure retry, per failover, per hedge —
-/// without perturbing later decisions, which is what lets chaos re-routing
-/// reuse the ordinary routing path and is the contract the macro-stepped
-/// backpressure phases of ROADMAP item 3 build on. The property is enforced
-/// by proptests in `tests/chaos_differential.rs`.
-///
-/// Custom implementations *may* be stateful (the receiver is `&mut self`),
-/// but then observe one extra call per backpressure retry and forfeit the
-/// guarantees above; the simulator stays correct but conservative around
-/// them.
+/// and skips the consultations it can prove would fail identically (a
+/// backpressured phase jumps to the next event instead of re-asking at
+/// every step). A stateful router may get reports that differ from
+/// [`ClusterSim::single_stepped`](crate::ClusterSim::single_stepped) runs.
+/// The receiver is `&mut self` only so a policy can keep caches that no
+/// choice depends on. All four built-ins ([`RoundRobin`], [`LeastLoaded`],
+/// and both [`PrefixAffinity`] forms) are pure; `tests/chaos_differential.rs`
+/// checks it.
 ///
 /// Routers should prefer replicas with [`ReplicaSnapshot::alive`] set;
 /// when no alive replica exists they must still return *some* index (the
@@ -94,22 +90,9 @@ pub trait Router {
 
     /// Chooses the replica for a request with `prefix_key`.
     ///
-    /// Called once per placement attempt; if the chosen replica's queue is
-    /// full the dispatcher retries after the next simulation event, so
-    /// stateful policies observe one extra call per retry.
+    /// Called at least once per placement; if the chosen replica's queue is
+    /// full the dispatcher asks again after some later simulation event.
     fn route(&mut self, prefix_key: u64, replicas: &[ReplicaSnapshot]) -> usize;
-
-    /// Whether this policy honors the retry-insensitive contract above: a
-    /// pure function of `(prefix_key, replicas)` whose consultations mutate
-    /// nothing, so the dispatcher may skip consultations it can prove would
-    /// fail identically. Declaring `true` lets backpressured phases
-    /// macro-step to the next timed event instead of single-stepping;
-    /// declaring it falsely yields wrong (non-single-step-equivalent)
-    /// schedules. Defaults to `false`, which is always safe — the
-    /// dispatcher stays conservative and consults after every event.
-    fn retry_insensitive(&self) -> bool {
-        false
-    }
 }
 
 impl fmt::Debug for dyn Router + '_ {
@@ -125,7 +108,7 @@ impl fmt::Debug for dyn Router + '_ {
 ///
 /// Stateless: the cycle position is recovered from the snapshots (total
 /// placements so far, mod the routable pool), so the decision is a pure
-/// function of the fleet state — see the trait-level contract. Under
+/// function of the fleet state — see the trait's purity requirement. Under
 /// backpressure this differs from a counter-per-consultation round-robin
 /// (retries no longer advance the cycle), which only makes the policy
 /// *more* round-robin: the cycle advances exactly once per placed request.
@@ -145,10 +128,6 @@ impl Router for RoundRobin {
         }
         pool(replicas).nth(placed % n).map_or(0, |r| r.index)
     }
-
-    fn retry_insensitive(&self) -> bool {
-        true
-    }
 }
 
 /// Sends each request to the replica with the least outstanding work
@@ -166,10 +145,6 @@ impl Router for LeastLoaded {
         pool(replicas)
             .min_by_key(|r| (r.load(), r.kv_blocks_in_use, r.index))
             .map_or(0, |r| r.index)
-    }
-
-    fn retry_insensitive(&self) -> bool {
-        true
     }
 }
 
@@ -287,10 +262,6 @@ impl Router for PrefixAffinity {
         let top = ranked.next();
         let top_under = top.filter(under).or_else(|| ranked.find(under));
         top_under.or(top).map_or(0, |r| r.index)
-    }
-
-    fn retry_insensitive(&self) -> bool {
-        true
     }
 }
 

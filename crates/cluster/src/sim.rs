@@ -170,9 +170,10 @@ impl ClusterSim {
 
     /// The same cluster with macro-stepping off: every `run*` call on the
     /// result drives each replica one scheduling step per event. Reports
-    /// are byte-identical to the macro-stepped ones for every deterministic
-    /// router — this is the fine-grained oracle the differential suites
-    /// compare against — and much slower on decode-heavy jobs.
+    /// are byte-identical to the macro-stepped ones for every router that
+    /// meets [`Router`]'s purity requirement — this is the fine-grained
+    /// oracle the differential suites compare against — and much slower on
+    /// decode-heavy jobs.
     #[must_use]
     pub fn single_stepped(&self) -> ClusterSim {
         ClusterSim {
@@ -187,11 +188,10 @@ impl ClusterSim {
     /// Replicas advance via
     /// [`EngineSession::step_until`](llmqo_serve::EngineSession::step_until)
     /// with the next timed event as the horizon, so steady-state decode
-    /// runs are macro-stepped instead of simulated token by token —
-    /// through backpressured phases too when the router declares
-    /// [`Router::retry_insensitive`] (all four built-ins do). Reports are
+    /// runs are macro-stepped instead of simulated token by token, through
+    /// backpressured and failure-handling phases alike. Reports are
     /// byte-identical to [`single_stepped`](ClusterSim::single_stepped)
-    /// runs for every deterministic router.
+    /// runs for every router that meets [`Router`]'s purity requirement.
     ///
     /// # Errors
     ///

@@ -15,11 +15,11 @@
 //! which undercuts the single-expensive-tier cost whenever the escalation
 //! rate is below `1 − cheap_cost / expensive_cost`.
 //!
-//! Everything here is a pure function of `(seed, row)` — the same
-//! counter-based SplitMix64 scheme as `llmqo-serve`'s `fault_unit` — so a
-//! cascade run reproduces byte for byte regardless of dedup, caching,
-//! batching, or pipelining, and the differential suites can construct exact
-//! single-tier oracles for both endpoints of the threshold:
+//! Everything here is a pure function of `(seed, row)` — a counter-based
+//! SplitMix64 draw — so a cascade run reproduces byte for byte regardless
+//! of dedup, caching, batching, or pipelining, and the differential suites
+//! can construct exact single-tier oracles for both endpoints of the
+//! threshold:
 //! `escalate_below ≥ 1` is the expensive tier verbatim, `escalate_below ≤ 0`
 //! is the cheap tier verbatim.
 //!
@@ -31,9 +31,7 @@
 use crate::operator::SelectivityPosterior;
 use serde::{Deserialize, Serialize};
 
-/// SplitMix64 finalizer — identical constants to `llmqo_serve::fault_unit`'s
-/// generator so the serving layer's confidence signal and the cost model's
-/// cascade draws agree bit for bit (locked by a cross-crate test).
+/// SplitMix64 finalizer.
 fn mix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -47,10 +45,8 @@ fn unit(seed: u64, stream: u64, draw: u64) -> f64 {
     (z >> 11) as f64 / (1u64 << 53) as f64
 }
 
-/// Draw counter reserved for the per-row confidence signal. Matches
-/// `llmqo_serve::CONFIDENCE_DRAW`; fault-injection attempt counters stay in
-/// the low integers, so the streams can never collide.
-pub const CONFIDENCE_DRAW: u64 = 0xC0FD;
+/// Draw counter reserved for the per-row confidence signal.
+const CONFIDENCE_DRAW: u64 = 0xC0FD;
 
 /// Draw counter reserved for the cheap tier's answer correctness roll.
 const ANSWER_DRAW: u64 = 0xC0FE;
@@ -158,7 +154,7 @@ impl CascadePlan {
     }
 
     /// The cheap tier's deterministic confidence in its answer for `row`,
-    /// uniform in `[0, 1)`. Equals `llmqo_serve::confidence_unit(seed, row)`.
+    /// uniform in `[0, 1)`.
     pub fn confidence(&self, row: u64) -> f64 {
         unit(self.seed, row, CONFIDENCE_DRAW)
     }

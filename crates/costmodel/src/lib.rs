@@ -56,7 +56,7 @@ mod operator;
 mod pricing;
 mod provider;
 
-pub use cascade::{CascadePlan, ModelTier, TierPosterior, CONFIDENCE_DRAW};
+pub use cascade::{CascadePlan, ModelTier, TierPosterior};
 pub use operator::{LlmOpEstimate, SelectivityPosterior};
 pub use pricing::{Pricing, Usage};
 pub use provider::{AnthropicCache, OpenAiCache, ProviderCache};

@@ -130,11 +130,6 @@ impl LlmOpEstimate {
             / 1e6
     }
 
-    /// Dollar cost of evaluating the operator on `rows` rows.
-    pub fn total_cost(&self, rows: u64, pricing: &Pricing) -> f64 {
-        rows as f64 * self.per_row_cost(pricing)
-    }
-
     /// Ordering key for sequenced filters: `per_row_cost / (1 − selectivity)`,
     /// ascending. A selectivity of 1 (passes everything) ranks last via a
     /// tiny-denominator clamp rather than a division by zero.
@@ -172,7 +167,6 @@ mod tests {
         let e = LlmOpEstimate::new(1_000_000.0, 1_000_000.0, 0.5);
         // 1M input at $0.15 + 1M output at $0.60.
         assert!((e.per_row_cost(&p) - 0.75).abs() < 1e-9);
-        assert!((e.total_cost(4, &p) - 3.0).abs() < 1e-9);
     }
 
     #[test]

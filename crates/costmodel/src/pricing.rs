@@ -2,8 +2,9 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Per-million-token prices and cache qualification rules for one provider
-/// model.
+/// Per-million-token prices for one provider model. Which input tokens
+/// qualify for the cached rate is the provider cache's rule
+/// ([`OpenAiCache`](crate::OpenAiCache), [`AnthropicCache`](crate::AnthropicCache)).
 ///
 /// # Examples
 ///
@@ -32,10 +33,6 @@ pub struct Pricing {
     pub write_per_mtok: f64,
     /// $ per 1M output tokens.
     pub output_per_mtok: f64,
-    /// Minimum prefix length that can be cached.
-    pub min_prefix_tokens: usize,
-    /// Prefix-length granularity for automatic caching (OpenAI: 128).
-    pub cache_granularity: usize,
 }
 
 impl Pricing {
@@ -49,8 +46,6 @@ impl Pricing {
             cached_per_mtok: 0.075,
             write_per_mtok: 0.15,
             output_per_mtok: 0.60,
-            min_prefix_tokens: 1024,
-            cache_granularity: 128,
         }
     }
 
@@ -64,8 +59,6 @@ impl Pricing {
             cached_per_mtok: 0.30,
             write_per_mtok: 3.75,
             output_per_mtok: 15.0,
-            min_prefix_tokens: 1024,
-            cache_granularity: 1024,
         }
     }
 

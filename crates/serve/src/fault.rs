@@ -38,37 +38,6 @@ pub fn fault_unit(seed: u64, stream: u64, draw: u64) -> f64 {
     (z >> 11) as f64 / (1u64 << 53) as f64
 }
 
-/// Draw counter reserved for the per-request confidence signal of
-/// model-tier cascades. Fault-injection draws use small attempt counters,
-/// so the streams can never collide. Matches
-/// `llmqo_costmodel::CONFIDENCE_DRAW` — the cost model's `CascadePlan`
-/// reproduces the same draws without a crate dependency (locked by a
-/// cross-crate differential test).
-pub const CONFIDENCE_DRAW: u64 = 0xC0FD;
-
-/// The deterministic per-request confidence signal a cheap model tier
-/// reports alongside its completion: uniform in `[0, 1)`, a pure function
-/// of `(seed, request_id)`.
-///
-/// Because the draw depends on nothing but the seed and the request id,
-/// dedup, caching, batching, replica fan-out, and pipelining all observe
-/// the same confidence for the same logical request — which is what lets
-/// cascade execution stay byte-for-byte reproducible.
-///
-/// # Examples
-///
-/// ```
-/// use llmqo_serve::confidence_unit;
-///
-/// let c = confidence_unit(42, 7);
-/// assert!((0.0..1.0).contains(&c));
-/// assert_eq!(c, confidence_unit(42, 7));
-/// assert_ne!(c, confidence_unit(42, 8));
-/// ```
-pub fn confidence_unit(seed: u64, request_id: u64) -> f64 {
-    fault_unit(seed, request_id, CONFIDENCE_DRAW)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

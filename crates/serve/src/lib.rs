@@ -76,7 +76,7 @@ pub use cache::{
     SeqAlloc,
 };
 pub use engine::{Deployment, EngineConfig, EngineError, EngineReport, SimEngine, SimRequest};
-pub use fault::{confidence_unit, fault_unit, CONFIDENCE_DRAW};
+pub use fault::fault_unit;
 pub use hardware::{GpuCluster, GpuSpec};
 pub use labeler::{KeyFieldPreference, ModelProfile, OracleLlm, SimLlm};
 pub use model::ModelSpec;

@@ -503,13 +503,6 @@ impl EngineSession {
         }
     }
 
-    /// The waiting requests' chains as the arena returns them, front first.
-    #[cfg(test)]
-    fn queued_chains(&self) -> Vec<crate::cache::BlockChain> {
-        let chains = self.waiting.iter().map(|q| self.arena.chain(q));
-        chains.map(Into::into).collect()
-    }
-
     /// Current session clock, seconds.
     pub fn clock(&self) -> f64 {
         self.clock
@@ -1112,6 +1105,12 @@ mod tests {
         )
     }
 
+    /// The waiting requests' chains as the arena returns them, front first.
+    fn queued_chains(s: &EngineSession) -> Vec<BlockChain> {
+        let chains = s.waiting.iter().map(|q| s.arena.chain(q));
+        chains.map(Into::into).collect()
+    }
+
     fn reqs(n: usize, shared: usize, tail: usize, output: u32) -> Vec<SimRequest> {
         (0..n)
             .map(|i| {
@@ -1328,11 +1327,11 @@ mod tests {
             s.enqueue_ref(r);
         }
         let defined: Vec<BlockChain> = rs.iter().map(defined).collect();
-        assert_eq!(s.queued_chains(), defined);
+        assert_eq!(queued_chains(&s), defined);
         assert_eq!(s.arena.chunks.len(), 1);
         s.step().unwrap();
         assert!(s.running() > 0);
-        assert_eq!(s.queued_chains(), defined[12 - s.queued()..]);
+        assert_eq!(queued_chains(&s), defined[12 - s.queued()..]);
         while s.step().unwrap() {}
         assert!(s.waiting.is_empty() && s.running.is_empty());
         assert!(
@@ -1377,7 +1376,7 @@ mod tests {
             "the long chain has a chunk of its own"
         );
         let refused = loop {
-            assert_eq!(s.queued_chains(), defined[4 - s.queued()..4]);
+            assert_eq!(queued_chains(&s), defined[4 - s.queued()..4]);
             match s.step() {
                 Ok(_) => {}
                 Err(err) => break err,
@@ -1392,7 +1391,7 @@ mod tests {
             s.enqueue_ref(r);
         }
         assert!(s.step().is_err());
-        assert_eq!(s.queued_chains(), defined[3..]);
+        assert_eq!(queued_chains(&s), defined[3..]);
         assert_eq!(
             s.arena.chunks.len(),
             2,

@@ -5,10 +5,10 @@
 //! oracle, and a never-escalating cascade whose cheap tier is always right
 //! is byte-identical too — on all seven tier-1 datasets. In between, the
 //! cascade must be deterministic in its seed, reconcile its tier ledger
-//! exactly (`rows_in = rows_cheap + rows_escalated + rows_failed`), share
-//! one confidence stream with the serving layer, escalate monotonically in
-//! the threshold, and render its EXPLAIN annotations *only* when a cascade
-//! is configured — single-tier plans keep their pre-cascade golden output.
+//! exactly (`rows_in = rows_cheap + rows_escalated + rows_failed`),
+//! escalate monotonically in the threshold, and render its EXPLAIN
+//! annotations *only* when a cascade is configured — single-tier plans keep
+//! their pre-cascade golden output.
 
 mod common;
 
@@ -16,7 +16,6 @@ use common::{assert_same_results, assert_sql_identical, run_sql};
 use llmqo::costmodel::{CascadePlan, TierPosterior};
 use llmqo::datasets::{Dataset, DatasetId};
 use llmqo::relational::{CascadeConfig, OptimizerConfig, SqlResult};
-use llmqo::serve::confidence_unit;
 use proptest::prelude::*;
 
 const SEED: u64 = 0xD1FF;
@@ -120,29 +119,6 @@ fn mid_threshold_cascade_is_deterministic_and_reconciles_the_tier_ledger() {
     }
     assert!(total_escalated > 0, "threshold 0.5 never escalated");
     assert!(total_cheap > 0, "threshold 0.5 escalated everything");
-}
-
-/// The cascade's confidence stream *is* the serving layer's: the cost
-/// model's `CascadePlan::confidence` and `llmqo::serve::confidence_unit`
-/// are one counter-based draw, keyed by the same stream constant — so a
-/// plan's escalation set can be predicted (and replayed) from either crate.
-#[test]
-fn cascade_confidence_is_the_serving_layers_confidence_stream() {
-    assert_eq!(
-        llmqo::serve::CONFIDENCE_DRAW,
-        llmqo::costmodel::CONFIDENCE_DRAW,
-        "serve and costmodel disagree on the confidence stream constant"
-    );
-    for seed in [0u64, 1, 42, SEED, u64::MAX] {
-        let plan = CascadePlan::mini_to_sonnet(0.5, seed);
-        for row in 0..512u64 {
-            assert_eq!(
-                plan.confidence(row),
-                confidence_unit(seed, row),
-                "seed {seed} row {row}"
-            );
-        }
-    }
 }
 
 /// Escalation volume is monotone in the threshold: raising `escalate_below`

@@ -13,8 +13,8 @@
 //! over random plan / policy / router combinations, and a crash with a
 //! retry budget loses zero requests.
 //!
-//! Also here: proptests pinning the retry-insensitive router contract (all
-//! four built-in routers are pure functions of their snapshots — see the
+//! Also here: proptests pinning the router purity contract (all four
+//! built-in routers are pure functions of their snapshots — see the
 //! `Router` trait docs), the bounded-queue backpressure behaviour under
 //! full saturation, `std::error::Error` conformance of the public error
 //! enums, and completion attribution by request id (sparse ids, the
@@ -135,11 +135,9 @@ fn macro_and_single_stepped_chaos_agree() {
     }
     .assign(&mut requests);
     let sim = sim(3, 8);
-    // Scheduled faults, slowdown windows, and hedge timers all bound the
-    // macro window in advance, so this plan exercises genuine macro
-    // stepping. Transient errors are the one source of mid-window retry
-    // feedback; with them the dispatcher falls back to fine-grained
-    // stepping on its own (second plan below), which must also agree.
+    // Scheduled faults, slowdown windows, and hedge timers bound the macro
+    // window in advance; transient errors (second plan) are discovered at
+    // harvest, which the other busy replicas' clocks keep in order.
     let plans = [
         FaultPlan::seeded(5)
             .crash_restart(0, 0.1, 0.25)
@@ -169,9 +167,8 @@ fn macro_and_single_stepped_chaos_agree() {
     }
 }
 
-/// The chaos dispatcher macro-steps through backpressured phases for
-/// retry-insensitive routers (the PR-8 contract extended to the fault
-/// path): a saturated batch against depth-1 queues with a crash and a
+/// The chaos dispatcher macro-steps through backpressured phases: a
+/// saturated batch against depth-1 queues with a crash and a
 /// slowdown window on top must take genuine backpressured macro steps and
 /// still agree byte for byte with the single-stepped oracle.
 #[test]
@@ -202,6 +199,79 @@ fn chaos_macro_stepping_survives_backpressure() {
         );
         assert_eq!(fine.backpressure_macro_steps, 0);
     }
+}
+
+/// Transient errors, retries and hedges are decided at harvest, yet a
+/// backpressured run that has them still macro-steps — the other busy
+/// replicas' clocks keep its completions in sim-time order — and agrees
+/// byte for byte with the single-stepped oracle.
+#[test]
+fn transient_retries_and_hedges_macro_step_under_backpressure() {
+    let requests = workload(12, 6); // batch: everything queues at t=0
+    let sim = sim(3, 1);
+    let plan = FaultPlan::seeded(5)
+        .crash_restart(0, 0.1, 0.3)
+        .transient_errors_ppm(60_000);
+    let policy = RetryPolicy::retries(4).with_hedging(0.05);
+    for mut router in routers() {
+        let coarse = sim
+            .run_with_faults(router.as_mut(), &requests, &plan, &policy)
+            .expect("macro run");
+        let fine = sim
+            .single_stepped()
+            .run_with_faults(router.as_mut(), &requests, &plan, &policy)
+            .expect("single-stepped run");
+        assert_eq!(
+            coarse, fine,
+            "stepping modes diverged for router {}",
+            coarse.policy
+        );
+        let fs = &coarse.faults;
+        assert!(fs.transient_errors > 0 && fs.retries > 0 && fs.hedges_issued > 0);
+        assert!(
+            coarse.backpressure_macro_steps > 0,
+            "router {} single-stepped a run with transient retries",
+            coarse.policy
+        );
+    }
+}
+
+/// The hedge race: a replica that jumps past another busy replica's clock
+/// can harvest a completion that finishes later than one the other has not
+/// reached, and hand the race to the other attempt than a single-stepped run
+/// does (on this setup, 5 hedges won against the single-stepped 4). Jumps
+/// bounded by the other busy replicas' clocks harvest in sim-time order.
+#[test]
+fn the_hedge_race_reproducer_agrees_across_stepping_modes() {
+    let mut requests = common::prioritized_workload(8, 5, 4);
+    ArrivalProcess::Poisson {
+        rate_rps: 40.0,
+        seed: 5,
+    }
+    .assign(&mut requests);
+    let plan = FaultPlan::seeded(240)
+        .crash_restart(0, 0.063, 0.31)
+        .slowdown(0, 0.049, 0.136, 1.5)
+        .slowdown(1, 0.071, 0.377, 1.5);
+    let retry = RetryPolicy::retries(4)
+        .with_hedging(0.4)
+        .with_deadline(30.0);
+    let overload = OverloadPolicy::admission(AdmissionPolicy {
+        max_kv_utilization: Some(0.5),
+        tenant_quota: Some(3),
+        ..AdmissionPolicy::default()
+    });
+    let run = |sim: &llmqo::cluster::ClusterSim| {
+        sim.run_overloaded(&mut RoundRobin, &requests, &plan, &retry, &overload)
+            .expect("valid options")
+    };
+    let coarse = run(&sim(3, 16));
+    let fine = run(&sim(3, 16).single_stepped());
+    assert_eq!(fine.faults.hedges_won, 4);
+    assert_eq!(
+        coarse, fine,
+        "the stepping modes decided a hedge race apart"
+    );
 }
 
 /// A crash with warm restart plus a retry budget loses **zero** requests:
@@ -839,9 +909,7 @@ proptest! {
                 .expect("valid options")
         };
         let report = run(&sim);
-        if retry.hedge_after_s.is_none() {
-            prop_assert!(report == run(&sim.single_stepped()), "stepping modes diverged");
-        }
+        prop_assert!(report == run(&sim.single_stepped()), "stepping modes diverged");
         prop_assert!(report == run(&sim), "rerun diverged");
         let (faults, shed) = (&report.faults, &report.shed);
         let served = if faults.engaged() {

@@ -403,8 +403,7 @@ proptest! {
 
     /// The gates over mixed priorities and tenants, under crash/restart,
     /// transient errors, retries and hedging: the three-way ledger
-    /// reconciles and both stepping modes agree (hedged macro-stepping
-    /// aside, below). The benchmark sheds only
+    /// reconciles and both stepping modes agree. The benchmark sheds only
     /// priority-0, tenant-0 arrivals; here arrivals evict lower-priority
     /// pending work and hit tenant quotas, and in debug builds every gated
     /// arrival checks the kernel's running admission ledger against a
@@ -452,12 +451,7 @@ proptest! {
                 .expect("valid options")
         };
         let report = run(&sim);
-        // A hedged run that macro-steps can decide a hedge race the other
-        // way (the open hedge-race item of the ROADMAP); transient errors
-        // with a retry budget make both runs single-step.
-        if hedge_after_s.is_none() || ppm > 0 {
-            prop_assert!(report == run(&sim.single_stepped()), "stepping modes diverged");
-        }
+        prop_assert!(report == run(&sim.single_stepped()), "stepping modes diverged");
         let (faults, shed) = (&report.faults, &report.shed);
         prop_assert_eq!(faults.succeeded + faults.failed + shed.shed, requests.len());
         prop_assert_eq!(faults.offered, requests.len());

@@ -13,7 +13,7 @@ mod common;
 use common::{assert_same_results, engine, run_sql};
 use llmqo::cluster::{
     tag_requests, ClusterReport, ClusterRequest, ClusterSim, LeastLoaded, PrefixAffinity,
-    ReplicaSnapshot, RoundRobin, Router,
+    RoundRobin, Router,
 };
 use llmqo::core::{FunctionalDeps, Ggr, Reorderer};
 use llmqo::datasets::{Dataset, DatasetId};
@@ -212,36 +212,6 @@ fn macro_stepped_backpressure_equals_single_stepped_under_all_routers() {
             "{name}: the oracle must not macro-step"
         );
     }
-}
-
-/// A custom router that does not declare the retry-insensitive contract: the
-/// dispatcher stays conservative (no backpressure macro-steps) and the
-/// schedule still matches the oracle.
-#[test]
-fn conservative_custom_router_never_macro_steps_backpressure() {
-    struct Wrapped(RoundRobin);
-    impl Router for Wrapped {
-        fn name(&self) -> &'static str {
-            "wrapped-round-robin"
-        }
-        fn route(&mut self, prefix_key: u64, replicas: &[ReplicaSnapshot]) -> usize {
-            self.0.route(prefix_key, replicas)
-        }
-        // retry_insensitive() deliberately left at the default `false`.
-    }
-    let requests = bursty_workload(48, 16, 1.5);
-    let coarse = tight_sim(2, 1)
-        .run(&mut Wrapped(RoundRobin), &requests)
-        .unwrap();
-    let fine = tight_sim(2, 1)
-        .single_stepped()
-        .run(&mut Wrapped(RoundRobin), &requests)
-        .unwrap();
-    assert_eq!(coarse, fine);
-    assert_eq!(
-        coarse.backpressure_macro_steps, 0,
-        "conservative routers must not take the macro path"
-    );
 }
 
 // ---------------------------------------------------------------------------
