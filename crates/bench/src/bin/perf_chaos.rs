@@ -19,7 +19,8 @@
 
 use llmqo_bench::{harness, report::BenchFile};
 use llmqo_cluster::{
-    ArrivalProcess, ClusterReport, FaultPlan, PrefixAffinity, RetryPolicy, RoundRobin, Router,
+    ArrivalProcess, ClusterReport, FaultPlan, OverloadPolicy, PrefixAffinity, RetryPolicy,
+    RoundRobin, Router,
 };
 
 const REPLICAS: usize = 8;
@@ -79,6 +80,7 @@ fn main() {
         ),
     ];
 
+    let inert = OverloadPolicy::default();
     let mut cells: Vec<Cell> = Vec::new();
     for (fault_name, plan) in &faults {
         for (retry_name, policy) in &policies {
@@ -89,11 +91,11 @@ fn main() {
                     Box::new(RoundRobin)
                 };
                 let report = sim
-                    .run_with_faults(router.as_mut(), &requests, plan, policy)
+                    .run_overloaded(router.as_mut(), &requests, plan, policy, &inert)
                     .expect("chaos run");
                 let fine = sim
                     .single_stepped()
-                    .run_with_faults(router.as_mut(), &requests, plan, policy)
+                    .run_overloaded(router.as_mut(), &requests, plan, policy, &inert)
                     .expect("single-stepped chaos run");
                 assert_eq!(
                     report, fine,

@@ -88,15 +88,15 @@ fn main() {
         .expect("single-stepped unprotected run");
     assert_eq!(unprotected, fine, "unprotected: stepping modes diverged");
 
+    let admitted = |sim: &ClusterSim, requests: &[ClusterRequest], policy: &AdmissionPolicy| {
+        let (plan, retry) = (FaultPlan::default(), RetryPolicy::disabled());
+        let overload = OverloadPolicy::admission(*policy);
+        let router = &mut PrefixAffinity::default();
+        sim.run_overloaded(router, requests, &plan, &retry, &overload)
+    };
     // Differential spine: the inert AdmissionPolicy must take the exact
     // ungated code path, byte for byte, on this very workload.
-    let inert = sim
-        .run_admitted(
-            &mut PrefixAffinity::default(),
-            &requests,
-            &AdmissionPolicy::default(),
-        )
-        .expect("inert admitted run");
+    let inert = admitted(&sim, &requests, &AdmissionPolicy::default()).expect("inert admitted run");
     assert_eq!(
         unprotected, inert,
         "inert admission diverged from the ungated dispatcher"
@@ -145,9 +145,6 @@ fn main() {
         .slowdown(1, 0.1 * mk, 0.8 * mk, 3.0);
     let retry = RetryPolicy::retries(3);
 
-    let admitted = |sim: &ClusterSim, requests: &[ClusterRequest], policy: &AdmissionPolicy| {
-        sim.run_admitted(&mut PrefixAffinity::default(), requests, policy)
-    };
     let overloaded = |sim: &ClusterSim, plan: &FaultPlan, retry: &RetryPolicy| {
         let router = &mut PrefixAffinity::default();
         sim.run_overloaded(router, &requests, plan, retry, &elastic)

@@ -6,7 +6,7 @@
 //! rate. A [`RetryPolicy`] bounds how the cluster reacts: retry budgets with
 //! exponential backoff and deterministic jitter, per-request deadlines, and
 //! optional hedging. Both are plain data consumed by
-//! [`ClusterSim::run_with_faults`](crate::ClusterSim::run_with_faults);
+//! [`ClusterSim::run_overloaded`](crate::ClusterSim::run_overloaded);
 //! nothing here touches a wall clock or an OS random source, so a chaos run
 //! is reproducible byte for byte from `(plan, policy, workload)` alone.
 //!
@@ -124,7 +124,7 @@ impl FaultEvent {
 }
 
 /// A seeded, deterministic fault schedule for
-/// [`ClusterSim::run_with_faults`](crate::ClusterSim::run_with_faults).
+/// [`ClusterSim::run_overloaded`](crate::ClusterSim::run_overloaded).
 ///
 /// The default plan is empty and injects nothing: running with it (and a
 /// disabled [`RetryPolicy`]) is byte-identical to

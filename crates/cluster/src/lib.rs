@@ -18,10 +18,8 @@
 //!   key, so each shared-prefix group lands on exactly one replica).
 //! * [`ClusterSim`] — a discrete-event dispatcher over N
 //!   [`EngineSession`](llmqo_serve::EngineSession) replicas with bounded
-//!   per-replica queues (backpressure) on one shared timeline. Its four
-//!   entry points ([`run`](ClusterSim::run),
-//!   [`run_admitted`](ClusterSim::run_admitted),
-//!   [`run_with_faults`](ClusterSim::run_with_faults),
+//!   per-replica queues (backpressure) on one shared timeline. Its two
+//!   entry points ([`run`](ClusterSim::run) and
 //!   [`run_overloaded`](ClusterSim::run_overloaded)) drive one event
 //!   kernel, with faults, retries, admission and scaling passed as data;
 //!   [`ClusterSim::single_stepped`] turns macro-stepping off on that same
@@ -29,7 +27,7 @@
 //! * [`ClusterReport`] — makespan, cluster-wide and per-replica prefix hit
 //!   rates, queue-wait percentiles, and load skew.
 //! * [`FaultPlan`] / [`RetryPolicy`] /
-//!   [`ClusterSim::run_with_faults`] — deterministic, sim-time fault
+//!   [`ClusterSim::run_overloaded`] — deterministic, sim-time fault
 //!   injection (crash/restart, drain/rejoin, straggler windows, transient
 //!   errors) with bounded retries, exponential backoff + deterministic
 //!   jitter, per-request deadlines, hedging, and prefix-affinity-aware
@@ -41,8 +39,8 @@
 //!   the zero-loss invariant to `succeeded + failed + shed == offered`), and
 //!   a seeded elastic autoscaler that drains replicas at low KV occupancy
 //!   and warms cold ones when queue wait crosses a threshold
-//!   ([`ScaleStats`]). Inert policies leave [`ClusterSim::run`] /
-//!   [`ClusterSim::run_with_faults`] reports byte-for-byte unchanged.
+//!   ([`ScaleStats`]). Inert policies leave [`ClusterSim::run_overloaded`]
+//!   reports byte-for-byte equal to [`ClusterSim::run`]'s.
 //!
 //! # Example
 //!

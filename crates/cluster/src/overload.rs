@@ -19,13 +19,11 @@
 //! machinery PR 7 built for planned faults; [`ScaleStats`] counts them.
 //!
 //! Everything here is plain data consumed by
-//! [`ClusterSim::run_admitted`](crate::ClusterSim::run_admitted) and
 //! [`ClusterSim::run_overloaded`](crate::ClusterSim::run_overloaded).
 //! Default-constructed policies are **inert**: they leave every branch
 //! they guard in the event kernel untaken, so running with them is
-//! byte-identical to [`ClusterSim::run`](crate::ClusterSim::run) /
-//! [`run_with_faults`](crate::ClusterSim::run_with_faults), the property the
-//! overload differential suite pins.
+//! byte-identical to running without them (with the same fault plan and
+//! retry policy), the property the overload differential suite pins.
 
 use crate::request::ClusterRequest;
 use crate::sim::ClusterError;

@@ -102,8 +102,8 @@ pub struct ClusterReport {
     pub queue_wait_max_s: f64,
     /// Failure metrics. All zeros (and [`FaultStats::engaged`] is `false`)
     /// unless the run went through
-    /// [`ClusterSim::run_with_faults`](crate::ClusterSim::run_with_faults)
-    /// with a non-inert plan or policy.
+    /// [`ClusterSim::run_overloaded`](crate::ClusterSim::run_overloaded)
+    /// with a non-inert plan or retry policy.
     pub faults: FaultStats,
     /// Load-shedding ledger. All zeros (and [`ShedStats::engaged`] is
     /// `false`) unless the run went through a non-inert

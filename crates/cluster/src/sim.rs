@@ -1,10 +1,10 @@
 //! The sharded serving simulator's public surface: [`ClusterConfig`],
-//! [`ClusterError`] and [`ClusterSim`], whose four `run*` entry points are
+//! [`ClusterError`] and [`ClusterSim`], whose two `run*` entry points are
 //! one-line delegations to the event kernel (`kernel.rs`) with the fault
 //! plan, retry policy and overload policy passed as data.
 
 use crate::fault::{FaultPlan, RetryPolicy};
-use crate::overload::{AdmissionPolicy, OverloadPolicy};
+use crate::overload::OverloadPolicy;
 use crate::report::ClusterReport;
 use crate::request::ClusterRequest;
 use crate::router::Router;
@@ -62,9 +62,9 @@ pub enum ClusterError {
     /// [`FaultPlan`](crate::FaultPlan) or an enabled
     /// [`RetryPolicy`](crate::RetryPolicy): attributing completions to
     /// logical requests needs unique ids. With both inert nothing is
-    /// attributed, so every entry point — [`run`](crate::ClusterSim::run)
-    /// and [`run_with_faults`](crate::ClusterSim::run_with_faults) alike —
-    /// accepts duplicates.
+    /// attributed, so both entry points — [`run`](crate::ClusterSim::run)
+    /// and [`run_overloaded`](crate::ClusterSim::run_overloaded) alike —
+    /// accept duplicates.
     DuplicateRequestId {
         /// The repeated id.
         id: usize,
@@ -205,68 +205,50 @@ impl ClusterSim {
         router: &mut dyn Router,
         requests: &[ClusterRequest],
     ) -> Result<ClusterReport, ClusterError> {
-        self.run_with_faults(
-            router,
-            requests,
-            &FaultPlan::default(),
-            &RetryPolicy::disabled(),
-        )
-    }
-
-    /// [`run`](ClusterSim::run) behind a KV-aware [`AdmissionPolicy`]:
-    /// arrivals are gated on queue depth, fleet KV occupancy, and per-tenant
-    /// quotas, and under pressure the lowest-priority pending work is shed
-    /// deterministically (see the policy docs for the exact rules). The
-    /// result's [`shed`](ClusterReport::shed) ledger satisfies
-    /// `completed + shed == offered` — no request is ever silently lost.
-    ///
-    /// An inert (default) policy produces byte-identical reports to
-    /// [`run`](ClusterSim::run).
-    ///
-    /// # Errors
-    ///
-    /// As for [`run`](ClusterSim::run), plus
-    /// [`ClusterError::InvalidOverloadPolicy`] for a malformed policy.
-    pub fn run_admitted(
-        &self,
-        router: &mut dyn Router,
-        requests: &[ClusterRequest],
-        admission: &AdmissionPolicy,
-    ) -> Result<ClusterReport, ClusterError> {
         self.run_overloaded(
             router,
             requests,
             &FaultPlan::default(),
             &RetryPolicy::disabled(),
-            &OverloadPolicy::admission(*admission),
+            &OverloadPolicy::default(),
         )
     }
 
     /// [`run`](ClusterSim::run) under a deterministic [`FaultPlan`] with a
-    /// [`RetryPolicy`] governing recovery; their docs carry the full fault
+    /// [`RetryPolicy`] governing recovery, and an [`OverloadPolicy`]:
+    /// KV-aware admission gates with priority load shedding, plus an
+    /// optional elastic [`ScalePolicy`](crate::ScalePolicy) that drains
+    /// cold replicas and warms new ones mid-job. Their docs carry the full
     /// semantics.
     ///
-    /// With an empty plan and a disabled policy the result is byte-identical
-    /// to [`run`](ClusterSim::run); any other configuration reproduces byte
-    /// for byte from the same inputs and fills
-    /// [`ClusterReport::faults`](crate::ClusterReport::faults), whose
-    /// invariant `succeeded + failed == offered` guarantees no request is
-    /// ever silently lost.
+    /// With all three inert the result is byte-identical to
+    /// [`run`](ClusterSim::run); any other configuration reproduces byte
+    /// for byte from the same inputs and fills the
+    /// [`faults`](crate::ClusterReport::faults),
+    /// [`shed`](crate::ClusterReport::shed) and
+    /// [`scaling`](crate::ClusterReport::scaling) ledgers. No request is
+    /// ever silently lost: `completed + shed == offered` fault-free, and
+    /// `succeeded + failed + shed == offered` with faults or retries
+    /// engaged.
     ///
-    /// Unless both are inert, requests must carry **unique** engine ids —
-    /// completions are attributed back to logical requests by id.
+    /// Unless the plan and the retry policy are both inert, requests must
+    /// carry **unique** engine ids — completions are attributed back to
+    /// logical requests by id.
     ///
     /// # Errors
     ///
     /// Everything [`run`](ClusterSim::run) returns, plus
-    /// [`ClusterError::InvalidFaultPlan`] for malformed plans/policies and
-    /// [`ClusterError::DuplicateRequestId`] for non-unique request ids.
+    /// [`ClusterError::InvalidFaultPlan`] for malformed plans/retry
+    /// policies, [`ClusterError::DuplicateRequestId`] for non-unique
+    /// request ids and [`ClusterError::InvalidOverloadPolicy`] for
+    /// malformed overload policies.
     ///
     /// # Examples
     ///
     /// ```
     /// use llmqo_cluster::{
-    ///     ClusterConfig, ClusterRequest, ClusterSim, FaultPlan, PrefixAffinity, RetryPolicy,
+    ///     ClusterConfig, ClusterRequest, ClusterSim, FaultPlan, OverloadPolicy, PrefixAffinity,
+    ///     RetryPolicy,
     /// };
     /// use llmqo_serve::{Deployment, EngineConfig, GpuCluster, GpuSpec, ModelSpec, SimEngine,
     ///                   SimRequest};
@@ -286,40 +268,18 @@ impl ClusterSim {
     ///     .collect();
     /// let plan = FaultPlan::seeded(7).crash_restart(0, 0.05, 0.2);
     /// let report = sim
-    ///     .run_with_faults(&mut PrefixAffinity::default(), &requests, &plan, &RetryPolicy::retries(4))
+    ///     .run_overloaded(
+    ///         &mut PrefixAffinity::default(),
+    ///         &requests,
+    ///         &plan,
+    ///         &RetryPolicy::retries(4),
+    ///         &OverloadPolicy::default(),
+    ///     )
     ///     .unwrap();
     /// let fs = &report.faults;
     /// assert_eq!(fs.offered, 16);
     /// assert_eq!(fs.succeeded + fs.failed, fs.offered);
     /// ```
-    pub fn run_with_faults(
-        &self,
-        router: &mut dyn Router,
-        requests: &[ClusterRequest],
-        plan: &FaultPlan,
-        retry: &RetryPolicy,
-    ) -> Result<ClusterReport, ClusterError> {
-        self.run_overloaded(router, requests, plan, retry, &OverloadPolicy::default())
-    }
-
-    /// [`run_with_faults`](ClusterSim::run_with_faults) under an
-    /// [`OverloadPolicy`]: KV-aware admission gates with priority load
-    /// shedding, plus an optional elastic
-    /// [`ScalePolicy`](crate::ScalePolicy) that drains cold
-    /// replicas and warms new ones mid-job. The report gains the
-    /// [`shed`](crate::ClusterReport::shed) and
-    /// [`scaling`](crate::ClusterReport::scaling) ledgers; with any faults
-    /// or retries engaged the failure invariant extends to
-    /// `succeeded + failed + shed == offered`.
-    ///
-    /// An inert (default) overload policy is byte-identical to
-    /// [`run_with_faults`](ClusterSim::run_with_faults); an inert policy
-    /// *and* inert plan/retry reproduce [`run`](ClusterSim::run) itself.
-    ///
-    /// # Errors
-    ///
-    /// As for [`run_with_faults`](ClusterSim::run_with_faults), plus
-    /// [`ClusterError::InvalidOverloadPolicy`] for malformed policies.
     pub fn run_overloaded(
         &self,
         router: &mut dyn Router,

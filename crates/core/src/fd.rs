@@ -9,11 +9,9 @@
 //! space.
 //!
 //! FDs are represented as equivalence groups over column indices (a
-//! union-find closure of the pairwise relation). [`FunctionalDeps::discover`]
-//! finds exact bidirectional FDs from data, mirroring what a database would
-//! read off primary/foreign key metadata.
+//! union-find closure of the pairwise relation), declared by the dataset
+//! schemas the way a database reads them off primary/foreign key metadata.
 
-use crate::table::ReorderTable;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -96,25 +94,6 @@ impl FunctionalDeps {
         Ok(FunctionalDeps { ncols, inferred })
     }
 
-    /// Discovers exact bidirectional FDs from table data.
-    ///
-    /// Columns `a ↔ b` iff the observed value mapping between them is a
-    /// bijection. This is `O(m² · n)` and intended for offline use, standing
-    /// in for the schema metadata (primary/foreign keys) that real databases
-    /// already maintain.
-    pub fn discover(table: &ReorderTable) -> Self {
-        let m = table.ncols();
-        let mut groups: Vec<Vec<u32>> = Vec::new();
-        for a in 0..m {
-            for b in (a + 1)..m {
-                if bidirectional(table, a, b) {
-                    groups.push(vec![a as u32, b as u32]);
-                }
-            }
-        }
-        Self::from_groups(m, groups).expect("discovered indices are in range")
-    }
-
     /// Number of columns these dependencies cover.
     pub fn ncols(&self) -> usize {
         self.ncols
@@ -154,29 +133,9 @@ impl FunctionalDeps {
     }
 }
 
-/// Checks whether columns `a` and `b` of `table` exactly determine each other.
-fn bidirectional(table: &ReorderTable, a: usize, b: usize) -> bool {
-    let mut fwd = HashMap::new();
-    let mut bwd = HashMap::new();
-    for r in 0..table.nrows() {
-        let va = table.cell(r, a).value;
-        let vb = table.cell(r, b).value;
-        if *fwd.entry(va).or_insert(vb) != vb || *bwd.entry(vb).or_insert(va) != va {
-            return false;
-        }
-    }
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::table::Cell;
-    use crate::ValueId;
-
-    fn c(id: u32) -> Cell {
-        Cell::new(ValueId::from_raw(id), 1)
-    }
 
     #[test]
     fn empty_has_no_inferred() {
@@ -209,38 +168,6 @@ mod tests {
     #[test]
     fn out_of_range_group_rejected() {
         assert_eq!(FunctionalDeps::from_groups(2, vec![vec![0, 5]]), Err(5));
-    }
-
-    #[test]
-    fn discover_finds_exact_bijection() {
-        // col0 ↔ col1 (ids paired), col2 independent.
-        let mut t = ReorderTable::new(vec!["k".into(), "name".into(), "x".into()]).unwrap();
-        t.push_row(vec![c(0), c(10), c(100)]).unwrap();
-        t.push_row(vec![c(1), c(11), c(100)]).unwrap();
-        t.push_row(vec![c(0), c(10), c(101)]).unwrap();
-        let fds = FunctionalDeps::discover(&t);
-        assert_eq!(fds.inferred(0), &[1]);
-        assert_eq!(fds.inferred(1), &[0]);
-        assert!(fds.inferred(2).is_empty());
-    }
-
-    #[test]
-    fn discover_rejects_one_directional() {
-        // col1 determines col0 but not vice versa (two names per key).
-        let mut t = ReorderTable::new(vec!["k".into(), "name".into()]).unwrap();
-        t.push_row(vec![c(0), c(10)]).unwrap();
-        t.push_row(vec![c(0), c(11)]).unwrap();
-        let fds = FunctionalDeps::discover(&t);
-        assert!(fds.is_trivial());
-    }
-
-    #[test]
-    fn discover_on_empty_table_links_everything() {
-        // Vacuously true bijections; harmless because GGR only uses FDs when
-        // groups exist.
-        let t = ReorderTable::new(vec!["a".into(), "b".into()]).unwrap();
-        let fds = FunctionalDeps::discover(&t);
-        assert_eq!(fds.inferred(0), &[1]);
     }
 
     #[test]

@@ -20,8 +20,6 @@ pub struct ColumnStats {
     pub avg_sq_len: f64,
     /// Sum of token lengths.
     pub total_len: u64,
-    /// Size of the largest duplicate group.
-    pub max_group: usize,
 }
 
 impl ColumnStats {
@@ -63,26 +61,20 @@ impl TableStats {
     pub fn compute(table: &ReorderTable) -> Self {
         let n = table.nrows();
         let mut map = SlotMap::default();
-        let mut group_counts: Vec<usize> = Vec::new();
         let columns = (0..table.ncols())
             .map(|c| {
                 let values = table.col_values(c);
                 map.begin(n);
-                group_counts.clear();
                 let mut total_len = 0u64;
                 let mut total_sq = 0f64;
                 for (r, v) in values.iter().enumerate() {
                     let cell = table.cell(r, c);
-                    let (slot, new) = map.insert(u64::from(v.as_u32()));
-                    if new {
-                        group_counts.push(0);
-                    }
-                    group_counts[slot as usize] += 1;
+                    map.insert(u64::from(v.as_u32()));
                     total_len += u64::from(cell.len);
                     total_sq += cell.sq_len() as f64;
                 }
                 ColumnStats {
-                    cardinality: group_counts.len(),
+                    cardinality: map.len() as usize,
                     avg_len: if n == 0 {
                         0.0
                     } else {
@@ -90,7 +82,6 @@ impl TableStats {
                     },
                     avg_sq_len: if n == 0 { 0.0 } else { total_sq / n as f64 },
                     total_len,
-                    max_group: group_counts.iter().copied().max().unwrap_or(0),
                 }
             })
             .collect();
@@ -163,8 +154,6 @@ mod tests {
         assert!((s.column(0).avg_len - 2.0).abs() < 1e-12);
         assert!((s.column(1).avg_len - 14.0 / 3.0).abs() < 1e-12);
         assert_eq!(s.column(0).total_len, 6);
-        assert_eq!(s.column(0).max_group, 2);
-        assert_eq!(s.column(1).max_group, 2);
     }
 
     #[test]
@@ -173,7 +162,6 @@ mod tests {
         let s = TableStats::compute(&t);
         assert_eq!(s.column(0).cardinality, 0);
         assert_eq!(s.column(0).avg_len, 0.0);
-        assert_eq!(s.column(0).max_group, 0);
         assert_eq!(s.column(0).hitcount_score(0), 0.0);
     }
 

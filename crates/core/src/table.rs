@@ -396,9 +396,8 @@ impl ReorderTable {
 
 /// Convenience builder that interns string cells and assigns token lengths.
 ///
-/// The default length function approximates tokens as `max(1, bytes/4)`;
-/// engines that know real fragment token counts should use
-/// [`TableBuilder::push_row_with`].
+/// Token lengths are approximated as `max(1, bytes/4)`; engines that know
+/// real fragment token counts build a [`ReorderTable`] directly.
 ///
 /// # Examples
 ///
@@ -431,30 +430,20 @@ impl TableBuilder {
         }
     }
 
-    /// Pushes a row of string cells with the default byte-based length
-    /// heuristic (`max(1, bytes/4)` tokens).
+    /// Pushes a row of string cells with the byte-based length heuristic
+    /// (`max(1, bytes/4)` tokens).
     ///
     /// # Panics
     ///
     /// Panics if `values.len()` differs from the number of columns.
     pub fn push_row(&mut self, values: &[&str]) {
-        self.push_row_with(values, |s| (s.len() / 4).max(1) as u32);
-    }
-
-    /// Pushes a row of string cells, computing each cell's token length with
-    /// `len_fn` (typically a real tokenizer over the serialized fragment).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `values.len()` differs from the number of columns.
-    pub fn push_row_with<F: FnMut(&str) -> u32>(&mut self, values: &[&str], mut len_fn: F) {
         assert_eq!(
             values.len(),
             self.columns.len(),
             "row arity must match column count"
         );
         for v in values {
-            let cell = Cell::new(self.interner.intern(v), len_fn(v));
+            let cell = Cell::new(self.interner.intern(v), (v.len() / 4).max(1) as u32);
             self.cells.push(cell);
         }
     }
@@ -678,11 +667,14 @@ mod tests {
     }
 
     #[test]
-    fn builder_custom_len_fn() {
+    fn builder_len_is_bytes_over_four() {
         let mut b = TableBuilder::new(vec!["x".into()]);
-        b.push_row_with(&["abcdef"], |s| s.len() as u32);
+        for v in ["", "abc", "abcdef", "abcdefgh"] {
+            b.push_row(&[v]);
+        }
         let (t, _) = b.finish();
-        assert_eq!(t.cell(0, 0).len, 6);
+        let lens: Vec<u32> = (0..4).map(|r| t.cell(r, 0).len).collect();
+        assert_eq!(lens, [1, 1, 1, 2]);
     }
 
     #[test]

@@ -115,8 +115,8 @@ impl ModelTier {
 ///
 /// let plan = CascadePlan::new(ModelTier::mini(), ModelTier::sonnet(), 0.3, 42);
 /// // The two threshold endpoints degenerate to single tiers.
-/// assert!(CascadePlan { escalate_below: 1.0, ..plan }.is_escalate_all());
-/// assert!(CascadePlan { escalate_below: 0.0, ..plan }.is_never_escalate());
+/// assert!(CascadePlan { escalate_below: 1.0, ..plan }.escalates(7));
+/// assert!(!CascadePlan { escalate_below: 0.0, ..plan }.escalates(7));
 /// // Escalation is deterministic per row.
 /// assert_eq!(plan.escalates(7), plan.escalates(7));
 /// // Cascade beats the single expensive tier while escalation is rare.
@@ -162,18 +162,6 @@ impl CascadePlan {
     /// Whether `row` escalates to the expensive tier.
     pub fn escalates(&self, row: u64) -> bool {
         self.confidence(row) < self.escalate_below
-    }
-
-    /// `true` when every row escalates — the plan degenerates to the single
-    /// expensive tier (the differential oracle's byte-for-byte endpoint).
-    pub fn is_escalate_all(&self) -> bool {
-        self.escalate_below >= 1.0
-    }
-
-    /// `true` when no row escalates — the plan degenerates to the single
-    /// cheap tier.
-    pub fn is_never_escalate(&self) -> bool {
-        self.escalate_below <= 0.0
     }
 
     /// The cheap tier's answer for `row`, given the reference (expensive)
@@ -338,8 +326,6 @@ mod tests {
     fn endpoints_degenerate_to_single_tiers() {
         let all = CascadePlan::mini_to_sonnet(1.0, 1);
         let none = CascadePlan::mini_to_sonnet(0.0, 1);
-        assert!(all.is_escalate_all() && !all.is_never_escalate());
-        assert!(none.is_never_escalate() && !none.is_escalate_all());
         for r in 0..256 {
             assert!(all.escalates(r));
             assert!(!none.escalates(r));

@@ -279,7 +279,7 @@ pub struct CacheSnapshotEntry {
 /// bits over session-scale entry counts makes accidental collisions
 /// vanishingly rare; in debug builds the executor additionally audits every
 /// key against the full key text (`AnswerCache::audit`). The cache is
-/// unbounded: an entry lives until [`clear`](AnswerCache::clear).
+/// unbounded: an entry lives as long as the cache.
 #[derive(Debug, Default)]
 pub struct AnswerCache {
     instructions: HashMap<String, u32>,
@@ -410,18 +410,6 @@ impl AnswerCache {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
-
-    /// Drops every entry and counter (e.g. between unrelated workloads
-    /// sharing one executor).
-    pub fn clear(&mut self) {
-        self.instructions.clear();
-        self.names.clear();
-        self.entries.clear();
-        self.hits = 0;
-        self.misses = 0;
-        #[cfg(debug_assertions)]
-        self.audited.clear();
-    }
 }
 
 #[cfg(test)]
@@ -529,10 +517,6 @@ mod tests {
             c.lookup(i1, key("\"a\": \"x\", ")).unwrap().prompt_tokens,
             40
         );
-
-        c.clear();
-        assert!(c.is_empty());
-        assert_eq!(c.stats(), AnswerCacheStats::default());
     }
 
     fn ans(n: u64) -> CachedAnswer {

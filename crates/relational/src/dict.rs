@@ -54,9 +54,6 @@ pub(crate) struct Fragment {
 /// every table derived from it.
 #[derive(Debug)]
 pub(crate) struct FragmentStore {
-    /// The tokenizer the cached token streams belong to: the first one to
-    /// encode this column. Any other tokenizer bypasses the slots.
-    tokenizer: OnceLock<Tokenizer>,
     slots: Vec<OnceLock<Fragment>>,
 }
 
@@ -68,8 +65,8 @@ impl FragmentStore {
 
     /// The fragment of `code`, whose column is `name` and whose value (on
     /// any row carrying the code) is `value`; `buf` is scratch space for
-    /// the fragment text. Served from the code's slot when `tokenizer` is
-    /// the store's (the first one to ask), rebuilt otherwise.
+    /// the fragment text. Served from the code's slot, which the first
+    /// call fills.
     pub fn fragment(
         &self,
         code: u32,
@@ -78,30 +75,24 @@ impl FragmentStore {
         value: &Value,
         buf: &mut String,
     ) -> Fragment {
-        let mut make = || {
-            buf.clear();
-            push_fragment(buf, name, value);
-            if llmqo_obs::enabled() {
-                metrics().fragments_tokenized.inc();
-            }
-            Fragment {
-                tokens: Arc::from(tokenizer.tokenize(buf)),
-                hash: content_hash(buf.as_bytes()),
-            }
-        };
-        if self.tokenizer.get_or_init(|| *tokenizer) == tokenizer {
-            self.slots[code as usize].get_or_init(make).clone()
-        } else {
-            make()
-        }
+        self.slots[code as usize]
+            .get_or_init(|| {
+                buf.clear();
+                push_fragment(buf, name, value);
+                if llmqo_obs::enabled() {
+                    metrics().fragments_tokenized.inc();
+                }
+                Fragment {
+                    tokens: Arc::from(tokenizer.tokenize(buf)),
+                    hash: content_hash(buf.as_bytes()),
+                }
+            })
+            .clone()
     }
 
-    /// Token count of `code`'s fragment if its slot is filled and belongs
-    /// to `tokenizer`; never fills a slot.
-    pub fn cached_len(&self, code: u32, tokenizer: &Tokenizer) -> Option<usize> {
-        if self.tokenizer.get()? != tokenizer {
-            return None;
-        }
+    /// Token count of `code`'s fragment if its slot is filled; never fills
+    /// a slot.
+    pub fn cached_len(&self, code: u32) -> Option<usize> {
         Some(self.slots[code as usize].get()?.tokens.len())
     }
 }
@@ -136,7 +127,6 @@ impl ColumnDict {
         let dict = ColumnDict {
             codes,
             store: Arc::new(FragmentStore {
-                tokenizer: OnceLock::new(),
                 slots: (0..index.len()).map(|_| OnceLock::new()).collect(),
             }),
         };
@@ -192,8 +182,7 @@ pub(crate) struct EncodeMetrics {
     pub wall_dict_build_s: &'static Histogram,
     /// Cells lowered by `encode_table_rows`.
     pub cells: &'static Counter,
-    /// Fragments serialized, hashed and tokenized (slot fills plus
-    /// foreign-tokenizer bypasses).
+    /// Fragments serialized, hashed and tokenized (slot fills).
     pub fragments_tokenized: &'static Counter,
     /// Column dictionaries built.
     pub dict_builds: &'static Counter,
@@ -250,22 +239,6 @@ mod tests {
         assert_eq!(filled(&dict), 1);
         let again = dict.store.fragment(2, &tok, "col", &column[3], &mut buf);
         assert!(Arc::ptr_eq(&f.tokens, &again.tokens));
-    }
-
-    #[test]
-    fn a_second_tokenizer_bypasses_the_slots() {
-        let column: Vec<Value> = vec!["abcdefgh".into()];
-        let dict = ColumnDict::build(&column);
-        let (first, other) = (Tokenizer::new(), Tokenizer::with_piece_bytes(2));
-        let mut buf = String::new();
-        let a = dict.store.fragment(0, &first, "c", &column[0], &mut buf);
-        let b = dict.store.fragment(0, &other, "c", &column[0], &mut buf);
-        let filled = dict.store.slots[0].get().expect("the first tokenizer's");
-        assert!(Arc::ptr_eq(&filled.tokens, &a.tokens));
-        assert_eq!(&*a.tokens, &first.tokenize("\"c\": \"abcdefgh\", ")[..]);
-        assert_eq!(&*b.tokens, &other.tokenize("\"c\": \"abcdefgh\", ")[..]);
-        assert_ne!(a.tokens.len(), b.tokens.len());
-        assert_eq!(a.hash, b.hash, "the content key is tokenizer-independent");
     }
 
     #[test]

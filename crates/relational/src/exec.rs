@@ -431,12 +431,6 @@ impl<'a> QueryExecutor<'a> {
         self.cache.borrow().stats()
     }
 
-    /// Drops every answer-cache entry and counter (e.g. between unrelated
-    /// workloads sharing one executor).
-    pub fn clear_answer_cache(&self) {
-        self.cache.borrow_mut().clear();
-    }
-
     /// Snapshots the session answer cache as a [`StatementCheckpoint`].
     ///
     /// The executor inserts each batch's answers into the cache as the
@@ -1084,8 +1078,6 @@ mod tests {
             .unwrap();
         assert_eq!(third.report.opt.cache_hits, 0);
         assert_eq!(third.report.opt.llm_calls, 4);
-        ex.clear_answer_cache();
-        assert_eq!(ex.answer_cache_stats().entries, 0);
     }
 
     #[test]

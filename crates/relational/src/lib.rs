@@ -131,8 +131,8 @@ pub use exec::{
     QueryOutput, RowOutput, StatementCheckpoint, StatementFaults,
 };
 pub use optimizer::{
-    annotate_estimates, estimate_llm_op, optimize_plan, CascadeConfig, CmpOp, LogicalOp,
-    LogicalPlan, OptLevel, OptStats, OptimizerConfig, SqlPredicate,
+    annotate_estimates, estimate_llm_op, CascadeConfig, CmpOp, LogicalOp, LogicalPlan, OptLevel,
+    OptStats, OptimizerConfig, SqlPredicate,
 };
 pub use prompt::{encode_table, encode_table_rows, field_fragment, EncodedTable};
 pub use query::{LlmQuery, QueryKind};

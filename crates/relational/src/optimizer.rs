@@ -15,7 +15,7 @@
 //! A parsed [`SqlStatement`](crate::SqlStatement) compiles to a linear
 //! [`LogicalPlan`] — `Scan` at the bottom, then `WHERE` conjuncts
 //! ([`LogicalOp::SqlFilter`] / [`LogicalOp::LlmFilter`]), the projection
-//! operator, and an optional `Limit`. [`optimize_plan`] applies the rewrite
+//! operator, and an optional `Limit`. `optimize_plan` applies the rewrite
 //! rules under an [`OptimizerConfig`]; the physical executor in
 //! [`SqlRunner`](crate::SqlRunner) interprets the optimized plan with
 //! deduplicated, batched execution, one serving stage per LLM-invoking
@@ -486,16 +486,14 @@ pub fn estimate_llm_op(
             for (f, &c) in cols.iter().enumerate() {
                 // A fragment some encode call already tokenized has its
                 // count in the column dictionary (`count ≡ tokenize().len()`);
-                // anything else — a cold table, an untouched row, a foreign
-                // tokenizer — is serialized into one reused buffer and
-                // counted here, filling nothing.
-                field_tokens += table
-                    .cached_fragment_len(r, c, tokenizer)
-                    .unwrap_or_else(|| {
-                        text.clear();
-                        crate::dict::push_fragment(&mut text, &query.fields[f], table.value(r, c));
-                        tokenizer.count(&text)
-                    });
+                // anything else — a cold table, an untouched row — is
+                // serialized into one reused buffer and counted here,
+                // filling nothing.
+                field_tokens += table.cached_fragment_len(r, c).unwrap_or_else(|| {
+                    text.clear();
+                    crate::dict::push_fragment(&mut text, &query.fields[f], table.value(r, c));
+                    tokenizer.count(&text)
+                });
             }
             sampled += 1;
             r += stride;
@@ -515,25 +513,13 @@ pub fn estimate_llm_op(
     )
 }
 
-/// Applies the rewrite rules to `plan` under `config`, returning the
-/// optimized plan and human-readable notes describing each rewrite (for
-/// EXPLAIN output). Only the `WHERE` segment is mobile: SQL predicates move
-/// below every LLM predicate (they are free by comparison and commute as
-/// row filters), and LLM predicates sort by ascending
-/// [`LlmOpEstimate::rank`]. Both moves are stable, so equal-rank operators
-/// keep their written order.
-pub fn optimize_plan(
-    plan: &LogicalPlan,
-    config: &OptimizerConfig,
-    pricing: &Pricing,
-) -> (LogicalPlan, Vec<String>) {
-    let mut plan = plan.clone();
-    let notes = optimize_plan_in_place(&mut plan, config, pricing);
-    (plan, notes)
-}
-
-/// [`optimize_plan`] on a plan the caller owns, rewritten in place.
-pub(crate) fn optimize_plan_in_place(
+/// Applies the rewrite rules to `plan` under `config`, in place, returning
+/// human-readable notes describing each rewrite (for EXPLAIN output). Only
+/// the `WHERE` segment is mobile: SQL predicates move below every LLM
+/// predicate (they are free by comparison and commute as row filters), and
+/// LLM predicates sort by ascending [`LlmOpEstimate::rank`]. Both moves are
+/// stable, so equal-rank operators keep their written order.
+pub(crate) fn optimize_plan(
     plan: &mut LogicalPlan,
     config: &OptimizerConfig,
     pricing: &Pricing,
@@ -874,7 +860,8 @@ mod tests {
                 pred: pred("a", CmpOp::Eq, "x"),
             },
         ]);
-        let (opt, notes) = optimize_plan(&plan, &OptimizerConfig::all(), &Pricing::gpt4o_mini());
+        let mut opt = plan;
+        let notes = optimize_plan(&mut opt, &OptimizerConfig::all(), &Pricing::gpt4o_mini());
         assert!(matches!(opt.ops[1], LogicalOp::SqlFilter { .. }));
         assert!(matches!(opt.ops[2], LogicalOp::LlmFilter { .. }));
         assert_eq!(notes.len(), 1);
@@ -896,7 +883,8 @@ mod tests {
             est: Some(LlmOpEstimate::new(900.0, 40.0, 0.5)),
         };
         let plan = where_plan(vec![pricey_lax.clone(), cheap_picky.clone()]);
-        let (opt, _) = optimize_plan(&plan, &OptimizerConfig::all(), &Pricing::gpt4o_mini());
+        let mut opt = plan;
+        optimize_plan(&mut opt, &OptimizerConfig::all(), &Pricing::gpt4o_mini());
         assert_eq!(opt.ops[1], cheap_picky);
         assert_eq!(opt.ops[2], pricey_lax);
     }
@@ -913,7 +901,8 @@ mod tests {
                 pred: pred("a", CmpOp::Eq, "x"),
             },
         ]);
-        let (opt, notes) = optimize_plan(&plan, &OptimizerConfig::none(), &Pricing::gpt4o_mini());
+        let mut opt = plan.clone();
+        let notes = optimize_plan(&mut opt, &OptimizerConfig::none(), &Pricing::gpt4o_mini());
         assert_eq!(opt, plan);
         assert!(notes.is_empty());
     }

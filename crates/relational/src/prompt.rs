@@ -738,8 +738,7 @@ mod tests {
             /// representatives cell for cell, over the same fragments, with
             /// the groups, hits and
             /// row keys the one-phase front half derived from the full
-            /// encode — on a cold table, a warm one, and under a tokenizer
-            /// the table's dictionaries do not belong to; and on an encoder
+            /// encode — on a cold table and on a warm one; and on an encoder
             /// fresh from `new` as on one that already encoded another
             /// batch (`prior`, empty for a fresh one).
             #[test]
@@ -747,10 +746,10 @@ mod tests {
                 cells in prop::collection::vec(prop::collection::vec(0u8..4, 3), 1..=20),
                 fields in prop::collection::vec(0usize..3, 1..=4),
                 picks in prop::collection::vec((0usize..1000, prop::bool::ANY), 0..=40),
-                switches in (prop::bool::ANY, prop::bool::ANY, prop::bool::ANY, prop::bool::ANY),
+                switches in (prop::bool::ANY, prop::bool::ANY, prop::bool::ANY),
                 prior in prop::collection::vec(0usize..1000, 0..=20),
             ) {
-                let (dedup, with_lookup, warm, foreign) = switches;
+                let (dedup, with_lookup, warm) = switches;
                 // The answer cache implies dedup.
                 let with_lookup = with_lookup && dedup;
                 let table = pooled_table(&cells);
@@ -760,7 +759,7 @@ mod tests {
                 if warm {
                     encode_table(&Tokenizer::new(), &table, &q).unwrap();
                 }
-                let tok = if foreign { Tokenizer::with_piece_bytes(3) } else { Tokenizer::new() };
+                let tok = Tokenizer::new();
 
                 let full = encode_table_rows(&tok, &table, &q, Some(&rows)).unwrap();
                 let mut offered: Vec<(usize, RowKey)> = Vec::new();

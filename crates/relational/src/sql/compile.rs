@@ -5,9 +5,7 @@
 
 use super::parse::{LlmCall, Projection, SqlStatement, WhereConjunct};
 use super::{SqlError, SqlRunner};
-use crate::optimizer::{
-    annotate_estimates, optimize_plan_in_place, LogicalOp, LogicalPlan, OptLevel,
-};
+use crate::optimizer::{annotate_estimates, optimize_plan, LogicalOp, LogicalPlan, OptLevel};
 use crate::query::LlmQuery;
 use crate::table::Table;
 use llmqo_core::FunctionalDeps;
@@ -202,7 +200,7 @@ impl<'a> SqlRunner<'a> {
         let (table, _fds) = self.lookup(&stmt.table)?;
         let (mut plan, mut notes) = self.build_plan(stmt, table);
         annotate_estimates(&mut plan, table, &self.executor.tokenizer);
-        notes.extend(optimize_plan_in_place(&mut plan, &self.opt, &self.pricing));
+        notes.extend(optimize_plan(&mut plan, &self.opt, &self.pricing));
         Ok((plan, notes))
     }
 }

@@ -3,7 +3,6 @@
 use crate::dict::ColumnDict;
 use crate::schema::{DataType, Schema};
 use crate::value::Value;
-use llmqo_tokenizer::Tokenizer;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::OnceLock;
@@ -217,17 +216,12 @@ impl Table {
         self.dicts[col].get_or_init(|| ColumnDict::build(&self.columns[col]))
     }
 
-    /// Token count of the `(row, col)` cell's fragment under `tokenizer`, if
-    /// an encode call has already tokenized it — a read of the column
-    /// dictionary that builds and fills nothing.
-    pub(crate) fn cached_fragment_len(
-        &self,
-        row: usize,
-        col: usize,
-        tokenizer: &Tokenizer,
-    ) -> Option<usize> {
+    /// Token count of the `(row, col)` cell's fragment, if an encode call
+    /// has already tokenized it — a read of the column dictionary that
+    /// builds and fills nothing.
+    pub(crate) fn cached_fragment_len(&self, row: usize, col: usize) -> Option<usize> {
         let dict = self.dicts[col].get()?;
-        dict.store.cached_len(dict.codes[row], tokenizer)
+        dict.store.cached_len(dict.codes[row])
     }
 }
 

@@ -312,13 +312,13 @@ pub fn percentiles<const N: usize>(samples: &mut [f64], ps: [f64; N]) -> [f64; N
 
 /// A running engine instance that accepts requests over time.
 ///
-/// Create with [`crate::SimEngine::session`]. Drive with [`enqueue`]
+/// Create with [`crate::SimEngine::session`]. Drive with [`enqueue_ref`]
 /// (arrivals), [`step`] (advance one scheduling step) or [`step_until`]
 /// (advance to the next event, macro-stepping steady-state decode), and
 /// [`advance_to`] (idle until an external event); inspect with the
 /// load/cache probes; consume with [`finish`].
 ///
-/// [`enqueue`]: EngineSession::enqueue
+/// [`enqueue_ref`]: EngineSession::enqueue_ref
 /// [`step`]: EngineSession::step
 /// [`step_until`]: EngineSession::step_until
 /// [`advance_to`]: EngineSession::advance_to
@@ -441,15 +441,10 @@ impl EngineSession {
         self.slowdown
     }
 
-    /// Adds a request to the tail of the admission queue.
-    pub fn enqueue(&mut self, request: SimRequest) {
-        self.enqueue_ref(&request);
-    }
-
-    /// [`enqueue`](EngineSession::enqueue) by reference: the session hashes
-    /// the prompt's block chain (only the fragments the previously enqueued
-    /// prompt did not share) and keeps nothing else, so submission never
-    /// clones the request or its fragment list.
+    /// Adds a request to the tail of the admission queue. The session
+    /// hashes the prompt's block chain (only the fragments the previously
+    /// enqueued prompt did not share) and keeps nothing else, so submission
+    /// never clones the request or its fragment list.
     pub fn enqueue_ref(&mut self, request: &SimRequest) {
         self.enqueue_fragments(request.id, request.output_len, &request.prompt);
     }
@@ -1128,7 +1123,7 @@ mod tests {
         let batch = e.run(&rs).unwrap();
         let mut s = e.session().unwrap();
         for r in &rs {
-            s.enqueue(r.clone());
+            s.enqueue_ref(r);
         }
         while s.step().unwrap() {}
         let out = s.finish();
@@ -1192,7 +1187,7 @@ mod tests {
         let rs = reqs(25, 32, 16, 3);
         let mut s = e.session().unwrap();
         for r in &rs {
-            s.enqueue(r.clone());
+            s.enqueue_ref(r);
         }
         while s.step().unwrap() {}
         let out = s.finish();
@@ -1255,8 +1250,8 @@ mod tests {
     fn arrivals_mid_flight_are_served() {
         let e = engine();
         let mut s = e.session().unwrap();
-        for r in reqs(10, 48, 16, 2) {
-            s.enqueue(r);
+        for r in &reqs(10, 48, 16, 2) {
+            s.enqueue_ref(r);
         }
         // Drain halfway, then add late arrivals.
         for _ in 0..3 {
@@ -1264,7 +1259,7 @@ mod tests {
         }
         for mut r in reqs(5, 48, 16, 2) {
             r.id += 100;
-            s.enqueue(r);
+            s.enqueue_ref(&r);
         }
         while s.step().unwrap() {}
         let out = s.finish();
@@ -1280,7 +1275,7 @@ mod tests {
         assert_eq!(s.idle_time_s(), 5.0);
         s.advance_to(2.0); // past: no-op
         assert_eq!(s.clock(), 5.0);
-        s.enqueue(SimRequest::from_tokens(0, vec![1, 2, 3, 4], 1));
+        s.enqueue_ref(&SimRequest::from_tokens(0, vec![1, 2, 3, 4], 1));
         s.advance_to(50.0); // busy: no-op
         assert_eq!(s.clock(), 5.0);
         while s.step().unwrap() {}

@@ -14,7 +14,7 @@
 //!
 //! This crate provides a small greedy segmenter with both properties: text is
 //! split into whitespace-prefixed word segments and punctuation runs, and each
-//! segment is chopped into pieces of at most [`Tokenizer::piece_bytes`] bytes.
+//! segment is chopped into pieces of at most four bytes.
 //! Token ids are stable 64-bit FNV-1a hashes of the piece bytes folded to
 //! `u32`.
 //!
@@ -33,17 +33,17 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::fmt;
-
 /// A token identifier. Stable across runs and processes.
 pub type TokenId = u32;
 
-/// Default maximum piece size in bytes (~4 chars/token on English prose).
-pub const DEFAULT_PIECE_BYTES: usize = 4;
+/// Maximum piece size in bytes (~4 chars/token on English prose).
+const PIECE_BYTES: usize = 4;
 
 /// Deterministic subword tokenizer.
 ///
-/// See the [crate-level documentation](crate) for design rationale.
+/// See the [crate-level documentation](crate) for design rationale. There
+/// is one tokenizer: every value is the same, so a text's tokens depend on
+/// the text alone.
 ///
 /// # Examples
 ///
@@ -54,9 +54,7 @@ pub const DEFAULT_PIECE_BYTES: usize = 4;
 /// assert_eq!(tok.count(""), 0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Tokenizer {
-    piece_bytes: usize,
-}
+pub struct Tokenizer(());
 
 impl Default for Tokenizer {
     fn default() -> Self {
@@ -64,37 +62,10 @@ impl Default for Tokenizer {
     }
 }
 
-impl fmt::Display for Tokenizer {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Tokenizer(piece_bytes={})", self.piece_bytes)
-    }
-}
-
 impl Tokenizer {
-    /// Creates a tokenizer with the default piece size
-    /// ([`DEFAULT_PIECE_BYTES`]).
+    /// Creates the tokenizer.
     pub fn new() -> Self {
-        Self {
-            piece_bytes: DEFAULT_PIECE_BYTES,
-        }
-    }
-
-    /// Creates a tokenizer with a custom maximum piece size in bytes.
-    ///
-    /// Smaller pieces produce more tokens per character; `1` degenerates to
-    /// one token per character (per byte for ASCII).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `piece_bytes` is zero.
-    pub fn with_piece_bytes(piece_bytes: usize) -> Self {
-        assert!(piece_bytes > 0, "piece_bytes must be positive");
-        Self { piece_bytes }
-    }
-
-    /// Maximum piece size in bytes.
-    pub fn piece_bytes(&self) -> usize {
-        self.piece_bytes
+        Tokenizer(())
     }
 
     /// Tokenizes `text` into stable token ids.
@@ -104,7 +75,7 @@ impl Tokenizer {
     pub fn tokenize(&self, text: &str) -> Vec<TokenId> {
         // Full pieces plus one short tail piece per ~6-byte word: prose
         // rarely outgrows this, so the vector is allocated once.
-        let mut out = Vec::with_capacity(text.len() / self.piece_bytes + text.len() / 6 + 1);
+        let mut out = Vec::with_capacity(text.len() / PIECE_BYTES + text.len() / 6 + 1);
         self.for_each_piece(text, |piece| out.push(fold_hash(fnv1a(piece))));
         out
     }
@@ -161,19 +132,19 @@ impl Tokenizer {
     }
 
     /// [`chop`](Tokenizer::chop) for an all-ASCII segment: every character
-    /// is one byte, so pieces are plain `piece_bytes`-sized chunks.
+    /// is one byte, so pieces are plain [`PIECE_BYTES`]-sized chunks.
     fn chop_ascii<F: FnMut(&[u8])>(&self, segment: &[u8], f: &mut F) {
-        segment.chunks(self.piece_bytes).for_each(f);
+        segment.chunks(PIECE_BYTES).for_each(f);
     }
 
-    /// Chops a segment into pieces of at most `piece_bytes` bytes, always
+    /// Chops a segment into pieces of at most [`PIECE_BYTES`] bytes, always
     /// keeping at least one (possibly multi-byte) character per piece.
     fn chop<F: FnMut(&[u8])>(&self, segment: &str, f: &mut F) {
         let bytes = segment.as_bytes();
         let mut start = 0usize;
         let mut last_boundary = 0usize;
         for (idx, ch) in segment.char_indices() {
-            if idx - start > 0 && idx - start + ch.len_utf8() > self.piece_bytes {
+            if idx - start > 0 && idx - start + ch.len_utf8() > PIECE_BYTES {
                 f(&bytes[start..idx]);
                 start = idx;
             }
@@ -317,19 +288,6 @@ fn fold_hash(h: u64) -> TokenId {
     ((h >> 32) ^ (h & 0xffff_ffff)) as TokenId
 }
 
-/// Counts tokens in `text` using the default tokenizer.
-///
-/// Convenience for call sites that do not need a configured [`Tokenizer`].
-///
-/// # Examples
-///
-/// ```
-/// assert!(llmqo_tokenizer::token_count("four score and seven years") >= 5);
-/// ```
-pub fn token_count(text: &str) -> usize {
-    Tokenizer::new().count(text)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -411,22 +369,10 @@ mod tests {
     }
 
     #[test]
-    fn piece_bytes_one_is_per_char() {
-        let tok = Tokenizer::with_piece_bytes(1);
-        assert_eq!(tok.count("abc"), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "piece_bytes must be positive")]
-    fn zero_piece_bytes_panics() {
-        let _ = Tokenizer::with_piece_bytes(0);
-    }
-
-    #[test]
     fn multibyte_chars_do_not_panic() {
-        let tok = Tokenizer::with_piece_bytes(2);
-        // Each CJK char is 3 bytes > piece size; must still emit 1 char/piece.
-        assert_eq!(tok.count("東京"), 2);
+        let tok = Tokenizer::new();
+        // Each emoji is 4 bytes, a whole piece; must still emit 1 char/piece.
+        assert_eq!(tok.count("🎬🎥"), 2);
     }
 
     #[test]
@@ -438,12 +384,6 @@ mod tests {
         let a = tok.tokenize("alpha beta");
         let ab = tok.tokenize("alpha beta gamma");
         assert_eq!(&ab[..a.len()], &a[..]);
-    }
-
-    #[test]
-    fn display_is_nonempty() {
-        assert!(!Tokenizer::new().to_string().is_empty());
-        assert!(!format!("{:?}", Tokenizer::new()).is_empty());
     }
 }
 
@@ -543,14 +483,12 @@ mod proptests {
             "trailing ws é  ",
             "....  !!",
         ] {
-            for piece_bytes in 1..=8 {
-                let tok = Tokenizer::with_piece_bytes(piece_bytes);
-                assert_eq!(
-                    pieces(&tok, text),
-                    reference_pieces(&tok, text),
-                    "text={text:?} piece_bytes={piece_bytes}"
-                );
-            }
+            let tok = Tokenizer::new();
+            assert_eq!(
+                pieces(&tok, text),
+                reference_pieces(&tok, text),
+                "text={text:?}"
+            );
         }
     }
 
@@ -561,18 +499,16 @@ mod proptests {
             // into the other so the hand-over happens mid-text.
             let ascii: String = ascii.into_iter().map(char::from).collect();
             let spliced = format!("{ascii}{text}{ascii}");
-            for piece_bytes in 1..=8 {
-                let tok = Tokenizer::with_piece_bytes(piece_bytes);
-                for t in [&text, &ascii, &spliced] {
-                    let expected = reference_pieces(&tok, t);
-                    prop_assert_eq!(&pieces(&tok, t), &expected);
-                    let ids: Vec<TokenId> = expected
-                        .iter()
-                        .map(|p| fold_hash(fnv1a(p.as_bytes())))
-                        .collect();
-                    prop_assert_eq!(tok.tokenize(t), ids);
-                    prop_assert_eq!(tok.count(t), expected.len());
-                }
+            let tok = Tokenizer::new();
+            for t in [&text, &ascii, &spliced] {
+                let expected = reference_pieces(&tok, t);
+                prop_assert_eq!(&pieces(&tok, t), &expected);
+                let ids: Vec<TokenId> = expected
+                    .iter()
+                    .map(|p| fold_hash(fnv1a(p.as_bytes())))
+                    .collect();
+                prop_assert_eq!(tok.tokenize(t), ids);
+                prop_assert_eq!(tok.count(t), expected.len());
             }
         }
 
@@ -606,13 +542,6 @@ mod proptests {
             let tok = Tokenizer::new();
             // At most one token per char; at least len/(4*max_utf8) pieces.
             prop_assert!(tok.count(&text) <= text.chars().count());
-        }
-
-        #[test]
-        fn smaller_pieces_mean_no_fewer_tokens(text in ".*") {
-            let fine = Tokenizer::with_piece_bytes(2);
-            let coarse = Tokenizer::with_piece_bytes(8);
-            prop_assert!(fine.count(&text) >= coarse.count(&text));
         }
     }
 }

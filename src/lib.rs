@@ -10,7 +10,8 @@
 //!   prefix-affinity routing, bounded queues, and cluster-level reports.
 //! * [`relational`] — a columnar table engine with an `LLM(...)` operator
 //!   supporting filter / projection / multi-invocation / aggregation / RAG
-//!   queries, plus statistics and functional-dependency discovery.
+//!   queries, plus the statistics and functional dependencies the solvers
+//!   take from the dataset schemas.
 //! * [`serve`] — a discrete-time LLM serving simulator with a paged KV cache
 //!   and radix-tree prefix reuse (the vLLM/SGLang stand-in).
 //! * [`datasets`] — synthetic reproductions of the paper's seven datasets

@@ -1,5 +1,5 @@
 //! Differential contract of the fault-injection subsystem: the chaos
-//! dispatcher ([`ClusterSim::run_with_faults`]) with an empty [`FaultPlan`]
+//! dispatcher ([`ClusterSim::run_overloaded`]) with an empty [`FaultPlan`]
 //! and a disabled [`RetryPolicy`] is **byte-identical** to the fault-free
 //! seed path ([`ClusterSim::run`]); any chaotic configuration reproduces
 //! byte for byte from `(plan, policy, workload)` alone; and the
@@ -61,7 +61,13 @@ fn empty_plan_chaos_is_byte_identical_to_seed_run() {
             for mut router in routers() {
                 let seed_report = sim.run(router.as_mut(), &requests).expect("seed run");
                 let chaos_report = sim
-                    .run_with_faults(router.as_mut(), &requests, &inert_plan, &inert_retry)
+                    .run_overloaded(
+                        router.as_mut(),
+                        &requests,
+                        &inert_plan,
+                        &inert_retry,
+                        &OverloadPolicy::default(),
+                    )
                     .expect("chaos run");
                 assert_eq!(
                     seed_report, chaos_report,
@@ -106,8 +112,14 @@ fn same_seed_chaos_runs_are_byte_identical() {
     let policy = chaotic_policy();
     let runs: Vec<ClusterReport> = (0..2)
         .map(|_| {
-            sim.run_with_faults(&mut PrefixAffinity::default(), &requests, &plan, &policy)
-                .expect("chaos run")
+            sim.run_overloaded(
+                &mut PrefixAffinity::default(),
+                &requests,
+                &plan,
+                &policy,
+                &OverloadPolicy::default(),
+            )
+            .expect("chaos run")
         })
         .collect();
     assert_eq!(runs[0], runs[1], "chaos run is nondeterministic");
@@ -152,11 +164,23 @@ fn macro_and_single_stepped_chaos_agree() {
     for plan in &plans {
         for mut router in routers() {
             let macro_run = sim
-                .run_with_faults(router.as_mut(), &requests, plan, &policy)
+                .run_overloaded(
+                    router.as_mut(),
+                    &requests,
+                    plan,
+                    &policy,
+                    &OverloadPolicy::default(),
+                )
                 .expect("macro run");
             let single = sim
                 .single_stepped()
-                .run_with_faults(router.as_mut(), &requests, plan, &policy)
+                .run_overloaded(
+                    router.as_mut(),
+                    &requests,
+                    plan,
+                    &policy,
+                    &OverloadPolicy::default(),
+                )
                 .expect("single-stepped run");
             assert_eq!(
                 macro_run, single,
@@ -181,11 +205,23 @@ fn chaos_macro_stepping_survives_backpressure() {
     let policy = RetryPolicy::retries(3);
     for mut router in routers() {
         let coarse = sim
-            .run_with_faults(router.as_mut(), &requests, &plan, &policy)
+            .run_overloaded(
+                router.as_mut(),
+                &requests,
+                &plan,
+                &policy,
+                &OverloadPolicy::default(),
+            )
             .expect("macro run");
         let fine = sim
             .single_stepped()
-            .run_with_faults(router.as_mut(), &requests, &plan, &policy)
+            .run_overloaded(
+                router.as_mut(),
+                &requests,
+                &plan,
+                &policy,
+                &OverloadPolicy::default(),
+            )
             .expect("single-stepped run");
         assert_eq!(
             coarse, fine,
@@ -215,11 +251,23 @@ fn transient_retries_and_hedges_macro_step_under_backpressure() {
     let policy = RetryPolicy::retries(4).with_hedging(0.05);
     for mut router in routers() {
         let coarse = sim
-            .run_with_faults(router.as_mut(), &requests, &plan, &policy)
+            .run_overloaded(
+                router.as_mut(),
+                &requests,
+                &plan,
+                &policy,
+                &OverloadPolicy::default(),
+            )
             .expect("macro run");
         let fine = sim
             .single_stepped()
-            .run_with_faults(router.as_mut(), &requests, &plan, &policy)
+            .run_overloaded(
+                router.as_mut(),
+                &requests,
+                &plan,
+                &policy,
+                &OverloadPolicy::default(),
+            )
             .expect("single-stepped run");
         assert_eq!(
             coarse, fine,
@@ -284,11 +332,12 @@ fn crash_with_retry_loses_zero_requests() {
     let sim = sim(2, 16);
     let plan = FaultPlan::seeded(7).crash_restart(0, 0.05, 0.2);
     let report = sim
-        .run_with_faults(
+        .run_overloaded(
             &mut PrefixAffinity::default(),
             &requests,
             &plan,
             &RetryPolicy::retries(4),
+            &OverloadPolicy::default(),
         )
         .expect("chaos run");
     let fs = &report.faults;
@@ -318,7 +367,13 @@ fn transient_errors_reconcile_with_engine_completions() {
     let sim = sim(3, 16);
     let plan = FaultPlan::seeded(13).transient_errors_ppm(100_000);
     let with_retry = sim
-        .run_with_faults(&mut LeastLoaded, &requests, &plan, &RetryPolicy::retries(4))
+        .run_overloaded(
+            &mut LeastLoaded,
+            &requests,
+            &plan,
+            &RetryPolicy::retries(4),
+            &OverloadPolicy::default(),
+        )
         .expect("retry run");
     let fs = &with_retry.faults;
     assert_eq!(fs.succeeded + fs.failed, fs.offered);
@@ -332,7 +387,13 @@ fn transient_errors_reconcile_with_engine_completions() {
     // Same plan with retries off: first-attempt transient errors become
     // permanent failures, one per errored attempt.
     let no_retry = sim
-        .run_with_faults(&mut LeastLoaded, &requests, &plan, &RetryPolicy::disabled())
+        .run_overloaded(
+            &mut LeastLoaded,
+            &requests,
+            &plan,
+            &RetryPolicy::disabled(),
+            &OverloadPolicy::default(),
+        )
         .expect("no-retry run");
     let nf = &no_retry.faults;
     assert_eq!(nf.succeeded + nf.failed, nf.offered);
@@ -352,7 +413,13 @@ fn losing_every_replica_fails_all_requests_cleanly() {
     let sim = sim(2, 16);
     let plan = FaultPlan::seeded(1).crash(0, 0.0).crash(1, 0.0);
     let report = sim
-        .run_with_faults(&mut RoundRobin, &requests, &plan, &RetryPolicy::retries(3))
+        .run_overloaded(
+            &mut RoundRobin,
+            &requests,
+            &plan,
+            &RetryPolicy::retries(3),
+            &OverloadPolicy::default(),
+        )
         .expect("run must terminate");
     let fs = &report.faults;
     assert_eq!(fs.succeeded, 0);
@@ -450,11 +517,12 @@ fn bounded_queues_backpressure_under_full_saturation() {
         calls: 0,
     };
     let chaos = sim
-        .run_with_faults(
+        .run_overloaded(
             &mut chaos_counting,
             &requests,
             &FaultPlan::seeded(2).crash_restart(1, 0.05, 0.2),
             &RetryPolicy::retries(3),
+            &OverloadPolicy::default(),
         )
         .expect("saturated chaos run");
     let fs = &chaos.faults;
@@ -472,11 +540,12 @@ fn chaos_run_rejects_duplicate_request_ids() {
     let mut requests = workload(2, 2);
     requests[3].request.id = requests[0].request.id;
     let err = sim(2, 4)
-        .run_with_faults(
+        .run_overloaded(
             &mut RoundRobin,
             &requests,
             &FaultPlan::default(),
             &RetryPolicy::retries(2),
+            &OverloadPolicy::default(),
         )
         .expect_err("duplicate ids must be rejected");
     assert!(err.to_string().contains("duplicate request id"));
@@ -619,22 +688,24 @@ fn public_errors_box_and_display() {
     let requests = workload(2, 2);
     // InvalidFaultPlan via a malformed plan.
     let bad_plan = sim(2, 4)
-        .run_with_faults(
+        .run_overloaded(
             &mut RoundRobin,
             &requests,
             &FaultPlan::seeded(0).crash(9, 0.0),
             &RetryPolicy::disabled(),
+            &OverloadPolicy::default(),
         )
         .expect_err("out-of-fleet crash must be rejected");
     // DuplicateRequestId.
     let mut dup = workload(2, 2);
     dup[1].request.id = dup[0].request.id;
     let dup_err = sim(2, 4)
-        .run_with_faults(
+        .run_overloaded(
             &mut RoundRobin,
             &dup,
             &FaultPlan::default(),
             &RetryPolicy::retries(2),
+            &OverloadPolicy::default(),
         )
         .expect_err("duplicates must be rejected");
     let errors: Vec<Box<dyn std::error::Error>> = vec![
@@ -670,11 +741,12 @@ fn the_smallest_duplicated_request_id_is_reported() {
     dup[2].request.id = 9;
     dup[11].request.id = 3;
     let err = sim(2, 4)
-        .run_with_faults(
+        .run_overloaded(
             &mut RoundRobin,
             &dup,
             &FaultPlan::default(),
             &RetryPolicy::retries(2),
+            &OverloadPolicy::default(),
         )
         .expect_err("duplicates must be rejected");
     assert!(
@@ -717,10 +789,22 @@ fn attribution_does_not_assume_dense_ids() {
     let sim = sim(3, 8);
     for mut router in routers() {
         let expected = sim
-            .run_with_faults(router.as_mut(), &dense, &plan, &retry)
+            .run_overloaded(
+                router.as_mut(),
+                &dense,
+                &plan,
+                &retry,
+                &OverloadPolicy::default(),
+            )
             .expect("dense ids");
         let mut got = sim
-            .run_with_faults(router.as_mut(), &sparse, &plan, &retry)
+            .run_overloaded(
+                router.as_mut(),
+                &sparse,
+                &plan,
+                &retry,
+                &OverloadPolicy::default(),
+            )
             .expect("sparse ids");
         for c in got.replicas.iter_mut().flat_map(|r| &mut r.completions) {
             c.id = (0..dense.len())

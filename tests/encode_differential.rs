@@ -232,22 +232,6 @@ fn push_row_after_a_query_invalidates_the_dictionaries() {
     assert_eq!(a.fragments, b.fragments);
 }
 
-#[test]
-fn a_second_tokenizer_on_a_warm_table_still_matches_the_string_encoder() {
-    let _g = shared();
-    let ds = Dataset::generate_with_rows(DatasetId::Beer, 80);
-    let query = &ds.queries[0];
-    for piece_bytes in [4, 2, 7, 4] {
-        let tok = Tokenizer::with_piece_bytes(piece_bytes);
-        check_all_subsets(
-            &tok,
-            &ds.table,
-            query,
-            &format!("piece_bytes={piece_bytes}"),
-        );
-    }
-}
-
 // ---------------------------------------------------------------------------
 // The executor's two-phase front half (ISSUE 17)
 // ---------------------------------------------------------------------------
@@ -427,24 +411,22 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// (a) The encoder over any rows of a random table ≡ the frozen string
-    /// encoder: unsorted and repeated subsets, a field listed twice, and a
-    /// second tokenizer on a warm table.
+    /// encoder: unsorted and repeated subsets and a field listed twice, the
+    /// full encode on a cold table and the subset on the warm one.
     #[test]
     fn random_tables_encode_like_the_string_encoder(
         cells in prop::collection::vec(prop::collection::vec(0u8..4, 3), 1..=24),
         fields in prop::collection::vec(0usize..3, 1..=4),
         picks in prop::collection::vec(0usize..1000, 0..=40),
-        piece_bytes in 2usize..6,
     ) {
         let _g = shared();
         let table = pooled_table(&cells);
         let names = ["a", "b", "c"];
         let query = query_over(&fields.iter().map(|&f| names[f]).collect::<Vec<_>>());
         let rows: Vec<usize> = picks.iter().map(|&r| r % table.nrows()).collect();
-        for tok in [Tokenizer::new(), Tokenizer::with_piece_bytes(piece_bytes)] {
-            for subset in [None, Some(&rows[..])] {
-                assert_encoding_matches_reference(&tok, &table, &query, subset, "random table");
-            }
+        let tok = Tokenizer::new();
+        for subset in [None, Some(&rows[..])] {
+            assert_encoding_matches_reference(&tok, &table, &query, subset, "random table");
         }
     }
 
@@ -458,18 +440,18 @@ proptest! {
         fields in prop::collection::vec(0usize..3, 1..=4),
         warm in prop::collection::vec(0usize..1000, 0..=12),
         picks in prop::collection::vec(0usize..1000, 1..=40),
-        foreign in prop::bool::ANY,
+        prewarm in prop::bool::ANY,
     ) {
         let _g = shared();
         let table = pooled_table(&cells);
         let names = ["a", "b", "c"];
         let query = query_over(&fields.iter().map(|&f| names[f]).collect::<Vec<_>>());
         let pick = |ps: &[usize]| -> Vec<usize> { ps.iter().map(|&r| r % table.nrows()).collect() };
-        if foreign {
-            // The table's dictionaries belong to the default tokenizer.
-            encode_table(&Tokenizer::new(), &table, &query).expect("known fields");
+        let tok = Tokenizer::new();
+        if prewarm {
+            // Fill the table's dictionaries before the derived tables share them.
+            encode_table(&tok, &table, &query).expect("known fields");
         }
-        let tok = if foreign { Tokenizer::with_piece_bytes(3) } else { Tokenizer::new() };
         assert_front_half_matches_select(
             tok,
             &table.select_rows(&pick(&warm)),
@@ -639,16 +621,14 @@ fn estimates_from_dictionary_slots_equal_recounted_estimates() {
             })
             .collect();
         let check = |stage: &str| {
-            for tok in [Tokenizer::new(), Tokenizer::with_piece_bytes(3)] {
-                for (query, negated) in &queries {
-                    assert_eq!(
-                        estimate_llm_op(&ds.table, &tok, query, *negated),
-                        common::reference_estimate_llm_op(&ds.table, &tok, query, *negated),
-                        "{id:?} {stage} piece_bytes={}: {}",
-                        tok.piece_bytes(),
-                        query.user_prompt,
-                    );
-                }
+            let tok = Tokenizer::new();
+            for (query, negated) in &queries {
+                assert_eq!(
+                    estimate_llm_op(&ds.table, &tok, query, *negated),
+                    common::reference_estimate_llm_op(&ds.table, &tok, query, *negated),
+                    "{id:?} {stage}: {}",
+                    query.user_prompt,
+                );
             }
         };
         check("cold");

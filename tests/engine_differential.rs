@@ -583,7 +583,7 @@ fn pinned_admission_policies() -> [Option<AdmissionPolicy>; 5] {
     ]
 }
 
-/// `report_fingerprint` of `run` / `run_admitted` on the overload suite's
+/// `report_fingerprint` of `run` / `run_overloaded` on the overload suite's
 /// workload, recorded at the parent commit on the fault-free dispatcher loop
 /// (`sim.rs::run_impl`) before it was deleted. Rows: `queue_cap` 16 then 1,
 /// each × the four built-in routers in `common::routers()` order; columns:
@@ -670,7 +670,13 @@ fn fault_free_and_gated_reports_match_their_pins() {
             for (policy, &want) in pinned_admission_policies().iter().zip(pinned) {
                 let report = match policy {
                     None => sim.run(router.as_mut(), &requests),
-                    Some(p) => sim.run_admitted(router.as_mut(), &requests, p),
+                    Some(p) => sim.run_overloaded(
+                        router.as_mut(),
+                        &requests,
+                        &FaultPlan::default(),
+                        &RetryPolicy::disabled(),
+                        &OverloadPolicy::admission(*p),
+                    ),
                 }
                 .unwrap();
                 assert_eq!(report.completed + report.shed.shed, requests.len());

@@ -1,7 +1,7 @@
 //! Differential contract of the overload-survival layer: inert
 //! [`AdmissionPolicy`]/[`ScalePolicy`] configurations are **byte-identical**
-//! to the ungated dispatchers ([`ClusterSim::run`] /
-//! [`ClusterSim::run_with_faults`]); under genuine overload the shed ledger
+//! to the ungated runs ([`ClusterSim::run`], or
+//! [`ClusterSim::run_overloaded`] with the default policy); under genuine overload the shed ledger
 //! reconciles exactly (`completed + shed == offered` fault-free,
 //! `succeeded + failed + shed == offered` under chaos), high-priority
 //! tenants lose zero requests while best-effort work is shed
@@ -30,10 +30,8 @@ use proptest::prelude::*;
 // ---------------------------------------------------------------------------
 
 /// The differential spine: a default (inert) `AdmissionPolicy` through
-/// `run_admitted` must take the exact ungated code path, and a default
-/// `OverloadPolicy` through `run_overloaded` must reproduce
-/// `run_with_faults` byte for byte — for every router, with and without
-/// chaos underneath.
+/// `run_overloaded` must take the exact ungated code path of `run`, with and
+/// without chaos underneath, for every router.
 #[test]
 fn inert_overload_policies_are_byte_identical_to_ungated_runs() {
     let mut requests = workload(12, 6, 4);
@@ -47,7 +45,13 @@ fn inert_overload_policies_are_byte_identical_to_ungated_runs() {
         for mut router in routers() {
             let seed_run = sim.run(router.as_mut(), &requests).expect("seed");
             let admitted = sim
-                .run_admitted(router.as_mut(), &requests, &AdmissionPolicy::default())
+                .run_overloaded(
+                    router.as_mut(),
+                    &requests,
+                    &FaultPlan::default(),
+                    &RetryPolicy::disabled(),
+                    &OverloadPolicy::admission(AdmissionPolicy::default()),
+                )
                 .expect("inert admitted");
             assert_eq!(seed_run, admitted, "inert AdmissionPolicy diverged");
             assert!(!admitted.shed.engaged() && !admitted.scaling.engaged());
@@ -58,7 +62,13 @@ fn inert_overload_policies_are_byte_identical_to_ungated_runs() {
                 .transient_errors_ppm(60_000);
             let retry = RetryPolicy::retries(4).with_hedging(0.5);
             let chaos = sim
-                .run_with_faults(router.as_mut(), &requests, &plan, &retry)
+                .run_overloaded(
+                    router.as_mut(),
+                    &requests,
+                    &plan,
+                    &retry,
+                    &OverloadPolicy::default(),
+                )
                 .expect("chaos");
             let overloaded = sim
                 .run_overloaded(
@@ -66,7 +76,7 @@ fn inert_overload_policies_are_byte_identical_to_ungated_runs() {
                     &requests,
                     &plan,
                     &retry,
-                    &OverloadPolicy::default(),
+                    &OverloadPolicy::admission(AdmissionPolicy::default()),
                 )
                 .expect("inert overloaded");
             assert_eq!(chaos, overloaded, "inert OverloadPolicy diverged");
@@ -104,11 +114,23 @@ fn bounded_admission_sheds_only_best_effort_and_reconciles() {
 
     let policy = AdmissionPolicy::bounded(6);
     let shed_run = sim
-        .run_admitted(&mut LeastLoaded, &requests, &policy)
+        .run_overloaded(
+            &mut LeastLoaded,
+            &requests,
+            &FaultPlan::default(),
+            &RetryPolicy::disabled(),
+            &OverloadPolicy::admission(policy),
+        )
         .expect("admitted");
     let single = sim
         .single_stepped()
-        .run_admitted(&mut LeastLoaded, &requests, &policy)
+        .run_overloaded(
+            &mut LeastLoaded,
+            &requests,
+            &FaultPlan::default(),
+            &RetryPolicy::disabled(),
+            &OverloadPolicy::admission(policy),
+        )
         .expect("single-stepped");
     assert_eq!(shed_run, single, "admission stepping modes diverged");
 
@@ -146,7 +168,13 @@ fn bounded_admission_sheds_only_best_effort_and_reconciles() {
 
     // Determinism: byte-identical on re-run.
     let again = sim
-        .run_admitted(&mut LeastLoaded, &requests, &policy)
+        .run_overloaded(
+            &mut LeastLoaded,
+            &requests,
+            &FaultPlan::default(),
+            &RetryPolicy::disabled(),
+            &OverloadPolicy::admission(policy),
+        )
         .expect("rerun");
     assert_eq!(shed_run, again);
 }
@@ -178,7 +206,13 @@ fn kv_gate_sheds_on_occupancy() {
     // Queue depth effectively unbounded: only the KV gate can shed.
     let policy = AdmissionPolicy::default().with_kv_gate((mean / 2.0).min(1.0));
     let report = sim
-        .run_admitted(&mut LeastLoaded, &requests, &policy)
+        .run_overloaded(
+            &mut LeastLoaded,
+            &requests,
+            &FaultPlan::default(),
+            &RetryPolicy::disabled(),
+            &OverloadPolicy::admission(policy),
+        )
         .expect("kv-gated run");
     assert_eq!(report.completed + report.shed.shed, requests.len());
     assert!(
@@ -188,7 +222,13 @@ fn kv_gate_sheds_on_occupancy() {
     assert_eq!(report.shed.shed_kv_pressure, report.shed.shed);
     let single = sim
         .single_stepped()
-        .run_admitted(&mut LeastLoaded, &requests, &policy)
+        .run_overloaded(
+            &mut LeastLoaded,
+            &requests,
+            &FaultPlan::default(),
+            &RetryPolicy::disabled(),
+            &OverloadPolicy::admission(policy),
+        )
         .expect("single");
     assert_eq!(report, single);
 }
@@ -209,7 +249,13 @@ fn tenant_quota_caps_the_flooding_tenant() {
     .assign(&mut requests);
     let policy = AdmissionPolicy::default().with_tenant_quota(20);
     let report = sim
-        .run_admitted(&mut LeastLoaded, &requests, &policy)
+        .run_overloaded(
+            &mut LeastLoaded,
+            &requests,
+            &FaultPlan::default(),
+            &RetryPolicy::disabled(),
+            &OverloadPolicy::admission(policy),
+        )
         .expect("quota run");
     assert_eq!(report.completed + report.shed.shed, requests.len());
     assert!(
@@ -467,7 +513,13 @@ fn invalid_overload_policies_are_rejected() {
         ..AdmissionPolicy::default()
     };
     let err = sim(2, 4)
-        .run_admitted(&mut RoundRobin, &requests, &zero_depth)
+        .run_overloaded(
+            &mut RoundRobin,
+            &requests,
+            &FaultPlan::default(),
+            &RetryPolicy::disabled(),
+            &OverloadPolicy::admission(zero_depth),
+        )
         .expect_err("zero queue depth must be rejected");
     assert!(err
         .to_string()
