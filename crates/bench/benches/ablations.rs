@@ -1,8 +1,8 @@
 //! Ablation benches for the design choices DESIGN.md calls out:
 //!
-//! * GGR fall-back ordering: adaptive partitioning vs greedy prefix vs the
-//!   paper's plain statistics score (quality measured as achieved PHC,
-//!   reported through bench labels; timing measured by criterion).
+//! * GGR fall-back ordering: adaptive partitioning vs the paper's plain
+//!   statistics score (quality measured as achieved PHC, reported through
+//!   bench labels; timing measured by criterion).
 //! * Functional dependencies on/off.
 //! * Row-recursion depth sweep.
 //! * Engine KV block size sweep.
@@ -30,7 +30,6 @@ fn bench_fallbacks(c: &mut Criterion) {
     group.sample_size(10);
     for (name, fallback) in [
         ("adaptive", FallbackOrdering::Adaptive),
-        ("greedy-prefix", FallbackOrdering::GreedyPrefix),
         ("stat-fixed", FallbackOrdering::StatFixed),
     ] {
         let solver = Ggr::new(GgrConfig {

@@ -35,16 +35,6 @@ fn bench_engine(c: &mut Criterion) {
         let engine = SimEngine::new(deployment.clone(), EngineConfig::no_cache());
         b.iter(|| engine.run(&reqs).unwrap())
     });
-    group.bench_function("strict-vllm-v0", |b| {
-        let engine = SimEngine::new(
-            deployment.clone(),
-            EngineConfig {
-                in_flight_sharing: false,
-                ..EngineConfig::default()
-            },
-        );
-        b.iter(|| engine.run(&reqs).unwrap())
-    });
     group.finish();
 }
 

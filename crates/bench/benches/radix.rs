@@ -12,7 +12,6 @@ fn config(capacity_blocks: usize) -> CacheConfig {
         block_size: 16,
         capacity_blocks,
         enabled: true,
-        share_in_flight: true,
     }
 }
 
@@ -29,8 +28,7 @@ fn bench_admit(c: &mut Criterion) {
             || PrefixCache::new(config(50_000)),
             |mut cache| {
                 for i in 0..256u32 {
-                    let alloc = cache.try_admit(&prompt(224, i, 300), 8).unwrap();
-                    cache.mark_computed(&alloc, 300);
+                    cache.try_admit(&prompt(224, i, 300), 8).unwrap();
                 }
             },
             BatchSize::SmallInput,
@@ -41,8 +39,7 @@ fn bench_admit(c: &mut Criterion) {
             || PrefixCache::new(config(50_000)),
             |mut cache| {
                 for i in 0..256u32 {
-                    let alloc = cache.try_admit(&prompt(0, i, 300), 8).unwrap();
-                    cache.mark_computed(&alloc, 300);
+                    cache.try_admit(&prompt(0, i, 300), 8).unwrap();
                 }
             },
             BatchSize::SmallInput,
@@ -54,8 +51,7 @@ fn bench_admit(c: &mut Criterion) {
 fn bench_probe(c: &mut Criterion) {
     let mut cache = PrefixCache::new(config(50_000));
     let p = prompt(512, 0, 512);
-    let alloc = cache.try_admit(&p, 0).unwrap();
-    cache.mark_computed(&alloc, 512);
+    cache.try_admit(&p, 0).unwrap();
     c.bench_function("radix/probe-512tok", |b| b.iter(|| cache.probe(&p)));
 }
 
@@ -67,7 +63,6 @@ fn bench_eviction_churn(c: &mut Criterion) {
                 // Working set far exceeds capacity: constant LRU eviction.
                 for i in 0..512u32 {
                     if let Some(alloc) = cache.try_admit(&prompt(32, i, 96), 4) {
-                        cache.mark_computed(&alloc, 96);
                         cache.release(alloc);
                     }
                 }
@@ -78,22 +73,21 @@ fn bench_eviction_churn(c: &mut Criterion) {
     });
 }
 
-/// Admits, marks computed and releases every chain of `schedule` in turn.
+/// Admits and releases every chain of `schedule` in turn.
 fn serve(cache: &mut PrefixCache, schedule: &[(ChainView<'_>, usize)]) {
     for &(chain, output_len) in schedule {
         let alloc = cache
             .try_admit_chain(chain, output_len)
             .expect("nothing else is pinned");
-        cache.mark_computed(&alloc, chain.prompt_tokens());
         cache.release(alloc);
     }
 }
 
 /// What one request costs the cache in steady state: a GGR-ordered Movies
 /// filter batch (consecutive prompts share their leading blocks) goes through
-/// hash → admit → mark computed → release, one request at a time, against a
-/// cache of three prompts' worth of blocks, so every admission past the
-/// first few evicts the unshared suffix of an earlier one. And the cache's
+/// hash → admit → release, one request at a time, against a cache of three
+/// prompts' worth of blocks, so every admission past the first few evicts
+/// the unshared suffix of an earlier one. And the cache's
 /// share of that alone: the same schedule hashed ahead, against a cache a
 /// first pass of it warmed — every slab, queue and id page at its steady
 /// size, so the timed pass allocates nothing.

@@ -63,7 +63,6 @@ fn main() {
                 Box::new(Ggr::new(GgrConfig {
                     max_row_depth: Some(64),
                     max_col_depth: Some(8),
-                    min_hitcount: None,
                     use_fds: true,
                     fallback: FallbackOrdering::StatFixed,
                 })),

@@ -12,10 +12,11 @@
 //!    leading each of its rows; GGR recurses on the remaining rows (all
 //!    columns; *row-wise* recursion) and on the group minus the consumed
 //!    columns (*column-wise* recursion).
-//! 3. Recursion stops at configurable row/column depths or when the best
-//!    score drops below a threshold (§4.2.2; the paper's evaluation uses row
-//!    depth 4, column depth 2, or a 0.1 M threshold), falling back to a
-//!    statistics-chosen fixed ordering of the remaining subtable.
+//! 3. Recursion stops at configurable row/column depths (§4.2.2; the
+//!    paper's evaluation uses row depth 4 and column depth 2, and mentions a
+//!    0.1 M score threshold as an alternative this crate does not offer),
+//!    falling back to a statistics-driven ordering of the remaining
+//!    subtable.
 //!
 //! Two transcription fixes relative to the paper's pseudo-code, both obvious
 //! from context: Algorithm 1 line 29 builds the output as
@@ -65,17 +66,9 @@ pub enum FallbackOrdering {
     /// single sorted order on wide tables (PDMX-like).
     #[default]
     Adaptive,
-    /// Fields chosen by greedy exact distinct-prefix counting
-    /// ([`greedy_prefix_order`](crate::greedy_prefix_order)), rows sorted
-    /// under that order — one fixed order for the whole subtable.
-    GreedyPrefix,
     /// Fields by descending `avg(len²)·(n − cardinality)` score (the paper's
     /// §4.2.2 heuristic), rows sorted under that order.
     StatFixed,
-    /// Fields in current order, rows sorted.
-    SortedFixed,
-    /// Rows and fields exactly as given (no further optimization).
-    Original,
 }
 
 /// Configuration for [`Ggr`].
@@ -87,9 +80,6 @@ pub struct GgrConfig {
     /// Maximum depth of column-wise recursion (recursing on `R_v` minus the
     /// consumed columns). The paper's evaluation uses 2 (§6.5).
     pub max_col_depth: Option<usize>,
-    /// Stop recursing when the best group's `HITCOUNT` falls below this
-    /// value (§6.5 mentions 0.1 M as an alternative stopping rule).
-    pub min_hitcount: Option<u64>,
     /// Whether to exploit functional dependencies (§4.2.1). Disabling this
     /// is the FD ablation.
     pub use_fds: bool,
@@ -100,13 +90,12 @@ pub struct GgrConfig {
 impl GgrConfig {
     /// The settings used in the paper's evaluation (§6.5): row depth 4,
     /// column depth 2, statistics-based fall-back, FDs enabled. (The
-    /// fall-back uses the greedy distinct-prefix refinement; pass
+    /// fall-back is the adaptive distinct-prefix refinement; pass
     /// [`FallbackOrdering::StatFixed`] for the paper's plain heuristic.)
     pub fn paper() -> Self {
         GgrConfig {
             max_row_depth: Some(4),
             max_col_depth: Some(2),
-            min_hitcount: None,
             use_fds: true,
             fallback: FallbackOrdering::Adaptive,
         }
@@ -117,7 +106,6 @@ impl GgrConfig {
         GgrConfig {
             max_row_depth: None,
             max_col_depth: None,
-            min_hitcount: None,
             use_fds: true,
             fallback: FallbackOrdering::Adaptive,
         }
@@ -253,14 +241,6 @@ impl<'a> Ctx<'a> {
             s.emit(out, rows, cols);
             return 0.0;
         };
-        if self
-            .config
-            .min_hitcount
-            .is_some_and(|t| (best.hitcount as u64) < t)
-        {
-            s.pool.put(most);
-            return self.fallback(s, out, rows, cols, parent);
-        }
 
         // One O(n) pass splits the view into the winning group and the rest.
         let mut members = s.pool.take();
@@ -456,18 +436,8 @@ impl<'a> Ctx<'a> {
         let (mark, skip) = (out.len(), s.prefix.len());
         if self.config.fallback == FallbackOrdering::Adaptive {
             crate::order::adaptive_prefix_plan_into(self.table, rows, cols, s, out, most);
-            return self.exact_block_score(out, mark, skip) as f64;
-        }
-        let field_order: Vec<u32> = match self.config.fallback {
-            FallbackOrdering::Adaptive => unreachable!("handled above"),
-            FallbackOrdering::GreedyPrefix => {
-                crate::order::greedy_prefix_order_with(self.table, &rows, cols, s)
-            }
-            FallbackOrdering::StatFixed => self.stat_order(s, &rows, cols, most),
-            FallbackOrdering::SortedFixed => cols.to_vec(),
-            FallbackOrdering::Original => cols.to_vec(),
-        };
-        if self.config.fallback != FallbackOrdering::Original {
+        } else {
+            let field_order = self.stat_order(s, &rows, cols, most);
             let field_cols: Vec<&[ValueId]> = field_order
                 .iter()
                 .map(|&f| self.col_vals[f as usize])
@@ -481,8 +451,8 @@ impl<'a> Ctx<'a> {
                 }
                 a.cmp(&b)
             });
+            s.emit(out, rows, &field_order);
         }
-        s.emit(out, rows, &field_order);
         self.exact_block_score(out, mark, skip) as f64
     }
 
@@ -735,10 +705,10 @@ mod tests {
     }
 
     #[test]
-    fn greedy_prefix_fallback_beats_stat_fixed_on_nested_hierarchies() {
+    fn adaptive_fallback_beats_stat_fixed_on_nested_hierarchies() {
         // X (4 cities) ⊃ Y (8 streets, nested: Y determines X) ⊕ Z (binary).
-        // Global-cardinality scoring interleaves Z between Y and X; greedy
-        // conditional counting sees that X is free once Y leads (D stays 8)
+        // Global-cardinality scoring interleaves Z between Y and X; counting
+        // per group sees that X is free once Y leads (one value per street)
         // and orders [Y, X, Z], capturing X's mass for every in-group row.
         let rows: Vec<Vec<(u32, u32)>> = (0..24)
             .map(|r| vec![(r / 6, 4), (100 + r / 3, 6), (200 + r % 2, 5)])
@@ -746,38 +716,21 @@ mod tests {
         let refs: Vec<&[(u32, u32)]> = rows.iter().map(Vec::as_slice).collect();
         let t = table(&refs);
         let fds = FunctionalDeps::empty(3);
-        let greedy = ggr(
+        let adaptive = ggr(
             &t,
             &fds,
             GgrConfig {
                 max_row_depth: Some(0),
-                fallback: FallbackOrdering::GreedyPrefix,
                 ..GgrConfig::default()
             },
         );
         let stat = crate::baseline::StatFixed.reorder(&t, &fds).unwrap();
         assert!(
-            phc_of_plan(&t, &greedy.plan).phc > phc_of_plan(&t, &stat.plan).phc,
-            "greedy {} vs stat {}",
-            phc_of_plan(&t, &greedy.plan).phc,
+            phc_of_plan(&t, &adaptive.plan).phc > phc_of_plan(&t, &stat.plan).phc,
+            "adaptive {} vs stat {}",
+            phc_of_plan(&t, &adaptive.plan).phc,
             phc_of_plan(&t, &stat.plan).phc
         );
-    }
-
-    #[test]
-    fn huge_threshold_forces_fallback() {
-        let t = table(&[&[(0, 1), (10, 5)], &[(1, 1), (10, 5)]]);
-        let fds = FunctionalDeps::empty(2);
-        let s = ggr(
-            &t,
-            &fds,
-            GgrConfig {
-                min_hitcount: Some(u64::MAX),
-                ..GgrConfig::exhaustive()
-            },
-        );
-        let b = crate::baseline::StatFixed.reorder(&t, &fds).unwrap();
-        assert_eq!(s.claimed_phc, b.claimed_phc);
     }
 
     #[test]
@@ -822,11 +775,7 @@ mod tests {
     fn fallback_variants_are_valid() {
         let t = table(&[&[(0, 1), (10, 5)], &[(1, 1), (11, 5)], &[(2, 1), (10, 5)]]);
         let fds = FunctionalDeps::empty(2);
-        for fallback in [
-            FallbackOrdering::StatFixed,
-            FallbackOrdering::SortedFixed,
-            FallbackOrdering::Original,
-        ] {
+        for fallback in [FallbackOrdering::Adaptive, FallbackOrdering::StatFixed] {
             let s = ggr(
                 &t,
                 &fds,

@@ -70,7 +70,7 @@ pub use fd::FunctionalDeps;
 pub use ggr::{FallbackOrdering, Ggr, GgrConfig};
 pub use intern::{Interner, ValueId};
 pub use ophr::{Ophr, OphrConfig};
-pub use order::{adaptive_prefix_plan, greedy_prefix_order};
+pub use order::adaptive_prefix_plan;
 pub use phc::{hit_prefix_cells, phc_of_plan, phc_of_rows, PhcReport};
 pub use plan::{PlanError, ReorderPlan, RowPlan};
 pub use solver::{Reorderer, Solution, SolveError};

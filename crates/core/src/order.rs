@@ -1,4 +1,4 @@
-//! Data-aware fixed field ordering by greedy distinct-prefix counting.
+//! Data-aware per-group field ordering by distinct-prefix counting.
 //!
 //! §4.2.2 of the paper falls back to a statistics-chosen *fixed* field order
 //! when GGR stops recursing, scoring each column by `avg(len)²` and its
@@ -9,115 +9,30 @@
 //! placed early (say, `artistname` with thousands of values) kills sharing
 //! for every column after it.
 //!
-//! [`greedy_prefix_order`] fixes this with the statistics databases actually
-//! maintain plus one exact pass per candidate: it builds the order
-//! greedily, at each step picking the column maximizing
-//! `avg(len²) · (n − D)` where `D` is the **exact** count of distinct
-//! (prefix-so-far, value) combinations. Wide tables with skewed categorical
-//! and flag columns (PDMX-like) benefit enormously: low-cardinality columns
-//! are packed first, and per-row-unique columns fall to the end, where they
-//! can no longer break anyone's prefix.
+//! [`adaptive_prefix_plan`] counts instead: at each node it picks the column
+//! maximizing `avg(len²) · (n − D)`, where `D` is the **exact** number of
+//! distinct values over the node's rows, and lets each value group pick its
+//! own next column. Wide tables with skewed categorical and flag columns
+//! (PDMX-like) benefit enormously: low-cardinality columns are packed first,
+//! and per-row-unique columns fall to the end, where they can no longer
+//! break anyone's prefix.
 //!
-//! [`adaptive_prefix_plan`] scans the same gain per node but skips columns
-//! that cannot win: a gain is at most `M_c · (n − 1)`, `M_c` the column's
-//! largest squared length in the view, exactly so in `f64` (integers below
-//! 2⁵³; IEEE division and multiplication are monotone). A column with one
-//! value over a node is walked in place instead of recursed into: the child
-//! would see the same rows, bounds and gains, so one scan yields the whole
-//! run of such columns that beat the node's best split.
+//! The scan skips columns that cannot win: a gain is at most
+//! `M_c · (n − 1)`, `M_c` the column's largest squared length in the view,
+//! exactly so in `f64` (integers below 2⁵³; IEEE division and multiplication
+//! are monotone). A column with one value over a node is walked in place
+//! instead of recursed into: the child would see the same rows, bounds and
+//! gains, so one scan yields the whole run of such columns that beat the
+//! node's best split.
 
 use crate::plan::ReorderPlan;
 use crate::scratch::Scratch;
 use crate::table::ReorderTable;
-use crate::ValueId;
 use std::cmp::Reverse;
 
-/// Computes a fixed field order for the subtable (`rows` × `cols`) that
-/// greedily maximizes the expected PHC of lexicographically sorted rows.
-///
-/// Returns a permutation of `cols`. Complexity `O(m² · n)`; distinct
-/// `(prefix-group, value)` combinations are counted with a reusable
-/// open-addressing slot map over packed 64-bit keys instead of a fresh
-/// `HashMap` per candidate. Stops refining early once every prefix is unique
-/// (remaining columns are appended by descending squared length, longest
-/// first, since they can only ever match inside already-identical prefixes).
-pub fn greedy_prefix_order(table: &ReorderTable, rows: &[u32], cols: &[u32]) -> Vec<u32> {
-    // No dense index needed: the greedy pass groups by packed
-    // (prefix-group, value) pairs, which only the slot map serves.
-    let mut scratch = Scratch::default();
-    greedy_prefix_order_with(table, rows, cols, &mut scratch)
-}
-
-/// [`greedy_prefix_order`] with caller-provided scratch (solver hot path).
-pub(crate) fn greedy_prefix_order_with(
-    table: &ReorderTable,
-    rows: &[u32],
-    cols: &[u32],
-    s: &mut Scratch,
-) -> Vec<u32> {
-    let n = rows.len();
-    let mut order: Vec<u32> = Vec::with_capacity(cols.len());
-    let mut remaining: Vec<u32> = cols.to_vec();
-    // Group id of each row under the prefix chosen so far.
-    let mut groups = s.pool.take();
-    groups.resize(n, 0);
-    let mut n_groups = 1usize;
-
-    // (old group, value) packed as one 64-bit slot-map key.
-    let pair_key = |g: u32, v: ValueId| (u64::from(g) << 32) | u64::from(v.as_u32());
-
-    while !remaining.is_empty() && n_groups < n {
-        let mut best: Option<(f64, usize)> = None;
-        for (i, &c) in remaining.iter().enumerate() {
-            let values = table.col_values(c as usize);
-            let sq_lens = table.col_sq_lens(c as usize);
-            s.map.begin(n);
-            let mut sum_sq = 0f64;
-            for (g, &r) in groups.iter().zip(rows) {
-                s.map.insert(pair_key(*g, values[r as usize]));
-                sum_sq += sq_lens[r as usize] as f64;
-            }
-            let gain = (sum_sq / n as f64) * (n - s.map.len() as usize) as f64;
-            let better = match best {
-                None => true,
-                Some((bg, bi)) => gain > bg || (gain == bg && remaining[bi] > c),
-            };
-            if better {
-                best = Some((gain, i));
-            }
-        }
-        let (_, idx) = best.expect("remaining is non-empty");
-        let chosen = remaining.remove(idx);
-        // Re-key groups by (old group, value in chosen column): the slot
-        // map's dense first-seen slots are exactly the fresh group ids.
-        let values = table.col_values(chosen as usize);
-        s.map.begin(n);
-        for (g, &r) in groups.iter_mut().zip(rows) {
-            let (slot, _) = s.map.insert(pair_key(*g, values[r as usize]));
-            *g = slot;
-        }
-        n_groups = s.map.len() as usize;
-        order.push(chosen);
-    }
-    s.pool.put(groups);
-
-    // Every prefix is unique (or columns ran out): order the rest longest
-    // first — matches can only occur inside identical prefixes anyway.
-    let mut rest_scored: Vec<(u64, u32)> = remaining
-        .iter()
-        .map(|&c| {
-            let sq_lens = table.col_sq_lens(c as usize);
-            (rows.iter().map(|&r| sq_lens[r as usize]).sum(), c)
-        })
-        .collect();
-    rest_scored.sort_by(|&(la, a), &(lb, b)| lb.cmp(&la).then(a.cmp(&b)));
-    order.extend(rest_scored.into_iter().map(|(_, c)| c));
-    order
-}
-
-/// Recursive adaptive ordering: like [`greedy_prefix_order`] but each value
-/// group chooses its **own** next field, producing genuinely per-row field
-/// orders (the paper's Fig. 1b insight, applied divisively).
+/// Recursive adaptive ordering: each value group chooses its **own** next
+/// field, producing genuinely per-row field orders (the paper's Fig. 1b
+/// insight, applied divisively).
 ///
 /// A single global sort can only share `~log(n)` "bits" of prefix before
 /// every row's prefix is unique; recursive partitioning sidesteps that
@@ -350,6 +265,7 @@ fn adaptive_rec(
 mod tests {
     use super::*;
     use crate::table::Cell;
+    use crate::ValueId;
 
     fn c(id: u32, len: u32) -> Cell {
         Cell::new(ValueId::from_raw(id), len)
@@ -373,18 +289,23 @@ mod tests {
             &[(1, 1), (10, 2), (21, 3)],
             &[(0, 1), (11, 2), (20, 3)],
         ]);
-        let order = greedy_prefix_order(&t, &[0, 1, 2], &[0, 1, 2]);
-        let mut sorted = order.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, vec![0, 1, 2]);
+        let plan = adaptive_prefix_plan(&t, &[0, 1, 2], &[0, 1, 2]);
+        let mut rows: Vec<usize> = plan.rows().map(|rp| rp.row).collect();
+        rows.sort_unstable();
+        assert_eq!(rows, vec![0, 1, 2]);
+        for rp in plan.rows() {
+            let mut fields = rp.fields.to_vec();
+            fields.sort_unstable();
+            assert_eq!(fields, vec![0, 1, 2]);
+        }
     }
 
     #[test]
     fn long_duplicated_column_leads() {
         // col1: one long value everywhere; col0: unique short ids.
         let t = table(&[&[(0, 2), (9, 40)], &[(1, 2), (9, 40)], &[(2, 2), (9, 40)]]);
-        let order = greedy_prefix_order(&t, &[0, 1, 2], &[0, 1]);
-        assert_eq!(order[0], 1);
+        let plan = adaptive_prefix_plan(&t, &[0, 1, 2], &[0, 1]);
+        assert!(plan.rows().all(|rp| rp.fields[0] == 1));
     }
 
     #[test]
@@ -397,8 +318,10 @@ mod tests {
         let refs: Vec<&[(u32, u32)]> = rows.iter().map(Vec::as_slice).collect();
         let t = table(&refs);
         let all: Vec<u32> = (0..16).collect();
-        let order = greedy_prefix_order(&t, &all, &[0, 1, 2]);
-        assert_eq!(order[2], 0, "unique column must come last: {order:?}");
+        let plan = adaptive_prefix_plan(&t, &all, &[0, 1, 2]);
+        for rp in plan.rows() {
+            assert_eq!(rp.fields[2], 0, "unique column must come last: {rp:?}");
+        }
     }
 
     #[test]
@@ -410,17 +333,18 @@ mod tests {
         let refs: Vec<&[(u32, u32)]> = rows.iter().map(Vec::as_slice).collect();
         let t = table(&refs);
         let all: Vec<u32> = (0..8).collect();
-        let order = greedy_prefix_order(&t, &all, &[0, 1]);
-        assert_eq!(order, vec![0, 1]);
+        let plan = adaptive_prefix_plan(&t, &all, &[0, 1]);
+        assert!(plan.rows().all(|rp| rp.fields == [0, 1]));
     }
 
     #[test]
     fn works_on_row_and_column_subsets() {
         let t = table(&[&[(0, 1), (10, 5)], &[(1, 1), (10, 5)], &[(2, 1), (11, 5)]]);
-        let order = greedy_prefix_order(&t, &[0, 1], &[1]);
-        assert_eq!(order, vec![1]);
-        let order = greedy_prefix_order(&t, &[], &[0, 1]);
-        assert_eq!(order.len(), 2);
+        let plan = adaptive_prefix_plan(&t, &[0, 1], &[1]);
+        let rows: Vec<usize> = plan.rows().map(|rp| rp.row).collect();
+        assert_eq!(rows, vec![0, 1]);
+        assert!(plan.rows().all(|rp| rp.fields == [1]));
+        assert_eq!(adaptive_prefix_plan(&t, &[], &[0, 1]).len(), 0);
     }
 
     #[test]
@@ -488,8 +412,8 @@ mod tests {
         let refs: Vec<&[(u32, u32)]> = rows.iter().map(Vec::as_slice).collect();
         let t = table(&refs);
         let all: Vec<u32> = (0..10).collect();
-        let a = greedy_prefix_order(&t, &all, &[0, 1, 2]);
-        let b = greedy_prefix_order(&t, &all, &[0, 1, 2]);
+        let a = adaptive_prefix_plan(&t, &all, &[0, 1, 2]);
+        let b = adaptive_prefix_plan(&t, &all, &[0, 1, 2]);
         assert_eq!(a, b);
     }
 }

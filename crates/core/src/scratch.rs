@@ -8,10 +8,10 @@
 //! allocation-free alternatives the optimized solvers thread through their
 //! recursion:
 //!
-//! * [`SlotMap`] — an open-addressing map from `u64` keys (value ids, or
-//!   packed `(group, value)` pairs) to dense *slots* assigned in first-seen
-//!   order. Clearing is an epoch bump, not a memset, so a 10-row view pays
-//!   for 10 probes even when the backing table was sized for 10 000 rows.
+//! * [`SlotMap`] — an open-addressing map from `u64` keys (value ids) to
+//!   dense *slots* assigned in first-seen order. Clearing is an epoch bump,
+//!   not a memset, so a 10-row view pays for 10 probes even when the backing
+//!   table was sized for 10 000 rows.
 //! * [`Scratch`] — per-solve state: one `SlotMap`, per-slot accumulators, a
 //!   [`BufPool`] of `Vec<u32>` row/column buffers and the plan's prefix
 //!   stack, so the steady state of a recursion allocates nothing.
@@ -244,9 +244,8 @@ pub(crate) struct Scratch {
     pub col_key: Vec<u64>,
     /// The fields leading every row of the subtree being written (a stack).
     pub prefix: Vec<u32>,
-    /// Slot map for pair-keyed groupings ([`greedy_prefix_order`][o]).
-    ///
-    /// [o]: crate::order::greedy_prefix_order
+    /// Slot map for the group-index remap of values whose raw ids are not
+    /// dense ([`Scratch::for_view`]).
     pub map: SlotMap,
     /// Reusable row/column index buffers.
     pub pool: BufPool,

@@ -7,10 +7,11 @@
 //! modeled:
 //!
 //! * **Sharing**: admitting a sequence whose prefix chain already exists
-//!   reuses those blocks (refcounted), consuming no new memory.
-//! * **Computed-ness**: a shared block only saves *compute* once some
-//!   request's prefill has actually produced it; concurrent requests with the
-//!   same cold prefix share memory but both pay the FLOPs.
+//!   reuses those blocks (refcounted), consuming no new memory and no
+//!   compute — even while the request that created them is still in
+//!   prefill, so same-prefix requests admitted in one step are deduplicated
+//!   (SGLang RadixAttention / cascade-inference style serving, the setting
+//!   the paper's measured hit rates imply).
 //! * **Eviction**: LRU over refcount-0 *leaf* blocks (evicting an interior
 //!   block would orphan its children's chain identity), ties broken toward
 //!   the smaller block hash.
@@ -84,8 +85,8 @@
 //!   run from its chain's last block up to the root until it is released;
 //!   referenced runs are never evicted and a split leaves the tail in place,
 //!   so the leaf slot in a [`SeqAlloc`] keeps naming the chain's end. Pin,
-//!   release, LRU stamp and `mark_computed` walk parent links from there and
-//!   never consult the map.
+//!   release and LRU stamp walk parent links from there and never consult
+//!   the map.
 //! * **Eviction shortens a run from its tail.** Within a run only the last
 //!   block is a leaf, and the block before it carries the same stamp, so
 //!   block-by-block LRU keeps taking from the run it started on: the store
@@ -253,12 +254,6 @@ pub struct CacheConfig {
     pub capacity_blocks: usize,
     /// Whether prefix sharing is enabled.
     pub enabled: bool,
-    /// Whether a block that exists but has not finished prefill counts as a
-    /// compute hit. `true` models SGLang RadixAttention / cascade-inference
-    /// style serving where concurrent same-prefix requests are deduplicated
-    /// (the setting the paper's measured hit rates imply); `false` models
-    /// strict vLLM-v0 semantics where only *computed* blocks are reused.
-    pub share_in_flight: bool,
 }
 
 /// A prompt's prefix-cache identity, borrowed from whoever owns the ids at
@@ -547,7 +542,7 @@ pub struct SeqAlloc {
     leaf: RunId,
     /// Private (unshared) blocks reserved: prompt tail + decode tokens.
     private_blocks: usize,
-    /// Prompt tokens whose blocks were already computed at admission.
+    /// Prompt tokens whose blocks the cache already held at admission.
     pub cached_tokens: usize,
     /// Total prompt tokens.
     pub prompt_tokens: usize,
@@ -562,7 +557,7 @@ pub struct CacheStats {
     pub admitted: u64,
     /// Prompt tokens across admitted sequences.
     pub total_prompt_tokens: u64,
-    /// Prompt tokens served from computed cached blocks.
+    /// Prompt tokens served from cached blocks.
     pub cached_tokens: u64,
     /// Blocks evicted to make room.
     pub evictions: u64,
@@ -583,15 +578,12 @@ pub struct CacheInternals {
     /// Hash-map lookups on the read path: one per run a `probe_chain` /
     /// `can_admit_chain` / `try_admit_chain` walk visits, plus the one that
     /// finds the chain's next block absent and ends the walk. Writes (run
-    /// creation, splits, eviction) and the leaf-addressed `mark_computed` /
-    /// `release` are not lookups.
+    /// creation, splits, eviction) and the leaf-addressed `release` are not
+    /// lookups.
     pub block_map_probes: u64,
     /// Stale lazy-invalidation eviction candidates skipped by an eviction
     /// or dropped by the periodic queue compaction.
     pub heap_stale_invalidations: u64,
-    /// Calls to [`PrefixCache::mark_computed`] (one per prefill chunk that
-    /// landed, the per-step cache write traffic).
-    pub mark_computed_calls: u64,
     /// Runs an admission split because its chain ended or diverged inside
     /// them.
     pub run_splits: u64,
@@ -640,9 +632,6 @@ struct Run {
     depth: u32,
     /// Blocks held; 0 once evicted, until the slot is handed out again.
     len: u32,
-    /// Leading blocks whose prefill has landed. Computed blocks form a
-    /// prefix of every chain, hence of every run.
-    computed_len: u32,
 }
 
 /// An eviction-queue entry: `run` became a refcount-0 leaf while stamped
@@ -687,8 +676,6 @@ pub struct PrefixCache {
     /// Stale queue entries skipped/compacted away
     /// ([`CacheInternals::heap_stale_invalidations`]).
     stale: u64,
-    /// [`mark_computed`](PrefixCache::mark_computed) call count.
-    marks: u64,
     /// [`CacheInternals::run_splits`].
     splits: u64,
 }
@@ -717,7 +704,6 @@ impl PrefixCache {
             stats: CacheStats::default(),
             probes: Cell::new(0),
             stale: 0,
-            marks: 0,
             splits: 0,
         }
     }
@@ -744,7 +730,6 @@ impl PrefixCache {
         CacheInternals {
             block_map_probes: self.probes.get(),
             heap_stale_invalidations: self.stale,
-            mark_computed_calls: self.marks,
             run_splits: self.splits,
             evictions: self.stats.evictions,
             id_pages: self.pages.pages.len() as u64,
@@ -752,8 +737,8 @@ impl PrefixCache {
         }
     }
 
-    /// Number of prompt tokens of `tokens` that would be served from
-    /// already-computed cached blocks right now (no state change).
+    /// Number of prompt tokens of `tokens` that would be served from cached
+    /// blocks right now (no state change).
     ///
     /// Convenience wrapper over [`probe_chain`](PrefixCache::probe_chain)
     /// that hashes `tokens` on the fly.
@@ -829,19 +814,10 @@ impl PrefixCache {
     /// there is exactly one copy of the rule.
     fn admission_plan(&self, chain: ChainView<'_>, decode_tokens: usize) -> AdmissionPlan {
         let bs = self.config.block_size;
-        let share = self.config.share_in_flight;
         let mut found = 0u32;
         let mut revivable = 0u32; // existing rc==0 blocks in our chain (must not evict)
-        let mut cached_blocks = 0u32;
         let (mut tip, mut tip_shared) = (NO_RUN, 0);
         self.resolve(chain.blocks(), |id, run, shared| {
-            if cached_blocks == found {
-                cached_blocks += if share {
-                    shared
-                } else {
-                    shared.min(run.computed_len)
-                };
-            }
             found += shared;
             if run.refcount == 0 {
                 revivable += shared;
@@ -855,7 +831,7 @@ impl PrefixCache {
         // the ones in our own chain, which an admission would revive.
         let supply = self.free_blocks() + self.rc0_blocks.saturating_sub(revivable as usize);
         AdmissionPlan {
-            cached_tokens: cached_blocks as usize * bs,
+            cached_tokens: found as usize * bs,
             private,
             fits: missing + private <= supply,
             found,
@@ -957,7 +933,6 @@ impl PrefixCache {
                 children: 0,
                 depth: plan.found,
                 len: missing,
-                computed_len: 0,
             });
             if parent != NO_RUN {
                 self.runs[parent as usize].children += 1;
@@ -1018,12 +993,10 @@ impl PrefixCache {
             children: 1,
             depth: run.depth,
             len: at,
-            computed_len: run.computed_len.min(at),
         };
         run.start += at;
         run.depth += at;
         run.len -= at;
-        run.computed_len = run.computed_len.saturating_sub(at);
         let tail_first = self.pages.ids(run)[0];
         self.pages.pages[run.page as usize].runs += 1;
         // Re-points the head's first block, until now the tail's key.
@@ -1031,53 +1004,6 @@ impl PrefixCache {
         self.runs[tail as usize].parent = head;
         self.map.insert(tail_first, tail);
         head
-    }
-
-    /// Run `id` of one of this cache's live allocations.
-    #[inline]
-    fn pinned(runs: &mut [Run], id: RunId) -> &mut Run {
-        let run = &mut runs[id as usize];
-        debug_assert!(
-            run.len > 0 && run.refcount > 0,
-            "an allocation pins its runs"
-        );
-        run
-    }
-
-    /// Marks the sequence's prompt blocks as computed up to
-    /// `prefilled_tokens`, making them compute-reusable by later admissions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `alloc` was admitted by another cache.
-    pub fn mark_computed(&mut self, alloc: &SeqAlloc, prefilled_tokens: usize) {
-        assert_eq!(alloc.cache_id, self.id, "allocation of another cache");
-        self.marks += 1;
-        let upto = u32::try_from(prefilled_tokens / self.config.block_size).unwrap_or(u32::MAX);
-        // Computed flags always form a prefix of a live chain: a block's
-        // ancestors are computed before it, and an interior block cannot be
-        // evicted from under a live child (eviction is leaf-only). Walking
-        // up from the leaf and stopping at the first run whose target block
-        // or first block was already computed therefore touches only the
-        // runs this chunk newly reached, instead of re-touching the whole
-        // prefix on every prefill chunk.
-        let mut id = alloc.leaf;
-        while id != NO_RUN {
-            let run = Self::pinned(&mut self.runs, id);
-            id = run.parent;
-            if run.depth >= upto {
-                continue;
-            }
-            let computed = (upto - run.depth).min(run.len);
-            if run.computed_len >= computed {
-                break;
-            }
-            let ancestors_done = run.computed_len > 0;
-            run.computed_len = computed;
-            if ancestors_done {
-                break;
-            }
-        }
     }
 
     /// Releases a completed sequence: dereferences its shared chain (blocks
@@ -1113,7 +1039,11 @@ impl PrefixCache {
         let stamp = self.clock;
         let mut id = alloc.leaf;
         while id != NO_RUN {
-            let run = Self::pinned(&mut self.runs, id);
+            let run = &mut self.runs[id as usize];
+            debug_assert!(
+                run.len > 0 && run.refcount > 0,
+                "an allocation pins its runs"
+            );
             run.refcount -= 1;
             run.last_used = stamp;
             if run.refcount == 0 {
@@ -1171,7 +1101,6 @@ impl PrefixCache {
             let taken = blocks.min(run.len as usize);
             // No more than `run.len`.
             run.len -= taken as u32;
-            run.computed_len = run.computed_len.min(run.len);
             blocks -= taken;
             self.live_blocks -= taken;
             self.rc0_blocks -= taken;
@@ -1259,7 +1188,6 @@ impl PrefixCache {
                 Some(id as RunId),
                 "a live run's first block maps to it"
             );
-            assert!(run.computed_len <= run.len, "computed blocks are a prefix");
             if run.parent == NO_RUN {
                 assert_eq!(run.depth, 0, "only a chain's first run has no parent");
                 continue;
@@ -1273,10 +1201,6 @@ impl PrefixCache {
             );
             assert!(p.refcount >= run.refcount, "a pin covers the whole chain");
             assert!(p.last_used >= run.last_used, "and so does a stamp");
-            assert!(
-                run.computed_len == 0 || p.computed_len == p.len,
-                "computed blocks are a prefix across runs"
-            );
             children[run.parent as usize] += 1;
         }
         // Id pages: every live run reads one page (`IdPages::ids` would have
@@ -1388,23 +1312,11 @@ fn chain_finish(h: u64) -> u64 {
 mod tests {
     use super::*;
 
-    /// Strict (vLLM-v0) semantics: only computed blocks are compute hits.
     fn cache(capacity: usize) -> PrefixCache {
         PrefixCache::new(CacheConfig {
             block_size: 4,
             capacity_blocks: capacity,
             enabled: true,
-            share_in_flight: false,
-        })
-    }
-
-    /// Dedup (SGLang/cascade) semantics: existing blocks are compute hits.
-    fn dedup_cache(capacity: usize) -> PrefixCache {
-        PrefixCache::new(CacheConfig {
-            block_size: 4,
-            capacity_blocks: capacity,
-            enabled: true,
-            share_in_flight: true,
         })
     }
 
@@ -1413,18 +1325,16 @@ mod tests {
     }
 
     #[test]
-    fn internals_count_probes_marks_and_evictions() {
+    fn internals_count_probes_splits_and_evictions() {
         let mut c = cache(2);
         assert_eq!(c.internals(), CacheInternals::default());
         // A cold chain costs one map lookup: the first block is absent, and
         // with it every later one.
         let a = c.try_admit(&toks(8, 0), 0).unwrap();
-        c.mark_computed(&a, 8);
         c.release(a);
         // Its two ids open the first page.
         let cold = CacheInternals {
             block_map_probes: 1,
-            mark_computed_calls: 1,
             id_pages: 1,
             id_words_live: 2,
             ..CacheInternals::default()
@@ -1434,19 +1344,16 @@ mod tests {
         // request left behind (one more lookup, a miss), which empties the
         // open page: the new run's ids start it over.
         let b = c.try_admit(&toks(8, 9), 0).unwrap();
-        c.mark_computed(&b, 8);
         c.release(b);
         let churned = CacheInternals {
             block_map_probes: 2,
-            mark_computed_calls: 2,
             evictions: 2,
             ..cold
         };
         assert_eq!(c.internals(), churned);
         assert_eq!(churned.evictions, c.stats().evictions);
         // The resident chain again — probed, checked, admitted — is one
-        // lookup per walk, for its one run; marks and releases are never
-        // lookups.
+        // lookup per walk, for its one run; releases are never lookups.
         assert_eq!(c.probe(&toks(8, 9)), 8);
         assert!(c.can_admit_chain(BlockChain::from_tokens(4, &toks(8, 9)).view(), 0));
         let again = c.try_admit(&toks(8, 9), 0).unwrap();
@@ -1489,7 +1396,6 @@ mod tests {
         let mut c = cache(2);
         for salt in [0, 1, 0, 0, 2, 1] {
             let a = c.try_admit(&toks(8, salt), 0).unwrap();
-            c.mark_computed(&a, 8);
             for other in 0..3 {
                 let expect = if other == salt { 8 } else { 0 };
                 assert_eq!(c.probe(&toks(8, other)), expect, "{salt} resident");
@@ -1510,14 +1416,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "allocation of another cache")]
-    fn marking_in_another_cache_panics() {
-        let (mut c, mut d) = (cache(8), cache(8));
-        let a = c.try_admit(&toks(8, 0), 0).unwrap();
-        d.mark_computed(&a, 8);
-    }
-
-    #[test]
     fn first_admission_is_cold() {
         let mut c = cache(16);
         let a = c.try_admit(&toks(8, 0), 0).unwrap();
@@ -1527,30 +1425,14 @@ mod tests {
     }
 
     #[test]
-    fn second_identical_admission_shares_memory_but_not_compute_until_marked() {
+    fn second_identical_admission_shares_memory_and_compute() {
         let mut c = cache(16);
-        let a = c.try_admit(&toks(8, 0), 0).unwrap();
-        // Not yet prefilled: shares memory (no new blocks), zero compute hit.
-        let b = c.try_admit(&toks(8, 0), 0).unwrap();
-        assert_eq!(b.cached_tokens, 0);
-        assert_eq!(c.free_blocks(), 16 - 2, "memory fully shared");
-        // After prefill completes, a third admission hits.
-        c.mark_computed(&a, 8);
-        let d = c.try_admit(&toks(8, 0), 0).unwrap();
-        assert_eq!(d.cached_tokens, 8);
-        c.release(a);
-        c.release(b);
-        c.release(d);
-    }
-
-    #[test]
-    fn in_flight_sharing_dedups_concurrent_prefixes() {
-        let mut c = dedup_cache(16);
         let _a = c.try_admit(&toks(8, 0), 0).unwrap();
-        // Under cascade/RadixAttention semantics the second request reuses
-        // the in-flight blocks immediately.
+        // The first request has not prefilled anything yet, and the second
+        // still reuses its blocks: no new memory, every full block a hit.
         let b = c.try_admit(&toks(8, 0), 0).unwrap();
         assert_eq!(b.cached_tokens, 8);
+        assert_eq!(c.free_blocks(), 16 - 2, "memory fully shared");
         assert_eq!(c.probe(&toks(8, 0)), 8);
         // A genuinely new prefix still misses.
         let d = c.try_admit(&toks(8, 9), 0).unwrap();
@@ -1561,8 +1443,7 @@ mod tests {
     fn partial_prefix_hits_only_shared_blocks() {
         let mut c = cache(32);
         let mut first = toks(8, 0);
-        let a = c.try_admit(&first, 0).unwrap();
-        c.mark_computed(&a, 8);
+        let _a = c.try_admit(&first, 0).unwrap();
         // Same first block (4 tokens), different second block.
         first[5] ^= 0xffff;
         let b = c.try_admit(&first, 0).unwrap();
@@ -1576,7 +1457,6 @@ mod tests {
         let a = c.try_admit(&toks(10, 0), 0).unwrap();
         assert_eq!(a.prompt_tokens, 10);
         assert_eq!(c.free_blocks(), 16 - 3);
-        c.mark_computed(&a, 10);
         let b = c.try_admit(&toks(10, 0), 0).unwrap();
         // Only the 8 full-block tokens can hit.
         assert_eq!(b.cached_tokens, 8);
@@ -1616,8 +1496,7 @@ mod tests {
     #[test]
     fn refcounted_blocks_are_never_evicted() {
         let mut c = cache(4);
-        let a = c.try_admit(&toks(8, 0), 0).unwrap();
-        c.mark_computed(&a, 8);
+        let _a = c.try_admit(&toks(8, 0), 0).unwrap();
         // Fill the remaining 2 blocks.
         let b = c.try_admit(&toks(8, 1), 0).unwrap();
         // No free space, nothing evictable (both chains referenced).
@@ -1657,10 +1536,8 @@ mod tests {
             block_size: 4,
             capacity_blocks: 8,
             enabled: false,
-            share_in_flight: true,
         });
         let a = c.try_admit(&toks(8, 0), 0).unwrap();
-        c.mark_computed(&a, 8);
         let b = c.try_admit(&toks(8, 0), 0).unwrap();
         assert_eq!(b.cached_tokens, 0);
         assert_eq!(c.probe(&toks(8, 0)), 0);
@@ -1672,8 +1549,7 @@ mod tests {
     #[test]
     fn stats_accumulate() {
         let mut c = cache(16);
-        let a = c.try_admit(&toks(8, 0), 0).unwrap();
-        c.mark_computed(&a, 8);
+        let _a = c.try_admit(&toks(8, 0), 0).unwrap();
         let _b = c.try_admit(&toks(8, 0), 0).unwrap();
         let s = c.stats();
         assert_eq!(s.admitted, 2);
@@ -1685,8 +1561,7 @@ mod tests {
     #[test]
     fn probe_matches_admit_cached_tokens() {
         let mut c = cache(32);
-        let a = c.try_admit(&toks(12, 3), 0).unwrap();
-        c.mark_computed(&a, 12);
+        let _a = c.try_admit(&toks(12, 3), 0).unwrap();
         let p = c.probe(&toks(12, 3));
         let b = c.try_admit(&toks(12, 3), 0).unwrap();
         assert_eq!(p, b.cached_tokens);
@@ -1840,7 +1715,6 @@ mod tests {
         let chain = chain.view();
         assert!(c.can_admit_chain(chain, 3));
         let a = c.try_admit_chain(chain, 3).unwrap();
-        c.mark_computed(&a, 14);
         assert_eq!(c.probe_chain(chain), c.probe(&tokens));
         let b = c.try_admit(&tokens, 3).unwrap();
         assert_eq!(b.cached_tokens, c.probe_chain(chain));
@@ -1876,8 +1750,6 @@ mod tests {
         assert!(c.can_admit_chain(other.view(), 0));
         let b = c.try_admit_chain(other.view(), 0).unwrap();
         other = BlockChain::from_tokens(4, &toks(8, 5));
-        assert_eq!(c.probe(&toks(8, 3)), 0, "in strict mode, not computed");
-        c.mark_computed(&b, 8);
         assert_eq!(c.probe(&toks(8, 3)), 8);
         assert_eq!(c.probe_chain(other.view()), 0);
         c.release(b);
@@ -1889,7 +1761,6 @@ mod tests {
             block_size: 4,
             capacity_blocks: 4,
             enabled: false,
-            share_in_flight: true,
         });
         let chain = ChainView::unhashed(10);
         assert!(c.can_admit_chain(chain, 2));
@@ -1907,7 +1778,6 @@ mod tests {
             block_size: 0,
             capacity_blocks: 1,
             enabled: true,
-            share_in_flight: true,
         });
     }
 }
@@ -1935,7 +1805,6 @@ mod proptests {
                 block_size: 4,
                 capacity_blocks: capacity,
                 enabled: true,
-                share_in_flight: true,
             });
             let mut live: Vec<SeqAlloc> = Vec::new();
             for (family, tail, decode, release_now) in ops {
@@ -1943,7 +1812,6 @@ mod proptests {
                 tokens.extend((0..u32::from(tail)).map(|i| 500_000 + u32::from(family) * 7919 + i));
                 if let Some(alloc) = cache.try_admit(&tokens, usize::from(decode)) {
                     prop_assert!(alloc.cached_tokens <= alloc.prompt_tokens);
-                    cache.mark_computed(&alloc, tokens.len());
                     if release_now {
                         cache.release(alloc);
                     } else {
@@ -1973,12 +1841,10 @@ mod proptests {
                 block_size: 4,
                 capacity_blocks: 256,
                 enabled: true,
-                share_in_flight: true,
             });
             let mut tokens: Vec<u32> = (0..16).collect();
             tokens.extend((0..u32::from(tail)).map(|i| 70_000 + i));
-            let a = cache.try_admit(&tokens, 0).unwrap();
-            cache.mark_computed(&a, tokens.len());
+            let _a = cache.try_admit(&tokens, 0).unwrap();
             let p1 = cache.probe(&tokens);
             let p2 = cache.probe(&tokens);
             prop_assert_eq!(p1, p2);
@@ -2006,7 +1872,6 @@ mod model {
     struct Block {
         parent: Option<u64>,
         refcount: u32,
-        computed: bool,
         last_used: u64,
     }
 
@@ -2036,11 +1901,7 @@ mod model {
         }
 
         fn probe(&self, chain: &[u64]) -> usize {
-            let hits = chain.iter().take_while(|h| {
-                self.blocks
-                    .get(h)
-                    .is_some_and(|b| b.computed || self.config.share_in_flight)
-            });
+            let hits = chain.iter().take_while(|h| self.blocks.contains_key(h));
             hits.count() * self.config.block_size
         }
 
@@ -2103,7 +1964,6 @@ mod model {
                 let block = Block {
                     parent: i.checked_sub(1).map(|p| hashes[p]),
                     refcount: 1,
-                    computed: false,
                     last_used: self.clock,
                 };
                 self.blocks.insert(h, block);
@@ -2123,12 +1983,6 @@ mod model {
             })
         }
 
-        fn mark_computed(&mut self, alloc: &ModelAlloc, prefilled_tokens: usize) {
-            for h in &alloc.chain[..prefilled_tokens / self.config.block_size] {
-                self.blocks.get_mut(h).expect("pinned").computed = true;
-            }
-        }
-
         fn release(&mut self, alloc: ModelAlloc) {
             self.clock += 1;
             for h in &alloc.chain {
@@ -2142,25 +1996,20 @@ mod model {
 
     impl PrefixCache {
         /// The runs block by block, as the model describes them: hash →
-        /// (parent hash, refcount, computed, last_used).
+        /// (parent hash, refcount, last_used).
         fn describe(&self) -> BTreeMap<u64, Block> {
             let live = self.runs.iter().filter(|r| r.len > 0);
             live.flat_map(|run| {
                 let above = self.runs.get(run.parent as usize);
                 let mut parent = above.and_then(|p| self.pages.ids(p).last().copied());
-                self.pages
-                    .ids(run)
-                    .iter()
-                    .enumerate()
-                    .map(move |(i, &hash)| {
-                        let block = Block {
-                            parent: parent.replace(hash),
-                            refcount: run.refcount,
-                            computed: i < run.computed_len as usize,
-                            last_used: run.last_used,
-                        };
-                        (hash, block)
-                    })
+                self.pages.ids(run).iter().map(move |&hash| {
+                    let block = Block {
+                        parent: parent.replace(hash),
+                        refcount: run.refcount,
+                        last_used: run.last_used,
+                    };
+                    (hash, block)
+                })
             })
             .collect()
         }
@@ -2204,7 +2053,6 @@ mod model {
     /// One step of a schedule: `(op, pick, decode, nth)`.
     type Op = (u8, u32, u8, u8);
     const ADMIT: u8 = 0;
-    const MARK: u8 = 5;
     const RELEASE: u8 = 7;
     const RELEASE_BATCH: u8 = 8;
 
@@ -2235,13 +2083,11 @@ mod model {
         prompt: fn(u32) -> Vec<TokenId>,
         ops: &[Op],
         capacity: usize,
-        share_in_flight: bool,
     ) -> Result<CacheInternals, TestCaseError> {
         let config = CacheConfig {
             block_size: 4,
             capacity_blocks: capacity,
             enabled: true,
-            share_in_flight,
         };
         let mut cache = PrefixCache::new(config);
         let mut model = Model {
@@ -2273,13 +2119,6 @@ mod model {
                         prop_assert_eq!(got.prompt_tokens, chain.prompt_tokens());
                         live.push((got, want));
                     }
-                }
-                // A prefill chunk lands: anywhere up to the whole prompt.
-                MARK | 6 if !live.is_empty() => {
-                    let (got, want) = &live[nth % live.len()];
-                    let prefilled = got.prompt_tokens * (decode + 1) / 10;
-                    cache.mark_computed(got, prefilled);
-                    model.mark_computed(want, prefilled);
                 }
                 RELEASE if !live.is_empty() => {
                     let (got, want) = live.swap_remove(nth % live.len());
@@ -2319,14 +2158,13 @@ mod model {
         fn cache_matches_the_naive_model(
             ops in proptest::collection::vec((0u8..10, 0u32..1 << 21, 0u8..10, 0u8..8), 1..160),
             capacity in 2usize..=64,
-            share_in_flight in proptest::bool::ANY,
         ) {
-            lockstep(prompt, &ops, capacity, share_in_flight)?;
+            lockstep(prompt, &ops, capacity)?;
         }
     }
 
     /// The scripted schedules below force, one by one, what the random ones
-    /// only make likely; each runs under both sharing modes.
+    /// only make likely.
     fn scripted(ops: &[Op], capacity: usize) -> CacheInternals {
         scripted_over(prompt, ops, capacity)
     }
@@ -2337,9 +2175,7 @@ mod model {
         ops: &[Op],
         capacity: usize,
     ) -> CacheInternals {
-        let strict = lockstep(prompt, ops, capacity, false).unwrap();
-        assert_eq!(lockstep(prompt, ops, capacity, true).unwrap(), strict);
-        strict
+        lockstep(prompt, ops, capacity).unwrap()
     }
 
     #[test]
@@ -2370,15 +2206,13 @@ mod model {
         let (long, other) = (pick(8, &[]), pick(5, &[1]));
         let ops = [
             (ADMIT, long, 0, 0),
-            (MARK, 0, 9, 0),
             (RELEASE, 0, 0, 0),
             // Five new blocks into two free ones: the run loses three.
             (ADMIT, other, 0, 0),
             (RELEASE, 0, 0, 0),
-            // The full prompt again: five blocks revived (computed), three
-            // re-created below them (not), at the other chain's expense.
+            // The full prompt again: five blocks revived, three re-created
+            // below them, at the other chain's expense.
             (ADMIT, long, 0, 0),
-            (MARK, 0, 4, 0),
             (ADMIT, long, 0, 0),
             (RELEASE_BATCH, 0, 0, 1),
         ];
@@ -2387,22 +2221,19 @@ mod model {
     }
 
     #[test]
-    fn a_prefill_chunk_lands_inside_a_run_two_sequences_share() {
+    fn cuts_through_a_run_three_sequences_share_keep_its_pins() {
         let long = pick(8, &[]);
         let ops = [
             (ADMIT, long, 2, 0),
             (ADMIT, long, 2, 0),
-            // 50% of the prompt through the second sequence: blocks 0–3.
-            (MARK, 0, 4, 1),
             (ADMIT, long, 0, 0),
-            // Cuts above, at and below the computed mark, each through a
-            // live run: the halves must keep their share of it.
+            // Cuts at blocks 2, 4 and 6, each through a run three live
+            // sequences pin: the halves must keep the refcount and stamp.
             (ADMIT, pick(8, &[0, 0, 1]), 0, 0),
             (ADMIT, pick(8, &[0, 0, 0, 0, 1]), 0, 0),
             (ADMIT, pick(8, &[0, 0, 0, 0, 0, 0, 1]), 0, 0),
             (ADMIT, pick(4, &[]), 0, 0),
-            // 80% through the first sequence crosses three run boundaries.
-            (MARK, 0, 7, 0),
+            // The whole chain again walks all four pieces.
             (ADMIT, long, 0, 0),
             (ADMIT, pick(8, &[0, 0, 0, 0, 0, 0, 1]), 0, 0),
             (RELEASE_BATCH, 0, 0, 2),
@@ -2423,7 +2254,6 @@ mod model {
             // Cuts inside the long run, before and after a page's length.
             (ADMIT, paged(1, 40, 0), 0, 0),
             (ADMIT, paged(1, long, PAGE_IDS as u32 + 9), 1, 0),
-            (MARK, 0, 9, 1),
             (RELEASE_BATCH, 0, 0, 2),
             (RELEASE_BATCH, 0, 0, 1),
             // Another long chain evicts the first one piece by piece, and
@@ -2476,7 +2306,6 @@ mod model {
             (RELEASE, 0, 0, 2),
             (RELEASE, 0, 0, 3),
             (ADMIT, paged(6, 2 * half, 0), 0, 0),
-            (MARK, 0, 9, 4),
             (ADMIT, paged(6, half, 0), 0, 0),
             (RELEASE_BATCH, 0, 0, 2),
             (RELEASE_BATCH, 0, 0, 2),

@@ -30,10 +30,6 @@ pub struct EngineConfig {
     /// Whether automatic prefix caching is enabled. `false` reproduces the
     /// paper's *No Cache* baseline.
     pub enable_prefix_cache: bool,
-    /// Whether concurrent requests with equal prefixes are deduplicated
-    /// (SGLang RadixAttention / cascade-inference semantics; see
-    /// [`crate::CacheConfig::share_in_flight`]). Default `true`.
-    pub in_flight_sharing: bool,
     /// Fraction of GPU memory usable by the engine (vLLM
     /// `gpu_memory_utilization`).
     pub gpu_memory_utilization: f64,
@@ -54,7 +50,6 @@ impl Default for EngineConfig {
             max_num_seqs: 256,
             max_batch_tokens: 8192,
             enable_prefix_cache: true,
-            in_flight_sharing: true,
             gpu_memory_utilization: 0.9,
             runtime_reserve_bytes: 1 << 30,
             step_overhead_s: 0.002,
@@ -363,30 +358,6 @@ mod tests {
             "hit rate {} too low",
             r.prefix_hit_rate()
         );
-    }
-
-    #[test]
-    fn strict_mode_loses_same_wave_sharing() {
-        let strict = SimEngine::new(
-            l4_8b(),
-            EngineConfig {
-                in_flight_sharing: false,
-                ..EngineConfig::default()
-            },
-        );
-        let dedup = SimEngine::new(l4_8b(), EngineConfig::default());
-        let rs = reqs(300, 128, 96, 2);
-        let a = strict.run(&rs).unwrap();
-        let b = dedup.run(&rs).unwrap();
-        // Requests admitted in the same scheduling wave cannot reuse cold
-        // prefixes under strict vLLM-v0 semantics.
-        assert!(
-            a.prefix_hit_rate() < b.prefix_hit_rate(),
-            "strict {} should trail dedup {}",
-            a.prefix_hit_rate(),
-            b.prefix_hit_rate()
-        );
-        assert!(a.job_completion_time_s >= b.job_completion_time_s);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! * [`ModelSpec`] / [`GpuSpec`] / [`GpuCluster`] / [`Deployment`] — real
 //!   architecture shapes (Llama-3 8B/70B, Llama-3.2 1B; L4, 8×L4).
 //! * [`PrefixCache`] — paged KV blocks with hash-chain prefix identity,
-//!   refcounts, computed-ness tracking and LRU leaf eviction.
+//!   refcounts, in-flight sharing and LRU leaf eviction.
 //! * [`SimEngine`] — continuous batching with chunked prefill and a
 //!   roofline step-time model; produces an [`EngineReport`] with job
 //!   completion time and the prefix hit rate (the paper's two headline

@@ -41,8 +41,6 @@ pub struct ServeMetrics {
     pub cache_run_splits: &'static Counter,
     /// Stale eviction candidates lazily discarded.
     pub cache_heap_stale_invalidations: &'static Counter,
-    /// `mark_computed` calls (prefill chunk completions).
-    pub cache_mark_computed_calls: &'static Counter,
     /// Id pages of the largest cache published so far (see
     /// [`CacheInternals::id_pages`]).
     pub cache_id_pages: &'static Gauge,
@@ -80,7 +78,6 @@ pub fn metrics() -> &'static ServeMetrics {
             cache_block_map_probes: r.counter("cache.block_map_probes"),
             cache_run_splits: r.counter("cache.run_splits"),
             cache_heap_stale_invalidations: r.counter("cache.heap_stale_invalidations"),
-            cache_mark_computed_calls: r.counter("cache.mark_computed_calls"),
             cache_id_pages: r.gauge("cache.id_pages"),
             cache_id_words_live: r.gauge("cache.id_words_live"),
             chain_tokens_hashed: r.counter("serve.chain.tokens_hashed"),
@@ -105,8 +102,6 @@ pub fn publish_cache_internals(prev: CacheInternals, now: CacheInternals) -> Cac
     m.cache_run_splits.add(now.run_splits - prev.run_splits);
     m.cache_heap_stale_invalidations
         .add(now.heap_stale_invalidations - prev.heap_stale_invalidations);
-    m.cache_mark_computed_calls
-        .add(now.mark_computed_calls - prev.mark_computed_calls);
     m.cache_id_pages.set_max(now.id_pages as f64);
     m.cache_id_words_live.set_max(now.id_words_live as f64);
     now

@@ -388,7 +388,6 @@ impl EngineSession {
             block_size: config.block_size,
             capacity_blocks,
             enabled: config.enable_prefix_cache,
-            share_in_flight: config.in_flight_sharing,
         });
         Ok(EngineSession {
             flops: deployment.cluster.total_flops(),
@@ -647,9 +646,9 @@ impl EngineSession {
         }
         // … then waiting requests are admitted lazily, only when the step
         // has prefill budget for them. Cache lookups therefore happen at
-        // schedule time, after earlier prefills have marked their blocks
-        // computed — matching vLLM, and meaning the first wave of
-        // concurrent requests does not magically share cold prefixes.
+        // schedule time: a request admitted in the same step as an earlier
+        // one with the same prefix reuses that request's blocks, whose
+        // prefill has not run yet (in-flight sharing).
         while (budget > 0 || decode_tokens + chunks.len() as u64 == 0)
             && self.running.len() < self.config.max_num_seqs
         {
@@ -723,16 +722,12 @@ impl EngineSession {
 
         self.charge_step(prefill_flops, prefill_kv_bytes, decode_tokens, decode_ctx);
 
-        // Apply effects: prefill progress (marking blocks computed) and
-        // one decoded token per decoding sequence.
-        let timer = llmqo_obs::WallTimer::start();
+        // Apply effects: prefill progress and one decoded token per
+        // decoding sequence.
         for &(i, chunk) in &chunks {
-            let r = &mut self.running[i];
-            r.prefilled += chunk;
+            self.running[i].prefilled += chunk;
             self.report.computed_prompt_tokens += chunk as u64;
-            self.cache.mark_computed(&r.alloc, r.prefilled);
         }
-        timer.observe(crate::obs::metrics().wall_cache_s);
         self.chunk_buf = chunks;
         let mut i = 0;
         while i < self.running.len() {
@@ -894,8 +889,8 @@ impl EngineSession {
     /// a sequence before its first token, or an empty batch).
     ///
     /// Steady state is stable by construction: pure decode steps release no
-    /// KV blocks, mark nothing computed, and change no queue, so whatever
-    /// blocks admission now blocks it for the whole run.
+    /// KV blocks and change no queue, so whatever blocks admission now
+    /// blocks it for the whole run.
     fn steady_decode_remaining(&self) -> Option<u32> {
         // O(1) gate: any sequence still prefilling or before its first
         // token rules out a pure decode run without scanning the batch —
@@ -1297,7 +1292,7 @@ mod tests {
         assert_eq!(s.queued(), 1);
         assert_eq!(s.probe_cached_tokens(chain), 0);
         while s.step().unwrap() {}
-        // After completion the blocks stay cached (refcount 0, computed).
+        // After completion the blocks stay cached (refcount 0).
         assert_eq!(s.probe_cached_tokens(chain), 64);
         assert!(s.kv_blocks_in_use() > 0);
         assert!(s.capacity_blocks() > 0);

@@ -61,23 +61,21 @@ fn assert_drained_equal(mut session: EngineSession, mut reference: SessionRefere
 }
 
 /// Engine configurations that exercise every scheduling regime: cache
-/// on/off, strict vs in-flight sharing, tight and loose prefill budgets
-/// (chunked-prefill pressure), and small seat counts (slot backpressure).
+/// on/off, tight and loose prefill budgets (chunked-prefill pressure), and
+/// small seat counts (slot backpressure).
 fn config_strategy() -> impl Strategy<Value = EngineConfig> {
     (
         prop::sample::select(vec![8usize, 16, 32]),
         prop::sample::select(vec![64usize, 512, 8192]),
         prop::sample::select(vec![2usize, 8, 256]),
         proptest::bool::ANY,
-        proptest::bool::ANY,
     )
         .prop_map(
-            |(block_size, max_batch_tokens, max_num_seqs, cache, share)| EngineConfig {
+            |(block_size, max_batch_tokens, max_num_seqs, cache)| EngineConfig {
                 block_size,
                 max_batch_tokens,
                 max_num_seqs,
                 enable_prefix_cache: cache,
-                in_flight_sharing: share,
                 ..EngineConfig::default()
             },
         )
@@ -414,25 +412,17 @@ fn thrashing_cache_reports_do_not_depend_on_block_id_values() {
             output_len: 8,
         })
         .collect();
-    for config in [
-        EngineConfig::default(),
-        EngineConfig {
-            in_flight_sharing: false,
-            ..EngineConfig::default()
-        },
-    ] {
-        let e = engine(config);
-        let run = || {
-            let mut session = e.session().unwrap();
-            session.run_batch(&requests).unwrap();
-            (*session.cache_stats(), session.finish())
-        };
-        let unsalted = run();
-        assert!(unsalted.0.evictions > 1_000, "the fixture must thrash");
-        assert!(unsalted.1.report.cached_prompt_tokens > 0);
-        for salt in &ROOT_SALTS[1..] {
-            assert_eq!(with_root_salt(*salt, run), unsalted, "salt {salt:#x}");
-        }
+    let e = engine(EngineConfig::default());
+    let run = || {
+        let mut session = e.session().unwrap();
+        session.run_batch(&requests).unwrap();
+        (*session.cache_stats(), session.finish())
+    };
+    let unsalted = run();
+    assert!(unsalted.0.evictions > 1_000, "the fixture must thrash");
+    assert!(unsalted.1.report.cached_prompt_tokens > 0);
+    for salt in &ROOT_SALTS[1..] {
+        assert_eq!(with_root_salt(*salt, run), unsalted, "salt {salt:#x}");
     }
 }
 

@@ -74,18 +74,6 @@ proptest! {
     }
 
     #[test]
-    fn dedup_mode_never_hits_less_than_strict(reqs in workload_strategy()) {
-        let dedup = engine(true).run(&reqs).unwrap();
-        let strict = SimEngine::new(
-            Deployment::new(ModelSpec::llama3_8b(), GpuCluster::single(GpuSpec::l4())),
-            EngineConfig { in_flight_sharing: false, ..EngineConfig::default() },
-        )
-        .run(&reqs)
-        .unwrap();
-        prop_assert!(dedup.cached_prompt_tokens >= strict.cached_prompt_tokens);
-    }
-
-    #[test]
     fn block_size_preserves_conservation(bs in prop::sample::select(vec![8usize, 16, 32])) {
         let reqs: Vec<SimRequest> = (0..40)
             .map(|i| {

@@ -124,13 +124,6 @@ impl<'a> Ctx<'a> {
             Some(b) => b,
             None => return (0.0, rows.iter().map(|&r| (r, cols.to_vec())).collect()),
         };
-        if self
-            .config
-            .min_hitcount
-            .is_some_and(|t| (best.hitcount as u64) < t)
-        {
-            return self.fallback(rows, cols);
-        }
 
         let rest: Vec<u32> = rows
             .iter()
@@ -246,27 +239,19 @@ impl<'a> Ctx<'a> {
             let score = self.exact_block_score(&ordered);
             return (score as f64, ordered);
         }
-        let field_order: Vec<u32> = match self.config.fallback {
-            FallbackOrdering::Adaptive => unreachable!("handled above"),
-            FallbackOrdering::GreedyPrefix => greedy_prefix_order_frozen(self.table, rows, cols),
-            FallbackOrdering::StatFixed => self.stat_order(rows, cols),
-            FallbackOrdering::SortedFixed => cols.to_vec(),
-            FallbackOrdering::Original => cols.to_vec(),
-        };
+        let field_order = self.stat_order(rows, cols);
         let mut ordered = rows.to_vec();
-        if self.config.fallback != FallbackOrdering::Original {
-            ordered.sort_by(|&a, &b| {
-                for &f in &field_order {
-                    let va = self.table.cell(a as usize, f as usize).value;
-                    let vb = self.table.cell(b as usize, f as usize).value;
-                    match va.cmp(&vb) {
-                        std::cmp::Ordering::Equal => continue,
-                        other => return other,
-                    }
+        ordered.sort_by(|&a, &b| {
+            for &f in &field_order {
+                let va = self.table.cell(a as usize, f as usize).value;
+                let vb = self.table.cell(b as usize, f as usize).value;
+                match va.cmp(&vb) {
+                    std::cmp::Ordering::Equal => continue,
+                    other => return other,
                 }
-                a.cmp(&b)
-            });
-        }
+            }
+            a.cmp(&b)
+        });
         let plan: Vec<(u32, Vec<u32>)> = ordered
             .into_iter()
             .map(|r| (r, field_order.clone()))
@@ -408,61 +393,6 @@ fn adaptive_rec_frozen(
         }
         rows = residual;
     }
-}
-
-/// Frozen copy of the pre-columnar `greedy_prefix_order` fallback.
-fn greedy_prefix_order_frozen(table: &ReorderTable, rows: &[u32], cols: &[u32]) -> Vec<u32> {
-    let n = rows.len();
-    let mut order: Vec<u32> = Vec::with_capacity(cols.len());
-    let mut remaining: Vec<u32> = cols.to_vec();
-    let mut groups: Vec<u32> = vec![0; n];
-    let mut n_groups = 1usize;
-
-    while !remaining.is_empty() && n_groups < n {
-        let mut best: Option<(f64, usize)> = None;
-        for (i, &c) in remaining.iter().enumerate() {
-            let mut distinct: HashMap<(u32, ValueId), ()> = HashMap::with_capacity(n);
-            let mut sum_sq = 0f64;
-            for (g, &r) in groups.iter().zip(rows) {
-                let cell = table.cell(r as usize, c as usize);
-                distinct.insert((*g, cell.value), ());
-                sum_sq += cell.sq_len() as f64;
-            }
-            let gain = (sum_sq / n as f64) * (n - distinct.len()) as f64;
-            let better = match best {
-                None => true,
-                Some((bg, bi)) => gain > bg || (gain == bg && remaining[bi] > c),
-            };
-            if better {
-                best = Some((gain, i));
-            }
-        }
-        let (_, idx) = best.expect("remaining is non-empty");
-        let chosen = remaining.remove(idx);
-        let mut key_map: HashMap<(u32, ValueId), u32> = HashMap::with_capacity(n_groups * 2);
-        for (g, &r) in groups.iter_mut().zip(rows) {
-            let cell = table.cell(r as usize, chosen as usize);
-            let next = key_map.len() as u32;
-            let id = *key_map.entry((*g, cell.value)).or_insert(next);
-            *g = id;
-        }
-        n_groups = key_map.len();
-        order.push(chosen);
-    }
-
-    remaining.sort_by(|&a, &b| {
-        let la: u64 = rows
-            .iter()
-            .map(|&r| table.cell(r as usize, a as usize).sq_len())
-            .sum();
-        let lb: u64 = rows
-            .iter()
-            .map(|&r| table.cell(r as usize, b as usize).sq_len())
-            .sum();
-        lb.cmp(&la).then(a.cmp(&b))
-    });
-    order.extend(remaining);
-    order
 }
 
 #[cfg(test)]

@@ -84,7 +84,6 @@ impl SessionReference {
             block_size: config.block_size,
             capacity_blocks,
             enabled: config.enable_prefix_cache,
-            share_in_flight: config.in_flight_sharing,
         });
         Ok(SessionReference {
             flops: deployment.cluster.total_flops(),
@@ -305,13 +304,11 @@ impl SessionReference {
         self.clock += step_t;
         self.report.steps += 1;
 
-        // Apply effects: prefill progress (marking blocks computed) and
-        // one decoded token per decoding sequence.
+        // Apply effects: prefill progress and one decoded token per
+        // decoding sequence.
         for (i, chunk) in chunks {
-            let r = &mut self.running[i];
-            r.prefilled += chunk;
+            self.running[i].prefilled += chunk;
             self.report.computed_prompt_tokens += chunk as u64;
-            self.cache.mark_computed(&r.alloc, r.prefilled);
         }
         let mut i = 0;
         while i < self.running.len() {

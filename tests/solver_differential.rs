@@ -32,13 +32,7 @@ use std::collections::HashMap;
 /// Every GGR configuration family the differential suite exercises.
 fn ggr_configs() -> Vec<GgrConfig> {
     let mut configs = vec![GgrConfig::paper(), GgrConfig::exhaustive()];
-    for fallback in [
-        FallbackOrdering::Adaptive,
-        FallbackOrdering::GreedyPrefix,
-        FallbackOrdering::StatFixed,
-        FallbackOrdering::SortedFixed,
-        FallbackOrdering::Original,
-    ] {
+    for fallback in [FallbackOrdering::Adaptive, FallbackOrdering::StatFixed] {
         configs.push(GgrConfig {
             max_row_depth: Some(1),
             max_col_depth: Some(1),
@@ -46,10 +40,6 @@ fn ggr_configs() -> Vec<GgrConfig> {
             ..GgrConfig::paper()
         });
     }
-    configs.push(GgrConfig {
-        min_hitcount: Some(30),
-        ..GgrConfig::exhaustive()
-    });
     configs.push(GgrConfig {
         use_fds: false,
         ..GgrConfig::paper()
