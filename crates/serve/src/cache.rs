@@ -1427,12 +1427,25 @@ mod tests {
     #[test]
     fn second_identical_admission_shares_memory_and_compute() {
         let mut c = cache(16);
-        let _a = c.try_admit(&toks(8, 0), 0).unwrap();
+        let a = c.try_admit(&toks(8, 0), 0).unwrap();
         // The first request has not prefilled anything yet, and the second
         // still reuses its blocks: no new memory, every full block a hit.
         let b = c.try_admit(&toks(8, 0), 0).unwrap();
         assert_eq!(b.cached_tokens, 8);
         assert_eq!(c.free_blocks(), 16 - 2, "memory fully shared");
+        c.release(a);
+        c.release(b);
+        c.check_invariants();
+    }
+
+    #[test]
+    fn in_flight_sharing_dedups_concurrent_prefixes() {
+        let mut c = cache(16);
+        let _a = c.try_admit(&toks(8, 0), 0).unwrap();
+        // Under cascade/RadixAttention semantics the second request reuses
+        // the in-flight blocks immediately.
+        let b = c.try_admit(&toks(8, 0), 0).unwrap();
+        assert_eq!(b.cached_tokens, 8);
         assert_eq!(c.probe(&toks(8, 0)), 8);
         // A genuinely new prefix still misses.
         let d = c.try_admit(&toks(8, 9), 0).unwrap();
