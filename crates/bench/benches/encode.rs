@@ -9,6 +9,9 @@
 //! * `movies/dup-heavy-batch` — dedup on, cache off, over the review-free
 //!   fields (a few hundred distinct prompts): the flat dedup index and the
 //!   CSR groups carry the batch.
+//! * `generate-squad-2400`, `generate-fever-2400` — `Dataset::generate_with_rows`
+//!   of a RAG table at `paper_scan`'s size: text generation, embedding and
+//!   one top-k retrieval per question (the benchmark's set-up cost).
 //!
 //! The batch cases run through `QueryExecutor::execute_with`, so they
 //! include the solve and the simulated serving of whatever survives.
@@ -116,6 +119,13 @@ fn bench_encode(c: &mut Criterion) {
             out
         })
     });
+
+    for (name, id) in [
+        ("generate-squad-2400", DatasetId::Squad),
+        ("generate-fever-2400", DatasetId::Fever),
+    ] {
+        group.bench_function(name, |b| b.iter(|| Dataset::generate_with_rows(id, 2400)));
+    }
     group.finish();
 }
 

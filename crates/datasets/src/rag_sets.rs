@@ -24,6 +24,7 @@ use llmqo_tokenizer::Tokenizer;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
+use std::fmt::Write;
 
 /// Shape parameters for one RAG dataset.
 struct RagShape {
@@ -67,18 +68,21 @@ impl TopicText {
         target_tokens: usize,
     ) -> String {
         let mut out = String::new();
+        let mut filler = String::new();
         let mut tokens = 0usize;
         while tokens < target_tokens {
             let word = if rng.random_bool(frac_topic) {
-                topic_vocab[rng.random_range(0..topic_vocab.len())].clone()
+                &topic_vocab[rng.random_range(0..topic_vocab.len())]
             } else {
-                format!("w{}", rng.random_range(0..400u32))
+                filler.clear();
+                write!(filler, "w{}", rng.random_range(0..400u32)).expect("writing to a String");
+                &filler
             };
             if !out.is_empty() {
                 out.push(' ');
             }
-            tokens += self.word_tokens(&word);
-            out.push_str(&word);
+            tokens += self.word_tokens(word);
+            out.push_str(word);
         }
         out
     }

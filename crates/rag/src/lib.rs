@@ -8,7 +8,8 @@
 //! GGR exploits (§6.2, "multiple questions might share similar contexts").
 //!
 //! The embedder is a deterministic feature-hashing bag-of-tokens model; the
-//! index is exact (brute-force) cosine KNN. Neither needs to be a *good*
+//! index is exact cosine KNN: it scores every document over column-major
+//! vectors and keeps only the top k. Neither needs to be a *good*
 //! retriever — only a deterministic one that maps textually similar
 //! questions to overlapping context sets, which feature hashing guarantees.
 //!
@@ -29,6 +30,7 @@
 #![warn(missing_docs)]
 
 use llmqo_tokenizer::Tokenizer;
+use std::cmp::Ordering;
 
 /// Deterministic feature-hashing text embedder.
 ///
@@ -88,25 +90,36 @@ pub struct Neighbor {
     pub score: f32,
 }
 
-/// Exact (brute-force) cosine KNN index — the FAISS stand-in.
+/// Exact cosine KNN index — the FAISS stand-in.
+///
+/// Vectors are stored column-major: coordinate `j` of every document sits in
+/// one contiguous column, in insertion order. A search streams each column
+/// whose query coordinate is non-zero once, adding that coordinate's product
+/// into every document's running score, so a query costs O(nnz(q) · N) for
+/// N documents — a feature-hashed question sets about a fifth of its
+/// coordinates — plus one pass over the scores that keeps the best `k` in a
+/// `k`-slot buffer. Nothing sorts the corpus.
 ///
 /// Exactness keeps retrieval deterministic across runs, which the
-/// reproduction needs more than speed; corpora here are ≤ tens of thousands
-/// of contexts.
+/// reproduction needs more than speed. Each score is the row-major dot
+/// product `Σ_j a_j · q_j` summed in coordinate order from `-0.0`, as
+/// [`Iterator::sum`] folds it; skipping a zero query coordinate adds nothing
+/// but a `±0.0` term, so on finite vectors a score can differ from that sum
+/// only in the sign of an exact zero, which no comparison sees. The ranking
+/// rule is in [`VectorIndex::search`].
 #[derive(Debug, Clone, Default)]
 pub struct VectorIndex {
-    dim: usize,
     ids: Vec<usize>,
-    vectors: Vec<f32>,
+    /// `columns[j][row]`: coordinate `j` of the `row`-th inserted vector.
+    columns: Vec<Vec<f32>>,
 }
 
 impl VectorIndex {
     /// Creates an empty index for vectors of the given dimensionality.
     pub fn new(dim: usize) -> Self {
         VectorIndex {
-            dim,
             ids: Vec::new(),
-            vectors: Vec::new(),
+            columns: vec![Vec::new(); dim],
         }
     }
 
@@ -126,42 +139,69 @@ impl VectorIndex {
     ///
     /// Panics if the vector's dimensionality is wrong.
     pub fn insert(&mut self, id: usize, vector: Vec<f32>) {
-        assert_eq!(vector.len(), self.dim, "vector dimension mismatch");
+        assert_eq!(
+            vector.len(),
+            self.columns.len(),
+            "vector dimension mismatch"
+        );
         self.ids.push(id);
-        self.vectors.extend(vector);
+        for (column, x) in self.columns.iter_mut().zip(vector) {
+            column.push(x);
+        }
     }
 
-    /// The `k` nearest neighbors of `query` by inner product, best first.
-    /// Ties break toward the lower id for determinism.
+    /// The `k` nearest neighbors of `query` by inner product, best first
+    /// (at most [`len`](Self::len) of them).
+    ///
+    /// Higher scores rank first; equal scores (`+0.0` equals `-0.0`) break
+    /// toward the lower id, and equal ids toward the earlier insertion. A NaN
+    /// score — a NaN coordinate, or `∞ − ∞` from products that overflow —
+    /// ranks after every number, NaNs among themselves by id; the search
+    /// never panics on one. A query coordinate of zero contributes nothing,
+    /// even against an infinite or NaN document coordinate.
     ///
     /// # Panics
     ///
     /// Panics if the query's dimensionality is wrong.
     pub fn search(&self, query: &[f32], k: usize) -> Vec<Neighbor> {
-        assert_eq!(query.len(), self.dim, "query dimension mismatch");
-        let mut scored: Vec<Neighbor> = self
-            .ids
-            .iter()
-            .enumerate()
-            .map(|(row, &id)| {
-                let base = row * self.dim;
-                let score = self.vectors[base..base + self.dim]
-                    .iter()
-                    .zip(query)
-                    .map(|(a, b)| a * b)
-                    .sum();
-                Neighbor { id, score }
-            })
-            .collect();
-        scored.sort_by(|a, b| {
-            b.score
-                .partial_cmp(&a.score)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.id.cmp(&b.id))
-        });
-        scored.truncate(k);
-        scored
+        assert_eq!(query.len(), self.columns.len(), "query dimension mismatch");
+        if k == 0 {
+            return Vec::new();
+        }
+        let mut scores = vec![-0.0f32; self.ids.len()];
+        for (column, &q) in self.columns.iter().zip(query) {
+            if q != 0.0 {
+                for (score, &x) in scores.iter_mut().zip(column) {
+                    *score += x * q;
+                }
+            }
+        }
+        let mut best: Vec<Neighbor> = Vec::with_capacity(k.min(self.ids.len()));
+        for (&id, &score) in self.ids.iter().zip(&scores) {
+            let candidate = Neighbor { id, score };
+            if best.len() == k && rank(&candidate, &best[k - 1]) != Ordering::Less {
+                continue;
+            }
+            // After every kept neighbor that ranks with or before it: equal
+            // neighbors stay in insertion order.
+            let at = best.partition_point(|kept| rank(kept, &candidate) != Ordering::Greater);
+            if best.len() == k {
+                best.pop();
+            }
+            best.insert(at, candidate);
+        }
+        best
     }
+}
+
+/// The search order: score descending with NaN last, then id ascending.
+/// `Less` means `a` ranks before `b`.
+fn rank(a: &Neighbor, b: &Neighbor) -> Ordering {
+    let by_score = match b.score.partial_cmp(&a.score) {
+        Some(order) => order,
+        None => a.score.is_nan().cmp(&b.score.is_nan()),
+    };
+    by_score.then(a.id.cmp(&b.id))
 }
 
 /// Retrieves the top-`k` context ids for each question over a corpus — the
@@ -266,6 +306,46 @@ mod tests {
         let hits = idx.search(&[1.0, 0.0], 2);
         assert_eq!(hits[0].id, 3);
         assert_eq!(hits[1].id, 9);
+    }
+
+    #[test]
+    fn non_finite_scores_rank_after_numbers_without_panicking() {
+        // Against the query (2, -2): a NaN coordinate, and finite
+        // coordinates whose products overflow to ∞ − ∞, score NaN; ±∞
+        // coordinates score ±∞; the rest score finite and distinct.
+        let query = [2.0, -2.0];
+        for n in (50..=250).step_by(50) {
+            let mut idx = VectorIndex::new(2);
+            let (mut top, mut finite, mut bottom, mut nan) = (vec![], vec![], vec![], vec![]);
+            for row in 0..n {
+                let id = (row * 37) % n;
+                let (vector, bucket) = match row % 5 {
+                    0 => (vec![f32::NAN, 1.0], &mut nan),
+                    1 => (vec![f32::MAX, f32::MAX], &mut nan),
+                    2 => (vec![f32::INFINITY, 0.5], &mut top),
+                    3 => (vec![f32::NEG_INFINITY, row as f32], &mut bottom),
+                    _ => (vec![row as f32 / 7.0, 1.0], &mut finite),
+                };
+                idx.insert(id, vector);
+                bucket.push(id);
+            }
+            // Finite scores rise with the row; ties within ±∞ and NaN go by id.
+            finite.reverse();
+            for bucket in [&mut top, &mut bottom, &mut nan] {
+                bucket.sort();
+            }
+            let numbers = top.len() + finite.len() + bottom.len();
+            let want = [top, finite, bottom, nan].concat();
+            for k in [0, 1, 4, n / 2, n, n + 3] {
+                let hits = idx.search(&query, k);
+                let ids: Vec<usize> = hits.iter().map(|h| h.id).collect();
+                assert_eq!(ids, want[..k.min(n)], "n = {n}, k = {k}");
+                assert!(hits
+                    .iter()
+                    .enumerate()
+                    .all(|(rank, h)| h.score.is_nan() == (rank >= numbers)));
+            }
+        }
     }
 
     #[test]
