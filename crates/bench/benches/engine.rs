@@ -1,7 +1,10 @@
 //! Criterion benches for the serving simulator itself: simulated-job
-//! wall-clock per real second, under cached and uncached configurations.
+//! wall-clock per real second, under cached and uncached configurations,
+//! block-chain hashing, and the cluster dispatcher around the engines.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use llmqo_bench::harness;
+use llmqo_cluster::{ArrivalProcess, PrefixAffinity};
 use llmqo_core::{Ggr, Reorderer};
 use llmqo_datasets::{Dataset, DatasetId};
 use llmqo_relational::{encode_table, plan_requests, project_fds, QueryKind};
@@ -90,5 +93,34 @@ fn bench_chain(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_engine, bench_chain);
+/// The cluster dispatcher in `cluster_steady`'s shape: a GGR-planned
+/// Movies filter batch offered as a Poisson stream at 0.8× the ideal rate of
+/// eight replicas (eight times one replica's batch rate), routed by bounded
+/// prefix affinity. Chain hashing, routing, placement and engine stepping.
+fn bench_cluster(c: &mut Criterion) {
+    const REPLICAS: usize = 8;
+    let ds = Dataset::generate_with_rows(DatasetId::Movies, 2000);
+    let mut requests = harness::ggr_filter_requests(&ds);
+    let sim = harness::cluster(REPLICAS, 64);
+    let batch: Vec<SimRequest> = requests.iter().map(|r| r.request.clone()).collect();
+    let probe = sim.engine().run(&batch).expect("probe run");
+    let makespan = probe.job_completion_time_s / REPLICAS as f64;
+    ArrivalProcess::Poisson {
+        rate_rps: 0.8 * requests.len() as f64 / makespan,
+        seed: 11,
+    }
+    .assign(&mut requests);
+
+    let mut group = c.benchmark_group("cluster");
+    group.sample_size(10);
+    group.bench_function("steady-movies", |b| {
+        b.iter(|| {
+            sim.run(&mut PrefixAffinity::bounded(1.25), &requests)
+                .unwrap()
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_engine, bench_chain, bench_cluster);
 criterion_main!(benches);

@@ -8,6 +8,16 @@
 //! flag on the same loop. Fixed inputs and a deterministic router give
 //! bit-identical [`ClusterReport`]s.
 //!
+//! Block chains are hashed on two threads. A scoped helper that [`run`]
+//! starts hashes every arrival's prompt once, in arrival order — the order
+//! first attempts are placed in — and streams the chains ahead of the loop
+//! ([`chain_stream`]), so the kernel mostly copies a first attempt's new ids
+//! off the stream; it never waits for the helper, and hashes a first attempt
+//! the helper has not reached yet itself. Retries and hedges are hashed
+//! inline by the kernel's own [`ChainHasher`]. The ids are the ones the
+//! kernel would have computed, so the thread changes no report, and the
+//! helper is joined before [`run`] returns, errors and panics included.
+//!
 //! Loop invariants:
 //!
 //! * Every replica's local clock lives on the shared timeline (idle
@@ -53,7 +63,10 @@ use crate::request::ClusterRequest;
 use crate::router::{ReplicaSnapshot, Router};
 use crate::sim::{ClusterError, ClusterSim};
 use llmqo_obs::{Counter, Gauge};
-use llmqo_serve::{ChainHasher, Completion, EngineError, EngineSession, SessionReport, SimEngine};
+use llmqo_serve::{
+    chain_stream, ChainHasher, ChainStream, Completion, EngineError, EngineSession, SessionReport,
+    SimEngine,
+};
 use std::collections::VecDeque;
 
 /// How an admission-queue entry came to exist.
@@ -70,6 +83,9 @@ enum AttemptKind {
 struct AdmEntry {
     /// Index into `requests`.
     j: usize,
+    /// A first attempt's position in the arrival order, which is its record
+    /// in the stream of first-attempt chains; 0 for a re-placement.
+    rank: usize,
     kind: AttemptKind,
     /// When the attempt entered admission (arrival, retry due-time, or
     /// hedge fire-time); placement can happen no earlier.
@@ -322,10 +338,10 @@ impl DueQueue {
 /// Every timed event source of a run: answers when the next event is due
 /// and hands out, class by class, what is due at a delivery instant
 /// ([`Kernel::deliver`] fixes the order among classes).
-struct Timeline {
-    /// Request indices by arrival time (original order on ties), and the
+struct Timeline<'a> {
+    /// Request indices by arrival time ([`arrival_order`]), and the
     /// delivery cursor into them.
-    order: Vec<usize>,
+    order: &'a [usize],
     next_arrival: usize,
     /// Crashes and drains `(instant, plan position)`. Slowdowns are time
     /// *windows*, queried per step, not events.
@@ -340,10 +356,16 @@ struct Timeline {
     scale_check: Option<(f64, f64)>,
 }
 
-impl Timeline {
-    fn new(requests: &[ClusterRequest], plan: &FaultPlan, scale: Option<&ScalePolicy>) -> Self {
-        let mut order: Vec<usize> = (0..requests.len()).collect();
-        order.sort_by(|&a, &b| requests[a].arrival_s.total_cmp(&requests[b].arrival_s));
+/// Request indices by arrival time, original order on ties: the order
+/// first attempts are delivered, and therefore placed, in.
+fn arrival_order(requests: &[ClusterRequest]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..requests.len()).collect();
+    order.sort_by(|&a, &b| requests[a].arrival_s.total_cmp(&requests[b].arrival_s));
+    order
+}
+
+impl<'a> Timeline<'a> {
+    fn new(order: &'a [usize], plan: &FaultPlan, scale: Option<&ScalePolicy>) -> Self {
         let mut faults = DueQueue::default();
         for (i, e) in plan.events.iter().enumerate() {
             if !matches!(e, FaultEvent::Slowdown { .. }) {
@@ -387,12 +409,14 @@ impl Timeline {
         due.min_by(f64::total_cmp)
     }
 
-    /// The next request arriving at or before `t`.
-    fn pop_arrival(&mut self, t: f64, requests: &[ClusterRequest]) -> Option<usize> {
-        let &j = self.order.get(self.next_arrival)?;
+    /// The next request arriving at or before `t`: its rank in the arrival
+    /// order and its index.
+    fn pop_arrival(&mut self, t: f64, requests: &[ClusterRequest]) -> Option<(usize, usize)> {
+        let rank = self.next_arrival;
+        let &j = self.order.get(rank)?;
         (requests[j].arrival_s <= t).then(|| {
             self.next_arrival += 1;
-            j
+            (rank, j)
         })
     }
 
@@ -492,10 +516,15 @@ struct Kernel<'a> {
     /// per-request state — `states` and `ids` stay empty.
     engaged: bool,
     replicas: Vec<Replica>,
-    timeline: Timeline,
-    /// Hashes each placed prompt's block chain once. Consecutive placements
-    /// are consecutive rows of the reordered table, so the previous prompt
-    /// is the right memo whichever replica it went to.
+    timeline: Timeline<'a>,
+    /// First attempts' block chains, hashed ahead by the run's helper
+    /// thread in arrival order (or by the stream, when the helper is
+    /// behind); `None` when no helper runs.
+    first_chains: Option<ChainStream>,
+    /// Hashes re-placements (retries and hedges) as they are placed, and
+    /// every attempt when no helper runs. Consecutive placements are mostly
+    /// consecutive rows of the reordered table, so the previous prompt is
+    /// the right memo whichever replica it went to.
     hasher: ChainHasher,
     /// The per-placement metric handles, when observability is on.
     placement_obs: Option<PlacementObs>,
@@ -523,6 +552,12 @@ struct Kernel<'a> {
 
 /// Runs `requests` through `router` under the given fault plan, retry
 /// policy and overload policy — the body of every `ClusterSim::run*`.
+///
+/// When there are chains to hash (an enabled prefix cache, at least one
+/// request), one scoped helper thread hashes every arrival's chain ahead of
+/// the loop, in arrival order ([`chain_stream`]). It is joined before `run`
+/// returns: the kernel drops its end of the stream, which stops the helper
+/// at its next wait, on an error or a panic too.
 pub(crate) fn run(
     sim: &ClusterSim,
     router: &mut dyn Router,
@@ -531,40 +566,72 @@ pub(crate) fn run(
     retry: &RetryPolicy,
     overload: &OverloadPolicy,
 ) -> Result<ClusterReport, ClusterError> {
-    let mut k = Kernel::new(sim, requests, plan, retry, overload)?;
-    loop {
-        // No simulated time passes while placing.
-        k.place_pending(router)?;
-        // Next event: the earliest busy replica's step, or a timed event —
-        // whichever comes first on the shared timeline.
-        let busy = k.earliest_busy();
-        let (states, occupied) = (&k.states, busy.is_some() || !k.admission.queue.is_empty());
-        let settled = |j: usize| states[j].settled();
-        let timed = k.timeline.next_due(requests, occupied, settled);
-        let before = k.now;
-        match (busy, timed) {
-            (Some(b), Some(t)) if t <= k.replicas[b].session.clock() => k.deliver(t)?,
-            (None, Some(t)) => k.deliver(t)?,
-            (Some(b), _) => k.step(b, timed)?,
-            (None, None) if k.admission.queue.is_empty() => break,
-            (None, None) if k.replicas.iter().any(|r| r.up) => {
-                // All replicas idle yet something is stuck in admission:
-                // impossible with queue_cap >= 1 (idle means empty queue).
-                return Err(ClusterError::InvalidConfig {
-                    reason: "dispatcher stalled (router refuses idle replicas?)",
-                });
-            }
-            (None, None) => k.fail_stranded(),
-        }
-        debug_assert!(k.now.is_finite() && k.now >= before, "clock ran backwards");
+    let order = arrival_order(requests);
+    let mut k = Kernel::new(sim, requests, &order, plan, retry, overload)?;
+    if requests.is_empty() || !sim.engine().config().enable_prefix_cache {
+        k.drive(router)?;
+        return Ok(k.finish(router.name(), None));
     }
-    Ok(k.finish(router.name()))
+    let (feed, stream) = chain_stream(&k.hasher);
+    k.first_chains = Some(stream);
+    std::thread::scope(|scope| {
+        let prompts = order.iter().map(|&j| &requests[j].request.prompt);
+        let helper = scope.spawn(move || feed.run(prompts));
+        let outcome = k.drive(router);
+        // Dropping the stream releases the helper. After a whole run that
+        // publishes its counters, it first reads to the end, so the helper
+        // hashes every arrival: the chain counters count shed ones too.
+        let counted = outcome.is_ok() && k.placement_obs.is_some();
+        if let Some(stream) = k.first_chains.take().filter(|_| counted) {
+            stream.drain();
+        }
+        let helper = helper
+            .join()
+            .unwrap_or_else(|e| std::panic::resume_unwind(e));
+        outcome.map(|()| k.finish(router.name(), Some(&helper)))
+    })
 }
 
 impl<'a> Kernel<'a> {
+    /// The event loop: places, steps and delivers until nothing is left.
+    fn drive(&mut self, router: &mut dyn Router) -> Result<(), ClusterError> {
+        loop {
+            // No simulated time passes while placing.
+            self.place_pending(router)?;
+            // Next event: the earliest busy replica's step, or a timed event —
+            // whichever comes first on the shared timeline.
+            let busy = self.earliest_busy();
+            let occupied = busy.is_some() || !self.admission.queue.is_empty();
+            let states = &self.states;
+            let settled = |j: usize| states[j].settled();
+            let timed = self.timeline.next_due(self.requests, occupied, settled);
+            let before = self.now;
+            match (busy, timed) {
+                (Some(b), Some(t)) if t <= self.replicas[b].session.clock() => self.deliver(t)?,
+                (None, Some(t)) => self.deliver(t)?,
+                (Some(b), _) => self.step(b, timed)?,
+                (None, None) if self.admission.queue.is_empty() => break,
+                (None, None) if self.replicas.iter().any(|r| r.up) => {
+                    // All replicas idle yet something is stuck in admission:
+                    // impossible with queue_cap >= 1 (idle means empty queue).
+                    return Err(ClusterError::InvalidConfig {
+                        reason: "dispatcher stalled (router refuses idle replicas?)",
+                    });
+                }
+                (None, None) => self.fail_stranded(),
+            }
+            debug_assert!(
+                self.now.is_finite() && self.now >= before,
+                "clock ran backwards"
+            );
+        }
+        Ok(())
+    }
+
     fn new(
         sim: &'a ClusterSim,
         requests: &'a [ClusterRequest],
+        order: &'a [usize],
         plan: &'a FaultPlan,
         retry: &'a RetryPolicy,
         overload: &'a OverloadPolicy,
@@ -606,7 +673,8 @@ impl<'a> Kernel<'a> {
             engaged,
             snapshots: Vec::with_capacity(replicas.len()),
             replicas,
-            timeline: Timeline::new(requests, plan, overload.scale.as_ref()),
+            timeline: Timeline::new(order, plan, overload.scale.as_ref()),
+            first_chains: None,
             hasher: sim.engine().chain_hasher(),
             placement_obs: llmqo_obs::enabled().then(|| PlacementObs {
                 routed: llmqo_obs::registry().counter("cluster.requests_routed"),
@@ -707,10 +775,15 @@ impl<'a> Kernel<'a> {
             session.advance_to(ready_s);
             // Sample what the router could have known at this decision: KV
             // occupancy and the probed prefix hit on the chosen replica. The
-            // prompt is hashed once: the same chain feeds the probe and the
-            // session's admission queue.
+            // prompt is hashed once per placement — a first attempt's by the
+            // helper — and the same chain feeds the probe and the session's
+            // admission queue.
             let kv = session.kv_blocks_in_use();
-            let chain = self.hasher.chain(&request.request.prompt);
+            let prompt = &request.request.prompt;
+            let chain = match (entry.kind, &mut self.first_chains) {
+                (AttemptKind::First, Some(stream)) => stream.chain(entry.rank, prompt),
+                _ => self.hasher.chain(prompt),
+            };
             let probed = session.probe_cached_tokens(chain);
             occupancy.samples += 1;
             occupancy.kv_blocks_sum += kv as u64;
@@ -771,11 +844,11 @@ impl<'a> Kernel<'a> {
         while let Some((at, event)) = self.timeline.faults.pop_due(t) {
             self.inject(event, at)?;
         }
-        while let Some(j) = self.timeline.pop_arrival(t, self.requests) {
-            self.arrive(j, t);
+        while let Some((rank, j)) = self.timeline.pop_arrival(t, self.requests) {
+            self.arrive(rank, j, t);
         }
         while let Some((due, j)) = self.timeline.retries.pop_due(t) {
-            self.enqueue(j, AttemptKind::Retry, due, None);
+            self.enqueue(j, 0, AttemptKind::Retry, due, None);
         }
         while let Some((_, j)) = self.timeline.hedges.pop_due(t) {
             self.hedge(j, t);
@@ -900,10 +973,18 @@ impl<'a> Kernel<'a> {
         Ok(())
     }
 
-    fn enqueue(&mut self, j: usize, kind: AttemptKind, arrival_s: f64, exclude: Option<usize>) {
+    fn enqueue(
+        &mut self,
+        j: usize,
+        rank: usize,
+        kind: AttemptKind,
+        arrival_s: f64,
+        exclude: Option<usize>,
+    ) {
         let r = &self.requests[j];
         self.admission.push(AdmEntry {
             j,
+            rank,
             kind,
             arrival_s,
             exclude,
@@ -912,8 +993,9 @@ impl<'a> Kernel<'a> {
         });
     }
 
-    /// Request `j` arrives at `t`: through the admission gates, if any.
-    fn arrive(&mut self, j: usize, t: f64) {
+    /// Request `j`, `rank`-th in the arrival order, arrives at `t`: through
+    /// the admission gates, if any.
+    fn arrive(&mut self, rank: usize, j: usize, t: f64) {
         let (request, policy) = (&self.requests[j], &self.overload.admission);
         if !policy.is_inert() {
             let kv_gate = policy.max_kv_utilization;
@@ -937,7 +1019,7 @@ impl<'a> Kernel<'a> {
                 }
             }
         }
-        self.enqueue(j, AttemptKind::First, request.arrival_s, None);
+        self.enqueue(j, rank, AttemptKind::First, request.arrival_s, None);
     }
 
     fn shed_request(&mut self, j: usize, reason: ShedReason, t: f64) {
@@ -955,7 +1037,7 @@ impl<'a> Kernel<'a> {
         let hedgeable = !s.settled() && s.in_flight() && s.attempts < self.retry.max_attempts;
         if hedgeable && self.routable() >= 2 {
             let exclude = s.last_replica.map(|r| r as usize);
-            self.enqueue(j, AttemptKind::Hedge, t, exclude);
+            self.enqueue(j, 0, AttemptKind::Hedge, t, exclude);
         }
     }
 
@@ -1133,10 +1215,13 @@ impl<'a> Kernel<'a> {
     }
 
     /// Assembles the report: merges incarnations per replica, closes open
-    /// down windows, and checks the ledgers.
-    fn finish(mut self, policy: &str) -> ClusterReport {
+    /// down windows, and checks the ledgers. `helper` is the hasher the
+    /// helper thread ran, if one did.
+    fn finish(mut self, policy: &str, helper: Option<&ChainHasher>) -> ClusterReport {
         if self.placement_obs.is_some() {
-            llmqo_serve::obs::publish_chain_hasher(&self.hasher);
+            for hasher in [Some(&self.hasher), helper].into_iter().flatten() {
+                llmqo_serve::obs::publish_chain_hasher(hasher);
+            }
         }
         let mut open_windows: Vec<f64> = Vec::new();
         let mut reports: Vec<ReplicaReport> = Vec::with_capacity(self.replicas.len());

@@ -636,6 +636,36 @@ mod tests {
     }
 
     #[test]
+    fn a_router_failing_mid_run_returns_its_error() {
+        // Out of range after 300 routing calls in a job of 5 000 requests.
+        // By then the helper hashing chains ahead has filled its pool of
+        // chunks and waits for the kernel to read one; the kernel returns
+        // the error instead, and dropping its end of the stream releases
+        // the helper, so `run` returns rather than joining it forever.
+        struct Tiring(usize);
+        impl Router for Tiring {
+            fn name(&self) -> &'static str {
+                "tiring"
+            }
+            fn route(&mut self, _k: u64, replicas: &[ReplicaSnapshot]) -> usize {
+                self.0 += 1;
+                if self.0 > 300 {
+                    replicas.len()
+                } else {
+                    self.0 % replicas.len()
+                }
+            }
+        }
+        assert!(matches!(
+            sim(2).run(&mut Tiring(0), &grouped_requests(100, 50)),
+            Err(ClusterError::RouterOutOfRange {
+                chose: 2,
+                replicas: 2
+            })
+        ));
+    }
+
+    #[test]
     fn empty_job_reports_cleanly() {
         let report = sim(3).run(&mut PrefixAffinity::default(), &[]).unwrap();
         assert_eq!(report.completed, 0);

@@ -413,12 +413,19 @@ struct Checkpoint {
 /// The view a call returns borrows the hasher until the next call: the
 /// caller probes with it, queues it (the session copies the ids into its
 /// arena) and lets go.
+///
+/// A hasher keys its ids with the [`with_root_salt`] of the thread that
+/// built it, so it may be moved to another thread and hash there (see
+/// [`chain_stream`](crate::chain_stream)).
 #[derive(Debug)]
 pub struct ChainHasher {
     block_size: usize,
     /// `false` for a disabled prefix cache, which admits by length alone:
     /// [`chain`](ChainHasher::chain) then returns [`ChainView::unhashed`].
     enabled: bool,
+    /// The running hash a chain's first block starts from, under the
+    /// building thread's root salt.
+    root: u64,
     /// The previous prompt's fragments.
     prev: Vec<Arc<[TokenId]>>,
     /// `checkpoints[i]` is the state after `prev[..=i]`.
@@ -441,11 +448,26 @@ impl ChainHasher {
         ChainHasher {
             block_size,
             enabled,
+            root: chain_seed(None),
             prev: Vec::new(),
             checkpoints: Vec::new(),
             blocks: Vec::new(),
             tokens_hashed: 0,
             tokens_reused: 0,
+        }
+    }
+
+    /// An empty hasher keyed like this one, with room for prompts of up to
+    /// `fragments` fragments and `blocks` full blocks before any buffer
+    /// grows.
+    pub(crate) fn with_room(&self, fragments: usize, blocks: usize) -> Self {
+        ChainHasher {
+            prev: Vec::with_capacity(fragments),
+            checkpoints: Vec::with_capacity(fragments),
+            blocks: Vec::with_capacity(blocks),
+            tokens_hashed: 0,
+            tokens_reused: 0,
+            ..*self
         }
     }
 
@@ -463,9 +485,18 @@ impl ChainHasher {
         &mut self,
         fragments: impl IntoIterator<Item = &'a Arc<[TokenId]>>,
     ) -> ChainView<'_> {
+        self.chain_resumed(fragments).1
+    }
+
+    /// [`chain`](ChainHasher::chain), and how many of its leading blocks
+    /// are the previous chain's, kept from it unhashed.
+    pub(crate) fn chain_resumed<'a>(
+        &mut self,
+        fragments: impl IntoIterator<Item = &'a Arc<[TokenId]>>,
+    ) -> (usize, ChainView<'_>) {
         let mut fragments = fragments.into_iter().peekable();
         if !self.enabled {
-            return ChainView::unhashed(fragments.map(|f| f.len()).sum());
+            return (0, ChainView::unhashed(fragments.map(|f| f.len()).sum()));
         }
         let mut shared = 0;
         while let Some(prev) = self.prev.get(shared) {
@@ -478,7 +509,7 @@ impl ChainHasher {
             Some(last) => self.checkpoints[last],
             None => Checkpoint {
                 blocks: 0,
-                hash: chain_seed(None),
+                hash: self.root,
                 in_block: 0,
                 tokens: 0,
             },
@@ -519,7 +550,7 @@ impl ChainHasher {
         }
         self.tokens_reused += resume.tokens as u64;
         self.tokens_hashed += (tokens - resume.tokens) as u64;
-        ChainView::new(&self.blocks, tokens)
+        (resume.blocks, ChainView::new(&self.blocks, tokens))
     }
 
     /// Prompt tokens this hasher mixed in, over its lifetime.
@@ -1272,6 +1303,10 @@ thread_local! {
 /// which prefixes. Re-running a pinned fixture under a few salts is how the
 /// test suites hold the cache to that — in particular the `(stamp, hash)`
 /// eviction tie-break must never be what decides an outcome.
+///
+/// A [`ChainHasher`] takes the keying of the thread that builds it, so work
+/// `f` hands to another thread keeps it: the chain-hashing helper a cluster
+/// run starts hashes under the salt of the thread that called the run.
 #[doc(hidden)]
 pub fn with_root_salt<R>(salt: u64, f: impl FnOnce() -> R) -> R {
     let outer = ROOT_SALT.replace(salt);

@@ -25,6 +25,9 @@
 //!   recurrence. (The frozen per-token loop it must reproduce byte for byte
 //!   is a test fixture, `tests/oracles/session.rs`, built on this crate's
 //!   public API.)
+//! * [`ChainHasher`] / [`chain_stream`] — a prompt's block chain, hashed
+//!   incrementally on the calling thread or streamed from a helper thread
+//!   through a fixed pool of chunks ([`ChainFeed`] → [`ChainStream`]).
 //! * [`ModelProfile`] / [`SimLlm`] — deterministic answer generation with
 //!   positional sensitivity for the accuracy study (Fig. 6): one
 //!   [`generate`](SimLlm::generate) method that takes the row's ground
@@ -68,6 +71,7 @@ mod labeler;
 mod model;
 pub mod obs;
 mod session;
+mod stream;
 
 #[doc(hidden)]
 pub use cache::with_root_salt;
@@ -81,3 +85,4 @@ pub use hardware::{GpuCluster, GpuSpec};
 pub use labeler::{KeyFieldPreference, ModelProfile, OracleLlm, SimLlm};
 pub use model::ModelSpec;
 pub use session::{percentile, percentiles, Completion, EngineSession, SessionReport};
+pub use stream::{chain_stream, ChainFeed, ChainStream};

@@ -40,7 +40,9 @@
 //! [`enqueue_ref`](EngineSession::enqueue_ref) (the same for a built
 //! [`SimRequest`]), or by a driver that also needs the chain for a cache
 //! probe and hands a [`ChainView`] of it over through
-//! [`enqueue_chain`](EngineSession::enqueue_chain) (the cluster kernel).
+//! [`enqueue_chain`](EngineSession::enqueue_chain) (the cluster kernel,
+//! which takes first attempts' chains from a helper thread's
+//! [`ChainStream`](crate::ChainStream)).
 //! Either way only the fragments the previous prompt did not share are
 //! hashed, and the hasher only lends the chain: the session copies the ids
 //! into its queue arena, a FIFO of fixed-size chunks freed whole from the

@@ -19,8 +19,10 @@
 //! and result rows are built only for the rows the caller receives.
 //!
 //! This binary counts with its own `#[global_allocator]` (which is why it is
-//! a binary of its own: the crates forbid `unsafe`), per thread, so the test
-//! harness's other threads do not show up in the figure.
+//! a binary of its own: the crates forbid `unsafe`), over every thread, so a
+//! cluster run's chain-hashing helper is in the figure with the thread that
+//! started it. Every test holds one lock for its whole body, so no other
+//! test's allocations land in its counts.
 
 mod common;
 
@@ -31,23 +33,30 @@ use llmqo::cluster::{
 use llmqo::core::{Ggr, Reorderer};
 use llmqo::datasets::DatasetId;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
-thread_local! {
-    /// Heap allocations (and reallocations) made by this thread.
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+/// Heap allocations (and reallocations) made by any thread.
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+/// Held by every test for its whole body: the counts are process-wide.
+static ONE_TEST_AT_A_TIME: Mutex<()> = Mutex::new(());
+
+fn one_test_at_a_time() -> MutexGuard<'static, ()> {
+    ONE_TEST_AT_A_TIME
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
 }
 
 struct Counting;
 
 fn count() {
-    // Not during thread teardown, when the cell may be gone.
-    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    ALLOCS.fetch_add(1, Ordering::Relaxed);
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter is a const-initialised
-// thread-local `Cell` without a destructor, so touching it never allocates.
+// upholds the `GlobalAlloc` contract; the counter is a static atomic, so
+// touching it never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count();
@@ -77,11 +86,11 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// Allocations this thread makes inside `f`.
+/// Allocations made inside `f`, by this thread and any it starts.
 fn allocations_in<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    let before = ALLOCS.with(Cell::get);
+    let before = ALLOCS.load(Ordering::Relaxed);
     let result = f();
-    (ALLOCS.with(Cell::get) - before, result)
+    (ALLOCS.load(Ordering::Relaxed) - before, result)
 }
 
 /// The most a request may cost, in allocations. The parent of the commit
@@ -91,6 +100,7 @@ const BUDGET_PER_REQUEST: f64 = 0.25;
 
 #[test]
 fn the_prompt_path_allocates_per_chunk_and_page_not_per_request() {
+    let _one = one_test_at_a_time();
     const REQUESTS: usize = 2_000;
     let (requests, keys) = common::reordered_movies_requests(REQUESTS);
 
@@ -152,6 +162,7 @@ fn the_prompt_path_allocates_per_chunk_and_page_not_per_request() {
 
 #[test]
 fn the_engaged_kernel_allocates_per_run_not_per_request() {
+    let _one = one_test_at_a_time();
     // Twice the fault-free run's requests: the replicas the autoscaler adds
     // and the crashed one's restart each warm a cache of their own.
     const REQUESTS: usize = 4_000;
@@ -209,6 +220,7 @@ const BUDGET_PER_SOLVE: u64 = 64;
 
 #[test]
 fn a_warm_solve_allocates_a_constant_not_per_row() {
+    let _one = one_test_at_a_time();
     for (id, rows) in [
         (DatasetId::Movies, 2_000),
         (DatasetId::Pdmx, 2_250),
@@ -312,6 +324,7 @@ const BUDGET_PER_STATEMENT: u64 = 1_000;
 
 #[test]
 fn a_warm_sql_statement_allocates_per_statement_not_per_batch() {
+    let _one = one_test_at_a_time();
     let ds = llmqo::datasets::Dataset::generate_with_rows(DatasetId::Movies, 4_000);
     // A cold run of the statement fills the answer cache; every measured
     // run restores it, so each row is a cache hit: encoded, looked up and

@@ -427,6 +427,49 @@ fn thrashing_cache_reports_do_not_depend_on_block_id_values() {
 }
 
 #[test]
+fn faulted_cluster_reports_do_not_depend_on_block_id_values() {
+    // A run hashes first attempts on a helper thread and re-placements on
+    // the calling one. Both must key ids with the caller's salt: a helper
+    // keyed otherwise would give a retry or hedge ids that miss the prefix
+    // its group's first attempts left in the cache, and the report would
+    // move. The pinned fixtures below are mostly fault-free, so this is the
+    // fixture whose re-placements land where first attempts already are:
+    // transient errors retry on the group's own replica, a crash fails a
+    // replica's work over, and hedges duplicate the slowest requests.
+    let (requests, keys) = reordered_movies_requests(600);
+    let mut requests: Vec<ClusterRequest> = tag_requests(requests, &keys);
+    ArrivalProcess::Poisson {
+        rate_rps: 60.0,
+        seed: 17,
+    }
+    .assign(&mut requests);
+    let sim = common::cluster_sim(3, 8);
+    let plan = FaultPlan::seeded(5)
+        .crash_restart(2, 2.0, 3.0)
+        .transient_errors_ppm(80_000);
+    let retry = RetryPolicy::retries(4).with_hedging(1.5);
+    let run = || {
+        let mut router = PrefixAffinity::bounded(1.25);
+        let overload = OverloadPolicy::default();
+        sim.run_overloaded(&mut router, &requests, &plan, &retry, &overload)
+            .unwrap()
+    };
+    let unsalted = run();
+    let faults = &unsalted.faults;
+    assert!(
+        faults.crashes == 1
+            && faults.transient_errors > 10
+            && faults.retries > 10
+            && faults.hedges_issued > 0,
+        "{faults:?}"
+    );
+    assert_eq!(faults.succeeded, 600);
+    for salt in &ROOT_SALTS[1..] {
+        assert_eq!(with_root_salt(*salt, run), unsalted, "salt {salt:#x}");
+    }
+}
+
+#[test]
 fn poisson_cluster_reports_are_pinned_at_the_parent_commit() {
     for salt in ROOT_SALTS {
         with_root_salt(salt, poisson_cluster_reports_match_their_pins);

@@ -15,12 +15,15 @@
 mod common;
 
 use common::{assert_sql_identical, engine, skewed_truth};
-use llmqo::cluster::{ClusterReport, PrefixAffinity, RoundRobin, Router};
+use llmqo::cluster::{
+    AdmissionPolicy, ArrivalProcess, ClusterReport, ClusterRequest, FaultPlan, OverloadPolicy,
+    PrefixAffinity, RetryPolicy, RoundRobin, Router,
+};
 use llmqo::datasets::Dataset;
 use llmqo::relational::{OptimizerConfig, SqlResult};
-use llmqo::serve::percentile;
+use llmqo::serve::{percentile, SimRequest};
 use proptest::prelude::*;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 static OBS_LOCK: Mutex<()> = Mutex::new(());
 
@@ -161,6 +164,75 @@ fn single_replica_stages_stay_on_lane_zero_and_name_no_lane() {
         );
         assert!(fanned.contains(&lane), "replica {replica} has no lane");
     }
+}
+
+/// `serve.chain.tokens_{hashed,reused}` sum both hashers of a cluster run:
+/// the helper's, which hashes every arrival's prompt in arrival order (shed
+/// arrivals too), and the kernel's, which hashes every re-placement (retries
+/// and hedges). Each of those prompts is counted once, its tokens split
+/// between mixed and skipped, on a traced run where crash failover,
+/// transient retries, hedges and admission shedding are all live.
+#[test]
+fn chain_counters_cover_every_arrival_and_every_replacement() {
+    let _g = lock();
+    // Equal-length prompts: a group prefix shared by pointer, a unique tail.
+    const PROMPT: u64 = 48 + 20;
+    let prefixes: Vec<Arc<[u32]>> = (0..12u32)
+        .map(|g| (0..48).map(|j| g * 1_000 + j).collect())
+        .collect();
+    let mut requests: Vec<ClusterRequest> = (0..240usize)
+        .map(|i| {
+            let tail: Arc<[u32]> = (0..20).map(|j| 500_000 + i as u32 * 64 + j).collect();
+            let prompt = vec![prefixes[i / 20].clone(), tail];
+            let request = SimRequest {
+                id: i,
+                prompt,
+                output_len: 4,
+            };
+            ClusterRequest::new(request, (i / 20) as u64)
+        })
+        .collect();
+    ArrivalProcess::Poisson {
+        rate_rps: 60.0,
+        seed: 3,
+    }
+    .assign(&mut requests);
+    let plan = FaultPlan::seeded(7)
+        .crash_restart(1, 0.3, 0.6)
+        .transient_errors_ppm(100_000);
+    let retry = RetryPolicy::retries(3).with_hedging(0.2);
+    let overload = OverloadPolicy::admission(AdmissionPolicy::bounded(12));
+    llmqo_obs::set_enabled(true);
+    llmqo_obs::registry().reset();
+    llmqo_obs::tracer().clear();
+    let report = common::cluster_sim(3, 4)
+        .run_overloaded(
+            &mut PrefixAffinity::bounded(1.25),
+            &requests,
+            &plan,
+            &retry,
+            &overload,
+        )
+        .expect("cluster run");
+    llmqo_obs::set_enabled(false);
+    let counter = |name| llmqo_obs::registry().counter(name).get();
+    let (hashed, reused) = (
+        counter("serve.chain.tokens_hashed"),
+        counter("serve.chain.tokens_reused"),
+    );
+    let (faults, shed) = (&report.faults, report.shed.shed);
+    let placed: usize = report.replicas.iter().map(|r| r.assigned).sum();
+    // Every first attempt not shed was placed once; the rest re-placed.
+    let replacements = placed - (faults.offered - shed);
+    assert!(
+        shed > 0 && faults.crashes == 1 && faults.transient_errors > 0 && faults.hedges_issued > 0,
+        "{faults:?} shed {shed}"
+    );
+    assert!(replacements > 0 && reused > 0);
+    assert_eq!(
+        hashed + reused,
+        (faults.offered + replacements) as u64 * PROMPT
+    );
 }
 
 /// The text expositions round-trip: Prometheus text parses back into the
