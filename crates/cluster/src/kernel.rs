@@ -557,7 +557,9 @@ struct Kernel<'a> {
 /// request), one scoped helper thread hashes every arrival's chain ahead of
 /// the loop, in arrival order ([`chain_stream`]). It is joined before `run`
 /// returns: the kernel drops its end of the stream, which stops the helper
-/// at its next wait, on an error or a panic too.
+/// at its next wait, on an error or a panic too — the kernel, and the
+/// stream in it, belong to the scope's closure, so unwinding drops them
+/// before the scope joins the helper.
 pub(crate) fn run(
     sim: &ClusterSim,
     router: &mut dyn Router,
@@ -575,6 +577,8 @@ pub(crate) fn run(
     let (feed, stream) = chain_stream(&k.hasher);
     k.first_chains = Some(stream);
     std::thread::scope(|scope| {
+        // Moved in, so that a panic in the loop drops the stream here.
+        let mut k = k;
         let prompts = order.iter().map(|&j| &requests[j].request.prompt);
         let helper = scope.spawn(move || feed.run(prompts));
         let outcome = k.drive(router);

@@ -666,6 +666,33 @@ mod tests {
     }
 
     #[test]
+    fn a_router_panicking_mid_run_panics_out_of_run() {
+        // A panic after 300 routing calls in a job of 5 000 requests, with
+        // the helper waiting on a full pool. Unwinding drops the kernel's
+        // end of the stream before the scope joins the helper, so the panic
+        // comes back out of `run` rather than hanging it.
+        struct Fragile(usize);
+        impl Router for Fragile {
+            fn name(&self) -> &'static str {
+                "fragile"
+            }
+            fn route(&mut self, _k: u64, replicas: &[ReplicaSnapshot]) -> usize {
+                self.0 += 1;
+                if self.0 > 300 {
+                    panic!("the router gave up");
+                }
+                self.0 % replicas.len()
+            }
+        }
+        let requests = grouped_requests(100, 50);
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            sim(2).run(&mut Fragile(0), &requests)
+        }));
+        let payload = outcome.expect_err("run panics");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"the router gave up"));
+    }
+
+    #[test]
     fn empty_job_reports_cleanly() {
         let report = sim(3).run(&mut PrefixAffinity::default(), &[]).unwrap();
         assert_eq!(report.completed, 0);

@@ -12,11 +12,12 @@
 //! the unshared suffix crosses threads. Records are written into a fixed
 //! pool of `CHUNKS` chunks of `CHUNK_WORDS` words, all allocated by the
 //! thread that calls [`chain_stream`]; a record starts a new chunk rather
-//! than straddle two, unless it is longer than a chunk. The feed posts a
-//! full chunk into a one-chunk slot, the stream takes it from there and
-//! hands it back once read, and the feed waits for a returned chunk rather
-//! than allocating one. The slot and the returned chunks sit under one
-//! mutex.
+//! than straddle two, unless it is longer than a chunk. Two bounded
+//! channels carry the chunks: the feed sends each full one forward (one at
+//! a time in the channel), the stream sends each read one back, and the
+//! feed waits for a returned chunk rather than allocating one. A hang-up
+//! ends either direction: the feed's once it has sent its last chunk (or
+//! unwound), the stream's when it is dropped.
 //!
 //! The stream never waits for a record. A prompt whose record has not
 //! arrived is hashed on the spot by the stream's own hasher, and the record
@@ -24,20 +25,21 @@
 //! computes them, so a preempted or starved feed costs the reader about
 //! what hashing inline would. (It waits only for the rest of a record longer
 //! than a chunk, which the feed is writing, and in [`ChainStream::drain`].)
-//! Every hasher has room for prompts of up to `ROOM_FRAGMENTS` fragments and
-//! `ROOM_BLOCKS` blocks from the start, so within that, which thread hashes
-//! a prompt never changes what is allocated.
+//! Every hasher of a stream has room for prompts of up to `ROOM_FRAGMENTS`
+//! fragments and `ROOM_BLOCKS` blocks from the start, so within that, which
+//! thread hashes a prompt never changes what is allocated.
 //!
 //! Dropping the stream stops the feed at its next wait, and a feed that
 //! ends or unwinds leaves the stream hashing for itself.
 
 use crate::cache::{ChainHasher, ChainView};
 use llmqo_tokenizer::TokenId;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, TryLockError};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::Arc;
 
 /// Words per chunk.
 const CHUNK_WORDS: usize = 1024;
-/// Chunks in circulation: one being filled, one posted, one being read.
+/// Chunks in circulation: one being filled, one sent, one being read.
 const CHUNKS: usize = 3;
 /// Words of a record before its ids.
 const HEADER_WORDS: usize = 3;
@@ -52,28 +54,25 @@ const ROOM_BLOCKS: usize = 512;
 /// built it (see [`with_root_salt`](crate::with_root_salt)) — so the feed
 /// may run anywhere.
 pub fn chain_stream(hasher: &ChainHasher) -> (ChainFeed, ChainStream) {
-    let mut returned = Vec::with_capacity(CHUNKS);
-    returned.extend((2..CHUNKS).map(|_| Vec::with_capacity(CHUNK_WORDS)));
-    let exchange = Arc::new(Exchange {
-        slots: Mutex::new(Slots {
-            posted: None,
-            returned,
-            feed_done: false,
-            stream_gone: false,
-        }),
-        changed: Condvar::new(),
-    });
+    let (full_tx, full_rx) = sync_channel(1);
+    let (empty_tx, empty_rx) = sync_channel(CHUNKS);
+    // The feed fills one chunk; the rest wait for it on the way back. The
+    // send cannot fail: the receiver is here, and the channel fits the pool.
+    for _ in 1..CHUNKS {
+        drop(empty_tx.send(Vec::with_capacity(CHUNK_WORDS)));
+    }
     let feed = ChainFeed {
         hasher: hasher.with_room(ROOM_FRAGMENTS, ROOM_BLOCKS),
         sink: Sink {
             chunk: Vec::with_capacity(CHUNK_WORDS),
-            exchange: Arc::clone(&exchange),
+            full: full_tx,
+            empty: empty_rx,
         },
     };
     let stream = ChainStream {
-        exchange,
-        // An empty pool chunk: the first read hands it to the feed.
-        chunk: Vec::with_capacity(CHUNK_WORDS),
+        full: full_rx,
+        empty: empty_tx,
+        chunk: Vec::new(),
         pos: 0,
         blocks: Vec::with_capacity(ROOM_BLOCKS),
         prompt_tokens: 0,
@@ -82,47 +81,6 @@ pub fn chain_stream(hasher: &ChainHasher) -> (ChainFeed, ChainStream) {
         fallback: hasher.with_room(ROOM_FRAGMENTS, ROOM_BLOCKS),
     };
     (feed, stream)
-}
-
-/// What the two halves share.
-#[derive(Debug)]
-struct Exchange {
-    slots: Mutex<Slots>,
-    /// Notified on every change to `slots`.
-    changed: Condvar,
-}
-
-#[derive(Debug)]
-struct Slots {
-    /// A full chunk waiting to be read.
-    posted: Option<Vec<u64>>,
-    /// Read chunks, cleared, waiting to be refilled.
-    returned: Vec<Vec<u64>>,
-    /// The feed has posted its last chunk, or unwound.
-    feed_done: bool,
-    /// The stream was dropped.
-    stream_gone: bool,
-}
-
-type Guard<'a> = MutexGuard<'a, Slots>;
-
-impl Exchange {
-    fn lock(&self) -> Guard<'_> {
-        // Nothing panics while holding the lock, so a poisoned one is whole.
-        self.slots.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Waits, releasing the lock meanwhile, until `ready` holds.
-    fn wait<'a>(&self, slots: Guard<'a>, ready: impl Fn(&Slots) -> bool) -> Guard<'a> {
-        let waited = self.changed.wait_while(slots, |s| !ready(s));
-        waited.unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Changes the slots and wakes the other half.
-    fn update(&self, slots: &mut Guard<'_>, change: impl FnOnce(&mut Slots)) {
-        change(slots);
-        self.changed.notify_all();
-    }
 }
 
 /// The hashing half of a [`chain_stream`].
@@ -136,10 +94,10 @@ impl ChainFeed {
     /// Hashes `prompts` in order, one record each, until they run out or
     /// the [`ChainStream`] is dropped, and returns the hasher (its token
     /// counts cover every prompt it hashed) once the stream is dropped.
-    /// Waiting for that keeps every free on the feed's thread — of the
-    /// feed itself, and of whatever ran it — inside the reader's drop of the
-    /// stream and what follows, so the threads' timing never moves the
-    /// process's peak live memory.
+    /// Waiting for that keeps the feed's frees — of its chunks, its channel
+    /// ends and whatever ran it — inside the reader's drop of the stream and
+    /// what follows, so the threads' timing does not move the process's
+    /// peak live memory.
     pub fn run<'a, P>(mut self, prompts: impl IntoIterator<Item = P>) -> ChainHasher
     where
         P: IntoIterator<Item = &'a Arc<[TokenId]>>,
@@ -152,14 +110,7 @@ impl ChainFeed {
                 return self.hasher;
             }
         }
-        if !self.sink.chunk.is_empty() {
-            // Fails only if the stream is gone, and then nobody reads it.
-            drop(self.sink.post(true));
-        }
-        let exchange = &*self.sink.exchange;
-        let mut slots = exchange.lock();
-        exchange.update(&mut slots, |s| s.feed_done = true);
-        drop(exchange.wait(slots, |s| s.stream_gone));
+        self.sink.finish();
         self.hasher
     }
 }
@@ -167,13 +118,16 @@ impl ChainFeed {
 /// The stream was dropped.
 struct Closed;
 
-/// The feed's end of the exchange. Dropping it while unwinding ends the
-/// stream too.
+/// The feed's ends of the channels. Dropping it, unwinding included, hangs
+/// up on the stream.
 #[derive(Debug)]
 struct Sink {
     /// The chunk being filled.
     chunk: Vec<u64>,
-    exchange: Arc<Exchange>,
+    /// Full chunks, to the stream.
+    full: SyncSender<Vec<u64>>,
+    /// Read chunks, back from the stream.
+    empty: Receiver<Vec<u64>>,
 }
 
 impl Sink {
@@ -182,12 +136,12 @@ impl Sink {
     fn record(&mut self, header: &[u64; HEADER_WORDS], ids: &[u64]) -> Result<(), Closed> {
         let len = HEADER_WORDS + ids.len();
         if self.chunk.len() + len > CHUNK_WORDS && !self.chunk.is_empty() {
-            self.post(false)?;
+            self.post()?;
         }
         for mut words in [&header[..], ids] {
             while !words.is_empty() {
                 if self.chunk.len() == CHUNK_WORDS {
-                    self.post(false)?;
+                    self.post()?;
                 }
                 let room = CHUNK_WORDS - self.chunk.len();
                 let (now, rest) = words.split_at(words.len().min(room));
@@ -198,29 +152,33 @@ impl Sink {
         Ok(())
     }
 
-    /// Posts the chunk once the slot is free; then, unless it is the `last`,
-    /// takes a returned one in its place.
-    fn post(&mut self, last: bool) -> Result<(), Closed> {
-        let exchange = &*self.exchange;
-        let ready = |s: &Slots| s.stream_gone || s.posted.is_none();
-        let mut slots = exchange.wait(exchange.lock(), ready);
-        if slots.stream_gone {
-            return Err(Closed);
-        }
+    /// Sends the full chunk, then takes a returned one in its place.
+    fn post(&mut self) -> Result<(), Closed> {
         let full = std::mem::take(&mut self.chunk);
-        exchange.update(&mut slots, |s| s.posted = Some(full));
-        if !last {
-            let ready = |s: &Slots| s.stream_gone || !s.returned.is_empty();
-            self.chunk = exchange.wait(slots, ready).returned.pop().ok_or(Closed)?;
-        }
+        self.full.send(full).map_err(|_| Closed)?;
+        self.chunk = self.empty.recv().map_err(|_| Closed)?;
         Ok(())
     }
-}
 
-impl Drop for Sink {
-    fn drop(&mut self) {
-        let exchange = &*self.exchange;
-        exchange.update(&mut exchange.lock(), |s| s.feed_done = true);
+    /// Sends the last chunk and hangs up, then waits for the stream to hang
+    /// up too, keeping the chunks it hands back meanwhile: nothing is freed
+    /// here before the stream is dropped.
+    fn finish(self) {
+        let Sink { chunk, full, empty } = self;
+        if !chunk.is_empty() {
+            // Fails only if the stream is gone, and then nobody reads it.
+            drop(full.send(chunk));
+        }
+        drop(full);
+        let mut kept: [Vec<u64>; CHUNKS] = Default::default();
+        for slot in &mut kept {
+            match empty.recv() {
+                Ok(chunk) => *slot = chunk,
+                Err(_) => return,
+            }
+        }
+        // The whole pool is back, so this returns at the hang-up.
+        drop(empty.recv());
     }
 }
 
@@ -228,7 +186,10 @@ impl Drop for Sink {
 /// in feed order.
 #[derive(Debug)]
 pub struct ChainStream {
-    exchange: Arc<Exchange>,
+    /// Full chunks, from the feed.
+    full: Receiver<Vec<u64>>,
+    /// Read chunks, back to the feed.
+    empty: SyncSender<Vec<u64>>,
     /// The chunk being read, and the read position in it.
     chunk: Vec<u64>,
     pos: usize,
@@ -236,7 +197,7 @@ pub struct ChainStream {
     blocks: Vec<u64>,
     prompt_tokens: usize,
     at: Option<usize>,
-    /// Records taken off the exchange so far.
+    /// Records taken off the channel so far.
     read: usize,
     /// Hashes the prompts whose records have not arrived when asked for.
     fallback: ChainHasher,
@@ -273,7 +234,7 @@ impl ChainStream {
         }
     }
 
-    /// Takes the next record off the exchange if it has arrived: rebuilds
+    /// Takes the next record off the channel if it has arrived: rebuilds
     /// its chain in `blocks`, or skips it if `blocks` already holds a later
     /// prompt's. Waits only for the rest of a record longer than a chunk,
     /// which the feed is writing.
@@ -312,41 +273,29 @@ impl ChainStream {
         }
     }
 
-    /// Hands the chunk read out back to the feed and takes the posted one,
-    /// waiting for it if `wait`. Without waiting, a lock the feed holds
-    /// counts as nothing posted.
+    /// Sends the chunk read out back to the feed and takes the next full
+    /// one, waiting for it if `wait`.
     fn refill(&mut self, wait: bool) -> bool {
-        let exchange = &*self.exchange;
-        let mut slots = match exchange.slots.try_lock() {
-            Ok(slots) => slots,
-            Err(TryLockError::Poisoned(e)) => e.into_inner(),
-            Err(TryLockError::WouldBlock) if wait => exchange.lock(),
-            Err(TryLockError::WouldBlock) => return false,
-        };
         let mut used = std::mem::take(&mut self.chunk);
         self.pos = 0;
         if used.capacity() > 0 {
             used.clear();
-            exchange.update(&mut slots, |s| s.returned.push(used));
+            // Never blocks: the channel holds the whole pool. Fails only
+            // once the feed is gone, and then nobody needs the chunk.
+            drop(self.empty.send(used));
         }
-        if wait {
-            slots = exchange.wait(slots, |s| s.feed_done || s.posted.is_some());
-        }
-        let Some(posted) = slots.posted.take() else {
-            return false;
+        let next = if wait {
+            self.full.recv().ok()
+        } else {
+            self.full.try_recv().ok()
         };
-        // The slot is free again.
-        exchange.changed.notify_all();
-        self.chunk = posted;
-        true
-    }
-}
-
-impl Drop for ChainStream {
-    /// Stops the feed at its next wait.
-    fn drop(&mut self) {
-        let exchange = &*self.exchange;
-        exchange.update(&mut exchange.lock(), |s| s.stream_gone = true);
+        match next {
+            Some(chunk) => {
+                self.chunk = chunk;
+                true
+            }
+            None => false,
+        }
     }
 }
 
@@ -381,7 +330,7 @@ mod tests {
     }
 
     /// Waits until the records up to `rank` have been taken off the
-    /// exchange, so that `chain(rank, ..)` reads rather than hashes.
+    /// channel, so that `chain(rank, ..)` reads rather than hashes.
     fn arrived(stream: &mut ChainStream, rank: usize) {
         while stream.read <= rank {
             if !stream.take_record() {

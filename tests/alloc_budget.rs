@@ -19,10 +19,15 @@
 //! and result rows are built only for the rows the caller receives.
 //!
 //! This binary counts with its own `#[global_allocator]` (which is why it is
-//! a binary of its own: the crates forbid `unsafe`), over every thread, so a
+//! a binary of its own: the crates forbid `unsafe`). A measurement counts
+//! its own thread and every thread that first allocates while it runs, so a
 //! cluster run's chain-hashing helper is in the figure with the thread that
-//! started it. Every test holds one lock for its whole body, so no other
-//! test's allocations land in its counts.
+//! started it, and libtest's main thread, which allocated before any test
+//! began, never is: its bookkeeping between tests stays out of the counts.
+//! Every test holds one lock for its whole body, so no other test measures
+//! meanwhile. What can still land in a count is a libtest thread that
+//! starts while a test measures: its first allocation (its output-capture
+//! buffer) counts, one allocation, before it waits for the lock.
 
 mod common;
 
@@ -33,13 +38,26 @@ use llmqo::cluster::{
 use llmqo::core::{Ggr, Reorderer};
 use llmqo::datasets::DatasetId;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// Heap allocations (and reallocations) made by any thread.
+/// Heap allocations (and reallocations) made by counted threads.
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
-/// Held by every test for its whole body: the counts are process-wide.
+/// A test is inside [`allocations_in`].
+static MEASURING: AtomicBool = AtomicBool::new(false);
+
+thread_local! {
+    /// Whether this thread's allocations count: set by [`allocations_in`]
+    /// on its own thread, and fixed at any other thread's first allocation
+    /// to whether a test was measuring then. Const and without a
+    /// destructor, so reading it never allocates.
+    static COUNTED: Cell<Option<bool>> = const { Cell::new(None) };
+}
+
+/// Held by every test for its whole body: the counter and the measuring
+/// flag are shared by every thread.
 static ONE_TEST_AT_A_TIME: Mutex<()> = Mutex::new(());
 
 fn one_test_at_a_time() -> MutexGuard<'static, ()> {
@@ -51,12 +69,22 @@ fn one_test_at_a_time() -> MutexGuard<'static, ()> {
 struct Counting;
 
 fn count() {
-    ALLOCS.fetch_add(1, Ordering::Relaxed);
+    let counted = COUNTED.with(|c| {
+        c.get().unwrap_or_else(|| {
+            let measuring = MEASURING.load(Ordering::Relaxed);
+            c.set(Some(measuring));
+            measuring
+        })
+    });
+    if counted {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+    }
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter is a static atomic, so
-// touching it never allocates.
+// upholds the `GlobalAlloc` contract; the counter and flag are static
+// atomics and the thread-local a const `Cell`, so touching them never
+// allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count();
@@ -88,9 +116,15 @@ static ALLOCATOR: Counting = Counting;
 
 /// Allocations made inside `f`, by this thread and any it starts.
 fn allocations_in<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    COUNTED.with(|c| c.set(Some(true)));
+    // Threads `f` starts see this: spawning orders it before them.
+    MEASURING.store(true, Ordering::Relaxed);
     let before = ALLOCS.load(Ordering::Relaxed);
     let result = f();
-    (ALLOCS.load(Ordering::Relaxed) - before, result)
+    let spent = ALLOCS.load(Ordering::Relaxed) - before;
+    MEASURING.store(false, Ordering::Relaxed);
+    COUNTED.with(|c| c.set(Some(false)));
+    (spent, result)
 }
 
 /// The most a request may cost, in allocations. The parent of the commit
