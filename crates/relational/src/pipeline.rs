@@ -32,9 +32,10 @@
 //!
 //! A batch reaches a stage engine as borrowed views, `(id, output_len, key,
 //! prompt)` with the prompt an iterator over fragments that stay where the
-//! encoded table keeps them; the engine hands each to
-//! [`EngineSession::enqueue_fragments`], which keeps only the prompt's
-//! block chain. No request object exists on this path.
+//! encoded table keeps them; the engine hashes each with its one
+//! [`ChainHasher`] — one per stage engine, however many replicas — and
+//! hands the chain to [`EngineSession::enqueue_chain`], which keeps only
+//! its block ids. No request object exists on this path.
 //!
 //! Routing here reuses the cluster crate's router and snapshot types
 //! directly: the statement-level fan-out is a small, arrival-free special
@@ -60,7 +61,8 @@ use llmqo_cluster::{PrefixAffinity, ReplicaSnapshot, Router};
 use llmqo_core::{FunctionalDeps, Reorderer};
 use llmqo_costmodel::CascadePlan;
 use llmqo_serve::{
-    Completion, EngineError, EngineReport, EngineSession, SessionReport, SimEngine, SimLlm,
+    ChainHasher, Completion, EngineError, EngineReport, EngineSession, SessionReport, SimEngine,
+    SimLlm,
 };
 use llmqo_tokenizer::TokenId;
 use std::sync::Arc;
@@ -76,6 +78,8 @@ const PREFIX_KEY_DEPTH: usize = 1;
 #[derive(Debug)]
 pub(crate) struct StageEngine {
     sessions: Vec<EngineSession>,
+    /// Hashes every prompt the engine queues, on whichever replica.
+    hasher: ChainHasher,
     router: PrefixAffinity,
     /// Requests routed to each replica so far
     /// ([`ReplicaSnapshot::assigned`]).
@@ -113,6 +117,7 @@ impl StageEngine {
         }
         Ok(StageEngine {
             sessions,
+            hasher: engine.chain_hasher(),
             router: PrefixAffinity::default(),
             assigned: vec![0; n],
             served_from: vec![0; n],
@@ -197,12 +202,12 @@ impl StageEngine {
         self.served_from.clone_from(&self.assigned);
         for (id, output_len, key, prompt) in requests {
             let replica = if routed { self.place(key) } else { 0 };
-            self.sessions[replica].enqueue_fragments(id, output_len, prompt);
+            let chain = self.hasher.chain(prompt);
+            self.sessions[replica].enqueue_chain(id, output_len, chain);
             self.assigned[replica] += 1;
         }
         for s in &mut self.sessions {
-            // Everything is queued: an empty batch drains the session.
-            s.run_batch(&[])?;
+            s.drain()?;
         }
         debug_assert_eq!(self.served().count(), offered, "one completion per request");
         debug_assert!(self.clock() >= before, "stage clock ran backwards");
@@ -223,8 +228,11 @@ impl StageEngine {
     /// `job_completion_time_s` the max replica clock (when the stage as a
     /// whole finished), peaks the hottest replica's high-water mark,
     /// latency/TTFT percentiles over every request. A single replica's
-    /// report is returned as is.
+    /// report is returned as is. Publishes the engine's hasher.
     pub fn finish(self) -> EngineReport {
+        if llmqo_obs::enabled() {
+            llmqo_serve::obs::publish_chain_hasher(&self.hasher);
+        }
         SessionReport::merge(self.sessions.into_iter().map(EngineSession::finish)).report
     }
 }
@@ -555,6 +563,18 @@ mod tests {
         stage.served().copied().collect()
     }
 
+    /// `requests` served by one plain session: its completions and report.
+    fn solo(engine: &SimEngine, requests: &[SimRequest]) -> (Vec<Completion>, EngineReport) {
+        let mut session = engine.session().unwrap();
+        let mut hasher = engine.chain_hasher();
+        for r in requests {
+            session.enqueue_chain(r.id, r.output_len, hasher.chain(&r.prompt));
+        }
+        session.drain().unwrap();
+        let out = session.finish();
+        (out.completions, out.report)
+    }
+
     /// A prefix key the stage's router sends to `replica`.
     fn key_for(stage: &mut StageEngine, replica: usize) -> u64 {
         (0..u64::MAX)
@@ -567,9 +587,7 @@ mod tests {
         let engine = engine();
         let requests: Vec<SimRequest> = (0..12).map(|i| request(i, i as u32)).collect();
 
-        let mut solo = engine.session().unwrap();
-        let solo_completions = solo.run_batch(&requests).unwrap().to_vec();
-        let solo_report = solo.finish().report;
+        let (solo_completions, solo_report) = solo(&engine, &requests);
 
         let mut stage = StageEngine::open(&engine, 1).unwrap();
         assert_eq!(run(&mut stage, &requests, &[]), solo_completions);
@@ -636,8 +654,7 @@ mod tests {
 
         // The merge is replica by replica.
         for (subset, got) in [(&a, &merged[..a.len()]), (&b, &merged[a.len()..])] {
-            let mut solo = engine.session().unwrap();
-            assert_eq!(solo.run_batch(subset).unwrap(), got);
+            assert_eq!(solo(&engine, subset).0, got);
         }
     }
 

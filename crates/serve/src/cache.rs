@@ -19,7 +19,10 @@
 //!   (generated) tokens are per-sequence and never shared.
 //!
 //! Disabling the cache (`enabled = false`) gives the paper's *No Cache*
-//! baseline: every block is private and every token is computed.
+//! baseline: every block is private and every token is computed. The cache
+//! reads every chain it is handed as [`ChainView::unhashed`] then, so the
+//! one admission rule serves both modes and the baseline does not depend on
+//! how a caller hashed.
 //!
 //! # Block ids
 //!
@@ -37,9 +40,10 @@
 //! next stage is a copy into memory that already exists, never an
 //! allocation per request:
 //!
-//! 1. *Hashed.* A [`ChainHasher`] computes a prompt's chain into its own
-//!    working buffer and lends it out as a [`ChainView`] — a borrowed slice
-//!    plus the prompt length — until it hashes the next prompt.
+//! 1. *Hashed.* The driver's [`ChainHasher`] — one per run — computes a
+//!    prompt's chain into its own working buffer and lends it out as a
+//!    [`ChainView`] — a borrowed slice plus the prompt length — until it
+//!    hashes the next prompt.
 //! 2. *Queued.* The engine session copies the view's ids into its FIFO
 //!    arena (fixed-size chunks, freed whole from the front as requests are
 //!    admitted) and rebuilds a view from there for every admission attempt.
@@ -282,9 +286,9 @@ impl<'a> ChainView<'a> {
         ChainView { ids, prompt_tokens }
     }
 
-    /// A chain that records only the prompt length — for **disabled** caches,
-    /// which never look at block identity. Passing an unhashed chain to an
-    /// enabled cache would report every block as missing.
+    /// A chain that records only the prompt length. An enabled cache admits
+    /// it with every block private — nothing shared, nothing found — and a
+    /// disabled cache reads every chain this way, hashed or not.
     pub fn unhashed(prompt_tokens: usize) -> Self {
         ChainView::new(&[], prompt_tokens)
     }
@@ -774,18 +778,12 @@ impl PrefixCache {
     /// Convenience wrapper over [`probe_chain`](PrefixCache::probe_chain)
     /// that hashes `tokens` on the fly.
     pub fn probe(&self, tokens: &[TokenId]) -> usize {
-        if !self.config.enabled {
-            return 0;
-        }
         self.probe_chain(BlockChain::from_tokens(self.config.block_size, tokens).view())
     }
 
     /// [`probe`](PrefixCache::probe) over a precomputed chain: no hashing,
     /// just a walk over the chain. Pure: never mutates cache state.
     pub fn probe_chain(&self, chain: ChainView<'_>) -> usize {
-        if !self.config.enabled {
-            return 0;
-        }
         self.admission_plan(chain, 0).cached_tokens
     }
 
@@ -830,20 +828,31 @@ impl PrefixCache {
     /// arithmetic of the real admission via
     /// `admission_plan`.
     pub fn can_admit_chain(&self, chain: ChainView<'_>, decode_tokens: usize) -> bool {
-        if !self.config.enabled {
-            let needed = (chain.prompt_tokens() + decode_tokens).div_ceil(self.config.block_size);
-            return needed <= self.free_blocks();
-        }
         self.admission_plan(chain, decode_tokens).fits
     }
 
-    /// The enabled-cache admission arithmetic, shared verbatim by
+    /// The chain this cache admits `chain` as: itself when prefix sharing
+    /// is on, its length alone when it is off — the *No Cache* baseline,
+    /// which then holds no run and finds no block. The one reader of
+    /// [`CacheConfig::enabled`], so the baseline does not depend on how a
+    /// caller hashed.
+    fn admitted_as<'a>(&self, chain: ChainView<'a>) -> ChainView<'a> {
+        if self.config.enabled {
+            chain
+        } else {
+            ChainView::unhashed(chain.prompt_tokens())
+        }
+    }
+
+    /// The admission arithmetic, shared verbatim by
     /// [`try_admit_chain`](PrefixCache::try_admit_chain) (which commits it),
     /// [`can_admit_chain`](PrefixCache::can_admit_chain) (which only reads
     /// `fits`) and [`probe_chain`](PrefixCache::probe_chain) (`cached_tokens`)
     /// — macro-stepping correctness depends on them never disagreeing, so
-    /// there is exactly one copy of the rule.
+    /// there is exactly one copy of the rule, for an enabled and a disabled
+    /// cache alike.
     fn admission_plan(&self, chain: ChainView<'_>, decode_tokens: usize) -> AdmissionPlan {
+        let chain = self.admitted_as(chain);
         let bs = self.config.block_size;
         let mut found = 0u32;
         let mut revivable = 0u32; // existing rc==0 blocks in our chain (must not evict)
@@ -855,9 +864,11 @@ impl PrefixCache {
             }
             (tip, tip_shared) = (id, shared);
         });
-        let missing = chain.blocks().len() - found as usize;
-        let tail = chain.prompt_tokens() % bs;
-        let private = (tail + decode_tokens).div_ceil(bs);
+        let blocks = chain.blocks().len();
+        let missing = blocks - found as usize;
+        // The prompt tokens past the chain's full blocks — its partial tail
+        // block, or every token of an unhashed chain — plus the decode.
+        let private = (chain.prompt_tokens() - blocks * bs + decode_tokens).div_ceil(bs);
         // Every rc==0 block is reclaimable via leaf-first cascade, except
         // the ones in our own chain, which an admission would revive.
         let supply = self.free_blocks() + self.rc0_blocks.saturating_sub(revivable as usize);
@@ -879,9 +890,6 @@ impl PrefixCache {
     /// [`try_admit_chain`](PrefixCache::try_admit_chain) that hashes
     /// `tokens` on the fly.
     pub fn try_admit(&mut self, tokens: &[TokenId], decode_tokens: usize) -> Option<SeqAlloc> {
-        if !self.config.enabled {
-            return self.try_admit_chain(ChainView::unhashed(tokens.len()), decode_tokens);
-        }
         let chain = BlockChain::from_tokens(self.config.block_size, tokens);
         self.try_admit_chain(chain.view(), decode_tokens)
     }
@@ -898,26 +906,9 @@ impl PrefixCache {
         chain: ChainView<'_>,
         decode_tokens: usize,
     ) -> Option<SeqAlloc> {
-        let bs = self.config.block_size;
+        let chain = self.admitted_as(chain);
         let prompt_tokens = chain.prompt_tokens();
         self.clock += 1;
-
-        if !self.config.enabled {
-            let needed = (prompt_tokens + decode_tokens).div_ceil(bs);
-            if needed > self.free_blocks() {
-                return None;
-            }
-            self.private_blocks += needed;
-            self.note_admission(prompt_tokens, 0);
-            return Some(SeqAlloc {
-                leaf: NO_RUN,
-                private_blocks: needed,
-                cached_tokens: 0,
-                prompt_tokens,
-                cache_id: self.id,
-            });
-        }
-
         // Nothing is written before the supply check, so a *failed*
         // admission — the retry a backpressured head-of-line request makes
         // on scheduling steps — costs the walk and nothing else.
@@ -1805,18 +1796,27 @@ mod tests {
 
     #[test]
     fn disabled_cache_admits_by_length_only() {
-        let mut c = PrefixCache::new(CacheConfig {
-            block_size: 4,
-            capacity_blocks: 4,
-            enabled: false,
-        });
-        let chain = ChainView::unhashed(10);
-        assert!(c.can_admit_chain(chain, 2));
-        let a = c.try_admit_chain(chain, 2).unwrap();
-        assert_eq!(a.prompt_tokens, 10);
-        assert_eq!(c.free_blocks(), 1);
-        assert!(!c.can_admit_chain(ChainView::unhashed(8), 0));
-        c.release(a);
+        // The No Cache baseline admits a prompt's hashed chain exactly as
+        // its unhashed one, so it does not depend on how a caller hashed.
+        let hashed = BlockChain::from_tokens(4, &toks(10, 0));
+        for chain in [ChainView::unhashed(10), hashed.view()] {
+            let mut c = PrefixCache::new(CacheConfig {
+                block_size: 4,
+                capacity_blocks: 4,
+                enabled: false,
+            });
+            assert!(c.can_admit_chain(chain, 2));
+            let a = c.try_admit_chain(chain, 2).unwrap();
+            assert_eq!(
+                (a.prompt_tokens, a.cached_tokens, a.private_blocks),
+                (10, 0, 3)
+            );
+            assert_eq!(c.free_blocks(), 1);
+            assert_eq!(c.probe_chain(hashed.clone().view()), 0);
+            assert!(!c.can_admit_chain(ChainView::unhashed(8), 0));
+            c.release(a);
+            assert_eq!(c.free_blocks(), 4);
+        }
     }
 
     #[test]

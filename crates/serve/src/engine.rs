@@ -278,17 +278,20 @@ impl SimEngine {
     }
 
     /// A [`ChainHasher`] producing the block chains this engine's sessions
-    /// expect (its block size; length-only chains when the prefix cache is
-    /// disabled) — for drivers that probe a session's cache before handing
-    /// it the request through
-    /// [`EngineSession::enqueue_chain`].
+    /// expect: its block size, and length-only chains when the prefix cache
+    /// is disabled. A session takes nothing but chains
+    /// ([`EngineSession::enqueue_chain`]), so every driver owns one of these
+    /// per run, shares it across the sessions it drives, and publishes it
+    /// once ([`obs::publish_chain_hasher`](crate::obs::publish_chain_hasher))
+    /// when the run ends.
     pub fn chain_hasher(&self) -> ChainHasher {
         ChainHasher::new(self.config.block_size, self.config.enable_prefix_cache)
     }
 
     /// Runs the batch job to completion, processing `requests` in order.
-    /// Submission is by reference (prompts are hashed once, never cloned)
-    /// and the drive loop macro-steps through steady-state decode.
+    /// Submission is by reference (prompts are hashed once, by the run's own
+    /// [`chain_hasher`](SimEngine::chain_hasher), never cloned) and the drive
+    /// loop macro-steps through steady-state decode.
     ///
     /// # Errors
     ///
@@ -296,10 +299,14 @@ impl SimEngine {
     /// [`EngineError::RequestTooLarge`] if a request can never be admitted.
     pub fn run(&self, requests: &[SimRequest]) -> Result<EngineReport, EngineError> {
         let mut session = self.session()?;
-        for request in requests {
-            session.enqueue_ref(request);
+        let mut hasher = self.chain_hasher();
+        for r in requests {
+            session.enqueue_chain(r.id, r.output_len, hasher.chain(&r.prompt));
         }
-        while session.step_until(None)? {}
+        session.drain()?;
+        if llmqo_obs::enabled() {
+            crate::obs::publish_chain_hasher(&hasher);
+        }
         Ok(session.finish().report)
     }
 }

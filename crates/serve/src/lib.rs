@@ -28,6 +28,10 @@
 //! * [`ChainHasher`] / [`chain_stream`] — a prompt's block chain, hashed
 //!   incrementally on the calling thread or streamed from a helper thread
 //!   through a fixed pool of chunks ([`ChainFeed`] → [`ChainStream`]).
+//!   Drivers hash, sessions queue chains: a session's one way in is
+//!   [`EngineSession::enqueue_chain`], and each driver — [`SimEngine::run`],
+//!   a relational stage engine, the cluster kernel — owns one hasher per
+//!   run, from [`SimEngine::chain_hasher`].
 //! * [`ModelProfile`] / [`SimLlm`] — deterministic answer generation with
 //!   positional sensitivity for the accuracy study (Fig. 6): one
 //!   [`generate`](SimLlm::generate) method that takes the row's ground

@@ -33,32 +33,26 @@
 //! enforces this against the pre-rewrite loop, frozen verbatim as a test
 //! fixture (`tests/oracles/session.rs`).
 //!
-//! A request's prompt is hashed into its block chain once per placement:
-//! by the session's own [`ChainHasher`] in
-//! [`enqueue_fragments`](EngineSession::enqueue_fragments) (borrowed
-//! fragments straight from the caller's store; the relational executor) and
-//! [`enqueue_ref`](EngineSession::enqueue_ref) (the same for a built
-//! [`SimRequest`]), or by a driver that also needs the chain for a cache
-//! probe and hands a [`ChainView`] of it over through
-//! [`enqueue_chain`](EngineSession::enqueue_chain) (the cluster kernel,
-//! which takes first attempts' chains from a helper thread's
-//! [`ChainStream`](crate::ChainStream)).
-//! Either way only the fragments the previous prompt did not share are
-//! hashed, and the hasher only lends the chain: the session copies the ids
-//! into its queue arena, a FIFO of fixed-size chunks freed whole from the
-//! front as requests are admitted, so the per-step admission path walks
+//! A session takes chains, not prompts: [`enqueue_chain`] is its only way
+//! in. Each driver — [`SimEngine::run`](crate::SimEngine::run), a relational
+//! stage engine, the cluster kernel — hashes prompts with one
+//! [`ChainHasher`](crate::ChainHasher) per run, shared by the sessions it
+//! drives, so only the fragments the previous prompt did not share are
+//! hashed. The hasher only lends the chain: the session copies the ids into
+//! its queue arena, a FIFO of fixed-size chunks freed whole from the front
+//! as requests are admitted, so the per-step admission path walks
 //! precomputed hashes instead of re-hashing the head-of-line prompt on every
 //! step it spends blocked behind backpressure, and queueing a request
 //! allocates nothing. Admission copies the ids the cache does not hold yet
 //! into the cache's own pages; the session keeps nothing of a request once
 //! it has completed.
+//!
+//! [`enqueue_chain`]: EngineSession::enqueue_chain
 
-use crate::cache::{CacheConfig, CacheStats, ChainHasher, ChainView, PrefixCache, SeqAlloc};
-use crate::engine::{Deployment, EngineConfig, EngineError, EngineReport, SimRequest};
+use crate::cache::{CacheConfig, CacheStats, ChainView, PrefixCache, SeqAlloc};
+use crate::engine::{Deployment, EngineConfig, EngineError, EngineReport};
 use crate::model::ModelSpec;
-use llmqo_tokenizer::TokenId;
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 /// Per-request outcome record, kept in admission order of completion.
 ///
@@ -67,7 +61,8 @@ use std::sync::Arc;
 /// therefore compare them across replicas directly.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Completion {
-    /// Caller-chosen request id (from [`SimRequest::id`]).
+    /// Caller-chosen request id (as passed to
+    /// [`EngineSession::enqueue_chain`]).
     pub id: usize,
     /// Clock when the request entered the running batch.
     pub admitted_s: f64,
@@ -314,15 +309,17 @@ pub fn percentiles<const N: usize>(samples: &mut [f64], ps: [f64; N]) -> [f64; N
 
 /// A running engine instance that accepts requests over time.
 ///
-/// Create with [`crate::SimEngine::session`]. Drive with [`enqueue_ref`]
-/// (arrivals), [`step`] (advance one scheduling step) or [`step_until`]
-/// (advance to the next event, macro-stepping steady-state decode), and
-/// [`advance_to`] (idle until an external event); inspect with the
-/// load/cache probes; consume with [`finish`].
+/// Create with [`crate::SimEngine::session`]. Drive with [`enqueue_chain`]
+/// (arrivals, hashed by the driver), [`step`] (advance one scheduling step)
+/// or [`step_until`] (advance to the next event, macro-stepping steady-state
+/// decode), [`drain`] (step until idle) and [`advance_to`] (idle until an
+/// external event); inspect with the load/cache probes; consume with
+/// [`finish`].
 ///
-/// [`enqueue_ref`]: EngineSession::enqueue_ref
+/// [`enqueue_chain`]: EngineSession::enqueue_chain
 /// [`step`]: EngineSession::step
 /// [`step_until`]: EngineSession::step_until
+/// [`drain`]: EngineSession::drain
 /// [`advance_to`]: EngineSession::advance_to
 /// [`finish`]: EngineSession::finish
 pub struct EngineSession {
@@ -334,9 +331,6 @@ pub struct EngineSession {
     kv_bytes: f64,
     weight_bytes: f64,
     cache: PrefixCache,
-    /// Hashes the prompts submitted through
-    /// [`enqueue_fragments`](EngineSession::enqueue_fragments).
-    hasher: ChainHasher,
     /// Requests waiting for admission, first in, first out.
     waiting: VecDeque<QueuedRequest>,
     /// The waiting requests' block ids.
@@ -400,7 +394,6 @@ impl EngineSession {
             config,
             capacity_blocks,
             cache,
-            hasher: ChainHasher::new(config.block_size, config.enable_prefix_cache),
             waiting: VecDeque::new(),
             arena: IdArena::default(),
             running: Vec::new(),
@@ -442,48 +435,17 @@ impl EngineSession {
         self.slowdown
     }
 
-    /// Adds a request to the tail of the admission queue. The session
-    /// hashes the prompt's block chain (only the fragments the previously
-    /// enqueued prompt did not share) and keeps nothing else, so submission
-    /// never clones the request or its fragment list.
-    pub fn enqueue_ref(&mut self, request: &SimRequest) {
-        self.enqueue_fragments(request.id, request.output_len, &request.prompt);
-    }
-
-    /// [`enqueue_ref`](EngineSession::enqueue_ref) without a [`SimRequest`]:
-    /// the prompt is whatever borrowed fragments the caller can iterate — a
-    /// view into its own fragment store — so submitting it builds no request
-    /// and no fragment list.
-    pub fn enqueue_fragments<'a>(
-        &mut self,
-        id: usize,
-        output_len: u32,
-        fragments: impl IntoIterator<Item = &'a Arc<[TokenId]>>,
-    ) {
-        let chain = self.hasher.chain(fragments);
-        let (prompt_tokens, span) = (chain.prompt_tokens(), self.arena.push(chain.blocks()));
-        self.queue(id, output_len, prompt_tokens, span);
-    }
-
-    /// [`enqueue_ref`](EngineSession::enqueue_ref) for a driver that already
-    /// hashed the prompt — with a [`ChainHasher`] from
-    /// [`SimEngine::chain_hasher`](crate::SimEngine::chain_hasher) — to probe
-    /// this session's cache first: the request is queued under that chain
-    /// and nothing is hashed twice. The session copies the ids: the view is
-    /// free again when the call returns.
+    /// Adds a request to the tail of the admission queue under `chain`, its
+    /// prompt's block chain as the driver hashed it (and may have probed
+    /// this session's cache with). The session copies the ids and keeps
+    /// nothing else: the view is free again when the call returns.
     pub fn enqueue_chain(&mut self, id: usize, output_len: u32, chain: ChainView<'_>) {
-        let span = self.arena.push(chain.blocks());
-        self.queue(id, output_len, chain.prompt_tokens(), span);
-    }
-
-    /// Adds a request whose block ids are in the arena under `span` to the
-    /// tail of the admission queue.
-    fn queue(&mut self, id: usize, output_len: u32, prompt_tokens: usize, span: Span) {
+        let prompt_tokens = chain.prompt_tokens();
         self.waiting.push_back(QueuedRequest {
             id,
             output_len,
             prompt_tokens,
-            span,
+            span: self.arena.push(chain.blocks()),
             enqueued_s: self.clock,
         });
         if llmqo_obs::enabled() {
@@ -1028,29 +990,19 @@ impl EngineSession {
         self.step()
     }
 
-    /// Submits `requests` and drives the session until it is idle again,
-    /// returning the [`Completion`]s this call produced (in completion
-    /// order). Requests are consumed by reference — nothing is cloned —
-    /// and the drain macro-steps through steady-state decode. Cache state
-    /// persists across calls, which is what makes batched *incremental*
-    /// submission — the relational layer's lazy `LIMIT` evaluation —
-    /// cheaper than one fresh engine run per batch: later batches reuse the
-    /// instruction prefix (and any shared fields) the earlier ones already
-    /// computed.
-    ///
-    /// Equivalent to [`SimEngine::run`](crate::SimEngine::run) when called
-    /// once on a fresh session.
+    /// Drives the session until it is idle, macro-stepping through
+    /// steady-state decode. Cache state persists across drains, which is
+    /// what makes batched *incremental* submission — the relational layer's
+    /// lazy `LIMIT` evaluation — cheaper than one fresh engine run per
+    /// batch: later batches reuse the instruction prefix (and any shared
+    /// fields) the earlier ones already computed.
     ///
     /// # Errors
     ///
     /// [`EngineError::RequestTooLarge`] if a request can never be admitted.
-    pub fn run_batch(&mut self, requests: &[SimRequest]) -> Result<&[Completion], EngineError> {
-        let before = self.completions.len();
-        for request in requests {
-            self.enqueue_ref(request);
-        }
+    pub fn drain(&mut self) -> Result<(), EngineError> {
         while self.step_until(None)? {}
-        Ok(&self.completions[before..])
+        Ok(())
     }
 
     /// Finalizes the session: computes latency percentiles and returns the
@@ -1069,7 +1021,6 @@ impl EngineSession {
                 crate::cache::CacheInternals::default(),
                 self.cache.internals(),
             );
-            crate::obs::publish_chain_hasher(&self.hasher);
         }
         self.report.job_completion_time_s = self.clock;
         self.report.peak_blocks = self.cache.stats().peak_blocks;
@@ -1087,14 +1038,40 @@ impl EngineSession {
 mod tests {
     use super::*;
     use crate::cache::BlockChain;
-    use crate::engine::SimEngine;
+    use crate::engine::{SimEngine, SimRequest};
     use crate::hardware::{GpuCluster, GpuSpec};
+    use llmqo_tokenizer::TokenId;
 
     fn engine() -> SimEngine {
         SimEngine::new(
             Deployment::new(ModelSpec::llama3_8b(), GpuCluster::single(GpuSpec::l4())),
             EngineConfig::default(),
         )
+    }
+
+    /// Queues `requests` on each of `sessions` under chains hashed the way
+    /// `e`'s drivers hash them.
+    fn enqueue(e: &SimEngine, sessions: &mut [&mut EngineSession], requests: &[SimRequest]) {
+        let mut hasher = e.chain_hasher();
+        for r in requests {
+            let chain = hasher.chain(&r.prompt);
+            for s in sessions.iter_mut() {
+                s.enqueue_chain(r.id, r.output_len, chain);
+            }
+        }
+    }
+
+    /// Queues `requests`, drains the session and returns the completions
+    /// the drain produced: a stage engine's batch on one replica.
+    fn run_batch<'s>(
+        e: &SimEngine,
+        s: &'s mut EngineSession,
+        requests: &[SimRequest],
+    ) -> &'s [Completion] {
+        let before = s.completions().len();
+        enqueue(e, &mut [&mut *s], requests);
+        s.drain().unwrap();
+        &s.completions()[before..]
     }
 
     /// The waiting requests' chains as the arena returns them, front first.
@@ -1119,9 +1096,7 @@ mod tests {
         let rs = reqs(40, 64, 32, 4);
         let batch = e.run(&rs).unwrap();
         let mut s = e.session().unwrap();
-        for r in &rs {
-            s.enqueue_ref(r);
-        }
+        enqueue(&e, &mut [&mut s], &rs);
         while s.step().unwrap() {}
         let out = s.finish();
         assert_eq!(out.report, batch);
@@ -1134,10 +1109,7 @@ mod tests {
         let rs = reqs(60, 96, 32, 24);
         let mut fine = e.session().unwrap();
         let mut coarse = e.session().unwrap();
-        for r in &rs {
-            fine.enqueue_ref(r);
-            coarse.enqueue_ref(r);
-        }
+        enqueue(&e, &mut [&mut fine, &mut coarse], &rs);
         while fine.step().unwrap() {}
         while coarse.step_until(None).unwrap() {}
         let a = fine.finish();
@@ -1151,10 +1123,7 @@ mod tests {
         let rs = reqs(8, 64, 16, 64);
         let mut fine = e.session().unwrap();
         let mut coarse = e.session().unwrap();
-        for r in &rs {
-            fine.enqueue_ref(r);
-            coarse.enqueue_ref(r);
-        }
+        enqueue(&e, &mut [&mut fine, &mut coarse], &rs);
         // Walk both sessions to a mid-flight instant the fine-grained loop
         // defines; the macro loop must stop at the exact same clock.
         let t = 1.5;
@@ -1183,9 +1152,7 @@ mod tests {
         let e = engine();
         let rs = reqs(25, 32, 16, 3);
         let mut s = e.session().unwrap();
-        for r in &rs {
-            s.enqueue_ref(r);
-        }
+        enqueue(&e, &mut [&mut s], &rs);
         while s.step().unwrap() {}
         let out = s.finish();
         let mut ids: Vec<usize> = out.completions.iter().map(|c| c.id).collect();
@@ -1207,7 +1174,7 @@ mod tests {
         let rs = reqs(30, 64, 32, 4);
         let batch = e.run(&rs).unwrap();
         let mut s = e.session().unwrap();
-        let completions = s.run_batch(&rs).unwrap();
+        let completions = run_batch(&e, &mut s, &rs);
         assert_eq!(completions.len(), 30);
         assert_eq!(s.finish().report, batch);
     }
@@ -1217,10 +1184,10 @@ mod tests {
         let e = engine();
         let rs = reqs(40, 96, 16, 2);
         let mut s = e.session().unwrap();
-        let first = s.run_batch(&rs[..20]).unwrap();
+        let first = run_batch(&e, &mut s, &rs[..20]).to_vec();
         assert_eq!(first.len(), 20);
         let first_cached: usize = first.iter().map(|c| c.cached_tokens).sum();
-        let second = s.run_batch(&rs[20..]).unwrap();
+        let second = run_batch(&e, &mut s, &rs[20..]);
         assert_eq!(second.len(), 20);
         let mut ids: Vec<usize> = second.iter().map(|c| c.id).collect();
         ids.sort_unstable();
@@ -1239,7 +1206,7 @@ mod tests {
     fn run_batch_with_no_requests_is_a_noop() {
         let e = engine();
         let mut s = e.session().unwrap();
-        assert!(s.run_batch(&[]).unwrap().is_empty());
+        assert!(run_batch(&e, &mut s, &[]).is_empty());
         assert_eq!(s.clock(), 0.0);
     }
 
@@ -1247,17 +1214,14 @@ mod tests {
     fn arrivals_mid_flight_are_served() {
         let e = engine();
         let mut s = e.session().unwrap();
-        for r in &reqs(10, 48, 16, 2) {
-            s.enqueue_ref(r);
-        }
+        enqueue(&e, &mut [&mut s], &reqs(10, 48, 16, 2));
         // Drain halfway, then add late arrivals.
         for _ in 0..3 {
             s.step().unwrap();
         }
-        for mut r in reqs(5, 48, 16, 2) {
-            r.id += 100;
-            s.enqueue_ref(&r);
-        }
+        let mut late = reqs(5, 48, 16, 2);
+        late.iter_mut().for_each(|r| r.id += 100);
+        enqueue(&e, &mut [&mut s], &late);
         while s.step().unwrap() {}
         let out = s.finish();
         assert_eq!(out.report.completed, 15);
@@ -1272,7 +1236,11 @@ mod tests {
         assert_eq!(s.idle_time_s(), 5.0);
         s.advance_to(2.0); // past: no-op
         assert_eq!(s.clock(), 5.0);
-        s.enqueue_ref(&SimRequest::from_tokens(0, vec![1, 2, 3, 4], 1));
+        enqueue(
+            &e,
+            &mut [&mut s],
+            &[SimRequest::from_tokens(0, vec![1, 2, 3, 4], 1)],
+        );
         s.advance_to(50.0); // busy: no-op
         assert_eq!(s.clock(), 5.0);
         while s.step().unwrap() {}
@@ -1290,7 +1258,7 @@ mod tests {
         let request = SimRequest::from_tokens(0, (0..64).collect(), 1);
         let mut hasher = e.chain_hasher();
         let chain = hasher.chain(&request.prompt);
-        s.enqueue_ref(&request);
+        s.enqueue_chain(request.id, request.output_len, chain);
         assert_eq!(s.queued(), 1);
         assert_eq!(s.probe_cached_tokens(chain), 0);
         while s.step().unwrap() {}
@@ -1315,9 +1283,7 @@ mod tests {
         let e = engine();
         let mut s = e.session().unwrap();
         let rs = reqs(12, 64, 32, 2);
-        for r in &rs {
-            s.enqueue_ref(r);
-        }
+        enqueue(&e, &mut [&mut s], &rs);
         let defined: Vec<BlockChain> = rs.iter().map(defined).collect();
         assert_eq!(queued_chains(&s), defined);
         assert_eq!(s.arena.chunks.len(), 1);
@@ -1359,9 +1325,7 @@ mod tests {
             .collect();
         let defined: Vec<BlockChain> = rs.iter().map(defined).collect();
         let mut s = e.session().unwrap();
-        for r in &rs[..4] {
-            s.enqueue_ref(r);
-        }
+        enqueue(&e, &mut [&mut s], &rs[..4]);
         assert_eq!(
             s.arena.chunks.len(),
             3,
@@ -1379,9 +1343,7 @@ mod tests {
             EngineError::RequestTooLarge { id: 3, .. }
         ));
         // The head stays queued, and so does what arrives behind it.
-        for r in &rs[4..] {
-            s.enqueue_ref(r);
-        }
+        enqueue(&e, &mut [&mut s], &rs[4..]);
         assert!(s.step().is_err());
         assert_eq!(queued_chains(&s), defined[3..]);
         assert_eq!(
@@ -1482,9 +1444,7 @@ mod tests {
         let e = engine();
         let rs = reqs(16, 64, 16, 200);
         let mut s = e.session().unwrap();
-        for r in &rs {
-            s.enqueue_ref(r);
-        }
+        enqueue(&e, &mut [&mut s], &rs);
         let mut events = 0u64;
         while s.step_until(None).unwrap() {
             events += 1;

@@ -18,7 +18,8 @@ use llmqo::relational::{
     CascadeConfig, OptLevel, OptimizerConfig, QueryExecutor, SqlResult, SqlRunner,
 };
 use llmqo::serve::{
-    Deployment, EngineConfig, GpuCluster, GpuSpec, ModelSpec, OracleLlm, SimEngine, SimRequest,
+    Completion, Deployment, EngineConfig, EngineSession, GpuCluster, GpuSpec, ModelSpec, OracleLlm,
+    SimEngine, SimRequest,
 };
 use llmqo::tokenizer::Tokenizer;
 
@@ -42,6 +43,29 @@ pub fn engine_with(config: EngineConfig) -> SimEngine {
         Deployment::new(ModelSpec::llama3_8b(), GpuCluster::single(GpuSpec::l4())),
         config,
     )
+}
+
+/// Queues `requests` on `session` the one way a session takes them: each
+/// prompt hashed by one [`SimEngine::chain_hasher`] of `engine`, then handed
+/// over with [`EngineSession::enqueue_chain`].
+pub fn enqueue_all(engine: &SimEngine, session: &mut EngineSession, requests: &[SimRequest]) {
+    let mut hasher = engine.chain_hasher();
+    for r in requests {
+        session.enqueue_chain(r.id, r.output_len, hasher.chain(&r.prompt));
+    }
+}
+
+/// [`enqueue_all`], then drains `session`: the completions of this batch,
+/// in completion order.
+pub fn run_batch<'s>(
+    engine: &SimEngine,
+    session: &'s mut EngineSession,
+    requests: &[SimRequest],
+) -> &'s [Completion] {
+    let before = session.completions().len();
+    enqueue_all(engine, session, requests);
+    session.drain().expect("drain");
+    &session.completions()[before..]
 }
 
 /// Balanced ground truth: "Yes" on every third row.

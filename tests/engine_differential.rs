@@ -32,7 +32,7 @@ mod oracles {
     pub mod session;
 }
 
-use common::{engine_with as engine, reordered_movies_requests};
+use common::{engine_with as engine, enqueue_all, reordered_movies_requests, run_batch};
 use llmqo::cluster::{
     tag_requests, AdmissionPolicy, ArrivalProcess, ClusterReport, ClusterRequest, FaultPlan,
     OverloadPolicy, PrefixAffinity, RetryPolicy,
@@ -186,8 +186,8 @@ proptest! {
         let e = engine(config);
         let mut session = e.session().unwrap();
         let mut reference = reference_session(&e);
+        enqueue_all(&e, &mut session, &reqs);
         for r in &reqs {
-            session.enqueue_ref(r);
             reference.enqueue(r.clone());
         }
         assert_drained_equal(session, reference);
@@ -208,8 +208,8 @@ proptest! {
         let e = engine(config);
         let mut session = e.session().unwrap();
         let mut reference = reference_session(&e);
+        enqueue_all(&e, &mut session, &first);
         for r in &first {
-            session.enqueue_ref(r);
             reference.enqueue(r.clone());
         }
         // Interrupt mid-flight at a workload-dependent instant.
@@ -225,17 +225,18 @@ proptest! {
         // Late arrivals land at time `t` (idle sessions fast-forward).
         session.advance_to(t);
         reference.advance_to(t);
-        for r in &second {
-            let mut r = r.clone();
-            r.id += 10_000;
-            session.enqueue_ref(&r);
+        let mut late = second.clone();
+        late.iter_mut().for_each(|r| r.id += 10_000);
+        enqueue_all(&e, &mut session, &late);
+        for r in late {
             reference.enqueue(r);
         }
         assert_drained_equal(session, reference);
     }
 
     /// Incremental batched submission (the relational layer's lazy-LIMIT
-    /// pattern): several `run_batch` calls on one persistent session.
+    /// pattern): several batches on one persistent session, each queued and
+    /// drained before the next.
     #[test]
     fn incremental_batches_match_reference(
         config in config_strategy(),
@@ -246,10 +247,10 @@ proptest! {
         let cut = split.min(reqs.len());
         let mut session = e.session().unwrap();
         let mut reference = reference_session(&e);
-        let a = session.run_batch(&reqs[..cut]).unwrap().len();
+        let a = run_batch(&e, &mut session, &reqs[..cut]).len();
         let b = reference.run_batch(&reqs[..cut]).unwrap().len();
         prop_assert_eq!(a, b);
-        session.run_batch(&reqs[cut..]).unwrap();
+        run_batch(&e, &mut session, &reqs[cut..]);
         reference.run_batch(&reqs[cut..]).unwrap();
         assert_drained_equal(session, reference);
     }
@@ -270,8 +271,8 @@ fn kv_backpressure_blocked_heads_match_reference() {
             .collect();
         let mut session = e.session().unwrap();
         let mut reference = reference_session(&e);
+        enqueue_all(&e, &mut session, &reqs);
         for r in &reqs {
-            session.enqueue_ref(r);
             reference.enqueue(r.clone());
         }
         assert_drained_equal(session, reference);
@@ -306,8 +307,8 @@ fn decode_heavy_lockstep_batches_match_reference() {
             let e = engine(config);
             let mut session = e.session().unwrap();
             let mut reference = reference_session(&e);
+            enqueue_all(&e, &mut session, &reqs);
             for r in &reqs {
-                session.enqueue_ref(r);
                 reference.enqueue(r.clone());
             }
             assert_drained_equal(session, reference);
@@ -322,7 +323,7 @@ fn oversized_requests_error_identically() {
     let huge = SimRequest::from_tokens(7, (0..cap_tokens + 64).collect(), 1);
     let mut session = e.session().unwrap();
     let mut reference = reference_session(&e);
-    session.enqueue_ref(&huge);
+    enqueue_all(&e, &mut session, std::slice::from_ref(&huge));
     reference.enqueue(huge.clone());
     let a = loop {
         match session.step_until(None) {
@@ -415,7 +416,7 @@ fn thrashing_cache_reports_do_not_depend_on_block_id_values() {
     let e = engine(EngineConfig::default());
     let run = || {
         let mut session = e.session().unwrap();
-        session.run_batch(&requests).unwrap();
+        run_batch(&e, &mut session, &requests);
         (*session.cache_stats(), session.finish())
     };
     let unsalted = run();
@@ -562,42 +563,12 @@ fn reordered_relational_workload_matches_reference() {
         let e = engine(config);
         let mut session = e.session().unwrap();
         let mut reference = reference_session(&e);
+        enqueue_all(&e, &mut session, &requests);
         for r in &requests {
-            session.enqueue_ref(r);
             reference.enqueue(r.clone());
         }
         assert_drained_equal(session, reference);
     }
-}
-
-#[test]
-fn every_enqueue_form_serves_the_same_job() {
-    // A built request by reference, the same prompt as borrowed fragments,
-    // and a chain hashed by the driver: one job, one report.
-    let (requests, _) = reordered_movies_requests(400);
-    let e = engine(EngineConfig::default());
-    let mut by_ref = e.session().unwrap();
-    let mut by_fragments = e.session().unwrap();
-    let mut by_chain = e.session().unwrap();
-    let mut hasher = e.chain_hasher();
-    for r in &requests {
-        by_ref.enqueue_ref(r);
-        let (instruction, fields) = r.prompt.split_first().expect("instruction first");
-        by_fragments.enqueue_fragments(
-            r.id,
-            r.output_len,
-            std::iter::once(instruction).chain(fields),
-        );
-        by_chain.enqueue_chain(r.id, r.output_len, hasher.chain(&r.prompt));
-    }
-    let [by_ref, by_fragments, by_chain] = [by_ref, by_fragments, by_chain].map(|mut session| {
-        while session.step_until(None).unwrap() {}
-        session.finish()
-    });
-    assert_eq!(by_ref.completions.len(), requests.len());
-    assert!(by_ref.report.cached_prompt_tokens > 0);
-    assert_eq!(by_fragments, by_ref);
-    assert_eq!(by_chain, by_ref);
 }
 
 /// The admission policies of [`PINNED_ADMISSION_REPORTS`], in column order;

@@ -19,8 +19,9 @@ use llmqo::cluster::{
     AdmissionPolicy, ArrivalProcess, ClusterReport, ClusterRequest, FaultPlan, OverloadPolicy,
     PrefixAffinity, RetryPolicy, RoundRobin, Router,
 };
+use llmqo::costmodel::CascadePlan;
 use llmqo::datasets::Dataset;
-use llmqo::relational::{OptimizerConfig, SqlResult};
+use llmqo::relational::{CascadeConfig, OptimizerConfig, SqlResult};
 use llmqo::serve::{percentile, SimRequest};
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex};
@@ -37,7 +38,7 @@ fn run_session() -> (Vec<llmqo::serve::Completion>, llmqo::serve::SessionReport)
     // 12 groups of 6 requests sharing a 48-token prefix: exercises
     // admission, caching, eviction, and decode.
     let requests = common::grouped_requests(12, 6);
-    let completions = session.run_batch(&requests).expect("run").to_vec();
+    let completions = common::run_batch(&eng, &mut session, &requests).to_vec();
     (completions, session.finish())
 }
 
@@ -233,6 +234,43 @@ fn chain_counters_cover_every_arrival_and_every_replacement() {
         hashed + reused,
         (faults.offered + replacements) as u64 * PROMPT
     );
+}
+
+/// The SQL twin of the cluster check above: `serve.chain.tokens_{hashed,
+/// reused}` sum the hasher of every stage engine a statement opens — one
+/// per tier of each LLM operator, however many replicas it fans out to —
+/// so together they count every prompt token either tier admitted.
+#[test]
+fn chain_counters_cover_every_prompt_both_tiers_admit() {
+    let _g = lock();
+    let ds = Dataset::generate_with_rows(llmqo::datasets::DatasetId::Movies, 120);
+    let (_, name, sql) = common::seven_dataset_cases()[0];
+    let mut opt = OptimizerConfig::pipelined(3);
+    opt.pipeline_batch_rows = 16;
+    opt.cascade = Some(CascadeConfig::new(CascadePlan::mini_to_sonnet(0.5, 7)));
+    llmqo_obs::set_enabled(true);
+    llmqo_obs::registry().reset();
+    llmqo_obs::tracer().clear();
+    let result = common::run_sql_with_truth(&ds, sql, opt, name, &skewed_truth);
+    llmqo_obs::set_enabled(false);
+    let counter = |name| llmqo_obs::registry().counter(name).get();
+    let (hashed, reused) = (
+        counter("serve.chain.tokens_hashed"),
+        counter("serve.chain.tokens_reused"),
+    );
+    // The tier ledger counts each tier's admitted prompt tokens; the cheap
+    // tier's is also the operator's engine report.
+    let reports = result.stages.iter().map(|s| &s.report);
+    assert!(reports
+        .clone()
+        .all(|r| r.opt.cheap_prompt_tokens == r.engine.total_prompt_tokens));
+    let cheap: u64 = reports.clone().map(|r| r.opt.cheap_prompt_tokens).sum();
+    let escalated: u64 = reports.map(|r| r.opt.esc_prompt_tokens).sum();
+    assert!(
+        escalated > 0 && reused > 0,
+        "escalated {escalated} reused {reused}"
+    );
+    assert_eq!(hashed + reused, cheap + escalated);
 }
 
 /// The text expositions round-trip: Prometheus text parses back into the
