@@ -797,7 +797,8 @@ impl<'a> Kernel<'a> {
             if let Some(obs) = &mut self.placement_obs {
                 obs.record(session, choice, request, kv, probed);
             }
-            session.enqueue_chain(request.request.id, request.request.output_len, chain);
+            let now = session.clock();
+            session.enqueue_chain(request.request.id, request.request.output_len, chain, now);
             replica.assigned += 1;
             replica.arrivals.push(entry.arrival_s);
             if self.engaged {

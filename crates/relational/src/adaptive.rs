@@ -46,6 +46,7 @@
 use crate::hash::MixBuild;
 use llmqo_costmodel::SelectivityPosterior;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Default pseudo-observation weight of the optimizer's static prior in
 /// each operator posterior: small enough that the first real batch already
@@ -249,14 +250,16 @@ impl RowKey {
 }
 
 /// One entry of an exported [`AnswerCache`] snapshot: the instruction text
-/// (interned ids are executor-local, so the snapshot carries the text), the
+/// (interned ids are executor-local, so the snapshot carries the text, one
+/// shared `Arc` per instruction), the
 /// row's [`RowKey`] hash, and the cached answer. The row's text is *not*
 /// stored — the cache keys by hash, and a resumed executor re-derives keys
 /// from live rows.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheSnapshotEntry {
-    /// Interned instruction text (the operator's cache identity).
-    pub instruction: String,
+    /// Interned instruction text (the operator's cache identity), shared
+    /// with the exporting cache and every entry of the same instruction.
+    pub instruction: Arc<str>,
     /// [`RowKey::hash`] of the row's projected fields: an ordered fold of
     /// per-fragment content hashes. (Before the column dictionaries this
     /// was FNV-1a over the concatenated key text; snapshots from that
@@ -282,9 +285,9 @@ pub struct CacheSnapshotEntry {
 /// unbounded: an entry lives as long as the cache.
 #[derive(Debug, Default)]
 pub struct AnswerCache {
-    instructions: HashMap<String, u32>,
+    instructions: HashMap<Arc<str>, u32>,
     /// Interned instruction texts by id (for snapshot export).
-    names: Vec<String>,
+    names: Vec<Arc<str>>,
     /// `(instruction id, key hash)` → answer. The key is already a mixed
     /// content hash of this crate's making, so the map mixes it once more
     /// instead of SipHashing it; no caller observes iteration order
@@ -306,12 +309,18 @@ impl AnswerCache {
     /// Interns an instruction text, returning the id to use in
     /// [`lookup`](AnswerCache::lookup)/[`insert`](AnswerCache::insert).
     pub fn instruction_id(&mut self, instruction: &str) -> u32 {
-        if let Some(&id) = self.instructions.get(instruction) {
+        self.intern(instruction, || Arc::from(instruction))
+    }
+
+    /// The id of `text`, interning it as `shared()` when it is new.
+    fn intern(&mut self, text: &str, shared: impl FnOnce() -> Arc<str>) -> u32 {
+        if let Some(&id) = self.instructions.get(text) {
             return id;
         }
-        let id = self.instructions.len() as u32;
-        self.instructions.insert(instruction.to_owned(), id);
-        self.names.push(instruction.to_owned());
+        let id = self.names.len() as u32;
+        let name = shared();
+        self.instructions.insert(Arc::clone(&name), id);
+        self.names.push(name);
         id
     }
 
@@ -362,7 +371,7 @@ impl AnswerCache {
             .entries
             .iter()
             .map(|(&(id, key_hash), &answer)| CacheSnapshotEntry {
-                instruction: self.names[id as usize].clone(),
+                instruction: Arc::clone(&self.names[id as usize]),
                 key_hash,
                 answer,
             })
@@ -376,16 +385,19 @@ impl AnswerCache {
     }
 
     /// Merges a snapshot produced by [`export`](AnswerCache::export) into
-    /// this cache (re-interning instruction texts). Existing entries win
-    /// over snapshot entries.
+    /// this cache (re-interning instruction texts, sharing the snapshot's
+    /// `Arc` for a new one). Existing entries win over snapshot entries.
     pub fn absorb(&mut self, snapshot: &[CacheSnapshotEntry]) {
         self.entries.reserve(snapshot.len());
-        let mut last: Option<(&str, u32)> = None;
+        let mut last: Option<(&Arc<str>, u32)> = None;
         for e in snapshot {
-            // Snapshots are sorted by instruction: intern once per run.
+            // Snapshots are sorted by instruction: intern once per run. An
+            // exported run shares one `Arc`, so its text is compared once.
+            let same =
+                |text: &Arc<str>| Arc::ptr_eq(text, &e.instruction) || *text == e.instruction;
             let id = match last {
-                Some((text, id)) if text == e.instruction => id,
-                _ => self.instruction_id(&e.instruction),
+                Some((text, id)) if same(text) => id,
+                _ => self.intern(&e.instruction, || Arc::clone(&e.instruction)),
             };
             last = Some((&e.instruction, id));
             self.entries.entry((id, e.key_hash)).or_insert(e.answer);

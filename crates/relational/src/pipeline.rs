@@ -35,12 +35,17 @@
 //! encoded table keeps them; the engine hashes each with its one
 //! [`ChainHasher`] — one per stage engine, however many replicas — and
 //! hands the chain to [`EngineSession::enqueue_chain`], which keeps only
-//! its block ids. No request object exists on this path.
+//! its block ids. No request object exists on this path. A replica holds a
+//! window of the batch, not the batch: [`EngineSession::make_room`] steps
+//! it before each request joins, so it never holds more than
+//! `max_num_seqs + 1` requests, and the outcome is that of queueing the
+//! whole batch first.
 //!
 //! Routing here reuses the cluster crate's router and snapshot types
 //! directly: the statement-level fan-out is a small, arrival-free special
 //! case of the sharded dispatcher (no admission queue, no backpressure, no
-//! faults — replica queues are unbounded within a statement), so the same
+//! faults — a replica's window bounds what it holds, not what it accepts),
+//! so the same
 //! [`ReplicaSnapshot`] contract applies and nothing of the dispatcher's
 //! replica lifecycle is needed.
 //!
@@ -87,6 +92,9 @@ pub(crate) struct StageEngine {
     /// Where each replica's records of the last batch start among its
     /// session's completion records.
     served_from: Vec<usize>,
+    /// Each replica's clock when the last batch began: the instant its
+    /// requests were offered.
+    offered_at: Vec<f64>,
     /// Routing scratch, refilled per request.
     snapshots: Vec<ReplicaSnapshot>,
 }
@@ -121,6 +129,7 @@ impl StageEngine {
             router: PrefixAffinity::default(),
             assigned: vec![0; n],
             served_from: vec![0; n],
+            offered_at: vec![0.0; n],
             snapshots: Vec::new(),
         })
     }
@@ -185,6 +194,11 @@ impl StageEngine {
     /// replica serves every request and never looks at `key` (callers pass
     /// anything, see [`wants_prefix_keys`](Self::wants_prefix_keys)).
     ///
+    /// Each replica holds a window of the batch, not the batch: before a
+    /// request joins it, [`EngineSession::make_room`] steps that replica
+    /// until it holds at most `max_num_seqs` requests. Every figure equals
+    /// queueing the whole batch first and then draining.
+    ///
     /// # Errors
     ///
     /// [`EngineError::RequestTooLarge`] if a request can never be admitted.
@@ -200,10 +214,19 @@ impl StageEngine {
         let routed = self.wants_prefix_keys();
         let before = self.clock();
         self.served_from.clone_from(&self.assigned);
+        for (t, s) in self.offered_at.iter_mut().zip(&self.sessions) {
+            *t = s.clock();
+        }
         for (id, output_len, key, prompt) in requests {
+            // Stepping a replica inside the loop changes no placement (the
+            // pure `PrefixAffinity` reads the key and the fleet, never the
+            // load) and no other replica: they share only the hasher, which
+            // still takes the prompts in plan order.
             let replica = if routed { self.place(key) } else { 0 };
+            let session = &mut self.sessions[replica];
+            session.make_room()?;
             let chain = self.hasher.chain(prompt);
-            self.sessions[replica].enqueue_chain(id, output_len, chain);
+            session.enqueue_chain(id, output_len, chain, self.offered_at[replica]);
             self.assigned[replica] += 1;
         }
         for s in &mut self.sessions {
@@ -568,7 +591,7 @@ mod tests {
         let mut session = engine.session().unwrap();
         let mut hasher = engine.chain_hasher();
         for r in requests {
-            session.enqueue_chain(r.id, r.output_len, hasher.chain(&r.prompt));
+            session.enqueue_chain(r.id, r.output_len, hasher.chain(&r.prompt), 0.0);
         }
         session.drain().unwrap();
         let out = session.finish();
@@ -580,6 +603,79 @@ mod tests {
         (0..u64::MAX)
             .find(|&key| stage.place(key) == replica)
             .unwrap()
+    }
+
+    /// [`StageEngine::run_batch`] without the window: place and queue the
+    /// whole batch, then drain every replica.
+    fn run_whole(
+        stage: &mut StageEngine,
+        requests: &[SimRequest],
+        keys: &[u64],
+    ) -> Vec<Completion> {
+        stage.served_from.clone_from(&stage.assigned);
+        for (r, &key) in requests.iter().zip(keys) {
+            let replica = if stage.wants_prefix_keys() {
+                stage.place(key)
+            } else {
+                0
+            };
+            let chain = stage.hasher.chain(&r.prompt);
+            let session = &mut stage.sessions[replica];
+            let now = session.clock();
+            session.enqueue_chain(r.id, r.output_len, chain, now);
+            stage.assigned[replica] += 1;
+        }
+        for s in &mut stage.sessions {
+            s.drain().unwrap();
+        }
+        stage.served().copied().collect()
+    }
+
+    #[test]
+    fn windowed_batches_equal_queueing_the_whole_batch() {
+        // Few seats and a tight prefill budget, so every replica steps while
+        // its share of a batch is still being queued; three batches on one
+        // timeline, so later ones start on busy-then-idle replicas.
+        for max_num_seqs in [1, 2, 3] {
+            let engine = SimEngine::new(
+                Deployment::new(ModelSpec::llama3_8b(), GpuCluster::single(GpuSpec::l4())),
+                EngineConfig {
+                    max_num_seqs,
+                    max_batch_tokens: 48,
+                    ..EngineConfig::default()
+                },
+            );
+            for replicas in [1, 3] {
+                let mut windowed = StageEngine::open(&engine, replicas).unwrap();
+                let mut whole = StageEngine::open(&engine, replicas).unwrap();
+                for batch in 0..3 {
+                    let requests: Vec<SimRequest> = (0..40)
+                        .map(|i| {
+                            let id = batch * 100 + i;
+                            let mut toks: Vec<u32> = (0..32).collect();
+                            toks.extend((0..(i % 5) as u32 * 8).map(|j| 1000 + id as u32 * 64 + j));
+                            SimRequest::from_tokens(id, toks, (i % 7) as u32)
+                        })
+                        .collect();
+                    let keys: Vec<u64> = (0..40).map(|i| i % 4 * 7919).collect();
+                    let context =
+                        format!("max_num_seqs {max_num_seqs}, {replicas} replicas, batch {batch}");
+                    assert_eq!(
+                        run(&mut windowed, &requests, &keys),
+                        run_whole(&mut whole, &requests, &keys),
+                        "{context}"
+                    );
+                    let t = windowed.clock() + 0.5;
+                    windowed.advance_to(t);
+                    whole.advance_to(t);
+                }
+                assert_eq!(
+                    windowed.finish(),
+                    whole.finish(),
+                    "max_num_seqs {max_num_seqs}, {replicas} replicas"
+                );
+            }
+        }
     }
 
     #[test]

@@ -291,7 +291,11 @@ impl SimEngine {
     /// Runs the batch job to completion, processing `requests` in order.
     /// Submission is by reference (prompts are hashed once, by the run's own
     /// [`chain_hasher`](SimEngine::chain_hasher), never cloned) and the drive
-    /// loop macro-steps through steady-state decode.
+    /// loop macro-steps through steady-state decode. The batch is queued
+    /// through a window of `max_num_seqs + 1` requests
+    /// ([`EngineSession::make_room`]), which steps exactly as queueing it
+    /// all first would; every request is offered at 0, where the session
+    /// starts.
     ///
     /// # Errors
     ///
@@ -301,7 +305,8 @@ impl SimEngine {
         let mut session = self.session()?;
         let mut hasher = self.chain_hasher();
         for r in requests {
-            session.enqueue_chain(r.id, r.output_len, hasher.chain(&r.prompt));
+            session.make_room()?;
+            session.enqueue_chain(r.id, r.output_len, hasher.chain(&r.prompt), 0.0);
         }
         session.drain()?;
         if llmqo_obs::enabled() {

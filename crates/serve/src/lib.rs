@@ -31,7 +31,10 @@
 //!   Drivers hash, sessions queue chains: a session's one way in is
 //!   [`EngineSession::enqueue_chain`], and each driver — [`SimEngine::run`],
 //!   a relational stage engine, the cluster kernel — owns one hasher per
-//!   run, from [`SimEngine::chain_hasher`].
+//!   run, from [`SimEngine::chain_hasher`]. A batch driver queues through
+//!   a window of `max_num_seqs + 1` requests
+//!   ([`EngineSession::make_room`]), with the same outcome as queueing the
+//!   whole batch first.
 //! * [`ModelProfile`] / [`SimLlm`] — deterministic answer generation with
 //!   positional sensitivity for the accuracy study (Fig. 6): one
 //!   [`generate`](SimLlm::generate) method that takes the row's ground

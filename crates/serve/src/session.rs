@@ -5,8 +5,9 @@
 //! an external driver — notably `llmqo-cluster`'s sharded-serving simulator —
 //! can interleave several replicas on a shared timeline, feed arrivals
 //! mid-flight, and probe replica load and cache occupancy between steps.
-//! [`SimEngine::run`](crate::SimEngine::run) is a thin wrapper: enqueue
-//! everything, drive until idle, finish.
+//! [`SimEngine::run`](crate::SimEngine::run) is a thin wrapper: queue the
+//! batch through a window ([`make_room`](EngineSession::make_room) before
+//! each request), drive until idle, finish.
 //!
 //! Two stepping granularities share one set of semantics:
 //!
@@ -47,7 +48,18 @@
 //! into the cache's own pages; the session keeps nothing of a request once
 //! it has completed.
 //!
+//! A batch driver holds a window, not the batch: it calls [`make_room`]
+//! before each [`enqueue_chain`], which steps while the session holds more
+//! than `max_num_seqs` requests, so at most `max_num_seqs + 1` are ever
+//! queued or running. A step admits at most `max_num_seqs − running`
+//! requests and reads the queue no further than that (a blocked head is
+//! one of those reads), so a queue of `max_num_seqs + 1 − running` — one
+//! more than a step can read — steps exactly as the whole batch would:
+//! clocks, reports and completions are those of queueing everything first,
+//! while the arena holds a window's ids instead of a table's.
+//!
 //! [`enqueue_chain`]: EngineSession::enqueue_chain
+//! [`make_room`]: EngineSession::make_room
 
 use crate::cache::{CacheConfig, CacheStats, ChainView, PrefixCache, SeqAlloc};
 use crate::engine::{Deployment, EngineConfig, EngineError, EngineReport};
@@ -253,9 +265,10 @@ struct QueuedRequest {
     prompt_tokens: usize,
     /// The prompt's full-block ids.
     span: Span,
-    /// Clock at [`EngineSession::enqueue_chain`] time; feeds the traced
-    /// queue-wait span and is never read by the scheduler itself.
-    enqueued_s: f64,
+    /// When the driver offered the request (the `offered_s` of
+    /// [`EngineSession::enqueue_chain`]); feeds the traced queue-wait span
+    /// and is never read by the scheduler itself.
+    offered_s: f64,
 }
 
 struct Running {
@@ -310,13 +323,15 @@ pub fn percentiles<const N: usize>(samples: &mut [f64], ps: [f64; N]) -> [f64; N
 /// A running engine instance that accepts requests over time.
 ///
 /// Create with [`crate::SimEngine::session`]. Drive with [`enqueue_chain`]
-/// (arrivals, hashed by the driver), [`step`] (advance one scheduling step)
+/// (arrivals, hashed by the driver), [`make_room`] (step a batch's window
+/// open before its next request), [`step`] (advance one scheduling step)
 /// or [`step_until`] (advance to the next event, macro-stepping steady-state
 /// decode), [`drain`] (step until idle) and [`advance_to`] (idle until an
 /// external event); inspect with the load/cache probes; consume with
 /// [`finish`].
 ///
 /// [`enqueue_chain`]: EngineSession::enqueue_chain
+/// [`make_room`]: EngineSession::make_room
 /// [`step`]: EngineSession::step
 /// [`step_until`]: EngineSession::step_until
 /// [`drain`]: EngineSession::drain
@@ -439,14 +454,27 @@ impl EngineSession {
     /// prompt's block chain as the driver hashed it (and may have probed
     /// this session's cache with). The session copies the ids and keeps
     /// nothing else: the view is free again when the call returns.
-    pub fn enqueue_chain(&mut self, id: usize, output_len: u32, chain: ChainView<'_>) {
+    ///
+    /// `offered_s` is when the driver offered the request, where its traced
+    /// queue wait starts: the current [`clock`](Self::clock) for an arrival,
+    /// the clock the batch began at for a batch driver whose
+    /// [`make_room`](Self::make_room) has stepped since. The scheduler never
+    /// reads it.
+    pub fn enqueue_chain(
+        &mut self,
+        id: usize,
+        output_len: u32,
+        chain: ChainView<'_>,
+        offered_s: f64,
+    ) {
+        debug_assert!(offered_s <= self.clock, "offered in the future");
         let prompt_tokens = chain.prompt_tokens();
         self.waiting.push_back(QueuedRequest {
             id,
             output_len,
             prompt_tokens,
             span: self.arena.push(chain.blocks()),
-            enqueued_s: self.clock,
+            offered_s,
         });
         if llmqo_obs::enabled() {
             crate::obs::metrics().requests_enqueued.inc();
@@ -455,10 +483,29 @@ impl EngineSession {
                 id as u64,
                 "enqueue",
                 "request",
-                self.clock,
+                offered_s,
                 &[("prompt_tokens", prompt_tokens.into())],
             );
         }
+    }
+
+    /// Steps until the session holds at most `max_num_seqs` requests, queued
+    /// and running, so the next [`enqueue_chain`](Self::enqueue_chain) makes
+    /// it at most `max_num_seqs + 1`: the window a batch driver queues
+    /// through. Every step it takes is one [`drain`](Self::drain) would take
+    /// with the whole batch queued — the queue it steps is at least
+    /// `max_num_seqs + 1 − running` long, one more than a step reads — so
+    /// a batch run this way equals queueing it all first.
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::RequestTooLarge`] if the head-of-queue request can
+    /// never fit in KV memory even with the batch drained.
+    pub fn make_room(&mut self) -> Result<(), EngineError> {
+        while self.waiting.len() + self.running.len() > self.config.max_num_seqs
+            && self.step_until(None)?
+        {}
+        Ok(())
     }
 
     /// Current session clock, seconds.
@@ -798,8 +845,8 @@ impl EngineSession {
             q.id as u64,
             "queued",
             "request",
-            q.enqueued_s,
-            self.clock - q.enqueued_s,
+            q.offered_s,
+            self.clock - q.offered_s,
             &[],
         );
         tr.instant(
@@ -1056,7 +1103,8 @@ mod tests {
         for r in requests {
             let chain = hasher.chain(&r.prompt);
             for s in sessions.iter_mut() {
-                s.enqueue_chain(r.id, r.output_len, chain);
+                let now = s.clock();
+                s.enqueue_chain(r.id, r.output_len, chain, now);
             }
         }
     }
@@ -1250,6 +1298,34 @@ mod tests {
     }
 
     #[test]
+    fn make_room_holds_a_window_of_max_num_seqs_plus_one() {
+        let e = SimEngine::new(
+            Deployment::new(ModelSpec::llama3_8b(), GpuCluster::single(GpuSpec::l4())),
+            EngineConfig {
+                max_num_seqs: 3,
+                ..EngineConfig::default()
+            },
+        );
+        let requests: Vec<SimRequest> = (0..4)
+            .map(|i| {
+                let prompt = (0..32).map(|t| i as u32 * 64 + t).collect();
+                // Distinct output lengths: one request retires at a time.
+                SimRequest::from_tokens(i, prompt, 2 + 3 * i as u32)
+            })
+            .collect();
+        let mut s = e.session().unwrap();
+        // Holding `max_num_seqs`, the next request may join without a step.
+        enqueue(&e, &mut [&mut s], &requests[..3]);
+        s.make_room().unwrap();
+        assert_eq!((s.clock(), s.queued()), (0.0, 3), "no step at max_num_seqs");
+        // Holding `max_num_seqs + 1`, the session steps until one retires.
+        enqueue(&e, &mut [&mut s], &requests[3..]);
+        s.make_room().unwrap();
+        assert!(s.clock() > 0.0);
+        assert_eq!(s.queued() + s.running(), 3);
+    }
+
+    #[test]
     fn probes_track_queue_and_cache() {
         let e = engine();
         let mut s = e.session().unwrap();
@@ -1258,7 +1334,7 @@ mod tests {
         let request = SimRequest::from_tokens(0, (0..64).collect(), 1);
         let mut hasher = e.chain_hasher();
         let chain = hasher.chain(&request.prompt);
-        s.enqueue_chain(request.id, request.output_len, chain);
+        s.enqueue_chain(request.id, request.output_len, chain, 0.0);
         assert_eq!(s.queued(), 1);
         assert_eq!(s.probe_cached_tokens(chain), 0);
         while s.step().unwrap() {}

@@ -5,7 +5,9 @@
 //! cache copies new ids into recycled pages. What a run still allocates is
 //! per run (sessions, reports), per chunk or page, or the logarithmic growth
 //! of its per-request records, so a few thousand requests must come in at a
-//! small fraction of an allocation each. The same holds when the cluster
+//! small fraction of an allocation each. A batch run queues through a
+//! window of `max_num_seqs + 1` requests, so the chunks it opens do not
+//! grow with the batch either. The same holds when the cluster
 //! kernel attributes, retries, hedges and sheds: its request-id index and
 //! admission ledgers are built once per run.
 //!
@@ -37,6 +39,7 @@ use llmqo::cluster::{
 };
 use llmqo::core::{Ggr, Reorderer};
 use llmqo::datasets::DatasetId;
+use llmqo::serve::SimRequest;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -138,7 +141,7 @@ fn the_prompt_path_allocates_per_chunk_and_page_not_per_request() {
     const REQUESTS: usize = 2_000;
     let (requests, keys) = common::reordered_movies_requests(REQUESTS);
 
-    // One replica, everything queued up front: the arena at its fullest.
+    // One replica through `SimEngine::run`'s window.
     let engine = common::engine();
     let (spent, report) = allocations_in(|| engine.run(&requests).unwrap());
     assert_eq!(report.completed, REQUESTS);
@@ -149,14 +152,15 @@ fn the_prompt_path_allocates_per_chunk_and_page_not_per_request() {
         "SimEngine::run: {spent} allocations for {REQUESTS} requests ({per_request:.3} each)"
     );
 
-    // The same job by hand, one owner of the ids at a time.
+    // The same job by hand, one owner of the ids at a time, everything
+    // queued up front: the arena at its fullest.
     let mut session = engine.session().unwrap();
     let mut hasher = engine.chain_hasher();
     let (mut hashing, mut queueing) = (0, 0);
     for r in &requests {
         let (spent, chain) = allocations_in(|| hasher.chain(&r.prompt));
         hashing += spent;
-        queueing += allocations_in(|| session.enqueue_chain(r.id, r.output_len, chain)).0;
+        queueing += allocations_in(|| session.enqueue_chain(r.id, r.output_len, chain, 0.0)).0;
     }
     let (serving, _) = allocations_in(|| while session.step_until(None).unwrap() {});
     // The hasher's three buffers grow to the longest prompt and stay.
@@ -191,6 +195,40 @@ fn the_prompt_path_allocates_per_chunk_and_page_not_per_request() {
     assert!(
         per_request <= BUDGET_PER_REQUEST,
         "ClusterSim::run: {spent} allocations for {REQUESTS} requests ({per_request:.3} each)"
+    );
+}
+
+#[test]
+fn a_batch_run_allocates_per_window_not_per_request() {
+    let _one = one_test_at_a_time();
+    // One shape at two sizes: a shared 64-token instruction, a unique
+    // 192-token tail, 8 output tokens.
+    let batch = |n: usize| -> Vec<SimRequest> {
+        (0..n)
+            .map(|i| {
+                let mut prompt: Vec<u32> = (0..64).collect();
+                prompt.extend((0..192).map(|t| 100_000 + i as u32 * 256 + t));
+                SimRequest::from_tokens(i, prompt, 8)
+            })
+            .collect()
+    };
+    let (small, large) = (batch(500), batch(2_000));
+    let engine = common::engine();
+    // Warm: a first run initializes the process's lazy statics.
+    engine.run(&small).unwrap();
+    let (few, report) = allocations_in(|| engine.run(&small).unwrap());
+    assert_eq!(report.completed, small.len());
+    let (many, report) = allocations_in(|| engine.run(&large).unwrap());
+    assert_eq!(report.completed, large.len());
+    // A session holds `max_num_seqs + 1` requests whatever the batch, so
+    // four times the requests add only the doublings of buffers that grow
+    // with the work served (the completion records among them), not an
+    // arena chunk per 1 024 queued ids: 10 more when this bound was set,
+    // and 31 more for the parent of that commit, which queued the whole
+    // batch first.
+    assert!(
+        many <= few + 16,
+        "{few} allocations for 500 requests, {many} for 2 000"
     );
 }
 

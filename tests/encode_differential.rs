@@ -681,7 +681,7 @@ fn unbounded_cache_matches_a_btreeset_model_under_the_mix_hasher() {
             let exported: Vec<(String, u64)> = cache
                 .export()
                 .into_iter()
-                .map(|e| (e.instruction, e.key_hash))
+                .map(|e| (e.instruction.to_string(), e.key_hash))
                 .collect();
             let live: Vec<(String, u64)> = model.iter().map(|&(t, h)| (t.to_owned(), h)).collect();
             assert_eq!(exported, live, "seed {seed} step {step}: live set");

@@ -256,6 +256,54 @@ proptest! {
     }
 }
 
+/// The regime in which a batch driver's window is shortest next to what a
+/// step admits: few seats, a tight prefill budget, the cache on and off.
+fn window_config_strategy() -> impl Strategy<Value = EngineConfig> {
+    (
+        prop::sample::select(vec![1usize, 2, 3, 8]),
+        prop::sample::select(vec![16usize, 48, 128]),
+        proptest::bool::ANY,
+    )
+        .prop_map(|(max_num_seqs, max_batch_tokens, cache)| EngineConfig {
+            block_size: 16,
+            max_batch_tokens,
+            max_num_seqs,
+            enable_prefix_cache: cache,
+            ..EngineConfig::default()
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `SimEngine::run` queues a batch through a window of
+    /// `max_num_seqs + 1` requests, stepping while it queues; its report
+    /// must equal the frozen loop's with the whole batch queued up front.
+    #[test]
+    fn windowed_batch_runs_match_reference(
+        config in window_config_strategy(),
+        shape in (8usize..64, proptest::collection::vec((0usize..48, 0u32..24), 1..200)),
+    ) {
+        let (shared, tails) = shape;
+        let reqs: Vec<SimRequest> = tails
+            .iter()
+            .enumerate()
+            .map(|(i, &(tail, output))| {
+                let mut toks: Vec<u32> = (0..shared as u32).collect();
+                toks.extend((0..tail as u32).map(|j| 1_000_000 + i as u32 * 512 + j));
+                SimRequest::from_tokens(i, toks, output)
+            })
+            .collect();
+        let e = engine(config);
+        let mut reference = reference_session(&e);
+        for r in &reqs {
+            reference.enqueue(r.clone());
+        }
+        while reference.step().unwrap() {}
+        prop_assert_eq!(e.run(&reqs).unwrap(), reference.finish().report);
+    }
+}
+
 #[test]
 fn kv_backpressure_blocked_heads_match_reference() {
     // Requests whose combined KV footprint far exceeds capacity: the

@@ -167,6 +167,63 @@ fn single_replica_stages_stay_on_lane_zero_and_name_no_lane() {
     }
 }
 
+/// The trace events of `export`, one string each, sorted: the multiset a
+/// run recorded, whatever order it recorded them in. Holds for traces
+/// without named lanes (a lane name carries a nested `"name"`).
+fn sorted_events(export: &str) -> Vec<&str> {
+    let body = export
+        .strip_prefix("{\"traceEvents\":[")
+        .and_then(|rest| rest.split("],\"droppedEvents\"").next())
+        .expect("Chrome trace JSON");
+    let mut events: Vec<&str> = body
+        .split("{\"name\":\"")
+        .skip(1)
+        .map(|e| e.trim_end_matches(','))
+        .collect();
+    events.sort_unstable();
+    events
+}
+
+/// `SimEngine::run` steps while it queues a batch, at most
+/// `max_num_seqs + 1` requests at a time, yet traces what queueing the
+/// whole batch first traces: every request is offered at 0, and its
+/// `enqueue` instant and `queued` span start there, not where the window
+/// let it in.
+#[test]
+fn a_windowed_batch_traces_its_requests_offered_at_the_start() {
+    let _g = lock();
+    let e = common::engine_with(llmqo::serve::EngineConfig {
+        max_num_seqs: 4,
+        ..llmqo::serve::EngineConfig::default()
+    });
+    let requests = common::grouped_requests(12, 6);
+    let traced = |run: &dyn Fn()| {
+        llmqo_obs::set_enabled(true);
+        llmqo_obs::tracer().clear();
+        run();
+        llmqo_obs::set_enabled(false);
+        llmqo_obs::tracer().export_chrome_json()
+    };
+    let windowed = traced(&|| {
+        e.run(&requests).expect("run");
+    });
+    let whole = traced(&|| {
+        let mut session = e.session().expect("session");
+        common::run_batch(&e, &mut session, &requests);
+        session.finish();
+    });
+    assert_ne!(windowed, whole, "the window never stepped while queueing");
+    let (windowed, whole) = (sorted_events(&windowed), sorted_events(&whole));
+    let queued: Vec<&&str> = windowed
+        .iter()
+        .filter(|e| e.starts_with("queued\""))
+        .collect();
+    assert_eq!(queued.len(), requests.len());
+    let late = queued.iter().find(|e| !e.contains("\"ts\":0,"));
+    assert!(late.is_none(), "a queued span starts late: {late:?}");
+    assert_eq!(windowed, whole);
+}
+
 /// `serve.chain.tokens_{hashed,reused}` sum both hashers of a cluster run:
 /// the helper's, which hashes every arrival's prompt in arrival order (shed
 /// arrivals too), and the kernel's, which hashes every re-placement (retries
