@@ -797,8 +797,8 @@ impl<'a> Kernel<'a> {
             if let Some(obs) = &mut self.placement_obs {
                 obs.record(session, choice, request, kv, probed);
             }
-            let now = session.clock();
-            session.enqueue_chain(request.request.id, request.request.output_len, chain, now);
+            let (id, output_len) = (request.request.id, request.request.output_len);
+            session.enqueue_chain(id, output_len, chain, session.clock());
             replica.assigned += 1;
             replica.arrivals.push(entry.arrival_s);
             if self.engaged {

@@ -621,8 +621,7 @@ mod tests {
             };
             let chain = stage.hasher.chain(&r.prompt);
             let session = &mut stage.sessions[replica];
-            let now = session.clock();
-            session.enqueue_chain(r.id, r.output_len, chain, now);
+            session.enqueue_chain(r.id, r.output_len, chain, session.clock());
             stage.assigned[replica] += 1;
         }
         for s in &mut stage.sessions {

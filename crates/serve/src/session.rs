@@ -1103,8 +1103,7 @@ mod tests {
         for r in requests {
             let chain = hasher.chain(&r.prompt);
             for s in sessions.iter_mut() {
-                let now = s.clock();
-                s.enqueue_chain(r.id, r.output_len, chain, now);
+                s.enqueue_chain(r.id, r.output_len, chain, s.clock());
             }
         }
     }

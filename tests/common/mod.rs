@@ -51,8 +51,7 @@ pub fn engine_with(config: EngineConfig) -> SimEngine {
 pub fn enqueue_all(engine: &SimEngine, session: &mut EngineSession, requests: &[SimRequest]) {
     let mut hasher = engine.chain_hasher();
     for r in requests {
-        let now = session.clock();
-        session.enqueue_chain(r.id, r.output_len, hasher.chain(&r.prompt), now);
+        session.enqueue_chain(r.id, r.output_len, hasher.chain(&r.prompt), session.clock());
     }
 }
 
