@@ -1,16 +1,18 @@
-//! Shared measurement plumbing for the reproduction binaries.
+//! Shared measurement plumbing for the `artifacts` binary and the
+//! micro-benchmarks.
 
 use llmqo_cluster::{tag_requests, ClusterConfig, ClusterRequest, ClusterSim};
 use llmqo_core::{Ggr, OriginalOrder, Reorderer};
 use llmqo_datasets::{Dataset, DatasetId};
 use llmqo_relational::{
-    encode_table, plan_requests, project_fds, ExecError, LlmQuery, OptimizerConfig, QueryExecutor,
-    QueryKind, QueryOutput, SqlResult, SqlRunner,
+    encode_table, plan_requests, project_fds, ExecError, ExecutionReport, LlmQuery, OptStats,
+    OptimizerConfig, QueryExecutor, QueryKind, QueryOutput, SqlResult, SqlRunner,
 };
 use llmqo_serve::{
     Deployment, EngineConfig, GpuCluster, GpuSpec, ModelSpec, OracleLlm, SimEngine, SimRequest,
 };
 use llmqo_tokenizer::Tokenizer;
+use std::collections::HashMap;
 
 /// Scaling factor from the `LLMQO_SCALE` environment variable (default 1.0).
 /// Scaled runs keep each dataset's duplication structure but shrink row
@@ -45,36 +47,38 @@ pub fn parse_scale(raw: Option<&str>) -> Result<f64, String> {
     }
 }
 
-/// Rows to generate for `id` under the current scale.
-pub fn rows_for(id: DatasetId) -> usize {
-    ((id.paper().nrows as f64) * scale()).round().max(30.0) as usize
-}
-
-/// Generates `id` at the current scale.
+/// Generates `id` at the current scale: its paper row count times the
+/// scale, at least 30 rows.
 pub fn load(id: DatasetId) -> Dataset {
-    Dataset::generate_with_rows(id, rows_for(id))
+    let rows = ((id.paper().nrows as f64) * scale()).round().max(30.0);
+    Dataset::generate_with_rows(id, rows as usize)
 }
 
-/// Llama-3-8B on a single L4 (the paper's primary setup).
-pub fn deployment_8b() -> Deployment {
-    Deployment::new(ModelSpec::llama3_8b(), GpuCluster::single(GpuSpec::l4()))
+/// The paper's serving set-ups.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Setup {
+    /// Llama-3-8B on a single L4 (the paper's primary setup).
+    Llama8b,
+    /// Llama-3-70B on 8×L4 with tensor parallelism (paper Fig. 5).
+    Llama70b,
+    /// Llama-3.2-1B on a single L4 (paper Appendix D.2).
+    Llama1b,
 }
 
-/// Llama-3-70B on 8×L4 with tensor parallelism (paper Fig. 5).
-pub fn deployment_70b() -> Deployment {
-    Deployment::new(
-        ModelSpec::llama3_70b(),
-        GpuCluster::tensor_parallel(GpuSpec::l4(), 8),
-    )
-}
-
-/// Llama-3.2-1B on a single L4 (paper Appendix D.2).
-pub fn deployment_1b() -> Deployment {
-    Deployment::new(ModelSpec::llama3_2_1b(), GpuCluster::single(GpuSpec::l4()))
+impl Setup {
+    /// The simulated model and GPUs.
+    pub fn deployment(self) -> Deployment {
+        let (model, gpus) = match self {
+            Setup::Llama8b => (ModelSpec::llama3_8b(), 1),
+            Setup::Llama70b => (ModelSpec::llama3_70b(), 8),
+            Setup::Llama1b => (ModelSpec::llama3_2_1b(), 1),
+        };
+        Deployment::new(model, GpuCluster::tensor_parallel(GpuSpec::l4(), gpus))
+    }
 }
 
 /// The three evaluation arms of the paper's end-to-end figures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Method {
     /// Prefix cache disabled.
     NoCache,
@@ -98,10 +102,39 @@ impl Method {
             Method::CacheGgr => "Cache (GGR)",
         }
     }
+
+    /// Hands `run` a fresh executor on `setup` with this arm's cache
+    /// setting, and this arm's solver.
+    fn execute<T>(self, setup: Setup, run: impl FnOnce(&QueryExecutor, &dyn Reorderer) -> T) -> T {
+        let config = match self {
+            Method::NoCache => EngineConfig::no_cache(),
+            _ => EngineConfig::default(),
+        };
+        let engine = SimEngine::new(setup.deployment(), config);
+        let executor = QueryExecutor::new(&engine, &OracleLlm, Tokenizer::new());
+        let solver: &dyn Reorderer = match self {
+            Method::CacheGgr => &Ggr::default(),
+            _ => &OriginalOrder,
+        };
+        run(&executor, solver)
+    }
 }
 
-/// Runs one query under one method and deployment, returning the output
-/// (with its [`ExecutionReport`](llmqo_relational::ExecutionReport)).
+/// `ds`'s query of `kind`, or its RAG query (T5) when it has none: SQuAD and
+/// FEVER have only T5, so `QueryKind::Filter` picks every dataset's T1 or
+/// T5 query, the one most tables measure.
+///
+/// # Panics
+///
+/// If `ds` has neither.
+pub fn query(ds: &Dataset, kind: QueryKind) -> &LlmQuery {
+    ds.query_of_kind(kind)
+        .or_else(|| ds.query_of_kind(QueryKind::Rag))
+        .expect("the dataset has a query of that kind or a RAG query")
+}
+
+/// Runs one query under one method and setup, returning the output
+/// (with its [`ExecutionReport`]).
 ///
 /// # Errors
 ///
@@ -110,19 +143,12 @@ pub fn run_method(
     ds: &Dataset,
     query: &LlmQuery,
     method: Method,
-    deployment: &Deployment,
+    setup: Setup,
 ) -> Result<QueryOutput, ExecError> {
-    let config = match method {
-        Method::NoCache => EngineConfig::no_cache(),
-        _ => EngineConfig::default(),
-    };
-    let engine = SimEngine::new(deployment.clone(), config);
-    let executor = QueryExecutor::new(&engine, &OracleLlm, Tokenizer::new());
     let truth = ds.truth_fn(query);
-    match method {
-        Method::CacheGgr => executor.execute(&ds.table, query, &Ggr::default(), &ds.fds, &truth),
-        _ => executor.execute(&ds.table, query, &OriginalOrder, &ds.fds, &truth),
-    }
+    method.execute(setup, |executor, solver| {
+        executor.execute(&ds.table, query, solver, &ds.fds, &truth)
+    })
 }
 
 /// Runs a T3 multi-invocation chain under one method.
@@ -134,38 +160,81 @@ pub fn run_multi_method(
     ds: &Dataset,
     stages: (&LlmQuery, &LlmQuery),
     method: Method,
-    deployment: &Deployment,
+    setup: Setup,
 ) -> Result<Vec<QueryOutput>, ExecError> {
-    let config = match method {
-        Method::NoCache => EngineConfig::no_cache(),
-        _ => EngineConfig::default(),
-    };
-    let engine = SimEngine::new(deployment.clone(), config);
-    let executor = QueryExecutor::new(&engine, &OracleLlm, Tokenizer::new());
     let truths = (ds.truth_fn(stages.0), ds.truth_fn(stages.1));
-    let solver_ggr = Ggr::default();
-    let solver_orig = OriginalOrder;
-    let solver: &dyn Reorderer = match method {
-        Method::CacheGgr => &solver_ggr,
-        _ => &solver_orig,
-    };
-    executor.execute_multi(
-        &ds.table,
-        &[stages.0, stages.1],
-        solver,
-        &ds.fds,
-        &[&*truths.0, &*truths.1],
-    )
+    method.execute(setup, |executor, solver| {
+        executor.execute_multi(
+            &ds.table,
+            &[stages.0, stages.1],
+            solver,
+            &ds.fds,
+            &[&*truths.0, &*truths.1],
+        )
+    })
 }
 
-/// The GGR-scheduled filter workload of `ds` as the cluster dispatcher sees
-/// it: one request per row in solver order, each tagged with its depth-1
-/// prefix key (the leading scheduled field, which is the group GGR sorted
-/// on).
+/// The measurements the artifacts share within one process: each dataset
+/// generated once at the run's scale, and each (dataset, query, method,
+/// setup) cell run once, so `all` pays for a cell that several tables and
+/// figures read only the first time one asks for it.
+#[derive(Debug, Default)]
+pub struct Grid {
+    datasets: HashMap<DatasetId, Dataset>,
+    runs: HashMap<(DatasetId, String, Method, Setup), QueryOutput>,
+}
+
+impl Grid {
+    /// `id` at the run's scale ([`load`]).
+    pub fn dataset(&mut self, id: DatasetId) -> &Dataset {
+        self.datasets.entry(id).or_insert_with(|| load(id))
+    }
+
+    /// `id`'s [`query`] of `kind` run under `method` on `setup`.
+    ///
+    /// # Panics
+    ///
+    /// If the executor fails: the artifacts run fixed queries.
+    pub fn run(
+        &mut self,
+        id: DatasetId,
+        kind: QueryKind,
+        method: Method,
+        setup: Setup,
+    ) -> &QueryOutput {
+        let ds = self.datasets.entry(id).or_insert_with(|| load(id));
+        let query = query(ds, kind);
+        self.runs
+            .entry((id, query.name.clone(), method, setup))
+            .or_insert_with(|| run_method(ds, query, method, setup).expect("query runs"))
+    }
+
+    /// The Cache (Original) and Cache (GGR) reports of `id`'s T1 or T5
+    /// query on `setup`.
+    pub fn pair(&mut self, id: DatasetId, setup: Setup) -> [ExecutionReport; 2] {
+        [Method::CacheOriginal, Method::CacheGgr].map(|method| {
+            self.run(id, QueryKind::Filter, method, setup)
+                .report
+                .clone()
+        })
+    }
+
+    /// Job completion time of `id`'s [`query`] of `kind` under each of
+    /// [`Method::all`] on Llama-3-8B.
+    pub fn jcts(&mut self, id: DatasetId, kind: QueryKind) -> [f64; 3] {
+        Method::all().map(|method| {
+            let out = self.run(id, kind, method, Setup::Llama8b);
+            out.report.engine.job_completion_time_s
+        })
+    }
+}
+
+/// The GGR-scheduled filter workload of `ds` (its T1 or T5 [`query`]) as
+/// the cluster dispatcher sees it: one request per row in solver order, each
+/// tagged with its depth-1 prefix key (the leading scheduled field, which is
+/// the group GGR sorted on).
 pub fn ggr_filter_requests(ds: &Dataset) -> Vec<ClusterRequest> {
-    let query = ds
-        .query_of_kind(QueryKind::Filter)
-        .expect("dataset has a filter query");
+    let query = query(ds, QueryKind::Filter);
     let encoded = encode_table(&Tokenizer::new(), &ds.table, query).expect("encode");
     let fds = project_fds(&ds.fds, &encoded.used_cols);
     let solution = Ggr::default()
@@ -179,7 +248,7 @@ pub fn ggr_filter_requests(ds: &Dataset) -> Vec<ClusterRequest> {
 /// each queue at most `queue_cap` requests.
 pub fn cluster(replicas: usize, queue_cap: usize) -> ClusterSim {
     ClusterSim::new(
-        SimEngine::new(deployment_8b(), EngineConfig::default()),
+        SimEngine::new(Setup::Llama8b.deployment(), EngineConfig::default()),
         ClusterConfig {
             replicas,
             queue_cap,
@@ -218,7 +287,7 @@ pub fn run_sql<const N: usize>(
     opt: OptimizerConfig,
     truth: &dyn Fn(usize) -> String,
 ) -> [SqlResult; N] {
-    let engine = SimEngine::new(deployment_8b(), EngineConfig::default());
+    let engine = SimEngine::new(Setup::Llama8b.deployment(), EngineConfig::default());
     let executor = QueryExecutor::new(&engine, &OracleLlm, Tokenizer::new());
     let solver = Ggr::default();
     let mut runner = SqlRunner::new(&executor, &solver).with_optimizer(opt);
@@ -232,9 +301,14 @@ pub fn mostly_yes(row: usize) -> String {
     if row % 3 != 2 { "Yes" } else { "No" }.to_string()
 }
 
+/// One optimizer counter of a statement, summed over all its operators.
+pub fn opt_total(res: &SqlResult, field: impl Fn(&OptStats) -> u64) -> u64 {
+    res.stages.iter().map(|s| field(&s.report.opt)).sum()
+}
+
 /// LLM requests a statement sent to the engine, over all its operators.
 pub fn llm_calls(res: &SqlResult) -> u64 {
-    res.stages.iter().map(|s| s.report.opt.llm_calls).sum()
+    opt_total(res, |o| o.llm_calls)
 }
 
 /// Relay end-to-end time: each operator runs on its own zero-based session,
@@ -315,10 +389,44 @@ mod tests {
     fn run_method_smoke() {
         let ds = Dataset::generate_with_rows(DatasetId::Beer, 60);
         let q = ds.query_of_kind(QueryKind::Filter).unwrap();
-        let dep = deployment_8b();
-        let out = run_method(&ds, q, Method::CacheGgr, &dep).unwrap();
+        let out = run_method(&ds, q, Method::CacheGgr, Setup::Llama8b).unwrap();
         assert_eq!(out.outputs.len(), 60);
-        let out2 = run_method(&ds, q, Method::NoCache, &dep).unwrap();
+        let out2 = run_method(&ds, q, Method::NoCache, Setup::Llama8b).unwrap();
         assert_eq!(out2.report.engine.cached_prompt_tokens, 0);
+    }
+
+    #[test]
+    fn grid_runs_each_cell_once() {
+        let mut grid = Grid::default();
+        for (id, rows) in [(DatasetId::Beer, 60), (DatasetId::Squad, 40)] {
+            grid.datasets
+                .insert(id, Dataset::generate_with_rows(id, rows));
+        }
+        let beer = grid.dataset(DatasetId::Beer).clone();
+        let direct = run_method(
+            &beer,
+            query(&beer, QueryKind::Filter),
+            Method::CacheGgr,
+            Setup::Llama8b,
+        )
+        .expect("direct run");
+        let [_, ggr] = grid.pair(DatasetId::Beer, Setup::Llama8b);
+        assert_eq!(ggr.engine, direct.report.engine);
+        grid.jcts(DatasetId::Beer, QueryKind::Filter);
+        assert_eq!(grid.runs.len(), 3, "the pair's two cells are reused");
+        // SQuAD has only its RAG query, so its `Filter` and `Projection`
+        // picks (Table 2's and Fig. 3b's) are the same cells.
+        let squad = DatasetId::Squad;
+        let rag = grid
+            .run(squad, QueryKind::Rag, Method::NoCache, Setup::Llama8b)
+            .report
+            .clone();
+        for kind in [QueryKind::Filter, QueryKind::Projection] {
+            let out = grid.run(squad, kind, Method::NoCache, Setup::Llama8b);
+            assert_eq!(out.report.engine, rag.engine);
+        }
+        grid.run(squad, QueryKind::Rag, Method::NoCache, Setup::Llama1b);
+        assert_eq!(grid.runs.len(), 5, "a setup is part of the cell");
+        assert_eq!(grid.datasets.len(), 2);
     }
 }

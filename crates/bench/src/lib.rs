@@ -1,9 +1,11 @@
 //! # llmqo-bench — reproduction harness for every table and figure
 //!
-//! One binary per paper artifact (run with
-//! `cargo run --release -p llmqo-bench --bin <id>`):
+//! One binary, `artifacts`, with one subcommand per paper artifact (run with
+//! `cargo run --release -p llmqo-bench --bin artifacts -- <name>`, or `all`
+//! for every one in [`artifacts::ARTIFACTS`] order; a missing or unknown
+//! name is a one-line error listing the choices, and exit status 2):
 //!
-//! | bin | paper artifact |
+//! | name | paper artifact |
 //! |---|---|
 //! | `table1` | Table 1 — dataset statistics |
 //! | `fig1` | Figure 1 — fixed-field-ordering case study |
@@ -23,15 +25,19 @@
 //! and one per sweep beyond the paper; the five that write a
 //! `BENCH_*.json` do so through [`report::BenchFile`], at full scale only:
 //!
-//! | bin | sweep |
+//! | name | sweep |
 //! |---|---|
 //! | `fig_cluster` | replica count × routing policy on the GGR-scheduled Movies filter |
-//! | `diagnose` | calibration: per-dataset column statistics and GGR against the fixed orderings and its ceiling |
+//! | `diagnose [dataset]` | calibration: per-dataset column statistics and GGR against the fixed orderings and its ceiling |
 //! | `table_adaptive` | mid-query re-ranking, session answer cache, aimed `LIMIT` batches → `BENCH_adaptive.json` |
 //! | `perf_chaos` | fault × retry policy × router grid at 8 replicas → `BENCH_chaos.json` |
 //! | `perf_overload` | admission / quota / autoscaler ladder at 2× the service rate → `BENCH_overload.json` |
 //! | `perf_pipeline` | relay vs pipelined fan-out statement, macro-stepped backpressure → `BENCH_pipeline.json` |
 //! | `perf_cascade` | mini→sonnet cascade threshold sweep, dollars vs drift → `BENCH_cascade.json` |
+//!
+//! The artifacts share one [`harness::Grid`]: under `all`, each dataset is
+//! generated once and each (dataset, query, method, setup) run is simulated
+//! once, however many tables and figures read it.
 //!
 //! Set `LLMQO_SCALE` (e.g. `0.1`) to run on proportionally smaller datasets
 //! while keeping duplication structure; default is the paper's full sizes.
@@ -39,5 +45,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod artifacts;
 pub mod harness;
 pub mod report;

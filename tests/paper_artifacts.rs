@@ -1,8 +1,8 @@
 //! Scaled-down checks of the paper's artifacts: Figure 1's exact bounds,
 //! Table 1's shapes, Table 6's GGR-vs-OPHR gap, and the Table 3/4 cost
-//! mechanics. The full-size regenerations live in `llmqo-bench` binaries;
-//! these tests guard the same relationships in CI time, and the shape of the
-//! committed `BENCH_*.json` those binaries write.
+//! mechanics. The full-size regenerations are subcommands of `llmqo-bench`'s
+//! `artifacts` binary; these tests guard the same relationships in CI time,
+//! and the shape of the committed `BENCH_*.json` its sweeps write.
 
 use llmqo::core::{phc_of_plan, Cell, FunctionalDeps, Ggr, Ophr, ReorderTable, Reorderer, ValueId};
 use llmqo::costmodel::{AnthropicCache, OpenAiCache, Pricing, ProviderCache, Usage};
