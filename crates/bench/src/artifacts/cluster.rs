@@ -2,7 +2,7 @@
 //! × retries, and the overload-protection ladder.
 
 use crate::harness::{self, Grid};
-use crate::report::{self, BenchFile};
+use crate::report::{BenchFile, Table, Value};
 use llmqo_cluster::{
     AdmissionPolicy, ArrivalProcess, ClusterError, ClusterReport, ClusterRequest, ClusterSim,
     FaultPlan, LeastLoaded, OverloadPolicy, PrefixAffinity, RetryPolicy, RoundRobin, Router,
@@ -27,7 +27,12 @@ pub(super) fn fig_cluster(grid: &mut Grid) {
         .expect("single-replica run")
         .prefix_hit_rate();
 
-    let mut rows = Vec::new();
+    let mut table = Table::new(format!(
+        "Cluster sweep: {} filter, {} requests, GGR schedule (single-node PHR {})",
+        id.name(),
+        tagged.len(),
+        Value::pct(single_phr)
+    ));
     let mut affinity_beats_rr_at_4plus = true;
     for &replicas in &[1usize, 2, 4, 8] {
         let sim = harness::cluster(replicas, 64);
@@ -42,40 +47,25 @@ pub(super) fn fig_cluster(grid: &mut Grid) {
             let r = sim.run(router, &tagged).expect("cluster run");
             assert_eq!(r.completed, tagged.len(), "lost requests under {name}");
             phr.insert(name, r.prefix_hit_rate());
-            rows.push(vec![
-                replicas.to_string(),
-                name.to_owned(),
-                report::secs(r.makespan_s),
-                report::pct(r.prefix_hit_rate()),
-                report::pct(r.prefix_hit_rate() / single_phr.max(1e-12)),
-                format!("{:.2}", r.load_skew()),
-                report::secs(r.queue_wait_p99_s),
-                format!("{:.0}", r.throughput_rps()),
+            table.row([
+                ("Replicas", replicas.into()),
+                ("Policy", name.into()),
+                ("Makespan", Value::Secs(r.makespan_s)),
+                ("PHR", Value::pct(r.prefix_hit_rate())),
+                (
+                    "PHR retained",
+                    Value::pct(r.prefix_hit_rate() / single_phr.max(1e-12)),
+                ),
+                ("Skew", Value::Fixed(r.load_skew(), 2)),
+                ("Wait p99", Value::Secs(r.queue_wait_p99_s)),
+                ("Req/s", Value::Fixed(r.throughput_rps(), 0)),
             ]);
         }
         if replicas >= 4 && phr["prefix-affinity"] <= phr["round-robin"] {
             affinity_beats_rr_at_4plus = false;
         }
     }
-    report::section(
-        &format!(
-            "Cluster sweep: {} filter, {} requests, GGR schedule (single-node PHR {})",
-            id.name(),
-            tagged.len(),
-            report::pct(single_phr)
-        ),
-        &[
-            "Replicas",
-            "Policy",
-            "Makespan",
-            "PHR",
-            "PHR retained",
-            "Skew",
-            "Wait p99",
-            "Req/s",
-        ],
-        &rows,
-    );
+    table.print();
     println!(
         "\nprefix-affinity beats round-robin on cluster PHR at >= 4 replicas: {}",
         if affinity_beats_rr_at_4plus {
@@ -234,35 +224,35 @@ pub(super) fn perf_chaos(_: &mut Grid) {
         }
     }
 
-    println!(
-        "\n{:<14} {:<14} {:<16} {:>8} {:>10} {:>7} {:>6} {:>7} {:>7} {:>9}",
-        "fault",
-        "retry",
-        "router",
-        "goodput",
-        "p99 wait",
-        "PHR",
-        "failed",
-        "retries",
-        "hedges",
-        "failovers"
-    );
+    let mut table = Table::new(format!(
+        "Chaos sweep: fault × retry policy × router, {CHAOS_REPLICAS} replicas"
+    ));
     for c in &cells {
         let fs = &c.report.faults;
-        println!(
-            "{:<14} {:<14} {:<16} {:>8.1} {:>9.3}s {:>6.1}% {:>6} {:>7} {:>7} {:>9}",
-            c.fault,
-            c.retry,
-            c.report.policy,
-            c.report.goodput_rps(),
-            c.report.queue_wait_p99_s,
-            c.report.prefix_hit_rate() * 100.0,
-            fs.failed,
-            fs.retries,
-            fs.hedges_issued,
-            fs.failovers
-        );
+        table.row([
+            ("fault", c.fault.into()),
+            ("retry", c.retry.into()),
+            ("router", c.report.policy.as_str().into()),
+            ("goodput_rps", Value::Fixed(c.report.goodput_rps(), 1)),
+            (
+                "queue_wait_p99_s",
+                Value::Fixed(c.report.queue_wait_p99_s, 3),
+            ),
+            ("prefix_hit_rate", Value::pct(c.report.prefix_hit_rate())),
+            ("makespan_s", Value::Fixed(c.report.makespan_s, 3)),
+            ("offered", fs.offered.into()),
+            ("succeeded", fs.succeeded.into()),
+            ("failed", fs.failed.into()),
+            ("retries", fs.retries.into()),
+            ("transient_errors", fs.transient_errors.into()),
+            ("hedges_issued", fs.hedges_issued.into()),
+            ("hedges_won", fs.hedges_won.into()),
+            ("failovers", fs.failovers.into()),
+            ("deadline_misses", fs.deadline_misses.into()),
+            ("unavailable_s", Value::Fixed(fs.unavailable_s, 3)),
+        ]);
     }
+    table.print();
 
     let mut file = BenchFile::new(
         "chaos",
@@ -278,28 +268,7 @@ pub(super) fn perf_chaos(_: &mut Grid) {
         ("prefix_groups", groups.into()),
         ("fault_free_makespan_s", mk.into()),
     ]);
-    for c in &cells {
-        let fs = &c.report.faults;
-        file.cell([
-            ("fault", c.fault.into()),
-            ("retry", c.retry.into()),
-            ("router", c.report.policy.as_str().into()),
-            ("goodput_rps", c.report.goodput_rps().into()),
-            ("queue_wait_p99_s", c.report.queue_wait_p99_s.into()),
-            ("prefix_hit_rate", c.report.prefix_hit_rate().into()),
-            ("makespan_s", c.report.makespan_s.into()),
-            ("offered", fs.offered.into()),
-            ("succeeded", fs.succeeded.into()),
-            ("failed", fs.failed.into()),
-            ("retries", fs.retries.into()),
-            ("transient_errors", fs.transient_errors.into()),
-            ("hedges_issued", fs.hedges_issued.into()),
-            ("hedges_won", fs.hedges_won.into()),
-            ("failovers", fs.failovers.into()),
-            ("deadline_misses", fs.deadline_misses.into()),
-            ("unavailable_s", fs.unavailable_s.into()),
-        ]);
-    }
+    file.cells(&table);
     file.write();
 }
 
@@ -515,26 +484,36 @@ pub(super) fn perf_overload(_: &mut Grid) {
         "three-way chaos ledger must reconcile"
     );
 
-    println!(
-        "\n{:<22} {:>9} {:>10} {:>6} {:>6} {:>5} {:>7} {:>8} {:>6} {:>6}",
-        "cell", "completed", "p99 wait", "shed", "queue", "kv", "quota", "max-prio", "ups", "downs"
-    );
+    let mut table = Table::new(format!(
+        "Overload ladder: {OVERLOAD_REPLICAS} replicas at 2x the measured service rate"
+    ));
     for c in &cells {
         let s = &c.report.shed;
-        println!(
-            "{:<22} {:>9} {:>9.3}s {:>6} {:>6} {:>5} {:>7} {:>8} {:>6} {:>6}",
-            c.name,
-            c.report.completed,
-            c.report.queue_wait_p99_s,
-            s.shed,
-            s.shed_queue_full,
-            s.shed_kv_pressure,
-            s.shed_tenant_quota,
-            s.max_shed_priority,
-            c.report.scaling.scale_ups,
-            c.report.scaling.scale_downs
-        );
+        let sc = &c.report.scaling;
+        let fs = &c.report.faults;
+        table.row([
+            ("cell", c.name.into()),
+            ("completed", c.report.completed.into()),
+            (
+                "queue_wait_p99_s",
+                Value::Fixed(c.report.queue_wait_p99_s, 3),
+            ),
+            ("makespan_s", Value::Fixed(c.report.makespan_s, 3)),
+            ("throughput_rps", Value::Fixed(c.report.throughput_rps(), 1)),
+            ("shed", s.shed.into()),
+            ("shed_queue_full", s.shed_queue_full.into()),
+            ("shed_kv_pressure", s.shed_kv_pressure.into()),
+            ("shed_tenant_quota", s.shed_tenant_quota.into()),
+            ("max_shed_priority", s.max_shed_priority.into()),
+            ("scale_ups", sc.scale_ups.into()),
+            ("scale_downs", sc.scale_downs.into()),
+            ("peak_replicas", sc.peak_replicas.into()),
+            ("fault_succeeded", fs.succeeded.into()),
+            ("fault_failed", fs.failed.into()),
+            ("fault_retries", fs.retries.into()),
+        ]);
     }
+    table.print();
 
     let mut file = BenchFile::new(
         "overload",
@@ -551,28 +530,6 @@ pub(super) fn perf_overload(_: &mut Grid) {
         ("service_rate_rps", svc.into()),
         ("overload_rate_rps", (2.0 * svc).into()),
     ]);
-    for c in &cells {
-        let s = &c.report.shed;
-        let sc = &c.report.scaling;
-        let fs = &c.report.faults;
-        file.cell([
-            ("cell", c.name.into()),
-            ("completed", c.report.completed.into()),
-            ("queue_wait_p99_s", c.report.queue_wait_p99_s.into()),
-            ("makespan_s", c.report.makespan_s.into()),
-            ("throughput_rps", c.report.throughput_rps().into()),
-            ("shed", s.shed.into()),
-            ("shed_queue_full", s.shed_queue_full.into()),
-            ("shed_kv_pressure", s.shed_kv_pressure.into()),
-            ("shed_tenant_quota", s.shed_tenant_quota.into()),
-            ("max_shed_priority", s.max_shed_priority.into()),
-            ("scale_ups", sc.scale_ups.into()),
-            ("scale_downs", sc.scale_downs.into()),
-            ("peak_replicas", sc.peak_replicas.into()),
-            ("fault_succeeded", fs.succeeded.into()),
-            ("fault_failed", fs.failed.into()),
-            ("fault_retries", fs.retries.into()),
-        ]);
-    }
+    file.cells(&table);
     file.write();
 }

@@ -2,7 +2,7 @@
 //! and hit-rate artifacts are views over the [`Grid`]'s shared runs.
 
 use crate::harness::{self, Grid, Method, Setup};
-use crate::report;
+use crate::report::{Table, Value};
 use llmqo_core::{
     phc_of_plan, Cell, FallbackOrdering, FunctionalDeps, Ggr, GgrConfig, Ophr, OriginalOrder,
     ReorderTable, Reorderer, SolveError, SortedFixed, StatFixed, TableStats, ValueId,
@@ -25,28 +25,27 @@ const FILTER_DATASETS: [DatasetId; 5] = [
     DatasetId::Beer,
 ];
 
-/// One row of a three-method runtime figure: the job completion time of
-/// each of [`Method::all`], then GGR's speedup over the other two.
-fn jct_row(label: String, [none, orig, ggr]: [f64; 3]) -> Vec<String> {
-    vec![
-        label,
-        report::secs(none),
-        report::secs(orig),
-        report::secs(ggr),
-        report::speedup(none, ggr),
-        report::speedup(orig, ggr),
-    ]
+/// Appends one row of a three-method runtime figure: `label` under
+/// `first`, the job completion time of each of [`Method::all`], then GGR's
+/// speedup over the other two.
+fn jct_row(table: &mut Table, first: &'static str, label: String, jct: [f64; 3]) {
+    let [none, orig, ggr] = jct;
+    let methods = Method::all().map(|method| method.label());
+    table.row(
+        [(first, label.into())]
+            .into_iter()
+            .chain(methods.into_iter().zip(jct.map(Value::Secs)))
+            .chain([
+                ("GGR vs NoCache", Value::Speedup(none / ggr)),
+                ("GGR vs Original", Value::Speedup(orig / ggr)),
+            ]),
+    );
 }
 
-/// Prints a three-method runtime figure whose first column is `first`.
-fn jct_section(title: &str, first: &str, rows: &[Vec<String>]) {
-    let methods = Method::all().map(|method| method.label());
-    let headers: Vec<&str> = [first]
-        .into_iter()
-        .chain(methods)
-        .chain(["GGR vs NoCache", "GGR vs Original"])
-        .collect();
-    report::section(title, &headers, rows);
+/// `{a, b, ...}`, each number rounded to a whole token.
+fn token_set(tokens: impl IntoIterator<Item = f64>) -> Value {
+    let tokens: Vec<String> = tokens.into_iter().map(|t| format!("{t:.0}")).collect();
+    format!("{{{}}}", tokens.join(", ")).into()
 }
 
 /// Reproduces **Table 1**: dataset statistics (rows, fields, average input
@@ -57,61 +56,40 @@ fn jct_section(title: &str, first: &str, rows: &[Vec<String>]) {
 /// (instruction + JSON field fragments) with this repo's tokenizer.
 pub(super) fn table1(grid: &mut Grid) {
     let tok = Tokenizer::new();
-    let mut rows = Vec::new();
+    let mut table = Table::new("Table 1: Datasets (measured vs paper)");
     for id in DatasetId::all() {
         let paper = id.paper();
         let ds = grid.dataset(id);
         let query = harness::query(ds, QueryKind::Filter);
         let encoded = encode_table(&tok, &ds.table, query).expect("encoding succeeds");
         let measured_input = encoded.total_prompt_tokens() as f64 / encoded.reorder.nrows() as f64;
-        let outputs: Vec<String> = ds
+        let outputs = ds
             .queries
             .iter()
             .filter(|q| !q.name.contains("multi"))
-            .map(|q| format!("{:.0}", q.output_tokens_mean))
-            .collect();
+            .map(|q| q.output_tokens_mean);
         let qtypes = match id {
             DatasetId::Movies | DatasetId::Products => "T1-T4",
             DatasetId::Squad | DatasetId::Fever => "T5",
             _ => "T1, T2",
         };
-        rows.push(vec![
-            id.name().to_owned(),
-            format!("{}", ds.table.nrows()),
-            format!("{}", paper.nrows),
-            format!("{}", ds.table.ncols()),
-            format!("{}", paper.nfields),
-            format!("{measured_input:.0}"),
-            format!("{}", paper.input_avg),
-            format!("{{{}}}", outputs.join(", ")),
-            format!(
-                "{{{}}}",
-                paper
-                    .output_avg
-                    .iter()
-                    .map(|o| format!("{o:.0}"))
-                    .collect::<Vec<_>>()
-                    .join(", ")
+        table.row([
+            ("Dataset", id.name().into()),
+            ("nrows", ds.table.nrows().into()),
+            ("nrows(paper)", paper.nrows.into()),
+            ("nfields", ds.table.ncols().into()),
+            ("nfields(paper)", paper.nfields.into()),
+            ("input_avg", Value::Fixed(measured_input, 0)),
+            ("input_avg(paper)", paper.input_avg.into()),
+            ("output_avg", token_set(outputs)),
+            (
+                "output_avg(paper)",
+                token_set(paper.output_avg.iter().copied()),
             ),
-            qtypes.to_owned(),
+            ("Query Type", qtypes.into()),
         ]);
     }
-    report::section(
-        "Table 1: Datasets (measured vs paper)",
-        &[
-            "Dataset",
-            "nrows",
-            "nrows(paper)",
-            "nfields",
-            "nfields(paper)",
-            "input_avg",
-            "input_avg(paper)",
-            "output_avg",
-            "output_avg(paper)",
-            "Query Type",
-        ],
-        &rows,
-    );
+    table.print();
     if harness::scale() < 1.0 {
         println!(
             "note: LLMQO_SCALE={} — row counts are scaled; token shapes unaffected",
@@ -125,31 +103,20 @@ pub(super) fn table1(grid: &mut Grid) {
 /// serving simulator (block-granular, including the shared instruction
 /// prefix — exactly what vLLM's cache metrics report).
 pub(super) fn table2(grid: &mut Grid) {
-    let mut rows = Vec::new();
+    let mut table = Table::new("Table 2: PHR of LLM filter and RAG queries");
     for id in DatasetId::all() {
         let paper = id.paper();
         let [orig, ggr] = grid.pair(id, Setup::Llama8b);
-        rows.push(vec![
-            id.name().to_owned(),
-            report::pct(orig.engine.prefix_hit_rate()),
-            report::pct(paper.original_phr),
-            report::pct(ggr.engine.prefix_hit_rate()),
-            report::pct(paper.ggr_phr),
-            report::pct(ggr.field_phc.hit_rate()),
+        table.row([
+            ("Dataset", id.name().into()),
+            ("Original", Value::pct(orig.engine.prefix_hit_rate())),
+            ("Original(paper)", Value::pct(paper.original_phr)),
+            ("GGR", Value::pct(ggr.engine.prefix_hit_rate())),
+            ("GGR(paper)", Value::pct(paper.ggr_phr)),
+            ("GGR field-level", Value::pct(ggr.field_phc.hit_rate())),
         ]);
     }
-    report::section(
-        "Table 2: PHR of LLM filter and RAG queries",
-        &[
-            "Dataset",
-            "Original",
-            "Original(paper)",
-            "GGR",
-            "GGR(paper)",
-            "GGR field-level",
-        ],
-        &rows,
-    );
+    table.print();
 }
 
 // The paper duplicates field values "five times"; with this repo's
@@ -211,7 +178,10 @@ pub(super) fn table3(_: &mut Grid) {
         orig_prompts.iter().map(Vec::len).sum::<usize>() as f64 / orig_prompts.len() as f64;
     println!("FEVER x{DUPLICATION} duplication, {rows} rows, avg prompt {avg_len:.0} tokens");
 
-    let mut out = Vec::new();
+    let mut table = Table::new(
+        "Table 3: provider costs on FEVER (paper: OpenAI 62.2% hits / 32% \
+         savings; Anthropic 30.6% hits / 21% savings; Original 0% hits)",
+    );
     for (pricing, provider) in [
         (Pricing::gpt4o_mini(), "OpenAI"),
         (Pricing::claude35_sonnet(), "Anthropic"),
@@ -228,25 +198,23 @@ pub(super) fn table3(_: &mut Grid) {
         let base_cost = results[0].1.cost(&pricing);
         for (name, usage) in &results {
             let cost = usage.cost(&pricing);
-            out.push(vec![
-                pricing.name.clone(),
-                (*name).to_owned(),
-                report::pct(usage.hit_rate()),
-                format!("${cost:.2}"),
-                if *name == "GGR" {
-                    report::pct(1.0 - cost / base_cost)
-                } else {
-                    "-".to_owned()
-                },
+            table.row([
+                ("Model", pricing.name.clone().into()),
+                ("Method", (*name).into()),
+                ("PHR", Value::pct(usage.hit_rate())),
+                ("Cost", format!("${cost:.2}").into()),
+                (
+                    "Savings",
+                    if *name == "GGR" {
+                        Value::pct(1.0 - cost / base_cost)
+                    } else {
+                        "-".into()
+                    },
+                ),
             ]);
         }
     }
-    report::section(
-        "Table 3: provider costs on FEVER (paper: OpenAI 62.2% hits / 32% \
-         savings; Anthropic 30.6% hits / 21% savings; Original 0% hits)",
-        &["Model", "Method", "PHR", "Cost", "Savings"],
-        &out,
-    );
+    table.print();
 }
 
 /// Reproduces **Table 4**: estimated cost savings across all datasets,
@@ -259,7 +227,10 @@ pub(super) fn table3(_: &mut Grid) {
 pub(super) fn table4(grid: &mut Grid) {
     let openai = Pricing::gpt4o_mini();
     let anthropic = Pricing::claude35_sonnet();
-    let mut rows = Vec::new();
+    let mut table = Table::new(
+        "Table 4: estimated cost savings from measured PHR (paper: OpenAI \
+         20-39%, Anthropic 48-79%)",
+    );
     for id in FILTER_DATASETS
         .into_iter()
         .chain([DatasetId::Fever, DatasetId::Squad])
@@ -268,30 +239,20 @@ pub(super) fn table4(grid: &mut Grid) {
         let [orig, ggr] = grid
             .pair(id, Setup::Llama8b)
             .map(|r| r.engine.prefix_hit_rate());
-        rows.push(vec![
-            id.name().to_owned(),
-            report::pct(orig),
-            report::pct(ggr),
-            report::pct(openai.estimated_savings(orig, ggr)),
-            format!("{:.0}%", p_oa * 100.0),
-            report::pct(anthropic.estimated_savings(orig, ggr)),
-            format!("{:.0}%", p_an * 100.0),
+        table.row([
+            ("Dataset", id.name().into()),
+            ("PHR orig", Value::pct(orig)),
+            ("PHR GGR", Value::pct(ggr)),
+            ("OpenAI", Value::pct(openai.estimated_savings(orig, ggr))),
+            ("OpenAI(paper)", Value::Pct(p_oa, 0)),
+            (
+                "Anthropic",
+                Value::pct(anthropic.estimated_savings(orig, ggr)),
+            ),
+            ("Anthropic(paper)", Value::Pct(p_an, 0)),
         ]);
     }
-    report::section(
-        "Table 4: estimated cost savings from measured PHR (paper: OpenAI \
-         20-39%, Anthropic 48-79%)",
-        &[
-            "Dataset",
-            "PHR orig",
-            "PHR GGR",
-            "OpenAI",
-            "OpenAI(paper)",
-            "Anthropic",
-            "Anthropic(paper)",
-        ],
-        &rows,
-    );
+    table.print();
 }
 
 /// Reproduces **Table 5**: GGR solver time per dataset (§6.5).
@@ -301,24 +262,25 @@ pub(super) fn table4(grid: &mut Grid) {
 /// This Rust implementation is orders of magnitude faster still; the table
 /// also reports the solver-to-query-time ratio measured end to end.
 pub(super) fn table5(grid: &mut Grid) {
-    let mut rows = Vec::new();
+    let mut table = Table::new(
+        "Table 5: GGR solver time (paper: < 15s per dataset, < 0.01% of query \
+         runtime)",
+    );
     for id in DatasetId::all() {
         let out = grid.run(id, QueryKind::Filter, Method::CacheGgr, Setup::Llama8b);
         let solver = out.report.solve_time_s;
         let query_time = out.report.engine.job_completion_time_s;
-        rows.push(vec![
-            id.name().to_owned(),
-            report::secs(solver),
-            format!("{:.1}s", id.paper().solver_time_s),
-            report::pct(solver / query_time),
+        table.row([
+            ("Dataset", id.name().into()),
+            ("Solver", Value::Secs(solver).print_only()),
+            ("Solver(paper)", Value::Secs(id.paper().solver_time_s)),
+            (
+                "of query time",
+                Value::pct(solver / query_time).print_only(),
+            ),
         ]);
     }
-    report::section(
-        "Table 5: GGR solver time (paper: < 15s per dataset, < 0.01% of query \
-         runtime)",
-        &["Dataset", "Solver", "Solver(paper)", "of query time"],
-        &rows,
-    );
+    table.print();
 }
 
 /// Reproduces **Table 7** (Appendix D.2): the filter queries on the small
@@ -329,7 +291,10 @@ pub(super) fn table5(grid: &mut Grid) {
 /// that large batches no longer depend on prefix sharing, and per-request
 /// overheads dominate more of the (much shorter) job.
 pub(super) fn table7(grid: &mut Grid) {
-    let mut rows = Vec::new();
+    let mut table = Table::new(
+        "Table 7 (D.2): Llama-3.2-1B filter queries (paper: similar PHR, \
+         smaller 1.2-1.5x runtime gains)",
+    );
     // The paper's row order.
     let order = [
         DatasetId::Bird,
@@ -341,25 +306,21 @@ pub(super) fn table7(grid: &mut Grid) {
     for id in order {
         let (p_ratio, p_orig, p_ggr) = id.paper().llama1b.expect("a filter dataset");
         let [orig, ggr] = grid.pair(id, Setup::Llama1b);
-        let ratio = orig.engine.job_completion_time_s / ggr.engine.job_completion_time_s;
-        rows.push(vec![
-            id.name().to_owned(),
-            format!("{ratio:.1}x"),
-            format!("{p_ratio:.1}x"),
-            report::pct(orig.engine.prefix_hit_rate()),
-            report::pct(p_orig),
-            report::pct(ggr.engine.prefix_hit_rate()),
-            report::pct(p_ggr),
+        let (orig_s, ggr_s) = (
+            orig.engine.job_completion_time_s,
+            ggr.engine.job_completion_time_s,
+        );
+        table.row([
+            ("Dataset", id.name().into()),
+            ("orig/GGR", Value::Speedup(orig_s / ggr_s)),
+            ("paper", Value::Speedup(p_ratio)),
+            ("PHR orig", Value::pct(orig.engine.prefix_hit_rate())),
+            ("paper", Value::pct(p_orig)),
+            ("PHR GGR", Value::pct(ggr.engine.prefix_hit_rate())),
+            ("paper", Value::pct(p_ggr)),
         ]);
     }
-    report::section(
-        "Table 7 (D.2): Llama-3.2-1B filter queries (paper: similar PHR, \
-         smaller 1.2-1.5x runtime gains)",
-        &[
-            "Dataset", "orig/GGR", "paper", "PHR orig", "paper", "PHR GGR", "paper",
-        ],
-        &rows,
-    );
+    table.print();
 }
 
 /// Reproduces **Figure 3a**: end-to-end runtime of the five LLM *filter*
@@ -369,16 +330,15 @@ pub(super) fn table7(grid: &mut Grid) {
 /// Paper headline: GGR is 1.8–3.0× faster than Cache (Original) and
 /// 2.1–3.8× faster than No Cache.
 pub(super) fn fig3a(grid: &mut Grid) {
-    let rows: Vec<Vec<String>> = FILTER_DATASETS
-        .into_iter()
-        .map(|id| jct_row(id.name().to_owned(), grid.jcts(id, QueryKind::Filter)))
-        .collect();
-    jct_section(
+    let mut table = Table::new(
         "Fig 3a: Filter queries, Llama-3-8B on 1xL4 (paper: GGR 2.1-3.8x over \
          No Cache, 1.8-3.0x over Cache (Original))",
-        "Dataset",
-        &rows,
     );
+    for id in FILTER_DATASETS {
+        let jct = grid.jcts(id, QueryKind::Filter);
+        jct_row(&mut table, "Dataset", id.name().to_owned(), jct);
+    }
+    table.print();
 }
 
 /// Reproduces **Figure 3b**: end-to-end runtime of the five *projection*
@@ -388,18 +348,17 @@ pub(super) fn fig3a(grid: &mut Grid) {
 /// Paper headline: GGR is 1.5–3.4× over Cache (Original) and 1.8–3.7× over
 /// No Cache; gains shrink as decode (long outputs) dominates.
 pub(super) fn fig3b(grid: &mut Grid) {
-    let mut rows = Vec::new();
+    let mut table = Table::new(
+        "Fig 3b: Projection and RAG queries, Llama-3-8B on 1xL4 (paper: GGR \
+         1.8-3.7x over No Cache, 1.5-3.4x over Cache (Original))",
+    );
     for id in DatasetId::all() {
         let query = &harness::query(grid.dataset(id), QueryKind::Projection).name;
         let label = format!("{} ({query})", id.name());
-        rows.push(jct_row(label, grid.jcts(id, QueryKind::Projection)));
+        let jct = grid.jcts(id, QueryKind::Projection);
+        jct_row(&mut table, "Dataset (query)", label, jct);
     }
-    jct_section(
-        "Fig 3b: Projection and RAG queries, Llama-3-8B on 1xL4 (paper: GGR \
-         1.8-3.7x over No Cache, 1.5-3.4x over Cache (Original))",
-        "Dataset (query)",
-        &rows,
-    );
+    table.print();
 }
 
 /// Reproduces **Figure 4**: multi-LLM invocation (T3) and aggregation (T4)
@@ -409,7 +368,10 @@ pub(super) fn fig3b(grid: &mut Grid) {
 /// No Cache. T3's first invocation filters over (mostly distinct) review
 /// text, where reordering cannot help, diluting the total speedup.
 pub(super) fn fig4(grid: &mut Grid) {
-    let mut rows = Vec::new();
+    let mut table = Table::new(
+        "Fig 4: Multi-LLM invocation (T3) and aggregation (T4), Llama-3-8B \
+         (paper: GGR 1.7-2.8x over Cache (Original), 2.7-3.7x over No Cache)",
+    );
     for id in [DatasetId::Movies, DatasetId::Products] {
         let ds = grid.dataset(id);
         // T3: filter stage then projection stage over surviving rows.
@@ -420,7 +382,12 @@ pub(super) fn fig4(grid: &mut Grid) {
                 .map(|o| o.report.engine.job_completion_time_s)
                 .sum::<f64>()
         });
-        rows.push(jct_row(format!("{} (T3)", id.name()), jct));
+        jct_row(
+            &mut table,
+            "Dataset (type)",
+            format!("{} (T3)", id.name()),
+            jct,
+        );
     }
     for id in [DatasetId::Movies, DatasetId::Products] {
         let jct = grid.jcts(id, QueryKind::Aggregation);
@@ -435,14 +402,9 @@ pub(super) fn fig4(grid: &mut Grid) {
             "aggregation changed under reordering: {aggs:?}"
         );
         let label = format!("{} (T4, avg={:.2})", id.name(), aggs[2]);
-        rows.push(jct_row(label, jct));
+        jct_row(&mut table, "Dataset (type)", label, jct);
     }
-    jct_section(
-        "Fig 4: Multi-LLM invocation (T3) and aggregation (T4), Llama-3-8B \
-         (paper: GGR 1.7-2.8x over Cache (Original), 2.7-3.7x over No Cache)",
-        "Dataset (type)",
-        &rows,
-    );
+    table.print();
 }
 
 /// Reproduces **Figure 5**: the five filter queries on Llama-3-70B served
@@ -450,31 +412,23 @@ pub(super) fn fig4(grid: &mut Grid) {
 ///
 /// Paper headline: GGR is 1.9–3.3× faster; trends mirror the 8B results.
 pub(super) fn fig5(grid: &mut Grid) {
-    let mut rows = Vec::new();
+    let mut table = Table::new(
+        "Fig 5: Filter queries, Llama-3-70B on 8xL4 (paper: GGR 1.9-3.3x over \
+         Cache (Original))",
+    );
     for id in FILTER_DATASETS {
         let [orig, ggr] = grid.pair(id, Setup::Llama70b);
         let orig_s = orig.engine.job_completion_time_s;
         let ggr_s = ggr.engine.job_completion_time_s;
-        rows.push(vec![
-            id.name().to_owned(),
-            report::secs(orig_s),
-            report::secs(ggr_s),
-            report::speedup(orig_s, ggr_s),
-            report::pct(ggr.engine.prefix_hit_rate()),
+        table.row([
+            ("Dataset", id.name().into()),
+            ("Cache (Original)", Value::Secs(orig_s)),
+            ("Cache (GGR)", Value::Secs(ggr_s)),
+            ("GGR vs Original", Value::Speedup(orig_s / ggr_s)),
+            ("GGR PHR", Value::pct(ggr.engine.prefix_hit_rate())),
         ]);
     }
-    report::section(
-        "Fig 5: Filter queries, Llama-3-70B on 8xL4 (paper: GGR 1.9-3.3x over \
-         Cache (Original))",
-        &[
-            "Dataset",
-            "Cache (Original)",
-            "Cache (GGR)",
-            "GGR vs Original",
-            "GGR PHR",
-        ],
-        &rows,
-    );
+    table.print();
 }
 
 fn cell(id: u32, len: u32) -> Cell {
@@ -514,17 +468,25 @@ fn case_b(x: u32) -> ReorderTable {
     t
 }
 
-/// One `[ordering, PHC]` row per solver over `t`, with no FDs declared.
-fn phc_rows(t: &ReorderTable, solvers: &[&dyn Reorderer]) -> Vec<Vec<String>> {
+/// A table titled `title` with one `[ordering, PHC]` row per solver over
+/// `t`, with no FDs declared, then one per `(bound, PHC)` of `bounds`.
+fn phc_table(
+    title: String,
+    t: &ReorderTable,
+    solvers: &[&dyn Reorderer],
+    bounds: &[(&str, u32)],
+) -> Table {
     let fds = FunctionalDeps::empty(t.ncols());
-    solvers
-        .iter()
-        .map(|solver| {
-            let plan = solver.reorder(t, &fds).unwrap().plan;
-            let phc = phc_of_plan(t, &plan).phc;
-            vec![solver.name().to_owned(), format!("{phc}")]
-        })
-        .collect()
+    let mut table = Table::new(title);
+    for solver in solvers {
+        let plan = solver.reorder(t, &fds).unwrap().plan;
+        let phc = phc_of_plan(t, &plan).phc;
+        table.row([("ordering", solver.name().into()), ("PHC", phc.into())]);
+    }
+    for &(bound, phc) in bounds {
+        table.row([("ordering", bound.into()), ("PHC", phc.into())]);
+    }
+    table
 }
 
 /// Reproduces **Figure 1**: the fixed-field-ordering case study (§3.2).
@@ -541,41 +503,30 @@ fn phc_rows(t: &ReorderTable, solvers: &[&dyn Reorderer]) -> Vec<Vec<String>> {
 /// theoretical.
 pub(super) fn fig1(_: &mut Grid) {
     let (n, m) = (8u32, 5u32);
-    let mut rows = phc_rows(
+    phc_table(
+        format!("Fig 1a: unique first field (n={n}, m={m}, unit lengths)"),
         &case_a(n, m),
         &[&OriginalOrder, &SortedFixed, &Ggr::default()],
-    );
-    rows.push(vec![
-        "paper bound (n−1)(m−1)".to_owned(),
-        format!("{}", (n - 1) * (m - 1)),
-    ]);
-    report::section(
-        &format!("Fig 1a: unique first field (n={n}, m={m}, unit lengths)"),
-        &["ordering", "PHC"],
-        &rows,
-    );
+        &[("paper bound (n−1)(m−1)", (n - 1) * (m - 1))],
+    )
+    .print();
 
     let x = 6u32;
-    let solvers: [&dyn Reorderer; 4] = [
-        &OriginalOrder,
-        &SortedFixed,
-        &Ggr::default(),
-        &Ophr::unbounded(),
-    ];
-    let mut rows = phc_rows(&case_b(x), &solvers);
-    rows.push(vec![
-        "paper fixed-order bound (x−1)".to_owned(),
-        format!("{}", x - 1),
-    ]);
-    rows.push(vec![
-        "paper per-row bound 3(x−1)".to_owned(),
-        format!("{}", 3 * (x - 1)),
-    ]);
-    report::section(
-        &format!("Fig 1b: staggered groups (x={x}, m=3, unit lengths)"),
-        &["ordering", "PHC"],
-        &rows,
-    );
+    phc_table(
+        format!("Fig 1b: staggered groups (x={x}, m=3, unit lengths)"),
+        &case_b(x),
+        &[
+            &OriginalOrder,
+            &SortedFixed,
+            &Ggr::default(),
+            &Ophr::unbounded(),
+        ],
+        &[
+            ("paper fixed-order bound (x−1)", x - 1),
+            ("paper per-row bound 3(x−1)", 3 * (x - 1)),
+        ],
+    )
+    .print();
 }
 
 /// How long OPHR may search one sample before its cell reads `timeout`.
@@ -600,7 +551,10 @@ pub(super) fn table6(_: &mut Grid) {
         DatasetId::Beer,
         DatasetId::Squad,
     ];
-    let mut rows = Vec::new();
+    let mut samples = Table::new(
+        "Table 6 (D.1): OPHR vs GGR on dataset prefixes (paper: GGR within \
+         ~2pp of optimal, hours faster)",
+    );
     for id in order {
         let (nrows, paper_ophr, paper_ggr) = id.paper().ophr_sample;
         let ds = Dataset::generate_with_rows(id, nrows.max(30));
@@ -620,7 +574,7 @@ pub(super) fn table6(_: &mut Grid) {
         let ggr_rate = phc_of_plan(&table, &ggr.plan).hit_rate();
 
         let ophr = Ophr::with_budget(Duration::from_secs(OPHR_BUDGET_S)).reorder(&table, &fds);
-        let (ophr_cell, ophr_time, diff) = match &ophr {
+        let (ophr_phr, ophr_time, diff): (Value, Value, Value) = match &ophr {
             Ok(sol) => {
                 let rate = phc_of_plan(&table, &sol.plan).hit_rate();
                 assert!(
@@ -629,42 +583,33 @@ pub(super) fn table6(_: &mut Grid) {
                     id.name()
                 );
                 (
-                    report::pct(rate),
-                    report::secs(sol.solve_time.as_secs_f64()),
-                    format!("{:+.1}pp", (ggr_rate - rate) * 100.0),
+                    Value::pct(rate),
+                    Value::Secs(sol.solve_time.as_secs_f64()),
+                    format!("{:+.1}pp", (ggr_rate - rate) * 100.0).into(),
                 )
             }
             Err(SolveError::BudgetExceeded { .. }) => (
-                "timeout".to_owned(),
-                format!(">{OPHR_BUDGET_S}s"),
-                "n/a".to_owned(),
+                "timeout".into(),
+                format!(">{OPHR_BUDGET_S}s").into(),
+                "n/a".into(),
             ),
             Err(e) => panic!("unexpected solver error: {e}"),
         };
-        rows.push(vec![
-            format!("{}-{}", id.name(), nrows),
-            ophr_cell,
-            report::pct(ggr_rate),
-            diff,
-            format!("{:.1}% / {:.1}%", paper_ophr * 100.0, paper_ggr * 100.0),
-            ophr_time,
-            report::secs(ggr.solve_time.as_secs_f64()),
+        let paper = format!("{:.1}% / {:.1}%", paper_ophr * 100.0, paper_ggr * 100.0);
+        samples.row([
+            ("Sample", format!("{}-{}", id.name(), nrows).into()),
+            ("OPHR PHR", ophr_phr),
+            ("GGR PHR", Value::pct(ggr_rate)),
+            ("GGR-OPHR", diff),
+            ("paper (OPHR/GGR)", paper.into()),
+            ("OPHR time", ophr_time.print_only()),
+            (
+                "GGR time",
+                Value::Secs(ggr.solve_time.as_secs_f64()).print_only(),
+            ),
         ]);
     }
-    report::section(
-        "Table 6 (D.1): OPHR vs GGR on dataset prefixes (paper: GGR within \
-         ~2pp of optimal, hours faster)",
-        &[
-            "Sample",
-            "OPHR PHR",
-            "GGR PHR",
-            "GGR-OPHR",
-            "paper (OPHR/GGR)",
-            "OPHR time",
-            "GGR time",
-        ],
-        &rows,
-    );
+    samples.print();
 }
 
 /// Calibration diagnostics (not a paper artifact): per-dataset column
@@ -680,27 +625,23 @@ pub(super) fn diagnose(grid: &mut Grid, ids: &[DatasetId]) {
         let stats = TableStats::compute(&encoded.reorder);
         let n = encoded.reorder.nrows();
 
-        let mut col_rows = Vec::new();
+        let mut columns = Table::new(format!(
+            "{} columns (n={}, instr={} tok, fields={:.0} tok/row)",
+            id.name(),
+            n,
+            encoded.instruction.len(),
+            encoded.reorder.total_tokens() as f64 / n as f64
+        ));
         for (c, s) in stats.columns().iter().enumerate() {
-            col_rows.push(vec![
-                encoded.reorder.column_names()[c].clone(),
-                format!("{}", s.cardinality),
-                format!("{:.1}", s.avg_len),
-                format!("{:.0}", s.total_len as f64 / n as f64),
-                format!("{:.2e}", s.hitcount_score(n)),
+            columns.row([
+                ("column", encoded.reorder.column_names()[c].clone().into()),
+                ("card", s.cardinality.into()),
+                ("avg_len", Value::Fixed(s.avg_len, 1)),
+                ("tok/row", Value::Fixed(s.total_len as f64 / n as f64, 0)),
+                ("score", format!("{:.2e}", s.hitcount_score(n)).into()),
             ]);
         }
-        report::section(
-            &format!(
-                "{} columns (n={}, instr={} tok, fields={:.0} tok/row)",
-                id.name(),
-                n,
-                encoded.instruction.len(),
-                encoded.reorder.total_tokens() as f64 / n as f64
-            ),
-            &["column", "card", "avg_len", "tok/row", "score"],
-            &col_rows,
-        );
+        columns.print();
 
         let solvers: Vec<(&str, Box<dyn Reorderer>)> = vec![
             ("original", Box::new(OriginalOrder)),
@@ -724,7 +665,7 @@ pub(super) fn diagnose(grid: &mut Grid, ids: &[DatasetId]) {
                 })),
             ),
         ];
-        let mut rows = Vec::new();
+        let mut table = Table::new(format!("{} solvers", id.name()));
         for (name, solver) in solvers {
             let start = std::time::Instant::now();
             let s = solver.reorder(&encoded.reorder, &fds).unwrap();
@@ -734,19 +675,15 @@ pub(super) fn diagnose(grid: &mut Grid, ids: &[DatasetId]) {
             let instr = (encoded.instruction.len() * n) as u64;
             let engine_like = (r.hit_tokens + instr - encoded.instruction.len() as u64) as f64
                 / (r.total_tokens + instr) as f64;
-            rows.push(vec![
-                name.to_owned(),
-                report::pct(r.hit_rate()),
-                report::pct(engine_like),
-                format!("{:.2e}", r.phc as f64),
-                report::secs(elapsed),
+            table.row([
+                ("solver", name.into()),
+                ("field hit", Value::pct(r.hit_rate())),
+                ("≈engine hit", Value::pct(engine_like)),
+                ("PHC", format!("{:.2e}", r.phc as f64).into()),
+                ("solve", Value::Secs(elapsed).print_only()),
             ]);
         }
-        report::section(
-            &format!("{} solvers", id.name()),
-            &["solver", "field hit", "≈engine hit", "PHC", "solve"],
-            &rows,
-        );
+        table.print();
     }
 }
 
@@ -824,16 +761,14 @@ pub(super) fn fig6(grid: &mut Grid) {
         ModelProfile::gpt4o(),
     ];
     let margins = [0.0, 0.08, 0.12];
-    // Paper's reported median deltas per model (same dataset order).
-    let paper: [[f64; 6]; 3] = [
-        [3.0, -1.0, 0.0, 1.0, -6.0, 14.2],
-        [4.0, 1.0, 1.0, -1.0, -3.0, 1.7],
-        [-3.0, -2.0, -1.0, 4.0, -3.0, -2.4],
-    ];
 
     for (mi, (model, margin)) in models.iter().zip(margins).enumerate() {
-        let mut rows = Vec::new();
-        for (ci, &(id, base)) in cases.iter().enumerate() {
+        let mut table = Table::new(format!("Fig 6: accuracy, original vs GGR ({})", model.name));
+        for &(id, base) in &cases {
+            let paper = id
+                .paper()
+                .accuracy_delta
+                .expect("Fig. 6 covers the dataset")[mi];
             let ds = grid.dataset(id);
             let query = harness::query(ds, QueryKind::Filter);
             // FEVER has ground-truth labels for all records; other datasets
@@ -848,19 +783,18 @@ pub(super) fn fig6(grid: &mut Grid) {
             let ggr = correctness(ds, query, &Ggr::default(), &profile, eval_rows);
             let m_orig = bootstrap_median(&orig, 42);
             let m_ggr = bootstrap_median(&ggr, 43);
-            rows.push(vec![
-                id.name().to_owned(),
-                report::pct(m_orig),
-                report::pct(m_ggr),
-                format!("{:+.1}%", (m_ggr - m_orig) * 100.0),
-                format!("{:+.1}%", paper[mi][ci]),
+            table.row([
+                ("Dataset", id.name().into()),
+                ("Original", Value::pct(m_orig)),
+                ("GGR", Value::pct(m_ggr)),
+                (
+                    "Δ median",
+                    format!("{:+.1}%", (m_ggr - m_orig) * 100.0).into(),
+                ),
+                ("Δ paper", format!("{paper:+.1}%").into()),
             ]);
         }
-        report::section(
-            &format!("Fig 6: accuracy, original vs GGR ({})", model.name),
-            &["Dataset", "Original", "GGR", "Δ median", "Δ paper"],
-            &rows,
-        );
+        table.print();
     }
     println!(
         "\nheadline: |Δ| stays small for large models; the small model gains \

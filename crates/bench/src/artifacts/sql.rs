@@ -2,7 +2,7 @@
 //! and adaptive optimizers, pipelined fan-out and model-tier cascades.
 
 use crate::harness::{self, llm_calls, relay_time_s, Grid};
-use crate::report::{self, BenchFile};
+use crate::report::{BenchFile, Table, Value};
 use llmqo_cluster::{ClusterRequest, PrefixAffinity, RoundRobin};
 use llmqo_costmodel::CascadePlan;
 use llmqo_datasets::{Dataset, DatasetId};
@@ -89,8 +89,14 @@ fn totals(res: &SqlResult) -> (u64, u64, u64, f64) {
 /// it); this binary reports the *cost* side: LLM calls, prefill tokens
 /// saved, and job completion time.
 pub(super) fn table_sqlopt(grid: &mut Grid) {
-    let mut dedup_rows = Vec::new();
-    let mut limit_rows = Vec::new();
+    let mut dedup = Table::new(
+        "SQL-aware opts, arm 1: exact dedup on duplicate-heavy filters \
+         (paper: each distinct prompt billed once)",
+    );
+    let mut limit = Table::new(
+        "SQL-aware opts, arm 2: lazy LIMIT 10 (paper: stop issuing requests \
+         once enough rows qualify)",
+    );
     for case in CASES {
         let ds = grid.dataset(case.id);
         let run = |sql, opt| statement(ds, case.table, sql, opt, &yes_every(3));
@@ -100,14 +106,14 @@ pub(super) fn table_sqlopt(grid: &mut Grid) {
         assert_eq!(on.rows, off.rows, "{}: results must not change", case.table);
         let (off_calls, _, _, off_jct) = totals(&off);
         let (on_calls, on_saved, on_prefill, on_jct) = totals(&on);
-        dedup_rows.push(vec![
-            case.id.name().to_owned(),
-            off_calls.to_string(),
-            on_calls.to_string(),
-            report::pct(on_saved as f64 / off_calls as f64),
-            format!("{on_prefill}"),
-            report::secs(off_jct),
-            report::secs(on_jct),
+        dedup.row([
+            ("Dataset", case.id.name().into()),
+            ("calls (off)", off_calls.into()),
+            ("calls (on)", on_calls.into()),
+            ("saved", Value::pct(on_saved as f64 / off_calls as f64)),
+            ("prefill tokens saved", on_prefill.into()),
+            ("JCT off", Value::Secs(off_jct)),
+            ("JCT on", Value::Secs(on_jct)),
         ]);
 
         // Arm 2: LIMIT k — lazy evaluation stops the scan early.
@@ -121,42 +127,20 @@ pub(super) fn table_sqlopt(grid: &mut Grid) {
             "{}: lazy LIMIT must issue strictly fewer requests",
             case.table
         );
-        limit_rows.push(vec![
-            case.id.name().to_owned(),
-            off_calls.to_string(),
-            on_calls.to_string(),
-            report::pct((off_calls - on_calls) as f64 / off_calls as f64),
-            report::secs(off_jct),
-            report::secs(on_jct),
+        limit.row([
+            ("Dataset", case.id.name().into()),
+            ("calls (off)", off_calls.into()),
+            ("calls (on)", on_calls.into()),
+            (
+                "saved",
+                Value::pct((off_calls - on_calls) as f64 / off_calls as f64),
+            ),
+            ("JCT off", Value::Secs(off_jct)),
+            ("JCT on", Value::Secs(on_jct)),
         ]);
     }
-    report::section(
-        "SQL-aware opts, arm 1: exact dedup on duplicate-heavy filters \
-         (paper: each distinct prompt billed once)",
-        &[
-            "Dataset",
-            "calls (off)",
-            "calls (on)",
-            "saved",
-            "prefill tokens saved",
-            "JCT off",
-            "JCT on",
-        ],
-        &dedup_rows,
-    );
-    report::section(
-        "SQL-aware opts, arm 2: lazy LIMIT 10 (paper: stop issuing requests \
-         once enough rows qualify)",
-        &[
-            "Dataset",
-            "calls (off)",
-            "calls (on)",
-            "saved",
-            "JCT off",
-            "JCT on",
-        ],
-        &limit_rows,
-    );
+    dedup.print();
+    limit.print();
 }
 
 /// Measures the **adaptive runtime re-optimization** layer on
@@ -189,6 +173,10 @@ pub(super) fn table_adaptive(grid: &mut Grid) {
         harness::scale(),
         None,
     );
+    // Job completion times and the counts beside each arm's cells are
+    // printed, not committed.
+    let jct = |r: &SqlResult| Value::Secs(relay_time_s(r)).print_only();
+    let shown = |count: u64| Value::from(count).print_only();
     // ~5% of rows are "Yes": a `= 'Yes'` filter is picky, `<> 'Yes'` is lax.
     let skewed = yes_every(20);
 
@@ -208,35 +196,26 @@ pub(super) fn table_adaptive(grid: &mut Grid) {
         ac < sc,
         "adaptive re-ranking must issue fewer requests: {ac} vs {sc}"
     );
-    let reranks = harness::opt_total(&adap, |o| o.reranks.into());
+    let [static_reranks, reranks] =
+        [&stat, &adap].map(|r| harness::opt_total(r, |o| o.reranks.into()));
     assert!(reranks > 0, "the pilot batch must have flipped the order");
-    report::section(
+    let mut arm1 = Table::new(
         "Adaptive arm 1: mid-query re-ranking under skewed selectivity \
          (BIRD, lax-cheap filter written first)",
-        &["mode", "LLM calls", "re-ranks", "JCT"],
-        &[
-            vec![
-                "static (PR-3 optimizer)".into(),
-                sc.to_string(),
-                "0".into(),
-                report::secs(relay_time_s(&stat)),
-            ],
-            vec![
-                "adaptive".into(),
-                ac.to_string(),
-                reranks.to_string(),
-                report::secs(relay_time_s(&adap)),
-            ],
-        ],
     );
-    file.cell([
+    arm1.row([
         ("arm", "skewed_multi_filter".into()),
         ("dataset", "BIRD".into()),
         ("static_calls", sc.into()),
         ("adaptive_calls", ac.into()),
+        ("static_reranks", shown(static_reranks)),
         ("reranks", reranks.into()),
-        ("saved", ((sc - ac) as f64 / sc as f64).into()),
+        ("saved", Value::pct((sc - ac) as f64 / sc as f64)),
+        ("static_jct_s", jct(&stat)),
+        ("adaptive_jct_s", jct(&adap)),
     ]);
+    arm1.print();
+    file.cells(&arm1);
 
     // Arm 2: repeated query on one executor — the session answer cache
     // short-circuits every repeated prompt.
@@ -250,43 +229,31 @@ pub(super) fn table_adaptive(grid: &mut Grid) {
         &skewed,
     );
     assert_eq!(first.rows, second.rows, "cache must not change results");
-    let first_calls = llm_calls(&first);
     let second_calls = llm_calls(&second);
-    let opt2 = second.stages[0].report.opt;
-    let hit_rate = opt2.cache_hits as f64 / opt2.rows_in.max(1) as f64;
+    let [opt1, opt2] = [&first, &second].map(|r| r.stages[0].report.opt);
+    let hit_rate = |o: &OptStats| o.cache_hits as f64 / o.rows_in.max(1) as f64;
     assert!(
-        hit_rate > 0.9,
-        "repeated-query cache hit rate must exceed 90%: {hit_rate}"
+        hit_rate(&opt2) > 0.9,
+        "repeated-query cache hit rate must exceed 90%: {}",
+        hit_rate(&opt2)
     );
     assert_eq!(second_calls, 0, "a repeat run must not touch the engine");
-    report::section(
-        "Adaptive arm 2: session answer cache on a repeated statement (Movies)",
-        &["run", "LLM calls", "cache hits", "hit rate", "tokens saved"],
-        &[
-            vec![
-                "first".into(),
-                first_calls.to_string(),
-                first.stages[0].report.opt.cache_hits.to_string(),
-                report::pct(0.0),
-                first.stages[0].report.opt.cache_tokens_saved.to_string(),
-            ],
-            vec![
-                "second".into(),
-                second_calls.to_string(),
-                opt2.cache_hits.to_string(),
-                report::pct(hit_rate),
-                opt2.cache_tokens_saved.to_string(),
-            ],
-        ],
-    );
-    file.cell([
+    let mut arm2 =
+        Table::new("Adaptive arm 2: session answer cache on a repeated statement (Movies)");
+    arm2.row([
         ("arm", "repeated_query".into()),
         ("dataset", "Movies".into()),
-        ("first_calls", first_calls.into()),
+        ("first_calls", llm_calls(&first).into()),
         ("second_calls", second_calls.into()),
-        ("hit_rate", hit_rate.into()),
+        ("first_cache_hits", shown(opt1.cache_hits)),
+        ("second_cache_hits", shown(opt2.cache_hits)),
+        ("first_hit_rate", Value::pct(hit_rate(&opt1)).print_only()),
+        ("hit_rate", Value::pct(hit_rate(&opt2))),
+        ("first_tokens_saved", shown(opt1.cache_tokens_saved)),
         ("tokens_saved", opt2.cache_tokens_saved.into()),
     ]);
+    arm2.print();
+    file.cells(&arm2);
 
     // Arm 3: LIMIT batch sizing — aimed batches vs blind doubling.
     let sql3 = "SELECT product_title FROM products \
@@ -308,35 +275,25 @@ pub(super) fn table_adaptive(grid: &mut Grid) {
         ac3 <= sc3,
         "aimed batches must not issue more requests than doubling: {ac3} vs {sc3}"
     );
-    report::section(
+    let skipped = |r: &SqlResult| shown(r.stages[0].report.opt.rows_skipped);
+    let mut arm3 = Table::new(
         "Adaptive arm 3: LIMIT 10 batch sizing — ceil(remaining/selectivity) \
          vs blind doubling (Products)",
-        &["mode", "LLM calls", "batches", "rows skipped", "JCT"],
-        &[
-            vec![
-                "doubling".into(),
-                sc3.to_string(),
-                sb3.to_string(),
-                stat3.stages[0].report.opt.rows_skipped.to_string(),
-                report::secs(relay_time_s(&stat3)),
-            ],
-            vec![
-                "aimed".into(),
-                ac3.to_string(),
-                ab3.to_string(),
-                adap3.stages[0].report.opt.rows_skipped.to_string(),
-                report::secs(relay_time_s(&adap3)),
-            ],
-        ],
     );
-    file.cell([
+    arm3.row([
         ("arm", "limit_sizing".into()),
         ("dataset", "Products".into()),
         ("doubling_calls", sc3.into()),
         ("aimed_calls", ac3.into()),
         ("doubling_batches", sb3.into()),
         ("aimed_batches", ab3.into()),
+        ("doubling_rows_skipped", skipped(&stat3)),
+        ("aimed_rows_skipped", skipped(&adap3)),
+        ("doubling_jct_s", jct(&stat3)),
+        ("aimed_jct_s", jct(&adap3)),
     ]);
+    arm3.print();
+    file.cells(&arm3);
     file.write();
 }
 
@@ -387,6 +344,17 @@ fn median_wall_ms(mut runs: Vec<f64>) -> f64 {
 /// single-stepped oracle's.
 pub(super) fn perf_pipeline(_: &mut Grid) {
     let scale = harness::scale();
+    let mut file = BenchFile::new(
+        "pipeline",
+        "simulated end-to-end statement time, relay vs pipelined fan-out; backpressure \
+         macro-steps of a bursty cluster sweep whose report equals the single-stepped one",
+        scale,
+        None,
+    );
+    file.params([
+        ("replicas", PIPELINE_REPLICAS.into()),
+        ("micro_batch_rows", MICRO_BATCH_ROWS.into()),
+    ]);
     let nrows = ((1200.0 * scale).round() as usize).max(120);
     let ds = Dataset::generate_with_rows(DatasetId::Movies, nrows);
     println!("statement: {nrows} rows, 3 LLM filters, scale {scale}");
@@ -408,20 +376,21 @@ pub(super) fn perf_pipeline(_: &mut Grid) {
     );
     assert_eq!(sequential.columns, piped.columns);
     let speedup = relay_s / makespan_s.max(f64::MIN_POSITIVE);
-    println!("\n{:<28} {:>12} {:>12}", "arm", "sim time", "llm calls");
-    println!(
-        "{:<28} {:>11.2}s {:>12}",
-        "sequential relay",
-        relay_s,
-        harness::llm_calls(&sequential)
-    );
-    println!(
-        "{:<28} {:>11.2}s {:>12}",
-        format!("pipelined ×{PIPELINE_REPLICAS} replicas"),
-        makespan_s,
-        harness::llm_calls(&piped)
-    );
-    println!("end-to-end speedup: {speedup:.2}×");
+    let mut arm = Table::new(format!(
+        "Statement: sequential relay vs pipelined ×{PIPELINE_REPLICAS} replicas"
+    ));
+    arm.row([
+        ("arm", "statement".into()),
+        ("rows", nrows.into()),
+        ("sequential_relay_s", Value::Fixed(relay_s, 2)),
+        ("pipelined_makespan_s", Value::Fixed(makespan_s, 2)),
+        ("speedup", Value::Fixed(speedup, 2)),
+        ("sequential_llm_calls", llm_calls(&sequential).into()),
+        ("pipelined_llm_calls", llm_calls(&piped).into()),
+        ("rows_identical", (sequential.rows == piped.rows).into()),
+    ]);
+    arm.print();
+    file.cells(&arm);
     assert!(
         speedup >= SPEEDUP_FLOOR,
         "pipelined speedup {speedup:.2}× is below the {SPEEDUP_FLOOR}× acceptance floor"
@@ -468,51 +437,25 @@ pub(super) fn perf_pipeline(_: &mut Grid) {
     let (coarse, fine) = reports.expect("three sweep iterations ran");
     let macro_wall = median_wall_ms(macro_ms);
     let single_wall = median_wall_ms(single_ms);
-    println!(
-        "\nbackpressure sweep ({} requests, {PIPELINE_REPLICAS} replicas, queue cap {SWEEP_QUEUE_CAP}):",
-        requests.len()
-    );
-    println!(
-        "  macro-stepped  {macro_wall:>8.1} ms wall   ({} backpressure macro-steps)",
-        coarse.backpressure_macro_steps
-    );
-    println!("  single-stepped {single_wall:>8.1} ms wall   (oracle)");
-    println!(
-        "  driver speedup {:.2}× wall-clock, reports identical",
-        single_wall / macro_wall.max(f64::MIN_POSITIVE)
-    );
-
-    let mut file = BenchFile::new(
-        "pipeline",
-        "simulated end-to-end statement time, relay vs pipelined fan-out; backpressure \
-         macro-steps of a bursty cluster sweep whose report equals the single-stepped one",
-        scale,
-        None,
-    );
-    file.params([
-        ("replicas", PIPELINE_REPLICAS.into()),
-        ("micro_batch_rows", MICRO_BATCH_ROWS.into()),
-    ]);
-    file.cell([
-        ("arm", "statement".into()),
-        ("rows", nrows.into()),
-        ("sequential_relay_s", relay_s.into()),
-        ("pipelined_makespan_s", makespan_s.into()),
-        ("speedup", speedup.into()),
-        (
-            "sequential_llm_calls",
-            harness::llm_calls(&sequential).into(),
-        ),
-        ("pipelined_llm_calls", harness::llm_calls(&piped).into()),
-        ("rows_identical", (sequential.rows == piped.rows).into()),
-    ]);
-    file.cell([
+    let mut arm = Table::new(format!(
+        "Backpressure sweep: macro-stepped vs the single-stepped oracle, \
+         {PIPELINE_REPLICAS} replicas (wall-clock medians of 3)"
+    ));
+    arm.row([
         ("arm", "backpressure_sweep".into()),
         ("requests", requests.len().into()),
         ("queue_cap", SWEEP_QUEUE_CAP.into()),
         ("macro_steps", coarse.backpressure_macro_steps.into()),
         ("reports_identical", (coarse == fine).into()),
+        ("macro_wall_ms", Value::Fixed(macro_wall, 1).print_only()),
+        ("single_wall_ms", Value::Fixed(single_wall, 1).print_only()),
+        (
+            "driver_speedup",
+            Value::Fixed(single_wall / macro_wall.max(f64::MIN_POSITIVE), 2).print_only(),
+        ),
     ]);
+    arm.print();
+    file.cells(&arm);
     file.write();
 }
 
@@ -642,15 +585,6 @@ pub(super) fn perf_cascade(grid: &mut Grid) {
         let ds = grid.dataset(w.id);
         let run = |opt| statement(ds, w.table, w.sql, opt, &harness::mostly_yes);
         let oracle = run(OptimizerConfig::all());
-        println!(
-            "\n{} ({} rows, scale {scale}): single expensive tier vs mini→sonnet cascade",
-            w.id.name(),
-            ds.table.nrows()
-        );
-        println!(
-            "{:>9} {:>10} {:>12} {:>12} {:>9} {:>8}",
-            "threshold", "esc rate", "cascade $", "single $", "savings", "drift"
-        );
 
         let points: Vec<SweepPoint> = THRESHOLDS
             .iter()
@@ -668,27 +602,25 @@ pub(super) fn perf_cascade(grid: &mut Grid) {
             })
             .collect();
 
+        let mut table = Table::new(format!(
+            "{} ({} rows, scale {scale}): single expensive tier vs mini→sonnet cascade",
+            w.id.name(),
+            ds.table.nrows()
+        ));
         for p in &points {
-            println!(
-                "{:>9.2} {:>9.1}% {:>11.4} {:>11.4} {:>8.1}% {:>7.2}%",
-                p.threshold,
-                100.0 * p.escalation_rate,
-                p.cascade_cost,
-                p.single_cost,
-                p.savings_pct,
-                100.0 * p.drift
-            );
-            file.cell([
+            table.row([
                 ("workload", w.id.name().into()),
                 ("rows", ds.table.nrows().into()),
-                ("threshold", p.threshold.into()),
-                ("escalation_rate", p.escalation_rate.into()),
-                ("cascade_cost_usd", p.cascade_cost.into()),
-                ("single_tier_cost_usd", p.single_cost.into()),
-                ("savings_pct", p.savings_pct.into()),
-                ("drift", p.drift.into()),
+                ("threshold", Value::Fixed(p.threshold, 2)),
+                ("escalation_rate", Value::pct(p.escalation_rate)),
+                ("cascade_cost_usd", Value::Fixed(p.cascade_cost, 4)),
+                ("single_tier_cost_usd", Value::Fixed(p.single_cost, 4)),
+                ("savings_pct", Value::Fixed(p.savings_pct, 1)),
+                ("drift", Value::Pct(p.drift, 2)),
             ]);
         }
+        table.print();
+        file.cells(&table);
         let winner = points
             .iter()
             .filter(|p| p.drift <= DRIFT_BOUND)

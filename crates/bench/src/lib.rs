@@ -37,7 +37,10 @@
 //!
 //! The artifacts share one [`harness::Grid`]: under `all`, each dataset is
 //! generated once and each (dataset, query, method, setup) run is simulated
-//! once, however many tables and figures read it.
+//! once, however many tables and figures read it. Every artifact prints
+//! [`report::Table`]s of typed cells; a sweep hands the same tables to its
+//! [`report::BenchFile`], so it commits exactly what it prints, less the
+//! print-only cells (host wall-clock, and columns shown but not committed).
 //!
 //! Set `LLMQO_SCALE` (e.g. `0.1`) to run on proportionally smaller datasets
 //! while keeping duplication structure; default is the paper's full sizes.

@@ -17,6 +17,7 @@ use crate::plan::ReorderPlan;
 use crate::solver::{check_fd_arity, Reorderer, Solution, SolveError};
 use crate::stats::TableStats;
 use crate::table::ReorderTable;
+use crate::ValueId;
 use std::time::Instant;
 
 /// Identity schedule: the paper's *Cache (Original)* baseline.
@@ -29,15 +30,7 @@ impl Reorderer for OriginalOrder {
     }
 
     fn reorder(&self, table: &ReorderTable, fds: &FunctionalDeps) -> Result<Solution, SolveError> {
-        check_fd_arity(table, fds)?;
-        let start = Instant::now();
-        let plan = ReorderPlan::identity(table);
-        let claimed_phc = phc_of_plan(table, &plan).phc;
-        Ok(Solution {
-            plan,
-            claimed_phc,
-            solve_time: start.elapsed(),
-        })
+        fixed_order(table, fds, || ReorderPlan::identity(table))
     }
 }
 
@@ -56,15 +49,9 @@ impl Reorderer for SortedFixed {
     }
 
     fn reorder(&self, table: &ReorderTable, fds: &FunctionalDeps) -> Result<Solution, SolveError> {
-        check_fd_arity(table, fds)?;
-        let start = Instant::now();
-        let fields: Vec<u32> = (0..table.ncols() as u32).collect();
-        let plan = sorted_plan(table, &fields);
-        let claimed_phc = phc_of_plan(table, &plan).phc;
-        Ok(Solution {
-            plan,
-            claimed_phc,
-            solve_time: start.elapsed(),
+        fixed_order(table, fds, || {
+            let fields: Vec<u32> = (0..table.ncols() as u32).collect();
+            sorted_plan(table, &fields)
         })
     }
 }
@@ -84,32 +71,38 @@ impl Reorderer for StatFixed {
     }
 
     fn reorder(&self, table: &ReorderTable, fds: &FunctionalDeps) -> Result<Solution, SolveError> {
-        check_fd_arity(table, fds)?;
-        let start = Instant::now();
-        let fields = TableStats::compute(table).stat_field_order();
-        let plan = sorted_plan(table, &fields);
-        let claimed_phc = phc_of_plan(table, &plan).phc;
-        Ok(Solution {
-            plan,
-            claimed_phc,
-            solve_time: start.elapsed(),
+        fixed_order(table, fds, || {
+            let fields = TableStats::compute(table).stat_field_order();
+            sorted_plan(table, &fields)
         })
     }
 }
 
-/// Builds a plan with the given fixed `fields` order and rows sorted
-/// lexicographically by the value ids under that order (original index as a
-/// final tiebreak, for determinism). The comparator walks the table's
-/// column-major value arrays, so each field comparison is one contiguous
+/// The three baselines' one body: checks the FDs' arity, times `plan`, and
+/// claims the exact PHC of the plan it builds.
+fn fixed_order(
+    table: &ReorderTable,
+    fds: &FunctionalDeps,
+    plan: impl FnOnce() -> ReorderPlan,
+) -> Result<Solution, SolveError> {
+    check_fd_arity(table, fds)?;
+    let start = Instant::now();
+    let plan = plan();
+    let claimed_phc = phc_of_plan(table, &plan).phc;
+    Ok(Solution {
+        plan,
+        claimed_phc,
+        solve_time: start.elapsed(),
+    })
+}
+
+/// Sorts `rows` lexicographically by their value ids in `field_cols`, one
+/// column-major value array per field in prompt order (row index as a final
+/// tiebreak, for determinism): each field comparison is one contiguous
 /// 4-byte load per row.
-pub(crate) fn sorted_plan(table: &ReorderTable, fields: &[u32]) -> ReorderPlan {
-    let field_cols: Vec<&[crate::ValueId]> = fields
-        .iter()
-        .map(|&f| table.col_values(f as usize))
-        .collect();
-    let mut order: Vec<u32> = (0..table.nrows() as u32).collect();
-    order.sort_by(|&a, &b| {
-        for values in &field_cols {
+pub(crate) fn sort_rows_by_fields(rows: &mut [u32], field_cols: &[&[ValueId]]) {
+    rows.sort_by(|&a, &b| {
+        for values in field_cols {
             match values[a as usize].cmp(&values[b as usize]) {
                 std::cmp::Ordering::Equal => continue,
                 other => return other,
@@ -117,6 +110,17 @@ pub(crate) fn sorted_plan(table: &ReorderTable, fields: &[u32]) -> ReorderPlan {
         }
         a.cmp(&b)
     });
+}
+
+/// Builds a plan with the given fixed `fields` order and rows sorted
+/// lexicographically under it ([`sort_rows_by_fields`]).
+pub(crate) fn sorted_plan(table: &ReorderTable, fields: &[u32]) -> ReorderPlan {
+    let field_cols: Vec<&[ValueId]> = fields
+        .iter()
+        .map(|&f| table.col_values(f as usize))
+        .collect();
+    let mut order: Vec<u32> = (0..table.nrows() as u32).collect();
+    sort_rows_by_fields(&mut order, &field_cols);
     let mut plan = ReorderPlan::with_capacity(order.len(), fields.len());
     for r in order {
         plan.push(r, &[], fields);
@@ -128,7 +132,6 @@ pub(crate) fn sorted_plan(table: &ReorderTable, fields: &[u32]) -> ReorderPlan {
 mod tests {
     use super::*;
     use crate::table::Cell;
-    use crate::ValueId;
 
     fn c(id: u32, len: u32) -> Cell {
         Cell::new(ValueId::from_raw(id), len)

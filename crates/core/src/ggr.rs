@@ -442,15 +442,7 @@ impl<'a> Ctx<'a> {
                 .iter()
                 .map(|&f| self.col_vals[f as usize])
                 .collect();
-            rows.sort_by(|&a, &b| {
-                for values in &field_cols {
-                    match values[a as usize].cmp(&values[b as usize]) {
-                        std::cmp::Ordering::Equal => continue,
-                        other => return other,
-                    }
-                }
-                a.cmp(&b)
-            });
+            crate::baseline::sort_rows_by_fields(&mut rows, &field_cols);
             s.emit(out, rows, &field_order);
         }
         self.exact_block_score(out, mark, skip) as f64

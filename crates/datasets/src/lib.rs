@@ -93,6 +93,7 @@ impl DatasetId {
                 savings: (0.31, 0.73),
                 ophr_sample: (50, 0.806, 0.806),
                 llama1b: Some((1.3, 0.2932, 0.8210)),
+                accuracy_delta: Some([3.0, 4.0, -3.0]),
             },
             DatasetId::Products => PaperShape {
                 nrows: 14890,
@@ -105,6 +106,7 @@ impl DatasetId {
                 savings: (0.33, 0.73),
                 ophr_sample: (25, 0.197, 0.185),
                 llama1b: Some((1.4, 0.2406, 0.8210)),
+                accuracy_delta: Some([-1.0, 1.0, -2.0]),
             },
             DatasetId::Bird => PaperShape {
                 nrows: 14920,
@@ -117,6 +119,7 @@ impl DatasetId {
                 savings: (0.39, 0.79),
                 ophr_sample: (50, 0.775, 0.762),
                 llama1b: Some((1.5, 0.1041, 0.8399)),
+                accuracy_delta: Some([0.0, 1.0, -1.0]),
             },
             DatasetId::Pdmx => PaperShape {
                 nrows: 10000,
@@ -129,6 +132,7 @@ impl DatasetId {
                 savings: (0.24, 0.48),
                 ophr_sample: (25, 0.294, 0.286),
                 llama1b: Some((1.3, 0.1197, 0.5600)),
+                accuracy_delta: Some([1.0, -1.0, 4.0]),
             },
             DatasetId::Beer => PaperShape {
                 nrows: 28479,
@@ -141,6 +145,7 @@ impl DatasetId {
                 savings: (0.20, 0.55),
                 ophr_sample: (10, 0.257, 0.256),
                 llama1b: Some((1.2, 0.4798, 0.7393)),
+                accuracy_delta: Some([-6.0, -3.0, -3.0]),
             },
             DatasetId::Squad => PaperShape {
                 nrows: 22665,
@@ -153,6 +158,7 @@ impl DatasetId {
                 savings: (0.31, 0.63),
                 ophr_sample: (10, 0.340, 0.340),
                 llama1b: None,
+                accuracy_delta: None,
             },
             DatasetId::Fever => PaperShape {
                 nrows: 19929,
@@ -165,12 +171,13 @@ impl DatasetId {
                 savings: (0.30, 0.60),
                 ophr_sample: (50, 0.073, 0.069),
                 llama1b: None,
+                accuracy_delta: Some([14.2, 1.7, -2.4]),
             },
         }
     }
 }
 
-/// Paper-reported numbers for one dataset (Tables 1, 2 and 4–7) — the targets
+/// Paper-reported numbers for one dataset (Tables 1, 2 and 4–7, Fig. 6) — the targets
 /// every reproduction harness prints next to its measurements.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PaperShape {
@@ -197,6 +204,10 @@ pub struct PaperShape {
     /// GGR prefix hit rates (Table 7, Appendix D.2); `None` for the RAG
     /// datasets.
     pub llama1b: Option<(f64, f64, f64)>,
+    /// Median accuracy change under GGR, in percentage points (GGR minus
+    /// original), for Llama-3-8B, Llama-3-70B and GPT-4o (Fig. 6); `None`
+    /// for SQuAD, whose open-ended answers the figure leaves out.
+    pub accuracy_delta: Option<[f64; 3]>,
 }
 
 /// One generated dataset: table, declared functional dependencies

@@ -11,10 +11,9 @@
 //!   produce byte-identical traces. Exports Chrome `trace_event` JSON
 //!   ([`Tracer::export_chrome_json`]) viewable in Perfetto or
 //!   `chrome://tracing`.
-//! * An optional wall-clock profiling channel ([`WallTimer`]) behind the
-//!   `wallclock` cargo feature, for attributing *host* time (where does a
-//!   cached simulation spend its milliseconds?) without ever contaminating
-//!   the deterministic sim-time trace.
+//! * A wall-clock profiling channel ([`WallTimer`]) for attributing *host*
+//!   time (where does a cached simulation spend its milliseconds?) without
+//!   ever contaminating the deterministic sim-time trace.
 //!
 //! # The no-op-by-default sink contract
 //!

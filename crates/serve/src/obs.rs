@@ -52,8 +52,8 @@ pub struct ServeMetrics {
     /// Prompt tokens whose hashing was skipped because their leading
     /// fragments were the previous prompt's (see [`ChainHasher`]).
     pub chain_tokens_reused: &'static Counter,
-    /// Wall-clock seconds spent inside `EngineSession::step` (only
-    /// populated with the `wallclock` feature of `llmqo-obs`).
+    /// Wall-clock seconds spent inside `EngineSession::step` (populated
+    /// only while the sinks are enabled).
     pub wall_step_s: &'static Histogram,
     /// Wall-clock seconds spent in prefix-cache admission/bookkeeping calls.
     pub wall_cache_s: &'static Histogram,
