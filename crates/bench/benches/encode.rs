@@ -19,7 +19,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use llmqo_core::Ggr;
 use llmqo_datasets::{Dataset, DatasetId};
-use llmqo_relational::{encode_table, ExecOptions, LlmQuery, QueryExecutor};
+use llmqo_relational::{encode_table, LlmQuery, OptimizerConfig, QueryExecutor};
 use llmqo_serve::{Deployment, EngineConfig, GpuCluster, GpuSpec, ModelSpec, OracleLlm, SimEngine};
 use llmqo_tokenizer::Tokenizer;
 
@@ -67,7 +67,7 @@ fn bench_encode(c: &mut Criterion) {
             &solver,
             &ds.fds,
             &truth,
-            ExecOptions::optimized(),
+            OptimizerConfig::all(),
         )
         .unwrap();
         warm.checkpoint()
@@ -87,7 +87,7 @@ fn bench_encode(c: &mut Criterion) {
                         &solver,
                         &ds.fds,
                         &truth,
-                        ExecOptions::optimized(),
+                        OptimizerConfig::all(),
                     )
                     .unwrap();
                 assert!(out.report.opt.cache_hits >= (ROWS * 95 / 100) as u64);
@@ -112,7 +112,7 @@ fn bench_encode(c: &mut Criterion) {
                     &solver,
                     &ds.fds,
                     &truth,
-                    ExecOptions::deduped(),
+                    OptimizerConfig::static_only(),
                 )
                 .unwrap();
             assert!(out.report.opt.rows_deduped * 2 > ROWS as u64);

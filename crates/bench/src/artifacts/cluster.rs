@@ -85,6 +85,17 @@ struct ChaosCell {
     report: ClusterReport,
 }
 
+/// Requests `report`'s run served. The fault ledger stays at zero in a run
+/// it never engaged in (no fault plan, no retry policy), so such a run's
+/// figure is its completion count.
+fn succeeded(report: &ClusterReport) -> usize {
+    if report.faults.engaged() {
+        report.faults.succeeded
+    } else {
+        report.completed
+    }
+}
+
 /// **Chaos sweep**: goodput and tail queue-wait of an 8-replica cluster
 /// under injected faults, across the retry-policy ladder and a
 /// prefix-affine vs prefix-blind router. Writes `BENCH_chaos.json` (at full
@@ -92,9 +103,10 @@ struct ChaosCell {
 ///
 /// The grid is {no-fault, 1-crash, 10%-transient-errors, 1-straggler} ×
 /// {retry off, retry+backoff, retry+hedging} × {prefix-affinity,
-/// round-robin} on a synthetic grouped shared-prefix workload. Every cell
-/// asserts the zero-loss ledger `succeeded + failed == offered` and equals
-/// its single-stepped run, the no-fault/no-retry cell is verified
+/// round-robin} on a synthetic grouped shared-prefix workload. Every cell,
+/// the inert ones included, asserts the zero-loss ledger
+/// `succeeded + failed == offered` and equals its single-stepped run, the
+/// no-fault/no-retry cell is verified
 /// byte-identical to the fault-free dispatcher, and the run fails if
 /// prefix-affinity ever loses its prefix-hit-rate advantage over
 /// round-robin while faults are active — the failover path must preserve
@@ -169,15 +181,13 @@ pub(super) fn perf_chaos(_: &mut Grid) {
                     "{fault_name}/{retry_name}/{}: stepping modes diverged",
                     report.policy
                 );
-                if report.faults.engaged() {
-                    let fs = &report.faults;
-                    assert_eq!(
-                        fs.succeeded + fs.failed,
-                        fs.offered,
-                        "{fault_name}/{retry_name}/{}: requests lost",
-                        report.policy
-                    );
-                } else {
+                assert_eq!(
+                    succeeded(&report) + report.faults.failed,
+                    requests.len(),
+                    "{fault_name}/{retry_name}/{}: requests lost",
+                    report.policy
+                );
+                if !report.faults.engaged() {
                     // The inert cell must be byte-identical to the
                     // fault-free dispatcher — the differential spine,
                     // re-proven on the bench workload itself.
@@ -240,8 +250,8 @@ pub(super) fn perf_chaos(_: &mut Grid) {
             ),
             ("prefix_hit_rate", Value::pct(c.report.prefix_hit_rate())),
             ("makespan_s", Value::Fixed(c.report.makespan_s, 3)),
-            ("offered", fs.offered.into()),
-            ("succeeded", fs.succeeded.into()),
+            ("offered", requests.len().into()),
+            ("succeeded", succeeded(&c.report).into()),
             ("failed", fs.failed.into()),
             ("retries", fs.retries.into()),
             ("transient_errors", fs.transient_errors.into()),
@@ -507,8 +517,11 @@ pub(super) fn perf_overload(_: &mut Grid) {
             ("max_shed_priority", s.max_shed_priority.into()),
             ("scale_ups", sc.scale_ups.into()),
             ("scale_downs", sc.scale_downs.into()),
-            ("peak_replicas", sc.peak_replicas.into()),
-            ("fault_succeeded", fs.succeeded.into()),
+            (
+                "peak_replicas",
+                sc.peak_replicas.max(c.report.replicas.len()).into(),
+            ),
+            ("fault_succeeded", succeeded(&c.report).into()),
             ("fault_failed", fs.failed.into()),
             ("fault_retries", fs.retries.into()),
         ]);

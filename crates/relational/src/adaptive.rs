@@ -191,29 +191,6 @@ pub struct CachedAnswer {
     pub output_tokens: u64,
 }
 
-/// Running hit/miss counters of an [`AnswerCache`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AnswerCacheStats {
-    /// Rows answered from the cache (no engine request issued).
-    pub hits: u64,
-    /// Rows that missed and were submitted (post-dedup) to the engine.
-    pub misses: u64,
-    /// Distinct prompts currently stored.
-    pub entries: u64,
-}
-
-impl AnswerCacheStats {
-    /// Fraction of looked-up rows served from the cache.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 /// The row half of an answer-cache key: the content identity of one row's
 /// serialized projected fields, in query-field order.
 ///
@@ -293,8 +270,6 @@ pub struct AnswerCache {
     /// instead of SipHashing it; no caller observes iteration order
     /// (`export` sorts).
     entries: HashMap<(u32, u64), CachedAnswer, MixBuild>,
-    hits: u64,
-    misses: u64,
     /// Full key text per audited key, for the hash-collision audit (debug
     /// builds; empty otherwise).
     audited: HashMap<(u32, u64), String>,
@@ -324,15 +299,12 @@ impl AnswerCache {
         id
     }
 
-    /// Looks up one row's prompt, counting the outcome in the stats.
-    pub fn lookup(&mut self, instruction: u32, key: RowKey) -> Option<CachedAnswer> {
-        let hit = self.entries.get(&(instruction, key.hash)).copied();
-        if hit.is_some() {
-            self.hits += 1;
-        } else {
-            self.misses += 1;
-        }
-        hit
+    /// Looks up one row's prompt. The cache counts nothing: the executor
+    /// tallies each operator's hits in
+    /// [`OptStats::cache_hits`](crate::OptStats::cache_hits), and
+    /// [`len`](AnswerCache::len) is the entry count.
+    pub fn lookup(&self, instruction: u32, key: RowKey) -> Option<CachedAnswer> {
+        self.entries.get(&(instruction, key.hash)).copied()
     }
 
     /// Stores the answer record of a freshly submitted prompt. First write
@@ -401,15 +373,6 @@ impl AnswerCache {
             };
             last = Some((&e.instruction, id));
             self.entries.entry((id, e.key_hash)).or_insert(e.answer);
-        }
-    }
-
-    /// Hit/miss/entry counters.
-    pub fn stats(&self) -> AnswerCacheStats {
-        AnswerCacheStats {
-            hits: self.hits,
-            misses: self.misses,
-            entries: self.entries.len() as u64,
         }
     }
 
@@ -511,9 +474,6 @@ mod tests {
         assert_eq!(c.lookup(i1, key("\"a\": \"x\", ")), Some(ans));
         // Same fields under a different instruction: distinct prompt.
         assert_eq!(c.lookup(i3, key("\"a\": \"x\", ")), None);
-        let s = c.stats();
-        assert_eq!((s.hits, s.misses, s.entries), (1, 2, 1));
-        assert!((s.hit_rate() - 1.0 / 3.0).abs() < 1e-12);
         assert_eq!(c.len(), 1);
 
         // First write wins.

@@ -1,4 +1,4 @@
-//! Query execution: the executor, its options and its reports.
+//! Query execution: the executor, its results and its reports.
 //!
 //! [`QueryExecutor`] implements the paper's end-to-end pipeline (§5): the
 //! input table is lowered to the optimizer's representation, a
@@ -12,17 +12,21 @@
 //! * **per executor** (this module): the engine, the simulated labeler, the
 //!   tokenizer and the **session answer cache** ([`crate::AnswerCache`],
 //!   with its checkpoint and restore) that every query run on the executor
-//!   shares; the option, report and error types.
+//!   shares; the result, report, fault-injection and error types. A query
+//!   runs under the same [`OptimizerConfig`] a SQL statement does, bare
+//!   [`execute_with`](QueryExecutor::execute_with) calls included.
 //! * **per operator** (`pipeline::Stage`): the table, query, solver and
 //!   ground truth, taken once when the stage opens, what follows from them
 //!   — used columns, projected dependencies, answer-cache identity,
-//!   output-length stream — and the stage's engines (`n ≥ 1` routed
-//!   [`llmqo_serve::EngineSession`]s per model tier).
+//!   output-length stream — the stage's engines (`n ≥ 1` routed
+//!   [`llmqo_serve::EngineSession`]s per model tier) and the operator's
+//!   [`QueryOutput`], accumulated batch by batch.
 //! * **per batch** (`pipeline::batch`): `Stage::run_batch(rows)`, the one
 //!   door to the LLM, steps any ascending subset of the table's rows through
 //!   encode + cache lookup → solve → serve → label → escalate.
 //!
-//! [`execute`] opens a stage, runs every row as one batch and finishes it;
+//! [`execute`] opens a stage under [`OptimizerConfig::none`], runs every
+//! row as one batch and finishes it;
 //! [`execute_multi`] (the paper's T3 chains) runs one stage per query over
 //! the shrinking list of surviving *original* row indices; the SQL runner
 //! drives the same door batch by batch, one stage per operator, for lazy
@@ -42,13 +46,12 @@
 //! still receives its own generated output and optimizations cannot change
 //! query results.
 
-use crate::adaptive::{AnswerCache, AnswerCacheStats, CacheSnapshotEntry};
-use crate::optimizer::{OptLevel, OptStats};
+use crate::adaptive::{AnswerCache, CacheSnapshotEntry};
+use crate::optimizer::{OptStats, OptimizerConfig};
 use crate::pipeline::Stage;
 use crate::query::{LlmQuery, QueryKind};
 use crate::table::{Table, TableError};
 use llmqo_core::{FunctionalDeps, PhcReport, Reorderer, SolveError};
-use llmqo_costmodel::CascadePlan;
 use llmqo_serve::{EngineError, EngineReport, SimEngine, SimLlm, SimRequest};
 use llmqo_tokenizer::{TokenId, Tokenizer};
 use serde::{Deserialize, Serialize};
@@ -128,7 +131,7 @@ impl From<EngineError> for ExecError {
 }
 
 /// Everything measured while executing one query.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ExecutionReport {
     /// Query name.
     pub query: String,
@@ -156,7 +159,7 @@ pub struct RowOutput {
 }
 
 /// Result of executing one query.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct QueryOutput {
     /// Per-row outputs, sorted by original row index.
     pub outputs: Vec<RowOutput>,
@@ -171,6 +174,21 @@ pub struct QueryOutput {
     pub failed_rows: Vec<usize>,
     /// Measurements.
     pub report: ExecutionReport,
+}
+
+impl QueryOutput {
+    /// What `query` reports before any batch reaches it: no rows, and a
+    /// zeroed report under the query's and `solver`'s names.
+    pub(crate) fn empty(query: &LlmQuery, solver: &str) -> Self {
+        QueryOutput {
+            report: ExecutionReport {
+                query: query.name.clone(),
+                solver: solver.to_owned(),
+                ..ExecutionReport::default()
+            },
+            ..QueryOutput::default()
+        }
+    }
 }
 
 /// Deterministic per-statement fault injection for the SQL executor: each
@@ -236,130 +254,6 @@ impl StatementFaults {
     }
 }
 
-/// Physical-layer options for [`QueryExecutor::execute_with`].
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct ExecOptions {
-    /// The physical optimizations of the level: exact request
-    /// deduplication from [`OptLevel::Static`] up, the session answer cache
-    /// at [`OptLevel::Adaptive`]. [`OptLevel::Off`] by default (the
-    /// differential oracle's behaviour).
-    pub level: OptLevel,
-    /// Deterministic fault injection and graceful degradation. `None` (the
-    /// default) and `Some` with a zero `error_ppm` are byte-identical to
-    /// fault-free execution.
-    pub faults: Option<StatementFaults>,
-    /// Model-tier cascade: answer every row on the cheap tier, escalate
-    /// rows whose deterministic confidence falls below the plan's
-    /// threshold to the expensive tier. `None` (the default) is single-tier
-    /// execution; a plan with `escalate_below ≥ 1` is byte-identical to it
-    /// (every row takes the expensive answer), and `escalate_below ≤ 0` is
-    /// the pure cheap tier. Escalation is a pure function of
-    /// `(plan.seed, original row)`, so dedup, caching, batching, and
-    /// pipelining never change which rows escalate or what they answer.
-    pub cascade: Option<CascadePlan>,
-}
-
-impl ExecOptions {
-    /// Options with deduplication enabled (answer cache off).
-    pub fn deduped() -> Self {
-        ExecOptions {
-            level: OptLevel::Static,
-            ..ExecOptions::default()
-        }
-    }
-
-    /// Every physical optimization on: dedup plus the session answer cache.
-    pub fn optimized() -> Self {
-        ExecOptions {
-            level: OptLevel::Adaptive,
-            ..ExecOptions::default()
-        }
-    }
-
-    /// Options with a model-tier cascade (dedup and answer cache off — the
-    /// form the cascade differential suite compares against single-tier
-    /// oracles).
-    pub fn cascaded(plan: CascadePlan) -> Self {
-        ExecOptions {
-            cascade: Some(plan),
-            ..ExecOptions::default()
-        }
-    }
-}
-
-/// What an LLM operator's batches produced, accumulated batch by batch,
-/// before being shaped into a [`QueryOutput`].
-#[derive(Debug, Clone, Default)]
-pub(crate) struct StageOutcome {
-    /// Per-row outputs in original row indices (sorted within a batch).
-    pub outputs: Vec<RowOutput>,
-    /// Original row indices dropped after exhausting the fault retry
-    /// budget (partial-result degradation).
-    pub failed_rows: Vec<usize>,
-    /// Total solver wall-clock time.
-    pub solve_time_s: f64,
-    /// Summed claimed PHC across batches.
-    pub claimed_phc: u64,
-    /// Summed ground-truth PHC across batches.
-    pub field_phc: PhcReport,
-    /// Optimizer savings.
-    pub opt: OptStats,
-}
-
-impl StageOutcome {
-    /// Shapes the accumulated outcome into a [`QueryOutput`], deriving the
-    /// selection (filters) and the aggregate (aggregations) from outputs.
-    pub fn into_query_output(
-        mut self,
-        query: &LlmQuery,
-        solver: &str,
-        engine: EngineReport,
-    ) -> QueryOutput {
-        // Every batch sorts its outputs and batches arrive in ascending
-        // candidate order.
-        debug_assert!(self.outputs.is_sorted_by_key(|o| o.row));
-        self.failed_rows.sort_unstable();
-        let selected_rows = match (&query.kind, &query.predicate_label) {
-            (QueryKind::Filter, Some(label)) => {
-                let selected = |o: &&RowOutput| &o.text == label;
-                let mut rows = Vec::with_capacity(self.outputs.iter().filter(selected).count());
-                rows.extend(self.outputs.iter().filter(selected).map(|o| o.row));
-                rows
-            }
-            _ => Vec::new(),
-        };
-        let aggregate = if query.kind == QueryKind::Aggregation {
-            let scores: Vec<f64> = self
-                .outputs
-                .iter()
-                .filter_map(|o| o.text.trim().parse::<f64>().ok())
-                .collect();
-            if scores.is_empty() {
-                None
-            } else {
-                Some(scores.iter().sum::<f64>() / scores.len() as f64)
-            }
-        } else {
-            None
-        };
-        QueryOutput {
-            outputs: self.outputs,
-            selected_rows,
-            aggregate,
-            failed_rows: self.failed_rows,
-            report: ExecutionReport {
-                query: query.name.clone(),
-                solver: solver.to_owned(),
-                solve_time_s: self.solve_time_s,
-                claimed_phc: self.claimed_phc,
-                field_phc: self.field_phc,
-                engine,
-                opt: self.opt,
-            },
-        }
-    }
-}
-
 /// A deterministic snapshot of the LLM work a statement has already paid
 /// for: the executor's answer-cache entries, sorted by
 /// `(instruction, key hash)`.
@@ -401,7 +295,7 @@ pub struct QueryExecutor<'a> {
     pub(crate) tokenizer: Tokenizer,
     /// Session answer cache (see [`AnswerCache`]): shared by every query
     /// executed on this executor, consulted only at
-    /// [`OptLevel::Adaptive`]. Interior mutability keeps the
+    /// [`OptLevel::Adaptive`](crate::OptLevel::Adaptive). Interior mutability keeps the
     /// execution API `&self` (the SQL runner holds the executor by shared
     /// reference).
     pub(crate) cache: RefCell<AnswerCache>,
@@ -424,11 +318,6 @@ impl<'a> QueryExecutor<'a> {
             tokenizer,
             cache: RefCell::new(AnswerCache::new()),
         }
-    }
-
-    /// Lifetime hit/miss/entry counters of the session answer cache.
-    pub fn answer_cache_stats(&self) -> AnswerCacheStats {
-        self.cache.borrow().stats()
     }
 
     /// Snapshots the session answer cache as a [`StatementCheckpoint`].
@@ -470,8 +359,8 @@ impl<'a> QueryExecutor<'a> {
     /// are projected onto the query's fields automatically. `truth` supplies
     /// the ground-truth answer per original row index (the dataset's labels).
     ///
-    /// Equivalent to [`execute_with`](QueryExecutor::execute_with) with
-    /// [`ExecOptions::default`] — no deduplication, every row its own
+    /// Equivalent to [`execute_with`](QueryExecutor::execute_with) under
+    /// [`OptimizerConfig::none`] — no deduplication, every row its own
     /// engine request.
     ///
     /// # Errors
@@ -485,14 +374,16 @@ impl<'a> QueryExecutor<'a> {
         fds: &FunctionalDeps,
         truth: &dyn Fn(usize) -> String,
     ) -> Result<QueryOutput, ExecError> {
-        self.execute_with(table, query, reorderer, fds, truth, ExecOptions::default())
+        let opt = OptimizerConfig::none();
+        self.execute_with(table, query, reorderer, fds, truth, opt)
     }
 
-    /// [`execute`](QueryExecutor::execute) with physical-layer options (see
-    /// [`ExecOptions::level`]).
-    /// Deduplication never changes query results (each row still generates
-    /// its own output); it shares engine requests between rows whose
-    /// projected field values are identical, and the savings land in
+    /// [`execute`](QueryExecutor::execute) under `opt`: the physical half
+    /// of the config — the level's deduplication and answer cache, fault
+    /// injection, the cascade and, when `opt.pipeline` is on, the fan-out
+    /// over `opt.pipeline_replicas` sessions — applied to one batch of
+    /// every row. None of it changes query results (each row still
+    /// generates its own output); the savings land in
     /// [`ExecutionReport::opt`].
     ///
     /// # Errors
@@ -505,9 +396,9 @@ impl<'a> QueryExecutor<'a> {
         reorderer: &dyn Reorderer,
         fds: &FunctionalDeps,
         truth: &dyn Fn(usize) -> String,
-        opts: ExecOptions,
+        opt: OptimizerConfig,
     ) -> Result<QueryOutput, ExecError> {
-        let mut stage = Stage::open(self, table, query, reorderer, fds, truth, opts, 1)?;
+        let mut stage = Stage::open(self, table, query, reorderer, fds, truth, opt)?;
         let all_rows: Vec<usize> = (0..table.nrows()).collect();
         stage.run_batch(&all_rows)?;
         Ok(stage.finish())
@@ -544,8 +435,8 @@ impl<'a> QueryExecutor<'a> {
                     stage: query.name.clone(),
                 });
             }
-            let opts = ExecOptions::default();
-            let mut stage = Stage::open(self, table, query, reorderer, fds, truth, opts, 1)?;
+            let opt = OptimizerConfig::none();
+            let mut stage = Stage::open(self, table, query, reorderer, fds, truth, opt)?;
             stage.run_batch(&rows)?;
             let out = stage.finish();
             rows.clone_from(&out.selected_rows);
@@ -988,7 +879,7 @@ mod tests {
                 &Ggr::default(),
                 &fds,
                 &truth,
-                ExecOptions::deduped(),
+                OptimizerConfig::static_only(),
             )
             .unwrap();
         assert_eq!(off.outputs, on.outputs);
@@ -1035,13 +926,13 @@ mod tests {
                 &Ggr::default(),
                 &fds,
                 &truth,
-                ExecOptions::optimized(),
+                OptimizerConfig::all(),
             )
             .unwrap();
         assert_eq!(first.outputs, off.outputs);
         assert_eq!(first.report.opt.llm_calls, 4);
         assert_eq!(first.report.opt.cache_hits, 0);
-        assert_eq!(ex.answer_cache_stats().entries, 4);
+        assert_eq!(ex.cache.borrow().len(), 4);
         // Second run of the same query on the same executor: every row is
         // a cache hit, zero engine requests, identical outputs.
         let second = ex
@@ -1051,7 +942,7 @@ mod tests {
                 &Ggr::default(),
                 &fds,
                 &truth,
-                ExecOptions::optimized(),
+                OptimizerConfig::all(),
             )
             .unwrap();
         assert_eq!(second.outputs, off.outputs);
@@ -1060,9 +951,7 @@ mod tests {
         assert_eq!(second.report.opt.cache_hits, 20);
         assert!(second.report.opt.cache_tokens_saved > 0);
         assert_eq!(second.report.engine.completed, 0);
-        let stats = ex.answer_cache_stats();
-        assert_eq!(stats.entries, 4);
-        assert_eq!(stats.hits, 20);
+        assert_eq!(ex.cache.borrow().len(), 4);
         // A different instruction over the same fields misses.
         let mut q2 = q.clone();
         q2.user_prompt = "Is the product terrible? Answer Yes or No.".into();
@@ -1073,7 +962,7 @@ mod tests {
                 &Ggr::default(),
                 &fds,
                 &truth,
-                ExecOptions::optimized(),
+                OptimizerConfig::all(),
             )
             .unwrap();
         assert_eq!(third.report.opt.cache_hits, 0);
@@ -1105,7 +994,7 @@ mod tests {
             &Ggr::default(),
             &fds,
             &truth,
-            ExecOptions::optimized(),
+            OptimizerConfig::all(),
         )
         .unwrap();
         let proj = ex
@@ -1115,7 +1004,7 @@ mod tests {
                 &Ggr::default(),
                 &fds,
                 &truth,
-                ExecOptions::optimized(),
+                OptimizerConfig::all(),
             )
             .unwrap();
         assert_eq!(proj.report.opt.cache_hits, 0, "kinds must not collide");
@@ -1128,7 +1017,7 @@ mod tests {
                 &Ggr::default(),
                 &fds,
                 &truth,
-                ExecOptions::optimized(),
+                OptimizerConfig::all(),
             )
             .unwrap();
         assert_eq!(again.report.opt.llm_calls, 0);
@@ -1160,7 +1049,7 @@ mod tests {
                 &Ggr::default(),
                 &fds,
                 &truth,
-                ExecOptions::optimized(),
+                OptimizerConfig::all(),
             )
             .unwrap();
 
@@ -1173,7 +1062,7 @@ mod tests {
                 &Ggr::default(),
                 &fds,
                 &truth,
-                ExecOptions::optimized(),
+                OptimizerConfig::all(),
             )
             .unwrap();
         let second = warmed
@@ -1183,13 +1072,13 @@ mod tests {
                 &Ggr::default(),
                 &fds,
                 &truth,
-                ExecOptions::optimized(),
+                OptimizerConfig::all(),
             )
             .unwrap();
         assert_eq!(first.outputs, baseline.outputs);
         assert_eq!(second.outputs, baseline.outputs, "warm ≡ fresh");
         assert_eq!(second.report.opt.cache_hits, 0, "key-field query cached");
-        assert_eq!(warmed.answer_cache_stats().entries, 0);
+        assert!(warmed.cache.borrow().is_empty());
 
         // Without a key field the same position-sensitive profile is safe
         // to cache: key_field_pos is the constant 0.5 on every path.
@@ -1201,7 +1090,7 @@ mod tests {
                 &Ggr::default(),
                 &fds,
                 &truth,
-                ExecOptions::deduped(),
+                OptimizerConfig::static_only(),
             )
             .unwrap();
         let on1 = warmed
@@ -1211,7 +1100,7 @@ mod tests {
                 &Ggr::default(),
                 &fds,
                 &truth,
-                ExecOptions::optimized(),
+                OptimizerConfig::all(),
             )
             .unwrap();
         let on2 = warmed
@@ -1221,7 +1110,7 @@ mod tests {
                 &Ggr::default(),
                 &fds,
                 &truth,
-                ExecOptions::optimized(),
+                OptimizerConfig::all(),
             )
             .unwrap();
         assert_eq!(on1.outputs, off.outputs);
@@ -1237,7 +1126,7 @@ mod tests {
         let truth = |_: usize| "Yes".to_string();
         let query = filter_query();
         let fds = FunctionalDeps::empty(2);
-        let opts = ExecOptions::deduped();
+        let opt = OptimizerConfig::static_only();
         // A solver that must not be asked: the empty batch reaches neither
         // it nor the engine.
         struct Unreachable;
@@ -1253,7 +1142,7 @@ mod tests {
                 panic!("an empty batch has nothing to solve")
             }
         }
-        let mut stage = Stage::open(&ex, &t, &query, &Unreachable, &fds, &truth, opts, 1).unwrap();
+        let mut stage = Stage::open(&ex, &t, &query, &Unreachable, &fds, &truth, opt).unwrap();
         let opt = stage.run_batch(&[]).unwrap();
         assert!(stage.batch_outputs().is_empty());
         assert_eq!(opt.llm_calls, 0);

@@ -123,12 +123,10 @@ mod sql;
 mod table;
 mod value;
 
-pub use adaptive::{
-    AnswerCache, AnswerCacheStats, CacheSnapshotEntry, CachedAnswer, RowKey, SelectivityTracker,
-};
+pub use adaptive::{AnswerCache, CacheSnapshotEntry, CachedAnswer, RowKey, SelectivityTracker};
 pub use exec::{
-    plan_requests, project_fds, ExecError, ExecOptions, ExecutionReport, QueryExecutor,
-    QueryOutput, RowOutput, StatementCheckpoint, StatementFaults,
+    plan_requests, project_fds, ExecError, ExecutionReport, QueryExecutor, QueryOutput, RowOutput,
+    StatementCheckpoint, StatementFaults,
 };
 pub use optimizer::{
     annotate_estimates, estimate_llm_op, CascadeConfig, CmpOp, LogicalOp, LogicalPlan, OptLevel,

@@ -285,6 +285,9 @@ impl LogicalPlan {
 /// [`CascadePlan`]): every LLM operator runs each row on the cheap tier
 /// first and escalates rows whose deterministic confidence falls below the
 /// plan's threshold to the expensive tier on a second stage engine.
+/// Escalation is a pure function of `(plan.seed, original row)`, so dedup,
+/// caching, batching and pipelining never change which rows escalate or
+/// what they answer.
 ///
 /// Off by default everywhere ([`OptimizerConfig::cascade`] is `None` in
 /// every constructor) — single-tier execution stays the differential

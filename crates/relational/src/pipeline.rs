@@ -3,16 +3,17 @@
 //! Every LLM operator of a statement — and every bare
 //! [`QueryExecutor::execute_with`] call, and every stage of a T3 chain —
 //! runs on one [`Stage`]. A stage knows its operator: [`Stage::open`] takes
-//! the executor, table, query, solver, dependencies, ground truth and
-//! options once, and resolves once what every batch needs — the used
-//! columns (an unknown field fails here, rows or no rows), the projected
-//! dependencies, the answer-cache identity, the output-length stream, the
-//! key column. It owns the operator's [`StageEngine`], a second one for the
-//! expensive tier when the operator cascades, and the outcome accumulated
-//! over its batches. [`Stage::run_batch`] is the only way a row reaches the
-//! LLM; what one batch goes through is [`batch`]'s. The stage is opened on
-//! the operator's first batch and finished once, into the operator's
-//! [`QueryOutput`].
+//! the executor, table, query, solver, dependencies, ground truth and the
+//! one [`OptimizerConfig`] once, and resolves once what every batch needs
+//! — the replica count, the used columns (an unknown field fails here,
+//! rows or no rows), the projected dependencies, the answer-cache
+//! identity, the output-length stream, the key column. It owns the
+//! operator's [`StageEngine`], a second one for the expensive tier when the
+//! operator cascades, and the operator's [`QueryOutput`]: created empty at
+//! open, accumulated batch by batch, settled when the stage finishes.
+//! [`Stage::run_batch`] is the only way a row reaches the LLM; what one
+//! batch goes through is [`batch`]'s. The stage is opened on the
+//! operator's first batch and finished once.
 //!
 //! A [`StageEngine`] is `n ≥ 1` replica [`EngineSession`]s behind the
 //! cluster layer's [`PrefixAffinity`] router; the classic relay is simply
@@ -53,13 +54,10 @@
 
 mod batch;
 
-use crate::exec::{
-    project_fds, ExecError, ExecOptions, OutputLens, QueryExecutor, QueryOutput, RowOutput,
-    StageOutcome,
-};
-use crate::optimizer::{OptLevel, OptStats};
+use crate::exec::{project_fds, ExecError, OutputLens, QueryExecutor, QueryOutput, RowOutput};
+use crate::optimizer::{OptLevel, OptStats, OptimizerConfig};
 use crate::prompt::BatchEncoder;
-use crate::query::LlmQuery;
+use crate::query::{LlmQuery, QueryKind};
 use crate::table::Table;
 use batch::{Batch, BatchScratch};
 use llmqo_cluster::{PrefixAffinity, ReplicaSnapshot, Router};
@@ -263,8 +261,8 @@ impl StageEngine {
 /// One LLM operator, opened once for a whole statement: what it reads (the
 /// executor, the table, the solver, the ground truth), what
 /// [`open`](Self::open) resolves from that once, its engines, the buffers
-/// its batches reuse, and the outcome accumulated over its batches. See the
-/// [module docs](self).
+/// its batches reuse, and the [`QueryOutput`] its batches accumulate into.
+/// See the [module docs](self).
 pub(crate) struct Stage<'q> {
     /// The operator's query.
     pub query: &'q LlmQuery,
@@ -272,16 +270,18 @@ pub(crate) struct Stage<'q> {
     /// under a cascade).
     pub engine: StageEngine,
     /// What the stage's batches have produced so far: every batch appends
-    /// its outputs, ascending by original row, and its failed rows.
-    pub outcome: StageOutcome,
+    /// its outputs, ascending by original row, and its failed rows, and
+    /// adds its solve and optimizer figures to the report.
+    /// [`finish`](Self::finish) settles the rest.
+    pub output: QueryOutput,
     executor: &'q QueryExecutor<'q>,
     table: &'q Table,
     reorderer: &'q dyn Reorderer,
     /// Ground-truth answer per original row index.
     truth: &'q dyn Fn(usize) -> String,
-    opts: ExecOptions,
+    opt: OptimizerConfig,
     /// The expensive tier escalated representatives replay on; `Some`
-    /// exactly when `opts.cascade` is.
+    /// exactly when `opt.cascade` is.
     escalation: Option<StageEngine>,
     /// Source-table column of each query field.
     used_cols: Vec<usize>,
@@ -298,22 +298,23 @@ pub(crate) struct Stage<'q> {
     encoder: BatchEncoder<'q>,
     /// The buffers of the phases past the encode.
     scratch: BatchScratch,
-    /// Where the last batch's entries start in `outcome.outputs` and
-    /// `outcome.failed_rows`.
+    /// Where the last batch's entries start in `output.outputs` and
+    /// `output.failed_rows`.
     batch_from: (usize, usize),
 }
 
 impl<'q> Stage<'q> {
-    /// Opens the stage `query` runs on over `table` under `opts`:
-    /// `replicas` sessions per tier, a second tier when `opts` carries a
-    /// cascade. `fds` are over the full table schema; `truth` supplies the
-    /// ground-truth answer per original row index.
+    /// Opens the stage `query` runs on over `table` under `opt`:
+    /// `opt.pipeline_replicas` sessions per tier when `opt.pipeline` is on
+    /// and one otherwise — a statement fans out only when it pipelines, and
+    /// it opens stages only for its LLM operators — and a second tier when
+    /// `opt` carries a cascade. `fds` are over the full table schema; `truth`
+    /// supplies the ground-truth answer per original row index.
     ///
     /// # Errors
     ///
     /// [`StageEngine::open`]'s; [`ExecError::EmptyFields`]; an unknown
     /// field is [`ExecError::Table`] here, before any row is offered.
-    #[allow(clippy::too_many_arguments)] // all an operator knows, taken once
     pub fn open(
         executor: &'q QueryExecutor<'q>,
         table: &'q Table,
@@ -321,11 +322,15 @@ impl<'q> Stage<'q> {
         reorderer: &'q dyn Reorderer,
         fds: &FunctionalDeps,
         truth: &'q dyn Fn(usize) -> String,
-        opts: ExecOptions,
-        replicas: usize,
+        opt: OptimizerConfig,
     ) -> Result<Self, ExecError> {
+        let replicas = if opt.pipeline {
+            opt.pipeline_replicas
+        } else {
+            1
+        };
         let engine = StageEngine::open(executor.engine, replicas)?;
-        let escalation = match opts.cascade {
+        let escalation = match opt.cascade {
             Some(_) => Some(StageEngine::open(executor.engine, replicas)?),
             None => None,
         };
@@ -340,7 +345,7 @@ impl<'q> Stage<'q> {
         // positional effects (Fig. 6), which caching would distort. Without
         // a key field, `key_field_pos` is the constant 0.5 on every path,
         // so hits label exactly as a cache-off run would.
-        let caches = opts.level == OptLevel::Adaptive && query.key_field.is_none();
+        let caches = opt.level == OptLevel::Adaptive && query.key_field.is_none();
         let instruction = caches.then(|| {
             let mut cache = executor.cache.borrow_mut();
             cache.instruction_id(&query_cache_identity(query))
@@ -348,12 +353,12 @@ impl<'q> Stage<'q> {
         Ok(Stage {
             query,
             engine,
-            outcome: StageOutcome::default(),
+            output: QueryOutput::empty(query, reorderer.name()),
             executor,
             table,
             reorderer,
             truth,
-            opts,
+            opt,
             escalation,
             fds: project_fds(fds, &used_cols),
             used_cols,
@@ -379,8 +384,8 @@ impl<'q> Stage<'q> {
 
     /// The batch primitive — the one door to the LLM: evaluates the
     /// operator over `rows`, ascending original indices of its table, under
-    /// the stage's [`ExecOptions`] (see [`batch`] for the phases), folds
-    /// the batch into [`outcome`](Self::outcome) and returns the batch's
+    /// the stage's [`OptimizerConfig`] (see [`batch`] for the phases), folds
+    /// the batch into [`output`](Self::output) and returns the batch's
     /// own ledger; its outputs and failed rows are
     /// [`batch_outputs`](Self::batch_outputs) and
     /// [`batch_failed`](Self::batch_failed) until the next batch. With
@@ -393,7 +398,7 @@ impl<'q> Stage<'q> {
     pub fn run_batch(&mut self, rows: &[usize]) -> Result<OptStats, ExecError> {
         debug_assert!(rows.is_sorted(), "batches offer ascending rows");
         let started_s = self.engine.clock();
-        self.batch_from = (self.outcome.outputs.len(), self.outcome.failed_rows.len());
+        self.batch_from = (self.output.outputs.len(), self.output.failed_rows.len());
         let mut opt = OptStats {
             rows_in: rows.len() as u64,
             batches: 1,
@@ -404,7 +409,7 @@ impl<'q> Stage<'q> {
         if !rows.is_empty() {
             opt = Batch::encode(self, rows, opt).run()?;
         }
-        self.outcome.opt.add(&opt);
+        self.output.report.opt.add(&opt);
         if llmqo_obs::enabled() {
             // One span per operator batch, on the operator's own (cheap
             // tier) timeline.
@@ -437,37 +442,59 @@ impl<'q> Stage<'q> {
 
     /// The last batch's outputs, ascending by original row.
     pub fn batch_outputs(&self) -> &[RowOutput] {
-        &self.outcome.outputs[self.batch_from.0..]
+        &self.output.outputs[self.batch_from.0..]
     }
 
     /// The original rows the last batch dropped after exhausting the fault
     /// retry budget, in schedule order.
     pub fn batch_failed(&self) -> &[usize] {
-        &self.outcome.failed_rows[self.batch_from.1..]
+        &self.output.failed_rows[self.batch_from.1..]
     }
 
     /// What labelling one of the stage's rows reads, borrowed for the
     /// statement rather than from the stage, so a batch can label into the
-    /// stage's outcome while it reads the stage's buffers.
+    /// stage's output while it reads the stage's buffers.
     fn labeler(&self) -> Labeler<'q> {
         Labeler {
             llm: self.executor.llm,
             truth: self.truth,
             labels: &self.query.label_space,
-            cascade: self.opts.cascade,
+            cascade: self.opt.cascade.map(|cc| cc.plan),
         }
     }
 
-    /// Finalizes the stage into the operator's [`QueryOutput`]. The report's
-    /// engine section covers the tier every row ran on; the expensive
-    /// tier's serving volume is already in the tier fields of the outcome's
-    /// [`OptStats`](crate::OptStats).
+    /// Settles the operator's [`QueryOutput`]: sorts the failed rows and
+    /// derives the selection (filters) and the aggregate (aggregations)
+    /// from the outputs. The report's engine section covers the tier every
+    /// row ran on; the expensive tier's serving volume is already in the
+    /// tier fields of the report's [`OptStats`](crate::OptStats).
     pub fn finish(self) -> QueryOutput {
         if let Some(escalation) = self.escalation {
             escalation.finish();
         }
-        self.outcome
-            .into_query_output(self.query, self.reorderer.name(), self.engine.finish())
+        let (query, mut out) = (self.query, self.output);
+        out.report.engine = self.engine.finish();
+        // Every batch sorts its outputs and batches arrive in ascending
+        // candidate order.
+        debug_assert!(out.outputs.is_sorted_by_key(|o| o.row));
+        out.failed_rows.sort_unstable();
+        if let (QueryKind::Filter, Some(label)) = (&query.kind, &query.predicate_label) {
+            let selected = |o: &&RowOutput| &o.text == label;
+            let rows = &mut out.selected_rows;
+            rows.reserve_exact(out.outputs.iter().filter(selected).count());
+            rows.extend(out.outputs.iter().filter(selected).map(|o| o.row));
+        }
+        if query.kind == QueryKind::Aggregation {
+            let scores: Vec<f64> = out
+                .outputs
+                .iter()
+                .filter_map(|o| o.text.trim().parse::<f64>().ok())
+                .collect();
+            if !scores.is_empty() {
+                out.aggregate = Some(scores.iter().sum::<f64>() / scores.len() as f64);
+            }
+        }
+        out
     }
 }
 
@@ -553,6 +580,7 @@ fn query_cache_identity(query: &LlmQuery) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::optimizer::CascadeConfig;
     use crate::schema::Schema;
     use llmqo_core::OriginalOrder;
     use llmqo_costmodel::CascadePlan;
@@ -771,21 +799,15 @@ mod tests {
             "Yes",
             2.0,
         );
-        let opts = ExecOptions::cascaded(CascadePlan::mini_to_sonnet(0.5, 7));
+        let opt = OptimizerConfig {
+            cascade: Some(CascadeConfig::new(CascadePlan::mini_to_sonnet(0.5, 7))),
+            ..OptimizerConfig::none()
+        };
         let rows: Vec<usize> = (0..table.nrows()).collect();
         let truth = |_: usize| "Yes".to_string();
         let fds = FunctionalDeps::empty(1);
-        let mut stage = Stage::open(
-            &executor,
-            &table,
-            &query,
-            &OriginalOrder,
-            &fds,
-            &truth,
-            opts,
-            1,
-        )
-        .unwrap();
+        let mut stage =
+            Stage::open(&executor, &table, &query, &OriginalOrder, &fds, &truth, opt).unwrap();
         let opt = stage.run_batch(&rows).unwrap();
         assert!(opt.rows_escalated > 0, "the batch must escalate rows");
         let escalated_at = stage.escalation.as_ref().unwrap().clock();

@@ -5,11 +5,11 @@
 //! first; the close labels the rest, sorts the batch's outputs by original
 //! row and checks the batch ledger.
 //!
-//! A batch owns no buffer. It writes outputs and failed rows straight into
-//! the stage's accumulated outcome, reads the completion records where the
-//! engine sessions keep them, and everything else it fills — the encoder's
-//! tables and groups, the fault and escalation positions, the prefix keys —
-//! is the stage's [`BatchScratch`] or its encoder's, cleared for the next
+//! A batch owns no buffer. It writes outputs, failed rows and solve figures
+//! straight into the stage's [`QueryOutput`](crate::QueryOutput), reads the
+//! completion records where the engine sessions keep them, and everything
+//! else it fills — the encoder's tables and groups, the fault and
+//! escalation positions, the prefix keys — is the stage's [`BatchScratch`] or its encoder's, cleared for the next
 //! batch and never freed before the stage is.
 
 use super::{Stage, PREFIX_KEY_DEPTH};
@@ -91,7 +91,7 @@ impl<'s, 'q> Batch<'s, 'q> {
         });
         let enc = stage.encoder.encode(
             rows,
-            stage.opts.level >= OptLevel::Static,
+            stage.opt.level >= OptLevel::Static,
             lookup
                 .as_mut()
                 .map(|f| f as &mut dyn FnMut(usize, RowKey) -> bool),
@@ -139,12 +139,12 @@ impl<'s, 'q> Batch<'s, 'q> {
         let solution = stage.reorderer.reorder(compact, &stage.fds)?;
         debug_assert!(solution.plan.validate(compact).is_ok());
         let phc = phc_of_plan(compact, &solution.plan);
-        let outcome = &mut stage.outcome;
-        outcome.field_phc.phc += phc.phc;
-        outcome.field_phc.hit_tokens += phc.hit_tokens;
-        outcome.field_phc.total_tokens += phc.total_tokens;
-        outcome.solve_time_s += solution.solve_time.as_secs_f64();
-        outcome.claimed_phc += solution.claimed_phc;
+        let report = &mut stage.output.report;
+        report.field_phc.phc += phc.phc;
+        report.field_phc.hit_tokens += phc.hit_tokens;
+        report.field_phc.total_tokens += phc.total_tokens;
+        report.solve_time_s += solution.solve_time.as_secs_f64();
+        report.claimed_phc += solution.claimed_phc;
         self.opt.llm_calls = solution.plan.len() as u64;
         // Fan-out stages route each request by its reorder-plan prefix key
         // so a shared-prefix group lands on one replica; a single replica
@@ -197,7 +197,7 @@ impl<'s, 'q> Batch<'s, 'q> {
             &mut stage.engine
         };
         tier.run_batch(requests)?;
-        if stage.opts.cascade.is_some() {
+        if stage.opt.cascade.is_some() {
             let opt = &mut self.opt;
             let (prompt, output) = if expensive {
                 (&mut opt.esc_prompt_tokens, &mut opt.esc_output_tokens)
@@ -230,7 +230,7 @@ impl<'s, 'q> Batch<'s, 'q> {
         let scratch = &mut stage.scratch;
         scratch.failed.clear();
         scratch.retries.clear();
-        if let Some(f) = stage.opts.faults.filter(|f| f.error_ppm > 0) {
+        if let Some(f) = stage.opt.faults.filter(|f| f.error_ppm > 0) {
             scratch.failed.resize(groups.len(), false);
             let p = f64::from(f.error_ppm) / 1e6;
             let budget = f.max_attempts.max(1);
@@ -311,12 +311,12 @@ impl<'s, 'q> Batch<'s, 'q> {
         scratch.escalating.clear();
         // Room for every offered row's output, made past the engine drain
         // (where a statement's live heap peaks).
-        stage.outcome.outputs.reserve(rows.len());
+        stage.output.outputs.reserve(rows.len());
         for (ri, rp) in plan.rows().enumerate() {
             let members = groups.members(rp.row);
             let originals = members.iter().map(|&local| rows[local as usize]);
             if scratch.failed(rp.row) {
-                stage.outcome.failed_rows.extend(originals);
+                stage.output.failed_rows.extend(originals);
                 self.opt.rows_failed += members.len() as u64;
                 continue;
             }
@@ -335,7 +335,7 @@ impl<'s, 'q> Batch<'s, 'q> {
             for original in originals {
                 group_escalates |= labeler.label(
                     &mut self.opt,
-                    &mut stage.outcome.outputs,
+                    &mut stage.output.outputs,
                     original,
                     key_field_pos,
                 );
@@ -357,7 +357,7 @@ impl<'s, 'q> Batch<'s, 'q> {
         let stage = &mut *self.stage;
         let labeler = stage.labeler();
         let enc = stage.encoder.batch();
-        let outputs = &mut stage.outcome.outputs;
+        let outputs = &mut stage.output.outputs;
         outputs.reserve(self.rows.len() - enc.groups.rows());
         for local in enc.hits() {
             labeler.label(&mut self.opt, outputs, self.rows[local], 0.5);
@@ -374,11 +374,11 @@ impl<'s, 'q> Batch<'s, 'q> {
         debug_assert_eq!(opt.cache_hits + novel, opt.rows_in);
         debug_assert_eq!(opt.rows_deduped + opt.llm_calls, novel);
         debug_assert_eq!(
-            (outputs.len() - outputs_from + stage.outcome.failed_rows.len() - failed_from) as u64,
+            (outputs.len() - outputs_from + stage.output.failed_rows.len() - failed_from) as u64,
             opt.rows_in
         );
         debug_assert!(
-            stage.opts.cascade.is_none()
+            stage.opt.cascade.is_none()
                 || opt.rows_cheap + opt.rows_escalated + opt.rows_failed == opt.rows_in
         );
         self.opt

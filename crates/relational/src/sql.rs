@@ -33,7 +33,7 @@ mod schedule;
 pub use parse::{parse_sql, LlmCall, Projection, SqlStatement, WhereConjunct};
 
 use crate::adaptive::{SelectivityTracker, DEFAULT_PRIOR_STRENGTH};
-use crate::exec::{ExecError, ExecOptions, QueryExecutor, QueryOutput, StageOutcome};
+use crate::exec::{ExecError, QueryExecutor, QueryOutput};
 use crate::optimizer::{LogicalOp, LogicalPlan, OptLevel, OptStats, OptimizerConfig, SqlPredicate};
 use crate::pipeline::Stage;
 use crate::query::LlmQuery;
@@ -41,7 +41,6 @@ use crate::table::{Table, TableError};
 use explain::NodeStats;
 use llmqo_core::{FunctionalDeps, Reorderer};
 use llmqo_costmodel::{CascadePlan, Pricing, TierPosterior};
-use llmqo_serve::EngineReport;
 use schedule::BatchSchedule;
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -270,11 +269,6 @@ impl<'a> SqlRunner<'a> {
             table,
             fds,
             truth,
-            exec_opts: ExecOptions {
-                level: self.opt.level,
-                faults: self.opt.faults,
-                cascade: self.opt.cascade.map(|cc| cc.plan),
-            },
             pipelined: self.pipelines(plan),
             stages: ops.iter().map(|_| None).collect(),
             exec_order: Vec::new(),
@@ -329,9 +323,6 @@ struct StatementRun<'r, 'a> {
     table: &'r Table,
     fds: &'r FunctionalDeps,
     truth: &'r dyn Fn(usize) -> String,
-    /// The physical options every stage runs under (with a cascade
-    /// configured, every LLM operator cascades).
-    exec_opts: ExecOptions,
     /// See [`SqlRunner::pipelines`].
     pipelined: bool,
     /// One stage per LLM operator, indexed by *plan* position — stable
@@ -400,23 +391,15 @@ impl StatementRun<'_, '_> {
             if let Some(query) = op.llm_query() {
                 let stage = match &mut self.stages[idx] {
                     Some(stage) => stage,
-                    slot => {
-                        let replicas = if self.pipelined {
-                            runner.opt.pipeline_replicas
-                        } else {
-                            1
-                        };
-                        slot.insert(Stage::open(
-                            runner.executor,
-                            self.table,
-                            query,
-                            runner.reorderer,
-                            self.fds,
-                            self.truth,
-                            self.exec_opts,
-                            replicas,
-                        )?)
-                    }
+                    slot => slot.insert(Stage::open(
+                        runner.executor,
+                        self.table,
+                        query,
+                        runner.reorderer,
+                        self.fds,
+                        self.truth,
+                        runner.opt,
+                    )?),
                 };
                 if self.pipelined {
                     stage.engine.advance_to(ready);
@@ -425,8 +408,8 @@ impl StatementRun<'_, '_> {
                 if self.pipelined {
                     ready = stage.clock();
                 }
-                if let Some(plan) = &self.exec_opts.cascade {
-                    runner.observe_tier(plan, &query.name, &opt);
+                if let Some(cc) = &runner.opt.cascade {
+                    runner.observe_tier(&cc.plan, &query.name, &opt);
                 }
                 runner.note_failed_rows(query, stage.batch_failed(), &mut self.notes);
                 match op {
@@ -474,10 +457,10 @@ impl StatementRun<'_, '_> {
     }
 
     /// Step 3: finalizes the per-operator stages in final execution order.
-    /// An operator no batch reached never opened a stage and reports
-    /// defaults. All stages share one timeline, so a pipelined statement
-    /// is done when its slowest stage is. Returns the operators' outputs
-    /// and the aggregate, if the statement has one.
+    /// An operator no batch reached never opened a stage and reports what a
+    /// stage opens with. All stages share one timeline, so a pipelined
+    /// statement is done when its slowest stage is. Returns the operators'
+    /// outputs and the aggregate, if the statement has one.
     fn finish_stages(&mut self, schedule: &BatchSchedule) -> (Vec<QueryOutput>, Option<f64>) {
         let ops = self.ops;
         let mut outputs = Vec::new();
@@ -493,11 +476,7 @@ impl StatementRun<'_, '_> {
                     fanout = fanout.max(stage.engine.replicas());
                     stage.finish()
                 }
-                None => StageOutcome::default().into_query_output(
-                    query,
-                    self.runner.reorderer.name(),
-                    EngineReport::default(),
-                ),
+                None => QueryOutput::empty(query, self.runner.reorderer.name()),
             };
             // LIMIT-early-stop savings: candidates the scan never reached
             // are attributed to the first LLM operator in final execution

@@ -211,7 +211,7 @@ impl StatementRun<'_, '_> {
         for (&slot, &idx) in slots.iter().zip(&ranked) {
             if self.exec_order[slot] != idx {
                 if let Some(stage) = &mut self.stages[idx] {
-                    stage.outcome.opt.reranks += 1;
+                    stage.output.report.opt.reranks += 1;
                 }
             }
             self.exec_order[slot] = idx;
@@ -273,7 +273,7 @@ impl StatementRun<'_, '_> {
                 esc_rate,
             ) / single;
         }
-        let o = &stage.outcome.opt;
+        let o = &stage.output.report.opt;
         let offered = o.rows_in.saturating_sub(o.cache_hits).max(1);
         factor * (o.llm_calls as f64 / offered as f64)
     }

@@ -15,10 +15,8 @@ use llmqo::core::FunctionalDeps;
 use llmqo::core::Ggr;
 use llmqo::costmodel::SelectivityPosterior;
 use llmqo::datasets::{Dataset, DatasetId};
-use llmqo::relational::{
-    ExecOptions, OptimizerConfig, QueryExecutor, SelectivityTracker, SqlResult, SqlRunner,
-};
 use llmqo::relational::{LlmQuery, Schema, Table};
+use llmqo::relational::{OptimizerConfig, QueryExecutor, SelectivityTracker, SqlResult, SqlRunner};
 use llmqo::serve::OracleLlm;
 use llmqo::tokenizer::Tokenizer;
 use proptest::prelude::*;
@@ -172,7 +170,15 @@ fn repeated_query_hits_answer_cache_above_90_percent() {
     let hit_rate = opt.cache_hits as f64 / opt.rows_in as f64;
     assert!(hit_rate > 0.9, "hit rate {hit_rate}");
     assert!(opt.cache_tokens_saved > 0);
-    assert!(executor.answer_cache_stats().hit_rate() > 0.4);
+    // Over the executor's lifetime — both statements' lookups — the hit
+    // rate stays above 0.4.
+    let (hits, looked_up) = [&first, &second]
+        .iter()
+        .flat_map(|r| &r.stages)
+        .fold((0, 0), |(h, n), s| {
+            (h + s.report.opt.cache_hits, n + s.report.opt.rows_in)
+        });
+    assert!(hits as f64 / looked_up as f64 > 0.4, "{hits}/{looked_up}");
 }
 
 // ---------------------------------------------------------------------------
@@ -295,10 +301,10 @@ proptest! {
             .execute(&table, &query, &solver, &fds, &truth)
             .unwrap();
         let on1 = executor
-            .execute_with(&table, &query, &solver, &fds, &truth, ExecOptions::optimized())
+            .execute_with(&table, &query, &solver, &fds, &truth, OptimizerConfig::all())
             .unwrap();
         let on2 = executor
-            .execute_with(&table, &query, &solver, &fds, &truth, ExecOptions::optimized())
+            .execute_with(&table, &query, &solver, &fds, &truth, OptimizerConfig::all())
             .unwrap();
         prop_assert_eq!(&off.outputs, &on1.outputs);
         prop_assert_eq!(&off.selected_rows, &on1.selected_rows);

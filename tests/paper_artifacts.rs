@@ -198,3 +198,19 @@ fn committed_bench_files_share_the_envelope_at_full_scale() {
         );
     }
 }
+
+/// Every sweep cell says what its run did. A run the fault ledger never
+/// engaged in still offered and served its requests, and a fleet that never
+/// scaled still ran its replicas: neither commits the ledger's zeros.
+#[test]
+fn committed_sweep_cells_carry_what_the_run_did() {
+    for (bench, zero) in [
+        ("chaos", "\"offered\": 0,"),
+        ("overload", "\"peak_replicas\": 0,"),
+    ] {
+        let path = format!("{}/BENCH_{bench}.json", env!("CARGO_MANIFEST_DIR"));
+        let json = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+        assert!(json.contains("\"cells\": ["), "{path} has no cells");
+        assert!(!json.contains(zero), "{path} commits a cell with {zero}");
+    }
+}

@@ -7,10 +7,14 @@
 
 mod common;
 
-use common::{engine, run_sql};
+use common::{engine, mod3_truth, run_sql};
 use llmqo::core::Ggr;
+use llmqo::costmodel::CascadePlan;
 use llmqo::datasets::{Dataset, DatasetId};
-use llmqo::relational::{ExecOptions, OptimizerConfig, QueryExecutor, SqlResult, SqlRunner};
+use llmqo::relational::{
+    CascadeConfig, LlmQuery, OptLevel, OptimizerConfig, QueryExecutor, QueryOutput, SqlResult,
+    SqlRunner,
+};
 use llmqo::serve::OracleLlm;
 use llmqo::tokenizer::Tokenizer;
 
@@ -34,7 +38,7 @@ fn dedup_execution_is_output_identical_on_all_datasets() {
                     &solver,
                     &ds.fds,
                     &truth,
-                    ExecOptions::deduped(),
+                    OptimizerConfig::static_only(),
                 )
                 .unwrap_or_else(|e| panic!("{}/{}: {e}", id.name(), query.name));
             assert_eq!(
@@ -223,4 +227,104 @@ fn explain_surfaces_rewrites_on_a_dataset_statement() {
     assert!(text.contains("SqlFilter reviewtype = 'Fresh'"));
     assert!(text.contains("LlmFilter sql-where-movies"));
     assert!(text.contains("-- rewrite: reordered WHERE"));
+}
+
+/// The filter `SELECT movietitle FROM movies WHERE LLM('<prompt>',
+/// <fields>) = 'Yes'` compiles to, run bare on a fresh executor under
+/// `opt`, with the solver's host time zeroed.
+fn bare_movies_filter(
+    ds: &Dataset,
+    prompt: &str,
+    fields: &[&str],
+    opt: OptimizerConfig,
+) -> QueryOutput {
+    let query = LlmQuery::filter(
+        "sql-where-movies",
+        prompt,
+        fields.iter().map(|f| f.to_string()).collect(),
+        vec!["Yes".into(), "No".into()],
+        "Yes",
+        2.0,
+    );
+    let eng = engine();
+    let executor = QueryExecutor::new(&eng, &OracleLlm, Tokenizer::new());
+    let solver = Ggr::default();
+    let mut out = executor
+        .execute_with(&ds.table, &query, &solver, &ds.fds, &mod3_truth, opt)
+        .unwrap();
+    out.report.solve_time_s = 0.0;
+    out
+}
+
+/// A bare `execute_with` runs the same stage a SQL operator does: under
+/// every level and under a cascade, its output equals the stage output of
+/// the one-filter statement that compiles to the same query (one batch of
+/// every row, since there is no `LIMIT` and no second filter). The fields
+/// repeat across rows, so the levels from `Static` up dedup.
+#[test]
+fn bare_execute_with_equals_the_one_filter_statement_stage() {
+    let ds = Dataset::generate_with_rows(DatasetId::Movies, 120);
+    let (prompt, fields) = ("fresh?", ["movietitle", "reviewtype", "topcritic"]);
+    let sql = format!(
+        "SELECT movietitle FROM movies WHERE LLM('{prompt}', {}) = 'Yes'",
+        fields.join(", ")
+    );
+    let cascade = CascadeConfig::new(CascadePlan::mini_to_sonnet(0.5, 7));
+    let configs = [
+        ("none", OptimizerConfig::none()),
+        ("static_only", OptimizerConfig::static_only()),
+        ("all", OptimizerConfig::all()),
+        (
+            "off + cascade",
+            OptimizerConfig {
+                cascade: Some(cascade),
+                ..OptimizerConfig::none()
+            },
+        ),
+        ("cascaded", OptimizerConfig::cascaded(cascade)),
+    ];
+    for (name, opt) in configs {
+        let statement = run_sql(&ds, &sql, opt, "movies");
+        let [mut stage] = <[QueryOutput; 1]>::try_from(statement.stages).unwrap();
+        stage.report.solve_time_s = 0.0;
+        let dedups = opt.level >= OptLevel::Static;
+        assert_eq!(stage.report.opt.rows_deduped > 0, dedups, "{name}");
+        assert_eq!(
+            stage.report.opt.rows_escalated > 0,
+            opt.cascade.is_some(),
+            "{name}"
+        );
+        assert_eq!(
+            bare_movies_filter(&ds, prompt, &fields, opt),
+            stage,
+            "{name}"
+        );
+    }
+}
+
+/// A bare `execute_with` under `pipelined(3)` fans the query out over three
+/// replica sessions: the same rows and optimizer ledger as one session
+/// under `all()`, outputs equal to `none()`'s, and a shorter makespan.
+#[test]
+fn bare_execute_with_fans_out_over_pipeline_replicas() {
+    let ds = Dataset::generate_with_rows(DatasetId::Movies, 120);
+    let run = |opt| bare_movies_filter(&ds, "kids?", &["movieinfo", "reviewcontent"], opt);
+    let (fanned, single) = (
+        run(OptimizerConfig::pipelined(3)),
+        run(OptimizerConfig::all()),
+    );
+    let oracle = run(OptimizerConfig::none());
+    assert_eq!(fanned.outputs, oracle.outputs);
+    assert_eq!(fanned.selected_rows, oracle.selected_rows);
+    assert_eq!(fanned.report.opt, single.report.opt);
+    assert_eq!(
+        fanned.report.engine.completed,
+        single.report.engine.completed
+    );
+    assert!(
+        fanned.report.engine.job_completion_time_s < single.report.engine.job_completion_time_s,
+        "three replicas finish sooner than one: {} vs {}",
+        fanned.report.engine.job_completion_time_s,
+        single.report.engine.job_completion_time_s
+    );
 }
