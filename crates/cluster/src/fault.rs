@@ -435,24 +435,21 @@ impl RetryPolicy {
     }
 }
 
-/// Failure metrics of a chaos run, attached to
-/// [`ClusterReport::faults`](crate::ClusterReport). All zeros (the default)
-/// on fault-free runs.
+/// The request ledger and failure metrics of a run, attached to
+/// [`ClusterReport::faults`](crate::ClusterReport). Every run fills
+/// `offered` and `succeeded`; the failure counters stay zero on a run where
+/// nothing can fail.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct FaultStats {
-    /// Logical requests offered to the cluster. Zero means the failure
-    /// machinery was not engaged at all (plain
-    /// [`ClusterSim::run`](crate::ClusterSim::run) or an inert plan +
-    /// policy).
+    /// Logical requests offered to the cluster.
     pub offered: usize,
-    /// Requests that completed successfully (including late successes).
+    /// Requests that completed successfully (including late successes),
+    /// each counted once however many of its attempts completed.
     pub succeeded: usize,
     /// Requests that permanently failed (budget exhausted, deadline passed,
-    /// or no replica left to serve them). `succeeded + failed == offered`
-    /// always — no request is ever silently lost. Under a gating
-    /// [`AdmissionPolicy`](crate::AdmissionPolicy) the invariant extends to
-    /// `succeeded + failed + shed == offered`, with `shed` ledgered in
-    /// [`ClusterReport::shed`](crate::ClusterReport).
+    /// or no replica left to serve them). `succeeded + failed + shed ==
+    /// offered` on every report — no request is ever silently lost — with
+    /// `shed` ledgered in [`ClusterReport::shed`](crate::ClusterReport).
     pub failed: usize,
     /// Retry attempts scheduled.
     pub retries: u64,
@@ -490,8 +487,7 @@ pub struct FaultStats {
 }
 
 impl FaultStats {
-    /// Whether the failure machinery ran (fault plan or retry policy was
-    /// non-inert).
+    /// Whether the run was offered any request (`offered > 0`).
     pub fn engaged(&self) -> bool {
         self.offered > 0
     }

@@ -663,8 +663,6 @@ impl<'a> Kernel<'a> {
             IdIndex::default()
         };
         let offered = requests.len();
-        let gated = !overload.admission.is_inert();
-        let fleet = overload.scale.map_or(0, |_| config.replicas);
         let replicas = (0..config.replicas)
             .map(|i| Replica::cold(sim.engine(), i, true))
             .collect::<Result<Vec<_>, _>>()?;
@@ -694,13 +692,10 @@ impl<'a> Kernel<'a> {
                 offered,
                 ..FaultStats::default()
             },
-            shed: ShedStats {
-                offered: if gated { offered } else { 0 },
-                ..ShedStats::default()
-            },
+            shed: ShedStats::default(),
             scale: ScaleStats {
-                peak_replicas: fleet,
-                low_replicas: fleet,
+                peak_replicas: config.replicas,
+                low_replicas: config.replicas,
                 ..ScaleStats::default()
             },
             last_scale_action: f64::NEG_INFINITY,
@@ -1251,6 +1246,10 @@ impl<'a> Kernel<'a> {
             self.stats.unavailability_windows += 1;
             self.stats.unavailable_s += (report.makespan_s - since).max(0.0);
         }
+        if !self.engaged {
+            // Nothing could fail: every engine completion is a success.
+            self.stats.succeeded = report.completed;
+        }
         let (stats, shed) = (&self.stats, &self.shed);
         // Every request ends as exactly one of done, failed or shed, and the
         // ledgers say so.
@@ -1261,13 +1260,9 @@ impl<'a> Kernel<'a> {
             shed.shed_queue_full + shed.shed_kv_pressure + shed.shed_tenant_quota,
             shed.shed
         );
-        if self.engaged {
-            debug_assert_eq!(stats.succeeded + stats.failed + shed.shed, stats.offered);
-            report.faults = self.stats;
-            stats.publish();
-        } else {
-            debug_assert_eq!(report.completed + shed.shed, self.requests.len());
-        }
+        debug_assert_eq!(stats.succeeded + stats.failed + shed.shed, stats.offered);
+        stats.publish();
+        report.faults = self.stats;
         report.shed = self.shed;
         report.scaling = self.scale;
         report.backpressure_macro_steps = self.backpressure_macro_steps;

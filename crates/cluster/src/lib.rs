@@ -36,7 +36,8 @@
 //! * [`AdmissionPolicy`] / [`ScalePolicy`] / [`OverloadPolicy`] — the
 //!   overload-survival layer: KV-aware admission control, priority load
 //!   shedding with per-tenant quotas (ledgered in [`ShedStats`], extending
-//!   the zero-loss invariant to `succeeded + failed + shed == offered`), and
+//!   the zero-loss invariant to `succeeded + failed + shed == offered`,
+//!   which every report satisfies, fault-free or not), and
 //!   a seeded elastic autoscaler that drains replicas at low KV occupancy
 //!   and warms cold ones when queue wait crosses a threshold
 //!   ([`ScaleStats`]). Inert policies leave [`ClusterSim::run_overloaded`]

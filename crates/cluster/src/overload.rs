@@ -308,20 +308,16 @@ impl OverloadPolicy {
     }
 }
 
-/// The load-shedding ledger of a gated run, attached to
-/// [`ClusterReport::shed`](crate::ClusterReport::shed). All zeros (the
-/// default) when no [`AdmissionPolicy`] gate fired — and
-/// [`engaged`](ShedStats::engaged) is `false` unless the run went through a
-/// non-inert policy at all.
+/// The load-shedding ledger of a run, attached to
+/// [`ClusterReport::shed`](crate::ClusterReport::shed). Its counters are
+/// zero when no [`AdmissionPolicy`] gate fired.
 ///
-/// The ledger extends the chaos invariant: every offered request is exactly
-/// one of succeeded, failed, or shed — `succeeded + failed + shed ==
-/// offered` (on fault-free gated runs, `completed + shed == offered`).
+/// The ledger extends the fault ledger's invariant: every offered request
+/// is exactly one of succeeded, failed, or shed — `succeeded + failed +
+/// shed == offered`, with the other three in
+/// [`ClusterReport::faults`](crate::ClusterReport::faults).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ShedStats {
-    /// Logical requests offered to the gated run. Zero means no admission
-    /// policy was engaged.
-    pub offered: usize,
     /// Requests shed (never placed on any replica). Always equals the sum
     /// of the three per-reason counters.
     pub shed: usize,
@@ -337,11 +333,6 @@ pub struct ShedStats {
 }
 
 impl ShedStats {
-    /// Whether a non-inert admission policy governed the run.
-    pub fn engaged(&self) -> bool {
-        self.offered > 0
-    }
-
     /// Accounts one shed request.
     pub(crate) fn record(&mut self, reason: ShedReason, priority: u8) {
         self.shed += 1;
@@ -525,9 +516,10 @@ pub(crate) fn obs_scale(event: &'static str, replica: usize, fleet: usize, t: f6
     );
 }
 
-/// Autoscaling counters of an elastic run, attached to
-/// [`ClusterReport::scaling`](crate::ClusterReport::scaling). All zeros
-/// (the default) when no [`ScalePolicy`] ran.
+/// Autoscaling counters of a run, attached to
+/// [`ClusterReport::scaling`](crate::ClusterReport::scaling). The fleet
+/// bounds start at the initial fleet, and the counters stay zero when no
+/// [`ScalePolicy`] ran.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ScaleStats {
     /// Control-loop evaluations that fired.
@@ -536,17 +528,12 @@ pub struct ScaleStats {
     pub scale_ups: u64,
     /// Replicas drained out of the fleet for good.
     pub scale_downs: u64,
-    /// Largest routable-or-warming fleet size reached.
+    /// Largest routable-or-warming fleet size reached, starting from the
+    /// initial fleet.
     pub peak_replicas: usize,
-    /// Smallest routable fleet size reached.
+    /// Smallest routable fleet size the autoscaler saw, starting from the
+    /// initial fleet.
     pub low_replicas: usize,
-}
-
-impl ScaleStats {
-    /// Whether a scale policy governed the run.
-    pub fn engaged(&self) -> bool {
-        self.checks > 0 || self.scale_ups > 0 || self.scale_downs > 0
-    }
 }
 
 #[cfg(test)]
@@ -559,8 +546,6 @@ mod tests {
         assert!(OverloadPolicy::default().is_inert());
         assert!(AdmissionPolicy::default().validate().is_ok());
         assert!(OverloadPolicy::default().validate(4).is_ok());
-        assert!(!ShedStats::default().engaged());
-        assert!(!ScaleStats::default().engaged());
     }
 
     #[test]

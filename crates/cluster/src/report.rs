@@ -88,7 +88,10 @@ pub struct ClusterReport {
     /// Time the last replica finished, seconds (the sharded job-completion
     /// time — the paper's primary metric, lifted to the cluster).
     pub makespan_s: f64,
-    /// Requests completed across all replicas.
+    /// Engine completions across all replicas. Under faults this counts
+    /// attempts, not requests: a hedge loser and an attempt that then
+    /// failed with a transient error each completed on its replica.
+    /// [`FaultStats::succeeded`] counts each successful request once.
     pub completed: usize,
     /// Prompt tokens across all replicas.
     pub total_prompt_tokens: u64,
@@ -100,19 +103,21 @@ pub struct ClusterReport {
     pub queue_wait_p99_s: f64,
     /// Worst queue wait, seconds.
     pub queue_wait_max_s: f64,
-    /// Failure metrics. All zeros (and [`FaultStats::engaged`] is `false`)
-    /// unless the run went through
+    /// The request ledger and failure metrics, filled on every run:
+    /// `offered` is the request count and `succeeded` the requests served
+    /// (equal to [`completed`](ClusterReport::completed) when nothing can
+    /// fail). The failure counters move only under
     /// [`ClusterSim::run_overloaded`](crate::ClusterSim::run_overloaded)
     /// with a non-inert plan or retry policy.
     pub faults: FaultStats,
-    /// Load-shedding ledger. All zeros (and [`ShedStats::engaged`] is
-    /// `false`) unless the run went through a non-inert
-    /// [`AdmissionPolicy`](crate::AdmissionPolicy); when engaged, every
-    /// offered request is exactly one of succeeded, failed, or shed.
+    /// Load-shedding ledger: every offered request is exactly one of
+    /// succeeded, failed, or shed (`faults.succeeded + faults.failed +
+    /// shed.shed == faults.offered`). Nothing is shed without a non-inert
+    /// [`AdmissionPolicy`](crate::AdmissionPolicy).
     pub shed: ShedStats,
-    /// Elastic-autoscaling counters. All zeros unless the run went through
-    /// [`ClusterSim::run_overloaded`](crate::ClusterSim::run_overloaded)
-    /// with a [`ScalePolicy`](crate::ScalePolicy).
+    /// Elastic-autoscaling ledger: the fleet bounds start at the initial
+    /// fleet, and the counters move only under a
+    /// [`ScalePolicy`](crate::ScalePolicy).
     pub scaling: ScaleStats,
     /// Backpressured phases the dispatcher collapsed into `step_until`
     /// jumps instead of single-stepping (0 for single-stepped runs).
@@ -217,9 +222,6 @@ impl ClusterReport {
     /// where wasted hedge work and late completions inflate raw completion
     /// counts; identical to it on fault-free runs.
     pub fn goodput_rps(&self) -> f64 {
-        if !self.faults.engaged() {
-            return self.throughput_rps();
-        }
         if self.makespan_s <= 0.0 {
             return 0.0;
         }
@@ -246,46 +248,35 @@ impl fmt::Display for ClusterReport {
             self.queue_wait_p99_s,
             self.completed
         )?;
-        if self.faults.engaged() {
-            let fs = &self.faults;
-            writeln!(
-                f,
-                "  faults: offered {}  ok {}  failed {}  retries {}  hedges {}/{} won  \
-                 failovers {}  deadline misses {}  goodput {:.2} rps  unavailable {:.2}s/{} windows",
-                fs.offered,
-                fs.succeeded,
-                fs.failed,
-                fs.retries,
-                fs.hedges_won,
-                fs.hedges_issued,
-                fs.failovers,
-                fs.deadline_misses,
-                self.goodput_rps(),
-                fs.unavailable_s,
-                fs.unavailability_windows
-            )?;
-        }
-        if self.shed.engaged() {
-            let s = &self.shed;
-            writeln!(
-                f,
-                "  shed: offered {}  shed {} (queue {}  kv {}  quota {})  max shed priority {}",
-                s.offered,
-                s.shed,
-                s.shed_queue_full,
-                s.shed_kv_pressure,
-                s.shed_tenant_quota,
-                s.max_shed_priority
-            )?;
-        }
-        if self.scaling.engaged() {
-            let s = &self.scaling;
-            writeln!(
-                f,
-                "  scaling: checks {}  ups {}  downs {}  fleet peak/low {}/{}",
-                s.checks, s.scale_ups, s.scale_downs, s.peak_replicas, s.low_replicas
-            )?;
-        }
+        let fs = &self.faults;
+        writeln!(
+            f,
+            "  faults: offered {}  ok {}  failed {}  retries {}  hedges {}/{} won  \
+             failovers {}  deadline misses {}  goodput {:.2} rps  unavailable {:.2}s/{} windows",
+            fs.offered,
+            fs.succeeded,
+            fs.failed,
+            fs.retries,
+            fs.hedges_won,
+            fs.hedges_issued,
+            fs.failovers,
+            fs.deadline_misses,
+            self.goodput_rps(),
+            fs.unavailable_s,
+            fs.unavailability_windows
+        )?;
+        let s = &self.shed;
+        writeln!(
+            f,
+            "  shed: {} (queue {}  kv {}  quota {})  max shed priority {}",
+            s.shed, s.shed_queue_full, s.shed_kv_pressure, s.shed_tenant_quota, s.max_shed_priority
+        )?;
+        let s = &self.scaling;
+        writeln!(
+            f,
+            "  scaling: checks {}  ups {}  downs {}  fleet peak/low {}/{}",
+            s.checks, s.scale_ups, s.scale_downs, s.peak_replicas, s.low_replicas
+        )?;
         for (i, r) in self.replicas.iter().enumerate() {
             writeln!(
                 f,

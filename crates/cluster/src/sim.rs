@@ -223,13 +223,11 @@ impl ClusterSim {
     ///
     /// With all three inert the result is byte-identical to
     /// [`run`](ClusterSim::run); any other configuration reproduces byte
-    /// for byte from the same inputs and fills the
+    /// for byte from the same inputs. Every run, inert or not, fills the
     /// [`faults`](crate::ClusterReport::faults),
     /// [`shed`](crate::ClusterReport::shed) and
-    /// [`scaling`](crate::ClusterReport::scaling) ledgers. No request is
-    /// ever silently lost: `completed + shed == offered` fault-free, and
-    /// `succeeded + failed + shed == offered` with faults or retries
-    /// engaged.
+    /// [`scaling`](crate::ClusterReport::scaling) ledgers, and no request is
+    /// ever silently lost: `succeeded + failed + shed == offered`.
     ///
     /// Unless the plan and the retry policy are both inert, requests must
     /// carry **unique** engine ids — completions are attributed back to

@@ -84,17 +84,16 @@ pub(crate) struct StageEngine {
     /// Hashes every prompt the engine queues, on whichever replica.
     hasher: ChainHasher,
     router: PrefixAffinity,
-    /// Requests routed to each replica so far
-    /// ([`ReplicaSnapshot::assigned`]).
-    assigned: Vec<usize>,
+    /// The fleet as the router sees it, taken once at open: the pure
+    /// `PrefixAffinity` reads each replica's index and `alive` flag only,
+    /// never its load, so a live snapshot would route alike.
+    snapshots: Vec<ReplicaSnapshot>,
     /// Where each replica's records of the last batch start among its
     /// session's completion records.
     served_from: Vec<usize>,
     /// Each replica's clock when the last batch began: the instant its
     /// requests were offered.
     offered_at: Vec<f64>,
-    /// Routing scratch, refilled per request.
-    snapshots: Vec<ReplicaSnapshot>,
 }
 
 impl StageEngine {
@@ -121,14 +120,15 @@ impl StageEngine {
             }
             sessions.push(session);
         }
+        let snapshots = sessions.iter().enumerate();
+        let snapshots = snapshots.map(|(i, s)| ReplicaSnapshot::observe(i, s, 0, true));
         Ok(StageEngine {
+            snapshots: snapshots.collect(),
             sessions,
             hasher: engine.chain_hasher(),
             router: PrefixAffinity::default(),
-            assigned: vec![0; n],
             served_from: vec![0; n],
             offered_at: vec![0.0; n],
-            snapshots: Vec::new(),
         })
     }
 
@@ -163,19 +163,22 @@ impl StageEngine {
         debug_assert!(self.clock() >= before, "stage clock ran backwards");
     }
 
-    /// The replica the router sends `key` to, against live snapshots.
+    /// The replica the router sends `key` to.
     fn place(&mut self, key: u64) -> usize {
-        self.snapshots.clear();
-        self.snapshots.extend(
-            self.sessions
-                .iter()
-                .zip(&self.assigned)
-                .enumerate()
-                .map(|(i, (s, &assigned))| ReplicaSnapshot::observe(i, s, assigned, true)),
-        );
         self.router
             .route(key, &self.snapshots)
             .min(self.sessions.len() - 1)
+    }
+
+    /// Marks the start of a batch on every replica: where its completion
+    /// records will begin, and the instant its requests are offered.
+    fn start_batch(&mut self) {
+        self.served_from.clear();
+        self.offered_at.clear();
+        for s in &self.sessions {
+            self.served_from.push(s.completions().len());
+            self.offered_at.push(s.clock());
+        }
     }
 
     /// Runs one batch to completion; its completion records are
@@ -187,8 +190,7 @@ impl StageEngine {
     ///
     /// With several replicas, `key` is the request's reorder-plan prefix
     /// key; requests are placed one by one through the prefix-affinity
-    /// router against live snapshots, then all replicas run concurrently on
-    /// the simulated clock. A single
+    /// router, then all replicas run concurrently on the simulated clock. A single
     /// replica serves every request and never looks at `key` (callers pass
     /// anything, see [`wants_prefix_keys`](Self::wants_prefix_keys)).
     ///
@@ -211,21 +213,17 @@ impl StageEngine {
         let offered = requests.len();
         let routed = self.wants_prefix_keys();
         let before = self.clock();
-        self.served_from.clone_from(&self.assigned);
-        for (t, s) in self.offered_at.iter_mut().zip(&self.sessions) {
-            *t = s.clock();
-        }
+        self.start_batch();
         for (id, output_len, key, prompt) in requests {
             // Stepping a replica inside the loop changes no placement (the
-            // pure `PrefixAffinity` reads the key and the fleet, never the
-            // load) and no other replica: they share only the hasher, which
-            // still takes the prompts in plan order.
+            // router reads the key and the fleet, never the load) and no
+            // other replica: they share only the hasher, which still takes
+            // the prompts in plan order.
             let replica = if routed { self.place(key) } else { 0 };
             let session = &mut self.sessions[replica];
             session.make_room()?;
             let chain = self.hasher.chain(prompt);
             session.enqueue_chain(id, output_len, chain, self.offered_at[replica]);
-            self.assigned[replica] += 1;
         }
         for s in &mut self.sessions {
             s.drain()?;
@@ -640,7 +638,7 @@ mod tests {
         requests: &[SimRequest],
         keys: &[u64],
     ) -> Vec<Completion> {
-        stage.served_from.clone_from(&stage.assigned);
+        stage.start_batch();
         for (r, &key) in requests.iter().zip(keys) {
             let replica = if stage.wants_prefix_keys() {
                 stage.place(key)
@@ -650,7 +648,6 @@ mod tests {
             let chain = stage.hasher.chain(&r.prompt);
             let session = &mut stage.sessions[replica];
             session.enqueue_chain(r.id, r.output_len, chain, session.clock());
-            stage.assigned[replica] += 1;
         }
         for s in &mut stage.sessions {
             s.drain().unwrap();
@@ -744,7 +741,8 @@ mod tests {
         let mut keys = vec![key_for(&mut stage, 0); 8];
         keys.push(key_for(&mut stage, 2));
         assert_eq!(run(&mut stage, &requests, &keys).len(), 9);
-        assert_eq!(stage.assigned, [8, 0, 1]);
+        let served = stage.sessions.iter().map(|s| s.completions().len());
+        assert_eq!(served.collect::<Vec<_>>(), [8, 0, 1]);
         let clocks: Vec<f64> = stage.sessions.iter().map(EngineSession::clock).collect();
         assert_eq!(stage.clock(), clocks.iter().copied().fold(0.0, f64::max));
         assert!(clocks[0] > clocks[2], "heavier replica finishes later");

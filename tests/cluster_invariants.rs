@@ -93,6 +93,28 @@ fn every_admitted_request_completes_exactly_once_under_every_policy() {
     }
 }
 
+/// A plain run fills the ledgers as any other run does: every request
+/// offered and served, nothing failed or shed, and a fleet that never
+/// scaled reads its own size.
+#[test]
+fn plain_runs_fill_every_ledger() {
+    let requests = ggr_workload(120, 5);
+    for replicas in [1usize, 3] {
+        let report = sim(replicas)
+            .run(&mut PrefixAffinity::default(), &requests)
+            .unwrap();
+        let (faults, shed, scaling) = (&report.faults, &report.shed, &report.scaling);
+        assert_eq!(faults.offered, requests.len(), "{replicas} replicas");
+        assert_eq!(faults.succeeded, report.completed, "{replicas} replicas");
+        assert_eq!(faults.succeeded + faults.failed + shed.shed, faults.offered);
+        assert_eq!(
+            (scaling.peak_replicas, scaling.low_replicas),
+            (replicas, replicas)
+        );
+        assert_eq!(report.goodput_rps(), report.throughput_rps());
+    }
+}
+
 #[test]
 fn prefix_affinity_dominates_round_robin_on_ggr_schedules() {
     // Many small groups (4 rows each): round-robin across 4 replicas leaves

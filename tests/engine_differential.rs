@@ -531,6 +531,9 @@ fn poisson_cluster_reports_match_their_pins() {
     // hashing only the unshared suffix nor replacing the hash function may
     // move them: every probe, admission and eviction — the whole report —
     // depends on which prefixes prompts share, never on a block id's value.
+    // The report fingerprints were re-pinned once when every run began
+    // filling its ledgers, which moved only the `faults`, `shed` and
+    // `scaling` fields of the report's text.
     let (requests, keys) = reordered_movies_requests(160);
     let mut requests: Vec<ClusterRequest> = tag_requests(requests, &keys);
     ArrivalProcess::Poisson {
@@ -556,7 +559,7 @@ fn poisson_cluster_reports_match_their_pins() {
     );
     assert_eq!(
         report_fingerprint(&steady),
-        0xbf72_9a3e_9dac_d5a9,
+        0x7362_1748_25e3_3c38,
         "steady report"
     );
 
@@ -596,7 +599,7 @@ fn poisson_cluster_reports_match_their_pins() {
     );
     assert_eq!(
         report_fingerprint(&chaos),
-        0x1670_b38c_6131_76b2,
+        0x0795_2baf_20ef_0462,
         "chaos report"
     );
 }
@@ -637,65 +640,67 @@ fn pinned_admission_policies() -> [Option<AdmissionPolicy>; 5] {
 
 /// `report_fingerprint` of `run` / `run_overloaded` on the overload suite's
 /// workload, recorded at the parent commit on the fault-free dispatcher loop
-/// (`sim.rs::run_impl`) before it was deleted. Rows: `queue_cap` 16 then 1,
+/// (`sim.rs::run_impl`) before it was deleted. Re-pinned once when every
+/// run began filling its ledgers: each report's text moved only in its
+/// `faults`, `shed` and `scaling` fields. Rows: `queue_cap` 16 then 1,
 /// each × the four built-in routers in `common::routers()` order; columns:
 /// `pinned_admission_policies()`.
 const PINNED_ADMISSION_REPORTS: [[u64; 5]; 8] = [
     [
-        0x240d_3cc8_b32a_5bde,
-        0x31d5_63be_cbd3_7505,
-        0x7181_0e95_c683_021e,
-        0x31d5_63be_cbd3_7505,
-        0x7181_0e95_c683_021e,
+        0x03a4_cfd7_6d1b_1eed,
+        0x03a4_cfd7_6d1b_1eed,
+        0x9123_d893_4bf2_0042,
+        0x03a4_cfd7_6d1b_1eed,
+        0x9123_d893_4bf2_0042,
     ],
     [
-        0xe346_4196_4f05_d0e2,
-        0x73bf_a2d6_ce82_97b9,
-        0xa823_89f6_a249_25ee,
-        0x73bf_a2d6_ce82_97b9,
-        0xa823_89f6_a249_25ee,
+        0xa07a_f999_60cb_0719,
+        0xa07a_f999_60cb_0719,
+        0xd4f9_bac7_c7a1_fdf2,
+        0xa07a_f999_60cb_0719,
+        0xd4f9_bac7_c7a1_fdf2,
     ],
     [
-        0xfe62_2f37_6de5_d7ed,
-        0xa17b_06c1_3689_593c,
-        0x806c_1e04_ea66_3515,
-        0xa17b_06c1_3689_593c,
-        0x806c_1e04_ea66_3515,
+        0x432b_b9e4_2e08_175e,
+        0x432b_b9e4_2e08_175e,
+        0x0331_02ad_7526_9f8b,
+        0x432b_b9e4_2e08_175e,
+        0x0331_02ad_7526_9f8b,
     ],
     [
-        0x95c2_729c_f36a_c5b2,
-        0xbf33_b1de_f411_9609,
-        0x7769_0872_c255_2930,
-        0xbf33_b1de_f411_9609,
-        0x7769_0872_c255_2930,
+        0x896a_f255_7415_ca09,
+        0x896a_f255_7415_ca09,
+        0x84f6_dd14_344e_1341,
+        0x896a_f255_7415_ca09,
+        0x84f6_dd14_344e_1341,
     ],
     [
-        0xa0a0_4066_eb62_f09a,
-        0x0501_b409_379e_0be1,
-        0x1be3_70d9_4824_f3c6,
-        0x1e7d_2241_70ed_ae38,
-        0x35af_8d96_e3a9_fdd6,
+        0x47f1_e5e9_84f3_53af,
+        0xd564_c672_4e39_64e8,
+        0xf988_4417_6395_63d1,
+        0x835c_fb0a_a17e_6140,
+        0xea49_c6fd_bdc6_7e01,
     ],
     [
-        0xd3cb_edfc_9bb2_bc2e,
-        0x8520_c799_1cd0_a66a,
-        0xbda8_a67f_2183_fcac,
-        0x89f3_12bc_221d_a715,
-        0xd3c0_d054_0893_b62f,
+        0x76a6_f666_7b85_c4b3,
+        0xdba6_6b9b_d3f8_5c57,
+        0x0382_204e_7472_30b5,
+        0x37d1_88bd_4e69_d4f3,
+        0xf3dd_a9f4_7fdc_7f5e,
     ],
     [
-        0x3a51_36da_468a_df94,
-        0x6f15_3098_b4b9_71aa,
-        0x359c_d327_c8bb_c9fd,
-        0x5617_6939_17e2_760d,
-        0x78cf_4d7f_cf2a_af0c,
+        0xc647_5bd3_263a_8c9d,
+        0x5cd1_5366_8ba3_c746,
+        0xc647_5bd3_263a_8c9d,
+        0x4966_5c6b_fb40_9afc,
+        0x27d4_353a_ac06_d89c,
     ],
     [
-        0xe7a3_78f2_c117_df35,
-        0xf260_fc47_840c_01b2,
-        0x691d_18c6_6e08_576d,
-        0xe934_f0ee_4017_e341,
-        0x461f_b03e_db62_22e7,
+        0x4728_540a_3426_5984,
+        0x0120_7e22_ff90_4b0a,
+        0x213f_8a32_e9b4_8b29,
+        0x7f42_da75_7b8c_2f2e,
+        0x3f17_187f_91a1_ffb6,
     ],
 ];
 

@@ -199,9 +199,9 @@ fn committed_bench_files_share_the_envelope_at_full_scale() {
     }
 }
 
-/// Every sweep cell says what its run did. A run the fault ledger never
-/// engaged in still offered and served its requests, and a fleet that never
-/// scaled still ran its replicas: neither commits the ledger's zeros.
+/// Every sweep cell says what its run did. A run where nothing could fail
+/// still offered and served its requests, and a fleet that never scaled
+/// still ran its replicas: neither commits a zero there.
 #[test]
 fn committed_sweep_cells_carry_what_the_run_did() {
     for (bench, zero) in [
