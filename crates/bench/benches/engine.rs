@@ -84,7 +84,7 @@ fn bench_chain(c: &mut Criterion) {
             for rp in solution.plan.rows() {
                 let fields = rp.fields.iter().map(|&f| {
                     let cell = encoded.reorder.cell(rp.row, f as usize);
-                    &encoded.fragments[cell.value.as_u32() as usize]
+                    encoded.fragments[cell.value.as_u32() as usize]
                 });
                 black_box(hasher.chain(std::iter::once(&encoded.instruction).chain(fields)));
             }

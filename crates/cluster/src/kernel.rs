@@ -918,6 +918,7 @@ impl<'a> Kernel<'a> {
         rep.draining = None;
         rep.down_since = Some(t);
         self.stats.crashes += 1;
+        self.scale.low_replicas = self.scale.low_replicas.min(self.routable());
         trace_fault("fault.crash", i, t);
         // Crashes are rare: scanning every request here is cheaper than
         // keeping a per-replica index current on every placement.
@@ -936,7 +937,9 @@ impl<'a> Kernel<'a> {
         let rep = &mut self.replicas[i];
         rep.up = false;
         rep.draining = Some(rejoin_s);
-        if rep.session.is_idle() {
+        let idle = rep.session.is_idle();
+        self.scale.low_replicas = self.scale.low_replicas.min(self.routable());
+        if idle {
             self.complete_drain(i, t)?;
         }
         Ok(())
@@ -1051,7 +1054,6 @@ impl<'a> Kernel<'a> {
         // Routable plus scheduled joins: the fleet `max_replicas` bounds.
         let fleet = routable + self.timeline.rejoins.0.len();
         self.scale.peak_replicas = self.scale.peak_replicas.max(fleet);
-        self.scale.low_replicas = self.scale.low_replicas.min(routable);
         if t - self.last_scale_action < policy.cooldown_s {
             return Ok(());
         }
@@ -1085,7 +1087,6 @@ impl<'a> Kernel<'a> {
             if let Some(i) = routable_desc.min_by_key(load) {
                 self.replicas[i].departed = true;
                 self.scale.scale_downs += 1;
-                self.scale.low_replicas = self.scale.low_replicas.min(routable - 1);
                 self.last_scale_action = t;
                 obs_scale("down", i, routable - 1, t);
                 self.start_drain(i, f64::INFINITY, t)?;

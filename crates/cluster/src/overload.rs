@@ -531,8 +531,9 @@ pub struct ScaleStats {
     /// Largest routable-or-warming fleet size reached, starting from the
     /// initial fleet.
     pub peak_replicas: usize,
-    /// Smallest routable fleet size the autoscaler saw, starting from the
-    /// initial fleet.
+    /// Smallest routable fleet size, starting from the initial fleet:
+    /// lowered wherever a replica stops being routable (a crash, a fault
+    /// drain or an autoscaler drain).
     pub low_replicas: usize,
 }
 

@@ -6,9 +6,16 @@
 //! distinct `(column, value)`: `codes` maps each row to a dense code
 //! (distinctness by the value's `Display` text — the paper's exact-match
 //! identity), and the shared [`FragmentStore`] holds, per code, the
-//! `"name": "value", ` fragment's token stream and content hash — filled
-//! **on first use**, so a lazy `LIMIT` that touches 100 rows of a 15 k-row
-//! table tokenizes 100 fragments, not 15 k.
+//! `"name": "value", ` fragment's content hash and token stream. The two
+//! are made at different times, because most rows a warm statement offers
+//! never become a prompt:
+//!
+//! * the **hash** — all the answer cache needs to recognize a row — is
+//!   computed for every code when the dictionary is built;
+//! * the **tokens** are filled the first time an encode call *serves* a
+//!   row carrying the code: a row the answer cache answers is never
+//!   tokenized, and a lazy `LIMIT` that touches 100 rows of a 15 k-row
+//!   table tokenizes 100 fragments, not 15 k.
 //!
 //! Dictionaries are built lazily per column (first query naming it),
 //! dropped by [`Table::push_row`], and inherited by
@@ -38,62 +45,59 @@ pub(crate) fn push_fragment(buf: &mut String, name: &str, value: impl Display) {
     buf.push_str("\", ");
 }
 
-/// Everything the executor needs from one distinct `(column, value)`
-/// fragment, materialized at most once per table family.
-#[derive(Debug, Clone)]
-pub(crate) struct Fragment {
-    /// Token stream of the fragment text.
-    pub tokens: Arc<[TokenId]>,
-    /// The content identity of the fragment: a 64-bit hash of its text.
-    /// Row keys of the answer cache fold these in field order (see
-    /// [`RowKey`](crate::adaptive::RowKey)).
-    pub hash: u64,
-}
-
-/// Per-code fragment slots of one column, shared (`Arc`) by a table and
-/// every table derived from it.
+/// Per-code fragment state of one column, shared (`Arc`) by a table and
+/// every table derived from it: each code's content hash, computed when the
+/// dictionary is built, and its token stream, filled the first time an
+/// encode call serves a row carrying the code. 32 B per code, hash and
+/// slot together.
 #[derive(Debug)]
 pub(crate) struct FragmentStore {
-    slots: Vec<OnceLock<Fragment>>,
+    /// The content identity of each code's fragment: a 64-bit hash of its
+    /// text. Row keys of the answer cache fold these in field order (see
+    /// [`RowKey`](crate::adaptive::RowKey)).
+    hashes: Box<[u64]>,
+    /// Token stream of each code's fragment text; empty until served.
+    tokens: Box<[OnceLock<Arc<[TokenId]>>]>,
 }
 
 impl FragmentStore {
     /// Number of codes (distinct values) in the column.
     pub fn len(&self) -> usize {
-        self.slots.len()
+        self.hashes.len()
     }
 
-    /// The fragment of `code`, whose column is `name` and whose value (on
-    /// any row carrying the code) is `value`; `buf` is scratch space for
-    /// the fragment text. Served from the code's slot, which the first
-    /// call fills.
-    pub fn fragment(
+    /// Content hash of `code`'s fragment.
+    #[inline]
+    pub fn hash(&self, code: u32) -> u64 {
+        self.hashes[code as usize]
+    }
+
+    /// Token stream of `code`'s fragment, whose column is `name` and whose
+    /// value (on any row carrying the code) is `value`; `buf` is scratch
+    /// space for the fragment text. Served from the code's slot, which the
+    /// first call fills.
+    pub fn tokens(
         &self,
         code: u32,
         tokenizer: &Tokenizer,
         name: &str,
         value: &Value,
         buf: &mut String,
-    ) -> Fragment {
-        self.slots[code as usize]
-            .get_or_init(|| {
-                buf.clear();
-                push_fragment(buf, name, value);
-                if llmqo_obs::enabled() {
-                    metrics().fragments_tokenized.inc();
-                }
-                Fragment {
-                    tokens: Arc::from(tokenizer.tokenize(buf)),
-                    hash: content_hash(buf.as_bytes()),
-                }
-            })
-            .clone()
+    ) -> &Arc<[TokenId]> {
+        self.tokens[code as usize].get_or_init(|| {
+            buf.clear();
+            push_fragment(buf, name, value);
+            if llmqo_obs::enabled() {
+                metrics().fragments_tokenized.inc();
+            }
+            Arc::from(tokenizer.tokenize(buf))
+        })
     }
 
     /// Token count of `code`'s fragment if its slot is filled; never fills
     /// a slot.
     pub fn cached_len(&self, code: u32) -> Option<usize> {
-        Some(self.slots[code as usize].get()?.tokens.len())
+        Some(self.tokens[code as usize].get()?.len())
     }
 }
 
@@ -108,26 +112,43 @@ pub(crate) struct ColumnDict {
 }
 
 impl ColumnDict {
-    /// Builds the dictionary of `column`: one hash-map probe per cell, keyed
-    /// by the cell's `Display` text (borrowed for strings), no tokenization.
-    pub fn build(column: &[Value]) -> Self {
+    /// Builds the dictionary of `column`, named `name`: one hash-map probe
+    /// per cell, keyed by the cell's `Display` text (borrowed for strings,
+    /// written into one reused buffer otherwise), then one content hash per
+    /// distinct value. No tokenization.
+    pub fn build(name: &str, column: &[Value]) -> Self {
         let timer = llmqo_obs::WallTimer::start();
         let mut index: HashMap<Cow<'_, str>, u32> = HashMap::with_capacity(column.len());
+        let mut text = String::new();
         let codes = column
             .iter()
             .map(|v| {
-                let text = match v {
-                    Value::Str(s) => Cow::Borrowed(s.as_str()),
-                    other => Cow::Owned(other.to_string()),
-                };
                 let next = index.len() as u32;
-                *index.entry(text).or_insert(next)
+                match v {
+                    Value::Str(s) => *index.entry(Cow::Borrowed(s.as_str())).or_insert(next),
+                    other => {
+                        text.clear();
+                        // Writing to a `String` cannot fail.
+                        let _ = write!(text, "{other}");
+                        match index.get(text.as_str()) {
+                            Some(&code) => code,
+                            None => *index.entry(Cow::Owned(text.clone())).or_insert(next),
+                        }
+                    }
+                }
             })
             .collect();
+        let mut hashes = vec![0; index.len()].into_boxed_slice();
+        for (value, code) in index {
+            text.clear();
+            push_fragment(&mut text, name, value);
+            hashes[code as usize] = content_hash(text.as_bytes());
+        }
         let dict = ColumnDict {
             codes,
             store: Arc::new(FragmentStore {
-                slots: (0..index.len()).map(|_| OnceLock::new()).collect(),
+                tokens: hashes.iter().map(|_| OnceLock::new()).collect(),
+                hashes,
             }),
         };
         let m = metrics();
@@ -182,7 +203,7 @@ pub(crate) struct EncodeMetrics {
     pub wall_dict_build_s: &'static Histogram,
     /// Cells lowered by `encode_table_rows`.
     pub cells: &'static Counter,
-    /// Fragments serialized, hashed and tokenized (slot fills).
+    /// Fragments serialized and tokenized (token-slot fills).
     pub fragments_tokenized: &'static Counter,
     /// Column dictionaries built.
     pub dict_builds: &'static Counter,
@@ -217,28 +238,48 @@ mod tests {
             Value::Float(2.5),
             Value::Str("null".into()),
         ];
-        let dict = ColumnDict::build(&column);
+        let dict = ColumnDict::build("c", &column);
         // `1.0` and `1` both display as "1"; NULL and "null" collide too.
         assert_eq!(dict.codes, vec![0, 1, 0, 2, 3, 2]);
         assert_eq!(dict.store.len(), 4);
     }
 
     #[test]
+    fn hashes_are_computed_at_build_before_any_token_slot_fills() {
+        let column: Vec<Value> = ["x", "y", "x", "z"].iter().map(|&s| s.into()).collect();
+        let dict = ColumnDict::build("col", &column);
+        for (code, text) in ["x", "y", "z"].iter().enumerate() {
+            let fragment = format!("\"col\": \"{text}\", ");
+            assert_eq!(
+                dict.store.hash(code as u32),
+                content_hash(fragment.as_bytes())
+            );
+            assert_eq!(dict.store.cached_len(code as u32), None);
+        }
+    }
+
+    #[test]
     fn fragments_fill_on_demand_and_gathered_dicts_share_them() {
         let column: Vec<Value> = ["x", "y", "x", "z"].iter().map(|&s| s.into()).collect();
-        let dict = ColumnDict::build(&column);
+        let dict = ColumnDict::build("col", &column);
         let derived = dict.gather(&[3, 0]);
         assert_eq!(derived.codes, vec![2, 0]);
         let tok = Tokenizer::new();
         let mut buf = String::new();
-        let f = derived.store.fragment(2, &tok, "col", &column[3], &mut buf);
-        assert_eq!(&*f.tokens, &tok.tokenize("\"col\": \"z\", ")[..]);
-        assert_eq!(f.hash, content_hash(b"\"col\": \"z\", "));
+        let tokens = derived.store.tokens(2, &tok, "col", &column[3], &mut buf);
+        assert_eq!(&**tokens, &tok.tokenize("\"col\": \"z\", ")[..]);
         // Only the touched slot is filled, and the parent sees it.
-        let filled = |d: &ColumnDict| d.store.slots.iter().filter(|s| s.get().is_some()).count();
+        let filled = |d: &ColumnDict| d.store.tokens.iter().filter(|s| s.get().is_some()).count();
         assert_eq!(filled(&dict), 1);
-        let again = dict.store.fragment(2, &tok, "col", &column[3], &mut buf);
-        assert!(Arc::ptr_eq(&f.tokens, &again.tokens));
+        assert_eq!(dict.store.cached_len(2), Some(tokens.len()));
+        let again = dict.store.tokens(2, &tok, "col", &column[3], &mut buf);
+        assert!(std::ptr::eq(tokens, again));
+    }
+
+    #[test]
+    fn a_code_costs_32_bytes_hash_and_token_slot_together() {
+        let per_code = std::mem::size_of::<u64>() + std::mem::size_of::<OnceLock<Arc<[TokenId]>>>();
+        assert_eq!(per_code, 32);
     }
 
     #[test]

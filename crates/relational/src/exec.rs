@@ -449,13 +449,13 @@ impl<'a> QueryExecutor<'a> {
 /// Builds the engine request stream for a schedule: one [`SimRequest`] per
 /// scheduled row, carrying the query's instruction prefix followed by the
 /// row's field fragments in scheduled order. Fragments are `Arc`-shared with
-/// the [`EncodedTable`](crate::EncodedTable), so equal field values across
-/// rows share token storage. Request ids are *original* row indices, and
+/// the table's column dictionaries, so equal field values across rows share
+/// token storage. Request ids are *original* row indices, and
 /// output lengths are the executor's deterministic per-row draws — callers
 /// (the executor itself, benchmarks, the cluster router) therefore all
 /// serve byte-identical workloads for a given plan.
 pub fn plan_requests(
-    encoded: &crate::EncodedTable,
+    encoded: &crate::EncodedTable<'_>,
     plan: &llmqo_core::ReorderPlan,
     query: &LlmQuery,
 ) -> Vec<SimRequest> {
@@ -476,12 +476,15 @@ pub fn plan_requests(
 /// caller (executor, benchmarks, cluster router) serves byte-identical
 /// workloads for a plan.
 pub(crate) fn row_prompt<'a>(
-    encoded: &'a crate::EncodedTable,
+    encoded: &'a crate::EncodedTable<'_>,
     rp: llmqo_core::RowPlan<'a>,
 ) -> impl Iterator<Item = &'a Arc<[TokenId]>> + 'a {
+    // Seen through `'a` alone, so the iterator captures no other lifetime.
+    let (reorder, fragments): (_, &'a [&'a Arc<[TokenId]>]) =
+        (&encoded.reorder, &encoded.fragments);
     std::iter::once(&encoded.instruction).chain(rp.fields.iter().map(move |&f| {
-        let cell = encoded.reorder.cell(rp.row, f as usize);
-        &encoded.fragments[cell.value.as_u32() as usize]
+        let cell = reorder.cell(rp.row, f as usize);
+        fragments[cell.value.as_u32() as usize]
     }))
 }
 

@@ -293,7 +293,7 @@ pub(crate) struct Stage<'q> {
     key_col: Option<usize>,
     /// Lowers each batch; holds the instruction's tokens and every encode
     /// buffer between batches.
-    encoder: BatchEncoder<'q>,
+    encoder: BatchEncoder<'q, 'q>,
     /// The buffers of the phases past the encode.
     scratch: BatchScratch,
     /// Where the last batch's entries start in `output.outputs` and

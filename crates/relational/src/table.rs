@@ -213,7 +213,8 @@ impl Table {
 
     /// The encode dictionary of column `col`, built on first use.
     pub(crate) fn dict(&self, col: usize) -> &ColumnDict {
-        self.dicts[col].get_or_init(|| ColumnDict::build(&self.columns[col]))
+        self.dicts[col]
+            .get_or_init(|| ColumnDict::build(&self.schema.field(col).name, &self.columns[col]))
     }
 
     /// Token count of the `(row, col)` cell's fragment, if an encode call

@@ -111,7 +111,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let mut toks: Vec<u32> = encoded.instruction.to_vec();
             for &f in rp.fields {
                 let cell = encoded.reorder.cell(rp.row, f as usize);
-                toks.extend_from_slice(&encoded.fragments[cell.value.as_u32() as usize]);
+                toks.extend_from_slice(encoded.fragments[cell.value.as_u32() as usize]);
             }
             usage_oa.add(openai.process(&toks, 2));
             usage_an.add(anthropic.process(&toks, 2));

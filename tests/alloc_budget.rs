@@ -18,7 +18,9 @@
 //!
 //! A SQL statement above them allocates per statement, not per batch: each
 //! LLM operator's stage keeps its batch buffers from one batch to the next,
-//! and result rows are built only for the rows the caller receives.
+//! and result rows are built only for the rows the caller receives. A
+//! statement whose every row the answer cache answers allocates the same
+//! whatever its row count: an answered row is never tokenized.
 //!
 //! This binary counts with its own `#[global_allocator]` (which is why it is
 //! a binary of its own: the crates forbid `unsafe`). A measurement counts
@@ -378,6 +380,25 @@ fn run_counted(
     }
 }
 
+/// The answer cache a cold run of `sql` over `ds` leaves, as a checkpoint.
+fn cold_checkpoint(
+    ds: &llmqo::datasets::Dataset,
+    sql: &str,
+) -> llmqo::relational::StatementCheckpoint {
+    use llmqo::relational::{OptimizerConfig, QueryExecutor, SqlRunner};
+    let engine = common::engine();
+    let executor = QueryExecutor::new(
+        &engine,
+        &llmqo::serve::OracleLlm,
+        llmqo::tokenizer::Tokenizer::new(),
+    );
+    let solver = Ggr::default();
+    let mut runner = SqlRunner::new(&executor, &solver).with_optimizer(OptimizerConfig::all());
+    runner.register("movies", &ds.table, &ds.fds);
+    runner.run(sql, &common::mod3_truth).unwrap();
+    runner.checkpoint()
+}
+
 /// Library allocations a warm SQL statement may make per operator batch:
 /// what an operator keeps grows only when a batch is its largest yet (the
 /// pilot schedule doubles, so every batch does) and its outputs accumulate.
@@ -401,22 +422,7 @@ fn a_warm_sql_statement_allocates_per_statement_not_per_batch() {
     // A cold run of the statement fills the answer cache; every measured
     // run restores it, so each row is a cache hit: encoded, looked up and
     // labelled, never solved or served.
-    let checkpoint = {
-        use llmqo::relational::{OptimizerConfig, QueryExecutor, SqlRunner};
-        let engine = common::engine();
-        let executor = QueryExecutor::new(
-            &engine,
-            &llmqo::serve::OracleLlm,
-            llmqo::tokenizer::Tokenizer::new(),
-        );
-        let solver = Ggr::default();
-        let mut runner = SqlRunner::new(&executor, &solver).with_optimizer(OptimizerConfig::all());
-        runner.register("movies", &ds.table, &ds.fds);
-        runner
-            .run(MOVIES_THREE_FILTER, &common::mod3_truth)
-            .unwrap();
-        runner.checkpoint()
-    };
+    let checkpoint = cold_checkpoint(&ds, MOVIES_THREE_FILTER);
 
     // A `LIMIT` past the row count scans the table in one batch; without
     // it the pilot schedule doubles from 32 rows. Same rows, same results.
@@ -465,5 +471,50 @@ fn a_warm_sql_statement_allocates_per_statement_not_per_batch() {
         analyzed.allocations - analyzed.truth_calls < piloted.library() + rows,
         "EXPLAIN ANALYZE: {} allocations beyond the truth's",
         analyzed.allocations - analyzed.truth_calls
+    );
+}
+
+/// A statement every row of which the answer cache answers: one LLM filter
+/// over a review column of mostly unique text, scanned in one batch.
+const MOVIES_REVIEW_FILTER: &str = "SELECT movietitle FROM movies \
+    WHERE LLM('Is the review positive?', movietitle, reviewcontent) = 'Yes' LIMIT 100000";
+
+/// How many more library allocations the all-hit statement may make over
+/// 2 000 rows than over 500: a few more doublings of the result's row list.
+/// A row the cache answers is never tokenized; the parent of the commit
+/// that set this budget tokenized every distinct value of the table, one
+/// token array (and more) each.
+const BUDGET_ALL_HIT_GROWTH: u64 = 16;
+
+#[test]
+fn an_all_hit_statement_allocates_the_same_whatever_the_row_count() {
+    let _one = one_test_at_a_time();
+    let library = |rows: usize| {
+        let checkpoint = cold_checkpoint(
+            &llmqo::datasets::Dataset::generate_with_rows(DatasetId::Movies, rows),
+            MOVIES_REVIEW_FILTER,
+        );
+        // A fresh table: the measured statement builds its dictionaries.
+        let ds = llmqo::datasets::Dataset::generate_with_rows(DatasetId::Movies, rows);
+        let run = run_counted(&ds, MOVIES_REVIEW_FILTER, &checkpoint);
+        let opt = &run.result.stages[0].report.opt;
+        assert_eq!(
+            opt.cache_hits, rows as u64,
+            "{rows} rows: every row answered"
+        );
+        assert_eq!(run.batches, 1, "{rows} rows: one batch");
+        // A debug build's collision audit keeps the text of each distinct
+        // row key, one per checkpoint entry.
+        let audit = if cfg!(debug_assertions) {
+            checkpoint.len() as u64
+        } else {
+            0
+        };
+        run.library() - audit
+    };
+    let (small, big) = (library(500), library(2_000));
+    assert!(
+        big <= small + BUDGET_ALL_HIT_GROWTH,
+        "{big} library allocations over 2 000 rows, {small} over 500"
     );
 }

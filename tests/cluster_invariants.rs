@@ -4,8 +4,8 @@
 //! workloads, and bit-identical reports for fixed seeds.
 
 use llmqo::cluster::{
-    tag_requests, ArrivalProcess, ClusterConfig, ClusterRequest, ClusterSim, LeastLoaded,
-    PrefixAffinity, RoundRobin, Router,
+    tag_requests, ArrivalProcess, ClusterConfig, ClusterRequest, ClusterSim, FaultPlan,
+    LeastLoaded, OverloadPolicy, PrefixAffinity, RetryPolicy, RoundRobin, Router,
 };
 use llmqo::core::{FunctionalDeps, Ggr, Reorderer};
 use llmqo::relational::{encode_table, plan_requests, LlmQuery, Schema, Table};
@@ -112,6 +112,39 @@ fn plain_runs_fill_every_ledger() {
             (replicas, replicas)
         );
         assert_eq!(report.goodput_rps(), report.throughput_rps());
+    }
+}
+
+/// Without an autoscaler the fleet's low mark still drops when a replica
+/// stops being routable: one crash — with a restart or without — or one
+/// graceful drain reads `replicas - 1`, and the peak stays the fleet.
+#[test]
+fn a_crash_or_drain_without_autoscaler_lowers_the_low_mark() {
+    let requests = ggr_workload(120, 5);
+    let replicas = 3;
+    for (name, plan) in [
+        ("crash", FaultPlan::seeded(0).crash(1, 0.5)),
+        (
+            "crash + restart",
+            FaultPlan::seeded(0).crash_restart(1, 0.5, 2.0),
+        ),
+        ("drain", FaultPlan::seeded(0).drain(2, 0.5, 2.0)),
+    ] {
+        let report = sim(replicas)
+            .run_overloaded(
+                &mut PrefixAffinity::default(),
+                &requests,
+                &plan,
+                &RetryPolicy::retries(3),
+                &OverloadPolicy::default(),
+            )
+            .unwrap();
+        assert_eq!(report.faults.crashes + report.faults.drains, 1, "{name}");
+        assert_eq!(
+            (report.scaling.peak_replicas, report.scaling.low_replicas),
+            (replicas, replicas - 1),
+            "{name}"
+        );
     }
 }
 

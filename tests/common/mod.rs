@@ -474,7 +474,8 @@ pub fn assert_encoding_matches_reference(
     let got = llmqo::relational::encode_table_rows(tokenizer, table, query, rows)
         .unwrap_or_else(|e| panic!("{context}: {e}"));
     assert_eq!(got.reorder, want.reorder, "{context}: reorder table");
-    assert_eq!(got.fragments, want.fragments, "{context}: fragments");
+    let fragments: Vec<_> = got.fragments.iter().map(|&f| f.clone()).collect();
+    assert_eq!(fragments, want.fragments, "{context}: fragments");
     assert_eq!(got.instruction, want.instruction, "{context}: instruction");
     assert_eq!(got.used_cols, want.used_cols, "{context}: used columns");
 }

@@ -18,12 +18,14 @@
 //! * the unbounded `AnswerCache` holds, exports (sorted) and counts the
 //!   entries of exactly what a `BTreeSet` model does, under the
 //!   multiply-mix hasher;
-//! * a lazy `LIMIT` tokenizes the rows it touches, not the table;
+//! * a lazy `LIMIT` tokenizes the rows it touches, not the table, and a
+//!   statement resumed from a checkpoint tokenizes the values of its novel
+//!   rows, not those of the rows the answer cache answers;
 //! * plan-time estimates read from dictionary slots equal recounted ones.
 //!
-//! The last test flips the process-global `llmqo_obs` gate and reads a
-//! global counter, so it takes [`OBS`] exclusively; every other test that
-//! encodes holds it shared.
+//! The two tokenization tests flip the process-global `llmqo_obs` gate and
+//! read a global counter, so they take [`OBS`] exclusively; every other
+//! test that encodes holds it shared.
 
 mod common;
 
@@ -735,4 +737,96 @@ fn lazy_limit_tokenizes_the_rows_it_touches_not_the_table() {
         rows_in,
         "one fragment per touched row of a unique-text column"
     );
+}
+
+fn table_cols(table: &Table, query: &LlmQuery) -> Vec<usize> {
+    table.resolve_columns(&query.fields).expect("known fields")
+}
+
+/// A statement resumed from a checkpoint over the first 80% of its table
+/// tokenizes only what the engine serves: on a fresh table (no dictionary
+/// built, no fragment tokenized) it tokenizes exactly the distinct
+/// `(field, value)` fragments of its novel rows — none of a row the answer
+/// cache answers — and its results are byte-identical to a cold run's.
+#[test]
+fn a_resumed_statement_tokenizes_only_its_novel_rows_values() {
+    let _g = OBS.write().unwrap_or_else(|e| e.into_inner());
+    const ROWS: usize = 400;
+    const SQL: &str = "SELECT movietitle FROM movies \
+        WHERE LLM('Is the review positive?', movietitle, reviewcontent) = 'Yes'";
+    let solver = Ggr::default();
+    let checkpoint = {
+        let ds = Dataset::generate_with_rows(DatasetId::Movies, ROWS);
+        let head = ds.table.head(ROWS * 4 / 5);
+        let eng = engine();
+        let exec = QueryExecutor::new(&eng, &OracleLlm, Tokenizer::new());
+        let mut runner = SqlRunner::new(&exec, &solver).with_optimizer(OptimizerConfig::all());
+        runner.register("movies", &head, &ds.fds);
+        runner.run(SQL, &mod3_truth).expect("head run");
+        runner.checkpoint()
+    };
+
+    let ds = Dataset::generate_with_rows(DatasetId::Movies, ROWS);
+    let eng = engine();
+    let exec = QueryExecutor::new(&eng, &OracleLlm, Tokenizer::new());
+    exec.restore(&checkpoint);
+    let mut runner = SqlRunner::new(&exec, &solver).with_optimizer(OptimizerConfig::all());
+    runner.register("movies", &ds.table, &ds.fds);
+    llmqo_obs::registry().reset();
+    llmqo_obs::set_enabled(true);
+    let resumed = runner.run(SQL, &mod3_truth);
+    llmqo_obs::set_enabled(false);
+    let resumed = resumed.expect("resumed run");
+    let tokenized = llmqo_obs::registry()
+        .counter("sql.encode.fragments_tokenized")
+        .get();
+
+    // Novel rows: those whose prompt text no head row has.
+    let query = query_over(&["movietitle", "reviewcontent"]);
+    let answered: HashSet<String> = (0..ROWS * 4 / 5)
+        .map(|r| row_text(&ds.table, r, &query))
+        .collect();
+    let novel: Vec<usize> = (0..ROWS)
+        .filter(|&r| !answered.contains(&row_text(&ds.table, r, &query)))
+        .collect();
+    let (table, cols) = (&ds.table, table_cols(&ds.table, &query));
+    let values = |rows: &mut dyn Iterator<Item = usize>| -> HashSet<(usize, String)> {
+        rows.flat_map(|r| {
+            cols.iter()
+                .map(move |&c| (c, table.value(r, c).to_string()))
+        })
+        .collect()
+    };
+    let novel_values = values(&mut novel.iter().copied());
+    let all_values = values(&mut (0..ROWS));
+    let opt = &resumed.stages[0].report.opt;
+    assert_eq!(resumed.stages.len(), 1, "one LLM operator");
+    assert_eq!(opt.cache_hits, (ROWS - novel.len()) as u64, "cache hits");
+    assert!(
+        !novel.is_empty() && novel_values.len() < all_values.len(),
+        "{} novel rows; {} of {} values",
+        novel.len(),
+        novel_values.len(),
+        all_values.len()
+    );
+    assert_eq!(
+        tokenized,
+        novel_values.len() as u64,
+        "fragments tokenized: the novel rows' distinct values, not the table's {}",
+        all_values.len()
+    );
+
+    let cold = common::run_sql(
+        &Dataset::generate_with_rows(DatasetId::Movies, ROWS),
+        SQL,
+        OptimizerConfig::all(),
+        "movies",
+    );
+    let text = |r: &llmqo::relational::SqlResult| {
+        format!(
+            "{:?}",
+            (&r.columns, &r.rows, &r.aggregate, &r.stages[0].outputs)
+        )
+    };
+    assert_eq!(text(&resumed), text(&cold), "resumed vs cold results");
 }
