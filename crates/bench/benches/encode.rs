@@ -1,8 +1,8 @@
 //! Criterion benches for the executor's host-side front half: lowering
 //! offered rows to the table the solver sees.
 //!
-//! * `movies/full-table` — `encode_table` over every row (both encode
-//!   phases fused; the path `paper_scan` and the cluster planners take).
+//! * `movies/full-table` — `encode_table` over every row (the encode loop
+//!   without dedup; the path `paper_scan` and the cluster planners take).
 //! * `movies/95pct-hit-batch` — one statement-sized batch on an executor
 //!   restored from a checkpoint of the table's first 95%: phase 1 interns
 //!   and looks up every row, phase 2 and the engine see the novel 5%.

@@ -210,18 +210,26 @@ struct ReqState {
     /// attempt or retry — a retry needs every earlier attempt dead) and the
     /// request's single hedge.
     live: [Option<Attempt>; 2],
-    done: bool,
-    failed: bool,
-    shed: bool,
+    outcome: Outcome,
     /// Replica of the most recent placement, for failover counting and
     /// hedge exclusion.
     last_replica: Option<u32>,
 }
 
+/// How a logical request ended; a run ends with none `Pending`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+enum Outcome {
+    #[default]
+    Pending,
+    Done,
+    Failed,
+    Shed,
+}
+
 impl ReqState {
-    /// Succeeded or failed for good; later completions are wasted work.
+    /// Ended for good; later completions are wasted work.
     fn settled(&self) -> bool {
-        self.done || self.failed
+        self.outcome != Outcome::Pending
     }
 
     fn in_flight(&self) -> bool {
@@ -327,11 +335,7 @@ impl DueQueue {
     }
 
     fn pop_due(&mut self, t: f64) -> Option<(f64, usize)> {
-        if self.next_at()? <= t {
-            self.0.pop_front()
-        } else {
-            None
-        }
+        self.0.pop_front_if(|&mut (at, _)| at <= t)
     }
 }
 
@@ -1029,7 +1033,7 @@ impl<'a> Kernel<'a> {
         self.shed.record(reason, self.requests[j].priority);
         obs_shed(&self.requests[j], reason, t);
         if self.engaged {
-            self.states[j].shed = true;
+            self.states[j].outcome = Outcome::Shed;
         }
     }
 
@@ -1168,7 +1172,7 @@ impl<'a> Kernel<'a> {
                 // A duplicate finishing after the race was decided.
                 self.stats.wasted_completions += 1;
             } else {
-                self.states[j].done = true;
+                self.states[j].outcome = Outcome::Done;
                 self.stats.succeeded += 1;
                 self.stats.hedges_won += u64::from(attempt.kind == AttemptKind::Hedge);
                 let late = |d| c.finished_s - self.requests[j].arrival_s > d;
@@ -1192,15 +1196,15 @@ impl<'a> Kernel<'a> {
         let due = t + self.retry.backoff_s(self.plan.seed, id, s.attempts);
         let too_late = |d| due - request.arrival_s > d;
         if s.attempts >= self.retry.max_attempts {
-            s.failed = true;
+            s.outcome = Outcome::Failed;
         } else if self.retry.deadline_s.is_some_and(too_late) {
-            s.failed = true;
+            s.outcome = Outcome::Failed;
             self.stats.deadline_misses += 1;
         } else {
             self.timeline.retries.push(due, j);
             self.stats.retries += 1;
         }
-        self.stats.failed += usize::from(s.failed);
+        self.stats.failed += usize::from(s.outcome == Outcome::Failed);
     }
 
     /// Every replica is gone and nothing will bring one back: everything
@@ -1209,7 +1213,7 @@ impl<'a> Kernel<'a> {
         while let Some(entry) = self.admission.remove(0) {
             let s = &mut self.states[entry.j];
             if !s.settled() && !s.in_flight() {
-                s.failed = true;
+                s.outcome = Outcome::Failed;
                 self.stats.failed += 1;
             }
         }
@@ -1252,11 +1256,7 @@ impl<'a> Kernel<'a> {
             self.stats.succeeded = report.completed;
         }
         let (stats, shed) = (&self.stats, &self.shed);
-        // Every request ends as exactly one of done, failed or shed, and the
-        // ledgers say so.
-        debug_assert!(self.states.iter().all(
-            |s| !s.in_flight() && u8::from(s.done) + u8::from(s.failed) + u8::from(s.shed) == 1
-        ));
+        debug_assert!(self.states.iter().all(|s| !s.in_flight() && s.settled()));
         debug_assert_eq!(
             shed.shed_queue_full + shed.shed_kv_pressure + shed.shed_tenant_quota,
             shed.shed

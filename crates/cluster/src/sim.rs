@@ -699,13 +699,13 @@ mod tests {
     }
 
     /// The kernel checks its ledgers with `debug_assert!` on every run of a
-    /// debug build: the clock is finite and monotone after each event, every
-    /// request ends as exactly one of done / failed / shed with no attempt
-    /// in flight, `succeeded + failed + shed == offered`, and the per-reason
-    /// shed counters partition `shed`. This cell has a crash, retries,
-    /// hedges, permanent failures (transient errors past the budget) and
-    /// shedding live at once, in both stepping modes, so all of them are
-    /// exercised together.
+    /// debug build: the clock is finite and monotone after each event, no
+    /// request ends pending (its one outcome: done, failed or shed) or with
+    /// an attempt in flight, `succeeded + failed + shed == offered`, and
+    /// the per-reason shed counters partition `shed`. This cell has a
+    /// crash, retries, hedges, permanent failures (transient errors past
+    /// the budget) and shedding live at once, in both stepping modes, so
+    /// all of them are exercised together.
     #[test]
     fn ledger_identities_hold_with_crash_retry_and_shed_live() {
         use crate::{AdmissionPolicy, FaultPlan, OverloadPolicy, RetryPolicy};

@@ -192,6 +192,21 @@ impl ReorderTable {
         }
     }
 
+    /// Empties the table for a new set of rows: keeps the column names and
+    /// every buffer's capacity, and forgets the rows, their column mirror
+    /// and, in debug builds, every id's registered length — ids are local
+    /// to each fill, so a refill may give an id another length.
+    pub fn clear(&mut self) {
+        self.cells.clear();
+        self.nrows = 0;
+        for (values, sq) in self.col_values.iter_mut().zip(&mut self.col_sq) {
+            values.clear();
+            sq.clear();
+        }
+        #[cfg(debug_assertions)]
+        self.val_lens.lens.clear();
+    }
+
     /// Appends a row.
     ///
     /// In debug builds this additionally enforces the one-length-per-
@@ -566,6 +581,25 @@ mod tests {
         let mut t = ReorderTable::new(vec!["a".into()]).unwrap();
         t.push_row(vec![cell(7, 3)]).unwrap();
         let _ = t.push_row(vec![cell(7, 4)]);
+    }
+
+    #[test]
+    fn a_cleared_table_is_a_fresh_one_and_takes_ids_anew() {
+        let columns = vec!["a".to_string(), "b".to_string()];
+        let mut t = ReorderTable::new(columns.clone()).unwrap();
+        for i in 0..4 {
+            t.push_row(vec![cell(i, 1 + i), cell(9, 2)]).unwrap();
+        }
+        t.clear();
+        let fresh = ReorderTable::new(columns).unwrap();
+        assert_eq!(t, fresh);
+        assert_eq!((t.nrows(), t.total_tokens()), (0, 0));
+        assert!(t.col_values(1).is_empty() && t.col_sq_lens(0).is_empty());
+        // Ids 0 and 9 were pushed with lengths 1 and 2; a refill numbers
+        // its own ids, so the same raw ids take other lengths.
+        t.push_row(vec![cell(0, 5), cell(9, 7)]).unwrap();
+        assert_eq!(t.row(0), &[cell(0, 5), cell(9, 7)]);
+        assert_eq!(t.col_sq_lens(1), &[49]);
     }
 
     #[test]

@@ -197,11 +197,11 @@ pub(crate) fn content_hash(bytes: &[u8]) -> u64 {
 /// Handles of the encode layer's metrics (behind the single `llmqo_obs`
 /// gate like every other site).
 pub(crate) struct EncodeMetrics {
-    /// Host seconds per `encode_table_rows` call.
+    /// Host seconds per `BatchEncoder::encode` call.
     pub wall_encode_s: &'static Histogram,
     /// Host seconds per column-dictionary build.
     pub wall_dict_build_s: &'static Histogram,
-    /// Cells lowered by `encode_table_rows`.
+    /// Cells `BatchEncoder::encode` interned, served or not.
     pub cells: &'static Counter,
     /// Fragments serialized and tokenized (token-slot fills).
     pub fragments_tokenized: &'static Counter,

@@ -132,7 +132,7 @@ pub use optimizer::{
     annotate_estimates, estimate_llm_op, CascadeConfig, CmpOp, LogicalOp, LogicalPlan, OptLevel,
     OptStats, OptimizerConfig, SqlPredicate,
 };
-pub use prompt::{encode_table, encode_table_rows, field_fragment, EncodedTable};
+pub use prompt::{encode_table, field_fragment, EncodedTable};
 pub use query::{LlmQuery, QueryKind};
 pub use schema::{DataType, Field, Schema};
 pub use sql::{

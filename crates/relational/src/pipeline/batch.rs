@@ -109,7 +109,7 @@ impl<'s, 'q> Batch<'s, 'q> {
                     .map(|c| u64::from(c.len))
                     .sum();
                 opt.prefill_tokens_saved +=
-                    duplicates * (encoded.instruction_len() as u64 + row_tokens);
+                    duplicates * (encoded.instruction.len() as u64 + row_tokens);
             }
         }
         Batch { stage, rows, opt }

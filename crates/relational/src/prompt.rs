@@ -15,19 +15,19 @@
 //! [`EncodedTable`] borrows its fragments from the dictionaries, so no
 //! call copies a token stream or touches a reference count.
 //!
-//! Two per-row steps serve every caller: `BatchEncoder::intern_row` (codes
-//! and hashes only) and `BatchEncoder::serve_row` (tokens, for a row the
-//! engine will serve). [`encode_table`] / [`encode_table_rows`] serve every
-//! row straight after interning it. The executor's `BatchEncoder::encode`
-//! splits the work in two phases, because most rows it is offered never
-//! become an LLM call: phase 1 interns every offered row — so `ValueId`s
-//! are numbered over the offered rows, which the solvers' id-order
-//! tie-breaks depend on — and asks the answer cache about each row from the
-//! key folded on the way; only the rows the cache does not answer keep
-//! their id tuple, are grouped by it (dedup), and phase 2 serves one row
-//! per group into the table the solver sees. A row the cache answers is
-//! never tokenized. An operator's stage keeps its encoder, and with it
-//! every buffer of both phases, from one batch to the next.
+//! One loop, `BatchEncoder::encode`, serves every caller in two phases,
+//! because most rows the executor is offered never become an LLM call:
+//! phase 1 interns every offered row (codes and hashes only) — so
+//! `ValueId`s are numbered over the offered rows, which the solvers'
+//! id-order tie-breaks depend on — and, with dedup, asks the answer cache
+//! about each row from the key folded on the way and groups the rows it
+//! does not answer by their id tuple; without dedup each row is its own
+//! group. Phase 2 serves one row per group into the table the solver sees,
+//! reading the row's ids back from the call's remaps. A row the cache
+//! answers is never tokenized. [`encode_table`] is one such call over every
+//! row, without dedup. An operator's stage keeps its encoder, and with it
+//! every buffer of both phases and the solver's table, from one batch to
+//! the next.
 
 use crate::adaptive::RowKey;
 use crate::dict;
@@ -58,11 +58,6 @@ pub struct EncodedTable<'t> {
 }
 
 impl EncodedTable<'_> {
-    /// Token length of the shared instruction prefix.
-    pub fn instruction_len(&self) -> usize {
-        self.instruction.len()
-    }
-
     /// Total prompt tokens if every row were sent (instruction + fields).
     pub fn total_prompt_tokens(&self) -> u64 {
         self.reorder.total_tokens() + (self.instruction.len() * self.reorder.nrows()) as u64
@@ -76,7 +71,14 @@ pub fn field_fragment(name: &str, value: &str) -> String {
     fragment
 }
 
-/// Lowers `table` restricted to `query.fields` into an [`EncodedTable`].
+/// Lowers every row of `table`, restricted to `query.fields`, into an
+/// [`EncodedTable`]: encoded row `i` is source row `i`.
+///
+/// [`ValueId`]s are local to the call: dense, in row-major first-seen
+/// order. The first call naming a column builds its dictionary on `table`;
+/// fragments are tokenized the first time any call serves them, and every
+/// later [`EncodedTable`] borrows them from there. To encode a subset of
+/// rows, encode [`Table::select_rows`] of it.
 ///
 /// # Errors
 ///
@@ -86,34 +88,9 @@ pub fn encode_table<'t>(
     table: &'t Table,
     query: &LlmQuery,
 ) -> Result<EncodedTable<'t>, TableError> {
-    encode_table_rows(tokenizer, table, query, None)
-}
-
-/// [`encode_table`] restricted to a row subset: encoded row `i` is source
-/// row `rows[i]`. `None` encodes every row.
-///
-/// [`ValueId`]s are local to the call: dense, in row-major first-seen
-/// order over the encoded rows. The first call naming a column builds its
-/// dictionary on `table`; fragments are tokenized the first time any call
-/// serves them, and every later [`EncodedTable`] borrows them from there.
-///
-/// # Errors
-///
-/// [`TableError::UnknownColumn`] if the query references a missing field.
-///
-/// # Panics
-///
-/// Panics if an index in `rows` is out of bounds.
-pub fn encode_table_rows<'t>(
-    tokenizer: &Tokenizer,
-    table: &'t Table,
-    query: &LlmQuery,
-    rows: Option<&[usize]>,
-) -> Result<EncodedTable<'t>, TableError> {
+    let rows: Vec<usize> = (0..table.nrows()).collect();
     let mut encoder = BatchEncoder::new(tokenizer, table, query)?;
-    let timer = encoder.begin(rows.map_or(table.nrows(), <[usize]>::len), false);
-    encoder.encode_all(|i| rows.map_or(i, |rs| rs[i]));
-    encoder.end(timer);
+    encoder.encode(&rows, false, None);
     Ok(encoder.batch.encoded)
 }
 
@@ -122,24 +99,22 @@ pub fn encode_table_rows<'t>(
 /// and refills it on every [`encode`](BatchEncoder::encode).
 #[derive(Debug)]
 pub(crate) struct EncodedBatch<'t> {
-    /// `reorder` row `g` is dedup group `g`'s representative — cell for
-    /// cell what encoding every offered row and selecting the
-    /// representatives gives; `fragments` has an entry for every id
-    /// numbered over the offered rows, and a stream for each id a
-    /// representative carries.
+    /// `reorder` row `g` is group `g`'s representative — cell for cell what
+    /// encoding every offered row and selecting the representatives gives;
+    /// `fragments` has an entry for every id numbered over the offered
+    /// rows, and a stream for each id a representative carries.
     pub encoded: EncodedTable<'t>,
     /// Which offered rows each `reorder` row stands for.
     pub groups: DedupGroups,
     /// Answer-cache key of each group (its members' keys are all equal).
     /// Empty when no lookup was supplied.
     pub keys: Vec<RowKey>,
-    /// Each offered row's group, or [`HIT`] for a row the lookup answered;
-    /// empty without dedup.
+    /// Each offered row's group, or [`HIT`] for a row the lookup answered.
     group_of: Vec<u32>,
 }
 
 impl EncodedBatch<'_> {
-    /// The group of novel batch-local row `local`; dedup only.
+    /// The group of novel batch-local row `local`.
     pub fn group_of(&self, local: usize) -> usize {
         debug_assert_ne!(self.group_of[local], HIT, "row {local} was answered");
         self.group_of[local] as usize
@@ -152,10 +127,11 @@ impl EncodedBatch<'_> {
     }
 }
 
-/// Dedup groups over a batch's novel rows in CSR form: group `g` is
+/// The groups over a batch's novel rows in CSR form: group `g` is
 /// `members[starts[g]..starts[g + 1]]` — batch-local row indices in offered
 /// order, the first of them the group's representative. Groups are numbered
-/// in the offered order of their representatives.
+/// in the offered order of their representatives. Without dedup every
+/// novel row is a group of one.
 #[derive(Debug)]
 pub(crate) struct DedupGroups {
     starts: Vec<u32>,
@@ -202,12 +178,13 @@ fn unserved() -> &'static Arc<[TokenId]> {
 
 /// The encode state of one query over one table: what every call needs,
 /// resolved once — the query's columns and their dictionaries, the
-/// tokenized instruction — and the buffers a call fills, cleared between
-/// calls but never freed. An LLM operator's stage keeps one for all its
-/// batches, so a statement allocates these once per operator, sized by its
-/// largest batch, not once per batch; [`encode_table_rows`] makes one for a
-/// single call. The tokenizer and query are borrowed for `'e`, the table —
-/// and so every fragment the encoder hands out — for `'t`.
+/// tokenized instruction — and the buffers a call fills, the solver's table
+/// among them, cleared between calls but never freed. An LLM operator's
+/// stage keeps one for all its batches, so a statement allocates these once
+/// per operator, sized by its largest batch, not once per batch;
+/// [`encode_table`] makes one for a single call. The tokenizer and query
+/// are borrowed for `'e`, the table — and so every fragment the encoder
+/// hands out — for `'t`.
 ///
 /// `ValueId`s stay call-local: each call numbers them from 0 in first-seen
 /// order over the rows it is offered, exactly as a fresh encoder would.
@@ -230,12 +207,10 @@ pub(crate) struct BatchEncoder<'e, 't> {
     /// Whether the current call folds row keys.
     keyed: bool,
     text_buf: String,
-    /// Rows the current call interns.
-    nrows: usize,
-    /// The dedup path's scratch: the id tuple of each group, `ncols` ids
-    /// each (a novel row's tuple stays only when it opens a group), and the
-    /// groups by tuple — an open-addressing table at most two-thirds full,
-    /// probed linearly from the tuple's hash, [`EMPTY`] where no group sits.
+    /// The dedup scratch: the id tuple of each group, `ncols` ids each (a
+    /// novel row's tuple stays only when it opens a group), and the groups
+    /// by tuple — an open-addressing table at most two-thirds full, probed
+    /// linearly from the tuple's hash, [`EMPTY`] where no group sits.
     arena: Vec<u32>,
     slots: Vec<u32>,
     /// The cells of the row being served.
@@ -287,6 +262,8 @@ impl<'e, 't> BatchEncoder<'e, 't> {
             })
             .collect();
         let instruction: Arc<[TokenId]> = Arc::from(tokenizer.tokenize(&query.full_instruction()));
+        let reorder = ReorderTable::new(query.fields.clone())
+            .unwrap_or_else(|_| unreachable!("queries are validated to have at least one field"));
         Ok(BatchEncoder {
             tokenizer,
             table,
@@ -297,13 +274,12 @@ impl<'e, 't> BatchEncoder<'e, 't> {
             ids: 0,
             keyed: false,
             text_buf: String::new(),
-            nrows: 0,
             arena: Vec::new(),
             slots: Vec::new(),
             row_buf: Vec::new(),
             batch: EncodedBatch {
                 encoded: EncodedTable {
-                    reorder: new_table(query),
+                    reorder,
                     fragments: Vec::new(),
                     instruction,
                     used_cols,
@@ -328,29 +304,26 @@ impl<'e, 't> BatchEncoder<'e, 't> {
         &self.batch
     }
 
-    /// Lowers one executor batch — the `rows` of the table offered to the
-    /// query — in two phases, so that only what the engine will serve
-    /// reaches the solver's table.
+    /// Lowers `rows` of the table — one executor batch, or every row for
+    /// [`encode_table`] — in two phases, so that only what the engine will
+    /// serve reaches the solver's table.
     ///
     /// *Phase 1* walks the offered rows once. Every cell is interned to a
     /// call-local [`ValueId`], numbered in first-seen order over **all**
-    /// offered rows exactly as [`encode_table_rows`] numbers them: the
-    /// solvers break ties on id order, and an answered row can introduce a
-    /// value before the first novel row does, so numbering only what
-    /// survives would move plans. Phase 1 reads dictionary codes and
-    /// content hashes only. When `cached` is supplied, each row's
-    /// [`RowKey`] is folded from its fragments' content hashes on the way
-    /// and offered to `cached(local, key)`; a row it answers (`true`) keeps
-    /// nothing but its mark, a novel row joins the group of its id tuple,
-    /// whose first row keeps the tuple in one flat arena. *Phase 2* serves
-    /// one row per group into the [`ReorderTable`] — a new one, unless the
-    /// call has no novel row and the last table is empty too — and only
-    /// there are fragments tokenized: the ids a representative carries are
-    /// its source row's codes, so the answered rows' values never are.
-    ///
-    /// Without `dedup` — and so without a lookup: the answer cache implies
-    /// dedup — every row is its own group and the two phases fuse into
-    /// [`encode_table_rows`]'s loop.
+    /// offered rows: the solvers break ties on id order, and an answered
+    /// row can introduce a value before the first novel row does, so
+    /// numbering only what survives would move plans. Phase 1 reads
+    /// dictionary codes and content hashes only. When `cached` is supplied,
+    /// each row's [`RowKey`] is folded from its fragments' content hashes
+    /// on the way and offered to `cached(local, key)`; a row it answers
+    /// (`true`) keeps nothing but its mark. With `dedup` a novel row joins
+    /// the group of its id tuple, whose first row keeps the tuple in one
+    /// flat arena; without it — and so without a lookup: the answer cache
+    /// implies dedup — every row opens its own group and keeps no tuple.
+    /// *Phase 2* clears the solver's [`ReorderTable`] and serves one row per
+    /// group into it, reading the representative's ids back from the
+    /// remaps, and only there are fragments tokenized, so the answered
+    /// rows' values never are.
     pub(crate) fn encode(
         &mut self,
         rows: &[usize],
@@ -358,27 +331,17 @@ impl<'e, 't> BatchEncoder<'e, 't> {
         mut cached: Option<&mut dyn FnMut(usize, RowKey) -> bool>,
     ) -> &EncodedBatch<'t> {
         debug_assert!(dedup || cached.is_none(), "the answer cache implies dedup");
-        let timer = self.begin(rows.len(), cached.is_some());
-        let batch = &mut self.batch;
-        batch.keys.clear();
-        batch.group_of.clear();
-        batch.groups.starts.clear();
-        if !dedup {
-            let groups = &mut batch.groups;
-            groups.members.clear();
-            groups.members.extend(0..local_index(rows.len()));
-            groups.starts.extend(0..=local_index(rows.len()));
-            self.encode_all(|i| rows[i]);
-            self.end(timer);
-            return &self.batch;
-        }
-
-        batch.group_of.reserve_exact(rows.len());
+        let timer = llmqo_obs::WallTimer::start();
+        self.begin(rows.len(), cached.is_some());
         let mut arena = std::mem::take(&mut self.arena);
         arena.clear();
         for (local, &r) in rows.iter().enumerate() {
             let start = arena.len();
-            let key = self.intern_row(r, |id| arena.push(id));
+            let key = self.intern_row(r, |id| {
+                if dedup {
+                    arena.push(id);
+                }
+            });
             let g = if cached.as_mut().is_some_and(|cached| cached(local, key)) {
                 arena.truncate(start);
                 HIT
@@ -387,82 +350,106 @@ impl<'e, 't> BatchEncoder<'e, 't> {
                 // left, so it never grows within the call; a warm
                 // statement's answered head reserves nothing for it.
                 if self.batch.groups.starts.is_empty() {
-                    self.reserve_groups(&mut arena, rows.len() - local);
+                    self.reserve_groups(&mut arena, rows.len() - local, dedup);
                 }
-                self.group_row(&mut arena, start, key)
+                if dedup {
+                    self.group_row(&mut arena, start, key)
+                } else {
+                    self.open_group(key)
+                }
             };
             self.batch.group_of.push(g);
         }
         self.close_groups();
 
         let ids = self.ids as usize;
-        self.batch.encoded.fragments.resize(ids, unserved());
-        self.reset_table(self.batch.groups.len());
+        let batch = &mut self.batch;
+        batch.encoded.fragments.reserve_exact(ids);
+        batch.encoded.fragments.resize(ids, unserved());
+        // One up-front reservation sizes both the row-major store and the
+        // column-major mirror the solvers scan.
+        batch.encoded.reorder.clear();
+        batch.encoded.reorder.reserve_rows(batch.groups.len());
         let mut cells = std::mem::take(&mut self.row_buf);
-        for (g, tuple) in arena.chunks_exact(self.fields.len()).enumerate() {
+        for g in 0..self.batch.groups.len() {
+            let r = rows[self.batch.groups.representative(g)];
             cells.clear();
-            cells.extend(tuple.iter().map(|&id| Cell::new(ValueId::from_raw(id), 0)));
-            self.serve_row(rows[self.batch.groups.representative(g)], &mut cells);
+            cells.extend(self.fields.iter().map(|field| {
+                let slot = self.remaps[field.remap][field.codes[r] as usize];
+                Cell::new(ValueId::from_raw(slot - self.base), 0)
+            }));
+            self.serve_row(r, &mut cells);
         }
         self.row_buf = cells;
         self.arena = arena;
-        self.end(timer);
+        if llmqo_obs::enabled() {
+            let cells = rows.len() * self.fields.len();
+            dict::metrics().cells.add(cells as u64);
+        }
+        timer.observe(dict::metrics().wall_encode_s);
         &self.batch
     }
 
     /// Makes room for `rows` more novel rows — at most as many groups — in
-    /// every buffer the grouping fills, and empties the group table.
-    fn reserve_groups(&mut self, arena: &mut Vec<u32>, rows: usize) {
-        arena.reserve_exact(rows * self.fields.len());
+    /// every buffer the grouping fills, and (`dedup`) empties the group
+    /// table.
+    fn reserve_groups(&mut self, arena: &mut Vec<u32>, rows: usize, dedup: bool) {
         self.batch.groups.starts.reserve_exact(rows + 1);
         if self.keyed {
             self.batch.keys.reserve_exact(rows);
         }
-        self.slots.clear();
-        self.slots
-            .resize((rows + rows / 2).next_power_of_two(), EMPTY);
+        if dedup {
+            arena.reserve_exact(rows * self.fields.len());
+            self.slots.clear();
+            self.slots
+                .resize((rows + rows / 2).next_power_of_two(), EMPTY);
+        }
+    }
+
+    /// Opens a group for a novel row with key `key` — one row so far — and
+    /// returns it; keyed, the key becomes the group's answer-cache key.
+    /// Counts go in `groups.starts[g]`, for
+    /// [`close_groups`](Self::close_groups).
+    fn open_group(&mut self, key: RowKey) -> u32 {
+        let starts = &mut self.batch.groups.starts;
+        starts.push(1);
+        if self.keyed {
+            self.batch.keys.push(key);
+        }
+        local_index(starts.len() - 1)
     }
 
     /// Files the novel row whose id tuple is `arena[start..]` and key `key`
     /// under its dedup group and returns the group — identical tuples are
     /// identical projected field values, which the per-column interning
     /// guarantees: an earlier group with the same tuple, or a new one,
-    /// which keeps the tuple as the group's and (keyed) the key as the
-    /// group's answer-cache key. Counts go in `groups.starts[g]`, for
-    /// [`close_groups`](Self::close_groups).
+    /// which keeps the tuple as the group's.
     fn group_row(&mut self, arena: &mut Vec<u32>, start: usize, key: RowKey) -> u32 {
         let ncols = self.fields.len();
         let tuple = &arena[start..];
         let mask = self.slots.len() - 1;
         let mut slot = MixBuild::default().hash_one(tuple) as usize & mask;
-        let starts = &mut self.batch.groups.starts;
-        let g = loop {
+        loop {
             match self.slots[slot] {
                 EMPTY => {
-                    let g = local_index(starts.len());
+                    let g = self.open_group(key);
                     self.slots[slot] = g;
-                    starts.push(0);
-                    if self.keyed {
-                        self.batch.keys.push(key);
-                    }
-                    break g;
+                    return g;
                 }
                 g if arena[g as usize * ncols..][..ncols] == *tuple => {
                     arena.truncate(start);
-                    break g;
+                    self.batch.groups.starts[g as usize] += 1;
+                    return g;
                 }
                 _ => slot = (slot + 1) & mask,
             }
-        };
-        starts[g as usize] += 1;
-        g
+        }
     }
 
-    /// Turns the group counts [`group_row`](Self::group_row) left in
-    /// `groups.starts` into CSR offsets and fills `groups.members` with each
-    /// group's rows in offered order: the counts become end offsets, and
-    /// walking the offered rows backwards moves each group's end down to
-    /// its start.
+    /// Turns the group counts left in `groups.starts` into CSR offsets and
+    /// fills `groups.members` with each group's rows in offered order: the
+    /// counts become end offsets, and walking the offered rows backwards
+    /// moves each group's end down to its start.
     fn close_groups(&mut self) {
         let groups = &mut self.batch.groups;
         let mut end = 0;
@@ -483,8 +470,8 @@ impl<'e, 't> BatchEncoder<'e, 't> {
     }
 
     /// Starts a call over `nrows` rows: a new stamp, so every remap slot
-    /// reads as unseen, and no ids or fragments yet.
-    fn begin(&mut self, nrows: usize, keyed: bool) -> llmqo_obs::WallTimer {
+    /// reads as unseen, and no ids, fragments, keys or groups yet.
+    fn begin(&mut self, nrows: usize, keyed: bool) {
         // Past the last call's values, with room for one per cell of this
         // call's; when the stamps run out, every slot is unseen by hand.
         let room = u32::try_from(nrows * self.fields.len()).ok();
@@ -498,27 +485,14 @@ impl<'e, 't> BatchEncoder<'e, 't> {
                 self.base = 1;
             }
         }
-        // At most one fragment per distinct value of each distinct column,
-        // and at most one per interned cell.
-        let distinct: usize = self.remaps.iter().map(Vec::len).sum();
-        let fragments = &mut self.batch.encoded.fragments;
-        fragments.clear();
-        fragments.reserve_exact(distinct.min(nrows * self.fields.len()));
         self.ids = 0;
         self.keyed = keyed;
-        self.nrows = nrows;
-        llmqo_obs::WallTimer::start()
-    }
-
-    /// Closes a call: records the encode metrics (cells count what phase 1
-    /// interned, served or not).
-    fn end(&self, timer: llmqo_obs::WallTimer) {
-        if llmqo_obs::enabled() {
-            dict::metrics()
-                .cells
-                .add((self.nrows * self.fields.len()) as u64);
-        }
-        timer.observe(dict::metrics().wall_encode_s);
+        let batch = &mut self.batch;
+        batch.encoded.fragments.clear();
+        batch.keys.clear();
+        batch.groups.starts.clear();
+        batch.group_of.clear();
+        batch.group_of.reserve_exact(nrows);
     }
 
     /// Phase 1 for one row: interns source row `r`'s cells, handing `cell`
@@ -578,40 +552,6 @@ impl<'e, 't> BatchEncoder<'e, 't> {
             .push_row_slice(cells)
             .unwrap_or_else(|_| unreachable!("row arity fixed by used_cols"));
     }
-
-    /// Empties the solver table for a call that pushes `nrows` rows: a new
-    /// table, unless the last call left it empty, with room for them.
-    fn reset_table(&mut self, nrows: usize) {
-        let reorder = &mut self.batch.encoded.reorder;
-        if reorder.nrows() > 0 {
-            *reorder = new_table(self.query);
-        }
-        // One up-front reservation sizes both the row-major store and the
-        // column-major mirror the solvers scan.
-        reorder.reserve_rows(nrows);
-    }
-
-    /// Both phases for every one of the `nrows` rows `row_at` yields, fused:
-    /// each row is served straight after it is interned.
-    fn encode_all(&mut self, row_at: impl Fn(usize) -> usize) {
-        self.reset_table(self.nrows);
-        let mut cells = std::mem::take(&mut self.row_buf);
-        for i in 0..self.nrows {
-            let r = row_at(i);
-            cells.clear();
-            self.intern_row(r, |id| cells.push(Cell::new(ValueId::from_raw(id), 0)));
-            let ids = self.ids as usize;
-            self.batch.encoded.fragments.resize(ids, unserved());
-            self.serve_row(r, &mut cells);
-        }
-        self.row_buf = cells;
-    }
-}
-
-/// An empty solver table over `query`'s fields.
-fn new_table(query: &LlmQuery) -> ReorderTable {
-    ReorderTable::new(query.fields.clone())
-        .unwrap_or_else(|_| unreachable!("queries are validated to have at least one field"))
 }
 
 /// One query field's view of its column dictionary during an encode call.
@@ -699,17 +639,18 @@ mod tests {
         let tok = Tokenizer::new();
         let t = table();
         let e = encode_table(&tok, &t, &query(&["review"])).unwrap();
-        assert!(e.instruction_len() > 4);
+        assert!(e.instruction.len() > 4);
         assert!(e.total_prompt_tokens() > e.reorder.total_tokens());
     }
 
     #[test]
-    fn encode_table_rows_takes_a_subset_in_order() {
+    fn encoding_selected_rows_takes_a_subset_in_order() {
         let tok = Tokenizer::new();
         let q = query(&["review", "title"]);
         let t = table();
         let full = encode_table(&tok, &t, &q).unwrap();
-        let sub = encode_table_rows(&tok, &t, &q, Some(&[1])).unwrap();
+        let selected = t.select_rows(&[1]);
+        let sub = encode_table(&tok, &selected, &q).unwrap();
         assert_eq!(sub.reorder.nrows(), 1);
         // Subset row 0 is source row 1: fragments carry the same content.
         let f = |e: &EncodedTable<'_>, r: usize, c: usize| {
@@ -876,7 +817,8 @@ mod tests {
                 }
                 let tok = Tokenizer::new();
 
-                let full = encode_table_rows(&tok, &table, &q, Some(&rows)).unwrap();
+                let selected = table.select_rows(&rows);
+                let full = encode_table(&tok, &selected, &q).unwrap();
                 let mut offered: Vec<(usize, RowKey)> = Vec::new();
                 let mut lookup = |local: usize, key: RowKey| {
                     offered.push((local, key));

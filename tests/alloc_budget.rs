@@ -41,6 +41,7 @@ use llmqo::cluster::{
 };
 use llmqo::core::{Ggr, Reorderer};
 use llmqo::datasets::DatasetId;
+use llmqo::relational::OptimizerConfig;
 use llmqo::serve::SimRequest;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -342,14 +343,15 @@ impl Counted {
     }
 }
 
-/// Runs `sql` under `OptimizerConfig::all()` on a fresh runner whose answer
-/// cache holds `checkpoint`, counting only the statement itself.
+/// Runs `sql` under `opt` on a fresh runner whose answer cache holds
+/// `checkpoint`, counting only the statement itself.
 fn run_counted(
     ds: &llmqo::datasets::Dataset,
     sql: &str,
+    opt: OptimizerConfig,
     checkpoint: &llmqo::relational::StatementCheckpoint,
 ) -> Counted {
-    use llmqo::relational::{OptimizerConfig, QueryExecutor, SqlRunner};
+    use llmqo::relational::{QueryExecutor, SqlRunner};
     use std::cell::Cell as Counter;
     let engine = common::engine();
     let executor = QueryExecutor::new(
@@ -358,7 +360,7 @@ fn run_counted(
         llmqo::tokenizer::Tokenizer::new(),
     );
     let solver = Ggr::default();
-    let mut runner = SqlRunner::new(&executor, &solver).with_optimizer(OptimizerConfig::all());
+    let mut runner = SqlRunner::new(&executor, &solver).with_optimizer(opt);
     runner.register("movies", &ds.table, &ds.fds);
     runner.restore(checkpoint);
     let truth_calls = Counter::new(0);
@@ -385,7 +387,7 @@ fn cold_checkpoint(
     ds: &llmqo::datasets::Dataset,
     sql: &str,
 ) -> llmqo::relational::StatementCheckpoint {
-    use llmqo::relational::{OptimizerConfig, QueryExecutor, SqlRunner};
+    use llmqo::relational::{QueryExecutor, SqlRunner};
     let engine = common::engine();
     let executor = QueryExecutor::new(
         &engine,
@@ -426,12 +428,14 @@ fn a_warm_sql_statement_allocates_per_statement_not_per_batch() {
 
     // A `LIMIT` past the row count scans the table in one batch; without
     // it the pilot schedule doubles from 32 rows. Same rows, same results.
+    let all = OptimizerConfig::all();
     let whole = run_counted(
         &ds,
         &format!("{MOVIES_THREE_FILTER} LIMIT 100000"),
+        all,
         &checkpoint,
     );
-    let piloted = run_counted(&ds, MOVIES_THREE_FILTER, &checkpoint);
+    let piloted = run_counted(&ds, MOVIES_THREE_FILTER, all, &checkpoint);
     assert_eq!(whole.result.rows, piloted.result.rows);
     assert!(
         piloted.result.rows.len() > 100,
@@ -463,6 +467,7 @@ fn a_warm_sql_statement_allocates_per_statement_not_per_batch() {
     let analyzed = run_counted(
         &ds,
         &format!("EXPLAIN ANALYZE {MOVIES_THREE_FILTER}"),
+        all,
         &checkpoint,
     );
     assert_eq!(analyzed.truth_calls, piloted.truth_calls);
@@ -496,7 +501,12 @@ fn an_all_hit_statement_allocates_the_same_whatever_the_row_count() {
         );
         // A fresh table: the measured statement builds its dictionaries.
         let ds = llmqo::datasets::Dataset::generate_with_rows(DatasetId::Movies, rows);
-        let run = run_counted(&ds, MOVIES_REVIEW_FILTER, &checkpoint);
+        let run = run_counted(
+            &ds,
+            MOVIES_REVIEW_FILTER,
+            OptimizerConfig::all(),
+            &checkpoint,
+        );
         let opt = &run.result.stages[0].report.opt;
         assert_eq!(
             opt.cache_hits, rows as u64,
@@ -516,5 +526,48 @@ fn an_all_hit_statement_allocates_the_same_whatever_the_row_count() {
     assert!(
         big <= small + BUDGET_ALL_HIT_GROWTH,
         "{big} library allocations over 2 000 rows, {small} over 500"
+    );
+}
+
+/// A cold statement for the SQL budget: one LLM filter over a review
+/// column of mostly unique text, pipelined in fixed micro-batches, so every
+/// batch is novel rows to solve and serve and none is larger than the
+/// first.
+const MOVIES_REVIEW_SCAN: &str = "SELECT movietitle FROM movies \
+    WHERE LLM('Is the review positive?', movietitle, reviewcontent) = 'Yes'";
+
+/// Library allocations a cold micro-batch may make beyond what a four
+/// times larger one makes: its solve, and the answers and outputs it adds.
+/// About 8.9 (10.9 in a debug build) when the budget was set; the parent of
+/// the commit that set it spent about 18.9 (27.5): every batch built a new
+/// solver table.
+const BUDGET_PER_COLD_BATCH: u64 = 12;
+
+#[test]
+fn a_cold_micro_batch_reuses_the_solver_table() {
+    let _one = one_test_at_a_time();
+    let ds = llmqo::datasets::Dataset::generate_with_rows(DatasetId::Movies, 2_000);
+    let empty = llmqo::relational::StatementCheckpoint::default();
+    let run = |batch_rows: usize| {
+        let mut opt = OptimizerConfig::pipelined(1);
+        opt.pipeline_batch_rows = batch_rows;
+        run_counted(&ds, MOVIES_REVIEW_SCAN, opt, &empty)
+    };
+    // The solver's scratch is the thread's: a first run grows it to the
+    // largest batch, so neither measured run pays for that.
+    run(400);
+    let (small, large) = (run(100), run(400));
+    assert_eq!(small.result.rows, large.result.rows);
+    assert_eq!((small.batches, large.batches), (20, 5));
+    let opt = &small.result.stages[0].report.opt;
+    assert_eq!(
+        opt.llm_calls, 2_000,
+        "every row novel: no hit, no duplicate"
+    );
+    let more = small.library().saturating_sub(large.library());
+    assert!(
+        more <= BUDGET_PER_COLD_BATCH * (small.batches - large.batches),
+        "{more} more allocations for {} more batches",
+        small.batches - large.batches
     );
 }

@@ -462,7 +462,9 @@ pub fn reference_encode_rows(
 }
 
 /// Asserts the dictionary encoder's output equals the frozen string
-/// encoder's, field by field.
+/// encoder's, field by field. A row subset is encoded as the table of
+/// those rows (`select_rows`), which numbers ids in the same first-seen
+/// order and borrows fragments equal by content.
 pub fn assert_encoding_matches_reference(
     tokenizer: &Tokenizer,
     table: &llmqo::relational::Table,
@@ -471,7 +473,8 @@ pub fn assert_encoding_matches_reference(
     context: &str,
 ) {
     let want = reference_encode_rows(tokenizer, table, query, rows);
-    let got = llmqo::relational::encode_table_rows(tokenizer, table, query, rows)
+    let selected = rows.map(|rows| table.select_rows(rows));
+    let got = llmqo::relational::encode_table(tokenizer, selected.as_ref().unwrap_or(table), query)
         .unwrap_or_else(|e| panic!("{context}: {e}"));
     assert_eq!(got.reorder, want.reorder, "{context}: reorder table");
     let fragments: Vec<_> = got.fragments.iter().map(|&f| f.clone()).collect();

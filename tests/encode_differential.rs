@@ -2,11 +2,12 @@
 //! column-dictionary encoder and the integer answer-cache row keys behave
 //! exactly like the string pipeline they replaced.
 //!
-//! * `encode_table_rows` ≡ the frozen string encoder
+//! * `encode_table` ≡ the frozen string encoder
 //!   ([`common::reference_encode_rows`]) on all seven datasets × row
-//!   subsets, a field listed twice, and typed columns whose `Display` texts
-//!   collide — cold, warm, and on `select_rows`/`head`-derived tables — and
-//!   on random tables (proptest);
+//!   subsets (each encoded as its `select_rows` table), a field listed
+//!   twice, and typed columns whose `Display` texts collide — cold, warm,
+//!   and on `select_rows`/`head`-derived tables — and on random tables
+//!   (proptest);
 //! * the executor's two-phase front half (ISSUE 17) hands its solver the
 //!   table "encode every offered row, then `select_rows` the dedup
 //!   representatives" would, for random tables × cache-hit masks (the
