@@ -32,7 +32,7 @@
 //! This solver is plan-for-plan identical to the frozen direct transcription
 //! of Algorithm 1 (`tests/oracles/ggr.rs`) but engineered like a database
 //! operator: grouping scans the table's column-major
-//! [`col_values`](ReorderTable::col_values)/[`col_sq_lens`](ReorderTable::col_sq_lens)
+//! [`col_values`](ReorderTable::col_values)/[`col_lens`](ReorderTable::col_lens)
 //! arrays, per-level `HashMap`s are replaced by an epoch-cleared
 //! [`SlotMap`](crate::scratch) whose dense slots carry the per-group
 //! accumulators, rest/sub-view filtering is a single O(n) value-compare pass
@@ -50,7 +50,7 @@ use crate::fd::FunctionalDeps;
 use crate::plan::ReorderPlan;
 use crate::scratch::{partition_rows_by_value, Scratch};
 use crate::solver::{check_fd_arity, Reorderer, Solution, SolveError};
-use crate::table::ReorderTable;
+use crate::table::{sq, ReorderTable};
 use crate::ValueId;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -163,10 +163,10 @@ impl Reorderer for Ggr {
             fds,
             config: &self.config,
             col_vals: (0..table.ncols()).map(|c| table.col_values(c)).collect(),
-            col_sqs: (0..table.ncols()).map(|c| table.col_sq_lens(c)).collect(),
+            col_lens: (0..table.ncols()).map(|c| table.col_lens(c)).collect(),
         };
         let mut s = Scratch::for_table(table);
-        let top = |c: usize| table.col_sq_lens(c).iter().copied().max().unwrap_or(0) as f64;
+        let top = |c: usize| sq(table.col_lens(c).iter().copied().max().unwrap_or(0)) as f64;
         s.col_top.extend((0..table.ncols()).map(top));
         let (mut rows, mut most) = (s.pool.take(), s.pool.take());
         rows.extend(0..table.nrows() as u32);
@@ -190,7 +190,7 @@ struct Ctx<'a> {
     /// Column slices hoisted once per solve (avoids per-cell accessor calls
     /// in block scoring and sorting).
     col_vals: Vec<&'a [ValueId]>,
-    col_sqs: Vec<&'a [u64]>,
+    col_lens: Vec<&'a [u32]>,
 }
 
 /// The winning group of one greedy step: identity and score only — its
@@ -333,7 +333,7 @@ impl<'a> Ctx<'a> {
             if best.as_ref().is_some_and(|(b, _)| bound < b.hitcount) {
                 break;
             }
-            let n_groups = s.group_dense(c as usize, self.col_sqs[c as usize], rows);
+            let n_groups = s.group_dense(c as usize, self.col_lens[c as usize], rows);
             let touched = &s.touched[..n_groups];
             most[c as usize] = touched
                 .iter()
@@ -357,12 +357,12 @@ impl<'a> Ctx<'a> {
                     if !s.col_mask[ic as usize] {
                         continue;
                     }
-                    let inferred_sq = self.table.col_sq_lens(ic as usize);
+                    let inferred = self.col_lens[ic as usize];
                     for g in 0..n_groups {
                         s.acc[s.touched[g] as usize] = 0.0;
                     }
                     for (k, &r) in rows.iter().enumerate() {
-                        s.acc[s.row_dense[k] as usize] += inferred_sq[r as usize] as f64;
+                        s.acc[s.row_dense[k] as usize] += sq(inferred[r as usize]) as f64;
                     }
                     for g in 0..n_groups {
                         let d = s.touched[g] as usize;
@@ -412,12 +412,12 @@ impl<'a> Ctx<'a> {
     /// values are adjacent; score Σ_v len(v)²·(count−1), which is optimal.
     fn single_column(&self, rows: &mut [u32], col: u32) -> f64 {
         let values = self.col_vals[col as usize];
-        let sq_lens = self.col_sqs[col as usize];
+        let lens = self.col_lens[col as usize];
         rows.sort_by_key(|&r| (values[r as usize], r));
         let mut score = 0u64;
         for pair in rows.windows(2) {
             if values[pair[0] as usize] == values[pair[1] as usize] {
-                score += sq_lens[pair[1] as usize];
+                score += sq(lens[pair[1] as usize]);
             }
         }
         score as f64
@@ -451,16 +451,15 @@ impl<'a> Ctx<'a> {
     /// Exact PHC of the block written at `out[from..]`, read after the
     /// `skip` leading fields all of its rows share.
     fn exact_block_score(&self, out: &ReorderPlan, from: usize, skip: usize) -> u64 {
-        let (cells, m) = (self.table.cells(), self.table.ncols());
         let mut score = 0u64;
         for i in from + 1..out.len() {
             let (a, b) = (out.row(i - 1), out.row(i));
-            let (ra, rb) = (&cells[a.row * m..][..m], &cells[b.row * m..][..m]);
             for (&ca, &cb) in a.fields[skip..].iter().zip(&b.fields[skip..]) {
-                if ca != cb || ra[ca as usize].value != rb[cb as usize].value {
+                let values = self.col_vals[ca as usize];
+                if ca != cb || values[a.row] != values[b.row] {
                     break;
                 }
-                score += rb[cb as usize].sq_len();
+                score += sq(self.col_lens[cb as usize][b.row]);
             }
         }
         score

@@ -304,7 +304,7 @@ impl<'t> Ctx<'t> {
             if most[c as usize] < 2 {
                 continue;
             }
-            let n_groups = s.group_dense(c as usize, self.table.col_sq_lens(c as usize), rows);
+            let n_groups = s.group_dense(c as usize, self.table.col_lens(c as usize), rows);
             if n_groups == rows.len() {
                 // Every value distinct in this view ⇒ in every sub-view too.
                 most[c as usize] = 1;
@@ -362,7 +362,7 @@ impl<'t> Ctx<'t> {
     /// contiguously: Σ_v len(v)² · (count(v) − 1).
     fn single_column_score(&mut self, rows: &[u32], col: u32) -> u64 {
         let s = &mut self.scratch;
-        let n_groups = s.group_dense(col as usize, self.table.col_sq_lens(col as usize), rows);
+        let n_groups = s.group_dense(col as usize, self.table.col_lens(col as usize), rows);
         (0..n_groups)
             .map(|g| {
                 let d = s.touched[g] as usize;

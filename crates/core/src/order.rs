@@ -27,7 +27,7 @@
 
 use crate::plan::ReorderPlan;
 use crate::scratch::Scratch;
-use crate::table::ReorderTable;
+use crate::table::{sq, ReorderTable};
 use std::cmp::Reverse;
 
 /// Recursive adaptive ordering: each value group chooses its **own** next
@@ -71,8 +71,8 @@ pub(crate) fn adaptive_prefix_plan_into(
     most: &[u32],
 ) {
     for &c in cols {
-        let sq_lens = table.col_sq_lens(c as usize);
-        s.col_max[c as usize] = rows.iter().map(|&r| sq_lens[r as usize]).max().unwrap_or(0);
+        let lens = table.col_lens(c as usize);
+        s.col_max[c as usize] = sq(rows.iter().map(|&r| lens[r as usize]).max().unwrap_or(0));
     }
     let mut by_bound = s.pool.take();
     by_bound.extend(cols.iter().copied().filter(|&c| most[c as usize] >= 2));
@@ -91,11 +91,10 @@ fn flush_flat(
     s: &mut Scratch,
     out: &mut ReorderPlan,
 ) {
-    let (cells, m) = (table.cells(), table.ncols());
     let mut rest = s.pool.take();
     for &c in cols.iter().filter(|&&c| !s.col_mask[c as usize]) {
-        let sq = |&r: &u32| cells[r as usize * m + c as usize].sq_len();
-        s.col_key[c as usize] = rows.iter().map(sq).sum();
+        let lens = table.col_lens(c as usize);
+        s.col_key[c as usize] = rows.iter().map(|&r| sq(lens[r as usize])).sum();
         rest.push(c);
     }
     rest.sort_by_key(|&c| Reverse(s.col_key[c as usize]));
@@ -197,7 +196,7 @@ fn adaptive_rec(
         // Partition by the chosen field's value: multi-member groups become
         // contiguous blocks, largest first, singletons flow to the residual
         // branch.
-        s.group_dense(chosen as usize, table.col_sq_lens(chosen as usize), &rows);
+        s.group_dense(chosen as usize, table.col_lens(chosen as usize), &rows);
         let mut groups = s.pool.take();
         for &d in &s.touched {
             if s.counts[d as usize] >= 2 {
@@ -382,8 +381,8 @@ mod tests {
             }
             let mut s = Scratch::for_table(&t);
             for c in 0..m as usize {
-                let sq = t.col_sq_lens(c);
-                let m_c = view.iter().map(|&r| sq[r as usize]).max().unwrap();
+                let lens = t.col_lens(c);
+                let m_c = view.iter().map(|&r| sq(lens[r as usize])).max().unwrap();
                 let (distinct, sum_sq) = s.distinct_sum_sq(&t, c, &node);
                 let k = node.len();
                 let gain = (sum_sq / k as f64) * (k - distinct) as f64;

@@ -12,7 +12,7 @@
 //! fields do not produce equal tokens.
 
 use crate::plan::ReorderPlan;
-use crate::table::{Cell, ReorderTable};
+use crate::table::{sq, Cell, ReorderTable};
 use serde::{Deserialize, Serialize};
 
 /// A materialized scheduled row: `(column index, cell)` pairs in prompt order.
@@ -97,24 +97,19 @@ pub fn phc_of_rows(rows: &[OrderedRow]) -> PhcReport {
 /// [`ReorderPlan::validate`] first for untrusted plans.
 pub fn phc_of_plan(table: &ReorderTable, plan: &ReorderPlan) -> PhcReport {
     let mut report = PhcReport::default();
-    let mut prev: OrderedRow = Vec::new();
-    let mut cur: OrderedRow = Vec::new();
     for (i, rp) in plan.rows().enumerate() {
-        cur.clear();
-        cur.extend(
-            rp.fields
-                .iter()
-                .map(|&f| (f, table.cell(rp.row, f as usize))),
-        );
-        report.total_tokens += cur.iter().map(|(_, c)| u64::from(c.len)).sum::<u64>();
-        if i > 0 {
-            let matched = hit_prefix_cells(&prev, &cur);
-            for (_, cell) in &cur[..matched] {
-                report.phc += cell.sq_len();
-                report.hit_tokens += u64::from(cell.len);
+        // The previous row, while its leading cells match this row's.
+        let mut prev = (i > 0).then(|| plan.row(i - 1));
+        for (k, &f) in rp.fields.iter().enumerate() {
+            let values = table.col_values(f as usize);
+            let len = table.col_lens(f as usize)[rp.row];
+            report.total_tokens += u64::from(len);
+            prev = prev.filter(|p| p.fields.get(k) == Some(&f) && values[p.row] == values[rp.row]);
+            if prev.is_some() {
+                report.phc += sq(len);
+                report.hit_tokens += u64::from(len);
             }
         }
-        std::mem::swap(&mut prev, &mut cur);
     }
     report
 }

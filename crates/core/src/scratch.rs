@@ -24,7 +24,7 @@
 //!   flooding resistance buys nothing here.
 
 use crate::plan::ReorderPlan;
-use crate::table::ReorderTable;
+use crate::table::{sq, ReorderTable};
 use crate::ValueId;
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -408,14 +408,15 @@ impl Scratch {
     }
 
     /// Groups the view rows by their value in column `c`, filling `touched`,
-    /// `counts`, `first_sq` (from `sq_lens`, that column's per-row squared
-    /// lengths), and `row_dense`. Returns the number of distinct values.
+    /// `counts`, `first_sq` (squared from `lens`, that column's per-row
+    /// token lengths), and `row_dense`. Returns the number of distinct
+    /// values.
     ///
     /// Members of a group are the view rows holding its value, in view
     /// order, and `first_sq` carries the squared length of each group's
     /// first view member — exactly the representative a
     /// `HashMap<ValueId, Vec<u32>>` transcription reads via `members[0]`.
-    pub fn group_dense(&mut self, c: usize, sq_lens: &[u64], rows: &[u32]) -> usize {
+    pub fn group_dense(&mut self, c: usize, lens: &[u32], rows: &[u32]) -> usize {
         let epoch = self.bump_epoch();
         self.touched.clear();
         self.row_dense.clear();
@@ -425,7 +426,7 @@ impl Scratch {
             if self.stamp[d as usize] != epoch {
                 self.stamp[d as usize] = epoch;
                 self.counts[d as usize] = 0;
-                self.first_sq[d as usize] = sq_lens[r as usize];
+                self.first_sq[d as usize] = sq(lens[r as usize]);
                 self.touched.push(d);
             }
             self.counts[d as usize] += 1;
@@ -438,21 +439,21 @@ impl Scratch {
     /// view's squared-length sum. The sum accumulates per **row** in view
     /// order — the exact additions the reference implementations perform —
     /// so gains stay bit-identical even on tables where a value recurs with
-    /// different lengths. A handful of rows is read from the row-major cells:
-    /// a small node reads many columns of the same rows, which share cache
-    /// lines there; each value is compared with those before it.
+    /// different lengths. A handful of rows skips the dense index: each
+    /// value is compared with those before it.
     pub fn distinct_sum_sq(&mut self, t: &ReorderTable, c: usize, rows: &[u32]) -> (usize, f64) {
+        let (values, lens) = (t.col_values(c), t.col_lens(c));
         let (mut distinct, mut sum_sq) = (0, 0f64);
         if rows.len() <= 8 {
-            let (cells, m, mut seen) = (t.cells(), t.ncols(), [ValueId::from_raw(0); 8]);
+            let mut seen = [ValueId::from_raw(0); 8];
             for (k, &r) in rows.iter().enumerate() {
-                let cell = cells[r as usize * m + c];
-                distinct += usize::from(!seen[..k].contains(&cell.value));
-                (seen[k], sum_sq) = (cell.value, sum_sq + cell.sq_len() as f64);
+                let value = values[r as usize];
+                distinct += usize::from(!seen[..k].contains(&value));
+                (seen[k], sum_sq) = (value, sum_sq + sq(lens[r as usize]) as f64);
             }
             return (distinct, sum_sq);
         }
-        let (sq_lens, epoch) = (t.col_sq_lens(c), self.bump_epoch());
+        let epoch = self.bump_epoch();
         let dense = &self.dense[c];
         let stamp = &mut self.stamp;
         for &r in rows {
@@ -461,7 +462,7 @@ impl Scratch {
                 stamp[d] = epoch;
                 distinct += 1;
             }
-            sum_sq += sq_lens[r as usize] as f64;
+            sum_sq += sq(lens[r as usize]) as f64;
         }
         (distinct, sum_sq)
     }
@@ -566,9 +567,9 @@ mod tests {
                 .unwrap();
         }
         let mut s = Scratch::for_table(&t);
-        let sq: Vec<u64> = t.col_sq_lens(0).to_vec();
+        let lens = t.col_lens(0);
         let rows: Vec<u32> = (0..6).collect();
-        let n = s.group_dense(0, &sq, &rows);
+        let n = s.group_dense(0, lens, &rows);
         assert_eq!(n, 3);
         // Dense ids are first-seen: 5 → 0, 9 → 1, 2 → 2.
         assert_eq!(s.touched, vec![0, 1, 2]);
@@ -577,7 +578,7 @@ mod tests {
         assert_eq!(s.value_of(0, 2), ValueId::from_raw(2));
         assert_eq!(&s.first_sq[..3], &[25, 81, 4]);
         // A subset view regroups correctly after the epoch bump.
-        let n = s.group_dense(0, &sq, &[1, 4]);
+        let n = s.group_dense(0, lens, &[1, 4]);
         assert_eq!(n, 2);
         assert_eq!(s.touched, vec![1, 2]);
         assert_eq!(&s.counts[1..3], &[1, 1]);
@@ -600,7 +601,7 @@ mod tests {
         }
         let mut s = Scratch::for_table(&t);
         for c in 0..2 {
-            assert_eq!(s.group_dense(c, t.col_sq_lens(c), &[0, 1, 2]), 2);
+            assert_eq!(s.group_dense(c, t.col_lens(c), &[0, 1, 2]), 2);
             assert_eq!(s.row_dense, vec![0, 1, 0]);
         }
         assert_eq!(s.value_of(1, 1), ValueId::from_raw(1_000_000));
@@ -622,17 +623,15 @@ mod tests {
         let big = table(&[(1, 1), (2, 2), (3, 3), (1, 1), (2, 2), (4, 4), (5, 5)]);
         {
             let mut s = Scratch::for_table(&big);
-            let sq: Vec<u64> = big.col_sq_lens(0).to_vec();
             let rows: Vec<u32> = (0..7).collect();
-            assert_eq!(s.group_dense(0, &sq, &rows), 5);
+            assert_eq!(s.group_dense(0, big.col_lens(0), &rows), 5);
         }
         // The second (smaller, different-valued) solve reuses the pooled
         // arena; every observable result must match a fresh build.
         let small = table(&[(9, 9), (8, 8), (9, 9)]);
         let mut s = Scratch::for_table(&small);
-        let sq: Vec<u64> = small.col_sq_lens(0).to_vec();
         let rows: Vec<u32> = (0..3).collect();
-        assert_eq!(s.group_dense(0, &sq, &rows), 2);
+        assert_eq!(s.group_dense(0, small.col_lens(0), &rows), 2);
         assert_eq!(s.touched, vec![0, 1]);
         assert_eq!(&s.counts[..2], &[2, 1]);
         assert_eq!(s.row_dense, vec![0, 1, 0]);

@@ -6,7 +6,7 @@
 //! ordering for subtables once recursion stops early.
 
 use crate::scratch::SlotMap;
-use crate::table::ReorderTable;
+use crate::table::{sq, ReorderTable};
 use serde::{Deserialize, Serialize};
 
 /// Statistics for one column.
@@ -63,15 +63,13 @@ impl TableStats {
         let mut map = SlotMap::default();
         let columns = (0..table.ncols())
             .map(|c| {
-                let values = table.col_values(c);
                 map.begin(n);
                 let mut total_len = 0u64;
                 let mut total_sq = 0f64;
-                for (r, v) in values.iter().enumerate() {
-                    let cell = table.cell(r, c);
+                for (v, &len) in table.col_values(c).iter().zip(table.col_lens(c)) {
                     map.insert(u64::from(v.as_u32()));
-                    total_len += u64::from(cell.len);
-                    total_sq += cell.sq_len() as f64;
+                    total_len += u64::from(len);
+                    total_sq += sq(len) as f64;
                 }
                 ColumnStats {
                     cardinality: map.len() as usize,

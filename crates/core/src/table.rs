@@ -1,11 +1,11 @@
 //! The optimizer's view of an input table: interned cell values with token
-//! lengths.
+//! lengths, stored once, column-major.
 //!
 //! A [`ReorderTable`] is what an analytics engine hands to the reordering
 //! solvers: an n×m matrix where each cell carries an exact-match identity
 //! ([`ValueId`]) and the token length of its serialized prompt fragment.
 //! Actual strings live in the engine (or an [`Interner`]); the solvers only
-//! ever compare ids and square lengths.
+//! compare ids and square lengths, a column at a time: no row-major copy.
 
 use crate::intern::{Interner, ValueId};
 use serde::{Deserialize, Serialize};
@@ -37,8 +37,14 @@ impl Cell {
 
     /// The squared token length, the cell's PHC contribution when hit (Eq. 2).
     pub fn sq_len(&self) -> u64 {
-        u64::from(self.len) * u64::from(self.len)
+        sq(self.len)
     }
+}
+
+/// A token length's square: what the solvers read a column's lengths as.
+#[inline]
+pub(crate) fn sq(len: u32) -> u64 {
+    u64::from(len) * u64::from(len)
 }
 
 /// Errors from building or validating a [`ReorderTable`].
@@ -71,14 +77,16 @@ impl std::error::Error for TableError {}
 
 /// An n×m table of interned cells, the input to every reordering solver.
 ///
-/// Cells are stored twice: a row-major array serving the row-oriented API
-/// ([`ReorderTable::row`], request materialization) and a column-major
-/// mirror — one flat [`ValueId`] array and one flat squared-length array per
-/// column — built incrementally as rows are pushed. The solvers' inner loops
-/// (grouping rows by a column's value, scoring `HITCOUNT`, lexicographic row
-/// sorts) scan one column across many rows, so the mirror turns their hot
-/// path into contiguous 4/8-byte reads instead of strided 8-byte `Cell`
-/// loads. Both stores cost O(n·m) once, at encode time.
+/// Cells are stored once, column-major: one flat [`ValueId`] array and one
+/// flat `u32` token-length array per column, 8 bytes a cell, appended to as
+/// rows are pushed. The solvers' inner loops (grouping rows by a column's
+/// value, scoring `HITCOUNT`, lexicographic row sorts) scan one column
+/// across many rows, so they read contiguous 4-byte arrays; the few readers
+/// that want a whole row ([`ReorderTable::row`], request materialization)
+/// gather it from `m` columns. A row-major copy would serve those few reads
+/// at 8 more bytes a cell, and a squared-length copy would save the solvers
+/// a multiplication they do as they read (`u64::from(len)²`, the same
+/// arithmetic as [`Cell::sq_len`], so every sum is unchanged).
 ///
 /// Row and column indices are stable: a [`ReorderPlan`](crate::ReorderPlan)
 /// refers back to them, which is how query semantics survive reordering.
@@ -100,12 +108,10 @@ impl std::error::Error for TableError {}
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ReorderTable {
     columns: Vec<String>,
-    cells: Vec<Cell>,
-    nrows: usize,
-    /// Column-major mirror: `col_values[c][r]` is the value of cell `(r, c)`.
+    /// `col_values[c][r]` is the value of cell `(r, c)`.
     col_values: Vec<Vec<ValueId>>,
-    /// Column-major mirror: `col_sq[c][r]` is the squared length of `(r, c)`.
-    col_sq: Vec<Vec<u64>>,
+    /// `col_lens[c][r]` is the token length of cell `(r, c)`.
+    col_lens: Vec<Vec<u32>>,
     /// Debug-only registry enforcing the one-length-per-[`ValueId`]
     /// invariant at [`push_row`](ReorderTable::push_row) time.
     #[cfg(debug_assertions)]
@@ -172,36 +178,30 @@ impl ReorderTable {
         let ncols = columns.len();
         Ok(ReorderTable {
             columns,
-            cells: Vec::new(),
-            nrows: 0,
             col_values: vec![Vec::new(); ncols],
-            col_sq: vec![Vec::new(); ncols],
+            col_lens: vec![Vec::new(); ncols],
             #[cfg(debug_assertions)]
             val_lens: LenRegistry::default(),
         })
     }
 
-    /// Reserves capacity for `additional` more rows in both the row-major
-    /// store and the column-major mirror (used by encoders that know the row
-    /// count up front).
+    /// Reserves capacity for `additional` more rows in every column (used
+    /// by encoders that know the row count up front).
     pub fn reserve_rows(&mut self, additional: usize) {
-        self.cells.reserve(additional * self.columns.len());
-        for c in 0..self.columns.len() {
-            self.col_values[c].reserve(additional);
-            self.col_sq[c].reserve(additional);
+        for (values, lens) in self.col_values.iter_mut().zip(&mut self.col_lens) {
+            values.reserve(additional);
+            lens.reserve(additional);
         }
     }
 
     /// Empties the table for a new set of rows: keeps the column names and
-    /// every buffer's capacity, and forgets the rows, their column mirror
-    /// and, in debug builds, every id's registered length — ids are local
-    /// to each fill, so a refill may give an id another length.
+    /// every buffer's capacity, and forgets the rows and, in debug builds,
+    /// every id's registered length — ids are local to each fill, so a
+    /// refill may give an id another length.
     pub fn clear(&mut self) {
-        self.cells.clear();
-        self.nrows = 0;
-        for (values, sq) in self.col_values.iter_mut().zip(&mut self.col_sq) {
+        for (values, lens) in self.col_values.iter_mut().zip(&mut self.col_lens) {
             values.clear();
-            sq.clear();
+            lens.clear();
         }
         #[cfg(debug_assertions)]
         self.val_lens.lens.clear();
@@ -273,16 +273,14 @@ impl ReorderTable {
         }
         for (c, cell) in row.iter().enumerate() {
             self.col_values[c].push(cell.value);
-            self.col_sq[c].push(cell.sq_len());
+            self.col_lens[c].push(cell.len);
         }
-        self.cells.extend_from_slice(row);
-        self.nrows += 1;
         Ok(())
     }
 
     /// Number of rows.
     pub fn nrows(&self) -> usize {
-        self.nrows
+        self.col_values[0].len()
     }
 
     /// Number of columns.
@@ -301,34 +299,42 @@ impl ReorderTable {
     ///
     /// Panics if `row` or `col` is out of bounds.
     pub fn cell(&self, row: usize, col: usize) -> Cell {
-        assert!(row < self.nrows, "row {row} out of bounds ({})", self.nrows);
+        assert!(
+            row < self.nrows(),
+            "row {row} out of bounds ({})",
+            self.nrows()
+        );
         assert!(
             col < self.columns.len(),
             "col {col} out of bounds ({})",
             self.columns.len()
         );
-        self.cells[row * self.columns.len() + col]
+        Cell::new(self.col_values[col][row], self.col_lens[col][row])
     }
 
-    /// The cells of one row, in schema column order.
+    /// The cells of one row, in schema column order, gathered from the
+    /// columns.
     ///
     /// # Panics
     ///
     /// Panics if `row` is out of bounds.
-    pub fn row(&self, row: usize) -> &[Cell] {
-        assert!(row < self.nrows, "row {row} out of bounds ({})", self.nrows);
-        let m = self.columns.len();
-        &self.cells[row * m..(row + 1) * m]
-    }
-
-    /// Every cell, row-major: cell `(r, c)` at `r · ncols + c`.
-    pub(crate) fn cells(&self) -> &[Cell] {
-        &self.cells
+    pub fn row(&self, row: usize) -> impl ExactSizeIterator<Item = Cell> + '_ {
+        assert!(
+            row < self.nrows(),
+            "row {row} out of bounds ({})",
+            self.nrows()
+        );
+        let columns = self.col_values.iter().zip(&self.col_lens);
+        columns.map(move |(values, lens)| Cell::new(values[row], lens[row]))
     }
 
     /// Total token length of all cells (denominator of field-level hit rates).
     pub fn total_tokens(&self) -> u64 {
-        self.cells.iter().map(|c| u64::from(c.len)).sum()
+        self.col_lens
+            .iter()
+            .flatten()
+            .map(|&len| u64::from(len))
+            .sum()
     }
 
     /// Column-major value ids of column `c`: `col_values(c)[r]` is the value
@@ -341,27 +347,25 @@ impl ReorderTable {
         &self.col_values[c]
     }
 
-    /// Column-major squared token lengths of column `c` (each cell's PHC
-    /// contribution when hit, Eq. 2). Contiguous, for solver inner loops.
+    /// Column-major token lengths of column `c`: `col_lens(c)[r]` is the
+    /// length of cell `(r, c)`, whose square is the cell's PHC contribution
+    /// when hit (Eq. 2). Contiguous, for solver inner loops.
     ///
     /// # Panics
     ///
     /// Panics if `c` is out of bounds.
-    pub fn col_sq_lens(&self, c: usize) -> &[u64] {
-        &self.col_sq[c]
+    pub fn col_lens(&self, c: usize) -> &[u32] {
+        &self.col_lens[c]
     }
 
     /// Restricts the table to the first `n` rows (used by the paper's
     /// Appendix D.1 OPHR comparison on dataset prefixes).
     pub fn head(&self, n: usize) -> ReorderTable {
-        let n = n.min(self.nrows);
-        let m = self.columns.len();
+        let n = n.min(self.nrows());
         ReorderTable {
             columns: self.columns.clone(),
-            cells: self.cells[..n * m].to_vec(),
-            nrows: n,
             col_values: self.col_values.iter().map(|v| v[..n].to_vec()).collect(),
-            col_sq: self.col_sq.iter().map(|v| v[..n].to_vec()).collect(),
+            col_lens: self.col_lens.iter().map(|v| v[..n].to_vec()).collect(),
             #[cfg(debug_assertions)]
             val_lens: self.val_lens.clone(),
         }
@@ -378,15 +382,15 @@ impl ReorderTable {
     ///
     /// Panics if any index in `rows` is out of bounds.
     pub fn select_rows(&self, rows: &[usize]) -> ReorderTable {
-        let m = self.columns.len();
-        let mut out = ReorderTable::new(self.columns.clone()).expect("source table has columns");
-        out.reserve_rows(rows.len());
-        for &r in rows {
-            assert!(r < self.nrows, "row {r} out of bounds ({})", self.nrows);
-            out.push_slice_unchecked(&self.cells[r * m..(r + 1) * m])
-                .expect("row arity matches by construction");
+        let n = self.nrows();
+        assert!(rows.iter().all(|&r| r < n), "a row is out of bounds ({n})");
+        ReorderTable {
+            columns: self.columns.clone(),
+            col_values: self.col_values.iter().map(|v| gather(v, rows)).collect(),
+            col_lens: self.col_lens.iter().map(|v| gather(v, rows)).collect(),
+            #[cfg(debug_assertions)]
+            val_lens: self.val_lens.clone(),
         }
-        out
     }
 
     /// Restricts the table to the given columns, in the given order (used by
@@ -394,19 +398,22 @@ impl ReorderTable {
     ///
     /// # Panics
     ///
-    /// Panics if any index in `cols` is out of bounds.
+    /// Panics if `cols` is empty or any index in it is out of bounds.
     pub fn select_columns(&self, cols: &[usize]) -> ReorderTable {
-        let columns: Vec<String> = cols.iter().map(|&c| self.columns[c].clone()).collect();
-        let mut out = ReorderTable::new(columns).expect("non-empty column selection");
-        for r in 0..self.nrows {
-            let row = cols.iter().map(|&c| self.cell(r, c)).collect();
-            // Unchecked: the source already passed (or deliberately skipped)
-            // the length validation; projecting cannot introduce conflicts.
-            out.push_row_unchecked(row)
-                .expect("arity matches selection");
+        assert!(!cols.is_empty(), "{}", TableError::NoColumns);
+        ReorderTable {
+            columns: cols.iter().map(|&c| self.columns[c].clone()).collect(),
+            col_values: cols.iter().map(|&c| self.col_values[c].clone()).collect(),
+            col_lens: cols.iter().map(|&c| self.col_lens[c].clone()).collect(),
+            #[cfg(debug_assertions)]
+            val_lens: self.val_lens.clone(),
         }
-        out
     }
+}
+
+/// `column[r]` for each of `rows`, in order.
+fn gather<T: Copy>(column: &[T], rows: &[usize]) -> Vec<T> {
+    rows.iter().map(|&r| column[r]).collect()
 }
 
 /// Convenience builder that interns string cells and assigns token lengths.
@@ -488,6 +495,13 @@ mod tests {
         Cell::new(ValueId::from_raw(v), len)
     }
 
+    /// Each length's square: the squared lengths the solvers read.
+    fn squares(lens: &[u32]) -> Vec<u64> {
+        lens.iter()
+            .map(|&len| u64::from(len) * u64::from(len))
+            .collect()
+    }
+
     #[test]
     fn no_columns_is_an_error() {
         assert_eq!(ReorderTable::new(vec![]), Err(TableError::NoColumns));
@@ -513,7 +527,7 @@ mod tests {
         t.push_row(vec![cell(0, 2), cell(1, 3)]).unwrap();
         t.push_row(vec![cell(2, 4), cell(1, 3)]).unwrap();
         assert_eq!(t.cell(1, 0), cell(2, 4));
-        assert_eq!(t.row(0), &[cell(0, 2), cell(1, 3)]);
+        assert!(t.row(0).eq([cell(0, 2), cell(1, 3)]));
         assert_eq!(t.total_tokens(), 2 + 3 + 4 + 3);
     }
 
@@ -562,7 +576,7 @@ mod tests {
                 ValueId::from_raw(3)
             ]
         );
-        assert_eq!(s.col_sq_lens(0), &[16, 4, 16]);
+        assert_eq!(squares(s.col_lens(0)), [16, 4, 16]);
         assert_eq!(t.select_rows(&[]).nrows(), 0);
     }
 
@@ -594,12 +608,12 @@ mod tests {
         let fresh = ReorderTable::new(columns).unwrap();
         assert_eq!(t, fresh);
         assert_eq!((t.nrows(), t.total_tokens()), (0, 0));
-        assert!(t.col_values(1).is_empty() && t.col_sq_lens(0).is_empty());
+        assert!(t.col_values(1).is_empty() && t.col_lens(0).is_empty());
         // Ids 0 and 9 were pushed with lengths 1 and 2; a refill numbers
         // its own ids, so the same raw ids take other lengths.
         t.push_row(vec![cell(0, 5), cell(9, 7)]).unwrap();
-        assert_eq!(t.row(0), &[cell(0, 5), cell(9, 7)]);
-        assert_eq!(t.col_sq_lens(1), &[49]);
+        assert!(t.row(0).eq([cell(0, 5), cell(9, 7)]));
+        assert_eq!(squares(t.col_lens(1)), [49]);
     }
 
     #[test]
@@ -625,7 +639,7 @@ mod tests {
             by_slice.push_row_slice(&buf).unwrap();
         }
         assert_eq!(by_vec, by_slice);
-        assert_eq!(by_slice.col_sq_lens(0), &[1, 4, 9, 16]);
+        assert_eq!(squares(by_slice.col_lens(0)), [1, 4, 9, 16]);
         assert_eq!(
             by_slice.push_row_slice(&[cell(0, 1)]),
             Err(TableError::ArityMismatch {
@@ -670,21 +684,21 @@ mod tests {
                 ValueId::from_raw(0)
             ]
         );
-        assert_eq!(t.col_sq_lens(0), &[4, 16, 4]);
-        assert_eq!(t.col_sq_lens(1), &[9, 9, 49]);
-        // head and select_columns keep the mirror consistent.
+        assert_eq!(squares(t.col_lens(0)), [4, 16, 4]);
+        assert_eq!(squares(t.col_lens(1)), [9, 9, 49]);
+        // head and select_columns keep the columns consistent.
         let h = t.head(2);
         assert_eq!(
             h.col_values(1),
             &[ValueId::from_raw(1), ValueId::from_raw(1)]
         );
-        assert_eq!(h.col_sq_lens(0), &[4, 16]);
+        assert_eq!(squares(h.col_lens(0)), [4, 16]);
         let s = t.select_columns(&[1]);
-        assert_eq!(s.col_sq_lens(0), &[9, 9, 49]);
+        assert_eq!(squares(s.col_lens(0)), [9, 9, 49]);
         for r in 0..t.nrows() {
             for c in 0..t.ncols() {
                 assert_eq!(t.cell(r, c).value, t.col_values(c)[r]);
-                assert_eq!(t.cell(r, c).sq_len(), t.col_sq_lens(c)[r]);
+                assert_eq!(t.cell(r, c).sq_len(), squares(t.col_lens(c))[r]);
             }
         }
     }

@@ -49,6 +49,7 @@
 use crate::adaptive::{AnswerCache, CacheSnapshotEntry};
 use crate::optimizer::{OptStats, OptimizerConfig};
 use crate::pipeline::Stage;
+use crate::prompt::BatchRows;
 use crate::query::{LlmQuery, QueryKind};
 use crate::table::{Table, TableError};
 use llmqo_core::{FunctionalDeps, PhcReport, Reorderer, SolveError};
@@ -399,8 +400,7 @@ impl<'a> QueryExecutor<'a> {
         opt: OptimizerConfig,
     ) -> Result<QueryOutput, ExecError> {
         let mut stage = Stage::open(self, table, query, reorderer, fds, truth, opt)?;
-        let all_rows: Vec<usize> = (0..table.nrows()).collect();
-        stage.run_batch(&all_rows)?;
+        stage.run_batch(BatchRows::All(table.nrows()))?;
         Ok(stage.finish())
     }
 
@@ -437,7 +437,7 @@ impl<'a> QueryExecutor<'a> {
             }
             let opt = OptimizerConfig::none();
             let mut stage = Stage::open(self, table, query, reorderer, fds, truth, opt)?;
-            stage.run_batch(&rows)?;
+            stage.run_batch(BatchRows::Listed(&rows))?;
             let out = stage.finish();
             rows.clone_from(&out.selected_rows);
             results.push(out);
@@ -483,8 +483,8 @@ pub(crate) fn row_prompt<'a>(
     let (reorder, fragments): (_, &'a [&'a Arc<[TokenId]>]) =
         (&encoded.reorder, &encoded.fragments);
     std::iter::once(&encoded.instruction).chain(rp.fields.iter().map(move |&f| {
-        let cell = reorder.cell(rp.row, f as usize);
-        fragments[cell.value.as_u32() as usize]
+        let value = reorder.col_values(f as usize)[rp.row];
+        fragments[value.as_u32() as usize]
     }))
 }
 
@@ -900,6 +900,59 @@ mod tests {
     }
 
     #[test]
+    fn prefill_tokens_saved_counts_each_duplicate_prompt_whole() {
+        let eng = engine();
+        let ex = QueryExecutor::new(&eng, &OracleLlm, Tokenizer::new());
+        let mut t = Table::new(Schema::of_strings(&["product", "maker"]));
+        // Dedup groups by (product, maker): anvil/acme × 3, rope/acme × 2,
+        // and two rows of their own.
+        for (product, maker) in [
+            ("anvil", "acme"),
+            ("rope", "acme"),
+            ("anvil", "acme"),
+            ("anvil", "zeta"),
+            ("rope", "acme"),
+            ("anvil", "acme"),
+            ("kettle", "acme"),
+        ] {
+            t.push_row(vec![product.into(), maker.into()]).unwrap();
+        }
+        let q = LlmQuery::filter(
+            "saved",
+            "Is the product sturdy? Answer Yes or No.",
+            vec!["product".into(), "maker".into()],
+            vec!["Yes".into(), "No".into()],
+            "Yes",
+            2.0,
+        );
+        let truth = |_: usize| "Yes".to_string();
+        let out = ex
+            .execute_with(
+                &t,
+                &q,
+                &Ggr::default(),
+                &FunctionalDeps::empty(2),
+                &truth,
+                OptimizerConfig::static_only(),
+            )
+            .unwrap();
+        // A duplicate's whole prompt is prefill the engine never sees: the
+        // instruction and each of its fragments.
+        let tok = Tokenizer::new();
+        let instruction = tok.count(&q.full_instruction()) as u64;
+        let fragment = |name: &str, value: &str| tok.count(&crate::field_fragment(name, value));
+        let prompt = |product, maker| {
+            instruction + (fragment("product", product) + fragment("maker", maker)) as u64
+        };
+        let opt = &out.report.opt;
+        assert_eq!((opt.rows_deduped, opt.llm_calls), (3, 4));
+        assert_eq!(
+            opt.prefill_tokens_saved,
+            2 * prompt("anvil", "acme") + prompt("rope", "acme")
+        );
+    }
+
+    #[test]
     fn answer_cache_short_circuits_repeats_across_queries() {
         let eng = engine();
         let ex = QueryExecutor::new(&eng, &OracleLlm, Tokenizer::new());
@@ -1146,7 +1199,7 @@ mod tests {
             }
         }
         let mut stage = Stage::open(&ex, &t, &query, &Unreachable, &fds, &truth, opt).unwrap();
-        let opt = stage.run_batch(&[]).unwrap();
+        let opt = stage.run_batch(BatchRows::Listed(&[])).unwrap();
         assert!(stage.batch_outputs().is_empty());
         assert_eq!(opt.llm_calls, 0);
         assert_eq!((opt.rows_in, opt.batches), (0, 1));

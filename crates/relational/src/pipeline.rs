@@ -56,7 +56,7 @@ mod batch;
 
 use crate::exec::{project_fds, ExecError, OutputLens, QueryExecutor, QueryOutput, RowOutput};
 use crate::optimizer::{OptLevel, OptStats, OptimizerConfig};
-use crate::prompt::BatchEncoder;
+use crate::prompt::{BatchEncoder, BatchRows};
 use crate::query::{LlmQuery, QueryKind};
 use crate::table::Table;
 use batch::{Batch, BatchScratch};
@@ -393,8 +393,10 @@ impl<'q> Stage<'q> {
     /// # Errors
     ///
     /// See [`ExecError`].
-    pub fn run_batch(&mut self, rows: &[usize]) -> Result<OptStats, ExecError> {
-        debug_assert!(rows.is_sorted(), "batches offer ascending rows");
+    pub fn run_batch(&mut self, rows: BatchRows<'_>) -> Result<OptStats, ExecError> {
+        if let BatchRows::Listed(rows) = rows {
+            debug_assert!(rows.is_sorted(), "batches offer ascending rows");
+        }
         let started_s = self.engine.clock();
         self.batch_from = (self.output.outputs.len(), self.output.failed_rows.len());
         let mut opt = OptStats {
@@ -404,7 +406,7 @@ impl<'q> Stage<'q> {
         };
         // An empty batch is a ledger entry and a span: nothing is encoded,
         // solved or served.
-        if !rows.is_empty() {
+        if rows.len() > 0 {
             opt = Batch::encode(self, rows, opt).run()?;
         }
         self.output.report.opt.add(&opt);
@@ -801,15 +803,60 @@ mod tests {
             cascade: Some(CascadeConfig::new(CascadePlan::mini_to_sonnet(0.5, 7))),
             ..OptimizerConfig::none()
         };
-        let rows: Vec<usize> = (0..table.nrows()).collect();
         let truth = |_: usize| "Yes".to_string();
         let fds = FunctionalDeps::empty(1);
         let mut stage =
             Stage::open(&executor, &table, &query, &OriginalOrder, &fds, &truth, opt).unwrap();
-        let opt = stage.run_batch(&rows).unwrap();
+        let opt = stage.run_batch(BatchRows::All(table.nrows())).unwrap();
         assert!(opt.rows_escalated > 0, "the batch must escalate rows");
         let escalated_at = stage.escalation.as_ref().unwrap().clock();
         assert!(escalated_at > stage.engine.clock());
         assert_eq!(stage.clock(), escalated_at);
+    }
+
+    #[test]
+    fn tier_agreements_count_the_escalated_rows_the_cheap_tier_gets_right() {
+        let engine = engine();
+        let executor = QueryExecutor::new(&engine, &OracleLlm, Tokenizer::new());
+        let mut table = Table::new(Schema::of_strings(&["review"]));
+        for i in 0..400 {
+            table
+                .push_row(vec![format!("review number {i}").into()])
+                .unwrap();
+        }
+        let query = LlmQuery::filter(
+            "q",
+            "Is it positive?",
+            vec!["review".into()],
+            vec!["Yes".into(), "No".into()],
+            "Yes",
+            2.0,
+        );
+        let plan = CascadePlan::mini_to_sonnet(0.5, 7);
+        let opt = OptimizerConfig {
+            cascade: Some(CascadeConfig::new(plan)),
+            ..OptimizerConfig::none()
+        };
+        let truth = |row: usize| if row.is_multiple_of(3) { "Yes" } else { "No" }.to_string();
+        let fds = FunctionalDeps::empty(1);
+        let out = executor
+            .execute_with(&table, &query, &OriginalOrder, &fds, &truth, opt)
+            .unwrap();
+        // The oracle labeler answers the truth, so an escalated row's tiers
+        // agree where the cheap tier's answer is the truth.
+        let escalated: Vec<u64> = (0..400).filter(|&r| plan.escalates(r)).collect();
+        let agree = |&r: &u64| {
+            let text = truth(r as usize);
+            plan.cheap_label(r, &text, &query.label_space) == text
+        };
+        let want = escalated.iter().filter(|r| agree(r)).count() as u64;
+        let opt = &out.report.opt;
+        assert_eq!(opt.rows_escalated, escalated.len() as u64);
+        assert!(
+            0 < want && 2 * want != opt.rows_escalated && want < opt.rows_escalated,
+            "{want} of {} escalated rows agree: the count must tell agreement from its complement",
+            opt.rows_escalated
+        );
+        assert_eq!(opt.tier_agreements, want);
     }
 }

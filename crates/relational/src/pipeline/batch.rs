@@ -16,6 +16,7 @@ use super::{Stage, PREFIX_KEY_DEPTH};
 use crate::adaptive::{CachedAnswer, RowKey};
 use crate::exec::{row_prompt, ExecError};
 use crate::optimizer::{OptLevel, OptStats};
+use crate::prompt::BatchRows;
 use crate::query::LlmQuery;
 use crate::table::Table;
 use llmqo_core::{phc_of_plan, ReorderPlan};
@@ -51,7 +52,7 @@ impl BatchScratch {
 pub(super) struct Batch<'s, 'q> {
     stage: &'s mut Stage<'q>,
     /// The offered rows: original indices, by batch-local index.
-    rows: &'s [usize],
+    rows: BatchRows<'s>,
     /// The batch's ledger.
     opt: OptStats,
 }
@@ -68,7 +69,7 @@ impl<'s, 'q> Batch<'s, 'q> {
     /// `encoded.reorder` row `g` is the representative of `groups.members(g)`;
     /// every other member's prompt — token for token the representative's —
     /// is prefill the engine never sees.
-    pub fn encode(stage: &'s mut Stage<'q>, rows: &'s [usize], mut opt: OptStats) -> Self {
+    pub fn encode(stage: &'s mut Stage<'q>, rows: BatchRows<'s>, mut opt: OptStats) -> Self {
         let (executor, table, query) = (stage.executor, stage.table, stage.query);
         let mut cache = stage
             .instruction
@@ -78,7 +79,7 @@ impl<'s, 'q> Batch<'s, 'q> {
         let mut lookup = cache.as_mut().map(|(id, cache)| {
             move |local: usize, key: RowKey| {
                 if cfg!(debug_assertions) {
-                    row_key_text(key_text, table, rows[local], query, used_cols);
+                    row_key_text(key_text, table, rows.get(local), query, used_cols);
                     cache.audit(*id, key, key_text);
                 }
                 let Some(answer) = cache.lookup(*id, key) else {
@@ -102,12 +103,7 @@ impl<'s, 'q> Batch<'s, 'q> {
         for g in 0..groups.len() {
             let duplicates = groups.members(g).len() as u64 - 1;
             if duplicates > 0 {
-                let row_tokens: u64 = encoded
-                    .reorder
-                    .row(g)
-                    .iter()
-                    .map(|c| u64::from(c.len))
-                    .sum();
+                let row_tokens: u64 = encoded.reorder.row(g).map(|c| u64::from(c.len)).sum();
                 opt.prefill_tokens_saved +=
                     duplicates * (encoded.instruction.len() as u64 + row_tokens);
             }
@@ -179,7 +175,7 @@ impl<'s, 'q> Batch<'s, 'q> {
         let prefix_keys = &stage.scratch.prefix_keys;
         let requests = positions.map(|ri| {
             let rp = plan.row(ri);
-            let original = rows[enc.groups.representative(rp.row)];
+            let original = rows.get(enc.groups.representative(rp.row));
             (
                 original,
                 output_lens.sample(original),
@@ -235,7 +231,7 @@ impl<'s, 'q> Batch<'s, 'q> {
             let p = f64::from(f.error_ppm) / 1e6;
             let budget = f.max_attempts.max(1);
             for (ri, rp) in plan.rows().enumerate() {
-                let original = self.rows[groups.representative(rp.row)];
+                let original = self.rows.get(groups.representative(rp.row));
                 let mut attempt = 1u32;
                 while attempt <= budget
                     && fault_unit(f.seed, original as u64, u64::from(attempt)) < p
@@ -269,9 +265,9 @@ impl<'s, 'q> Batch<'s, 'q> {
             for c in stage.engine.served() {
                 let local = self
                     .rows
-                    .binary_search(&c.id)
-                    .unwrap_or_else(|_| unreachable!("request ids are offered rows"));
-                let g = enc.group_of(local);
+                    .local(c.id)
+                    .unwrap_or_else(|| unreachable!("request ids are offered rows"));
+                let g = groups.group_of(local);
                 debug_assert_eq!(groups.representative(g), local);
                 if !scratch.failed(g) {
                     let record = CachedAnswer {
@@ -313,11 +309,10 @@ impl<'s, 'q> Batch<'s, 'q> {
         // (where a statement's live heap peaks).
         stage.output.outputs.reserve(rows.len());
         for (ri, rp) in plan.rows().enumerate() {
-            let members = groups.members(rp.row);
-            let originals = members.iter().map(|&local| rows[local as usize]);
+            let originals = groups.members(rp.row).map(|local| rows.get(local));
             if scratch.failed(rp.row) {
+                self.opt.rows_failed += originals.len() as u64;
                 stage.output.failed_rows.extend(originals);
-                self.opt.rows_failed += members.len() as u64;
                 continue;
             }
             let key_field_pos = match stage.key_col {
@@ -359,8 +354,8 @@ impl<'s, 'q> Batch<'s, 'q> {
         let enc = stage.encoder.batch();
         let outputs = &mut stage.output.outputs;
         outputs.reserve(self.rows.len() - enc.groups.rows());
-        for local in enc.hits() {
-            labeler.label(&mut self.opt, outputs, self.rows[local], 0.5);
+        for local in enc.groups.hits() {
+            labeler.label(&mut self.opt, outputs, self.rows.get(local), 0.5);
         }
         // Rows are unique, so an unstable sort orders them as a stable one.
         let (outputs_from, failed_from) = stage.batch_from;

@@ -88,9 +88,8 @@ pub fn encode_table<'t>(
     table: &'t Table,
     query: &LlmQuery,
 ) -> Result<EncodedTable<'t>, TableError> {
-    let rows: Vec<usize> = (0..table.nrows()).collect();
     let mut encoder = BatchEncoder::new(tokenizer, table, query)?;
-    encoder.encode(&rows, false, None);
+    encoder.encode(BatchRows::All(table.nrows()), false, None);
     Ok(encoder.batch.encoded)
 }
 
@@ -109,54 +108,147 @@ pub(crate) struct EncodedBatch<'t> {
     /// Answer-cache key of each group (its members' keys are all equal).
     /// Empty when no lookup was supplied.
     pub keys: Vec<RowKey>,
-    /// Each offered row's group, or [`HIT`] for a row the lookup answered.
-    group_of: Vec<u32>,
 }
 
-impl EncodedBatch<'_> {
-    /// The group of novel batch-local row `local`.
-    pub fn group_of(&self, local: usize) -> usize {
-        debug_assert_ne!(self.group_of[local], HIT, "row {local} was answered");
-        self.group_of[local] as usize
+/// The rows a batch is offered, ascending original indices of its table by
+/// batch-local index: every row, which needs no list, or a listed subset.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum BatchRows<'a> {
+    /// Rows `0..n`: batch-local row `i` is row `i`.
+    All(usize),
+    /// These rows.
+    Listed(&'a [usize]),
+}
+
+impl BatchRows<'_> {
+    /// Number of offered rows.
+    pub fn len(self) -> usize {
+        match self {
+            BatchRows::All(n) => n,
+            BatchRows::Listed(rows) => rows.len(),
+        }
     }
 
-    /// Batch-local indices of the rows the lookup answered, ascending.
-    pub fn hits(&self) -> impl Iterator<Item = usize> + '_ {
-        let hits = self.group_of.iter().enumerate();
-        hits.filter(|&(_, &g)| g == HIT).map(|(local, _)| local)
+    /// Original index of batch-local row `local`.
+    pub fn get(self, local: usize) -> usize {
+        match self {
+            BatchRows::All(_) => local,
+            BatchRows::Listed(rows) => rows[local],
+        }
+    }
+
+    /// Batch-local index of original row `row`, if it is offered.
+    pub fn local(self, row: usize) -> Option<usize> {
+        match self {
+            BatchRows::All(n) => (row < n).then_some(row),
+            BatchRows::Listed(rows) => rows.binary_search(&row).ok(),
+        }
     }
 }
 
-/// The groups over a batch's novel rows in CSR form: group `g` is
-/// `members[starts[g]..starts[g + 1]]` — batch-local row indices in offered
-/// order, the first of them the group's representative. Groups are numbered
-/// in the offered order of their representatives. Without dedup every
-/// novel row is a group of one.
+/// The groups over a batch's offered rows: group `g`'s members are
+/// batch-local row indices in offered order, the first of them the group's
+/// representative, and groups are numbered in the offered order of their
+/// representatives.
 #[derive(Debug)]
-pub(crate) struct DedupGroups {
+pub(crate) enum DedupGroups {
+    /// Without dedup — and so without a lookup — each of the `n` offered
+    /// rows is a group of one, group `g` row `g`: nothing to store.
+    Singletons(usize),
+    /// Dedup's groups over the novel rows.
+    Csr(Csr),
+}
+
+/// Dedup's groups in CSR form: group `g` is
+/// `members[starts[g]..starts[g + 1]]`, and `group_of[local]` is offered row
+/// `local`'s group, or [`HIT`] for a row the lookup answered.
+#[derive(Debug, Default)]
+pub(crate) struct Csr {
     starts: Vec<u32>,
     members: Vec<u32>,
+    group_of: Vec<u32>,
 }
 
 impl DedupGroups {
     /// Number of groups (engine requests).
     pub fn len(&self) -> usize {
-        self.starts.len() - 1
+        match self {
+            DedupGroups::Singletons(n) => *n,
+            DedupGroups::Csr(csr) => csr.starts.len() - 1,
+        }
     }
 
     /// Number of rows across all groups (the batch's novel rows).
     pub fn rows(&self) -> usize {
-        self.members.len()
+        match self {
+            DedupGroups::Singletons(n) => *n,
+            DedupGroups::Csr(csr) => csr.members.len(),
+        }
     }
 
     /// Batch-local rows served by group `g`'s request, representative first.
-    pub fn members(&self, g: usize) -> &[u32] {
-        &self.members[self.starts[g] as usize..self.starts[g + 1] as usize]
+    pub fn members(&self, g: usize) -> impl ExactSizeIterator<Item = usize> + '_ {
+        let (span, members) = match self {
+            DedupGroups::Singletons(_) => (g..g + 1, None),
+            DedupGroups::Csr(csr) => (
+                csr.starts[g] as usize..csr.starts[g + 1] as usize,
+                Some(&csr.members),
+            ),
+        };
+        span.map(move |i| members.map_or(i, |members| members[i] as usize))
     }
 
     /// Batch-local row whose prompt group `g` submits.
     pub fn representative(&self, g: usize) -> usize {
-        self.members[self.starts[g] as usize] as usize
+        match self {
+            DedupGroups::Singletons(_) => g,
+            DedupGroups::Csr(csr) => csr.members[csr.starts[g] as usize] as usize,
+        }
+    }
+
+    /// The group of novel batch-local row `local`.
+    pub fn group_of(&self, local: usize) -> usize {
+        match self {
+            DedupGroups::Singletons(_) => local,
+            DedupGroups::Csr(csr) => {
+                debug_assert_ne!(csr.group_of[local], HIT, "row {local} was answered");
+                csr.group_of[local] as usize
+            }
+        }
+    }
+
+    /// Batch-local indices of the rows the lookup answered, ascending.
+    pub fn hits(&self) -> impl Iterator<Item = usize> + '_ {
+        let group_of = match self {
+            DedupGroups::Singletons(_) => &[][..],
+            DedupGroups::Csr(csr) => &csr.group_of[..],
+        };
+        let hits = group_of.iter().enumerate();
+        hits.filter(|&(_, &g)| g == HIT).map(|(local, _)| local)
+    }
+}
+
+impl Csr {
+    /// Turns the group counts left in `starts` into CSR offsets and fills
+    /// `members` with each group's rows in offered order: the counts become
+    /// end offsets, and walking the offered rows backwards moves each
+    /// group's end down to its start.
+    fn close(&mut self) {
+        let mut end = 0;
+        for count in &mut self.starts {
+            end += *count;
+            *count = end;
+        }
+        self.starts.push(end);
+        self.members.clear();
+        self.members.resize(end as usize, 0);
+        for (local, &g) in self.group_of.iter().enumerate().rev() {
+            if g != HIT {
+                let slot = &mut self.starts[g as usize];
+                *slot -= 1;
+                self.members[*slot as usize] = local_index(local);
+            }
+        }
     }
 }
 
@@ -284,12 +376,8 @@ impl<'e, 't> BatchEncoder<'e, 't> {
                     instruction,
                     used_cols,
                 },
-                groups: DedupGroups {
-                    starts: vec![0],
-                    members: Vec::new(),
-                },
+                groups: DedupGroups::Singletons(0),
                 keys: Vec::new(),
-                group_of: Vec::new(),
             },
         })
     }
@@ -319,60 +407,38 @@ impl<'e, 't> BatchEncoder<'e, 't> {
     /// (`true`) keeps nothing but its mark. With `dedup` a novel row joins
     /// the group of its id tuple, whose first row keeps the tuple in one
     /// flat arena; without it — and so without a lookup: the answer cache
-    /// implies dedup — every row opens its own group and keeps no tuple.
+    /// implies dedup — every row is its own group and nothing is kept.
     /// *Phase 2* clears the solver's [`ReorderTable`] and serves one row per
     /// group into it, reading the representative's ids back from the
     /// remaps, and only there are fragments tokenized, so the answered
     /// rows' values never are.
     pub(crate) fn encode(
         &mut self,
-        rows: &[usize],
+        rows: BatchRows<'_>,
         dedup: bool,
-        mut cached: Option<&mut dyn FnMut(usize, RowKey) -> bool>,
+        cached: Option<&mut dyn FnMut(usize, RowKey) -> bool>,
     ) -> &EncodedBatch<'t> {
         debug_assert!(dedup || cached.is_none(), "the answer cache implies dedup");
         let timer = llmqo_obs::WallTimer::start();
         self.begin(rows.len(), cached.is_some());
-        let mut arena = std::mem::take(&mut self.arena);
-        arena.clear();
-        for (local, &r) in rows.iter().enumerate() {
-            let start = arena.len();
-            let key = self.intern_row(r, |id| {
-                if dedup {
-                    arena.push(id);
-                }
-            });
-            let g = if cached.as_mut().is_some_and(|cached| cached(local, key)) {
-                arena.truncate(start);
-                HIT
-            } else {
-                // The first novel row sizes the grouping for every row
-                // left, so it never grows within the call; a warm
-                // statement's answered head reserves nothing for it.
-                if self.batch.groups.starts.is_empty() {
-                    self.reserve_groups(&mut arena, rows.len() - local, dedup);
-                }
-                if dedup {
-                    self.group_row(&mut arena, start, key)
-                } else {
-                    self.open_group(key)
-                }
-            };
-            self.batch.group_of.push(g);
+        if dedup {
+            self.group(rows, cached);
+        } else {
+            for local in 0..rows.len() {
+                self.intern_row(rows.get(local), |_| {});
+            }
+            self.batch.groups = DedupGroups::Singletons(rows.len());
         }
-        self.close_groups();
 
         let ids = self.ids as usize;
         let batch = &mut self.batch;
         batch.encoded.fragments.reserve_exact(ids);
         batch.encoded.fragments.resize(ids, unserved());
-        // One up-front reservation sizes both the row-major store and the
-        // column-major mirror the solvers scan.
         batch.encoded.reorder.clear();
         batch.encoded.reorder.reserve_rows(batch.groups.len());
         let mut cells = std::mem::take(&mut self.row_buf);
         for g in 0..self.batch.groups.len() {
-            let r = rows[self.batch.groups.representative(g)];
+            let r = rows.get(self.batch.groups.representative(g));
             cells.clear();
             cells.extend(self.fields.iter().map(|field| {
                 let slot = self.remaps[field.remap][field.codes[r] as usize];
@@ -381,7 +447,6 @@ impl<'e, 't> BatchEncoder<'e, 't> {
             self.serve_row(r, &mut cells);
         }
         self.row_buf = cells;
-        self.arena = arena;
         if llmqo_obs::enabled() {
             let cells = rows.len() * self.fields.len();
             dict::metrics().cells.add(cells as u64);
@@ -390,41 +455,64 @@ impl<'e, 't> BatchEncoder<'e, 't> {
         &self.batch
     }
 
+    /// Phase 1 with dedup: interns every offered row, asks `cached` about
+    /// it, and files each novel row under its id tuple's group.
+    fn group(
+        &mut self,
+        rows: BatchRows<'_>,
+        mut cached: Option<&mut dyn FnMut(usize, RowKey) -> bool>,
+    ) {
+        let mut csr = match std::mem::replace(&mut self.batch.groups, DedupGroups::Singletons(0)) {
+            DedupGroups::Csr(csr) => csr,
+            DedupGroups::Singletons(_) => Csr::default(),
+        };
+        csr.starts.clear();
+        csr.group_of.clear();
+        csr.group_of.reserve_exact(rows.len());
+        let mut arena = std::mem::take(&mut self.arena);
+        arena.clear();
+        for local in 0..rows.len() {
+            let start = arena.len();
+            let key = self.intern_row(rows.get(local), |id| arena.push(id));
+            let g = if cached.as_mut().is_some_and(|cached| cached(local, key)) {
+                arena.truncate(start);
+                HIT
+            } else {
+                // The first novel row sizes the grouping for every row
+                // left, so it never grows within the call; a warm
+                // statement's answered head reserves nothing for it.
+                if csr.starts.is_empty() {
+                    self.reserve_groups(&mut csr, &mut arena, rows.len() - local);
+                }
+                self.group_row(&mut csr, &mut arena, start, key)
+            };
+            csr.group_of.push(g);
+        }
+        csr.close();
+        self.batch.groups = DedupGroups::Csr(csr);
+        self.arena = arena;
+    }
+
     /// Makes room for `rows` more novel rows — at most as many groups — in
-    /// every buffer the grouping fills, and (`dedup`) empties the group
-    /// table.
-    fn reserve_groups(&mut self, arena: &mut Vec<u32>, rows: usize, dedup: bool) {
-        self.batch.groups.starts.reserve_exact(rows + 1);
+    /// every buffer the grouping fills, and empties the group table.
+    fn reserve_groups(&mut self, csr: &mut Csr, arena: &mut Vec<u32>, rows: usize) {
+        csr.starts.reserve_exact(rows + 1);
         if self.keyed {
             self.batch.keys.reserve_exact(rows);
         }
-        if dedup {
-            arena.reserve_exact(rows * self.fields.len());
-            self.slots.clear();
-            self.slots
-                .resize((rows + rows / 2).next_power_of_two(), EMPTY);
-        }
-    }
-
-    /// Opens a group for a novel row with key `key` — one row so far — and
-    /// returns it; keyed, the key becomes the group's answer-cache key.
-    /// Counts go in `groups.starts[g]`, for
-    /// [`close_groups`](Self::close_groups).
-    fn open_group(&mut self, key: RowKey) -> u32 {
-        let starts = &mut self.batch.groups.starts;
-        starts.push(1);
-        if self.keyed {
-            self.batch.keys.push(key);
-        }
-        local_index(starts.len() - 1)
+        arena.reserve_exact(rows * self.fields.len());
+        self.slots.clear();
+        self.slots
+            .resize((rows + rows / 2).next_power_of_two(), EMPTY);
     }
 
     /// Files the novel row whose id tuple is `arena[start..]` and key `key`
     /// under its dedup group and returns the group — identical tuples are
     /// identical projected field values, which the per-column interning
     /// guarantees: an earlier group with the same tuple, or a new one,
-    /// which keeps the tuple as the group's.
-    fn group_row(&mut self, arena: &mut Vec<u32>, start: usize, key: RowKey) -> u32 {
+    /// which keeps the tuple as the group's and, keyed, `key` as its
+    /// answer-cache key.
+    fn group_row(&mut self, csr: &mut Csr, arena: &mut Vec<u32>, start: usize, key: RowKey) -> u32 {
         let ncols = self.fields.len();
         let tuple = &arena[start..];
         let mask = self.slots.len() - 1;
@@ -432,13 +520,19 @@ impl<'e, 't> BatchEncoder<'e, 't> {
         loop {
             match self.slots[slot] {
                 EMPTY => {
-                    let g = self.open_group(key);
+                    // A new group, one row so far: counts go in
+                    // `starts[g]`, for `Csr::close`.
+                    csr.starts.push(1);
+                    let g = local_index(csr.starts.len() - 1);
+                    if self.keyed {
+                        self.batch.keys.push(key);
+                    }
                     self.slots[slot] = g;
                     return g;
                 }
                 g if arena[g as usize * ncols..][..ncols] == *tuple => {
                     arena.truncate(start);
-                    self.batch.groups.starts[g as usize] += 1;
+                    csr.starts[g as usize] += 1;
                     return g;
                 }
                 _ => slot = (slot + 1) & mask,
@@ -446,31 +540,8 @@ impl<'e, 't> BatchEncoder<'e, 't> {
         }
     }
 
-    /// Turns the group counts left in `groups.starts` into CSR offsets and
-    /// fills `groups.members` with each group's rows in offered order: the
-    /// counts become end offsets, and walking the offered rows backwards
-    /// moves each group's end down to its start.
-    fn close_groups(&mut self) {
-        let groups = &mut self.batch.groups;
-        let mut end = 0;
-        for count in &mut groups.starts {
-            end += *count;
-            *count = end;
-        }
-        groups.starts.push(end);
-        groups.members.clear();
-        groups.members.resize(end as usize, 0);
-        for (local, &g) in self.batch.group_of.iter().enumerate().rev() {
-            if g != HIT {
-                let slot = &mut groups.starts[g as usize];
-                *slot -= 1;
-                groups.members[*slot as usize] = local_index(local);
-            }
-        }
-    }
-
     /// Starts a call over `nrows` rows: a new stamp, so every remap slot
-    /// reads as unseen, and no ids, fragments, keys or groups yet.
+    /// reads as unseen, and no ids, fragments or keys yet.
     fn begin(&mut self, nrows: usize, keyed: bool) {
         // Past the last call's values, with room for one per cell of this
         // call's; when the stamps run out, every slot is unseen by hand.
@@ -487,12 +558,8 @@ impl<'e, 't> BatchEncoder<'e, 't> {
         }
         self.ids = 0;
         self.keyed = keyed;
-        let batch = &mut self.batch;
-        batch.encoded.fragments.clear();
-        batch.keys.clear();
-        batch.groups.starts.clear();
-        batch.group_of.clear();
-        batch.group_of.reserve_exact(nrows);
+        self.batch.encoded.fragments.clear();
+        self.batch.keys.clear();
     }
 
     /// Phase 1 for one row: interns source row `r`'s cells, handing `cell`
@@ -710,9 +777,13 @@ mod tests {
         let q = query(&["a", "b", "n"]);
         let mut encoder = BatchEncoder::new(&tok, &t, &q).unwrap();
         let mut answer_all = |_: usize, _: RowKey| true;
-        let batch = encoder.encode(&[0, 1, 2, 3], true, Some(&mut answer_all));
+        let batch = encoder.encode(
+            BatchRows::Listed(&[0, 1, 2, 3]),
+            true,
+            Some(&mut answer_all),
+        );
         assert_eq!(batch.groups.len(), 0);
-        assert_eq!(batch.hits().count(), 4);
+        assert_eq!(batch.groups.hits().count(), 4);
         assert!(batch.encoded.fragments.iter().all(|f| f.is_empty()));
         let cols = encoder.used_cols().to_vec();
         assert!(filled_codes(&t, &cols).iter().all(Vec::is_empty));
@@ -735,7 +806,11 @@ mod tests {
         // Rows 1 and 4 are one dedup group; rows 0, 2 and 3 are answered.
         let novel = [1, 4, 5];
         let mut answer = |local: usize, _: RowKey| !novel.contains(&local);
-        let batch = encoder.encode(&[0, 1, 2, 3, 4, 5], true, Some(&mut answer));
+        let batch = encoder.encode(
+            BatchRows::Listed(&[0, 1, 2, 3, 4, 5]),
+            true,
+            Some(&mut answer),
+        );
         assert_eq!(batch.groups.len(), 2);
         let cols = encoder.used_cols().to_vec();
         let want: Vec<Vec<u32>> = cols
@@ -827,10 +902,10 @@ mod tests {
                 let mut encoder = BatchEncoder::new(&tok, &table, &q).unwrap();
                 if !prior.is_empty() {
                     let prior: Vec<usize> = prior.iter().map(|&r| r % table.nrows()).collect();
-                    encoder.encode(&prior, dedup, None);
+                    encoder.encode(BatchRows::Listed(&prior), dedup, None);
                 }
                 let batch = encoder.encode(
-                    &rows,
+                    BatchRows::Listed(&rows),
                     dedup,
                     with_lookup.then_some(&mut lookup as &mut dyn FnMut(usize, RowKey) -> bool),
                 );
@@ -838,17 +913,17 @@ mod tests {
                 // The one-phase derivation: hits out, then first-seen groups
                 // of identical cell tuples.
                 let is_hit = |local: usize| with_lookup && picks[local].1;
-                let mut want_groups: Vec<Vec<u32>> = Vec::new();
+                let mut want_groups: Vec<Vec<usize>> = Vec::new();
                 for local in (0..rows.len()).filter(|&l| !is_hit(l)) {
                     let same = want_groups.iter_mut().find(|g| {
-                        dedup && full.reorder.row(g[0] as usize) == full.reorder.row(local)
+                        dedup && full.reorder.row(g[0]).eq(full.reorder.row(local))
                     });
                     match same {
-                        Some(group) => group.push(local as u32),
-                        None => want_groups.push(vec![local as u32]),
+                        Some(group) => group.push(local),
+                        None => want_groups.push(vec![local]),
                     }
                 }
-                let reps: Vec<usize> = want_groups.iter().map(|g| g[0] as usize).collect();
+                let reps: Vec<usize> = want_groups.iter().map(|g| g[0]).collect();
 
                 prop_assert_eq!(&batch.encoded.reorder, &full.reorder.select_rows(&reps));
                 // An entry per id; the full encode's stream for every id a
@@ -868,11 +943,11 @@ mod tests {
                 prop_assert_eq!(batch.groups.len(), want_groups.len());
                 prop_assert_eq!(batch.groups.rows(), want_groups.iter().map(Vec::len).sum::<usize>());
                 for (g, want) in want_groups.iter().enumerate() {
-                    prop_assert_eq!(batch.groups.members(g), &want[..]);
+                    prop_assert_eq!(&batch.groups.members(g).collect::<Vec<_>>(), want);
                     prop_assert_eq!(batch.groups.representative(g), reps[g]);
                 }
                 let want_hits: Vec<usize> = (0..rows.len()).filter(|&l| is_hit(l)).collect();
-                prop_assert_eq!(batch.hits().collect::<Vec<_>>(), want_hits);
+                prop_assert_eq!(batch.groups.hits().collect::<Vec<_>>(), want_hits);
 
                 // Every offered row was looked up once, in order, under the
                 // key of its text; each group keeps its representative's.

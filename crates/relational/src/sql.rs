@@ -36,6 +36,7 @@ use crate::adaptive::{SelectivityTracker, DEFAULT_PRIOR_STRENGTH};
 use crate::exec::{ExecError, QueryExecutor, QueryOutput};
 use crate::optimizer::{LogicalOp, LogicalPlan, OptLevel, OptStats, OptimizerConfig, SqlPredicate};
 use crate::pipeline::Stage;
+use crate::prompt::BatchRows;
 use crate::query::LlmQuery;
 use crate::table::{Table, TableError};
 use explain::NodeStats;
@@ -404,7 +405,7 @@ impl StatementRun<'_, '_> {
                 if self.pipelined {
                     stage.engine.advance_to(ready);
                 }
-                let opt = stage.run_batch(rows)?;
+                let opt = stage.run_batch(BatchRows::Listed(rows))?;
                 if self.pipelined {
                     ready = stage.clock();
                 }

@@ -14,7 +14,10 @@
 //! The solver that orders those requests joins the budget: GGR writes its
 //! plan as two flat arrays and draws every other buffer from a scratch arena
 //! the thread keeps between solves, so a warm solve allocates a constant
-//! whatever the row count.
+//! whatever the row count. Its input is held to bytes: the solver's table
+//! keeps each cell once, column-major, so reserving rows asks for 8 bytes
+//! a cell, and a warm whole-table execute of a 57-field query peaks below
+//! a fixed byte budget.
 //!
 //! A SQL statement above them allocates per statement, not per batch: each
 //! LLM operator's stage keeps its batch buffers from one batch to the next,
@@ -23,7 +26,8 @@
 //! whatever its row count: an answered row is never tokenized.
 //!
 //! This binary counts with its own `#[global_allocator]` (which is why it is
-//! a binary of its own: the crates forbid `unsafe`). A measurement counts
+//! a binary of its own: the crates forbid `unsafe`): allocations, and the
+//! bytes held live with their peak. A measurement counts
 //! its own thread and every thread that first allocates while it runs, so a
 //! cluster run's chain-hashing helper is in the figure with the thread that
 //! started it, and libtest's main thread, which allocated before any test
@@ -45,17 +49,23 @@ use llmqo::relational::OptimizerConfig;
 use llmqo::serve::SimRequest;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Heap allocations (and reallocations) made by counted threads.
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
-/// A test is inside [`allocations_in`].
+/// Bytes counted threads have allocated minus the bytes they have freed.
+static LIVE: AtomicI64 = AtomicI64::new(0);
+
+/// The highest [`LIVE`] since the current measurement began.
+static PEAK: AtomicI64 = AtomicI64::new(0);
+
+/// A test is inside [`measure`].
 static MEASURING: AtomicBool = AtomicBool::new(false);
 
 thread_local! {
-    /// Whether this thread's allocations count: set by [`allocations_in`]
+    /// Whether this thread's allocations count: set by [`measure`]
     /// on its own thread, and fixed at any other thread's first allocation
     /// to whether a test was measuring then. Const and without a
     /// destructor, so reading it never allocates.
@@ -74,7 +84,10 @@ fn one_test_at_a_time() -> MutexGuard<'static, ()> {
 
 struct Counting;
 
-fn count() {
+/// Counts a heap operation of the calling thread, if its operations count:
+/// `allocation` whether it is an allocation or reallocation, `grow` the
+/// bytes it adds to (or, negative, takes from) what the thread holds live.
+fn count(allocation: bool, grow: isize) {
     let counted = COUNTED.with(|c| {
         c.get().unwrap_or_else(|| {
             let measuring = MEASURING.load(Ordering::Relaxed);
@@ -83,35 +96,38 @@ fn count() {
         })
     });
     if counted {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        ALLOCS.fetch_add(u64::from(allocation), Ordering::Relaxed);
+        let live = LIVE.fetch_add(grow as i64, Ordering::Relaxed) + grow as i64;
+        PEAK.fetch_max(live, Ordering::Relaxed);
     }
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter and flag are static
+// upholds the `GlobalAlloc` contract; the counters and flag are static
 // atomics and the thread-local a const `Cell`, so touching them never
 // allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(true, layout.size() as isize);
         // SAFETY: the caller's `layout` is passed through as received.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(true, layout.size() as isize);
         // SAFETY: as for `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count(false, -(layout.size() as isize));
         // SAFETY: `ptr` and `layout` describe a block this allocator handed
         // out, which is a block `System` handed out.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(true, new_size as isize - layout.size() as isize);
         // SAFETY: as for `dealloc`; `new_size` is passed through.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -120,17 +136,34 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// Allocations made inside `f`, by this thread and any it starts.
-fn allocations_in<R>(f: impl FnOnce() -> R) -> (u64, R) {
+/// What `f` cost, by this thread and any it starts: its allocations, and
+/// the most bytes it held live at once beyond what was live when it began.
+fn measure<R>(f: impl FnOnce() -> R) -> (u64, u64, R) {
     COUNTED.with(|c| c.set(Some(true)));
     // Threads `f` starts see this: spawning orders it before them.
     MEASURING.store(true, Ordering::Relaxed);
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let (before, live) = (ALLOCS.load(Ordering::Relaxed), LIVE.load(Ordering::Relaxed));
+    PEAK.store(live, Ordering::Relaxed);
     let result = f();
     let spent = ALLOCS.load(Ordering::Relaxed) - before;
+    // At least `live`: the peak restarted there.
+    let peak = (PEAK.load(Ordering::Relaxed) - live) as u64;
     MEASURING.store(false, Ordering::Relaxed);
     COUNTED.with(|c| c.set(Some(false)));
+    (spent, peak, result)
+}
+
+/// Allocations made inside `f`, by this thread and any it starts.
+fn allocations_in<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let (spent, _, result) = measure(f);
     (spent, result)
+}
+
+/// The most bytes `f` held live at once, by this thread and any it starts,
+/// beyond what was live when it began.
+fn peak_bytes_in<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let (_, peak, result) = measure(f);
+    (peak, result)
 }
 
 /// The most a request may cost, in allocations. The parent of the commit
@@ -314,6 +347,62 @@ fn a_warm_solve_allocates_a_constant_not_per_row() {
             id.name()
         );
     }
+}
+
+/// The most bytes a warm `QueryExecutor::execute` of PDMX's filter query
+/// over 2 250 rows (its 57 fields, at `paper_scan`'s size) may hold live at
+/// once: the solver's table, the plan, the engine's session and the
+/// outputs. 2.23 MB (2.36 MB in a debug build) when the budget was set; the
+/// parent of the commit that set it held 3.81 MB: its solver table kept
+/// each cell three times, 20 bytes instead of 8, and its encoder an
+/// identity grouping and a row list of the whole table.
+const BUDGET_WARM_EXECUTE_BYTES: u64 = 3_000_000;
+
+#[test]
+fn a_warm_execute_keeps_each_cell_once() {
+    use llmqo::relational::{QueryExecutor, QueryKind};
+    let _one = one_test_at_a_time();
+    let ds = llmqo::datasets::Dataset::generate_with_rows(DatasetId::Pdmx, 2_250);
+    let query = ds.query_of_kind(QueryKind::Filter).expect("filter query");
+    assert!(query.fields.len() >= 40, "{} fields", query.fields.len());
+    let run = || {
+        let engine = common::engine();
+        let executor = QueryExecutor::new(
+            &engine,
+            &llmqo::serve::OracleLlm,
+            llmqo::tokenizer::Tokenizer::new(),
+        );
+        let solver = Ggr::default();
+        executor
+            .execute(&ds.table, query, &solver, &ds.fds, &common::mod3_truth)
+            .unwrap()
+    };
+    // The first run builds the table's dictionaries and fills their token
+    // slots, and parks the thread's solver scratch.
+    let cold = run();
+    let (peak, warm) = peak_bytes_in(run);
+    assert_eq!(warm.outputs, cold.outputs);
+    assert!(
+        peak <= BUDGET_WARM_EXECUTE_BYTES,
+        "a warm execute held {peak} bytes at its peak"
+    );
+}
+
+#[test]
+fn the_solver_table_reserves_eight_bytes_a_cell() {
+    let _one = one_test_at_a_time();
+    let (n, m) = (2_250, 57);
+    let columns = (0..m).map(|c| format!("f{c}")).collect();
+    let mut table = llmqo::core::ReorderTable::new(columns).unwrap();
+    // Each column's value and length vectors exist; reserving fills them.
+    // The parent of the commit that added this check requested 20 bytes a
+    // cell: a row-major copy and squared lengths besides.
+    let (requested, ()) = peak_bytes_in(|| table.reserve_rows(n));
+    let headers = 2 * m * std::mem::size_of::<Vec<u32>>();
+    assert!(
+        requested as usize <= 8 * n * m + headers,
+        "reserve_rows({n}) on {m} columns requested {requested} bytes"
+    );
 }
 
 /// The warm, duplicate-heavy statement of the SQL budget: three LLM filters
