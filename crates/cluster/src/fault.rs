@@ -14,14 +14,15 @@
 //! [`ClusterReport`](crate::ClusterReport).
 
 use crate::sim::ClusterError;
-use llmqo_serve::fault_unit;
+use llmqo_serve::{fault_unit, SimTime};
 
 /// One scheduled fault in a [`FaultPlan`]. All times are sim-time seconds on
 /// the shared cluster timeline; faults take effect at the targeted replica's
 /// next step boundary at or after the scheduled instant (the same place
-/// arrivals are delivered).
+/// arrivals are delivered). A plan holds its times as the caller's floats;
+/// the cluster kernel's gate turns each into a [`SimTime`] once.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum FaultEvent {
+pub enum FaultEvent<T = f64> {
     /// Replica `replica` fails abruptly at `at_s`: every request queued or
     /// running there fails (and re-enters the retry machinery), its prefix
     /// cache is lost, and — if `restart_s` is `Some` — a cold replacement
@@ -30,9 +31,9 @@ pub enum FaultEvent {
         /// Target replica index.
         replica: usize,
         /// Crash instant, seconds.
-        at_s: f64,
+        at_s: T,
         /// Cold-restart instant, or `None` for a permanent failure.
-        restart_s: Option<f64>,
+        restart_s: Option<T>,
     },
     /// Replica `replica` runs `factor`× slower (straggler) while the sim
     /// clock is in `[from_s, until_s)`.
@@ -40,9 +41,9 @@ pub enum FaultEvent {
         /// Target replica index.
         replica: usize,
         /// Window start, seconds (inclusive).
-        from_s: f64,
+        from_s: T,
         /// Window end, seconds (exclusive).
-        until_s: f64,
+        until_s: T,
         /// Step-time multiplier; must be ≥ 1.
         factor: f64,
     },
@@ -54,40 +55,29 @@ pub enum FaultEvent {
         /// Target replica index.
         replica: usize,
         /// Drain start instant, seconds.
-        at_s: f64,
+        at_s: T,
         /// Earliest cold-rejoin instant, seconds.
-        rejoin_s: f64,
+        rejoin_s: T,
     },
 }
 
 impl FaultEvent {
-    /// The instant the event first takes effect.
-    pub fn at_s(&self) -> f64 {
-        match *self {
-            FaultEvent::Crash { at_s, .. } | FaultEvent::Drain { at_s, .. } => at_s,
-            FaultEvent::Slowdown { from_s, .. } => from_s,
-        }
-    }
-
-    fn validate(&self, replicas: usize) -> Result<(), ClusterError> {
-        let bad = |reason| Err(ClusterError::InvalidFaultPlan { reason });
-        let finite_time = |t: f64| t.is_finite() && t >= 0.0;
-        match *self {
+    /// The event on the sim clock, or the typed error for its first bad field.
+    fn check(&self, replicas: usize) -> Result<FaultEvent<SimTime>, ClusterError> {
+        let bad = |reason| ClusterError::InvalidFaultPlan { reason };
+        let time = |t, reason| SimTime::new(t).ok_or(bad(reason));
+        let fleet = |r, reason| (r < replicas).then_some(r).ok_or(bad(reason));
+        Ok(match *self {
             FaultEvent::Crash {
                 replica,
                 at_s,
                 restart_s,
             } => {
-                if replica >= replicas {
-                    return bad("crash targets a replica outside the fleet");
-                }
-                if !finite_time(at_s) {
-                    return bad("crash time must be finite and non-negative");
-                }
-                if let Some(r) = restart_s {
-                    if !finite_time(r) {
-                        return bad("restart time must be finite and non-negative");
-                    }
+                let restart = |r| time(r, "restart time must be finite and non-negative");
+                FaultEvent::Crash {
+                    replica: fleet(replica, "crash targets a replica outside the fleet")?,
+                    at_s: time(at_s, "crash time must be finite and non-negative")?,
+                    restart_s: restart_s.map(restart).transpose()?,
                 }
             }
             FaultEvent::Slowdown {
@@ -96,14 +86,20 @@ impl FaultEvent {
                 until_s,
                 factor,
             } => {
-                if replica >= replicas {
-                    return bad("slowdown targets a replica outside the fleet");
+                let replica = fleet(replica, "slowdown targets a replica outside the fleet")?;
+                let window = "slowdown window must be finite, non-negative, and non-empty";
+                let (from_s, until_s) = (time(from_s, window)?, time(until_s, window)?);
+                if until_s <= from_s {
+                    return Err(bad(window));
                 }
-                if !finite_time(from_s) || !finite_time(until_s) || until_s <= from_s {
-                    return bad("slowdown window must be finite, non-negative, and non-empty");
+                if !(1.0..f64::INFINITY).contains(&factor) {
+                    return Err(bad("slowdown factor must be finite and at least 1"));
                 }
-                if !factor.is_finite() || factor < 1.0 {
-                    return bad("slowdown factor must be finite and at least 1");
+                FaultEvent::Slowdown {
+                    replica,
+                    from_s,
+                    until_s,
+                    factor,
                 }
             }
             FaultEvent::Drain {
@@ -111,15 +107,14 @@ impl FaultEvent {
                 at_s,
                 rejoin_s,
             } => {
-                if replica >= replicas {
-                    return bad("drain targets a replica outside the fleet");
-                }
-                if !finite_time(at_s) || !finite_time(rejoin_s) {
-                    return bad("drain times must be finite and non-negative");
+                let both = "drain times must be finite and non-negative";
+                FaultEvent::Drain {
+                    replica: fleet(replica, "drain targets a replica outside the fleet")?,
+                    at_s: time(at_s, both)?,
+                    rejoin_s: time(rejoin_s, both)?,
                 }
             }
-        }
-        Ok(())
+        })
     }
 }
 
@@ -233,63 +228,58 @@ impl FaultPlan {
                 < f64::from(self.transient_error_ppm) / 1e6
     }
 
-    /// The straggler multiplier in effect for `replica` at instant `t`:
-    /// the product of every active slowdown window. Pure function of time.
-    pub(crate) fn slowdown_at(&self, replica: usize, t: f64) -> f64 {
-        let mut factor = 1.0;
-        for e in &self.events {
-            if let FaultEvent::Slowdown {
-                replica: r,
-                from_s,
-                until_s,
-                factor: f,
-            } = *e
-            {
-                if r == replica && from_s <= t && t < until_s {
-                    factor *= f;
-                }
-            }
-        }
-        factor
-    }
-
-    /// The next instant strictly after `t` at which `replica`'s straggler
-    /// multiplier changes, if any — a macro-step horizon bound so both
-    /// stepping modes evaluate every slowdown window identically.
-    pub(crate) fn next_slowdown_boundary(&self, replica: usize, t: f64) -> Option<f64> {
-        let mut next: Option<f64> = None;
-        for e in &self.events {
-            if let FaultEvent::Slowdown {
-                replica: r,
-                from_s,
-                until_s,
-                ..
-            } = *e
-            {
-                if r != replica {
-                    continue;
-                }
-                for b in [from_s, until_s] {
-                    if b > t && next.is_none_or(|n| b < n) {
-                        next = Some(b);
-                    }
-                }
-            }
-        }
-        next
-    }
-
-    pub(crate) fn validate(&self, replicas: usize) -> Result<(), ClusterError> {
-        for e in &self.events {
-            e.validate(replicas)?;
-        }
+    /// The plan's events on the sim clock — the kernel's gate for the plan —
+    /// or the typed error for its first bad event or a rate above 100%.
+    pub(crate) fn check(&self, replicas: usize) -> Result<Vec<FaultEvent<SimTime>>, ClusterError> {
+        let events = self.events.iter().map(|e| e.check(replicas));
+        let events = events.collect::<Result<_, _>>()?;
         if self.transient_error_ppm > 1_000_000 {
             return Err(ClusterError::InvalidFaultPlan {
                 reason: "transient error rate exceeds 1_000_000 ppm (100%)",
             });
         }
-        Ok(())
+        Ok(events)
     }
+}
+
+/// `x` as a sim time when it is also positive: a finite, positive float.
+pub(crate) fn positive(x: f64) -> Option<SimTime> {
+    SimTime::new(x).filter(|&t| t > SimTime::ZERO)
+}
+
+/// The straggler multiplier in effect for `replica` at instant `t` — the
+/// product of every active slowdown window among `events`, a pure function
+/// of time — and the next instant strictly after `t` at which it changes,
+/// if any: a macro-step horizon bound so both stepping modes evaluate every
+/// window identically.
+pub(crate) fn slowdown_at(
+    events: &[FaultEvent<SimTime>],
+    replica: usize,
+    t: SimTime,
+) -> (f64, Option<SimTime>) {
+    let (mut factor, mut next) = (1.0, None::<SimTime>);
+    for e in events {
+        if let FaultEvent::Slowdown {
+            replica: r,
+            from_s,
+            until_s,
+            factor: f,
+        } = *e
+        {
+            if r != replica {
+                continue;
+            }
+            if from_s <= t && t < until_s {
+                factor *= f;
+            }
+            for b in [from_s, until_s] {
+                if b > t && next.is_none_or(|n| b < n) {
+                    next = Some(b);
+                }
+            }
+        }
+    }
+    (factor, next)
 }
 
 /// How the cluster reacts to failed or slow serving attempts.
@@ -393,45 +383,45 @@ impl RetryPolicy {
 
     /// The jittered backoff delay before attempt `attempt + 1` of request
     /// `id` (i.e. after `attempt` attempts have failed; the first retry
-    /// passes `attempt = 1`). Pure and deterministic.
-    pub(crate) fn backoff_s(&self, seed: u64, id: u64, attempt: u32) -> f64 {
+    /// passes `attempt = 1`). Pure and deterministic. A checked policy's
+    /// delay lies in `[0, 2·cap)`, so the `ZERO` fallback never fires.
+    pub(crate) fn backoff(&self, seed: u64, id: u64, attempt: u32) -> SimTime {
         let exp = i32::try_from(attempt.saturating_sub(1)).unwrap_or(i32::MAX);
         let nominal =
             (self.backoff_base_s * self.backoff_multiplier.powi(exp)).min(self.backoff_cap_s);
         // Distinct draw stream from transient rolls: attempt numbers are
         // offset far beyond any realistic submission counter.
         let u = fault_unit(seed, id, u64::from(attempt) | (1 << 63));
-        (nominal * (1.0 + self.jitter_frac * (2.0 * u - 1.0))).max(0.0)
+        SimTime::new(nominal * (1.0 + self.jitter_frac * (2.0 * u - 1.0))).unwrap_or_default()
     }
 
-    pub(crate) fn validate(&self) -> Result<(), ClusterError> {
+    /// Checks every field once — the kernel's gate for the policy — and
+    /// returns the hedge delay on the sim clock.
+    pub(crate) fn check(&self) -> Result<Option<SimTime>, ClusterError> {
         let bad = |reason| Err(ClusterError::InvalidFaultPlan { reason });
+        let time = |t| SimTime::new(t).is_some();
         if self.max_attempts == 0 {
             return bad("retry policy must allow at least one attempt");
         }
-        if !self.backoff_base_s.is_finite() || self.backoff_base_s < 0.0 {
+        if !time(self.backoff_base_s) {
             return bad("backoff base must be finite and non-negative");
         }
-        if !self.backoff_multiplier.is_finite() || self.backoff_multiplier < 0.0 {
+        if !(0.0..f64::INFINITY).contains(&self.backoff_multiplier) {
             return bad("backoff multiplier must be finite and non-negative");
         }
-        if !self.backoff_cap_s.is_finite() || self.backoff_cap_s < 0.0 {
+        if !time(self.backoff_cap_s) {
             return bad("backoff cap must be finite and non-negative");
         }
-        if !self.jitter_frac.is_finite() || !(0.0..=1.0).contains(&self.jitter_frac) {
+        if !(0.0..=1.0).contains(&self.jitter_frac) {
             return bad("jitter fraction must be in [0, 1]");
         }
-        if let Some(d) = self.deadline_s {
-            if !d.is_finite() || d <= 0.0 {
-                return bad("deadline must be finite and positive");
-            }
+        if self.deadline_s.is_some_and(|d| positive(d).is_none()) {
+            return bad("deadline must be finite and positive");
         }
-        if let Some(h) = self.hedge_after_s {
-            if !h.is_finite() || h <= 0.0 {
-                return bad("hedge delay must be finite and positive");
-            }
+        match self.hedge_after_s.map(positive) {
+            Some(None) => bad("hedge delay must be finite and positive"),
+            hedge => Ok(hedge.flatten()),
         }
-        Ok(())
     }
 }
 
@@ -523,16 +513,18 @@ impl FaultStats {
 mod tests {
     use super::*;
 
+    fn at(secs: f64) -> SimTime {
+        SimTime::new(secs).unwrap()
+    }
+
     #[test]
     fn empty_plan_is_inert() {
         let plan = FaultPlan::default();
         assert!(plan.is_empty());
         assert!(!plan.transient_fails(0, 0));
-        assert_eq!(plan.slowdown_at(0, 1.0), 1.0);
-        assert_eq!(plan.next_slowdown_boundary(0, 0.0), None);
-        assert!(plan.validate(1).is_ok());
+        assert_eq!(plan.check(1), Ok(Vec::new()));
         assert!(RetryPolicy::default().is_disabled());
-        assert!(RetryPolicy::default().validate().is_ok());
+        assert_eq!(RetryPolicy::default().check(), Ok(None));
     }
 
     #[test]
@@ -554,66 +546,63 @@ mod tests {
             .slowdown(1, 1.0, 3.0, 2.0)
             .slowdown(1, 2.0, 4.0, 3.0)
             .slowdown(0, 0.0, 10.0, 5.0);
-        assert_eq!(plan.slowdown_at(1, 0.5), 1.0);
-        assert_eq!(plan.slowdown_at(1, 1.5), 2.0);
-        assert_eq!(plan.slowdown_at(1, 2.5), 6.0);
-        assert_eq!(plan.slowdown_at(1, 3.5), 3.0);
-        assert_eq!(plan.slowdown_at(1, 4.0), 1.0);
-        assert_eq!(plan.next_slowdown_boundary(1, 0.0), Some(1.0));
-        assert_eq!(plan.next_slowdown_boundary(1, 1.0), Some(2.0));
-        assert_eq!(plan.next_slowdown_boundary(1, 3.0), Some(4.0));
-        assert_eq!(plan.next_slowdown_boundary(1, 4.0), None);
-        assert_eq!(plan.slowdown_at(2, 5.0), 1.0);
+        let events = plan.check(3).unwrap();
+        let factor = |r, t| slowdown_at(&events, r, at(t)).0;
+        let next_boundary = |r, t| slowdown_at(&events, r, at(t)).1.map(SimTime::secs);
+        assert_eq!(factor(1, 0.5), 1.0);
+        assert_eq!(factor(1, 1.5), 2.0);
+        assert_eq!(factor(1, 2.5), 6.0);
+        assert_eq!(factor(1, 3.5), 3.0);
+        assert_eq!(factor(1, 4.0), 1.0);
+        assert_eq!(next_boundary(1, 0.0), Some(1.0));
+        assert_eq!(next_boundary(1, 1.0), Some(2.0));
+        assert_eq!(next_boundary(1, 3.0), Some(4.0));
+        assert_eq!(next_boundary(1, 4.0), None);
+        assert_eq!(factor(2, 5.0), 1.0);
     }
 
     #[test]
     fn validation_rejects_bad_plans() {
-        assert!(FaultPlan::seeded(0).crash(3, 1.0).validate(2).is_err());
-        assert!(FaultPlan::seeded(0).crash(0, -1.0).validate(2).is_err());
+        assert!(FaultPlan::seeded(0).crash(3, 1.0).check(2).is_err());
+        assert!(FaultPlan::seeded(0).crash(0, -1.0).check(2).is_err());
         assert!(FaultPlan::seeded(0)
             .slowdown(0, 2.0, 1.0, 2.0)
-            .validate(2)
+            .check(2)
             .is_err());
         assert!(FaultPlan::seeded(0)
             .slowdown(0, 0.0, 1.0, 0.5)
-            .validate(2)
+            .check(2)
             .is_err());
         assert!(FaultPlan::seeded(0)
             .drain(0, 0.0, f64::NAN)
-            .validate(2)
+            .check(2)
             .is_err());
         assert!(FaultPlan::seeded(0)
             .transient_errors_ppm(2_000_000)
-            .validate(2)
+            .check(2)
             .is_err());
 
         let mut p = RetryPolicy::retries(0);
-        assert!(p.validate().is_err());
+        assert!(p.check().is_err());
         p = RetryPolicy::retries(3);
         p.jitter_frac = 2.0;
-        assert!(p.validate().is_err());
-        assert!(RetryPolicy::retries(3)
-            .with_deadline(-1.0)
-            .validate()
-            .is_err());
-        assert!(RetryPolicy::retries(3)
-            .with_hedging(0.0)
-            .validate()
-            .is_err());
+        assert!(p.check().is_err());
+        assert!(RetryPolicy::retries(3).with_deadline(-1.0).check().is_err());
+        assert!(RetryPolicy::retries(3).with_hedging(0.0).check().is_err());
     }
 
     #[test]
     fn backoff_grows_caps_and_jitters_deterministically() {
         let mut p = RetryPolicy::retries(8);
         p.jitter_frac = 0.0;
-        assert_eq!(p.backoff_s(0, 1, 1), 0.05);
-        assert_eq!(p.backoff_s(0, 1, 2), 0.10);
-        assert_eq!(p.backoff_s(0, 1, 3), 0.20);
-        assert_eq!(p.backoff_s(0, 1, 7), 2.0); // capped
+        assert_eq!(p.backoff(0, 1, 1), at(0.05));
+        assert_eq!(p.backoff(0, 1, 2), at(0.10));
+        assert_eq!(p.backoff(0, 1, 3), at(0.20));
+        assert_eq!(p.backoff(0, 1, 7), at(2.0)); // capped
         let j = RetryPolicy::retries(8);
-        let d = j.backoff_s(42, 7, 2);
-        assert_eq!(d, j.backoff_s(42, 7, 2));
+        let d = j.backoff(42, 7, 2).secs();
+        assert_eq!(d, j.backoff(42, 7, 2).secs());
         assert!((0.05..=0.15).contains(&d), "jittered delay {d}");
-        assert_ne!(j.backoff_s(42, 7, 2), j.backoff_s(42, 8, 2));
+        assert_ne!(j.backoff(42, 7, 2), j.backoff(42, 8, 2));
     }
 }

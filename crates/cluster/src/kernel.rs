@@ -53,10 +53,10 @@
 //!
 //! [`alive`]: crate::ReplicaSnapshot::alive
 
-use crate::fault::{FaultEvent, FaultPlan, FaultStats, RetryPolicy};
+use crate::fault::{slowdown_at, FaultEvent, FaultPlan, FaultStats, RetryPolicy};
 use crate::overload::{
     decide_admission, obs_scale, obs_shed, shed_victim, AdmissionPolicy, OverloadPolicy,
-    PendingLedger, ScalePolicy, ScaleStats, ShedDecision, ShedReason, ShedStats,
+    PendingLedger, ScaleStats, ShedDecision, ShedReason, ShedStats,
 };
 use crate::report::{ClusterReport, ReplicaOccupancy, ReplicaReport};
 use crate::request::ClusterRequest;
@@ -65,7 +65,7 @@ use crate::sim::{ClusterError, ClusterSim};
 use llmqo_obs::{Counter, Gauge};
 use llmqo_serve::{
     chain_stream, ChainHasher, ChainStream, Completion, EngineError, EngineSession, SessionReport,
-    SimEngine,
+    SimEngine, SimTime,
 };
 use std::collections::VecDeque;
 
@@ -89,7 +89,7 @@ struct AdmEntry {
     kind: AttemptKind,
     /// When the attempt entered admission (arrival, retry due-time, or
     /// hedge fire-time); placement can happen no earlier.
-    arrival_s: f64,
+    arrival_s: SimTime,
     /// Replica this attempt must avoid (a hedge excludes the replica its
     /// primary runs on).
     exclude: Option<usize>,
@@ -256,7 +256,7 @@ struct Replica {
     assigned: usize,
     /// Arrival times of the *current incarnation's* placements, enqueue
     /// order; zipped with admission-ordered completions for queue waits.
-    arrivals: Vec<f64>,
+    arrivals: Vec<SimTime>,
     /// KV occupancy sampled at each placement decision.
     occupancy: ReplicaOccupancy,
     /// Completion-harvest watermark into `session.completions()`.
@@ -264,11 +264,11 @@ struct Replica {
     /// Accepts new placements.
     up: bool,
     /// Drain in progress (finishing existing work before leaving): the
-    /// earliest rejoin instant once it completes — infinite for a
-    /// scale-down drain, which leaves for good.
-    draining: Option<f64>,
+    /// earliest rejoin instant once it completes — `None` for a scale-down
+    /// drain, which leaves for good.
+    draining: Option<Option<SimTime>>,
     /// Start of the current down window, if down.
-    down_since: Option<f64>,
+    down_since: Option<SimTime>,
     /// Provisioned by the autoscaler and still warming up (joins at its
     /// scheduled rejoin without touching the fault ledger).
     scale_join: bool,
@@ -317,11 +317,11 @@ impl Replica {
 
 /// A min-queue of `(instant, key)` pairs ordered by instant, then key.
 #[derive(Default)]
-struct DueQueue(VecDeque<(f64, usize)>);
+struct DueQueue(VecDeque<(SimTime, usize)>);
 
 impl DueQueue {
-    fn push(&mut self, at: f64, key: usize) {
-        let earlier = |&(a, k): &(f64, usize)| a.total_cmp(&at).then(k.cmp(&key)).is_lt();
+    fn push(&mut self, at: SimTime, key: usize) {
+        let earlier = |e: &(SimTime, usize)| *e < (at, key);
         // Hedge timers are armed in placement order: nearly always the last.
         if self.0.back().is_none_or(earlier) {
             self.0.push_back((at, key));
@@ -330,11 +330,11 @@ impl DueQueue {
         }
     }
 
-    fn next_at(&self) -> Option<f64> {
+    fn next_at(&self) -> Option<SimTime> {
         self.0.front().map(|&(at, _)| at)
     }
 
-    fn pop_due(&mut self, t: f64) -> Option<(f64, usize)> {
+    fn pop_due(&mut self, t: SimTime) -> Option<(SimTime, usize)> {
         self.0.pop_front_if(|&mut (at, _)| at <= t)
     }
 }
@@ -343,9 +343,9 @@ impl DueQueue {
 /// and hands out, class by class, what is due at a delivery instant
 /// ([`Kernel::deliver`] fixes the order among classes).
 struct Timeline<'a> {
-    /// Request indices by arrival time ([`arrival_order`]), and the
+    /// `(arrival, request index)` by arrival ([`arrival_order`]), and the
     /// delivery cursor into them.
-    order: &'a [usize],
+    order: &'a [(SimTime, usize)],
     next_arrival: usize,
     /// Crashes and drains `(instant, plan position)`. Slowdowns are time
     /// *windows*, queried per step, not events.
@@ -357,33 +357,42 @@ struct Timeline<'a> {
     /// Armed hedge timers `(fire, request)`.
     hedges: DueQueue,
     /// The autoscaler's `(next check instant, cadence)`.
-    scale_check: Option<(f64, f64)>,
+    scale_check: Option<(SimTime, SimTime)>,
 }
 
-/// Request indices by arrival time, original order on ties: the order
-/// first attempts are delivered, and therefore placed, in.
-fn arrival_order(requests: &[ClusterRequest]) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..requests.len()).collect();
-    order.sort_by(|&a, &b| requests[a].arrival_s.total_cmp(&requests[b].arrival_s));
-    order
+/// Every request's arrival on the sim clock with its index, by arrival,
+/// original order on ties: the order first attempts are delivered, and
+/// therefore placed, in. The gate for arrivals: `-0.0` arrives with `0.0`.
+fn arrival_order(requests: &[ClusterRequest]) -> Result<Vec<(SimTime, usize)>, ClusterError> {
+    let mut order = Vec::with_capacity(requests.len());
+    for (index, r) in requests.iter().enumerate() {
+        let at = SimTime::new(r.arrival_s).ok_or(ClusterError::InvalidArrival { index })?;
+        order.push((at, index));
+    }
+    order.sort_unstable();
+    Ok(order)
 }
 
 impl<'a> Timeline<'a> {
-    fn new(order: &'a [usize], plan: &FaultPlan, scale: Option<&ScalePolicy>) -> Self {
-        let mut faults = DueQueue::default();
-        for (i, e) in plan.events.iter().enumerate() {
-            if !matches!(e, FaultEvent::Slowdown { .. }) {
-                faults.push(e.at_s(), i);
+    fn new(
+        order: &'a [(SimTime, usize)],
+        faults: &[FaultEvent<SimTime>],
+        scale_every: Option<SimTime>,
+    ) -> Self {
+        let mut due = DueQueue::default();
+        for (i, e) in faults.iter().enumerate() {
+            if let FaultEvent::Crash { at_s, .. } | FaultEvent::Drain { at_s, .. } = *e {
+                due.push(at_s, i);
             }
         }
         Timeline {
             order,
             next_arrival: 0,
-            faults,
+            faults: due,
             rejoins: DueQueue::default(),
             retries: DueQueue::default(),
             hedges: DueQueue::default(),
-            scale_check: scale.map(|p| (p.check_interval_s, p.check_interval_s)),
+            scale_check: scale_every.map(|every| (every, every)),
         }
     }
 
@@ -394,43 +403,40 @@ impl<'a> Timeline<'a> {
     /// demand pending here), so an idle tail terminates.
     fn next_due(
         &mut self,
-        requests: &[ClusterRequest],
         busy_or_queued: bool,
         settled: impl Fn(usize) -> bool,
-    ) -> Option<f64> {
+    ) -> Option<SimTime> {
         while self.hedges.0.front().is_some_and(|&(_, j)| settled(j)) {
             self.hedges.0.pop_front();
         }
-        let arrival = self.order.get(self.next_arrival);
-        let arrival = arrival.map(|&j| requests[j].arrival_s);
+        let arrival = self.order.get(self.next_arrival).map(|&(at, _)| at);
         let work_pending = busy_or_queued
             || arrival.is_some()
             || !(self.retries.0.is_empty() && self.hedges.0.is_empty());
         let check = self.scale_check.filter(|_| work_pending).map(|(at, _)| at);
         let queued = [&self.faults, &self.rejoins, &self.retries, &self.hedges];
         let queued = queued.into_iter().map(DueQueue::next_at);
-        let due = queued.chain([arrival, check]).flatten();
-        due.min_by(f64::total_cmp)
+        queued.chain([arrival, check]).flatten().min()
     }
 
     /// The next request arriving at or before `t`: its rank in the arrival
-    /// order and its index.
-    fn pop_arrival(&mut self, t: f64, requests: &[ClusterRequest]) -> Option<(usize, usize)> {
+    /// order.
+    fn pop_arrival(&mut self, t: SimTime) -> Option<usize> {
         let rank = self.next_arrival;
-        let &j = self.order.get(rank)?;
-        (requests[j].arrival_s <= t).then(|| {
+        let &(at, _) = self.order.get(rank)?;
+        (at <= t).then(|| {
             self.next_arrival += 1;
-            (rank, j)
+            rank
         })
     }
 
     /// Whether an autoscaler check is due at `t`; if so, schedules the next
     /// one past `t`.
-    fn pop_scale_check(&mut self, t: f64) -> bool {
+    fn pop_scale_check(&mut self, t: SimTime) -> bool {
         match &mut self.scale_check {
             Some((next, every)) if *next <= t => {
                 while *next <= t {
-                    *next += *every;
+                    *next = *next + *every;
                 }
                 true
             }
@@ -477,7 +483,7 @@ impl PlacementObs {
             request.request.id as u64,
             "route",
             "router",
-            session.clock(),
+            session.clock().secs(),
             &[
                 ("replica", choice.into()),
                 ("prefix_key", request.prefix_key.into()),
@@ -489,10 +495,10 @@ impl PlacementObs {
 }
 
 /// One trace instant on the dispatcher lane for a replica lifecycle event.
-fn trace_fault(name: &str, replica: usize, t: f64) {
+fn trace_fault(name: &str, replica: usize, t: SimTime) {
     if llmqo_obs::enabled() {
         let args = [("replica", replica.into())];
-        llmqo_obs::tracer().instant(0, replica as u64, name, "fault", t, &args);
+        llmqo_obs::tracer().instant(0, replica as u64, name, "fault", t.secs(), &args);
     }
 }
 
@@ -500,11 +506,11 @@ fn trace_fault(name: &str, replica: usize, t: f64) {
 /// completions sorted by admission time pair with arrivals in enqueue order.
 /// Times equal under `total_cmp` are the same bits, so an unstable sort (no
 /// merge buffer) orders them alike.
-fn pair_queue_waits(arrivals: &[f64], completions: &[Completion], out: &mut Vec<f64>) {
+fn pair_queue_waits(arrivals: &[SimTime], completions: &[Completion], out: &mut Vec<f64>) {
     let mut admissions: Vec<f64> = completions.iter().map(|c| c.admitted_s).collect();
     admissions.sort_unstable_by(f64::total_cmp);
     for (&arrival, &admitted) in arrivals.iter().zip(&admissions) {
-        out.push((admitted - arrival).max(0.0));
+        out.push((admitted - arrival.secs()).max(0.0));
     }
 }
 
@@ -515,6 +521,10 @@ struct Kernel<'a> {
     plan: &'a FaultPlan,
     retry: &'a RetryPolicy,
     overload: &'a OverloadPolicy,
+    /// The plan's events on the sim clock, as the gate checked them.
+    faults: Vec<FaultEvent<SimTime>>,
+    /// The retry policy's hedge delay on the sim clock.
+    hedge_after: Option<SimTime>,
     /// Something can fail (`plan` non-empty or `retry` enabled): attempts
     /// are attributed, harvested and retried. When false the run keeps no
     /// per-request state — `states` and `ids` stay empty.
@@ -539,12 +549,12 @@ struct Kernel<'a> {
     shed: ShedStats,
     scale: ScaleStats,
     /// Instant of the autoscaler's last action (cooldown hysteresis).
-    last_scale_action: f64,
+    last_scale_action: Option<SimTime>,
     queue_waits: Vec<f64>,
     /// The time of the latest event processed. A request delayed in
     /// admission by backpressure can be dispatched no earlier than `now`,
     /// whatever its arrival time.
-    now: f64,
+    now: SimTime,
     /// Global placement counter feeding per-attempt transient rolls.
     submissions: u64,
     /// Macro events taken while admission was backpressured; scheduling
@@ -572,18 +582,19 @@ pub(crate) fn run(
     retry: &RetryPolicy,
     overload: &OverloadPolicy,
 ) -> Result<ClusterReport, ClusterError> {
-    let order = arrival_order(requests);
-    let mut k = Kernel::new(sim, requests, &order, plan, retry, overload)?;
+    let mut order = Vec::new();
+    let mut k = Kernel::new(sim, requests, &mut order, plan, retry, overload)?;
     if requests.is_empty() || !sim.engine().config().enable_prefix_cache {
         k.drive(router)?;
         return Ok(k.finish(router.name(), None));
     }
     let (feed, stream) = chain_stream(&k.hasher);
     k.first_chains = Some(stream);
+    let order = k.timeline.order;
     std::thread::scope(|scope| {
         // Moved in, so that a panic in the loop drops the stream here.
         let mut k = k;
-        let prompts = order.iter().map(|&j| &requests[j].request.prompt);
+        let prompts = order.iter().map(|&(_, j)| &requests[j].request.prompt);
         let helper = scope.spawn(move || feed.run(prompts));
         let outcome = k.drive(router);
         // Dropping the stream releases the helper. After a whole run that
@@ -612,8 +623,7 @@ impl<'a> Kernel<'a> {
             let occupied = busy.is_some() || !self.admission.queue.is_empty();
             let states = &self.states;
             let settled = |j: usize| states[j].settled();
-            let timed = self.timeline.next_due(self.requests, occupied, settled);
-            let before = self.now;
+            let timed = self.timeline.next_due(occupied, settled);
             match (busy, timed) {
                 (Some(b), Some(t)) if t <= self.replicas[b].session.clock() => self.deliver(t)?,
                 (None, Some(t)) => self.deliver(t)?,
@@ -628,23 +638,23 @@ impl<'a> Kernel<'a> {
                 }
                 (None, None) => self.fail_stranded(),
             }
-            debug_assert!(
-                self.now.is_finite() && self.now >= before,
-                "clock ran backwards"
-            );
         }
         Ok(())
     }
 
+    /// The one gate of a run: every float the caller passed is checked here
+    /// once, a bad one is a typed [`ClusterError`], and the times the loop
+    /// reads become [`SimTime`]s (the arrivals, sorted, in `order`).
     fn new(
         sim: &'a ClusterSim,
         requests: &'a [ClusterRequest],
-        order: &'a [usize],
+        order: &'a mut Vec<(SimTime, usize)>,
         plan: &'a FaultPlan,
         retry: &'a RetryPolicy,
         overload: &'a OverloadPolicy,
     ) -> Result<Self, ClusterError> {
         let config = *sim.config();
+        let n = config.replicas;
         let bad_config = |reason| Err(ClusterError::InvalidConfig { reason });
         if config.replicas == 0 {
             return bad_config("need at least one replica");
@@ -652,14 +662,11 @@ impl<'a> Kernel<'a> {
         if config.queue_cap == 0 {
             return bad_config("queue capacity must be at least one");
         }
-        for (index, r) in requests.iter().enumerate() {
-            if !r.arrival_s.is_finite() || r.arrival_s < 0.0 {
-                return Err(ClusterError::InvalidArrival { index });
-            }
-        }
-        plan.validate(config.replicas)?;
-        retry.validate()?;
-        overload.validate(config.replicas)?;
+        *order = arrival_order(requests)?;
+        let faults = plan.check(n)?;
+        let hedge_after = retry.check()?;
+        overload.admission.check()?;
+        let scale_every = overload.scale.map(|s| s.check(n)).transpose()?;
         let engaged = !plan.is_empty() || !retry.is_disabled();
         let ids = if engaged {
             IdIndex::new(requests)?
@@ -679,7 +686,9 @@ impl<'a> Kernel<'a> {
             engaged,
             snapshots: Vec::with_capacity(replicas.len()),
             replicas,
-            timeline: Timeline::new(order, plan, overload.scale.as_ref()),
+            timeline: Timeline::new(order, &faults, scale_every),
+            faults,
+            hedge_after,
             first_chains: None,
             hasher: sim.engine().chain_hasher(),
             placement_obs: llmqo_obs::enabled().then(|| PlacementObs {
@@ -702,9 +711,9 @@ impl<'a> Kernel<'a> {
                 low_replicas: config.replicas,
                 ..ScaleStats::default()
             },
-            last_scale_action: f64::NEG_INFINITY,
+            last_scale_action: None,
             queue_waits: Vec::new(),
-            now: 0.0,
+            now: SimTime::ZERO,
             submissions: 0,
             backpressure_macro_steps: 0,
         })
@@ -729,8 +738,7 @@ impl<'a> Kernel<'a> {
     /// The busy replica with the smallest clock (lowest index on ties).
     fn earliest_busy(&self) -> Option<usize> {
         let busy = (0..self.replicas.len()).filter(|&i| !self.replicas[i].session.is_idle());
-        let clock = |i: &usize| self.replicas[*i].session.clock();
-        busy.min_by(|a, b| clock(a).total_cmp(&clock(b)))
+        busy.min_by_key(|&i| self.replicas[i].session.clock())
     }
 
     /// Places as many admission-queue attempts as the routed-to replicas
@@ -808,7 +816,7 @@ impl<'a> Kernel<'a> {
     }
 
     /// Registers a placed attempt with the retry/hedge machinery.
-    fn attempt_placed(&mut self, entry: AdmEntry, replica: usize, ready_s: f64) {
+    fn attempt_placed(&mut self, entry: AdmEntry, replica: usize, ready_s: SimTime) {
         let s = &mut self.states[entry.j];
         let slot = usize::from(s.live[0].is_some());
         assert!(
@@ -828,7 +836,7 @@ impl<'a> Kernel<'a> {
         if entry.kind != AttemptKind::First {
             self.stats.failovers += u64::from(moved);
             self.stats.hedges_issued += u64::from(entry.kind == AttemptKind::Hedge);
-        } else if let Some(h) = self.retry.hedge_after_s {
+        } else if let Some(h) = self.hedge_after {
             // A request's first attempt is placed once: arm its one hedge.
             self.timeline.hedges.push(ready_s + h, entry.j);
         }
@@ -841,15 +849,15 @@ impl<'a> Kernel<'a> {
     /// born for this very instant in a class already passed — the restart a
     /// crash schedules for its own instant — waits for the next delivery,
     /// after a placement pass.
-    fn deliver(&mut self, t: f64) -> Result<(), ClusterError> {
+    fn deliver(&mut self, t: SimTime) -> Result<(), ClusterError> {
         while let Some((at, replica)) = self.timeline.rejoins.pop_due(t) {
             self.rejoin(replica, at);
         }
         while let Some((at, event)) = self.timeline.faults.pop_due(t) {
             self.inject(event, at)?;
         }
-        while let Some((rank, j)) = self.timeline.pop_arrival(t, self.requests) {
-            self.arrive(rank, j, t);
+        while let Some(rank) = self.timeline.pop_arrival(t) {
+            self.arrive(rank, t);
         }
         while let Some((due, j)) = self.timeline.retries.pop_due(t) {
             self.enqueue(j, 0, AttemptKind::Retry, due, None);
@@ -864,7 +872,7 @@ impl<'a> Kernel<'a> {
         Ok(())
     }
 
-    fn rejoin(&mut self, i: usize, t: f64) {
+    fn rejoin(&mut self, i: usize, t: SimTime) {
         let rep = &mut self.replicas[i];
         let since = rep.down_since.take();
         if since.is_none() && !rep.scale_join {
@@ -886,8 +894,8 @@ impl<'a> Kernel<'a> {
     }
 
     /// Fires the crash or drain at `plan.events[event]`.
-    fn inject(&mut self, event: usize, t: f64) -> Result<(), ClusterError> {
-        match self.plan.events[event] {
+    fn inject(&mut self, event: usize, t: SimTime) -> Result<(), ClusterError> {
+        match self.faults[event] {
             FaultEvent::Crash {
                 replica, restart_s, ..
             } => {
@@ -904,7 +912,7 @@ impl<'a> Kernel<'a> {
                     return Ok(()); // Already leaving or gone.
                 }
                 self.stats.drains += 1;
-                self.start_drain(replica, rejoin_s, t)
+                self.start_drain(replica, Some(rejoin_s), t)
             }
             FaultEvent::Slowdown { .. } => Ok(()),
         }
@@ -912,7 +920,7 @@ impl<'a> Kernel<'a> {
 
     /// Crashes replica `i` at `t`: the incarnation is stashed and every
     /// attempt on it fails. The caller schedules the cold restart, if any.
-    fn crash(&mut self, i: usize, t: f64) -> Result<(), ClusterError> {
+    fn crash(&mut self, i: usize, t: SimTime) -> Result<(), ClusterError> {
         if self.replicas[i].down_since.is_some() {
             return Ok(()); // Already down; only the caller's restart matters.
         }
@@ -936,8 +944,13 @@ impl<'a> Kernel<'a> {
     }
 
     /// Stops routing to replica `i`; once idle it leaves and a cold
-    /// replacement joins no earlier than `rejoin_s` (never, if infinite).
-    fn start_drain(&mut self, i: usize, rejoin_s: f64, t: f64) -> Result<(), ClusterError> {
+    /// replacement joins no earlier than `rejoin_s` (never, if `None`).
+    fn start_drain(
+        &mut self,
+        i: usize,
+        rejoin_s: Option<SimTime>,
+        t: SimTime,
+    ) -> Result<(), ClusterError> {
         let rep = &mut self.replicas[i];
         rep.up = false;
         rep.draining = Some(rejoin_s);
@@ -951,13 +964,13 @@ impl<'a> Kernel<'a> {
 
     /// Replica `i` went idle at `t`: if it was draining, stash the
     /// incarnation and schedule the cold rejoin.
-    fn complete_drain(&mut self, i: usize, t: f64) -> Result<(), ClusterError> {
+    fn complete_drain(&mut self, i: usize, t: SimTime) -> Result<(), ClusterError> {
         let Some(rejoin_s) = self.replicas[i].draining.take() else {
             return Ok(());
         };
         self.stash_incarnation(i)?;
         self.replicas[i].down_since = Some(t);
-        if rejoin_s.is_finite() {
+        if let Some(rejoin_s) = rejoin_s {
             self.timeline.rejoins.push(rejoin_s.max(t), i);
         }
         Ok(())
@@ -985,7 +998,7 @@ impl<'a> Kernel<'a> {
         j: usize,
         rank: usize,
         kind: AttemptKind,
-        arrival_s: f64,
+        arrival_s: SimTime,
         exclude: Option<usize>,
     ) {
         let r = &self.requests[j];
@@ -1000,9 +1013,10 @@ impl<'a> Kernel<'a> {
         });
     }
 
-    /// Request `j`, `rank`-th in the arrival order, arrives at `t`: through
-    /// the admission gates, if any.
-    fn arrive(&mut self, rank: usize, j: usize, t: f64) {
+    /// The `rank`-th request in the arrival order arrives, delivered at `t`:
+    /// through the admission gates, if any.
+    fn arrive(&mut self, rank: usize, t: SimTime) {
+        let (arrival_s, j) = self.timeline.order[rank];
         let (request, policy) = (&self.requests[j], &self.overload.admission);
         if !policy.is_inert() {
             let kv_gate = policy.max_kv_utilization;
@@ -1026,10 +1040,10 @@ impl<'a> Kernel<'a> {
                 }
             }
         }
-        self.enqueue(j, rank, AttemptKind::First, request.arrival_s, None);
+        self.enqueue(j, rank, AttemptKind::First, arrival_s, None);
     }
 
-    fn shed_request(&mut self, j: usize, reason: ShedReason, t: f64) {
+    fn shed_request(&mut self, j: usize, reason: ShedReason, t: SimTime) {
         self.shed.record(reason, self.requests[j].priority);
         obs_shed(&self.requests[j], reason, t);
         if self.engaged {
@@ -1039,7 +1053,7 @@ impl<'a> Kernel<'a> {
 
     /// Request `j`'s hedge timer fired at `t`: hedge only a request that is
     /// still in flight, has budget left, and has somewhere else to run.
-    fn hedge(&mut self, j: usize, t: f64) {
+    fn hedge(&mut self, j: usize, t: SimTime) {
         let s = &self.states[j];
         let hedgeable = !s.settled() && s.in_flight() && s.attempts < self.retry.max_attempts;
         if hedgeable && self.routable() >= 2 {
@@ -1049,7 +1063,7 @@ impl<'a> Kernel<'a> {
     }
 
     /// One evaluation of the autoscaler's control loop at `t`.
-    fn scale_check(&mut self, t: f64) -> Result<(), ClusterError> {
+    fn scale_check(&mut self, t: SimTime) -> Result<(), ClusterError> {
         let Some(policy) = self.overload.scale else {
             return Ok(());
         };
@@ -1058,12 +1072,15 @@ impl<'a> Kernel<'a> {
         // Routable plus scheduled joins: the fleet `max_replicas` bounds.
         let fleet = routable + self.timeline.rejoins.0.len();
         self.scale.peak_replicas = self.scale.peak_replicas.max(fleet);
-        if t - self.last_scale_action < policy.cooldown_s {
+        if self
+            .last_scale_action
+            .is_some_and(|last| t - last < policy.cooldown_s)
+        {
             return Ok(());
         }
-        let arrivals = self.admission.queue.iter().map(|e| e.arrival_s);
-        let oldest_pending = arrivals.fold(f64::INFINITY, f64::min);
-        if t - oldest_pending >= policy.queue_wait_up_s && fleet < policy.max_replicas {
+        let oldest_pending = self.admission.queue.iter().map(|e| e.arrival_s).min();
+        let waited = |oldest| t - oldest >= policy.queue_wait_up_s;
+        if oldest_pending.is_some_and(waited) && fleet < policy.max_replicas {
             // Scale up: provision a cold replica that joins (empty prefix
             // cache, rendezvous remap) after its jittered warmup.
             let index = self.replicas.len();
@@ -1073,7 +1090,7 @@ impl<'a> Kernel<'a> {
             self.timeline.rejoins.push(t + warmup, index);
             self.scale.scale_ups += 1;
             self.scale.peak_replicas = self.scale.peak_replicas.max(fleet + 1);
-            self.last_scale_action = t;
+            self.last_scale_action = Some(t);
             obs_scale("up", index, fleet + 1, t);
         } else if self.admission.queue.is_empty()
             && routable > policy.min_replicas
@@ -1091,9 +1108,9 @@ impl<'a> Kernel<'a> {
             if let Some(i) = routable_desc.min_by_key(load) {
                 self.replicas[i].departed = true;
                 self.scale.scale_downs += 1;
-                self.last_scale_action = t;
+                self.last_scale_action = Some(t);
                 obs_scale("down", i, routable - 1, t);
-                self.start_drain(i, f64::INFINITY, t)?;
+                self.start_drain(i, None, t)?;
             }
         }
         Ok(())
@@ -1118,31 +1135,31 @@ impl<'a> Kernel<'a> {
     /// decided at harvest. Either way the cross-replica order of events is
     /// what single-stepping sees. On a clock tie the bound leaves nothing
     /// to jump, and a single step keeps the tie-break order.
-    fn step(&mut self, b: usize, timed: Option<f64>) -> Result<(), ClusterError> {
+    fn step(&mut self, b: usize, timed: Option<SimTime>) -> Result<(), ClusterError> {
         let clock = self.replicas[b].session.clock();
-        let bounds = [timed, self.plan.next_slowdown_boundary(b, clock)];
-        let mut horizon = bounds.into_iter().flatten().fold(f64::INFINITY, f64::min);
+        let (slowdown, boundary) = slowdown_at(&self.faults, b, clock);
+        let bounds = [timed, boundary];
+        let mut horizon = bounds.into_iter().flatten().reduce(SimTime::min);
         let backpressured = !self.admission.queue.is_empty();
         if backpressured || self.engaged {
             let others = self.replicas.iter().enumerate();
-            horizon = others
-                .filter(|&(i, r)| i != b && !r.session.is_idle())
-                .map(|(_, r)| r.session.clock())
-                .fold(horizon, f64::min);
+            let others = others.filter(|&(i, r)| i != b && !r.session.is_idle());
+            let clocks = others.map(|(_, r)| r.session.clock());
+            horizon = clocks.chain(horizon).reduce(SimTime::min);
         }
-        let jump = !self.sim.single_step && horizon > clock;
+        let jump = !self.sim.single_step && horizon.is_none_or(|h| h > clock);
         self.backpressure_macro_steps += u64::from(jump && backpressured);
         let session = &mut self.replicas[b].session;
-        session.set_slowdown(self.plan.slowdown_at(b, clock));
+        session.set_slowdown(slowdown);
         if jump {
-            session.step_until(horizon.is_finite().then_some(horizon))?;
+            session.step_until(horizon)?;
         } else {
             session.step()?;
         }
         let clock = session.clock();
         self.now = self.now.max(clock);
         if self.engaged {
-            self.harvest(b);
+            self.harvest(b, clock);
         }
         if self.replicas[b].session.is_idle() {
             self.complete_drain(b, clock)?;
@@ -1151,8 +1168,9 @@ impl<'a> Kernel<'a> {
     }
 
     /// Routes every completion replica `b` produced since the last call
-    /// through success/transient-failure accounting.
-    fn harvest(&mut self, b: usize) {
+    /// through success/transient-failure accounting. Each retired in the
+    /// step just taken, which ended at `clock`.
+    fn harvest(&mut self, b: usize, clock: SimTime) {
         loop {
             let rep = &mut self.replicas[b];
             let Some(&c) = rep.session.completions().get(rep.harvested) else {
@@ -1167,7 +1185,7 @@ impl<'a> Kernel<'a> {
             };
             if self.plan.transient_fails(c.id as u64, attempt.submission) {
                 self.stats.transient_errors += 1;
-                self.attempt_failed(j, c.finished_s);
+                self.attempt_failed(j, clock);
             } else if self.states[j].settled() {
                 // A duplicate finishing after the race was decided.
                 self.stats.wasted_completions += 1;
@@ -1187,14 +1205,14 @@ impl<'a> Kernel<'a> {
     /// Handles the failure of one attempt of request `j` at instant `t`:
     /// schedules a retry while budget and deadline allow, else fails the
     /// request permanently. No-op while another attempt is still in flight.
-    fn attempt_failed(&mut self, j: usize, t: f64) {
+    fn attempt_failed(&mut self, j: usize, t: SimTime) {
         let (s, request) = (&mut self.states[j], &self.requests[j]);
         if s.settled() || s.in_flight() {
             return;
         }
         let id = request.request.id as u64;
-        let due = t + self.retry.backoff_s(self.plan.seed, id, s.attempts);
-        let too_late = |d| due - request.arrival_s > d;
+        let due = t + self.retry.backoff(self.plan.seed, id, s.attempts);
+        let too_late = |d| due.secs() - request.arrival_s > d;
         if s.attempts >= self.retry.max_attempts {
             s.outcome = Outcome::Failed;
         } else if self.retry.deadline_s.is_some_and(too_late) {
@@ -1228,7 +1246,7 @@ impl<'a> Kernel<'a> {
                 llmqo_serve::obs::publish_chain_hasher(hasher);
             }
         }
-        let mut open_windows: Vec<f64> = Vec::new();
+        let mut open_windows: Vec<SimTime> = Vec::new();
         let mut reports: Vec<ReplicaReport> = Vec::with_capacity(self.replicas.len());
         for rep in self.replicas {
             // Scale-down departures are deliberate, not faults: their
@@ -1249,7 +1267,7 @@ impl<'a> Kernel<'a> {
         let mut report = ClusterReport::assemble(policy, reports, self.queue_waits);
         for since in open_windows {
             self.stats.unavailability_windows += 1;
-            self.stats.unavailable_s += (report.makespan_s - since).max(0.0);
+            self.stats.unavailable_s += (report.makespan_s - since.secs()).max(0.0);
         }
         if !self.engaged {
             // Nothing could fail: every engine completion is a success.

@@ -27,6 +27,7 @@
 
 use crate::request::ClusterRequest;
 use crate::sim::ClusterError;
+use llmqo_serve::SimTime;
 use std::collections::HashMap;
 
 /// Bounds on what the admission queue accepts. All gates default to `None`
@@ -96,15 +97,16 @@ impl AdmissionPolicy {
             && self.tenant_quota.is_none()
     }
 
-    pub(crate) fn validate(&self) -> Result<(), ClusterError> {
+    pub(crate) fn check(&self) -> Result<(), ClusterError> {
         let bad = |reason| Err(ClusterError::InvalidOverloadPolicy { reason });
         if self.max_pending == Some(0) {
             return bad("max_pending must be at least one");
         }
-        if let Some(u) = self.max_kv_utilization {
-            if !u.is_finite() || u <= 0.0 || u > 1.0 {
-                return bad("max_kv_utilization must be in (0, 1]");
-            }
+        if self
+            .max_kv_utilization
+            .is_some_and(|u| !(u > 0.0 && u <= 1.0))
+        {
+            return bad("max_kv_utilization must be in (0, 1]");
         }
         if self.tenant_quota == Some(0) {
             return bad("tenant_quota must be at least one");
@@ -223,46 +225,49 @@ impl ScalePolicy {
         self
     }
 
-    /// The jittered warmup delay for the `n`-th scale-up. Pure and
-    /// deterministic in `(seed, n)`.
-    pub(crate) fn warmup_for(&self, n: u64) -> f64 {
-        if self.warmup_jitter_frac == 0.0 {
-            return self.warmup_s;
-        }
+    /// The jittered warmup delay for the `n`-th scale-up (exactly
+    /// `warmup_s` without jitter). Pure and deterministic in `(seed, n)`.
+    /// A checked policy's delay lies in `[0, 2·warmup_s)`, so the `ZERO`
+    /// fallback never fires.
+    pub(crate) fn warmup_for(&self, n: u64) -> SimTime {
         let u = llmqo_serve::fault_unit(self.seed, n, u64::from(u32::MAX) + 1);
-        (self.warmup_s * (1.0 + self.warmup_jitter_frac * (2.0 * u - 1.0))).max(0.0)
+        let jitter = 1.0 + self.warmup_jitter_frac * (2.0 * u - 1.0);
+        SimTime::new(self.warmup_s * jitter).unwrap_or_default()
     }
 
-    pub(crate) fn validate(&self, initial_replicas: usize) -> Result<(), ClusterError> {
+    /// Checks every field once — the kernel's gate for the policy — and
+    /// returns the check cadence on the sim clock.
+    pub(crate) fn check(&self, fleet: usize) -> Result<SimTime, ClusterError> {
         let bad = |reason| Err(ClusterError::InvalidOverloadPolicy { reason });
+        let (time, fraction) = (|t| SimTime::new(t).is_some(), |f| (0.0..=1.0).contains(&f));
         if self.min_replicas == 0 {
             return bad("min_replicas must be at least one");
         }
-        if self.max_replicas < initial_replicas {
+        if self.max_replicas < fleet {
             return bad("max_replicas must be at least the initial fleet size");
         }
-        if self.min_replicas > initial_replicas {
+        if self.min_replicas > fleet {
             return bad("min_replicas must not exceed the initial fleet size");
         }
-        if !self.queue_wait_up_s.is_finite() || self.queue_wait_up_s < 0.0 {
+        if !time(self.queue_wait_up_s) {
             return bad("queue_wait_up_s must be finite and non-negative");
         }
-        if !self.kv_low_watermark.is_finite() || !(0.0..=1.0).contains(&self.kv_low_watermark) {
+        if !fraction(self.kv_low_watermark) {
             return bad("kv_low_watermark must be in [0, 1]");
         }
-        if !self.check_interval_s.is_finite() || self.check_interval_s <= 0.0 {
+        let Some(every) = crate::fault::positive(self.check_interval_s) else {
             return bad("check_interval_s must be finite and positive");
-        }
-        if !self.cooldown_s.is_finite() || self.cooldown_s < 0.0 {
+        };
+        if !time(self.cooldown_s) {
             return bad("cooldown_s must be finite and non-negative");
         }
-        if !self.warmup_s.is_finite() || self.warmup_s < 0.0 {
+        if !time(self.warmup_s) {
             return bad("warmup_s must be finite and non-negative");
         }
-        if !self.warmup_jitter_frac.is_finite() || !(0.0..=1.0).contains(&self.warmup_jitter_frac) {
+        if !fraction(self.warmup_jitter_frac) {
             return bad("warmup_jitter_frac must be in [0, 1]");
         }
-        Ok(())
+        Ok(every)
     }
 }
 
@@ -292,19 +297,6 @@ impl OverloadPolicy {
     pub fn with_scale(mut self, scale: ScalePolicy) -> Self {
         self.scale = Some(scale);
         self
-    }
-
-    /// Whether the whole policy changes nothing.
-    pub fn is_inert(&self) -> bool {
-        self.admission.is_inert() && self.scale.is_none()
-    }
-
-    pub(crate) fn validate(&self, initial_replicas: usize) -> Result<(), ClusterError> {
-        self.admission.validate()?;
-        if let Some(s) = &self.scale {
-            s.validate(initial_replicas)?;
-        }
-        Ok(())
     }
 }
 
@@ -478,7 +470,7 @@ pub(crate) fn shed_victim(
 
 /// Cold path: the shed counter and trace instant, only when observability
 /// is on.
-pub(crate) fn obs_shed(request: &ClusterRequest, reason: ShedReason, t: f64) {
+pub(crate) fn obs_shed(request: &ClusterRequest, reason: ShedReason, t: SimTime) {
     if !llmqo_obs::enabled() {
         return;
     }
@@ -490,7 +482,7 @@ pub(crate) fn obs_shed(request: &ClusterRequest, reason: ShedReason, t: f64) {
         request.request.id as u64,
         "shed",
         "overload",
-        t,
+        t.secs(),
         &[
             ("tenant", (request.tenant as usize).into()),
             ("priority", (request.priority as usize).into()),
@@ -499,7 +491,7 @@ pub(crate) fn obs_shed(request: &ClusterRequest, reason: ShedReason, t: f64) {
 }
 
 /// Cold path: one scale-event counter and trace instant.
-pub(crate) fn obs_scale(event: &'static str, replica: usize, fleet: usize, t: f64) {
+pub(crate) fn obs_scale(event: &'static str, replica: usize, fleet: usize, t: SimTime) {
     if !llmqo_obs::enabled() {
         return;
     }
@@ -511,7 +503,7 @@ pub(crate) fn obs_scale(event: &'static str, replica: usize, fleet: usize, t: f6
         replica as u64,
         &format!("scale.{event}"),
         "overload",
-        t,
+        t.secs(),
         &[("replica", replica.into()), ("fleet", fleet.into())],
     );
 }
@@ -544,9 +536,8 @@ mod tests {
     #[test]
     fn default_policies_are_inert() {
         assert!(AdmissionPolicy::default().is_inert());
-        assert!(OverloadPolicy::default().is_inert());
-        assert!(AdmissionPolicy::default().validate().is_ok());
-        assert!(OverloadPolicy::default().validate(4).is_ok());
+        assert!(AdmissionPolicy::default().check().is_ok());
+        assert_eq!(OverloadPolicy::default().scale, None);
     }
 
     #[test]
@@ -558,40 +549,43 @@ mod tests {
         assert_eq!(p.max_kv_utilization, Some(0.75));
         assert_eq!(p.tenant_quota, Some(2));
         assert!(!p.is_inert());
-        assert!(p.validate().is_ok());
+        assert!(p.check().is_ok());
 
         let o = OverloadPolicy::admission(p).with_scale(ScalePolicy::elastic(1, 6));
-        assert!(!o.is_inert());
-        assert!(o.validate(2).is_ok());
+        assert_eq!(o.admission, p);
+        assert_eq!(
+            o.scale.map(|s| s.check(2)),
+            Some(Ok(SimTime::new(0.25).unwrap()))
+        );
     }
 
     #[test]
     fn validation_rejects_bad_policies() {
-        assert!(AdmissionPolicy::bounded(0).validate().is_err());
+        assert!(AdmissionPolicy::bounded(0).check().is_err());
         assert!(AdmissionPolicy::default()
             .with_kv_gate(0.0)
-            .validate()
+            .check()
             .is_err());
         assert!(AdmissionPolicy::default()
             .with_kv_gate(1.5)
-            .validate()
+            .check()
             .is_err());
         assert!(AdmissionPolicy::default()
             .with_tenant_quota(0)
-            .validate()
+            .check()
             .is_err());
 
         let base = ScalePolicy::elastic(1, 8);
-        assert!(base.validate(4).is_ok());
-        assert!(ScalePolicy::elastic(0, 8).validate(4).is_err());
-        assert!(ScalePolicy::elastic(1, 2).validate(4).is_err());
-        assert!(ScalePolicy::elastic(5, 8).validate(4).is_err());
-        assert!(base.reacting(f64::NAN, 0.1).validate(4).is_err());
-        assert!(base.reacting(0.5, 2.0).validate(4).is_err());
-        assert!(base.with_cadence(0.0, 1.0).validate(4).is_err());
-        assert!(base.with_cadence(0.25, -1.0).validate(4).is_err());
-        assert!(base.with_warmup(f64::INFINITY).validate(4).is_err());
-        assert!(base.with_warmup_jitter(3.0, 0).validate(4).is_err());
+        assert!(base.check(4).is_ok());
+        assert!(ScalePolicy::elastic(0, 8).check(4).is_err());
+        assert!(ScalePolicy::elastic(1, 2).check(4).is_err());
+        assert!(ScalePolicy::elastic(5, 8).check(4).is_err());
+        assert!(base.reacting(f64::NAN, 0.1).check(4).is_err());
+        assert!(base.reacting(0.5, 2.0).check(4).is_err());
+        assert!(base.with_cadence(0.0, 1.0).check(4).is_err());
+        assert!(base.with_cadence(0.25, -1.0).check(4).is_err());
+        assert!(base.with_warmup(f64::INFINITY).check(4).is_err());
+        assert!(base.with_warmup_jitter(3.0, 0).check(4).is_err());
     }
 
     #[test]
@@ -600,12 +594,12 @@ mod tests {
             .with_warmup(1.0)
             .with_warmup_jitter(0.5, 42);
         for n in 0..32 {
-            let w = p.warmup_for(n);
-            assert_eq!(w, p.warmup_for(n), "scale-up {n} replays");
+            let w = p.warmup_for(n).secs();
+            assert_eq!(w, p.warmup_for(n).secs(), "scale-up {n} replays");
             assert!((0.5..=1.5).contains(&w), "scale-up {n} jitter {w}");
         }
         assert_ne!(p.warmup_for(0), p.warmup_for(1));
         let plain = ScalePolicy::elastic(1, 8).with_warmup(1.0);
-        assert_eq!(plain.warmup_for(7), 1.0);
+        assert_eq!(plain.warmup_for(7).secs(), 1.0);
     }
 }

@@ -1,7 +1,7 @@
 //! Cluster-level requests: an engine request tagged with its shared-prefix
 //! identity and an arrival time, plus arrival-process generators.
 
-use llmqo_serve::SimRequest;
+use llmqo_serve::{SimRequest, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -108,12 +108,11 @@ pub enum ArrivalProcess {
 }
 
 impl ArrivalProcess {
-    /// Stamps arrival times onto `requests` in order (non-decreasing).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a rate is not strictly positive and finite.
+    /// Stamps arrival times onto `requests` in order (non-decreasing). A
+    /// rate that is not finite and positive stamps NaN arrivals, which a run
+    /// rejects as [`ClusterError::InvalidArrival`](crate::ClusterError).
     pub fn assign(&self, requests: &mut [ClusterRequest]) {
+        let checked = |rate| crate::fault::positive(rate).map_or(f64::NAN, SimTime::secs);
         match *self {
             ArrivalProcess::Batch => {
                 for r in requests.iter_mut() {
@@ -121,19 +120,13 @@ impl ArrivalProcess {
                 }
             }
             ArrivalProcess::Uniform { rate_rps } => {
-                assert!(
-                    rate_rps > 0.0 && rate_rps.is_finite(),
-                    "arrival rate must be positive"
-                );
+                let rate_rps = checked(rate_rps);
                 for (i, r) in requests.iter_mut().enumerate() {
                     r.arrival_s = i as f64 / rate_rps;
                 }
             }
             ArrivalProcess::Poisson { rate_rps, seed } => {
-                assert!(
-                    rate_rps > 0.0 && rate_rps.is_finite(),
-                    "arrival rate must be positive"
-                );
+                let rate_rps = checked(rate_rps);
                 let mut rng = StdRng::seed_from_u64(seed);
                 let mut t = 0.0f64;
                 for r in requests.iter_mut() {

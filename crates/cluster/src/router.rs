@@ -43,7 +43,7 @@ impl ReplicaSnapshot {
             running: session.running(),
             kv_blocks_in_use: session.kv_blocks_in_use(),
             capacity_blocks: session.capacity_blocks(),
-            clock_s: session.clock(),
+            clock_s: session.clock().secs(),
             assigned,
             alive,
         }

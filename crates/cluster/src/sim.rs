@@ -196,8 +196,8 @@ impl ClusterSim {
     /// # Errors
     ///
     /// [`ClusterError::InvalidConfig`] for a zero-replica or zero-capacity
-    /// cluster, [`ClusterError::InvalidArrival`] for non-finite arrival
-    /// times, [`ClusterError::RouterOutOfRange`] for a misbehaving router,
+    /// cluster, [`ClusterError::InvalidArrival`] for a NaN, infinite or
+    /// negative arrival, [`ClusterError::RouterOutOfRange`] for a misbehaving router,
     /// and [`ClusterError::Engine`] when a replica rejects a request
     /// outright (model or request too large).
     pub fn run(

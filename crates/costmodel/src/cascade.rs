@@ -22,13 +22,7 @@
 //! threshold:
 //! `escalate_below ≥ 1` is the expensive tier verbatim, `escalate_below ≤ 0`
 //! is the cheap tier verbatim.
-//!
-//! [`TierPosterior`] extends the Beta–Bernoulli [`SelectivityPosterior`]
-//! machinery to the two rates a cascade must learn online: how often rows
-//! escalate, and how often the cheap tier agrees with the expensive one when
-//! they do.
 
-use crate::operator::SelectivityPosterior;
 use serde::{Deserialize, Serialize};
 
 /// SplitMix64 finalizer.
@@ -224,74 +218,6 @@ impl CascadePlan {
     }
 }
 
-/// Beta posteriors for the two rates a cascade learns online: the escalation
-/// rate (what fraction of rows fall below the threshold) and the agreement
-/// rate (how often the cheap tier matched the expensive tier on escalated
-/// rows, where both answers are known).
-///
-/// Both update with the same smooth prior-to-observations hand-off as
-/// [`SelectivityPosterior`], which this type is built from.
-///
-/// # Examples
-///
-/// ```
-/// use llmqo_costmodel::TierPosterior;
-///
-/// let mut post = TierPosterior::new(0.5, 0.9, 8.0);
-/// assert_eq!(post.escalation_rate(), 0.5);
-/// // 100 rows: 20 escalated, and the cheap tier agreed on 18 of them.
-/// post.observe(20, 100, 18);
-/// assert!(post.escalation_rate() < 0.3);
-/// assert!(post.agreement_rate() > 0.8);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct TierPosterior {
-    escalation: SelectivityPosterior,
-    agreement: SelectivityPosterior,
-}
-
-impl TierPosterior {
-    /// Creates a posterior around prior escalation and agreement rates,
-    /// each weighted as `strength` pseudo-observations.
-    pub fn new(escalation_prior: f64, agreement_prior: f64, strength: f64) -> Self {
-        TierPosterior {
-            escalation: SelectivityPosterior::new(escalation_prior, strength),
-            agreement: SelectivityPosterior::new(agreement_prior, strength),
-        }
-    }
-
-    /// Folds in one batch: `escalated` of `total` rows crossed the
-    /// threshold, and the cheap tier agreed with the expensive tier on
-    /// `agreed` of the escalated ones.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `escalated > total` or `agreed > escalated`.
-    pub fn observe(&mut self, escalated: u64, total: u64, agreed: u64) {
-        assert!(
-            agreed <= escalated,
-            "cannot agree on more rows than escalated"
-        );
-        self.escalation.observe(escalated, total);
-        self.agreement.observe(agreed, escalated);
-    }
-
-    /// Posterior mean escalation rate.
-    pub fn escalation_rate(&self) -> f64 {
-        self.escalation.mean()
-    }
-
-    /// Posterior mean cheap-vs-expensive agreement rate on escalated rows.
-    pub fn agreement_rate(&self) -> f64 {
-        self.agreement.mean()
-    }
-
-    /// Rows observed so far (0 means both means are still pure priors).
-    pub fn observations(&self) -> u64 {
-        self.escalation.observations()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -395,21 +321,5 @@ mod tests {
         let all = plan.expected_per_row_cost(300.0, 5.0, 1.0);
         assert!((all - (cheap + single)).abs() < 1e-12);
         assert!(plan.expected_per_row_cost(300.0, 5.0, 0.3) < single);
-    }
-
-    #[test]
-    fn tier_posterior_converges_and_validates() {
-        let mut p = TierPosterior::new(0.5, 0.5, 8.0);
-        assert_eq!(p.observations(), 0);
-        p.observe(200, 1000, 190);
-        assert!((p.escalation_rate() - 0.2).abs() < 0.01);
-        assert!(p.agreement_rate() > 0.9);
-        assert_eq!(p.observations(), 1000);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot agree on more rows")]
-    fn tier_posterior_rejects_agreed_above_escalated() {
-        TierPosterior::new(0.5, 0.5, 1.0).observe(2, 10, 3);
     }
 }

@@ -20,9 +20,9 @@
 //! Beta-smoothed [`SelectivityPosterior`] its adaptive executor refines
 //! those estimates with at runtime. Model-tier cascades extend the same
 //! machinery across models: [`ModelTier`]/[`CascadePlan`] price a
-//! cheap-first, escalate-on-low-confidence plan per operator, and
-//! [`TierPosterior`] learns the escalation and cheap-vs-expensive agreement
-//! rates online.
+//! cheap-first, escalate-on-low-confidence plan per operator, and a
+//! [`SelectivityPosterior`] per cascaded operator learns its escalation
+//! rate online.
 //!
 //! # Example
 //!
@@ -56,7 +56,7 @@ mod operator;
 mod pricing;
 mod provider;
 
-pub use cascade::{CascadePlan, ModelTier, TierPosterior};
+pub use cascade::{CascadePlan, ModelTier};
 pub use operator::{LlmOpEstimate, SelectivityPosterior};
 pub use pricing::{Pricing, Usage};
 pub use provider::{AnthropicCache, OpenAiCache, ProviderCache};

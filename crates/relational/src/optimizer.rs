@@ -631,10 +631,6 @@ pub struct OptStats {
     pub rows_cheap: u64,
     /// Offered rows the cascade escalated to the expensive tier.
     pub rows_escalated: u64,
-    /// Escalated rows whose cheap-tier answer already matched the expensive
-    /// tier's — the agreement numerator the
-    /// [`TierPosterior`](llmqo_costmodel::TierPosterior) learns from.
-    pub tier_agreements: u64,
     /// Prompt tokens billed to the cheap tier (every engine request a
     /// cascade issues pays this tier once).
     pub cheap_prompt_tokens: u64,
@@ -673,7 +669,6 @@ impl OptStats {
         self.rows_failed += other.rows_failed;
         self.rows_cheap += other.rows_cheap;
         self.rows_escalated += other.rows_escalated;
-        self.tier_agreements += other.tier_agreements;
         self.cheap_prompt_tokens += other.cheap_prompt_tokens;
         self.cheap_output_tokens += other.cheap_output_tokens;
         self.esc_prompt_tokens += other.esc_prompt_tokens;
@@ -975,7 +970,6 @@ mod tests {
             rows_failed: 1,
             rows_cheap: 7,
             rows_escalated: 3,
-            tier_agreements: 6,
             cheap_prompt_tokens: 300,
             cheap_output_tokens: 30,
             esc_prompt_tokens: 90,
@@ -995,7 +989,6 @@ mod tests {
             rows_failed: 0,
             rows_cheap: 2,
             rows_escalated: 1,
-            tier_agreements: 1,
             cheap_prompt_tokens: 100,
             cheap_output_tokens: 10,
             esc_prompt_tokens: 30,
@@ -1012,7 +1005,6 @@ mod tests {
         assert_eq!(a.rows_failed, 1);
         assert_eq!(a.rows_cheap, 9);
         assert_eq!(a.rows_escalated, 4);
-        assert_eq!(a.tier_agreements, 7);
         assert_eq!(a.cheap_prompt_tokens, 400);
         assert_eq!(a.cheap_output_tokens, 40);
         assert_eq!(a.esc_prompt_tokens, 120);

@@ -41,7 +41,8 @@ use crate::query::LlmQuery;
 use crate::table::{Table, TableError};
 use explain::NodeStats;
 use llmqo_core::{FunctionalDeps, Reorderer};
-use llmqo_costmodel::{CascadePlan, Pricing, TierPosterior};
+use llmqo_costmodel::{CascadePlan, Pricing, SelectivityPosterior};
+use llmqo_serve::SimTime;
 use schedule::BatchSchedule;
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -117,11 +118,11 @@ pub struct SqlRunner<'a> {
     /// The price schedule the cost-based rules rank LLM operators with.
     pricing: Pricing,
     catalog: HashMap<String, (&'a Table, &'a FunctionalDeps)>,
-    /// Learned tier posteriors per operator (keyed by query name):
-    /// escalation and cheap-vs-expensive agreement rates, carried across
-    /// statements so the re-rank's cascade cost factor sharpens with
-    /// observations. Empty — and never touched — when cascades are off.
-    tier_posteriors: RefCell<HashMap<String, TierPosterior>>,
+    /// Learned escalation-rate posteriors per cascaded operator (keyed by
+    /// query name), carried across statements so the re-rank's cascade cost
+    /// factor sharpens with observations. Empty — and never touched — when
+    /// cascades are off.
+    tier_posteriors: RefCell<HashMap<String, SelectivityPosterior>>,
 }
 
 impl<'a> fmt::Debug for SqlRunner<'a> {
@@ -175,29 +176,20 @@ impl<'a> SqlRunner<'a> {
         self.executor.restore(checkpoint);
     }
 
-    /// Folds one batch's observed escalation split into the operator's tier
-    /// posterior, registering it on first sight with the plan's own priors:
-    /// the escalation prior is the threshold itself (confidence is
-    /// uniform), the agreement prior the cheap tier's base accuracy. Only
-    /// the first sight copies the operator's name.
+    /// Folds one batch's observed escalation split into the operator's
+    /// escalation posterior, registering it on first sight with the
+    /// threshold itself as the prior (confidence is uniform). Only the first
+    /// sight copies the operator's name.
     fn observe_tier(&self, plan: &CascadePlan, name: &str, opt: &OptStats) {
         let mut posteriors = self.tier_posteriors.borrow_mut();
         if !posteriors.contains_key(name) {
-            let prior = TierPosterior::new(
-                plan.escalate_below,
-                plan.cheap.base_accuracy,
-                DEFAULT_PRIOR_STRENGTH,
-            );
+            let prior = SelectivityPosterior::new(plan.escalate_below, DEFAULT_PRIOR_STRENGTH);
             posteriors.insert(name.to_owned(), prior);
         }
         posteriors
             .get_mut(name)
             .unwrap_or_else(|| unreachable!("registered above"))
-            .observe(
-                opt.rows_escalated,
-                opt.rows_cheap + opt.rows_escalated,
-                opt.tier_agreements,
-            );
+            .observe(opt.rows_escalated, opt.rows_cheap + opt.rows_escalated);
     }
 
     /// Parses and executes `sql`, supplying ground truth per row via `truth`.
@@ -385,7 +377,7 @@ impl StatementRun<'_, '_> {
         // serializes successive batches — producing the staggered,
         // overlapping schedule. The classic relay keeps each stage on its
         // independent zero-based timeline (`ready` unused).
-        let mut ready = 0.0f64;
+        let mut ready = SimTime::ZERO;
         for &idx in &self.exec_order {
             let offered = rows.len() as u64;
             let op = &ops[idx];
@@ -473,7 +465,7 @@ impl StatementRun<'_, '_> {
             };
             let mut output = match self.stages[idx].take() {
                 Some(stage) => {
-                    self.nodes[idx].done_s = stage.clock();
+                    self.nodes[idx].done_s = stage.clock().secs();
                     fanout = fanout.max(stage.engine.replicas());
                     stage.finish()
                 }

@@ -8,7 +8,7 @@
 use super::StatementRun;
 use crate::adaptive::SelectivityTracker;
 use crate::optimizer::{LogicalOp, LogicalPlan, OptLevel, OptimizerConfig};
-use llmqo_costmodel::TierPosterior;
+use llmqo_costmodel::SelectivityPosterior;
 use std::ops::Range;
 
 /// Smallest lazy-`LIMIT` / pilot batch (rows).
@@ -266,7 +266,7 @@ impl StatementRun<'_, '_> {
                 .tier_posteriors
                 .borrow()
                 .get(&query.name)
-                .map_or(cc.plan.escalate_below, TierPosterior::escalation_rate);
+                .map_or(cc.plan.escalate_below, SelectivityPosterior::mean);
             factor *= cc.plan.expected_per_row_cost(
                 e.prompt_tokens_per_row,
                 e.output_tokens_per_row,

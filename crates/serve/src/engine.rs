@@ -13,6 +13,7 @@ use crate::cache::ChainHasher;
 use crate::hardware::GpuCluster;
 use crate::model::ModelSpec;
 use crate::session::EngineSession;
+use crate::time::SimTime;
 use llmqo_tokenizer::TokenId;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -306,7 +307,7 @@ impl SimEngine {
         let mut hasher = self.chain_hasher();
         for r in requests {
             session.make_room()?;
-            session.enqueue_chain(r.id, r.output_len, hasher.chain(&r.prompt), 0.0);
+            session.enqueue_chain(r.id, r.output_len, hasher.chain(&r.prompt), SimTime::ZERO);
         }
         session.drain()?;
         if llmqo_obs::enabled() {

@@ -79,6 +79,7 @@ mod model;
 pub mod obs;
 mod session;
 mod stream;
+mod time;
 
 #[doc(hidden)]
 pub use cache::with_root_salt;
@@ -93,3 +94,4 @@ pub use labeler::{KeyFieldPreference, ModelProfile, OracleLlm, SimLlm};
 pub use model::ModelSpec;
 pub use session::{percentile, percentiles, Completion, EngineSession, SessionReport};
 pub use stream::{chain_stream, ChainFeed, ChainStream};
+pub use time::SimTime;

@@ -64,6 +64,7 @@
 use crate::cache::{CacheConfig, CacheStats, ChainView, PrefixCache, SeqAlloc};
 use crate::engine::{Deployment, EngineConfig, EngineError, EngineReport};
 use crate::model::ModelSpec;
+use crate::time::SimTime;
 use std::collections::VecDeque;
 
 /// Per-request outcome record, kept in admission order of completion.
@@ -268,7 +269,7 @@ struct QueuedRequest {
     /// When the driver offered the request (the `offered_s` of
     /// [`EngineSession::enqueue_chain`]); feeds the traced queue-wait span
     /// and is never read by the scheduler itself.
-    offered_s: f64,
+    offered_s: SimTime,
 }
 
 struct Running {
@@ -278,8 +279,8 @@ struct Running {
     prompt_len: usize,
     prefilled: usize,
     output_done: u32,
-    admitted_at: f64,
-    first_token_at: Option<f64>,
+    admitted_at: SimTime,
+    first_token_at: Option<SimTime>,
 }
 
 /// Percentile of an ascending-sorted sample (nearest-rank); 0 for empty
@@ -363,7 +364,7 @@ pub struct EngineSession {
     ///
     /// [`step_until`]: EngineSession::step_until
     warming: usize,
-    clock: f64,
+    clock: SimTime,
     idle_s: f64,
     report: EngineReport,
     completions: Vec<Completion>,
@@ -415,7 +416,7 @@ impl EngineSession {
             chunk_buf: Vec::new(),
             release_buf: Vec::new(),
             warming: 0,
-            clock: 0.0,
+            clock: SimTime::ZERO,
             idle_s: 0.0,
             report: EngineReport::default(),
             completions: Vec::new(),
@@ -434,20 +435,10 @@ impl EngineSession {
     /// Sets the straggler multiplier applied to every subsequent step's
     /// roofline time. `1.0` is nominal speed and is an exact no-op on the
     /// step arithmetic (IEEE 754 `x * 1.0 ≡ x`), so an un-slowed session is
-    /// bit-identical to one that never heard of slowdowns. Non-finite or
-    /// non-positive factors reset to nominal.
+    /// bit-identical to one that never heard of slowdowns. The factor must be
+    /// finite and positive: the cluster kernel's gate checks its factors.
     pub fn set_slowdown(&mut self, factor: f64) {
-        self.slowdown = if factor.is_finite() && factor > 0.0 {
-            factor
-        } else {
-            1.0
-        };
-    }
-
-    /// The current straggler multiplier (see
-    /// [`set_slowdown`](EngineSession::set_slowdown)).
-    pub fn slowdown(&self) -> f64 {
-        self.slowdown
+        self.slowdown = factor;
     }
 
     /// Adds a request to the tail of the admission queue under `chain`, its
@@ -465,7 +456,7 @@ impl EngineSession {
         id: usize,
         output_len: u32,
         chain: ChainView<'_>,
-        offered_s: f64,
+        offered_s: SimTime,
     ) {
         debug_assert!(offered_s <= self.clock, "offered in the future");
         let prompt_tokens = chain.prompt_tokens();
@@ -483,7 +474,7 @@ impl EngineSession {
                 id as u64,
                 "enqueue",
                 "request",
-                offered_s,
+                offered_s.secs(),
                 &[("prompt_tokens", prompt_tokens.into())],
             );
         }
@@ -508,8 +499,8 @@ impl EngineSession {
         Ok(())
     }
 
-    /// Current session clock, seconds.
-    pub fn clock(&self) -> f64 {
+    /// Current session clock.
+    pub fn clock(&self) -> SimTime {
         self.clock
     }
 
@@ -570,10 +561,10 @@ impl EngineSession {
         self.idle_s
     }
 
-    /// Idles the session until `t` (seconds on the session clock). Only an
-    /// idle session can be advanced — time inside a busy session is produced
-    /// by [`step`](EngineSession::step). No-ops when `t` is in the past.
-    pub fn advance_to(&mut self, t: f64) {
+    /// Idles the session until `t` on the session clock. Only an idle
+    /// session can be advanced — time inside a busy session is produced by
+    /// [`step`](EngineSession::step). No-ops when `t` is in the past.
+    pub fn advance_to(&mut self, t: SimTime) {
         if self.is_idle() && t > self.clock {
             self.idle_s += t - self.clock;
             self.clock = t;
@@ -680,7 +671,7 @@ impl EngineSession {
                 Some(alloc) => {
                     self.waiting.pop_front();
                     self.arena.pop_front(req.span);
-                    self.clock += self.config.per_request_overhead_s;
+                    self.clock = self.clock.after(self.config.per_request_overhead_s);
                     self.report.overhead_time_s += self.config.per_request_overhead_s;
                     self.report.total_prompt_tokens += alloc.prompt_tokens as u64;
                     self.report.cached_prompt_tokens += alloc.cached_tokens as u64;
@@ -776,15 +767,15 @@ impl EngineSession {
                             r.id as u64,
                             "decode",
                             "request",
-                            first_token_at,
+                            first_token_at.secs(),
                             self.clock - first_token_at,
                             &[("output_tokens", u64::from(r.output_done).into())],
                         );
                     }
                     self.completions.push(Completion {
                         id: r.id,
-                        admitted_s: r.admitted_at,
-                        finished_s: self.clock,
+                        admitted_s: r.admitted_at.secs(),
+                        finished_s: self.clock.secs(),
                         ttft_s: first_token_at - r.admitted_at,
                         prompt_tokens: r.prompt_len,
                         cached_tokens: r.alloc.cached_tokens,
@@ -826,7 +817,7 @@ impl EngineSession {
         let total_work = (prefill_flops + decode_flops).max(1.0);
         self.report.prefill_time_s += step_t * prefill_flops / total_work;
         self.report.decode_time_s += step_t * decode_flops / total_work;
-        self.clock += step_t;
+        self.clock = self.clock.after(step_t);
         self.report.steps += 1;
     }
 
@@ -845,7 +836,7 @@ impl EngineSession {
             q.id as u64,
             "queued",
             "request",
-            q.offered_s,
+            q.offered_s.secs(),
             self.clock - q.offered_s,
             &[],
         );
@@ -854,7 +845,7 @@ impl EngineSession {
             q.id as u64,
             "cache.admit",
             "cache",
-            self.clock,
+            self.clock.secs(),
             &[
                 ("cached_tokens", r.alloc.cached_tokens.into()),
                 ("prompt_tokens", r.prompt_len.into()),
@@ -867,7 +858,7 @@ impl EngineSession {
                 q.id as u64,
                 "cache.evict",
                 "cache",
-                self.clock,
+                self.clock.secs(),
                 &[("blocks", evicted.into())],
             );
         }
@@ -885,7 +876,7 @@ impl EngineSession {
             r.id as u64,
             "prefill",
             "request",
-            r.admitted_at,
+            r.admitted_at.secs(),
             self.clock - r.admitted_at,
             &[
                 ("prompt_tokens", r.prompt_len.into()),
@@ -949,7 +940,7 @@ impl EngineSession {
     /// [`step`](EngineSession::step) calls, with no prefill: adding `0.0` to
     /// a non-negative sum is exact, so the resulting clock and report are
     /// bit-identical to stepping one by one.
-    fn decode_fast_forward(&mut self, steps: u64, horizon: Option<f64>) -> u64 {
+    fn decode_fast_forward(&mut self, steps: u64, horizon: Option<SimTime>) -> u64 {
         let timer = llmqo_obs::WallTimer::start();
         let start_clock = self.clock;
         let decoding = self.running.len() as u64;
@@ -979,7 +970,7 @@ impl EngineSession {
                 0,
                 "decode.macro_step",
                 "engine",
-                start_clock,
+                start_clock.secs(),
                 self.clock - start_clock,
                 &[("steps", taken.into()), ("sequences", decoding.into())],
             );
@@ -1013,11 +1004,11 @@ impl EngineSession {
     /// never fit in KV memory even with the batch drained.
     ///
     /// [`clock`]: EngineSession::clock
-    pub fn step_until(&mut self, horizon: Option<f64>) -> Result<bool, EngineError> {
+    pub fn step_until(&mut self, horizon: Option<SimTime>) -> Result<bool, EngineError> {
         if self.is_idle() {
             return Ok(false);
         }
-        let reached = |clock: f64| horizon.is_some_and(|h| clock >= h);
+        let reached = |clock: SimTime| horizon.is_some_and(|h| clock >= h);
         if reached(self.clock) {
             return Ok(false);
         }
@@ -1069,7 +1060,7 @@ impl EngineSession {
                 self.cache.internals(),
             );
         }
-        self.report.job_completion_time_s = self.clock;
+        self.report.job_completion_time_s = self.clock.secs();
         self.report.peak_blocks = self.cache.stats().peak_blocks;
         self.report.evictions = self.cache.stats().evictions;
         let mut out = SessionReport {
@@ -1088,6 +1079,10 @@ mod tests {
     use crate::engine::{SimEngine, SimRequest};
     use crate::hardware::{GpuCluster, GpuSpec};
     use llmqo_tokenizer::TokenId;
+
+    fn at(secs: f64) -> SimTime {
+        SimTime::new(secs).unwrap()
+    }
 
     fn engine() -> SimEngine {
         SimEngine::new(
@@ -1173,7 +1168,7 @@ mod tests {
         enqueue(&e, &mut [&mut fine, &mut coarse], &rs);
         // Walk both sessions to a mid-flight instant the fine-grained loop
         // defines; the macro loop must stop at the exact same clock.
-        let t = 1.5;
+        let t = at(1.5);
         while !fine.is_idle() && fine.clock() < t {
             fine.step().unwrap();
         }
@@ -1254,7 +1249,7 @@ mod tests {
         let e = engine();
         let mut s = e.session().unwrap();
         assert!(run_batch(&e, &mut s, &[]).is_empty());
-        assert_eq!(s.clock(), 0.0);
+        assert_eq!(s.clock(), SimTime::ZERO);
     }
 
     #[test]
@@ -1278,18 +1273,18 @@ mod tests {
     fn advance_to_only_moves_idle_sessions_forward() {
         let e = engine();
         let mut s = e.session().unwrap();
-        s.advance_to(5.0);
-        assert_eq!(s.clock(), 5.0);
+        s.advance_to(at(5.0));
+        assert_eq!(s.clock(), at(5.0));
         assert_eq!(s.idle_time_s(), 5.0);
-        s.advance_to(2.0); // past: no-op
-        assert_eq!(s.clock(), 5.0);
+        s.advance_to(at(2.0)); // past: no-op
+        assert_eq!(s.clock(), at(5.0));
         enqueue(
             &e,
             &mut [&mut s],
             &[SimRequest::from_tokens(0, vec![1, 2, 3, 4], 1)],
         );
-        s.advance_to(50.0); // busy: no-op
-        assert_eq!(s.clock(), 5.0);
+        s.advance_to(at(50.0)); // busy: no-op
+        assert_eq!(s.clock(), at(5.0));
         while s.step().unwrap() {}
         let out = s.finish();
         assert_eq!(out.report.completed, 1);
@@ -1316,11 +1311,15 @@ mod tests {
         // Holding `max_num_seqs`, the next request may join without a step.
         enqueue(&e, &mut [&mut s], &requests[..3]);
         s.make_room().unwrap();
-        assert_eq!((s.clock(), s.queued()), (0.0, 3), "no step at max_num_seqs");
+        assert_eq!(
+            (s.clock(), s.queued()),
+            (SimTime::ZERO, 3),
+            "no step at max_num_seqs"
+        );
         // Holding `max_num_seqs + 1`, the session steps until one retires.
         enqueue(&e, &mut [&mut s], &requests[3..]);
         s.make_room().unwrap();
-        assert!(s.clock() > 0.0);
+        assert!(s.clock() > SimTime::ZERO);
         assert_eq!(s.queued() + s.running(), 3);
     }
 
@@ -1333,7 +1332,7 @@ mod tests {
         let request = SimRequest::from_tokens(0, (0..64).collect(), 1);
         let mut hasher = e.chain_hasher();
         let chain = hasher.chain(&request.prompt);
-        s.enqueue_chain(request.id, request.output_len, chain, 0.0);
+        s.enqueue_chain(request.id, request.output_len, chain, SimTime::ZERO);
         assert_eq!(s.queued(), 1);
         assert_eq!(s.probe_cached_tokens(chain), 0);
         while s.step().unwrap() {}
@@ -1507,7 +1506,7 @@ mod tests {
         let mut s = e.session().unwrap();
         assert!(!s.step().unwrap());
         assert!(!s.step_until(None).unwrap());
-        assert_eq!(s.clock(), 0.0);
+        assert_eq!(s.clock(), SimTime::ZERO);
     }
 
     #[test]

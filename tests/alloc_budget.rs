@@ -46,7 +46,7 @@ use llmqo::cluster::{
 use llmqo::core::{Ggr, Reorderer};
 use llmqo::datasets::DatasetId;
 use llmqo::relational::OptimizerConfig;
-use llmqo::serve::SimRequest;
+use llmqo::serve::{SimRequest, SimTime};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
@@ -196,7 +196,8 @@ fn the_prompt_path_allocates_per_chunk_and_page_not_per_request() {
     for r in &requests {
         let (spent, chain) = allocations_in(|| hasher.chain(&r.prompt));
         hashing += spent;
-        queueing += allocations_in(|| session.enqueue_chain(r.id, r.output_len, chain, 0.0)).0;
+        queueing +=
+            allocations_in(|| session.enqueue_chain(r.id, r.output_len, chain, SimTime::ZERO)).0;
     }
     let (serving, _) = allocations_in(|| while session.step_until(None).unwrap() {});
     // The hasher's three buffers grow to the longest prompt and stay.

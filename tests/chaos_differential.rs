@@ -1008,3 +1008,79 @@ proptest! {
         }
     }
 }
+
+/// A run's every float, valid (`bad = None`) or with `slot` set to `bad`:
+/// the fault-plan builders' times and factors (0–7), the retry policy's
+/// fields and builders (8–13), the scale policy's (14–19), the admission
+/// KV gate (20), one request's `at` (21) and both arrival rates (22, 23).
+/// Returns the run and the error variant a bad value must yield.
+fn run_with_float(
+    slot: usize,
+    bad: Option<f64>,
+) -> (Result<ClusterReport, ClusterError>, &'static str) {
+    let v = |s: usize, ok: f64| if s == slot { bad.unwrap_or(ok) } else { ok };
+    let plan = FaultPlan::seeded(3)
+        .crash(2, v(0, 0.3))
+        .crash_restart(0, v(1, 0.05), v(2, 0.2))
+        .slowdown(1, v(3, 0.01), v(4, 0.1), v(5, 2.0))
+        .drain(1, v(6, 0.02), v(7, 0.15));
+    let mut retry = RetryPolicy::retries(3)
+        .with_deadline(v(12, 60.0))
+        .with_hedging(v(13, 0.5));
+    retry.backoff_base_s = v(8, 0.05);
+    retry.backoff_multiplier = v(9, 2.0);
+    retry.backoff_cap_s = v(10, 2.0);
+    retry.jitter_frac = v(11, 0.5);
+    let scale = ScalePolicy::elastic(1, 5)
+        .reacting(v(14, 0.05), v(15, 0.1))
+        .with_cadence(v(16, 0.02), v(17, 0.05))
+        .with_warmup(v(18, 0.03))
+        .with_warmup_jitter(v(19, 0.5), 9);
+    let admission = AdmissionPolicy::bounded(64).with_kv_gate(v(20, 0.95));
+    let overload = OverloadPolicy::admission(admission).with_scale(scale);
+    let mut requests = workload(3, 4);
+    if slot == 23 {
+        let rate_rps = v(23, 80.0);
+        ArrivalProcess::Poisson { rate_rps, seed: 4 }.assign(&mut requests);
+    } else {
+        ArrivalProcess::Uniform {
+            rate_rps: v(22, 80.0),
+        }
+        .assign(&mut requests);
+    }
+    requests[5] = requests[5].clone().at(v(21, 0.01));
+    let variant = match slot {
+        0..=13 => "InvalidFaultPlan",
+        14..=20 => "InvalidOverloadPolicy",
+        _ => "InvalidArrival",
+    };
+    let run = sim(3, 4).run_overloaded(&mut RoundRobin, &requests, &plan, &retry, &overload);
+    (run, variant)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The kernel's one gate: NaN, ±∞ or a negative value in any float
+    /// `run_overloaded` reads is a typed `ClusterError` of the right kind —
+    /// never a panic, never a clamp — and the same run with every value
+    /// valid succeeds with a reconciled ledger.
+    #[test]
+    fn every_invalid_float_is_a_typed_error(
+        slot in 0usize..24,
+        which in 0usize..4,
+        millis in 1u32..1_000_000_000,
+    ) {
+        let bad = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -f64::from(millis) / 1e3][which];
+        let (run, variant) = run_with_float(slot, Some(bad));
+        let err = run.expect_err("an invalid float must be rejected");
+        prop_assert!(format!("{err:?}").starts_with(variant), "slot {slot} = {bad}: {err:?}");
+        if slot == 21 {
+            prop_assert_eq!(err, ClusterError::InvalidArrival { index: 5 });
+        }
+        let (valid, _) = run_with_float(slot, None);
+        let report = valid.expect("every value valid");
+        let (faults, shed) = (&report.faults, &report.shed);
+        prop_assert_eq!(faults.succeeded + faults.failed + shed.shed, faults.offered);
+    }
+}

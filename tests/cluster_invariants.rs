@@ -4,8 +4,9 @@
 //! workloads, and bit-identical reports for fixed seeds.
 
 use llmqo::cluster::{
-    tag_requests, ArrivalProcess, ClusterConfig, ClusterRequest, ClusterSim, FaultPlan,
-    LeastLoaded, OverloadPolicy, PrefixAffinity, RetryPolicy, RoundRobin, Router,
+    tag_requests, ArrivalProcess, ClusterConfig, ClusterReport, ClusterRequest, ClusterSim,
+    FaultPlan, LeastLoaded, OverloadPolicy, PrefixAffinity, ReplicaReport, RetryPolicy, RoundRobin,
+    Router,
 };
 use llmqo::core::{FunctionalDeps, Ggr, Reorderer};
 use llmqo::relational::{encode_table, plan_requests, LlmQuery, Schema, Table};
@@ -223,4 +224,45 @@ fn sharding_preserves_query_semantics_ids() {
         .collect();
     expected.sort_unstable();
     assert_eq!(served, expected);
+}
+
+/// The ids each replica served, in completion order.
+fn placements(report: &ClusterReport) -> Vec<Vec<usize>> {
+    let ids = |r: &ReplicaReport| r.completions.iter().map(|c| c.id).collect();
+    report.replicas.iter().map(ids).collect()
+}
+
+/// `-0.0` and `0.0` are one instant: a request arriving at `-0.0` is
+/// placed after an earlier-indexed one at `0.0` (original order on ties),
+/// and the whole report equals the all-`0.0` run.
+#[test]
+fn an_arrival_at_negative_zero_ties_with_zero_in_index_order() {
+    let requests = ggr_workload(2, 1);
+    let arriving = |second: f64| [requests[0].clone().at(0.0), requests[1].clone().at(second)];
+    let signed = sim(2).run(&mut RoundRobin, &arriving(-0.0)).unwrap();
+    let plain = sim(2).run(&mut RoundRobin, &arriving(0.0)).unwrap();
+    let ids = [requests[0].request.id, requests[1].request.id];
+    assert_eq!(placements(&signed), [[ids[0]], [ids[1]]]);
+    assert_eq!(signed, plain);
+}
+
+/// A fault at `-0.0` is ordered like one at `0.0`: among events at one
+/// instant the plan's order decides, so the crash listed first takes
+/// replica 0 down and the drain behind it finds it gone.
+#[test]
+fn a_fault_at_negative_zero_is_ordered_like_one_at_zero() {
+    let requests = ggr_workload(8, 2);
+    let run = |drain_at: f64| {
+        let plan = FaultPlan::seeded(1)
+            .crash_restart(0, 0.0, 0.5)
+            .drain(0, drain_at, 0.25);
+        let retry = RetryPolicy::retries(2);
+        let overload = OverloadPolicy::default();
+        sim(2)
+            .run_overloaded(&mut RoundRobin, &requests, &plan, &retry, &overload)
+            .unwrap()
+    };
+    let signed = run(-0.0);
+    assert_eq!((signed.faults.crashes, signed.faults.drains), (1, 0));
+    assert_eq!(signed, run(0.0));
 }

@@ -39,7 +39,7 @@ use llmqo::cluster::{
 };
 use llmqo::serve::{
     with_root_salt, BlockChain, ChainHasher, EngineConfig, EngineError, EngineSession, SimEngine,
-    SimRequest,
+    SimRequest, SimTime,
 };
 use llmqo::tokenizer::TokenId;
 use oracles::session::SessionReference;
@@ -214,16 +214,17 @@ proptest! {
         }
         // Interrupt mid-flight at a workload-dependent instant.
         let t = f64::from(cut) * 0.05;
-        while !session.is_idle() && session.clock() < t {
-            session.step_until(Some(t)).unwrap();
+        let at = SimTime::new(t).unwrap();
+        while !session.is_idle() && session.clock() < at {
+            session.step_until(Some(at)).unwrap();
         }
         while !reference.is_idle() && reference.clock() < t {
             reference.step().unwrap();
         }
-        prop_assert_eq!(session.clock(), reference.clock());
+        prop_assert_eq!(session.clock().secs(), reference.clock());
         prop_assert_eq!(session.completed(), reference.completed());
         // Late arrivals land at time `t` (idle sessions fast-forward).
-        session.advance_to(t);
+        session.advance_to(at);
         reference.advance_to(t);
         let mut late = second.clone();
         late.iter_mut().for_each(|r| r.id += 10_000);
