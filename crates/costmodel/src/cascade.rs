@@ -221,6 +221,7 @@ impl CascadePlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::operator::SelectivityPosterior;
 
     fn labels() -> Vec<String> {
         vec!["Yes".to_owned(), "No".to_owned()]
@@ -321,5 +322,22 @@ mod tests {
         let all = plan.expected_per_row_cost(300.0, 5.0, 1.0);
         assert!((all - (cheap + single)).abs() < 1e-12);
         assert!(plan.expected_per_row_cost(300.0, 5.0, 0.3) < single);
+    }
+
+    /// The per-operator tier posterior the SQL runner keeps: a
+    /// [`SelectivityPosterior`] seeded at the threshold learns the plan's
+    /// escalation rate from one batch's split, and refuses a split with more
+    /// escalated rows than rows.
+    #[test]
+    fn tier_posterior_converges_and_validates() {
+        let plan = CascadePlan::mini_to_sonnet(0.2, 7);
+        let mut p = SelectivityPosterior::new(plan.escalate_below, 8.0);
+        assert_eq!(p.observations(), 0);
+        let escalated = (0..1000).filter(|&r| plan.escalates(r)).count() as u64;
+        p.observe(escalated, 1000);
+        assert!((p.mean() - 0.2).abs() < 0.03, "{}", p.mean());
+        assert_eq!(p.observations(), 1000);
+        let over = std::panic::catch_unwind(move || p.observe(11, 10));
+        assert!(over.is_err(), "more escalated rows than rows must panic");
     }
 }

@@ -809,7 +809,7 @@ mod tests {
     }
 
     #[test]
-    fn rows_escalated_counts_the_rows_the_plan_escalates() {
+    fn tier_agreements_count_the_escalated_rows_the_cheap_tier_gets_right() {
         let engine = engine();
         let executor = QueryExecutor::new(&engine, &OracleLlm, Tokenizer::new());
         let mut table = Table::new(Schema::of_strings(&["review"]));
@@ -836,7 +836,23 @@ mod tests {
         let out = executor
             .execute_with(&table, &query, &OriginalOrder, &fds, &truth, opt)
             .unwrap();
-        let escalated = (0..400).filter(|&r| plan.escalates(r)).count() as u64;
-        assert_eq!(out.report.opt.rows_escalated, escalated);
+        let escalated: Vec<u64> = (0..400).filter(|&r| plan.escalates(r)).collect();
+        assert_eq!(out.report.opt.rows_escalated, escalated.len() as u64);
+        // The oracle labeler answers the truth, so an escalated row's output
+        // is the expensive tier's answer, and the tiers agree on it where
+        // the cheap tier's answer is that output.
+        let mut agreements = 0;
+        for &r in &escalated {
+            let output = &out.outputs[r as usize];
+            assert_eq!(output.row, r as usize);
+            assert_eq!(output.text, truth(r as usize), "escalated row {r}");
+            agreements +=
+                usize::from(plan.cheap_label(r, &output.text, &query.label_space) == output.text);
+        }
+        assert!(
+            0 < agreements && 2 * agreements != escalated.len() && agreements < escalated.len(),
+            "{agreements} of {} escalated rows agree: the count must tell agreement from its complement",
+            escalated.len()
+        );
     }
 }

@@ -255,12 +255,12 @@ fn pipelined_cascade_hands_off_when_the_expensive_tier_has_answered() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Escalation-posterior convergence: after enough observed batches at a
-    /// fixed empirical escalation rate, the posterior mean the schedule
-    /// reads sits within 5% of the rate that generated the data, regardless
-    /// of the prior.
+    /// Tier-posterior convergence: after enough observed batches at a fixed
+    /// empirical escalation rate, the posterior mean the schedule reads sits
+    /// within 5% of the rate that generated the data, regardless of the
+    /// prior.
     #[test]
-    fn escalation_posterior_converges_to_the_empirical_rate(
+    fn tier_posterior_converges_to_the_empirical_rates(
         esc_pm in 0u64..=1000,
         esc_prior_pm in 0u64..=1000,
         batches in 20u64..120,
