@@ -385,7 +385,13 @@ impl RetryPolicy {
     /// `id` (i.e. after `attempt` attempts have failed; the first retry
     /// passes `attempt = 1`). Pure and deterministic. A checked policy's
     /// delay lies in `[0, 2·cap)`, so the `ZERO` fallback never fires.
+    ///
+    /// A zero base is no delay at every attempt: once the power overflows,
+    /// `0 × ∞` would be NaN, and `min` would take the cap over it.
     pub(crate) fn backoff(&self, seed: u64, id: u64, attempt: u32) -> SimTime {
+        if self.backoff_base_s == 0.0 {
+            return SimTime::ZERO;
+        }
         let exp = i32::try_from(attempt.saturating_sub(1)).unwrap_or(i32::MAX);
         let nominal =
             (self.backoff_base_s * self.backoff_multiplier.powi(exp)).min(self.backoff_cap_s);
@@ -604,5 +610,26 @@ mod tests {
         assert_eq!(d, j.backoff(42, 7, 2).secs());
         assert!((0.05..=0.15).contains(&d), "jittered delay {d}");
         assert_ne!(j.backoff(42, 7, 2), j.backoff(42, 8, 2));
+    }
+
+    /// At multiplier 2 the power overflows from attempt 1 025 on: a zero
+    /// base stays at no delay there, and a non-zero one at the cap.
+    #[test]
+    fn a_zero_base_never_backs_off() {
+        let zero = RetryPolicy {
+            backoff_base_s: 0.0,
+            ..RetryPolicy::retries(8)
+        };
+        assert!(zero.check().is_ok());
+        let capped = RetryPolicy {
+            jitter_frac: 0.0,
+            ..RetryPolicy::retries(8)
+        };
+        for attempt in [1, 1_025, 1_100, u32::MAX] {
+            assert_eq!(zero.backoff(42, 7, attempt), SimTime::ZERO, "{attempt}");
+        }
+        for attempt in [1_025, 1_100, u32::MAX] {
+            assert_eq!(capped.backoff(42, 7, attempt), at(2.0), "{attempt}");
+        }
     }
 }

@@ -13,10 +13,13 @@
 //! first attempts are placed in — and streams the chains ahead of the loop
 //! ([`chain_stream`]), so the kernel mostly copies a first attempt's new ids
 //! off the stream; it never waits for the helper, and hashes a first attempt
-//! the helper has not reached yet itself. Retries and hedges are hashed
-//! inline by the kernel's own [`ChainHasher`]. The ids are the ones the
-//! kernel would have computed, so the thread changes no report, and the
-//! helper is joined before [`run`] returns, errors and panics included.
+//! the helper has not reached yet itself. A hedge is not hashed: it fires
+//! only while its primary is live, and copies the chain from the replica
+//! holding it ([`EngineSession::held_chain`]). Retries, failovers and a
+//! hedge whose primary ended first are hashed inline by the kernel's own
+//! [`ChainHasher`]. The ids are the ones the kernel would have computed, so
+//! neither the thread nor the copy changes a report, and the helper is
+//! joined before [`run`] returns, errors and panics included.
 //!
 //! Loop invariants:
 //!
@@ -535,11 +538,17 @@ struct Kernel<'a> {
     /// thread in arrival order (or by the stream, when the helper is
     /// behind); `None` when no helper runs.
     first_chains: Option<ChainStream>,
-    /// Hashes re-placements (retries and hedges) as they are placed, and
-    /// every attempt when no helper runs. Consecutive placements are mostly
-    /// consecutive rows of the reordered table, so the previous prompt is
-    /// the right memo whichever replica it went to.
+    /// The fallback: hashes retries, failovers and a hedge whose primary
+    /// ended before it was placed, and every attempt when no helper runs.
+    /// A hedge of a live primary copies its chain into `hedge_chain` instead.
     hasher: ChainHasher,
+    /// The chain a hedge copies from its primary's replica
+    /// ([`EngineSession::held_chain`]), reused across placements.
+    hedge_chain: Vec<u64>,
+    /// Prompt tokens of the chains hedges copied: with the two hashers'
+    /// counters, every placed prompt token once
+    /// (`serve.chain.tokens_copied`).
+    tokens_copied: u64,
     /// The per-placement metric handles, when observability is on.
     placement_obs: Option<PlacementObs>,
     admission: Admission,
@@ -691,6 +700,8 @@ impl<'a> Kernel<'a> {
             hedge_after,
             first_chains: None,
             hasher: sim.engine().chain_hasher(),
+            hedge_chain: Vec::new(),
+            tokens_copied: 0,
             placement_obs: llmqo_obs::enabled().then(|| PlacementObs {
                 routed: llmqo_obs::registry().counter("cluster.requests_routed"),
                 gauges: Vec::new(),
@@ -757,7 +768,7 @@ impl<'a> Kernel<'a> {
                     ReplicaSnapshot::observe(index, &r.session, r.assigned, alive)
                 }));
             let choice = router.route(request.prefix_key, &self.snapshots);
-            let Some(replica) = self.replicas.get_mut(choice) else {
+            let Some(replica) = self.replicas.get(choice) else {
                 return Err(ClusterError::RouterOutOfRange {
                     chose: choice,
                     replicas: self.replicas.len(),
@@ -778,23 +789,36 @@ impl<'a> Kernel<'a> {
                 break;
             }
             self.admission.remove(0);
+            // One chain per placement feeds the probe and the session's
+            // admission queue. A hedge copies it from the replica holding
+            // its live primary, which queued the same prompt's ids; a first
+            // attempt's comes from the helper; anything else is hashed here.
+            let (id, prompt) = (request.request.id, &request.request.prompt);
+            let chain = match (entry.kind, &mut self.first_chains) {
+                (AttemptKind::First, Some(stream)) => stream.chain(entry.rank, prompt),
+                (AttemptKind::Hedge, _) => {
+                    let primary = self.states[entry.j].live.iter().flatten().next();
+                    let holder = primary.map(|a| &self.replicas[a.replica as usize].session);
+                    match holder.and_then(|s| s.held_chain(id, &mut self.hedge_chain)) {
+                        Some(chain) => {
+                            self.tokens_copied += chain.prompt_tokens() as u64;
+                            chain
+                        }
+                        None => self.hasher.chain(prompt),
+                    }
+                }
+                _ => self.hasher.chain(prompt),
+            };
             // The attempt reaches the replica when it entered admission, or
             // later if backpressure held it there; an idle replica has been
             // frozen since it last worked and is caught up to that moment.
             let ready_s = entry.arrival_s.max(self.now);
+            let replica = &mut self.replicas[choice];
             let (session, occupancy) = (&mut replica.session, &mut replica.occupancy);
             session.advance_to(ready_s);
             // Sample what the router could have known at this decision: KV
-            // occupancy and the probed prefix hit on the chosen replica. The
-            // prompt is hashed once per placement — a first attempt's by the
-            // helper — and the same chain feeds the probe and the session's
-            // admission queue.
+            // occupancy and the probed prefix hit on the chosen replica.
             let kv = session.kv_blocks_in_use();
-            let prompt = &request.request.prompt;
-            let chain = match (entry.kind, &mut self.first_chains) {
-                (AttemptKind::First, Some(stream)) => stream.chain(entry.rank, prompt),
-                _ => self.hasher.chain(prompt),
-            };
             let probed = session.probe_cached_tokens(chain);
             occupancy.samples += 1;
             occupancy.kv_blocks_sum += kv as u64;
@@ -804,7 +828,7 @@ impl<'a> Kernel<'a> {
             if let Some(obs) = &mut self.placement_obs {
                 obs.record(session, choice, request, kv, probed);
             }
-            let (id, output_len) = (request.request.id, request.request.output_len);
+            let output_len = request.request.output_len;
             session.enqueue_chain(id, output_len, chain, session.clock());
             replica.assigned += 1;
             replica.arrivals.push(entry.arrival_s);
@@ -1245,6 +1269,8 @@ impl<'a> Kernel<'a> {
             for hasher in [Some(&self.hasher), helper].into_iter().flatten() {
                 llmqo_serve::obs::publish_chain_hasher(hasher);
             }
+            let copied = llmqo_serve::obs::metrics().chain_tokens_copied;
+            copied.add(self.tokens_copied);
         }
         let mut open_windows: Vec<SimTime> = Vec::new();
         let mut reports: Vec<ReplicaReport> = Vec::with_capacity(self.replicas.len());
@@ -1292,7 +1318,68 @@ impl<'a> Kernel<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use llmqo_serve::SimRequest;
+    use crate::request::ArrivalProcess;
+    use crate::router::LeastLoaded;
+    use crate::sim::ClusterConfig;
+    use llmqo_serve::{
+        with_root_salt, Deployment, EngineConfig, GpuCluster, GpuSpec, ModelSpec, SimRequest,
+    };
+
+    /// A hedge of a live primary copies its chain from the replica that
+    /// holds the primary. Under a hedge-only policy (no crash and no
+    /// transient error, so no retry and no primary that dies first) the
+    /// kernel's own hasher mixes no token while hedges are placed, and the
+    /// run equals the public entry point's, with every block id re-keyed
+    /// too: a copied chain is the prompt's chain.
+    #[test]
+    fn a_hedge_copies_its_chain_from_its_live_primary() {
+        let engine = SimEngine::new(
+            Deployment::new(ModelSpec::llama3_8b(), GpuCluster::single(GpuSpec::l4())),
+            EngineConfig::default(),
+        );
+        let config = ClusterConfig {
+            replicas: 3,
+            queue_cap: 8,
+        };
+        let sim = ClusterSim::new(engine, config);
+        let mut requests: Vec<ClusterRequest> = (0..120)
+            .map(|i| {
+                let g = (i / 10) as u32;
+                let mut tokens: Vec<u32> = (0..64).map(|t| g * 10_000 + t).collect();
+                tokens.extend((0..40).map(|t| 1_000_000 + i as u32 * 64 + t));
+                ClusterRequest::new(SimRequest::from_tokens(i, tokens, 8), u64::from(g))
+            })
+            .collect();
+        ArrivalProcess::Poisson {
+            rate_rps: 200.0,
+            seed: 5,
+        }
+        .assign(&mut requests);
+        let (plan, overload) = (FaultPlan::default(), OverloadPolicy::default());
+        let retry = RetryPolicy::retries(2).with_hedging(0.05);
+        let mut order = Vec::new();
+        let mut k = Kernel::new(&sim, &requests, &mut order, &plan, &retry, &overload).unwrap();
+        // First attempts come off a stream whose feed never runs: the
+        // stream's own hasher takes them, and the kernel's is left with
+        // whatever re-placement is not copied.
+        let (feed, stream) = chain_stream(&k.hasher);
+        drop(feed);
+        k.first_chains = Some(stream);
+        let mut router = LeastLoaded;
+        k.drive(&mut router).unwrap();
+        let mixed = k.hasher.tokens_hashed() + k.hasher.tokens_reused();
+        assert_eq!(mixed, 0, "the kernel hashed a re-placement");
+        assert!(k.tokens_copied > 0);
+        let report = k.finish(router.name(), None);
+        assert!(report.faults.hedges_issued > 0, "{:?}", report.faults);
+        let public = |salt| {
+            let run = || sim.run_overloaded(&mut LeastLoaded, &requests, &plan, &retry, &overload);
+            format!("{:?}", with_root_salt(salt, run).unwrap())
+        };
+        let report = format!("{report:?}");
+        assert_eq!(report, public(0));
+        assert_eq!(report, public(0x5eed));
+    }
 
     /// Every offered id leads back to its request, dense or sparse; an id
     /// nobody offered leads nowhere, so its completion is skipped.

@@ -831,12 +831,33 @@ impl PrefixCache {
         self.admission_plan(chain, decode_tokens).fits
     }
 
+    /// Writes the chain ids of a sequence this cache holds into `out`, in
+    /// chain order, replacing its contents: the runs from `alloc`'s leaf up
+    /// through their parents. The sequence pins every run on that path and
+    /// a split keeps the leaf in place (module docs), so the path holds
+    /// exactly the ids it was admitted with — none for an unhashed chain.
+    pub(crate) fn held_ids(&self, alloc: &SeqAlloc, out: &mut Vec<u64>) {
+        debug_assert_eq!(alloc.cache_id, self.id, "allocation of another cache");
+        out.clear();
+        let mut id = alloc.leaf;
+        if id == NO_RUN {
+            return;
+        }
+        let leaf = &self.runs[id as usize];
+        out.resize((leaf.depth + leaf.len) as usize, 0);
+        while id != NO_RUN {
+            let run = &self.runs[id as usize];
+            out[run.depth as usize..][..run.len as usize].copy_from_slice(self.pages.ids(run));
+            id = run.parent;
+        }
+    }
+
     /// The chain this cache admits `chain` as: itself when prefix sharing
     /// is on, its length alone when it is off — the *No Cache* baseline,
     /// which then holds no run and finds no block. The one reader of
     /// [`CacheConfig::enabled`], so the baseline does not depend on how a
     /// caller hashed.
-    fn admitted_as<'a>(&self, chain: ChainView<'a>) -> ChainView<'a> {
+    pub(crate) fn admitted_as<'a>(&self, chain: ChainView<'a>) -> ChainView<'a> {
         if self.config.enabled {
             chain
         } else {

@@ -148,6 +148,15 @@ pub enum EngineError {
         /// Total capacity in blocks.
         capacity_blocks: usize,
     },
+    /// An [`EngineConfig`] overhead (`step_overhead_s` or
+    /// `per_request_overhead_s`) is NaN, infinite or negative: a session
+    /// adds both to its clock.
+    InvalidOverhead {
+        /// The field's name.
+        field: &'static str,
+        /// Its value.
+        secs: f64,
+    },
 }
 
 impl fmt::Display for EngineError {
@@ -167,6 +176,10 @@ impl fmt::Display for EngineError {
             } => write!(
                 f,
                 "request {id} needs {needed_blocks} KV blocks but capacity is {capacity_blocks}"
+            ),
+            EngineError::InvalidOverhead { field, secs } => write!(
+                f,
+                "engine config {field} must be finite and non-negative, got {secs}"
             ),
         }
     }
@@ -273,6 +286,8 @@ impl SimEngine {
     ///
     /// # Errors
     ///
+    /// [`EngineError::InvalidOverhead`] if an overhead of the config is
+    /// not a finite non-negative number of seconds;
     /// [`EngineError::ModelTooLarge`] if weights do not fit.
     pub fn session(&self) -> Result<EngineSession, EngineError> {
         EngineSession::new(&self.deployment, self.config)
@@ -300,6 +315,7 @@ impl SimEngine {
     ///
     /// # Errors
     ///
+    /// [`EngineError::InvalidOverhead`] for a bad config overhead;
     /// [`EngineError::ModelTooLarge`] if weights do not fit;
     /// [`EngineError::RequestTooLarge`] if a request can never be admitted.
     pub fn run(&self, requests: &[SimRequest]) -> Result<EngineReport, EngineError> {
@@ -430,6 +446,36 @@ mod tests {
             engine.run(&reqs(1, 8, 0, 1)),
             Err(EngineError::ModelTooLarge { .. })
         ));
+    }
+
+    #[test]
+    fn an_overhead_that_is_not_a_sim_time_is_a_typed_error() {
+        let bad = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0, -1e-300];
+        type Field = fn(&mut EngineConfig) -> &mut f64;
+        let fields: [(&str, Field); 2] = [
+            ("step_overhead_s", |c| &mut c.step_overhead_s),
+            ("per_request_overhead_s", |c| &mut c.per_request_overhead_s),
+        ];
+        for (name, field) in fields {
+            for secs in bad {
+                let mut config = EngineConfig::default();
+                *field(&mut config) = secs;
+                let engine = SimEngine::new(l4_8b(), config);
+                let err = engine.session().unwrap_err();
+                match &err {
+                    EngineError::InvalidOverhead { field, secs: got } => {
+                        assert_eq!((*field, got.to_bits()), (name, secs.to_bits()));
+                    }
+                    other => panic!("{name} = {secs}: {other:?}"),
+                }
+                // A NaN is no value equal to itself: compare the texts.
+                let run = engine.run(&reqs(4, 32, 16, 2));
+                assert_eq!(format!("{run:?}"), format!("{:?}", Err::<(), _>(err)));
+            }
+        }
+        for config in [EngineConfig::default(), EngineConfig::no_cache()] {
+            assert!(SimEngine::new(l4_8b(), config).session().is_ok());
+        }
     }
 
     #[test]

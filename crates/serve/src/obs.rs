@@ -52,6 +52,12 @@ pub struct ServeMetrics {
     /// Prompt tokens whose hashing was skipped because their leading
     /// fragments were the previous prompt's (see [`ChainHasher`]).
     pub chain_tokens_reused: &'static Counter,
+    /// Prompt tokens whose chain a driver copied from a session that held
+    /// the same request instead of hashing it (see
+    /// [`EngineSession::held_chain`](crate::EngineSession::held_chain)):
+    /// with the two counters above, `hashed + reused + copied` is every
+    /// placed prompt token.
+    pub chain_tokens_copied: &'static Counter,
     /// Wall-clock seconds spent inside `EngineSession::step` (populated
     /// only while the sinks are enabled).
     pub wall_step_s: &'static Histogram,
@@ -82,6 +88,7 @@ pub fn metrics() -> &'static ServeMetrics {
             cache_id_words_live: r.gauge("cache.id_words_live"),
             chain_tokens_hashed: r.counter("serve.chain.tokens_hashed"),
             chain_tokens_reused: r.counter("serve.chain.tokens_reused"),
+            chain_tokens_copied: r.counter("serve.chain.tokens_copied"),
             wall_step_s: r.histogram("wall.step_s"),
             wall_cache_s: r.histogram("wall.cache_admit_s"),
             wall_decode_recurrence_s: r.histogram("wall.decode_recurrence_s"),

@@ -388,7 +388,14 @@ impl std::fmt::Debug for EngineSession {
 }
 
 impl EngineSession {
+    /// A session of `config` on `deployment`: the one gate of the config's
+    /// two overheads, which the clock adds unchecked
+    /// ([`SimTime::after`]) from then on.
     pub(crate) fn new(deployment: &Deployment, config: EngineConfig) -> Result<Self, EngineError> {
+        let checked =
+            |field, secs| SimTime::new(secs).ok_or(EngineError::InvalidOverhead { field, secs });
+        checked("step_overhead_s", config.step_overhead_s)?;
+        checked("per_request_overhead_s", config.per_request_overhead_s)?;
         let capacity_blocks = deployment.kv_capacity_blocks(&config);
         if capacity_blocks == 0 {
             return Err(EngineError::ModelTooLarge {
@@ -545,6 +552,32 @@ impl EngineSession {
     /// serve without prefill, right now. Pure: never mutates cache state.
     pub fn probe_cached_tokens(&self, chain: ChainView<'_>) -> usize {
         self.cache.probe_chain(chain)
+    }
+
+    /// The block chain of request `id` while this session holds it, read
+    /// from where its ids live now — the queue arena while it waits, its
+    /// cache path while it runs — into `buf`, which the view borrows; `None`
+    /// once it has completed (or was never queued here). No hashing: the
+    /// chain equals the one it was queued under, as the cache admits it
+    /// ([`ChainView::unhashed`] when the cache is disabled). A driver that
+    /// places a second attempt of a request it already placed here copies
+    /// the chain instead of hashing the prompt again.
+    ///
+    /// A lookup scans the waiting queue (at most the driver's queue bound)
+    /// and the running batch (at most `max_num_seqs`), so the enqueue and
+    /// admission paths keep no index for it.
+    pub fn held_chain<'b>(&self, id: usize, buf: &'b mut Vec<u64>) -> Option<ChainView<'b>> {
+        let prompt_tokens = if let Some(r) = self.running.iter().find(|r| r.id == id) {
+            self.cache.held_ids(&r.alloc, buf);
+            r.prompt_len
+        } else {
+            let q = self.waiting.iter().find(|q| q.id == id)?;
+            let chain = self.cache.admitted_as(self.arena.chain(q));
+            buf.clear();
+            buf.extend_from_slice(chain.blocks());
+            chain.prompt_tokens()
+        };
+        Some(ChainView::new(buf, prompt_tokens))
     }
 
     /// Lifetime prefix-cache statistics (admissions, cached tokens,
@@ -1371,6 +1404,49 @@ mod tests {
             "the last chunk went with its last chain"
         );
         assert_eq!(s.finish().report.completed, 12);
+    }
+
+    #[test]
+    fn a_held_chain_is_the_chain_the_request_was_queued_under() {
+        // `a` has six full blocks; `b` shares its first three, so admitting
+        // `b` while `a` runs splits `a`'s run under it.
+        let a = SimRequest::from_tokens(0, (0..100).collect(), 40);
+        let mut b_tokens: Vec<TokenId> = (0..48).collect();
+        b_tokens.extend(1_000..1_060);
+        let b = SimRequest::from_tokens(1, b_tokens, 40);
+        let e = engine();
+        let mut s = e.session().unwrap();
+        let mut buf = Vec::new();
+        let mut held = |s: &EngineSession, id| s.held_chain(id, &mut buf).map(BlockChain::from);
+        enqueue(&e, &mut [&mut s], std::slice::from_ref(&a));
+        assert_eq!(held(&s, 0), Some(defined(&a)), "queued");
+        s.step().unwrap();
+        assert_eq!((s.queued(), s.running()), (0, 1));
+        assert_eq!(held(&s, 0), Some(defined(&a)), "running");
+        enqueue(&e, &mut [&mut s], std::slice::from_ref(&b));
+        assert_eq!(
+            held(&s, 1),
+            Some(defined(&b)),
+            "queued behind a running one"
+        );
+        s.step().unwrap();
+        assert_eq!((s.running(), s.cache.internals().run_splits), (2, 1));
+        assert_eq!(held(&s, 0), Some(defined(&a)), "running, its run split");
+        assert_eq!(held(&s, 1), Some(defined(&b)), "running on the split head");
+        assert_eq!(held(&s, 2), None, "never queued");
+        s.drain().unwrap();
+        assert_eq!((held(&s, 0), held(&s, 1)), (None, None), "completed");
+
+        // A disabled cache holds every chain unhashed, whatever it was
+        // queued under.
+        let off = SimEngine::new(e.deployment().clone(), EngineConfig::no_cache());
+        let mut s = off.session().unwrap();
+        let unhashed = Some(ChainView::unhashed(100));
+        s.enqueue_chain(0, 40, defined(&a).view(), SimTime::ZERO);
+        assert_eq!(s.held_chain(0, &mut buf), unhashed, "queued");
+        s.step().unwrap();
+        assert_eq!(s.running(), 1);
+        assert_eq!(s.held_chain(0, &mut buf), unhashed, "running");
     }
 
     #[test]

@@ -11,7 +11,8 @@ use std::ops::{Add, Sub};
 /// (a sum of sim times; a gap as a signed float), so a clock kept in
 /// `SimTime` reads bit for bit like one kept in `f64`, and `Debug` prints
 /// the bare float. A serving session adds its roofline step times, computed
-/// from its deployment, config and straggler factor, without a check.
+/// from its deployment, config and straggler factor, without a check: its
+/// constructor checked the config's overheads.
 ///
 /// ```
 /// use llmqo_serve::SimTime;

@@ -226,10 +226,12 @@ fn a_windowed_batch_traces_its_requests_offered_at_the_start() {
 
 /// `serve.chain.tokens_{hashed,reused}` sum both hashers of a cluster run:
 /// the helper's, which hashes every arrival's prompt in arrival order (shed
-/// arrivals too), and the kernel's, which hashes every re-placement (retries
-/// and hedges). Each of those prompts is counted once, its tokens split
-/// between mixed and skipped, on a traced run where crash failover,
-/// transient retries, hedges and admission shedding are all live.
+/// arrivals too), and the kernel's, which hashes the re-placements a hedge
+/// does not copy (retries, and hedges whose primary already ended);
+/// `serve.chain.tokens_copied` counts the chains hedges copied from their
+/// live primary's replica. Each of those prompts is counted once, its tokens
+/// split between mixed, skipped and copied, on a traced run where crash
+/// failover, transient retries, hedges and admission shedding are all live.
 #[test]
 fn chain_counters_cover_every_arrival_and_every_replacement() {
     let _g = lock();
@@ -274,9 +276,10 @@ fn chain_counters_cover_every_arrival_and_every_replacement() {
         .expect("cluster run");
     llmqo_obs::set_enabled(false);
     let counter = |name| llmqo_obs::registry().counter(name).get();
-    let (hashed, reused) = (
+    let (hashed, reused, copied) = (
         counter("serve.chain.tokens_hashed"),
         counter("serve.chain.tokens_reused"),
+        counter("serve.chain.tokens_copied"),
     );
     let (faults, shed) = (&report.faults, report.shed.shed);
     let placed: usize = report.replicas.iter().map(|r| r.assigned).sum();
@@ -286,9 +289,11 @@ fn chain_counters_cover_every_arrival_and_every_replacement() {
         shed > 0 && faults.crashes == 1 && faults.transient_errors > 0 && faults.hedges_issued > 0,
         "{faults:?} shed {shed}"
     );
-    assert!(replacements > 0 && reused > 0);
+    // A hedge of a live primary copies its chain from that replica; every
+    // other placement is hashed, from scratch or resumed.
+    assert!(replacements > 0 && reused > 0 && copied > 0);
     assert_eq!(
-        hashed + reused,
+        hashed + reused + copied,
         (faults.offered + replacements) as u64 * PROMPT
     );
 }
