@@ -488,16 +488,11 @@ impl FaultStats {
         self.offered > 0
     }
 
-    /// Adds the run's fault/retry counters to the metrics registry when
-    /// observability is on. Each mirrors one field of this ledger, so
-    /// telemetry cannot drift from the report, and a counter the run never
-    /// bumped is not registered.
+    /// Publishes the run's fault/retry counters ([`llmqo_obs::publish`]).
+    /// Each mirrors one field of this ledger, so telemetry cannot drift
+    /// from the report.
     pub(crate) fn publish(&self) {
-        if !llmqo_obs::enabled() {
-            return;
-        }
-        let registry = llmqo_obs::registry();
-        for (name, n) in [
+        llmqo_obs::publish(&[
             ("cluster.requests_failed", self.failed as u64),
             ("cluster.retry.scheduled", self.retries),
             ("cluster.fault.transient_errors", self.transient_errors),
@@ -507,11 +502,7 @@ impl FaultStats {
             ("cluster.fault.crashes", self.crashes),
             ("cluster.fault.restarts", self.restarts),
             ("cluster.fault.drains", self.drains),
-        ] {
-            if n > 0 {
-                registry.counter(name).add(n);
-            }
-        }
+        ]);
     }
 }
 

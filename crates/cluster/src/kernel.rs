@@ -17,9 +17,10 @@
 //! only while its primary is live, and copies the chain from the replica
 //! holding it ([`EngineSession::held_chain`]). Retries, failovers and a
 //! hedge whose primary ended first are hashed inline by the kernel's own
-//! [`ChainHasher`]. The ids are the ones the kernel would have computed, so
-//! neither the thread nor the copy changes a report, and the helper is
-//! joined before [`run`] returns, errors and panics included.
+//! [`ChainHasher`], published apart from the helper's (`cluster.chain.*`
+//! against `serve.chain.*`). The ids are the ones the kernel would have
+//! computed, so neither the thread nor the copy changes a report, and the
+//! helper is joined before [`run`] returns, errors and panics included.
 //!
 //! Loop invariants:
 //!
@@ -58,14 +59,14 @@
 
 use crate::fault::{slowdown_at, FaultEvent, FaultPlan, FaultStats, RetryPolicy};
 use crate::overload::{
-    decide_admission, obs_scale, obs_shed, shed_victim, AdmissionPolicy, OverloadPolicy,
-    PendingLedger, ScaleStats, ShedDecision, ShedReason, ShedStats,
+    decide_admission, obs_scale, shed_victim, AdmissionPolicy, OverloadPolicy, PendingLedger,
+    ScaleStats, ShedDecision, ShedReason, ShedStats,
 };
 use crate::report::{ClusterReport, ReplicaOccupancy, ReplicaReport};
 use crate::request::ClusterRequest;
 use crate::router::{ReplicaSnapshot, Router};
 use crate::sim::{ClusterError, ClusterSim};
-use llmqo_obs::{Counter, Gauge};
+use llmqo_obs::Gauge;
 use llmqo_serve::{
     chain_stream, ChainHasher, ChainStream, Completion, EngineError, EngineSession, SessionReport,
     SimEngine, SimTime,
@@ -448,11 +449,10 @@ impl<'a> Timeline<'a> {
     }
 }
 
-/// Handles of the per-placement metrics, resolved once per run so a routed
-/// request costs three atomic stores and one trace event — no `format!`,
+/// Handles of the per-placement gauges, resolved once per run so a routed
+/// request costs two atomic stores and one trace event — no `format!`,
 /// no registry lock.
 struct PlacementObs {
-    routed: &'static Counter,
     /// `(kv_blocks_in_use, queued)` gauges by replica index, resolved on
     /// the first placement there (the autoscaler grows the fleet mid-run).
     gauges: Vec<(&'static Gauge, &'static Gauge)>,
@@ -480,7 +480,6 @@ impl PlacementObs {
         let (kv_gauge, queued_gauge) = self.gauges[choice];
         kv_gauge.set(kv_blocks_in_use as f64);
         queued_gauge.set(session.queued() as f64);
-        self.routed.inc();
         llmqo_obs::tracer().instant(
             0,
             request.request.id as u64,
@@ -541,6 +540,7 @@ struct Kernel<'a> {
     /// The fallback: hashes retries, failovers and a hedge whose primary
     /// ended before it was placed, and every attempt when no helper runs.
     /// A hedge of a live primary copies its chain into `hedge_chain` instead.
+    /// Published as `cluster.chain.tokens_{hashed,reused}`.
     hasher: ChainHasher,
     /// The chain a hedge copies from its primary's replica
     /// ([`EngineSession::held_chain`]), reused across placements.
@@ -549,7 +549,7 @@ struct Kernel<'a> {
     /// counters, every placed prompt token once
     /// (`serve.chain.tokens_copied`).
     tokens_copied: u64,
-    /// The per-placement metric handles, when observability is on.
+    /// The per-placement gauge handles, when observability is on.
     placement_obs: Option<PlacementObs>,
     admission: Admission,
     states: Vec<ReqState>,
@@ -702,10 +702,7 @@ impl<'a> Kernel<'a> {
             hasher: sim.engine().chain_hasher(),
             hedge_chain: Vec::new(),
             tokens_copied: 0,
-            placement_obs: llmqo_obs::enabled().then(|| PlacementObs {
-                routed: llmqo_obs::registry().counter("cluster.requests_routed"),
-                gauges: Vec::new(),
-            }),
+            placement_obs: llmqo_obs::enabled().then(|| PlacementObs { gauges: Vec::new() }),
             admission: Admission {
                 queue: VecDeque::new(),
                 pending: PendingLedger::new(&overload.admission),
@@ -907,8 +904,11 @@ impl<'a> Kernel<'a> {
         rep.up = true;
         if std::mem::take(&mut rep.scale_join) {
             // A scaled-up replica finishing its warmup was never
-            // *un*available: only the scaling ledger sees the event.
+            // *un*available. No ledger counts joins: an event counter.
             obs_scale("joined", i, self.routable(), t);
+            if llmqo_obs::enabled() {
+                llmqo_obs::registry().counter("cluster.scale.joined").inc();
+            }
         } else if let Some(since) = since {
             self.stats.restarts += 1;
             self.stats.unavailability_windows += 1;
@@ -1068,8 +1068,16 @@ impl<'a> Kernel<'a> {
     }
 
     fn shed_request(&mut self, j: usize, reason: ShedReason, t: SimTime) {
-        self.shed.record(reason, self.requests[j].priority);
-        obs_shed(&self.requests[j], reason, t);
+        let request = &self.requests[j];
+        self.shed.record(reason, request.priority);
+        if llmqo_obs::enabled() {
+            let (id, tenant) = (request.request.id as u64, request.tenant as usize);
+            let args = [
+                ("tenant", tenant.into()),
+                ("priority", usize::from(request.priority).into()),
+            ];
+            llmqo_obs::tracer().instant(0, id, "shed", "overload", t.secs(), &args);
+        }
         if self.engaged {
             self.states[j].outcome = Outcome::Shed;
         }
@@ -1262,16 +1270,9 @@ impl<'a> Kernel<'a> {
     }
 
     /// Assembles the report: merges incarnations per replica, closes open
-    /// down windows, and checks the ledgers. `helper` is the hasher the
-    /// helper thread ran, if one did.
+    /// down windows, checks the ledgers and publishes them. `helper` is the
+    /// hasher the helper thread ran, if one did.
     fn finish(mut self, policy: &str, helper: Option<&ChainHasher>) -> ClusterReport {
-        if self.placement_obs.is_some() {
-            for hasher in [Some(&self.hasher), helper].into_iter().flatten() {
-                llmqo_serve::obs::publish_chain_hasher(hasher);
-            }
-            let copied = llmqo_serve::obs::metrics().chain_tokens_copied;
-            copied.add(self.tokens_copied);
-        }
         let mut open_windows: Vec<SimTime> = Vec::new();
         let mut reports: Vec<ReplicaReport> = Vec::with_capacity(self.replicas.len());
         for rep in self.replicas {
@@ -1306,7 +1307,21 @@ impl<'a> Kernel<'a> {
             shed.shed
         );
         debug_assert_eq!(stats.succeeded + stats.failed + shed.shed, stats.offered);
-        stats.publish();
+        if llmqo_obs::enabled() {
+            if let Some(hasher) = helper {
+                llmqo_serve::obs::publish_chain_hasher(hasher);
+            }
+            let routed = report.replicas.iter().map(|r| r.assigned as u64).sum();
+            llmqo_obs::publish(&[
+                ("cluster.requests_routed", routed),
+                ("cluster.chain.tokens_hashed", self.hasher.tokens_hashed()),
+                ("cluster.chain.tokens_reused", self.hasher.tokens_reused()),
+                ("serve.chain.tokens_copied", self.tokens_copied),
+            ]);
+            stats.publish();
+            shed.publish();
+            self.scale.publish();
+        }
         report.faults = self.stats;
         report.shed = self.shed;
         report.scaling = self.scale;

@@ -335,6 +335,17 @@ impl ShedStats {
         }
         self.max_shed_priority = self.max_shed_priority.max(priority);
     }
+
+    /// Publishes the shed counters, one per field
+    /// ([`llmqo_obs::publish`]).
+    pub(crate) fn publish(&self) {
+        llmqo_obs::publish(&[
+            ("cluster.requests_shed", self.shed as u64),
+            ("cluster.shed.queue_full", self.shed_queue_full as u64),
+            ("cluster.shed.kv_pressure", self.shed_kv_pressure as u64),
+            ("cluster.shed.tenant_quota", self.shed_tenant_quota as u64),
+        ]);
+    }
 }
 
 /// Which admission gate forced a shed.
@@ -343,16 +354,6 @@ pub(crate) enum ShedReason {
     QueueFull,
     KvPressure,
     TenantQuota,
-}
-
-impl ShedReason {
-    pub(crate) fn counter(self) -> &'static str {
-        match self {
-            ShedReason::QueueFull => "cluster.shed.queue_full",
-            ShedReason::KvPressure => "cluster.shed.kv_pressure",
-            ShedReason::TenantQuota => "cluster.shed.tenant_quota",
-        }
-    }
 }
 
 /// What the admission gates ruled for one arrival.
@@ -468,36 +469,11 @@ pub(crate) fn shed_victim(
     victim.map(|(pos, _)| pos)
 }
 
-/// Cold path: the shed counter and trace instant, only when observability
-/// is on.
-pub(crate) fn obs_shed(request: &ClusterRequest, reason: ShedReason, t: SimTime) {
-    if !llmqo_obs::enabled() {
-        return;
-    }
-    let r = llmqo_obs::registry();
-    r.counter("cluster.requests_shed").inc();
-    r.counter(reason.counter()).inc();
-    llmqo_obs::tracer().instant(
-        0,
-        request.request.id as u64,
-        "shed",
-        "overload",
-        t.secs(),
-        &[
-            ("tenant", (request.tenant as usize).into()),
-            ("priority", (request.priority as usize).into()),
-        ],
-    );
-}
-
-/// Cold path: one scale-event counter and trace instant.
+/// Cold path: one scale-event trace instant.
 pub(crate) fn obs_scale(event: &'static str, replica: usize, fleet: usize, t: SimTime) {
     if !llmqo_obs::enabled() {
         return;
     }
-    llmqo_obs::registry()
-        .counter(&format!("cluster.scale.{event}"))
-        .inc();
     llmqo_obs::tracer().instant(
         0,
         replica as u64,
@@ -527,6 +503,17 @@ pub struct ScaleStats {
     /// lowered wherever a replica stops being routable (a crash, a fault
     /// drain or an autoscaler drain).
     pub low_replicas: usize,
+}
+
+impl ScaleStats {
+    /// Publishes the scale-up and scale-down counters
+    /// ([`llmqo_obs::publish`]).
+    pub(crate) fn publish(&self) {
+        llmqo_obs::publish(&[
+            ("cluster.scale.up", self.scale_ups),
+            ("cluster.scale.down", self.scale_downs),
+        ]);
+    }
 }
 
 #[cfg(test)]

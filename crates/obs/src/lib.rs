@@ -81,6 +81,21 @@ pub fn registry() -> &'static Registry {
     metrics::global()
 }
 
+/// Adds each `(name, n)` to its counter when the sinks are on: how a
+/// ledger publishes itself once, when it closes, so each counter mirrors
+/// one ledger field. A zero is skipped, so a counter nothing bumped is not
+/// registered.
+pub fn publish(counts: &[(&str, u64)]) {
+    if !enabled() {
+        return;
+    }
+    for &(name, n) in counts {
+        if n > 0 {
+            registry().counter(name).add(n);
+        }
+    }
+}
+
 /// The process-wide sim-time tracer.
 pub fn tracer() -> &'static Tracer {
     trace::global()

@@ -674,6 +674,18 @@ impl OptStats {
         self.esc_prompt_tokens += other.esc_prompt_tokens;
         self.esc_output_tokens += other.esc_output_tokens;
     }
+
+    /// Publishes an operator's ledger when its stage finishes
+    /// ([`llmqo_obs::publish`]): each counter mirrors one field.
+    pub(crate) fn publish(&self) {
+        llmqo_obs::publish(&[
+            ("sql.stage_batches", u64::from(self.batches)),
+            ("sql.llm_calls", self.llm_calls),
+            ("sql.cascade_rows_cheap", self.rows_cheap),
+            ("sql.cascade_rows_escalated", self.rows_escalated),
+            ("sql.rows_failed", self.rows_failed),
+        ]);
+    }
 }
 
 #[cfg(test)]

@@ -383,7 +383,8 @@ impl<'q> Stage<'q> {
     /// [`batch_outputs`](Self::batch_outputs) and
     /// [`batch_failed`](Self::batch_failed) until the next batch. With
     /// observability on, emits the executor phase span `op.<query>` on the
-    /// SQL lane and the `sql.*` counters.
+    /// SQL lane; the ledger's `sql.*` counters are published when the stage
+    /// [finishes](Self::finish).
     ///
     /// # Errors
     ///
@@ -420,17 +421,6 @@ impl<'q> Stage<'q> {
                     ("llm_calls", llmqo_obs::ArgValue::from(opt.llm_calls)),
                 ],
             );
-            let counters = llmqo_obs::registry();
-            counters.counter("sql.stage_batches").inc();
-            counters.counter("sql.llm_calls").add(opt.llm_calls);
-            if opt.rows_cheap + opt.rows_escalated > 0 {
-                counters
-                    .counter("sql.cascade_rows_cheap")
-                    .add(opt.rows_cheap);
-                counters
-                    .counter("sql.cascade_rows_escalated")
-                    .add(opt.rows_escalated);
-            }
         }
         Ok(opt)
     }
@@ -462,13 +452,15 @@ impl<'q> Stage<'q> {
     /// derives the selection (filters) and the aggregate (aggregations)
     /// from the outputs. The report's engine section covers the tier every
     /// row ran on; the expensive tier's serving volume is already in the
-    /// tier fields of the report's [`OptStats`](crate::OptStats).
+    /// tier fields of the report's [`OptStats`](crate::OptStats), which
+    /// the stage publishes here ([`OptStats::publish`]).
     pub fn finish(self) -> QueryOutput {
         if let Some(escalation) = self.escalation {
             escalation.finish();
         }
         let (query, mut out) = (self.query, self.output);
         out.report.engine = self.engine.finish();
+        out.report.opt.publish();
         // Every batch sorts its outputs and batches arrive in ascending
         // candidate order.
         debug_assert!(out.outputs.is_sorted_by_key(|o| o.row));

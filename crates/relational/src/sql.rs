@@ -298,11 +298,6 @@ impl<'a> SqlRunner<'a> {
              excluded from results (partial-result mode)",
             query.name,
         ));
-        if llmqo_obs::enabled() {
-            llmqo_obs::registry()
-                .counter("sql.rows_failed")
-                .add(failed.len() as u64);
-        }
     }
 }
 

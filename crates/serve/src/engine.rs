@@ -67,6 +67,37 @@ impl EngineConfig {
             ..Self::default()
         }
     }
+
+    /// The one gate of a config, run when a session opens on `gpus` GPUs:
+    /// the first field out of its range is [`EngineError::InvalidConfig`].
+    /// A zero block size, sequence limit or token budget would divide by
+    /// zero, admit nothing or make no progress; a utilization above 1
+    /// would promise memory the GPUs do not have.
+    pub(crate) fn check(&self, gpus: u32) -> Result<(), EngineError> {
+        let (u, r) = (self.gpu_memory_utilization, self.runtime_reserve_bytes);
+        let count = |n: usize| (n as f64, n > 0, "at least 1");
+        let secs = |s: f64| (s, SimTime::new(s).is_some(), "finite and non-negative");
+        let utilization = (u, u > 0.0 && u <= 1.0, "in (0, 1]");
+        let fits = r.checked_mul(u64::from(gpus)).is_some();
+        let reserve = (r as f64, fits, "at most u64::MAX bytes over all GPUs");
+        let fields = [
+            ("block_size", count(self.block_size)),
+            ("max_num_seqs", count(self.max_num_seqs)),
+            ("max_batch_tokens", count(self.max_batch_tokens)),
+            ("gpu_memory_utilization", utilization),
+            ("runtime_reserve_bytes", reserve),
+            ("step_overhead_s", secs(self.step_overhead_s)),
+            ("per_request_overhead_s", secs(self.per_request_overhead_s)),
+        ];
+        match fields.into_iter().find(|(_, (_, ok, _))| !ok) {
+            Some((field, (value, _, expected))) => Err(EngineError::InvalidConfig {
+                field,
+                value,
+                expected,
+            }),
+            None => Ok(()),
+        }
+    }
 }
 
 /// A model placed on a cluster.
@@ -88,7 +119,9 @@ impl Deployment {
     pub fn kv_capacity_tokens(&self, config: &EngineConfig) -> u64 {
         let usable = self.cluster.total_mem_bytes() as f64 * config.gpu_memory_utilization
             - self.model.weight_bytes() as f64
-            - (config.runtime_reserve_bytes * u64::from(self.cluster.count)) as f64;
+            - config
+                .runtime_reserve_bytes
+                .saturating_mul(u64::from(self.cluster.count)) as f64;
         if usable <= 0.0 {
             return 0;
         }
@@ -148,14 +181,15 @@ pub enum EngineError {
         /// Total capacity in blocks.
         capacity_blocks: usize,
     },
-    /// An [`EngineConfig`] overhead (`step_overhead_s` or
-    /// `per_request_overhead_s`) is NaN, infinite or negative: a session
-    /// adds both to its clock.
-    InvalidOverhead {
+    /// An [`EngineConfig`] field is out of its range
+    /// (`EngineConfig::check`, run when a session opens).
+    InvalidConfig {
         /// The field's name.
         field: &'static str,
         /// Its value.
-        secs: f64,
+        value: f64,
+        /// What the field must be.
+        expected: &'static str,
     },
 }
 
@@ -177,10 +211,11 @@ impl fmt::Display for EngineError {
                 f,
                 "request {id} needs {needed_blocks} KV blocks but capacity is {capacity_blocks}"
             ),
-            EngineError::InvalidOverhead { field, secs } => write!(
-                f,
-                "engine config {field} must be finite and non-negative, got {secs}"
-            ),
+            EngineError::InvalidConfig {
+                field,
+                value,
+                expected,
+            } => write!(f, "engine config {field} must be {expected}, got {value}"),
         }
     }
 }
@@ -286,9 +321,8 @@ impl SimEngine {
     ///
     /// # Errors
     ///
-    /// [`EngineError::InvalidOverhead`] if an overhead of the config is
-    /// not a finite non-negative number of seconds;
-    /// [`EngineError::ModelTooLarge`] if weights do not fit.
+    /// [`EngineError::InvalidConfig`] if a field of the config is out of
+    /// its range; [`EngineError::ModelTooLarge`] if weights do not fit.
     pub fn session(&self) -> Result<EngineSession, EngineError> {
         EngineSession::new(&self.deployment, self.config)
     }
@@ -315,7 +349,7 @@ impl SimEngine {
     ///
     /// # Errors
     ///
-    /// [`EngineError::InvalidOverhead`] for a bad config overhead;
+    /// [`EngineError::InvalidConfig`] for a config field out of range;
     /// [`EngineError::ModelTooLarge`] if weights do not fit;
     /// [`EngineError::RequestTooLarge`] if a request can never be admitted.
     pub fn run(&self, requests: &[SimRequest]) -> Result<EngineReport, EngineError> {
@@ -463,8 +497,8 @@ mod tests {
                 let engine = SimEngine::new(l4_8b(), config);
                 let err = engine.session().unwrap_err();
                 match &err {
-                    EngineError::InvalidOverhead { field, secs: got } => {
-                        assert_eq!((*field, got.to_bits()), (name, secs.to_bits()));
+                    EngineError::InvalidConfig { field, value, .. } => {
+                        assert_eq!((*field, value.to_bits()), (name, secs.to_bits()));
                     }
                     other => panic!("{name} = {secs}: {other:?}"),
                 }
@@ -476,6 +510,60 @@ mod tests {
         for config in [EngineConfig::default(), EngineConfig::no_cache()] {
             assert!(SimEngine::new(l4_8b(), config).session().is_ok());
         }
+    }
+
+    /// Each field a session reads is checked where it opens: a zero block
+    /// size (a division by zero), sequence limit (nothing admitted) or token
+    /// budget (no progress), a utilization outside `(0, 1]` and a runtime
+    /// reserve that overflows over the GPUs are typed errors, named by field.
+    #[test]
+    fn every_config_field_out_of_range_is_a_typed_error() {
+        type Set = fn(&mut EngineConfig);
+        let cases: [(&str, u32, Set); 9] = [
+            ("block_size", 1, |c| c.block_size = 0),
+            ("max_num_seqs", 1, |c| c.max_num_seqs = 0),
+            ("max_batch_tokens", 1, |c| c.max_batch_tokens = 0),
+            ("gpu_memory_utilization", 1, |c| {
+                c.gpu_memory_utilization = f64::INFINITY
+            }),
+            ("gpu_memory_utilization", 1, |c| {
+                c.gpu_memory_utilization = 2.0
+            }),
+            ("gpu_memory_utilization", 1, |c| {
+                c.gpu_memory_utilization = f64::NAN
+            }),
+            ("gpu_memory_utilization", 1, |c| {
+                c.gpu_memory_utilization = 0.0
+            }),
+            ("gpu_memory_utilization", 1, |c| {
+                c.gpu_memory_utilization = -0.5
+            }),
+            ("runtime_reserve_bytes", 8, |c| {
+                c.runtime_reserve_bytes = u64::MAX / 4
+            }),
+        ];
+        let on = |gpus, config| {
+            let cluster = GpuCluster::tensor_parallel(GpuSpec::l4(), gpus);
+            SimEngine::new(Deployment::new(ModelSpec::llama3_8b(), cluster), config)
+        };
+        for (name, gpus, set) in cases {
+            let mut config = EngineConfig::default();
+            set(&mut config);
+            match on(gpus, config).run(&reqs(4, 32, 16, 2)) {
+                Err(EngineError::InvalidConfig { field, .. }) => assert_eq!(field, name),
+                other => panic!("{name}: {other:?}"),
+            }
+        }
+        // The edges of the ranges hold: one sequence, one token a step, all
+        // of the memory, no reserve.
+        let edges = EngineConfig {
+            max_num_seqs: 1,
+            max_batch_tokens: 1,
+            gpu_memory_utilization: 1.0,
+            runtime_reserve_bytes: 0,
+            ..EngineConfig::default()
+        };
+        assert_eq!(on(8, edges).run(&reqs(4, 32, 16, 2)).unwrap().completed, 4);
     }
 
     #[test]

@@ -388,14 +388,11 @@ impl std::fmt::Debug for EngineSession {
 }
 
 impl EngineSession {
-    /// A session of `config` on `deployment`: the one gate of the config's
-    /// two overheads, which the clock adds unchecked
+    /// A session of `config` on `deployment`: the one gate of the config
+    /// (`EngineConfig::check`), whose overheads the clock adds unchecked
     /// ([`SimTime::after`]) from then on.
     pub(crate) fn new(deployment: &Deployment, config: EngineConfig) -> Result<Self, EngineError> {
-        let checked =
-            |field, secs| SimTime::new(secs).ok_or(EngineError::InvalidOverhead { field, secs });
-        checked("step_overhead_s", config.step_overhead_s)?;
-        checked("per_request_overhead_s", config.per_request_overhead_s)?;
+        config.check(deployment.cluster.count)?;
         let capacity_blocks = deployment.kv_capacity_blocks(&config);
         if capacity_blocks == 0 {
             return Err(EngineError::ModelTooLarge {
@@ -475,7 +472,6 @@ impl EngineSession {
             offered_s,
         });
         if llmqo_obs::enabled() {
-            crate::obs::metrics().requests_enqueued.inc();
             llmqo_obs::tracer().instant(
                 self.trace_lane,
                 id as u64,
@@ -791,10 +787,6 @@ impl EngineSession {
                         }
                     };
                     if llmqo_obs::enabled() {
-                        let m = crate::obs::metrics();
-                        m.completions.inc();
-                        m.output_tokens.add(u64::from(r.output_done));
-                        m.latency_s.record(self.clock - r.admitted_at);
                         llmqo_obs::tracer().complete(
                             self.trace_lane,
                             r.id as u64,
@@ -854,15 +846,12 @@ impl EngineSession {
         self.report.steps += 1;
     }
 
-    /// Cold path: span + metric emission for the admission that just pushed
-    /// the newest [`Running`] entry. Only called when observability is on.
+    /// Cold path: span emission for the admission that just pushed the
+    /// newest [`Running`] entry. Only called when observability is on.
     fn trace_admission(&self, q: &QueuedRequest, evictions_before: u64) {
         let Some(r) = self.running.last() else {
             return;
         };
-        let m = crate::obs::metrics();
-        m.requests_admitted.inc();
-        m.cached_prompt_tokens.add(r.alloc.cached_tokens as u64);
         let tr = llmqo_obs::tracer();
         tr.complete(
             self.trace_lane,
@@ -916,6 +905,37 @@ impl EngineSession {
                 ("cached_tokens", r.alloc.cached_tokens.into()),
             ],
         );
+    }
+
+    /// Cold path: publishes the ledger of a finishing session. Every request
+    /// it was given is completed, queued or running, and every admitted one
+    /// completed or running. The cache's id page figures are levels,
+    /// published as the highest any cache reported. Only called when
+    /// observability is on.
+    fn publish(&self) {
+        let (r, done, c) = (&self.report, &self.completions, self.cache.internals());
+        let (queued, running) = (self.waiting.len() as u64, self.running.len() as u64);
+        let completed = r.completed as u64;
+        let output_tokens = done.iter().map(|d| u64::from(d.output_tokens)).sum();
+        llmqo_obs::publish(&[
+            ("serve.requests_enqueued", completed + queued + running),
+            ("serve.requests_admitted", completed + running),
+            ("serve.cached_prompt_tokens", r.cached_prompt_tokens),
+            ("serve.completions", completed),
+            ("serve.output_tokens", output_tokens),
+            ("cache.evictions", c.evictions),
+            ("cache.block_map_probes", c.block_map_probes),
+            ("cache.run_splits", c.run_splits),
+            ("cache.heap_stale_invalidations", c.heap_stale_invalidations),
+        ]);
+        let registry = llmqo_obs::registry();
+        let latency = registry.histogram("serve.latency_s");
+        for d in done {
+            latency.record(d.finished_s - d.admitted_s);
+        }
+        let (pages, words) = (c.id_pages as f64, c.id_words_live as f64);
+        registry.gauge("cache.id_pages").set_max(pages);
+        registry.gauge("cache.id_words_live").set_max(words);
     }
 
     /// If the batch is in steady-state decode, returns the number of steps
@@ -1077,7 +1097,8 @@ impl EngineSession {
     }
 
     /// Finalizes the session: computes latency percentiles and returns the
-    /// aggregate report plus per-request completion records.
+    /// aggregate report plus per-request completion records. With the sinks
+    /// on, this is where the session publishes its ledger, once.
     ///
     /// Percentiles are taken over the completion records, so finishing a
     /// busy session drops the first tokens of requests it never completed.
@@ -1087,15 +1108,12 @@ impl EngineSession {
     pub fn finish(mut self) -> SessionReport {
         #[cfg(debug_assertions)]
         self.cache.check_invariants();
-        if llmqo_obs::enabled() {
-            crate::obs::publish_cache_internals(
-                crate::cache::CacheInternals::default(),
-                self.cache.internals(),
-            );
-        }
         self.report.job_completion_time_s = self.clock.secs();
         self.report.peak_blocks = self.cache.stats().peak_blocks;
         self.report.evictions = self.cache.stats().evictions;
+        if llmqo_obs::enabled() {
+            self.publish();
+        }
         let mut out = SessionReport {
             report: self.report,
             completions: self.completions,

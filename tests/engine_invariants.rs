@@ -2,7 +2,8 @@
 //! 5–6): token conservation, completion, monotonicity, and determinism.
 
 use llmqo::serve::{
-    Deployment, EngineConfig, GpuCluster, GpuSpec, ModelSpec, SimEngine, SimRequest,
+    Deployment, EngineConfig, EngineError, GpuCluster, GpuSpec, ModelSpec, SimEngine, SimRequest,
+    SimTime,
 };
 use proptest::prelude::*;
 
@@ -92,6 +93,111 @@ proptest! {
             r.cached_prompt_tokens + r.computed_prompt_tokens,
             r.total_prompt_tokens
         );
+    }
+}
+
+/// Values a config field is set to: zero, the least valid, a small and a
+/// huge count and the largest for counts; zero, both signs of zero and of
+/// infinity, NaN, a negative, a tiny, a valid, the largest valid, an
+/// over-range and two huge values for floats.
+const COUNTS: [u64; 5] = [0, 1, 7, 1 << 40, u64::MAX];
+const FLOATS: [f64; 12] = [
+    0.0,
+    -0.0,
+    f64::NAN,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    -1.0,
+    1e-300,
+    0.5,
+    1.0,
+    2.0,
+    1e300,
+    f64::MAX,
+];
+
+/// Sets field `field` of `config` to value `pick` of its kind.
+fn set_field(config: &mut EngineConfig, field: usize, pick: usize) {
+    let (n, x) = (COUNTS[pick % COUNTS.len()], FLOATS[pick % FLOATS.len()]);
+    let count = usize::try_from(n).unwrap_or(usize::MAX);
+    match field {
+        0 => config.block_size = count,
+        1 => config.max_num_seqs = count,
+        2 => config.max_batch_tokens = count,
+        3 => config.runtime_reserve_bytes = n,
+        4 => config.gpu_memory_utilization = x,
+        5 => config.step_overhead_s = x,
+        _ => config.per_request_overhead_s = x,
+    }
+}
+
+/// Engine steps (`step_until` calls) four short prompts may take under any
+/// config the gate lets through: one prefill token a step at worst.
+const STEP_BOUND: usize = 4_000;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// A config with fields set to 0, NaN, ±∞, negative or huge values
+    /// fails fast: the session it opens is a typed error, or it serves four
+    /// prompts within a bounded number of steps (or says which request can
+    /// never fit), and `SimEngine::run` ends the same way. Nothing panics
+    /// and nothing spins.
+    #[test]
+    fn a_bad_config_fails_fast_and_typed(
+        fields in proptest::collection::vec((0usize..7, 0usize..12), 1..3),
+        gpus in prop::sample::select(vec![1u32, 2]),
+    ) {
+        let mut config = EngineConfig::default();
+        for &(field, pick) in &fields {
+            set_field(&mut config, field, pick);
+        }
+        let cluster = GpuCluster::tensor_parallel(GpuSpec::l4(), gpus);
+        let e = SimEngine::new(Deployment::new(ModelSpec::llama3_8b(), cluster), config);
+        // Two prompts of each of two 40-token prefixes.
+        let prompt = |i: usize| (0..40).map(|t| t + 100 * (i as u32 % 2)).collect();
+        let reqs: Vec<SimRequest> =
+            (0..4).map(|i| SimRequest::from_tokens(i, prompt(i), 3)).collect();
+        let stepped = match e.session() {
+            Err(err) => {
+                let typed = matches!(
+                    err,
+                    EngineError::InvalidConfig { .. } | EngineError::ModelTooLarge { .. }
+                );
+                prop_assert!(typed, "{config:?}: {err:?}");
+                Err(err)
+            }
+            Ok(mut session) => {
+                let mut hasher = e.chain_hasher();
+                for r in &reqs {
+                    let chain = hasher.chain(&r.prompt);
+                    session.enqueue_chain(r.id, r.output_len, chain, SimTime::ZERO);
+                }
+                let mut steps = 0;
+                let drained = loop {
+                    match session.step_until(None) {
+                        Ok(true) => steps += 1,
+                        Ok(false) => break Ok(()),
+                        Err(err) => break Err(err),
+                    }
+                    prop_assert!(steps <= STEP_BOUND, "{config:?} still busy after {steps} steps");
+                };
+                match drained {
+                    Ok(()) => {
+                        let out = session.finish().report;
+                        prop_assert_eq!(out.completed, 4);
+                        Ok(out)
+                    }
+                    Err(err) => {
+                        let typed = matches!(err, EngineError::RequestTooLarge { .. });
+                        prop_assert!(typed, "{config:?}: {err:?}");
+                        Err(err)
+                    }
+                }
+            }
+        };
+        // A NaN field is no value equal to itself: compare the texts.
+        prop_assert_eq!(format!("{:?}", e.run(&reqs)), format!("{stepped:?}"));
     }
 }
 

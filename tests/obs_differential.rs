@@ -17,12 +17,17 @@ mod common;
 use common::{assert_sql_identical, engine, skewed_truth};
 use llmqo::cluster::{
     AdmissionPolicy, ArrivalProcess, ClusterReport, ClusterRequest, FaultPlan, OverloadPolicy,
-    PrefixAffinity, RetryPolicy, RoundRobin, Router,
+    PrefixAffinity, RetryPolicy, RoundRobin, Router, ScalePolicy,
 };
+use llmqo::core::{FunctionalDeps, OriginalOrder};
 use llmqo::costmodel::CascadePlan;
 use llmqo::datasets::Dataset;
-use llmqo::relational::{CascadeConfig, OptimizerConfig, SqlResult};
-use llmqo::serve::{percentile, SimRequest};
+use llmqo::relational::{
+    CascadeConfig, LlmQuery, OptStats, OptimizerConfig, QueryExecutor, Schema, SqlResult,
+    SqlRunner, StatementFaults, Table,
+};
+use llmqo::serve::{percentile, OracleLlm, SimRequest};
+use llmqo::tokenizer::Tokenizer;
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex};
 
@@ -224,19 +229,19 @@ fn a_windowed_batch_traces_its_requests_offered_at_the_start() {
     assert_eq!(windowed, whole);
 }
 
-/// `serve.chain.tokens_{hashed,reused}` sum both hashers of a cluster run:
-/// the helper's, which hashes every arrival's prompt in arrival order (shed
-/// arrivals too), and the kernel's, which hashes the re-placements a hedge
-/// does not copy (retries, and hedges whose primary already ended);
-/// `serve.chain.tokens_copied` counts the chains hedges copied from their
-/// live primary's replica. Each of those prompts is counted once, its tokens
-/// split between mixed, skipped and copied, on a traced run where crash
-/// failover, transient retries, hedges and admission shedding are all live.
-#[test]
-fn chain_counters_cover_every_arrival_and_every_replacement() {
-    let _g = lock();
-    // Equal-length prompts: a group prefix shared by pointer, a unique tail.
-    const PROMPT: u64 = 48 + 20;
+/// Tokens of each [`chaos_requests`] prompt.
+const PROMPT: u64 = 48 + 20;
+
+/// What the kernel's own hasher mixed or skipped on
+/// [`chain_counters_cover_every_arrival_and_every_replacement`]'s run: 20
+/// re-placed prompts (13 retries and 7 hedges whose primary had ended).
+const KERNEL_TOKENS: u64 = 20 * PROMPT;
+/// What that run's other 51 hedges copied from their primary's replica.
+const COPIED_TOKENS: u64 = 51 * PROMPT;
+
+/// 240 equal-length prompts in 12 groups (a group prefix shared by pointer,
+/// a unique tail), arriving as a Poisson stream at 60 requests/s.
+fn chaos_requests() -> Vec<ClusterRequest> {
     let prefixes: Vec<Arc<[u32]>> = (0..12u32)
         .map(|g| (0..48).map(|j| g * 1_000 + j).collect())
         .collect();
@@ -257,6 +262,23 @@ fn chain_counters_cover_every_arrival_and_every_replacement() {
         seed: 3,
     }
     .assign(&mut requests);
+    requests
+}
+
+/// The chain counters sum three sources on a cluster run:
+/// `serve.chain.tokens_{hashed,reused}` the helper's hasher, which hashes
+/// every arrival's prompt in arrival order (shed arrivals too);
+/// `cluster.chain.tokens_{hashed,reused}` the kernel's, which hashes the
+/// re-placements a hedge does not copy (retries, and hedges whose primary
+/// already ended); `serve.chain.tokens_copied` the chains hedges copied
+/// from their live primary's replica. Each of those prompts is counted
+/// once, its tokens split between mixed, skipped and copied, on a traced
+/// run where crash failover, transient retries, hedges and admission
+/// shedding are all live.
+#[test]
+fn chain_counters_cover_every_arrival_and_every_replacement() {
+    let _g = lock();
+    let requests = chaos_requests();
     let plan = FaultPlan::seeded(7)
         .crash_restart(1, 0.3, 0.6)
         .transient_errors_ppm(100_000);
@@ -276,9 +298,9 @@ fn chain_counters_cover_every_arrival_and_every_replacement() {
         .expect("cluster run");
     llmqo_obs::set_enabled(false);
     let counter = |name| llmqo_obs::registry().counter(name).get();
-    let (hashed, reused, copied) = (
-        counter("serve.chain.tokens_hashed"),
-        counter("serve.chain.tokens_reused"),
+    let (helper, kernel, copied) = (
+        counter("serve.chain.tokens_hashed") + counter("serve.chain.tokens_reused"),
+        counter("cluster.chain.tokens_hashed") + counter("cluster.chain.tokens_reused"),
         counter("serve.chain.tokens_copied"),
     );
     let (faults, shed) = (&report.faults, report.shed.shed);
@@ -290,11 +312,18 @@ fn chain_counters_cover_every_arrival_and_every_replacement() {
         "{faults:?} shed {shed}"
     );
     // A hedge of a live primary copies its chain from that replica; every
-    // other placement is hashed, from scratch or resumed.
-    assert!(replacements > 0 && reused > 0 && copied > 0);
+    // other placement is hashed, from scratch or resumed: the helper every
+    // arrival, the kernel the re-placements left.
+    assert!(replacements > 0 && copied > 0);
+    assert_eq!(helper, faults.offered as u64 * PROMPT);
     assert_eq!(
-        hashed + reused + copied,
+        helper + kernel + copied,
         (faults.offered + replacements) as u64 * PROMPT
+    );
+    assert_eq!(
+        (kernel, copied),
+        (KERNEL_TOKENS, COPIED_TOKENS),
+        "{faults:?}"
     );
 }
 
@@ -333,6 +362,184 @@ fn chain_counters_cover_every_prompt_both_tiers_admit() {
         "escalated {escalated} reused {reused}"
     );
     assert_eq!(hashed + reused, cheap + escalated);
+}
+
+/// Runs `f` with the sinks on and the registry cleared, and returns what
+/// it returned with a reader of the counters it left.
+fn traced<T>(f: impl FnOnce() -> T) -> (T, impl Fn(&str) -> u64) {
+    llmqo_obs::set_enabled(true);
+    llmqo_obs::registry().reset();
+    llmqo_obs::tracer().clear();
+    let out = f();
+    llmqo_obs::set_enabled(false);
+    (out, |name: &str| llmqo_obs::registry().counter(name).get())
+}
+
+/// Each ledger publishes itself once, when it closes, so every counter it
+/// publishes equals the report field it mirrors: a session's (through
+/// `SimEngine::run`), a cluster run's placement, fault, shed and scale
+/// ledgers (with a crash, transient errors, hedging, KV-gate shedding and
+/// an autoscaler all live), and an operator's `OptStats`, on a pipelined
+/// cascaded statement with faults and on the same query run bare through
+/// `execute_with`.
+#[test]
+fn every_published_counter_equals_its_ledger_field() {
+    let _g = lock();
+    // A session: everything it was given completed.
+    let e = engine();
+    let requests = common::grouped_requests(12, 6);
+    let (report, counter) = traced(|| e.run(&requests).expect("run"));
+    let latency = llmqo_obs::registry().histogram("serve.latency_s").count();
+    let n = requests.len() as u64;
+    assert_eq!((report.completed as u64, latency), (n, n));
+    for (name, field) in [
+        ("serve.requests_enqueued", n),
+        ("serve.requests_admitted", n),
+        ("serve.completions", n),
+        ("serve.cached_prompt_tokens", report.cached_prompt_tokens),
+        ("serve.output_tokens", report.total_output_tokens),
+        ("cache.evictions", report.evictions),
+    ] {
+        assert_eq!(counter(name), field, "{name}");
+    }
+
+    // A cluster run with every ledger engaged.
+    let requests = chaos_requests();
+    let plan = FaultPlan::seeded(7)
+        .crash_restart(0, 0.3, 0.6)
+        .transient_errors_ppm(100_000);
+    let retry = RetryPolicy::retries(3).with_hedging(0.2);
+    let gates = AdmissionPolicy::bounded(64).with_kv_gate(0.01);
+    let scale = ScalePolicy::elastic(2, 5)
+        .reacting(0.2, 0.02)
+        .with_cadence(0.1, 0.5)
+        .with_warmup(0.3);
+    let overload = OverloadPolicy::admission(gates).with_scale(scale);
+    let (report, counter) = traced(|| {
+        common::cluster_sim(3, 4)
+            .run_overloaded(
+                &mut PrefixAffinity::bounded(1.25),
+                &requests,
+                &plan,
+                &retry,
+                &overload,
+            )
+            .expect("cluster run")
+    });
+    let (faults, shed, scaling) = (&report.faults, &report.shed, &report.scaling);
+    assert!(
+        faults.crashes == 1
+            && faults.transient_errors > 0
+            && faults.hedges_issued > 0
+            && shed.shed_kv_pressure > 0
+            && scaling.scale_ups > 0
+            && scaling.scale_downs > 0,
+        "{faults:?} {shed:?} {scaling:?}"
+    );
+    let sum = |f: fn(&llmqo::cluster::ReplicaReport) -> u64| report.replicas.iter().map(f).sum();
+    let routed = sum(|r| r.assigned as u64);
+    let completed = sum(|r| r.engine.completed as u64);
+    let output_tokens = sum(|r| {
+        r.completions
+            .iter()
+            .map(|c| u64::from(c.output_tokens))
+            .sum()
+    });
+    for (name, field) in [
+        ("cluster.requests_routed", routed),
+        // Every placement is queued on one session.
+        ("serve.requests_enqueued", routed),
+        ("serve.completions", completed),
+        ("serve.output_tokens", output_tokens),
+        (
+            "serve.cached_prompt_tokens",
+            sum(|r| r.engine.cached_prompt_tokens),
+        ),
+        ("cache.evictions", sum(|r| r.engine.evictions)),
+        ("cluster.requests_failed", faults.failed as u64),
+        ("cluster.retry.scheduled", faults.retries),
+        ("cluster.fault.transient_errors", faults.transient_errors),
+        ("cluster.hedge.issued", faults.hedges_issued),
+        ("cluster.hedge.won", faults.hedges_won),
+        ("cluster.failovers", faults.failovers),
+        ("cluster.fault.crashes", faults.crashes),
+        ("cluster.fault.restarts", faults.restarts),
+        ("cluster.fault.drains", faults.drains),
+        ("cluster.requests_shed", shed.shed as u64),
+        ("cluster.shed.queue_full", shed.shed_queue_full as u64),
+        ("cluster.shed.kv_pressure", shed.shed_kv_pressure as u64),
+        ("cluster.shed.tenant_quota", shed.shed_tenant_quota as u64),
+        ("cluster.scale.up", scaling.scale_ups),
+        ("cluster.scale.down", scaling.scale_downs),
+    ] {
+        assert_eq!(counter(name), field, "{name}");
+    }
+    // A crashed incarnation's running requests were admitted, not completed.
+    let admitted = counter("serve.requests_admitted");
+    assert!(
+        (completed..=routed).contains(&admitted),
+        "admitted {admitted}"
+    );
+
+    // One operator, as a pipelined cascaded statement and bare.
+    let mut table = Table::new(Schema::of_strings(&["review"]));
+    for i in 0..96 {
+        let review = format!("review {} of group {}", i, i % 7);
+        table
+            .push_row(vec![review.into()])
+            .expect("one string column");
+    }
+    let fds = FunctionalDeps::empty(1);
+    let mut opt = OptimizerConfig::pipelined(3);
+    opt.pipeline_batch_rows = 16;
+    opt.cascade = Some(CascadeConfig::new(CascadePlan::mini_to_sonnet(0.5, 7)));
+    opt.faults = Some(StatementFaults::new(300_000, 5).with_attempts(2));
+    let query = LlmQuery::filter(
+        "sql-where-t",
+        "positive?",
+        vec!["review".into()],
+        vec!["Yes".into(), "No".into()],
+        "Yes",
+        2.0,
+    );
+    let (e, sql) = (
+        engine(),
+        "SELECT review FROM t WHERE LLM('positive?', review) = 'Yes'",
+    );
+    // A fresh executor each: the answer cache the statement fills would
+    // answer the bare run's rows.
+    let executor = || QueryExecutor::new(&e, &OracleLlm, Tokenizer::new());
+    let statement = || {
+        let executor = executor();
+        let mut runner = SqlRunner::new(&executor, &OriginalOrder).with_optimizer(opt);
+        runner.register("t", &table, &fds);
+        let result = runner.run(sql, &common::mod3_truth).expect("statement");
+        let stages = result.stages.into_iter();
+        stages.map(|s| s.report.opt).collect::<Vec<_>>()
+    };
+    let bare = || {
+        let truth = &common::mod3_truth;
+        let out = executor().execute_with(&table, &query, &OriginalOrder, &fds, truth, opt);
+        vec![out.expect("bare query").report.opt]
+    };
+    for (run, batches) in [(&statement as &dyn Fn() -> Vec<OptStats>, 6), (&bare, 1)] {
+        let (stats, counter) = traced(run);
+        let sum = |f: fn(&OptStats) -> u64| stats.iter().map(f).sum::<u64>();
+        assert_eq!(sum(|o| u64::from(o.batches)), batches, "{stats:?}");
+        assert!(
+            sum(|o| o.rows_escalated) > 0 && sum(|o| o.rows_failed) > 0,
+            "{stats:?}"
+        );
+        for (name, field) in [
+            ("sql.stage_batches", sum(|o| u64::from(o.batches))),
+            ("sql.llm_calls", sum(|o| o.llm_calls)),
+            ("sql.cascade_rows_cheap", sum(|o| o.rows_cheap)),
+            ("sql.cascade_rows_escalated", sum(|o| o.rows_escalated)),
+            ("sql.rows_failed", sum(|o| o.rows_failed)),
+        ] {
+            assert_eq!(counter(name), field, "{name}");
+        }
+    }
 }
 
 /// The text expositions round-trip: Prometheus text parses back into the
