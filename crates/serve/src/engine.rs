@@ -191,6 +191,14 @@ pub enum EngineError {
         /// What the field must be.
         expected: &'static str,
     },
+    /// A step would take the session's clock out of [`SimTime`]'s finite
+    /// range: its overheads, roofline time or straggler factor are too large.
+    ClockOverflow {
+        /// The clock before the step, seconds.
+        clock_s: f64,
+        /// The step's length, seconds.
+        step_s: f64,
+    },
 }
 
 impl fmt::Display for EngineError {
@@ -216,6 +224,10 @@ impl fmt::Display for EngineError {
                 value,
                 expected,
             } => write!(f, "engine config {field} must be {expected}, got {value}"),
+            EngineError::ClockOverflow { clock_s, step_s } => write!(
+                f,
+                "a step of {step_s} s at {clock_s} s takes the sim clock past its finite range"
+            ),
         }
     }
 }
@@ -351,7 +363,8 @@ impl SimEngine {
     ///
     /// [`EngineError::InvalidConfig`] for a config field out of range;
     /// [`EngineError::ModelTooLarge`] if weights do not fit;
-    /// [`EngineError::RequestTooLarge`] if a request can never be admitted.
+    /// [`EngineError::RequestTooLarge`] if a request can never be admitted;
+    /// [`EngineError::ClockOverflow`] if a step overflows the clock.
     pub fn run(&self, requests: &[SimRequest]) -> Result<EngineReport, EngineError> {
         let mut session = self.session()?;
         let mut hasher = self.chain_hasher();
@@ -509,6 +522,36 @@ mod tests {
         }
         for config in [EngineConfig::default(), EngineConfig::no_cache()] {
             assert!(SimEngine::new(l4_8b(), config).session().is_ok());
+        }
+    }
+
+    /// A finite overhead passes the gate, but a step that would take the
+    /// clock, or its split into phases, past the largest finite float ends
+    /// the run with a typed error instead of an infinite report; a huge
+    /// overhead the clock holds runs through.
+    #[test]
+    fn a_step_past_the_finite_clock_is_a_typed_error() {
+        type Set = fn(&mut EngineConfig);
+        let cases: [(Set, bool); 4] = [
+            (|c| c.step_overhead_s = f64::MAX, false),
+            (|c| c.per_request_overhead_s = f64::MAX, false),
+            // A step of 1e300 s times its work overflows the phase split.
+            (|c| c.step_overhead_s = 1e300, false),
+            (|c| c.per_request_overhead_s = 1e300, true),
+        ];
+        for (i, (set, runs)) in cases.into_iter().enumerate() {
+            let mut config = EngineConfig::default();
+            set(&mut config);
+            match SimEngine::new(l4_8b(), config).run(&reqs(4, 32, 16, 2)) {
+                Err(EngineError::ClockOverflow { clock_s, step_s }) if !runs => {
+                    assert!(clock_s.is_finite() && step_s.is_finite(), "case {i}");
+                }
+                Ok(r) if runs => {
+                    assert_eq!(r.completed, 4);
+                    assert!(r.job_completion_time_s.is_finite() && r.latency_p99_s.is_finite());
+                }
+                other => panic!("case {i}: {other:?}"),
+            }
         }
     }
 

@@ -389,8 +389,7 @@ impl std::fmt::Debug for EngineSession {
 
 impl EngineSession {
     /// A session of `config` on `deployment`: the one gate of the config
-    /// (`EngineConfig::check`), whose overheads the clock adds unchecked
-    /// ([`SimTime::after`]) from then on.
+    /// (`EngineConfig::check`).
     pub(crate) fn new(deployment: &Deployment, config: EngineConfig) -> Result<Self, EngineError> {
         config.check(deployment.cluster.count)?;
         let capacity_blocks = deployment.kv_capacity_blocks(&config);
@@ -494,7 +493,8 @@ impl EngineSession {
     /// # Errors
     ///
     /// [`EngineError::RequestTooLarge`] if the head-of-queue request can
-    /// never fit in KV memory even with the batch drained.
+    /// never fit in KV memory even with the batch drained;
+    /// [`EngineError::ClockOverflow`] if a step overflows the clock.
     pub fn make_room(&mut self) -> Result<(), EngineError> {
         while self.waiting.len() + self.running.len() > self.config.max_num_seqs
             && self.step_until(None)?
@@ -610,7 +610,8 @@ impl EngineSession {
     /// # Errors
     ///
     /// [`EngineError::RequestTooLarge`] if the head-of-queue request can
-    /// never fit in KV memory even with the batch drained.
+    /// never fit in KV memory even with the batch drained;
+    /// [`EngineError::ClockOverflow`] if a step overflows the clock.
     pub fn step(&mut self) -> Result<bool, EngineError> {
         let timer = llmqo_obs::WallTimer::start();
         let out = self.step_inner();
@@ -636,43 +637,17 @@ impl EngineSession {
             .config
             .max_batch_tokens
             .saturating_sub(decode_tokens as usize);
-        let mut prefill_flops = 0.0f64;
-        let mut prefill_kv_bytes = 0.0f64;
         let mut chunks = std::mem::take(&mut self.chunk_buf); // (running idx, chunk)
         chunks.clear();
-        let model = &self.model;
-        let kv_bytes = self.kv_bytes;
-        let take_chunk = |r: &Running,
-                          i: usize,
-                          budget: &mut usize,
-                          prefill_flops: &mut f64,
-                          prefill_kv_bytes: &mut f64,
-                          chunks: &mut Vec<(usize, usize)>| {
-            let chunk = (r.prompt_len - r.prefilled).min(*budget);
-            if chunk == 0 {
-                return;
-            }
-            *budget -= chunk;
-            let ctx_mid = r.prefilled as f64 + chunk as f64 / 2.0;
-            *prefill_flops +=
-                chunk as f64 * (model.flops_per_token() + model.attn_flops(ctx_mid as u64));
-            *prefill_kv_bytes += (r.prefilled + chunk) as f64 * kv_bytes;
-            chunks.push((i, chunk));
-        };
         // In-flight prefills continue first (FIFO, vLLM-style) …
         for (i, r) in self.running.iter().enumerate() {
             if budget == 0 {
                 break;
             }
-            if r.prefilled < r.prompt_len {
-                take_chunk(
-                    r,
-                    i,
-                    &mut budget,
-                    &mut prefill_flops,
-                    &mut prefill_kv_bytes,
-                    &mut chunks,
-                );
+            let chunk = (r.prompt_len - r.prefilled).min(budget);
+            if chunk > 0 {
+                budget -= chunk;
+                chunks.push((i, chunk));
             }
         }
         // … then waiting requests are admitted lazily, only when the step
@@ -700,7 +675,7 @@ impl EngineSession {
                 Some(alloc) => {
                     self.waiting.pop_front();
                     self.arena.pop_front(req.span);
-                    self.clock = self.clock.after(self.config.per_request_overhead_s);
+                    self.clock = self.clock.after(self.config.per_request_overhead_s, 1.0)?;
                     self.report.overhead_time_s += self.config.per_request_overhead_s;
                     self.report.total_prompt_tokens += alloc.prompt_tokens as u64;
                     self.report.cached_prompt_tokens += alloc.cached_tokens as u64;
@@ -719,16 +694,11 @@ impl EngineSession {
                         self.trace_admission(&req, evictions_before);
                     }
                     let i = self.running.len() - 1;
-                    let r = &self.running[i];
-                    if r.prefilled < r.prompt_len {
-                        take_chunk(
-                            r,
-                            i,
-                            &mut budget,
-                            &mut prefill_flops,
-                            &mut prefill_kv_bytes,
-                            &mut chunks,
-                        );
+                    let chunk =
+                        (self.running[i].prompt_len - self.running[i].prefilled).min(budget);
+                    if chunk > 0 {
+                        budget -= chunk;
+                        chunks.push((i, chunk));
                     }
                 }
                 None => {
@@ -751,15 +721,20 @@ impl EngineSession {
             return Ok(false);
         }
 
-        self.charge_step(prefill_flops, prefill_kv_bytes, decode_tokens, decode_ctx);
-
-        // Apply effects: prefill progress and one decoded token per
-        // decoding sequence.
+        // Apply effects: prefill progress, whose work the step charges, and
+        // one decoded token per decoding sequence.
+        let (mut prefill_flops, mut prefill_kv_bytes) = (0.0f64, 0.0f64);
         for &(i, chunk) in &chunks {
-            self.running[i].prefilled += chunk;
+            let r = &mut self.running[i];
+            let ctx_mid = r.prefilled as f64 + chunk as f64 / 2.0;
+            prefill_flops += chunk as f64
+                * (self.model.flops_per_token() + self.model.attn_flops(ctx_mid as u64));
+            prefill_kv_bytes += (r.prefilled + chunk) as f64 * self.kv_bytes;
+            r.prefilled += chunk;
             self.report.computed_prompt_tokens += chunk as u64;
         }
         self.chunk_buf = chunks;
+        self.charge_step(prefill_flops, prefill_kv_bytes, decode_tokens, decode_ctx)?;
         let mut i = 0;
         while i < self.running.len() {
             let done_prefill = self.running[i].prefilled >= self.running[i].prompt_len;
@@ -832,7 +807,7 @@ impl EngineSession {
         prefill_kv_bytes: f64,
         decoding: u64,
         decode_ctx: u64,
-    ) {
+    ) -> Result<(), EngineError> {
         let decode_flops =
             decoding as f64 * self.model.flops_per_token() + self.model.attn_flops(decode_ctx);
         let compute_t = (prefill_flops + decode_flops) / self.flops;
@@ -840,10 +815,11 @@ impl EngineSession {
             (self.weight_bytes + decode_ctx as f64 * self.kv_bytes + prefill_kv_bytes) / self.bw;
         let step_t = (compute_t.max(mem_t) + self.config.step_overhead_s) * self.slowdown;
         let total_work = (prefill_flops + decode_flops).max(1.0);
+        self.clock = self.clock.after(step_t, total_work)?;
         self.report.prefill_time_s += step_t * prefill_flops / total_work;
         self.report.decode_time_s += step_t * decode_flops / total_work;
-        self.clock = self.clock.after(step_t);
         self.report.steps += 1;
+        Ok(())
     }
 
     /// Cold path: span emission for the admission that just pushed the
@@ -987,13 +963,14 @@ impl EngineSession {
     /// Collapses up to `steps` pure decode steps into the scalar roofline
     /// recurrence: per step, only `(decode_ctx, clock, report)` advance —
     /// no per-sequence scan, no admission attempt, no cache touch. Stops
-    /// early once the clock reaches `horizon`. Returns the steps taken.
+    /// early once the clock reaches `horizon`. Returns the steps taken, or
+    /// [`EngineError::ClockOverflow`] from a step that overflows the clock.
     ///
     /// Each step is charged by the same `charge_step` a full
     /// [`step`](EngineSession::step) calls, with no prefill: adding `0.0` to
     /// a non-negative sum is exact, so the resulting clock and report are
     /// bit-identical to stepping one by one.
-    fn decode_fast_forward(&mut self, steps: u64, horizon: Option<SimTime>) -> u64 {
+    fn fast_forward(&mut self, steps: u64, horizon: Option<SimTime>) -> Result<u64, EngineError> {
         let timer = llmqo_obs::WallTimer::start();
         let start_clock = self.clock;
         let decoding = self.running.len() as u64;
@@ -1004,7 +981,7 @@ impl EngineSession {
             .sum();
         let mut taken = 0u64;
         while taken < steps {
-            self.charge_step(0.0, 0.0, decoding, decode_ctx);
+            self.charge_step(0.0, 0.0, decoding, decode_ctx)?;
             decode_ctx += decoding;
             taken += 1;
             if horizon.is_some_and(|h| self.clock >= h) {
@@ -1029,7 +1006,7 @@ impl EngineSession {
             );
         }
         timer.observe(crate::obs::metrics().wall_decode_recurrence_s);
-        taken
+        Ok(taken)
     }
 
     /// Advances the session to its next **event**: equivalent to calling
@@ -1054,7 +1031,8 @@ impl EngineSession {
     /// # Errors
     ///
     /// [`EngineError::RequestTooLarge`] if the head-of-queue request can
-    /// never fit in KV memory even with the batch drained.
+    /// never fit in KV memory even with the batch drained;
+    /// [`EngineError::ClockOverflow`] if a step overflows the clock.
     ///
     /// [`clock`]: EngineSession::clock
     pub fn step_until(&mut self, horizon: Option<SimTime>) -> Result<bool, EngineError> {
@@ -1071,7 +1049,7 @@ impl EngineSession {
             // the full scheduling path to preserve retirement order and
             // post-release admissions.
             let pure = u64::from(min_remaining) - 1;
-            if pure > 0 && self.decode_fast_forward(pure, horizon) < pure {
+            if pure > 0 && self.fast_forward(pure, horizon)? < pure {
                 return Ok(true);
             }
             if reached(self.clock) {
@@ -1090,7 +1068,8 @@ impl EngineSession {
     ///
     /// # Errors
     ///
-    /// [`EngineError::RequestTooLarge`] if a request can never be admitted.
+    /// [`EngineError::RequestTooLarge`] if a request can never be admitted;
+    /// [`EngineError::ClockOverflow`] if a step overflows the clock.
     pub fn drain(&mut self) -> Result<(), EngineError> {
         while self.step_until(None)? {}
         Ok(())

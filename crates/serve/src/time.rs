@@ -1,5 +1,6 @@
 //! [`SimTime`]: the one type every simulated clock runs on.
 
+use crate::EngineError;
 use std::cmp::Ordering;
 use std::fmt;
 use std::ops::{Add, Sub};
@@ -11,8 +12,10 @@ use std::ops::{Add, Sub};
 /// (a sum of sim times; a gap as a signed float), so a clock kept in
 /// `SimTime` reads bit for bit like one kept in `f64`, and `Debug` prints
 /// the bare float. A serving session adds its roofline step times, computed
-/// from its deployment, config and straggler factor, without a check: its
-/// constructor checked the config's overheads.
+/// from its deployment, config and straggler factor, through the
+/// crate's `SimTime::after`, which checks them: a step that would take the
+/// clock, or the step's split over its work, past the largest finite float
+/// ends the session's run with [`EngineError::ClockOverflow`].
 ///
 /// ```
 /// use llmqo_serve::SimTime;
@@ -42,9 +45,16 @@ impl SimTime {
         self.0
     }
 
-    /// `self` plus a session's step of `secs` (see the type's docs).
-    pub(crate) fn after(self, secs: f64) -> SimTime {
-        SimTime(self.0 + secs)
+    /// `self` plus a session's step of `secs`, which it splits into phases
+    /// scaled by the step's `work` (1 when unsplit; see the type's docs).
+    pub(crate) fn after(self, secs: f64, work: f64) -> Result<SimTime, EngineError> {
+        match SimTime::new(self.0 + secs) {
+            Some(t) if (secs * work).is_finite() => Ok(t),
+            _ => Err(EngineError::ClockOverflow {
+                clock_s: self.0,
+                step_s: secs,
+            }),
+        }
     }
 }
 

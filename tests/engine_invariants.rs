@@ -140,9 +140,10 @@ proptest! {
 
     /// A config with fields set to 0, NaN, ±∞, negative or huge values
     /// fails fast: the session it opens is a typed error, or it serves four
-    /// prompts within a bounded number of steps (or says which request can
-    /// never fit), and `SimEngine::run` ends the same way. Nothing panics
-    /// and nothing spins.
+    /// prompts within a bounded number of steps on a finite clock (or says
+    /// which request can never fit, or which step would overflow the
+    /// clock), and `SimEngine::run` ends the same way. Nothing panics and
+    /// nothing spins.
     #[test]
     fn a_bad_config_fails_fast_and_typed(
         fields in proptest::collection::vec((0usize..7, 0usize..12), 1..3),
@@ -186,10 +187,22 @@ proptest! {
                     Ok(()) => {
                         let out = session.finish().report;
                         prop_assert_eq!(out.completed, 4);
+                        let times = [
+                            out.job_completion_time_s,
+                            out.prefill_time_s,
+                            out.decode_time_s,
+                            out.overhead_time_s,
+                            out.ttft_p99_s,
+                            out.latency_p99_s,
+                        ];
+                        prop_assert!(times.iter().all(|t| t.is_finite()), "{config:?}: {out:?}");
                         Ok(out)
                     }
                     Err(err) => {
-                        let typed = matches!(err, EngineError::RequestTooLarge { .. });
+                        let typed = matches!(
+                            err,
+                            EngineError::RequestTooLarge { .. } | EngineError::ClockOverflow { .. }
+                        );
                         prop_assert!(typed, "{config:?}: {err:?}");
                         Err(err)
                     }

@@ -298,8 +298,9 @@ fn chain_counters_cover_every_arrival_and_every_replacement() {
         .expect("cluster run");
     llmqo_obs::set_enabled(false);
     let counter = |name| llmqo_obs::registry().counter(name).get();
+    let reused = counter("serve.chain.tokens_reused");
     let (helper, kernel, copied) = (
-        counter("serve.chain.tokens_hashed") + counter("serve.chain.tokens_reused"),
+        counter("serve.chain.tokens_hashed") + reused,
         counter("cluster.chain.tokens_hashed") + counter("cluster.chain.tokens_reused"),
         counter("serve.chain.tokens_copied"),
     );
@@ -313,8 +314,9 @@ fn chain_counters_cover_every_arrival_and_every_replacement() {
     );
     // A hedge of a live primary copies its chain from that replica; every
     // other placement is hashed, from scratch or resumed: the helper every
-    // arrival, the kernel the re-placements left.
-    assert!(replacements > 0 && copied > 0);
+    // arrival, the kernel the re-placements left. The helper skips the
+    // group prefixes its arrivals share.
+    assert!(replacements > 0 && reused > 0 && copied > 0);
     assert_eq!(helper, faults.offered as u64 * PROMPT);
     assert_eq!(
         helper + kernel + copied,
