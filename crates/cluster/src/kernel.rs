@@ -59,8 +59,8 @@
 
 use crate::fault::{slowdown_at, FaultEvent, FaultPlan, FaultStats, RetryPolicy};
 use crate::overload::{
-    decide_admission, obs_scale, shed_victim, AdmissionPolicy, OverloadPolicy, PendingLedger,
-    ScaleStats, ShedDecision, ShedReason, ShedStats,
+    decide_admission, shed_victim, AdmissionPolicy, OverloadPolicy, PendingLedger, ScaleStats,
+    ShedDecision, ShedReason, ShedStats,
 };
 use crate::report::{ClusterReport, ReplicaOccupancy, ReplicaReport};
 use crate::request::ClusterRequest;
@@ -251,6 +251,37 @@ impl ReqState {
     }
 }
 
+/// Where a replica is in its lifecycle; [`Kernel::transition`] is the only
+/// writer, and docs/ARCHITECTURE.md ("Failure domains") has its table.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Life {
+    /// Scaled up, joining at its scheduled rejoin.
+    Warming,
+    /// Takes placements.
+    Up,
+    /// Finishing its work, to rejoin cold no earlier than `rejoin` or, if
+    /// `None` (a scale-down), to leave for good.
+    Draining { rejoin: Option<SimTime> },
+    /// Unavailable from `since` to its cold rejoin at `rejoin`, or to the end.
+    Down {
+        since: SimTime,
+        rejoin: Option<SimTime>,
+    },
+    /// Scaled down and gone, which is not unavailability.
+    Departed,
+}
+
+/// What befalls a replica: a plan crash (with its restart instant) or drain,
+/// the autoscaler's scale-down, running out of work, and a timed rejoin.
+#[derive(Debug, Clone, Copy)]
+enum Event {
+    Crash { restart_s: Option<SimTime> },
+    Drain { rejoin_s: SimTime },
+    ScaleDown,
+    Idle,
+    Rejoin,
+}
+
 /// Mutable per-replica state during a run. A replica can live through
 /// several session *incarnations* (crash/restart, drain/rejoin); finished
 /// incarnations are stashed and merged at assembly.
@@ -265,20 +296,7 @@ struct Replica {
     occupancy: ReplicaOccupancy,
     /// Completion-harvest watermark into `session.completions()`.
     harvested: usize,
-    /// Accepts new placements.
-    up: bool,
-    /// Drain in progress (finishing existing work before leaving): the
-    /// earliest rejoin instant once it completes — `None` for a scale-down
-    /// drain, which leaves for good.
-    draining: Option<Option<SimTime>>,
-    /// Start of the current down window, if down.
-    down_since: Option<SimTime>,
-    /// Provisioned by the autoscaler and still warming up (joins at its
-    /// scheduled rejoin without touching the fault ledger).
-    scale_join: bool,
-    /// Drained out of the fleet by the autoscaler for good; its final down
-    /// window is not unavailability.
-    departed: bool,
+    life: Life,
     /// Idle seconds accrued by the catch-up `advance_to` at rejoin —
     /// subtracted so reported idle time counts only in-service idleness.
     idle_correction: f64,
@@ -289,9 +307,9 @@ struct Replica {
 }
 
 impl Replica {
-    /// A cold replica at fleet position `index`: routable from the start, or
-    /// (`joined == false`) warming up until its scheduled rejoin.
-    fn cold(engine: &SimEngine, index: usize, joined: bool) -> Result<Self, EngineError> {
+    /// A cold replica at fleet position `index`, starting `Up` (the initial
+    /// fleet) or `Warming` (a scale-up).
+    fn cold(engine: &SimEngine, index: usize, life: Life) -> Result<Self, EngineError> {
         let mut session = engine.session()?;
         // Lane 0 is the default (single-engine / SQL) lane; replica i's
         // spans go to lane i + 1.
@@ -306,11 +324,7 @@ impl Replica {
             arrivals: Vec::new(),
             occupancy: ReplicaOccupancy::default(),
             harvested: 0,
-            up: joined,
-            draining: None,
-            down_since: None,
-            scale_join: !joined,
-            departed: false,
+            life,
             idle_correction: 0.0,
             stash: Vec::new(),
             stash_idle: 0.0,
@@ -496,11 +510,16 @@ impl PlacementObs {
     }
 }
 
-/// One trace instant on the dispatcher lane for a replica lifecycle event.
-fn trace_fault(name: &str, replica: usize, t: SimTime) {
+/// One trace instant on the dispatcher lane for a lifecycle event of
+/// `replica`: a fault (`fault.*`), or a scale event (`scale.*`) with the
+/// fleet it leaves.
+fn trace_life(name: &str, replica: usize, t: SimTime, fleet: Option<usize>) {
     if llmqo_obs::enabled() {
-        let args = [("replica", replica.into())];
-        llmqo_obs::tracer().instant(0, replica as u64, name, "fault", t.secs(), &args);
+        let cat = if fleet.is_some() { "overload" } else { "fault" };
+        let fleet_arg = ("fleet", fleet.unwrap_or(0).into());
+        let args = [("replica", replica.into()), fleet_arg];
+        let args = &args[..1 + usize::from(fleet.is_some())];
+        llmqo_obs::tracer().instant(0, replica as u64, name, cat, t.secs(), args);
     }
 }
 
@@ -638,7 +657,7 @@ impl<'a> Kernel<'a> {
                 (None, Some(t)) => self.deliver(t)?,
                 (Some(b), _) => self.step(b, timed)?,
                 (None, None) if self.admission.queue.is_empty() => break,
-                (None, None) if self.replicas.iter().any(|r| r.up) => {
+                (None, None) if self.routable() > 0 => {
                     // All replicas idle yet something is stuck in admission:
                     // impossible with queue_cap >= 1 (idle means empty queue).
                     return Err(ClusterError::InvalidConfig {
@@ -684,7 +703,7 @@ impl<'a> Kernel<'a> {
         };
         let offered = requests.len();
         let replicas = (0..config.replicas)
-            .map(|i| Replica::cold(sim.engine(), i, true))
+            .map(|i| Replica::cold(sim.engine(), i, Life::Up))
             .collect::<Result<Vec<_>, _>>()?;
         Ok(Kernel {
             sim,
@@ -728,19 +747,17 @@ impl<'a> Kernel<'a> {
     }
 
     fn routable(&self) -> usize {
-        self.replicas.iter().filter(|r| r.up).count()
+        self.replicas.iter().filter(|r| r.life == Life::Up).count()
     }
 
     /// KV blocks in use over capacity, across the routable fleet.
     fn fleet_kv_utilization(&self) -> f64 {
-        let sessions = || self.replicas.iter().filter(|r| r.up).map(|r| &r.session);
+        let up = self.replicas.iter().filter(|r| r.life == Life::Up);
+        let sessions = || up.clone().map(|r| &r.session);
         let in_use: usize = sessions().map(EngineSession::kv_blocks_in_use).sum();
         let capacity: usize = sessions().map(EngineSession::capacity_blocks).sum();
-        if capacity == 0 {
-            0.0
-        } else {
-            in_use as f64 / capacity as f64
-        }
+        // With no replica routable this is 0 over 1.
+        in_use as f64 / capacity.max(1) as f64
     }
 
     /// The busy replica with the smallest clock (lowest index on ties).
@@ -761,7 +778,7 @@ impl<'a> Kernel<'a> {
             self.snapshots.clear();
             self.snapshots
                 .extend(self.replicas.iter().enumerate().map(|(index, r)| {
-                    let alive = r.up && entry.exclude != Some(index);
+                    let alive = r.life == Life::Up && entry.exclude != Some(index);
                     ReplicaSnapshot::observe(index, &r.session, r.assigned, alive)
                 }));
             let choice = router.route(request.prefix_key, &self.snapshots);
@@ -782,7 +799,7 @@ impl<'a> Kernel<'a> {
             }
             // Nowhere routable (wait for a rejoin, or fail), or backpressure:
             // the head of the line waits for an event.
-            if !replica.up || replica.session.queued() >= self.sim.config().queue_cap {
+            if replica.life != Life::Up || replica.session.queued() >= self.sim.config().queue_cap {
                 break;
             }
             self.admission.remove(0);
@@ -872,7 +889,7 @@ impl<'a> Kernel<'a> {
     /// after a placement pass.
     fn deliver(&mut self, t: SimTime) -> Result<(), ClusterError> {
         while let Some((at, replica)) = self.timeline.rejoins.pop_due(t) {
-            self.rejoin(replica, at);
+            self.transition(replica, Event::Rejoin, at)?;
         }
         while let Some((at, event)) = self.timeline.faults.pop_due(t) {
             self.inject(event, at)?;
@@ -893,111 +910,98 @@ impl<'a> Kernel<'a> {
         Ok(())
     }
 
-    fn rejoin(&mut self, i: usize, t: SimTime) {
-        let rep = &mut self.replicas[i];
-        let since = rep.down_since.take();
-        if since.is_none() && !rep.scale_join {
-            return; // Already up (duplicate rejoin).
-        }
-        rep.session.advance_to(t);
-        rep.idle_correction = rep.session.idle_time_s();
-        rep.up = true;
-        if std::mem::take(&mut rep.scale_join) {
-            // A scaled-up replica finishing its warmup was never
-            // *un*available. No ledger counts joins: an event counter.
-            obs_scale("joined", i, self.routable(), t);
-            if llmqo_obs::enabled() {
-                llmqo_obs::registry().counter("cluster.scale.joined").inc();
-            }
-        } else if let Some(since) = since {
-            self.stats.restarts += 1;
-            self.stats.unavailability_windows += 1;
-            self.stats.unavailable_s += (t - since).max(0.0);
-            trace_fault("fault.rejoin", i, t);
-        }
-    }
-
     /// Fires the crash or drain at `plan.events[event]`.
     fn inject(&mut self, event: usize, t: SimTime) -> Result<(), ClusterError> {
         match self.faults[event] {
             FaultEvent::Crash {
                 replica, restart_s, ..
-            } => {
-                if let Some(restart) = restart_s {
-                    self.timeline.rejoins.push(restart.max(t), replica);
-                }
-                self.crash(replica, t)
-            }
+            } => self.transition(replica, Event::Crash { restart_s }, t),
             FaultEvent::Drain {
                 replica, rejoin_s, ..
-            } => {
-                let rep = &self.replicas[replica];
-                if rep.down_since.is_some() || rep.draining.is_some() {
-                    return Ok(()); // Already leaving or gone.
-                }
-                self.stats.drains += 1;
-                self.start_drain(replica, Some(rejoin_s), t)
-            }
+            } => self.transition(replica, Event::Drain { rejoin_s }, t),
             FaultEvent::Slowdown { .. } => Ok(()),
         }
     }
 
-    /// Crashes replica `i` at `t`: the incarnation is stashed and every
-    /// attempt on it fails. The caller schedules the cold restart, if any.
-    fn crash(&mut self, i: usize, t: SimTime) -> Result<(), ClusterError> {
-        if self.replicas[i].down_since.is_some() {
-            return Ok(()); // Already down; only the caller's restart matters.
-        }
-        self.stash_incarnation(i)?;
-        let rep = &mut self.replicas[i];
-        rep.up = false;
-        rep.draining = None;
-        rep.down_since = Some(t);
-        self.stats.crashes += 1;
-        self.scale.low_replicas = self.scale.low_replicas.min(self.routable());
-        trace_fault("fault.crash", i, t);
-        // Crashes are rare: scanning every request here is cheaper than
-        // keeping a per-replica index current on every placement.
-        for j in 0..self.states.len() {
-            while self.states[j].take_oldest_on(i).is_some() {
-                self.stats.crash_failures += 1;
-                self.attempt_failed(j, t);
+    /// The one writer of a replica's [`Life`]: applies `event` at `t` to
+    /// replica `i`, schedules the rejoin the new state holds, and counts the
+    /// ledgers' lifecycle fields. A pair no row names changes nothing.
+    fn transition(&mut self, i: usize, event: Event, t: SimTime) -> Result<(), ClusterError> {
+        use Life::{Departed, Down, Draining, Up, Warming};
+        let life = self.replicas[i].life;
+        let next = match (life, event) {
+            (Warming, Event::Crash { .. } | Event::Drain { .. }) => {
+                unreachable!("faults target only the initial fleet")
             }
-        }
-        Ok(())
-    }
-
-    /// Stops routing to replica `i`; once idle it leaves and a cold
-    /// replacement joins no earlier than `rejoin_s` (never, if `None`).
-    fn start_drain(
-        &mut self,
-        i: usize,
-        rejoin_s: Option<SimTime>,
-        t: SimTime,
-    ) -> Result<(), ClusterError> {
-        let rep = &mut self.replicas[i];
-        rep.up = false;
-        rep.draining = Some(rejoin_s);
-        let idle = rep.session.is_idle();
-        self.scale.low_replicas = self.scale.low_replicas.min(self.routable());
-        if idle {
-            self.complete_drain(i, t)?;
-        }
-        Ok(())
-    }
-
-    /// Replica `i` went idle at `t`: if it was draining, stash the
-    /// incarnation and schedule the cold rejoin.
-    fn complete_drain(&mut self, i: usize, t: SimTime) -> Result<(), ClusterError> {
-        let Some(rejoin_s) = self.replicas[i].draining.take() else {
-            return Ok(());
+            (Up | Draining { .. }, Event::Crash { restart_s }) => {
+                self.stash_incarnation(i)?;
+                self.stats.crashes += 1;
+                trace_life("fault.crash", i, t, None);
+                // Crashes are rare: scanning every request here is cheaper
+                // than keeping a per-replica index current on every placement.
+                for j in 0..self.states.len() {
+                    while self.states[j].take_oldest_on(i).is_some() {
+                        self.stats.crash_failures += 1;
+                        self.attempt_failed(j, t);
+                    }
+                }
+                // A replica draining for good leaves: no restart, no window.
+                match life {
+                    Draining { rejoin: None } => Departed,
+                    _ => {
+                        let rejoin = self.schedule(i, restart_s, t);
+                        Down { since: t, rejoin }
+                    }
+                }
+            }
+            (Up, Event::Drain { rejoin_s }) => {
+                self.stats.drains += 1;
+                let rejoin = Some(rejoin_s);
+                Draining { rejoin }
+            }
+            (Up, Event::ScaleDown) => Draining { rejoin: None },
+            (Draining { rejoin }, Event::Idle) => {
+                self.stash_incarnation(i)?;
+                let rejoin = self.schedule(i, rejoin, t);
+                rejoin.map_or(Departed, |_| Down { since: t, rejoin })
+            }
+            (Warming, Event::Rejoin) => {
+                // Never *un*available; `scale_ups` counts the joins too.
+                trace_life("scale.joined", i, t, Some(self.routable() + 1));
+                Up
+            }
+            (Down { since, .. }, Event::Rejoin) => {
+                self.stats.restarts += 1;
+                self.stats.unavailability_windows += 1;
+                self.stats.unavailable_s += (t - since).max(0.0);
+                trace_life("fault.rejoin", i, t, None);
+                Up
+            }
+            _ => life,
         };
-        self.stash_incarnation(i)?;
-        self.replicas[i].down_since = Some(t);
-        if let Some(rejoin_s) = rejoin_s {
-            self.timeline.rejoins.push(rejoin_s.max(t), i);
+        let rep = &mut self.replicas[i];
+        rep.life = next;
+        if next == Up && life != Up {
+            // The cold incarnation takes work from `t`.
+            rep.session.advance_to(t);
+            rep.idle_correction = rep.session.idle_time_s();
+        }
+        if life == Up && next != Up {
+            // Only a scale-up grows the fleet; it raises the peak there.
+            self.scale.low_replicas = self.scale.low_replicas.min(self.routable());
+        }
+        // A drain that finds the replica idle completes at once.
+        if matches!(next, Draining { .. }) && self.replicas[i].session.is_idle() {
+            self.transition(i, Event::Idle, t)?;
         }
         Ok(())
+    }
+
+    /// Queues replica `i`'s cold rejoin at `rejoin`, but not before `t`.
+    fn schedule(&mut self, i: usize, rejoin: Option<SimTime>, t: SimTime) -> Option<SimTime> {
+        let at = rejoin?.max(t);
+        self.timeline.rejoins.push(at, i);
+        Some(at)
     }
 
     /// Swaps replica `i`'s session for a cold one, stashing the finished
@@ -1100,49 +1104,44 @@ impl<'a> Kernel<'a> {
             return Ok(());
         };
         self.scale.checks += 1;
+        // The fleet `max_replicas` bounds: serving now or to serve again.
+        let serving = |r: &&Replica| match r.life {
+            Life::Draining { rejoin } | Life::Down { rejoin, .. } => rejoin.is_some(),
+            life => life != Life::Departed,
+        };
+        let fleet = self.replicas.iter().filter(serving).count();
         let routable = self.routable();
-        // Routable plus scheduled joins: the fleet `max_replicas` bounds.
-        let fleet = routable + self.timeline.rejoins.0.len();
-        self.scale.peak_replicas = self.scale.peak_replicas.max(fleet);
-        if self
-            .last_scale_action
-            .is_some_and(|last| t - last < policy.cooldown_s)
-        {
-            return Ok(());
-        }
+        let cooling = |last| t - last < policy.cooldown_s;
+        let ready = !self.last_scale_action.is_some_and(cooling);
         let oldest_pending = self.admission.queue.iter().map(|e| e.arrival_s).min();
         let waited = |oldest| t - oldest >= policy.queue_wait_up_s;
-        if oldest_pending.is_some_and(waited) && fleet < policy.max_replicas {
+        if ready && oldest_pending.is_some_and(waited) && fleet < policy.max_replicas {
             // Scale up: provision a cold replica that joins (empty prefix
             // cache, rendezvous remap) after its jittered warmup.
             let index = self.replicas.len();
-            let cold = Replica::cold(self.sim.engine(), index, false)?;
+            let cold = Replica::cold(self.sim.engine(), index, Life::Warming)?;
             self.replicas.push(cold);
             let warmup = policy.warmup_for(self.scale.scale_ups);
             self.timeline.rejoins.push(t + warmup, index);
             self.scale.scale_ups += 1;
             self.scale.peak_replicas = self.scale.peak_replicas.max(fleet + 1);
             self.last_scale_action = Some(t);
-            obs_scale("up", index, fleet + 1, t);
-        } else if self.admission.queue.is_empty()
+            trace_life("scale.up", index, t, Some(fleet + 1));
+        } else if ready
+            && self.admission.queue.is_empty()
             && routable > policy.min_replicas
             && self.fleet_kv_utilization() < policy.kv_low_watermark
         {
             // Scale down: gracefully drain the least loaded routable
             // replica (highest index on ties), for good.
-            let load = |i: &usize| {
-                let session = &self.replicas[*i].session;
-                session.queued() + session.running()
-            };
-            let routable_desc = (0..self.replicas.len())
-                .rev()
-                .filter(|&i| self.replicas[i].up);
-            if let Some(i) = routable_desc.min_by_key(load) {
-                self.replicas[i].departed = true;
+            let up = self.replicas.iter().enumerate().rev();
+            let up = up.filter(|(_, r)| r.life == Life::Up);
+            let load = |(_, r): &(usize, &Replica)| r.session.queued() + r.session.running();
+            if let Some((i, _)) = up.min_by_key(load) {
                 self.scale.scale_downs += 1;
                 self.last_scale_action = Some(t);
-                obs_scale("down", i, routable - 1, t);
-                self.start_drain(i, None, t)?;
+                trace_life("scale.down", i, t, Some(routable - 1));
+                self.transition(i, Event::ScaleDown, t)?;
             }
         }
         Ok(())
@@ -1194,7 +1193,7 @@ impl<'a> Kernel<'a> {
             self.harvest(b, clock);
         }
         if self.replicas[b].session.is_idle() {
-            self.complete_drain(b, clock)?;
+            self.transition(b, Event::Idle, clock)?;
         }
         Ok(())
     }
@@ -1274,11 +1273,14 @@ impl<'a> Kernel<'a> {
     /// hasher the helper thread ran, if one did.
     fn finish(mut self, policy: &str, helper: Option<&ChainHasher>) -> ClusterReport {
         let mut open_windows: Vec<SimTime> = Vec::new();
+        let departed = self.replicas.iter().filter(|r| r.life == Life::Departed);
+        let departed = departed.count() as u64;
         let mut reports: Vec<ReplicaReport> = Vec::with_capacity(self.replicas.len());
         for rep in self.replicas {
-            // Scale-down departures are deliberate, not faults: their
-            // windows stay out of the unavailability ledger.
-            open_windows.extend(rep.down_since.filter(|_| !rep.departed));
+            // A departed replica left on purpose: it opens no window.
+            if let Life::Down { since, .. } = rep.life {
+                open_windows.push(since);
+            }
             let idle_final = rep.session.idle_time_s() - rep.idle_correction;
             let outcome = rep.session.finish();
             pair_queue_waits(&rep.arrivals, &outcome.completions, &mut self.queue_waits);
@@ -1292,7 +1294,7 @@ impl<'a> Kernel<'a> {
             });
         }
         let mut report = ClusterReport::assemble(policy, reports, self.queue_waits);
-        for since in open_windows {
+        for &since in &open_windows {
             self.stats.unavailability_windows += 1;
             self.stats.unavailable_s += (report.makespan_s - since.secs()).max(0.0);
         }
@@ -1307,6 +1309,14 @@ impl<'a> Kernel<'a> {
             shed.shed
         );
         debug_assert_eq!(stats.succeeded + stats.failed + shed.shed, stats.offered);
+        // The lifecycle's: a rejoin follows a crash or drain, a down window
+        // closes at a rejoin or the end, only a scale-down leaves for good.
+        let (scale, max) = (&self.scale, self.overload.scale.map(|s| s.max_replicas));
+        debug_assert!(stats.restarts <= stats.crashes + stats.drains);
+        let down_at_end = open_windows.len() as u64;
+        debug_assert_eq!(stats.unavailability_windows, stats.restarts + down_at_end);
+        debug_assert_eq!(scale.scale_downs, departed);
+        debug_assert!(max.is_none_or(|max| scale.peak_replicas <= max));
         if llmqo_obs::enabled() {
             if let Some(hasher) = helper {
                 llmqo_serve::obs::publish_chain_hasher(hasher);

@@ -15,8 +15,9 @@
 //! drains a replica when the fleet is cold (low KV occupancy, empty queue)
 //! and warms a new one — cold prefix cache, rendezvous remap — when the
 //! admission queue's head has waited too long, with cooldown hysteresis so
-//! the two reactions cannot flap. Scale events reuse the drain / cold-rejoin
-//! machinery PR 7 built for planned faults; [`ScaleStats`] counts them.
+//! the two reactions cannot flap. Scale events go through the replica
+//! lifecycle planned faults drive (drain, cold join); [`ScaleStats`] counts
+//! them.
 //!
 //! Everything here is plain data consumed by
 //! [`ClusterSim::run_overloaded`](crate::ClusterSim::run_overloaded).
@@ -469,21 +470,6 @@ pub(crate) fn shed_victim(
     victim.map(|(pos, _)| pos)
 }
 
-/// Cold path: one scale-event trace instant.
-pub(crate) fn obs_scale(event: &'static str, replica: usize, fleet: usize, t: SimTime) {
-    if !llmqo_obs::enabled() {
-        return;
-    }
-    llmqo_obs::tracer().instant(
-        0,
-        replica as u64,
-        &format!("scale.{event}"),
-        "overload",
-        t.secs(),
-        &[("replica", replica.into()), ("fleet", fleet.into())],
-    );
-}
-
 /// Autoscaling counters of a run, attached to
 /// [`ClusterReport::scaling`](crate::ClusterReport::scaling). The fleet
 /// bounds start at the initial fleet, and the counters stay zero when no
@@ -496,8 +482,8 @@ pub struct ScaleStats {
     pub scale_ups: u64,
     /// Replicas drained out of the fleet for good.
     pub scale_downs: u64,
-    /// Largest routable-or-warming fleet size reached, starting from the
-    /// initial fleet.
+    /// Largest fleet reached, starting from the initial fleet: replicas
+    /// routable, warming, or draining or down with a rejoin scheduled.
     pub peak_replicas: usize,
     /// Smallest routable fleet size, starting from the initial fleet:
     /// lowered wherever a replica stops being routable (a crash, a fault

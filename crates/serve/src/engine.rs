@@ -68,17 +68,20 @@ impl EngineConfig {
         }
     }
 
-    /// The one gate of a config, run when a session opens on `gpus` GPUs:
+    /// The one gate of a config, run when a session opens on `deployment`:
     /// the first field out of its range is [`EngineError::InvalidConfig`].
     /// A zero block size, sequence limit or token budget would divide by
-    /// zero, admit nothing or make no progress; a utilization above 1
-    /// would promise memory the GPUs do not have.
-    pub(crate) fn check(&self, gpus: u32) -> Result<(), EngineError> {
+    /// zero, admit nothing or stall; a utilization above 1 would promise
+    /// memory the GPUs lack, and a block over the KV cache leaves it none.
+    pub(crate) fn check(&self, deployment: &Deployment) -> Result<(), EngineError> {
         let (u, r) = (self.gpu_memory_utilization, self.runtime_reserve_bytes);
+        let kv_tokens = deployment.kv_capacity_tokens(self);
+        let in_kv = kv_tokens == 0 || self.block_size as u64 <= kv_tokens;
+        let block = (self.block_size as f64, in_kv, "at most the KV capacity");
         let count = |n: usize| (n as f64, n > 0, "at least 1");
         let secs = |s: f64| (s, SimTime::new(s).is_some(), "finite and non-negative");
         let utilization = (u, u > 0.0 && u <= 1.0, "in (0, 1]");
-        let fits = r.checked_mul(u64::from(gpus)).is_some();
+        let fits = r.checked_mul(u64::from(deployment.cluster.count)).is_some();
         let reserve = (r as f64, fits, "at most u64::MAX bytes over all GPUs");
         let fields = [
             ("block_size", count(self.block_size)),
@@ -88,6 +91,7 @@ impl EngineConfig {
             ("runtime_reserve_bytes", reserve),
             ("step_overhead_s", secs(self.step_overhead_s)),
             ("per_request_overhead_s", secs(self.per_request_overhead_s)),
+            ("block_size", block),
         ];
         match fields.into_iter().find(|(_, (_, ok, _))| !ok) {
             Some((field, (value, _, expected))) => Err(EngineError::InvalidConfig {
@@ -460,6 +464,24 @@ mod tests {
         let high = engine.run(&reqs(200, 256, 224, 2)).unwrap();
         assert!(high.prefix_hit_rate() > low.prefix_hit_rate());
         assert!(high.job_completion_time_s < low.job_completion_time_s);
+    }
+
+    /// A block larger than the whole KV cache is a bad block size, not a
+    /// model that does not fit: the weights fit on one L4.
+    #[test]
+    fn a_block_larger_than_the_kv_cache_is_an_invalid_block_size() {
+        let config = EngineConfig {
+            block_size: 1 << 40,
+            ..EngineConfig::default()
+        };
+        let engine = SimEngine::new(l4_8b(), config);
+        assert!(engine.deployment().kv_capacity_tokens(&config) > 0);
+        match engine.session() {
+            Err(EngineError::InvalidConfig { field, value, .. }) => {
+                assert_eq!((field, value), ("block_size", (1u64 << 40) as f64));
+            }
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        }
     }
 
     #[test]

@@ -391,7 +391,7 @@ impl EngineSession {
     /// A session of `config` on `deployment`: the one gate of the config
     /// (`EngineConfig::check`).
     pub(crate) fn new(deployment: &Deployment, config: EngineConfig) -> Result<Self, EngineError> {
-        config.check(deployment.cluster.count)?;
+        config.check(deployment)?;
         let capacity_blocks = deployment.kv_capacity_blocks(&config);
         if capacity_blocks == 0 {
             return Err(EngineError::ModelTooLarge {

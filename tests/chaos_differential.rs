@@ -422,6 +422,110 @@ fn losing_every_replica_fails_all_requests_cleanly() {
     assert_eq!(fs.failed, fs.offered);
     assert_eq!(fs.crashes, 2);
     assert_eq!(fs.restarts, 0);
+    // Both stay down to the end: two windows open at the makespan.
+    assert_eq!(fs.unavailability_windows, 2);
+}
+
+/// The autoscaler of `obs_differential`'s cluster run, resizing within
+/// `[min, max]`.
+fn elastic(min: usize, max: usize) -> ScalePolicy {
+    ScalePolicy::elastic(min, max)
+        .reacting(0.2, 0.02)
+        .with_cadence(0.1, 0.5)
+        .with_warmup(0.3)
+}
+
+/// The cluster run with every ledger engaged (transient errors, retries,
+/// hedges, a KV gate and an autoscaler) that `obs_differential` publishes,
+/// under `plan` and `scale`. Under `elastic(2, 5)` it scales replica 1
+/// down at 0.1 s, and replica 1 has left by 0.3 s.
+fn elastic_chaos_run(plan: &FaultPlan, scale: ScalePolicy) -> ClusterReport {
+    let retry = RetryPolicy::retries(3).with_hedging(0.2);
+    let gates = AdmissionPolicy::bounded(64).with_kv_gate(0.01);
+    let overload = OverloadPolicy::admission(gates).with_scale(scale);
+    let requests = common::chaos_requests();
+    sim(3, 4)
+        .run_overloaded(
+            &mut PrefixAffinity::bounded(1.25),
+            &requests,
+            plan,
+            &retry,
+            &overload,
+        )
+        .expect("valid options")
+}
+
+/// A replica the autoscaler drained out stays gone: a crash planned for it
+/// after it left counts nothing and schedules no restart, so the run's
+/// ledgers and replica 1's placements are those of the run without the
+/// crash. (A restart once revived it: the fault ledger read
+/// `crashes: 0, restarts: 1, unavailability_windows: 1`, with up to 3.5 s
+/// of unavailability counted from the scale-down.)
+#[test]
+fn a_replica_the_autoscaler_drained_out_stays_gone() {
+    let transient = FaultPlan::seeded(7).transient_errors_ppm(100_000);
+    let base = elastic_chaos_run(&transient, elastic(2, 5));
+    assert!(base.scaling.scale_downs > 0, "{:?}", base.scaling);
+    for t in [0.3, 1.0, 2.0, 3.0] {
+        let plan = transient.clone().crash_restart(1, t, t + 0.6);
+        let report = elastic_chaos_run(&plan, elastic(2, 5));
+        let (faults, scaling) = (&report.faults, &report.scaling);
+        assert_eq!(faults, &base.faults, "crash at {t} s");
+        assert_eq!(scaling, &base.scaling, "crash at {t} s");
+        let placed = |r: &ClusterReport| r.replicas[1].assigned;
+        assert_eq!(placed(&report), placed(&base), "crash at {t} s");
+    }
+}
+
+/// A crash of a replica the autoscaler is draining out for good (still
+/// finishing its work) counts the crash and fails its in-flight attempts;
+/// the replica leaves as it would have, with no restart and no window.
+/// (A restart once revived it, and counted a window from the crash.)
+#[test]
+fn a_crash_of_a_replica_draining_for_good_leaves_no_window() {
+    // Scales down while replicas still work: replica 0 drains out from
+    // about 1.7 s to past 1.9 s.
+    let eager = ScalePolicy::elastic(1, 3)
+        .reacting(5.0, 0.9)
+        .with_cadence(0.1, 0.2);
+    let transient = FaultPlan::seeded(7).transient_errors_ppm(100_000);
+    let base = elastic_chaos_run(&transient, eager);
+    let report = elastic_chaos_run(&transient.clone().crash_restart(0, 1.8, 2.4), eager);
+    let faults = &report.faults;
+    assert_eq!((faults.crashes, faults.restarts), (1, 0), "{faults:?}");
+    assert!(faults.crash_failures > 0, "{faults:?}");
+    assert_eq!(faults.unavailability_windows, 0, "{faults:?}");
+    assert_eq!(faults.unavailable_s, 0.0, "{faults:?}");
+    assert_eq!(report.scaling.scale_downs, base.scaling.scale_downs);
+    assert_eq!(report.replicas[0].assigned, base.replicas[0].assigned);
+}
+
+/// A replica finishing its work under a plan drain will rejoin, so it
+/// counts in the fleet `max_replicas` bounds: with the fleet at its
+/// maximum, the autoscaler provisions nothing while the drain runs.
+#[test]
+fn a_draining_replica_that_will_rejoin_counts_in_the_fleet() {
+    let plan = FaultPlan::seeded(7)
+        .transient_errors_ppm(100_000)
+        .drain(0, 0.5, 3.0);
+    let report = elastic_chaos_run(&plan, elastic(3, 3));
+    assert_eq!(report.faults.drains, 1, "{:?}", report.faults);
+    assert_eq!(report.scaling.scale_ups, 0, "{:?}", report.scaling);
+}
+
+/// The fleet `max_replicas` bounds counts a replica once, however many
+/// restarts are queued for it: two overlapping crash-restarts of replica 0
+/// keep the peak within `elastic(3, 4)` (it read 5, one over the bound).
+#[test]
+fn a_replica_with_two_queued_restarts_counts_once_in_the_fleet() {
+    let plan = FaultPlan::seeded(7)
+        .transient_errors_ppm(100_000)
+        .crash_restart(0, 1.0, 3.0)
+        .crash_restart(0, 1.5, 3.5);
+    let report = elastic_chaos_run(&plan, elastic(3, 4));
+    let (faults, scaling) = (&report.faults, &report.scaling);
+    assert_eq!((faults.crashes, faults.restarts), (1, 1), "{faults:?}");
+    assert!(scaling.peak_replicas <= 4, "{scaling:?}");
 }
 
 /// A hedge whose excluded replica is the only one still up has nowhere to
@@ -1005,6 +1109,18 @@ proptest! {
                 shed.shed_queue_full + shed.shed_kv_pressure + shed.shed_tenant_quota,
                 shed.shed
             );
+            // The lifecycle's identities: every restart, and every down
+            // window, follows a counted crash or drain; a rejoin closes a
+            // window; the fleet stays within the autoscaler's bounds.
+            let scaling = &report.scaling;
+            prop_assert!(faults.restarts <= faults.unavailability_windows, "{faults:?}");
+            let faulted = faults.crashes + faults.drains;
+            prop_assert!(faults.unavailability_windows <= faulted, "{faults:?}");
+            prop_assert_eq!(report.replicas.len(), 3 + scaling.scale_ups as usize);
+            prop_assert!(scaling.low_replicas <= 3 && 3 <= scaling.peak_replicas);
+            if let Some(scale) = overload.scale {
+                prop_assert!(scaling.peak_replicas <= scale.max_replicas, "{scaling:?}");
+            }
         }
     }
 }

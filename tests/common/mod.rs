@@ -9,7 +9,8 @@
 #![allow(dead_code)]
 
 use llmqo::cluster::{
-    ClusterConfig, ClusterRequest, ClusterSim, LeastLoaded, PrefixAffinity, RoundRobin, Router,
+    ArrivalProcess, ClusterConfig, ClusterRequest, ClusterSim, LeastLoaded, PrefixAffinity,
+    RoundRobin, Router,
 };
 use llmqo::core::{FunctionalDeps, Ggr, ReorderTable};
 use llmqo::costmodel::CascadePlan;
@@ -22,6 +23,7 @@ use llmqo::serve::{
     SimEngine, SimRequest,
 };
 use llmqo::tokenizer::Tokenizer;
+use std::sync::Arc;
 
 /// Every tier-1 dataset generated at `rows` rows — the standard iteration
 /// of the differential suites.
@@ -254,6 +256,32 @@ pub fn prioritized_workload(
             }
         })
         .collect()
+}
+
+/// 240 equal-length prompts in 12 groups (a group prefix shared by pointer,
+/// a unique tail), arriving as a Poisson stream at 60 requests/s.
+pub fn chaos_requests() -> Vec<ClusterRequest> {
+    let prefixes: Vec<Arc<[u32]>> = (0..12u32)
+        .map(|g| (0..48).map(|j| g * 1_000 + j).collect())
+        .collect();
+    let mut requests: Vec<ClusterRequest> = (0..240usize)
+        .map(|i| {
+            let tail: Arc<[u32]> = (0..20).map(|j| 500_000 + i as u32 * 64 + j).collect();
+            let prompt = vec![prefixes[i / 20].clone(), tail];
+            let request = SimRequest {
+                id: i,
+                prompt,
+                output_len: 4,
+            };
+            ClusterRequest::new(request, (i / 20) as u64)
+        })
+        .collect();
+    ArrivalProcess::Poisson {
+        rate_rps: 60.0,
+        seed: 3,
+    }
+    .assign(&mut requests);
+    requests
 }
 
 /// A cluster simulator over the standard engine.

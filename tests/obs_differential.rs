@@ -14,10 +14,10 @@
 
 mod common;
 
-use common::{assert_sql_identical, engine, skewed_truth};
+use common::{assert_sql_identical, chaos_requests, engine, skewed_truth};
 use llmqo::cluster::{
-    AdmissionPolicy, ArrivalProcess, ClusterReport, ClusterRequest, FaultPlan, OverloadPolicy,
-    PrefixAffinity, RetryPolicy, RoundRobin, Router, ScalePolicy,
+    AdmissionPolicy, ClusterReport, FaultPlan, OverloadPolicy, PrefixAffinity, RetryPolicy,
+    RoundRobin, Router, ScalePolicy,
 };
 use llmqo::core::{FunctionalDeps, OriginalOrder};
 use llmqo::costmodel::CascadePlan;
@@ -26,10 +26,10 @@ use llmqo::relational::{
     CascadeConfig, LlmQuery, OptStats, OptimizerConfig, QueryExecutor, Schema, SqlResult,
     SqlRunner, StatementFaults, Table,
 };
-use llmqo::serve::{percentile, OracleLlm, SimRequest};
+use llmqo::serve::{percentile, OracleLlm};
 use llmqo::tokenizer::Tokenizer;
 use proptest::prelude::*;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 static OBS_LOCK: Mutex<()> = Mutex::new(());
 
@@ -238,32 +238,6 @@ const PROMPT: u64 = 48 + 20;
 const KERNEL_TOKENS: u64 = 20 * PROMPT;
 /// What that run's other 51 hedges copied from their primary's replica.
 const COPIED_TOKENS: u64 = 51 * PROMPT;
-
-/// 240 equal-length prompts in 12 groups (a group prefix shared by pointer,
-/// a unique tail), arriving as a Poisson stream at 60 requests/s.
-fn chaos_requests() -> Vec<ClusterRequest> {
-    let prefixes: Vec<Arc<[u32]>> = (0..12u32)
-        .map(|g| (0..48).map(|j| g * 1_000 + j).collect())
-        .collect();
-    let mut requests: Vec<ClusterRequest> = (0..240usize)
-        .map(|i| {
-            let tail: Arc<[u32]> = (0..20).map(|j| 500_000 + i as u32 * 64 + j).collect();
-            let prompt = vec![prefixes[i / 20].clone(), tail];
-            let request = SimRequest {
-                id: i,
-                prompt,
-                output_len: 4,
-            };
-            ClusterRequest::new(request, (i / 20) as u64)
-        })
-        .collect();
-    ArrivalProcess::Poisson {
-        rate_rps: 60.0,
-        seed: 3,
-    }
-    .assign(&mut requests);
-    requests
-}
 
 /// The chain counters sum three sources on a cluster run:
 /// `serve.chain.tokens_{hashed,reused}` the helper's hasher, which hashes
