@@ -59,8 +59,8 @@
 
 use crate::fault::{slowdown_at, FaultEvent, FaultPlan, FaultStats, RetryPolicy};
 use crate::overload::{
-    decide_admission, shed_victim, AdmissionPolicy, OverloadPolicy, PendingLedger, ScaleStats,
-    ShedDecision, ShedReason, ShedStats,
+    decide_admission, shed_victim, AdmissionPolicy, OverloadPolicy, PendingLedger, ScalePolicy,
+    ScaleStats, ShedDecision, ShedReason, ShedStats,
 };
 use crate::report::{ClusterReport, ReplicaOccupancy, ReplicaReport};
 use crate::request::ClusterRequest;
@@ -427,14 +427,20 @@ impl<'a> Timeline<'a> {
         while self.hedges.0.front().is_some_and(|&(_, j)| settled(j)) {
             self.hedges.0.pop_front();
         }
-        let arrival = self.order.get(self.next_arrival).map(|&(at, _)| at);
+        let arrival = self.order.get(self.next_arrival);
         let work_pending = busy_or_queued
             || arrival.is_some()
             || !(self.retries.0.is_empty() && self.hedges.0.is_empty());
         let check = self.scale_check.filter(|_| work_pending).map(|(at, _)| at);
+        self.next_event().into_iter().chain(check).min()
+    }
+
+    /// The earliest pending event instant other than the scale check.
+    fn next_event(&self) -> Option<SimTime> {
+        let arrival = self.order.get(self.next_arrival).map(|&(at, _)| at);
         let queued = [&self.faults, &self.rejoins, &self.retries, &self.hedges];
         let queued = queued.into_iter().map(DueQueue::next_at);
-        queued.chain([arrival, check]).flatten().min()
+        queued.chain([arrival]).flatten().min()
     }
 
     /// The next request arriving at or before `t`: its rank in the arrival
@@ -461,6 +467,74 @@ impl<'a> Timeline<'a> {
             _ => false,
         }
     }
+}
+
+/// The first instant of the check cadence from `x` — `x`, `x + every`,
+/// `(x + every) + every`, …, each sum rounded as
+/// [`Timeline::pop_scale_check`] rounds it one check at a time — at which
+/// `due` holds, with how many instants come before it. `due` must stay true
+/// once it holds. A run of sums that [`same_steps`] vouches for is searched
+/// by bisection; any other sum is taken alone.
+fn first_due_check(
+    mut x: SimTime,
+    every: SimTime,
+    due: impl Fn(SimTime) -> bool,
+) -> (SimTime, u64) {
+    let mut passed = 0;
+    while !due(x) {
+        let steps = same_steps(x.secs(), every.secs());
+        if steps == 0 {
+            x = x + every;
+            passed += 1;
+            continue;
+        }
+        // `k · step` is at most the binade's span: the fallback never fires.
+        let step = (x + every) - x;
+        let at = |k: u64| x + SimTime::new(k as f64 * step).unwrap_or_default();
+        if !due(at(steps)) {
+            x = at(steps);
+            passed += steps;
+            continue;
+        }
+        // `due` is false at `lo` and true at `hi`.
+        let (mut lo, mut hi) = (0, steps);
+        while hi - lo > 1 {
+            let mid = lo + (hi - lo) / 2;
+            if due(at(mid)) {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        return (at(hi), passed + hi);
+    }
+    (x, passed)
+}
+
+/// How many sums in a row, from `x` on, add the same rounded `every`: 0
+/// when not even the first is known to. `x` lies in a binade whose floats
+/// are the multiples of one ulp below its top; `x + j·step + every` rounds
+/// `every` to the same multiple `step` for every `j` while it stays below
+/// the top — unless `every` lies halfway between two multiples, where the
+/// tie rounds to whichever sum is even. Subnormals, the last binade and a
+/// step that rounds to nothing are left to single sums.
+fn same_steps(x: f64, every: f64) -> u64 {
+    let exp = x.to_bits() >> 52;
+    if !(53..2046).contains(&exp) {
+        return 0;
+    }
+    let ulp = f64::from_bits((exp - 52) << 52);
+    let top = f64::from_bits((exp + 1) << 52);
+    // In ulps: sum j stays below the top while j·step < span − every, that
+    // is j·step ≤ span − ⌊every⌋ − 1 (all integers below 2^53 when this is
+    // not negative, so exact).
+    let (span, every_ulps) = ((top - x) / ulp, every / ulp);
+    let step = ((x + every) - x) / ulp;
+    let room = span - every_ulps.floor() - 1.0;
+    if every_ulps.fract() == 0.5 || step < 1.0 || room < 0.0 {
+        return 0;
+    }
+    room as u64 / step as u64 + 1
 }
 
 /// Handles of the per-placement gauges, resolved once per run so a routed
@@ -649,6 +723,9 @@ impl<'a> Kernel<'a> {
             // whichever comes first on the shared timeline.
             let busy = self.earliest_busy();
             let occupied = busy.is_some() || !self.admission.queue.is_empty();
+            if busy.is_none() && occupied {
+                self.skip_idle_checks();
+            }
             let states = &self.states;
             let settled = |j: usize| states[j].settled();
             let timed = self.timeline.next_due(occupied, settled);
@@ -1098,24 +1175,66 @@ impl<'a> Kernel<'a> {
         }
     }
 
+    /// The fleet `max_replicas` bounds: replicas serving now or to serve
+    /// again.
+    fn fleet(&self) -> usize {
+        let serving = |r: &&Replica| match r.life {
+            Life::Draining { rejoin } | Life::Down { rejoin, .. } => rejoin.is_some(),
+            life => life != Life::Departed,
+        };
+        self.replicas.iter().filter(serving).count()
+    }
+
+    /// The arrival instant of the oldest admission entry.
+    fn oldest_pending(&self) -> Option<SimTime> {
+        self.admission.queue.iter().map(|e| e.arrival_s).min()
+    }
+
+    /// Whether the autoscaler's cooldown is over at `t`.
+    fn ready(&self, policy: &ScalePolicy, t: SimTime) -> bool {
+        !self
+            .last_scale_action
+            .is_some_and(|last| t - last < policy.cooldown_s)
+    }
+
+    /// Whether a check at `t` scales up: out of cooldown, with the oldest
+    /// admission entry (arrived at `oldest`) waiting `queue_wait_up_s` and
+    /// the fleet below `max_replicas`.
+    fn grows(&self, policy: &ScalePolicy, t: SimTime, oldest: Option<SimTime>) -> bool {
+        let waited = |oldest| t - oldest >= policy.queue_wait_up_s;
+        self.ready(policy, t) && oldest.is_some_and(waited) && self.fleet() < policy.max_replicas
+    }
+
+    /// With no replica busy and requests waiting, nothing changes until the
+    /// next timed event or the first check that scales up (a check scales
+    /// down only with the queue empty): moves the next check there and
+    /// counts the checks it passes over as made, so the report is the one
+    /// stepping through them gives. Without a later event and with the
+    /// fleet at its maximum no check can act, and the cadence is left be.
+    fn skip_idle_checks(&mut self) {
+        let (Some(policy), Some((next, every))) = (self.overload.scale, self.timeline.scale_check)
+        else {
+            return;
+        };
+        let other = self.timeline.next_event();
+        if other.is_none() && self.fleet() >= policy.max_replicas {
+            return;
+        }
+        let oldest = self.oldest_pending();
+        let due = |t: SimTime| other.is_some_and(|o| t >= o) || self.grows(&policy, t, oldest);
+        let (at, passed) = first_due_check(next, every, due);
+        self.timeline.scale_check = Some((at, every));
+        self.scale.checks += passed;
+    }
+
     /// One evaluation of the autoscaler's control loop at `t`.
     fn scale_check(&mut self, t: SimTime) -> Result<(), ClusterError> {
         let Some(policy) = self.overload.scale else {
             return Ok(());
         };
         self.scale.checks += 1;
-        // The fleet `max_replicas` bounds: serving now or to serve again.
-        let serving = |r: &&Replica| match r.life {
-            Life::Draining { rejoin } | Life::Down { rejoin, .. } => rejoin.is_some(),
-            life => life != Life::Departed,
-        };
-        let fleet = self.replicas.iter().filter(serving).count();
-        let routable = self.routable();
-        let cooling = |last| t - last < policy.cooldown_s;
-        let ready = !self.last_scale_action.is_some_and(cooling);
-        let oldest_pending = self.admission.queue.iter().map(|e| e.arrival_s).min();
-        let waited = |oldest| t - oldest >= policy.queue_wait_up_s;
-        if ready && oldest_pending.is_some_and(waited) && fleet < policy.max_replicas {
+        let (fleet, routable) = (self.fleet(), self.routable());
+        if self.grows(&policy, t, self.oldest_pending()) {
             // Scale up: provision a cold replica that joins (empty prefix
             // cache, rendezvous remap) after its jittered warmup.
             let index = self.replicas.len();
@@ -1127,7 +1246,7 @@ impl<'a> Kernel<'a> {
             self.scale.peak_replicas = self.scale.peak_replicas.max(fleet + 1);
             self.last_scale_action = Some(t);
             trace_life("scale.up", index, t, Some(fleet + 1));
-        } else if ready
+        } else if self.ready(&policy, t)
             && self.admission.queue.is_empty()
             && routable > policy.min_replicas
             && self.fleet_kv_utilization() < policy.kv_low_watermark
@@ -1432,5 +1551,30 @@ mod tests {
         }
         assert_eq!(IdIndex::new(&[]).expect("no ids").get(0, &[]), None);
         assert_eq!(IdIndex::default().get(0, &[]), None);
+    }
+
+    /// The cadence jump lands where stepping one check at a time does, on
+    /// the same rounded sums and after as many instants, for dyadic and
+    /// non-dyadic cadences alike and across binades.
+    #[test]
+    fn first_due_check_lands_on_the_stepped_instant() {
+        let t = |s: f64| SimTime::new(s).expect("valid");
+        for every in [0.25, 0.1, 0.073_1, 1.0 / 3.0, 1e-3, 7.0] {
+            for start in [every, 0.5 + every, 1e6 + every] {
+                for until in [0.0, 0.3, 2.0, 100.0, 4_321.5, 1e6 + 77.7] {
+                    if (until - start) / every > 5e6 {
+                        continue;
+                    }
+                    let due = |x: SimTime| x.secs() >= until;
+                    let (mut x, mut passed) = (t(start), 0);
+                    while !due(x) {
+                        x = x + t(every);
+                        passed += 1;
+                    }
+                    let jumped = first_due_check(t(start), t(every), due);
+                    assert_eq!(jumped, (x, passed), "every {every} from {start} to {until}");
+                }
+            }
+        }
     }
 }

@@ -16,7 +16,7 @@ use crate::table::{sq, Cell, ReorderTable};
 use serde::{Deserialize, Serialize};
 
 /// A materialized scheduled row: `(column index, cell)` pairs in prompt order.
-pub type OrderedRow = Vec<(u32, Cell)>;
+pub(crate) type OrderedRow = Vec<(u32, Cell)>;
 
 /// Result of evaluating the PHC objective over a schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]

@@ -121,7 +121,7 @@ pub(crate) struct SlotMap {
 
 impl SlotMap {
     /// Starts a fresh grouping expecting at most `expect` insertions.
-    pub fn begin(&mut self, expect: usize) {
+    pub(crate) fn begin(&mut self, expect: usize) {
         let want = (expect.max(4) * 2).next_power_of_two();
         if self.entries.len() < want {
             self.entries = vec![
@@ -148,7 +148,7 @@ impl SlotMap {
     /// Inserts `key` (or finds it), returning `(slot, inserted)`. Slots are
     /// dense and assigned in first-seen order.
     #[inline]
-    pub fn insert(&mut self, key: u64) -> (u32, bool) {
+    pub(crate) fn insert(&mut self, key: u64) -> (u32, bool) {
         let mut i = (key.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32) as usize & self.mask;
         loop {
             let e = &mut self.entries[i];
@@ -169,7 +169,7 @@ impl SlotMap {
     }
 
     /// Number of distinct keys inserted since the last [`SlotMap::begin`].
-    pub fn len(&self) -> u32 {
+    pub(crate) fn len(&self) -> u32 {
         self.len
     }
 }
@@ -182,14 +182,14 @@ pub(crate) struct BufPool {
 
 impl BufPool {
     /// Takes a cleared buffer from the pool (or allocates one).
-    pub fn take(&mut self) -> Vec<u32> {
+    pub(crate) fn take(&mut self) -> Vec<u32> {
         let mut b = self.bufs.pop().unwrap_or_default();
         b.clear();
         b
     }
 
     /// Returns a buffer to the pool.
-    pub fn put(&mut self, b: Vec<u32>) {
+    pub(crate) fn put(&mut self, b: Vec<u32>) {
         self.bufs.push(b);
     }
 }
@@ -275,7 +275,7 @@ impl Drop for Scratch {
 impl Scratch {
     /// Builds the per-column group indexes for all of `table` — the one
     /// value-remap pass of a solve; everything after is array indexing.
-    pub fn for_table(table: &ReorderTable) -> Self {
+    pub(crate) fn for_table(table: &ReorderTable) -> Self {
         let rows: Vec<u32> = (0..table.nrows() as u32).collect();
         let cols: Vec<u32> = (0..table.ncols() as u32).collect();
         Self::for_view(table, &rows, &cols)
@@ -286,7 +286,7 @@ impl Scratch {
     /// column. Dense ids are numbered first-seen in view order, through a
     /// table indexed by raw [`ValueId`] while ids are dense (the encode path
     /// interns them densely), else through the slot map: the same ids.
-    pub fn for_view(table: &ReorderTable, rows: &[u32], cols: &[u32]) -> Self {
+    pub(crate) fn for_view(table: &ReorderTable, rows: &[u32], cols: &[u32]) -> Self {
         let mut s = SCRATCH_POOL
             .try_with(|pool| pool.borrow_mut().pop())
             .ok()
@@ -385,7 +385,7 @@ impl Scratch {
     }
 
     /// Writes `rows`, each led by the prefix stack and then `fields`; pools `rows`.
-    pub fn emit(&mut self, out: &mut ReorderPlan, rows: Vec<u32>, fields: &[u32]) {
+    pub(crate) fn emit(&mut self, out: &mut ReorderPlan, rows: Vec<u32>, fields: &[u32]) {
         for &r in &rows {
             out.push(r, &self.prefix, fields);
         }
@@ -394,7 +394,7 @@ impl Scratch {
 
     /// The [`ValueId`] behind dense id `d` of column `c`.
     #[inline]
-    pub fn value_of(&self, c: usize, d: u32) -> ValueId {
+    pub(crate) fn value_of(&self, c: usize, d: u32) -> ValueId {
         self.dense_values[c][d as usize]
     }
 
@@ -416,7 +416,7 @@ impl Scratch {
     /// order, and `first_sq` carries the squared length of each group's
     /// first view member — exactly the representative a
     /// `HashMap<ValueId, Vec<u32>>` transcription reads via `members[0]`.
-    pub fn group_dense(&mut self, c: usize, lens: &[u32], rows: &[u32]) -> usize {
+    pub(crate) fn group_dense(&mut self, c: usize, lens: &[u32], rows: &[u32]) -> usize {
         let epoch = self.bump_epoch();
         self.touched.clear();
         self.row_dense.clear();
@@ -441,7 +441,12 @@ impl Scratch {
     /// so gains stay bit-identical even on tables where a value recurs with
     /// different lengths. A handful of rows skips the dense index: each
     /// value is compared with those before it.
-    pub fn distinct_sum_sq(&mut self, t: &ReorderTable, c: usize, rows: &[u32]) -> (usize, f64) {
+    pub(crate) fn distinct_sum_sq(
+        &mut self,
+        t: &ReorderTable,
+        c: usize,
+        rows: &[u32],
+    ) -> (usize, f64) {
         let (values, lens) = (t.col_values(c), t.col_lens(c));
         let (mut distinct, mut sum_sq) = (0, 0f64);
         if rows.len() <= 8 {
@@ -501,7 +506,7 @@ pub(crate) struct SetInterner {
 
 impl SetInterner {
     /// An interner for subsets of `0..domain`.
-    pub fn new(domain: usize) -> Self {
+    pub(crate) fn new(domain: usize) -> Self {
         SetInterner {
             map: HashMap::default(),
             scratch: Vec::new(),
@@ -510,7 +515,7 @@ impl SetInterner {
     }
 
     /// Returns the canonical id of the set holding exactly `indices`.
-    pub fn intern(&mut self, indices: &[u32]) -> u32 {
+    pub(crate) fn intern(&mut self, indices: &[u32]) -> u32 {
         self.scratch.clear();
         self.scratch.resize(self.words, 0);
         for &i in indices {

@@ -59,18 +59,18 @@ pub struct ModelTier {
     pub input_per_mtok: f64,
     /// $ per 1M output tokens.
     pub output_per_mtok: f64,
-    /// Agreement probability with the reference tier at confidence 0,
-    /// clamped to `[0, 1]`.
+    /// Agreement probability with the reference tier at confidence 0, in
+    /// `[0, 1]`.
     pub base_accuracy: f64,
 }
 
 impl ModelTier {
-    /// Creates a tier, clamping `base_accuracy` into `[0, 1]`.
+    /// Creates a tier.
     pub fn new(input_per_mtok: f64, output_per_mtok: f64, base_accuracy: f64) -> Self {
         ModelTier {
             input_per_mtok,
             output_per_mtok,
-            base_accuracy: base_accuracy.clamp(0.0, 1.0),
+            base_accuracy,
         }
     }
 
@@ -123,21 +123,21 @@ pub struct CascadePlan {
     pub cheap: ModelTier,
     /// The reference tier low-confidence rows escalate to.
     pub expensive: ModelTier,
-    /// Escalation threshold: rows with `confidence < escalate_below`
-    /// escalate. Confidence lives in `[0, 1)`, so `1.0` escalates every row
-    /// and `0.0` escalates none.
+    /// Escalation threshold in `[0, 1]`: rows with
+    /// `confidence < escalate_below` escalate. Confidence lives in `[0, 1)`,
+    /// so `1.0` escalates every row and `0.0` escalates none.
     pub escalate_below: f64,
     /// Seed for the per-row confidence and answer draws.
     pub seed: u64,
 }
 
 impl CascadePlan {
-    /// Creates a plan, clamping `escalate_below` into `[0, 1]`.
+    /// Creates a plan.
     pub fn new(cheap: ModelTier, expensive: ModelTier, escalate_below: f64, seed: u64) -> Self {
         CascadePlan {
             cheap,
             expensive,
-            escalate_below: escalate_below.clamp(0.0, 1.0),
+            escalate_below,
             seed,
         }
     }
@@ -262,13 +262,6 @@ mod tests {
                 none.cheap_label(r, "Yes", &labels())
             );
         }
-    }
-
-    #[test]
-    fn threshold_is_clamped() {
-        assert_eq!(CascadePlan::mini_to_sonnet(7.0, 0).escalate_below, 1.0);
-        assert_eq!(CascadePlan::mini_to_sonnet(-1.0, 0).escalate_below, 0.0);
-        assert_eq!(ModelTier::new(1.0, 1.0, 3.0).base_accuracy, 1.0);
     }
 
     #[test]

@@ -48,8 +48,8 @@ use llmqo_costmodel::SelectivityPosterior;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Default pseudo-observation weight of the optimizer's static prior in
-/// each operator posterior: small enough that the first real batch already
+/// Pseudo-observation weight of the optimizer's static prior in each
+/// [`SelectivityTracker`] posterior: small enough that the first real batch already
 /// moves the ranking, large enough that a 4-row pilot batch cannot collapse
 /// a selectivity estimate to 0 or 1.
 pub const DEFAULT_PRIOR_STRENGTH: f64 = 8.0;
@@ -69,7 +69,7 @@ pub const DEFAULT_PRIOR_STRENGTH: f64 = 8.0;
 ///
 /// ```
 /// use llmqo_relational::SelectivityTracker;
-/// let mut t = SelectivityTracker::new(8.0);
+/// let mut t = SelectivityTracker::new();
 /// t.register(1, 0.5); // optimizer prior: uniform over 2 labels
 /// t.observe(1, 3, 100); // first batch: 3% pass
 /// assert!(t.selectivity(1).unwrap() < 0.1);
@@ -80,28 +80,21 @@ pub struct SelectivityTracker {
     ops: HashMap<usize, SelectivityPosterior>,
     /// Candidate rows offered to the pipeline vs rows it emitted.
     pipeline: Option<SelectivityPosterior>,
-    prior_strength: f64,
 }
 
 impl SelectivityTracker {
-    /// Creates a tracker whose priors weigh as `strength`
-    /// pseudo-observations ([`DEFAULT_PRIOR_STRENGTH`] is the executor's
-    /// default).
-    pub fn new(strength: f64) -> Self {
-        SelectivityTracker {
-            ops: HashMap::new(),
-            pipeline: None,
-            prior_strength: strength,
-        }
+    /// Creates a tracker whose priors weigh as [`DEFAULT_PRIOR_STRENGTH`]
+    /// pseudo-observations.
+    pub fn new() -> Self {
+        SelectivityTracker::default()
     }
 
     /// Registers operator `op` with the optimizer's static `prior` pass
     /// rate. Idempotent: re-registering keeps accumulated observations.
     pub fn register(&mut self, op: usize, prior: f64) {
-        let strength = self.prior_strength;
         self.ops
             .entry(op)
-            .or_insert_with(|| SelectivityPosterior::new(prior, strength));
+            .or_insert_with(|| SelectivityPosterior::new(prior, DEFAULT_PRIOR_STRENGTH));
     }
 
     /// Seeds the pipeline posterior with the product of the registered
@@ -111,7 +104,7 @@ impl SelectivityTracker {
     /// [`register`]: SelectivityTracker::register
     pub fn register_pipeline(&mut self, prior: f64) {
         if self.pipeline.is_none() {
-            self.pipeline = Some(SelectivityPosterior::new(prior, self.prior_strength));
+            self.pipeline = Some(SelectivityPosterior::new(prior, DEFAULT_PRIOR_STRENGTH));
         }
     }
 
@@ -403,7 +396,7 @@ mod tests {
 
     #[test]
     fn tracker_converges_to_observed_rate() {
-        let mut t = SelectivityTracker::new(DEFAULT_PRIOR_STRENGTH);
+        let mut t = SelectivityTracker::new();
         t.register(2, 0.5);
         assert_eq!(t.selectivity(2), Some(0.5));
         assert_eq!(t.observations(2), 0);
@@ -421,7 +414,7 @@ mod tests {
 
     #[test]
     fn register_is_idempotent_and_keeps_observations() {
-        let mut t = SelectivityTracker::new(4.0);
+        let mut t = SelectivityTracker::new();
         t.register(1, 0.5);
         t.observe(1, 0, 100);
         let after = t.selectivity(1).unwrap();
@@ -431,7 +424,7 @@ mod tests {
 
     #[test]
     fn batch_sizing_aims_at_remaining_over_selectivity() {
-        let mut t = SelectivityTracker::new(8.0);
+        let mut t = SelectivityTracker::new();
         t.register_pipeline(0.5);
         // No observations yet → caller falls back to doubling.
         assert_eq!(t.next_batch_size(10, 32, 1000), None);
@@ -448,7 +441,7 @@ mod tests {
 
     #[test]
     fn batch_sizing_survives_zero_emission_batches() {
-        let mut t = SelectivityTracker::new(2.0);
+        let mut t = SelectivityTracker::new();
         t.register_pipeline(0.5);
         t.observe_pipeline(0, 10_000);
         // The Beta prior keeps the mean positive; the aim is huge but

@@ -62,13 +62,13 @@ pub(crate) struct FragmentStore {
 
 impl FragmentStore {
     /// Number of codes (distinct values) in the column.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.hashes.len()
     }
 
     /// Content hash of `code`'s fragment.
     #[inline]
-    pub fn hash(&self, code: u32) -> u64 {
+    pub(crate) fn hash(&self, code: u32) -> u64 {
         self.hashes[code as usize]
     }
 
@@ -76,7 +76,7 @@ impl FragmentStore {
     /// value (on any row carrying the code) is `value`; `buf` is scratch
     /// space for the fragment text. Served from the code's slot, which the
     /// first call fills.
-    pub fn tokens(
+    pub(crate) fn tokens(
         &self,
         code: u32,
         tokenizer: &Tokenizer,
@@ -96,7 +96,7 @@ impl FragmentStore {
 
     /// Token count of `code`'s fragment if its slot is filled; never fills
     /// a slot.
-    pub fn cached_len(&self, code: u32) -> Option<usize> {
+    pub(crate) fn cached_len(&self, code: u32) -> Option<usize> {
         Some(self.tokens[code as usize].get()?.len())
     }
 }
@@ -116,7 +116,7 @@ impl ColumnDict {
     /// per cell, keyed by the cell's `Display` text (borrowed for strings,
     /// written into one reused buffer otherwise), then one content hash per
     /// distinct value. No tokenization.
-    pub fn build(name: &str, column: &[Value]) -> Self {
+    pub(crate) fn build(name: &str, column: &[Value]) -> Self {
         let timer = llmqo_obs::WallTimer::start();
         let mut index: HashMap<Cow<'_, str>, u32> = HashMap::with_capacity(column.len());
         let mut text = String::new();
@@ -160,7 +160,7 @@ impl ColumnDict {
     }
 
     /// The dictionary of the table made of `rows` of this one's table.
-    pub fn gather(&self, rows: &[usize]) -> Self {
+    pub(crate) fn gather(&self, rows: &[usize]) -> Self {
         ColumnDict {
             codes: rows.iter().map(|&r| self.codes[r]).collect(),
             store: Arc::clone(&self.store),

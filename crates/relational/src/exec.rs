@@ -85,6 +85,15 @@ pub enum ExecError {
         /// Attempts made (the statement budget).
         attempts: u32,
     },
+    /// A statement setting is out of its range (`OptimizerConfig::check`,
+    /// run by every entry that reads an [`OptimizerConfig`] before any
+    /// schedule is decided or any row is encoded).
+    InvalidConfig {
+        /// The field's name, with its path inside the config.
+        field: &'static str,
+        /// What the field must be.
+        expected: &'static str,
+    },
 }
 
 impl fmt::Display for ExecError {
@@ -106,6 +115,9 @@ impl fmt::Display for ExecError {
                     "LLM call for row {row} failed after {attempts} attempt(s) \
                      and partial results are disabled"
                 )
+            }
+            ExecError::InvalidConfig { field, expected } => {
+                write!(f, "optimizer config {field} must be {expected}")
             }
         }
     }
@@ -221,7 +233,7 @@ pub struct StatementFaults {
     /// Seed for the per-call failure rolls.
     pub seed: u64,
     /// Serving attempts allowed per representative row, **including** the
-    /// first (values below 1 behave as 1).
+    /// first.
     pub max_attempts: u32,
     /// After the budget: `true` drops the failed rows and annotates them in
     /// [`SqlResult::notes`](crate::SqlResult::notes) (partial results);
@@ -389,7 +401,8 @@ impl<'a> QueryExecutor<'a> {
     ///
     /// # Errors
     ///
-    /// See [`ExecError`].
+    /// [`ExecError::InvalidConfig`] for a setting of `opt` out of its range,
+    /// before any row is encoded; otherwise see [`ExecError`].
     pub fn execute_with(
         &self,
         table: &Table,
@@ -399,6 +412,7 @@ impl<'a> QueryExecutor<'a> {
         truth: &dyn Fn(usize) -> String,
         opt: OptimizerConfig,
     ) -> Result<QueryOutput, ExecError> {
+        opt.check()?;
         let mut stage = Stage::open(self, table, query, reorderer, fds, truth, opt)?;
         stage.run_batch(BatchRows::All(table.nrows()))?;
         Ok(stage.finish())

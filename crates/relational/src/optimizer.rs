@@ -32,6 +32,7 @@
 //! `per-row cost / (1 − selectivity)`, the order that minimizes expected
 //! spend for a conjunction evaluated left to right.
 
+use crate::exec::{ExecError, StatementFaults};
 use crate::query::LlmQuery;
 use crate::table::Table;
 use crate::value::Value;
@@ -373,7 +374,7 @@ pub struct OptimizerConfig {
     /// `EXPLAIN ANALYZE` outputs pin.
     pub pipeline: bool,
     /// Replica sessions per LLM operator (fan-out) of a pipelined
-    /// statement. `1` keeps each stage on one engine session; `N > 1`
+    /// statement, at least 1. `1` keeps each stage on one engine session; `N > 1`
     /// routes each stage's dedup-compacted batches across `N` replicas with
     /// the cluster layer's prefix-affinity router, preserving reorder-plan
     /// locality. Read only when [`pipeline`](OptimizerConfig::pipeline) is
@@ -381,7 +382,7 @@ pub struct OptimizerConfig {
     /// session whatever this says, and `EXPLAIN` prints it only on the
     /// `-- pipeline:` line.
     pub pipeline_replicas: usize,
-    /// Micro-batch size (rows) of the *pipelined only* row of the
+    /// Micro-batch size (rows, at least 1) of the *pipelined only* row of the
     /// batch-schedule table in `docs/ARCHITECTURE.md`; a lazy or pilot
     /// schedule ignores it. Smaller batches overlap more at higher
     /// per-batch overhead.
@@ -431,11 +432,11 @@ impl OptimizerConfig {
 
     /// The cluster-parallel mode: [`all`](OptimizerConfig::all) plus
     /// pipelined micro-batching and `replicas`-way fan-out per LLM
-    /// operator (`replicas` is clamped to at least 1).
+    /// operator.
     pub fn pipelined(replicas: usize) -> Self {
         OptimizerConfig {
             pipeline: true,
-            pipeline_replicas: replicas.max(1),
+            pipeline_replicas: replicas,
             ..OptimizerConfig::all()
         }
     }
@@ -446,6 +447,64 @@ impl OptimizerConfig {
         OptimizerConfig {
             cascade: Some(cascade),
             ..OptimizerConfig::all()
+        }
+    }
+
+    /// The one gate of a statement's settings, run by every entry that
+    /// reads a config ([`SqlRunner::run`](crate::SqlRunner::run),
+    /// [`SqlRunner::explain`](crate::SqlRunner::explain) and
+    /// [`QueryExecutor::execute_with`](crate::QueryExecutor::execute_with))
+    /// before any schedule is decided or any row is encoded: the first field
+    /// out of its range is [`ExecError::InvalidConfig`]. A zero replica
+    /// count or micro-batch would open no session or slice empty batches,
+    /// a zero attempt budget would serve no row, a fault rate above one
+    /// million ppm is no probability, and a cascade threshold or accuracy
+    /// outside `[0, 1]` (NaN included) or a price that is negative or not
+    /// finite prices or labels nothing a tier can do. Pipeline sizes are
+    /// checked whether or not [`pipeline`](OptimizerConfig::pipeline) is on.
+    pub(crate) fn check(&self) -> Result<(), ExecError> {
+        // A mode that is off is checked as a valid stand-in.
+        let f = self.faults.unwrap_or(StatementFaults::new(0, 0));
+        let p = self
+            .cascade
+            .map_or(CascadePlan::mini_to_sonnet(0.0, 0), |c| c.plan);
+        let count = |n: usize| (n > 0, "at least 1");
+        let unit = |x: f64| ((0.0..=1.0).contains(&x), "in [0, 1]");
+        let price = |x: f64| ((0.0..=f64::MAX).contains(&x), "finite and non-negative");
+        let fields = [
+            ("pipeline_replicas", count(self.pipeline_replicas)),
+            ("pipeline_batch_rows", count(self.pipeline_batch_rows)),
+            ("faults.max_attempts", count(f.max_attempts as usize)),
+            (
+                "faults.error_ppm",
+                (f.error_ppm <= 1_000_000, "at most 1000000"),
+            ),
+            ("cascade.escalate_below", unit(p.escalate_below)),
+            ("cascade.cheap.base_accuracy", unit(p.cheap.base_accuracy)),
+            (
+                "cascade.expensive.base_accuracy",
+                unit(p.expensive.base_accuracy),
+            ),
+            (
+                "cascade.cheap.input_per_mtok",
+                price(p.cheap.input_per_mtok),
+            ),
+            (
+                "cascade.cheap.output_per_mtok",
+                price(p.cheap.output_per_mtok),
+            ),
+            (
+                "cascade.expensive.input_per_mtok",
+                price(p.expensive.input_per_mtok),
+            ),
+            (
+                "cascade.expensive.output_per_mtok",
+                price(p.expensive.output_per_mtok),
+            ),
+        ];
+        match fields.into_iter().find(|(_, (ok, _))| !ok) {
+            Some((field, (_, expected))) => Err(ExecError::InvalidConfig { field, expected }),
+            None => Ok(()),
         }
     }
 }
@@ -1024,5 +1083,29 @@ mod tests {
         // Early-stop savings count toward avoided requests: 18 offered
         // + 5 never scanned − 9 issued.
         assert_eq!(a.llm_calls_saved(), 14);
+    }
+
+    #[test]
+    fn threshold_out_of_range_is_rejected() {
+        let rejected =
+            |plan: CascadePlan| match OptimizerConfig::cascaded(CascadeConfig::new(plan)).check() {
+                Err(ExecError::InvalidConfig { field, .. }) => field,
+                other => panic!("expected InvalidConfig, got {other:?}"),
+            };
+        let field = "cascade.escalate_below";
+        assert_eq!(rejected(CascadePlan::mini_to_sonnet(7.0, 0)), field);
+        assert_eq!(rejected(CascadePlan::mini_to_sonnet(-1.0, 0)), field);
+        assert_eq!(rejected(CascadePlan::mini_to_sonnet(f64::NAN, 0)), field);
+        // The constructors keep what they are given; the gate decides.
+        let tier = llmqo_costmodel::ModelTier::new(1.0, 1.0, 3.0);
+        assert_eq!(tier.base_accuracy, 3.0);
+        let plan = CascadePlan::new(tier, llmqo_costmodel::ModelTier::sonnet(), 0.5, 0);
+        assert_eq!(rejected(plan), "cascade.cheap.base_accuracy");
+        for threshold in [0.0, 1.0] {
+            let plan = CascadePlan::mini_to_sonnet(threshold, 0);
+            assert!(OptimizerConfig::cascaded(CascadeConfig::new(plan))
+                .check()
+                .is_ok());
+        }
     }
 }

@@ -97,8 +97,8 @@ pub(crate) struct StageEngine {
 }
 
 impl StageEngine {
-    /// Opens a stage engine with `replicas` sessions (clamped to at least
-    /// one). With several replicas, replica `i` reports observability spans
+    /// Opens a stage engine with `n ≥ 1` replica sessions. With several
+    /// replicas, replica `i` reports observability spans
     /// on trace lane `i + 1`, mirroring the cluster simulator's lane
     /// layout; a single replica stays on lane 0, the SQL lane.
     ///
@@ -106,8 +106,7 @@ impl StageEngine {
     ///
     /// [`EngineError::ModelTooLarge`] if the model does not fit the
     /// deployment.
-    pub fn open(engine: &SimEngine, replicas: usize) -> Result<Self, EngineError> {
-        let n = replicas.max(1);
+    pub(crate) fn open(engine: &SimEngine, n: usize) -> Result<Self, EngineError> {
         let mut sessions = Vec::with_capacity(n);
         for i in 0..n {
             let mut session = engine.session()?;
@@ -133,26 +132,26 @@ impl StageEngine {
     }
 
     /// Number of replica sessions.
-    pub fn replicas(&self) -> usize {
+    pub(crate) fn replicas(&self) -> usize {
         self.sessions.len()
     }
 
     /// Whether [`run_batch`](Self::run_batch) routes by prefix key (lets
     /// callers skip computing keys for a single replica).
-    pub fn wants_prefix_keys(&self) -> bool {
+    pub(crate) fn wants_prefix_keys(&self) -> bool {
         self.sessions.len() > 1
     }
 
     /// The stage clock: when everything this engine has run so far is done
     /// (the latest replica clock).
-    pub fn clock(&self) -> SimTime {
+    pub(crate) fn clock(&self) -> SimTime {
         let clocks = self.sessions.iter().map(EngineSession::clock);
         clocks.fold(SimTime::ZERO, SimTime::max)
     }
 
     /// Fast-forwards idle replicas to `t` — the upstream operator's
     /// hand-off instant. Replicas already past `t` are untouched.
-    pub fn advance_to(&mut self, t: SimTime) {
+    pub(crate) fn advance_to(&mut self, t: SimTime) {
         for s in &mut self.sessions {
             s.advance_to(t);
         }
@@ -160,9 +159,7 @@ impl StageEngine {
 
     /// The replica the router sends `key` to.
     fn place(&mut self, key: u64) -> usize {
-        self.router
-            .route(key, &self.snapshots)
-            .min(self.sessions.len() - 1)
+        self.router.route(key, &self.snapshots)
     }
 
     /// Marks the start of a batch on every replica: where its completion
@@ -197,7 +194,7 @@ impl StageEngine {
     /// # Errors
     ///
     /// [`EngineError::RequestTooLarge`] if a request can never be admitted.
-    pub fn run_batch<'a, P>(
+    pub(crate) fn run_batch<'a, P>(
         &mut self,
         requests: impl IntoIterator<Item = (usize, u32, u64, P), IntoIter: ExactSizeIterator>,
     ) -> Result<(), EngineError>
@@ -232,7 +229,7 @@ impl StageEngine {
     /// replica by replica, each in completion order: borrowed from the
     /// sessions, which keep every record until they finish, so a batch
     /// copies none. Callers match records by request id.
-    pub fn served(&self) -> impl Iterator<Item = &Completion> {
+    pub(crate) fn served(&self) -> impl Iterator<Item = &Completion> {
         let replicas = self.sessions.iter().zip(&self.served_from);
         replicas.flat_map(|(s, &from)| &s.completions()[from..])
     }
@@ -243,7 +240,7 @@ impl StageEngine {
     /// whole finished), peaks the hottest replica's high-water mark,
     /// latency/TTFT percentiles over every request. A single replica's
     /// report is returned as is. Publishes the engine's hasher.
-    pub fn finish(self) -> EngineReport {
+    pub(crate) fn finish(self) -> EngineReport {
         if llmqo_obs::enabled() {
             llmqo_serve::obs::publish_chain_hasher(&self.hasher);
         }
@@ -308,7 +305,7 @@ impl<'q> Stage<'q> {
     ///
     /// [`StageEngine::open`]'s; [`ExecError::EmptyFields`]; an unknown
     /// field is [`ExecError::Table`] here, before any row is offered.
-    pub fn open(
+    pub(crate) fn open(
         executor: &'q QueryExecutor<'q>,
         table: &'q Table,
         query: &'q LlmQuery,
@@ -370,7 +367,7 @@ impl<'q> Stage<'q> {
     /// When everything this stage has been handed is answered: the later of
     /// its tiers' clocks — an escalated row's answer exists only at the
     /// expensive tier's. The hand-off instant downstream operators wait for.
-    pub fn clock(&self) -> SimTime {
+    pub(crate) fn clock(&self) -> SimTime {
         let escalated = self.escalation.as_ref().map(StageEngine::clock);
         self.engine.clock().max(escalated.unwrap_or_default())
     }
@@ -389,7 +386,7 @@ impl<'q> Stage<'q> {
     /// # Errors
     ///
     /// See [`ExecError`].
-    pub fn run_batch(&mut self, rows: BatchRows<'_>) -> Result<OptStats, ExecError> {
+    pub(crate) fn run_batch(&mut self, rows: BatchRows<'_>) -> Result<OptStats, ExecError> {
         if let BatchRows::Listed(rows) = rows {
             debug_assert!(rows.is_sorted(), "batches offer ascending rows");
         }
@@ -426,13 +423,13 @@ impl<'q> Stage<'q> {
     }
 
     /// The last batch's outputs, ascending by original row.
-    pub fn batch_outputs(&self) -> &[RowOutput] {
+    pub(crate) fn batch_outputs(&self) -> &[RowOutput] {
         &self.output.outputs[self.batch_from.0..]
     }
 
     /// The original rows the last batch dropped after exhausting the fault
     /// retry budget, in schedule order.
-    pub fn batch_failed(&self) -> &[usize] {
+    pub(crate) fn batch_failed(&self) -> &[usize] {
         &self.output.failed_rows[self.batch_from.1..]
     }
 
@@ -454,7 +451,7 @@ impl<'q> Stage<'q> {
     /// row ran on; the expensive tier's serving volume is already in the
     /// tier fields of the report's [`OptStats`](crate::OptStats), which
     /// the stage publishes here ([`OptStats::publish`]).
-    pub fn finish(self) -> QueryOutput {
+    pub(crate) fn finish(self) -> QueryOutput {
         if let Some(escalation) = self.escalation {
             escalation.finish();
         }
@@ -711,8 +708,7 @@ mod tests {
     #[test]
     fn single_replica_serves_every_request_without_keys() {
         let requests: Vec<SimRequest> = (0..5).map(|i| request(i, 1)).collect();
-        // Zero replicas clamp to one.
-        let mut stage = StageEngine::open(&engine(), 0).unwrap();
+        let mut stage = StageEngine::open(&engine(), 1).unwrap();
         assert_eq!(stage.replicas(), 1);
         assert!(!stage.wants_prefix_keys());
         assert_eq!(run(&mut stage, &requests, &[]).len(), requests.len());

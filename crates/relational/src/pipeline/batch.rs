@@ -69,7 +69,7 @@ impl<'s, 'q> Batch<'s, 'q> {
     /// `encoded.reorder` row `g` is the representative of `groups.members(g)`;
     /// every other member's prompt — token for token the representative's —
     /// is prefill the engine never sees.
-    pub fn encode(stage: &'s mut Stage<'q>, rows: BatchRows<'s>, mut opt: OptStats) -> Self {
+    pub(super) fn encode(stage: &'s mut Stage<'q>, rows: BatchRows<'s>, mut opt: OptStats) -> Self {
         let (executor, table, query) = (stage.executor, stage.table, stage.query);
         let mut cache = stage
             .instruction
@@ -112,7 +112,7 @@ impl<'s, 'q> Batch<'s, 'q> {
     }
 
     /// Phases 2–5 — for the novel rows, if any — then the close.
-    pub fn run(mut self) -> Result<OptStats, ExecError> {
+    pub(super) fn run(mut self) -> Result<OptStats, ExecError> {
         if self.stage.encoder.batch().groups.len() > 0 {
             let plan = self.solve()?;
             self.serve(&plan)?;
@@ -229,7 +229,7 @@ impl<'s, 'q> Batch<'s, 'q> {
         if let Some(f) = stage.opt.faults.filter(|f| f.error_ppm > 0) {
             scratch.failed.resize(groups.len(), false);
             let p = f64::from(f.error_ppm) / 1e6;
-            let budget = f.max_attempts.max(1);
+            let budget = f.max_attempts;
             for (ri, rp) in plan.rows().enumerate() {
                 let original = self.rows.get(groups.representative(rp.row));
                 let mut attempt = 1u32;

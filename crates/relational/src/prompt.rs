@@ -122,7 +122,7 @@ pub(crate) enum BatchRows<'a> {
 
 impl BatchRows<'_> {
     /// Number of offered rows.
-    pub fn len(self) -> usize {
+    pub(crate) fn len(self) -> usize {
         match self {
             BatchRows::All(n) => n,
             BatchRows::Listed(rows) => rows.len(),
@@ -130,7 +130,7 @@ impl BatchRows<'_> {
     }
 
     /// Original index of batch-local row `local`.
-    pub fn get(self, local: usize) -> usize {
+    pub(crate) fn get(self, local: usize) -> usize {
         match self {
             BatchRows::All(_) => local,
             BatchRows::Listed(rows) => rows[local],
@@ -138,7 +138,7 @@ impl BatchRows<'_> {
     }
 
     /// Batch-local index of original row `row`, if it is offered.
-    pub fn local(self, row: usize) -> Option<usize> {
+    pub(crate) fn local(self, row: usize) -> Option<usize> {
         match self {
             BatchRows::All(n) => (row < n).then_some(row),
             BatchRows::Listed(rows) => rows.binary_search(&row).ok(),
@@ -171,7 +171,7 @@ pub(crate) struct Csr {
 
 impl DedupGroups {
     /// Number of groups (engine requests).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         match self {
             DedupGroups::Singletons(n) => *n,
             DedupGroups::Csr(csr) => csr.starts.len() - 1,
@@ -179,7 +179,7 @@ impl DedupGroups {
     }
 
     /// Number of rows across all groups (the batch's novel rows).
-    pub fn rows(&self) -> usize {
+    pub(crate) fn rows(&self) -> usize {
         match self {
             DedupGroups::Singletons(n) => *n,
             DedupGroups::Csr(csr) => csr.members.len(),
@@ -187,7 +187,7 @@ impl DedupGroups {
     }
 
     /// Batch-local rows served by group `g`'s request, representative first.
-    pub fn members(&self, g: usize) -> impl ExactSizeIterator<Item = usize> + '_ {
+    pub(crate) fn members(&self, g: usize) -> impl ExactSizeIterator<Item = usize> + '_ {
         let (span, members) = match self {
             DedupGroups::Singletons(_) => (g..g + 1, None),
             DedupGroups::Csr(csr) => (
@@ -199,7 +199,7 @@ impl DedupGroups {
     }
 
     /// Batch-local row whose prompt group `g` submits.
-    pub fn representative(&self, g: usize) -> usize {
+    pub(crate) fn representative(&self, g: usize) -> usize {
         match self {
             DedupGroups::Singletons(_) => g,
             DedupGroups::Csr(csr) => csr.members[csr.starts[g] as usize] as usize,
@@ -207,7 +207,7 @@ impl DedupGroups {
     }
 
     /// The group of novel batch-local row `local`.
-    pub fn group_of(&self, local: usize) -> usize {
+    pub(crate) fn group_of(&self, local: usize) -> usize {
         match self {
             DedupGroups::Singletons(_) => local,
             DedupGroups::Csr(csr) => {
@@ -218,7 +218,7 @@ impl DedupGroups {
     }
 
     /// Batch-local indices of the rows the lookup answered, ascending.
-    pub fn hits(&self) -> impl Iterator<Item = usize> + '_ {
+    pub(crate) fn hits(&self) -> impl Iterator<Item = usize> + '_ {
         let group_of = match self {
             DedupGroups::Singletons(_) => &[][..],
             DedupGroups::Csr(csr) => &csr.group_of[..],

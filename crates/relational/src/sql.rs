@@ -201,8 +201,11 @@ impl<'a> SqlRunner<'a> {
     ///
     /// # Errors
     ///
-    /// [`SqlError`] on parse, catalog, or execution failure.
+    /// [`SqlError`] on parse, catalog, or execution failure; an optimizer
+    /// setting out of its range is [`ExecError::InvalidConfig`], before the
+    /// statement is parsed.
     pub fn run(&self, sql: &str, truth: &dyn Fn(usize) -> String) -> Result<SqlResult, SqlError> {
+        self.opt.check()?;
         let stmt = parse_sql(sql)?;
         let plan_rows = |text: String| text.lines().map(|l| vec![l.to_string()]).collect();
         if stmt.explain && !stmt.analyze {
@@ -292,7 +295,7 @@ impl<'a> SqlRunner<'a> {
         if failed.is_empty() {
             return;
         }
-        let budget = self.opt.faults.map_or(1, |f| f.max_attempts.max(1));
+        let budget = self.opt.faults.map_or(1, |f| f.max_attempts);
         notes.push(format!(
             "degraded {}: rows {failed:?} failed after {budget} attempt(s) each; \
              excluded from results (partial-result mode)",
@@ -580,7 +583,7 @@ impl StatementRun<'_, '_> {
 /// the pipeline prior for batch sizing. Any other statement's stays empty
 /// and ignores what it is shown.
 fn seeded_tracker(level: OptLevel, ops: &[LogicalOp]) -> SelectivityTracker {
-    let mut tracker = SelectivityTracker::new(DEFAULT_PRIOR_STRENGTH);
+    let mut tracker = SelectivityTracker::new();
     if level == OptLevel::Adaptive {
         let mut pipeline_prior = 1.0;
         for (idx, op) in ops.iter().enumerate() {

@@ -46,8 +46,11 @@ impl SqlRunner<'_> {
     ///
     /// # Errors
     ///
-    /// [`SqlError`] on parse or catalog failure.
+    /// [`SqlError`] on parse or catalog failure; an optimizer setting out
+    /// of its range is [`ExecError::InvalidConfig`](crate::ExecError::InvalidConfig),
+    /// before the statement is parsed.
     pub fn explain(&self, sql: &str) -> Result<String, SqlError> {
+        self.opt.check()?;
         self.explain_stmt(&parse_sql(sql)?)
     }
 
@@ -178,7 +181,7 @@ impl SqlRunner<'_> {
             out.push_str(&format!(
                 "-- faults: error rate {} ppm, budget {} attempt(s), {} (seed {})\n",
                 fa.error_ppm,
-                fa.max_attempts.max(1),
+                fa.max_attempts,
                 if fa.partial_results {
                     "partial results"
                 } else {
@@ -191,8 +194,8 @@ impl SqlRunner<'_> {
             let makespan = measured.as_ref().and_then(|m| m.makespan_s);
             out.push_str(&format!(
                 "-- pipeline: replicas {}, micro-batch {} rows{}\n",
-                opt.pipeline_replicas.max(1),
-                opt.pipeline_batch_rows.max(1),
+                opt.pipeline_replicas,
+                opt.pipeline_batch_rows,
                 makespan.map_or(String::new(), |m| format!(", makespan {m:.2}s")),
             ));
         }

@@ -49,7 +49,7 @@ pub(crate) struct BatchSchedule {
 
 impl BatchSchedule {
     /// Decides the schedule of `plan` over `candidates` rows under `opt`.
-    pub fn decide(opt: &OptimizerConfig, plan: &LogicalPlan, candidates: usize) -> Self {
+    pub(super) fn decide(opt: &OptimizerConfig, plan: &LogicalPlan, candidates: usize) -> Self {
         let count = |pick: fn(&LogicalOp) -> bool| plan.ops.iter().filter(|op| pick(op)).count();
         let streams = count(|op| matches!(op, LogicalOp::LlmAggregate { .. })) == 0;
         let has_llm = plan.llm_ops() > 0;
@@ -74,7 +74,7 @@ impl BatchSchedule {
             Some(limit) if adaptive => (LAZY_BATCH_MIN.max(limit), Growth::Aimed),
             Some(limit) => (LAZY_BATCH_MIN.max(limit), Growth::Doubling),
             None if pilot => (LAZY_BATCH_MIN, Growth::Doubling),
-            None if opt.pipeline && has_llm => (opt.pipeline_batch_rows.max(1), Growth::Fixed),
+            None if opt.pipeline && has_llm => (opt.pipeline_batch_rows, Growth::Fixed),
             None => (candidates, Growth::Whole),
         };
         BatchSchedule {
@@ -93,7 +93,7 @@ impl BatchSchedule {
     /// once after every batch: the call also sizes the batch that would
     /// follow the last one, and an `Aimed` schedule notes every size change
     /// in `notes`, that one included.
-    pub fn next(
+    pub(super) fn next(
         &mut self,
         emitted: usize,
         tracker: &SelectivityTracker,
@@ -112,14 +112,14 @@ impl BatchSchedule {
     }
 
     /// Batches handed out so far.
-    pub fn batches(&self) -> u32 {
+    pub(super) fn batches(&self) -> u32 {
         self.batches
     }
 
     /// Candidates no batch has covered (yet, or — once
     /// [`next`](Self::next) returned `None` — ever: the rows a lazy `LIMIT`
     /// saved).
-    pub fn unscanned(&self) -> usize {
+    pub(super) fn unscanned(&self) -> usize {
         self.candidates - self.scanned
     }
 
@@ -282,7 +282,6 @@ impl StatementRun<'_, '_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adaptive::DEFAULT_PRIOR_STRENGTH;
     use crate::query::LlmQuery;
 
     /// `Scan → LlmFilter × llm_filters → Project [→ Limit]`.
@@ -322,7 +321,7 @@ mod tests {
         candidates: usize,
         pass_every: usize,
     ) -> (Vec<Range<usize>>, Vec<String>) {
-        let mut tracker = SelectivityTracker::new(DEFAULT_PRIOR_STRENGTH);
+        let mut tracker = SelectivityTracker::new();
         if opt.level == OptLevel::Adaptive {
             tracker.register_pipeline(0.5);
         }
@@ -372,9 +371,6 @@ mod tests {
             ranges(opt, &plan(1, None), 1300),
             vec![0..512, 512..1024, 1024..1300]
         );
-        // A zero micro-batch is read as one row.
-        let opt = pipelined(OptimizerConfig::none(), 0);
-        assert_eq!(ranges(opt, &plan(1, None), 3), vec![0..1, 1..2, 2..3]);
     }
 
     #[test]
@@ -414,7 +410,7 @@ mod tests {
 
     #[test]
     fn aimed_batches_double_until_observed_then_follow_the_tracker() {
-        let mut tracker = SelectivityTracker::new(DEFAULT_PRIOR_STRENGTH);
+        let mut tracker = SelectivityTracker::new();
         tracker.register_pipeline(0.5);
         let mut notes = Vec::new();
         let mut s = BatchSchedule::decide(&OptimizerConfig::all(), &plan(1, Some(50)), 10_000);

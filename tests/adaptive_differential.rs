@@ -15,6 +15,7 @@ use llmqo::core::FunctionalDeps;
 use llmqo::core::Ggr;
 use llmqo::costmodel::SelectivityPosterior;
 use llmqo::datasets::{Dataset, DatasetId};
+use llmqo::relational::adaptive::DEFAULT_PRIOR_STRENGTH;
 use llmqo::relational::{LlmQuery, Schema, Table};
 use llmqo::relational::{OptimizerConfig, QueryExecutor, SelectivityTracker, SqlResult, SqlRunner};
 use llmqo::serve::OracleLlm;
@@ -206,14 +207,13 @@ proptest! {
     fn tracker_converges_to_true_pass_rate(
         true_pct in 2u64..98,
         prior_pct in 5u64..95,
-        strength_raw in 1u64..32,
         batch in 1usize..64,
         seed in 0u64..1_000_000_000,
     ) {
         let true_rate = true_pct as f64 / 100.0;
         let prior = prior_pct as f64 / 100.0;
-        let strength = strength_raw as f64;
-        let mut tracker = SelectivityTracker::new(strength);
+        let strength = DEFAULT_PRIOR_STRENGTH;
+        let mut tracker = SelectivityTracker::new();
         tracker.register(0, prior);
         prop_assert!((tracker.selectivity(0).unwrap() - prior).abs() < 1e-9);
         let total = 4000u64;

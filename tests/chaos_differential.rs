@@ -426,6 +426,57 @@ fn losing_every_replica_fails_all_requests_cleanly() {
     assert_eq!(fs.unavailability_windows, 2);
 }
 
+/// The whole initial fleet crashed for good at 0 with requests waiting,
+/// under an autoscaler that scales up once the head of the line has waited
+/// `wait` seconds: nothing but that first scale-up can move the run.
+fn stranded_run(wait: f64) -> ClusterReport {
+    let scale = ScalePolicy::elastic(1, 2)
+        .reacting(wait, 0.1)
+        .with_cadence(0.25, 1.0);
+    sim(2, 16)
+        .run_overloaded(
+            &mut RoundRobin,
+            &workload(6, 6),
+            &FaultPlan::seeded(1).crash(0, 0.0).crash(1, 0.0),
+            &RetryPolicy::disabled(),
+            &OverloadPolicy::default().with_scale(scale),
+        )
+        .expect("valid options")
+}
+
+/// FNV-1a over a report's `Debug` rendering: pins every field at once.
+fn report_fingerprint(report: &ClusterReport) -> u64 {
+    format!("{report:?}")
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |h: u64, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+        })
+}
+
+/// With every replica gone for good and requests waiting, the loop jumps
+/// the autoscaler's cadence to the first check that can scale up and counts
+/// the checks it passes over as made: the report is the one stepping
+/// through every check gave (pinned at a wait of 1 000 s, 4 008 checks).
+#[test]
+fn a_stranded_queue_jumps_to_the_first_check_that_can_act() {
+    let report = stranded_run(1e3);
+    assert_eq!(report.scaling.checks, 4_008);
+    assert_eq!(report.faults.succeeded, report.faults.offered);
+    assert_eq!(report_fingerprint(&report), 0xbce3_c956_7664_493c);
+}
+
+/// A scale-up wait far past the run costs what a short one does: stepping
+/// one check per cadence, a wait of 1e9 s took four billion checks.
+#[test]
+fn a_huge_scale_up_wait_finishes_at_once() {
+    let started = std::time::Instant::now();
+    let report = stranded_run(1e9);
+    assert_eq!(report.scaling.checks, 4_000_000_008);
+    assert_eq!(report.faults.succeeded, report.faults.offered);
+    let took = started.elapsed();
+    assert!(took.as_secs_f64() < 2.0, "took {took:?}");
+}
+
 /// The autoscaler of `obs_differential`'s cluster run, resizing within
 /// `[min, max]`.
 fn elastic(min: usize, max: usize) -> ScalePolicy {

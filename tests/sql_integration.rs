@@ -7,13 +7,15 @@ use llmqo::core::{FunctionalDeps, Ggr, OriginalOrder};
 use llmqo::costmodel::CascadePlan;
 use llmqo::datasets::{Dataset, DatasetId};
 use llmqo::relational::{
-    parse_sql, CascadeConfig, DataType, Field, LlmQuery, OptLevel, OptimizerConfig, QueryExecutor,
-    Schema, SqlError, SqlResult, SqlRunner, StatementCheckpoint, StatementFaults, Table, Value,
+    parse_sql, CascadeConfig, DataType, ExecError, Field, LlmQuery, OptLevel, OptimizerConfig,
+    QueryExecutor, Schema, SqlError, SqlResult, SqlRunner, StatementCheckpoint, StatementFaults,
+    Table, Value,
 };
 use llmqo::serve::{
     Deployment, EngineConfig, GpuCluster, GpuSpec, ModelSpec, OracleLlm, SimEngine,
 };
 use llmqo::tokenizer::Tokenizer;
+use proptest::prelude::*;
 
 fn engine() -> SimEngine {
     SimEngine::new(
@@ -174,31 +176,63 @@ fn hostile_statements(c0: &str, c1: &str) -> [String; 12] {
 }
 
 /// The eleven optimizer configurations of the hostile sweep: every
-/// [`OptLevel`] under the relay and under pipelined fan-out, degenerate
-/// pipeline sizes, a cascade, and statement faults that fail every call
-/// under each degradation policy.
-fn hostile_configs() -> Vec<OptimizerConfig> {
+/// [`OptLevel`] under the relay and under pipelined fan-out, a cascade,
+/// statement faults that fail every call under each degradation policy, and
+/// three degenerate settings — zero pipeline sizes, a zero attempt budget, a
+/// fault rate above one million ppm — each paired with the field the
+/// statement gate must name when it refuses it.
+fn hostile_configs() -> Vec<(OptimizerConfig, Option<&'static str>)> {
     let failing = |faults: StatementFaults| OptimizerConfig {
         faults: Some(faults),
         ..OptimizerConfig::all()
     };
     let levels = [OptLevel::Off, OptLevel::Static, OptLevel::Adaptive];
-    let mut configs: Vec<OptimizerConfig> =
+    let mut configs: Vec<(OptimizerConfig, Option<&'static str>)> =
         [OptimizerConfig::none(), OptimizerConfig::pipelined(3)]
             .into_iter()
-            .flat_map(|mode| levels.map(|level| OptimizerConfig { level, ..mode }))
+            .flat_map(|mode| levels.map(|level| (OptimizerConfig { level, ..mode }, None)))
             .collect();
     configs.extend([
-        OptimizerConfig {
-            pipeline_batch_rows: 0,
-            ..OptimizerConfig::pipelined(0)
-        },
-        OptimizerConfig::cascaded(CascadeConfig::new(CascadePlan::mini_to_sonnet(0.5, 7))),
-        failing(StatementFaults::new(1_000_000, 7).with_attempts(0)),
-        failing(StatementFaults::new(u32::MAX, 7)),
-        failing(StatementFaults::new(1_000_000, 7).strict()),
+        (
+            OptimizerConfig {
+                pipeline_batch_rows: 0,
+                ..OptimizerConfig::pipelined(0)
+            },
+            Some("pipeline_replicas"),
+        ),
+        (
+            OptimizerConfig::cascaded(CascadeConfig::new(CascadePlan::mini_to_sonnet(0.5, 7))),
+            None,
+        ),
+        (
+            failing(StatementFaults::new(1_000_000, 7).with_attempts(0)),
+            Some("faults.max_attempts"),
+        ),
+        (
+            failing(StatementFaults::new(u32::MAX, 7)),
+            Some("faults.error_ppm"),
+        ),
+        (failing(StatementFaults::new(1_000_000, 7).strict()), None),
     ]);
     configs
+}
+
+/// `Err` naming the case when a degenerate config was not refused with
+/// [`ExecError::InvalidConfig`] naming `rejected`.
+fn check_refusal(
+    outcome: &Result<SqlResult, SqlError>,
+    rejected: Option<&'static str>,
+    case: impl FnOnce() -> String,
+) -> Result<(), String> {
+    match (rejected, outcome) {
+        (None, _) => Ok(()),
+        (Some(want), Err(SqlError::Exec(ExecError::InvalidConfig { field, .. })))
+            if *field == want =>
+        {
+            Ok(())
+        }
+        (Some(want), other) => Err(format!("{} not refused on {want}: {other:?}", case())),
+    }
 }
 
 /// Runs `sql` on a fresh runner over `table` — its answer cache with
@@ -241,7 +275,7 @@ fn hostile_statement_execution_never_panics() {
         ["it's", "b"],
         ["\"q\"", "b"],
     ];
-    let (mut calls, mut ok, mut panics) = (0, 0, Vec::new());
+    let (mut calls, mut ok, mut failures) = (0, 0, Vec::new());
     for names in schemas {
         for nrows in [0usize, 1, 7] {
             let mut table = Table::new(Schema::of_strings(&names));
@@ -252,11 +286,15 @@ fn hostile_statement_execution_never_panics() {
                     .unwrap();
             }
             for sql in hostile_statements(names[0], names[1]) {
-                for opt in hostile_configs() {
+                for (opt, rejected) in hostile_configs() {
                     calls += 1;
+                    let case = || format!("{sql:?} on {nrows} rows under {opt:?}");
                     match run_hostile(&table, opt, &sql, None) {
-                        Ok(outcome) => ok += usize::from(outcome.is_ok()),
-                        Err(panic) => panics.push(panic),
+                        Ok(outcome) => {
+                            ok += usize::from(outcome.is_ok());
+                            failures.extend(check_refusal(&outcome, rejected, case).err());
+                        }
+                        Err(panic) => failures.push(panic),
                     }
                 }
             }
@@ -295,14 +333,16 @@ fn hostile_statement_execution_never_panics() {
     };
     for restore in [None, Some(&checkpoint)] {
         for sql in hostile_statements("a", "b") {
-            for opt in hostile_configs() {
-                if let Err(panic) = run_hostile(&cells, opt, &sql, restore) {
-                    panics.push(panic);
+            for (opt, rejected) in hostile_configs() {
+                let case = || format!("{sql:?} on hostile cells under {opt:?}");
+                match run_hostile(&cells, opt, &sql, restore) {
+                    Ok(outcome) => failures.extend(check_refusal(&outcome, rejected, case).err()),
+                    Err(panic) => failures.push(panic),
                 }
             }
         }
     }
-    assert!(panics.is_empty(), "{panics:#?}");
+    assert!(failures.is_empty(), "{failures:#?}");
 }
 
 /// `EXPLAIN ANALYZE` builds no result rows, yet its `Limit` node still
@@ -368,4 +408,128 @@ fn cascaded_outputs_are_the_plans_labels() {
     assert!(rewritten > 0, "the cheap tier must get some rows wrong");
     let selected = outputs.iter().filter(|o| o.text == "Yes").count();
     assert_eq!(res.rows.len(), selected);
+}
+
+/// A statement every gated setting reaches: pipelined over two replicas
+/// with faults and a cascade on, over two LLM filters. `slot` (0–10) picks
+/// the gated field and `bad`, when given, replaces its value: a count reads
+/// 0, the fault rate reads one million plus `|bad|` ppm (saturating), and a
+/// float field reads `bad`. Returns the config and the field's name.
+fn gated_config(slot: usize, bad: Option<f64>) -> (OptimizerConfig, &'static str) {
+    let mut opt = OptimizerConfig::pipelined(2);
+    opt.pipeline_batch_rows = 16;
+    opt.faults = Some(StatementFaults::new(100_000, 7));
+    let mut plan = CascadePlan::mini_to_sonnet(0.5, 7);
+    let faults = opt.faults.as_mut().unwrap();
+    let field = match slot {
+        0 => ("pipeline_replicas", bad.map(|_| opt.pipeline_replicas = 0)),
+        1 => (
+            "pipeline_batch_rows",
+            bad.map(|_| opt.pipeline_batch_rows = 0),
+        ),
+        2 => ("faults.max_attempts", bad.map(|_| faults.max_attempts = 0)),
+        3 => (
+            "faults.error_ppm",
+            bad.map(|b| faults.error_ppm = (1e6 + b.abs().max(1.0)).min(4e9) as u32),
+        ),
+        4 => (
+            "cascade.escalate_below",
+            bad.map(|b| plan.escalate_below = b),
+        ),
+        5 => (
+            "cascade.cheap.base_accuracy",
+            bad.map(|b| plan.cheap.base_accuracy = b),
+        ),
+        6 => (
+            "cascade.expensive.base_accuracy",
+            bad.map(|b| plan.expensive.base_accuracy = b),
+        ),
+        7 => (
+            "cascade.cheap.input_per_mtok",
+            bad.map(|b| plan.cheap.input_per_mtok = b),
+        ),
+        8 => (
+            "cascade.cheap.output_per_mtok",
+            bad.map(|b| plan.cheap.output_per_mtok = b),
+        ),
+        9 => (
+            "cascade.expensive.input_per_mtok",
+            bad.map(|b| plan.expensive.input_per_mtok = b),
+        ),
+        _ => (
+            "cascade.expensive.output_per_mtok",
+            bad.map(|b| plan.expensive.output_per_mtok = b),
+        ),
+    };
+    opt.cascade = Some(CascadeConfig::new(plan));
+    (opt, field.0)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The statement gate: a gated setting out of its range — NaN, ±∞, 0, a
+    /// negative or a too-large value — is [`ExecError::InvalidConfig`]
+    /// naming the field, from `run`, `explain` and `execute_with` alike, and
+    /// returned before any row is labelled or cached; the same statement
+    /// with the field valid returns rows.
+    #[test]
+    fn every_out_of_range_setting_is_a_typed_error(
+        slot in 0usize..11,
+        which in 0usize..5,
+        millis in 1u32..1_000_000_000,
+    ) {
+        let x = f64::from(millis) / 1e3;
+        let bad = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -x, 1.0 + x][which];
+        // A price above one is valid: prices take the negative and
+        // non-finite draws only.
+        let bad = if slot >= 7 && which == 4 { -x } else { bad };
+        let ds = Dataset::generate_with_rows(DatasetId::Movies, 30);
+        let eng = engine();
+        let solver = Ggr::default();
+        let sql = "SELECT movietitle FROM movies WHERE \
+                   LLM('Suitable for kids?', movieinfo, movietitle) = 'Yes' \
+                   AND LLM('Is the review positive?', reviewcontent) = 'Yes'";
+        let labelled = std::cell::Cell::new(0usize);
+        let truth = |row: usize| {
+            labelled.set(labelled.get() + 1);
+            if row.is_multiple_of(3) { "No" } else { "Yes" }.to_string()
+        };
+        let refused = |err: Option<ExecError>| match err {
+            Some(ExecError::InvalidConfig { field, .. }) => Some(field),
+            _ => None,
+        };
+        let sql_refused = |err: Option<SqlError>| match err {
+            Some(SqlError::Exec(e)) => refused(Some(e)),
+            _ => None,
+        };
+
+        let (opt, field) = gated_config(slot, Some(bad));
+        let executor = QueryExecutor::new(&eng, &OracleLlm, Tokenizer::new());
+        let mut runner = SqlRunner::new(&executor, &solver).with_optimizer(opt);
+        runner.register("movies", &ds.table, &ds.fds);
+        prop_assert_eq!(sql_refused(runner.run(sql, &truth).err()), Some(field));
+        prop_assert_eq!(sql_refused(runner.explain(sql).err()), Some(field));
+        let query = LlmQuery::filter(
+            "kids",
+            "Suitable for kids?",
+            vec!["movieinfo".into(), "movietitle".into()],
+            vec!["Yes".into(), "No".into()],
+            "Yes",
+            2.0,
+        );
+        let bare = executor.execute_with(&ds.table, &query, &solver, &ds.fds, &truth, opt);
+        prop_assert_eq!(refused(bare.err()), Some(field));
+        prop_assert!(labelled.get() == 0, "a refused statement labels no row");
+        prop_assert!(runner.checkpoint().is_empty(), "a refused statement caches nothing");
+
+        let (valid, _) = gated_config(slot, None);
+        let runner = {
+            let mut r = SqlRunner::new(&executor, &solver).with_optimizer(valid);
+            r.register("movies", &ds.table, &ds.fds);
+            r
+        };
+        let res = runner.run(sql, &truth).expect("every setting valid");
+        prop_assert!(!res.rows.is_empty(), "the valid statement returns rows");
+    }
 }
