@@ -49,9 +49,9 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Pseudo-observation weight of the optimizer's static prior in each
-/// [`SelectivityTracker`] posterior: small enough that the first real batch already
-/// moves the ranking, large enough that a 4-row pilot batch cannot collapse
-/// a selectivity estimate to 0 or 1.
+/// [`SelectivityTracker`] posterior: small enough that the first real
+/// batch already moves the ranking, large enough that a 4-row pilot batch
+/// cannot collapse a selectivity estimate to 0 or 1.
 pub const DEFAULT_PRIOR_STRENGTH: f64 = 8.0;
 
 // ---------------------------------------------------------------------------

@@ -148,7 +148,8 @@ impl<'a> SqlRunner<'a> {
     }
 
     /// Selects which optimizations run ([`OptimizerConfig::none`] is the
-    /// differential oracle).
+    /// differential oracle). Each statement checks `opt` before it runs
+    /// ([`ExecError::InvalidConfig`]).
     pub fn with_optimizer(mut self, opt: OptimizerConfig) -> Self {
         self.opt = opt;
         self

@@ -410,59 +410,48 @@ fn cascaded_outputs_are_the_plans_labels() {
     assert_eq!(res.rows.len(), selected);
 }
 
-/// A statement every gated setting reaches: pipelined over two replicas
-/// with faults and a cascade on, over two LLM filters. `slot` (0–10) picks
-/// the gated field and `bad`, when given, replaces its value: a count reads
-/// 0, the fault rate reads one million plus `|bad|` ppm (saturating), and a
-/// float field reads `bad`. Returns the config and the field's name.
-fn gated_config(slot: usize, bad: Option<f64>) -> (OptimizerConfig, &'static str) {
+/// The statement gate's fields, in its order.
+const GATED: [&str; 11] = [
+    "pipeline_replicas",
+    "pipeline_batch_rows",
+    "faults.max_attempts",
+    "faults.error_ppm",
+    "cascade.escalate_below",
+    "cascade.cheap.base_accuracy",
+    "cascade.expensive.base_accuracy",
+    "cascade.cheap.input_per_mtok",
+    "cascade.cheap.output_per_mtok",
+    "cascade.expensive.input_per_mtok",
+    "cascade.expensive.output_per_mtok",
+];
+
+/// A config with every gated mode on — pipelined over two replicas, faults
+/// and a cascade — whose field `GATED[slot]` reads `bad`, when given: a
+/// count reads 0, the fault rate one million plus `|bad|` ppm (at least
+/// one more, saturating), a float field `bad` itself.
+fn gated_config(slot: usize, bad: Option<f64>) -> OptimizerConfig {
     let mut opt = OptimizerConfig::pipelined(2);
     opt.pipeline_batch_rows = 16;
-    opt.faults = Some(StatementFaults::new(100_000, 7));
+    let mut faults = StatementFaults::new(100_000, 7);
     let mut plan = CascadePlan::mini_to_sonnet(0.5, 7);
-    let faults = opt.faults.as_mut().unwrap();
-    let field = match slot {
-        0 => ("pipeline_replicas", bad.map(|_| opt.pipeline_replicas = 0)),
-        1 => (
-            "pipeline_batch_rows",
-            bad.map(|_| opt.pipeline_batch_rows = 0),
-        ),
-        2 => ("faults.max_attempts", bad.map(|_| faults.max_attempts = 0)),
-        3 => (
-            "faults.error_ppm",
-            bad.map(|b| faults.error_ppm = (1e6 + b.abs().max(1.0)).min(4e9) as u32),
-        ),
-        4 => (
-            "cascade.escalate_below",
-            bad.map(|b| plan.escalate_below = b),
-        ),
-        5 => (
-            "cascade.cheap.base_accuracy",
-            bad.map(|b| plan.cheap.base_accuracy = b),
-        ),
-        6 => (
-            "cascade.expensive.base_accuracy",
-            bad.map(|b| plan.expensive.base_accuracy = b),
-        ),
-        7 => (
-            "cascade.cheap.input_per_mtok",
-            bad.map(|b| plan.cheap.input_per_mtok = b),
-        ),
-        8 => (
-            "cascade.cheap.output_per_mtok",
-            bad.map(|b| plan.cheap.output_per_mtok = b),
-        ),
-        9 => (
-            "cascade.expensive.input_per_mtok",
-            bad.map(|b| plan.expensive.input_per_mtok = b),
-        ),
-        _ => (
-            "cascade.expensive.output_per_mtok",
-            bad.map(|b| plan.expensive.output_per_mtok = b),
-        ),
-    };
+    if let Some(b) = bad {
+        match slot {
+            0 => opt.pipeline_replicas = 0,
+            1 => opt.pipeline_batch_rows = 0,
+            2 => faults.max_attempts = 0,
+            3 => faults.error_ppm = (1e6 + b.abs().max(1.0)).min(4e9) as u32,
+            4 => plan.escalate_below = b,
+            5 => plan.cheap.base_accuracy = b,
+            6 => plan.expensive.base_accuracy = b,
+            7 => plan.cheap.input_per_mtok = b,
+            8 => plan.cheap.output_per_mtok = b,
+            9 => plan.expensive.input_per_mtok = b,
+            _ => plan.expensive.output_per_mtok = b,
+        }
+    }
+    opt.faults = Some(faults);
     opt.cascade = Some(CascadeConfig::new(plan));
-    (opt, field.0)
+    opt
 }
 
 proptest! {
@@ -504,7 +493,7 @@ proptest! {
             _ => None,
         };
 
-        let (opt, field) = gated_config(slot, Some(bad));
+        let (opt, field) = (gated_config(slot, Some(bad)), GATED[slot]);
         let executor = QueryExecutor::new(&eng, &OracleLlm, Tokenizer::new());
         let mut runner = SqlRunner::new(&executor, &solver).with_optimizer(opt);
         runner.register("movies", &ds.table, &ds.fds);
@@ -523,7 +512,7 @@ proptest! {
         prop_assert!(labelled.get() == 0, "a refused statement labels no row");
         prop_assert!(runner.checkpoint().is_empty(), "a refused statement caches nothing");
 
-        let (valid, _) = gated_config(slot, None);
+        let valid = gated_config(slot, None);
         let runner = {
             let mut r = SqlRunner::new(&executor, &solver).with_optimizer(valid);
             r.register("movies", &ds.table, &ds.fds);
