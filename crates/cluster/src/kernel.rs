@@ -59,8 +59,8 @@
 
 use crate::fault::{slowdown_at, FaultEvent, FaultPlan, FaultStats, RetryPolicy};
 use crate::overload::{
-    decide_admission, shed_victim, AdmissionPolicy, OverloadPolicy, PendingLedger, ScalePolicy,
-    ScaleStats, ShedDecision, ShedReason, ShedStats,
+    decide_admission, shed_victim, AdmissionPolicy, Cadence, OverloadPolicy, PendingLedger,
+    ScalePolicy, ScaleStats, ShedDecision, ShedReason, ShedStats,
 };
 use crate::report::{ClusterReport, ReplicaOccupancy, ReplicaReport};
 use crate::request::ClusterRequest;
@@ -374,8 +374,8 @@ struct Timeline<'a> {
     retries: DueQueue,
     /// Armed hedge timers `(fire, request)`.
     hedges: DueQueue,
-    /// The autoscaler's `(next check instant, cadence)`.
-    scale_check: Option<(SimTime, SimTime)>,
+    /// The autoscaler's check cadence.
+    scale_check: Option<Cadence>,
 }
 
 /// Every request's arrival on the sim clock with its index, by arrival,
@@ -395,7 +395,7 @@ impl<'a> Timeline<'a> {
     fn new(
         order: &'a [(SimTime, usize)],
         faults: &[FaultEvent<SimTime>],
-        scale_every: Option<SimTime>,
+        scale_check: Option<Cadence>,
     ) -> Self {
         let mut due = DueQueue::default();
         for (i, e) in faults.iter().enumerate() {
@@ -410,7 +410,7 @@ impl<'a> Timeline<'a> {
             rejoins: DueQueue::default(),
             retries: DueQueue::default(),
             hedges: DueQueue::default(),
-            scale_check: scale_every.map(|every| (every, every)),
+            scale_check,
         }
     }
 
@@ -431,7 +431,8 @@ impl<'a> Timeline<'a> {
         let work_pending = busy_or_queued
             || arrival.is_some()
             || !(self.retries.0.is_empty() && self.hedges.0.is_empty());
-        let check = self.scale_check.filter(|_| work_pending).map(|(at, _)| at);
+        let check = self.scale_check.filter(|_| work_pending);
+        let check = check.and_then(|c| c.at(c.next));
         self.next_event().into_iter().chain(check).min()
     }
 
@@ -458,83 +459,13 @@ impl<'a> Timeline<'a> {
     /// one past `t`.
     fn pop_scale_check(&mut self, t: SimTime) -> bool {
         match &mut self.scale_check {
-            Some((next, every)) if *next <= t => {
-                while *next <= t {
-                    *next = *next + *every;
-                }
+            Some(c) if c.at(c.next).is_some_and(|at| at <= t) => {
+                c.next = c.first(|at| at > t);
                 true
             }
             _ => false,
         }
     }
-}
-
-/// The first instant of the check cadence from `x` — `x`, `x + every`,
-/// `(x + every) + every`, …, each sum rounded as
-/// [`Timeline::pop_scale_check`] rounds it one check at a time — at which
-/// `due` holds, with how many instants come before it. `due` must stay true
-/// once it holds. A run of sums that [`same_steps`] vouches for is searched
-/// by bisection; any other sum is taken alone.
-fn first_due_check(
-    mut x: SimTime,
-    every: SimTime,
-    due: impl Fn(SimTime) -> bool,
-) -> (SimTime, u64) {
-    let mut passed = 0;
-    while !due(x) {
-        let steps = same_steps(x.secs(), every.secs());
-        if steps == 0 {
-            x = x + every;
-            passed += 1;
-            continue;
-        }
-        // `k · step` is at most the binade's span: the fallback never fires.
-        let step = (x + every) - x;
-        let at = |k: u64| x + SimTime::new(k as f64 * step).unwrap_or_default();
-        if !due(at(steps)) {
-            x = at(steps);
-            passed += steps;
-            continue;
-        }
-        // `due` is false at `lo` and true at `hi`.
-        let (mut lo, mut hi) = (0, steps);
-        while hi - lo > 1 {
-            let mid = lo + (hi - lo) / 2;
-            if due(at(mid)) {
-                hi = mid;
-            } else {
-                lo = mid;
-            }
-        }
-        return (at(hi), passed + hi);
-    }
-    (x, passed)
-}
-
-/// How many sums in a row, from `x` on, add the same rounded `every`: 0
-/// when not even the first is known to. `x` lies in a binade whose floats
-/// are the multiples of one ulp below its top; `x + j·step + every` rounds
-/// `every` to the same multiple `step` for every `j` while it stays below
-/// the top — unless `every` lies halfway between two multiples, where the
-/// tie rounds to whichever sum is even. Subnormals, the last binade and a
-/// step that rounds to nothing are left to single sums.
-fn same_steps(x: f64, every: f64) -> u64 {
-    let exp = x.to_bits() >> 52;
-    if !(53..2046).contains(&exp) {
-        return 0;
-    }
-    let ulp = f64::from_bits((exp - 52) << 52);
-    let top = f64::from_bits((exp + 1) << 52);
-    // In ulps: sum j stays below the top while j·step < span − every, that
-    // is j·step ≤ span − ⌊every⌋ − 1 (all integers below 2^53 when this is
-    // not negative, so exact).
-    let (span, every_ulps) = ((top - x) / ulp, every / ulp);
-    let step = ((x + every) - x) / ulp;
-    let room = span - every_ulps.floor() - 1.0;
-    if every_ulps.fract() == 0.5 || step < 1.0 || room < 0.0 {
-        return 0;
-    }
-    room as u64 / step as u64 + 1
 }
 
 /// Handles of the per-placement gauges, resolved once per run so a routed
@@ -771,7 +702,7 @@ impl<'a> Kernel<'a> {
         let faults = plan.check(n)?;
         let hedge_after = retry.check()?;
         overload.admission.check()?;
-        let scale_every = overload.scale.map(|s| s.check(n)).transpose()?;
+        let scale_check = overload.scale.map(|s| s.check(n)).transpose()?;
         let engaged = !plan.is_empty() || !retry.is_disabled();
         let ids = if engaged {
             IdIndex::new(requests)?
@@ -791,7 +722,7 @@ impl<'a> Kernel<'a> {
             engaged,
             snapshots: Vec::with_capacity(replicas.len()),
             replicas,
-            timeline: Timeline::new(order, &faults, scale_every),
+            timeline: Timeline::new(order, &faults, scale_check),
             faults,
             hedge_after,
             first_chains: None,
@@ -1212,7 +1143,7 @@ impl<'a> Kernel<'a> {
     /// stepping through them gives. Without a later event and with the
     /// fleet at its maximum no check can act, and the cadence is left be.
     fn skip_idle_checks(&mut self) {
-        let (Some(policy), Some((next, every))) = (self.overload.scale, self.timeline.scale_check)
+        let (Some(policy), Some(mut cadence)) = (self.overload.scale, self.timeline.scale_check)
         else {
             return;
         };
@@ -1222,9 +1153,10 @@ impl<'a> Kernel<'a> {
         }
         let oldest = self.oldest_pending();
         let due = |t: SimTime| other.is_some_and(|o| t >= o) || self.grows(&policy, t, oldest);
-        let (at, passed) = first_due_check(next, every, due);
-        self.timeline.scale_check = Some((at, every));
-        self.scale.checks += passed;
+        let k = cadence.first(due);
+        self.scale.checks += k - cadence.next;
+        cadence.next = k;
+        self.timeline.scale_check = Some(cadence);
     }
 
     /// One evaluation of the autoscaler's control loop at `t`.
@@ -1551,30 +1483,5 @@ mod tests {
         }
         assert_eq!(IdIndex::new(&[]).expect("no ids").get(0, &[]), None);
         assert_eq!(IdIndex::default().get(0, &[]), None);
-    }
-
-    /// The cadence jump lands where stepping one check at a time does, on
-    /// the same rounded sums and after as many instants, for dyadic and
-    /// non-dyadic cadences alike and across binades.
-    #[test]
-    fn first_due_check_lands_on_the_stepped_instant() {
-        let t = |s: f64| SimTime::new(s).expect("valid");
-        for every in [0.25, 0.1, 0.073_1, 1.0 / 3.0, 1e-3, 7.0] {
-            for start in [every, 0.5 + every, 1e6 + every] {
-                for until in [0.0, 0.3, 2.0, 100.0, 4_321.5, 1e6 + 77.7] {
-                    if (until - start) / every > 5e6 {
-                        continue;
-                    }
-                    let due = |x: SimTime| x.secs() >= until;
-                    let (mut x, mut passed) = (t(start), 0);
-                    while !due(x) {
-                        x = x + t(every);
-                        passed += 1;
-                    }
-                    let jumped = first_due_check(t(start), t(every), due);
-                    assert_eq!(jumped, (x, passed), "every {every} from {start} to {until}");
-                }
-            }
-        }
     }
 }

@@ -161,7 +161,10 @@ pub struct ScalePolicy {
     /// Scale down once the queue is empty and fleet-mean KV utilization is
     /// below this fraction.
     pub kv_low_watermark: f64,
-    /// Control-loop cadence, sim seconds.
+    /// Control-loop cadence, sim seconds: check `k` (from 1) is due at
+    /// `k × check_interval_s`, rounded once. Checks passed while the job
+    /// has no work pending are not counted, and a queue stranded with no
+    /// replica busy jumps to the first check that can act.
     pub check_interval_s: f64,
     /// Minimum sim seconds between consecutive scale actions (hysteresis).
     pub cooldown_s: f64,
@@ -237,8 +240,8 @@ impl ScalePolicy {
     }
 
     /// Checks every field once — the kernel's gate for the policy — and
-    /// returns the check cadence on the sim clock.
-    pub(crate) fn check(&self, fleet: usize) -> Result<SimTime, ClusterError> {
+    /// returns the check cadence, at its first check.
+    pub(crate) fn check(&self, fleet: usize) -> Result<Cadence, ClusterError> {
         let bad = |reason| Err(ClusterError::InvalidOverloadPolicy { reason });
         let (time, fraction) = (|t| SimTime::new(t).is_some(), |f| (0.0..=1.0).contains(&f));
         if self.min_replicas == 0 {
@@ -268,7 +271,52 @@ impl ScalePolicy {
         if !fraction(self.warmup_jitter_frac) {
             return bad("warmup_jitter_frac must be in [0, 1]");
         }
-        Ok(every)
+        Ok(Cadence {
+            every: every.secs(),
+            next: 1,
+        })
+    }
+}
+
+/// The autoscaler's check cadence: check `k` (from 1) is due at
+/// `k × every`, rounded once, and `next` is the first check not yet made.
+#[derive(Clone, Copy)]
+pub(crate) struct Cadence {
+    every: f64,
+    pub(crate) next: u64,
+}
+
+impl Cadence {
+    /// Check `k`'s instant; `None` past the largest float, and for the last
+    /// count, which ends the cadence.
+    pub(crate) fn at(&self, k: u64) -> Option<SimTime> {
+        SimTime::new(k as f64 * self.every).filter(|_| k < u64::MAX)
+    }
+
+    /// The first check from `next` on that has no instant or whose instant
+    /// `due` holds at: a gallop from `next`, then a bisection. `due` must
+    /// stay true once it holds.
+    pub(crate) fn first(&self, due: impl Fn(SimTime) -> bool) -> u64 {
+        let holds = |k| self.at(k).is_none_or(&due);
+        // `holds` is false at `lo` and true at `hi`.
+        let (mut lo, mut gap) = (self.next, 1);
+        if holds(lo) {
+            return lo;
+        }
+        let mut hi = lo.saturating_add(gap);
+        while !holds(hi) {
+            (lo, gap) = (hi, gap * 2);
+            hi = lo.saturating_add(gap);
+        }
+        while hi - lo > 1 {
+            let mid = lo + (hi - lo) / 2;
+            if holds(mid) {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        hi
     }
 }
 
@@ -526,10 +574,8 @@ mod tests {
 
         let o = OverloadPolicy::admission(p).with_scale(ScalePolicy::elastic(1, 6));
         assert_eq!(o.admission, p);
-        assert_eq!(
-            o.scale.map(|s| s.check(2)),
-            Some(Ok(SimTime::new(0.25).unwrap()))
-        );
+        let first = o.scale.map(|s| s.check(2).map(|c| c.at(c.next)));
+        assert_eq!(first, Some(Ok(SimTime::new(0.25))));
     }
 
     #[test]
@@ -559,6 +605,38 @@ mod tests {
         assert!(base.with_cadence(0.25, -1.0).check(4).is_err());
         assert!(base.with_warmup(f64::INFINITY).check(4).is_err());
         assert!(base.with_warmup_jitter(3.0, 0).check(4).is_err());
+    }
+
+    /// The search over k lands where a walk over k does, for dyadic and
+    /// non-dyadic cadences alike, on the instant `k × every`; a cadence far
+    /// below an ulp of its instants still gets there.
+    #[test]
+    fn cadence_first_lands_on_the_walked_check() {
+        for every in [0.25, 0.1, 0.073_1, 1.0 / 3.0, 1e-3, 7.0] {
+            for start in [1, 3, 1_000_000] {
+                for until in [0.0, 0.3, 2.0, 100.0, 4_321.5, 1e6 + 77.7] {
+                    if until / every - start as f64 > 5e6 {
+                        continue;
+                    }
+                    let cadence = Cadence { every, next: start };
+                    let due = |at: SimTime| at.secs() >= until;
+                    let mut k = start;
+                    while !cadence.at(k).is_some_and(due) {
+                        k += 1;
+                    }
+                    let first = cadence.first(due);
+                    assert_eq!(first, k, "every {every} from check {start} to {until}");
+                    assert_eq!(cadence.at(k), SimTime::new(k as f64 * every));
+                }
+            }
+        }
+        let tiny = Cadence {
+            every: 1e-17,
+            next: 1 << 50,
+        };
+        let k = tiny.first(|at| at.secs() >= 1.0);
+        assert!(tiny.at(k).is_some_and(|at| at.secs() >= 1.0));
+        assert!(tiny.at(k - 1).is_some_and(|at| at.secs() < 1.0));
     }
 
     #[test]

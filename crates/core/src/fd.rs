@@ -108,11 +108,6 @@ impl FunctionalDeps {
         &self.inferred[c]
     }
 
-    /// Whether any dependency exists.
-    pub fn is_trivial(&self) -> bool {
-        self.inferred.iter().all(Vec::is_empty)
-    }
-
     /// The distinct equivalence groups with more than one member.
     pub fn groups(&self) -> Vec<Vec<u32>> {
         let mut seen = vec![false; self.ncols];
@@ -140,7 +135,6 @@ mod tests {
     #[test]
     fn empty_has_no_inferred() {
         let fds = FunctionalDeps::empty(3);
-        assert!(fds.is_trivial());
         assert!(fds.groups().is_empty());
         for col in 0..3 {
             assert!(fds.inferred(col).is_empty());
@@ -152,7 +146,6 @@ mod tests {
         let fds = FunctionalDeps::from_groups(4, vec![vec![1, 3]]).unwrap();
         assert_eq!(fds.inferred(1), &[3]);
         assert_eq!(fds.inferred(3), &[1]);
-        assert!(!fds.is_trivial());
         assert_eq!(fds.groups(), vec![vec![1, 3]]);
     }
 

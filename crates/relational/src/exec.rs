@@ -828,7 +828,7 @@ mod tests {
     fn project_fds_drops_broken_groups() {
         let fds = FunctionalDeps::from_groups(4, vec![vec![0, 2]]).unwrap();
         let p = project_fds(&fds, &[0, 1]); // col 2 not used → group dissolves
-        assert!(p.is_trivial());
+        assert!(p.groups().is_empty());
     }
 
     #[test]
@@ -849,7 +849,7 @@ mod tests {
         assert_eq!(two.inferred(0), &[1]);
         assert_eq!(two.inferred(1), &[0]);
         let one = project_fds(&fds, &[2, 1]);
-        assert!(one.is_trivial());
+        assert!(one.groups().is_empty());
     }
 
     #[test]
@@ -858,11 +858,11 @@ mod tests {
         let fds = FunctionalDeps::from_groups(3, vec![vec![0, 1]]).unwrap();
         let none = project_fds(&fds, &[]);
         assert_eq!(none.ncols(), 0);
-        assert!(none.is_trivial());
+        assert!(none.groups().is_empty());
         // Trivial input stays trivial under any projection.
         let p = project_fds(&FunctionalDeps::empty(3), &[2, 0]);
         assert_eq!(p.ncols(), 2);
-        assert!(p.is_trivial());
+        assert!(p.groups().is_empty());
     }
 
     #[test]
