@@ -298,12 +298,8 @@ impl Cadence {
     /// stay true once it holds.
     pub(crate) fn first(&self, due: impl Fn(SimTime) -> bool) -> u64 {
         let holds = |k| self.at(k).is_none_or(&due);
-        // `holds` is false at `lo` and true at `hi`.
-        let (mut lo, mut gap) = (self.next, 1);
-        if holds(lo) {
-            return lo;
-        }
-        let mut hi = lo.saturating_add(gap);
+        // `holds` is true at `hi`, and false at `lo` or `lo` precedes `next`.
+        let (mut lo, mut hi, mut gap) = (self.next - 1, self.next, 1);
         while !holds(hi) {
             (lo, gap) = (hi, gap * 2);
             hi = lo.saturating_add(gap);
