@@ -520,7 +520,7 @@ pub(crate) fn shed_victim(
 /// [`ScalePolicy`] ran.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ScaleStats {
-    /// Control-loop evaluations that fired.
+    /// Control-loop evaluations, the checks a stranded queue skips included.
     pub checks: u64,
     /// Cold replicas provisioned (each joins after its warmup).
     pub scale_ups: u64,
